@@ -49,6 +49,59 @@ pub fn ci95_half_width(xs: &[f64]) -> f64 {
     1.96 * std_dev(xs) / (xs.len() as f64).sqrt()
 }
 
+/// A χ² statistic with its degrees of freedom.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChiSquare {
+    /// The statistic.
+    pub statistic: f64,
+    /// Degrees of freedom of its reference distribution.
+    pub dof: usize,
+}
+
+impl ChiSquare {
+    /// Whether the statistic lies beyond the upper quantile of `χ²(dof)` at
+    /// standard-normal deviate `z` (Wilson–Hilferty approximation; `z = 3.09`
+    /// is the 99.9 % point). Never true with no degree of freedom.
+    pub fn exceeds(&self, z: f64) -> bool {
+        if self.dof == 0 {
+            return false;
+        }
+        let k = self.dof as f64;
+        let spread = 2.0 / (9.0 * k);
+        self.statistic > k * (1.0 - spread + z * spread.sqrt()).powi(3)
+    }
+}
+
+/// Two-sample χ² test of homogeneity: `a[c]` and `b[c]` count category `c`
+/// in two independent samples, which under the null hypothesis share one
+/// distribution. Categories with fewer than `min_pooled` observations in
+/// the two samples together are pooled into one, keeping the χ²
+/// approximation sound for sparse tails.
+pub fn chi_square_two_sample(a: &[u64], b: &[u64], min_pooled: u64) -> ChiSquare {
+    assert_eq!(a.len(), b.len(), "one count per category in each sample");
+    let (total_a, total_b) = (a.iter().sum::<u64>() as f64, b.iter().sum::<u64>() as f64);
+    assert!(total_a > 0.0 && total_b > 0.0, "both samples need observations");
+    let (scale_a, scale_b) = ((total_b / total_a).sqrt(), (total_a / total_b).sqrt());
+    let term = |x: u64, y: u64| (scale_a * x as f64 - scale_b * y as f64).powi(2) / (x + y) as f64;
+
+    let (mut statistic, mut categories) = (0.0, 0usize);
+    let (mut rest_a, mut rest_b) = (0u64, 0u64);
+    for (&x, &y) in a.iter().zip(b) {
+        if x + y < min_pooled {
+            rest_a += x;
+            rest_b += y;
+        } else {
+            statistic += term(x, y);
+            categories += 1;
+        }
+    }
+    if rest_a + rest_b > 0 {
+        statistic += term(rest_a, rest_b);
+        categories += 1;
+    }
+    ChiSquare { statistic, dof: categories.saturating_sub(1) }
+}
+
 /// A running min/mean/max accumulator for streaming measurements.
 #[derive(Debug, Clone, Default)]
 pub struct Accumulator {
@@ -128,6 +181,22 @@ mod tests {
     fn quantile_interpolates() {
         let xs = [0.0, 10.0];
         assert!((quantile(&xs, 0.3) - 3.0).abs() < 1e-12);
+    }
+
+    /// Homogeneous samples stay under the 99.9 % point; a shifted one does
+    /// not; sparse categories are pooled, not divided by.
+    #[test]
+    fn chi_square_separates_equal_from_different() {
+        let a = [250, 240, 260, 250, 0, 1];
+        let same = chi_square_two_sample(&a, &[245, 255, 250, 250, 2, 0], 10);
+        assert_eq!(same.dof, 4, "four dense categories plus the pooled rest");
+        assert!(!same.exceeds(3.09), "{same:?}");
+        let shifted = chi_square_two_sample(&a, &[350, 150, 250, 250, 0, 0], 10);
+        assert!(shifted.exceeds(3.09), "{shifted:?}");
+        // 1 dof: statistic of a 2x2 table, checked by hand.
+        let table = chi_square_two_sample(&[30, 70], &[50, 50], 0);
+        assert_eq!(table.dof, 1);
+        assert!((table.statistic - 25.0 / 3.0).abs() < 1e-9, "{table:?}");
     }
 
     #[test]

@@ -247,7 +247,7 @@ pub fn run_e21(fast: bool) {
         ]);
     }
     t.print();
-    println!("  shape check: identical blocks/op and round trips — active security costs only client hashing and 12 extra bytes/cell, not transcript shape.");
+    println!("  shape check: identical blocks/op and address sequence (the verified server answers the two downloads as separate requests) — active security costs only client hashing and 12 extra bytes/cell.");
 }
 
 /// E22 — mapping-scheme ablation: why §7.2 builds on two-choice loads

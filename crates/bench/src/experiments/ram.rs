@@ -10,7 +10,7 @@ use dps_workloads::generators::{database, uniform_ram};
 
 use crate::table::{f1, f3, Table};
 
-/// E5 — Theorem 6.1 vs Path ORAM: DP-RAM moves 3 blocks over 3 round trips
+/// E5 — Theorem 6.1 vs Path ORAM: DP-RAM moves 3 blocks over 2 round trips
 /// at every n; Path ORAM grows as Θ(log n) (and Θ(log n) round trips with a
 /// recursive position map).
 pub fn run_e5(fast: bool) {

@@ -22,10 +22,21 @@
 //! The per-query adversarial view is a pair of bucket ids — the direct
 //! analogue of `(d_j, o_j)` — so privacy is `ε = O(log b)` per bucket query
 //! by the Section 6 analysis over the repertoire Σ.
+//!
+//! Neither id depends on downloaded bytes — only on stash membership and
+//! the client's coins — so a whole *flight* of queries
+//! ([`BucketRam::query_batch`]; [`BucketRam::query`] is the one-element
+//! flight) is planned up front and costs **2 round trips**: one download
+//! of `bucket(d_1)‖bucket(o_1)‖…‖bucket(d_k)‖bucket(o_k)`, then one upload
+//! of `bucket(o_1)‖…‖bucket(o_k)`. The queries still run in order against
+//! the downloaded snapshot; a cell an earlier query of the flight rewrote
+//! is read from the client's overlay, not from the stale snapshot, which
+//! extends the overlap rule above to cells in flight. `NOTES.md` has the
+//! argument and the precedence rule.
 
 use std::collections::{HashMap, HashSet};
 
-use dps_crypto::{BlockCipher, ChaChaRng, CryptoError, CIPHERTEXT_OVERHEAD};
+use dps_crypto::{BlockCipher, ChaChaRng, CIPHERTEXT_OVERHEAD};
 use dps_server::{ServerError, SimServer, Storage};
 
 /// The typed per-bucket-query adversarial view.
@@ -79,6 +90,51 @@ impl From<ServerError> for BucketRamError {
     }
 }
 
+/// The coins of one bucket query, drawn in Algorithm 3's order before any
+/// byte is requested: neither address depends on downloaded content, only
+/// on stash *membership* and the client's randomness.
+#[derive(Debug, Clone, Copy)]
+struct QueryPlan {
+    /// The queried bucket is client-held when the query starts.
+    stashed: bool,
+    /// The stash coin came up: the bucket is client-held after the query.
+    stash: bool,
+    /// The `(d_j, o_j)` pair the server will see.
+    trace: BucketTrace,
+}
+
+/// Buffers of one flight, kept on the client and reused across flights.
+#[derive(Debug, Default)]
+struct FlightScratch {
+    plans: Vec<QueryPlan>,
+    /// Download addresses: `bucket(d_1)‖bucket(o_1)‖…‖bucket(d_k)‖bucket(o_k)`.
+    addrs: Vec<usize>,
+    /// The downloaded ciphertexts, back to back in `addrs` order.
+    ct: Vec<u8>,
+    /// Overlay: (cell id, query, position) of every plaintext this flight
+    /// gave a cell, in order — the last entry of a cell is its latest. A
+    /// flight is a handful of queries, so a scan beats hashing.
+    written: Vec<(usize, usize, usize)>,
+    /// Upload addresses: `bucket(o_1)‖…‖bucket(o_k)`, duplicates kept.
+    up_addrs: Vec<usize>,
+    /// The fresh ciphertexts, back to back in `up_addrs` order.
+    enc_flat: Vec<u8>,
+    /// Per-cell plaintext and ciphertext scratch.
+    pt: Vec<u8>,
+    enc_cell: Vec<u8>,
+}
+
+/// One query's post-update bucket contents and its typed trace.
+pub type BucketQueryOutput = (Vec<Vec<u8>>, BucketTrace);
+
+impl FlightScratch {
+    /// The latest plaintext the flight's finished queries gave `cell`.
+    fn latest<'a>(&self, cell: usize, done: &'a [BucketQueryOutput]) -> Option<&'a Vec<u8>> {
+        let &(_, query, position) = self.written.iter().rev().find(|entry| entry.0 == cell)?;
+        Some(&done[query].0[position])
+    }
+}
+
 /// DP-RAM over a repertoire of (possibly overlapping) buckets of cells.
 #[derive(Debug)]
 pub struct BucketRam<S: Storage = SimServer> {
@@ -96,16 +152,7 @@ pub struct BucketRam<S: Storage = SimServer> {
     refcount: HashMap<usize, u32>,
     /// High-water mark of stashed cells, for client-storage experiments.
     max_stashed_cells: usize,
-    /// Reusable flat ciphertext scratch for the overwrite phase's
-    /// download (decoy refresh path).
-    ct_scratch: Vec<u8>,
-    /// Reusable per-cell plaintext scratch.
-    pt_scratch: Vec<u8>,
-    /// Reusable per-cell encryption output scratch.
-    enc_cell: Vec<u8>,
-    /// Reusable flat encryption scratch handed to
-    /// [`SimServer::write_batch_strided`].
-    enc_flat: Vec<u8>,
+    scratch: FlightScratch,
 }
 
 impl<S: Storage> BucketRam<S> {
@@ -161,10 +208,7 @@ impl<S: Storage> BucketRam<S> {
             cell_stash: HashMap::new(),
             refcount: HashMap::new(),
             max_stashed_cells: 0,
-            ct_scratch: Vec::new(),
-            pt_scratch: Vec::new(),
-            enc_cell: Vec::new(),
-            enc_flat: Vec::new(),
+            scratch: FlightScratch::default(),
         };
         // Setup-time stashing (per-bucket, like Algorithm 2's per-record).
         for b in 0..ram.buckets.len() {
@@ -212,171 +256,253 @@ impl<S: Storage> BucketRam<S> {
         &mut self.server
     }
 
+    /// Puts bucket `b` in the stash with `contents` as its cells' client
+    /// copies.
     fn stash_bucket(&mut self, b: usize, contents: &[Vec<u8>]) {
         debug_assert_eq!(contents.len(), self.buckets[b].len());
-        if !self.stashed_buckets.insert(b) {
-            // Already stashed: just refresh the cell copies.
-            for (&cell, content) in self.buckets[b].iter().zip(contents) {
-                self.cell_stash.insert(cell, content.clone());
-            }
-            return;
-        }
-        // self.buckets[b] cloned to appease the borrow checker; paths are
-        // short (Θ(log log n)).
-        for (cell, content) in self.buckets[b].clone().into_iter().zip(contents) {
+        let newly_stashed = self.stashed_buckets.insert(b);
+        debug_assert!(newly_stashed, "stash of a bucket that was already stashed");
+        for (&cell, content) in self.buckets[b].iter().zip(contents) {
             *self.refcount.entry(cell).or_insert(0) += 1;
             self.cell_stash.insert(cell, content.clone());
         }
         self.max_stashed_cells = self.max_stashed_cells.max(self.cell_stash.len());
     }
 
-    /// Removes bucket `b` from the stash, returning its cell contents.
-    /// Cells still referenced by other stashed buckets keep their client
-    /// copies.
-    fn unstash_bucket(&mut self, b: usize) -> Vec<Vec<u8>> {
+    /// Removes bucket `b` from the stash. Cells still referenced by other
+    /// stashed buckets keep their client copies.
+    fn unstash_bucket(&mut self, b: usize) {
         let was_stashed = self.stashed_buckets.remove(&b);
         debug_assert!(was_stashed, "unstash of a bucket that was not stashed");
-        let mut contents = Vec::with_capacity(self.buckets[b].len());
-        for cell in self.buckets[b].clone() {
-            let value = self.cell_stash.get(&cell).expect("stashed cell present").clone();
-            let count = self.refcount.get_mut(&cell).expect("refcounted");
+        for cell in &self.buckets[b] {
+            let count = self.refcount.get_mut(cell).expect("refcounted");
             *count -= 1;
             if *count == 0 {
-                self.refcount.remove(&cell);
-                self.cell_stash.remove(&cell);
+                self.refcount.remove(cell);
+                self.cell_stash.remove(cell);
             }
-            contents.push(value);
         }
-        contents
     }
 
-    /// Downloads the cells of bucket `b` from the server (one round trip)
-    /// and decrypts each borrowed cell slice straight into the returned
-    /// plaintexts; does not consult the stash. No ciphertext copies.
-    fn download_bucket(&mut self, b: usize) -> Result<Vec<Vec<u8>>, BucketRamError> {
-        let mut contents: Vec<Vec<u8>> = Vec::with_capacity(self.buckets[b].len());
-        let cipher = &self.cipher;
-        let mut failure: Option<CryptoError> = None;
-        self.server.read_batch_with(&self.buckets[b], |_, cell| {
-            let mut plain = Vec::new();
-            if let Err(e) = cipher.decrypt_into(cell, &mut plain) {
-                failure.get_or_insert(e);
-            }
-            contents.push(plain);
-        })?;
-        if let Some(e) = failure {
-            return Err(BucketRamError::Crypto(e.to_string()));
-        }
-        Ok(contents)
-    }
-
-    /// Downloads the cells of bucket `b` and discards them (decoy-download
-    /// shape): the bytes never leave the server arena.
-    fn download_bucket_discard(&mut self, b: usize) -> Result<(), BucketRamError> {
-        self.server.read_batch_with(&self.buckets[b], |_, _| {})?;
-        Ok(())
-    }
-
-    /// One bucket query: retrieves bucket `bucket`'s current contents,
-    /// applies `update` to them (identity for pure reads — the transcript
-    /// shape is update-independent), and runs the overwrite phase. Returns
-    /// the post-update contents and the typed trace.
+    /// One bucket query — the one-element flight of
+    /// [`BucketRam::query_batch`]: retrieves bucket `bucket`'s current
+    /// contents, applies `update` to them (identity for pure reads — the
+    /// transcript shape is update-independent), and runs the overwrite
+    /// phase. Returns the post-update contents and the typed trace.
     pub fn query<F>(
         &mut self,
         bucket: usize,
         update: F,
         rng: &mut ChaChaRng,
-    ) -> Result<(Vec<Vec<u8>>, BucketTrace), BucketRamError>
+    ) -> Result<BucketQueryOutput, BucketRamError>
     where
         F: FnOnce(&mut Vec<Vec<u8>>),
     {
+        let mut update = Some(update);
+        let mut flight = self.query_batch(
+            &[bucket],
+            |_, contents| {
+                if let Some(update) = update.take() {
+                    update(contents);
+                }
+            },
+            rng,
+        )?;
+        Ok(flight.pop().expect("one query in, one result out"))
+    }
+
+    /// A flight of bucket queries in two requests: every `(d_j, o_j)` is
+    /// decided from the coins, the download phases of all queries are one
+    /// `read_batch_with`, the queries then run in order against that
+    /// snapshot — `update(j, contents)` sees exactly what query `j` of a
+    /// sequential run would have seen — and the overwrite phases are one
+    /// `write_batch_strided`, duplicate addresses kept, later wins.
+    ///
+    /// The server sees the same address sequence, with the same joint
+    /// distribution, as `flight.len()` separate [`BucketRam::query`] calls;
+    /// only the grouping into requests differs. The client's stash changes
+    /// only after the upload succeeded, so a storage error leaves it as it
+    /// was before the call. A wrongly shaped update makes that query an
+    /// identity update and is reported as [`BucketRamError::BadUpdate`]
+    /// after the flight ran to completion, keeping the transcript shape.
+    pub fn query_batch<F>(
+        &mut self,
+        flight: &[usize],
+        update: F,
+        rng: &mut ChaChaRng,
+    ) -> Result<Vec<BucketQueryOutput>, BucketRamError>
+    where
+        F: FnMut(usize, &mut Vec<Vec<u8>>),
+    {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.run_flight(flight, update, rng, &mut scratch);
+        self.scratch = scratch;
+        result
+    }
+
+    fn run_flight<F>(
+        &mut self,
+        flight: &[usize],
+        mut update: F,
+        rng: &mut ChaChaRng,
+        s: &mut FlightScratch,
+    ) -> Result<Vec<BucketQueryOutput>, BucketRamError>
+    where
+        F: FnMut(usize, &mut Vec<Vec<u8>>),
+    {
         let b = self.buckets.len();
-        if bucket >= b {
+        if let Some(&bucket) = flight.iter().find(|&&bucket| bucket >= b) {
             return Err(BucketRamError::BucketOutOfRange { bucket, b });
         }
 
-        // ---- Download phase ----
-        let download;
-        let mut contents;
-        if self.stashed_buckets.contains(&bucket) {
-            download = rng.gen_index(b);
-            self.download_bucket_discard(download)?; // decoy, discarded
-            contents = self.unstash_bucket(bucket);
-        } else {
-            download = bucket;
-            contents = self.download_bucket(download)?;
-            // Overlap resolution (Appendix E): client copies win.
-            for (i, &cell) in self.buckets[bucket].clone().iter().enumerate() {
-                if let Some(fresh) = self.cell_stash.get(&cell) {
-                    contents[i] = fresh.clone();
-                }
-            }
+        // ---- Plan: Algorithm 3's coins, in query order, against the stash
+        // membership as the earlier queries of this flight will leave it.
+        s.plans.clear();
+        for (j, &bucket) in flight.iter().enumerate() {
+            let stashed = match flight[..j].iter().rposition(|&earlier| earlier == bucket) {
+                Some(i) => s.plans[i].stash,
+                None => self.stashed_buckets.contains(&bucket),
+            };
+            let download = if stashed { rng.gen_index(b) } else { bucket };
+            let stash = rng.gen_bool(self.stash_probability);
+            let overwrite = if stash { rng.gen_index(b) } else { bucket };
+            s.plans
+                .push(QueryPlan { stashed, stash, trace: BucketTrace { download, overwrite } });
         }
 
-        let before_len = contents.len();
-        update(&mut contents);
-        if contents.len() != before_len || contents.iter().any(|c| c.len() != self.cell_size) {
-            return Err(BucketRamError::BadUpdate(format!(
-                "update must preserve bucket shape ({before_len} cells of {} bytes)",
-                self.cell_size
+        // ---- One download: both phases' cells of every query.
+        s.addrs.clear();
+        for plan in &s.plans {
+            s.addrs.extend_from_slice(&self.buckets[plan.trace.download]);
+            s.addrs.extend_from_slice(&self.buckets[plan.trace.overwrite]);
+        }
+        let ct_len = self.cell_size + CIPHERTEXT_OVERHEAD;
+        let ct = &mut s.ct;
+        ct.clear();
+        let mut malformed = None;
+        self.server.read_batch_with(&s.addrs, |i, cell| {
+            if cell.len() != ct_len {
+                malformed.get_or_insert(i);
+            }
+            ct.extend_from_slice(cell);
+        })?;
+        // An odd-length cell must surface as a crypto error, not skew the
+        // chunking of the snapshot and the upload's inferred stride.
+        if let Some(i) = malformed {
+            return Err(BucketRamError::Crypto(format!(
+                "cell {} has a malformed length (expected {ct_len} bytes)",
+                s.addrs[i]
             )));
         }
 
-        // ---- Overwrite phase ----
-        let overwrite;
-        if rng.gen_bool(self.stash_probability) {
-            // Stash the bucket; refresh a uniform decoy bucket: download
-            // its ciphertexts into flat scratch, decrypt + re-encrypt each
-            // cell through the reusable buffers, upload the flat result.
-            self.stash_bucket(bucket, &contents);
-            overwrite = rng.gen_index(b);
-            let ct_len = self.cell_size + CIPHERTEXT_OVERHEAD;
-            let ct = &mut self.ct_scratch;
-            ct.clear();
-            self.server
-                .read_batch_with(&self.buckets[overwrite], |_, cell| {
-                    ct.extend_from_slice(cell);
-                })?;
-            // A tampered/odd-length cell must surface as a crypto error (as
-            // the per-cell decrypt did before), not skew the chunking and
-            // the strided upload's inferred stride.
-            if self.ct_scratch.len() != self.buckets[overwrite].len() * ct_len {
-                return Err(BucketRamError::Crypto(format!(
-                    "decoy bucket {} has malformed cell lengths ({} bytes total, expected {})",
-                    overwrite,
-                    self.ct_scratch.len(),
-                    self.buckets[overwrite].len() * ct_len
-                )));
+        // ---- Execute the queries in order against the snapshot.
+        s.written.clear();
+        s.up_addrs.clear();
+        s.enc_flat.clear();
+        let mut done: Vec<BucketQueryOutput> = Vec::with_capacity(flight.len());
+        let mut bad_update = None;
+        let mut at = 0; // cell cursor into the snapshot
+        for (j, &bucket) in flight.iter().enumerate() {
+            let plan = s.plans[j];
+            let overwrite = &self.buckets[plan.trace.overwrite];
+            let downloaded = at;
+            let refreshed = downloaded + self.buckets[plan.trace.download].len();
+            at = refreshed + overwrite.len();
+
+            let mut contents = self.gather(bucket, plan.stashed, downloaded, s, &done)?;
+            update(j, &mut contents);
+            if contents.len() != self.buckets[bucket].len()
+                || contents.iter().any(|c| c.len() != self.cell_size)
+            {
+                bad_update.get_or_insert_with(|| {
+                    BucketRamError::BadUpdate(format!(
+                        "update {j} must preserve bucket shape ({} cells of {} bytes)",
+                        self.buckets[bucket].len(),
+                        self.cell_size
+                    ))
+                });
+                contents = self.gather(bucket, plan.stashed, downloaded, s, &done)?;
             }
-            self.enc_flat.clear();
-            for chunk in self.ct_scratch.chunks_exact(ct_len) {
-                self.cipher
-                    .decrypt_into(chunk, &mut self.pt_scratch)
-                    .map_err(|e| BucketRamError::Crypto(e.to_string()))?;
-                self.cipher
-                    .encrypt_into(&self.pt_scratch, &mut self.enc_cell, rng);
-                self.enc_flat.extend_from_slice(&self.enc_cell);
+            let cells = self.buckets[bucket].iter();
+            s.written
+                .extend(cells.enumerate().map(|(i, &cell)| (cell, j, i)));
+            done.push((contents, plan.trace));
+
+            // Overwrite phase: fresh ciphertexts for bucket(o_j).
+            for (i, &cell) in overwrite.iter().enumerate() {
+                let plain = if plan.stash {
+                    // Decoy refresh: the server's current plaintext, which
+                    // is the snapshot's unless this flight rewrote the cell.
+                    self.cipher
+                        .decrypt_into(&s.ct[(refreshed + i) * ct_len..][..ct_len], &mut s.pt)
+                        .map_err(|e| BucketRamError::Crypto(e.to_string()))?;
+                    s.latest(cell, &done).unwrap_or(&s.pt)
+                } else {
+                    // o_j is the queried bucket: write it back fresh.
+                    &done[j].0[i]
+                };
+                self.cipher.encrypt_into(plain, &mut s.enc_cell, rng);
+                s.enc_flat.extend_from_slice(&s.enc_cell);
             }
-            self.server
-                .write_batch_strided(&self.buckets[overwrite], &self.enc_flat)?;
-        } else {
-            // Write the bucket back fresh; keep any client copies in sync.
-            overwrite = bucket;
-            // Same download shape as the decoy path, bytes discarded.
-            self.server.read_batch_with(&self.buckets[bucket], |_, _| {})?;
-            self.enc_flat.clear();
-            for (&addr, content) in self.buckets[bucket].iter().zip(&contents) {
-                if self.cell_stash.contains_key(&addr) {
-                    self.cell_stash.insert(addr, content.clone());
-                }
-                self.cipher.encrypt_into(content, &mut self.enc_cell, rng);
-                self.enc_flat.extend_from_slice(&self.enc_cell);
-            }
-            self.server
-                .write_batch_strided(&self.buckets[bucket], &self.enc_flat)?;
+            s.up_addrs.extend_from_slice(overwrite);
         }
 
-        Ok((contents, BucketTrace { download, overwrite }))
+        // ---- One upload, then commit the stash changes: a failed request
+        // returns above with the client state untouched.
+        self.server.write_batch_strided(&s.up_addrs, &s.enc_flat)?;
+        for ((&bucket, plan), (contents, _)) in flight.iter().zip(&s.plans).zip(&done) {
+            if plan.stashed {
+                self.unstash_bucket(bucket);
+            }
+            if plan.stash {
+                self.stash_bucket(bucket, contents);
+            } else {
+                // Written back: keep the client copies other stashed
+                // buckets hold of these cells in sync.
+                for (cell, content) in self.buckets[bucket].iter().zip(contents) {
+                    if let Some(copy) = self.cell_stash.get_mut(cell) {
+                        copy.clone_from(content);
+                    }
+                }
+            }
+        }
+        match bad_update {
+            Some(e) => Err(e),
+            None => Ok(done),
+        }
+    }
+
+    /// The current logical contents of `bucket` for the next query of a
+    /// flight. Per cell, in precedence order (Appendix E's overlap rule
+    /// extended to a flight): the plaintext an earlier query of this flight
+    /// gave it — which is also its client copy if the cell is stashed by
+    /// now — then the client's pre-flight copy, then the downloaded cell.
+    /// A bucket that is not stashed has its downloaded cells tag-verified
+    /// even where a client copy wins.
+    fn gather(
+        &self,
+        bucket: usize,
+        stashed: bool,
+        downloaded: usize,
+        s: &FlightScratch,
+        done: &[BucketQueryOutput],
+    ) -> Result<Vec<Vec<u8>>, BucketRamError> {
+        let ct_len = self.cell_size + CIPHERTEXT_OVERHEAD;
+        let mut contents = Vec::with_capacity(self.buckets[bucket].len());
+        for (i, cell) in self.buckets[bucket].iter().enumerate() {
+            let mut plain = Vec::new();
+            if !stashed {
+                self.cipher
+                    .decrypt_into(&s.ct[(downloaded + i) * ct_len..][..ct_len], &mut plain)
+                    .map_err(|e| BucketRamError::Crypto(e.to_string()))?;
+            }
+            match s.latest(*cell, done).or_else(|| self.cell_stash.get(cell)) {
+                Some(copy) => plain.clone_from(copy),
+                None => assert!(!stashed, "a stashed bucket's cells are client-held"),
+            }
+            contents.push(plain);
+        }
+        Ok(contents)
     }
 }
 
@@ -451,7 +577,7 @@ mod tests {
         }
     }
 
-    /// Per-query cost: 2·s downloads + s uploads over 3 round trips, where
+    /// Per-query cost: 2·s downloads + s uploads over 2 round trips, where
     /// s is the bucket size — the bucket analogue of Theorem 6.1.
     #[test]
     fn constant_bucket_overhead() {
@@ -462,7 +588,7 @@ mod tests {
             let diff = ram.server_stats().since(&before);
             assert_eq!(diff.downloads, 6); // 2 buckets × 3 cells
             assert_eq!(diff.uploads, 3);
-            assert_eq!(diff.round_trips, 3);
+            assert_eq!(diff.round_trips, 2);
         }
     }
 

@@ -16,7 +16,10 @@
 //! Every KVS operation performs `2·k(n) = 4` bucket queries (two
 //! retrievals, then two updates of which at most one is real — reads and
 //! misses issue the same four), so the transcript shape is independent of
-//! the op, the key, and whether it hits. Bandwidth is
+//! the op, the key, and whether it hits — or fails: an operation that ends
+//! in an error still runs its remaining updates as fakes. The four queries
+//! are one flight `[a, b, a, b]` of the bucketed DP-RAM, i.e. **2 round
+//! trips** per operation (one download, one upload). Bandwidth is
 //! `O(s(n)) = O(log log n)` node cells per operation; server storage is
 //! `O(n)` cells; privacy is `ε = O(k(n)·log n) = O(log n)` with
 //! `δ = negl(n)` from the mapping-scheme failure probability
@@ -113,18 +116,31 @@ pub struct KvsOpTrace {
     pub update_b: BucketTrace,
 }
 
-/// What the single real update (if any) should do to a path.
-#[derive(Debug, Clone)]
-enum NodePlan {
-    /// No change (fake update).
-    Fake,
-    /// Overwrite the value of `key` in the node at `height`.
-    Update { height: usize, key: u64, value: Vec<u8> },
-    /// Insert a new entry into the node at `height`.
-    Insert { height: usize, key: u64, value: Vec<u8> },
-    /// Remove `key` from the node at `height`.
-    Remove { height: usize, key: u64 },
+/// The node the single real update (if any) of an operation edits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Site {
+    /// The node at this height of the first candidate path.
+    PathA(usize),
+    /// The node at this height of the second candidate path.
+    PathB(usize),
+    /// The client-resident super root.
+    SuperRoot,
 }
+
+/// What the real update does to the operation's key in its node.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// Overwrite the value of the (present) key.
+    Update(Vec<u8>),
+    /// Add the (absent) key with this value.
+    Insert(Vec<u8>),
+    /// Remove the key.
+    Remove,
+}
+
+/// The one real update of an operation; `None` makes all four bucket
+/// queries fake.
+type NodePlan = Option<(Site, Edit)>;
 
 /// A DP-KVS client bound to a simulated server.
 #[derive(Debug)]
@@ -213,95 +229,135 @@ impl<S: Storage> DpKvs<S> {
         (self.prf1.eval_range(&bytes, n) as usize, self.prf2.eval_range(&bytes, n) as usize)
     }
 
-    fn decode_path(&self, cells: &[Vec<u8>]) -> Result<Vec<Vec<Slot>>, DpKvsError> {
+    fn decode_path(
+        cells: &[Vec<u8>],
+        capacity: usize,
+        value_size: usize,
+    ) -> Result<Vec<Vec<Slot>>, DpKvsError> {
         cells
             .iter()
             .map(|c| {
-                decode_bucket(c, self.config.geometry.node_capacity, self.config.value_size)
+                decode_bucket(c, capacity, value_size)
                     .map_err(|e| DpKvsError::CorruptNode(e.to_string()))
             })
             .collect()
     }
 
-    /// Runs one fake-or-real update query over `bucket`, applying `plan`.
-    fn run_update(
-        &mut self,
-        bucket: usize,
-        plan: NodePlan,
-        rng: &mut ChaChaRng,
-    ) -> Result<BucketTrace, DpKvsError> {
-        let capacity = self.config.geometry.node_capacity;
-        let value_size = self.config.value_size;
-        let mut failure: Option<String> = None;
-        let (_, trace) = self.ram.query(
-            bucket,
-            |cells| {
-                let apply = |cells: &mut Vec<Vec<u8>>,
-                             height: usize,
-                             f: &mut dyn FnMut(&mut Vec<Slot>)|
-                 -> Result<(), String> {
-                    let mut slots = decode_bucket(&cells[height], capacity, value_size)
-                        .map_err(|e| e.to_string())?;
-                    f(&mut slots);
-                    cells[height] = encode_bucket(&slots, capacity, value_size);
-                    Ok(())
-                };
-                let result = match plan {
-                    NodePlan::Fake => Ok(()),
-                    NodePlan::Update { height, key, value } => apply(cells, height, &mut |slots| {
-                        if let Some(slot) = slots.iter_mut().find(|s| s.id == key) {
-                            slot.payload = value.clone();
-                        }
-                    }),
-                    NodePlan::Insert { height, key, value } => apply(cells, height, &mut |slots| {
-                        slots.push(Slot { id: key, payload: value.clone() });
-                    }),
-                    NodePlan::Remove { height, key } => apply(cells, height, &mut |slots| {
-                        slots.retain(|s| s.id != key);
-                    }),
-                };
-                if let Err(e) = result {
-                    failure = Some(e);
+    /// Applies `edit` for `key` to one encoded node cell; the cell is
+    /// untouched on error.
+    fn edit_node(
+        cell: &mut Vec<u8>,
+        key: u64,
+        edit: &Edit,
+        capacity: usize,
+        value_size: usize,
+    ) -> Result<(), DpKvsError> {
+        let mut slots = decode_bucket(cell, capacity, value_size)
+            .map_err(|e| DpKvsError::CorruptNode(e.to_string()))?;
+        match edit {
+            Edit::Update(value) => {
+                if let Some(slot) = slots.iter_mut().find(|s| s.id == key) {
+                    slot.payload = value.clone();
                 }
-            },
-            rng,
-        )?;
-        match failure {
-            Some(msg) => Err(DpKvsError::CorruptNode(msg)),
-            None => Ok(trace),
+            }
+            Edit::Insert(value) => slots.push(Slot { id: key, payload: value.clone() }),
+            Edit::Remove => slots.retain(|s| s.id != key),
         }
+        *cell = encode_bucket(&slots, capacity, value_size);
+        Ok(())
     }
 
-    /// The shared four-query engine. `decide` inspects the two decoded
-    /// paths (leaf-to-root) and the super root, and returns the plans for
-    /// the two update queries plus the operation's result value.
+    /// The shared four-query engine: one flight `[a, b, a, b]` of the
+    /// bucketed DP-RAM — two requests. Queries 0 and 1 retrieve the two
+    /// paths; `decide` then inspects them (leaf-to-root) and the super root
+    /// and returns the operation's one real update plus its result value;
+    /// queries 2 and 3 are the update pass, at most one of them real.
+    ///
+    /// The transcript shape does not depend on the outcome: an error from
+    /// path decoding, `decide` or the edit turns the remaining updates into
+    /// fakes and is returned after the upload. Client state (`len`, the
+    /// super root) changes only once the flight succeeded.
     fn operate<R>(
         &mut self,
         key: u64,
         rng: &mut ChaChaRng,
         decide: impl FnOnce(
-            &mut Self,
-            usize,
-            usize,
+            &[(u64, Vec<u8>)],
             &[Vec<Slot>],
             &[Vec<Slot>],
-        ) -> Result<(NodePlan, NodePlan, R), DpKvsError>,
+        ) -> Result<(NodePlan, R), DpKvsError>,
     ) -> Result<(R, KvsOpTrace), DpKvsError> {
         let (a, b) = self.buckets_for(key);
+        let capacity = self.config.geometry.node_capacity;
+        let value_size = self.config.value_size;
+        let super_root = &self.super_root;
 
-        // Retrieval pass: two bucket queries with identity updates.
-        let (cells_a, retrieve_a) = self.ram.query(a, |_| {}, rng)?;
-        let (cells_b, retrieve_b) = self.ram.query(b, |_| {}, rng)?;
-        let path_a = self.decode_path(&cells_a)?;
-        let path_b = self.decode_path(&cells_b)?;
+        let mut decide = Some(decide);
+        let mut path_a = Vec::new();
+        let mut decision = None;
+        let mut failure = None;
+        let flight = self.ram.query_batch(
+            &[a, b, a, b],
+            |query, cells| {
+                if failure.is_some() {
+                    return;
+                }
+                let step = match query {
+                    0 => Self::decode_path(cells, capacity, value_size).map(|path| path_a = path),
+                    1 => Self::decode_path(cells, capacity, value_size)
+                        .and_then(|path_b| {
+                            let decide = decide.take().expect("query 1 runs once");
+                            decide(super_root, &path_a, &path_b)
+                        })
+                        .map(|decided| decision = Some(decided)),
+                    _ => match &decision {
+                        Some((Some((Site::PathA(height), edit)), _)) if query == 2 => {
+                            Self::edit_node(&mut cells[*height], key, edit, capacity, value_size)
+                        }
+                        Some((Some((Site::PathB(height), edit)), _)) if query == 3 => {
+                            Self::edit_node(&mut cells[*height], key, edit, capacity, value_size)
+                        }
+                        _ => Ok(()),
+                    },
+                };
+                if let Err(e) = step {
+                    failure = Some(e);
+                }
+            },
+            rng,
+        )?;
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        let (plan, result) = decision.expect("query 1 decided");
 
-        let (plan_a, plan_b, result) = decide(self, a, b, &path_a, &path_b)?;
+        // Commit the client side of the operation.
+        if let Some((site, edit)) = plan {
+            match edit {
+                Edit::Insert(_) => self.len += 1,
+                Edit::Remove => self.len -= 1,
+                Edit::Update(_) => {}
+            }
+            if site == Site::SuperRoot {
+                match edit {
+                    Edit::Update(value) => {
+                        if let Some(entry) = self.super_root.iter_mut().find(|(k, _)| *k == key) {
+                            entry.1 = value;
+                        }
+                    }
+                    Edit::Insert(value) => self.super_root.push((key, value)),
+                    Edit::Remove => self.super_root.retain(|(k, _)| *k != key),
+                }
+            }
+        }
 
-        // Update pass: two more bucket queries; at most one plan is real.
-        let update_a = self.run_update(a, plan_a, rng)?;
-        let update_b = self.run_update(b, plan_b, rng)?;
-
-        Ok((result, KvsOpTrace { retrieve_a, retrieve_b, update_a, update_b }))
+        let trace = KvsOpTrace {
+            retrieve_a: flight[0].1,
+            retrieve_b: flight[1].1,
+            update_a: flight[2].1,
+            update_b: flight[3].1,
+        };
+        Ok((result, trace))
     }
 
     fn find_in_path(path: &[Vec<Slot>], key: u64) -> Option<(usize, Vec<u8>)> {
@@ -311,6 +367,24 @@ impl<S: Storage> DpKvs<S> {
             }
         }
         None
+    }
+
+    /// Where `key` lives — first path, second path or super root — and its
+    /// value there.
+    fn locate(
+        super_root: &[(u64, Vec<u8>)],
+        path_a: &[Vec<Slot>],
+        path_b: &[Vec<Slot>],
+        key: u64,
+    ) -> Option<(Site, Vec<u8>)> {
+        if let Some((height, value)) = Self::find_in_path(path_a, key) {
+            return Some((Site::PathA(height), value));
+        }
+        if let Some((height, value)) = Self::find_in_path(path_b, key) {
+            return Some((Site::PathB(height), value));
+        }
+        let (_, value) = super_root.iter().find(|(k, _)| *k == key)?;
+        Some((Site::SuperRoot, value.clone()))
     }
 
     /// Looks up `key`. Hits and misses have identical transcript shapes.
@@ -324,17 +398,9 @@ impl<S: Storage> DpKvs<S> {
         key: u64,
         rng: &mut ChaChaRng,
     ) -> Result<(Option<Vec<u8>>, KvsOpTrace), DpKvsError> {
-        self.operate(key, rng, |kvs, _a, _b, path_a, path_b| {
-            let found = Self::find_in_path(path_a, key)
-                .or_else(|| Self::find_in_path(path_b, key))
-                .map(|(_, v)| v)
-                .or_else(|| {
-                    kvs.super_root
-                        .iter()
-                        .find(|(k, _)| *k == key)
-                        .map(|(_, v)| v.clone())
-                });
-            Ok((NodePlan::Fake, NodePlan::Fake, found))
+        self.operate(key, rng, |super_root, path_a, path_b| {
+            let found = Self::locate(super_root, path_a, path_b, key).map(|(_, value)| value);
+            Ok((None, found))
         })
     }
 
@@ -356,42 +422,23 @@ impl<S: Storage> DpKvs<S> {
                 expected: self.config.value_size,
             });
         }
-        let capacity = self.config.geometry.node_capacity;
-        let (_, trace) = self.operate(key, rng, move |kvs, _a, _b, path_a, path_b| {
+        let geometry = self.config.geometry;
+        let (_, trace) = self.operate(key, rng, move |super_root, path_a, path_b| {
             // Existing key: in-place update wherever it lives.
-            if let Some((height, _)) = Self::find_in_path(path_a, key) {
-                return Ok((NodePlan::Update { height, key, value }, NodePlan::Fake, ()));
-            }
-            if let Some((height, _)) = Self::find_in_path(path_b, key) {
-                return Ok((NodePlan::Fake, NodePlan::Update { height, key, value }, ()));
-            }
-            if let Some(entry) = kvs.super_root.iter_mut().find(|(k, _)| *k == key) {
-                entry.1 = value;
-                return Ok((NodePlan::Fake, NodePlan::Fake, ()));
+            if let Some((site, _)) = Self::locate(super_root, path_a, path_b, key) {
+                return Ok((Some((site, Edit::Update(value))), ()));
             }
             // New key: the storing algorithm S (shared with the in-memory
             // forest via `choose_slot`).
             let loads_a: Vec<usize> = path_a.iter().map(Vec::len).collect();
             let loads_b: Vec<usize> = path_b.iter().map(Vec::len).collect();
-            match choose_slot(&loads_a, &loads_b, capacity) {
-                Some((0, height)) => {
-                    kvs.len += 1;
-                    Ok((NodePlan::Insert { height, key, value }, NodePlan::Fake, ()))
-                }
-                Some((_, height)) => {
-                    kvs.len += 1;
-                    Ok((NodePlan::Fake, NodePlan::Insert { height, key, value }, ()))
-                }
-                None => {
-                    if kvs.super_root.len() < kvs.config.geometry.super_root_capacity {
-                        kvs.super_root.push((key, value));
-                        kvs.len += 1;
-                        Ok((NodePlan::Fake, NodePlan::Fake, ()))
-                    } else {
-                        Err(DpKvsError::CapacityExhausted)
-                    }
-                }
-            }
+            let site = match choose_slot(&loads_a, &loads_b, geometry.node_capacity) {
+                Some((0, height)) => Site::PathA(height),
+                Some((_, height)) => Site::PathB(height),
+                None if super_root.len() < geometry.super_root_capacity => Site::SuperRoot,
+                None => return Err(DpKvsError::CapacityExhausted),
+            };
+            Ok((Some((site, Edit::Insert(value))), ()))
         })?;
         Ok(trace)
     }
@@ -399,21 +446,11 @@ impl<S: Storage> DpKvs<S> {
     /// Removes `key`, returning its value (an extension beyond the paper's
     /// read/overwrite interface; same four-query transcript shape).
     pub fn remove(&mut self, key: u64, rng: &mut ChaChaRng) -> Result<Option<Vec<u8>>, DpKvsError> {
-        let (result, _) = self.operate(key, rng, |kvs, _a, _b, path_a, path_b| {
-            if let Some((height, value)) = Self::find_in_path(path_a, key) {
-                kvs.len -= 1;
-                return Ok((NodePlan::Remove { height, key }, NodePlan::Fake, Some(value)));
-            }
-            if let Some((height, value)) = Self::find_in_path(path_b, key) {
-                kvs.len -= 1;
-                return Ok((NodePlan::Fake, NodePlan::Remove { height, key }, Some(value)));
-            }
-            if let Some(pos) = kvs.super_root.iter().position(|(k, _)| *k == key) {
-                kvs.len -= 1;
-                let (_, value) = kvs.super_root.swap_remove(pos);
-                return Ok((NodePlan::Fake, NodePlan::Fake, Some(value)));
-            }
-            Ok((NodePlan::Fake, NodePlan::Fake, None))
+        let (result, _) = self.operate(key, rng, |super_root, path_a, path_b| {
+            Ok(match Self::locate(super_root, path_a, path_b, key) {
+                Some((site, value)) => (Some((site, Edit::Remove)), Some(value)),
+                None => (None, None),
+            })
         })?;
         Ok(result)
     }
@@ -513,7 +550,7 @@ mod tests {
     }
 
     /// Transcript-shape invariance: hits, misses, puts and removes all
-    /// issue exactly 4 bucket queries = 12 round trips, and move the same
+    /// issue exactly 4 bucket queries in 2 round trips, and move the same
     /// number of cells.
     #[test]
     fn op_cost_is_shape_invariant() {
@@ -539,7 +576,7 @@ mod tests {
             let diff = kvs.server_stats().since(&before);
             assert_eq!(diff.downloads, 4 * 2 * depth, "{label}");
             assert_eq!(diff.uploads, 4 * depth, "{label}");
-            assert_eq!(diff.round_trips, 12, "{label}");
+            assert_eq!(diff.round_trips, 2, "{label}");
         };
         check(&mut kvs, &mut rng, "hit");
         check(&mut kvs, &mut rng, "miss");
@@ -590,7 +627,14 @@ mod tests {
         let mut kvs = DpKvs::setup(config, SimServer::new(), &mut rng).unwrap();
         let mut full = false;
         for k in 0..32u64 {
-            match kvs.put(k, vec![0u8; 4], &mut rng) {
+            let before = kvs.server_stats();
+            let outcome = kvs.put(k, vec![0u8; 4], &mut rng);
+            // The server must not learn the outcome from the cell count:
+            // the failing put runs its fake updates and its upload too.
+            let moved = kvs.server_stats().since(&before);
+            assert_eq!((moved.downloads + moved.uploads) as usize, kvs.cells_per_op(), "key {k}");
+            assert_eq!(moved.round_trips, 2, "key {k}");
+            match outcome {
                 Ok(()) => {}
                 Err(DpKvsError::CapacityExhausted) => {
                     full = true;

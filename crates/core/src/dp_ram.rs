@@ -15,6 +15,14 @@
 //!   `A[i]` (discarded) and upload a fresh encryption of the record to
 //!   `A[i]`.
 //!
+//! Both addresses are functions of stash *membership* and the client's
+//! coins only — never of downloaded bytes — so a query draws its coins
+//! first and then makes **two requests**: one download of `A[d_j]` and
+//! `A[o_j]`, one upload of `A[o_j]`. The stash changes only after the
+//! upload succeeded, so a failed request costs the client nothing it held
+//! (`NOTES.md` records the deviation from the paper's three sequential
+//! steps).
+//!
 //! Every query therefore moves **exactly 2 downloads + 1 upload** — `O(1)`
 //! overhead — and the adversary's view per query is a pair of addresses
 //! `(d_j, o_j)` whose distribution Theorem 6.1 shows satisfies
@@ -140,6 +148,9 @@ pub struct DpRam<S: Storage = SimServer> {
     /// Reusable ciphertext/plaintext scratch: cells are copied here from
     /// the server arena and decrypted in place (zero per-query allocation).
     cell_scratch: Vec<u8>,
+    /// The same for the overwrite phase's cell, when it is a decoy to
+    /// refresh.
+    refresh_scratch: Vec<u8>,
     /// Reusable encryption output scratch for the overwrite phase.
     enc_scratch: Vec<u8>,
 }
@@ -194,6 +205,7 @@ impl<S: Storage> DpRam<S> {
             server,
             max_stash,
             cell_scratch: Vec::new(),
+            refresh_scratch: Vec::new(),
             enc_scratch: Vec::new(),
         })
     }
@@ -268,59 +280,64 @@ impl<S: Storage> DpRam<S> {
             "write iff a new value is supplied"
         );
 
+        // ---- Plan: both addresses follow from stash membership and the
+        // coins alone, so they are fixed before any byte is requested.
+        let n = self.config.n;
+        let stashed = self.stash.contains_key(&index);
+        let download = if stashed { rng.gen_index(n) } else { index };
+        let stash = rng.gen_bool(self.config.stash_probability);
+        let overwrite = if stash { rng.gen_index(n) } else { index };
+
+        // ---- One download: A[d_j] and A[o_j]. A cell whose bytes the query
+        // discards (a decoy download, the write-back's own cell) is not
+        // copied out of the server's buffer.
+        let (downloaded, refreshed) = (&mut self.cell_scratch, &mut self.refresh_scratch);
+        self.server.read_batch_with(&[download, overwrite], |i, cell| {
+            let (wanted, scratch) =
+                if i == 0 { (!stashed, &mut *downloaded) } else { (stash, &mut *refreshed) };
+            if wanted {
+                scratch.clear();
+                scratch.extend_from_slice(cell);
+            }
+        })?;
+
         // ---- Download phase ----
-        let mut current;
-        let download;
-        if let Some(stashed) = self.stash.remove(&index) {
-            // Decoy download; the record comes from the stash. The cell is
-            // discarded, so the zero-copy read never leaves the server.
-            download = rng.gen_index(self.config.n);
-            self.server.read_batch_with(&[download], |_, _| {})?;
-            current = stashed;
-        } else {
-            download = index;
-            self.fetch_cell(download)?;
+        if !stashed {
             self.cipher
                 .decrypt_in_place(&mut self.cell_scratch)
                 .map_err(|e| DpRamError::Crypto(e.to_string()))?;
-            current = self.cell_scratch.clone();
         }
-        if let Some(v) = new_value {
-            current = v;
-        }
+        let current = match (new_value, self.stash.get(&index)) {
+            (Some(value), _) => value,
+            // The downloaded cell was a decoy; the record is client-held.
+            (None, Some(held)) => held.clone(),
+            (None, None) => self.cell_scratch.clone(),
+        };
 
         // ---- Overwrite phase ----
-        let overwrite;
-        if rng.gen_bool(self.config.stash_probability) {
-            // Stash the record; refresh a random cell so the adversary sees
-            // the same (download, upload) shape either way.
-            self.stash.insert(index, current.clone());
-            self.max_stash = self.max_stash.max(self.stash.len());
-            overwrite = rng.gen_index(self.config.n);
-            self.fetch_cell(overwrite)?;
+        if stash {
+            // The record goes to the stash; refresh a random cell so the
+            // adversary sees the same (download, upload) shape either way.
             self.cipher
-                .decrypt_in_place(&mut self.cell_scratch)
+                .decrypt_in_place(&mut self.refresh_scratch)
                 .map_err(|e| DpRamError::Crypto(e.to_string()))?;
             self.cipher
-                .encrypt_into(&self.cell_scratch, &mut self.enc_scratch, rng);
-            self.server.write_from(overwrite, &self.enc_scratch)?;
+                .encrypt_into(&self.refresh_scratch, &mut self.enc_scratch, rng);
         } else {
-            overwrite = index;
-            self.server.read_batch_with(&[overwrite], |_, _| {})?;
             self.cipher.encrypt_into(&current, &mut self.enc_scratch, rng);
-            self.server.write_from(overwrite, &self.enc_scratch)?;
+        }
+        self.server.write_from(overwrite, &self.enc_scratch)?;
+
+        // ---- Commit: the stash changes only once the upload succeeded, so
+        // a failed request leaves the client holding what it held before.
+        if stash {
+            self.stash.insert(index, current.clone());
+            self.max_stash = self.max_stash.max(self.stash.len());
+        } else if stashed {
+            self.stash.remove(&index);
         }
 
         Ok((current, RamQueryTrace { download, overwrite }))
-    }
-
-    /// Copies the cell at `addr` into the reusable scratch buffer (one
-    /// round trip, no allocation after warm-up).
-    fn fetch_cell(&mut self, addr: usize) -> Result<(), ServerError> {
-        let scratch = &mut self.cell_scratch;
-        scratch.clear();
-        self.server
-            .read_batch_with(&[addr], |_, cell| scratch.extend_from_slice(cell))
     }
 }
 
@@ -390,7 +407,7 @@ mod tests {
                 let diff = ram.server_stats().since(&before);
                 assert_eq!(diff.downloads, 2, "n = {n}");
                 assert_eq!(diff.uploads, 1, "n = {n}");
-                assert_eq!(diff.round_trips, 3, "n = {n}");
+                assert_eq!(diff.round_trips, 2, "n = {n}");
             }
         }
     }

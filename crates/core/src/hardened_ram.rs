@@ -14,8 +14,9 @@
 //!   keeps a 32-byte root; stale-but-authentic ciphertexts (rollback
 //!   attacks) fail the root check.
 //!
-//! Costs: the transcript and blocks-moved profile is *identical* to
-//! DP-RAM (2 downloads + 1 upload per query — the Theorem 6.1 claim);
+//! Costs: the address sequence and blocks-moved profile is *identical* to
+//! DP-RAM (2 downloads + 1 upload per query — the Theorem 6.1 claim),
+//! issued as three requests where DP-RAM coalesces its two downloads;
 //! the extra price is `O(log n)` client-side hashes per access and
 //! 28 bytes of AEAD expansion per cell.
 //!

@@ -2,11 +2,12 @@
 //! reference models under arbitrary operation programs, and structural
 //! invariants of the typed transcripts.
 
-use dps_core::bucket_ram::BucketRam;
+use dps_analysis::stats::chi_square_two_sample;
+use dps_core::bucket_ram::{BucketRam, BucketTrace};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig};
 use dps_crypto::ChaChaRng;
-use dps_server::SimServer;
+use dps_server::{AccessEvent, SimServer};
 use dps_workloads::Op;
 use proptest::prelude::*;
 
@@ -160,6 +161,108 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Flights of the bucketed DP-RAM over overlapping repertoires — the
+    /// 4-bucket fixture, a 2-bucket forest (so `[a, b, a, b]` flights with
+    /// `a == b` are common) and random ones — with repeated buckets and
+    /// random updates: every query sees, and returns, what a sequential run
+    /// over a plain cell array would; the recorded transcript is one
+    /// download batch and one upload batch spelling out the returned
+    /// traces; and after every flight all of the logical contents match.
+    #[test]
+    fn bucket_ram_flights_match_sequential_model(
+        shape in 0usize..3,
+        raw_buckets in proptest::collection::vec(proptest::collection::vec(0usize..8, 1..4), 1..6),
+        flights in proptest::collection::vec(
+            proptest::collection::vec((0usize..60, 0usize..6, any::<u8>(), any::<bool>()), 1..7),
+            1..8,
+        ),
+        p in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let buckets: Vec<Vec<usize>> = match shape {
+            0 => vec![vec![0, 4, 5], vec![1, 4, 5], vec![2, 4, 5], vec![3, 4, 5]],
+            1 => {
+                let forest = dps_hashing::ForestGeometry {
+                    n_buckets: 2,
+                    leaves_per_tree: 2,
+                    node_capacity: 1,
+                    super_root_capacity: 1,
+                };
+                (0..2).map(|b| forest.bucket_path(b)).collect()
+            }
+            _ => raw_buckets
+                .into_iter()
+                .map(|mut cells| {
+                    cells.sort_unstable();
+                    cells.dedup();
+                    cells
+                })
+                .collect(),
+        };
+        let mut model: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 4]).collect();
+        let view = |model: &[Vec<u8>], bucket: usize| -> Vec<Vec<u8>> {
+            buckets[bucket].iter().map(|&c| model[c].clone()).collect()
+        };
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        let p = [0.0, 0.5, 1.0][p];
+        let mut ram =
+            BucketRam::setup(model.clone(), buckets.clone(), p, SimServer::new(), &mut rng).unwrap();
+
+        for (step, flight) in flights.into_iter().enumerate() {
+            let queried: Vec<usize> = flight.iter().map(|&(b, ..)| b % buckets.len()).collect();
+            // (contents handed to the update, model view before it, model view after it)
+            let mut seen = Vec::new();
+            ram.server_mut().start_recording();
+            let out = ram
+                .query_batch(
+                    &queried,
+                    |j, contents| {
+                        let (_, position, byte, is_write) = flight[j];
+                        let (handed, before) = (contents.clone(), view(&model, queried[j]));
+                        if is_write {
+                            let position = position % contents.len();
+                            contents[position] = vec![byte; 4];
+                            model[buckets[queried[j]][position]] = vec![byte; 4];
+                        }
+                        seen.push((handed, before, view(&model, queried[j])));
+                    },
+                    &mut rng,
+                )
+                .unwrap();
+            let transcript = ram.server_mut().take_transcript();
+
+            prop_assert_eq!(out.len(), queried.len());
+            for (j, (handed, before, after)) in seen.iter().enumerate() {
+                prop_assert_eq!(handed, before, "step {}, query {} saw stale cells", step, j);
+                prop_assert_eq!(&out[j].0, after, "step {}, query {} returned", step, j);
+            }
+
+            let traces: Vec<BucketTrace> = out.iter().map(|(_, trace)| *trace).collect();
+            let downloads: Vec<AccessEvent> = traces
+                .iter()
+                .flat_map(|t| buckets[t.download].iter().chain(&buckets[t.overwrite]))
+                .map(|&c| AccessEvent::Download(c))
+                .collect();
+            let uploads: Vec<AccessEvent> = traces
+                .iter()
+                .flat_map(|t| &buckets[t.overwrite])
+                .map(|&c| AccessEvent::Upload(c))
+                .collect();
+            let batches: Vec<&[AccessEvent]> = transcript.batches().collect();
+            prop_assert_eq!(batches, vec![&downloads[..], &uploads[..]], "step {}", step);
+
+            let every: Vec<usize> = (0..buckets.len()).collect();
+            let all = ram.query_batch(&every, |_, _| {}, &mut rng).unwrap();
+            for (b, (contents, _)) in all.iter().enumerate() {
+                prop_assert_eq!(contents, &view(&model, b), "step {}, bucket {}", step, b);
+            }
+        }
+    }
+}
+
 /// The schemes run unmodified over the sharded concurrent backend: a
 /// DP-RAM and a DP-KVS on a `ShardedServer` (4 shards, 2-wide pool)
 /// behave exactly like their `SimServer` twins under the same seed —
@@ -214,4 +317,60 @@ fn schemes_run_unmodified_on_sharded_server() {
         assert_eq!(kvs_a.get(k, &mut rng_a).unwrap(), kvs_b.get(k, &mut rng_b).unwrap(), "key {k}");
     }
     assert_eq!(kvs_a.server_stats(), kvs_b.server_stats());
+}
+
+/// One flight `[x, y]` and two one-element flights show the server the same
+/// distribution of `(d_1, o_1, d_2, o_2)`: only the grouping into requests
+/// differs. χ² homogeneity test on the 4-bucket fixture at `p = 0.5`, for
+/// `x == y` and `x != y`, stratified by the stash at setup: no bucket
+/// stashed (so `x` is not), every bucket stashed (so `x` is), mixed.
+#[test]
+fn flight_and_sequential_queries_share_one_view_distribution() {
+    const TRIALS: u64 = 8_000;
+    let fixture = |seed: u64| {
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        let cells: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 8]).collect();
+        let buckets = vec![vec![0, 4, 5], vec![1, 4, 5], vec![2, 4, 5], vec![3, 4, 5]];
+        let ram = BucketRam::setup(cells, buckets, 0.5, SimServer::new(), &mut rng).unwrap();
+        (ram, rng)
+    };
+    let category = |views: &[BucketTrace]| {
+        views
+            .iter()
+            .fold(0, |acc, t| (acc * 4 + t.download) * 4 + t.overwrite)
+    };
+
+    for (x, y) in [(2, 2), (1, 3)] {
+        // [stratum][sample][category]
+        let mut counts = vec![vec![vec![0u64; 256]; 2]; 3];
+        for trial in 0..TRIALS {
+            let seed = (trial << 8) | (x * 4 + y) as u64;
+            let (mut batched, mut rng) = fixture(seed);
+            let stratum = match batched.stashed_bucket_count() {
+                0 => 0,
+                4 => 1,
+                _ => 2,
+            };
+            let views: Vec<BucketTrace> = batched
+                .query_batch(&[x, y], |_, _| {}, &mut rng)
+                .unwrap()
+                .iter()
+                .map(|(_, trace)| *trace)
+                .collect();
+            counts[stratum][0][category(&views)] += 1;
+
+            // The twin starts from the same stash; its coins are its own.
+            let (mut sequential, _) = fixture(seed);
+            let mut rng = ChaChaRng::seed_from_u64(!seed);
+            let first = sequential.query(x, |_| {}, &mut rng).unwrap().1;
+            let second = sequential.query(y, |_| {}, &mut rng).unwrap().1;
+            counts[stratum][1][category(&[first, second])] += 1;
+        }
+        for (stratum, samples) in counts.iter().enumerate() {
+            assert!(samples[0].iter().sum::<u64>() > 300, "stratum {stratum} too thin");
+            let test = chi_square_two_sample(&samples[0], &samples[1], 10);
+            assert!(test.dof >= 3, "flight [{x}, {y}], stratum {stratum}: {test:?}");
+            assert!(!test.exceeds(3.09), "flight [{x}, {y}], stratum {stratum}: {test:?}");
+        }
+    }
 }

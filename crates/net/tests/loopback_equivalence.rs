@@ -96,6 +96,18 @@ fn run_program(local: &mut ShardedServer, remote: &mut RemoteServer) {
         remote.write_batch_strided(&strided_addrs, &strided_flat),
         local.write_batch_strided(&strided_addrs, &strided_flat)
     );
+    // Duplicate addresses in one strided upload are "later wins" on the
+    // wire as in process: a DP-KVS flight uploads the path nodes its two
+    // buckets share, and the nodes its update pass rewrites, more than once.
+    let dup_addrs = vec![6, 1, 6, 9, 1, 6];
+    let dup_flat: Vec<u8> = (0..6).flat_map(|i| cell(0x30 + i, LEN)).collect();
+    assert_eq!(
+        remote.write_batch_strided(&dup_addrs, &dup_flat),
+        local.write_batch_strided(&dup_addrs, &dup_flat)
+    );
+    let winners = Ok(vec![cell(0x35, LEN), cell(0x34, LEN), cell(0x33, LEN)]);
+    assert_eq!(Storage::read_batch(remote, &[6, 1, 9]), winners);
+    assert_eq!(Storage::read_batch(local, &[6, 1, 9]), winners);
     // Empty strided batch still costs (and records) a round trip.
     assert_eq!(remote.write_batch_strided(&[], &[]), local.write_batch_strided(&[], &[]));
 

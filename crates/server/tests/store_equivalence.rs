@@ -10,7 +10,7 @@
 
 use dps_server::{
     AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, ShardedServer, SimServer, Storage,
-    SyncPolicy, Transcript,
+    SyncPolicy, Transcript, WorkerPool,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,12 +178,32 @@ fn arb_addr() -> impl Strategy<Value = usize> {
     0usize..CAPACITY + 2
 }
 
+/// `writes` followed by itself reversed, every cell with its own content:
+/// each address at least twice in one batch, so "later wins" decides the
+/// final cell. A DP-KVS flight uploads such batches (its two buckets share
+/// upper path nodes, and its update pass rewrites the retrieval pass's).
+fn duplicated(writes: &[(usize, u8)]) -> Vec<(usize, u8)> {
+    let twice = writes.iter().chain(writes.iter().rev());
+    twice
+        .enumerate()
+        .map(|(i, &(addr, byte))| (addr, byte.wrapping_add(i as u8)))
+        .collect()
+}
+
+/// A duplicate-address batch wide enough (72 cells, every shard touched)
+/// for `ShardedServer`'s pooled fan-out: each address six times.
+fn wide_duplicates(addr: usize, byte: u8) -> Vec<(usize, u8)> {
+    (0..6 * CAPACITY)
+        .map(|i| ((addr + 5 * i) % CAPACITY, byte.wrapping_add(i as u8)))
+        .collect()
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     // The vendored proptest has no `prop_oneof!`; a selector byte picks the
     // variant from one tuple of raw ingredients.
     let addrs = proptest::collection::vec(arb_addr(), 0..5);
     let writes = proptest::collection::vec((arb_addr(), any::<u8>()), 0..5);
-    (0u8..9, addrs, writes, arb_addr(), any::<u8>(), 0usize..20).prop_map(
+    (0u8..11, addrs, writes, arb_addr(), any::<u8>(), 0usize..20).prop_map(
         |(variant, addrs, writes, addr, byte, odd_len)| match variant {
             0 => Op::ReadBatch(addrs),
             1 => Op::ReadZeroCopy(addrs),
@@ -193,6 +213,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
             5 => Op::WriteFrom(addr, byte),
             6 => Op::WriteOdd(addr, byte, odd_len),
             7 => Op::Access(addrs, writes),
+            8 => Op::WriteStrided(duplicated(&writes)),
+            9 => Op::WriteStrided(wide_duplicates(addr, byte)),
             _ => Op::Xor(addrs),
         },
     )
@@ -354,7 +376,8 @@ impl Drop for TempDir {
 }
 
 /// Runs the program against every real backend: the flat-arena server,
-/// the sharded server, and the durable disk store (fsync off — the crash
+/// the sharded server with its sequential and with its pooled fan-out
+/// path, and the durable disk store (fsync off — the crash
 /// suite owns durability; this suite owns observational equivalence). The
 /// disk store runs twice: once with its default cache budget and once
 /// with a budget of a few cells, so eviction, refill and group-commit
@@ -362,6 +385,7 @@ impl Drop for TempDir {
 fn run_all_backends(init_all: bool, ops: &[Op]) {
     run_program(&mut SimServer::new(), init_all, ops);
     run_program(&mut ShardedServer::new(3), init_all, ops);
+    run_program(&mut ShardedServer::new(3).with_pool(WorkerPool::new(2)), init_all, ops);
     let tmp = TempDir::new();
     let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create disk store");
@@ -404,6 +428,8 @@ fn disk_store_reopens_into_reference_state() {
         Op::WriteStrided(vec![(1, 4), (2, 5)]),
         Op::Access(vec![0, 5], vec![(7, 6)]),
         Op::WriteOdd(4, 8, 0),
+        // Duplicate addresses in one WAL record: replay is "later wins" too.
+        Op::WriteStrided(duplicated(&[(6, 1), (2, 7), (6, 3)])),
     ];
     let tmp = TempDir::new();
     let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };

@@ -45,7 +45,7 @@ fn main() {
         d1.downloads, d1.uploads, d1.round_trips
     );
     println!(
-        "  hardened DP-RAM: {} downloads, {} uploads, {} round trips  (identical by design)",
+        "  hardened DP-RAM: {} downloads, {} uploads, {} round trips  (same cells; downloads not coalesced)",
         d2.downloads, d2.uploads, d2.round_trips
     );
 

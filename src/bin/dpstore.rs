@@ -84,6 +84,23 @@ impl Flags {
             .unwrap_or(default)
     }
 
+    /// A size flag (`--n`, `--block`, `--value`): the schemes need at least
+    /// one record, and at least one byte in each.
+    fn positive(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.get(name, default) {
+            0 => Err(format!("--{name} must be at least 1")),
+            size => Ok(size),
+        }
+    }
+
+    /// [`Flags::positive`], or the usage text and exit code 2.
+    fn size(&self, name: &str, default: usize) -> usize {
+        self.positive(name, default).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            usage_and_exit();
+        })
+    }
+
     fn get_str(&self, name: &str, default: &str) -> String {
         self.0
             .iter()
@@ -94,9 +111,9 @@ impl Flags {
 }
 
 fn demo_ram(flags: &Flags) {
-    let n: usize = flags.get("n", 4096);
+    let n = flags.size("n", 4096);
     let ops: usize = flags.get("ops", 500);
-    let block: usize = flags.get("block", 256);
+    let block = flags.size("block", 256);
 
     let mut rng = ChaChaRng::seed_from_u64(flags.get("seed", 0u64));
     let db = database(n, block);
@@ -136,9 +153,9 @@ fn demo_ram(flags: &Flags) {
 }
 
 fn demo_kvs(flags: &Flags) {
-    let n: usize = flags.get("n", 1024);
+    let n = flags.size("n", 1024);
     let ops: usize = flags.get("ops", 300);
-    let value: usize = flags.get("value", 64);
+    let value = flags.size("value", 64);
 
     let mut rng = ChaChaRng::seed_from_u64(flags.get("seed", 0u64));
     let config = DpKvsConfig::recommended(n, value);
@@ -252,7 +269,7 @@ fn audit(flags: &Flags) {
 }
 
 fn print_bounds(flags: &Flags) {
-    let n: usize = flags.get("n", 4096);
+    let n = flags.size("n", 4096);
     let alpha: f64 = flags.get("alpha", 0.1);
     let c: usize = flags.get("client", 4);
     println!("paper lower bounds at n = {n}, alpha = {alpha}, client storage c = {c}:");
@@ -277,4 +294,24 @@ fn print_bounds(flags: &Flags) {
         "  => constant overhead (3 blocks/query) becomes feasible at eps >= {:.2} = Theta(log n)",
         bounds::thm_3_7_epsilon_for_constant_overhead(n, 0.0, c, 3.0)
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str]) -> Flags {
+        Flags::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// `demo-ram --n 0` used to reach `DpRamConfig::recommended`'s assert.
+    #[test]
+    fn size_flags_must_be_positive() {
+        for name in ["n", "block", "value"] {
+            let flag = format!("--{name}");
+            assert!(flags(&[&flag, "0"]).positive(name, 7).is_err(), "{name} = 0");
+            assert_eq!(flags(&[&flag, "1"]).positive(name, 7), Ok(1), "{name} = 1");
+            assert_eq!(flags(&[]).positive(name, 7), Ok(7), "{name} defaulted");
+        }
+    }
 }

@@ -124,12 +124,13 @@ fn kvs_budget_composes_from_bucket_queries() {
     let mut rng = ChaChaRng::seed_from_u64(4);
     let mut kvs = DpKvs::setup(DpKvsConfig::recommended(n, 8), SimServer::new(), &mut rng).unwrap();
 
-    // Count bucket queries per op via round trips: each bucket query is 3.
+    // The four bucket queries of an op share one flight: one download
+    // request, one upload request.
     kvs.put(1, vec![0u8; 8], &mut rng).unwrap();
     let before = kvs.server_stats();
     kvs.get(1, &mut rng).unwrap();
     let rt = kvs.server_stats().since(&before).round_trips;
-    assert_eq!(rt, 12, "4 bucket queries x 3 round trips");
+    assert_eq!(rt, 2, "4 bucket queries in one flight");
 
     let per_bucket_query = PrivacyBudget::pure((n as f64).ln());
     let per_op = basic(per_bucket_query, 4);

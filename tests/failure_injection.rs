@@ -2,13 +2,15 @@
 //! attacks, and capacity exhaustion must all surface as *typed errors* —
 //! never as silent wrong answers or panics.
 
-use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig};
+use dp_storage::core::bucket_ram::{BucketRam, BucketRamError};
+use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig, DpKvsError};
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig, DpRamError};
 use dp_storage::core::hardened_ram::{HardenedDpRam, HardenedRamError, TamperDetection};
 use dp_storage::crypto::merkle::MerkleTree;
 use dp_storage::crypto::ChaChaRng;
+use dp_storage::net::chaos::FaultStorage;
 use dp_storage::oram::{PathOram, PathOramConfig};
-use dp_storage::server::{SimServer, VerifiedError, VerifiedServer};
+use dp_storage::server::{ServerError, SimServer, VerifiedError, VerifiedServer};
 use dp_storage::workloads::generators::database;
 
 const N: usize = 64;
@@ -160,5 +162,158 @@ fn detection_does_not_poison_other_addresses() {
             db[i],
             "untampered address {i} must still read correctly"
         );
+    }
+}
+
+/// Which of an operation's two storage calls the injected faults hit: the
+/// download (index 0) or the upload (index 1).
+#[derive(Default)]
+struct FailedCalls([u32; 2]);
+
+impl FailedCalls {
+    /// Repeats `attempt` until the storage acknowledges it. `round_trips`
+    /// reads the server's counter, which a [`FaultStorage`] advances only
+    /// for the calls it let through — so its growth over a failed attempt
+    /// names the call that failed.
+    fn retry<C, T, E: std::fmt::Debug>(
+        &mut self,
+        client: &mut C,
+        round_trips: impl Fn(&C) -> u64,
+        interrupted: impl Fn(&E) -> bool,
+        mut attempt: impl FnMut(&mut C) -> Result<T, E>,
+    ) -> T {
+        loop {
+            let before = round_trips(client);
+            match attempt(client) {
+                Ok(value) => return value,
+                Err(e) => {
+                    assert!(interrupted(&e), "only the injected fault may fail: {e:?}");
+                    self.0[(round_trips(client) - before) as usize] += 1;
+                }
+            }
+        }
+    }
+
+    fn assert_both_calls_hit(&self) {
+        assert!(self.0[0] > 0 && self.0[1] > 0, "faults at (download, upload): {:?}", self.0);
+    }
+}
+
+/// A failed `Storage` call must not cost DP-RAM a stashed record: the
+/// client copy may be the only current one. Every failed attempt is
+/// retried, and every acknowledged value must read back at the end.
+#[test]
+fn dp_ram_failed_requests_lose_no_record() {
+    let mut rng = ChaChaRng::seed_from_u64(9);
+    let db = database(N, BLOCK);
+    let server = FaultStorage::new(SimServer::new(), 9, 300);
+    let config = DpRamConfig { n: N, stash_probability: 0.5 };
+    let mut ram = DpRam::setup(config, &db, server, &mut rng).unwrap();
+    let mut model = db;
+    let mut failed = FailedCalls::default();
+    let interrupted = |e: &DpRamError| matches!(e, DpRamError::Server(ServerError::Interrupted));
+    let round_trips = |ram: &DpRam<_>| ram.server_stats().round_trips;
+    for step in 0..400u32 {
+        let i = rng.gen_index(N);
+        if rng.gen_bool(0.5) {
+            let value = vec![step as u8; BLOCK];
+            failed.retry(&mut ram, round_trips, interrupted, |ram| {
+                ram.write(i, value.clone(), &mut rng)
+            });
+            model[i] = value;
+        } else {
+            let got = failed.retry(&mut ram, round_trips, interrupted, |ram| ram.read(i, &mut rng));
+            assert_eq!(got, model[i], "step {step}");
+        }
+    }
+    failed.assert_both_calls_hit();
+    ram.server_mut().set_armed(false);
+    for (i, expected) in model.iter().enumerate() {
+        assert_eq!(&ram.read(i, &mut rng).unwrap(), expected, "record {i}");
+    }
+}
+
+/// The same for a flight of the bucketed DP-RAM over overlapping buckets.
+#[test]
+fn bucket_ram_failed_requests_lose_no_cell() {
+    let mut rng = ChaChaRng::seed_from_u64(10);
+    let cells: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 8]).collect();
+    let buckets = vec![vec![0, 4, 5], vec![1, 4, 5], vec![2, 4, 5], vec![3, 4, 5]];
+    let server = FaultStorage::new(SimServer::new(), 10, 300);
+    let mut ram = BucketRam::setup(cells.clone(), buckets.clone(), 0.5, server, &mut rng).unwrap();
+    let mut model = cells;
+    let mut failed = FailedCalls::default();
+    let interrupted =
+        |e: &BucketRamError| matches!(e, BucketRamError::Server(ServerError::Interrupted));
+    let round_trips = |ram: &BucketRam<_>| ram.server_stats().round_trips;
+    for step in 0..400u32 {
+        let flight = [rng.gen_index(4), rng.gen_index(4)];
+        let position = rng.gen_index(3);
+        let value = vec![step as u8; 8];
+        // Query 0 reads its bucket; query 1 rewrites one cell of its own.
+        let out = failed.retry(&mut ram, round_trips, interrupted, |ram| {
+            ram.query_batch(
+                &flight,
+                |query, contents| {
+                    if query == 1 {
+                        contents[position] = value.clone();
+                    }
+                },
+                &mut rng,
+            )
+        });
+        let expected: Vec<_> = buckets[flight[0]].iter().map(|&c| model[c].clone()).collect();
+        assert_eq!(out[0].0, expected, "step {step}");
+        model[buckets[flight[1]][position]] = value;
+    }
+    failed.assert_both_calls_hit();
+    ram.server_mut().set_armed(false);
+    for (b, bucket) in buckets.iter().enumerate() {
+        let expected: Vec<_> = bucket.iter().map(|&c| model[c].clone()).collect();
+        assert_eq!(ram.query(b, |_| {}, &mut rng).unwrap().0, expected, "bucket {b}");
+    }
+}
+
+/// The same for DP-KVS, whose client state is the bucket stash plus the
+/// key count and the super root.
+#[test]
+fn dp_kvs_failed_requests_lose_no_key() {
+    let mut rng = ChaChaRng::seed_from_u64(11);
+    let config = DpKvsConfig { stash_probability: 0.5, ..DpKvsConfig::recommended(N, 8) };
+    let server = FaultStorage::new(SimServer::new(), 11, 300);
+    let mut kvs = DpKvs::setup(config, server, &mut rng).unwrap();
+    let mut model = std::collections::HashMap::new();
+    let mut failed = FailedCalls::default();
+    let interrupted = |e: &DpKvsError| {
+        matches!(e, DpKvsError::Ram(BucketRamError::Server(ServerError::Interrupted)))
+    };
+    let round_trips = |kvs: &DpKvs<_>| kvs.server_stats().round_trips;
+    for step in 0..400u32 {
+        let key = rng.gen_range(48) * 7 + 1;
+        match rng.gen_index(4) {
+            0 | 1 => {
+                let value = vec![step as u8; 8];
+                failed.retry(&mut kvs, round_trips, interrupted, |kvs| {
+                    kvs.put(key, value.clone(), &mut rng)
+                });
+                model.insert(key, value);
+            }
+            2 => {
+                let got = failed
+                    .retry(&mut kvs, round_trips, interrupted, |kvs| kvs.remove(key, &mut rng));
+                assert_eq!(got, model.remove(&key), "step {step}");
+            }
+            _ => {
+                let got =
+                    failed.retry(&mut kvs, round_trips, interrupted, |kvs| kvs.get(key, &mut rng));
+                assert_eq!(got, model.get(&key).cloned(), "step {step}");
+            }
+        }
+        assert_eq!(kvs.len(), model.len(), "step {step}");
+    }
+    failed.assert_both_calls_hit();
+    kvs.server_mut().set_armed(false);
+    for (key, value) in &model {
+        assert_eq!(kvs.get(*key, &mut rng).unwrap().as_ref(), Some(value), "key {key}");
     }
 }

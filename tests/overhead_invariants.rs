@@ -25,7 +25,7 @@ fn dp_ram_transcript_is_exactly_two_downloads_one_upload() {
             ram.read(q % n, &mut rng).unwrap();
         }
         let transcript = ram.server_mut().take_transcript();
-        assert_eq!(transcript.round_trips(), 60, "3 RTs per query, n = {n}");
+        assert_eq!(transcript.round_trips(), 40, "2 RTs per query, n = {n}");
         let events: Vec<AccessEvent> = transcript.events().collect();
         assert_eq!(events.len(), 60, "3 events per query, n = {n}");
         for chunk in events.chunks(3) {
