@@ -13,7 +13,9 @@
 //! PR can record its numbers (`BENCH_<pr>.json`) and diff against the
 //! previous ones. Single-config schemes carry `shards = threads = 1`,
 //! keeping their rows comparable with the flat `{"scheme": ns}` maps of
-//! BENCH_1/BENCH_2; the sharded sweeps add S/T columns on top, throughput
+//! BENCH_1/BENCH_2 (`shards` is constant 1 since the sharded server went;
+//! the column stays so `scripts/bench_compare.py` still keys the older
+//! snapshots, whose sharded rows it reports as `[gone]`); throughput
 //! rows (`chacha_wide_throughput`, `linear_oram_reencrypt`) add a
 //! `"bytes"` field recording the payload bytes per op, the closed-loop
 //! network rows (`net_load_*`) add `"p95_ns"`, `"p99_ns"` and
@@ -44,16 +46,14 @@ use dps_net::{
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
 use dps_server::batch_crypto::encrypt_batch_strided;
-use dps_server::{
-    DiskOptions, DiskStore, ShardedServer, SimServer, Storage, SyncPolicy, WorkerPool,
-};
+use dps_server::{DiskOptions, DiskStore, SimServer, Storage, SyncPolicy, WorkerPool};
 use dps_workloads::generators::database;
 
-/// One bench record: scheme name plus the sharding/threading configuration
-/// it ran under (1/1 for the sequential baselines). `threads` counts the
-/// threads doing the work, whichever side they live on: concurrent
-/// *client* threads for `sharded_read_mt` and `net_load_*`, worker-*pool*
-/// width for `sharded_write_strided` / `par_encrypt_batch`, and the
+/// One bench record: scheme name plus the threading configuration it ran
+/// under (1 for the sequential baselines; `shards` is always 1). `threads`
+/// counts the threads doing the work, whichever side they live on:
+/// concurrent *client* threads for `net_load_*`, worker-*pool* width for
+/// `par_encrypt_batch`, and the
 /// in-flight request window for `remote_pipelined_read` (one client
 /// thread, `threads` tagged requests outstanding). Throughput-oriented
 /// rows additionally record `bytes` — the payload bytes one op moves
@@ -120,46 +120,6 @@ fn median_ns(samples: usize, iters: usize, mut op: impl FnMut()) -> u64 {
     })
 }
 
-/// Multi-client read throughput: `clients` threads each issue `iters`
-/// zero-copy batch reads of `batch` cells against their own disjoint
-/// address range of a shared [`ShardedServer`]. Returns the median ns per
-/// *cell read* across samples (total wall time / total cells moved), the
-/// throughput measure that shard-count scaling should improve.
-fn mt_read_ns(
-    server: &ShardedServer,
-    clients: usize,
-    samples: usize,
-    iters: usize,
-    batch: usize,
-) -> u64 {
-    let n = Storage::capacity(server);
-    let per_client = n / clients;
-    median_over_samples(samples, || {
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                scope.spawn(move || {
-                    let base = c * per_client;
-                    let mut sink = 0u64;
-                    for i in 0..iters {
-                        let addrs: Vec<usize> = (0..batch)
-                            .map(|k| base + (i * 13 + k * 7) % per_client)
-                            .collect();
-                        server
-                            .read_batch_with_shared(&addrs, |_, cell| {
-                                sink = sink.wrapping_add(u64::from(cell[0]));
-                            })
-                            .expect("bench read");
-                    }
-                    std::hint::black_box(sink);
-                });
-            }
-        });
-        let total_cells = (clients * iters * batch) as u64;
-        start.elapsed().as_nanos() as u64 / total_cells
-    })
-}
-
 /// What one closed-loop load run measured: per-op latency percentiles
 /// over every op of every client, plus aggregate throughput.
 struct LoadSummary {
@@ -191,8 +151,8 @@ fn net_load(
     chaos: Option<ChaosConfig>,
 ) -> LoadSummary {
     let db = database(n, block);
-    let mut server = ShardedServer::new(4);
-    Storage::init(&mut server, db);
+    let mut server = SimServer::new();
+    server.init(db);
     let daemon = NetDaemon::spawn(server).expect("spawn load daemon");
     // With a chaos schedule, every client dials through a seeded
     // fault-injecting proxy and carries a reconnect policy; reads replay
@@ -524,56 +484,8 @@ fn main() {
         ));
     }
 
-    // Multi-client read throughput against the sharded server: C client
-    // threads on disjoint address ranges, swept over shard counts. With
-    // S = 1 every client serializes on one lock; more shards should push
-    // ns/cell back toward the single-client figure (bounded by available
-    // cores — a 1-core CI box only shows contention relief, not true
-    // parallel speedup).
-    {
-        let n = 1 << 12;
-        let db = database(n, 256);
-        for clients in [1usize, 4] {
-            for shards in [1usize, 2, 4, 8] {
-                let mut server = ShardedServer::new(shards);
-                Storage::init(&mut server, db.clone());
-                let ns = mt_read_ns(&server, clients, samples, 40, 64);
-                results.push(Record {
-                    scheme: "sharded_read_mt".to_string(),
-                    shards,
-                    threads: clients,
-                    median_ns: ns,
-                    ..Record::default()
-                });
-            }
-        }
-    }
-
-    // Cross-shard strided batch writes through the worker pool (one
-    // client, intra-batch fan-out).
-    {
-        let n = 1 << 12;
-        let db = database(n, 256);
-        let addrs: Vec<usize> = (0..n).collect();
-        let flat: Vec<u8> = db.iter().flatten().copied().collect();
-        for (shards, threads) in [(1usize, 1usize), (4, 1), (4, 4), (8, 4)] {
-            let mut server = ShardedServer::new(shards).with_pool(WorkerPool::new(threads));
-            Storage::init(&mut server, db.clone());
-            let ns = median_ns(samples, 20, || {
-                server.write_batch_strided_shared(&addrs, &flat).unwrap();
-            });
-            results.push(Record {
-                scheme: "sharded_write_strided".to_string(),
-                shards,
-                threads,
-                median_ns: ns / n as u64, // per cell
-                ..Record::default()
-            });
-        }
-    }
-
-    // Durable backend (DiskStore): the same strided-write / batched-read
-    // surface as the sharded rows, against the WAL-backed arena in a
+    // Durable backend (DiskStore): the strided-write / batched-read
+    // surface against the WAL-backed arena in a
     // scratch directory. Fsync is off — recorded in the row's `policy`
     // column — so the figure tracks the WAL codec + pwrite path rather
     // than the device's flush latency; every strided write appends ~1 MiB
@@ -705,109 +617,104 @@ fn main() {
         }
     }
 
-    // Remote storage over loopback TCP (dps_net): the same zero-copy
-    // batch surface the sharded_* rows measure in-process, with one
-    // framed request/response exchange per batch on top. The delta
-    // against the corresponding local row is the wire cost — framing,
-    // syscalls and loopback latency amortized over the batch — which is
-    // the round-trip term of the paper's overhead model made measurable.
+    // Remote storage over loopback TCP (dps_net): the zero-copy batch
+    // surface with one framed request/response exchange per batch on
+    // top. The wire cost — framing, syscalls and loopback latency
+    // amortized over the batch — is the round-trip term of the paper's
+    // overhead model made measurable.
     {
         let n = 1 << 12;
         let db = database(n, 256);
-        for shards in [1usize, 4] {
-            let mut server = ShardedServer::new(shards);
-            Storage::init(&mut server, db.clone());
-            let daemon = NetDaemon::spawn(server).expect("spawn loopback daemon");
-            let mut remote = RemoteServer::connect(daemon.local_addr()).expect("connect to daemon");
+        let mut server = SimServer::new();
+        server.init(db.clone());
+        let daemon = NetDaemon::spawn(server).expect("spawn loopback daemon");
+        let mut remote = RemoteServer::connect(daemon.local_addr()).expect("connect to daemon");
 
-            // Batched zero-copy reads, 64 cells per round trip (the
-            // remote twin of sharded_read_mt at C = 1).
-            let batch = 64;
+        // Batched zero-copy reads, 64 cells per round trip.
+        let batch = 64;
+        let mut sink = 0u64;
+        let mut i = 0;
+        let ns = median_ns(samples, 40, || {
+            let addrs: Vec<usize> = (0..batch).map(|k| (i * 13 + k * 7) % n).collect();
+            i += 1;
+            remote
+                .read_batch_with(&addrs, |_, cell| {
+                    sink = sink.wrapping_add(u64::from(cell[0]));
+                })
+                .expect("bench remote read");
+        });
+        std::hint::black_box(sink);
+        results.push(Record {
+            scheme: "remote_read_batch".to_string(),
+            shards: 1,
+            threads: 1,
+            median_ns: ns / batch as u64, // per cell
+            ..Record::default()
+        });
+
+        // Single-cell tagged reads with a window of requests in
+        // flight (wire v2 pipelining), swept over window sizes. At
+        // one cell per request the fixed per-round-trip cost —
+        // scheduler ping-pong between the client and the daemon
+        // thread, the daemon wake-up — dominates the payload, which
+        // is exactly the regime pipelining exists for: with window W
+        // the whole window crosses each direction of the loopback in
+        // one burst, so that fixed cost is paid once per *window*
+        // instead of once per request. `threads` records the
+        // in-flight window (one OS thread either way); the W = 1 row
+        // is the one-in-flight baseline the W = 8 row's speedup is
+        // read against.
+        let small = 1;
+        for window in [1usize, 8] {
             let mut sink = 0u64;
             let mut i = 0;
-            let ns = median_ns(samples, 40, || {
-                let addrs: Vec<usize> = (0..batch).map(|k| (i * 13 + k * 7) % n).collect();
-                i += 1;
-                remote
-                    .read_batch_with(&addrs, |_, cell| {
+            let ns = median_ns(samples, 100, || {
+                let requests: Vec<_> = (0..window)
+                    .map(|w| {
+                        let addrs: Vec<usize> =
+                            (0..small).map(|k| ((i + w) * 13 + k * 7) % n).collect();
+                        dps_net::Request::ReadBatch { addrs }
+                    })
+                    .collect();
+                let tickets = remote.submit_all(&requests).expect("bench pipelined submit");
+                i += window;
+                for ticket in tickets {
+                    let payload = remote.wait_payload(ticket).expect("bench pipelined wait");
+                    let cells = dps_net::wire::visit_cells(&payload, |_, cell| {
                         sink = sink.wrapping_add(u64::from(cell[0]));
                     })
-                    .expect("bench remote read");
+                    .expect("bench pipelined decode");
+                    assert!(cells, "expected a Cells response");
+                }
             });
             std::hint::black_box(sink);
             results.push(Record {
-                scheme: "remote_read_batch".to_string(),
-                shards,
-                threads: 1,
-                median_ns: ns / batch as u64, // per cell
+                scheme: "remote_pipelined_read".to_string(),
+                shards: 1,
+                threads: window, // in-flight window, not OS threads
+                median_ns: ns / (window * small) as u64, // per cell
                 ..Record::default()
             });
-
-            // Single-cell tagged reads with a window of requests in
-            // flight (wire v2 pipelining), swept over window sizes. At
-            // one cell per request the fixed per-round-trip cost —
-            // scheduler ping-pong between the client and the daemon
-            // thread, the daemon wake-up — dominates the payload, which
-            // is exactly the regime pipelining exists for: with window W
-            // the whole window crosses each direction of the loopback in
-            // one burst, so that fixed cost is paid once per *window*
-            // instead of once per request. `threads` records the
-            // in-flight window (one OS thread either way); the W = 1 row
-            // is the one-in-flight baseline the W = 8 row's speedup is
-            // read against.
-            let small = 1;
-            for window in [1usize, 8] {
-                let mut sink = 0u64;
-                let mut i = 0;
-                let ns = median_ns(samples, 100, || {
-                    let requests: Vec<_> = (0..window)
-                        .map(|w| {
-                            let addrs: Vec<usize> =
-                                (0..small).map(|k| ((i + w) * 13 + k * 7) % n).collect();
-                            dps_net::Request::ReadBatch { addrs }
-                        })
-                        .collect();
-                    let tickets = remote.submit_all(&requests).expect("bench pipelined submit");
-                    i += window;
-                    for ticket in tickets {
-                        let payload = remote.wait_payload(ticket).expect("bench pipelined wait");
-                        let cells = dps_net::wire::visit_cells(&payload, |_, cell| {
-                            sink = sink.wrapping_add(u64::from(cell[0]));
-                        })
-                        .expect("bench pipelined decode");
-                        assert!(cells, "expected a Cells response");
-                    }
-                });
-                std::hint::black_box(sink);
-                results.push(Record {
-                    scheme: "remote_pipelined_read".to_string(),
-                    shards,
-                    threads: window, // in-flight window, not OS threads
-                    median_ns: ns / (window * small) as u64, // per cell
-                    ..Record::default()
-                });
-            }
-
-            // Whole-database strided upload in one frame (the remote
-            // twin of sharded_write_strided).
-            let addrs: Vec<usize> = (0..n).collect();
-            let flat: Vec<u8> = db.iter().flatten().copied().collect();
-            let ns = median_ns(samples, 10, || {
-                remote
-                    .write_batch_strided(&addrs, &flat)
-                    .expect("bench remote write");
-            });
-            results.push(Record {
-                scheme: "remote_write_strided".to_string(),
-                shards,
-                threads: 1,
-                median_ns: ns / n as u64, // per cell
-                ..Record::default()
-            });
-
-            drop(remote);
-            daemon.shutdown();
         }
+
+        // Whole-database strided upload in one frame.
+        let addrs: Vec<usize> = (0..n).collect();
+        let flat: Vec<u8> = db.iter().flatten().copied().collect();
+        let ns = median_ns(samples, 10, || {
+            remote
+                .write_batch_strided(&addrs, &flat)
+                .expect("bench remote write");
+        });
+        results.push(Record {
+            scheme: "remote_write_strided".to_string(),
+            shards: 1,
+            threads: 1,
+            median_ns: ns / n as u64, // per cell
+            ..Record::default()
+        });
+
+        drop(remote);
+        daemon.shutdown();
     }
 
     // Deterministic parallel batch encryption (nonces pre-drawn on the
@@ -848,7 +755,7 @@ fn main() {
                 if write_fraction == 0.0 { "net_load_zipf_read" } else { "net_load_zipf_mixed" };
             results.push(Record {
                 scheme: scheme.to_string(),
-                shards: 4,
+                shards: 1,
                 threads: clients,
                 median_ns: s.p50_ns,
                 p95_ns: s.p95_ns,
@@ -869,7 +776,7 @@ fn main() {
             let s = net_load(4, ops, n, 256, 0.99, 0.2, Some(config));
             results.push(Record {
                 scheme: "net_load_zipf_faulty".to_string(),
-                shards: 4,
+                shards: 1,
                 threads: 4,
                 median_ns: s.p50_ns,
                 p95_ns: s.p95_ns,

@@ -12,7 +12,7 @@ use dps_oram::{
     SquareRootOram,
 };
 use dps_pir::FullScanPir;
-use dps_server::SimServer;
+use dps_server::{SimServer, Storage};
 use dps_workloads::generators::database;
 
 use crate::table::{f1, f3, Table};

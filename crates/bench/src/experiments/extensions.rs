@@ -12,7 +12,7 @@ use dps_core::multi_server::{MultiServerDpIr, MultiServerDpIrConfig};
 use dps_crypto::ChaChaRng;
 use dps_oram::{RecursiveOramConfig, RecursivePathOram, SquareRootOram};
 use dps_pir::MultiServerXorPir;
-use dps_server::{NetworkModel, SimServer};
+use dps_server::{NetworkModel, SimServer, Storage};
 use dps_workloads::generators::database;
 
 use crate::table::{f1, f3, Table};

@@ -7,7 +7,7 @@ use dps_core::bucket_ram::{BucketRam, BucketTrace};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig};
 use dps_crypto::ChaChaRng;
-use dps_server::{AccessEvent, SimServer};
+use dps_server::{AccessEvent, SimServer, Storage};
 use dps_workloads::Op;
 use proptest::prelude::*;
 
@@ -261,62 +261,6 @@ proptest! {
             }
         }
     }
-}
-
-/// The schemes run unmodified over the sharded concurrent backend: a
-/// DP-RAM and a DP-KVS on a `ShardedServer` (4 shards, 2-wide pool)
-/// behave exactly like their `SimServer` twins under the same seed —
-/// same values returned, same costs charged.
-#[test]
-fn schemes_run_unmodified_on_sharded_server() {
-    use dps_server::{ShardedServer, Storage, WorkerPool};
-
-    let n = 64;
-    let blocks: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 16]).collect();
-
-    let mut rng_a = ChaChaRng::seed_from_u64(99);
-    let mut ram_a =
-        DpRam::setup(DpRamConfig::recommended(n), &blocks, SimServer::new(), &mut rng_a).unwrap();
-    let mut rng_b = ChaChaRng::seed_from_u64(99);
-    let sharded = ShardedServer::new(4).with_pool(WorkerPool::new(2));
-    let mut ram_b =
-        DpRam::setup(DpRamConfig::recommended(n), &blocks, sharded, &mut rng_b).unwrap();
-
-    for step in 0..200 {
-        let i = step % n;
-        if step % 3 == 0 {
-            let v = vec![(step % 251) as u8; 16];
-            ram_a.write(i, v.clone(), &mut rng_a).unwrap();
-            ram_b.write(i, v, &mut rng_b).unwrap();
-        } else {
-            assert_eq!(
-                ram_a.read(i, &mut rng_a).unwrap(),
-                ram_b.read(i, &mut rng_b).unwrap(),
-                "step {step}"
-            );
-        }
-    }
-    assert_eq!(ram_a.server_stats(), ram_b.server_stats());
-    assert_eq!(Storage::stats(ram_b.server_mut()).round_trips, ram_a.server_stats().round_trips);
-
-    let mut rng_a = ChaChaRng::seed_from_u64(7);
-    let mut kvs_a =
-        DpKvs::setup(DpKvsConfig::recommended(64, 8), SimServer::new(), &mut rng_a).unwrap();
-    let mut rng_b = ChaChaRng::seed_from_u64(7);
-    let mut kvs_b = DpKvs::setup(
-        DpKvsConfig::recommended(64, 8),
-        ShardedServer::new(8).with_pool(WorkerPool::new(2)),
-        &mut rng_b,
-    )
-    .unwrap();
-    for k in 0u64..24 {
-        kvs_a.put(k, vec![k as u8; 8], &mut rng_a).unwrap();
-        kvs_b.put(k, vec![k as u8; 8], &mut rng_b).unwrap();
-    }
-    for k in 0u64..24 {
-        assert_eq!(kvs_a.get(k, &mut rng_a).unwrap(), kvs_b.get(k, &mut rng_b).unwrap(), "key {k}");
-    }
-    assert_eq!(kvs_a.server_stats(), kvs_b.server_stats());
 }
 
 /// One flight `[x, y]` and two one-element flights show the server the same

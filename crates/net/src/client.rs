@@ -10,22 +10,15 @@
 //! `access_batch`) stay single round trips no matter the batch size, so
 //! the paper's round-trip accounting carries over to the wire unchanged.
 //!
-//! # Protocol versions and pipelining
+//! # Pipelining
 //!
-//! [`RemoteServer::connect`] speaks wire protocol v2 (`DPS2`): every
-//! request frame carries a fresh id, and responses echo it. That makes
+//! Every request frame carries a fresh id, and responses echo it. That makes
 //! the connection *pipelineable* — [`RemoteServer::submit`] puts a
 //! request on the wire without waiting, returning a [`Ticket`];
 //! [`RemoteServer::wait`] collects a specific response whenever it is
 //! wanted, matching by id and stashing whatever else arrives in between,
 //! so completions are order-independent. The synchronous `Storage`
 //! surface is simply `submit` immediately followed by `wait`.
-//!
-//! [`RemoteServer::connect_v1`] speaks the original one-in-flight v1
-//! protocol (`DPS1`) instead — the compatibility mode old clients get
-//! from a new daemon, and what the compatibility suite pins. A v1
-//! connection cannot pipeline; [`RemoteServer::submit`] on it returns a
-//! typed error.
 //!
 //! # Cost accounting
 //!
@@ -40,16 +33,24 @@
 //! # Failure model
 //!
 //! Model-level failures ([`ServerError`]) travel in-band and are returned
-//! exactly like a local server would. *Wire*-level failures (peer gone,
-//! truncated frame, corrupt response, a `Cells` response with the wrong
-//! cell count, an unknown response id) have no representation in the
-//! [`Storage`] error type — a broken wire is infrastructure failure, not
-//! a storage outcome — so the trait surface panics on them. Callers that
-//! need to observe transport faults (tests, reconnect logic) use the
-//! fallible inherent surface instead: every `Storage` method has a
-//! `try_*` twin returning [`RemoteError`], with wire-level misbehavior
-//! surfaced typed ([`WireError::CellCountMismatch`],
-//! [`WireError::UnknownRequestId`], …) instead of panicking.
+//! exactly like a local server would. A *connection* fault — the peer
+//! gone, the stream cut mid-frame, a deadline expired — is infrastructure
+//! failure with the application state unknown, which is what
+//! [`ServerError::Interrupted`] means: the fallible `Storage` methods
+//! (the six data operations) return it, so a daemon restart fails the
+//! scheme's current operation instead of aborting the process, and the
+//! scheme's client state is untouched and the operation retryable once a
+//! connection is back (see NOTES.md, entry 1). *Protocol violations* — a
+//! corrupt response, a `Cells` response with the wrong cell count, an
+//! unknown response id — mean the peer is not a conforming daemon; the
+//! trait surface panics on them. So do the metadata methods with
+//! infallible signatures (`init`, `capacity`, `stats`, …) on any wire
+//! failure. Callers that need to observe transport faults in full (tests,
+//! reconnect logic) use the fallible inherent surface instead: every
+//! `Storage` method has a `try_*` twin returning [`RemoteError`], with
+//! wire-level misbehavior surfaced typed
+//! ([`WireError::CellCountMismatch`], [`WireError::UnknownRequestId`], …)
+//! instead of panicking.
 //!
 //! # Resilience
 //!
@@ -90,9 +91,7 @@ use std::time::Duration;
 use dps_server::{CostStats, ServerError, Storage, Transcript};
 
 use crate::chaos::splitmix64;
-use crate::wire::{
-    read_frame, read_frame_v2, visit_cells, Request, Response, WireError, HEADER2_LEN, HEADER_LEN,
-};
+use crate::wire::{read_frame_v2, visit_cells, Request, Response, WireError, HEADER2_LEN};
 
 /// A wire-level or model-level failure of a remote call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,15 +228,6 @@ impl Ticket {
     }
 }
 
-/// Which frame header this connection speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Original `DPS1` framing: un-tagged, strictly one in flight.
-    V1,
-    /// `DPS2` framing: id-tagged frames, pipelining allowed.
-    V2,
-}
-
 /// Client-side record of one submitted-but-unanswered request.
 #[derive(Debug)]
 struct Pending {
@@ -287,7 +277,6 @@ pub struct RemoteServer {
     /// partially received frame — a cut byte stream cannot be resumed.
     reader: RefCell<BufReader<TcpStream>>,
     peer: SocketAddr,
-    mode: Mode,
     timeouts: Timeouts,
     reconnect: Option<ReconnectPolicy>,
     /// Databases whose encoded `Init` frame would exceed this many bytes
@@ -301,7 +290,7 @@ pub struct RemoteServer {
     // (`stats`, `capacity`, …) but still performs an exchange.
     // `Cell`/`RefCell` are `Send` (the trait's bound) without the cost of
     // atomics; the connection itself serializes all exchanges anyway.
-    /// Next v2 request id to assign.
+    /// Next request id to assign.
     next_id: Cell<u64>,
     /// Requests submitted and not yet answered, keyed by id. A `BTreeMap`
     /// so a reconnect replays survivors in submission order.
@@ -333,16 +322,19 @@ pub const DEFAULT_STASH_FRAMES: usize = 1 << 16;
 pub const DEFAULT_STASH_BYTES: usize = 1 << 30;
 
 /// Maps a remote result onto the `Storage` error surface: model errors
-/// pass through, an interrupted-by-reconnect request maps to the typed
-/// [`ServerError::Interrupted`] (the connection is live again and the
-/// scheme decides whether to re-issue), and genuine wire errors panic
-/// (see the module docs).
+/// pass through; a request interrupted by a reconnect, an expired
+/// deadline and a cut connection all map to the typed
+/// [`ServerError::Interrupted`] (application state unknown; the scheme
+/// decides whether to re-issue); protocol violations panic (see the
+/// module docs).
 fn model<T>(result: Result<T, RemoteError>) -> Result<T, ServerError> {
     match result {
         Ok(v) => Ok(v),
         Err(RemoteError::Server(e)) => Err(e),
-        Err(RemoteError::Interrupted) => Err(ServerError::Interrupted),
-        Err(RemoteError::TimedOut) => panic!("dps_net wire failure: deadline expired"),
+        Err(RemoteError::Interrupted | RemoteError::TimedOut) => Err(ServerError::Interrupted),
+        Err(RemoteError::Wire(e)) if RemoteServer::connection_fault(&e) => {
+            Err(ServerError::Interrupted)
+        }
         Err(RemoteError::Wire(e)) => panic!("dps_net wire failure: {e}"),
     }
 }
@@ -366,33 +358,17 @@ fn dial(
 
 impl RemoteServer {
     /// Connects to a [`crate::NetDaemon`] (or anything speaking the same
-    /// protocol) at `addr`, speaking the pipelined v2 protocol.
+    /// protocol) at `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::connect_mode(addr, Mode::V2, Timeouts::default())
-    }
-
-    /// Connects speaking the original one-in-flight v1 protocol — what a
-    /// pre-pipelining client looks like to the daemon. The full
-    /// `Storage` surface works identically; only [`RemoteServer::submit`]
-    /// is unavailable.
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::connect_mode(addr, Mode::V1, Timeouts::default())
+        Self::connect_with(addr, Timeouts::default())
     }
 
     /// [`RemoteServer::connect`] with connect/read/write deadlines. Each
     /// deadline expiry on an established connection surfaces as
-    /// [`RemoteError::TimedOut`] (or, absent a [`ReconnectPolicy`], a
-    /// panic on the bare `Storage` surface); an expired *connect*
-    /// deadline surfaces here as `io::ErrorKind::TimedOut`.
+    /// [`RemoteError::TimedOut`] ([`ServerError::Interrupted`] on the
+    /// `Storage` data operations); an expired *connect* deadline surfaces
+    /// here as `io::ErrorKind::TimedOut`.
     pub fn connect_with(addr: impl ToSocketAddrs, timeouts: Timeouts) -> std::io::Result<Self> {
-        Self::connect_mode(addr, Mode::V2, timeouts)
-    }
-
-    fn connect_mode(
-        addr: impl ToSocketAddrs,
-        mode: Mode,
-        timeouts: Timeouts,
-    ) -> std::io::Result<Self> {
         let mut last_err = None;
         let mut dialed = None;
         for candidate in addr.to_socket_addrs()? {
@@ -414,7 +390,6 @@ impl RemoteServer {
             stream: RefCell::new(stream),
             reader: RefCell::new(reader),
             peer,
-            mode,
             timeouts,
             reconnect: None,
             init_chunk_bytes: DEFAULT_INIT_CHUNK_BYTES,
@@ -588,12 +563,8 @@ impl RemoteServer {
     /// returning the [`Ticket`] that [`RemoteServer::wait`] (or
     /// [`RemoteServer::wait_payload`]) later redeems. Any number of
     /// tickets may be outstanding; responses may be redeemed in any
-    /// order. Requires a v2 connection — a [`RemoteServer::connect_v1`]
-    /// client returns a typed error.
+    /// order.
     pub fn submit(&self, request: &Request) -> Result<Ticket, RemoteError> {
-        if self.mode == Mode::V1 {
-            return Err(WireError::BadPayload("a v1 connection cannot pipeline").into());
-        }
         let id = self.next_id.get();
         self.next_id.set(id + 1);
         let framed = request.encode_framed_v2(id)?;
@@ -624,9 +595,6 @@ impl RemoteServer {
     /// because N syscalls and N scheduler round trips are the dominant
     /// cost of small pipelined requests.
     pub fn submit_all(&self, requests: &[Request]) -> Result<Vec<Ticket>, RemoteError> {
-        if self.mode == Mode::V1 {
-            return Err(WireError::BadPayload("a v1 connection cannot pipeline").into());
-        }
         // Encode the whole window before registering anything, so an
         // encode failure leaves no phantom in-flight entries behind.
         let mut frames = Vec::with_capacity(requests.len());
@@ -723,54 +691,13 @@ impl RemoteServer {
         }
     }
 
-    /// Performs one framed exchange, returning the raw response payload.
-    /// On a v2 connection this is [`RemoteServer::submit`] immediately
-    /// followed by [`RemoteServer::wait_payload`]; on a v1 connection it
-    /// is the original blocking write-then-read (retried across
-    /// reconnects only when `request` is idempotent). Either way the wire
-    /// counters are exact by construction: one fault-free `try_call`, one
-    /// wire round trip.
+    /// Performs one framed exchange, returning the raw response payload:
+    /// [`RemoteServer::submit`] immediately followed by
+    /// [`RemoteServer::wait_payload`]. The wire counters are exact by
+    /// construction: one fault-free `try_call`, one wire round trip.
     pub fn try_call(&self, request: &Request) -> Result<Vec<u8>, RemoteError> {
-        match self.mode {
-            Mode::V2 => {
-                let ticket = self.submit(request)?;
-                self.wait_payload(ticket)
-            }
-            Mode::V1 => {
-                let mut episodes = 0u32;
-                loop {
-                    let fault = match self.v1_exchange(request) {
-                        Ok(payload) => return Ok(payload),
-                        Err(e) if Self::connection_fault(&e) => e,
-                        Err(e) => return Err(e.into()),
-                    };
-                    episodes += 1;
-                    if episodes > self.recovery_budget() {
-                        return Err(fault.into());
-                    }
-                    self.recover(fault)?;
-                    // v1 has no request ids, so nothing was registered
-                    // for replay; re-run the whole exchange iff that is
-                    // safe, otherwise hand the ambiguity to the caller.
-                    if !idempotent(request) {
-                        return Err(RemoteError::Interrupted);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One blocking v1 write-then-read exchange.
-    fn v1_exchange(&self, request: &Request) -> Result<Vec<u8>, WireError> {
-        let framed = request.encode_framed()?;
-        self.send(&framed)?;
-        let payload = read_frame(&mut *self.reader.borrow_mut())?
-            .ok_or(WireError::Truncated { expected: HEADER_LEN, got: 0 })?;
-        self.wire_round_trips.set(self.wire_round_trips.get() + 1);
-        self.wire_bytes_down
-            .set(self.wire_bytes_down.get() + (HEADER_LEN + payload.len()) as u64);
-        self.wire_inflight_max.set(self.wire_inflight_max.get().max(1));
-        Ok(payload)
+        let ticket = self.submit(request)?;
+        self.wait_payload(ticket)
     }
 
     /// [`RemoteServer::try_call`] plus response decoding, with in-band
@@ -801,8 +728,8 @@ impl RemoteServer {
     //
     // One `try_*` twin per `Storage` method: identical exchanges and
     // semantics, but every wire-level failure comes back as a typed
-    // `RemoteError` instead of a panic. The `Storage` impl below is a
-    // thin panicking adapter over these.
+    // `RemoteError`. The `Storage` impl below is a thin adapter over
+    // these (see `model`).
 
     /// Fallible [`Storage::init`]: one `Init` frame for small databases;
     /// above the chunking threshold the cells stream as `InitChunk`

@@ -1,12 +1,12 @@
 //! The readiness-based TCP storage daemon.
 //!
 //! [`NetDaemon`] owns any [`Storage`](dps_server::Storage) backend — the
-//! sharded in-memory [`ShardedServer`](dps_server::ShardedServer) or the
-//! durable
+//! in-memory [`SimServer`](dps_server::SimServer) or the durable
 //! [`DiskStore`](dps_server::DiskStore) — and serves the full trait
-//! surface over the wire protocol of [`crate::wire`]. One event-loop thread multiplexes every connection
-//! through a readiness poller ([`crate::PollBackend`]: epoll on Linux,
-//! portable `poll(2)` elsewhere) — no thread per connection, so the
+//! surface over the wire protocol of [`crate::wire`]. One event-loop
+//! thread multiplexes every connection through a readiness poller
+//! ([`crate::PollBackend`]: epoll on Linux, portable `poll(2)`
+//! elsewhere) — no thread per connection, so the
 //! accept rate and the connection count stop being thread-spawn bound.
 //! Each connection is a small non-blocking state machine:
 //!
@@ -21,11 +21,8 @@
 //!                                                 writable ──▶ socket
 //! ```
 //!
-//! Frames self-describe their protocol version through the magic, so v1
-//! (`DPS1`) and v2 (`DPS2`) clients share one port: each response is
-//! framed in the version of its request, and the FIFO response queue
-//! preserves arrival order, which is exactly the one-in-flight contract
-//! a v1 client relies on.
+//! Each response echoes the id of its request, and the FIFO response
+//! queue preserves arrival order per connection.
 //!
 //! # Backpressure
 //!
@@ -85,7 +82,7 @@ use std::time::{Duration, Instant};
 use dps_server::Storage;
 
 use crate::sys::{timeout_ms_until, Event, PollBackend, Poller};
-use crate::wire::{FrameAssembler, Request, Response, WireError, WireFrame};
+use crate::wire::{FrameAssembler, Request, Response, WireError};
 
 /// Per-cell bookkeeping bytes (length table + init bitmap + slack) used
 /// when projecting an allocation from a cell count.
@@ -210,8 +207,8 @@ impl NetDaemon {
     /// Serves `server` on an OS-assigned loopback port (the test/bench
     /// configuration) with default [`DaemonLimits`]. Query the actual
     /// address with [`NetDaemon::local_addr`]. Any [`Storage`] backend
-    /// works: an in-memory [`ShardedServer`](dps_server::ShardedServer)
-    /// or a durable [`DiskStore`](dps_server::DiskStore).
+    /// works: an in-memory [`SimServer`](dps_server::SimServer) or a
+    /// durable [`DiskStore`](dps_server::DiskStore).
     pub fn spawn<S: Storage + 'static>(server: S) -> std::io::Result<Self> {
         Self::bind("127.0.0.1:0", server)
     }
@@ -622,7 +619,7 @@ fn fill_conn<S: Storage>(
 }
 
 /// Drains complete frames out of the connection's assembler: decode,
-/// dispatch, enqueue the response in the frame's own protocol version.
+/// dispatch, enqueue the response under the frame's request id.
 /// Stops early when the queued bytes cross the backpressure cap (leaving
 /// any further frames buffered in the assembler for the resume).
 fn process_frames<S: Storage>(
@@ -637,7 +634,7 @@ fn process_frames<S: Storage>(
             Ok(None) => return,
             Err(_) => return violation(conn, metrics),
         };
-        let Ok(request) = Request::decode(frame.payload()) else {
+        let Ok(request) = Request::decode(&frame.payload) else {
             return violation(conn, metrics);
         };
         // A structurally valid frame whose contents violate a caller
@@ -648,11 +645,7 @@ fn process_frames<S: Storage>(
         let Ok(response) = dispatch(server, limits, &mut conn.pending, request) else {
             return violation(conn, metrics);
         };
-        let framed = match &frame {
-            WireFrame::V1(_) => response.encode_framed(),
-            WireFrame::V2 { id, .. } => response.encode_framed_v2(*id),
-        };
-        let Ok(framed) = framed else {
+        let Ok(framed) = response.encode_framed_v2(frame.id) else {
             return violation(conn, metrics);
         };
         if conn.outq.is_empty() {
@@ -858,10 +851,7 @@ fn check_write_budget<S: Storage>(
 /// (or the daemon's allocation budget); the event loop closes the
 /// connection in response.
 ///
-/// The loop thread owns the server outright — no locks. Batch-internal
-/// parallelism still applies: a server built
-/// `.with_pool(WorkerPool::new(t))` fans each large batch's data
-/// movement across `t` workers exactly as before.
+/// The loop thread owns the server outright — no locks.
 fn dispatch<S: Storage>(
     server: &mut S,
     limits: DaemonLimits,

@@ -8,12 +8,11 @@
 //!   [`Storage`](dps_server::Storage) surface: batched reads, strided
 //!   batch writes, XOR partials, stats/transcript queries. One frame per
 //!   request, one per response; batch operations are single round trips
-//!   by construction. Two frame headers share every port: the original
-//!   one-in-flight `DPS1` framing and the id-tagged `DPS2` framing that
-//!   makes per-connection pipelining possible.
+//!   by construction. The frame header carries a request id, which is
+//!   what makes per-connection pipelining possible.
 //! * [`daemon::NetDaemon`] — a readiness-based `std::net` TCP daemon
 //!   wrapping any [`Storage`](dps_server::Storage) backend — the
-//!   in-memory [`ShardedServer`](dps_server::ShardedServer) or the
+//!   in-memory [`SimServer`](dps_server::SimServer) or the
 //!   durable [`DiskStore`](dps_server::DiskStore): one event
 //!   loop multiplexing every connection (epoll on Linux, portable
 //!   `poll(2)` fallback — see [`PollBackend`]), with per-connection
@@ -36,7 +35,7 @@
 //!
 //! The loopback equivalence suite (`tests/loopback_equivalence.rs`) pins
 //! the whole stack observationally equivalent to a local
-//! [`ShardedServer`](dps_server::ShardedServer): identical cells,
+//! [`SimServer`](dps_server::SimServer): identical cells,
 //! identical [`CostStats`](dps_server::CostStats) modulo the new `wire_*`
 //! counters, identical transcripts — and exactly one wire round trip per
 //! batch operation.
@@ -59,11 +58,11 @@ pub use wire::{Request, Response, WireError};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_server::{ShardedServer, Storage};
+    use dps_server::{SimServer, Storage};
 
     #[test]
     fn loopback_smoke() {
-        let daemon = NetDaemon::spawn(ShardedServer::new(2)).unwrap();
+        let daemon = NetDaemon::spawn(SimServer::new()).unwrap();
         let mut remote = RemoteServer::connect(daemon.local_addr()).unwrap();
         remote.ping().unwrap();
         remote.init((0..8).map(|i| vec![i as u8; 4]).collect());
@@ -75,21 +74,6 @@ mod tests {
         assert_eq!(stats.downloads, 2);
         assert_eq!(stats.uploads, 1);
         assert!(stats.wire_round_trips > 0);
-        drop(remote);
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn loopback_smoke_v1_compat() {
-        // The original one-in-flight protocol against the event-loop
-        // daemon: same surface, same answers.
-        let daemon = NetDaemon::spawn(ShardedServer::new(2)).unwrap();
-        let mut remote = RemoteServer::connect_v1(daemon.local_addr()).unwrap();
-        remote.ping().unwrap();
-        remote.init((0..8).map(|i| vec![i as u8; 4]).collect());
-        assert_eq!(remote.capacity(), 8);
-        assert_eq!(remote.read(3).unwrap(), vec![3u8; 4]);
-        assert_eq!(remote.wire_stats().wire_inflight_max, 1);
         drop(remote);
         daemon.shutdown();
     }

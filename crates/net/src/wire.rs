@@ -1,19 +1,9 @@
-//! The length-prefixed binary wire protocol, in two frame versions.
+//! The length-prefixed binary wire protocol.
 //!
-//! **v1 ("DPS1")** is strictly request-response — one frame out, one frame
-//! back, nothing else in flight:
-//!
-//! ```text
-//! +----------------+----------------+-----------+------------------+
-//! | magic (u32 LE) |  len (u32 LE)  | opcode u8 | body (len-1 B)   |
-//! +----------------+----------------+-----------+------------------+
-//! |<------- 8-byte header --------->|<------ payload (len B) ----->|
-//! ```
-//!
-//! **v2 ("DPS2")** adds a `request_id` to the header so a client may keep
-//! many tagged requests in flight on one connection (*pipelining*); the
-//! server echoes the id on the matching response, and responses may be
-//! consumed in any order:
+//! Every frame ("DPS2") carries a `request_id` in its header, so a client
+//! may keep many tagged requests in flight on one connection
+//! (*pipelining*); the server echoes the id on the matching response, and
+//! responses may be consumed in any order:
 //!
 //! ```text
 //! +----------------+----------------+--------------------+-----------+----------------+
@@ -22,11 +12,10 @@
 //! |<------------------ 16-byte header ----------------->|<---- payload (len B) ----->|
 //! ```
 //!
-//! The payload encoding (opcode + body) is byte-identical between the two
-//! versions; only the header differs. Every frame self-describes its
-//! version through the magic, so a daemon serves v1 and v2 clients on the
-//! same port — it answers each frame in the frame's own version
-//! ([`FrameAssembler`] accepts both). `len` counts the payload bytes
+//! A stream that opens with any other magic is not this protocol and is
+//! rejected at its first four bytes ([`WireError::BadMagic`]) — the
+//! retired one-in-flight framing with its 8-byte header included, which no
+//! client has dialled since pipelining. `len` counts the payload bytes
 //! (opcode included) and is capped at [`MAX_FRAME`]; a peer announcing
 //! more is rejected *before* any allocation, so a corrupt or hostile
 //! length prefix cannot balloon memory. (Requests whose *execution* would
@@ -45,22 +34,15 @@
 //! lengths, unknown opcodes, trailing bytes) are rejected with a typed
 //! [`WireError`] — see `tests/wire_failures.rs`.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use dps_server::{AccessEvent, CostStats, ServerError, Transcript};
 
-/// v1 frame magic: `"DPS1"` little-endian. A connection speaking neither
-/// this nor [`MAGIC2`] is dropped at the first header.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"DPS1");
-
-/// v2 frame magic: `"DPS2"` little-endian — the pipelined framing whose
-/// header carries a request id.
+/// Frame magic: `"DPS2"` little-endian. A connection that opens with
+/// anything else is dropped at the first header.
 pub const MAGIC2: u32 = u32::from_le_bytes(*b"DPS2");
 
-/// Bytes of v1 frame header (magic + payload length).
-pub const HEADER_LEN: usize = 8;
-
-/// Bytes of v2 frame header (magic + payload length + request id).
+/// Bytes of frame header (magic + payload length + request id).
 pub const HEADER2_LEN: usize = 16;
 
 /// Maximum payload bytes per frame (256 MiB). Caps what a length prefix
@@ -81,7 +63,7 @@ pub enum WireError {
         /// Bytes actually available.
         got: usize,
     },
-    /// The frame header did not start with [`MAGIC`].
+    /// The frame header did not start with [`MAGIC2`].
     BadMagic {
         /// The four bytes actually found.
         found: u32,
@@ -158,103 +140,11 @@ impl From<std::io::Error> for WireError {
 
 // ---- Frame layer -------------------------------------------------------
 
-/// Wraps an encoded payload (opcode + body) in a frame header.
+/// Wraps an encoded payload (opcode + body) in a frame header tagged with
+/// `id`.
 ///
 /// Returns [`WireError::BadLength`] when the payload is empty or exceeds
 /// [`MAX_FRAME`].
-pub fn frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
-    if payload.is_empty() || payload.len() > MAX_FRAME {
-        return Err(WireError::BadLength { len: payload.len() as u64 });
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
-}
-
-/// Splits one frame off the front of `buf`, returning `(payload, rest)`.
-///
-/// The buffer-level twin of [`read_frame`], used by the codec tests.
-pub fn deframe(buf: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
-    if buf.len() < HEADER_LEN {
-        return Err(WireError::Truncated { expected: HEADER_LEN, got: buf.len() });
-    }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-    if magic != MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    let len = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(WireError::BadLength { len: len as u64 });
-    }
-    let rest = &buf[HEADER_LEN..];
-    if rest.len() < len {
-        return Err(WireError::Truncated { expected: len, got: rest.len() });
-    }
-    Ok(rest.split_at(len))
-}
-
-/// Reads one frame, returning its payload. `Ok(None)` means the peer
-/// closed cleanly *between* frames; closing mid-frame is
-/// [`WireError::Truncated`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        let n = r.read(&mut header[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(WireError::Truncated { expected: HEADER_LEN, got: filled });
-        }
-        filled += n;
-    }
-    let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    if magic != MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(WireError::BadLength { len: len as u64 });
-    }
-    let mut payload = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        let n = r.read(&mut payload[filled..])?;
-        if n == 0 {
-            return Err(WireError::Truncated { expected: len, got: filled });
-        }
-        filled += n;
-    }
-    Ok(Some(payload))
-}
-
-/// Writes one already-encoded payload as a frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    w.write_all(&frame(payload)?)?;
-    Ok(())
-}
-
-/// Fills in the frame header of a buffer whose first [`HEADER_LEN`]
-/// bytes were reserved by the caller and whose remainder is the payload.
-/// The in-place twin of [`frame`]: one allocation, no payload copy —
-/// what [`Request::encode_framed`]/[`Response::encode_framed`] use on
-/// the hot path.
-pub fn seal_frame(buf: &mut [u8]) -> Result<(), WireError> {
-    let len = buf.len().saturating_sub(HEADER_LEN);
-    if len == 0 || len > MAX_FRAME {
-        return Err(WireError::BadLength { len: len as u64 });
-    }
-    buf[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[4..8].copy_from_slice(&(len as u32).to_le_bytes());
-    Ok(())
-}
-
-// ---- v2 frame layer ----------------------------------------------------
-
-/// Wraps an encoded payload in a v2 frame header tagged with `id`.
 pub fn frame_v2(id: u64, payload: &[u8]) -> Result<Vec<u8>, WireError> {
     if payload.is_empty() || payload.len() > MAX_FRAME {
         return Err(WireError::BadLength { len: payload.len() as u64 });
@@ -267,9 +157,11 @@ pub fn frame_v2(id: u64, payload: &[u8]) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
-/// Fills in the v2 frame header of a buffer whose first [`HEADER2_LEN`]
+/// Fills in the frame header of a buffer whose first [`HEADER2_LEN`]
 /// bytes were reserved by the caller and whose remainder is the payload —
-/// the in-place twin of [`frame_v2`].
+/// the in-place twin of [`frame_v2`]: one allocation, no payload copy,
+/// what [`Request::encode_framed_v2`]/[`Response::encode_framed_v2`] use
+/// on the hot path.
 pub fn seal_frame_v2(buf: &mut [u8], id: u64) -> Result<(), WireError> {
     let len = buf.len().saturating_sub(HEADER2_LEN);
     if len == 0 || len > MAX_FRAME {
@@ -281,15 +173,14 @@ pub fn seal_frame_v2(buf: &mut [u8], id: u64) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Reads one v2 frame, returning `(request_id, payload)`. `Ok(None)`
-/// means the peer closed cleanly *between* frames; closing mid-frame is
-/// [`WireError::Truncated`], and a v1 magic here is [`WireError::BadMagic`]
-/// (a v2 speaker must be answered in v2).
+/// Reads one frame, returning `(request_id, payload)`. `Ok(None)` means
+/// the peer closed cleanly *between* frames; closing mid-frame is
+/// [`WireError::Truncated`].
 pub fn read_frame_v2(r: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>, WireError> {
     let mut header = [0u8; HEADER2_LEN];
     // Validate magic and length as soon as the first 8 bytes are in, so a
-    // v1 (or corrupt) header is `BadMagic` even when the peer sends fewer
-    // than 16 bytes total.
+    // foreign or corrupt header is `BadMagic` even when the peer sends
+    // fewer than 16 bytes total.
     let mut filled = 0;
     while filled < 8 {
         let n = r.read(&mut header[filled..8])?;
@@ -329,35 +220,18 @@ pub fn read_frame_v2(r: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>, WireEr
     Ok(Some((id, payload)))
 }
 
-/// One complete frame pulled out of a [`FrameAssembler`], version and all.
+/// One complete frame pulled out of a [`FrameAssembler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireFrame {
-    /// A v1 frame: the peer expects its answer un-tagged, one at a time.
-    V1(Vec<u8>),
-    /// A v2 frame: the answer must echo `id`.
-    V2 {
-        /// The request id to echo on the response.
-        id: u64,
-        /// The encoded payload (opcode + body).
-        payload: Vec<u8>,
-    },
-}
-
-impl WireFrame {
-    /// The payload bytes, whichever the version.
-    pub fn payload(&self) -> &[u8] {
-        match self {
-            WireFrame::V1(payload) | WireFrame::V2 { payload, .. } => payload,
-        }
-    }
+pub struct WireFrame {
+    /// The request id to echo on the response.
+    pub id: u64,
+    /// The encoded payload (opcode + body).
+    pub payload: Vec<u8>,
 }
 
 /// Incremental frame decoder for readiness-based I/O: bytes arrive in
 /// arbitrary slices ([`FrameAssembler::push`]), complete frames come out
-/// ([`FrameAssembler::next_frame`]) as soon as they are whole. Accepts v1
-/// and v2 frames interleaved on the same stream — each frame
-/// self-describes through its magic — which is how the daemon serves old
-/// and new clients on one port.
+/// ([`FrameAssembler::next_frame`]) as soon as they are whole.
 ///
 /// Corrupt headers are rejected as soon as the header bytes are present:
 /// a bad magic or an oversized length prefix fails *before* the payload
@@ -395,11 +269,9 @@ impl FrameAssembler {
             return Ok(None);
         }
         let magic = u32::from_le_bytes(avail[0..4].try_into().expect("4 bytes"));
-        let header_len = match magic {
-            MAGIC => HEADER_LEN,
-            MAGIC2 => HEADER2_LEN,
-            found => return Err(WireError::BadMagic { found }),
-        };
+        if magic != MAGIC2 {
+            return Err(WireError::BadMagic { found: magic });
+        }
         if avail.len() < 8 {
             return Ok(None);
         }
@@ -407,16 +279,12 @@ impl FrameAssembler {
         if len == 0 || len > MAX_FRAME {
             return Err(WireError::BadLength { len: len as u64 });
         }
-        if avail.len() < header_len + len {
+        if avail.len() < HEADER2_LEN + len {
             return Ok(None);
         }
-        let frame = if magic == MAGIC {
-            WireFrame::V1(avail[HEADER_LEN..HEADER_LEN + len].to_vec())
-        } else {
-            let id = u64::from_le_bytes(avail[8..16].try_into().expect("8 bytes"));
-            WireFrame::V2 { id, payload: avail[HEADER2_LEN..HEADER2_LEN + len].to_vec() }
-        };
-        self.start += header_len + len;
+        let id = u64::from_le_bytes(avail[8..16].try_into().expect("8 bytes"));
+        let frame = WireFrame { id, payload: avail[HEADER2_LEN..HEADER2_LEN + len].to_vec() };
+        self.start += HEADER2_LEN + len;
         // Compact: cheap when fully drained, bounded otherwise.
         if self.start == self.buf.len() {
             self.buf.clear();
@@ -750,18 +618,10 @@ impl Request {
         buf
     }
 
-    /// Encodes straight into a ready-to-send frame ([`HEADER_LEN`] bytes
+    /// Encodes straight into a ready-to-send frame ([`HEADER2_LEN`] bytes
     /// of header followed by the payload) with a single allocation and no
-    /// payload copy.
-    pub fn encode_framed(&self) -> Result<Vec<u8>, WireError> {
-        let mut buf = vec![0u8; HEADER_LEN];
-        self.encode_into(&mut buf);
-        seal_frame(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// [`Request::encode_framed`] for the v2 framing: the header carries
-    /// `id`, which the server echoes on the matching response.
+    /// payload copy. The header carries `id`, which the server echoes on
+    /// the matching response.
     pub fn encode_framed_v2(&self, id: u64) -> Result<Vec<u8>, WireError> {
         let mut buf = vec![0u8; HEADER2_LEN];
         self.encode_into(&mut buf);
@@ -894,18 +754,9 @@ impl Response {
         buf
     }
 
-    /// Encodes straight into a ready-to-send frame ([`HEADER_LEN`] bytes
+    /// Encodes straight into a ready-to-send frame ([`HEADER2_LEN`] bytes
     /// of header followed by the payload) with a single allocation and no
-    /// payload copy.
-    pub fn encode_framed(&self) -> Result<Vec<u8>, WireError> {
-        let mut buf = vec![0u8; HEADER_LEN];
-        self.encode_into(&mut buf);
-        seal_frame(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// [`Response::encode_framed`] for the v2 framing, echoing the id of
-    /// the request this response answers.
+    /// payload copy, echoing the id of the request this response answers.
     pub fn encode_framed_v2(&self, id: u64) -> Result<Vec<u8>, WireError> {
         let mut buf = vec![0u8; HEADER2_LEN];
         self.encode_into(&mut buf);
@@ -1020,16 +871,18 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let payload = Request::Ping.encode();
-        let framed = frame(&payload).unwrap();
-        assert_eq!(framed.len(), HEADER_LEN + payload.len());
-        let (got, rest) = deframe(&framed).unwrap();
-        assert_eq!(got, &payload[..]);
+        let framed = frame_v2(1, &payload).unwrap();
+        assert_eq!(framed.len(), HEADER2_LEN + payload.len());
+        let mut rest = &framed[..];
+        let (_, got) = read_frame_v2(&mut rest).unwrap().unwrap();
+        assert_eq!(got, payload);
         assert!(rest.is_empty());
     }
 
     #[test]
     fn deframe_rejects_corrupt_headers() {
-        let framed = frame(&Request::Capacity.encode()).unwrap();
+        let framed = frame_v2(1, &Request::Capacity.encode()).unwrap();
+        let deframe = |mut buf: &[u8]| read_frame_v2(&mut buf);
         // Bad magic.
         let mut bad = framed.clone();
         bad[0] ^= 0xFF;
@@ -1044,7 +897,7 @@ mod tests {
 
     #[test]
     fn empty_frames_are_invalid() {
-        assert_eq!(frame(&[]), Err(WireError::BadLength { len: 0 }));
+        assert_eq!(frame_v2(1, &[]), Err(WireError::BadLength { len: 0 }));
     }
 
     #[test]
@@ -1154,17 +1007,34 @@ mod tests {
         assert_eq!(Request::decode(&payload).unwrap(), req);
     }
 
-    #[test]
-    fn read_frame_v2_rejects_v1_magic() {
-        let framed = Request::Ping.encode_framed().unwrap();
-        let mut cursor = &framed[..];
-        assert_eq!(read_frame_v2(&mut cursor), Err(WireError::BadMagic { found: MAGIC }));
+    /// A well-formed frame of the retired framing: `"DPS1"`, payload
+    /// length, payload — an 8-byte header with no request id.
+    fn dps1_ping() -> Vec<u8> {
+        let payload = Request::Ping.encode();
+        let mut framed = b"DPS1".to_vec();
+        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        framed.extend_from_slice(&payload);
+        framed
     }
 
     #[test]
-    fn assembler_handles_mixed_versions_and_arbitrary_chunking() {
+    fn read_frame_v2_rejects_v1_magic() {
+        let found = u32::from_le_bytes(*b"DPS1");
+        assert_eq!(read_frame_v2(&mut &dps1_ping()[..]), Err(WireError::BadMagic { found }));
+    }
+
+    #[test]
+    fn assembler_rejects_dps1_frames() {
+        let mut asm = FrameAssembler::new();
+        asm.push(&dps1_ping());
+        let found = u32::from_le_bytes(*b"DPS1");
+        assert_eq!(asm.next_frame(), Err(WireError::BadMagic { found }));
+    }
+
+    #[test]
+    fn assembler_handles_arbitrary_chunking() {
         let mut stream = Vec::new();
-        stream.extend_from_slice(&Request::Ping.encode_framed().unwrap());
+        stream.extend_from_slice(&Request::Ping.encode_framed_v2(6).unwrap());
         stream.extend_from_slice(&Request::Capacity.encode_framed_v2(7).unwrap());
         stream.extend_from_slice(
             &Request::ReadBatch { addrs: vec![1, 2, 3] }
@@ -1172,7 +1042,7 @@ mod tests {
                 .unwrap(),
         );
         // Push one byte at a time: frames must pop out exactly at their
-        // completion points, in order, with versions intact.
+        // completion points, in order, with ids intact.
         let mut asm = FrameAssembler::new();
         let mut got = Vec::new();
         for &b in &stream {
@@ -1185,12 +1055,9 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                WireFrame::V1(Request::Ping.encode()),
-                WireFrame::V2 { id: 7, payload: Request::Capacity.encode() },
-                WireFrame::V2 {
-                    id: 8,
-                    payload: Request::ReadBatch { addrs: vec![1, 2, 3] }.encode()
-                },
+                WireFrame { id: 6, payload: Request::Ping.encode() },
+                WireFrame { id: 7, payload: Request::Capacity.encode() },
+                WireFrame { id: 8, payload: Request::ReadBatch { addrs: vec![1, 2, 3] }.encode() },
             ]
         );
     }

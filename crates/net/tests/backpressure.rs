@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use dps_net::{DaemonLimits, NetDaemon, PollBackend, RemoteServer, Request, Response};
-use dps_server::ShardedServer;
+use dps_server::SimServer;
 
 const N: usize = 64;
 const LEN: usize = 4096;
@@ -17,7 +17,7 @@ fn cell(i: usize) -> Vec<u8> {
 }
 
 fn small_queue_daemon(backend: PollBackend) -> NetDaemon {
-    let mut server = ShardedServer::new(2);
+    let mut server = SimServer::new();
     dps_server::Storage::init(&mut server, (0..N).map(cell).collect());
     // A 16 KiB queue cap against ~256 KiB responses: the very first
     // response the socket can't absorb whole pauses the connection.
@@ -96,7 +96,7 @@ fn slow_reader_backpressure_works_on_the_poll_fallback() {
 /// every answer, bit-exact, while the daemon is shutting down.
 fn graceful_shutdown_scenario(backend: PollBackend) {
     const WINDOW: usize = 40;
-    let mut server = ShardedServer::new(2);
+    let mut server = SimServer::new();
     dps_server::Storage::init(&mut server, (0..N).map(cell).collect());
     // Default (large) queue cap: nothing pauses, so the daemon reads and
     // answers the whole window; the responses (~10 MiB against a ~KiB

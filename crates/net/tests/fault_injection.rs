@@ -31,7 +31,7 @@ use dps_net::{
 };
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
-use dps_server::{ServerError, ShardedServer, SimServer, Storage};
+use dps_server::{ServerError, SimServer, Storage};
 use dps_workloads::generators::database;
 
 const SEEDS: u64 = 32;
@@ -85,7 +85,7 @@ fn cutting_chaos(seed: u64) -> ChaosConfig {
 
 #[test]
 fn disarmed_proxy_is_transparent() {
-    let daemon = NetDaemon::spawn(ShardedServer::new(2)).unwrap();
+    let daemon = NetDaemon::spawn(SimServer::new()).unwrap();
     let proxy = ChaosProxy::spawn(daemon.local_addr(), cutting_chaos(base_seed())).unwrap();
     proxy.set_armed(false);
     let mut remote = RemoteServer::connect(proxy.local_addr()).unwrap();
@@ -107,7 +107,7 @@ fn disarmed_proxy_is_transparent() {
 /// wire faults on the `try_*` surface — bounded time, no panic, no hang.
 #[test]
 fn raw_try_surface_stays_typed_under_cuts() {
-    let mut server = ShardedServer::new(2);
+    let mut server = SimServer::new();
     let cells: Vec<Vec<u8>> = (0..64).map(|i| vec![i as u8; 32]).collect();
     server.init(cells.clone());
     let daemon = NetDaemon::spawn(server).unwrap();
@@ -165,7 +165,7 @@ fn backend(kind: &str, seed: u64, config: ChaosConfig) -> Backend {
     match kind {
         "local" => Backend::Local(SimServer::new()),
         _ => {
-            let daemon = NetDaemon::spawn(ShardedServer::new(2)).expect("spawn daemon");
+            let daemon = NetDaemon::spawn(SimServer::new()).expect("spawn daemon");
             let proxy = ChaosProxy::spawn(daemon.local_addr(), config).expect("spawn proxy");
             let remote = resilient(proxy.local_addr(), seed);
             Backend::Chaos(remote, proxy, daemon)
@@ -322,7 +322,7 @@ fn xor_pir_is_bit_identical_through_nonfatal_chaos() {
         let chaos = {
             // Two replicas, each behind its own chaos proxy.
             let daemons: Vec<NetDaemon> = (0..2)
-                .map(|_| NetDaemon::spawn(ShardedServer::new(2)).expect("spawn daemon"))
+                .map(|_| NetDaemon::spawn(SimServer::new()).expect("spawn daemon"))
                 .collect();
             let proxies: Vec<ChaosProxy> = daemons
                 .iter()
@@ -367,7 +367,7 @@ fn read_schemes_recover_bit_identically_through_cuts() {
         };
 
         // The same programs through an armed cutting proxy.
-        let daemon = NetDaemon::spawn(ShardedServer::new(2)).expect("spawn daemon");
+        let daemon = NetDaemon::spawn(SimServer::new()).expect("spawn daemon");
         let proxy = ChaosProxy::spawn(daemon.local_addr(), cutting_chaos(seed)).expect("proxy");
         proxy.set_armed(false);
         let mut rng = ChaChaRng::seed_from_u64(seed);
@@ -386,7 +386,7 @@ fn read_schemes_recover_bit_identically_through_cuts() {
         drop(proxy);
         daemon.shutdown();
 
-        let daemon = NetDaemon::spawn(ShardedServer::new(2)).expect("spawn daemon");
+        let daemon = NetDaemon::spawn(SimServer::new()).expect("spawn daemon");
         let proxy =
             ChaosProxy::spawn(daemon.local_addr(), cutting_chaos(seed ^ 0x5CA7)).expect("proxy");
         proxy.set_armed(false);
@@ -410,7 +410,7 @@ fn resilient_raw_reads_survive_cuts_bit_identically() {
     let cells: Vec<Vec<u8>> = (0..64).map(|i| vec![i as u8; 32]).collect();
     let mut cut_seeds = 0u32;
     for seed in seeds(8) {
-        let mut server = ShardedServer::new(2);
+        let mut server = SimServer::new();
         server.init(cells.clone());
         let daemon = NetDaemon::spawn(server).unwrap();
         let mut config = cutting_chaos(seed);
@@ -534,7 +534,7 @@ fn await_metric(daemon: &NetDaemon, what: &str, get: impl Fn(&NetDaemon) -> u64)
 /// `idle_timeout` while an active bystander on the same daemon keeps
 /// getting answers.
 fn slowloris_scenario(backend: PollBackend) {
-    let mut server = ShardedServer::new(1);
+    let mut server = SimServer::new();
     server.init((0..8).map(|i| vec![i as u8; 16]).collect());
     let limits =
         DaemonLimits { idle_timeout: Some(Duration::from_millis(200)), ..Default::default() };
@@ -579,7 +579,7 @@ fn slowloris_is_reaped_on_the_poll_fallback() {
 fn wedged_reader_is_reaped_on_the_write_stall_deadline() {
     const N: usize = 64;
     const LEN: usize = 4096;
-    let mut server = ShardedServer::new(2);
+    let mut server = SimServer::new();
     server.init((0..N).map(|i| vec![i as u8; LEN]).collect());
     let limits = DaemonLimits {
         max_queued_bytes: 16 * 1024,
@@ -614,13 +614,9 @@ fn wedged_reader_is_reaped_on_the_write_stall_deadline() {
 #[test]
 fn max_connections_sheds_load_beyond_the_cap() {
     let limits = DaemonLimits { max_connections: 2, ..Default::default() };
-    let daemon = NetDaemon::bind_with_backend(
-        "127.0.0.1:0",
-        ShardedServer::new(1),
-        limits,
-        PollBackend::Auto,
-    )
-    .unwrap();
+    let daemon =
+        NetDaemon::bind_with_backend("127.0.0.1:0", SimServer::new(), limits, PollBackend::Auto)
+            .unwrap();
     let first = RemoteServer::connect(daemon.local_addr()).unwrap();
     let second = RemoteServer::connect(daemon.local_addr()).unwrap();
     first.ping().unwrap();

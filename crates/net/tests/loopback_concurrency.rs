@@ -1,17 +1,15 @@
-//! Concurrency stress for the wire path: the daemon's
-//! one-thread-per-connection model must honor the same contract as the
-//! in-process `shard_concurrency` suite — *determinism may not depend on
+//! Concurrency stress for the wire path: with many connections served
+//! by the daemon's one event loop, *determinism may not depend on
 //! who else is running*. Concurrent clients on disjoint address ranges
 //! lose no writes, observe their own writes, and leave final cells and
 //! aggregate model stats byte-identical across reruns; readers never see
-//! a torn batch while writers rewrite the same shard, because per-batch
-//! shard locking happens below the transport. Runs under both
+//! a torn batch while writers rewrite the same range, because the loop
+//! owns the store and executes one request at a time. Runs under both
 //! `RUST_TEST_THREADS=1` and the default parallelism in CI.
 
 use dps_net::{NetDaemon, RemoteServer};
-use dps_server::{CostStats, ShardedServer, Storage, WorkerPool};
+use dps_server::{CostStats, SimServer, Storage};
 
-const SHARDS: usize = 4;
 const CLIENTS: usize = 4;
 const PER_CLIENT: usize = 64;
 const N: usize = CLIENTS * PER_CLIENT;
@@ -28,7 +26,7 @@ fn pattern(client: usize, round: usize, slot: usize) -> Vec<u8> {
 /// ranges with strided batch writes and read-your-writes checks; returns
 /// the final cells and aggregate model stats seen by a fresh connection.
 fn run_disjoint_writers() -> (Vec<Vec<u8>>, CostStats) {
-    let mut server = ShardedServer::new(SHARDS).with_pool(WorkerPool::new(2));
+    let mut server = SimServer::new();
     server.init((0..N).map(|_| vec![0u8; LEN]).collect());
     let daemon = NetDaemon::spawn(server).expect("spawn daemon");
     let addr = daemon.local_addr();
@@ -87,14 +85,14 @@ fn disjoint_concurrent_writers_are_deterministic() {
     assert_eq!(stats_a, stats_b);
 }
 
-/// Readers scanning one shard's whole range with single-batch reads must
+/// Readers scanning a whole range with single-batch reads must
 /// never observe a torn write while a writer rewrites that same range
-/// with single-batch strided writes: per-batch shard locks serialize the
+/// with single-batch strided writes: the event loop serializes the
 /// two below the transport, whichever connection they arrive on.
 #[test]
 fn same_range_batches_are_never_torn() {
-    const SPAN: usize = 32; // all inside shard 0 (chunk = 256/4 = 64)
-    let mut server = ShardedServer::new(4);
+    const SPAN: usize = 32;
+    let mut server = SimServer::new();
     server.init((0..256).map(|_| vec![0u8; LEN]).collect());
     let daemon = NetDaemon::spawn(server).expect("spawn daemon");
     let addr = daemon.local_addr();

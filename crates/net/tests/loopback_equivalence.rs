@@ -1,5 +1,5 @@
 //! Observational equivalence of [`RemoteServer`] against a local
-//! [`ShardedServer`] over loopback TCP.
+//! [`SimServer`] over loopback TCP.
 //!
 //! The wire must be invisible: for any program of batched reads, writes,
 //! XOR folds and combined accesses — including failing operations — a
@@ -25,18 +25,14 @@ use dps_crypto::ChaChaRng;
 use dps_net::{NetDaemon, RemoteServer};
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
-use dps_server::{ServerError, ShardedServer, SimServer, Storage, WorkerPool};
+use dps_server::{ServerError, SimServer, Storage};
 use dps_workloads::generators::database;
 
 /// Builds a daemon-backed remote and an identically configured local
 /// twin, runs `f` on both, and shuts the daemon down.
-fn with_pair<R>(
-    shards: usize,
-    threads: usize,
-    f: impl FnOnce(ShardedServer, RemoteServer) -> R,
-) -> R {
-    let local = ShardedServer::new(shards).with_pool(WorkerPool::new(threads));
-    let served = ShardedServer::new(shards).with_pool(WorkerPool::new(threads));
+fn with_pair<R>(f: impl FnOnce(SimServer, RemoteServer) -> R) -> R {
+    let local = SimServer::new();
+    let served = SimServer::new();
     let daemon = NetDaemon::spawn(served).expect("spawn daemon");
     let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
     let out = f(local, remote);
@@ -51,7 +47,7 @@ fn cell(byte: u8, len: usize) -> Vec<u8> {
 /// A fixed single-client program touching every `Storage` entry point,
 /// error paths included, applied step-by-step to both servers with the
 /// results compared after each step.
-fn run_program(local: &mut ShardedServer, remote: &mut RemoteServer) {
+fn run_program(local: &mut SimServer, remote: &mut RemoteServer) {
     const N: usize = 12;
     const LEN: usize = 8;
 
@@ -139,27 +135,9 @@ fn run_program(local: &mut ShardedServer, remote: &mut RemoteServer) {
 
 #[test]
 fn raw_storage_programs_match_for_every_config() {
-    for shards in [1usize, 3] {
-        for threads in [1usize, 4] {
-            with_pair(shards, threads, |mut local, mut remote| {
-                run_program(&mut local, &mut remote);
-            });
-        }
-    }
-}
-
-/// A pre-pipelining `DPS1` client must complete the identical program
-/// against the event-loop daemon — the one-in-flight compatibility mode
-/// old clients get from a new daemon.
-#[test]
-fn raw_storage_programs_match_for_v1_clients() {
-    let mut local = ShardedServer::new(3).with_pool(WorkerPool::new(2));
-    let served = ShardedServer::new(3).with_pool(WorkerPool::new(2));
-    let daemon = NetDaemon::spawn(served).expect("spawn daemon");
-    let mut remote = RemoteServer::connect_v1(daemon.local_addr()).expect("connect v1");
-    run_program(&mut local, &mut remote);
-    drop(remote);
-    daemon.shutdown();
+    with_pair(|mut local, mut remote| {
+        run_program(&mut local, &mut remote);
+    });
 }
 
 /// The identical program through the portable `poll(2)` readiness
@@ -168,8 +146,8 @@ fn raw_storage_programs_match_for_v1_clients() {
 #[test]
 fn raw_storage_programs_match_on_the_poll_fallback_backend() {
     use dps_net::{DaemonLimits, PollBackend};
-    let mut local = ShardedServer::new(2).with_pool(WorkerPool::new(2));
-    let served = ShardedServer::new(2).with_pool(WorkerPool::new(2));
+    let mut local = SimServer::new();
+    let served = SimServer::new();
     let daemon = NetDaemon::bind_with_backend(
         "127.0.0.1:0",
         served,
@@ -184,13 +162,12 @@ fn raw_storage_programs_match_on_the_poll_fallback_backend() {
 }
 
 /// Every batch operation is exactly one framed exchange, no matter the
-/// batch size — including batches large enough to cross the daemon-side
-/// worker-pool fan-out threshold.
+/// batch size.
 #[test]
 fn batch_operations_are_single_wire_round_trips() {
-    const N: usize = 300; // > PAR_MIN_CELLS, crosses shard boundaries
+    const N: usize = 300;
     const LEN: usize = 16;
-    with_pair(4, 4, |_, mut remote| {
+    with_pair(|_, mut remote| {
         remote.init((0..N).map(|i| cell(i as u8, LEN)).collect());
         let addrs: Vec<usize> = (0..N).collect();
         let flat: Vec<u8> = addrs.iter().flat_map(|&a| cell(a as u8 ^ 0x77, LEN)).collect();
@@ -237,7 +214,7 @@ fn chunked_init_is_equivalent_to_single_frame_init() {
     const N: usize = 40;
     const LEN: usize = 24;
     let cells: Vec<Vec<u8>> = (0..N as u8).map(|i| cell(i, LEN)).collect();
-    with_pair(3, 1, |mut local, remote| {
+    with_pair(|mut local, remote| {
         let mut remote = remote.with_init_chunk_bytes(1); // 1 cell per frame
         local.init(cells.clone());
         remote.init(cells.clone());
@@ -290,7 +267,7 @@ fn backend(kind: &str) -> Backend {
     match kind {
         "local" => Backend::Local(SimServer::new()),
         _ => {
-            let daemon = NetDaemon::spawn(ShardedServer::new(2)).expect("spawn daemon");
+            let daemon = NetDaemon::spawn(SimServer::new()).expect("spawn daemon");
             let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
             Backend::Remote(remote, daemon)
         }
@@ -442,7 +419,7 @@ fn xor_pir_is_bit_identical_over_the_wire() {
         // Two replicas on two independent daemons, like a real 2-server
         // deployment; the factory hands XorPir one connection per replica.
         let daemons: Vec<NetDaemon> = (0..2)
-            .map(|_| NetDaemon::spawn(ShardedServer::new(2)).expect("spawn daemon"))
+            .map(|_| NetDaemon::spawn(SimServer::new()).expect("spawn daemon"))
             .collect();
         let mut pir: XorPir<RemoteServer> = XorPir::setup_with(&db, |i| {
             RemoteServer::connect(daemons[i].local_addr()).expect("connect")

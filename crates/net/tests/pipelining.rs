@@ -1,4 +1,4 @@
-//! Wire-protocol v2 pipelining: N tagged requests in flight per
+//! Wire-protocol pipelining: N tagged requests in flight per
 //! connection, responses matched by id, completion order-independent.
 //!
 //! Two layers are pinned here:
@@ -9,15 +9,15 @@
 //!   `CostStats::wire_inflight_max`.
 //! * **Daemon-side reassembly** — the event loop's partial-frame buffers
 //!   reassemble requests that arrive in arbitrary byte-level chunks,
-//!   interleaved across many sockets (proptest), answering every frame in
-//!   its own protocol version.
+//!   interleaved across many sockets (proptest), answering every frame
+//!   under its own id.
 
 use std::io::Write;
 use std::net::TcpStream;
 
-use dps_net::wire::{frame, frame_v2, read_frame, read_frame_v2};
+use dps_net::wire::{frame_v2, read_frame_v2};
 use dps_net::{NetDaemon, RemoteServer, Request, Response, WireError};
-use dps_server::ShardedServer;
+use dps_server::SimServer;
 use proptest::prelude::*;
 
 const N: usize = 32;
@@ -28,7 +28,7 @@ fn cell(i: usize) -> Vec<u8> {
 }
 
 fn daemon_with_cells() -> NetDaemon {
-    let mut server = ShardedServer::new(2);
+    let mut server = SimServer::new();
     dps_server::Storage::init(&mut server, (0..N).map(cell).collect());
     NetDaemon::spawn(server).expect("spawn daemon")
 }
@@ -103,36 +103,6 @@ fn a_burst_submit_matches_per_request_submits() {
     daemon.shutdown();
 }
 
-/// Pipelining is a v2 capability: a v1 connection refuses `submit` with a
-/// typed error instead of corrupting its one-in-flight stream.
-#[test]
-fn v1_connections_cannot_pipeline() {
-    let daemon = daemon_with_cells();
-    let remote = RemoteServer::connect_v1(daemon.local_addr()).unwrap();
-    assert!(remote.submit(&Request::Ping).is_err());
-    assert!(remote.submit_all(&[Request::Ping]).is_err());
-    // The synchronous surface still works fine.
-    remote.ping().unwrap();
-    drop(remote);
-    daemon.shutdown();
-}
-
-/// Mixed-version traffic on one daemon: a v1 and a v2 connection to the
-/// same port, interleaved, each answered in its own framing.
-#[test]
-fn v1_and_v2_clients_share_one_daemon() {
-    let daemon = daemon_with_cells();
-    let old = RemoteServer::connect_v1(daemon.local_addr()).unwrap();
-    let new = RemoteServer::connect(daemon.local_addr()).unwrap();
-    for i in 0..4 {
-        let t = new.submit(&Request::ReadBatch { addrs: vec![i] }).unwrap();
-        assert_eq!(old.try_read_batch(&[i]).unwrap(), vec![cell(i)]);
-        assert_eq!(new.wait(t).unwrap(), Response::Cells(vec![cell(i)]));
-    }
-    drop((old, new));
-    daemon.shutdown();
-}
-
 const SOCKETS: usize = 3;
 const REQUESTS: usize = 4;
 
@@ -143,31 +113,24 @@ proptest! {
     /// request streams in arbitrary small chunks, interleaved
     /// round-robin, so the daemon's per-connection assemblers constantly
     /// hold partial frames from many peers at once. Every socket must
-    /// still get exactly its own answers, in its own frame version, in
-    /// order.
+    /// still get exactly its own answers, under its own ids, in order.
     #[test]
     fn interleaved_partial_frames_across_many_sockets(
         chunks in proptest::collection::vec(1usize..9, 4..24),
-        v1_mask in 0u8..8,
     ) {
         let daemon = daemon_with_cells();
         let mut socks: Vec<TcpStream> = (0..SOCKETS)
             .map(|_| TcpStream::connect(daemon.local_addr()).unwrap())
             .collect();
 
-        // Per-socket byte stream: REQUESTS read-batches, v1 or v2 framed.
+        // Per-socket byte stream: REQUESTS framed read-batches.
         let streams: Vec<Vec<u8>> = (0..SOCKETS)
             .map(|s| {
-                let v1 = v1_mask & (1 << s) != 0;
                 let mut bytes = Vec::new();
                 for r in 0..REQUESTS {
                     let req = Request::ReadBatch { addrs: vec![(s + 2 * r) % N] };
-                    if v1 {
-                        bytes.extend_from_slice(&frame(&req.encode()).unwrap());
-                    } else {
-                        let id = (s * REQUESTS + r) as u64 + 1;
-                        bytes.extend_from_slice(&frame_v2(id, &req.encode()).unwrap());
-                    }
+                    let id = (s * REQUESTS + r) as u64 + 1;
+                    bytes.extend_from_slice(&frame_v2(id, &req.encode()).unwrap());
                 }
                 bytes
             })
@@ -190,18 +153,12 @@ proptest! {
             }
         }
 
-        // Each socket gets its own four answers, in order, in its version.
+        // Each socket gets its own four answers, in order.
         for (s, sock) in socks.iter().enumerate() {
-            let v1 = v1_mask & (1 << s) != 0;
             for r in 0..REQUESTS {
                 let expected = vec![cell((s + 2 * r) % N)];
-                let payload = if v1 {
-                    read_frame(&mut &*sock).unwrap().expect("response")
-                } else {
-                    let (id, payload) = read_frame_v2(&mut &*sock).unwrap().expect("response");
-                    prop_assert_eq!(id, (s * REQUESTS + r) as u64 + 1);
-                    payload
-                };
+                let (id, payload) = read_frame_v2(&mut &*sock).unwrap().expect("response");
+                prop_assert_eq!(id, (s * REQUESTS + r) as u64 + 1);
                 prop_assert_eq!(Response::decode(&payload).unwrap(), Response::Cells(expected));
             }
         }

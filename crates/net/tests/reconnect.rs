@@ -27,7 +27,7 @@ use dps_net::{
     NetDaemon, ReconnectPolicy, RemoteError, RemoteServer, Request, Response, Ticket, Timeouts,
     WireError,
 };
-use dps_server::{ServerError, ShardedServer, Storage};
+use dps_server::{ServerError, SimServer, Storage};
 
 /// A fast-dialing policy for tests: total worst-case backoff well under
 /// a second.
@@ -240,7 +240,7 @@ fn backoff_is_deterministic_jittered_and_capped() {
 
 #[test]
 fn stash_is_bounded_by_frames_and_bytes() {
-    let mut base = ShardedServer::new(1);
+    let mut base = SimServer::new();
     base.init((0..4).map(|i| vec![i as u8; 64]).collect());
     let daemon = NetDaemon::spawn(base).unwrap();
 

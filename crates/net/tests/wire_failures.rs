@@ -7,20 +7,35 @@
 //!   unboundedly on arbitrary byte soup, corrupt headers, truncated
 //!   frames or oversized length prefixes.
 //! * **Daemon resilience** — a connection sending garbage, a truncated
-//!   frame, or a hostile length prefix is dropped, while the daemon keeps
-//!   serving other connections.
+//!   frame, a hostile length prefix or the retired `DPS1` framing is
+//!   dropped, while the daemon keeps serving other connections.
 //! * **Client failure surfacing** — a peer that vanishes mid-batch
 //!   produces a typed [`WireError`] through the fallible
-//!   [`RemoteServer::try_call`] API, and a panic (never a wrong answer)
-//!   through the infallible [`Storage`] surface.
+//!   [`RemoteServer::try_call`] API and [`ServerError::Interrupted`]
+//!   through the [`Storage`] data operations; a peer that breaks the
+//!   protocol panics the [`Storage`] surface (never a wrong answer).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
-use dps_net::wire::{deframe, frame, frame_v2, visit_cells, HEADER2_LEN, MAGIC, MAX_FRAME};
+use dps_net::wire::{frame_v2, read_frame_v2, visit_cells, HEADER2_LEN, MAGIC2, MAX_FRAME};
 use dps_net::{DaemonLimits, NetDaemon, RemoteError, RemoteServer, Request, Response, WireError};
-use dps_server::{ServerError, ShardedServer, Storage};
+use dps_server::{ServerError, SimServer, Storage};
 use proptest::prelude::*;
+
+/// Frames `payload` under an arbitrary request id.
+fn frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
+    frame_v2(1, payload)
+}
+
+/// Splits one frame off the front of `buf`, returning `(payload, rest)`:
+/// the buffer-level use of [`read_frame_v2`].
+fn deframe(mut buf: &[u8]) -> Result<(Vec<u8>, &[u8]), WireError> {
+    match read_frame_v2(&mut buf)? {
+        Some((_, payload)) => Ok((payload, buf)),
+        None => Err(WireError::Truncated { expected: HEADER2_LEN, got: 0 }),
+    }
+}
 
 // ---- Codec proptests ---------------------------------------------------
 
@@ -113,17 +128,17 @@ proptest! {
         let framed = frame(&req.encode()).unwrap();
         let (payload, rest) = deframe(&framed).unwrap();
         assert!(rest.is_empty());
-        assert_eq!(Request::decode(payload).unwrap(), req);
+        assert_eq!(Request::decode(&payload).unwrap(), req);
     }
 
     #[test]
     fn response_roundtrip(resp in arb_response()) {
         let framed = frame(&resp.encode()).unwrap();
         let (payload, _) = deframe(&framed).unwrap();
-        assert_eq!(Response::decode(payload).unwrap(), resp);
+        assert_eq!(Response::decode(&payload).unwrap(), resp);
         // The zero-copy cells walk agrees with the owning decoder.
         let mut walked = Vec::new();
-        let was_cells = visit_cells(payload, |i, c| walked.push((i, c.to_vec()))).unwrap();
+        let was_cells = visit_cells(&payload, |i, c| walked.push((i, c.to_vec()))).unwrap();
         if let Response::Cells(cells) = &resp {
             assert!(was_cells);
             let expect: Vec<_> = cells.iter().cloned().enumerate().collect();
@@ -173,7 +188,7 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 // ---- Daemon resilience -------------------------------------------------
 
 fn daemon_with_cells(n: usize) -> NetDaemon {
-    let mut server = ShardedServer::new(2);
+    let mut server = SimServer::new();
     server.init((0..n).map(|i| vec![i as u8; 8]).collect());
     NetDaemon::spawn(server).expect("spawn daemon")
 }
@@ -213,10 +228,29 @@ fn daemon_rejects_oversized_length_prefix() {
     let daemon = daemon_with_cells(4);
     let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
     let mut header = Vec::new();
-    header.extend_from_slice(&MAGIC.to_le_bytes());
+    header.extend_from_slice(&MAGIC2.to_le_bytes());
     header.extend_from_slice(&u32::MAX.to_le_bytes()); // 4 GiB claim
     bad.write_all(&header).unwrap();
     assert_eq!(drain(&mut bad), 0, "hostile length prefix must close the connection");
+    assert_still_serving(daemon.local_addr());
+    daemon.shutdown();
+}
+
+/// The retired one-in-flight framing — `"DPS1"`, payload length, payload:
+/// an 8-byte header — is what any unknown magic is: a protocol error that
+/// costs its sender the connection and nobody else anything.
+#[test]
+fn daemon_rejects_dps1_frames_and_keeps_serving() {
+    let daemon = daemon_with_cells(4);
+    let before = daemon.metrics().protocol_errors;
+    let payload = Request::Ping.encode();
+    let mut old = b"DPS1".to_vec();
+    old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    old.extend_from_slice(&payload);
+    let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
+    bad.write_all(&old).unwrap();
+    assert_eq!(drain(&mut bad), 0, "a DPS1 frame must be answered with a close, not a Pong");
+    assert_eq!(daemon.metrics().protocol_errors, before + 1);
     assert_still_serving(daemon.local_addr());
     daemon.shutdown();
 }
@@ -254,7 +288,7 @@ fn daemon_refuses_contract_violating_strided_writes() {
 /// amplification, or a write that re-strides the whole arena.
 #[test]
 fn daemon_budget_stops_allocation_amplification() {
-    let mut server = ShardedServer::new(2);
+    let mut server = SimServer::new();
     server.init((0..64).map(|i| vec![i as u8; 8]).collect());
     let limits = DaemonLimits { max_stored_bytes: 1 << 20, ..Default::default() }; // 1 MiB budget
     let daemon = NetDaemon::bind_with("127.0.0.1:0", server, limits).expect("bind");
@@ -293,7 +327,7 @@ fn daemon_budget_stops_allocation_amplification() {
 #[test]
 fn daemon_budget_applies_across_init_chunks() {
     let limits = DaemonLimits { max_stored_bytes: 4096, ..Default::default() };
-    let daemon = NetDaemon::bind_with("127.0.0.1:0", ShardedServer::new(1), limits).expect("bind");
+    let daemon = NetDaemon::bind_with("127.0.0.1:0", SimServer::new(), limits).expect("bind");
 
     // 8 cells of 64 B ≈ 8 × (64+16) = 640 projected bytes per chunk;
     // seven chunks in, the cumulative projection crosses 4096 and the
@@ -307,7 +341,7 @@ fn daemon_budget_applies_across_init_chunks() {
             break;
         }
         let mut reader = &client;
-        match dps_net::wire::read_frame(&mut reader) {
+        match read_frame_v2(&mut reader) {
             Ok(Some(_)) => {}
             _ => {
                 closed = true;
@@ -376,15 +410,48 @@ fn peer_vanishing_before_responding_is_truncated_at_zero() {
     assert_eq!(err, RemoteError::Wire(WireError::Truncated { expected: HEADER2_LEN, got: 0 }));
 }
 
+/// A peer that answers with something that is not the protocol is not a
+/// storage outcome the scheme could handle: the `Storage` surface panics.
 #[test]
 fn storage_surface_panics_rather_than_fabricating_answers() {
     let addr = fake_peer(|mut stream| {
-        swallow_request(&mut stream);
+        let id = swallow_request(&mut stream);
+        let mut framed = frame_v2(id, &Response::Cells(vec![vec![7u8; 4]]).encode()).unwrap();
+        framed[0] ^= 0xFF;
+        stream.write_all(&framed).unwrap();
+        let mut sink = [0u8; 1];
+        let _ = stream.read(&mut sink);
     });
     let mut remote = RemoteServer::connect(addr).unwrap();
     let result =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Storage::read(&mut remote, 0)));
     assert!(result.is_err(), "a broken wire must panic the Storage surface");
+}
+
+/// A cut connection is not a protocol violation: once the daemon is gone
+/// the data operations return the typed `Interrupted` (application state
+/// unknown), and a scheme running over the connection fails its operation
+/// instead of unwinding the process.
+#[test]
+fn a_cut_connection_is_interrupted_on_the_storage_surface() {
+    use dps_core::dp_ram::{DpRam, DpRamConfig};
+    use dps_crypto::ChaChaRng;
+
+    let daemon = daemon_with_cells(4);
+    let mut remote = RemoteServer::connect(daemon.local_addr()).unwrap();
+    assert_eq!(Storage::read(&mut remote, 1).unwrap(), vec![1u8; 8]);
+    daemon.shutdown();
+    assert_eq!(remote.read_batch_with(&[0, 1], |_, _| {}), Err(ServerError::Interrupted));
+    assert_eq!(remote.write_from(0, &[9u8; 8]), Err(ServerError::Interrupted));
+
+    let daemon = NetDaemon::spawn(SimServer::new()).expect("spawn daemon");
+    let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
+    let mut rng = ChaChaRng::seed_from_u64(7);
+    let db: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 8]).collect();
+    let mut ram = DpRam::setup(DpRamConfig::recommended(16), &db, remote, &mut rng).unwrap();
+    assert_eq!(ram.read(3, &mut rng).unwrap(), db[3]);
+    daemon.shutdown();
+    assert!(ram.read(3, &mut rng).is_err(), "a daemon restart must fail the read, not abort");
 }
 
 /// A structurally valid `Cells` response carrying the *wrong number* of

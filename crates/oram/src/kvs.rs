@@ -82,7 +82,7 @@ impl<S: Storage> OramKvs<S> {
     }
 
     /// [`OramKvs::new`] over a caller-constructed backend — e.g.
-    /// `OramKvs::new_with(n, v, ShardedServer::new(8).with_pool(..), rng)`.
+    /// `OramKvs::new_with(n, v, RemoteServer::connect(addr)?, rng)`.
     pub fn new_with(capacity: usize, value_size: usize, server: S, rng: &mut ChaChaRng) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         let zeroes: Vec<Vec<u8>> = vec![vec![0u8; value_size]; capacity];

@@ -11,10 +11,9 @@ use dps_server::{ServerError, SimServer, Storage, WorkerPool};
 ///
 /// With a non-sequential [`WorkerPool`] ([`FullScanPir::with_pool`]) and
 /// uniform record sizes, each query downloads the database through the
-/// bulk [`Storage::read_batch_strided`] path, which storage backends fan
-/// across their shards/threads (a [`dps_server::ShardedServer`] copies
-/// per-shard in parallel; a [`SimServer`] stays sequential). Stats and
-/// transcript are identical either way; the answer is always the same.
+/// bulk [`Storage::read_batch_strided`] path: one copy of the whole
+/// database into a flat scratch. Stats and transcript are identical
+/// either way; the answer is always the same.
 #[derive(Debug)]
 pub struct FullScanPir<S: Storage = SimServer> {
     server: S,
@@ -51,10 +50,8 @@ impl<S: Storage> FullScanPir<S> {
 
     /// Sets the worker pool. A non-sequential pool opts queries into the
     /// bulk strided scan (requires uniform record sizes; ragged databases
-    /// keep the per-cell path). The pool acts as the opt-in switch — the
-    /// parallel data movement itself happens inside storage backends with
-    /// their own fan-out (pair this with a
-    /// [`dps_server::ShardedServer::with_pool`] backend); on a plain
+    /// keep the per-cell path). The pool acts as the opt-in switch only:
+    /// no backend in this workspace fans the copy out, so on a
     /// [`SimServer`] the bulk path only adds copying and is not worth
     /// enabling.
     pub fn with_pool(mut self, pool: WorkerPool) -> Self {
@@ -148,26 +145,18 @@ mod tests {
     }
 
     /// The pooled bulk scan returns the same records with the same stats
-    /// and transcript as the default zero-copy path — on SimServer and on
-    /// a ShardedServer whose own pool does the fanning.
+    /// and transcript as the default zero-copy path.
     #[test]
     fn pooled_scan_matches_default() {
         let blocks: Vec<Vec<u8>> = (0..24).map(|i| vec![i as u8; 8]).collect();
         let mut reference = FullScanPir::setup(&blocks, SimServer::new());
         let mut pooled =
             FullScanPir::setup(&blocks, SimServer::new()).with_pool(WorkerPool::new(4));
-        let mut sharded = FullScanPir::setup(
-            &blocks,
-            dps_server::ShardedServer::new(4).with_pool(WorkerPool::new(4)),
-        )
-        .with_pool(WorkerPool::new(4));
         for i in 0..24 {
             let want = reference.query(i).unwrap();
             assert_eq!(pooled.query(i).unwrap(), want, "record {i}");
-            assert_eq!(sharded.query(i).unwrap(), want, "record {i} (sharded)");
         }
         assert_eq!(reference.server_stats(), pooled.server_stats());
-        assert_eq!(reference.server_stats(), sharded.server_stats());
     }
 
     /// If a record is rewritten to a different length behind the client's

@@ -50,7 +50,7 @@ impl<S: Storage> XorPir<S> {
     }
 
     /// [`XorPir::setup`] with a caller-supplied server factory (`make(i)`
-    /// builds server `i`, e.g. a sharded server with a worker pool).
+    /// builds server `i`, e.g. a connection to the `i`-th daemon).
     pub fn setup_with(blocks: &[Vec<u8>], make: impl FnMut(usize) -> S) -> Self {
         assert!(!blocks.is_empty(), "need at least one block");
         let size = blocks[0].len();

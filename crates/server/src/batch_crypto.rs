@@ -3,7 +3,8 @@
 //! A scheme that re-encrypts a batch of cells does three separable things:
 //! draw per-cell randomness, transform bytes, and write results into a
 //! flat strided scratch buffer (the shape
-//! [`crate::SimServer::write_batch_strided`] consumes). Only the byte
+//! [`Storage::write_batch_strided`](crate::Storage::write_batch_strided)
+//! consumes). Only the byte
 //! transformation is compute-heavy, and every cell is independent — so
 //! these helpers draw **all randomness up-front on the caller thread**
 //! ([`ChaChaRng::draw_nonces`]) and fan the per-cell work across a

@@ -31,9 +31,9 @@
 //! the bounded CLOCK layout in place.
 //!
 //! The cache is deliberately policy-free about counting: the store owns
-//! the `cache_hits`/`cache_misses`/`cache_evictions` counters in its
-//! [`CostStats`](crate::CostStats), this module just reports evictions
-//! from each call that can cause them.
+//! the hit/miss/eviction counters
+//! ([`CacheTelemetry`](crate::CacheTelemetry)), this module just reports
+//! evictions from each call that can cause them.
 
 /// Sentinel in the page table: address not resident.
 const NONE_SLOT: u32 = u32::MAX;

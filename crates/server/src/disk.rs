@@ -1,10 +1,14 @@
 //! Durable, crash-safe storage backend: [`DiskStore`].
 //!
-//! `DiskStore` is a write-ahead-logged, file-backed [`Storage`]
-//! implementation that serves databases **larger than RAM**. Only the
-//! per-cell metadata (length table, init bitmap — ~5 bytes per cell) is
-//! always resident; cell *payloads* live in the arena file and are served
-//! through a bounded read-through cache ([`crate::cache`]):
+//! `DiskStore` is the model of [`crate::server`] ([`Accounted`]) over
+//! [`DiskBackend`], a write-ahead-logged, file-backed
+//! [`CellBackend`] that serves databases **larger than RAM**. Bounds
+//! checks, cost counters and the transcript are the model's; this module
+//! only keeps cells — `get`, `put`, `flush`. Only the per-cell metadata
+//! (length table, init bitmap — ~5 bytes per cell, the same `CellIndex`
+//! the memory arena keeps) is always resident; cell *payloads* live in the
+//! arena file and are served through a bounded read-through cache
+//! ([`crate::cache`]):
 //!
 //! - a read **hit** hands out a slice borrowed straight from the cache
 //!   slab — the same zero-copy surface as [`SimServer`](crate::SimServer);
@@ -13,9 +17,10 @@
 //!   VFS the crash simulator instruments), evicting a *clean* entry by
 //!   CLOCK second-chance if the [`DiskOptions::cache_bytes`] budget is
 //!   full;
-//! - hits, misses and evictions are surfaced as the `cache_*` counters in
-//!   [`CostStats`] (excluded from the paper's cost model — compare with
-//!   [`CostStats::sans_cache`]).
+//! - hits, misses and evictions are counted here ([`CacheTelemetry`]) and
+//!   surfaced as the `cache_*` counters in
+//!   [`CostStats`](crate::CostStats) (excluded from the paper's cost model
+//!   — compare with [`CostStats::sans_cache`](crate::CostStats::sans_cache)).
 //!
 //! ## Mutation and group commit
 //!
@@ -35,11 +40,11 @@
 //! With the default window of 1 every batch commits before it returns,
 //! which is the classic crash-safe WAL discipline. With a larger window,
 //! `Ok` from a mutation means *applied*, not yet *durable*; call
-//! [`DiskStore::commit`] (or [`Storage::flush`], which the network daemon
-//! invokes before acknowledging responses on the wire) to close the
-//! window. Either way, recovery always lands on a batch boundary of the
-//! committed prefix — the acked-prefix contract that `crash_recovery`
-//! sweeps.
+//! [`DiskBackend::commit`] (or [`Storage::flush`](crate::Storage::flush),
+//! which the network daemon invokes before acknowledging responses on the
+//! wire) to close the window. Either way, recovery always lands on a batch
+//! boundary of the committed prefix — the acked-prefix contract that
+//! `crash_recovery` sweeps.
 //!
 //! A *checkpoint* makes the arena authoritative again and truncates the
 //! log: commit the open window, sync the arena, write a metadata snapshot
@@ -63,7 +68,9 @@
 //! The first I/O error *poisons* the store: the failing operation returns
 //! [`ServerError::Interrupted`] (matching the network client's typed
 //! surface for "application state unknown") and every later mutation fails
-//! fast the same way. Reads keep serving **cache hits** (including every
+//! fast the same way (after the model's bounds check: an out-of-range
+//! address is `OutOfBounds` on a poisoned store too). Reads keep serving
+//! **cache hits** (including every
 //! dirty cell pinned by an uncommitted window) and zero-length cells, but
 //! a cache *miss* would have to touch the failing arena file, so it also
 //! returns `Interrupted` instead of handing back bytes of unknown
@@ -74,11 +81,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::cache::CellCache;
-use crate::server::ServerError;
-use crate::stats::CostStats;
-use crate::storage::Storage;
-use crate::store::xor_slices;
-use crate::transcript::{AccessEvent, Transcript};
+use crate::server::{Accounted, CellBackend, ServerError};
+use crate::stats::CacheTelemetry;
+use crate::store::CellIndex;
 use crate::wal::{
     decode_meta, decode_wal_header, encode_meta, encode_record, encode_wal_header, scan_records,
     DiskError, Meta, WalHeader, WAL_HEADER_LEN,
@@ -212,8 +217,8 @@ pub struct DiskOptions {
     /// Group-commit window: how many mutation batches share one WAL
     /// write and fsync. 1 (the default) commits every batch before it
     /// returns; larger windows defer durability until the window closes
-    /// (or [`DiskStore::commit`] / [`Storage::flush`] is called). Values
-    /// of 0 are treated as 1.
+    /// (or [`DiskBackend::commit`] / [`Storage::flush`](crate::Storage::flush)
+    /// is called). Values of 0 are treated as 1.
     pub wal_group_commit: usize,
 }
 
@@ -236,24 +241,22 @@ const ARENA_NAMES: [&str; 2] = ["arena.0", "arena.1"];
 const META_NAMES: [&str; 2] = ["meta.0", "meta.1"];
 const WAL_NAME: &str = "wal";
 
-/// A durable, crash-safe [`Storage`] backend (see the [module
-/// docs](self) for the on-disk protocol).
+/// A durable, crash-safe [`Storage`](crate::Storage): the model over
+/// [`DiskBackend`] (see the [module docs](self) for the on-disk protocol).
+/// The backend's operational surface — [`DiskBackend::checkpoint`],
+/// [`DiskBackend::commit`], [`DiskBackend::is_poisoned`], … — is callable
+/// on a `DiskStore` directly.
+pub type DiskStore<V = RealVfs> = Accounted<DiskBackend<V>>;
+
+/// The durable [`CellBackend`]: cache + WAL + checkpoints over a [`Vfs`].
 #[derive(Debug)]
-pub struct DiskStore<V: Vfs = RealVfs> {
-    // ---- always-resident per-cell metadata ----
-    /// Arena slot width in bytes.
-    stride: usize,
-    /// Actual byte length of each cell (≤ `stride`).
-    lens: Vec<u32>,
-    /// Initialized-bitmap, one bit per cell.
-    init: Vec<u64>,
-    /// Running total of initialized cell bytes.
-    stored: u64,
+pub struct DiskBackend<V: Vfs = RealVfs> {
+    /// Always-resident per-cell metadata (arena slot width, lengths,
+    /// init-bitmap, stored bytes).
+    index: CellIndex,
     /// Bounded payload cache (see [`crate::cache`]).
     cache: CellCache,
-    // ---- observability ----
-    stats: CostStats,
-    transcript: Option<Transcript>,
+    telemetry: CacheTelemetry,
     // ---- files ----
     arena: [V::File; 2],
     meta: [V::File; 2],
@@ -291,7 +294,13 @@ impl DiskStore<RealVfs> {
 impl<V: Vfs> DiskStore<V> {
     /// Opens (or creates) a durable store on an arbitrary [`Vfs`] —
     /// production directories and the crash simulator take the same path.
-    ///
+    /// See [`DiskBackend`]'s recovery rules in the [module docs](self).
+    pub fn open_on(vfs: V, opts: DiskOptions) -> Result<Self, DiskError> {
+        DiskBackend::recover(vfs, opts).map(Accounted::over)
+    }
+}
+
+impl<V: Vfs> DiskBackend<V> {
     /// Recovery: pick the valid metadata snapshot with the highest stamp,
     /// adopt its metadata (the arena payload stays on disk and is served
     /// through the cache), then replay complete WAL records carrying that
@@ -301,7 +310,7 @@ impl<V: Vfs> DiskStore<V> {
     /// discarded; a complete record with a bad checksum, a WAL from a
     /// generation newer than any snapshot, or a structurally inconsistent
     /// snapshot+arena pair all surface as [`DiskError::Corrupt`].
-    pub fn open_on(mut vfs: V, opts: DiskOptions) -> Result<Self, DiskError> {
+    fn recover(mut vfs: V, opts: DiskOptions) -> Result<Self, DiskError> {
         let arena = [vfs.open(ARENA_NAMES[0])?, vfs.open(ARENA_NAMES[1])?];
         let meta = [vfs.open(META_NAMES[0])?, vfs.open(META_NAMES[1])?];
         let wal = vfs.open(WAL_NAME)?;
@@ -354,7 +363,7 @@ impl<V: Vfs> DiskStore<V> {
                 let scan = scan_records(w, &wal_bytes[WAL_HEADER_LEN..])?;
                 for record in &scan.records {
                     for (addr, bytes) in record {
-                        if *addr >= store.lens.len() || bytes.len() > store.stride {
+                        if *addr >= store.index.capacity() || bytes.len() > store.index.stride() {
                             return Err(DiskError::corrupt(format!(
                                 "WAL record writes cell {addr} outside snapshot geometry"
                             )));
@@ -402,21 +411,10 @@ impl<V: Vfs> DiskStore<V> {
         m: Meta,
         opts: DiskOptions,
     ) -> Self {
-        let stored = m
-            .lens
-            .iter()
-            .enumerate()
-            .filter(|&(a, _)| m.init[a >> 6] & (1 << (a & 63)) != 0)
-            .map(|(_, &l)| u64::from(l))
-            .sum();
         Self {
-            stride: m.stride,
             cache: CellCache::new(m.capacity, m.stride, opts.cache_bytes),
-            lens: m.lens,
-            init: m.init,
-            stored,
-            stats: CostStats::default(),
-            transcript: None,
+            index: CellIndex::from_parts(m.stride, m.lens, m.init),
+            telemetry: CacheTelemetry::default(),
             arena,
             meta,
             wal,
@@ -437,28 +435,27 @@ impl<V: Vfs> DiskStore<V> {
     /// idempotent — re-running it after a crash writes the same bytes.
     fn replay(&mut self, addr: usize, bytes: &[u8]) -> Result<(), DiskError> {
         if !bytes.is_empty() {
-            self.arena[self.active].write_at(addr as u64 * self.stride as u64, bytes)?;
+            self.arena[self.active].write_at(addr as u64 * self.index.stride() as u64, bytes)?;
         }
-        let was = if self.is_init(addr) { u64::from(self.lens[addr]) } else { 0 };
-        self.stored = self.stored - was + bytes.len() as u64;
-        self.lens[addr] = bytes.len() as u32;
-        self.set_init(addr);
+        self.index.record(addr, bytes.len());
         Ok(())
     }
 
-    /// Replaces the contents with `cells`, like [`Storage::init`], but
-    /// with a typed error instead of a panic when the disk fails.
+    /// Replaces the contents with `cells`, like
+    /// [`Storage::init`](crate::Storage::init), but with a typed error
+    /// instead of a panic when the disk fails.
     pub fn try_init(&mut self, cells: Vec<Vec<u8>>) -> Result<(), DiskError> {
+        self.load(&cells)
+    }
+
+    fn load(&mut self, cells: &[Vec<u8>]) -> Result<(), DiskError> {
         self.check_poisoned()?;
         let capacity = cells.len();
         let stride = cells.iter().map(Vec::len).max().unwrap_or(0);
-        self.stride = stride;
-        self.lens = cells.iter().map(|c| c.len() as u32).collect();
-        self.init = vec![0u64; capacity.div_ceil(64)];
-        for addr in 0..capacity {
-            self.init[addr >> 6] |= 1 << (addr & 63);
+        self.index = CellIndex::new(capacity, stride);
+        for (addr, cell) in cells.iter().enumerate() {
+            self.index.record(addr, cell.len());
         }
-        self.stored = cells.iter().map(|c| c.len() as u64).sum();
         self.cache.reset(capacity, stride);
         let mut image = vec![0u8; capacity * stride];
         for (addr, cell) in cells.iter().enumerate() {
@@ -475,14 +472,11 @@ impl<V: Vfs> DiskStore<V> {
     }
 
     /// Reserves `capacity` uninitialized cells, like
-    /// [`Storage::init_empty`], but with a typed error instead of a panic
-    /// when the disk fails.
+    /// [`Storage::init_empty`](crate::Storage::init_empty), but with a
+    /// typed error instead of a panic when the disk fails.
     pub fn try_init_empty(&mut self, capacity: usize) -> Result<(), DiskError> {
         self.check_poisoned()?;
-        self.stride = 0;
-        self.lens = vec![0u32; capacity];
-        self.init = vec![0u64; capacity.div_ceil(64)];
-        self.stored = 0;
+        self.index = CellIndex::new(capacity, 0);
         self.cache.reset(capacity, 0);
         self.geometry_checkpoint(&[]).map_err(|e| self.poison(e))
     }
@@ -557,33 +551,6 @@ impl<V: Vfs> DiskStore<V> {
         self.opts.wal_group_commit.max(1)
     }
 
-    #[inline]
-    fn is_init(&self, addr: usize) -> bool {
-        self.init[addr >> 6] & (1 << (addr & 63)) != 0
-    }
-
-    #[inline]
-    fn set_init(&mut self, addr: usize) {
-        self.init[addr >> 6] |= 1 << (addr & 63);
-    }
-
-    #[inline]
-    fn check(&self, addr: usize) -> Result<(), ServerError> {
-        if addr < self.lens.len() {
-            Ok(())
-        } else {
-            Err(ServerError::OutOfBounds { addr, capacity: self.lens.len() })
-        }
-    }
-
-    /// Records one round trip's events, building them only when a
-    /// transcript is actually being captured.
-    fn record_with(&mut self, events: impl FnOnce() -> Vec<AccessEvent>) {
-        if let Some(t) = self.transcript.as_mut() {
-            t.push_batch(events());
-        }
-    }
-
     /// The payload bytes of the *initialized* cell at `addr` (whose
     /// length the caller already loaded), served through the cache
     /// (refilling from the arena file on a miss).
@@ -594,11 +561,11 @@ impl<V: Vfs> DiskStore<V> {
             // authoritative for every initialized cell, so this is a
             // direct slice — the mirror-read fast path. Zero-length
             // cells are neither hits nor misses in either mode.
-            self.stats.cache_hits += u64::from(len > 0);
+            self.telemetry.hits += u64::from(len > 0);
             return Ok(self.cache.identity_bytes(addr, len));
         }
         if let Some(slot) = self.cache.lookup(addr) {
-            self.stats.cache_hits += 1;
+            self.telemetry.hits += 1;
             return Ok(self.cache.slot_bytes(slot, len));
         }
         if len == 0 {
@@ -615,7 +582,7 @@ impl<V: Vfs> DiskStore<V> {
     /// direct slab slices and misses cannot occur; bounded budgets skip
     /// this and take the CLOCK read-through path instead.
     fn warm_cache(&mut self) -> Result<(), DiskError> {
-        if !self.cache.is_identity() || self.stride == 0 {
+        if !self.cache.is_identity() || self.index.stride() == 0 {
             return Ok(());
         }
         let active = self.active;
@@ -636,8 +603,8 @@ impl<V: Vfs> DiskStore<V> {
     /// Marks every initialized non-empty cell resident (identity-mode
     /// bookkeeping after the slab has been bulk-filled).
     fn adopt_initialized(&mut self) {
-        for addr in 0..self.lens.len() {
-            if self.lens[addr] > 0 && self.init[addr >> 6] & (1 << (addr & 63)) != 0 {
+        for addr in 0..self.index.capacity() {
+            if self.index.len_of(addr).is_some_and(|len| len > 0) {
                 self.cache.adopt(addr);
             }
         }
@@ -652,10 +619,10 @@ impl<V: Vfs> DiskStore<V> {
             // unknown provenance. Hits keep working, misses fail typed.
             return Err(ServerError::Interrupted);
         }
-        self.stats.cache_misses += 1;
+        self.telemetry.misses += 1;
         let (slot, evicted) = self.cache.install(addr, false);
-        self.stats.cache_evictions += evicted;
-        let offset = addr as u64 * self.stride as u64;
+        self.telemetry.evictions += evicted;
+        let offset = addr as u64 * self.index.stride() as u64;
         match self.arena[self.active].read_at(offset, self.cache.slot_bytes_mut(slot, len)) {
             Ok(got) if got >= len => Ok(slot),
             Ok(got) => {
@@ -679,7 +646,7 @@ impl<V: Vfs> DiskStore<V> {
     /// On `Ok`, the batch is applied (and durable per the commit policy);
     /// nothing is charged to stats here.
     fn persist_and_apply(&mut self, writes: &[(usize, &[u8])]) -> Result<(), ServerError> {
-        if writes.iter().any(|(_, c)| c.len() > self.stride) {
+        if writes.iter().any(|(_, c)| c.len() > self.index.stride()) {
             self.restride_apply(writes)
         } else {
             self.queue_batch(writes)
@@ -715,10 +682,7 @@ impl<V: Vfs> DiskStore<V> {
     /// allocate a cache slot because until then the cache holds the only
     /// copy of the payload.
     fn apply_to_cache(&mut self, addr: usize, cell: &[u8]) {
-        let was = if self.is_init(addr) { u64::from(self.lens[addr]) } else { 0 };
-        self.stored = self.stored - was + cell.len() as u64;
-        self.lens[addr] = cell.len() as u32;
-        self.set_init(addr);
+        self.index.record(addr, cell.len());
         if cell.is_empty() {
             // Zero-length payloads never occupy a slot; any stale resident
             // bytes are masked by the length table.
@@ -729,7 +693,7 @@ impl<V: Vfs> DiskStore<V> {
             self.cache.mark_dirty(slot);
         } else {
             let (slot, evicted) = self.cache.install(addr, true);
-            self.stats.cache_evictions += evicted;
+            self.telemetry.evictions += evicted;
             self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
         }
     }
@@ -752,19 +716,19 @@ impl<V: Vfs> DiskStore<V> {
         }
         self.wal_len += pending.len() as u64;
         let active = self.active;
-        let stride = self.stride as u64;
+        let stride = self.index.stride() as u64;
         // Deterministic flush order (first-dirtied), so the crash
         // simulator sees identical event streams across replays.
         for &slot in self.cache.dirty_slots() {
             let addr = self.cache.addr_of(slot as usize);
-            let len = self.lens[addr] as usize;
+            let len = self.index.len_of(addr).unwrap_or(0);
             if len > 0 {
                 self.arena[active]
                     .write_at(addr as u64 * stride, self.cache.slot_bytes(slot as usize, len))?;
             }
         }
         self.cache.clean_all();
-        self.stats.cache_evictions += self.cache.enforce_budget();
+        self.telemetry.evictions += self.cache.enforce_budget();
         Ok(())
     }
 
@@ -820,7 +784,7 @@ impl<V: Vfs> DiskStore<V> {
         self.pending.clear();
         self.pending_batches = 0;
         self.cache.clean_all();
-        self.stats.cache_evictions += self.cache.enforce_budget();
+        self.telemetry.evictions += self.cache.enforce_budget();
         self.reset_wal()
     }
 
@@ -839,8 +803,8 @@ impl<V: Vfs> DiskStore<V> {
     }
 
     fn restride_inner(&mut self, writes: &[(usize, &[u8])]) -> Result<(), DiskError> {
-        let capacity = self.lens.len();
-        let old_stride = self.stride;
+        let capacity = self.index.capacity();
+        let old_stride = self.index.stride();
         let new_stride = writes
             .iter()
             .map(|(_, c)| c.len())
@@ -851,8 +815,8 @@ impl<V: Vfs> DiskStore<V> {
         self.arena[target].set_len(capacity as u64 * new_stride as u64)?;
         let mut scratch = vec![0u8; old_stride];
         for addr in 0..capacity {
-            let len = self.lens[addr] as usize;
-            if len == 0 || !self.is_init(addr) {
+            let len = self.index.len_of(addr).unwrap_or(0);
+            if len == 0 {
                 continue;
             }
             let bytes: &[u8] = if let Some(slot) = self.cache.peek(addr) {
@@ -878,12 +842,9 @@ impl<V: Vfs> DiskStore<V> {
         // resident metadata (and to any already-resident cache entries, so
         // hits cannot serve pre-batch bytes).
         self.cache.restride(new_stride);
-        self.stride = new_stride;
+        self.index.set_stride(new_stride);
         for (addr, cell) in writes {
-            let was = if self.is_init(*addr) { u64::from(self.lens[*addr]) } else { 0 };
-            self.stored = self.stored - was + cell.len() as u64;
-            self.lens[*addr] = cell.len() as u32;
-            self.set_init(*addr);
+            self.index.record(*addr, cell.len());
             if let Some(slot) = self.cache.peek(*addr) {
                 if !cell.is_empty() {
                     self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
@@ -895,7 +856,7 @@ impl<V: Vfs> DiskStore<V> {
                 // and a free warm-up in bounded mode (the budget is
                 // re-enforced by the checkpoint tail).
                 let (slot, evicted) = self.cache.install(*addr, false);
-                self.stats.cache_evictions += evicted;
+                self.telemetry.evictions += evicted;
                 self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
             }
         }
@@ -909,10 +870,10 @@ impl<V: Vfs> DiskStore<V> {
         let m = Meta {
             stamp: self.stamp + 1,
             active,
-            capacity: self.lens.len(),
-            stride: self.stride,
-            lens: self.lens.clone(),
-            init: self.init.clone(),
+            capacity: self.index.capacity(),
+            stride: self.index.stride(),
+            lens: self.index.lens().to_vec(),
+            init: self.index.init_words().to_vec(),
         };
         let bytes = encode_meta(&m);
         let slot = 1 - self.meta_slot;
@@ -967,48 +928,56 @@ fn read_all(file: &impl DiskFile) -> Result<Vec<u8>, DiskError> {
     Ok(buf)
 }
 
-impl<V: Vfs> Storage for DiskStore<V> {
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        self.try_init(cells).expect("DiskStore::init: checkpoint failed");
-    }
-
-    fn init_empty(&mut self, capacity: usize) {
-        self.try_init_empty(capacity)
-            .expect("DiskStore::init_empty: checkpoint failed");
-    }
-
+impl<V: Vfs> CellBackend for DiskBackend<V> {
     fn capacity(&self) -> usize {
-        self.lens.len()
+        self.index.capacity()
+    }
+
+    fn stride(&self) -> usize {
+        self.index.stride()
     }
 
     fn stored_bytes(&self) -> u64 {
-        self.stored
+        self.index.stored_bytes()
     }
 
-    fn cell_stride(&self) -> usize {
-        self.stride
-    }
-
-    fn start_recording(&mut self) {
-        if self.transcript.is_none() {
-            self.transcript = Some(Transcript::new());
+    fn reset(&mut self, capacity: usize, cells: Option<&[Vec<u8>]>) {
+        match cells {
+            Some(cells) => self.load(cells).expect("DiskStore::init: checkpoint failed"),
+            None => self
+                .try_init_empty(capacity)
+                .expect("DiskStore::init_empty: checkpoint failed"),
         }
     }
 
-    fn take_transcript(&mut self) -> Transcript {
-        self.transcript.take().unwrap_or_default()
+    /// Hits and zero-length cells come straight from memory, a miss costs
+    /// one positioned read from the active arena slot — or, on a poisoned
+    /// store, [`ServerError::Interrupted`].
+    #[inline(always)]
+    fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError> {
+        match self.index.len_of(addr) {
+            Some(len) => self.cell_bytes(addr, len).map(Some),
+            None => Ok(None),
+        }
     }
 
-    fn is_recording(&self) -> bool {
-        self.transcript.is_some()
-    }
-
-    fn stats(&self) -> CostStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CostStats::default();
+    /// One non-empty batch is one WAL record (or, when it widens the
+    /// stride, one geometry checkpoint). A batch that fails half-way
+    /// poisons the store instead of being undone: from then on every `put`
+    /// is refused and only a reopen recovers, which lands on a batch
+    /// boundary.
+    fn put<'a>(
+        &mut self,
+        items: impl Iterator<Item = (usize, &'a [u8])>,
+    ) -> Result<(), ServerError> {
+        if self.poisoned {
+            return Err(ServerError::Interrupted);
+        }
+        let writes: Vec<(usize, &[u8])> = items.collect();
+        if writes.is_empty() {
+            return Ok(());
+        }
+        self.persist_and_apply(&writes)
     }
 
     fn flush(&mut self) -> Result<(), ServerError> {
@@ -1022,182 +991,8 @@ impl<V: Vfs> Storage for DiskStore<V> {
         Ok(())
     }
 
-    // Reads serve through the bounded cache: hits and zero-length cells
-    // straight from memory, misses with one positioned read from the
-    // active arena slot. Charging is bit-identical to `SimServer` modulo
-    // the `cache_*` counters (compare with `CostStats::sans_cache`).
-
-    fn read_batch_with(
-        &mut self,
-        addrs: &[usize],
-        mut visit: impl FnMut(usize, &[u8]),
-    ) -> Result<(), ServerError> {
-        if self.cache.is_identity() {
-            // Hand-unswitched identity loop: every initialized cell is
-            // resident, so this is the mirror-read hot path — keeping the
-            // mode test out of the loop keeps it at SimServer speed.
-            for (i, &addr) in addrs.iter().enumerate() {
-                self.check(addr)?;
-                if !self.is_init(addr) {
-                    return Err(ServerError::Uninitialized { addr });
-                }
-                let len = self.lens[addr] as usize;
-                self.stats.downloads += 1;
-                self.stats.bytes_down += len as u64;
-                self.stats.cache_hits += u64::from(len > 0);
-                visit(i, self.cache.identity_bytes(addr, len));
-            }
-        } else {
-            for (i, &addr) in addrs.iter().enumerate() {
-                self.check(addr)?;
-                if !self.is_init(addr) {
-                    return Err(ServerError::Uninitialized { addr });
-                }
-                let len = self.lens[addr] as usize;
-                self.stats.downloads += 1;
-                self.stats.bytes_down += len as u64;
-                let cell = self.cell_bytes(addr, len)?;
-                visit(i, cell);
-            }
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Download(a)).collect());
-        Ok(())
-    }
-
-    fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
-        acc.clear();
-        let mut first = true;
-        for &addr in addrs {
-            self.check(addr)?;
-            if !self.is_init(addr) {
-                return Err(ServerError::Uninitialized { addr });
-            }
-            self.stats.computed += 1;
-            let len = self.lens[addr] as usize;
-            let cell = self.cell_bytes(addr, len)?;
-            if first {
-                acc.extend_from_slice(cell);
-                first = false;
-            } else {
-                debug_assert_eq!(acc.len(), cell.len(), "XOR over unequal cells");
-                xor_slices(acc, cell);
-            }
-        }
-        self.stats.bytes_down += acc.len() as u64;
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Compute(a)).collect());
-        Ok(())
-    }
-
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        if self.poisoned {
-            return Err(ServerError::Interrupted);
-        }
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
-        if !writes.is_empty() {
-            let borrowed: Vec<(usize, &[u8])> =
-                writes.iter().map(|(a, c)| (*a, c.as_slice())).collect();
-            self.persist_and_apply(&borrowed)?;
-        }
-        for (_, cell) in &writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| writes.iter().map(|&(a, _)| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        if self.poisoned {
-            return Err(ServerError::Interrupted);
-        }
-        self.check(addr)?;
-        self.persist_and_apply(&[(addr, cell)])?;
-        self.stats.uploads += 1;
-        self.stats.bytes_up += cell.len() as u64;
-        self.stats.round_trips += 1;
-        self.record_with(|| vec![AccessEvent::Upload(addr)]);
-        Ok(())
-    }
-
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        if self.poisoned {
-            return Err(ServerError::Interrupted);
-        }
-        if addrs.is_empty() {
-            assert!(flat.is_empty(), "flat bytes without addresses");
-            self.stats.round_trips += 1;
-            self.record_with(Vec::new);
-            return Ok(());
-        }
-        assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
-        let stride = flat.len() / addrs.len();
-        for &addr in addrs {
-            self.check(addr)?;
-        }
-        let borrowed: Vec<(usize, &[u8])> = addrs
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| (a, &flat[i * stride..(i + 1) * stride]))
-            .collect();
-        self.persist_and_apply(&borrowed)?;
-        self.stats.uploads += addrs.len() as u64;
-        self.stats.bytes_up += flat.len() as u64;
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    fn access_batch(
-        &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        if self.poisoned {
-            return Err(ServerError::Interrupted);
-        }
-        for &addr in reads {
-            self.check(addr)?;
-        }
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
-        // Reads are collected (owned) before any write applies, so a
-        // combined read+write of the same address observes the old cell —
-        // and an uninitialized read mid-loop keeps its partial download
-        // charges, exactly like `SimServer`.
-        let mut out = Vec::with_capacity(reads.len());
-        for &addr in reads {
-            if !self.is_init(addr) {
-                return Err(ServerError::Uninitialized { addr });
-            }
-            let len = self.lens[addr] as usize;
-            self.stats.downloads += 1;
-            self.stats.bytes_down += len as u64;
-            let cell = self.cell_bytes(addr, len)?;
-            out.push(cell.to_vec());
-        }
-        if !writes.is_empty() {
-            let borrowed: Vec<(usize, &[u8])> =
-                writes.iter().map(|(a, c)| (*a, c.as_slice())).collect();
-            self.persist_and_apply(&borrowed)?;
-        }
-        for (_, cell) in &writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-        }
-        self.stats.round_trips += 1;
-        self.record_with(|| {
-            let mut events: Vec<AccessEvent> =
-                reads.iter().map(|&a| AccessEvent::Download(a)).collect();
-            events.extend(writes.iter().map(|&(a, _)| AccessEvent::Upload(a)));
-            events
-        });
-        Ok(out)
+    fn telemetry(&self) -> CacheTelemetry {
+        self.telemetry
     }
 }
 
@@ -1205,6 +1000,7 @@ impl<V: Vfs> Storage for DiskStore<V> {
 mod tests {
     use super::*;
     use crate::crashsim::CrashSim;
+    use crate::storage::Storage;
 
     struct TempDir(PathBuf);
 

@@ -6,22 +6,23 @@
 //! is the **transcript** — the sequence of addresses touched (cell contents
 //! are ciphertexts, handled as opaque bytes here).
 //!
-//! [`SimServer`] is an in-process simulation of that model. It stores opaque
-//! cells, optionally records the full adversarial transcript
-//! ([`transcript::Transcript`]), and keeps running cost counters
+//! [`Accounted`] is that model, written once ([`server`]): it stores opaque
+//! cells in a [`CellBackend`], optionally records the full adversarial
+//! transcript ([`transcript::Transcript`]), and keeps running cost counters
 //! ([`stats::CostStats`]: operations, bytes, round trips) so that every
-//! overhead claim in the paper is measurable.
+//! overhead claim in the paper is measurable. [`SimServer`] is the model
+//! over a memory arena — the in-process simulation.
 //!
 //! For PIR-style baselines the model is extended with one *active* server
-//! operation, [`SimServer::xor_cells`], which models "the server operates on
+//! operation, [`Storage::xor_cells`], which models "the server operates on
 //! these records" and is charged one operation per record touched — exactly
 //! the accounting used by Theorems 3.3/3.4.
 //!
 //! [`multi::ReplicatedServers`] replicates a database over `D` servers for
 //! the multi-server DP-IR setting of Appendix C.
 //!
-//! [`DiskStore`] is the durable backend: the same [`Storage`] surface over
-//! a write-ahead-logged arena file, so a restarted daemon serves the same
+//! [`DiskStore`] is the same model over the durable backend, a
+//! write-ahead-logged arena file, so a restarted daemon serves the same
 //! cells ([`disk`] for the protocol, [`crashsim`] for the deterministic
 //! crash-injection harness that pins its recovery guarantees).
 
@@ -37,7 +38,6 @@ pub mod latency;
 pub mod multi;
 pub mod pool;
 pub mod server;
-pub mod shard;
 pub mod stats;
 pub mod storage;
 pub mod store;
@@ -46,13 +46,12 @@ pub mod verified;
 pub mod wal;
 
 pub use crashsim::{CrashFile, CrashSim};
-pub use disk::{DiskFile, DiskOptions, DiskStore, RealVfs, SyncPolicy, Vfs};
+pub use disk::{DiskBackend, DiskFile, DiskOptions, DiskStore, RealVfs, SyncPolicy, Vfs};
 pub use latency::NetworkModel;
 pub use multi::ReplicatedServers;
 pub use pool::WorkerPool;
-pub use server::{ServerError, SimServer};
-pub use shard::ShardedServer;
-pub use stats::CostStats;
+pub use server::{Accounted, CellBackend, ServerError, SimServer};
+pub use stats::{CacheTelemetry, CostStats};
 pub use storage::Storage;
 pub use store::CellStore;
 pub use transcript::{AccessEvent, Transcript};

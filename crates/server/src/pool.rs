@@ -1,9 +1,8 @@
 //! A small std-only worker pool for deterministic batch fan-out.
 //!
-//! The sharded server ([`crate::ShardedServer`]) and the parallel batch
-//! crypto helpers ([`crate::batch_crypto`]) split one batch's work into
-//! independent chunks — per-shard cell copies, per-cell encryptions — and
-//! run the chunks on OS threads. Determinism is preserved by construction:
+//! The parallel batch crypto helpers ([`crate::batch_crypto`]) split one
+//! batch's work into independent chunks — per-cell encryptions — and run
+//! the chunks on OS threads. Determinism is preserved by construction:
 //! every chunk operates on disjoint data, all randomness is drawn up-front
 //! on the caller thread, and [`WorkerPool::run`] returns results in task
 //! order regardless of scheduling. No work-stealing, no shared queues: the
@@ -13,8 +12,8 @@
 //! The pool is built on [`std::thread::scope`], so tasks may borrow from
 //! the caller's stack (cell arenas, flat scratch buffers) without `Arc` or
 //! copies. Threads are spawned per [`WorkerPool::run`] call; that cost is
-//! a few microseconds, so callers gate pooled execution on a minimum batch
-//! size (see [`crate::shard`]) and fall back to inline execution below it.
+//! a few microseconds, so callers hand it batches that are worth it and
+//! keep small ones on a sequential pool.
 
 /// A boxed unit of work handed to [`WorkerPool::run`].
 pub type Task<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;

@@ -1,6 +1,38 @@
-//! The simulated passive storage server.
+//! The balls-and-bins server of Definition 3.1, written once.
+//!
+//! [`Accounted`] is the model: what one batch costs ([`CostStats`]: cells,
+//! bytes, round trips — the currencies of Theorems 3.3/3.4, 5.1, 6.1 and
+//! 7.1) and what the adversary sees of it ([`Transcript`]). It holds the
+//! only implementation of the six data operations of [`Storage`] — bounds
+//! check, `Uninitialized` check, charging, the partial charge a mid-batch
+//! failure leaves behind, the round trip, the transcript batch — over a
+//! [`CellBackend`], which only keeps cells:
+//!
+//! - [`SimServer`] is `Accounted<CellStore>`, the in-process simulator;
+//! - [`DiskStore`](crate::DiskStore) is `Accounted<DiskBackend>`, the
+//!   durable store (cache + WAL + checkpoints behind `get`/`put`/`flush`).
+//!
+//! # What a backend must guarantee
+//!
+//! - `put` is **all-or-nothing** — on `Err` no cell of the batch is
+//!   visible to a later `get` that succeeds — and **later wins**: a batch
+//!   naming an address twice leaves the last value.
+//! - `get` may fault (`Err`), which is different from "never written"
+//!   (`Ok(None)`).
+//! - `Ok` from `put` means *applied*; durability is `flush`.
+//!
+//! # What the model does with a backend fault
+//!
+//! A failed call charges exactly the cells it visited before the fault,
+//! no round trip, and records no transcript batch — the same rule as for
+//! an `Uninitialized` read mid-batch. Addresses are bounds-checked before
+//! the backend is asked, so on a faulting backend `OutOfBounds` wins over
+//! `Interrupted`.
 
-use crate::stats::CostStats;
+use std::ops::{Deref, DerefMut};
+
+use crate::stats::{CacheTelemetry, CostStats};
+use crate::storage::Storage;
 use crate::store::{xor_slices, CellStore};
 use crate::transcript::{AccessEvent, Transcript};
 
@@ -23,9 +55,10 @@ pub enum ServerError {
     /// (e.g. the network connection carrying it dropped before the
     /// acknowledgement arrived): whether it was applied server-side is
     /// unknown, and the caller must re-verify before retrying anything
-    /// non-idempotent. In-process servers never return this; it exists so
-    /// a network-backed [`Storage`](crate::Storage) can surface an
-    /// interrupted write as a typed error instead of a panic.
+    /// non-idempotent. The in-memory simulator never returns this; it is
+    /// how a network-backed [`Storage`] surfaces a cut
+    /// connection, and a durable one a failing disk, as a typed error
+    /// instead of a panic.
     Interrupted,
 }
 
@@ -47,97 +80,106 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// An in-process passive storage server (Definition 3.1).
+/// What [`Accounted`] needs from the thing that keeps the cells. See the
+/// [module docs](self) for the guarantees an implementation owes.
+///
+/// Addresses handed to `get` and `put` are already bounds-checked against
+/// [`CellBackend::capacity`]; a backend may panic on any other.
+pub trait CellBackend: std::fmt::Debug + Send {
+    /// Number of cell slots.
+    fn capacity(&self) -> usize;
+
+    /// The fixed slot width of the arena (0 before any cell is stored).
+    fn stride(&self) -> usize;
+
+    /// Total bytes of initialized cell content.
+    fn stored_bytes(&self) -> u64;
+
+    /// Replaces the contents with `capacity` slots: slot `i` holds
+    /// `cells[i]` (`cells.len() == capacity`), or every slot is never
+    /// written when `cells` is `None`. Set-up, like [`Storage::init`]:
+    /// infallible in its signature, so a backend that cannot complete it
+    /// panics.
+    fn reset(&mut self, capacity: usize, cells: Option<&[Vec<u8>]>);
+
+    /// The cell at `addr`: `Ok(None)` if it was never written, `Err` if
+    /// the backend could not produce it.
+    fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError>;
+
+    /// Stores every `(addr, cell)` of `items`, in order, or none of them.
+    /// An iterator rather than a slice so that a backend which needs no
+    /// second pass (the memory arena) stores without allocating.
+    fn put<'a>(
+        &mut self,
+        items: impl Iterator<Item = (usize, &'a [u8])>,
+    ) -> Result<(), ServerError>;
+
+    /// Makes every `put` that returned `Ok` durable.
+    fn flush(&mut self) -> Result<(), ServerError> {
+        Ok(())
+    }
+
+    /// Monotone run-time counters of the backend's cell cache, surfaced as
+    /// the `cache_*` fields of [`CostStats`]. Not part of the paper's cost
+    /// model.
+    fn telemetry(&self) -> CacheTelemetry {
+        CacheTelemetry::default()
+    }
+}
+
+/// A passive storage server (Definition 3.1) over the backend `B`: the
+/// cost model and the adversary's view, once (see the [module docs](self)).
 ///
 /// Cells are opaque byte strings. The server never interprets them; the
 /// only operations are batched downloads and uploads (plus the PIR-style
-/// [`SimServer::xor_cells`] active operation). Each batch counts as one
-/// round trip.
+/// [`Storage::xor_cells_into`] active operation). Each batch counts as one
+/// round trip. [`Storage::read_batch_with`] hands out slices borrowed from
+/// the backend — no per-cell heap traffic — and is the hot path every
+/// scheme in this workspace uses.
 ///
-/// Storage is a flat arena ([`CellStore`]): one contiguous allocation,
-/// fixed cell stride. The owning read API ([`SimServer::read_batch`])
-/// copies cells out for callers that need ownership; the zero-copy API
-/// ([`SimServer::read_batch_with`], [`SimServer::read_into`]) hands out
-/// borrowed slices / copies into caller scratch without any per-cell heap
-/// traffic — that is the hot path every scheme in this workspace uses.
+/// The backend's own operational surface (for a
+/// [`DiskStore`](crate::DiskStore): checkpoints, commit, poison state) is
+/// reachable through `Deref`.
 #[derive(Debug, Clone, Default)]
-pub struct SimServer {
-    cells: CellStore,
+pub struct Accounted<B> {
+    cells: B,
     stats: CostStats,
     transcript: Option<Transcript>,
+    /// The backend's telemetry as of the last [`Storage::reset_stats`].
+    telemetry_base: CacheTelemetry,
 }
 
-impl SimServer {
-    /// Creates an empty server with no cells. Call [`SimServer::init`] (or a
-    /// scheme's setup) to populate it.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// The in-process simulator: the model over a flat memory arena
+/// ([`CellStore`]).
+pub type SimServer = Accounted<CellStore>;
 
-    /// Replaces the server contents with `cells`. Initialization is not
-    /// charged to the query-cost counters (the paper treats setup
-    /// separately from per-query overhead).
-    pub fn init(&mut self, cells: Vec<Vec<u8>>) {
-        self.cells = CellStore::from_cells(&cells);
-    }
-
-    /// Reserves `capacity` uninitialized cells.
-    pub fn init_empty(&mut self, capacity: usize) {
-        self.cells = CellStore::with_capacity(capacity);
-    }
-
-    /// Number of cells the server stores.
-    pub fn capacity(&self) -> usize {
-        self.cells.capacity()
-    }
-
-    /// Returns true if no cells are allocated.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Total bytes currently stored (server-storage measure).
-    pub fn stored_bytes(&self) -> u64 {
-        self.cells.stored_bytes()
-    }
-
-    /// The fixed cell stride of the backing arena (0 before any init).
-    pub fn cell_stride(&self) -> usize {
-        self.cells.stride()
-    }
-
-    /// Starts recording the adversarial transcript.
-    pub fn start_recording(&mut self) {
-        if self.transcript.is_none() {
-            self.transcript = Some(Transcript::new());
+impl<B: CellBackend> Accounted<B> {
+    /// The model over an already-built backend, counters at zero.
+    pub fn over(cells: B) -> Self {
+        Self {
+            cells,
+            stats: CostStats::default(),
+            transcript: None,
+            telemetry_base: CacheTelemetry::default(),
         }
     }
 
-    /// Stops recording and returns the transcript captured so far.
-    pub fn take_transcript(&mut self) -> Transcript {
-        self.transcript.take().unwrap_or_default()
+    /// Creates an empty server with no cells. Call [`Storage::init`] (or a
+    /// scheme's setup) to populate it.
+    pub fn new() -> Self
+    where
+        B: Default,
+    {
+        Self::default()
     }
 
-    /// Whether a transcript is being recorded.
-    pub fn is_recording(&self) -> bool {
-        self.transcript.is_some()
-    }
-
-    /// Cumulative cost counters.
-    pub fn stats(&self) -> CostStats {
-        self.stats
-    }
-
-    /// Resets cost counters (e.g. after setup, before measurement).
-    pub fn reset_stats(&mut self) {
-        self.stats = CostStats::default();
-    }
-
+    #[inline]
     fn check(&self, addr: usize) -> Result<(), ServerError> {
-        if addr < self.cells.capacity() {
+        let capacity = self.cells.capacity();
+        if addr < capacity {
             Ok(())
         } else {
-            Err(ServerError::OutOfBounds { addr, capacity: self.cells.capacity() })
+            Err(ServerError::OutOfBounds { addr, capacity })
         }
     }
 
@@ -150,147 +192,194 @@ impl SimServer {
         }
     }
 
-    /// Downloads the cells at `addrs` in one round trip, handing each cell
-    /// to `visit` as a slice borrowed straight from the storage arena —
-    /// zero-copy, no per-cell allocation. `visit` receives the cell's
-    /// position within the batch and its bytes.
+    /// Hands the cells at `addrs` to `visit`, in order, until one is out
+    /// of bounds, was never written, or the backend faults. Returns the
+    /// number of cells visited, the bytes they hold, and how the walk
+    /// ended: the caller charges the visited cells *before* it propagates
+    /// the error, which is the partial-charge rule of a mid-batch failure.
     ///
-    /// This is the hot-path form of [`SimServer::read_batch`]; stats and
-    /// transcript accounting are identical.
-    #[inline]
-    pub fn read_batch_with(
+    /// The counts are locals, not `self.stats`, so that the loop carries
+    /// them in registers. Never inlined: the loop (with the backend's `get`
+    /// and the visitor inlined into it) gets a function and a register
+    /// allocation of its own whatever the call site looks like, at one call
+    /// per batch — measured against inlining it into the callers, which
+    /// made the disk store's warm read loop spill.
+    #[inline(never)]
+    fn walk(
         &mut self,
         addrs: &[usize],
         mut visit: impl FnMut(usize, &[u8]),
-    ) -> Result<(), ServerError> {
+    ) -> (u64, u64, Result<(), ServerError>) {
+        let (mut cells, mut bytes) = (0, 0);
         for (i, &addr) in addrs.iter().enumerate() {
-            self.check(addr)?;
-            let cell = self.cells.get(addr).ok_or(ServerError::Uninitialized { addr })?;
-            self.stats.downloads += 1;
-            self.stats.bytes_down += cell.len() as u64;
+            let cell = match self.check(addr).and_then(|()| self.cells.get(addr)) {
+                Ok(Some(cell)) => cell,
+                Ok(None) => return (cells, bytes, Err(ServerError::Uninitialized { addr })),
+                Err(e) => return (cells, bytes, Err(e)),
+            };
+            cells += 1;
+            bytes += cell.len() as u64;
             visit(i, cell);
         }
+        (cells, bytes, Ok(()))
+    }
+
+    /// Bounds-checks, stores and charges one batch of uploaded cells:
+    /// nothing is stored unless every address is in range, and nothing is
+    /// charged unless the backend took the batch.
+    #[inline]
+    fn upload<'a>(
+        &mut self,
+        items: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    ) -> Result<(), ServerError> {
+        for (addr, _) in items.clone() {
+            self.check(addr)?;
+        }
+        self.cells.put(items.clone())?;
+        for (_, cell) in items {
+            self.stats.uploads += 1;
+            self.stats.bytes_up += cell.len() as u64;
+        }
+        Ok(())
+    }
+}
+
+impl<B> Deref for Accounted<B> {
+    type Target = B;
+
+    fn deref(&self) -> &B {
+        &self.cells
+    }
+}
+
+impl<B> DerefMut for Accounted<B> {
+    fn deref_mut(&mut self) -> &mut B {
+        &mut self.cells
+    }
+}
+
+impl<B: CellBackend> Storage for Accounted<B> {
+    /// Initialization is not charged to the query-cost counters (the paper
+    /// treats setup separately from per-query overhead).
+    fn init(&mut self, cells: Vec<Vec<u8>>) {
+        self.cells.reset(cells.len(), Some(&cells));
+    }
+
+    fn init_empty(&mut self, capacity: usize) {
+        self.cells.reset(capacity, None);
+    }
+
+    fn capacity(&self) -> usize {
+        self.cells.capacity()
+    }
+
+    fn stored_bytes(&self) -> u64 {
+        self.cells.stored_bytes()
+    }
+
+    fn cell_stride(&self) -> usize {
+        self.cells.stride()
+    }
+
+    fn start_recording(&mut self) {
+        if self.transcript.is_none() {
+            self.transcript = Some(Transcript::new());
+        }
+    }
+
+    fn take_transcript(&mut self) -> Transcript {
+        self.transcript.take().unwrap_or_default()
+    }
+
+    fn is_recording(&self) -> bool {
+        self.transcript.is_some()
+    }
+
+    fn stats(&self) -> CostStats {
+        let cache = self.cells.telemetry();
+        CostStats {
+            cache_hits: cache.hits - self.telemetry_base.hits,
+            cache_misses: cache.misses - self.telemetry_base.misses,
+            cache_evictions: cache.evictions - self.telemetry_base.evictions,
+            ..self.stats
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = CostStats::default();
+        self.telemetry_base = self.cells.telemetry();
+    }
+
+    fn flush(&mut self) -> Result<(), ServerError> {
+        self.cells.flush()
+    }
+
+    #[inline]
+    fn read_batch_with(
+        &mut self,
+        addrs: &[usize],
+        visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), ServerError> {
+        let (cells, bytes, walked) = self.walk(addrs, visit);
+        self.stats.downloads += cells;
+        self.stats.bytes_down += bytes;
+        walked?;
         self.stats.round_trips += 1;
         self.record_with(|| addrs.iter().map(|&a| AccessEvent::Download(a)).collect());
         Ok(())
     }
 
-    /// Downloads the cells at `addrs` in one round trip.
-    pub fn read_batch(&mut self, addrs: &[usize]) -> Result<Vec<Vec<u8>>, ServerError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        self.read_batch_with(addrs, |_, cell| out.push(cell.to_vec()))?;
-        Ok(out)
-    }
-
-    /// Downloads a single cell (one round trip).
-    pub fn read(&mut self, addr: usize) -> Result<Vec<u8>, ServerError> {
-        Ok(self.read_batch(&[addr])?.pop().expect("one cell requested"))
-    }
-
-    /// Downloads a single cell (one round trip) into the caller's scratch
-    /// buffer, returning the cell's length. No heap allocation.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than the cell.
-    pub fn read_into(&mut self, addr: usize, out: &mut [u8]) -> Result<usize, ServerError> {
-        let mut len = 0;
-        self.read_batch_with(&[addr], |_, cell| {
-            out[..cell.len()].copy_from_slice(cell);
-            len = cell.len();
-        })?;
-        Ok(len)
-    }
-
-    /// Uploads the given cells in one round trip.
-    pub fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
-        for (addr, cell) in &writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-            self.cells.set(*addr, cell);
-        }
+    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
+        self.upload(writes.iter().map(|(a, c)| (*a, c.as_slice())))?;
         self.stats.round_trips += 1;
         self.record_with(|| writes.iter().map(|&(a, _)| AccessEvent::Upload(a)).collect());
         Ok(())
     }
 
-    /// Uploads a single cell (one round trip).
-    pub fn write(&mut self, addr: usize, cell: Vec<u8>) -> Result<(), ServerError> {
-        self.write_from(addr, &cell)
-    }
-
-    /// Uploads a single borrowed cell (one round trip). The hot-path form
-    /// of [`SimServer::write`]: the caller keeps ownership of its scratch
-    /// buffer and no heap allocation happens.
     #[inline]
-    pub fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        self.check(addr)?;
-        self.stats.uploads += 1;
-        self.stats.bytes_up += cell.len() as u64;
-        self.cells.set(addr, cell);
+    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
+        self.upload(std::iter::once((addr, cell)))?;
         self.stats.round_trips += 1;
         self.record_with(|| vec![AccessEvent::Upload(addr)]);
         Ok(())
     }
 
-    /// Uploads equal-length cells packed back-to-back in `flat` (cell `i`
-    /// at `i * (flat.len() / addrs.len())`) in one round trip. The
-    /// hot-path form of [`SimServer::write_batch`] for schemes that
-    /// re-encrypt a batch into one flat scratch buffer.
-    ///
-    /// # Panics
-    /// Panics if `flat.len()` is not a multiple of `addrs.len()`.
     #[inline]
-    pub fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
+    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
         if addrs.is_empty() {
             assert!(flat.is_empty(), "flat bytes without addresses");
-            self.stats.round_trips += 1;
-            self.record_with(Vec::new);
-            return Ok(());
+        } else {
+            assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
         }
-        assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
-        let stride = flat.len() / addrs.len();
-        for &addr in addrs {
-            self.check(addr)?;
-        }
-        for (i, &addr) in addrs.iter().enumerate() {
-            let cell = &flat[i * stride..(i + 1) * stride];
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-            self.cells.set(addr, cell);
-        }
+        let stride = flat.len().checked_div(addrs.len()).unwrap_or(0);
+        self.upload(
+            addrs
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| (a, &flat[i * stride..(i + 1) * stride])),
+        )?;
         self.stats.round_trips += 1;
         self.record_with(|| addrs.iter().map(|&a| AccessEvent::Upload(a)).collect());
         Ok(())
     }
 
-    /// Downloads `reads` and uploads `writes` in a single combined round
-    /// trip. Used by schemes that pipeline a download and an overwrite.
-    pub fn access_batch(
+    fn access_batch(
         &mut self,
         reads: &[usize],
         writes: Vec<(usize, Vec<u8>)>,
     ) -> Result<Vec<Vec<u8>>, ServerError> {
-        for &addr in reads {
+        // Every address is checked before the first cell is charged, and
+        // reads are collected (owned) before any write applies, so a
+        // combined read+write of the same address observes the old cell.
+        for &addr in reads.iter().chain(writes.iter().map(|(addr, _)| addr)) {
             self.check(addr)?;
         }
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
         let mut out = Vec::with_capacity(reads.len());
-        for &addr in reads {
-            let cell = self.cells.get(addr).ok_or(ServerError::Uninitialized { addr })?;
-            self.stats.downloads += 1;
-            self.stats.bytes_down += cell.len() as u64;
-            out.push(cell.to_vec());
-        }
-        for (addr, cell) in &writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-            self.cells.set(*addr, cell);
-        }
+        let (cells, bytes, walked) = self.walk(reads, |_, cell| out.push(cell.to_vec()));
+        self.stats.downloads += cells;
+        self.stats.bytes_down += bytes;
+        walked?;
+        self.upload(writes.iter().map(|(a, c)| (*a, c.as_slice())))?;
         self.stats.round_trips += 1;
         self.record_with(|| {
             let mut events: Vec<AccessEvent> =
@@ -301,38 +390,22 @@ impl SimServer {
         Ok(out)
     }
 
-    /// PIR-style active operation: the server XORs the cells at `addrs`
-    /// together and returns the result, charging one *compute* operation per
-    /// cell touched. All cells must have equal length.
-    pub fn xor_cells(&mut self, addrs: &[usize]) -> Result<Vec<u8>, ServerError> {
-        let mut out = Vec::new();
-        self.xor_cells_into(addrs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`SimServer::xor_cells`] into a caller scratch buffer (cleared
-    /// first): XOR runs u64-chunked over contiguous arena slices, with no
-    /// allocation once `acc` has capacity.
+    /// XOR runs u64-chunked over slices borrowed from the backend, with no
+    /// allocation once `acc` has capacity. All cells must have equal
+    /// length.
     #[inline]
-    pub fn xor_cells_into(
-        &mut self,
-        addrs: &[usize],
-        acc: &mut Vec<u8>,
-    ) -> Result<(), ServerError> {
+    fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
         acc.clear();
-        let mut first = true;
-        for &addr in addrs {
-            self.check(addr)?;
-            let cell = self.cells.get(addr).ok_or(ServerError::Uninitialized { addr })?;
-            self.stats.computed += 1;
-            if first {
+        let (cells, _, walked) = self.walk(addrs, |i, cell| {
+            if i == 0 {
                 acc.extend_from_slice(cell);
-                first = false;
             } else {
                 debug_assert_eq!(acc.len(), cell.len(), "XOR over unequal cells");
                 xor_slices(acc, cell);
             }
-        }
+        });
+        self.stats.computed += cells;
+        walked?;
         self.stats.bytes_down += acc.len() as u64;
         self.stats.round_trips += 1;
         self.record_with(|| addrs.iter().map(|&a| AccessEvent::Compute(a)).collect());

@@ -17,9 +17,23 @@
 //! The `cache_*` counters are a fifth currency, owned by the durable
 //! backend: how the bounded read-through cell cache of
 //! `dps_server::DiskStore` behaved (hits, misses refilled by `pread`,
-//! evictions). They stay zero for in-memory servers; use
-//! [`CostStats::sans_cache`] to compare a cache-bounded store against an
-//! in-memory oracle bit-for-bit.
+//! evictions). The backend counts them itself ([`CacheTelemetry`]) and the
+//! model only copies them into [`CostStats`]. They stay zero for in-memory
+//! servers; use [`CostStats::sans_cache`] to compare a cache-bounded store
+//! against an in-memory oracle bit-for-bit.
+
+/// What a [`CellBackend`](crate::CellBackend)'s cell cache did since the
+/// backend was built: run-time telemetry, monotone, and no part of the
+/// paper's cost model.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheTelemetry {
+    /// Reads served from memory.
+    pub hits: u64,
+    /// Reads refilled from the backing file.
+    pub misses: u64,
+    /// Clean entries dropped to stay inside the cache budget.
+    pub evictions: u64,
+}
 
 /// Cumulative cost counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

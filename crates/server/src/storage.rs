@@ -1,18 +1,18 @@
 //! The zero-copy storage-server trait surface.
 //!
 //! Every scheme in this workspace drives its server through this trait, so
-//! the in-process [`SimServer`], the sharded concurrent
-//! [`crate::ShardedServer`], and any future network-backed server are
-//! interchangeable at setup time. The trait mirrors `SimServer`'s inherent
-//! API method-for-method — including the hot-path zero-copy forms
-//! ([`Storage::read_batch_with`], [`Storage::write_batch_strided`]) — and
-//! every implementation is required to be *observationally equivalent* to
-//! `SimServer`: identical cells, identical [`CostStats`] charging (down to
-//! the partial charges of a mid-batch failure), and an identical
-//! [`Transcript`]. The `shard_equivalence` property suite pins that
-//! contract for `ShardedServer`.
+//! the in-process [`SimServer`](crate::SimServer), the durable
+//! [`DiskStore`](crate::DiskStore) and a network-backed server are
+//! interchangeable at setup time. The first two are one implementation,
+//! [`Accounted`](crate::Accounted), over two cell backends; any other
+//! implementation (a network client, a fault injector) forwards to one and
+//! is required to be *observationally equivalent* to it: identical cells,
+//! identical [`CostStats`] charging (down to the partial charges of a
+//! mid-batch failure), and an identical [`Transcript`]. The
+//! `store_equivalence` property suite pins that contract against an
+//! independent per-cell oracle.
 
-use crate::server::{ServerError, SimServer};
+use crate::server::ServerError;
 use crate::stats::CostStats;
 use crate::transcript::Transcript;
 
@@ -137,10 +137,9 @@ pub trait Storage: std::fmt::Debug + Send {
     /// Bulk zero-copy download: copies the cells at `addrs` into
     /// back-to-back slots of `out` (slot `i` at `i * (out.len() /
     /// addrs.len())`), one round trip. The read twin of
-    /// [`Storage::write_batch_strided`]; sharded implementations fan the
-    /// per-shard copies across their worker pool. Stats, transcript and
-    /// error semantics are those of [`Storage::read_batch_with`]; on error
-    /// the contents of `out` are unspecified.
+    /// [`Storage::write_batch_strided`]. Stats, transcript and error
+    /// semantics are those of [`Storage::read_batch_with`]; on error the
+    /// contents of `out` are unspecified.
     ///
     /// # Panics
     /// Panics if `out.len()` is not a multiple of `addrs.len()`, or if any
@@ -173,99 +172,10 @@ pub trait Storage: std::fmt::Debug + Send {
     }
 }
 
-impl Storage for SimServer {
-    #[inline]
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        SimServer::init(self, cells);
-    }
-
-    #[inline]
-    fn init_empty(&mut self, capacity: usize) {
-        SimServer::init_empty(self, capacity);
-    }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        SimServer::capacity(self)
-    }
-
-    #[inline]
-    fn stored_bytes(&self) -> u64 {
-        SimServer::stored_bytes(self)
-    }
-
-    #[inline]
-    fn cell_stride(&self) -> usize {
-        SimServer::cell_stride(self)
-    }
-
-    #[inline]
-    fn start_recording(&mut self) {
-        SimServer::start_recording(self);
-    }
-
-    #[inline]
-    fn take_transcript(&mut self) -> Transcript {
-        SimServer::take_transcript(self)
-    }
-
-    #[inline]
-    fn is_recording(&self) -> bool {
-        SimServer::is_recording(self)
-    }
-
-    #[inline]
-    fn stats(&self) -> CostStats {
-        SimServer::stats(self)
-    }
-
-    #[inline]
-    fn reset_stats(&mut self) {
-        SimServer::reset_stats(self);
-    }
-
-    #[inline]
-    fn read_batch_with(
-        &mut self,
-        addrs: &[usize],
-        visit: impl FnMut(usize, &[u8]),
-    ) -> Result<(), ServerError> {
-        SimServer::read_batch_with(self, addrs, visit)
-    }
-
-    #[inline]
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        SimServer::write_batch(self, writes)
-    }
-
-    #[inline]
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        SimServer::write_from(self, addr, cell)
-    }
-
-    #[inline]
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        SimServer::write_batch_strided(self, addrs, flat)
-    }
-
-    #[inline]
-    fn access_batch(
-        &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        SimServer::access_batch(self, reads, writes)
-    }
-
-    #[inline]
-    fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
-        SimServer::xor_cells_into(self, addrs, acc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::SimServer;
 
     /// Drives a server purely through the trait, as a generic scheme would.
     fn exercise<S: Storage>(server: &mut S) {

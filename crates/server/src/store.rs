@@ -1,31 +1,115 @@
 //! Flat-arena cell storage.
 //!
-//! The original [`crate::SimServer`] held cells as `Vec<Option<Vec<u8>>>`:
-//! one heap allocation per cell, pointer-chasing on every access, and a
-//! mandatory `clone` to hand a cell to the client. [`CellStore`] replaces
-//! that with a single contiguous `Vec<u8>` arena sliced at a fixed *stride*
-//! (the largest cell length seen at init), a per-cell length table, and an
-//! initialized-bitmap. Reads hand out `&[u8]` slices straight into the
-//! arena — no allocation, no copy — which is what makes the server's
-//! zero-copy API ([`crate::SimServer::read_batch_with`]) possible.
+//! [`CellStore`] keeps every cell in a single contiguous `Vec<u8>` arena
+//! sliced at a fixed *stride* (the largest cell length seen so far), next to
+//! a `CellIndex`: the per-cell length table and initialized-bitmap. Reads
+//! hand out `&[u8]` slices straight into the arena — no allocation, no copy
+//! — which is what makes the server's zero-copy API
+//! ([`Storage::read_batch_with`](crate::Storage::read_batch_with)) possible.
 //!
 //! Cells are *usually* uniform-length (every scheme in this workspace pads
 //! cells to equal length for length-indistinguishability), but the store
-//! stays observationally equivalent to the old per-cell model: shorter
-//! cells record their true length, and a write longer than the current
-//! stride triggers a (rare, amortized) re-stride of the arena.
+//! keeps the per-cell model exactly: shorter cells record their true
+//! length, and a write longer than the current stride triggers a (rare,
+//! amortized) re-stride of the arena.
+//!
+//! The index is its own type because the durable backend
+//! ([`crate::disk`]) keeps the same table resident over payloads that live
+//! in a file: both backends answer "was this cell ever written, and how
+//! long is it" from the one implementation.
+
+use crate::server::{CellBackend, ServerError};
+
+/// The always-resident per-cell table of a backend: slot width, true
+/// length of every cell, which cells were ever written, and the running
+/// total of stored bytes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CellIndex {
+    /// Slot width in bytes.
+    stride: usize,
+    /// Actual byte length of each cell (≤ `stride`).
+    lens: Vec<u32>,
+    /// Initialized-bitmap, one bit per cell.
+    init: Vec<u64>,
+    /// Sum of the lengths of the initialized cells.
+    stored: u64,
+}
+
+impl CellIndex {
+    /// `capacity` never-written cells at `stride`.
+    pub fn new(capacity: usize, stride: usize) -> Self {
+        Self::from_parts(stride, vec![0u32; capacity], vec![0u64; capacity.div_ceil(64)])
+    }
+
+    /// Adopts a decoded table (`init` holds one bit per entry of `lens`).
+    pub fn from_parts(stride: usize, lens: Vec<u32>, init: Vec<u64>) -> Self {
+        let mut index = Self { stride, lens, init, stored: 0 };
+        index.stored = (0..index.capacity())
+            .filter_map(|addr| index.len_of(addr))
+            .map(|len| len as u64)
+            .sum();
+        index
+    }
+
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.lens.len()
+    }
+
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Widens the slots; the caller re-lays out the payloads.
+    pub fn set_stride(&mut self, stride: usize) {
+        debug_assert!(stride >= self.stride, "stride only grows");
+        self.stride = stride;
+    }
+
+    /// Total bytes of initialized cell content (slack between a cell's
+    /// length and the stride is not counted).
+    #[inline]
+    pub fn stored_bytes(&self) -> u64 {
+        self.stored
+    }
+
+    /// The length of the cell at `addr`, or `None` if it was never
+    /// written.
+    ///
+    /// # Panics
+    /// Panics if `addr` is out of range.
+    #[inline]
+    pub fn len_of(&self, addr: usize) -> Option<usize> {
+        (self.init[addr >> 6] & (1 << (addr & 63)) != 0).then(|| self.lens[addr] as usize)
+    }
+
+    /// Marks the cell at `addr` written with `len` bytes.
+    #[inline]
+    pub fn record(&mut self, addr: usize, len: usize) {
+        debug_assert!(len <= self.stride, "cell longer than its slot");
+        self.stored = self.stored - self.len_of(addr).unwrap_or(0) as u64 + len as u64;
+        self.lens[addr] = len as u32;
+        self.init[addr >> 6] |= 1 << (addr & 63);
+    }
+
+    /// The length table, for snapshots.
+    pub fn lens(&self) -> &[u32] {
+        &self.lens
+    }
+
+    /// The initialized-bitmap words, for snapshots.
+    pub fn init_words(&self) -> &[u64] {
+        &self.init
+    }
+}
 
 /// Contiguous fixed-stride storage for optional variable-length cells.
 #[derive(Debug, Clone, Default)]
 pub struct CellStore {
     /// The arena: `capacity * stride` bytes, cell `i` at `i * stride`.
     data: Vec<u8>,
-    /// Actual byte length of each cell (≤ `stride`).
-    lens: Vec<u32>,
-    /// Initialized-bitmap, one bit per cell.
-    init: Vec<u64>,
-    /// Slot width in bytes.
-    stride: usize,
+    index: CellIndex,
 }
 
 impl CellStore {
@@ -55,47 +139,40 @@ impl CellStore {
     /// stride (avoids the first-write re-stride when the cell size is known
     /// up front).
     pub fn with_capacity_and_stride(capacity: usize, stride: usize) -> Self {
-        Self {
-            data: vec![0u8; capacity * stride],
-            lens: vec![0u32; capacity],
-            init: vec![0u64; capacity.div_ceil(64)],
-            stride,
-        }
+        Self { data: vec![0u8; capacity * stride], index: CellIndex::new(capacity, stride) }
     }
 
     /// Number of cell slots.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.lens.len()
+        self.index.capacity()
     }
 
     /// True if the store holds no slots.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.capacity() == 0
     }
 
     /// Current slot width in bytes.
     #[inline]
     pub fn stride(&self) -> usize {
-        self.stride
+        self.index.stride()
     }
 
     /// Whether the cell at `addr` has ever been written.
     #[inline]
     pub fn is_initialized(&self, addr: usize) -> bool {
-        self.init[addr >> 6] & (1 << (addr & 63)) != 0
+        self.index.len_of(addr).is_some()
     }
 
     /// The cell at `addr`, or `None` if it was never written. The returned
     /// slice borrows the arena directly: zero-copy.
     #[inline]
     pub fn get(&self, addr: usize) -> Option<&[u8]> {
-        if !self.is_initialized(addr) {
-            return None;
-        }
-        let start = addr * self.stride;
-        Some(&self.data[start..start + self.lens[addr] as usize])
+        let len = self.index.len_of(addr)?;
+        let start = addr * self.index.stride();
+        Some(&self.data[start..start + len])
     }
 
     /// Stores `bytes` at `addr`, marking the cell initialized. Grows the
@@ -107,37 +184,70 @@ impl CellStore {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn set(&mut self, addr: usize, bytes: &[u8]) {
-        assert!(addr < self.lens.len(), "cell address {addr} out of range");
-        if bytes.len() > self.stride {
+        assert!(addr < self.capacity(), "cell address {addr} out of range");
+        if bytes.len() > self.stride() {
             self.restride(bytes.len());
         }
-        let start = addr * self.stride;
+        let start = addr * self.stride();
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
-        self.lens[addr] = bytes.len() as u32;
-        self.init[addr >> 6] |= 1 << (addr & 63);
+        self.index.record(addr, bytes.len());
     }
 
     /// Total bytes of initialized cell content (the server-storage
     /// measure; slack between a cell's length and the stride is not
-    /// counted, matching the old per-cell model).
+    /// counted, matching the per-cell model).
     pub fn stored_bytes(&self) -> u64 {
-        (0..self.capacity())
-            .filter(|&a| self.is_initialized(a))
-            .map(|a| u64::from(self.lens[a]))
-            .sum()
+        self.index.stored_bytes()
     }
 
     fn restride(&mut self, new_stride: usize) {
+        let old_stride = self.stride();
         let mut data = vec![0u8; self.capacity() * new_stride];
         for addr in 0..self.capacity() {
-            let len = self.lens[addr] as usize;
+            let len = self.index.len_of(addr).unwrap_or(0);
             if len > 0 {
                 data[addr * new_stride..addr * new_stride + len]
-                    .copy_from_slice(&self.data[addr * self.stride..addr * self.stride + len]);
+                    .copy_from_slice(&self.data[addr * old_stride..addr * old_stride + len]);
             }
         }
         self.data = data;
-        self.stride = new_stride;
+        self.index.set_stride(new_stride);
+    }
+}
+
+/// The memory backend of [`SimServer`](crate::SimServer): nothing can
+/// fault, nothing is deferred, and `put` never allocates.
+impl CellBackend for CellStore {
+    fn capacity(&self) -> usize {
+        CellStore::capacity(self)
+    }
+
+    fn stride(&self) -> usize {
+        CellStore::stride(self)
+    }
+
+    fn stored_bytes(&self) -> u64 {
+        CellStore::stored_bytes(self)
+    }
+
+    fn reset(&mut self, capacity: usize, cells: Option<&[Vec<u8>]>) {
+        *self = cells.map_or_else(|| Self::with_capacity(capacity), Self::from_cells);
+    }
+
+    #[inline]
+    fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError> {
+        Ok(CellStore::get(self, addr))
+    }
+
+    #[inline]
+    fn put<'a>(
+        &mut self,
+        items: impl Iterator<Item = (usize, &'a [u8])>,
+    ) -> Result<(), ServerError> {
+        for (addr, cell) in items {
+            self.set(addr, cell);
+        }
+        Ok(())
     }
 }
 

@@ -18,6 +18,7 @@ use dps_crypto::merkle::{Digest, MerkleTree};
 
 use crate::server::{ServerError, SimServer};
 use crate::stats::CostStats;
+use crate::storage::Storage;
 
 /// Errors from verified storage operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,14 +3,16 @@
 //!
 //! Each program of batched reads, writes, XORs and combined accesses —
 //! including failing operations and the zero-copy variants — runs against
-//! three real implementations (the flat-arena [`SimServer`], the
-//! [`ShardedServer`], and the durable tempdir-backed [`DiskStore`]) and
-//! the reference oracle: the cells returned, the `CostStats` charged, and
-//! the recorded transcript must be byte-identical for all of them.
+//! the real implementations (the flat-arena [`SimServer`] and the durable
+//! tempdir-backed [`DiskStore`]: one model, [`Accounted`], over two
+//! backends) and the reference oracle: the cells returned, the `CostStats`
+//! charged, and the recorded transcript must be byte-identical for all of
+//! them. A last case substitutes a faulting backend to pin what the model
+//! charges when the backend, not the request, is at fault.
 
 use dps_server::{
-    AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, ShardedServer, SimServer, Storage,
-    SyncPolicy, Transcript, WorkerPool,
+    AccessEvent, Accounted, CellBackend, CellStore, CostStats, DiskOptions, DiskStore, ServerError,
+    SimServer, Storage, SyncPolicy, Transcript,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,8 +192,7 @@ fn duplicated(writes: &[(usize, u8)]) -> Vec<(usize, u8)> {
         .collect()
 }
 
-/// A duplicate-address batch wide enough (72 cells, every shard touched)
-/// for `ShardedServer`'s pooled fan-out: each address six times.
+/// A wide duplicate-address batch (72 cells): each address six times.
 fn wide_duplicates(addr: usize, byte: u8) -> Vec<(usize, u8)> {
     (0..6 * CAPACITY)
         .map(|i| ((addr + 5 * i) % CAPACITY, byte.wrapping_add(i as u8)))
@@ -375,17 +376,14 @@ impl Drop for TempDir {
     }
 }
 
-/// Runs the program against every real backend: the flat-arena server,
-/// the sharded server with its sequential and with its pooled fan-out
-/// path, and the durable disk store (fsync off — the crash
+/// Runs the program against every real backend: the flat-arena server
+/// and the durable disk store (fsync off — the crash
 /// suite owns durability; this suite owns observational equivalence). The
 /// disk store runs twice: once with its default cache budget and once
 /// with a budget of a few cells, so eviction, refill and group-commit
 /// pinning are all inside the equivalence check.
 fn run_all_backends(init_all: bool, ops: &[Op]) {
     run_program(&mut SimServer::new(), init_all, ops);
-    run_program(&mut ShardedServer::new(3), init_all, ops);
-    run_program(&mut ShardedServer::new(3).with_pool(WorkerPool::new(2)), init_all, ops);
     let tmp = TempDir::new();
     let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create disk store");
@@ -447,5 +445,144 @@ fn disk_store_reopens_into_reference_state() {
         let got = disk.read_batch(&[addr]).map(|mut v| v.pop().unwrap());
         let expected = reference.read_batch(&[addr]).map(|mut v| v.pop().unwrap());
         assert_eq!(got, expected, "cell {addr} diverged after reopen");
+    }
+}
+
+/// A memory backend whose `fail_at`-th backend call (`get` and `put`
+/// counted together, from 0) faults, and only that one.
+#[derive(Debug, Default)]
+struct FlakyBackend {
+    cells: CellStore,
+    calls: usize,
+    fail_at: usize,
+}
+
+impl FlakyBackend {
+    fn tick(&mut self) -> Result<(), ServerError> {
+        self.calls += 1;
+        if self.calls - 1 == self.fail_at {
+            return Err(ServerError::Interrupted);
+        }
+        Ok(())
+    }
+}
+
+impl CellBackend for FlakyBackend {
+    fn capacity(&self) -> usize {
+        self.cells.capacity()
+    }
+    fn stride(&self) -> usize {
+        self.cells.stride()
+    }
+    fn stored_bytes(&self) -> u64 {
+        self.cells.stored_bytes()
+    }
+    fn reset(&mut self, capacity: usize, cells: Option<&[Vec<u8>]>) {
+        CellBackend::reset(&mut self.cells, capacity, cells);
+    }
+    fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError> {
+        self.tick()?;
+        CellBackend::get(&mut self.cells, addr)
+    }
+    fn put<'a>(
+        &mut self,
+        items: impl Iterator<Item = (usize, &'a [u8])>,
+    ) -> Result<(), ServerError> {
+        self.tick()?;
+        self.cells.put(items)
+    }
+}
+
+/// Runs `op` through the `Storage` surface, returning what it downloaded.
+fn apply<S: Storage>(op: &Op, server: &mut S) -> Result<Vec<Vec<u8>>, ServerError> {
+    let w = |(a, b): &(usize, u8)| (*a, cell(*b, CELL_LEN));
+    match op {
+        Op::ReadBatch(addrs) | Op::ReadZeroCopy(addrs) => server.read_batch(addrs),
+        Op::ReadInto(addr) => server.read(*addr).map(|c| vec![c]),
+        Op::WriteBatch(writes) => server
+            .write_batch(writes.iter().map(w).collect())
+            .map(|()| Vec::new()),
+        Op::WriteStrided(writes) => {
+            let addrs: Vec<usize> = writes.iter().map(|&(a, _)| a).collect();
+            let flat: Vec<u8> = writes.iter().flat_map(|&(_, b)| cell(b, CELL_LEN)).collect();
+            server.write_batch_strided(&addrs, &flat).map(|()| Vec::new())
+        }
+        Op::WriteFrom(addr, byte) => server
+            .write_from(*addr, &cell(*byte, CELL_LEN))
+            .map(|()| Vec::new()),
+        Op::WriteOdd(addr, byte, len) => {
+            server.write(*addr, cell(*byte, *len)).map(|()| Vec::new())
+        }
+        Op::Access(reads, writes) => server.access_batch(reads, writes.iter().map(w).collect()),
+        Op::Xor(addrs) => server.xor_cells(addrs).map(|x| vec![x]),
+    }
+}
+
+/// The accounting rule when the *backend* faults, for a fault at every
+/// backend call of a fixed program: the failed call is charged exactly the
+/// cells it visited before the fault — no round trip, no transcript batch,
+/// no upload — stores nothing, and the server carries on as if the call
+/// had never been made. (What a `DiskStore` does on a poisoned cache miss.)
+#[test]
+fn a_backend_fault_charges_the_cells_visited_before_it_and_nothing_else() {
+    let program = [
+        Op::ReadBatch(vec![3, 0, 7]),
+        Op::WriteStrided(duplicated(&[(1, 9), (4, 2)])),
+        Op::Access(vec![1, 4], vec![(2, 5), (1, 6)]),
+        Op::Xor(vec![2, 1, 5]),
+        Op::WriteFrom(6, 3),
+        Op::WriteBatch(vec![(0, 1), (11, 2)]),
+        Op::ReadZeroCopy(vec![0, 11, 6]),
+    ];
+    let db: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
+    let every: Vec<usize> = (0..CAPACITY).collect();
+    let backend_calls = {
+        let mut never = Accounted::over(FlakyBackend { fail_at: usize::MAX, ..Default::default() });
+        never.init(db.clone());
+        program
+            .iter()
+            .for_each(|op| drop(apply(op, &mut never).unwrap()));
+        never.calls
+    };
+    assert_eq!(backend_calls, 15, "3 + 1 + (2 + 1) + 3 + 1 + 1 + 3 gets and puts");
+
+    for n in 0..backend_calls {
+        let mut flaky = Accounted::over(FlakyBackend { fail_at: n, ..Default::default() });
+        // The twin skips the call that faults; `partial` is what that call
+        // is allowed to leave behind.
+        let mut twin = SimServer::new();
+        let (mut partial, mut faults) = (CostStats::default(), 0);
+        flaky.init(db.clone());
+        twin.init(db.clone());
+        flaky.start_recording();
+        twin.start_recording();
+        for op in &program {
+            let (before, calls_before) = (flaky.stats(), flaky.calls);
+            match apply(op, &mut flaky) {
+                Err(ServerError::Interrupted) => {
+                    let visited = (n - calls_before) as u64;
+                    let expected = match op {
+                        Op::Xor(_) => CostStats { computed: visited, ..CostStats::default() },
+                        _ => CostStats {
+                            downloads: visited,
+                            bytes_down: visited * CELL_LEN as u64,
+                            ..CostStats::default()
+                        },
+                    };
+                    partial = flaky.stats().since(&before);
+                    faults += 1;
+                    assert_eq!(partial, expected, "fault {n} in {op:?}");
+                }
+                got => assert_eq!(got, apply(op, &mut twin), "fault {n}, {op:?}"),
+            }
+            assert_eq!(flaky.stats(), twin.stats().plus(&partial), "fault {n} after {op:?}");
+        }
+        assert_eq!(faults, 1, "fault {n} must fire exactly once");
+        assert_eq!(
+            flaky.take_transcript().canonical_encoding(),
+            twin.take_transcript().canonical_encoding(),
+            "fault {n}: the failed call left a transcript batch"
+        );
+        assert_eq!(flaky.read_batch(&every), twin.read_batch(&every), "fault {n}: cells diverged");
     }
 }

@@ -9,12 +9,12 @@
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig};
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::net::{NetDaemon, RemoteServer};
-use dp_storage::server::ShardedServer;
+use dp_storage::server::SimServer;
 
 fn main() {
-    // 1. Server side: a sharded storage daemon on a loopback port. In a
+    // 1. Server side: a storage daemon on a loopback port. In a
     //    real deployment this runs on the untrusted storage machine.
-    let daemon = NetDaemon::spawn(ShardedServer::new(4)).expect("bind loopback daemon");
+    let daemon = NetDaemon::spawn(SimServer::new()).expect("bind loopback daemon");
     println!("storage daemon listening on {}", daemon.local_addr());
 
     // 2. Client side: connect, and hand the connection to DP-RAM exactly

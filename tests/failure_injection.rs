@@ -10,7 +10,7 @@ use dp_storage::crypto::merkle::MerkleTree;
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::net::chaos::FaultStorage;
 use dp_storage::oram::{PathOram, PathOramConfig};
-use dp_storage::server::{ServerError, SimServer, VerifiedError, VerifiedServer};
+use dp_storage::server::{ServerError, SimServer, Storage, VerifiedError, VerifiedServer};
 use dp_storage::workloads::generators::database;
 
 const N: usize = 64;

@@ -8,7 +8,7 @@ use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig};
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig};
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::oram::{PathOram, PathOramConfig};
-use dp_storage::server::{AccessEvent, SimServer};
+use dp_storage::server::{AccessEvent, SimServer, Storage};
 use dp_storage::workloads::generators::database;
 
 /// Theorem 6.1: DP-RAM moves exactly 2 downloads + 1 upload per query at
