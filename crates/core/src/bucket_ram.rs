@@ -31,12 +31,25 @@
 //! of `bucket(o_1)‖…‖bucket(o_k)`. The queries still run in order against
 //! the downloaded snapshot; a cell an earlier query of the flight rewrote
 //! is read from the client's overlay, not from the stale snapshot, which
-//! extends the overlap rule above to cells in flight. `NOTES.md` has the
-//! argument and the precedence rule.
+//! extends the overlap rule above to cells in flight. `NOTES.md` entry 1
+//! has the argument and the precedence rule.
+//!
+//! The crypto follows the same grouping (`NOTES.md` entry 3): **plan → one
+//! download → one batch decrypt → execute → one batch encrypt → one upload →
+//! commit**. Which downloaded cells are decrypted — and so tag-verified —
+//! is decided by the plans before a byte arrives: the queried bucket's cells
+//! of every query that downloads its own bucket, and `bucket(o_j)` of every
+//! query whose stash coin came up. Only those ciphertexts are kept, back to
+//! back, and opened by one `decrypt_batch_to_slices` (8 cells per wide
+//! pass); the queries then read plaintext slices. Their uploads are
+//! collected as plaintext and sealed by one `encrypt_batch_with_nonces`
+//! under nonces drawn in upload order, which is the order a per-cell loop
+//! draws them in — so a seed produces the same ciphertexts either way.
+//! Set-up encrypts the initial cells through the same entry point.
 
 use std::collections::{HashMap, HashSet};
 
-use dps_crypto::{BlockCipher, ChaChaRng, CIPHERTEXT_OVERHEAD};
+use dps_crypto::{BlockCipher, ChaChaRng, CryptoError, CIPHERTEXT_OVERHEAD};
 use dps_server::{ServerError, SimServer, Storage};
 
 /// The typed per-bucket-query adversarial view.
@@ -103,37 +116,71 @@ struct QueryPlan {
     trace: BucketTrace,
 }
 
+/// One query's post-update bucket contents and its typed trace.
+pub type BucketQueryOutput = (Vec<Vec<u8>>, BucketTrace);
+
+/// The downloaded cells a flight reads — its decrypt set.
+#[derive(Debug, Default)]
+struct Snapshot {
+    /// Per download position, the slot of `ct` and `pt` that holds the
+    /// cell, or `None` for a cell nobody reads (a decoy download, or
+    /// `bucket(o_j)` about to be overwritten with the client's own
+    /// contents). A cell downloaded twice has two slots, both verified.
+    slot: Vec<Option<usize>>,
+    /// The decrypt set's ciphertexts, back to back in download order.
+    ct: Vec<u8>,
+    /// Their plaintexts, slot for slot.
+    pt: Vec<u8>,
+}
+
+impl Snapshot {
+    /// The decrypted cell at download position `at`, if it is in the
+    /// decrypt set.
+    fn cell(&self, at: usize, cell_size: usize) -> Option<&[u8]> {
+        let slot = self.slot[at]?;
+        Some(&self.pt[slot * cell_size..][..cell_size])
+    }
+}
+
+/// (cell id, query, position) of every plaintext a flight gave a cell, in
+/// order — the last entry of a cell is its latest. A flight is a handful of
+/// queries, so a scan beats hashing.
+#[derive(Debug, Default)]
+struct Overlay(Vec<(usize, usize, usize)>);
+
+impl Overlay {
+    /// Query `query` of the flight gave `cells`, in order, their plaintexts.
+    fn record(&mut self, query: usize, cells: &[usize]) {
+        let entries = cells.iter().enumerate();
+        self.0.extend(entries.map(|(i, &cell)| (cell, query, i)));
+    }
+
+    /// The latest plaintext the flight's finished queries gave `cell`.
+    fn latest<'a>(&self, cell: usize, done: &'a [BucketQueryOutput]) -> Option<&'a [u8]> {
+        let &(_, query, position) = self.0.iter().rev().find(|entry| entry.0 == cell)?;
+        Some(&done[query].0[position])
+    }
+}
+
 /// Buffers of one flight, kept on the client and reused across flights.
 #[derive(Debug, Default)]
 struct FlightScratch {
     plans: Vec<QueryPlan>,
     /// Download addresses: `bucket(d_1)‖bucket(o_1)‖…‖bucket(d_k)‖bucket(o_k)`.
     addrs: Vec<usize>,
-    /// The downloaded ciphertexts, back to back in `addrs` order.
-    ct: Vec<u8>,
-    /// Overlay: (cell id, query, position) of every plaintext this flight
-    /// gave a cell, in order — the last entry of a cell is its latest. A
-    /// flight is a handful of queries, so a scan beats hashing.
-    written: Vec<(usize, usize, usize)>,
+    snapshot: Snapshot,
+    overlay: Overlay,
     /// Upload addresses: `bucket(o_1)‖…‖bucket(o_k)`, duplicates kept.
     up_addrs: Vec<usize>,
-    /// The fresh ciphertexts, back to back in `up_addrs` order.
+    /// The upload's plaintexts, back to back in `up_addrs` order.
+    up_pt: Vec<u8>,
+    /// Their fresh ciphertexts, slot for slot.
     enc_flat: Vec<u8>,
-    /// Per-cell plaintext and ciphertext scratch.
-    pt: Vec<u8>,
-    enc_cell: Vec<u8>,
 }
 
-/// One query's post-update bucket contents and its typed trace.
-pub type BucketQueryOutput = (Vec<Vec<u8>>, BucketTrace);
-
-impl FlightScratch {
-    /// The latest plaintext the flight's finished queries gave `cell`.
-    fn latest<'a>(&self, cell: usize, done: &'a [BucketQueryOutput]) -> Option<&'a Vec<u8>> {
-        let &(_, query, position) = self.written.iter().rev().find(|entry| entry.0 == cell)?;
-        Some(&done[query].0[position])
-    }
-}
+/// Cells per batch-encrypt call at set-up: whole 8-cell groups, and a
+/// plaintext chunk that stays in cache.
+const SETUP_CHUNK: usize = 256;
 
 /// DP-RAM over a repertoire of (possibly overlapping) buckets of cells.
 #[derive(Debug)]
@@ -164,10 +211,28 @@ impl<S: Storage> BucketRam<S> {
         cells: Vec<Vec<u8>>,
         buckets: Vec<Vec<usize>>,
         stash_probability: f64,
+        server: S,
+        rng: &mut ChaChaRng,
+    ) -> Result<Self, BucketRamError> {
+        Self::setup_with(cells.len(), |i| &cells[i], buckets, stash_probability, server, rng)
+    }
+
+    /// [`BucketRam::setup`] over `count` cells read through `cell(i)`, so a
+    /// caller whose cells are all one value (DP-KVS's empty node) lends
+    /// that one value instead of building `count` copies of it.
+    ///
+    /// The coins are drawn in the order a per-cell loop draws them: the
+    /// cipher key, one nonce per cell in address order, then one stash coin
+    /// per bucket.
+    pub(crate) fn setup_with<'c>(
+        count: usize,
+        cell: impl Fn(usize) -> &'c [u8],
+        buckets: Vec<Vec<usize>>,
+        stash_probability: f64,
         mut server: S,
         rng: &mut ChaChaRng,
     ) -> Result<Self, BucketRamError> {
-        if cells.is_empty() {
+        if count == 0 {
             return Err(BucketRamError::InvalidConfig("need at least one cell".into()));
         }
         if buckets.is_empty() {
@@ -178,24 +243,36 @@ impl<S: Storage> BucketRam<S> {
                 "stash probability must be in [0, 1], got {stash_probability}"
             )));
         }
-        let cell_size = cells[0].len();
-        if cells.iter().any(|c| c.len() != cell_size) {
+        let cell_size = cell(0).len();
+        if (1..count).any(|i| cell(i).len() != cell_size) {
             return Err(BucketRamError::InvalidConfig("cells must have uniform size".into()));
         }
         for (b, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 return Err(BucketRamError::InvalidConfig(format!("bucket {b} is empty")));
             }
-            if bucket.iter().any(|&c| c >= cells.len()) {
+            if bucket.iter().any(|&c| c >= count) {
                 return Err(BucketRamError::InvalidConfig(format!(
-                    "bucket {b} references a cell beyond {}",
-                    cells.len()
+                    "bucket {b} references a cell beyond {count}"
                 )));
             }
         }
 
         let cipher = BlockCipher::generate(rng);
-        let encrypted: Vec<Vec<u8>> = cells.iter().map(|c| cipher.encrypt(c, rng).0).collect();
+        let ct_len = cell_size + CIPHERTEXT_OVERHEAD;
+        let mut encrypted = Vec::with_capacity(count);
+        let (mut plain, mut sealed) = (Vec::new(), Vec::new());
+        for start in (0..count).step_by(SETUP_CHUNK) {
+            let end = count.min(start + SETUP_CHUNK);
+            plain.clear();
+            for i in start..end {
+                plain.extend_from_slice(cell(i));
+            }
+            let nonces = rng.draw_nonces(end - start);
+            sealed.resize((end - start) * ct_len, 0);
+            cipher.encrypt_batch_with_nonces(&nonces, &plain, &mut sealed);
+            encrypted.extend(sealed.chunks_exact(ct_len).map(<[u8]>::to_vec));
+        }
         server.init(encrypted);
 
         let mut ram = Self {
@@ -214,7 +291,7 @@ impl<S: Storage> BucketRam<S> {
         for b in 0..ram.buckets.len() {
             if rng.gen_bool(stash_probability) {
                 let contents: Vec<Vec<u8>> =
-                    ram.buckets[b].iter().map(|&cell| cells[cell].clone()).collect();
+                    ram.buckets[b].iter().map(|&c| cell(c).to_vec()).collect();
                 ram.stash_bucket(b, &contents);
             }
         }
@@ -370,24 +447,35 @@ impl<S: Storage> BucketRam<S> {
                 .push(QueryPlan { stashed, stash, trace: BucketTrace { download, overwrite } });
         }
 
-        // ---- One download: both phases' cells of every query.
+        // ---- One download: both phases' cells of every query. The plans
+        // already say which of them will be read: a query that is not
+        // stashed reads its own downloaded bucket, a query that stashes
+        // refreshes bucket(o_j) from the server's copy.
+        let (cell_size, ct_len) = (self.cell_size, self.cell_size + CIPHERTEXT_OVERHEAD);
         s.addrs.clear();
+        let Snapshot { slot, ct, pt } = &mut s.snapshot;
+        slot.clear();
+        let mut opened = 0;
         for plan in &s.plans {
-            s.addrs.extend_from_slice(&self.buckets[plan.trace.download]);
-            s.addrs.extend_from_slice(&self.buckets[plan.trace.overwrite]);
+            let phases = [(plan.trace.download, !plan.stashed), (plan.trace.overwrite, plan.stash)];
+            for (bucket, read) in phases {
+                let cells = &self.buckets[bucket];
+                s.addrs.extend_from_slice(cells);
+                slot.extend((0..cells.len()).map(|i| read.then_some(opened + i)));
+                opened += if read { cells.len() } else { 0 };
+            }
         }
-        let ct_len = self.cell_size + CIPHERTEXT_OVERHEAD;
-        let ct = &mut s.ct;
-        ct.clear();
+        ct.resize(opened * ct_len, 0);
         let mut malformed = None;
         self.server.read_batch_with(&s.addrs, |i, cell| {
             if cell.len() != ct_len {
                 malformed.get_or_insert(i);
+            } else if let Some(slot) = slot[i] {
+                ct[slot * ct_len..][..ct_len].copy_from_slice(cell);
             }
-            ct.extend_from_slice(cell);
         })?;
         // An odd-length cell must surface as a crypto error, not skew the
-        // chunking of the snapshot and the upload's inferred stride.
+        // chunking of the batch and the upload's inferred stride.
         if let Some(i) = malformed {
             return Err(BucketRamError::Crypto(format!(
                 "cell {} has a malformed length (expected {ct_len} bytes)",
@@ -395,10 +483,17 @@ impl<S: Storage> BucketRam<S> {
             )));
         }
 
+        // ---- One batch decrypt: every cell of the decrypt set is
+        // tag-verified before the first update runs.
+        pt.resize(opened * cell_size, 0);
+        if let Err(e) = self.cipher.decrypt_batch_to_slices(ct, opened, pt) {
+            return Err(self.name_bad_cell(&s.addrs, &mut s.snapshot, e));
+        }
+
         // ---- Execute the queries in order against the snapshot.
-        s.written.clear();
+        s.overlay.0.clear();
         s.up_addrs.clear();
-        s.enc_flat.clear();
+        s.up_pt.clear();
         let mut done: Vec<BucketQueryOutput> = Vec::with_capacity(flight.len());
         let mut bad_update = None;
         let mut at = 0; // cell cursor into the snapshot
@@ -409,43 +504,45 @@ impl<S: Storage> BucketRam<S> {
             let refreshed = downloaded + self.buckets[plan.trace.download].len();
             at = refreshed + overwrite.len();
 
-            let mut contents = self.gather(bucket, plan.stashed, downloaded, s, &done)?;
+            let mut contents = self.gather(bucket, downloaded, s, &done);
             update(j, &mut contents);
             if contents.len() != self.buckets[bucket].len()
-                || contents.iter().any(|c| c.len() != self.cell_size)
+                || contents.iter().any(|c| c.len() != cell_size)
             {
                 bad_update.get_or_insert_with(|| {
                     BucketRamError::BadUpdate(format!(
-                        "update {j} must preserve bucket shape ({} cells of {} bytes)",
+                        "update {j} must preserve bucket shape ({} cells of {cell_size} bytes)",
                         self.buckets[bucket].len(),
-                        self.cell_size
                     ))
                 });
-                contents = self.gather(bucket, plan.stashed, downloaded, s, &done)?;
+                contents = self.gather(bucket, downloaded, s, &done);
             }
-            let cells = self.buckets[bucket].iter();
-            s.written
-                .extend(cells.enumerate().map(|(i, &cell)| (cell, j, i)));
+            s.overlay.record(j, &self.buckets[bucket]);
             done.push((contents, plan.trace));
 
-            // Overwrite phase: fresh ciphertexts for bucket(o_j).
+            // Overwrite phase: the plaintexts of bucket(o_j).
             for (i, &cell) in overwrite.iter().enumerate() {
                 let plain = if plan.stash {
                     // Decoy refresh: the server's current plaintext, which
                     // is the snapshot's unless this flight rewrote the cell.
-                    self.cipher
-                        .decrypt_into(&s.ct[(refreshed + i) * ct_len..][..ct_len], &mut s.pt)
-                        .map_err(|e| BucketRamError::Crypto(e.to_string()))?;
-                    s.latest(cell, &done).unwrap_or(&s.pt)
+                    s.overlay
+                        .latest(cell, &done)
+                        .or_else(|| s.snapshot.cell(refreshed + i, cell_size))
+                        .expect("a decoy refresh decrypts its cells")
                 } else {
                     // o_j is the queried bucket: write it back fresh.
                     &done[j].0[i]
                 };
-                self.cipher.encrypt_into(plain, &mut s.enc_cell, rng);
-                s.enc_flat.extend_from_slice(&s.enc_cell);
+                s.up_pt.extend_from_slice(plain);
             }
             s.up_addrs.extend_from_slice(overwrite);
         }
+
+        // ---- One batch encrypt, nonces in upload order.
+        let nonces = rng.draw_nonces(s.up_addrs.len());
+        s.enc_flat.resize(s.up_addrs.len() * ct_len, 0);
+        self.cipher
+            .encrypt_batch_with_nonces(&nonces, &s.up_pt, &mut s.enc_flat);
 
         // ---- One upload, then commit the stash changes: a failed request
         // returns above with the client state untouched.
@@ -476,33 +573,47 @@ impl<S: Storage> BucketRam<S> {
     /// flight. Per cell, in precedence order (Appendix E's overlap rule
     /// extended to a flight): the plaintext an earlier query of this flight
     /// gave it — which is also its client copy if the cell is stashed by
-    /// now — then the client's pre-flight copy, then the downloaded cell.
-    /// A bucket that is not stashed has its downloaded cells tag-verified
-    /// even where a client copy wins.
+    /// now — then the client's pre-flight copy, then the downloaded cell
+    /// at position `downloaded + i`. A bucket that is not stashed had its
+    /// downloaded cells tag-verified even where a client copy wins.
     fn gather(
         &self,
         bucket: usize,
-        stashed: bool,
         downloaded: usize,
         s: &FlightScratch,
         done: &[BucketQueryOutput],
-    ) -> Result<Vec<Vec<u8>>, BucketRamError> {
+    ) -> Vec<Vec<u8>> {
+        let cells = self.buckets[bucket].iter().enumerate();
+        cells
+            .map(|(i, cell)| {
+                s.overlay
+                    .latest(*cell, done)
+                    .or_else(|| self.cell_stash.get(cell).map(Vec::as_slice))
+                    .or_else(|| s.snapshot.cell(downloaded + i, self.cell_size))
+                    .expect("a stashed bucket's cells are client-held")
+                    .to_vec()
+            })
+            .collect()
+    }
+
+    /// The error of a failed batch decrypt, naming the server address of
+    /// the first cell in download order that does not open. The batch
+    /// reports only that some cell failed, so the decrypt set is rescanned
+    /// cell by cell — on this path only.
+    fn name_bad_cell(
+        &self,
+        addrs: &[usize],
+        snapshot: &mut Snapshot,
+        batch_error: CryptoError,
+    ) -> BucketRamError {
         let ct_len = self.cell_size + CIPHERTEXT_OVERHEAD;
-        let mut contents = Vec::with_capacity(self.buckets[bucket].len());
-        for (i, cell) in self.buckets[bucket].iter().enumerate() {
-            let mut plain = Vec::new();
-            if !stashed {
-                self.cipher
-                    .decrypt_into(&s.ct[(downloaded + i) * ct_len..][..ct_len], &mut plain)
-                    .map_err(|e| BucketRamError::Crypto(e.to_string()))?;
-            }
-            match s.latest(*cell, done).or_else(|| self.cell_stash.get(cell)) {
-                Some(copy) => plain.clone_from(copy),
-                None => assert!(!stashed, "a stashed bucket's cells are client-held"),
-            }
-            contents.push(plain);
-        }
-        Ok(contents)
+        let Snapshot { slot, ct, pt } = snapshot;
+        let read = addrs.iter().zip(slot.iter()).filter(|(_, slot)| slot.is_some());
+        let bad = ct.chunks_exact(ct_len).zip(read).find_map(|(cell, (addr, _))| {
+            let error = self.cipher.decrypt_to_slice(cell, pt).err()?;
+            Some(format!("cell {addr}: {error}"))
+        });
+        BucketRamError::Crypto(bad.unwrap_or_else(|| batch_error.to_string()))
     }
 }
 
@@ -651,5 +762,51 @@ mod tests {
         assert!(ram.stashed_bucket_count() >= 1);
         assert!(ram.stashed_cell_count() >= 3);
         assert!(ram.max_stashed_cells() >= ram.stashed_cell_count());
+    }
+
+    /// Both set-up entry points — owned cells and one lent cell — leave the
+    /// server, the stash and the RNG exactly where a per-cell loop does: the
+    /// cipher key, one nonce per cell in address order (across chunk
+    /// boundaries), then one stash coin per bucket.
+    #[test]
+    fn setup_draws_like_a_per_cell_loop() {
+        let count = 2 * SETUP_CHUNK + 88;
+        let node = vec![0x5Au8; 21];
+        let buckets: Vec<Vec<usize>> = (0..count / 3).map(|b| vec![b, b + 1, count - 1]).collect();
+        for p in [0.0, 0.02, 1.0] {
+            let mut rng = ChaChaRng::seed_from_u64(12);
+            let cipher = BlockCipher::generate(&mut rng);
+            let sealed: Vec<Vec<u8>> = (0..count)
+                .map(|_| {
+                    let mut nonce = dps_crypto::Nonce::default();
+                    rng.fill_bytes(&mut nonce);
+                    let mut cell = vec![0u8; node.len() + CIPHERTEXT_OVERHEAD];
+                    cipher.encrypt_with_nonce_into(&nonce, &node, &mut cell);
+                    cell
+                })
+                .collect();
+            let stashed: HashSet<usize> = (0..buckets.len()).filter(|_| rng.gen_bool(p)).collect();
+            let next = rng.next_u64();
+
+            let mut owned_rng = ChaChaRng::seed_from_u64(12);
+            let cells = vec![node.clone(); count];
+            let mut owned =
+                BucketRam::setup(cells, buckets.clone(), p, SimServer::new(), &mut owned_rng)
+                    .unwrap();
+            let mut lent_rng = ChaChaRng::seed_from_u64(12);
+            let server = SimServer::new();
+            let mut lent =
+                BucketRam::setup_with(count, |_| &node, buckets.clone(), p, server, &mut lent_rng)
+                    .unwrap();
+            for (ram, rng) in [(&mut owned, &mut owned_rng), (&mut lent, &mut lent_rng)] {
+                let addrs: Vec<usize> = (0..count).collect();
+                assert_eq!(ram.server.read_batch(&addrs).unwrap(), sealed, "p = {p}");
+                assert_eq!(ram.stashed_buckets, stashed, "p = {p}");
+                assert!(ram.cell_stash.values().all(|copy| copy == &node));
+                assert_eq!(rng.next_u64(), next, "p = {p}");
+            }
+            assert_eq!(owned.cell_stash, lent.cell_stash);
+            assert_eq!(owned.refcount, lent.refcount);
+        }
     }
 }

@@ -3,10 +3,10 @@
 //! invariants of the typed transcripts.
 
 use dps_analysis::stats::chi_square_two_sample;
-use dps_core::bucket_ram::{BucketRam, BucketTrace};
+use dps_core::bucket_ram::{BucketRam, BucketRamError, BucketTrace};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig};
-use dps_crypto::ChaChaRng;
+use dps_crypto::{BlockCipher, ChaChaRng};
 use dps_server::{AccessEvent, SimServer, Storage};
 use dps_workloads::Op;
 use proptest::prelude::*;
@@ -317,4 +317,152 @@ fn flight_and_sequential_queries_share_one_view_distribution() {
             assert!(!test.exceeds(3.09), "flight [{x}, {y}], stratum {stratum}: {test:?}");
         }
     }
+}
+
+/// Tamper sweep over a flight's decrypt set — the cells its plans say will
+/// be read: the downloaded bucket of every query that is not stashed, and
+/// `bucket(o_j)` of every query whose stash coin came up. The set is opened
+/// by one batch decrypt (8 cells per wide pass, then 4, then one by one), so
+/// for flights `[a, b, a, b]` over 5-cell buckets at `p = 0.5` (0 to 40
+/// cells) every download position is tried: a flipped bit in a server cell
+/// of the set fails the flight before anything is uploaded or the client
+/// changes, names the cell, and the flight succeeds once the cell is
+/// restored; a flipped bit in a cell the flight downloads only outside the
+/// set (a decoy) goes unnoticed, as it always did — batching neither widens
+/// nor narrows what is verified.
+///
+/// The set is derived here from the coins, replayed in the order set-up and
+/// the plan step draw them (NOTES entries 1 and 3).
+#[test]
+fn flight_verifies_exactly_its_decrypt_set() {
+    const P: f64 = 0.5;
+    // Root-to-leaf paths of a binary tree under a two-cell trunk: a bucket's
+    // last cell is its own, so late slots of the set hold fresh addresses.
+    let buckets: Vec<Vec<usize>> = (0..8).map(|i| vec![15, 14, 12 + i / 4, 8 + i / 2, i]).collect();
+    let cells: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 8]).collect();
+    let build = |seed: u64| {
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        let ram = BucketRam::setup(cells.clone(), buckets.clone(), P, SimServer::new(), &mut rng);
+        (ram.unwrap(), rng)
+    };
+
+    let mut lane_classes = [0u32; 3]; // first failing cell in an 8-group, the 4-group, the tail
+    let mut unnoticed = 0u32;
+    for seed in 0..32u64 {
+        let (a, b) = (seed as usize % 8, seed as usize / 4);
+        let flight = [a, b, a, b];
+        let run = |ram: &mut BucketRam, rng: &mut ChaChaRng| {
+            let update = |j: usize, contents: &mut Vec<Vec<u8>>| {
+                if j == 2 {
+                    contents[1] = vec![0xAB; 8];
+                }
+            };
+            ram.query_batch(&flight, update, rng)
+        };
+        // What a sequential run returns, and leaves behind.
+        let mut after = cells.clone();
+        after[buckets[a][1]] = vec![0xAB; 8];
+        let view = |model: &[Vec<u8>], bucket: usize| -> Vec<Vec<u8>> {
+            buckets[bucket].iter().map(|&c| model[c].clone()).collect()
+        };
+        let expected = [view(&cells, a), view(&cells, b), view(&after, a), view(&after, b)];
+        let check = |out: Vec<(Vec<Vec<u8>>, BucketTrace)>, ram: &mut BucketRam, rng: &mut _| {
+            for (j, (contents, _)) in out.iter().enumerate() {
+                assert_eq!(contents, &expected[j], "seed {seed}, query {j}");
+            }
+            let every: Vec<usize> = (0..buckets.len()).collect();
+            let all = ram.query_batch(&every, |_, _| {}, rng).unwrap();
+            for (bucket, (contents, _)) in all.iter().enumerate() {
+                assert_eq!(contents, &view(&after, bucket), "seed {seed}, bucket {bucket}");
+            }
+        };
+
+        // Replay the coins: cipher key, one nonce per cell, one stash coin
+        // per bucket; then Algorithm 3's draws for each query of the flight.
+        let mut coins = ChaChaRng::seed_from_u64(seed);
+        BlockCipher::generate(&mut coins);
+        coins.draw_nonces(cells.len());
+        let stashed_at_setup: Vec<bool> = buckets.iter().map(|_| coins.gen_bool(P)).collect();
+        let mut plans: Vec<(bool, bool, BucketTrace)> = Vec::new();
+        for (j, &bucket) in flight.iter().enumerate() {
+            let stashed = match flight[..j].iter().rposition(|&earlier| earlier == bucket) {
+                Some(i) => plans[i].1,
+                None => stashed_at_setup[bucket],
+            };
+            let download = if stashed { coins.gen_index(buckets.len()) } else { bucket };
+            let stash = coins.gen_bool(P);
+            let overwrite = if stash { coins.gen_index(buckets.len()) } else { bucket };
+            plans.push((stashed, stash, BucketTrace { download, overwrite }));
+        }
+        // (server address, in the decrypt set) per download position.
+        let mut snapshot: Vec<(usize, bool)> = Vec::new();
+        for &(stashed, stash, trace) in &plans {
+            snapshot.extend(buckets[trace.download].iter().map(|&c| (c, !stashed)));
+            snapshot.extend(buckets[trace.overwrite].iter().map(|&c| (c, stash)));
+        }
+        let opened = snapshot.iter().filter(|&&(_, read)| read).count();
+
+        let (mut ram, mut rng) = build(seed);
+        let out = run(&mut ram, &mut rng).unwrap();
+        let traces: Vec<BucketTrace> = out.iter().map(|(_, trace)| *trace).collect();
+        let replayed: Vec<BucketTrace> = plans.iter().map(|&(_, _, trace)| trace).collect();
+        assert_eq!(traces, replayed, "seed {seed}: the replayed coins are the flight's");
+        check(out, &mut ram, &mut rng);
+
+        for (at, &(addr, _)) in snapshot.iter().enumerate() {
+            let (mut ram, mut rng) = build(seed);
+            let good = ram.server_mut().read(addr).unwrap();
+            let mut bad = good.clone();
+            bad[at % good.len()] ^= 1 << (at % 8);
+            ram.server_mut().write(addr, bad.clone()).unwrap();
+            let before = ram.server_stats();
+            let client = (ram.stashed_bucket_count(), ram.stashed_cell_count());
+
+            // The batch fails at the first slot of the set holding `addr`.
+            let first_slot = snapshot
+                .iter()
+                .filter(|&&(_, read)| read)
+                .position(|&(cell, _)| cell == addr);
+            let Some(slot) = first_slot else {
+                let out = run(&mut ram, &mut rng).unwrap();
+                // A decoy stays as it was; a written-back cell was replaced.
+                if ram.server_mut().read(addr).unwrap() == bad {
+                    ram.server_mut().write(addr, good).unwrap();
+                }
+                check(out, &mut ram, &mut rng);
+                unnoticed += 1;
+                continue;
+            };
+            let lane_class = match slot {
+                _ if slot < opened / 8 * 8 => 0,
+                _ if slot < opened / 4 * 4 => 1,
+                _ => 2,
+            };
+            lane_classes[lane_class] += 1;
+            match run(&mut ram, &mut rng) {
+                Err(BucketRamError::Crypto(message)) => assert!(
+                    message.starts_with(&format!("cell {addr}: ")),
+                    "seed {seed}, position {at}: {message}"
+                ),
+                other => {
+                    panic!("seed {seed}, position {at}: expected a crypto error, got {other:?}")
+                }
+            }
+            let moved = ram.server_stats().since(&before);
+            assert_eq!(
+                (moved.downloads, moved.uploads, moved.round_trips),
+                (snapshot.len() as u64, 0, 1),
+                "seed {seed}, position {at}"
+            );
+            assert_eq!(
+                (ram.stashed_bucket_count(), ram.stashed_cell_count()),
+                client,
+                "seed {seed}, position {at}: a failed flight must leave the stash alone"
+            );
+            ram.server_mut().write(addr, good).unwrap();
+            check(run(&mut ram, &mut rng).unwrap(), &mut ram, &mut rng);
+        }
+    }
+    assert!(lane_classes.iter().all(|&hits| hits > 20), "lane classes hit: {lane_classes:?}");
+    assert!(unnoticed > 20, "decoy-only positions tried: {unnoticed}");
 }

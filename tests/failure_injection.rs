@@ -83,6 +83,34 @@ fn dp_kvs_detects_corrupted_node() {
     assert!(kvs.get(42, &mut rng).is_err(), "corrupted nodes must not decrypt");
 }
 
+/// The crypto error names the corrupted cell by its server address — the
+/// first bad one in download order when there are several. With `p = 0`
+/// nothing is ever stashed, so a `get` downloads the key's own two paths,
+/// first path first.
+#[test]
+fn dp_kvs_names_the_corrupted_node() {
+    let mut rng = ChaChaRng::seed_from_u64(4);
+    let config = DpKvsConfig { stash_probability: 0.0, ..DpKvsConfig::recommended(N, 8) };
+    let mut kvs = DpKvs::setup(config, SimServer::new(), &mut rng).unwrap();
+    kvs.put(42, vec![7u8; 8], &mut rng).unwrap();
+    let (a, b) = kvs.buckets_for(42);
+    assert_ne!(a, b, "pick a key with two distinct paths");
+    let geometry = kvs.config().geometry;
+    // One node of the first path, and the leaf of the second.
+    let (first, second) = (geometry.bucket_path(a)[1], geometry.bucket_path(b)[0]);
+    for addr in [second, first] {
+        let mut bad = kvs.server_mut().read(addr).unwrap();
+        bad[20] ^= 0x10;
+        kvs.server_mut().write(addr, bad).unwrap();
+    }
+    match kvs.get(42, &mut rng) {
+        Err(DpKvsError::Ram(BucketRamError::Crypto(message))) => {
+            assert_eq!(message, format!("cell {first}: ciphertext integrity tag mismatch"));
+        }
+        other => panic!("corruption must be a crypto error, got {other:?}"),
+    }
+}
+
 /// The verified server catches an adversary that rewrites both the cells
 /// and the (untrusted) Merkle tree.
 #[test]
