@@ -41,7 +41,8 @@ use dps_core::dp_ram::{DpRam, DpRamConfig};
 use dps_core::dp_ram_ro::DpRamReadOnly;
 use dps_crypto::{BlockCipher, ChaChaRng, CIPHERTEXT_OVERHEAD};
 use dps_net::{
-    ChaosConfig, ChaosProxy, NetDaemon, ReconnectPolicy, RemoteError, RemoteServer, Timeouts,
+    ChaosConfig, ChaosProxy, NetDaemon, ReconnectPolicy, RemoteError, RemoteServer, Request,
+    Timeouts,
 };
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
@@ -198,8 +199,12 @@ fn net_load(
                                 remote.try_read_batch(&[q.index]).expect("load read");
                             }
                             Op::Write => loop {
-                                match remote.try_write_batch(vec![(q.index, payload.clone())]) {
-                                    Ok(()) => break,
+                                let upload = Request::WriteBatchStrided {
+                                    addrs: vec![q.index],
+                                    flat: payload.clone(),
+                                };
+                                match remote.request(&upload) {
+                                    Ok(_) => break,
                                     // A reset caught the write in flight:
                                     // ambiguous on a real system, safe to
                                     // re-issue for idempotent overwrites.

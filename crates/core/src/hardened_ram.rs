@@ -258,30 +258,33 @@ impl HardenedDpRam {
         debug_assert!((op == Op::Write) == new_value.is_some());
 
         // ---- Download phase ----
-        let mut current;
+        // The stash is only peeked: it changes at the commit below, once
+        // the upload has succeeded, so a request that fails (a Merkle
+        // violation, say) leaves the client holding what it held before.
+        let stashed = self.stash.contains_key(&index);
         let download;
-        if let Some(stashed) = self.stash.remove(&index) {
+        if stashed {
             // Decoy download: verified, then discarded without copying.
             download = rng.gen_index(self.config.n);
             self.server
                 .read_batch_with(&[download], |_, _| {})
                 .map_err(HardenedRamError::from_verified)?;
-            current = stashed;
         } else {
             download = index;
             self.fetch_cell(download)
                 .map_err(HardenedRamError::from_verified)?;
             self.open_scratch(download)?;
-            current = self.cell_scratch.clone();
         }
-        if let Some(v) = new_value {
-            current = v;
-        }
+        let current = match (new_value, self.stash.get(&index)) {
+            (Some(value), _) => value,
+            (None, Some(held)) => held.clone(),
+            (None, None) => self.cell_scratch.clone(),
+        };
 
         // ---- Overwrite phase ----
+        let stash = rng.gen_bool(self.config.stash_probability);
         let overwrite;
-        if rng.gen_bool(self.config.stash_probability) {
-            self.stash.insert(index, current.clone());
+        if stash {
             overwrite = rng.gen_index(self.config.n);
             self.fetch_cell(overwrite)
                 .map_err(HardenedRamError::from_verified)?;
@@ -292,9 +295,6 @@ impl HardenedDpRam {
                 &mut self.enc_scratch,
                 rng,
             );
-            self.server
-                .write_from(overwrite, &self.enc_scratch)
-                .map_err(HardenedRamError::from_verified)?;
         } else {
             overwrite = index;
             self.server
@@ -302,9 +302,16 @@ impl HardenedDpRam {
                 .map_err(HardenedRamError::from_verified)?;
             self.cipher
                 .seal_into(&address_aad(overwrite, 0), &current, &mut self.enc_scratch, rng);
-            self.server
-                .write_from(overwrite, &self.enc_scratch)
-                .map_err(HardenedRamError::from_verified)?;
+        }
+        self.server
+            .write_from(overwrite, &self.enc_scratch)
+            .map_err(HardenedRamError::from_verified)?;
+
+        // ---- Commit ----
+        if stash {
+            self.stash.insert(index, current.clone());
+        } else if stashed {
+            self.stash.remove(&index);
         }
 
         Ok((current, RamQueryTrace { download, overwrite }))

@@ -463,8 +463,9 @@ fn debit_fatal(shared: &Shared) -> bool {
 }
 
 /// A [`Storage`] wrapper injecting seeded [`ServerError::Interrupted`]
-/// failures on the fallible operations, *without* executing them — the
-/// model-level twin of [`ChaosProxy`] (see the [module docs](self)).
+/// failures on the three data primitives, *without* executing them — the
+/// model-level twin of [`ChaosProxy`] (see the [module docs](self)): one
+/// coin per round trip, whichever provided spelling the caller used.
 /// Infallible surface methods (capacity, stats, recording control)
 /// always pass through.
 #[derive(Debug)]
@@ -545,10 +546,6 @@ impl<S: Storage> Storage for FaultStorage<S> {
         self.inner.take_transcript()
     }
 
-    fn is_recording(&self) -> bool {
-        self.inner.is_recording()
-    }
-
     fn stats(&self) -> CostStats {
         self.inner.stats()
     }
@@ -572,28 +569,12 @@ impl<S: Storage> Storage for FaultStorage<S> {
         self.inner.read_batch_with(addrs, visit)
     }
 
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        self.trip()?;
-        self.inner.write_batch(writes)
-    }
-
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        self.trip()?;
-        self.inner.write_from(addr, cell)
-    }
-
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        self.trip()?;
-        self.inner.write_batch_strided(addrs, flat)
-    }
-
-    fn access_batch(
+    fn write_cells<'a>(
         &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
+        cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    ) -> Result<(), ServerError> {
         self.trip()?;
-        self.inner.access_batch(reads, writes)
+        self.inner.write_cells(cells)
     }
 
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
@@ -653,5 +634,41 @@ mod tests {
                 .expect("disarmed wrapper must pass everything");
         }
         assert_eq!(c.injected(), 0);
+    }
+
+    /// One coin per round trip, whichever spelling asked for it: every
+    /// provided method reaches the wrapper as one primitive call.
+    #[test]
+    fn every_spelling_draws_exactly_one_coin() {
+        let mut inner = dps_server::SimServer::default();
+        inner.init(vec![vec![1u8; 4]; 8]);
+        let mut s = FaultStorage::new(inner, 7, 1000);
+        let mut scratch = [0u8; 8];
+        let cut = Err(ServerError::Interrupted);
+        let mut injected = 0;
+        let mut one_more = |s: &FaultStorage<_>, what: &str| {
+            injected += 1;
+            assert_eq!(s.injected(), injected, "{what} must draw exactly one coin");
+        };
+        assert_eq!(s.write(1, vec![2; 4]), cut);
+        one_more(&s, "write");
+        assert_eq!(s.write_from(1, &[2; 4]), cut);
+        one_more(&s, "write_from");
+        assert_eq!(s.write_batch(vec![(1, vec![2; 4]), (2, vec![2; 4])]), cut);
+        one_more(&s, "write_batch");
+        assert_eq!(s.write_batch_strided(&[1, 2], &[2; 8]), cut);
+        one_more(&s, "write_batch_strided");
+        assert_eq!(s.read(1), Err(ServerError::Interrupted));
+        one_more(&s, "read");
+        assert_eq!(s.read_batch(&[1, 2]), Err(ServerError::Interrupted));
+        one_more(&s, "read_batch");
+        assert_eq!(s.read_batch_strided(&[1, 2], &mut scratch), cut);
+        one_more(&s, "read_batch_strided");
+        assert_eq!(s.xor_cells(&[1, 2]), Err(ServerError::Interrupted));
+        one_more(&s, "xor_cells");
+        // Nothing was executed: no charge, and the cells are as initialized.
+        s.set_armed(false);
+        assert_eq!(s.stats(), CostStats::default());
+        assert_eq!(s.read_batch(&[1, 2]).unwrap(), vec![vec![1u8; 4]; 2]);
     }
 }

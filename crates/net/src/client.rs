@@ -4,11 +4,14 @@
 //! connection and implements [`Storage`], so every scheme in this
 //! workspace runs against a network daemon with zero call-site changes —
 //! `DpRam::setup(cfg, &db, RemoteServer::connect(addr)?, &mut rng)` is the
-//! whole migration. Each `Storage` method is exactly one framed
-//! request/response exchange; in particular the batch hot paths
-//! (`read_batch_with`, `write_batch_strided`, `xor_cells_into`,
-//! `access_batch`) stay single round trips no matter the batch size, so
+//! whole migration. Each required `Storage` method is exactly one framed
+//! request/response exchange, written once in the `impl Storage` below; in
+//! particular the three data primitives (`read_batch_with`, `write_cells`,
+//! `xor_cells_into`) stay single round trips no matter the batch size, so
 //! the paper's round-trip accounting carries over to the wire unchanged.
+//! An upload travels as `WriteBatchStrided` when its cells have one
+//! length — every scheme's do — and as `WriteBatch` otherwise: the frame
+//! follows from the cells, never from the spelling the caller used.
 //!
 //! # Pipelining
 //!
@@ -37,7 +40,7 @@
 //! gone, the stream cut mid-frame, a deadline expired — is infrastructure
 //! failure with the application state unknown, which is what
 //! [`ServerError::Interrupted`] means: the fallible `Storage` methods
-//! (the six data operations) return it, so a daemon restart fails the
+//! (the three data primitives) return it, so a daemon restart fails the
 //! scheme's current operation instead of aborting the process, and the
 //! scheme's client state is untouched and the operation retryable once a
 //! connection is back (see NOTES.md, entry 1). *Protocol violations* — a
@@ -46,11 +49,13 @@
 //! trait surface panics on them. So do the metadata methods with
 //! infallible signatures (`init`, `capacity`, `stats`, …) on any wire
 //! failure. Callers that need to observe transport faults in full (tests,
-//! reconnect logic) use the fallible inherent surface instead: every
-//! `Storage` method has a `try_*` twin returning [`RemoteError`], with
-//! wire-level misbehavior surfaced typed
-//! ([`WireError::CellCountMismatch`], [`WireError::UnknownRequestId`], …)
-//! instead of panicking.
+//! reconnect logic) use the typed inherent surface instead —
+//! [`RemoteServer::request`] / [`RemoteServer::try_call`] for any
+//! [`Request`], [`RemoteServer::submit`] / [`RemoteServer::wait`] to
+//! pipeline, [`RemoteServer::try_read_batch_with`] for the download with
+//! its cell-count check — which returns [`RemoteError`], wire-level
+//! misbehavior included ([`WireError::CellCountMismatch`],
+//! [`WireError::UnknownRequestId`], …), instead of panicking.
 //!
 //! # Resilience
 //!
@@ -241,24 +246,31 @@ struct Pending {
 
 /// Whether blindly re-executing `request` cannot change server state or
 /// the caller-observable outcome — the requests a reconnect may replay.
-/// Deliberately strict: writes, inits, recording toggles, transcript
-/// takes, stat resets and combined access batches all mutate something,
-/// so they are excluded even where a replay would *often* be harmless.
-/// (Replaying a read does still advance the server's cost counters and
-/// any active transcript; callers comparing those across a faulty run
-/// must treat them as monotone rather than exact.)
+/// Deliberately strict: uploads, inits, recording toggles, transcript
+/// takes and stat resets all mutate something, so they are excluded even
+/// where a replay would *often* be harmless. (Replaying a read does still
+/// advance the server's cost counters and any active transcript; callers
+/// comparing those across a faulty run must treat them as monotone rather
+/// than exact.) Exhaustive, so a new request cannot be added without
+/// deciding which side it is on.
 fn idempotent(request: &Request) -> bool {
-    matches!(
-        request,
+    match request {
         Request::Ping
-            | Request::Capacity
-            | Request::StoredBytes
-            | Request::CellStride
-            | Request::IsRecording
-            | Request::Stats
-            | Request::ReadBatch { .. }
-            | Request::XorCells { .. }
-    )
+        | Request::Capacity
+        | Request::StoredBytes
+        | Request::CellStride
+        | Request::Stats
+        | Request::ReadBatch { .. }
+        | Request::XorCells { .. } => true,
+        Request::Init { .. }
+        | Request::InitChunk { .. }
+        | Request::InitEmpty { .. }
+        | Request::StartRecording
+        | Request::TakeTranscript
+        | Request::ResetStats
+        | Request::WriteBatch { .. }
+        | Request::WriteBatchStrided { .. } => false,
+    }
 }
 
 /// A [`Storage`] backend living on the far side of a TCP connection.
@@ -452,7 +464,7 @@ impl RemoteServer {
     pub fn ping(&self) -> Result<(), RemoteError> {
         match self.request(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -713,29 +725,22 @@ impl RemoteServer {
     fn expect_ok(&self, request: &Request) -> Result<(), RemoteError> {
         match self.request(request)? {
             Response::Ok => Ok(()),
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
+            other => Err(unexpected(&other)),
         }
     }
 
     fn expect_number(&self, request: &Request) -> Result<u64, RemoteError> {
         match self.request(request)? {
             Response::Number(v) => Ok(v),
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
+            other => Err(unexpected(&other)),
         }
     }
 
-    // ---- fallible Storage surface --------------------------------------
-    //
-    // One `try_*` twin per `Storage` method: identical exchanges and
-    // semantics, but every wire-level failure comes back as a typed
-    // `RemoteError`. The `Storage` impl below is a thin adapter over
-    // these (see `model`).
-
-    /// Fallible [`Storage::init`]: one `Init` frame for small databases;
-    /// above the chunking threshold the cells stream as `InitChunk`
-    /// frames so setup never hits the [`crate::wire::MAX_FRAME`] cap,
-    /// whatever the database size.
-    pub fn try_init(&self, cells: Vec<Vec<u8>>) -> Result<(), RemoteError> {
+    /// [`Storage::init`] as frames: one `Init` for small databases; above
+    /// the chunking threshold the cells stream as `InitChunk` frames so
+    /// setup never hits the [`crate::wire::MAX_FRAME`] cap, whatever the
+    /// database size.
+    fn send_init(&self, cells: Vec<Vec<u8>>) -> Result<(), RemoteError> {
         let encoded: usize = cells.iter().map(|c| c.len() + 8).sum::<usize>() + 16;
         if cells.is_empty() || encoded <= self.init_chunk_bytes {
             return self.expect_ok(&Request::Init { cells });
@@ -759,239 +764,123 @@ impl RemoteServer {
         Ok(())
     }
 
-    /// Fallible [`Storage::init_empty`].
-    pub fn try_init_empty(&self, capacity: usize) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::InitEmpty { capacity })
-    }
-
-    /// Fallible [`Storage::capacity`].
-    pub fn try_capacity(&self) -> Result<usize, RemoteError> {
-        Ok(self.expect_number(&Request::Capacity)? as usize)
-    }
-
-    /// Fallible [`Storage::stored_bytes`].
-    pub fn try_stored_bytes(&self) -> Result<u64, RemoteError> {
-        self.expect_number(&Request::StoredBytes)
-    }
-
-    /// Fallible [`Storage::cell_stride`].
-    pub fn try_cell_stride(&self) -> Result<usize, RemoteError> {
-        Ok(self.expect_number(&Request::CellStride)? as usize)
-    }
-
-    /// Fallible [`Storage::start_recording`].
-    pub fn try_start_recording(&self) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::StartRecording)
-    }
-
-    /// Fallible [`Storage::take_transcript`].
-    pub fn try_take_transcript(&self) -> Result<Transcript, RemoteError> {
-        match self.request(&Request::TakeTranscript)? {
-            Response::TranscriptData(t) => Ok(t),
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
-        }
-    }
-
-    /// Fallible [`Storage::is_recording`].
-    pub fn try_is_recording(&self) -> Result<bool, RemoteError> {
-        match self.request(&Request::IsRecording)? {
-            Response::Flag(b) => Ok(b),
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
-        }
-    }
-
-    /// Fallible [`Storage::stats`]: server-side model counters plus this
-    /// client's wire counters (the stats exchange itself included).
-    pub fn try_stats(&self) -> Result<CostStats, RemoteError> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(s) => Ok(s.plus(&self.wire_stats())),
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
-        }
-    }
-
-    /// Fallible [`Storage::reset_stats`]. Wire counters restart *after*
-    /// the reset exchange, so they count exchanges since the reset —
-    /// mirroring the server-side counters.
-    pub fn try_reset_stats(&self) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::ResetStats)?;
-        self.wire_round_trips.set(0);
-        self.wire_bytes_up.set(0);
-        self.wire_bytes_down.set(0);
-        self.wire_inflight_max.set(0);
-        self.wire_reconnects.set(0);
-        Ok(())
-    }
-
-    /// Fallible [`Storage::read_batch_with`]. A response with the wrong
-    /// cell count comes back as [`WireError::CellCountMismatch`]; cells
-    /// visited before the count is known stay visited, so on error the
-    /// callback may already have observed a prefix.
+    /// The download hot path with its failures typed: a response with the
+    /// wrong cell count comes back as [`WireError::CellCountMismatch`];
+    /// cells visited before the count is known stay visited, so on error
+    /// the callback may already have observed a prefix.
     pub fn try_read_batch_with(
         &self,
         addrs: &[usize],
         mut visit: impl FnMut(usize, &[u8]),
     ) -> Result<(), RemoteError> {
         let payload = self.try_call(&Request::ReadBatch { addrs: addrs.to_vec() })?;
-        // Hot path: hand out slices borrowed from the one response
-        // buffer. The count check keeps the Storage contract honest (one
-        // visit per requested address, in order) even against a
-        // non-conforming peer — a broken wire must never silently
-        // fabricate or skip cells.
+        // Hand out slices borrowed from the one response buffer. The count
+        // check keeps the Storage contract honest (one visit per requested
+        // address, in order) even against a non-conforming peer — a broken
+        // wire must never silently fabricate or skip cells.
         let mut got = 0usize;
         let was_cells = visit_cells(&payload, |i, cell| {
             got += 1;
             if i < addrs.len() {
                 visit(i, cell);
             }
-        })
-        .map_err(RemoteError::from)?;
+        })?;
         if was_cells {
             if got != addrs.len() {
                 return Err(WireError::CellCountMismatch { got, expected: addrs.len() }.into());
             }
             return Ok(());
         }
-        match Response::decode(&payload).map_err(RemoteError::from)? {
+        match Response::decode(&payload)? {
             Response::Fail(e) => Err(RemoteError::Server(e)),
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
+            other => Err(unexpected(&other)),
         }
     }
 
-    /// Fallible [`Storage::read_batch`].
+    /// [`RemoteServer::try_read_batch_with`], owning copies.
     pub fn try_read_batch(&self, addrs: &[usize]) -> Result<Vec<Vec<u8>>, RemoteError> {
         let mut out = Vec::with_capacity(addrs.len());
         self.try_read_batch_with(addrs, |_, cell| out.push(cell.to_vec()))?;
         Ok(out)
     }
-
-    /// Fallible [`Storage::write_batch`].
-    pub fn try_write_batch(&self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::WriteBatch { writes })
-    }
-
-    /// Fallible [`Storage::write_from`].
-    pub fn try_write_from(&self, addr: usize, cell: &[u8]) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::WriteFrom { addr, cell: cell.to_vec() })
-    }
-
-    /// Fallible [`Storage::write_batch_strided`]. The caller contract the
-    /// in-process API asserts (flat length a multiple of the cell count)
-    /// comes back as a typed error here instead of a panic.
-    pub fn try_write_batch_strided(&self, addrs: &[usize], flat: &[u8]) -> Result<(), RemoteError> {
-        if addrs.is_empty() {
-            if !flat.is_empty() {
-                return Err(WireError::BadPayload("flat bytes without addresses").into());
-            }
-        } else if !flat.len().is_multiple_of(addrs.len()) {
-            return Err(WireError::BadPayload("flat length not a multiple of cell count").into());
-        }
-        self.expect_ok(&Request::WriteBatchStrided { addrs: addrs.to_vec(), flat: flat.to_vec() })
-    }
-
-    /// Fallible [`Storage::access_batch`]. A response with the wrong cell
-    /// count comes back as [`WireError::CellCountMismatch`].
-    pub fn try_access_batch(
-        &self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, RemoteError> {
-        match self.request(&Request::AccessBatch { reads: reads.to_vec(), writes })? {
-            Response::Cells(cells) => {
-                if cells.len() != reads.len() {
-                    return Err(WireError::CellCountMismatch {
-                        got: cells.len(),
-                        expected: reads.len(),
-                    }
-                    .into());
-                }
-                Ok(cells)
-            }
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
-        }
-    }
-
-    /// Fallible [`Storage::xor_cells_into`].
-    pub fn try_xor_cells_into(
-        &self,
-        addrs: &[usize],
-        acc: &mut Vec<u8>,
-    ) -> Result<(), RemoteError> {
-        match self.request(&Request::XorCells { addrs: addrs.to_vec() })? {
-            Response::Bytes(bytes) => {
-                acc.clear();
-                acc.extend_from_slice(&bytes);
-                Ok(())
-            }
-            other => Err(WireError::BadPayload(unexpected(&other)).into()),
-        }
-    }
-
-    /// Fallible [`Storage::xor_cells`].
-    pub fn try_xor_cells(&self, addrs: &[usize]) -> Result<Vec<u8>, RemoteError> {
-        let mut acc = Vec::new();
-        self.try_xor_cells_into(addrs, &mut acc)?;
-        Ok(acc)
-    }
 }
 
-/// A static description for "the response kind was wrong" errors —
-/// `WireError::BadPayload` carries `&'static str` to stay `Copy`-cheap.
-fn unexpected(response: &Response) -> &'static str {
-    match response {
+/// "The response kind was wrong": a protocol violation.
+fn unexpected(response: &Response) -> RemoteError {
+    WireError::BadPayload(match response {
         Response::Ok => "unexpected Ok response",
         Response::Pong => "unexpected Pong response",
         Response::Number(_) => "unexpected Number response",
-        Response::Flag(_) => "unexpected Flag response",
         Response::Stats(_) => "unexpected Stats response",
         Response::TranscriptData(_) => "unexpected Transcript response",
         Response::Cells(_) => "unexpected Cells response",
         Response::Bytes(_) => "unexpected Bytes response",
         Response::Fail(_) => "unexpected Fail response",
-    }
+    })
+    .into()
 }
 
+/// A set-up or bookkeeping exchange on the `Storage` surface, whose
+/// signature has no error to return: any failure panics (module docs).
+fn infallible<T>(what: &str, result: Result<T, RemoteError>) -> T {
+    model(result).unwrap_or_else(|e| panic!("{what} is infallible: {e}"))
+}
+
+/// Each method is one framed exchange, mapped through [`model`].
 impl Storage for RemoteServer {
-    /// See [`RemoteServer::try_init`]; init is uncharged setup either way
-    /// — model stats and transcript are untouched; only the wire counters
-    /// see the extra frames.
+    /// Uncharged setup however many frames it takes: model stats and
+    /// transcript are untouched; only the wire counters see the frames.
     fn init(&mut self, cells: Vec<Vec<u8>>) {
-        model(self.try_init(cells)).expect("init is infallible");
+        infallible("init", self.send_init(cells));
     }
 
     fn init_empty(&mut self, capacity: usize) {
-        model(self.try_init_empty(capacity)).expect("init_empty is infallible");
+        infallible("init_empty", self.expect_ok(&Request::InitEmpty { capacity }));
     }
 
     fn capacity(&self) -> usize {
-        model(self.try_capacity()).expect("capacity is infallible")
+        infallible("capacity", self.expect_number(&Request::Capacity)) as usize
     }
 
     fn stored_bytes(&self) -> u64 {
-        model(self.try_stored_bytes()).expect("stored_bytes is infallible")
+        infallible("stored_bytes", self.expect_number(&Request::StoredBytes))
     }
 
     fn cell_stride(&self) -> usize {
-        model(self.try_cell_stride()).expect("cell_stride is infallible")
+        infallible("cell_stride", self.expect_number(&Request::CellStride)) as usize
     }
 
     fn start_recording(&mut self) {
-        model(self.try_start_recording()).expect("start_recording is infallible");
+        infallible("start_recording", self.expect_ok(&Request::StartRecording));
     }
 
     fn take_transcript(&mut self) -> Transcript {
-        model(self.try_take_transcript()).expect("take_transcript is infallible")
+        let taken = self.request(&Request::TakeTranscript).and_then(|r| match r {
+            Response::TranscriptData(t) => Ok(t),
+            other => Err(unexpected(&other)),
+        });
+        infallible("take_transcript", taken)
     }
 
-    fn is_recording(&self) -> bool {
-        model(self.try_is_recording()).expect("is_recording is infallible")
-    }
-
+    /// Server-side model counters plus this client's wire counters (the
+    /// stats exchange itself included).
     fn stats(&self) -> CostStats {
-        model(self.try_stats()).expect("stats is infallible")
+        let stats = self.request(&Request::Stats).and_then(|r| match r {
+            Response::Stats(s) => Ok(s.plus(&self.wire_stats())),
+            other => Err(unexpected(&other)),
+        });
+        infallible("stats", stats)
     }
 
+    /// Wire counters restart *after* the reset exchange, so they count
+    /// exchanges since the reset — mirroring the server-side counters.
     fn reset_stats(&mut self) {
-        model(self.try_reset_stats()).expect("reset_stats is infallible");
+        infallible("reset_stats", self.expect_ok(&Request::ResetStats));
+        self.wire_round_trips.set(0);
+        self.wire_bytes_up.set(0);
+        self.wire_bytes_down.set(0);
+        self.wire_inflight_max.set(0);
+        self.wire_reconnects.set(0);
     }
 
     fn read_batch_with(
@@ -1002,35 +891,35 @@ impl Storage for RemoteServer {
         model(self.try_read_batch_with(addrs, visit))
     }
 
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        model(self.try_write_batch(writes))
-    }
-
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        model(self.try_write_from(addr, cell))
-    }
-
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        // Enforce the caller contract locally, like the in-process
-        // servers, so a bug panics at the call site instead of silently
-        // dropping the connection daemon-side.
-        if addrs.is_empty() {
-            assert!(flat.is_empty(), "flat bytes without addresses");
-        } else {
-            assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
-        }
-        model(self.try_write_batch_strided(addrs, flat))
-    }
-
-    fn access_batch(
+    /// The frame follows from the cells alone, never from which spelling
+    /// the caller used: the strided frame when all cells have one length
+    /// (every scheme's uploads), the general frame otherwise.
+    fn write_cells<'a>(
         &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        model(self.try_access_batch(reads, writes))
+        cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    ) -> Result<(), ServerError> {
+        let cells: Vec<(usize, &[u8])> = cells.collect();
+        let stride = cells.first().map_or(0, |(_, cell)| cell.len());
+        let request = if cells.iter().all(|(_, cell)| cell.len() == stride) {
+            let mut flat = Vec::with_capacity(stride * cells.len());
+            cells.iter().for_each(|(_, cell)| flat.extend_from_slice(cell));
+            Request::WriteBatchStrided {
+                addrs: cells.iter().map(|&(addr, _)| addr).collect(),
+                flat,
+            }
+        } else {
+            let owned = |&(addr, cell): &(usize, &[u8])| (addr, cell.to_vec());
+            Request::WriteBatch { writes: cells.iter().map(owned).collect() }
+        };
+        model(self.expect_ok(&request))
     }
 
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
-        model(self.try_xor_cells_into(addrs, acc))
+        let folded = self.request(&Request::XorCells { addrs: addrs.to_vec() });
+        *acc = model(folded.and_then(|r| match r {
+            Response::Bytes(bytes) => Ok(bytes),
+            other => Err(unexpected(&other)),
+        }))?;
+        Ok(())
     }
 }

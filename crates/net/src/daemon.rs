@@ -82,7 +82,7 @@ use std::time::{Duration, Instant};
 use dps_server::Storage;
 
 use crate::sys::{timeout_ms_until, Event, PollBackend, Poller};
-use crate::wire::{FrameAssembler, Request, Response, WireError};
+use crate::wire::{FrameAssembler, Request, Response, WireError, MAX_FRAME};
 
 /// Per-cell bookkeeping bytes (length table + init bitmap + slack) used
 /// when projecting an allocation from a cell count.
@@ -889,30 +889,28 @@ fn dispatch<S: Storage>(
             Response::Ok
         }
         Request::TakeTranscript => Response::TranscriptData(server.take_transcript()),
-        Request::IsRecording => Response::Flag(server.is_recording()),
         Request::Stats => Response::Stats(server.stats()),
         Request::ResetStats => {
             server.reset_stats();
             Response::Ok
         }
-        Request::ReadBatch { addrs } => match server.read_batch(&addrs) {
-            Ok(cells) => Response::Cells(cells),
-            Err(e) => Response::Fail(e),
-        },
+        Request::ReadBatch { addrs } => {
+            // No cell is longer than the stride, so this bounds the answer:
+            // one that cannot fit a frame is refused before the store is
+            // touched, not after it has been copied out cell by cell.
+            if addrs.len().saturating_mul(server.cell_stride() + 8) > MAX_FRAME - 9 {
+                return Err(WireError::BadPayload("answer exceeds the frame cap"));
+            }
+            server
+                .read_batch(&addrs)
+                .map_or_else(Response::Fail, Response::Cells)
+        }
         Request::WriteBatch { writes } => {
             let longest = writes.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
             check_write_budget(server, limits, longest)?;
-            match server.write_batch(writes) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Fail(e),
-            }
-        }
-        Request::WriteFrom { addr, cell } => {
-            check_write_budget(server, limits, cell.len())?;
-            match server.write_from(addr, &cell) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Fail(e),
-            }
+            server
+                .write_batch(writes)
+                .map_or_else(Response::Fail, |()| Response::Ok)
         }
         Request::WriteBatchStrided { addrs, flat } => {
             // The in-process API asserts these; a remote peer must not be
@@ -926,25 +924,12 @@ fn dispatch<S: Storage>(
             }
             let stride = if addrs.is_empty() { 0 } else { flat.len() / addrs.len() };
             check_write_budget(server, limits, stride)?;
-            match server.write_batch_strided(&addrs, &flat) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Fail(e),
-            }
+            server
+                .write_batch_strided(&addrs, &flat)
+                .map_or_else(Response::Fail, |()| Response::Ok)
         }
-        Request::AccessBatch { reads, writes } => {
-            let longest = writes.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
-            check_write_budget(server, limits, longest)?;
-            match server.access_batch(&reads, writes) {
-                Ok(cells) => Response::Cells(cells),
-                Err(e) => Response::Fail(e),
-            }
-        }
-        Request::XorCells { addrs } => {
-            let mut acc = Vec::new();
-            match server.xor_cells_into(&addrs, &mut acc) {
-                Ok(()) => Response::Bytes(acc),
-                Err(e) => Response::Fail(e),
-            }
-        }
+        Request::XorCells { addrs } => server
+            .xor_cells(&addrs)
+            .map_or_else(Response::Fail, Response::Bytes),
     })
 }

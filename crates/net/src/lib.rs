@@ -4,9 +4,10 @@
 //! network*; everything else in this workspace simulates that server
 //! in-process. This crate closes the gap with four pieces:
 //!
-//! * [`wire`] — a length-prefixed binary protocol carrying the full
-//!   [`Storage`](dps_server::Storage) surface: batched reads, strided
-//!   batch writes, XOR partials, stats/transcript queries. One frame per
+//! * [`wire`] — a length-prefixed binary protocol carrying the required
+//!   [`Storage`](dps_server::Storage) surface: one download request, one
+//!   upload request (strided when the cells have one length, general
+//!   otherwise), XOR partials, stats/transcript queries. One frame per
 //!   request, one per response; batch operations are single round trips
 //!   by construction. The frame header carries a request id, which is
 //!   what makes per-connection pipelining possible.
@@ -21,7 +22,9 @@
 //! * [`client::RemoteServer`] — a client implementing `Storage`, so every
 //!   scheme in `dps_core`/`dps_oram`/`dps_pir` runs against the daemon
 //!   with zero call-site changes; its `submit`/`wait` surface pipelines N
-//!   tagged requests per connection with order-independent completion.
+//!   tagged requests per connection with order-independent completion,
+//!   and with `request`/`try_call`/`try_read_batch_with` is where wire
+//!   failures come back typed instead of as the `Storage` surface's panic.
 //! * A private `sys` module — the crate's one audited `unsafe` boundary,
 //!   declaring the handful of libc readiness calls (`epoll_*`, `poll`)
 //!   directly instead of pulling in mio/tokio.

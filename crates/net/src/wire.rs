@@ -495,6 +495,8 @@ impl<'a> Reader<'a> {
 
 // ---- Messages ----------------------------------------------------------
 
+// 0x09, 0x0E, 0x10 and 0x84 are retired (recording-state query, one-cell
+// write, combined read+write, boolean response): never reuse them.
 mod op {
     pub const PING: u8 = 0x01;
     pub const INIT: u8 = 0x02;
@@ -504,21 +506,17 @@ mod op {
     pub const CELL_STRIDE: u8 = 0x06;
     pub const START_RECORDING: u8 = 0x07;
     pub const TAKE_TRANSCRIPT: u8 = 0x08;
-    pub const IS_RECORDING: u8 = 0x09;
     pub const STATS: u8 = 0x0A;
     pub const RESET_STATS: u8 = 0x0B;
     pub const READ_BATCH: u8 = 0x0C;
     pub const WRITE_BATCH: u8 = 0x0D;
-    pub const WRITE_FROM: u8 = 0x0E;
     pub const WRITE_BATCH_STRIDED: u8 = 0x0F;
-    pub const ACCESS_BATCH: u8 = 0x10;
     pub const XOR_CELLS: u8 = 0x11;
     pub const INIT_CHUNK: u8 = 0x12;
 
     pub const R_OK: u8 = 0x81;
     pub const R_PONG: u8 = 0x82;
     pub const R_NUMBER: u8 = 0x83;
-    pub const R_FLAG: u8 = 0x84;
     pub const R_STATS: u8 = 0x85;
     pub const R_TRANSCRIPT: u8 = 0x86;
     pub const R_CELLS: u8 = 0x87;
@@ -526,8 +524,9 @@ mod op {
     pub const R_FAIL: u8 = 0x89;
 }
 
-/// One client request: exactly the [`Storage`](dps_server::Storage)
-/// surface, one variant per method, plus a connectivity `Ping`.
+/// One client request: the required [`Storage`](dps_server::Storage)
+/// surface (the upload primitive has two frames, chosen by the cells),
+/// plus chunked init and a connectivity `Ping`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
@@ -563,8 +562,6 @@ pub enum Request {
     StartRecording,
     /// [`Storage::take_transcript`](dps_server::Storage::take_transcript).
     TakeTranscript,
-    /// [`Storage::is_recording`](dps_server::Storage::is_recording).
-    IsRecording,
     /// [`Storage::stats`](dps_server::Storage::stats).
     Stats,
     /// [`Storage::reset_stats`](dps_server::Storage::reset_stats).
@@ -575,32 +572,20 @@ pub enum Request {
         /// Addresses to download.
         addrs: Vec<usize>,
     },
-    /// [`Storage::write_batch`](dps_server::Storage::write_batch).
+    /// [`Storage::write_cells`](dps_server::Storage::write_cells) when
+    /// the cells differ in length: the general upload frame.
     WriteBatch {
         /// `(address, cell)` pairs to upload.
         writes: Vec<(usize, Vec<u8>)>,
     },
-    /// [`Storage::write_from`](dps_server::Storage::write_from).
-    WriteFrom {
-        /// Destination address.
-        addr: usize,
-        /// Cell contents.
-        cell: Vec<u8>,
-    },
-    /// [`Storage::write_batch_strided`](dps_server::Storage::write_batch_strided):
-    /// the upload hot path, one frame for the whole batch.
+    /// [`Storage::write_cells`](dps_server::Storage::write_cells) when
+    /// all cells have one length — every scheme's upload, one frame for
+    /// the whole batch.
     WriteBatchStrided {
         /// Destination addresses.
         addrs: Vec<usize>,
         /// Equal-length cells packed back-to-back.
         flat: Vec<u8>,
-    },
-    /// [`Storage::access_batch`](dps_server::Storage::access_batch).
-    AccessBatch {
-        /// Addresses to download.
-        reads: Vec<usize>,
-        /// `(address, cell)` pairs to upload in the same round trip.
-        writes: Vec<(usize, Vec<u8>)>,
     },
     /// [`Storage::xor_cells_into`](dps_server::Storage::xor_cells_into):
     /// the server folds the XOR and returns only the result.
@@ -650,7 +635,6 @@ impl Request {
             Request::CellStride => buf.push(op::CELL_STRIDE),
             Request::StartRecording => buf.push(op::START_RECORDING),
             Request::TakeTranscript => buf.push(op::TAKE_TRANSCRIPT),
-            Request::IsRecording => buf.push(op::IS_RECORDING),
             Request::Stats => buf.push(op::STATS),
             Request::ResetStats => buf.push(op::RESET_STATS),
             Request::ReadBatch { addrs } => {
@@ -661,20 +645,10 @@ impl Request {
                 buf.push(op::WRITE_BATCH);
                 put_writes(buf, writes);
             }
-            Request::WriteFrom { addr, cell } => {
-                buf.push(op::WRITE_FROM);
-                put_u64(buf, *addr as u64);
-                put_bytes(buf, cell);
-            }
             Request::WriteBatchStrided { addrs, flat } => {
                 buf.push(op::WRITE_BATCH_STRIDED);
                 put_addrs(buf, addrs);
                 put_bytes(buf, flat);
-            }
-            Request::AccessBatch { reads, writes } => {
-                buf.push(op::ACCESS_BATCH);
-                put_addrs(buf, reads);
-                put_writes(buf, writes);
             }
             Request::XorCells { addrs } => {
                 buf.push(op::XOR_CELLS);
@@ -704,16 +678,13 @@ impl Request {
             op::CELL_STRIDE => Request::CellStride,
             op::START_RECORDING => Request::StartRecording,
             op::TAKE_TRANSCRIPT => Request::TakeTranscript,
-            op::IS_RECORDING => Request::IsRecording,
             op::STATS => Request::Stats,
             op::RESET_STATS => Request::ResetStats,
             op::READ_BATCH => Request::ReadBatch { addrs: r.addrs()? },
             op::WRITE_BATCH => Request::WriteBatch { writes: r.writes()? },
-            op::WRITE_FROM => Request::WriteFrom { addr: r.size()?, cell: r.bytes()?.to_vec() },
             op::WRITE_BATCH_STRIDED => {
                 Request::WriteBatchStrided { addrs: r.addrs()?, flat: r.bytes()?.to_vec() }
             }
-            op::ACCESS_BATCH => Request::AccessBatch { reads: r.addrs()?, writes: r.writes()? },
             op::XOR_CELLS => Request::XorCells { addrs: r.addrs()? },
             other => return Err(WireError::UnknownOpcode(other)),
         };
@@ -731,8 +702,6 @@ pub enum Response {
     Pong,
     /// A scalar (capacity, stored bytes, cell stride).
     Number(u64),
-    /// A boolean (recording state).
-    Flag(bool),
     /// The server-side cost counters.
     Stats(CostStats),
     /// The recorded transcript.
@@ -771,10 +740,6 @@ impl Response {
             Response::Number(v) => {
                 buf.push(op::R_NUMBER);
                 put_u64(buf, *v);
-            }
-            Response::Flag(b) => {
-                buf.push(op::R_FLAG);
-                buf.push(u8::from(*b));
             }
             Response::Stats(s) => {
                 buf.push(op::R_STATS);
@@ -818,11 +783,6 @@ impl Response {
             op::R_OK => Response::Ok,
             op::R_PONG => Response::Pong,
             op::R_NUMBER => Response::Number(r.u64()?),
-            op::R_FLAG => Response::Flag(match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::BadPayload("flag byte not 0/1")),
-            }),
             op::R_STATS => Response::Stats(r.stats()?),
             op::R_TRANSCRIPT => Response::TranscriptData(r.transcript()?),
             op::R_CELLS => Response::Cells(r.cells()?),
@@ -913,14 +873,11 @@ mod tests {
             Request::CellStride,
             Request::StartRecording,
             Request::TakeTranscript,
-            Request::IsRecording,
             Request::Stats,
             Request::ResetStats,
             Request::ReadBatch { addrs: vec![0, 9, 3] },
             Request::WriteBatch { writes: vec![(4, vec![8; 5]), (0, vec![])] },
-            Request::WriteFrom { addr: 2, cell: vec![1; 9] },
             Request::WriteBatchStrided { addrs: vec![1, 2], flat: vec![7; 8] },
-            Request::AccessBatch { reads: vec![5], writes: vec![(6, vec![2; 3])] },
             Request::XorCells { addrs: vec![1, 2, 3] },
         ];
         for req in reqs {
@@ -937,8 +894,6 @@ mod tests {
             Response::Ok,
             Response::Pong,
             Response::Number(u64::MAX),
-            Response::Flag(true),
-            Response::Flag(false),
             Response::Stats(CostStats {
                 downloads: 1,
                 bytes_up: 9,

@@ -48,25 +48,22 @@ fn arb_request() -> impl Strategy<Value = Request> {
         (0usize..10_000, proptest::collection::vec(any::<u8>(), 0..24)),
         0..6,
     );
-    (0u8..18, addrs, cells, writes, 0usize..10_000, proptest::collection::vec(any::<u8>(), 0..48))
+    (0u8..15, addrs, cells, writes, 0usize..10_000, proptest::collection::vec(any::<u8>(), 0..48))
         .prop_map(|(variant, addrs, cells, writes, n, flat)| match variant {
             0 => Request::Ping,
             1 => Request::Init { cells },
-            17 => Request::InitChunk { done: n % 2 == 0, cells },
+            14 => Request::InitChunk { done: n % 2 == 0, cells },
             2 => Request::InitEmpty { capacity: n },
             3 => Request::Capacity,
             4 => Request::StoredBytes,
             5 => Request::CellStride,
             6 => Request::StartRecording,
             7 => Request::TakeTranscript,
-            8 => Request::IsRecording,
-            9 => Request::Stats,
-            10 => Request::ResetStats,
-            11 => Request::ReadBatch { addrs },
-            12 => Request::WriteBatch { writes },
-            13 => Request::WriteFrom { addr: n, cell: flat },
-            14 => Request::WriteBatchStrided { addrs, flat },
-            15 => Request::AccessBatch { reads: addrs, writes },
+            8 => Request::Stats,
+            9 => Request::ResetStats,
+            10 => Request::ReadBatch { addrs },
+            11 => Request::WriteBatch { writes },
+            12 => Request::WriteBatchStrided { addrs, flat },
             _ => Request::XorCells { addrs },
         })
 }
@@ -74,13 +71,12 @@ fn arb_request() -> impl Strategy<Value = Request> {
 fn arb_response() -> impl Strategy<Value = Response> {
     let cells = proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..6);
     let events = proptest::collection::vec((0u8..3, 0usize..10_000), 0..10);
-    (0u8..9, cells, events, any::<u64>(), 0usize..10_000).prop_map(
+    (0u8..8, cells, events, any::<u64>(), 0usize..10_000).prop_map(
         |(variant, cells, events, v, n)| match variant {
             0 => Response::Ok,
             1 => Response::Pong,
             2 => Response::Number(v),
-            3 => Response::Flag(v % 2 == 0),
-            4 => Response::Stats(dps_server::CostStats {
+            3 => Response::Stats(dps_server::CostStats {
                 downloads: v,
                 uploads: v ^ 0xFF,
                 bytes_down: v >> 3,
@@ -89,7 +85,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 wire_bytes_up: v % 7919,
                 ..Default::default()
             }),
-            5 => {
+            4 => {
                 let mut t = dps_server::Transcript::new();
                 // Split the events into two batches to exercise batch
                 // framing, not just flat event lists.
@@ -108,8 +104,8 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 }
                 Response::TranscriptData(t)
             }
-            6 => Response::Cells(cells),
-            7 => Response::Bytes(cells.into_iter().flatten().collect()),
+            5 => Response::Cells(cells),
+            6 => Response::Bytes(cells.into_iter().flatten().collect()),
             _ => Response::Fail(match v % 3 {
                 0 => ServerError::OutOfBounds { addr: n, capacity: n / 2 },
                 1 => ServerError::Uninitialized { addr: n },
@@ -282,6 +278,27 @@ fn daemon_refuses_contract_violating_strided_writes() {
     daemon.shutdown();
 }
 
+/// A small `ReadBatch` frame must not make the daemon copy out (and
+/// charge) an answer that cannot fit a frame: it is refused before the
+/// store is touched, like a write that would blow the allocation budget.
+#[test]
+fn daemon_refuses_a_read_batch_whose_answer_cannot_fit_a_frame() {
+    let mut server = SimServer::new();
+    server.init(vec![vec![0xAB; 1 << 20]]);
+    let daemon = NetDaemon::spawn(server).expect("spawn daemon");
+    let before = daemon.metrics().protocol_errors;
+    let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
+    let evil = Request::ReadBatch { addrs: vec![0; 300] }; // 300 MiB > MAX_FRAME
+    bad.write_all(&frame(&evil.encode()).unwrap()).unwrap();
+    assert_eq!(drain(&mut bad), 0, "an unanswerable read must close, not allocate");
+    assert_eq!(daemon.metrics().protocol_errors, before + 1);
+
+    let mut ok = RemoteServer::connect(daemon.local_addr()).expect("connect");
+    assert_eq!(ok.stats().downloads, 0, "the refused batch must not have touched the store");
+    assert_eq!(Storage::read(&mut ok, 0).unwrap(), vec![0xAB; 1 << 20]);
+    daemon.shutdown();
+}
+
 /// Allocation amplification attacks are stopped by [`DaemonLimits`]: a
 /// tiny frame must not be able to make the daemon allocate far beyond
 /// its budget, whether via `init_empty` capacity, init stride
@@ -312,7 +329,7 @@ fn daemon_budget_stops_allocation_amplification() {
     // longer than the stride re-strides every cell; a budget-busting
     // cell length must be rejected even though the write itself is small.
     let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
-    let evil = Request::WriteFrom { addr: 0, cell: vec![0u8; 1 << 19] };
+    let evil = Request::WriteBatchStrided { addrs: vec![0], flat: vec![0u8; 1 << 19] };
     // 64 cells × 512 KiB projected = 32 MiB > 1 MiB budget.
     bad.write_all(&frame(&evil.encode()).unwrap()).unwrap();
     assert_eq!(drain(&mut bad), 0, "re-stride amplification must close");
@@ -475,23 +492,6 @@ fn wrong_cell_count_panics_rather_than_skipping_visits() {
     }
 }
 
-/// Same for `access_batch`, which returns owned cells.
-#[test]
-fn wrong_access_batch_count_panics() {
-    let addr = fake_peer(|mut stream| {
-        let id = swallow_request(&mut stream);
-        let short = Response::Cells(vec![vec![7u8; 4]]).encode();
-        stream.write_all(&frame_v2(id, &short).unwrap()).unwrap();
-        let mut sink = [0u8; 1];
-        let _ = stream.read(&mut sink);
-    });
-    let mut remote = RemoteServer::connect(addr).unwrap();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        remote.access_batch(&[0, 1], Vec::new())
-    }));
-    assert!(result.is_err(), "a 1-cell answer to a 2-read access_batch must panic");
-}
-
 #[test]
 fn corrupt_response_magic_is_a_bad_magic_error() {
     let addr = fake_peer(|mut stream| {
@@ -525,7 +525,7 @@ fn unknown_response_id_is_a_typed_error() {
     assert!(matches!(err, RemoteError::Wire(WireError::UnknownRequestId(_))), "got {err:?}");
 }
 
-/// The `try_*` surface turns a short `Cells` answer into a typed
+/// The typed surface turns a short `Cells` answer into a typed
 /// [`WireError::CellCountMismatch`] instead of the panic the infallible
 /// `Storage` surface throws.
 #[test]
@@ -540,19 +540,4 @@ fn short_cells_answer_is_typed_on_the_fallible_surface() {
     let remote = RemoteServer::connect(addr).unwrap();
     let err = remote.try_read_batch(&[0, 1, 2]).unwrap_err();
     assert_eq!(err, RemoteError::Wire(WireError::CellCountMismatch { got: 2, expected: 3 }));
-}
-
-/// Same for `access_batch`'s owned-cells path.
-#[test]
-fn short_access_batch_answer_is_typed_on_the_fallible_surface() {
-    let addr = fake_peer(|mut stream| {
-        let id = swallow_request(&mut stream);
-        let short = Response::Cells(vec![vec![7u8; 4]]).encode();
-        stream.write_all(&frame_v2(id, &short).unwrap()).unwrap();
-        let mut sink = [0u8; 1];
-        let _ = stream.read(&mut sink);
-    });
-    let remote = RemoteServer::connect(addr).unwrap();
-    let err = remote.try_access_batch(&[0, 1], Vec::new()).unwrap_err();
-    assert_eq!(err, RemoteError::Wire(WireError::CellCountMismatch { got: 1, expected: 2 }));
 }

@@ -3,8 +3,8 @@
 //! [`Accounted`] is the model: what one batch costs ([`CostStats`]: cells,
 //! bytes, round trips — the currencies of Theorems 3.3/3.4, 5.1, 6.1 and
 //! 7.1) and what the adversary sees of it ([`Transcript`]). It holds the
-//! only implementation of the six data operations of [`Storage`] — bounds
-//! check, `Uninitialized` check, charging, the partial charge a mid-batch
+//! only implementation of the three data primitives of [`Storage`]
+//! (download, upload, XOR fold) — bounds check, `Uninitialized` check, charging, the partial charge a mid-batch
 //! failure leaves behind, the round trip, the transcript batch — over a
 //! [`CellBackend`], which only keeps cells:
 //!
@@ -223,25 +223,6 @@ impl<B: CellBackend> Accounted<B> {
         }
         (cells, bytes, Ok(()))
     }
-
-    /// Bounds-checks, stores and charges one batch of uploaded cells:
-    /// nothing is stored unless every address is in range, and nothing is
-    /// charged unless the backend took the batch.
-    #[inline]
-    fn upload<'a>(
-        &mut self,
-        items: impl Iterator<Item = (usize, &'a [u8])> + Clone,
-    ) -> Result<(), ServerError> {
-        for (addr, _) in items.clone() {
-            self.check(addr)?;
-        }
-        self.cells.put(items.clone())?;
-        for (_, cell) in items {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-        }
-        Ok(())
-    }
 }
 
 impl<B> Deref for Accounted<B> {
@@ -291,10 +272,6 @@ impl<B: CellBackend> Storage for Accounted<B> {
         self.transcript.take().unwrap_or_default()
     }
 
-    fn is_recording(&self) -> bool {
-        self.transcript.is_some()
-    }
-
     fn stats(&self) -> CostStats {
         let cache = self.cells.telemetry();
         CostStats {
@@ -329,65 +306,24 @@ impl<B: CellBackend> Storage for Accounted<B> {
         Ok(())
     }
 
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        self.upload(writes.iter().map(|(a, c)| (*a, c.as_slice())))?;
-        self.stats.round_trips += 1;
-        self.record_with(|| writes.iter().map(|&(a, _)| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
+    /// Nothing is stored unless every address is in range, and nothing is
+    /// charged unless the backend took the batch.
     #[inline]
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
-        self.upload(std::iter::once((addr, cell)))?;
-        self.stats.round_trips += 1;
-        self.record_with(|| vec![AccessEvent::Upload(addr)]);
-        Ok(())
-    }
-
-    #[inline]
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
-        if addrs.is_empty() {
-            assert!(flat.is_empty(), "flat bytes without addresses");
-        } else {
-            assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
-        }
-        let stride = flat.len().checked_div(addrs.len()).unwrap_or(0);
-        self.upload(
-            addrs
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| (a, &flat[i * stride..(i + 1) * stride])),
-        )?;
-        self.stats.round_trips += 1;
-        self.record_with(|| addrs.iter().map(|&a| AccessEvent::Upload(a)).collect());
-        Ok(())
-    }
-
-    fn access_batch(
+    fn write_cells<'a>(
         &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        // Every address is checked before the first cell is charged, and
-        // reads are collected (owned) before any write applies, so a
-        // combined read+write of the same address observes the old cell.
-        for &addr in reads.iter().chain(writes.iter().map(|(addr, _)| addr)) {
+        cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    ) -> Result<(), ServerError> {
+        for (addr, _) in cells.clone() {
             self.check(addr)?;
         }
-        let mut out = Vec::with_capacity(reads.len());
-        let (cells, bytes, walked) = self.walk(reads, |_, cell| out.push(cell.to_vec()));
-        self.stats.downloads += cells;
-        self.stats.bytes_down += bytes;
-        walked?;
-        self.upload(writes.iter().map(|(a, c)| (*a, c.as_slice())))?;
+        self.cells.put(cells.clone())?;
+        for (_, cell) in cells.clone() {
+            self.stats.uploads += 1;
+            self.stats.bytes_up += cell.len() as u64;
+        }
         self.stats.round_trips += 1;
-        self.record_with(|| {
-            let mut events: Vec<AccessEvent> =
-                reads.iter().map(|&a| AccessEvent::Download(a)).collect();
-            events.extend(writes.iter().map(|&(a, _)| AccessEvent::Upload(a)));
-            events
-        });
-        Ok(out)
+        self.record_with(|| cells.map(|(addr, _)| AccessEvent::Upload(addr)).collect());
+        Ok(())
     }
 
     /// XOR runs u64-chunked over slices borrowed from the backend, with no
@@ -466,18 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn access_batch_is_one_round_trip() {
-        let mut s = server_with(8);
-        let before = s.stats();
-        let cells = s.access_batch(&[1, 2], vec![(3, vec![7u8; 4])]).unwrap();
-        assert_eq!(cells.len(), 2);
-        let diff = s.stats().since(&before);
-        assert_eq!(diff.round_trips, 1);
-        assert_eq!(diff.downloads, 2);
-        assert_eq!(diff.uploads, 1);
-    }
-
-    #[test]
     fn transcript_records_exact_view() {
         let mut s = server_with(4);
         s.start_recording();
@@ -492,8 +416,9 @@ mod tests {
                 vec![AccessEvent::Upload(1)],
             ]
         );
-        // Recording stops after take_transcript.
-        assert!(!s.is_recording());
+        // Recording stops after take_transcript: a second take is empty.
+        s.read(0).unwrap();
+        assert_eq!(s.take_transcript().round_trips(), 0);
     }
 
     #[test]

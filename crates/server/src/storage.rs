@@ -1,7 +1,21 @@
-//! The zero-copy storage-server trait surface.
+//! The storage-server trait: Definition 3.1, and nothing else.
 //!
-//! Every scheme in this workspace drives its server through this trait, so
-//! the in-process [`SimServer`](crate::SimServer), the durable
+//! The paper's server has two operations — download the cell at an
+//! address, upload a cell to an address — and every bound this workspace
+//! reproduces counts those. [`Storage`] is that interface: one download
+//! primitive ([`Storage::read_batch_with`]), one upload primitive
+//! ([`Storage::write_cells`]), the XOR compute extension the lower bounds
+//! of Theorems 3.3/3.4 allow ([`Storage::xor_cells_into`]), and the set-up
+//! and bookkeeping around them. Everything else — `read`, `write_batch`,
+//! `write_batch_strided`, … — is a *provided* spelling that makes exactly
+//! one call to one primitive, so an implementor writes 12 small methods
+//! and cannot disagree with another about what a spelling costs. There is
+//! no combined read+write request: in every construction here the upload
+//! re-encrypts what the same request downloaded, so it cannot be sent
+//! before the download's answer is in (NOTES.md, entry 4).
+//!
+//! Every scheme drives its server through this trait, so the in-process
+//! [`SimServer`](crate::SimServer), the durable
 //! [`DiskStore`](crate::DiskStore) and a network-backed server are
 //! interchangeable at setup time. The first two are one implementation,
 //! [`Accounted`](crate::Accounted), over two cell backends; any other
@@ -47,9 +61,6 @@ pub trait Storage: std::fmt::Debug + Send {
     /// Stops recording and returns the transcript captured so far.
     fn take_transcript(&mut self) -> Transcript;
 
-    /// Whether a transcript is being recorded.
-    fn is_recording(&self) -> bool;
-
     /// Cumulative cost counters.
     fn stats(&self) -> CostStats;
 
@@ -75,25 +86,18 @@ pub trait Storage: std::fmt::Debug + Send {
         visit: impl FnMut(usize, &[u8]),
     ) -> Result<(), ServerError>;
 
-    /// Uploads the given cells in one round trip.
-    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError>;
-
-    /// Uploads a single borrowed cell (one round trip).
-    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError>;
-
-    /// Uploads equal-length cells packed back-to-back in `flat` in one
-    /// round trip.
-    ///
-    /// # Panics
-    /// Panics if `flat.len()` is not a multiple of `addrs.len()`.
-    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError>;
-
-    /// Downloads `reads` and uploads `writes` in one combined round trip.
-    fn access_batch(
+    /// Uploads `cells` — `(address, contents)` pairs, applied in order —
+    /// in one round trip: the one upload primitive. All-or-nothing (on
+    /// `Err` no cell of the batch is stored and none is charged); an address
+    /// named twice keeps its last value and is charged, and recorded in the
+    /// transcript, each time; an empty batch is still a round trip. `Clone`
+    /// because an implementation may need more than one pass (bounds before
+    /// storing, charging after), and every caller's iterator is a cheap
+    /// view of cells it already holds.
+    fn write_cells<'a>(
         &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError>;
+        cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    ) -> Result<(), ServerError>;
 
     /// XORs the cells at `addrs` into `acc` (cleared first), charging one
     /// compute operation per cell.
@@ -160,7 +164,36 @@ pub trait Storage: std::fmt::Debug + Send {
     /// Uploads a single owned cell (one round trip).
     #[inline]
     fn write(&mut self, addr: usize, cell: Vec<u8>) -> Result<(), ServerError> {
-        self.write_from(addr, &cell)
+        self.write_cells(std::iter::once((addr, cell.as_slice())))
+    }
+
+    /// Uploads a single borrowed cell (one round trip).
+    #[inline]
+    fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), ServerError> {
+        self.write_cells(std::iter::once((addr, cell)))
+    }
+
+    /// Uploads the given cells in one round trip.
+    #[inline]
+    fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
+        self.write_cells(writes.iter().map(|(addr, cell)| (*addr, cell.as_slice())))
+    }
+
+    /// Uploads equal-length cells packed back-to-back in `flat` in one
+    /// round trip.
+    ///
+    /// # Panics
+    /// Panics if `flat.len()` is not a multiple of `addrs.len()`.
+    #[inline]
+    fn write_batch_strided(&mut self, addrs: &[usize], flat: &[u8]) -> Result<(), ServerError> {
+        if addrs.is_empty() {
+            assert!(flat.is_empty(), "flat bytes without addresses");
+        } else {
+            assert_eq!(flat.len() % addrs.len(), 0, "flat length not a multiple of cell count");
+        }
+        let stride = flat.len().checked_div(addrs.len()).unwrap_or(0);
+        let cell = |(i, &addr): (usize, &usize)| (addr, &flat[i * stride..(i + 1) * stride]);
+        self.write_cells(addrs.iter().enumerate().map(cell))
     }
 
     /// XORs the cells at `addrs` together, returning the result.
@@ -183,7 +216,6 @@ mod tests {
         assert_eq!(server.capacity(), 8);
         assert!(!server.is_empty());
         server.start_recording();
-        assert!(server.is_recording());
         assert_eq!(server.read(3).unwrap(), vec![3u8; 4]);
         server.write(5, vec![9u8; 4]).unwrap();
         let cells = server.read_batch(&[5, 0]).unwrap();
@@ -200,5 +232,102 @@ mod tests {
     #[test]
     fn sim_server_implements_the_trait_faithfully() {
         exercise(&mut SimServer::new());
+    }
+
+    /// A wrapper written against the trait as an outsider would write one:
+    /// the 12 required methods, nothing else. Counts the calls reaching
+    /// each data primitive as (downloads, uploads, XOR folds).
+    #[derive(Debug, Default)]
+    struct Counting {
+        inner: SimServer,
+        calls: (u32, u32, u32),
+    }
+
+    impl Storage for Counting {
+        fn init(&mut self, cells: Vec<Vec<u8>>) {
+            self.inner.init(cells);
+        }
+        fn init_empty(&mut self, capacity: usize) {
+            self.inner.init_empty(capacity);
+        }
+        fn capacity(&self) -> usize {
+            self.inner.capacity()
+        }
+        fn stored_bytes(&self) -> u64 {
+            self.inner.stored_bytes()
+        }
+        fn cell_stride(&self) -> usize {
+            self.inner.cell_stride()
+        }
+        fn start_recording(&mut self) {
+            self.inner.start_recording();
+        }
+        fn take_transcript(&mut self) -> Transcript {
+            self.inner.take_transcript()
+        }
+        fn stats(&self) -> CostStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&mut self) {
+            self.inner.reset_stats();
+        }
+        fn read_batch_with(
+            &mut self,
+            addrs: &[usize],
+            visit: impl FnMut(usize, &[u8]),
+        ) -> Result<(), ServerError> {
+            self.calls.0 += 1;
+            self.inner.read_batch_with(addrs, visit)
+        }
+        fn write_cells<'a>(
+            &mut self,
+            cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+        ) -> Result<(), ServerError> {
+            self.calls.1 += 1;
+            self.inner.write_cells(cells)
+        }
+        fn xor_cells_into(
+            &mut self,
+            addrs: &[usize],
+            acc: &mut Vec<u8>,
+        ) -> Result<(), ServerError> {
+            self.calls.2 += 1;
+            self.inner.xor_cells_into(addrs, acc)
+        }
+    }
+
+    #[test]
+    fn a_wrapper_of_the_required_methods_passes_for_the_server() {
+        exercise(&mut Counting::default());
+    }
+
+    /// Every provided spelling is exactly one call to one primitive — so a
+    /// wrapper that charges, faults or frames per primitive call treats all
+    /// spellings alike — and one round trip on the server underneath.
+    #[test]
+    fn every_provided_method_is_one_call_to_one_primitive() {
+        let mut s = Counting::default();
+        s.init((0..8).map(|i| vec![i as u8; 4]).collect());
+        let mut scratch = [0u8; 8];
+
+        s.write(1, vec![1; 4]).unwrap();
+        assert_eq!(s.calls, (0, 1, 0), "write");
+        s.write_from(2, &[2; 4]).unwrap();
+        assert_eq!(s.calls, (0, 2, 0), "write_from");
+        s.write_batch(vec![(3, vec![3; 4]), (4, vec![4; 4])]).unwrap();
+        assert_eq!(s.calls, (0, 3, 0), "write_batch");
+        s.write_batch_strided(&[5, 6], &[9; 8]).unwrap();
+        assert_eq!(s.calls, (0, 4, 0), "write_batch_strided");
+        assert_eq!(s.read(1).unwrap(), vec![1; 4]);
+        assert_eq!(s.calls, (1, 4, 0), "read");
+        assert_eq!(s.read_batch(&[3, 4]).unwrap(), vec![vec![3; 4], vec![4; 4]]);
+        assert_eq!(s.calls, (2, 4, 0), "read_batch");
+        assert_eq!(s.read_into(2, &mut scratch).unwrap(), 4);
+        assert_eq!(s.calls, (3, 4, 0), "read_into");
+        s.read_batch_strided(&[5, 6], &mut scratch).unwrap();
+        assert_eq!((s.calls, scratch), ((4, 4, 0), [9; 8]), "read_batch_strided");
+        assert_eq!(s.xor_cells(&[1, 2]).unwrap(), vec![3; 4]);
+        assert_eq!(s.calls, (4, 4, 1), "xor_cells");
+        assert_eq!(s.stats().round_trips, 9);
     }
 }

@@ -66,19 +66,17 @@ enum Op {
     Read(Vec<usize>),
     Write(Vec<(usize, u8)>),
     WriteOdd(usize, u8, usize),
-    Access(Vec<usize>, Vec<(usize, u8)>),
     Commit,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let addrs = proptest::collection::vec(0usize..CAPACITY + 2, 0..8);
     let writes = proptest::collection::vec((0usize..CAPACITY + 2, any::<u8>()), 0..8);
-    (0u8..8, addrs, writes, 0usize..CAPACITY + 2, any::<u8>(), 0usize..2 * CELL_LEN).prop_map(
+    (0u8..7, addrs, writes, 0usize..CAPACITY + 2, any::<u8>(), 0usize..2 * CELL_LEN).prop_map(
         |(variant, addrs, writes, addr, byte, odd_len)| match variant {
             0..=2 => Op::Read(addrs),
             3 | 4 => Op::Write(writes),
             5 => Op::WriteOdd(addr, byte, odd_len),
-            6 => Op::Access(addrs, writes),
             _ => Op::Commit,
         },
     )
@@ -100,13 +98,6 @@ fn step(op: &Op, disk: &mut DiskStore, oracle: &mut SimServer) {
             assert_eq!(
                 disk.write(*addr, cell(*byte, *len)),
                 oracle.write(*addr, cell(*byte, *len)),
-            );
-        }
-        Op::Access(reads, writes) => {
-            let w = |&(a, b): &(usize, u8)| (a, cell(b, CELL_LEN));
-            assert_eq!(
-                disk.access_batch(reads, writes.iter().map(w).collect()),
-                oracle.access_batch(reads, writes.iter().map(w).collect()),
             );
         }
         Op::Commit => {

@@ -64,7 +64,6 @@ enum Batch {
     WriteBatch(Vec<(usize, Vec<u8>)>),
     WriteStrided(Vec<usize>, Vec<u8>),
     WriteFrom(usize, Vec<u8>),
-    Access(Vec<usize>, Vec<(usize, Vec<u8>)>),
     Checkpoint,
 }
 
@@ -114,18 +113,6 @@ fn gen_program(rng: &mut Rng) -> Vec<Batch> {
                 initialized[addr] = true;
                 Batch::WriteFrom(addr, cell(rng, 14))
             }
-            5 | 6 => {
-                let inits: Vec<usize> = (0..capacity).filter(|&a| initialized[a]).collect();
-                let n_reads = rng.below(3);
-                let reads: Vec<usize> = if inits.is_empty() {
-                    Vec::new()
-                } else {
-                    (0..n_reads)
-                        .map(|_| inits[rng.below(inits.len() as u64) as usize])
-                        .collect()
-                };
-                Batch::Access(reads, gen_writes(rng, capacity, &mut initialized))
-            }
             _ => Batch::WriteBatch(gen_writes(rng, capacity, &mut initialized)),
         };
         batches.push(batch);
@@ -144,7 +131,6 @@ fn apply_disk(store: &mut DiskStore<CrashSim>, batch: &Batch) -> Result<(), Cras
         Batch::WriteBatch(writes) => store.write_batch(writes.clone()),
         Batch::WriteStrided(addrs, flat) => store.write_batch_strided(addrs, flat),
         Batch::WriteFrom(addr, cell) => store.write_from(*addr, cell),
-        Batch::Access(reads, writes) => store.access_batch(reads, writes.clone()).map(|_| ()),
     };
     match result {
         Ok(()) => Ok(()),
@@ -169,9 +155,6 @@ fn apply_oracle(oracle: &mut SimServer, batch: &Batch) {
         Batch::WriteBatch(writes) => oracle.write_batch(writes.clone()).unwrap(),
         Batch::WriteStrided(addrs, flat) => oracle.write_batch_strided(addrs, flat).unwrap(),
         Batch::WriteFrom(addr, cell) => oracle.write_from(*addr, cell).unwrap(),
-        Batch::Access(reads, writes) => {
-            oracle.access_batch(reads, writes.clone()).map(|_| ()).unwrap()
-        }
     }
 }
 
@@ -645,7 +628,6 @@ fn crashed_store_poisons_until_reopen() {
     assert!(store.is_poisoned());
     assert_eq!(store.write(1, vec![9; 4]), Err(ServerError::Interrupted));
     assert_eq!(store.write_batch_strided(&[0], &[1, 2, 3, 4]), Err(ServerError::Interrupted));
-    assert_eq!(store.access_batch(&[0], vec![(0, vec![1; 4])]), Err(ServerError::Interrupted));
     // Cell 0 was applied to the cache before the commit failed: a hit,
     // serving the in-flight value. Cell 1 was rejected before it was
     // applied and is not resident: a miss, typed error.

@@ -1,8 +1,8 @@
 //! Observational equivalence of every [`Storage`] backend against the old
 //! per-cell `Vec<Option<Vec<u8>>>` model.
 //!
-//! Each program of batched reads, writes, XORs and combined accesses —
-//! including failing operations and the zero-copy variants — runs against
+//! Each program of batched reads, writes and XORs — including failing
+//! operations and the zero-copy variants — runs against
 //! the real implementations (the flat-arena [`SimServer`] and the durable
 //! tempdir-backed [`DiskStore`]: one model, [`Accounted`], over two
 //! backends) and the reference oracle: the cells returned, the `CostStats`
@@ -89,39 +89,6 @@ impl ReferenceServer {
         Ok(())
     }
 
-    fn access_batch(
-        &mut self,
-        reads: &[usize],
-        writes: Vec<(usize, Vec<u8>)>,
-    ) -> Result<Vec<Vec<u8>>, ServerError> {
-        for &addr in reads {
-            self.check(addr)?;
-        }
-        for (addr, _) in &writes {
-            self.check(*addr)?;
-        }
-        let mut events: Vec<AccessEvent> =
-            reads.iter().map(|&a| AccessEvent::Download(a)).collect();
-        events.extend(writes.iter().map(|&(a, _)| AccessEvent::Upload(a)));
-        let mut out = Vec::with_capacity(reads.len());
-        for &addr in reads {
-            let cell = self.cells[addr]
-                .as_ref()
-                .ok_or(ServerError::Uninitialized { addr })?;
-            self.stats.downloads += 1;
-            self.stats.bytes_down += cell.len() as u64;
-            out.push(cell.clone());
-        }
-        for (addr, cell) in writes {
-            self.stats.uploads += 1;
-            self.stats.bytes_up += cell.len() as u64;
-            self.cells[addr] = Some(cell);
-        }
-        self.stats.round_trips += 1;
-        self.record(events);
-        Ok(out)
-    }
-
     fn xor_cells(&mut self, addrs: &[usize]) -> Result<Vec<u8>, ServerError> {
         let mut acc: Option<Vec<u8>> = None;
         for &addr in addrs {
@@ -165,7 +132,6 @@ enum Op {
     WriteFrom(usize, u8),
     /// A write of a non-standard length (re-stride / short-cell paths).
     WriteOdd(usize, u8, usize),
-    Access(Vec<usize>, Vec<(usize, u8)>),
     Xor(Vec<usize>),
 }
 
@@ -204,7 +170,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     // variant from one tuple of raw ingredients.
     let addrs = proptest::collection::vec(arb_addr(), 0..5);
     let writes = proptest::collection::vec((arb_addr(), any::<u8>()), 0..5);
-    (0u8..11, addrs, writes, arb_addr(), any::<u8>(), 0usize..20).prop_map(
+    (0u8..10, addrs, writes, arb_addr(), any::<u8>(), 0usize..20).prop_map(
         |(variant, addrs, writes, addr, byte, odd_len)| match variant {
             0 => Op::ReadBatch(addrs),
             1 => Op::ReadZeroCopy(addrs),
@@ -213,9 +179,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
             4 => Op::WriteStrided(writes),
             5 => Op::WriteFrom(addr, byte),
             6 => Op::WriteOdd(addr, byte, odd_len),
-            7 => Op::Access(addrs, writes),
-            8 => Op::WriteStrided(duplicated(&writes)),
-            9 => Op::WriteStrided(wide_duplicates(addr, byte)),
+            7 => Op::WriteStrided(duplicated(&writes)),
+            8 => Op::WriteStrided(wide_duplicates(addr, byte)),
             _ => Op::Xor(addrs),
         },
     )
@@ -278,13 +243,6 @@ fn step<S: Storage>(op: &Op, arena: &mut S, reference: &mut ReferenceServer) {
             assert_eq!(
                 arena.write(*addr, cell(*byte, *len)),
                 reference.write_batch(vec![(*addr, cell(*byte, *len))]),
-            );
-        }
-        Op::Access(reads, writes) => {
-            let w = |(a, b): &(usize, u8)| (*a, cell(*b, CELL_LEN));
-            assert_eq!(
-                arena.access_batch(reads, writes.iter().map(w).collect()),
-                reference.access_batch(reads, writes.iter().map(w).collect()),
             );
         }
         Op::Xor(addrs) => {
@@ -424,7 +382,6 @@ fn disk_store_reopens_into_reference_state() {
         Op::WriteBatch(vec![(0, 1), (5, 2)]),
         Op::WriteOdd(3, 9, 17),
         Op::WriteStrided(vec![(1, 4), (2, 5)]),
-        Op::Access(vec![0, 5], vec![(7, 6)]),
         Op::WriteOdd(4, 8, 0),
         // Duplicate addresses in one WAL record: replay is "later wins" too.
         Op::WriteStrided(duplicated(&[(6, 1), (2, 7), (6, 3)])),
@@ -513,7 +470,6 @@ fn apply<S: Storage>(op: &Op, server: &mut S) -> Result<Vec<Vec<u8>>, ServerErro
         Op::WriteOdd(addr, byte, len) => {
             server.write(*addr, cell(*byte, *len)).map(|()| Vec::new())
         }
-        Op::Access(reads, writes) => server.access_batch(reads, writes.iter().map(w).collect()),
         Op::Xor(addrs) => server.xor_cells(addrs).map(|x| vec![x]),
     }
 }
@@ -528,7 +484,6 @@ fn a_backend_fault_charges_the_cells_visited_before_it_and_nothing_else() {
     let program = [
         Op::ReadBatch(vec![3, 0, 7]),
         Op::WriteStrided(duplicated(&[(1, 9), (4, 2)])),
-        Op::Access(vec![1, 4], vec![(2, 5), (1, 6)]),
         Op::Xor(vec![2, 1, 5]),
         Op::WriteFrom(6, 3),
         Op::WriteBatch(vec![(0, 1), (11, 2)]),
@@ -544,7 +499,7 @@ fn a_backend_fault_charges_the_cells_visited_before_it_and_nothing_else() {
             .for_each(|op| drop(apply(op, &mut never).unwrap()));
         never.calls
     };
-    assert_eq!(backend_calls, 15, "3 + 1 + (2 + 1) + 3 + 1 + 1 + 3 gets and puts");
+    assert_eq!(backend_calls, 12, "3 + 1 + 3 + 1 + 1 + 3 gets and puts");
 
     for n in 0..backend_calls {
         let mut flaky = Accounted::over(FlakyBackend { fail_at: n, ..Default::default() });

@@ -193,6 +193,38 @@ fn detection_does_not_poison_other_addresses() {
     }
 }
 
+/// A request that fails must not cost the hardened DP-RAM a stashed
+/// record either: the client copy may be the only current one, and the
+/// server's cell for it is authentic, root-consistent and *stale* — it
+/// would be served without any error.
+#[test]
+fn hardened_ram_failed_request_loses_no_stashed_record() {
+    let db = database(N, BLOCK);
+    let mut rng = ChaChaRng::seed_from_u64(12);
+    // p = 1: every record is client-held and every query stashes again.
+    let mut ram =
+        HardenedDpRam::setup(DpRamConfig { n: N, stash_probability: 1.0 }, &db, &mut rng).unwrap();
+    let value = vec![0xC7; BLOCK];
+    ram.write(7, value.clone(), &mut rng).unwrap();
+
+    // The adversary corrupts every cell, so the decoy download fails...
+    let all: Vec<usize> = (0..N).collect();
+    let cells = ram.server_mut().adversary_cells_mut();
+    let saved = cells.read_batch(&all).unwrap();
+    let corrupt = saved.iter().map(|c| c.iter().map(|b| b ^ 1).collect());
+    cells
+        .write_batch(all.iter().copied().zip(corrupt).collect())
+        .unwrap();
+    assert!(matches!(ram.read(7, &mut rng), Err(HardenedRamError::Tampering { .. })));
+
+    // ...then restores them: the retried read must see the written value.
+    let cells = ram.server_mut().adversary_cells_mut();
+    cells
+        .write_batch(all.iter().copied().zip(saved).collect())
+        .unwrap();
+    assert_eq!(ram.read(7, &mut rng).unwrap(), value);
+}
+
 /// Which of an operation's two storage calls the injected faults hit: the
 /// download (index 0) or the upload (index 1).
 #[derive(Default)]
