@@ -12,13 +12,16 @@
 //! Eviction is CLOCK (second-chance): a hit sets the slot's reference
 //! bit; the hand sweeps resident slots, clearing reference bits until it
 //! finds an unreferenced *clean* slot to reuse. **Dirty slots are
-//! pinned**: a dirty slot holds the only copy of a cell whose WAL record
-//! has not yet been fsynced (group-commit window) — the arena file is not
-//! written until the covering fsync, so evicting it would lose the write
-//! or, worse, force an un-logged arena write that breaks the
-//! acked-prefix crash contract. When every slot is dirty the slab grows
-//! past its budget (bounded by the WAL checkpoint budget, which forces a
-//! commit); `enforce_budget` shrinks it back once entries are clean.
+//! pinned**: a dirty slot holds a cell the arena file does not have yet —
+//! its WAL record still in the open group-commit window, or durable but
+//! not written back (the store writes back at checkpoints and when the
+//! budget is exceeded, not per commit). Evicting it would lose the write,
+//! serve the arena's stale bytes on the next miss or, worse, force an
+//! un-logged arena write that breaks the acked-prefix crash contract.
+//! When every slot is dirty the slab grows past its budget (bounded by
+//! the WAL checkpoint budget, which forces a commit, and by the store
+//! writing back as soon as a commit leaves it over budget);
+//! `enforce_budget` shrinks it back once entries are clean.
 //!
 //! When the byte budget covers the whole database (`max_slots ≥
 //! capacity`) the cache instead runs in **identity mode**: the slab is
@@ -60,7 +63,8 @@ pub(crate) struct CellCache {
     refbit: Vec<bool>,
     /// Dirty (pinned) flags, one per slot.
     dirty: Vec<bool>,
-    /// Dirty slots in first-dirtied order: the deterministic flush order.
+    /// The dirty slots (first-dirtied order until the store sorts them by
+    /// address for write-back).
     dirty_slots: Vec<u32>,
     /// Slots currently holding nothing, available for reuse (bounded
     /// mode only; identity mode derives slots from addresses).
@@ -267,14 +271,29 @@ impl CellCache {
         self.addr_of[slot]
     }
 
-    /// Dirty slots in first-dirtied order (the flush order — kept
-    /// deterministic so crash schedules replay identically).
+    /// The dirty slots: first-dirtied order, or address order right after
+    /// [`CellCache::sort_dirty_by_addr`]. Deterministic either way, so
+    /// crash schedules replay identically.
     pub fn dirty_slots(&self) -> &[u32] {
         &self.dirty_slots
     }
 
-    /// Clears every dirty flag: the covering fsync (or checkpoint) has
-    /// made the entries durable, so they become evictable again.
+    /// Puts the dirty slots in ascending order of the address they hold —
+    /// the write-back order.
+    pub fn sort_dirty_by_addr(&mut self) {
+        let addr_of = &self.addr_of;
+        self.dirty_slots
+            .sort_unstable_by_key(|&slot| addr_of[slot as usize]);
+    }
+
+    /// Whether more slots are resident than the budget allows — only
+    /// pinned dirty entries can cause that.
+    pub fn over_budget(&self) -> bool {
+        self.live > self.max_slots
+    }
+
+    /// Clears every dirty flag: the entries have been written back to the
+    /// arena (or a checkpoint covers them), so they become evictable again.
     pub fn clean_all(&mut self) {
         for &slot in &self.dirty_slots {
             self.dirty[slot as usize] = false;
@@ -287,7 +306,7 @@ impl CellCache {
     /// evicted.
     pub fn enforce_budget(&mut self) -> u64 {
         let mut evictions = 0;
-        while self.resident() > self.max_slots {
+        while self.over_budget() {
             if let Some(slot) = self.clock_find_clean() {
                 self.evict(slot);
                 evictions += 1;

@@ -24,40 +24,88 @@
 //!
 //! ## Mutation and group commit
 //!
-//! Every mutation is encoded as one checksummed WAL record and applied to
-//! the cache as a *dirty* (pinned) entry. Records accumulate in an
-//! in-memory window of up to [`DiskOptions::wal_group_commit`] batches;
-//! closing the window *commits* it:
+//! Every mutation is applied to the cache as a *dirty* (pinned) entry and
+//! joins an in-memory window of up to [`DiskOptions::wal_group_commit`]
+//! batches; closing the window *commits* it: the whole window is framed as
+//! **one** checksummed WAL record, written with **one** `write_at` at the
+//! log's end and fsynced. That fsync is the durability point for every
+//! batch in the window, and it is all the I/O an acknowledged upload costs:
+//! the log file is preallocated to [`DiskOptions::wal_checkpoint_bytes`]
+//! and recycled, so the write lands in blocks the file already owns and
+//! the sync flushes data only — no file size for the filesystem to journal.
 //!
-//! 1. the whole window is appended to the WAL in **one** contiguous
-//!    write and fsynced — the covering fsync is the durability point for
-//!    every batch in the window, and a torn window write always leaves a
-//!    valid record prefix ending on a batch boundary;
-//! 2. only then are the dirty cells pwritten into the active arena slot
-//!    (so the arena never holds bytes that are not covered by durable WAL
-//!    records) and unpinned.
+//! A cell therefore moves through three states. *Applied*: in the cache,
+//! served to reads, its record not yet durable — what `Ok` from a mutation
+//! means under a window larger than 1. *WAL-durable*: its record's fsync
+//! has completed — what an acknowledgement promises (`Ok` under the
+//! default window of 1, [`DiskBackend::commit`] or
+//! [`Storage::flush`](crate::Storage::flush) otherwise; the network daemon
+//! flushes before any response leaves). *In the arena*: written back to
+//! its slot of the arena file — which no acknowledgement waits for. A
+//! WAL-durable cell stays dirty — resident and non-evictable, never
+//! refilled from the arena's stale bytes — until `write_back` copies it
+//! out, which happens in two places only: inside a checkpoint, and after a
+//! commit that leaves the cache over its byte budget (a bounded cache
+//! under write pressure; the budget still bounds the dirty overshoot).
+//! Write-back runs only with an empty window, so the arena never holds
+//! bytes that no durable WAL record covers; it sorts the dirty cells by
+//! address and issues one write per run of adjacent cells — in identity
+//! mode, where the slab *is* the arena image, also across gaps of up to
+//! one page (`WRITE_BACK_GAP`) of clean bytes, which the kernel would
+//! write back with their neighbours anyway.
 //!
-//! With the default window of 1 every batch commits before it returns,
-//! which is the classic crash-safe WAL discipline. With a larger window,
-//! `Ok` from a mutation means *applied*, not yet *durable*; call
-//! [`DiskBackend::commit`] (or [`Storage::flush`](crate::Storage::flush),
-//! which the network daemon invokes before acknowledging responses on the
-//! wire) to close the window. Either way, recovery always lands on a batch
-//! boundary of the committed prefix — the acked-prefix contract that
-//! `crash_recovery` sweeps.
+//! Either way, recovery always lands on a batch boundary of the committed
+//! prefix — the acked-prefix contract that `crash_recovery` sweeps; a
+//! window is one record, so it is kept or lost whole.
 //!
-//! A *checkpoint* makes the arena authoritative again and truncates the
-//! log: commit the open window, sync the arena, write a metadata snapshot
-//! (stride, lengths, init-bitmap) with a bumped generation stamp, then
-//! reset the WAL to an empty log carrying the new stamp. Snapshots
-//! alternate between two metadata files and — for geometry-changing
-//! checkpoints (init, re-stride) — between two arena files, so a torn
-//! write can never damage the checkpoint being superseded.
-//! [`DiskStore::open`] picks the newest valid snapshot, replays any
-//! complete WAL records stamped with its generation *in place* (replay is
-//! idempotent, so a crash mid-recovery just re-runs it), discards the (at
-//! most one) torn tail record, and surfaces everything else as
-//! [`DiskError::Corrupt`].
+//! A *checkpoint* makes the arena authoritative again and recycles the
+//! log: commit the open window, write back every dirty cell, sync the
+//! arena, write a metadata snapshot (stride, lengths, init-bitmap) with a
+//! bumped generation stamp, then rewrite the WAL header with the new stamp
+//! — one write, one sync; the old generation's records stay where they are
+//! and are overwritten as the new one grows. Snapshots alternate between
+//! two metadata files and — for geometry-changing checkpoints (init,
+//! re-stride) — between two arena files, so a torn write can never damage
+//! the checkpoint being superseded.
+//!
+//! ## Recovery, and what makes a recycled log sound
+//!
+//! [`DiskStore::open`] picks the newest valid snapshot, scans the log's
+//! record region **under that snapshot's stamp**, replays the records that
+//! validate *in place* over the arena (replay is idempotent, so a crash
+//! mid-recovery just re-runs it) and folds them into a fresh checkpoint.
+//! Four invariants carry this; each has a test in `crash_recovery` or
+//! [`crate::wal`].
+//!
+//! - **I1 — stale bytes never validate.** A record's CRC covers the stamp
+//!   it was written under, and the log restarts at offset 20 only under a
+//!   stamp no byte of the record region was ever written under: every
+//!   checkpoint bumps it, and recovery, when it finds an empty log with
+//!   anything but zeros behind it, restarts through a checkpoint too
+//!   instead of reusing the stamp — the bytes may be a torn append of this
+//!   very generation, and a later record of the same length in front of
+//!   them could make its tail readable again.
+//! - **I2 — one CRC'd unit per commit.** A window is one record and one
+//!   write, so a torn write cannot leave a valid later batch behind an
+//!   invalid earlier one.
+//! - **I3 — the log ends at the first record that does not validate**
+//!   under the snapshot's stamp. That is a *torn tail*, discarded —
+//!   unless a record that does validate follows where its length field
+//!   points, which by I1 and I2 can only mean an acknowledged record
+//!   rotted: [`DiskError::Corrupt`]. The price of having no file length
+//!   to consult: a rotted *final* record is indistinguishable from a torn
+//!   append and is discarded like one.
+//! - **I4 — the header is advisory.** Older than the snapshot (the crash
+//!   fell between the snapshot and the header rewrite), torn, or zeros (an
+//!   interrupted preallocation), with no valid record behind it: an empty
+//!   log, and the header is rewritten — through a checkpoint whenever a
+//!   record may already have been written under the current stamp (I1).
+//!   An invalid or older header in front of a record that validates, or a
+//!   valid header *newer* than every snapshot, is `Corrupt`.
+//!
+//! A log written by the truncate-and-append version of this store (short
+//! file, records of the current stamp behind the header) reads the same
+//! way and is grown to the preallocated size at its next checkpoint.
 //!
 //! All I/O goes through the [`Vfs`]/[`DiskFile`] traits; production uses
 //! [`RealVfs`] (plain files + `pwrite`), tests use
@@ -70,11 +118,11 @@
 //! surface for "application state unknown") and every later mutation fails
 //! fast the same way (after the model's bounds check: an out-of-range
 //! address is `OutOfBounds` on a poisoned store too). Reads keep serving
-//! **cache hits** (including every
-//! dirty cell pinned by an uncommitted window) and zero-length cells, but
-//! a cache *miss* would have to touch the failing arena file, so it also
-//! returns `Interrupted` instead of handing back bytes of unknown
-//! provenance. The recovery path is to drop the store and `open` the
+//! **cache hits** (including every dirty cell, whether or not its record
+//! became durable) and zero-length cells, but a cache *miss* would have to
+//! touch the failing arena file, so it also returns `Interrupted` instead
+//! of handing back bytes of unknown provenance; and a poisoned store never
+//! writes back. The recovery path is to drop the store and `open` the
 //! directory again.
 
 use std::io;
@@ -85,8 +133,8 @@ use crate::server::{Accounted, CellBackend, ServerError};
 use crate::stats::CacheTelemetry;
 use crate::store::CellIndex;
 use crate::wal::{
-    decode_meta, decode_wal_header, encode_meta, encode_record, encode_wal_header, scan_records,
-    DiskError, Meta, WalHeader, WAL_HEADER_LEN,
+    decode_meta, decode_wal_header, encode_meta, encode_wal_header, scan_records, DiskError, Meta,
+    RecordBuilder, WalHeader, WAL_HEADER_LEN,
 };
 
 /// One open file inside a [`Vfs`]: positioned reads/writes plus explicit
@@ -134,13 +182,30 @@ impl Vfs for RealVfs {
     type File = RealFile;
 
     fn open(&mut self, name: &str) -> io::Result<RealFile> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(self.dir.join(name))?;
+        let file = open_or_create(&self.dir, name, |dir| std::fs::File::open(dir)?.sync_all())?;
         Ok(RealFile { file })
+    }
+}
+
+/// Opens `dir/name` for read/write. A file that did not exist is created
+/// and `sync_dir` is called on `dir` before it is handed out: until the
+/// directory itself is synced the new entry can vanish in a power cut, and
+/// with it every acknowledged write the file went on to hold.
+fn open_or_create(
+    dir: &Path,
+    name: &str,
+    sync_dir: impl FnOnce(&Path) -> io::Result<()>,
+) -> io::Result<std::fs::File> {
+    let path = dir.join(name);
+    let mut options = std::fs::OpenOptions::new();
+    options.read(true).write(true);
+    match options.open(&path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let file = options.create(true).open(&path)?;
+            sync_dir(dir)?;
+            Ok(file)
+        }
+        opened => opened,
     }
 }
 
@@ -206,9 +271,11 @@ pub struct DiskOptions {
     /// Fsync policy (see [`SyncPolicy`]).
     pub sync: SyncPolicy,
     /// Once the WAL grows past this many bytes, the next commit triggers
-    /// an automatic checkpoint that truncates it. An open group-commit
+    /// an automatic checkpoint that recycles it. An open group-commit
     /// window that would overflow this budget is committed early, so the
-    /// budget also bounds the dirty-pinned cache overshoot.
+    /// budget also bounds the dirty-pinned cache overshoot. It is also the
+    /// size the log file is preallocated to (zero-filled once, never
+    /// truncated), so that an append is an overwrite of allocated blocks.
     pub wal_checkpoint_bytes: u64,
     /// Byte budget of the read-through cell cache (payload bytes; the
     /// per-cell metadata is always resident). Defaults to the
@@ -241,6 +308,14 @@ const ARENA_NAMES: [&str; 2] = ["arena.0", "arena.1"];
 const META_NAMES: [&str; 2] = ["meta.0", "meta.1"];
 const WAL_NAME: &str = "wal";
 
+/// Write-back bridges a gap of at most this many clean bytes between two
+/// dirty cells rather than issue a second write (identity mode only; see
+/// the [module docs](self)). One page: the kernel writes pages back whole.
+const WRITE_BACK_GAP: usize = 4096;
+
+/// What the log is preallocated with, a chunk at a time.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
+
 /// A durable, crash-safe [`Storage`](crate::Storage): the model over
 /// [`DiskBackend`] (see the [module docs](self) for the on-disk protocol).
 /// The backend's operational surface — [`DiskBackend::checkpoint`],
@@ -268,13 +343,18 @@ pub struct DiskBackend<V: Vfs = RealVfs> {
     meta_slot: usize,
     /// Current checkpoint generation stamp.
     stamp: u64,
-    /// Bytes of committed WAL content (header + fsync-covered records).
+    /// Bytes of committed WAL content (header + fsync-covered records):
+    /// the *logical* end of the log, where the next record goes. The file
+    /// behind it is longer (preallocated, never truncated).
     wal_len: u64,
     // ---- group commit ----
-    /// Encoded WAL records of the open (uncommitted) window.
-    pending: Vec<u8>,
+    /// The cell writes of the open (uncommitted) window, in order.
+    pending: RecordBuilder,
     /// Number of batches in the open window.
     pending_batches: usize,
+    /// Write-back's gather buffer for a run of adjacent cells whose cache
+    /// slots are not adjacent (bounded mode).
+    gather: Vec<u8>,
     opts: DiskOptions,
     poisoned: bool,
 }
@@ -303,13 +383,12 @@ impl<V: Vfs> DiskStore<V> {
 impl<V: Vfs> DiskBackend<V> {
     /// Recovery: pick the valid metadata snapshot with the highest stamp,
     /// adopt its metadata (the arena payload stays on disk and is served
-    /// through the cache), then replay complete WAL records carrying that
-    /// stamp into the active arena slot. Replay is idempotent — the same
-    /// records pwrite the same bytes — so a crash during recovery re-runs
-    /// it identically. A torn tail record (interrupted append) is
-    /// discarded; a complete record with a bad checksum, a WAL from a
-    /// generation newer than any snapshot, or a structurally inconsistent
-    /// snapshot+arena pair all surface as [`DiskError::Corrupt`].
+    /// through the cache), then replay the WAL records that validate under
+    /// that stamp into the active arena slot. Replay is idempotent — the
+    /// same records pwrite the same bytes — so a crash during recovery
+    /// re-runs it identically. Where the log ends, what is a torn tail and
+    /// what is [`DiskError::Corrupt`] are invariants I1–I4 of the
+    /// [module docs](self).
     fn recover(mut vfs: V, opts: DiskOptions) -> Result<Self, DiskError> {
         let arena = [vfs.open(ARENA_NAMES[0])?, vfs.open(ARENA_NAMES[1])?];
         let meta = [vfs.open(META_NAMES[0])?, vfs.open(META_NAMES[1])?];
@@ -351,51 +430,55 @@ impl<V: Vfs> DiskBackend<V> {
         }
 
         let mut store = Self::assemble(arena, meta, wal, meta_slot, m, opts);
-        match decode_wal_header(&wal_bytes) {
-            // Shorter than a header: a crash interrupted a WAL reset
-            // after truncation. Nothing in it can be newer than the
-            // snapshot; rebuild it.
-            WalHeader::TooShort => store.reset_wal()?,
-            WalHeader::Corrupt => {
-                return Err(DiskError::corrupt("WAL header fails validation"));
-            }
-            WalHeader::Valid(w) if w == store.stamp => {
-                let scan = scan_records(w, &wal_bytes[WAL_HEADER_LEN..])?;
-                for record in &scan.records {
-                    for (addr, bytes) in record {
-                        if *addr >= store.index.capacity() || bytes.len() > store.index.stride() {
-                            return Err(DiskError::corrupt(format!(
-                                "WAL record writes cell {addr} outside snapshot geometry"
-                            )));
-                        }
-                    }
-                }
-                if scan.records.is_empty() {
-                    store.wal_len = (WAL_HEADER_LEN + scan.valid_len) as u64;
-                    if scan.torn {
-                        store.reset_wal()?;
-                    }
-                } else {
-                    for record in &scan.records {
-                        for (addr, bytes) in record {
-                            store.replay(*addr, bytes)?;
-                        }
-                    }
-                    // Fold the replayed records into a fresh checkpoint
-                    // (this also resets the WAL). A crash in here leaves
-                    // the old snapshot + old WAL intact, so the next open
-                    // replays identically.
-                    store.light_checkpoint()?;
-                }
-            }
-            // A WAL from an older generation lost a race with its
-            // checkpoint's reset; its records are already in the snapshot.
-            WalHeader::Valid(w) if w < store.stamp => store.reset_wal()?,
-            WalHeader::Valid(w) => {
+        let header = decode_wal_header(&wal_bytes);
+        if let WalHeader::Valid(w) = header {
+            if w > store.stamp {
                 return Err(DiskError::corrupt(format!(
                     "WAL generation {w} is newer than newest snapshot {}",
                     store.stamp
                 )));
+            }
+        }
+        // I4: whatever the header says, the record region is read under
+        // the snapshot's stamp.
+        let scan = scan_records(store.stamp, wal_bytes.get(WAL_HEADER_LEN..).unwrap_or(&[]))?;
+        store.wal_len = WAL_HEADER_LEN as u64;
+        if !scan.records.is_empty() {
+            if header != WalHeader::Valid(store.stamp) {
+                // Records are only ever appended behind a durable header
+                // of their own generation.
+                return Err(DiskError::corrupt(
+                    "WAL header fails validation in front of a valid record",
+                ));
+            }
+            for (addr, bytes) in scan.records.iter().flatten() {
+                if *addr >= store.index.capacity() || bytes.len() > store.index.stride() {
+                    return Err(DiskError::corrupt(format!(
+                        "WAL record writes cell {addr} outside snapshot geometry"
+                    )));
+                }
+            }
+            for (addr, bytes) in scan.records.iter().flatten() {
+                store.replay(*addr, bytes)?;
+            }
+            // Fold the replayed records into a fresh checkpoint (this also
+            // restarts the log). A crash in here leaves the old snapshot +
+            // old WAL intact, so the next open replays identically.
+            store.light_checkpoint()?;
+        } else {
+            match header {
+                // An empty log of this generation with nothing behind it.
+                WalHeader::Valid(w) if w == store.stamp && !scan.torn => {}
+                // The checkpoint's header rewrite never happened (or the
+                // log was never set up): no record was ever written under
+                // this stamp, so the log may start under it.
+                WalHeader::Valid(w) if w < store.stamp => store.reset_wal()?,
+                WalHeader::TooShort => store.reset_wal()?,
+                // A torn append of this generation may sit behind the
+                // header (or the header itself is damaged): by I1 the log
+                // restarts under a stamp those bytes were not written
+                // under.
+                WalHeader::Valid(_) | WalHeader::Corrupt => store.light_checkpoint()?,
             }
         }
         store.warm_cache()?;
@@ -422,8 +505,9 @@ impl<V: Vfs> DiskBackend<V> {
             meta_slot,
             stamp: m.stamp,
             wal_len: 0,
-            pending: Vec::new(),
+            pending: RecordBuilder::default(),
             pending_batches: 0,
+            gather: Vec::new(),
             opts,
             poisoned: false,
         }
@@ -481,18 +565,18 @@ impl<V: Vfs> DiskBackend<V> {
         self.geometry_checkpoint(&[]).map_err(|e| self.poison(e))
     }
 
-    /// Forces a checkpoint: commits the open window, syncs the arena,
-    /// writes a metadata snapshot, truncates the WAL. Afterwards recovery
-    /// needs no replay.
+    /// Forces a checkpoint: commits the open window, writes every dirty
+    /// cell back and syncs the arena, writes a metadata snapshot, restarts
+    /// the WAL under the new stamp. Afterwards recovery needs no replay.
     pub fn checkpoint(&mut self) -> Result<(), DiskError> {
         self.check_poisoned()?;
         self.light_checkpoint().map_err(|e| self.poison(e))
     }
 
-    /// Closes the open group-commit window: one contiguous WAL write, the
-    /// covering fsync, then the dirty cache entries flush to the arena and
-    /// unpin. A no-op when the window is empty. Every batch applied before
-    /// this call is durable once it returns.
+    /// Closes the open group-commit window: one WAL record, one write, the
+    /// covering fsync. A no-op when the window is empty. Every batch
+    /// applied before this call is durable once it returns (its cells
+    /// reach the arena later — see the [module docs](self)).
     pub fn commit(&mut self) -> Result<(), DiskError> {
         self.check_poisoned()?;
         self.commit_pending().map_err(|e| self.poison(e))
@@ -642,29 +726,37 @@ impl<V: Vfs> DiskBackend<V> {
         }
     }
 
-    /// Routes one validated batch to the re-stride or group-commit path.
-    /// On `Ok`, the batch is applied (and durable per the commit policy);
-    /// nothing is charged to stats here.
-    fn persist_and_apply(&mut self, writes: &[(usize, &[u8])]) -> Result<(), ServerError> {
-        if writes.iter().any(|(_, c)| c.len() > self.index.stride()) {
-            self.restride_apply(writes)
-        } else {
-            self.queue_batch(writes)
-        }
-    }
-
-    /// Appends the batch's WAL record to the open window, applies its
-    /// cells to the cache as dirty (pinned), and commits the window when
-    /// it is full or would overflow the WAL budget.
-    fn queue_batch(&mut self, writes: &[(usize, &[u8])]) -> Result<(), ServerError> {
-        let record = encode_record(self.stamp, writes);
-        self.pending.extend_from_slice(&record);
+    /// Applies the batch pushed onto the window since `mark` to the cache
+    /// as dirty (pinned) cells, and commits the window when it is full or
+    /// would overflow the WAL budget. On `Ok` the batch is applied (and
+    /// durable per the commit policy); nothing is charged to stats here.
+    fn queue_batch(&mut self, mark: usize) -> Result<(), ServerError> {
         self.pending_batches += 1;
-        for (addr, cell) in writes {
-            self.apply_to_cache(*addr, cell);
+        for (addr, cell) in self.pending.writes_from(mark) {
+            // Until it is written back the cache holds the only readable
+            // copy of the payload, so a write always takes a slot.
+            self.index.record(addr, cell.len());
+            if cell.is_empty() {
+                // Zero-length payloads never occupy a slot; any stale
+                // resident bytes are masked by the length table.
+                continue;
+            }
+            let slot = match self.cache.lookup(addr) {
+                Some(slot) => {
+                    self.cache.mark_dirty(slot);
+                    slot
+                }
+                None => {
+                    let (slot, evicted) = self.cache.install(addr, true);
+                    self.telemetry.evictions += evicted;
+                    slot
+                }
+            };
+            self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
         }
         let window_full = self.pending_batches >= self.group_window();
-        let budget_hit = self.wal_len + self.pending.len() as u64 > self.opts.wal_checkpoint_bytes;
+        let budget_hit =
+            self.wal_len + self.pending.record_len() as u64 > self.opts.wal_checkpoint_bytes;
         if window_full || budget_hit {
             if let Err(e) = self.commit_pending() {
                 self.poison(e);
@@ -677,54 +769,70 @@ impl<V: Vfs> DiskBackend<V> {
         Ok(())
     }
 
-    /// Applies one cell write to the resident metadata and the cache. The
-    /// new entry is dirty (pinned) until the covering fsync; writes
-    /// allocate a cache slot because until then the cache holds the only
-    /// copy of the payload.
-    fn apply_to_cache(&mut self, addr: usize, cell: &[u8]) {
-        self.index.record(addr, cell.len());
-        if cell.is_empty() {
-            // Zero-length payloads never occupy a slot; any stale resident
-            // bytes are masked by the length table.
-            return;
-        }
-        if let Some(slot) = self.cache.lookup(addr) {
-            self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
-            self.cache.mark_dirty(slot);
-        } else {
-            let (slot, evicted) = self.cache.install(addr, true);
-            self.telemetry.evictions += evicted;
-            self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
-        }
-    }
-
-    /// Closes the open window (see [`DiskStore::commit`]): one contiguous
-    /// WAL write, the covering fsync, then — and only then — the dirty
-    /// cells pwrite into the arena and unpin. The ordering is the crash
-    /// contract: the arena never holds bytes that are not covered by
-    /// durable WAL records, so a torn window can only ever lose an
-    /// *unacknowledged* suffix of whole batches.
+    /// Closes the open window (see [`DiskStore::commit`]): the window as
+    /// one record, one write at the log's end, the covering fsync — and
+    /// nothing else, unless the dirty cells have pushed the cache over its
+    /// budget. A torn write can only ever lose the *unacknowledged* window,
+    /// whole.
     fn commit_pending(&mut self) -> Result<(), DiskError> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let pending = std::mem::take(&mut self.pending);
         self.pending_batches = 0;
-        self.wal.write_at(self.wal_len, &pending)?;
-        if self.want_sync() {
+        let sync = self.want_sync();
+        let record = self.pending.finish(self.stamp);
+        self.wal.write_at(self.wal_len, record)?;
+        if sync {
             self.wal.sync()?;
         }
-        self.wal_len += pending.len() as u64;
-        let active = self.active;
-        let stride = self.index.stride() as u64;
-        // Deterministic flush order (first-dirtied), so the crash
-        // simulator sees identical event streams across replays.
-        for &slot in self.cache.dirty_slots() {
-            let addr = self.cache.addr_of(slot as usize);
-            let len = self.index.len_of(addr).unwrap_or(0);
-            if len > 0 {
-                self.arena[active]
-                    .write_at(addr as u64 * stride, self.cache.slot_bytes(slot as usize, len))?;
+        self.wal_len += record.len() as u64;
+        if self.cache.over_budget() {
+            self.write_back()?;
+        }
+        Ok(())
+    }
+
+    /// Copies every dirty cell into the active arena slot and unpins it:
+    /// address-ascending, one write per run of adjacent cells (bridging
+    /// gaps of clean bytes up to [`WRITE_BACK_GAP`] where the slab is the
+    /// arena image). Only ever called with an empty window — every dirty
+    /// cell is then covered by a durable WAL record, which is what allows
+    /// the arena to hold it before the next snapshot.
+    fn write_back(&mut self) -> Result<(), DiskError> {
+        debug_assert!(self.pending.is_empty(), "write-back with an uncommitted window");
+        let stride = self.index.stride();
+        let identity = self.cache.is_identity();
+        let bridge = if identity { WRITE_BACK_GAP / stride.max(1) } else { 0 };
+        self.cache.sort_dirty_by_addr();
+        let dirty = self.cache.dirty_slots();
+        let mut next = 0;
+        while next < dirty.len() {
+            let run = next;
+            let first = self.cache.addr_of(dirty[run] as usize);
+            let mut last = first;
+            next += 1;
+            while next < dirty.len() {
+                let addr = self.cache.addr_of(dirty[next] as usize);
+                if addr - last - 1 > bridge {
+                    break;
+                }
+                last = addr;
+                next += 1;
+            }
+            // Whole strides up to the last cell, which ends at its length.
+            let len = (last - first) * stride + self.index.len_of(last).unwrap_or(0);
+            let bytes = if identity {
+                self.cache.identity_bytes(first, len)
+            } else {
+                self.gather.clear();
+                for &slot in &dirty[run..next] {
+                    self.gather
+                        .extend_from_slice(self.cache.slot_bytes(slot as usize, stride));
+                }
+                &self.gather[..len]
+            };
+            if !bytes.is_empty() {
+                self.arena[self.active].write_at((first * stride) as u64, bytes)?;
             }
         }
         self.cache.clean_all();
@@ -745,9 +853,11 @@ impl<V: Vfs> DiskBackend<V> {
     }
 
     /// Checkpoint keeping the current arena slot: commit the open window,
-    /// sync the arena, snapshot meta, reset the WAL.
+    /// write the dirty cells back, sync the arena, snapshot meta, restart
+    /// the WAL under the new stamp.
     fn light_checkpoint(&mut self) -> Result<(), DiskError> {
         self.commit_pending()?;
+        self.write_back()?;
         if self.want_sync() {
             self.arena[self.active].sync()?;
         }
@@ -794,12 +904,22 @@ impl<V: Vfs> DiskBackend<V> {
     /// top, and make it all durable as one geometry checkpoint. The batch
     /// is acknowledged only once the checkpoint is durable (a re-stride
     /// relocates every cell, which a per-cell WAL record cannot express).
-    fn restride_apply(&mut self, writes: &[(usize, &[u8])]) -> Result<(), ServerError> {
-        if let Err(e) = self.restride_inner(writes) {
+    ///
+    /// The batch is the one pushed onto the window since `mark`; the
+    /// checkpoint supersedes the whole window (its earlier batches are
+    /// dirty cache cells, streamed with the rest).
+    fn restride_apply(&mut self, mark: usize) -> Result<(), ServerError> {
+        let window = std::mem::take(&mut self.pending);
+        let result = {
+            let writes: Vec<(usize, &[u8])> = window.writes_from(mark).collect();
+            self.restride_inner(&writes)
+        };
+        self.pending = window;
+        self.pending.clear();
+        result.map_err(|e| {
             self.poison(e);
-            return Err(ServerError::Interrupted);
-        }
-        Ok(())
+            ServerError::Interrupted
+        })
     }
 
     fn restride_inner(&mut self, writes: &[(usize, &[u8])]) -> Result<(), DiskError> {
@@ -887,14 +1007,23 @@ impl<V: Vfs> DiskBackend<V> {
         Ok(())
     }
 
-    /// Resets the WAL to an empty log for the current generation. The
-    /// truncation is synced *before* the header is written, so a crash can
-    /// only ever leave a too-short WAL (discarded on open) — never a valid
-    /// header sitting on top of stale record bytes.
+    /// Restarts the WAL as an empty log of the current generation: one
+    /// header rewrite, one sync. The records behind the header stay; they
+    /// carry older stamps and never validate again (I1). The first time
+    /// the file is found shorter than the WAL budget it is grown to it
+    /// with zeros, synced before the header goes in, and never truncated
+    /// again.
     fn reset_wal(&mut self) -> Result<(), DiskError> {
-        self.wal.set_len(0)?;
-        if self.want_sync() {
-            self.wal.sync()?;
+        let mut len = self.wal.file_len()?;
+        if len < self.opts.wal_checkpoint_bytes {
+            while len < self.opts.wal_checkpoint_bytes {
+                let chunk = (self.opts.wal_checkpoint_bytes - len).min(ZEROS.len() as u64);
+                self.wal.write_at(len, &ZEROS[..chunk as usize])?;
+                len += chunk;
+            }
+            if self.want_sync() {
+                self.wal.sync()?;
+            }
         }
         let header = encode_wal_header(self.stamp);
         self.wal.write_at(0, &header)?;
@@ -961,11 +1090,11 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         }
     }
 
-    /// One non-empty batch is one WAL record (or, when it widens the
-    /// stride, one geometry checkpoint). A batch that fails half-way
-    /// poisons the store instead of being undone: from then on every `put`
-    /// is refused and only a reopen recovers, which lands on a batch
-    /// boundary.
+    /// One non-empty batch joins the open window's WAL record (or, when
+    /// it widens the stride, is one geometry checkpoint). A batch that
+    /// fails half-way poisons the store instead of being undone: from then
+    /// on every `put` is refused and only a reopen recovers, which lands
+    /// on a batch boundary.
     fn put<'a>(
         &mut self,
         items: impl Iterator<Item = (usize, &'a [u8])>,
@@ -973,11 +1102,21 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         if self.poisoned {
             return Err(ServerError::Interrupted);
         }
-        let writes: Vec<(usize, &[u8])> = items.collect();
-        if writes.is_empty() {
-            return Ok(());
+        // The items stream straight into the window's record; what path
+        // the batch takes is known once the widest cell has been seen.
+        let mark = self.pending.writes();
+        let mut widest = 0;
+        for (addr, cell) in items {
+            widest = widest.max(cell.len());
+            self.pending.push(addr, cell);
         }
-        self.persist_and_apply(&writes)
+        if self.pending.writes() == mark {
+            Ok(())
+        } else if widest > self.index.stride() {
+            self.restride_apply(mark)
+        } else {
+            self.queue_batch(mark)
+        }
     }
 
     fn flush(&mut self) -> Result<(), ServerError> {
@@ -1056,6 +1195,8 @@ mod tests {
         assert_eq!(store.stored_bytes(), 3);
     }
 
+    /// (The name is from when the reset truncated the file; what it pins
+    /// is the logical length.)
     #[test]
     fn checkpoint_truncates_wal_and_bumps_stamp() {
         let tmp = TempDir::new("ckpt");
@@ -1165,6 +1306,89 @@ mod tests {
         drop(store);
         let mut store = DiskStore::open(&tmp.0).unwrap();
         assert_eq!(store.read(4).unwrap(), vec![0xDD; 8]);
+    }
+
+    /// A directory as the truncate-and-append version of this store left
+    /// it: a short `wal`, two records of the current stamp behind the
+    /// header, no preallocation.
+    #[test]
+    fn append_era_log_opens_and_serves_its_records() {
+        use crate::wal::encode_record;
+        let tmp = TempDir::new("appendera");
+        let stamp = {
+            let mut store = DiskStore::open(&tmp.0).unwrap();
+            store.init(cells(6));
+            store.checkpoint_stamp()
+        };
+        let mut wal = encode_wal_header(stamp).to_vec();
+        wal.extend_from_slice(&encode_record(stamp, &[(1, &[0xA1; 8]), (4, &[0xA4; 3])]));
+        wal.extend_from_slice(&encode_record(stamp, &[(1, &[0xB1; 8])]));
+        std::fs::write(tmp.0.join(WAL_NAME), &wal).unwrap();
+
+        let mut store = DiskStore::open(&tmp.0).unwrap();
+        assert_eq!(store.read(1).unwrap(), vec![0xB1; 8], "later record wins");
+        assert_eq!(store.read(4).unwrap(), vec![0xA4; 3]);
+        assert_eq!(store.read(0).unwrap(), vec![0u8; 8]);
+        // Replay folded the records into a checkpoint, whose reset grew
+        // the log to the preallocated size.
+        assert_eq!(store.checkpoint_stamp(), stamp + 1);
+        assert_eq!(store.wal_bytes(), WAL_HEADER_LEN as u64);
+        let on_disk = std::fs::metadata(tmp.0.join(WAL_NAME)).unwrap().len();
+        assert_eq!(on_disk, DiskOptions::default().wal_checkpoint_bytes);
+    }
+
+    /// I4's two `Corrupt` cases: a header from a generation no snapshot
+    /// has reached, and a damaged header in front of a record that
+    /// validates under the snapshot's stamp.
+    #[test]
+    fn header_newer_than_every_snapshot_or_rotted_before_a_record_is_corrupt() {
+        use std::os::unix::fs::FileExt;
+        let tmp = TempDir::new("hdr");
+        let stamp = {
+            let mut store = DiskStore::open(&tmp.0).unwrap();
+            store.init(cells(4));
+            store.write(2, vec![7; 8]).unwrap();
+            store.checkpoint_stamp()
+        };
+        let wal = std::fs::OpenOptions::new()
+            .write(true)
+            .open(tmp.0.join(WAL_NAME))
+            .unwrap();
+        wal.write_all_at(&encode_wal_header(stamp + 1), 0).unwrap();
+        assert!(matches!(DiskStore::open(&tmp.0), Err(DiskError::Corrupt { .. })));
+        wal.write_all_at(&[0u8; WAL_HEADER_LEN], 0).unwrap();
+        assert!(matches!(DiskStore::open(&tmp.0), Err(DiskError::Corrupt { .. })));
+        wal.write_all_at(&encode_wal_header(stamp - 1), 0).unwrap();
+        assert!(matches!(DiskStore::open(&tmp.0), Err(DiskError::Corrupt { .. })));
+        // With the header back the record is served.
+        wal.write_all_at(&encode_wal_header(stamp), 0).unwrap();
+        assert_eq!(DiskStore::open(&tmp.0).unwrap().read(2).unwrap(), vec![7; 8]);
+    }
+
+    #[test]
+    fn creating_a_file_syncs_its_directory_and_reopening_does_not() {
+        let tmp = TempDir::new("dirsync");
+        std::fs::create_dir_all(&tmp.0).unwrap();
+        let synced = std::cell::RefCell::new(Vec::new());
+        let sync_dir = |dir: &Path| {
+            // By the time the directory is synced the entry is in it.
+            assert!(dir.join("wal").is_file());
+            synced.borrow_mut().push(dir.to_path_buf());
+            Ok(())
+        };
+        open_or_create(&tmp.0, "wal", sync_dir).unwrap();
+        assert_eq!(*synced.borrow(), vec![tmp.0.clone()]);
+        open_or_create(&tmp.0, "wal", sync_dir).unwrap();
+        assert_eq!(synced.borrow().len(), 1, "an existing file needs no directory sync");
+        // A failing directory sync fails the open: the store must not go
+        // on to acknowledge writes into a file that may not survive.
+        let failed = open_or_create(&tmp.0, "meta.0", |_| Err(io::Error::other("no sync")));
+        assert!(failed.is_err());
+        // The real thing, end to end: a fresh store opens (five files, five
+        // directory syncs) and a second open finds them all.
+        let dir = tmp.0.join("store");
+        DiskStore::open(&dir).unwrap().init(cells(2));
+        assert_eq!(DiskStore::open(&dir).unwrap().capacity(), 2);
     }
 
     #[test]

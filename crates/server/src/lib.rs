@@ -45,7 +45,7 @@ pub mod transcript;
 pub mod verified;
 pub mod wal;
 
-pub use crashsim::{CrashFile, CrashSim};
+pub use crashsim::{CrashFile, CrashSim, SimEvent, SimOp, Tear};
 pub use disk::{DiskBackend, DiskFile, DiskOptions, DiskStore, RealVfs, SyncPolicy, Vfs};
 pub use latency::NetworkModel;
 pub use multi::ReplicatedServers;

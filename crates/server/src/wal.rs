@@ -11,12 +11,21 @@
 //! header  : magic "DPSW" | version u32 | stamp u64 | crc u32      (20 bytes)
 //! record* : len u32 | crc u32 | payload (len bytes)
 //! payload : tag u8 (=1) | n u32 | addr u64 ×n | len u32 ×n | cell bytes
+//! rest    : zeros (never written) or bytes of older generations
 //! ```
 //!
 //! All integers are little-endian. Each record's CRC covers
 //! `stamp ‖ len ‖ payload`, binding the record to the checkpoint
-//! generation it extends: records from an older generation can never be
-//! mistaken for current ones, even if a crash leaves them on disk.
+//! generation it extends. The file is **preallocated and recycled**
+//! ([`crate::disk`] never truncates it: a checkpoint rewrites the header
+//! and the next generation overwrites the old records in place), so the
+//! stamp in the CRC is what ends the log: the record region is read under
+//! the newest snapshot's stamp and stops at the first record that does not
+//! validate under it — stale bytes never do. A record is one commit (a
+//! whole group-commit window, [`RecordBuilder`]), written by one `write`.
+//! What an invalid record means — the torn tail of the append a crash
+//! interrupted, or a rotted acknowledged record — is [`scan_records`]'
+//! decision.
 //!
 //! ## Metadata snapshot layout
 //!
@@ -92,12 +101,15 @@ impl From<std::io::Error> for DiskError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, table-driven; implemented here because the
+// CRC-32 (IEEE 802.3 polynomial, slicing-by-8; implemented here because the
 // container is offline and the workspace deliberately has no external deps).
 // ---------------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Table 0 is the classic byte-at-a-time table; table `k` maps byte `b` to
+/// the CRC of `b` followed by `k` zero bytes, which lets eight input bytes
+/// be folded with eight independent lookups instead of a chain of eight.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -106,21 +118,44 @@ const fn build_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// CRC-32 (IEEE) over the concatenation of `parts`, without materialising
 /// the concatenation.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
     }
     !c
@@ -130,15 +165,20 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
 // WAL header
 // ---------------------------------------------------------------------------
 
-/// Classification of the bytes at the head of the WAL file.
+/// Classification of the bytes at the head of the WAL file. The header is
+/// advisory — what the log holds is decided by scanning the record region
+/// under the newest snapshot's stamp — but it tells recovery how far the
+/// last reset got.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WalHeader {
     /// A structurally valid header carrying the given generation stamp.
     Valid(u64),
-    /// Fewer than [`WAL_HEADER_LEN`] bytes: a crash interrupted a WAL
-    /// reset between truncation and the header write. Safe to discard.
+    /// Fewer than [`WAL_HEADER_LEN`] bytes: the log was never set up (or,
+    /// in a directory of the truncating era, a reset was interrupted).
+    /// Nothing can be behind it.
     TooShort,
-    /// A full-length header that fails magic/version/CRC validation.
+    /// A full-length header that fails magic/version/CRC validation: an
+    /// interrupted preallocation (zeros), a torn header rewrite, or rot.
     Corrupt,
 }
 
@@ -173,83 +213,163 @@ pub(crate) fn decode_wal_header(bytes: &[u8]) -> WalHeader {
 // WAL records
 // ---------------------------------------------------------------------------
 
-/// Encode one batch of cell writes as a complete WAL record
-/// (`len | crc | payload`), bound to generation `stamp`.
+/// The one record encoder: collects the cell writes of a commit (every
+/// batch of a group-commit window, in order) and frames them as **one**
+/// CRC'd record. The three sections of the payload grow separately because
+/// a batch arrives as a single-pass iterator and the format keeps
+/// addresses, lengths and cell bytes apart; [`RecordBuilder::finish`]
+/// joins them. Every buffer keeps its capacity across commits.
+#[derive(Debug, Default)]
+pub(crate) struct RecordBuilder {
+    addrs: Vec<u8>,
+    lens: Vec<u8>,
+    cells: Vec<u8>,
+    record: Vec<u8>,
+}
+
+impl RecordBuilder {
+    /// Appends one cell write.
+    pub fn push(&mut self, addr: usize, cell: &[u8]) {
+        self.addrs.extend_from_slice(&(addr as u64).to_le_bytes());
+        self.lens.extend_from_slice(&(cell.len() as u32).to_le_bytes());
+        self.cells.extend_from_slice(cell);
+    }
+
+    /// Number of cell writes collected.
+    pub fn writes(&self) -> usize {
+        self.lens.len() / 4
+    }
+
+    /// Whether no write has been collected.
+    pub fn is_empty(&self) -> bool {
+        self.lens.is_empty()
+    }
+
+    /// Size of the record [`RecordBuilder::finish`] would produce.
+    pub fn record_len(&self) -> usize {
+        RECORD_HEADER_LEN + 1 + 4 + self.addrs.len() + self.lens.len() + self.cells.len()
+    }
+
+    /// The writes collected from index `from` on, in order (`from` is an
+    /// earlier [`RecordBuilder::writes`]: the batch pushed since).
+    pub fn writes_from(&self, from: usize) -> impl Iterator<Item = (usize, &[u8])> {
+        let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap()) as usize;
+        let skipped: usize = self.lens[..from * 4].chunks_exact(4).map(le32).sum();
+        let mut cells = &self.cells[skipped..];
+        self.addrs[from * 8..]
+            .chunks_exact(8)
+            .zip(self.lens[from * 4..].chunks_exact(4))
+            .map(move |(addr, len)| {
+                let (cell, rest) = cells.split_at(le32(len));
+                cells = rest;
+                (u64::from_le_bytes(addr.try_into().unwrap()) as usize, cell)
+            })
+    }
+
+    /// Drops every collected write.
+    pub fn clear(&mut self) {
+        self.addrs.clear();
+        self.lens.clear();
+        self.cells.clear();
+    }
+
+    /// Frames everything collected as one record (`len | crc | payload`)
+    /// bound to generation `stamp`, and starts over. The returned bytes
+    /// live until the next call.
+    pub fn finish(&mut self, stamp: u64) -> &[u8] {
+        let payload_len = (self.record_len() - RECORD_HEADER_LEN) as u32;
+        let out = &mut self.record;
+        out.clear();
+        out.extend_from_slice(&payload_len.to_le_bytes());
+        out.extend_from_slice(&[0u8; 4]); // crc placeholder
+        out.push(RECORD_TAG_WRITES);
+        out.extend_from_slice(&(self.lens.len() as u32 / 4).to_le_bytes());
+        out.extend_from_slice(&self.addrs);
+        out.extend_from_slice(&self.lens);
+        out.extend_from_slice(&self.cells);
+        let crc = record_crc(stamp, payload_len, &out[RECORD_HEADER_LEN..]);
+        out[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.clear();
+        &self.record
+    }
+}
+
+fn record_crc(stamp: u64, payload_len: u32, payload: &[u8]) -> u32 {
+    crc32(&[&stamp.to_le_bytes(), &payload_len.to_le_bytes(), payload])
+}
+
+/// One batch of cell writes as a complete WAL record — what a commit of
+/// exactly that batch appends.
+#[cfg(test)]
 pub(crate) fn encode_record(stamp: u64, writes: &[(usize, &[u8])]) -> Vec<u8> {
-    let bytes_total: usize = writes.iter().map(|(_, c)| c.len()).sum();
-    let payload_len = 1 + 4 + writes.len() * (8 + 4) + bytes_total;
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload_len);
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    out.push(RECORD_TAG_WRITES);
-    out.extend_from_slice(&(writes.len() as u32).to_le_bytes());
-    for (addr, _) in writes {
-        out.extend_from_slice(&(*addr as u64).to_le_bytes());
+    let mut builder = RecordBuilder::default();
+    for (addr, cell) in writes {
+        builder.push(*addr, cell);
     }
-    for (_, cell) in writes {
-        out.extend_from_slice(&(cell.len() as u32).to_le_bytes());
-    }
-    for (_, cell) in writes {
-        out.extend_from_slice(cell);
-    }
-    let crc = crc32(&[
-        &stamp.to_le_bytes(),
-        &(payload_len as u32).to_le_bytes(),
-        &out[RECORD_HEADER_LEN..],
-    ]);
-    out[4..8].copy_from_slice(&crc.to_le_bytes());
-    out
+    builder.finish(stamp).to_vec()
 }
 
 /// Result of scanning the record region of the WAL.
 #[derive(Debug)]
 pub(crate) struct WalScan {
-    /// Complete, checksum-valid batches in append order.
+    /// Complete, checksum-valid records in append order, each the cell
+    /// writes of one commit.
     pub records: Vec<Vec<(usize, Vec<u8>)>>,
-    /// Byte length of the valid prefix (relative to the start of the
-    /// record region); anything past this is a discarded torn tail.
-    pub valid_len: usize,
-    /// Whether a torn (incomplete) tail record was discarded.
+    /// Whether anything but zeros follows the last valid record: a torn
+    /// append, or (in a recycled log) records of older generations — the
+    /// two are indistinguishable, so the log may only be restarted under a
+    /// new stamp (see [`crate::disk`], invariant I1).
     pub torn: bool,
+}
+
+/// The record at `pos`, if one validates under `stamp`: a plausible length
+/// that stays inside `bytes` and a matching CRC. Returns the payload.
+fn valid_record(stamp: u64, bytes: &[u8], pos: usize) -> Option<&[u8]> {
+    let header = bytes.get(pos..pos.checked_add(RECORD_HEADER_LEN)?)?;
+    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let body = pos + RECORD_HEADER_LEN;
+    let payload = bytes.get(body..body.checked_add(len as usize)?)?;
+    (crc == record_crc(stamp, len, payload)).then_some(payload)
 }
 
 /// Scan `bytes` (the WAL contents *after* the header) for records bound to
 /// generation `stamp`.
 ///
-/// A record whose promised length runs past the end of the file is the
-/// (at most one) torn tail from an interrupted append and is discarded. A
-/// *complete* record whose CRC fails is real corruption and is reported as
-/// [`DiskError::Corrupt`] — never silently truncated.
+/// The log ends at the first record that does not validate under `stamp`
+/// (implausible length, runs past the file, bad CRC). In a preallocated,
+/// recycled file that is the normal end — zeros or an older generation's
+/// bytes follow — and also what an interrupted append leaves, so it is a
+/// *torn tail* and is discarded. The exception: if the invalid record's
+/// length field points at a record that **does** validate under `stamp`,
+/// an append that was acknowledged (a later one completed behind it) has
+/// rotted, and that is [`DiskError::Corrupt`] — never silently truncated.
+/// A rotted *final* record cannot be told from a torn one and is
+/// discarded; a preallocated file has no length to say the append
+/// completed. A record whose CRC validates but whose payload does not
+/// parse was never written by this code and is `Corrupt` as well.
 pub(crate) fn scan_records(stamp: u64, bytes: &[u8]) -> Result<WalScan, DiskError> {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while pos < bytes.len() {
-        if bytes.len() - pos < RECORD_HEADER_LEN {
-            return Ok(WalScan { records, valid_len: pos, torn: true });
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            return Err(DiskError::corrupt(format!(
-                "WAL record at offset {pos} claims implausible length {len}"
-            )));
-        }
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + RECORD_HEADER_LEN;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            return Ok(WalScan { records, valid_len: pos, torn: true });
-        }
-        let payload = &bytes[body_start..body_end];
-        let want = crc32(&[&stamp.to_le_bytes(), &len.to_le_bytes(), payload]);
-        if crc != want {
-            return Err(DiskError::corrupt(format!(
-                "WAL record at offset {pos} fails its checksum"
-            )));
-        }
+    while let Some(payload) = valid_record(stamp, bytes, pos) {
         records.push(decode_record_payload(payload, pos)?);
-        pos = body_end;
+        pos += RECORD_HEADER_LEN + payload.len();
     }
-    Ok(WalScan { records, valid_len: pos, torn: false })
+    if let Some(len) = bytes.get(pos..pos + 4) {
+        let len = u32::from_le_bytes(len.try_into().unwrap());
+        if len <= MAX_RECORD_LEN
+            && valid_record(stamp, bytes, pos + RECORD_HEADER_LEN + len as usize).is_some()
+        {
+            return Err(DiskError::corrupt(format!(
+                "WAL record at offset {pos} fails its checksum in front of a valid record"
+            )));
+        }
+    }
+    let torn = bytes[pos..].iter().any(|&b| b != 0);
+    Ok(WalScan { records, torn })
 }
 
 fn decode_record_payload(payload: &[u8], pos: usize) -> Result<Vec<(usize, Vec<u8>)>, DiskError> {
@@ -389,6 +509,19 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Option<Meta> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time loop slicing-by-8 replaced: the oracle for an
+    /// on-disk format that must not move.
+    fn crc32_bytewise(parts: &[&[u8]]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for part in parts {
+            for &b in *part {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+        }
+        !c
+    }
 
     #[test]
     fn crc32_known_vector() {
@@ -396,6 +529,32 @@ mod tests {
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[]), 0);
+    }
+
+    proptest! {
+        /// Same polynomial, same values, whatever the length and however
+        /// the input is split into parts (a part boundary falls inside an
+        /// 8-byte word almost always).
+        #[test]
+        fn crc32_slicing_matches_the_bytewise_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..9001),
+            cuts in proptest::collection::vec(any::<u16>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> =
+                cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut parts: Vec<&[u8]> = Vec::new();
+            let mut start = 0;
+            for cut in cuts {
+                parts.push(&data[start..cut]);
+                start = cut;
+            }
+            parts.push(&data[start..]);
+            let want = crc32_bytewise(&[&data]);
+            prop_assert_eq!(crc32(&parts), want);
+            prop_assert_eq!(crc32(&[&data]), want);
+            prop_assert_eq!(crc32_bytewise(&parts), want);
+        }
     }
 
     #[test]
@@ -406,6 +565,7 @@ mod tests {
         let mut bad = h;
         bad[9] ^= 1;
         assert_eq!(decode_wal_header(&bad), WalHeader::Corrupt);
+        assert_eq!(decode_wal_header(&[0u8; 64]), WalHeader::Corrupt);
     }
 
     #[test]
@@ -415,13 +575,38 @@ mod tests {
         bytes.extend_from_slice(&encode_record(9, &[(1, b"x")]));
         let scan = scan_records(9, &bytes).unwrap();
         assert!(!scan.torn);
-        assert_eq!(scan.valid_len, bytes.len());
         assert_eq!(scan.records.len(), 2);
         assert_eq!(
             scan.records[0],
             vec![(3, b"abc".to_vec()), (0, Vec::new()), (7, b"zzzz".to_vec())]
         );
         assert_eq!(scan.records[1], vec![(1, b"x".to_vec())]);
+    }
+
+    #[test]
+    fn a_window_is_one_record_of_its_batches_in_order() {
+        let mut window = RecordBuilder::default();
+        window.push(3, b"abc");
+        window.push(0, b"");
+        let second = window.writes();
+        window.push(3, b"later");
+        window.push(9, b"z");
+        assert_eq!(
+            window.writes_from(second).collect::<Vec<_>>(),
+            vec![(3, &b"later"[..]), (9, &b"z"[..])]
+        );
+        let len = window.record_len();
+        let record = window.finish(5).to_vec();
+        assert_eq!(record.len(), len);
+        assert!(window.is_empty());
+        // Byte for byte the record of the concatenated batches.
+        assert_eq!(record, encode_record(5, &[(3, b"abc"), (0, b""), (3, b"later"), (9, b"z")]));
+        let scan = scan_records(5, &record).unwrap();
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.records[0].len(), 4);
+        // The builder starts over: the next record carries none of this one.
+        window.push(1, b"x");
+        assert_eq!(window.finish(5), &encode_record(5, &[(1, b"x")])[..]);
     }
 
     #[test]
@@ -434,21 +619,89 @@ mod tests {
             let mut bytes = full.clone();
             bytes.extend_from_slice(&rec[..cut]);
             let scan = scan_records(1, &bytes).unwrap();
-            assert_eq!(scan.records.len(), 1, "cut={cut}");
-            assert_eq!(scan.valid_len, full.len(), "cut={cut}");
+            assert_eq!(scan.records, vec![vec![(0, b"first".to_vec())]], "cut={cut}");
             assert_eq!(scan.torn, cut != 0, "cut={cut}");
         }
 
-        // Complete record, flipped payload bit: typed corruption.
+        // Complete *last* record, flipped payload bit: in a preallocated
+        // log nothing says the append completed, so it is a torn tail.
         let mut bytes = full.clone();
         let mut bad = rec.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x80;
         bytes.extend_from_slice(&bad);
+        let scan = scan_records(1, &bytes).unwrap();
+        assert_eq!((scan.records.len(), scan.torn), (1, true));
+
+        // The same record with a valid one behind it was acknowledged:
+        // typed corruption, whether the payload or the CRC field rotted.
+        bytes.extend_from_slice(&full);
+        assert!(matches!(scan_records(1, &bytes), Err(DiskError::Corrupt { .. })));
+        bytes[full.len() + last] ^= 0x80;
+        assert_eq!(scan_records(1, &bytes).unwrap().records.len(), 3);
+        bytes[full.len() + 5] ^= 0x01;
         assert!(matches!(scan_records(1, &bytes), Err(DiskError::Corrupt { .. })));
 
-        // Wrong generation stamp also fails the checksum.
-        assert!(matches!(scan_records(2, &full), Err(DiskError::Corrupt { .. })));
+        // Records of another generation never validate: to the scan they
+        // are the bytes a recycled log has behind its end.
+        let scan = scan_records(2, &full).unwrap();
+        assert_eq!((scan.records.len(), scan.torn), (0, true));
+    }
+
+    #[test]
+    fn checksum_valid_but_malformed_payload_is_corruption() {
+        // A record whose CRC matches was written whole; if its payload does
+        // not parse, no crash explains it.
+        let payload = [7u8, 0, 0, 0, 0]; // unknown tag
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&record_crc(3, payload.len() as u32, &payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        assert!(matches!(scan_records(3, &bytes), Err(DiskError::Corrupt { .. })));
+    }
+
+    proptest! {
+        /// valid prefix ‖ arbitrary bytes: the scan yields exactly the
+        /// prefix's records (or typed corruption), never a record made of
+        /// the arbitrary bytes — unless they hold a record valid under the
+        /// stamp, which is then the log's honest continuation.
+        #[test]
+        fn scan_never_reads_a_record_out_of_garbage(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0usize..64, proptest::collection::vec(any::<u8>(), 0..24)), 0..4),
+                0..5),
+            garbage in proptest::collection::vec(any::<u8>(), 0..200),
+            stale_generation in proptest::collection::vec(
+                (0usize..64, proptest::collection::vec(any::<u8>(), 0..24)), 0..4),
+            continuation in any::<bool>(),
+        ) {
+            let stamp = 11;
+            let encode = |stamp: u64, batch: &[(usize, Vec<u8>)]| {
+                let writes: Vec<(usize, &[u8])> =
+                    batch.iter().map(|(a, c)| (*a, c.as_slice())).collect();
+                encode_record(stamp, &writes)
+            };
+            let mut bytes = Vec::new();
+            for batch in &batches {
+                bytes.extend_from_slice(&encode(stamp, batch));
+            }
+            // What a recycled log has behind its end: a record of an older
+            // generation, then anything at all.
+            bytes.extend_from_slice(&encode(stamp - 1, &stale_generation));
+            bytes.extend_from_slice(&garbage);
+            if continuation {
+                bytes.extend_from_slice(&encode(stamp, &stale_generation));
+            }
+            match scan_records(stamp, &bytes) {
+                Ok(scan) => {
+                    prop_assert_eq!(scan.records, batches.clone());
+                }
+                // Only a valid record under the stamp behind the invalid
+                // one can turn the end of the log into corruption.
+                Err(DiskError::Corrupt { .. }) => prop_assert!(continuation),
+                Err(e) => prop_assert!(false, "unexpected error {e}"),
+            }
+        }
     }
 
     #[test]

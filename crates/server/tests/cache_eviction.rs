@@ -9,12 +9,15 @@
 //! [`CostStats::sans_cache`]) and the final cell-by-cell state must be
 //! bit-identical. Randomized programs cover re-striding across evictions,
 //! zero-length cells, dirty pinning under group commit, and explicit
-//! commits; focused tests make hits/misses/evictions and the dirty-pin
-//! overshoot legible.
+//! commits; focused tests make hits/misses/evictions, the dirty-pin
+//! overshoot and the deferred write-back (acknowledged cells wait in the
+//! cache until a checkpoint or budget pressure) legible.
 //!
 //! [`CostStats::sans_cache`]: dps_server::CostStats::sans_cache
 
-use dps_server::{DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy};
+use dps_server::{
+    CrashSim, DiskOptions, DiskStore, ServerError, SimOp, SimServer, Storage, SyncPolicy,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -284,4 +287,69 @@ fn zero_length_cells_are_cache_free_and_exact() {
         disk.read(CAPACITY + 1),
         Err(ServerError::OutOfBounds { addr: CAPACITY + 1, capacity: CAPACITY })
     );
+}
+
+/// Acknowledged cells wait in the cache, not in the arena: with the CI
+/// leg's 4 KiB cache under a store 16× its size, every read — hit, miss
+/// and refill around the waiting dirty cells — equals the oracle, the
+/// arena is not written while the dirty cells fit the budget, and once
+/// they do not, write-back drains them and the reads still agree. (The
+/// simulated disk is used for its event log; nothing crashes here.)
+#[test]
+fn reads_match_the_oracle_while_dirty_cells_wait_for_write_back() {
+    const CACHE: usize = 4096;
+    const LEN: usize = 64;
+    const CELLS: usize = 16 * CACHE / LEN; // 1024 cells, 64 of them cacheable
+    let sim = CrashSim::new(1);
+    let opts = DiskOptions {
+        sync: SyncPolicy::Always,
+        wal_checkpoint_bytes: 1 << 20,
+        cache_bytes: CACHE,
+        wal_group_commit: 1,
+    };
+    let arena_writes = |sim: &CrashSim| {
+        let log = sim.event_log();
+        let writes = log
+            .iter()
+            .filter(|e| e.file.starts_with("arena.") && matches!(e.op, SimOp::Write { .. }));
+        writes.count()
+    };
+    let mut disk = DiskStore::open_on(sim.clone(), opts).expect("open disk store");
+    let mut oracle = SimServer::new();
+    let cells: Vec<Vec<u8>> = (0..CELLS).map(|i| cell(i as u8, LEN)).collect();
+    disk.init(cells.clone());
+    oracle.init(cells);
+    let after_init = arena_writes(&sim);
+
+    // 40 acknowledged writes scattered over the store: inside the budget
+    // of 64 slots, so they stay dirty and the arena keeps its old bytes.
+    let scattered = |i: usize| (i * 389) % CELLS;
+    for i in 0..40 {
+        let write = (scattered(i), cell(0xD0 ^ i as u8, LEN));
+        assert_eq!(disk.write(write.0, write.1.clone()), oracle.write(write.0, write.1));
+    }
+    assert_eq!(arena_writes(&sim), after_init, "write-back ran inside the budget");
+    // Two sweeps of the whole store miss and refill through the 24 slots
+    // the dirty cells leave: the waiting cells must answer from the
+    // cache, never from the arena's stale copy, and must not be evicted.
+    for _ in 0..2 {
+        for addr in 0..CELLS {
+            assert_eq!(disk.read(addr), oracle.read(addr), "cell {addr} while dirty cells wait");
+        }
+    }
+    assert_eq!(arena_writes(&sim), after_init, "a read wrote a dirty cell back");
+    assert!(disk.stats().cache_evictions > 0, "the sweeps must have evicted around them");
+
+    // Past the budget the next commit writes everything back and the
+    // cache returns to its size; the arena now serves the same cells.
+    for i in 40..80 {
+        let write = (scattered(i), cell(0xD0 ^ i as u8, LEN));
+        assert_eq!(disk.write(write.0, write.1.clone()), oracle.write(write.0, write.1));
+    }
+    assert!(arena_writes(&sim) > after_init, "pressure never triggered write-back");
+    assert!(disk.cache_resident() <= CACHE / LEN + 1);
+    for addr in 0..CELLS {
+        assert_eq!(disk.read(addr), oracle.read(addr), "cell {addr} after write-back");
+    }
+    assert_eq!(disk.stats().sans_cache(), oracle.stats());
 }

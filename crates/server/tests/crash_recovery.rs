@@ -3,8 +3,10 @@
 //! The contract under test (the tentpole of the durability work):
 //!
 //! - **Atomic batches.** For a randomized program of mutating batches, a
-//!   crash injected at *any* I/O event — including torn writes and seeded
-//!   reordering of the unsynced window — leaves the store recoverable to
+//!   crash injected at *any* I/O event — with the crashing write torn to a
+//!   prefix and the unsynced window reordered ([`Tear::Prefix`]), and again
+//!   with every unsynced write cut into 512-byte sectors that land or not
+//!   on their own ([`Tear::Sectors`]) — leaves the store recoverable to
 //!   the in-memory oracle's state at a batch boundary: pre-batch or
 //!   post-batch, never a torn mixture.
 //! - **Acknowledged batches survive.** Every batch whose call returned
@@ -18,7 +20,8 @@
 //! reproduce exactly.
 
 use dps_server::{
-    CrashSim, DiskError, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy,
+    CrashSim, DiskError, DiskFile, DiskOptions, DiskStore, RealVfs, ServerError, SimEvent, SimOp,
+    SimServer, Storage, SyncPolicy, Tear, Vfs,
 };
 
 fn base_seed() -> u64 {
@@ -213,7 +216,11 @@ fn baseline(seed: u64, program: &[Batch]) -> (Vec<State>, u64) {
 }
 
 fn open_recovered(sim: &CrashSim, seed: u64, context: &str) -> DiskStore<CrashSim> {
-    match DiskStore::open_on(sim.clone(), opts_for(seed)) {
+    reopen(sim, opts_for(seed), context)
+}
+
+fn reopen(sim: &CrashSim, opts: DiskOptions, context: &str) -> DiskStore<CrashSim> {
+    match DiskStore::open_on(sim.clone(), opts) {
         Ok(store) => store,
         Err(e) => panic!("{context}: recovery must always succeed after a pure crash: {e}"),
     }
@@ -243,106 +250,120 @@ fn assert_at_boundary(
 
 /// The main sweep: for every seed, run the randomized program once to
 /// completion, then re-run it with a crash injected at every single I/O
-/// event (cycling torn-write fractions), recover, and check the contract.
+/// event — once tearing like a pipe (cycling torn-write fractions), once
+/// like a disk (sector subsets) — recover, and check the contract.
 /// A sub-sweep re-crashes *during recovery itself* (checkpoint-during-
 /// replay) and requires the second recovery to land on the same boundary.
 fn sweep(seed_offset: u64, seed_count: u64) {
     for seed in seeds(seed_offset, seed_count) {
         let program = gen_program(&mut Rng(seed));
         let (snaps, total_events) = baseline(seed, &program);
-        assert!(total_events > 20, "seed {seed}: program did almost no I/O ({total_events})");
-        let mut mid_program_crashes = 0u64;
-        for k in 0..=total_events {
-            let torn = [0u16, 333, 667, 1000][(k % 4) as usize];
-            let sim = CrashSim::new(seed);
-            sim.plan_crash(k, torn);
-            let mut crashed = false;
-            let mut boundary = 0usize;
-            let mut durable = 0usize;
-            match DiskStore::open_on(sim.clone(), opts_for(seed)) {
-                Err(DiskError::Corrupt { detail }) => {
-                    panic!(
-                        "seed {seed} k={k}: crash during open misreported as corruption: {detail}"
-                    )
-                }
-                Err(DiskError::Io { .. }) => crashed = true,
-                Ok(mut store) => {
-                    for batch in &program {
-                        match apply_disk(&mut store, batch) {
-                            Ok(()) => {
-                                boundary += 1;
-                                // An empty group-commit window means the
-                                // covering fsync for everything up to here
-                                // has completed: the durable prefix.
-                                if store.pending_batches() == 0 {
-                                    durable = boundary;
-                                }
+        // (An upload costs one WAL write and one sync, so a short program
+        // is a dozen events plus its checkpoints.)
+        assert!(total_events > 12, "seed {seed}: program did almost no I/O ({total_events})");
+        for sectors in [false, true] {
+            sweep_crash_points(seed, &program, &snaps, total_events, sectors);
+        }
+    }
+}
+
+fn sweep_crash_points(
+    seed: u64,
+    program: &[Batch],
+    snaps: &[State],
+    total_events: u64,
+    sectors: bool,
+) {
+    let mut mid_program_crashes = 0u64;
+    for k in 0..=total_events {
+        let tear = if sectors {
+            Tear::Sectors
+        } else {
+            Tear::Prefix([0u16, 333, 667, 1000][(k % 4) as usize])
+        };
+        let sim = CrashSim::new(seed);
+        sim.plan_crash_tearing(k, tear);
+        let mut crashed = false;
+        let mut boundary = 0usize;
+        let mut durable = 0usize;
+        match DiskStore::open_on(sim.clone(), opts_for(seed)) {
+            Err(DiskError::Corrupt { detail }) => {
+                panic!("seed {seed} k={k}: crash during open misreported as corruption: {detail}")
+            }
+            Err(DiskError::Io { .. }) => crashed = true,
+            Ok(mut store) => {
+                for batch in program {
+                    match apply_disk(&mut store, batch) {
+                        Ok(()) => {
+                            boundary += 1;
+                            // An empty group-commit window means the
+                            // covering fsync for everything up to here
+                            // has completed: the durable prefix.
+                            if store.pending_batches() == 0 {
+                                durable = boundary;
                             }
-                            Err(Crashed) => {
-                                crashed = true;
-                                break;
-                            }
+                        }
+                        Err(Crashed) => {
+                            crashed = true;
+                            break;
                         }
                     }
                 }
             }
-            if !crashed {
-                // Either the crash hit a post-acknowledgement auto
-                // checkpoint (the batch legitimately returned Ok — it is
-                // durable either way), or the plan never fired at all
-                // (k == total_events): both must recover to the final
-                // acknowledged state.
-                assert!(
-                    sim.crashed() || k == total_events,
-                    "crash at event {k} of {total_events} never fired"
-                );
-                boundary = program.len();
-            }
-            if sim.crashed() {
-                mid_program_crashes += 1;
-            }
-            let context = format!("seed {seed} k={k} torn={torn}");
+        }
+        if !crashed {
+            // Either the crash hit a post-acknowledgement auto
+            // checkpoint (the batch legitimately returned Ok — it is
+            // durable either way), or the plan never fired at all
+            // (k == total_events): both must recover to the final
+            // acknowledged state.
+            assert!(
+                sim.crashed() || k == total_events,
+                "crash at event {k} of {total_events} never fired"
+            );
+            boundary = program.len();
+        }
+        if sim.crashed() {
+            mid_program_crashes += 1;
+        }
+        let context = format!("seed {seed} k={k} {tear:?}");
 
-            // Occasionally crash a second time, mid-recovery, to cover
-            // checkpoint-during-replay; otherwise recover once.
-            if k % 5 == 0 {
-                sim.recover();
-                sim.plan_crash(sim.events() + k % 13, [0u16, 500][(k % 2) as usize]);
-                match DiskStore::open_on(sim.clone(), opts_for(seed)) {
-                    Ok(mut store) => assert_at_boundary(
+        // Occasionally crash a second time, mid-recovery, to cover
+        // checkpoint-during-replay; otherwise recover once.
+        if k % 5 == 0 {
+            sim.recover();
+            let again =
+                if sectors { Tear::Sectors } else { Tear::Prefix([0, 500][(k % 2) as usize]) };
+            sim.plan_crash_tearing(sim.events() + k % 13, again);
+            match DiskStore::open_on(sim.clone(), opts_for(seed)) {
+                Ok(mut store) => {
+                    assert_at_boundary(&state_of(&mut store), snaps, durable, boundary, &context)
+                }
+                Err(DiskError::Io { .. }) => {
+                    sim.recover();
+                    let mut store = open_recovered(&sim, seed, &format!("{context} double-crash"));
+                    assert_at_boundary(
                         &state_of(&mut store),
-                        &snaps,
+                        snaps,
                         durable,
                         boundary,
-                        &context,
-                    ),
-                    Err(DiskError::Io { .. }) => {
-                        sim.recover();
-                        let mut store =
-                            open_recovered(&sim, seed, &format!("{context} double-crash"));
-                        assert_at_boundary(
-                            &state_of(&mut store),
-                            &snaps,
-                            durable,
-                            boundary,
-                            &format!("{context} double-crash"),
-                        );
-                    }
-                    Err(DiskError::Corrupt { detail }) => {
-                        panic!("{context}: recovery crash misreported as corruption: {detail}")
-                    }
+                        &format!("{context} double-crash"),
+                    );
                 }
-            } else {
-                sim.recover();
-                let mut store = open_recovered(&sim, seed, &context);
-                assert_at_boundary(&state_of(&mut store), &snaps, durable, boundary, &context);
+                Err(DiskError::Corrupt { detail }) => {
+                    panic!("{context}: recovery crash misreported as corruption: {detail}")
+                }
             }
+        } else {
+            sim.recover();
+            let mut store = open_recovered(&sim, seed, &context);
+            assert_at_boundary(&state_of(&mut store), snaps, durable, boundary, &context);
         }
-        assert_eq!(
-            mid_program_crashes, total_events,
-            "seed {seed}: every in-range crash point must actually crash the run"
-        );
     }
+    assert_eq!(
+        mid_program_crashes, total_events,
+        "seed {seed}: every in-range crash point must actually crash the run"
+    );
 }
 
 // The 32 acceptance seeds, split four ways so `cargo test` fans them out.
@@ -637,4 +658,421 @@ fn crashed_store_poisons_until_reopen() {
     sim.recover();
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     assert_eq!(state_of(&mut store), (4, (0..4).map(|i| Some(vec![i as u8; 4])).collect()));
+}
+
+// ---------------------------------------------------------------------------
+// The preallocated, recycled log (invariants I1–I4 of `dps_server::disk`) and
+// write-back deferred to the checkpoint.
+// ---------------------------------------------------------------------------
+
+/// What survived on the simulated disk (call after [`CrashSim::recover`]).
+fn durable_file(sim: &CrashSim, name: &str) -> Vec<u8> {
+    let file = sim.clone().open(name).unwrap();
+    let mut bytes = vec![0u8; file.file_len().unwrap() as usize];
+    assert_eq!(file.read_at(0, &mut bytes).unwrap(), bytes.len());
+    bytes
+}
+
+const WAL_HEADER: usize = 20;
+const SECTOR: usize = dps_server::crashsim::SECTOR as usize;
+
+/// I1, with fixed-size cells and a window of two batches: the window's one
+/// WAL write is cut so that (for some seeds) only its second sector lands.
+/// Recovery must not restart the log under the stamp those bytes carry, and
+/// whatever is acknowledged afterwards — records of exactly the torn
+/// window's length — and however the next crash falls, the batch that was
+/// never acknowledged never becomes visible.
+#[test]
+fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
+    let cell = |byte: u8| vec![byte; 300];
+    let opts = DiskOptions {
+        sync: SyncPolicy::Always,
+        wal_checkpoint_bytes: 8192,
+        cache_bytes: 1 << 20,
+        wal_group_commit: 2,
+    };
+    let mut tails_without_heads = 0;
+    for seed in seeds(100, 48) {
+        let sim = CrashSim::new(seed);
+        let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
+        store.init((0..8).map(cell).collect());
+        let stamp = store.checkpoint_stamp();
+        // Window [A, B]: one record of 637 bytes at offset 20, so it
+        // spans sectors 0 and 1 of the log.
+        store.write(0, cell(0xA0)).unwrap();
+        assert_eq!(store.pending_batches(), 1, "A is applied, not durable");
+        sim.plan_crash_tearing(sim.events(), Tear::Sectors);
+        assert_eq!(store.write(1, cell(0xB0)), Err(ServerError::Interrupted));
+        drop(store);
+        sim.recover();
+        let wal = durable_file(&sim, "wal");
+        let head = wal[WAL_HEADER..SECTOR].iter().any(|&b| b != 0);
+        let tail = wal[SECTOR..].iter().any(|&b| b != 0);
+
+        let context = format!("seed {seed} head={head} tail={tail}");
+        let mut store = reopen(&sim, opts, &context);
+        // Both sectors landed: the in-flight window is whole and may
+        // stand (`Interrupted` = state unknown). Otherwise it is gone.
+        let (cell_0, cell_1) = if head && tail { (0xA0, 0xB0) } else { (0, 1) };
+        assert_eq!(store.read(0).unwrap(), cell(cell_0), "{context}");
+        assert_eq!(store.read(1).unwrap(), cell(cell_1), "{context}");
+        if head != tail {
+            // Bytes of this generation sit behind the header: the log
+            // restarted under a stamp they were not written under.
+            assert_eq!(store.checkpoint_stamp(), stamp + 1, "{context}");
+            tails_without_heads += u32::from(tail);
+        }
+
+        // A' and C': an acknowledged window of the same record length.
+        store.write(0, cell(0xA1)).unwrap();
+        store.write(2, cell(0xC1)).unwrap();
+        assert_eq!(store.pending_batches(), 0);
+        // A second crash, this one leaving nothing of its window.
+        store.write(3, cell(0xD1)).unwrap();
+        sim.plan_crash(sim.events(), 0);
+        assert_eq!(store.write(4, cell(0xE1)), Err(ServerError::Interrupted));
+        drop(store);
+        sim.recover();
+        let mut store = reopen(&sim, opts, &context);
+        let got: Vec<u8> = state_of(&mut store)
+            .1
+            .into_iter()
+            .map(|c| {
+                let c = c.expect("initialized");
+                assert!(c.len() == 300 && c.iter().all(|&b| b == c[0]), "{context}: torn cell");
+                c[0]
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [0xA1, cell_1, 0xC1, 3, 4, 5, 6, 7],
+            "{context}: a never-acknowledged batch became visible"
+        );
+    }
+    assert!(tails_without_heads > 0, "no seed landed the window's tail without its head");
+}
+
+/// Two checkpoints in a row leave the previous generations' records behind
+/// the header; a reopen ignores them (they do not validate under the
+/// snapshot's stamp) and finds an empty log.
+#[test]
+fn stale_generations_behind_the_header_are_ignored() {
+    let seed = base_seed() ^ 0x57A1;
+    let sim = CrashSim::new(seed);
+    let opts = DiskOptions {
+        sync: SyncPolicy::Always,
+        wal_checkpoint_bytes: 4096,
+        cache_bytes: 1 << 20,
+        wal_group_commit: 1,
+    };
+    let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
+    store.init((0..6).map(|i| vec![i as u8; 16]).collect());
+    for addr in 0..4 {
+        store.write(addr, vec![0xF0 | addr as u8; 16]).unwrap();
+    }
+    store.checkpoint().unwrap();
+    // A shorter generation: the tail of the previous one stays readable
+    // as bytes, right behind this generation's one record.
+    store.write(5, vec![0x55; 16]).unwrap();
+    store.checkpoint().unwrap();
+    store.checkpoint().unwrap();
+    assert_eq!(store.wal_bytes(), WAL_HEADER as u64);
+    let expected = state_of(&mut store);
+    drop(store);
+    sim.recover();
+    let wal = durable_file(&sim, "wal");
+    assert_eq!(wal.len(), 4096, "the log keeps its preallocated length");
+    assert!(wal[WAL_HEADER..].iter().any(|&b| b != 0), "stale records are still there");
+    let mut store = reopen(&sim, opts, "stale generations");
+    assert_eq!(store.wal_bytes(), WAL_HEADER as u64);
+    assert_eq!(state_of(&mut store), expected);
+    // And the log is usable: a write lands and survives another restart.
+    store.write(0, vec![0x77; 16]).unwrap();
+    drop(store);
+    sim.recover();
+    let mut store = reopen(&sim, opts, "stale generations, second reopen");
+    assert_eq!(store.read(0).unwrap(), vec![0x77; 16]);
+    assert_eq!(store.read(5).unwrap(), vec![0x55; 16]);
+}
+
+/// A store whose log is shorter than the budget (as every log of the
+/// truncate-and-append era is) grows it at its next checkpoint. A crash at
+/// every event of that checkpoint — each zero-filling chunk, their sync,
+/// the header rewrite, its sync — in both tear modes recovers, to the same
+/// cells, without a `Corrupt`.
+#[test]
+fn crash_anywhere_in_preallocation_or_header_rewrite_recovers() {
+    let seed = base_seed() ^ 0x9A11;
+    let small = DiskOptions {
+        sync: SyncPolicy::Always,
+        wal_checkpoint_bytes: 64,
+        cache_bytes: 1 << 20,
+        wal_group_commit: 1,
+    };
+    let big = DiskOptions { wal_checkpoint_bytes: 200_000, ..small };
+    // A directory with a short log holding one record; reopening it under
+    // the big budget replays the record and checkpoints, which is where
+    // the log is grown.
+    let build = || {
+        let sim = CrashSim::new(seed);
+        let mut store = DiskStore::open_on(sim.clone(), small).unwrap();
+        store.init((0..8).map(|i| vec![i as u8; 8]).collect());
+        store.write(1, vec![0xEE; 8]).unwrap();
+        drop(store);
+        sim
+    };
+    let sim = build();
+    let before = sim.events();
+    let mut store = DiskStore::open_on(sim.clone(), big).unwrap();
+    let expected = state_of(&mut store);
+    assert_eq!(expected.1[1].as_deref(), Some(&[0xEE; 8][..]));
+    let log = sim.event_log();
+    let grown: Vec<&SimEvent> = log[before as usize..]
+        .iter()
+        .filter(|e| e.file == "wal")
+        .collect();
+    let chunks = grown
+        .iter()
+        .filter(|e| matches!(e.op, SimOp::Write { len, .. } if len > 20));
+    assert_eq!(chunks.count(), 4, "200 000 bytes are zero-filled in four chunks of ≤ 64 KiB");
+    assert_eq!(
+        grown.last().map(|e| e.op),
+        Some(SimOp::Sync),
+        "the header rewrite is synced last: {grown:?}"
+    );
+    assert_eq!(sim.durable_len("wal"), 200_000);
+    let after = sim.events();
+
+    for k in before..after {
+        for tear in [Tear::Prefix((k % 3 * 500) as u16), Tear::Sectors] {
+            let sim = build();
+            sim.plan_crash_tearing(k, tear);
+            let context = format!("k={k} {tear:?}");
+            match DiskStore::open_on(sim.clone(), big) {
+                Err(DiskError::Io { .. }) => {}
+                other => {
+                    panic!("{context}: the planned crash did not interrupt the open: {other:?}")
+                }
+            }
+            sim.recover();
+            let mut store = reopen(&sim, big, &context);
+            assert_eq!(state_of(&mut store), expected, "{context}");
+            // The recovered store finishes what the crash interrupted.
+            assert_eq!(sim.durable_len("wal"), 200_000, "{context}");
+        }
+    }
+}
+
+/// A record that does not fit what is left of the preallocated log still
+/// commits (the file grows) and recovers, wherever the crash falls.
+#[test]
+fn a_record_larger_than_the_remaining_log_commits_and_recovers() {
+    let seed = base_seed() ^ 0xB16;
+    let opts = DiskOptions {
+        sync: SyncPolicy::Always,
+        wal_checkpoint_bytes: 256,
+        cache_bytes: 1 << 20,
+        wal_group_commit: 1,
+    };
+    let batch = || {
+        (0..3)
+            .map(|i| (i, vec![0xC0 | i as u8; 100]))
+            .collect::<Vec<_>>()
+    };
+    let build = || {
+        let sim = CrashSim::new(seed);
+        let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
+        store.init((0..4).map(|i| vec![i as u8; 100]).collect());
+        (sim, store)
+    };
+    let (sim, mut store) = build();
+    let old = state_of(&mut store);
+    let before = sim.events();
+    store.write_batch(batch()).unwrap();
+    let new = state_of(&mut store);
+    assert!(sim.durable_len("wal") > 256 + 100, "a 349-byte record outgrows a 256-byte log");
+    let after = sim.events();
+    drop(store);
+
+    for k in before..=after {
+        for tear in [Tear::Prefix((k % 3 * 500) as u16), Tear::Sectors] {
+            let (sim, mut store) = build();
+            sim.plan_crash_tearing(k, tear);
+            let acked = store.write_batch(batch()).is_ok();
+            // The record's write and its sync are the first two events;
+            // from then on the batch is acknowledged, whatever happens to
+            // the checkpoint its size triggers.
+            assert_eq!(acked, k >= before + 2, "k={k} {tear:?}");
+            drop(store);
+            sim.recover();
+            let mut store = reopen(&sim, opts, &format!("k={k} {tear:?}"));
+            let got = state_of(&mut store);
+            assert!(got == new || (!acked && got == old), "k={k} {tear:?}: {got:?}");
+        }
+    }
+}
+
+/// The events of one `checkpoint()` after writing `addrs` (one cell each)
+/// into a store of `capacity` cells of `cell_len` bytes — having checked
+/// that the writes themselves touched nothing but the log.
+fn checkpoint_events(
+    cache_bytes: usize,
+    cell_len: usize,
+    capacity: usize,
+    addrs: &[usize],
+) -> Vec<SimEvent> {
+    let sim = CrashSim::new(base_seed());
+    let opts = DiskOptions {
+        sync: SyncPolicy::Always,
+        wal_checkpoint_bytes: 1 << 20,
+        cache_bytes,
+        wal_group_commit: 1,
+    };
+    let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
+    store.init((0..capacity).map(|i| vec![i as u8; cell_len]).collect());
+    let mark = sim.events() as usize;
+    for (i, &addr) in addrs.iter().enumerate() {
+        store.write(addr, vec![0x80 | i as u8; cell_len]).unwrap();
+    }
+    // An acknowledged upload is one write and one sync, both on the log.
+    let log = sim.event_log();
+    assert_eq!(log.len() - mark, 2 * addrs.len());
+    for pair in log[mark..].chunks(2) {
+        assert_eq!(pair[0].file, "wal");
+        assert!(matches!(pair[0].op, SimOp::Write { .. }));
+        assert_eq!(pair[1], SimEvent { file: "wal".into(), op: SimOp::Sync });
+    }
+    let mark = sim.events() as usize;
+    store.checkpoint().unwrap();
+    let events = sim.event_log()[mark..].to_vec();
+    // Every cell reads back, from the cache now and from the arena after
+    // a restart.
+    let expected = state_of(&mut store);
+    drop(store);
+    sim.recover();
+    assert_eq!(state_of(&mut reopen(&sim, opts, "after write-back")), expected);
+    events
+}
+
+/// Between checkpoints the arena is not touched; at the checkpoint the
+/// dirty cells are written back in ascending address order, one write per
+/// run (identity mode bridges gaps of up to a page), without overlap, all
+/// before the arena sync, which precedes the snapshot, which precedes the
+/// header rewrite.
+#[test]
+fn write_back_waits_for_the_checkpoint_and_runs_in_address_order() {
+    let addrs = [40, 3, 41, 17, 3, 63, 18];
+    let arena_writes = |events: &[SimEvent]| -> Vec<(u64, u64)> {
+        events
+            .iter()
+            .filter(|e| e.file.starts_with("arena."))
+            .filter_map(|e| match e.op {
+                SimOp::Write { offset, len } => Some((offset, len)),
+                _ => None,
+            })
+            .collect()
+    };
+    let position = |events: &[SimEvent], what: &dyn Fn(&SimEvent) -> bool| {
+        events
+            .iter()
+            .position(what)
+            .expect("event missing from the checkpoint")
+    };
+
+    // Bounded cache (16 of 64 cells, the 6 dirty ones within budget):
+    // one write per run of adjacent cells.
+    let bounded = checkpoint_events(16 * 32, 32, 64, &addrs);
+    assert_eq!(
+        arena_writes(&bounded),
+        vec![(3 * 32, 32), (17 * 32, 64), (40 * 32, 64), (63 * 32, 32)]
+    );
+    // Identity cache, 32-byte cells: every gap is under a page, so the
+    // whole dirty range goes out as one write.
+    let identity = checkpoint_events(1 << 20, 32, 64, &addrs);
+    assert_eq!(arena_writes(&identity), vec![(3 * 32, 61 * 32)]);
+    // Identity cache, 1 KiB cells: a one-cell gap (1 KiB) is bridged, a
+    // 14-cell gap is not.
+    let wide = checkpoint_events(1 << 20, 1024, 32, &[20, 3, 5]);
+    assert_eq!(arena_writes(&wide), vec![(3 * 1024, 3 * 1024), (20 * 1024, 1024)]);
+
+    for events in [&bounded, &identity, &wide] {
+        let writes = arena_writes(events);
+        assert!(writes.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0), "overlap: {writes:?}");
+        let last_arena_write = events
+            .iter()
+            .rposition(|e| e.file.starts_with("arena.") && matches!(e.op, SimOp::Write { .. }))
+            .unwrap();
+        let arena_sync = position(events, &|e| e.file.starts_with("arena.") && e.op == SimOp::Sync);
+        let first_meta = position(events, &|e| e.file.starts_with("meta."));
+        let meta_sync = position(events, &|e| e.file.starts_with("meta.") && e.op == SimOp::Sync);
+        let header = position(events, &|e| e.file == "wal");
+        assert!(last_arena_write < arena_sync, "{events:?}");
+        assert!(arena_sync < first_meta, "{events:?}");
+        assert!(meta_sync < header, "{events:?}");
+        // The log restarts with one header write and one sync: nothing
+        // is truncated, nothing synced twice.
+        assert_eq!(
+            events[header..],
+            [
+                SimEvent { file: "wal".into(), op: SimOp::Write { offset: 0, len: 20 } },
+                SimEvent { file: "wal".into(), op: SimOp::Sync },
+            ]
+        );
+    }
+}
+
+/// A poisoned store issues no I/O at all — in particular it never writes
+/// its waiting dirty cells back — even once the disk works again.
+#[test]
+fn a_poisoned_store_never_writes_back() {
+    let sim = CrashSim::new(base_seed() ^ 0x7015);
+    let opts = DiskOptions {
+        sync: SyncPolicy::Always,
+        wal_checkpoint_bytes: 1 << 16,
+        cache_bytes: 1 << 20,
+        wal_group_commit: 1,
+    };
+    let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
+    store.init((0..8).map(|i| vec![i as u8; 8]).collect());
+    store.write(2, vec![0xD1; 8]).unwrap(); // acknowledged, waiting dirty
+    sim.plan_crash(sim.events(), 0);
+    assert_eq!(store.write(3, vec![0xD2; 8]), Err(ServerError::Interrupted));
+    assert!(store.is_poisoned());
+    // The machine comes back; the store object does not.
+    sim.recover();
+    let mark = sim.events();
+    assert!(store.checkpoint().is_err());
+    assert!(store.commit().is_err());
+    assert_eq!(store.flush(), Err(ServerError::Interrupted));
+    assert_eq!(store.write(4, vec![0xD3; 8]), Err(ServerError::Interrupted));
+    assert_eq!(store.read(2).unwrap(), vec![0xD1; 8], "hits keep serving");
+    drop(store);
+    assert_eq!(sim.events(), mark, "a poisoned store touched its files");
+    let mut store = reopen(&sim, opts, "after poison");
+    assert_eq!(store.read(2).unwrap(), vec![0xD1; 8]);
+    assert_eq!(store.read(3).unwrap(), vec![3; 8]);
+}
+
+/// A freshly created store on real files: every file is there, and holds
+/// its acknowledged write, after the process that made it is gone. (What
+/// makes the *entries* durable — the directory sync on creation — is
+/// observed by a unit test next to `RealVfs`; no crash simulator models
+/// directory entries.)
+#[test]
+fn a_new_directory_is_complete_before_the_first_acknowledgement() {
+    let dir = std::env::temp_dir().join(format!("dps_crash_newdir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = DiskOptions { wal_group_commit: 1, wal_checkpoint_bytes: 1 << 16, ..opts_for(0) };
+    {
+        let mut store = DiskStore::open_on(RealVfs::new(&dir).unwrap(), opts).unwrap();
+        store.init(vec![vec![1; 4], vec![2; 4]]);
+        store.write(0, vec![9; 4]).unwrap();
+    }
+    for name in ["arena.0", "arena.1", "meta.0", "meta.1", "wal"] {
+        assert!(dir.join(name).is_file(), "{name} missing");
+    }
+    assert_eq!(std::fs::metadata(dir.join("wal")).unwrap().len(), opts.wal_checkpoint_bytes);
+    let mut store = DiskStore::open_with(&dir, opts).unwrap();
+    assert_eq!(store.read(0).unwrap(), vec![9; 4]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
