@@ -1,12 +1,14 @@
 //! Experiment runner: regenerates every quantitative claim of the paper.
 //!
 //! ```text
-//! cargo run -p dps-bench --release --bin experiments -- all
-//! cargo run -p dps-bench --release --bin experiments -- e5 e11
-//! cargo run -p dps-bench --release --bin experiments -- --fast all
+//! cargo run -p dps_bench --release --bin experiments -- all
+//! cargo run -p dps_bench --release --bin experiments -- e5 e11
+//! cargo run -p dps_bench --release --bin experiments -- --fast all
 //! ```
+//!
+//! With no id it prints the index ([`dps_bench::INDEX`]) and exits 2.
 
-use dps_bench::experiments;
+use dps_bench::INDEX;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,40 +20,21 @@ fn main() {
         .collect();
 
     if ids.is_empty() {
-        eprintln!("usage: experiments [--fast] <e1..e22|all>...");
-        eprintln!("experiment index: see DESIGN.md");
+        eprintln!("usage: experiments [--fast] <id|all>...");
+        for (id, title, _) in INDEX {
+            eprintln!("  {id:<4} {title}");
+        }
         std::process::exit(2);
     }
 
     for id in ids {
-        match id {
-            "all" => dps_bench::run_all(fast),
-            "e1" => experiments::ir::run_e1(fast),
-            "e2" => experiments::ir::run_e2(fast),
-            "e3" => experiments::ir::run_e3(fast),
-            "e4" => experiments::ir::run_e4(fast),
-            "e5" => experiments::ram::run_e5(fast),
-            "e6" => experiments::audit::run_e6(fast),
-            "e7" => experiments::ram::run_e7(fast),
-            "e8" => experiments::ram::run_e8(fast),
-            "e9" => experiments::hash::run_e9(fast),
-            "e10" => experiments::hash::run_e10(fast),
-            "e11" => experiments::kvs::run_e11(fast),
-            "e12" => experiments::audit::run_e12(fast),
-            "e13" => experiments::ir::run_e13(fast),
-            "e14" => experiments::audit::run_e14(fast),
-            "e15" => experiments::ram::run_e15(fast),
-            "e16" => experiments::hash::run_e16(fast),
-            "e17" => experiments::compare::run_e17(fast),
-            "e18" => experiments::extensions::run_e18(fast),
-            "e19" => experiments::extensions::run_e19(fast),
-            "e20" => experiments::extensions::run_e20(fast),
-            "e21" => experiments::extensions::run_e21(fast),
-            "e22" => experiments::extensions::run_e22(fast),
-            other => {
-                eprintln!("unknown experiment id: {other}");
-                std::process::exit(2);
-            }
+        if id == "all" {
+            dps_bench::run_all(fast);
+        } else if let Some((_, _, run)) = INDEX.iter().find(|(known, _, _)| *known == id) {
+            run(fast);
+        } else {
+            eprintln!("unknown experiment id: {id}");
+            std::process::exit(2);
         }
     }
 }

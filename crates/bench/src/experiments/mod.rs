@@ -1,4 +1,4 @@
-//! The experiment suite (index in DESIGN.md).
+//! The experiment suite (index: [`crate::INDEX`]).
 
 pub mod audit;
 pub mod compare;

@@ -25,7 +25,7 @@ use dps_crypto::aead::{address_aad, AeadCipher};
 use dps_crypto::{ChaChaRng, AEAD_OVERHEAD};
 
 use crate::dp_ir::{DpIrConfig, DpIrError};
-use dps_server::{batch_crypto, SimServer, Storage, WorkerPool};
+use dps_server::{SimServer, Storage};
 
 /// A batch's results paired with its union download set (the transcript).
 pub type BatchOutcome = (Vec<Option<Vec<u8>>>, BTreeSet<usize>);
@@ -45,18 +45,14 @@ struct SealedStore {
 ///
 /// Sealing changes nothing about the privacy argument (the transcript is
 /// still exactly the union download set), but it adds confidentiality and
-/// tamper/swap detection against the storage backend. Batch opens run
-/// through [`dps_server::batch_crypto`] — the wide 4-lane AEAD core per
-/// chunk, chunks optionally fanned across a [`WorkerPool`]
-/// ([`BatchedDpIr::with_pool`], sequential/inline by default).
+/// tamper/swap detection against the storage backend. A query's needed
+/// cells are opened in one call to [`AeadCipher`]'s 8-lane batch core.
 #[derive(Debug)]
 pub struct BatchedDpIr<S: Storage = SimServer> {
     config: DpIrConfig,
     server: S,
     /// `Some` when records are sealed at rest (AEAD under address AAD).
     sealed: Option<SealedStore>,
-    /// Worker pool for the batch open phase (sequential by default).
-    pool: WorkerPool,
     /// Reusable flat scratch for the needed cells' ciphertexts.
     ct_scratch: Vec<u8>,
     /// Reusable flat scratch for the opened plaintexts.
@@ -75,14 +71,7 @@ impl<S: Storage> BatchedDpIr<S> {
             )));
         }
         server.init(blocks.to_vec());
-        Ok(Self {
-            config,
-            server,
-            sealed: None,
-            pool: WorkerPool::single(),
-            ct_scratch: Vec::new(),
-            pt_scratch: Vec::new(),
-        })
+        Ok(Self { config, server, sealed: None, ct_scratch: Vec::new(), pt_scratch: Vec::new() })
     }
 
     /// Like [`BatchedDpIr::setup`], but seals every record onto the server
@@ -116,32 +105,15 @@ impl<S: Storage> BatchedDpIr<S> {
         let flat_pt: Vec<u8> = blocks.iter().flatten().copied().collect();
         let ct_stride = record_len + AEAD_OVERHEAD;
         let mut flat_ct = vec![0u8; blocks.len() * ct_stride];
-        batch_crypto::seal_batch_strided(
-            &WorkerPool::single(),
-            &cipher,
-            &nonces,
-            &aads,
-            &flat_pt,
-            &mut flat_ct,
-        );
+        cipher.seal_batch_with_nonces(&nonces, &aads, &flat_pt, &mut flat_ct);
         server.init(flat_ct.chunks(ct_stride).map(<[u8]>::to_vec).collect());
         Ok(Self {
             config,
             server,
             sealed: Some(SealedStore { cipher, ct_stride }),
-            pool: WorkerPool::single(),
             ct_scratch: Vec::new(),
             pt_scratch: Vec::new(),
         })
-    }
-
-    /// Sets the worker pool that fans the batch open of a query's needed
-    /// cells across threads (sealed stores only; plaintext stores do no
-    /// crypto). The default is sequential/inline; results are identical
-    /// for every width.
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// True when records are sealed at rest.
@@ -249,7 +221,10 @@ impl<S: Storage> BatchedDpIr<S> {
                 // Gather the needed sealed cells into a flat strided
                 // scratch during the (still full-union) download, then
                 // open them as one batch — per-cell address AADs, wide
-                // AEAD core, chunks fanned across the pool.
+                // AEAD core. The server chooses each cell's length: copy
+                // only cells of the sealed stride, and report the first
+                // that is not once the round trip is over (the transcript
+                // keeps its shape).
                 let needed_positions: Vec<usize> = needed
                     .iter()
                     .enumerate()
@@ -260,29 +235,35 @@ impl<S: Storage> BatchedDpIr<S> {
                 let ct_scratch = &mut self.ct_scratch;
                 ct_scratch.resize(needed_positions.len() * ct_stride, 0);
                 let mut slot = 0;
+                let mut wrong_length = None;
                 self.server
                     .read_batch_with(&addrs, |i, cell| {
                         if needed[i] > 0 {
-                            ct_scratch[slot * ct_stride..slot * ct_stride + cell.len()]
-                                .copy_from_slice(cell);
+                            if cell.len() == ct_stride {
+                                ct_scratch[slot * ct_stride..(slot + 1) * ct_stride]
+                                    .copy_from_slice(cell);
+                            } else if wrong_length.is_none() {
+                                wrong_length = Some((addrs[i], cell.len()));
+                            }
                             slot += 1;
                         }
                     })
                     .map_err(DpIrError::Server)?;
+                if let Some((addr, len)) = wrong_length {
+                    return Err(DpIrError::Crypto(format!(
+                        "cell {addr} has {len} bytes, expected {ct_stride}"
+                    )));
+                }
                 let pt_stride = ct_stride - AEAD_OVERHEAD;
                 let aads: Vec<[u8; 16]> = needed_positions
                     .iter()
                     .map(|&pos| address_aad(addrs[pos], 0))
                     .collect();
                 self.pt_scratch.resize(needed_positions.len() * pt_stride, 0);
-                batch_crypto::open_batch_strided(
-                    &self.pool,
-                    &store.cipher,
-                    &aads,
-                    &self.ct_scratch,
-                    &mut self.pt_scratch,
-                )
-                .map_err(|e| DpIrError::Crypto(e.to_string()))?;
+                store
+                    .cipher
+                    .open_batch_to_slices(&aads, &self.ct_scratch, &mut self.pt_scratch)
+                    .map_err(|e| DpIrError::Crypto(e.to_string()))?;
                 for (k, &pos) in needed_positions.iter().enumerate() {
                     fetched[pos] =
                         Some(self.pt_scratch[k * pt_stride..(k + 1) * pt_stride].to_vec());
@@ -458,24 +439,49 @@ mod tests {
         }
     }
 
-    /// A pooled sealed client returns identical results from the same seed
-    /// as the sequential default.
+    /// The bytes a seed produces are pinned: the constant was recorded at
+    /// the commit before the worker pool and its chunked helpers were
+    /// deleted, and must hold under every `DPS_FORCE_ISA` tier. FNV-1a-64
+    /// over 20 batches' results and union sets, the paper's six cost
+    /// counters, the transcript and every sealed cell in address order.
     #[test]
-    fn sealed_pooled_matches_sequential() {
-        let indices = [1usize, 17, 40, 17, 63];
-        let run = |threads: usize| {
-            let (ir, mut rng) = build_sealed(64, 3.0, 0.2, 7);
-            let mut ir = ir.with_pool(dps_server::WorkerPool::new(threads));
-            let mut all = Vec::new();
-            for _ in 0..20 {
-                all.push(ir.query_batch_traced(&indices, &mut rng).unwrap());
+    fn sealed_seeded_run_matches_the_recorded_digest() {
+        let (mut ir, mut rng) = build_sealed(64, 3.0, 0.2, 7);
+        ir.server_mut().start_recording();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut absorb = |bytes: &[u8]| {
+            for &byte in bytes {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }
-            all
         };
-        let sequential = run(1);
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), sequential, "threads = {threads}");
+        for _ in 0..20 {
+            let (results, union) = ir.query_batch_traced(&[1, 17, 40, 17, 63], &mut rng).unwrap();
+            for result in results {
+                match result {
+                    Some(record) => {
+                        absorb(&[1]);
+                        absorb(&record);
+                    }
+                    None => absorb(&[0]),
+                }
+            }
+            for addr in union {
+                absorb(&(addr as u64).to_le_bytes());
+            }
         }
+        let s = ir.server_stats();
+        for counter in [s.downloads, s.uploads, s.computed, s.round_trips, s.bytes_down, s.bytes_up]
+        {
+            absorb(&counter.to_le_bytes());
+        }
+        absorb(&ir.server_mut().take_transcript().canonical_encoding());
+        for addr in 0..64 {
+            absorb(&ir.server_mut().read(addr).unwrap());
+        }
+        assert_eq!(
+            digest, 0x64d6_2841_667d_f1a2,
+            "results, unions, stats, transcript and sealed cells"
+        );
     }
 
     /// A cell moved to a different address fails authentication (the

@@ -643,7 +643,6 @@ mod tests {
         let mut inner = dps_server::SimServer::default();
         inner.init(vec![vec![1u8; 4]; 8]);
         let mut s = FaultStorage::new(inner, 7, 1000);
-        let mut scratch = [0u8; 8];
         let cut = Err(ServerError::Interrupted);
         let mut injected = 0;
         let mut one_more = |s: &FaultStorage<_>, what: &str| {
@@ -662,8 +661,6 @@ mod tests {
         one_more(&s, "read");
         assert_eq!(s.read_batch(&[1, 2]), Err(ServerError::Interrupted));
         one_more(&s, "read_batch");
-        assert_eq!(s.read_batch_strided(&[1, 2], &mut scratch), cut);
-        one_more(&s, "read_batch_strided");
         assert_eq!(s.xor_cells(&[1, 2]), Err(ServerError::Interrupted));
         one_more(&s, "xor_cells");
         // Nothing was executed: no charge, and the cells are as initialized.

@@ -43,8 +43,7 @@ fn run_disjoint_writers() -> (Vec<Vec<u8>>, CostStats) {
                         .collect();
                     remote.write_batch_strided(&addrs, &flat).unwrap();
                     // Read-your-writes through the same connection.
-                    let mut seen = vec![0u8; PER_CLIENT * LEN];
-                    Storage::read_batch_strided(&mut remote, &addrs, &mut seen).unwrap();
+                    let seen = Storage::read_batch(&mut remote, &addrs).unwrap().concat();
                     assert_eq!(seen, flat, "client {client} lost its round-{round} write");
                 }
                 // Each exchange is one wire round trip, and connections

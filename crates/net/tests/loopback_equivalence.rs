@@ -76,12 +76,6 @@ fn run_program(local: &mut SimServer, remote: &mut RemoteServer) {
     let addrs = vec![0, 5, 11, 5];
     assert_eq!(Storage::read_batch(remote, &addrs), Storage::read_batch(local, &addrs));
 
-    let mut flat_local = vec![0u8; 3 * LEN];
-    let mut flat_remote = vec![0u8; 3 * LEN];
-    Storage::read_batch_strided(local, &[2, 7, 9], &mut flat_local).unwrap();
-    Storage::read_batch_strided(remote, &[2, 7, 9], &mut flat_remote).unwrap();
-    assert_eq!(flat_remote, flat_local);
-
     let writes = vec![(3, cell(0xA0, LEN)), (8, cell(0xB0, LEN))];
     assert_eq!(remote.write_batch(writes.clone()), local.write_batch(writes));
 
@@ -179,9 +173,6 @@ fn batch_operations_are_single_wire_round_trips() {
 
         Storage::read_batch(&mut remote, &addrs).unwrap();
         one_trip(&mut remote, "read_batch");
-        let mut sink = vec![0u8; N * LEN];
-        Storage::read_batch_strided(&mut remote, &addrs, &mut sink).unwrap();
-        one_trip(&mut remote, "read_batch_strided");
         remote.write_batch_strided(&addrs, &flat).unwrap();
         one_trip(&mut remote, "write_batch_strided");
         remote

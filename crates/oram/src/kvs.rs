@@ -72,8 +72,8 @@ impl OramKvs {
 
 impl<S: Storage> OramKvs<S> {
     /// [`OramKvs::new`] over a default-constructed backend of type `S`.
-    /// To configure the server (shard count, worker pool), use
-    /// [`OramKvs::new_with`].
+    /// To configure the server (a store directory, a daemon's address),
+    /// use [`OramKvs::new_with`].
     pub fn new_on(capacity: usize, value_size: usize, rng: &mut ChaChaRng) -> Self
     where
         S: Default,

@@ -6,19 +6,16 @@
 //! schemes cannot beat, so it doubles as the errorless baseline in E1.
 
 use dps_crypto::{BlockCipher, ChaChaRng, CIPHERTEXT_OVERHEAD};
-use dps_server::{batch_crypto, SimServer, Storage, WorkerPool};
+use dps_server::{SimServer, Storage};
 
 /// A linear-scan ORAM client.
 ///
 /// Every access re-encrypts the whole database, so this is the workspace's
-/// most keystream-bound scheme. The scan runs as three flat batch phases —
-/// bulk strided download, batch decrypt, batch re-encrypt, strided upload —
-/// through [`dps_server::batch_crypto`], which drives the wide 4-lane
-/// ChaCha20/Poly1305 core per chunk and optionally fans chunks across a
-/// [`WorkerPool`] ([`LinearOram::with_pool`]; the default pool is
-/// sequential and runs everything inline on the caller thread). Output is
-/// byte-identical for every pool width: nonces are pre-drawn in cell order
-/// on the caller thread.
+/// most keystream-bound scheme. The scan runs as flat batch phases — bulk
+/// download into a strided scratch, one batch decrypt, one batch re-encrypt,
+/// strided upload — on [`BlockCipher`]'s 8-lane batch entry points. Nonces
+/// are pre-drawn in cell order, so the upload is byte-identical to a
+/// per-cell loop over the same RNG stream.
 ///
 /// Memory profile: the batch phases hold the whole database (ciphertext,
 /// plaintext, and re-encrypted forms — ~3× the DB size in reusable
@@ -32,8 +29,6 @@ pub struct LinearOram<S: Storage = SimServer> {
     block_size: usize,
     cipher: BlockCipher,
     server: S,
-    /// Worker pool for the batch crypto phases (sequential by default).
-    pool: WorkerPool,
     /// Cached full-scan address list `[0, n)` (every access touches all).
     addrs: Vec<usize>,
     /// Reusable flat download scratch (all `n` ciphertexts, strided).
@@ -86,21 +81,11 @@ impl<S: Storage> LinearOram<S> {
             block_size,
             cipher,
             server,
-            pool: WorkerPool::single(),
             addrs: (0..n).collect(),
             ct_flat: Vec::new(),
             pt_flat: Vec::new(),
             enc_flat: Vec::new(),
         }
-    }
-
-    /// Sets the worker pool that fans the per-access batch decrypt and
-    /// re-encrypt across threads. The default ([`WorkerPool::single`])
-    /// runs inline on the caller thread; any width produces byte-identical
-    /// cells and transcripts.
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Number of blocks.
@@ -136,25 +121,36 @@ impl<S: Storage> LinearOram<S> {
         // Flat batch scan: bulk-download every ciphertext, batch-decrypt
         // the whole database, apply the overwrite, then batch re-encrypt
         // and upload. Nonces are pre-drawn in cell order, so the upload is
-        // byte-identical to the former streaming per-cell loop over the
-        // same RNG stream — for any pool width.
+        // byte-identical to a per-cell loop over the same RNG stream.
         let ct_stride = self.block_size + CIPHERTEXT_OVERHEAD;
         self.ct_flat.resize(self.n * ct_stride, 0);
+        // The server chooses each cell's length: copy only cells of the
+        // expected one, and report the first that is not once the round
+        // trip is over (the transcript keeps its shape).
+        let mut wrong_length = None;
+        let ct_flat = &mut self.ct_flat;
         self.server
-            .read_batch_strided(&self.addrs, &mut self.ct_flat)
+            .read_batch_with(&self.addrs, |i, cell| {
+                if cell.len() == ct_stride {
+                    ct_flat[i * ct_stride..(i + 1) * ct_stride].copy_from_slice(cell);
+                } else if wrong_length.is_none() {
+                    wrong_length = Some((i, cell.len()));
+                }
+            })
             .map_err(|e| LinearOramError::Storage(e.to_string()))?;
         self.pt_flat.resize(self.n * self.block_size, 0);
-        if let Err(e) = batch_crypto::decrypt_batch_strided(
-            &self.pool,
-            &self.cipher,
-            &self.ct_flat,
-            self.n,
-            &mut self.pt_flat,
-        ) {
-            // Scrub the partially decrypted blocks on the error path too —
+        let decrypted = match wrong_length {
+            Some((addr, len)) => Err(format!("cell {addr} has {len} bytes, expected {ct_stride}")),
+            None => self
+                .cipher
+                .decrypt_batch_to_slices(&self.ct_flat, self.n, &mut self.pt_flat)
+                .map_err(|e| e.to_string()),
+        };
+        if let Err(message) = decrypted {
+            // Scrub the partially decrypted blocks on the error paths too —
             // no plaintext may outlive the call in the reusable scratch.
             self.pt_flat.fill(0);
-            return Err(LinearOramError::Storage(e.to_string()));
+            return Err(LinearOramError::Storage(message));
         }
         let slot = &mut self.pt_flat[index * self.block_size..(index + 1) * self.block_size];
         let old = slot.to_vec();
@@ -163,13 +159,8 @@ impl<S: Storage> LinearOram<S> {
         }
         let nonces = rng.draw_nonces(self.n);
         self.enc_flat.resize(self.n * ct_stride, 0);
-        batch_crypto::encrypt_batch_strided(
-            &self.pool,
-            &self.cipher,
-            &nonces,
-            &self.pt_flat,
-            &mut self.enc_flat,
-        );
+        self.cipher
+            .encrypt_batch_with_nonces(&nonces, &self.pt_flat, &mut self.enc_flat);
         // Unlike the former streaming scan (one plaintext block resident
         // at a time), the batch phases hold the whole decrypted database
         // for the duration of the access. Scrub it before returning so no
@@ -247,29 +238,64 @@ mod tests {
         assert!(matches!(oram.read(4, &mut rng), Err(LinearOramError::IndexOutOfRange { .. })));
     }
 
-    /// A pooled LinearOram produces the same results, stats, and
-    /// transcripts as the sequential default from the same seed — the
-    /// determinism contract of the batch-crypto wiring.
+    /// The bytes a seed produces are pinned: the constant was recorded at
+    /// the commit before the worker pool and its chunked helpers were
+    /// deleted, and must hold under every `DPS_FORCE_ISA` tier. FNV-1a-64
+    /// over the outputs, the paper's six cost counters, the transcript and
+    /// every server cell in address order.
     #[test]
-    fn pooled_access_is_byte_identical() {
-        let n = 16;
-        let blocks: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 24]).collect();
-        let run = |threads: usize| {
-            let mut rng = ChaChaRng::seed_from_u64(99);
-            let mut oram = LinearOram::setup(&blocks, SimServer::new(), &mut rng)
-                .with_pool(WorkerPool::new(threads));
-            oram.server.start_recording();
-            let mut outputs = Vec::new();
-            for i in [3usize, 0, 15, 3] {
-                outputs.push(oram.read(i, &mut rng).unwrap());
+    fn seeded_run_matches_the_recorded_digest() {
+        let blocks: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 24]).collect();
+        let mut rng = ChaChaRng::seed_from_u64(99);
+        let mut oram = LinearOram::setup(&blocks, SimServer::new(), &mut rng);
+        oram.server.start_recording();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut absorb = |bytes: &[u8]| {
+            for &byte in bytes {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }
-            outputs.push(oram.write(7, vec![0xEE; 24], &mut rng).unwrap());
-            outputs.push(oram.read(7, &mut rng).unwrap());
-            (outputs, oram.server_stats(), oram.server.take_transcript().canonical_encoding())
         };
-        let sequential = run(1);
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), sequential, "threads = {threads}");
+        for i in [3usize, 0, 15, 3] {
+            absorb(&oram.read(i, &mut rng).unwrap());
         }
+        absorb(&oram.write(7, vec![0xEE; 24], &mut rng).unwrap());
+        absorb(&oram.read(7, &mut rng).unwrap());
+        let s = oram.server_stats();
+        for counter in [s.downloads, s.uploads, s.computed, s.round_trips, s.bytes_down, s.bytes_up]
+        {
+            absorb(&counter.to_le_bytes());
+        }
+        absorb(&oram.server.take_transcript().canonical_encoding());
+        for addr in 0..16 {
+            absorb(&oram.server.read(addr).unwrap());
+        }
+        assert_eq!(digest, 0xcf9e_e5f3_fe02_c5ae, "outputs, stats, transcript and server cells");
+    }
+
+    /// The server chooses the length of the cells it returns. One of the
+    /// wrong length is a typed error after a full-shape round trip — never
+    /// an index past the scratch, never a stale slot decrypted as current —
+    /// and the client works again once the cell is restored.
+    #[test]
+    fn wrong_length_cell_is_a_typed_error() {
+        let (mut oram, mut rng) = build(8);
+        let good = oram.server.read(5).unwrap();
+        for bad_len in [good.len() + 5, good.len() + 1, good.len() - 5, 0] {
+            oram.server.write(5, vec![0xA5; bad_len]).unwrap();
+            let before = oram.server_stats();
+            match oram.read(2, &mut rng) {
+                Err(LinearOramError::Storage(message)) => assert_eq!(
+                    message,
+                    format!("cell 5 has {bad_len} bytes, expected {}", good.len())
+                ),
+                other => panic!("length {bad_len}: expected a storage error, got {other:?}"),
+            }
+            let moved = oram.server_stats().since(&before);
+            assert_eq!((moved.downloads, moved.uploads, moved.round_trips), (8, 0, 1));
+            assert!(oram.pt_flat.iter().all(|&b| b == 0), "plaintext scratch scrubbed");
+        }
+        oram.server.write(5, good).unwrap();
+        assert_eq!(oram.read(2, &mut rng).unwrap(), vec![2u8; 8]);
+        assert_eq!(oram.read(5, &mut rng).unwrap(), vec![5u8; 8]);
     }
 }

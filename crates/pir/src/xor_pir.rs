@@ -9,26 +9,15 @@
 //! relaxation (Appendix C) trades privacy to escape.
 
 use dps_crypto::ChaChaRng;
-use dps_server::pool::Task;
-use dps_server::{ReplicatedServers, ServerError, SimServer, Storage, WorkerPool};
+use dps_server::{ReplicatedServers, ServerError, SimServer, Storage};
 
 /// A 2-server XOR PIR client.
-///
-/// With a non-sequential [`WorkerPool`] ([`XorPir::with_pool`]) the two
-/// replicas' `Θ(n)` XOR scans run concurrently on separate threads — the
-/// deployment reality, where the servers are independent machines. The
-/// answers are combined in fixed server order, so results, per-server
-/// stats and transcripts are identical to the sequential default.
 #[derive(Debug)]
 pub struct XorPir<S: Storage = SimServer> {
     servers: ReplicatedServers<S>,
     n: usize,
-    /// Worker pool for the two-server concurrent scan (sequential default).
-    pool: WorkerPool,
-    /// Reusable per-server answer scratch for the zero-alloc XOR path.
-    answer_scratch: Vec<u8>,
-    /// Second answer scratch so concurrent scans write disjoint buffers.
-    answer_scratch2: Vec<u8>,
+    /// Reusable answer scratch, one per server, for the zero-alloc XOR path.
+    answers: [Vec<u8>; 2],
 }
 
 impl XorPir {
@@ -58,17 +47,8 @@ impl<S: Storage> XorPir<S> {
         Self {
             servers: ReplicatedServers::replicate_with(2, blocks, make),
             n: blocks.len(),
-            pool: WorkerPool::single(),
-            answer_scratch: Vec::new(),
-            answer_scratch2: Vec::new(),
+            answers: [Vec::new(), Vec::new()],
         }
-    }
-
-    /// Sets the worker pool; with 2 or more threads, each query scans the
-    /// two replicas concurrently. Results are identical for any width.
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Number of records.
@@ -104,32 +84,20 @@ impl<S: Storage> XorPir<S> {
             }
             Err(pos) => s1.insert(pos, index),
         }
-        // Compute both servers' answers — concurrently when the pool has
-        // threads to spare, sequentially otherwise. Both scans always run
-        // to completion and errors propagate in server order afterwards,
-        // so per-server stats and transcripts are identical for every
-        // pool width even on error paths. An empty subset yields an empty
+        // Both scans always run to completion and errors propagate in
+        // server order afterwards, so per-server stats and transcripts keep
+        // their shape on error paths. An empty subset yields an empty
         // answer, which XORs as all-zeroes.
-        let results: [Result<(), ServerError>; 2] = {
-            let (srv0, srv1) = self.servers.pair_mut(0, 1);
-            let (scratch0, scratch1) = (&mut self.answer_scratch, &mut self.answer_scratch2);
-            let (sub0, sub1) = (&s0, &s1);
-            if self.pool.threads() >= 2 {
-                let tasks: Vec<Task<'_, Result<(), ServerError>>> = vec![
-                    Box::new(move || srv0.xor_cells_into(sub0, scratch0)),
-                    Box::new(move || srv1.xor_cells_into(sub1, scratch1)),
-                ];
-                let mut run = self.pool.run(tasks).into_iter();
-                [run.next().expect("two tasks"), run.next().expect("two tasks")]
-            } else {
-                [srv0.xor_cells_into(sub0, scratch0), srv1.xor_cells_into(sub1, scratch1)]
-            }
-        };
+        let [answer0, answer1] = &mut self.answers;
+        let results = [
+            self.servers.server_mut(0).xor_cells_into(&s0, answer0),
+            self.servers.server_mut(1).xor_cells_into(&s1, answer1),
+        ];
         for result in results {
             result?;
         }
         let mut out = Vec::new();
-        for answer in [&self.answer_scratch, &self.answer_scratch2] {
+        for answer in &self.answers {
             if answer.len() > out.len() {
                 out.resize(answer.len(), 0);
             }
@@ -181,22 +149,17 @@ mod tests {
         }
     }
 
-    /// A pooled client (concurrent two-server scan) returns the same
-    /// answers and per-server stats as the sequential default from the
-    /// same seed.
+    /// Both scans run before an error propagates: with replica 0 too
+    /// small for the subset, the query returns its error and replica 1 has
+    /// still computed over its own subset.
     #[test]
-    fn pooled_query_matches_sequential() {
-        let blocks: Vec<Vec<u8>> = (0..48).map(|i| vec![i as u8, (i * 3) as u8, 7]).collect();
-        let run = |threads: usize| {
-            let mut pir = XorPir::<SimServer>::setup(&blocks).with_pool(WorkerPool::new(threads));
-            let mut rng = ChaChaRng::seed_from_u64(5);
-            let answers: Vec<Vec<u8>> = (0..48).map(|i| pir.query(i, &mut rng).unwrap()).collect();
-            (answers, pir.total_stats())
-        };
-        let sequential = run(1);
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), sequential, "threads = {threads}");
-        }
+    fn failed_scan_on_one_replica_still_scans_the_other() {
+        let mut pir = build(32);
+        let mut rng = ChaChaRng::seed_from_u64(4);
+        pir.servers_mut().server_mut(0).init_empty(1);
+        let before = pir.servers_mut().server(1).stats().computed;
+        assert!(matches!(pir.query(9, &mut rng), Err(ServerError::OutOfBounds { .. })));
+        assert!(pir.servers_mut().server(1).stats().computed > before);
     }
 
     #[test]

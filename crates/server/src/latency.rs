@@ -6,7 +6,7 @@
 //! experiment tables convert a measured [`CostStats`] into estimated
 //! wall-clock time under a parametric network: a fixed per-round-trip RTT
 //! plus byte-rate transfer time. This is a *model*, not a measurement —
-//! EXPERIMENTS.md reports both the raw counters and the modeled latency so
+//! experiment E18 prints both the raw counters and the modeled latency so
 //! readers can re-derive times under their own network assumptions.
 
 use crate::stats::CostStats;

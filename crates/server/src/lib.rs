@@ -29,14 +29,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch_crypto;
 mod cache;
 pub mod cells;
 pub mod crashsim;
 pub mod disk;
 pub mod latency;
 pub mod multi;
-pub mod pool;
 pub mod server;
 pub mod stats;
 pub mod storage;
@@ -49,7 +47,6 @@ pub use crashsim::{CrashFile, CrashSim, SimEvent, SimOp, Tear};
 pub use disk::{DiskBackend, DiskFile, DiskOptions, DiskStore, RealVfs, SyncPolicy, Vfs};
 pub use latency::NetworkModel;
 pub use multi::ReplicatedServers;
-pub use pool::WorkerPool;
 pub use server::{Accounted, CellBackend, ServerError, SimServer};
 pub use stats::{CacheTelemetry, CostStats};
 pub use storage::Storage;

@@ -45,7 +45,7 @@ impl ReplicatedServers {
 impl<S: Storage> ReplicatedServers<S> {
     /// [`ReplicatedServers::replicate`] over default-constructed backends
     /// of type `S`. Use [`ReplicatedServers::replicate_with`] to configure
-    /// each server (shard count, worker pool).
+    /// each server (a store directory, a connection to its daemon).
     ///
     /// # Panics
     /// Panics if `d == 0`.
@@ -82,18 +82,6 @@ impl<S: Storage> ReplicatedServers<S> {
     /// Mutable access to server `i`.
     pub fn server_mut(&mut self, i: usize) -> &mut S {
         &mut self.servers[i]
-    }
-
-    /// Simultaneous mutable access to servers `i` and `j` (`i < j`), so a
-    /// client can drive two non-colluding replicas concurrently — e.g. the
-    /// pooled 2-server XOR-PIR scan.
-    ///
-    /// # Panics
-    /// Panics if `i >= j` or `j` is out of range.
-    pub fn pair_mut(&mut self, i: usize, j: usize) -> (&mut S, &mut S) {
-        assert!(i < j, "pair_mut requires i < j");
-        let (head, tail) = self.servers.split_at_mut(j);
-        (&mut head[i], &mut tail[0])
     }
 
     /// Shared access to server `i`.

@@ -481,16 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn read_into_copies_without_allocating() {
-        let mut s = server_with(4);
-        let mut scratch = [0u8; 8];
-        let len = s.read_into(2, &mut scratch).unwrap();
-        assert_eq!(len, 4);
-        assert_eq!(&scratch[..4], &[2u8; 4]);
-        assert_eq!(s.stats().round_trips, 1);
-    }
-
-    #[test]
     fn write_from_and_strided_match_owning_writes() {
         let mut s = server_with(8);
         s.write_from(1, &[9u8; 4]).unwrap();

@@ -123,44 +123,6 @@ pub trait Storage: std::fmt::Debug + Send {
         Ok(self.read_batch(&[addr])?.pop().expect("one cell requested"))
     }
 
-    /// Downloads a single cell into the caller's scratch, returning its
-    /// length.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than the cell.
-    #[inline]
-    fn read_into(&mut self, addr: usize, out: &mut [u8]) -> Result<usize, ServerError> {
-        let mut len = 0;
-        self.read_batch_with(&[addr], |_, cell| {
-            out[..cell.len()].copy_from_slice(cell);
-            len = cell.len();
-        })?;
-        Ok(len)
-    }
-
-    /// Bulk zero-copy download: copies the cells at `addrs` into
-    /// back-to-back slots of `out` (slot `i` at `i * (out.len() /
-    /// addrs.len())`), one round trip. The read twin of
-    /// [`Storage::write_batch_strided`]. Stats, transcript and error
-    /// semantics are those of [`Storage::read_batch_with`]; on error the
-    /// contents of `out` are unspecified.
-    ///
-    /// # Panics
-    /// Panics if `out.len()` is not a multiple of `addrs.len()`, or if any
-    /// cell is longer than its slot.
-    #[inline]
-    fn read_batch_strided(&mut self, addrs: &[usize], out: &mut [u8]) -> Result<(), ServerError> {
-        if addrs.is_empty() {
-            assert!(out.is_empty(), "output bytes without addresses");
-            return self.read_batch_with(&[], |_, _| {});
-        }
-        assert_eq!(out.len() % addrs.len(), 0, "output length not a multiple of cell count");
-        let stride = out.len() / addrs.len();
-        self.read_batch_with(addrs, |i, cell| {
-            out[i * stride..i * stride + cell.len()].copy_from_slice(cell);
-        })
-    }
-
     /// Uploads a single owned cell (one round trip).
     #[inline]
     fn write(&mut self, addr: usize, cell: Vec<u8>) -> Result<(), ServerError> {
@@ -308,7 +270,6 @@ mod tests {
     fn every_provided_method_is_one_call_to_one_primitive() {
         let mut s = Counting::default();
         s.init((0..8).map(|i| vec![i as u8; 4]).collect());
-        let mut scratch = [0u8; 8];
 
         s.write(1, vec![1; 4]).unwrap();
         assert_eq!(s.calls, (0, 1, 0), "write");
@@ -322,12 +283,8 @@ mod tests {
         assert_eq!(s.calls, (1, 4, 0), "read");
         assert_eq!(s.read_batch(&[3, 4]).unwrap(), vec![vec![3; 4], vec![4; 4]]);
         assert_eq!(s.calls, (2, 4, 0), "read_batch");
-        assert_eq!(s.read_into(2, &mut scratch).unwrap(), 4);
-        assert_eq!(s.calls, (3, 4, 0), "read_into");
-        s.read_batch_strided(&[5, 6], &mut scratch).unwrap();
-        assert_eq!((s.calls, scratch), ((4, 4, 0), [9; 8]), "read_batch_strided");
         assert_eq!(s.xor_cells(&[1, 2]).unwrap(), vec![3; 4]);
-        assert_eq!(s.calls, (4, 4, 1), "xor_cells");
-        assert_eq!(s.stats().round_trips, 9);
+        assert_eq!(s.calls, (2, 4, 1), "xor_cells");
+        assert_eq!(s.stats().round_trips, 7);
     }
 }

@@ -2,15 +2,22 @@
 //! attacks, and capacity exhaustion must all surface as *typed errors* —
 //! never as silent wrong answers or panics.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use dp_storage::core::bucket_ram::{BucketRam, BucketRamError};
 use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig, DpKvsError};
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig, DpRamError};
 use dp_storage::core::hardened_ram::{HardenedDpRam, HardenedRamError, TamperDetection};
+use dp_storage::core::{BatchedDpIr, DpIrConfig};
 use dp_storage::crypto::merkle::MerkleTree;
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::net::chaos::FaultStorage;
-use dp_storage::oram::{PathOram, PathOramConfig};
-use dp_storage::server::{ServerError, SimServer, Storage, VerifiedError, VerifiedServer};
+use dp_storage::oram::{LinearOram, PathOram, PathOramConfig, SquareRootOram};
+use dp_storage::pir::FullScanPir;
+use dp_storage::server::{
+    CostStats, ServerError, SimServer, Storage, Transcript, VerifiedError, VerifiedServer,
+};
 use dp_storage::workloads::generators::database;
 
 const N: usize = 64;
@@ -223,6 +230,139 @@ fn hardened_ram_failed_request_loses_no_stashed_record() {
         .write_batch(all.iter().copied().zip(saved).collect())
         .unwrap();
     assert_eq!(ram.read(7, &mut rng).unwrap(), value);
+}
+
+/// The length a [`Resizing`] server gives a cell of `len` stored bytes: as
+/// stored, then the four wrong lengths of the test below.
+const RESIZE: [fn(usize) -> usize; 5] =
+    [|len| len, |len| len + 5, |len| len + 1, |len| len.saturating_sub(5), |_| 0];
+
+/// `cell` cut or padded to the length `RESIZE[mode]` gives it.
+fn resized(cell: &[u8], mode: usize) -> Vec<u8> {
+    let mut out = cell.to_vec();
+    out.resize(RESIZE[mode](cell.len()), 0xA5);
+    out
+}
+
+/// A server that stores honestly and answers every download with cells of
+/// the wrong length: the length of a returned cell is the server's to
+/// choose. `mode` is shared with the test, which holds no other handle on a
+/// server once a client owns it.
+#[derive(Debug)]
+struct Resizing {
+    inner: SimServer,
+    mode: Arc<AtomicUsize>,
+}
+
+impl Storage for Resizing {
+    fn init(&mut self, cells: Vec<Vec<u8>>) {
+        self.inner.init(cells);
+    }
+    fn init_empty(&mut self, capacity: usize) {
+        self.inner.init_empty(capacity);
+    }
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+    fn stored_bytes(&self) -> u64 {
+        self.inner.stored_bytes()
+    }
+    fn cell_stride(&self) -> usize {
+        self.inner.cell_stride()
+    }
+    fn start_recording(&mut self) {
+        self.inner.start_recording();
+    }
+    fn take_transcript(&mut self) -> Transcript {
+        self.inner.take_transcript()
+    }
+    fn stats(&self) -> CostStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats();
+    }
+    fn read_batch_with(
+        &mut self,
+        addrs: &[usize],
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), ServerError> {
+        let mode = self.mode.load(Ordering::Relaxed);
+        self.inner
+            .read_batch_with(addrs, |i, cell| visit(i, &resized(cell, mode)))
+    }
+    fn write_cells<'a>(
+        &mut self,
+        cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    ) -> Result<(), ServerError> {
+        self.inner.write_cells(cells)
+    }
+    fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
+        self.inner.xor_cells_into(addrs, acc)
+    }
+}
+
+/// An operation on wrong-length cells may fail — with the client's typed
+/// error, since it returned at all — or answer; an answer must be right.
+fn right_or_err<T: PartialEq + std::fmt::Debug, E>(client: &str, result: Result<T, E>, right: &T) {
+    if let Ok(got) = result {
+        assert_eq!(&got, right, "{client}");
+    }
+}
+
+/// A cell of the wrong length from the server is a typed error in every
+/// client that decrypts, and the stored bytes in the two that serve public
+/// data — never a panic, never an index past a scratch buffer. Every
+/// returned cell is made 5 longer, 1 longer, 5 shorter and empty in turn;
+/// writes store the value already there, so the right answers never move.
+#[test]
+fn wrong_length_cells_are_typed_errors_in_every_client() {
+    let db = database(N, BLOCK);
+    let mode = Arc::new(AtomicUsize::new(0));
+    let server = || Resizing { inner: SimServer::new(), mode: Arc::clone(&mode) };
+    let mut rng = ChaChaRng::seed_from_u64(13);
+
+    let mut ram = DpRam::setup(DpRamConfig::recommended(N), &db, server(), &mut rng).unwrap();
+    let mut kvs = DpKvs::setup(DpKvsConfig::recommended(N, BLOCK), server(), &mut rng).unwrap();
+    for (key, value) in db.iter().enumerate() {
+        kvs.put(key as u64, value.clone(), &mut rng).unwrap();
+    }
+    let mut path = PathOram::setup(PathOramConfig::recommended(N, BLOCK), &db, server(), &mut rng);
+    let mut sqrt = SquareRootOram::setup(&db, server(), &mut rng);
+    let mut linear = LinearOram::setup(&db, server(), &mut rng);
+    let mut scan = FullScanPir::setup(&db, server());
+    let config = DpIrConfig::with_epsilon(N, 4.0, 0.1).unwrap();
+    let mut plain = BatchedDpIr::setup(config, &db, server()).unwrap();
+    let mut sealed = BatchedDpIr::setup_sealed(config, &db, server(), &mut rng).unwrap();
+
+    for wrong in 1..RESIZE.len() {
+        mode.store(wrong, Ordering::Relaxed);
+        for op in 0..8 {
+            let i = (op * 11 + wrong) % N;
+            let (record, write) = (&db[i], op % 2 == 1);
+            if write {
+                right_or_err("DpRam", ram.write(i, record.clone(), &mut rng), &());
+                right_or_err("DpKvs", kvs.put(i as u64, record.clone(), &mut rng), &());
+                right_or_err("PathOram", path.write(i, record.clone(), &mut rng), record);
+                right_or_err("SquareRootOram", sqrt.write(i, record.clone(), &mut rng), record);
+                right_or_err("LinearOram", linear.write(i, record.clone(), &mut rng), record);
+            } else {
+                right_or_err("DpRam", ram.read(i, &mut rng), record);
+                right_or_err("DpKvs", kvs.get(i as u64, &mut rng), &Some(record.clone()));
+                right_or_err("PathOram", path.read(i, &mut rng), record);
+                right_or_err("SquareRootOram", sqrt.read(i, &mut rng), record);
+                right_or_err("LinearOram", linear.read(i, &mut rng), record);
+            }
+            // Public data: the answer is the cell as the server returned it.
+            let returned = resized(record, wrong);
+            assert_eq!(scan.query(i).unwrap(), returned, "FullScanPir");
+            let answers = plain.query_batch(&[i], &mut rng).unwrap();
+            assert!(answers[0].as_ref().is_none_or(|a| *a == returned), "BatchedDpIr");
+            if let Ok(answers) = sealed.query_batch(&[i], &mut rng) {
+                assert!(answers[0].as_ref().is_none_or(|a| a == record), "sealed BatchedDpIr");
+            }
+        }
+    }
 }
 
 /// Which of an operation's two storage calls the injected faults hit: the
