@@ -119,6 +119,37 @@ impl DpIrConfig {
 pub struct DpIr<S: Storage = SimServer> {
     config: DpIrConfig,
     server: S,
+    /// The last query's download set, sorted: scratch that keeps its
+    /// capacity, so a query builds no tree and allocates only its answer.
+    /// Not client state in the paper's sense — every query overwrites it.
+    set: Vec<usize>,
+}
+
+/// Algorithm 1: draws the download set for `index` into `set`, sorted and
+/// distinct, and returns whether the real record is in it. One `gen_bool`,
+/// then one `gen_index` per attempt until `K` distinct addresses are held —
+/// the coin order every seeded transcript in this workspace depends on.
+fn draw_download_set(
+    config: &DpIrConfig,
+    index: usize,
+    rng: &mut ChaChaRng,
+    set: &mut Vec<usize>,
+) -> bool {
+    set.clear();
+    // r > alpha: the real record is included.
+    let success = !rng.gen_bool(config.alpha);
+    if success {
+        set.push(index);
+    }
+    while set.len() < config.k {
+        // Uniform from [n] \ T by rejection (K ≤ n guarantees progress;
+        // expected iterations ≤ n/(n-K+1)).
+        let j = rng.gen_index(config.n);
+        if let Err(at) = set.binary_search(&j) {
+            set.insert(at, j);
+        }
+    }
+    success
 }
 
 impl<S: Storage> DpIr<S> {
@@ -134,7 +165,7 @@ impl<S: Storage> DpIr<S> {
             )));
         }
         server.init(blocks.to_vec());
-        Ok(Self { config, server })
+        Ok(Self { config, server, set: Vec::with_capacity(config.k) })
     }
 
     /// The configuration in force.
@@ -160,19 +191,9 @@ impl<S: Storage> DpIr<S> {
         index: usize,
         rng: &mut ChaChaRng,
     ) -> (BTreeSet<usize>, bool) {
-        let mut t = BTreeSet::new();
-        // r > alpha: the real record is included.
-        let success = !rng.gen_bool(self.config.alpha);
-        if success {
-            t.insert(index);
-        }
-        while t.len() < self.config.k {
-            // Uniform from [n] \ T by rejection (K ≤ n guarantees progress;
-            // expected iterations ≤ n/(n-K+1)).
-            let j = rng.gen_index(self.config.n);
-            t.insert(j);
-        }
-        (t, success)
+        let mut set = Vec::with_capacity(self.config.k);
+        let success = draw_download_set(&self.config, index, rng, &mut set);
+        (set.into_iter().collect(), success)
     }
 
     /// Queries record `index`. Returns `Some(record)` with probability
@@ -182,7 +203,20 @@ impl<S: Storage> DpIr<S> {
         index: usize,
         rng: &mut ChaChaRng,
     ) -> Result<Option<Vec<u8>>, DpIrError> {
-        Ok(self.query_traced(index, rng)?.0)
+        if index >= self.config.n {
+            return Err(DpIrError::IndexOutOfRange { index, n: self.config.n });
+        }
+        let success = draw_download_set(&self.config, index, rng, &mut self.set);
+        // Zero-copy download: only the real record (if this query succeeds)
+        // is copied out of the server arena; decoys are read and discarded.
+        let pos = success.then(|| self.set.binary_search(&index).expect("real index in set"));
+        let mut record = Vec::new();
+        self.server.read_batch_with(&self.set, |i, cell| {
+            if Some(i) == pos {
+                record.extend_from_slice(cell);
+            }
+        })?;
+        Ok(success.then_some(record))
     }
 
     /// Like [`DpIr::query`] but also returns the download set — the random
@@ -192,21 +226,8 @@ impl<S: Storage> DpIr<S> {
         index: usize,
         rng: &mut ChaChaRng,
     ) -> Result<(Option<Vec<u8>>, BTreeSet<usize>), DpIrError> {
-        if index >= self.config.n {
-            return Err(DpIrError::IndexOutOfRange { index, n: self.config.n });
-        }
-        let (set, success) = self.sample_download_set(index, rng);
-        let addrs: Vec<usize> = set.iter().copied().collect();
-        // Zero-copy download: only the real record (if this query succeeds)
-        // is copied out of the server arena; decoys are read and discarded.
-        let pos = success.then(|| addrs.binary_search(&index).expect("real index in set"));
-        let mut record = Vec::new();
-        self.server.read_batch_with(&addrs, |i, cell| {
-            if Some(i) == pos {
-                record.extend_from_slice(cell);
-            }
-        })?;
-        Ok((success.then_some(record), set))
+        let answer = self.query(index, rng)?;
+        Ok((answer, self.set.iter().copied().collect()))
     }
 }
 
@@ -311,6 +332,44 @@ mod tests {
         let (_, s1) = ir.query_traced(0, &mut rng).unwrap();
         let (_, s2) = ir.query_traced(0, &mut rng).unwrap();
         assert_ne!(s1, s2);
+    }
+
+    /// `query` draws into the sorted scratch and `query_traced` builds its
+    /// set from it: same answers, same server view, same coins — and the
+    /// coins are Algorithm 1's as it was first written (a `BTreeSet` filled
+    /// by rejection), so no seeded transcript anywhere moved.
+    #[test]
+    fn query_and_query_traced_draw_the_same_coins() {
+        let (mut plain, mut traced) = (build(256, 3.0, 0.2), build(256, 3.0, 0.2));
+        let config = plain.config();
+        assert!(config.k > 1);
+        plain.server_mut().start_recording();
+        traced.server_mut().start_recording();
+        let mut rngs = [11u64; 3].map(ChaChaRng::seed_from_u64);
+        let [rng_plain, rng_traced, rng_tree] = &mut rngs;
+        for q in 0..1000 {
+            let index = (q * 37) % config.n;
+            let answer = plain.query(index, rng_plain).unwrap();
+            let (traced_answer, set) = traced.query_traced(index, rng_traced).unwrap();
+            assert_eq!(answer, traced_answer);
+
+            let mut tree = BTreeSet::new();
+            if !rng_tree.gen_bool(config.alpha) {
+                tree.insert(index);
+            }
+            while tree.len() < config.k {
+                tree.insert(rng_tree.gen_index(config.n));
+            }
+            assert_eq!(set, tree, "query {q}");
+        }
+        assert_eq!(
+            plain.server_mut().take_transcript().canonical_encoding(),
+            traced.server_mut().take_transcript().canonical_encoding()
+        );
+        assert_eq!(plain.server_stats(), traced.server_stats());
+        let next = rngs.map(|mut rng| rng.next_u64());
+        assert_eq!(next[0], next[1]);
+        assert_eq!(next[0], next[2]);
     }
 
     #[test]

@@ -120,10 +120,9 @@ impl AeadCipher {
 
     /// Deterministic slice-form seal: writes `nonce || body || tag` into
     /// `out`, which must be exactly `plaintext.len() + AEAD_OVERHEAD`
-    /// bytes. The parallel-batch primitive: nonces are pre-drawn on the
-    /// caller thread and worker threads seal disjoint cells into disjoint
-    /// slots, byte-identical to a sequential [`AeadCipher::seal_into`]
-    /// loop over the same RNG stream.
+    /// bytes. The batch primitive: nonces are pre-drawn and the cells are
+    /// sealed into disjoint slots, byte-identical to a sequential
+    /// [`AeadCipher::seal_into`] loop over the same RNG stream.
     ///
     /// # Panics
     /// Panics if `out.len() != plaintext.len() + AEAD_OVERHEAD`.

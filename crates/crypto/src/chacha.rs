@@ -34,14 +34,15 @@ use crate::isa::{self, IsaTier};
 pub const KEY_LEN: usize = 32;
 /// Size of a ChaCha20 nonce in bytes (IETF variant).
 pub const NONCE_LEN: usize = 12;
-/// A ChaCha20 nonce: the per-cell randomness unit the batch-crypto helpers
-/// pre-draw on the caller thread before fanning work across a pool.
+/// A ChaCha20 nonce: the per-cell randomness unit a batch call takes
+/// pre-drawn, so that the RNG stream is consumed in cell order whatever
+/// the lane width.
 pub type Nonce = [u8; NONCE_LEN];
 /// Size of one keystream block in bytes.
 pub const BLOCK_LEN: usize = 64;
 /// The widest lane count any tier permutes per pass (the AVX2 8-lane
-/// core). Batch layouts and pool chunk sizes align to this so fan-out
-/// never fragments a full-width pass; narrower tiers split the same work
+/// core). Batch calls walk their cells in groups of this many so a
+/// full-width pass is never fragmented; narrower tiers split the same work
 /// into 4-lane passes with byte-identical output.
 pub const WIDE_LANES: usize = 8;
 /// Lane count of the mid-tier (SSE2 / portable) wide core.

@@ -130,12 +130,12 @@ impl BlockCipher {
 
     /// Deterministic slice-form encryption: writes `nonce || body || tag`
     /// into `out`, which must be exactly `plaintext.len() +
-    /// CIPHERTEXT_OVERHEAD` bytes. This is the parallel-batch primitive —
-    /// the caller draws every nonce up front on one thread
+    /// CIPHERTEXT_OVERHEAD` bytes. This is the batch primitive — the
+    /// caller draws every nonce up front
     /// ([`ChaChaRng::draw_nonces`](crate::rng::ChaChaRng::draw_nonces)) and
-    /// worker threads encrypt disjoint cells into disjoint slots, producing
-    /// output byte-identical to a sequential [`BlockCipher::encrypt_into`]
-    /// loop over the same RNG stream.
+    /// the cells are encrypted into disjoint slots, producing output
+    /// byte-identical to a sequential [`BlockCipher::encrypt_into`] loop
+    /// over the same RNG stream.
     ///
     /// # Panics
     /// Panics if `out.len() != plaintext.len() + CIPHERTEXT_OVERHEAD`.

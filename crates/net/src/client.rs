@@ -89,14 +89,17 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use dps_server::{CostStats, ServerError, Storage, Transcript};
 
 use crate::chaos::splitmix64;
-use crate::wire::{read_frame_v2, visit_cells, Request, Response, WireError, HEADER2_LEN};
+use crate::wire::{
+    frame_into, put_read_batch, put_write_cells, put_xor_cells, FrameAssembler, Request, Response,
+    ResponseView, WireError, HEADER2_LEN, READ_CHUNK,
+};
 
 /// A wire-level or model-level failure of a remote call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -282,12 +285,14 @@ pub struct RemoteServer {
     /// `RefCell` (not a bare stream) so a reconnect can swap in a fresh
     /// socket behind the `&self` call surface.
     stream: RefCell<TcpStream>,
-    /// Buffered receive side (a cloned handle of `stream`): one `read`
-    /// syscall can pull a whole burst of pipelined responses off the
-    /// socket, instead of two-plus syscalls per frame. Replaced together
-    /// with `stream` on reconnect, which also discards any bytes of a
-    /// partially received frame — a cut byte stream cannot be resumed.
-    reader: RefCell<BufReader<TcpStream>>,
+    /// The receive buffer: one `read` can pull a whole burst of pipelined
+    /// responses off the socket, and the awaited one is visited where it
+    /// lies. Sized by bytes received, never by what a header announces.
+    /// Reset together with `stream` on reconnect, which discards any bytes
+    /// of a partially received frame — a cut byte stream cannot be resumed.
+    rx: RefCell<FrameAssembler>,
+    /// The send buffer every request is framed in, kept between requests.
+    tx: RefCell<Vec<u8>>,
     peer: SocketAddr,
     timeouts: Timeouts,
     reconnect: Option<ReconnectPolicy>,
@@ -352,11 +357,8 @@ fn model<T>(result: Result<T, RemoteError>) -> Result<T, ServerError> {
 }
 
 /// Establishes one configured socket to `addr`: nodelay, deadlines
-/// applied, receive side buffered.
-fn dial(
-    addr: &SocketAddr,
-    timeouts: &Timeouts,
-) -> std::io::Result<(TcpStream, BufReader<TcpStream>)> {
+/// applied.
+fn dial(addr: &SocketAddr, timeouts: &Timeouts) -> std::io::Result<TcpStream> {
     let stream = match timeouts.connect {
         Some(deadline) => TcpStream::connect_timeout(addr, deadline)?,
         None => TcpStream::connect(addr)?,
@@ -364,8 +366,7 @@ fn dial(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(timeouts.read)?;
     stream.set_write_timeout(timeouts.write)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok((stream, reader))
+    Ok(stream)
 }
 
 impl RemoteServer {
@@ -385,14 +386,14 @@ impl RemoteServer {
         let mut dialed = None;
         for candidate in addr.to_socket_addrs()? {
             match dial(&candidate, &timeouts) {
-                Ok(pair) => {
-                    dialed = Some(pair);
+                Ok(stream) => {
+                    dialed = Some(stream);
                     break;
                 }
                 Err(e) => last_err = Some(e),
             }
         }
-        let Some((stream, reader)) = dialed else {
+        let Some(stream) = dialed else {
             return Err(last_err.unwrap_or_else(|| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, "address resolved to nothing")
             }));
@@ -400,7 +401,8 @@ impl RemoteServer {
         let peer = stream.peer_addr()?;
         Ok(Self {
             stream: RefCell::new(stream),
-            reader: RefCell::new(reader),
+            rx: RefCell::new(FrameAssembler::new()),
+            tx: RefCell::new(Vec::new()),
             peer,
             timeouts,
             reconnect: None,
@@ -516,9 +518,9 @@ impl RemoteServer {
         }
         'attempt: for attempt in 0..policy.max_attempts {
             std::thread::sleep(policy.delay_for(attempt));
-            let Ok((stream, reader)) = dial(&self.peer, &self.timeouts) else { continue };
+            let Ok(stream) = dial(&self.peer, &self.timeouts) else { continue };
             *self.stream.borrow_mut() = stream;
-            *self.reader.borrow_mut() = reader;
+            *self.rx.borrow_mut() = FrameAssembler::new();
             self.wire_reconnects.set(self.wire_reconnects.get() + 1);
             for pending in self.outstanding.borrow().values() {
                 if let Some(frame) = &pending.replay {
@@ -577,26 +579,21 @@ impl RemoteServer {
     /// tickets may be outstanding; responses may be redeemed in any
     /// order.
     pub fn submit(&self, request: &Request) -> Result<Ticket, RemoteError> {
-        let id = self.next_id.get();
-        self.next_id.set(id + 1);
-        let framed = request.encode_framed_v2(id)?;
-        // Registered before the write so a mid-write fault hands the
-        // frame straight to `recover` like any other in-flight request.
-        let replay = (self.reconnect.is_some() && idempotent(request)).then(|| framed.clone());
-        let inflight = {
-            let mut outstanding = self.outstanding.borrow_mut();
-            outstanding.insert(id, Pending { replay, interrupted: false });
-            outstanding.len() as u64
-        };
-        self.wire_inflight_max
-            .set(self.wire_inflight_max.get().max(inflight));
-        if let Err(fault) = self.send(&framed) {
-            if let Err(err) = self.recover(fault) {
-                self.outstanding.borrow_mut().remove(&id);
-                return Err(err);
-            }
-        }
-        Ok(Ticket(id))
+        self.submit_with(idempotent(request), |id, tx| request.encode_framed_into(id, tx))
+    }
+
+    /// Frames one request with `encode` in the send buffer and puts it on
+    /// the wire.
+    fn submit_with(
+        &self,
+        replayable: bool,
+        encode: impl FnOnce(u64, &mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<Ticket, RemoteError> {
+        let mut tx = self.tx.borrow_mut();
+        tx.clear();
+        let ticket = self.frame(&mut tx, replayable, encode)?;
+        self.transmit(&mut tx, &[ticket])?;
+        Ok(ticket)
     }
 
     /// [`RemoteServer::submit`] for a whole window at once: every request
@@ -607,55 +604,90 @@ impl RemoteServer {
     /// because N syscalls and N scheduler round trips are the dominant
     /// cost of small pipelined requests.
     pub fn submit_all(&self, requests: &[Request]) -> Result<Vec<Ticket>, RemoteError> {
-        // Encode the whole window before registering anything, so an
-        // encode failure leaves no phantom in-flight entries behind.
-        let mut frames = Vec::with_capacity(requests.len());
-        for request in requests {
-            let id = self.next_id.get();
-            self.next_id.set(id + 1);
-            let framed = request.encode_framed_v2(id)?;
-            let replay = (self.reconnect.is_some() && idempotent(request)).then(|| framed.clone());
-            frames.push((id, framed, replay));
-        }
-        let mut burst = Vec::new();
+        let mut tx = self.tx.borrow_mut();
+        tx.clear();
         let mut tickets = Vec::with_capacity(requests.len());
-        {
-            let mut outstanding = self.outstanding.borrow_mut();
-            for (id, framed, replay) in frames {
-                outstanding.insert(id, Pending { replay, interrupted: false });
-                burst.extend_from_slice(&framed);
-                tickets.push(Ticket(id));
-            }
-            let inflight = outstanding.len() as u64;
-            self.wire_inflight_max
-                .set(self.wire_inflight_max.get().max(inflight));
-        }
-        if let Err(fault) = self.send(&burst) {
-            if let Err(err) = self.recover(fault) {
-                let mut outstanding = self.outstanding.borrow_mut();
-                for ticket in &tickets {
-                    outstanding.remove(&ticket.0);
+        for request in requests {
+            let framed = self
+                .frame(&mut tx, idempotent(request), |id, tx| request.encode_framed_into(id, tx));
+            match framed {
+                Ok(ticket) => tickets.push(ticket),
+                Err(e) => {
+                    // An encode failure leaves no phantom in-flight
+                    // entries behind: nothing of the window was sent.
+                    self.forget(&tickets);
+                    return Err(e);
                 }
-                return Err(err);
             }
         }
+        self.transmit(&mut tx, &tickets)?;
         Ok(tickets)
     }
 
-    /// Redeems a ticket for its raw response payload, reading frames off
-    /// the socket until the matching id arrives. Responses for *other*
-    /// tickets that arrive first are stashed for their own `wait` (up to
-    /// the [`RemoteServer::with_stash_limits`] caps); a response whose id
-    /// matches no outstanding request is a protocol violation
-    /// ([`crate::WireError::UnknownRequestId`]). Under a
-    /// [`ReconnectPolicy`], connection faults while waiting trigger
-    /// reconnect-and-replay; a ticket whose request could not be replayed
-    /// comes back as [`RemoteError::Interrupted`].
-    pub fn wait_payload(&self, ticket: Ticket) -> Result<Vec<u8>, RemoteError> {
+    /// Appends one request frame to `tx` under a fresh id and registers it
+    /// as in flight — before the write, so a mid-write fault hands the
+    /// frame straight to `recover` like any other in-flight request. The
+    /// replay copy is taken only under a [`ReconnectPolicy`], and only of
+    /// a `replayable` (idempotent) request.
+    fn frame(
+        &self,
+        tx: &mut Vec<u8>,
+        replayable: bool,
+        encode: impl FnOnce(u64, &mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<Ticket, RemoteError> {
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
+        let mark = tx.len();
+        encode(id, tx)?;
+        let replay = (self.reconnect.is_some() && replayable).then(|| tx[mark..].to_vec());
+        let mut outstanding = self.outstanding.borrow_mut();
+        outstanding.insert(id, Pending { replay, interrupted: false });
+        self.wire_inflight_max
+            .set(self.wire_inflight_max.get().max(outstanding.len() as u64));
+        Ok(Ticket(id))
+    }
+
+    /// Writes the framed requests in `tx` — which stand behind `tickets` —
+    /// with one `write_all`, recovering from a connection fault if a
+    /// policy allows. An outsize send buffer is given back afterwards.
+    fn transmit(&self, tx: &mut Vec<u8>, tickets: &[Ticket]) -> Result<(), RemoteError> {
+        let sent = self.send(tx);
+        tx.clear();
+        tx.shrink_to(READ_CHUNK);
+        if let Err(fault) = sent {
+            if let Err(err) = self.recover(fault) {
+                self.forget(tickets);
+                return Err(err);
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops the in-flight records of requests that never left.
+    fn forget(&self, tickets: &[Ticket]) {
+        let mut outstanding = self.outstanding.borrow_mut();
+        for ticket in tickets {
+            outstanding.remove(&ticket.0);
+        }
+    }
+
+    /// The receive loop behind [`RemoteServer::wait_payload`] and every
+    /// exchange: redeems `ticket` by handing its response payload to `take`
+    /// where it lies — in the receive buffer, or in the stash if it arrived
+    /// while another ticket was being redeemed. Only a response for
+    /// *another* ticket is copied (into the stash).
+    ///
+    /// `take` runs with the receive buffer borrowed: it must not call
+    /// back into this client.
+    fn wait_with<T>(
+        &self,
+        ticket: Ticket,
+        take: impl FnOnce(&[u8]) -> Result<T, RemoteError>,
+    ) -> Result<T, RemoteError> {
         let mut episodes = 0u32;
         loop {
             if let Some(payload) = self.stash_take(ticket.0) {
-                return Ok(payload);
+                return take(&payload);
             }
             {
                 let mut outstanding = self.outstanding.borrow_mut();
@@ -668,7 +700,8 @@ impl RemoteServer {
                     Some(_) => {}
                 }
             }
-            let fault = match read_frame_v2(&mut *self.reader.borrow_mut()) {
+            let mut rx = self.rx.borrow_mut();
+            let fault = match rx.next_frame() {
                 Ok(Some((id, payload))) => {
                     if self.outstanding.borrow_mut().remove(&id).is_none() {
                         return Err(WireError::UnknownRequestId(id).into());
@@ -677,14 +710,22 @@ impl RemoteServer {
                     self.wire_bytes_down
                         .set(self.wire_bytes_down.get() + (HEADER2_LEN + payload.len()) as u64);
                     if id == ticket.0 {
-                        return Ok(payload);
+                        return take(payload);
                     }
-                    self.stash_insert(id, payload)?;
+                    self.stash_insert(id, payload.to_vec())?;
                     continue;
                 }
-                Ok(None) => WireError::Truncated { expected: HEADER2_LEN, got: 0 },
+                // The buffer grows with the bytes that arrive, never to
+                // the length a header announces.
+                Ok(None) => match rx.fill_from(&mut &*self.stream.borrow()) {
+                    Ok(0) => rx.truncated(),
+                    Ok(_) => continue,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => e.into(),
+                },
                 Err(e) => e,
             };
+            drop(rx);
             episodes += 1;
             if episodes > self.recovery_budget() {
                 return Err(fault.into());
@@ -693,14 +734,26 @@ impl RemoteServer {
         }
     }
 
+    /// Redeems a ticket for its raw response payload, reading frames off
+    /// the socket until the matching id arrives. Responses for *other*
+    /// tickets that arrive first are stashed for their own `wait` (up to
+    /// the [`RemoteServer::with_stash_limits`] caps); a response whose id
+    /// matches no outstanding request is a protocol violation
+    /// ([`crate::WireError::UnknownRequestId`]). Under a
+    /// [`ReconnectPolicy`], connection faults while waiting trigger
+    /// reconnect-and-replay; a ticket whose request could not be replayed
+    /// comes back as [`RemoteError::Interrupted`].
+    pub fn wait_payload(&self, ticket: Ticket) -> Result<Vec<u8>, RemoteError> {
+        self.wait_with(ticket, |payload| Ok(payload.to_vec()))
+    }
+
     /// [`RemoteServer::wait_payload`] plus response decoding, with
     /// in-band server failures separated from wire failures.
     pub fn wait(&self, ticket: Ticket) -> Result<Response, RemoteError> {
-        let payload = self.wait_payload(ticket)?;
-        match Response::decode(&payload)? {
+        self.wait_with(ticket, |payload| match Response::decode(payload)? {
             Response::Fail(e) => Err(RemoteError::Server(e)),
             response => Ok(response),
-        }
+        })
     }
 
     /// Performs one framed exchange, returning the raw response payload:
@@ -715,11 +768,27 @@ impl RemoteServer {
     /// [`RemoteServer::try_call`] plus response decoding, with in-band
     /// server failures separated from wire failures.
     pub fn request(&self, request: &Request) -> Result<Response, RemoteError> {
-        let payload = self.try_call(request)?;
-        match Response::decode(&payload)? {
-            Response::Fail(e) => Err(RemoteError::Server(e)),
-            response => Ok(response),
-        }
+        let ticket = self.submit(request)?;
+        self.wait(ticket)
+    }
+
+    /// One exchange of a hot request, borrowed on both sides: `body`
+    /// writes the request straight from the caller's slices into the send
+    /// buffer (through the encoders the owned [`Request`] uses), and
+    /// `take` reads the answer in the receive buffer. A model failure
+    /// (`Fail`) never reaches `take`. `replayable` is [`idempotent`]'s
+    /// verdict on the request `body` writes.
+    fn exchange<T>(
+        &self,
+        replayable: bool,
+        body: impl FnOnce(&mut Vec<u8>),
+        take: impl FnOnce(ResponseView<'_>) -> Result<T, RemoteError>,
+    ) -> Result<T, RemoteError> {
+        let ticket = self.submit_with(replayable, |id, tx| frame_into(tx, id, body))?;
+        self.wait_with(ticket, |payload| match ResponseView::parse(payload)? {
+            ResponseView::Fail(e) => Err(RemoteError::Server(e)),
+            response => take(response),
+        })
     }
 
     fn expect_ok(&self, request: &Request) -> Result<(), RemoteError> {
@@ -765,36 +834,35 @@ impl RemoteServer {
     }
 
     /// The download hot path with its failures typed: a response with the
-    /// wrong cell count comes back as [`WireError::CellCountMismatch`];
-    /// cells visited before the count is known stay visited, so on error
-    /// the callback may already have observed a prefix.
+    /// wrong cell count comes back as [`WireError::CellCountMismatch`],
+    /// and no cell of a malformed or miscounted response is visited. The
+    /// request is framed from `addrs` and the cells are visited in the
+    /// receive buffer — nothing is copied on the way in or out — so
+    /// `visit` must not call back into this client.
     pub fn try_read_batch_with(
         &self,
         addrs: &[usize],
         mut visit: impl FnMut(usize, &[u8]),
     ) -> Result<(), RemoteError> {
-        let payload = self.try_call(&Request::ReadBatch { addrs: addrs.to_vec() })?;
-        // Hand out slices borrowed from the one response buffer. The count
-        // check keeps the Storage contract honest (one visit per requested
-        // address, in order) even against a non-conforming peer — a broken
-        // wire must never silently fabricate or skip cells.
-        let mut got = 0usize;
-        let was_cells = visit_cells(&payload, |i, cell| {
-            got += 1;
-            if i < addrs.len() {
-                visit(i, cell);
-            }
-        })?;
-        if was_cells {
-            if got != addrs.len() {
-                return Err(WireError::CellCountMismatch { got, expected: addrs.len() }.into());
-            }
-            return Ok(());
-        }
-        match Response::decode(&payload)? {
-            Response::Fail(e) => Err(RemoteError::Server(e)),
-            other => Err(unexpected(&other)),
-        }
+        self.exchange(
+            true,
+            |buf| put_read_batch(buf, addrs),
+            |response| match response {
+                // The count check keeps the Storage contract honest (one
+                // visit per requested address, in order) even against a
+                // non-conforming peer — a broken wire must never silently
+                // fabricate or skip cells.
+                ResponseView::Cells(cells) if cells.len() != addrs.len() => {
+                    Err(WireError::CellCountMismatch { got: cells.len(), expected: addrs.len() }
+                        .into())
+                }
+                ResponseView::Cells(cells) => {
+                    cells.iter().enumerate().for_each(|(i, cell)| visit(i, cell));
+                    Ok(())
+                }
+                other => Err(unexpected(&other.into_owned())),
+            },
+        )
     }
 
     /// [`RemoteServer::try_read_batch_with`], owning copies.
@@ -826,7 +894,8 @@ fn infallible<T>(what: &str, result: Result<T, RemoteError>) -> T {
     model(result).unwrap_or_else(|e| panic!("{what} is infallible: {e}"))
 }
 
-/// Each method is one framed exchange, mapped through [`model`].
+/// Each method is one framed exchange, its failures mapped as the module
+/// docs' failure model says.
 impl Storage for RemoteServer {
     /// Uncharged setup however many frames it takes: model stats and
     /// transcript are untouched; only the wire counters see the frames.
@@ -893,33 +962,63 @@ impl Storage for RemoteServer {
 
     /// The frame follows from the cells alone, never from which spelling
     /// the caller used: the strided frame when all cells have one length
-    /// (every scheme's uploads), the general frame otherwise.
+    /// (every scheme's uploads), the general frame otherwise — written
+    /// from the caller's slices into the send buffer, once.
     fn write_cells<'a>(
         &mut self,
         cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
     ) -> Result<(), ServerError> {
-        let cells: Vec<(usize, &[u8])> = cells.collect();
-        let stride = cells.first().map_or(0, |(_, cell)| cell.len());
-        let request = if cells.iter().all(|(_, cell)| cell.len() == stride) {
-            let mut flat = Vec::with_capacity(stride * cells.len());
-            cells.iter().for_each(|(_, cell)| flat.extend_from_slice(cell));
-            Request::WriteBatchStrided {
-                addrs: cells.iter().map(|&(addr, _)| addr).collect(),
-                flat,
-            }
-        } else {
-            let owned = |&(addr, cell): &(usize, &[u8])| (addr, cell.to_vec());
-            Request::WriteBatch { writes: cells.iter().map(owned).collect() }
-        };
-        model(self.expect_ok(&request))
+        model(self.exchange(
+            false,
+            |buf| put_write_cells(buf, cells),
+            |response| match response {
+                ResponseView::Ok => Ok(()),
+                other => Err(unexpected(&other.into_owned())),
+            },
+        ))
     }
 
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
-        let folded = self.request(&Request::XorCells { addrs: addrs.to_vec() });
-        *acc = model(folded.and_then(|r| match r {
-            Response::Bytes(bytes) => Ok(bytes),
-            other => Err(unexpected(&other)),
-        }))?;
-        Ok(())
+        model(self.exchange(
+            true,
+            |buf| put_xor_cells(buf, addrs),
+            |response| match response {
+                ResponseView::Bytes(fold) => {
+                    acc.clear();
+                    acc.extend_from_slice(fold);
+                    Ok(())
+                }
+                other => Err(unexpected(&other.into_owned())),
+            },
+        ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{frame_v2, read_frame_v2, MAX_FRAME};
+
+    /// The receive buffer grows with the bytes received — at most one
+    /// growth step ahead — never to the length a header announces: a
+    /// hostile 16-byte prefix claiming [`MAX_FRAME`] costs a few KiB.
+    #[test]
+    fn a_hostile_length_prefix_does_not_size_the_receive_buffer() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let (id, _) = read_frame_v2(&mut stream).unwrap().expect("request");
+            let mut bytes = frame_v2(id, &[0x87; 10]).unwrap();
+            bytes[4..8].copy_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+            stream.write_all(&bytes).unwrap();
+        });
+        let remote = RemoteServer::connect(addr).unwrap();
+        assert_eq!(
+            remote.try_call(&Request::ReadBatch { addrs: vec![0] }),
+            Err(RemoteError::Wire(WireError::Truncated { expected: MAX_FRAME, got: 10 }))
+        );
+        assert!(remote.rx.borrow().capacity() <= 2 * READ_CHUNK);
+        peer.join().unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! The readiness-based TCP storage daemon.
 //!
-//! [`NetDaemon`] owns any [`Storage`](dps_server::Storage) backend — the
+//! [`NetDaemon`] owns any [`Storage`] backend — the
 //! in-memory [`SimServer`](dps_server::SimServer) or the durable
 //! [`DiskStore`](dps_server::DiskStore) — and serves the full trait
 //! surface over the wire protocol of [`crate::wire`]. One event-loop
@@ -8,33 +8,59 @@
 //! ([`crate::PollBackend`]: epoll on Linux, portable `poll(2)`
 //! elsewhere) — no thread per connection, so the
 //! accept rate and the connection count stop being thread-spawn bound.
-//! Each connection is a small non-blocking state machine:
+//! Each connection is a small non-blocking state machine around two
+//! buffers — one in, one out, and nothing in between:
 //!
 //! ```text
-//!             readable                      complete frame
-//!   socket ──────────────▶ FrameAssembler ────────────────▶ dispatch
-//!      ▲                    (partial-frame                      │
-//!      │ stop reading        read buffer)                       ▼
-//!      │ while queue                                     response queue
-//!      │ is over the cap                                  (VecDeque)
-//!      └──────────────────────◀── backpressure ──◀──────────────┘
-//!                                                 writable ──▶ socket
+//!            one read                     complete frame, borrowed
+//!   socket ───────────▶ in-buffer ──────────────────────────────▶ dispatch
+//!      ▲             (FrameAssembler:                                │
+//!      │              frames are served                              │ answer appended
+//!      │ stop reading where the kernel                               ▼ in place
+//!      │ while unsent  put them)                                 out-buffer
+//!      │ bytes are                                               (one Vec<u8>)
+//!      │ over the cap                                                │
+//!      └────────────────────◀── backpressure ──◀─────────────────────┤
+//!                                                    one write ──▶ socket
 //! ```
 //!
-//! Each response echoes the id of its request, and the FIFO response
-//! queue preserves arrival order per connection.
+//! A request is parsed where the socket put it (`RequestView`, borrowed
+//! from the in-buffer) and its answer is written once, where the socket
+//! will take it: a `ReadBatch` streams the store's cells straight into the
+//! out-buffer behind a reserved frame header, a strided upload hands the
+//! store slices of the frame. Per request the daemon allocates nothing and
+//! copies each byte once in each direction. Three rules keep the borrows
+//! honest (NOTES.md, entry 7): a borrowed frame is valid until the
+//! in-buffer is next filled; dispatch finishes with a frame before the
+//! in-buffer is touched again; an answer is appended to the out-buffer,
+//! never inserted — if a download fails mid-batch the out-buffer is
+//! truncated back to where that answer began and the `Fail` takes its
+//! place.
+//!
+//! A wake-up costs one `read` in the common case: a read that comes back
+//! shorter than the room it was offered has emptied the socket, and since
+//! both pollers are level-triggered the next bytes raise a new event — so
+//! the loop does not ask the kernel for a `WouldBlock`. A read that filled
+//! its room keeps reading (and makes the in-buffer offer more next time,
+//! up to 64 KiB a read).
+//!
+//! Each response echoes the id of its request, and the out-buffer
+//! preserves arrival order per connection.
 //!
 //! # Backpressure
 //!
-//! Responses are queued per connection and drained as the socket accepts
-//! them. A connection whose queued bytes exceed
+//! Answers wait in the connection's out-buffer and drain as the socket
+//! accepts them. A connection whose unsent bytes exceed
 //! [`DaemonLimits::max_queued_bytes`] is *paused*: the daemon stops
-//! reading from (and stops decoding frames of) that socket until the
-//! queue fully drains, then resumes. A slow or stalled reader therefore
-//! costs the daemon at most `max_queued_bytes` plus one read burst of
-//! buffered memory — never an unbounded queue — and never stalls other
-//! connections. Pauses are observable as
-//! [`DaemonMetrics::read_stalls`].
+//! reading from (and stops serving frames of) that socket until the
+//! out-buffer fully drains, then resumes. A slow or stalled reader
+//! therefore costs the daemon at most `max_queued_bytes` plus one read
+//! burst of buffered memory — never an unbounded queue — and never stalls
+//! other connections. Pauses are observable as
+//! [`DaemonMetrics::read_stalls`]. Both buffers follow the traffic: they
+//! grow with what a connection actually sends and receives, and a drained
+//! buffer larger than 64 KiB is handed back, so an idle connection pins a
+//! few KiB and one huge frame does not pin its size for good.
 //!
 //! # Deadlines
 //!
@@ -70,8 +96,7 @@
 //! before any allocation happens. Legitimate deployments size
 //! [`DaemonLimits::max_stored_bytes`] to the machine.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -82,7 +107,10 @@ use std::time::{Duration, Instant};
 use dps_server::Storage;
 
 use crate::sys::{timeout_ms_until, Event, PollBackend, Poller};
-use crate::wire::{FrameAssembler, Request, Response, WireError, MAX_FRAME};
+use crate::wire::{
+    begin_frame, end_frame, frame_into, put_bytes, put_cells_open, put_fold, Addrs, Cells,
+    FrameAssembler, RequestView, Response, WireError, MAX_FRAME, READ_CHUNK,
+};
 
 /// Per-cell bookkeeping bytes (length table + init bitmap + slack) used
 /// when projecting an allocation from a cell count.
@@ -91,9 +119,6 @@ const CELL_OVERHEAD: u64 = 16;
 /// The poller token reserved for the listening socket; connection tokens
 /// are their slab index plus one.
 const LISTENER: usize = 0;
-
-/// Bytes read from a ready socket per `read` call.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Poll timeout: the upper bound on shutdown latency when the wake-up
 /// connect cannot reach the listener. Timer deadlines (idle and
@@ -106,11 +131,6 @@ const POLL_TIMEOUT_MS: i32 = 500;
 /// [`NetDaemon::shutdown`]).
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Most response buffers one vectored write gathers — comfortably under
-/// every platform's `IOV_MAX` (POSIX guarantees at least 16; Linux allows
-/// 1024).
-const MAX_WRITE_VECTORS: usize = 64;
-
 /// Resource bounds a daemon enforces against its peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonLimits {
@@ -119,10 +139,10 @@ pub struct DaemonLimits {
     /// per-cell bookkeeping)`). Requests that would exceed it close the
     /// connection instead of allocating. Default: 4 GiB.
     pub max_stored_bytes: u64,
-    /// Per-connection backpressure threshold: once a connection's queued
+    /// Per-connection backpressure threshold: once a connection's unsent
     /// response bytes exceed this, the daemon stops reading from that
-    /// socket until the queue drains (see the module docs). A single
-    /// response larger than the cap is still queued whole — the cap
+    /// socket until its out-buffer drains (see the module docs). A single
+    /// response larger than the cap is still buffered whole — the cap
     /// bounds what a slow reader can pile up, not what one request may
     /// answer. Default: 4 MiB.
     pub max_queued_bytes: usize,
@@ -314,20 +334,19 @@ impl Drop for NetDaemon {
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
-    /// Partial-frame read buffer; complete frames come out as they close.
+    /// The in-buffer: the socket is read into it, requests are served out
+    /// of it.
     assembler: FrameAssembler,
-    /// Encoded, framed responses waiting for the socket to accept them.
-    outq: VecDeque<Vec<u8>>,
-    /// Bytes of the front queue entry already written.
+    /// The out-buffer: framed answers, appended as they are produced;
+    /// `out[out_pos..]` is still to be written.
+    out: Vec<u8>,
     out_pos: usize,
-    /// Total bytes across `outq` (including the written prefix).
-    queued_bytes: usize,
     /// Cells accumulated by a chunked init that has not seen `done` yet.
     pending: PendingInit,
     /// Backpressured: reads and frame processing are suspended until the
-    /// write queue drains.
+    /// out-buffer drains.
     paused: bool,
-    /// Flush the queue, then close (peer EOF or protocol violation).
+    /// Flush the out-buffer, then close (peer EOF or protocol violation).
     closing: bool,
     /// Remove this connection after the current event.
     dead: bool,
@@ -337,8 +356,8 @@ struct Conn {
     /// Last time the peer showed life: bytes read from it, or response
     /// bytes it accepted. Drives [`DaemonLimits::idle_timeout`].
     last_activity: Instant,
-    /// Last time a queued response byte left for the peer (reset when the
-    /// queue turns non-empty). Drives
+    /// Last time an answer byte left for the peer (reset when the
+    /// out-buffer turns non-empty). Drives
     /// [`DaemonLimits::write_stall_timeout`].
     last_write_progress: Instant,
 }
@@ -348,9 +367,8 @@ impl Conn {
         Self {
             stream,
             assembler: FrameAssembler::new(),
-            outq: VecDeque::new(),
+            out: Vec::new(),
             out_pos: 0,
-            queued_bytes: 0,
             pending: PendingInit::default(),
             paused: false,
             closing: false,
@@ -361,6 +379,22 @@ impl Conn {
             last_write_progress: now,
         }
     }
+
+    /// Answer bytes not yet accepted by the socket.
+    fn unsent(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+}
+
+/// What serving a request needs besides its connection, owned by the loop
+/// and reused by every request of every connection, so that the hot
+/// requests allocate nothing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The addresses of the `ReadBatch` / `XorCells` being served.
+    addrs: Vec<usize>,
+    /// The fold of the `XorCells` being served.
+    fold: Vec<u8>,
 }
 
 /// The daemon thread: one poller, one server, many connection state
@@ -384,6 +418,7 @@ fn event_loop<S: Storage>(
     }
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
+    let mut scratch = Scratch::default();
     // Set once the stop flag is seen: the drain deadline after which
     // still-undrained connections are cut off and the loop returns.
     let mut drain_until: Option<Instant> = None;
@@ -401,7 +436,15 @@ fn event_loop<S: Storage>(
         }
         if drain_until.is_none() && stop.load(Ordering::SeqCst) {
             drain_until = Some(Instant::now() + DRAIN_TIMEOUT);
-            begin_drain(&mut poller, &listener, &mut conns, &mut server, limits, metrics);
+            begin_drain(
+                &mut poller,
+                &listener,
+                &mut conns,
+                &mut server,
+                &mut scratch,
+                limits,
+                metrics,
+            );
         }
         for ev in events.iter().copied() {
             if ev.token == LISTENER {
@@ -415,13 +458,13 @@ fn event_loop<S: Storage>(
             // earlier event); skip it.
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else { continue };
             if ev.writable && !conn.dead {
-                flush_conn(conn, &mut server, limits, metrics);
+                flush_conn(conn, &mut server, &mut scratch, limits, metrics);
             }
             if ev.readable && !conn.dead {
-                fill_conn(conn, &mut server, limits, metrics);
+                fill_conn(conn, &mut server, &mut scratch, limits, metrics);
                 // Opportunistic flush: most responses leave in the same
                 // event that produced them, without a poller round trip.
-                flush_conn(conn, &mut server, limits, metrics);
+                flush_conn(conn, &mut server, &mut scratch, limits, metrics);
             }
             settle_conn(&mut poller, &mut conns, idx);
         }
@@ -438,7 +481,7 @@ fn event_loop<S: Storage>(
 /// The nearest timer deadline across all live connections, if any timer
 /// is armed: idle reaping measures from the last peer activity,
 /// write-stall reaping from the last write progress of a non-empty
-/// queue.
+/// out-buffer.
 fn next_deadline(conns: &[Option<Conn>], limits: DaemonLimits) -> Option<Instant> {
     let mut next: Option<Instant> = None;
     let mut fold = |deadline: Instant| {
@@ -451,7 +494,7 @@ fn next_deadline(conns: &[Option<Conn>], limits: DaemonLimits) -> Option<Instant
             }
         }
         if let Some(t) = limits.write_stall_timeout {
-            if !conn.outq.is_empty() {
+            if conn.unsent() > 0 {
                 fold(conn.last_write_progress + t);
             }
         }
@@ -478,7 +521,7 @@ fn reap_deadlines(
         if conn.dead {
             continue;
         }
-        let stalled = !conn.outq.is_empty()
+        let stalled = conn.unsent() > 0
             && limits
                 .write_stall_timeout
                 .is_some_and(|t| now.duration_since(conn.last_write_progress) >= t);
@@ -509,6 +552,7 @@ fn begin_drain<S: Storage>(
     listener: &TcpListener,
     conns: &mut [Option<Conn>],
     server: &mut S,
+    scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
 ) {
@@ -520,14 +564,14 @@ fn begin_drain<S: Storage>(
         // frame. Everything received gets its answer queued.
         while conn.paused && !conn.dead {
             conn.paused = false;
-            process_frames(conn, server, limits, metrics);
+            process_frames(conn, server, scratch, limits, metrics);
         }
         if !conn.dead {
             conn.closing = true;
-            if conn.outq.is_empty() {
+            if conn.unsent() == 0 {
                 conn.dead = true;
             } else {
-                flush_conn(conn, server, limits, metrics);
+                flush_conn(conn, server, scratch, limits, metrics);
             }
         }
         settle_conn(poller, conns, idx);
@@ -583,30 +627,35 @@ fn accept_ready(
     }
 }
 
-/// Reads everything the socket has, decoding and dispatching complete
-/// frames as they close — until the socket would block, the peer hangs
-/// up, or backpressure pauses the connection.
+/// Reads what the socket has into the in-buffer, serving complete frames
+/// as they close — until a read comes back short (the socket is empty; the
+/// next bytes raise a new level-triggered event, so there is no need to
+/// ask for a `WouldBlock`), the peer hangs up, or backpressure pauses the
+/// connection. A read that filled all the room it was offered keeps
+/// reading.
 fn fill_conn<S: Storage>(
     conn: &mut Conn,
     server: &mut S,
+    scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
 ) {
-    let mut buf = [0u8; READ_CHUNK];
     while !conn.paused && !conn.closing && !conn.dead {
-        match (&conn.stream).read(&mut buf) {
+        match conn.assembler.fill_from(&mut &conn.stream) {
             Ok(0) => {
                 // Clean EOF: answer nothing further, flush what's queued.
                 conn.closing = true;
-                if conn.outq.is_empty() {
+                if conn.unsent() == 0 {
                     conn.dead = true;
                 }
                 return;
             }
-            Ok(n) => {
+            Ok(_) => {
                 conn.last_activity = Instant::now();
-                conn.assembler.push(&buf[..n]);
-                process_frames(conn, server, limits, metrics);
+                process_frames(conn, server, scratch, limits, metrics);
+                if !conn.assembler.filled() {
+                    return;
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -618,45 +667,43 @@ fn fill_conn<S: Storage>(
     }
 }
 
-/// Drains complete frames out of the connection's assembler: decode,
-/// dispatch, enqueue the response under the frame's request id.
-/// Stops early when the queued bytes cross the backpressure cap (leaving
-/// any further frames buffered in the assembler for the resume).
+/// Serves the complete frames in the connection's in-buffer: parse in
+/// place, dispatch, append the answer to the out-buffer under the frame's
+/// request id. Stops early when the unsent bytes cross the backpressure
+/// cap (leaving any further frames in the in-buffer for the resume).
 fn process_frames<S: Storage>(
     conn: &mut Conn,
     server: &mut S,
+    scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
 ) {
     while !conn.closing && !conn.dead {
-        let frame = match conn.assembler.next_frame() {
-            Ok(Some(frame)) => frame,
+        let was_drained = conn.unsent() == 0;
+        // The frame is borrowed from the in-buffer, which nothing touches
+        // until the answer is complete; a violation is acted on after the
+        // borrow ends. A structurally valid frame whose contents violate a
+        // caller contract (e.g. a strided write with a non-multiple flat
+        // length) or would blow the allocation budget is a violation too:
+        // a local caller would have panicked; over the wire the daemon
+        // must stay up, so the connection is dropped instead.
+        let served = match conn.assembler.next_frame() {
+            Ok(Some((id, payload))) => RequestView::parse(payload).and_then(|request| {
+                dispatch(server, limits, &mut conn.pending, scratch, request, id, &mut conn.out)
+            }),
             Ok(None) => return,
-            Err(_) => return violation(conn, metrics),
+            Err(e) => Err(e),
         };
-        let Ok(request) = Request::decode(&frame.payload) else {
+        if served.is_err() {
             return violation(conn, metrics);
-        };
-        // A structurally valid frame whose contents violate a caller
-        // contract (e.g. a strided write with a non-multiple flat
-        // length) or would blow the allocation budget is a violation
-        // too: a local caller would have panicked; over the wire the
-        // daemon must stay up, so the connection is dropped instead.
-        let Ok(response) = dispatch(server, limits, &mut conn.pending, request) else {
-            return violation(conn, metrics);
-        };
-        let Ok(framed) = response.encode_framed_v2(frame.id) else {
-            return violation(conn, metrics);
-        };
-        if conn.outq.is_empty() {
+        }
+        if was_drained {
             // The stall clock measures from when there was first
             // something to write, not from the last time long ago the
-            // queue happened to be busy.
+            // out-buffer happened to be busy.
             conn.last_write_progress = Instant::now();
         }
-        conn.queued_bytes += framed.len();
-        conn.outq.push_back(framed);
-        if conn.queued_bytes > limits.max_queued_bytes {
+        if conn.unsent() > limits.max_queued_bytes {
             conn.paused = true;
             metrics.read_stalls.fetch_add(1, Ordering::Relaxed);
             return;
@@ -668,18 +715,20 @@ fn process_frames<S: Storage>(
 fn violation(conn: &mut Conn, metrics: &MetricsInner) {
     metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
     conn.closing = true;
-    if conn.outq.is_empty() {
+    if conn.unsent() == 0 {
         conn.dead = true;
     }
 }
 
-/// Writes queued responses until the socket would block or the queue is
-/// empty. Draining the queue resumes a backpressured connection (its
-/// buffered frames are processed immediately, and anything they enqueue
-/// is written in the same pass) and completes a closing one.
+/// Writes the out-buffer until the socket would block or it is empty — one
+/// `write` for everything a burst of pipelined requests produced.
+/// Draining it resumes a backpressured connection (its buffered frames are
+/// processed immediately, and anything they answer is written in the same
+/// pass) and completes a closing one.
 fn flush_conn<S: Storage>(
     conn: &mut Conn,
     server: &mut S,
+    scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
 ) {
@@ -687,61 +736,36 @@ fn flush_conn<S: Storage>(
     // backend's deferred durability (an open group-commit window) must be
     // resolved before any byte of it leaves. A failed flush means the
     // store can no longer honor what the queued responses claim.
-    if !conn.outq.is_empty() && server.flush().is_err() {
+    if conn.unsent() > 0 && server.flush().is_err() {
         conn.dead = true;
         return;
     }
     loop {
-        while !conn.outq.is_empty() {
-            // Gather queued responses (the front buffer minus what is
-            // already written, then whole followers) into one vectored
-            // write: a burst of pipelined responses leaves in a single
-            // syscall instead of one per frame.
-            let wrote = {
-                let mut slices: Vec<std::io::IoSlice<'_>> =
-                    Vec::with_capacity(conn.outq.len().min(MAX_WRITE_VECTORS));
-                let mut iter = conn.outq.iter();
-                let front = iter.next().expect("queue is non-empty");
-                slices.push(std::io::IoSlice::new(&front[conn.out_pos..]));
-                slices.extend(
-                    iter.take(MAX_WRITE_VECTORS - 1)
-                        .map(|b| std::io::IoSlice::new(b)),
-                );
-                (&conn.stream).write_vectored(&slices)
-            };
-            match wrote {
+        while conn.unsent() > 0 {
+            match (&conn.stream).write(&conn.out[conn.out_pos..]) {
                 Ok(0) => {
                     conn.dead = true;
                     return;
                 }
-                Ok(mut n) => {
+                Ok(n) => {
                     // Write progress doubles as peer activity: a peer
                     // that only downloads for minutes on end is alive,
                     // not idle.
                     let now = Instant::now();
                     conn.last_write_progress = now;
                     conn.last_activity = now;
-                    // A vectored write can span several queue entries;
-                    // retire them front to back.
-                    while n > 0 {
-                        let len = conn
-                            .outq
-                            .front()
-                            .expect("bytes written implies queued data")
-                            .len();
-                        let remaining = len - conn.out_pos;
-                        if n >= remaining {
-                            conn.outq.pop_front();
-                            conn.out_pos = 0;
-                            conn.queued_bytes -= len;
-                            n -= remaining;
-                        } else {
-                            conn.out_pos += n;
-                            n = 0;
-                        }
-                    }
+                    conn.out_pos += n;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    // Answers are only ever appended, so the written
+                    // prefix is dropped here, once it outweighs what is
+                    // left: each byte moves at most once.
+                    if conn.out_pos >= conn.unsent().max(READ_CHUNK) {
+                        conn.out.drain(..conn.out_pos);
+                        conn.out_pos = 0;
+                    }
+                    return;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
@@ -749,6 +773,12 @@ fn flush_conn<S: Storage>(
                 }
             }
         }
+        // Drained: start over at the front, and give an outsize buffer
+        // back (one huge answer must not pin its size for the life of the
+        // connection).
+        conn.out.clear();
+        conn.out.shrink_to(READ_CHUNK);
+        conn.out_pos = 0;
         if conn.closing {
             conn.dead = true;
             return;
@@ -758,8 +788,8 @@ fn flush_conn<S: Storage>(
         }
         // Backpressure released: pick the buffered frames back up.
         conn.paused = false;
-        process_frames(conn, server, limits, metrics);
-        if conn.outq.is_empty() {
+        process_frames(conn, server, scratch, limits, metrics);
+        if conn.unsent() == 0 {
             if conn.closing {
                 conn.dead = true;
             }
@@ -776,7 +806,7 @@ fn settle_conn(poller: &mut Poller, conns: &mut [Option<Conn>], idx: usize) {
     let Some(conn) = conns[idx].as_mut() else { return };
     if !conn.dead {
         let want_read = !conn.paused && !conn.closing;
-        let want_write = !conn.outq.is_empty();
+        let want_write = conn.unsent() > 0;
         if (want_read, want_write) == (conn.want_read, conn.want_write) {
             return;
         }
@@ -808,15 +838,17 @@ impl PendingInit {
     /// the flat store allocates `capacity × stride`, where the stride is
     /// the longest cell — so one long cell among many short ones
     /// multiplies across the whole capacity.
-    fn projected_bytes(&self, more: &[Vec<u8>]) -> u64 {
+    fn projected_bytes(&self, more: Cells<'_>) -> u64 {
         let longest = more.iter().map(|c| c.len() as u64).fold(self.longest, u64::max);
         let count = (self.cells.len() + more.len()) as u64;
         count.saturating_mul(longest.saturating_add(CELL_OVERHEAD))
     }
 
-    fn push(&mut self, mut more: Vec<Vec<u8>>) {
+    /// Copies `more` out of the frame: `Storage::init` takes its cells by
+    /// value, so set-up is the one place the daemon still owns cells.
+    fn push(&mut self, more: Cells<'_>) {
         self.longest = more.iter().map(|c| c.len() as u64).fold(self.longest, u64::max);
-        self.cells.append(&mut more);
+        self.cells.extend(more.iter().map(<[u8]>::to_vec));
     }
 }
 
@@ -846,9 +878,20 @@ fn check_write_budget<S: Storage>(
     Ok(())
 }
 
-/// Executes one request against the server. `Err` means the request
-/// violated a caller contract the in-process API enforces by panicking
-/// (or the daemon's allocation budget); the event loop closes the
+/// Decodes a request's addresses into the loop's scratch (which keeps its
+/// capacity between requests, up to a bound: one outsize list is not kept
+/// for the life of the daemon).
+fn load<'s>(into: &'s mut Vec<usize>, addrs: Addrs<'_>) -> &'s [usize] {
+    into.clear();
+    into.shrink_to(READ_CHUNK);
+    into.extend(addrs.iter());
+    into
+}
+
+/// Executes one request against the server and appends its framed answer
+/// to `out`. `Err` means the request violated a caller contract the
+/// in-process API enforces by panicking (or the daemon's allocation
+/// budget); `out` is then as it was, and the event loop closes the
 /// connection in response.
 ///
 /// The loop thread owns the server outright — no locks.
@@ -856,80 +899,100 @@ fn dispatch<S: Storage>(
     server: &mut S,
     limits: DaemonLimits,
     pending: &mut PendingInit,
-    request: Request,
-) -> Result<Response, WireError> {
-    Ok(match request {
-        Request::Ping => Response::Pong,
-        Request::Init { cells } => {
-            within_budget(limits, PendingInit::default().projected_bytes(&cells))?;
+    scratch: &mut Scratch,
+    request: RequestView<'_>,
+    id: u64,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    let ok_or_fail = |done: Result<(), dps_server::ServerError>| {
+        done.map_or_else(Response::Fail, |()| Response::Ok)
+    };
+    let response = match request {
+        RequestView::Ping => Response::Pong,
+        RequestView::Init { cells } => {
+            within_budget(limits, PendingInit::default().projected_bytes(cells))?;
             *pending = PendingInit::default(); // a whole-DB init supersedes stale chunks
-            server.init(cells);
+            pending.push(cells);
+            server.init(std::mem::take(pending).cells);
             Response::Ok
         }
-        Request::InitChunk { done, cells } => {
-            within_budget(limits, pending.projected_bytes(&cells))?;
+        RequestView::InitChunk { done, cells } => {
+            within_budget(limits, pending.projected_bytes(cells))?;
             pending.push(cells);
             if done {
-                let assembled = std::mem::take(pending);
-                server.init(assembled.cells);
+                server.init(std::mem::take(pending).cells);
             }
             Response::Ok
         }
-        Request::InitEmpty { capacity } => {
+        RequestView::InitEmpty { capacity } => {
             within_budget(limits, (capacity as u64).saturating_mul(CELL_OVERHEAD))?;
             *pending = PendingInit::default();
             server.init_empty(capacity);
             Response::Ok
         }
-        Request::Capacity => Response::Number(server.capacity() as u64),
-        Request::StoredBytes => Response::Number(server.stored_bytes()),
-        Request::CellStride => Response::Number(server.cell_stride() as u64),
-        Request::StartRecording => {
+        RequestView::Capacity => Response::Number(server.capacity() as u64),
+        RequestView::StoredBytes => Response::Number(server.stored_bytes()),
+        RequestView::CellStride => Response::Number(server.cell_stride() as u64),
+        RequestView::StartRecording => {
             server.start_recording();
             Response::Ok
         }
-        Request::TakeTranscript => Response::TranscriptData(server.take_transcript()),
-        Request::Stats => Response::Stats(server.stats()),
-        Request::ResetStats => {
+        RequestView::TakeTranscript => Response::TranscriptData(server.take_transcript()),
+        RequestView::Stats => Response::Stats(server.stats()),
+        RequestView::ResetStats => {
             server.reset_stats();
             Response::Ok
         }
-        Request::ReadBatch { addrs } => {
+        RequestView::ReadBatch { addrs } => {
             // No cell is longer than the stride, so this bounds the answer:
             // one that cannot fit a frame is refused before the store is
             // touched, not after it has been copied out cell by cell.
             if addrs.len().saturating_mul(server.cell_stride() + 8) > MAX_FRAME - 9 {
                 return Err(WireError::BadPayload("answer exceeds the frame cap"));
             }
-            server
-                .read_batch(&addrs)
-                .map_or_else(Response::Fail, Response::Cells)
+            // The cells go from the store into the out-buffer, once. If the
+            // walk fails the model has charged the cells it visited; their
+            // bytes are rolled back and the failure is the answer.
+            let mark = begin_frame(out);
+            put_cells_open(out, addrs.len());
+            match server
+                .read_batch_with(load(&mut scratch.addrs, addrs), |_, cell| put_bytes(out, cell))
+            {
+                Ok(()) => return end_frame(out, mark, id),
+                Err(e) => {
+                    out.truncate(mark);
+                    Response::Fail(e)
+                }
+            }
         }
-        Request::WriteBatch { writes } => {
+        RequestView::WriteBatch { writes } => {
             let longest = writes.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
             check_write_budget(server, limits, longest)?;
-            server
-                .write_batch(writes)
-                .map_or_else(Response::Fail, |()| Response::Ok)
+            ok_or_fail(server.write_cells(writes.iter()))
         }
-        Request::WriteBatchStrided { addrs, flat } => {
+        RequestView::WriteBatchStrided { addrs, flat } => {
             // The in-process API asserts these; a remote peer must not be
             // able to panic the event loop.
-            if addrs.is_empty() {
+            if addrs.len() == 0 {
                 if !flat.is_empty() {
                     return Err(WireError::BadPayload("flat bytes without addresses"));
                 }
             } else if flat.len() % addrs.len() != 0 {
                 return Err(WireError::BadPayload("flat length not a multiple of cell count"));
             }
-            let stride = if addrs.is_empty() { 0 } else { flat.len() / addrs.len() };
+            let stride = flat.len().checked_div(addrs.len()).unwrap_or(0);
             check_write_budget(server, limits, stride)?;
-            server
-                .write_batch_strided(&addrs, &flat)
-                .map_or_else(Response::Fail, |()| Response::Ok)
+            // Straight off the frame: nothing between the in-buffer and
+            // the store.
+            let cell = |(i, addr)| (addr, &flat[i * stride..(i + 1) * stride]);
+            ok_or_fail(server.write_cells(addrs.iter().enumerate().map(cell)))
         }
-        Request::XorCells { addrs } => server
-            .xor_cells(&addrs)
-            .map_or_else(Response::Fail, Response::Bytes),
-    })
+        RequestView::XorCells { addrs } => {
+            match server.xor_cells_into(load(&mut scratch.addrs, addrs), &mut scratch.fold) {
+                Ok(()) => return frame_into(out, id, |buf| put_fold(buf, &scratch.fold)),
+                Err(e) => Response::Fail(e),
+            }
+        }
+    };
+    response.encode_framed_into(id, out)
 }

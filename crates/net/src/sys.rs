@@ -43,7 +43,7 @@ pub struct Event {
     pub writable: bool,
 }
 
-/// Which readiness backend a [`Poller`] uses.
+/// Which readiness backend the daemon's poller uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PollBackend {
     /// epoll on Linux, `poll(2)` elsewhere — the production default.
@@ -55,7 +55,8 @@ pub enum PollBackend {
 }
 
 /// A readiness poller: register fds under tokens, wait for events.
-/// Level-triggered in both backends, so a fd stays ready until drained.
+/// Level-triggered in both backends, so a fd stays ready until drained —
+/// which the daemon's read loop depends on (see the flags in `Epoll::ctl`).
 #[derive(Debug)]
 pub struct Poller {
     imp: Imp,
@@ -314,6 +315,12 @@ impl Epoll {
         read: bool,
         write: bool,
     ) -> io::Result<()> {
+        // Level-triggered on purpose — no EPOLLET. The daemon stops
+        // reading a socket after a read that came back short, without
+        // draining it to `WouldBlock`, and relies on the bytes that arrive
+        // next raising a *new* event; `poll(2)` has no other mode. Under
+        // edge triggering a peer whose next bytes landed between that read
+        // and the next `epoll_wait` would never be heard again.
         let mut events = EPOLLERR | EPOLLHUP;
         if read {
             events |= EPOLLIN | EPOLLRDHUP;

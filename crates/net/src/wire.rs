@@ -17,8 +17,11 @@
 //! retired one-in-flight framing with its 8-byte header included, which no
 //! client has dialled since pipelining. `len` counts the payload bytes
 //! (opcode included) and is capped at [`MAX_FRAME`]; a peer announcing
-//! more is rejected *before* any allocation, so a corrupt or hostile
-//! length prefix cannot balloon memory. (Requests whose *execution* would
+//! more is rejected *before* any allocation, and a peer announcing less
+//! than that still only gets buffer for the bytes it actually sends: both
+//! ends receive through a [`FrameAssembler`], whose buffer follows the
+//! bytes received, never the length announced. So a corrupt or hostile
+//! length prefix cannot balloon memory on either side. (Requests whose *execution* would
 //! allocate far beyond their encoded size — `init_empty` capacities,
 //! flat-arena stride amplification — are bounded separately by
 //! [`crate::DaemonLimits`].) All integers are little-endian; addresses
@@ -27,6 +30,15 @@
 //! operation — batch reads, strided batch writes and XOR partials each fit
 //! in a single frame, which is what keeps every batch operation a single
 //! round trip on the wire.
+//!
+//! There is one encoder and one parser per message. Both work on borrowed
+//! parts — the parser hands out views into the payload it validated
+//! (`RequestView`, `ResponseView`), the encoders take slices and iterators
+//! — which is what lets the daemon serve a request out of its receive
+//! buffer and write the answer into its send buffer, and the client frame
+//! a request from the caller's slices; the owned [`Request`] / [`Response`]
+//! are thin wrappers (`decode` is parse-then-own, `encode` lends its
+//! fields).
 //!
 //! Encoding is hand-rolled (no serde in this offline workspace) but
 //! property-pinned: `decode(encode(x)) == x` for arbitrary requests and
@@ -173,127 +185,229 @@ pub fn seal_frame_v2(buf: &mut [u8], id: u64) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Reserves a frame header at the end of `out` and returns where it
+/// starts: the payload is appended behind it and [`end_frame`] fills the
+/// header in. Together they frame a message *in place* — in a connection's
+/// send buffer, behind whatever is already queued there.
+pub(crate) fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let mark = out.len();
+    out.extend_from_slice(&[0u8; HEADER2_LEN]);
+    mark
+}
+
+/// Seals the frame opened at `mark` by [`begin_frame`] under `id`. A
+/// payload that is empty or over [`MAX_FRAME`] is [`WireError::BadLength`],
+/// and `out` is rolled back to `mark`: a refused frame leaves no bytes
+/// behind.
+pub(crate) fn end_frame(out: &mut Vec<u8>, mark: usize, id: u64) -> Result<(), WireError> {
+    seal_frame_v2(&mut out[mark..], id).inspect_err(|_| out.truncate(mark))
+}
+
+/// Appends one frame to `out`: header, then whatever `body` writes.
+pub(crate) fn frame_into(
+    out: &mut Vec<u8>,
+    id: u64,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    let mark = begin_frame(out);
+    body(out);
+    end_frame(out, mark, id)
+}
+
 /// Reads one frame, returning `(request_id, payload)`. `Ok(None)` means
 /// the peer closed cleanly *between* frames; closing mid-frame is
-/// [`WireError::Truncated`].
+/// [`WireError::Truncated`]. Reads exactly the frame's bytes and no more,
+/// so it can be called on a stream again — what a test relay wants; a
+/// connection's own receive path keeps a [`FrameAssembler`] instead.
 pub fn read_frame_v2(r: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>, WireError> {
-    let mut header = [0u8; HEADER2_LEN];
-    // Validate magic and length as soon as the first 8 bytes are in, so a
-    // foreign or corrupt header is `BadMagic` even when the peer sends
-    // fewer than 16 bytes total.
-    let mut filled = 0;
-    while filled < 8 {
-        let n = r.read(&mut header[filled..8])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(WireError::Truncated { expected: HEADER2_LEN, got: filled });
+    let mut asm = FrameAssembler::new();
+    loop {
+        if let Some((id, payload)) = asm.next_frame()? {
+            return Ok(Some((id, payload.to_vec())));
         }
-        filled += n;
+        let missing = asm.missing() as u64;
+        if asm.fill_from(&mut r.by_ref().take(missing))? == 0 {
+            return if asm.buffered() == 0 { Ok(None) } else { Err(asm.truncated()) };
+        }
     }
-    let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+}
+
+/// Most bytes one `read` is offered, and the size above which a drained
+/// buffer is handed back to the allocator instead of kept.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+/// A fresh receive buffer's size.
+const FIRST_BUFFER: usize = 4 * 1024;
+
+/// Least room a `read` is offered; with less the buffer is compacted or
+/// grown first.
+const MIN_SPARE: usize = 512;
+
+/// The receive side of a connection: one buffer the socket is read
+/// *into* ([`FrameAssembler::fill_from`]) and complete frames are borrowed
+/// *out of* ([`FrameAssembler::next_frame`]) — no copy in between.
+///
+/// A borrowed payload is valid until the assembler is next filled, which
+/// the borrow checker enforces. The buffer is sized by what the connection
+/// has actually received, never by what a header announces: it starts
+/// small, grows (to 64 KiB, then by at most 64 KiB a step) only when a read
+/// filled the room it was offered or a frame in progress needs it, and a
+/// drained buffer larger than that is released — so a thousand idle
+/// connections pin a few KiB each, and one 32 MiB frame does not pin
+/// 32 MiB for the life of its connection.
+///
+/// Corrupt headers are rejected as soon as the header bytes are present:
+/// a bad magic fails at 4 bytes and an oversized length prefix at 8,
+/// *before* the payload arrives, so a hostile peer cannot make the
+/// assembler buffer toward a bogus length.
+#[derive(Debug, Default)]
+pub struct FrameAssembler {
+    /// Initialised throughout; `buf[start..end]` is received and not yet
+    /// handed out, `buf[end..]` is room for the next read.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The last read filled all the room it was offered.
+    filled: bool,
+}
+
+/// Validates as much of a frame header as `avail` holds and returns
+/// `(id, payload length)` once all of it is there.
+fn parse_header(avail: &[u8]) -> Result<Option<(u64, usize)>, WireError> {
+    if avail.len() < 4 {
+        return Ok(None);
+    }
+    let magic = u32::from_le_bytes(avail[0..4].try_into().expect("4 bytes"));
     if magic != MAGIC2 {
         return Err(WireError::BadMagic { found: magic });
     }
-    let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
+    if avail.len() < 8 {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes")) as usize;
     if len == 0 || len > MAX_FRAME {
         return Err(WireError::BadLength { len: len as u64 });
     }
-    while filled < HEADER2_LEN {
-        let n = r.read(&mut header[filled..])?;
-        if n == 0 {
-            return Err(WireError::Truncated { expected: HEADER2_LEN, got: filled });
-        }
-        filled += n;
+    if avail.len() < HEADER2_LEN {
+        return Ok(None);
     }
-    let id = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let mut payload = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        let n = r.read(&mut payload[filled..])?;
-        if n == 0 {
-            return Err(WireError::Truncated { expected: len, got: filled });
-        }
-        filled += n;
-    }
-    Ok(Some((id, payload)))
-}
-
-/// One complete frame pulled out of a [`FrameAssembler`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFrame {
-    /// The request id to echo on the response.
-    pub id: u64,
-    /// The encoded payload (opcode + body).
-    pub payload: Vec<u8>,
-}
-
-/// Incremental frame decoder for readiness-based I/O: bytes arrive in
-/// arbitrary slices ([`FrameAssembler::push`]), complete frames come out
-/// ([`FrameAssembler::next_frame`]) as soon as they are whole.
-///
-/// Corrupt headers are rejected as soon as the header bytes are present:
-/// a bad magic or an oversized length prefix fails *before* the payload
-/// arrives, so a hostile peer cannot make the assembler buffer toward a
-/// bogus length.
-#[derive(Debug, Default)]
-pub struct FrameAssembler {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted opportunistically.
-    start: usize,
+    Ok(Some((u64::from_le_bytes(avail[8..16].try_into().expect("8 bytes")), len)))
 }
 
 impl FrameAssembler {
-    /// A fresh assembler with nothing buffered.
+    /// A fresh assembler with nothing buffered (and nothing allocated).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Appends newly received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Bytes currently buffered and not yet consumed by a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
-    /// Pulls the next complete frame, if the buffered bytes hold one.
-    /// `Ok(None)` means "need more bytes"; errors are unrecoverable for
-    /// the stream (there is no way to resynchronize a corrupt framing).
-    pub fn next_frame(&mut self) -> Result<Option<WireFrame>, WireError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
-            return Ok(None);
+    /// Issues one `read` into the buffer's spare room and returns what it
+    /// returned (`Ok(0)` is the reader's end of stream). Frames handed out
+    /// before this call are gone after it: the room is made by recycling
+    /// a drained buffer, else by moving the unconsumed tail to the front
+    /// (at most once per consumed frame), else by growing.
+    pub fn fill_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        self.make_room();
+        let offered = (self.buf.len() - self.end).min(READ_CHUNK);
+        let room = &mut self.buf[self.end..self.end + offered];
+        let n = r.read(room)?;
+        self.filled = n == room.len();
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Whether the last [`FrameAssembler::fill_from`] filled all the room
+    /// it was offered, i.e. the reader may well hold more. A shorter read
+    /// emptied a socket: the next bytes will raise a new readiness event
+    /// (on a level-triggered poller — see `sys`), so a caller may stop
+    /// reading without asking the kernel to say `WouldBlock`.
+    pub fn filled(&self) -> bool {
+        self.filled
+    }
+
+    fn make_room(&mut self) {
+        self.recycle();
+        let live = self.end - self.start;
+        if self.start > 0 && self.buf.len() - self.end < MIN_SPARE {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, live);
         }
-        let magic = u32::from_le_bytes(avail[0..4].try_into().expect("4 bytes"));
-        if magic != MAGIC2 {
-            return Err(WireError::BadMagic { found: magic });
+        let len = self.buf.len();
+        let target = if len - self.end < MIN_SPARE {
+            // The frame in progress has outgrown the buffer.
+            len + len.clamp(FIRST_BUFFER, READ_CHUNK)
+        } else if self.filled {
+            // The sender has more than this buffer takes in one read:
+            // offer a full chunk from now on.
+            len.max(READ_CHUNK)
+        } else {
+            len
+        };
+        self.buf.resize(target, 0);
+    }
+
+    /// Compaction when it is free: a drained buffer starts over at its
+    /// front, and gives an outsize allocation back.
+    fn recycle(&mut self) {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+            if self.buf.len() > READ_CHUNK {
+                self.buf = Vec::new();
+            }
         }
-        if avail.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes")) as usize;
-        if len == 0 || len > MAX_FRAME {
-            return Err(WireError::BadLength { len: len as u64 });
-        }
+    }
+
+    /// Pulls the next complete frame, if the buffered bytes hold one, as
+    /// `(request id, payload)` borrowed from the buffer. `Ok(None)` means
+    /// "need more bytes"; errors are unrecoverable for the stream (there
+    /// is no way to resynchronize a corrupt framing).
+    pub fn next_frame(&mut self) -> Result<Option<(u64, &[u8])>, WireError> {
+        self.recycle();
+        let avail = &self.buf[self.start..self.end];
+        let Some((id, len)) = parse_header(avail)? else { return Ok(None) };
         if avail.len() < HEADER2_LEN + len {
             return Ok(None);
         }
-        let id = u64::from_le_bytes(avail[8..16].try_into().expect("8 bytes"));
-        let frame = WireFrame { id, payload: avail[HEADER2_LEN..HEADER2_LEN + len].to_vec() };
-        self.start += HEADER2_LEN + len;
-        // Compact: cheap when fully drained, bounded otherwise.
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start > (1 << 16) {
-            self.buf.drain(..self.start);
-            self.start = 0;
+        let payload = self.start + HEADER2_LEN;
+        self.start = payload + len;
+        Ok(Some((id, &self.buf[payload..self.start])))
+    }
+
+    /// How far the frame in progress has come, as `(expected, got)` bytes:
+    /// of its header while that is incomplete, of its payload after. Only
+    /// meaningful when [`FrameAssembler::next_frame`] just returned
+    /// `Ok(None)`.
+    fn progress(&self) -> (usize, usize) {
+        let avail = &self.buf[self.start..self.end];
+        match parse_header(avail) {
+            Ok(Some((_, len))) => (len, avail.len() - HEADER2_LEN),
+            _ => (HEADER2_LEN, avail.len().min(HEADER2_LEN)),
         }
-        Ok(Some(frame))
+    }
+
+    /// Bytes still missing from the frame in progress (from its header,
+    /// while that is incomplete).
+    fn missing(&self) -> usize {
+        let (expected, got) = self.progress();
+        expected - got
+    }
+
+    /// What the stream ending *now* means: the frame in progress is cut
+    /// short, in its header or in its payload. (With nothing buffered the
+    /// cut fell between frames: `expected` a header, `got` nothing.)
+    pub fn truncated(&self) -> WireError {
+        let (expected, got) = self.progress();
+        WireError::Truncated { expected, got }
+    }
+
+    /// Bytes the receive buffer currently owns.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 }
 
@@ -303,14 +417,15 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_u64(buf, b.len() as u64);
     buf.extend_from_slice(b);
 }
 
-fn put_addrs(buf: &mut Vec<u8>, addrs: &[usize]) {
-    put_u64(buf, addrs.len() as u64);
-    for &a in addrs {
+/// `n` addresses: the count, then each as a `u64`.
+fn put_addrs(buf: &mut Vec<u8>, n: usize, addrs: impl Iterator<Item = usize>) {
+    put_u64(buf, n as u64);
+    for a in addrs {
         put_u64(buf, a as u64);
     }
 }
@@ -322,12 +437,87 @@ fn put_cells(buf: &mut Vec<u8>, cells: &[Vec<u8>]) {
     }
 }
 
-fn put_writes(buf: &mut Vec<u8>, writes: &[(usize, Vec<u8>)]) {
-    put_u64(buf, writes.len() as u64);
+// ---- Message bodies ----------------------------------------------------
+//
+// One encoder per message shape, over borrowed parts: the owned
+// `Request`/`Response` encoders call these with views of their fields, the
+// client frames its hot requests from the caller's slices through them,
+// and the daemon writes its hot answers with them straight into a
+// connection's send buffer.
+
+pub(crate) fn put_read_batch(buf: &mut Vec<u8>, addrs: &[usize]) {
+    buf.push(op::READ_BATCH);
+    put_addrs(buf, addrs.len(), addrs.iter().copied());
+}
+
+pub(crate) fn put_xor_cells(buf: &mut Vec<u8>, addrs: &[usize]) {
+    buf.push(op::XOR_CELLS);
+    put_addrs(buf, addrs.len(), addrs.iter().copied());
+}
+
+/// The general upload frame: `n` × (address, length, bytes).
+fn put_write_batch<'a>(
+    buf: &mut Vec<u8>,
+    n: usize,
+    writes: impl Iterator<Item = (usize, &'a [u8])>,
+) {
+    buf.push(op::WRITE_BATCH);
+    put_u64(buf, n as u64);
     for (addr, cell) in writes {
-        put_u64(buf, *addr as u64);
+        put_u64(buf, addr as u64);
         put_bytes(buf, cell);
     }
+}
+
+/// The strided upload frame: `n` addresses, then `flat_len` bytes given
+/// as the pieces they are held in.
+fn put_write_strided<'a>(
+    buf: &mut Vec<u8>,
+    n: usize,
+    addrs: impl Iterator<Item = usize>,
+    flat_len: usize,
+    flat: impl Iterator<Item = &'a [u8]>,
+) {
+    buf.push(op::WRITE_BATCH_STRIDED);
+    put_addrs(buf, n, addrs);
+    put_u64(buf, flat_len as u64);
+    flat.for_each(|piece| buf.extend_from_slice(piece));
+}
+
+/// An upload, framed from the cells alone: the strided frame when all
+/// cells have one length (every scheme's uploads; also none, and one), the
+/// general frame otherwise.
+pub(crate) fn put_write_cells<'a>(
+    buf: &mut Vec<u8>,
+    cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+) {
+    let (mut n, mut stride, mut uniform) = (0usize, 0usize, true);
+    for (_, cell) in cells.clone() {
+        if n == 0 {
+            stride = cell.len();
+        }
+        uniform &= cell.len() == stride;
+        n += 1;
+    }
+    if uniform {
+        let addrs = cells.clone().map(|(addr, _)| addr);
+        put_write_strided(buf, n, addrs, n * stride, cells.map(|(_, cell)| cell));
+    } else {
+        put_write_batch(buf, n, cells);
+    }
+}
+
+/// Opens a `Cells` answer of `n` cells; each cell follows through
+/// [`put_bytes`].
+pub(crate) fn put_cells_open(buf: &mut Vec<u8>, n: usize) {
+    buf.push(op::R_CELLS);
+    put_u64(buf, n as u64);
+}
+
+/// A `Bytes` answer (an XOR fold).
+pub(crate) fn put_fold(buf: &mut Vec<u8>, fold: &[u8]) {
+    buf.push(op::R_BYTES);
+    put_bytes(buf, fold);
 }
 
 fn put_stats(buf: &mut Vec<u8>, s: &CostStats) {
@@ -368,6 +558,7 @@ fn put_transcript(buf: &mut Vec<u8>, t: &Transcript) {
 }
 
 /// A bounds-checked cursor over a received body.
+#[derive(Clone)]
 struct Reader<'a> {
     buf: &'a [u8],
 }
@@ -415,32 +606,37 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
-    fn addrs(&mut self) -> Result<Vec<usize>, WireError> {
+    /// An address list, validated: `count × 8` bytes, every value a
+    /// `usize`.
+    fn addrs(&mut self) -> Result<Addrs<'a>, WireError> {
         let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
+        let raw = self.take(n * 8)?;
+        let mut check = Reader::new(raw);
         for _ in 0..n {
-            out.push(self.size()?);
+            check.size()?;
         }
-        Ok(out)
+        Ok(Addrs(raw))
     }
 
-    fn cells(&mut self) -> Result<Vec<Vec<u8>>, WireError> {
+    /// A cell list, validated: every length prefix fits what follows it.
+    fn cells(&mut self) -> Result<Cells<'a>, WireError> {
         let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
+        let body = self.buf;
         for _ in 0..n {
-            out.push(self.bytes()?.to_vec());
+            self.bytes()?;
         }
-        Ok(out)
+        Ok(Cells { n, body: &body[..body.len() - self.buf.len()] })
     }
 
-    fn writes(&mut self) -> Result<Vec<(usize, Vec<u8>)>, WireError> {
+    /// An `(address, cell)` list, validated like [`Reader::cells`].
+    fn writes(&mut self) -> Result<Writes<'a>, WireError> {
         let n = self.count(16)?;
-        let mut out = Vec::with_capacity(n);
+        let body = self.buf;
         for _ in 0..n {
-            let addr = self.size()?;
-            out.push((addr, self.bytes()?.to_vec()));
+            self.size()?;
+            self.bytes()?;
         }
-        Ok(out)
+        Ok(Writes { n, body: &body[..body.len() - self.buf.len()] })
     }
 
     fn stats(&mut self) -> Result<CostStats, WireError> {
@@ -489,6 +685,212 @@ impl<'a> Reader<'a> {
             Ok(())
         } else {
             Err(WireError::BadPayload("trailing bytes after message"))
+        }
+    }
+}
+
+// ---- Borrowed views ----------------------------------------------------
+//
+// What the parser hands out: slices of the payload it validated, so that
+// walking them afterwards cannot fail. The owned `Request`/`Response` are
+// `parse(..).into_owned()`.
+
+/// A validated address list, still in wire form.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Addrs<'a>(&'a [u8]);
+
+impl<'a> Addrs<'a> {
+    pub(crate) fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = usize> + Clone + 'a {
+        self.0
+            .chunks_exact(8)
+            .map(|raw| u64::from_le_bytes(raw.try_into().expect("8 bytes")) as usize)
+    }
+}
+
+/// A validated cell list, still in wire form.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cells<'a> {
+    n: usize,
+    body: &'a [u8],
+}
+
+impl<'a> Cells<'a> {
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + Clone + 'a {
+        let mut r = Reader::new(self.body);
+        (0..self.n).map(move |_| r.bytes().expect("validated by the parser"))
+    }
+}
+
+/// A validated `(address, cell)` list, still in wire form.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Writes<'a> {
+    n: usize,
+    body: &'a [u8],
+}
+
+impl<'a> Writes<'a> {
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (usize, &'a [u8])> + Clone + 'a {
+        let mut r = Reader::new(self.body);
+        (0..self.n).map(move |_| {
+            let addr = r.size().expect("validated by the parser");
+            (addr, r.bytes().expect("validated by the parser"))
+        })
+    }
+}
+
+/// A [`Request`] parsed in place: scalars decoded, variable-length parts
+/// borrowed from the payload. The daemon dispatches on this, so a request
+/// is served out of the buffer the socket was read into.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RequestView<'a> {
+    Ping,
+    Init { cells: Cells<'a> },
+    InitChunk { done: bool, cells: Cells<'a> },
+    InitEmpty { capacity: usize },
+    Capacity,
+    StoredBytes,
+    CellStride,
+    StartRecording,
+    TakeTranscript,
+    Stats,
+    ResetStats,
+    ReadBatch { addrs: Addrs<'a> },
+    WriteBatch { writes: Writes<'a> },
+    WriteBatchStrided { addrs: Addrs<'a>, flat: &'a [u8] },
+    XorCells { addrs: Addrs<'a> },
+}
+
+impl<'a> RequestView<'a> {
+    /// The one request parser: every bound check — counts against the
+    /// bytes that remain, `usize` overflow, the 0/1 `done` byte, trailing
+    /// bytes — happens here, before anything is allocated or served.
+    pub(crate) fn parse(payload: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(payload);
+        let opcode = r.u8()?;
+        let req = match opcode {
+            op::PING => RequestView::Ping,
+            op::INIT => RequestView::Init { cells: r.cells()? },
+            op::INIT_CHUNK => {
+                let done = match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(WireError::BadPayload("done byte not 0/1")),
+                };
+                RequestView::InitChunk { done, cells: r.cells()? }
+            }
+            op::INIT_EMPTY => RequestView::InitEmpty { capacity: r.size()? },
+            op::CAPACITY => RequestView::Capacity,
+            op::STORED_BYTES => RequestView::StoredBytes,
+            op::CELL_STRIDE => RequestView::CellStride,
+            op::START_RECORDING => RequestView::StartRecording,
+            op::TAKE_TRANSCRIPT => RequestView::TakeTranscript,
+            op::STATS => RequestView::Stats,
+            op::RESET_STATS => RequestView::ResetStats,
+            op::READ_BATCH => RequestView::ReadBatch { addrs: r.addrs()? },
+            op::WRITE_BATCH => RequestView::WriteBatch { writes: r.writes()? },
+            op::WRITE_BATCH_STRIDED => {
+                RequestView::WriteBatchStrided { addrs: r.addrs()?, flat: r.bytes()? }
+            }
+            op::XOR_CELLS => RequestView::XorCells { addrs: r.addrs()? },
+            other => return Err(WireError::UnknownOpcode(other)),
+        };
+        r.finish()?;
+        Ok(req)
+    }
+
+    fn into_owned(self) -> Request {
+        let owned = |cells: Cells<'_>| cells.iter().map(<[u8]>::to_vec).collect();
+        match self {
+            RequestView::Ping => Request::Ping,
+            RequestView::Init { cells } => Request::Init { cells: owned(cells) },
+            RequestView::InitChunk { done, cells } => {
+                Request::InitChunk { done, cells: owned(cells) }
+            }
+            RequestView::InitEmpty { capacity } => Request::InitEmpty { capacity },
+            RequestView::Capacity => Request::Capacity,
+            RequestView::StoredBytes => Request::StoredBytes,
+            RequestView::CellStride => Request::CellStride,
+            RequestView::StartRecording => Request::StartRecording,
+            RequestView::TakeTranscript => Request::TakeTranscript,
+            RequestView::Stats => Request::Stats,
+            RequestView::ResetStats => Request::ResetStats,
+            RequestView::ReadBatch { addrs } => {
+                Request::ReadBatch { addrs: addrs.iter().collect() }
+            }
+            RequestView::WriteBatch { writes } => Request::WriteBatch {
+                writes: writes.iter().map(|(addr, cell)| (addr, cell.to_vec())).collect(),
+            },
+            RequestView::WriteBatchStrided { addrs, flat } => {
+                Request::WriteBatchStrided { addrs: addrs.iter().collect(), flat: flat.to_vec() }
+            }
+            RequestView::XorCells { addrs } => Request::XorCells { addrs: addrs.iter().collect() },
+        }
+    }
+}
+
+/// A [`Response`] parsed in place: the two bulk answers (`Cells`, `Bytes`)
+/// borrowed from the payload, everything else decoded. The client reads
+/// its hot answers through this, in its receive buffer.
+#[derive(Debug, Clone)]
+pub(crate) enum ResponseView<'a> {
+    Ok,
+    Pong,
+    Number(u64),
+    Stats(CostStats),
+    TranscriptData(Transcript),
+    Cells(Cells<'a>),
+    Bytes(&'a [u8]),
+    Fail(ServerError),
+}
+
+impl<'a> ResponseView<'a> {
+    /// The one response parser (see [`RequestView::parse`]).
+    pub(crate) fn parse(payload: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(payload);
+        let opcode = r.u8()?;
+        let resp = match opcode {
+            op::R_OK => ResponseView::Ok,
+            op::R_PONG => ResponseView::Pong,
+            op::R_NUMBER => ResponseView::Number(r.u64()?),
+            op::R_STATS => ResponseView::Stats(r.stats()?),
+            op::R_TRANSCRIPT => ResponseView::TranscriptData(r.transcript()?),
+            op::R_CELLS => ResponseView::Cells(r.cells()?),
+            op::R_BYTES => ResponseView::Bytes(r.bytes()?),
+            op::R_FAIL => ResponseView::Fail(match r.u8()? {
+                0 => {
+                    let addr = r.size()?;
+                    ServerError::OutOfBounds { addr, capacity: r.size()? }
+                }
+                1 => ServerError::Uninitialized { addr: r.size()? },
+                2 => ServerError::Interrupted,
+                _ => return Err(WireError::BadPayload("unknown server-error tag")),
+            }),
+            other => return Err(WireError::UnknownOpcode(other)),
+        };
+        r.finish()?;
+        Ok(resp)
+    }
+
+    pub(crate) fn into_owned(self) -> Response {
+        match self {
+            ResponseView::Ok => Response::Ok,
+            ResponseView::Pong => Response::Pong,
+            ResponseView::Number(v) => Response::Number(v),
+            ResponseView::Stats(s) => Response::Stats(s),
+            ResponseView::TranscriptData(t) => Response::TranscriptData(t),
+            ResponseView::Cells(cells) => {
+                Response::Cells(cells.iter().map(<[u8]>::to_vec).collect())
+            }
+            ResponseView::Bytes(b) => Response::Bytes(b.to_vec()),
+            ResponseView::Fail(e) => Response::Fail(e),
         }
     }
 }
@@ -608,10 +1010,16 @@ impl Request {
     /// payload copy. The header carries `id`, which the server echoes on
     /// the matching response.
     pub fn encode_framed_v2(&self, id: u64) -> Result<Vec<u8>, WireError> {
-        let mut buf = vec![0u8; HEADER2_LEN];
-        self.encode_into(&mut buf);
-        seal_frame_v2(&mut buf, id)?;
+        let mut buf = Vec::new();
+        self.encode_framed_into(id, &mut buf)?;
         Ok(buf)
+    }
+
+    /// [`Request::encode_framed_v2`] appended to `out` — behind whatever
+    /// it already holds — instead of into a buffer of its own. On `Err`
+    /// `out` is as it was.
+    pub fn encode_framed_into(&self, id: u64, out: &mut Vec<u8>) -> Result<(), WireError> {
+        frame_into(out, id, |buf| self.encode_into(buf))
     }
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
@@ -637,59 +1045,22 @@ impl Request {
             Request::TakeTranscript => buf.push(op::TAKE_TRANSCRIPT),
             Request::Stats => buf.push(op::STATS),
             Request::ResetStats => buf.push(op::RESET_STATS),
-            Request::ReadBatch { addrs } => {
-                buf.push(op::READ_BATCH);
-                put_addrs(buf, addrs);
-            }
+            Request::ReadBatch { addrs } => put_read_batch(buf, addrs),
             Request::WriteBatch { writes } => {
-                buf.push(op::WRITE_BATCH);
-                put_writes(buf, writes);
+                let writes = writes.iter().map(|(addr, cell)| (*addr, cell.as_slice()));
+                put_write_batch(buf, writes.len(), writes);
             }
             Request::WriteBatchStrided { addrs, flat } => {
-                buf.push(op::WRITE_BATCH_STRIDED);
-                put_addrs(buf, addrs);
-                put_bytes(buf, flat);
+                let pieces = std::iter::once(flat.as_slice());
+                put_write_strided(buf, addrs.len(), addrs.iter().copied(), flat.len(), pieces);
             }
-            Request::XorCells { addrs } => {
-                buf.push(op::XOR_CELLS);
-                put_addrs(buf, addrs);
-            }
+            Request::XorCells { addrs } => put_xor_cells(buf, addrs),
         }
     }
 
     /// Decodes a payload produced by [`Request::encode`].
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader::new(payload);
-        let opcode = r.u8()?;
-        let req = match opcode {
-            op::PING => Request::Ping,
-            op::INIT => Request::Init { cells: r.cells()? },
-            op::INIT_CHUNK => {
-                let done = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::BadPayload("done byte not 0/1")),
-                };
-                Request::InitChunk { done, cells: r.cells()? }
-            }
-            op::INIT_EMPTY => Request::InitEmpty { capacity: r.size()? },
-            op::CAPACITY => Request::Capacity,
-            op::STORED_BYTES => Request::StoredBytes,
-            op::CELL_STRIDE => Request::CellStride,
-            op::START_RECORDING => Request::StartRecording,
-            op::TAKE_TRANSCRIPT => Request::TakeTranscript,
-            op::STATS => Request::Stats,
-            op::RESET_STATS => Request::ResetStats,
-            op::READ_BATCH => Request::ReadBatch { addrs: r.addrs()? },
-            op::WRITE_BATCH => Request::WriteBatch { writes: r.writes()? },
-            op::WRITE_BATCH_STRIDED => {
-                Request::WriteBatchStrided { addrs: r.addrs()?, flat: r.bytes()?.to_vec() }
-            }
-            op::XOR_CELLS => Request::XorCells { addrs: r.addrs()? },
-            other => return Err(WireError::UnknownOpcode(other)),
-        };
-        r.finish()?;
-        Ok(req)
+        RequestView::parse(payload).map(RequestView::into_owned)
     }
 }
 
@@ -727,10 +1098,16 @@ impl Response {
     /// of header followed by the payload) with a single allocation and no
     /// payload copy, echoing the id of the request this response answers.
     pub fn encode_framed_v2(&self, id: u64) -> Result<Vec<u8>, WireError> {
-        let mut buf = vec![0u8; HEADER2_LEN];
-        self.encode_into(&mut buf);
-        seal_frame_v2(&mut buf, id)?;
+        let mut buf = Vec::new();
+        self.encode_framed_into(id, &mut buf)?;
         Ok(buf)
+    }
+
+    /// [`Response::encode_framed_v2`] appended to `out` — a connection's
+    /// send buffer, behind the answers already queued there — instead of
+    /// into a buffer of its own. On `Err` `out` is as it was.
+    pub fn encode_framed_into(&self, id: u64, out: &mut Vec<u8>) -> Result<(), WireError> {
+        frame_into(out, id, |buf| self.encode_into(buf))
     }
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
@@ -750,13 +1127,10 @@ impl Response {
                 put_transcript(buf, t);
             }
             Response::Cells(cells) => {
-                buf.push(op::R_CELLS);
-                put_cells(buf, cells);
+                put_cells_open(buf, cells.len());
+                cells.iter().for_each(|cell| put_bytes(buf, cell));
             }
-            Response::Bytes(b) => {
-                buf.push(op::R_BYTES);
-                put_bytes(buf, b);
-            }
+            Response::Bytes(b) => put_fold(buf, b),
             Response::Fail(e) => {
                 buf.push(op::R_FAIL);
                 match e {
@@ -777,29 +1151,7 @@ impl Response {
 
     /// Decodes a payload produced by [`Response::encode`].
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let mut r = Reader::new(payload);
-        let opcode = r.u8()?;
-        let resp = match opcode {
-            op::R_OK => Response::Ok,
-            op::R_PONG => Response::Pong,
-            op::R_NUMBER => Response::Number(r.u64()?),
-            op::R_STATS => Response::Stats(r.stats()?),
-            op::R_TRANSCRIPT => Response::TranscriptData(r.transcript()?),
-            op::R_CELLS => Response::Cells(r.cells()?),
-            op::R_BYTES => Response::Bytes(r.bytes()?.to_vec()),
-            op::R_FAIL => Response::Fail(match r.u8()? {
-                0 => {
-                    let addr = r.size()?;
-                    ServerError::OutOfBounds { addr, capacity: r.size()? }
-                }
-                1 => ServerError::Uninitialized { addr: r.size()? },
-                2 => ServerError::Interrupted,
-                _ => return Err(WireError::BadPayload("unknown server-error tag")),
-            }),
-            other => return Err(WireError::UnknownOpcode(other)),
-        };
-        r.finish()?;
-        Ok(resp)
+        ResponseView::parse(payload).map(ResponseView::into_owned)
     }
 }
 
@@ -816,11 +1168,9 @@ pub fn visit_cells(payload: &[u8], mut visit: impl FnMut(usize, &[u8])) -> Resul
     if r.u8()? != op::R_CELLS {
         return Ok(false);
     }
-    let n = r.count(8)?;
-    for i in 0..n {
-        visit(i, r.bytes()?);
-    }
+    let cells = r.cells()?;
     r.finish()?;
+    cells.iter().enumerate().for_each(|(i, cell)| visit(i, cell));
     Ok(true)
 }
 
@@ -978,10 +1328,26 @@ mod tests {
         assert_eq!(read_frame_v2(&mut &dps1_ping()[..]), Err(WireError::BadMagic { found }));
     }
 
+    /// Feeds `bytes` to the assembler the way a socket would: one `read`.
+    fn feed(asm: &mut FrameAssembler, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            asm.fill_from(&mut bytes).unwrap();
+        }
+    }
+
+    /// Every frame the assembler holds, owned.
+    fn drain(asm: &mut FrameAssembler) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        while let Some((id, payload)) = asm.next_frame().unwrap() {
+            out.push((id, payload.to_vec()));
+        }
+        out
+    }
+
     #[test]
     fn assembler_rejects_dps1_frames() {
         let mut asm = FrameAssembler::new();
-        asm.push(&dps1_ping());
+        feed(&mut asm, &dps1_ping());
         let found = u32::from_le_bytes(*b"DPS1");
         assert_eq!(asm.next_frame(), Err(WireError::BadMagic { found }));
     }
@@ -996,23 +1362,21 @@ mod tests {
                 .encode_framed_v2(8)
                 .unwrap(),
         );
-        // Push one byte at a time: frames must pop out exactly at their
+        // Feed one byte at a time: frames must pop out exactly at their
         // completion points, in order, with ids intact.
         let mut asm = FrameAssembler::new();
         let mut got = Vec::new();
         for &b in &stream {
-            asm.push(&[b]);
-            while let Some(frame) = asm.next_frame().unwrap() {
-                got.push(frame);
-            }
+            feed(&mut asm, &[b]);
+            got.append(&mut drain(&mut asm));
         }
         assert_eq!(asm.buffered(), 0);
         assert_eq!(
             got,
             vec![
-                WireFrame { id: 6, payload: Request::Ping.encode() },
-                WireFrame { id: 7, payload: Request::Capacity.encode() },
-                WireFrame { id: 8, payload: Request::ReadBatch { addrs: vec![1, 2, 3] }.encode() },
+                (6, Request::Ping.encode()),
+                (7, Request::Capacity.encode()),
+                (8, Request::ReadBatch { addrs: vec![1, 2, 3] }.encode()),
             ]
         );
     }
@@ -1020,13 +1384,125 @@ mod tests {
     #[test]
     fn assembler_rejects_bad_headers_before_the_payload_arrives() {
         let mut asm = FrameAssembler::new();
-        asm.push(b"HTTP");
+        feed(&mut asm, b"HTTP");
         assert!(matches!(asm.next_frame(), Err(WireError::BadMagic { .. })));
 
         let mut asm = FrameAssembler::new();
-        asm.push(&MAGIC2.to_le_bytes());
-        asm.push(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        feed(&mut asm, &MAGIC2.to_le_bytes());
+        assert_eq!(asm.next_frame(), Ok(None));
+        feed(&mut asm, &(MAX_FRAME as u32 + 1).to_le_bytes());
         // Oversized claim dies at 8 header bytes, long before any payload.
         assert_eq!(asm.next_frame(), Err(WireError::BadLength { len: MAX_FRAME as u64 + 1 }));
+    }
+
+    /// A seeded mix of frames from one byte to several read chunks long.
+    fn frame_mix(seed: u64, frames: usize) -> (Vec<u8>, Vec<(u64, Vec<u8>)>) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let (mut stream, mut expect) = (Vec::new(), Vec::new());
+        for id in 0..frames as u64 {
+            let len = match next() % 10 {
+                0 => 1,
+                1..=6 => 1 + next() % 300,
+                7 | 8 => 1 + next() % 6000,
+                _ => READ_CHUNK + next() % (2 * READ_CHUNK),
+            };
+            let payload: Vec<u8> = (0..len).map(|i| (i as u64 ^ id) as u8).collect();
+            stream.extend_from_slice(&frame_v2(id, &payload).unwrap());
+            expect.push((id, payload));
+        }
+        (stream, expect)
+    }
+
+    #[test]
+    fn assembler_byte_at_a_time_equals_one_shot() {
+        let (stream, expect) = frame_mix(0xF00D, 200);
+
+        let mut one_shot = FrameAssembler::new();
+        let mut got = Vec::new();
+        let mut rest = &stream[..];
+        while !rest.is_empty() {
+            one_shot.fill_from(&mut rest).unwrap();
+            got.append(&mut drain(&mut one_shot));
+        }
+        assert_eq!(got, expect);
+
+        let mut trickle = FrameAssembler::new();
+        let mut got = Vec::new();
+        for &b in &stream {
+            feed(&mut trickle, &[b]);
+            got.append(&mut drain(&mut trickle));
+        }
+        assert_eq!(got, expect);
+        assert_eq!(trickle.buffered(), 0);
+    }
+
+    #[test]
+    fn a_partial_frame_survives_compaction_and_growth() {
+        // A run of small frames walks `start` up the buffer; the big frame
+        // behind them is cut mid-payload again and again, so its head is
+        // moved to the front (compaction) and the buffer grown around it.
+        let small = frame_v2(1, &[7u8; 100]).unwrap();
+        let big_payload: Vec<u8> = (0..3 * READ_CHUNK).map(|i| (i % 251) as u8).collect();
+        let big = frame_v2(2, &big_payload).unwrap();
+        let mut stream = Vec::new();
+        for _ in 0..30 {
+            stream.extend_from_slice(&small);
+        }
+        stream.extend_from_slice(&big);
+        stream.extend_from_slice(&small);
+
+        let mut asm = FrameAssembler::new();
+        let mut got = Vec::new();
+        for piece in stream.chunks(1000) {
+            feed(&mut asm, piece);
+            got.append(&mut drain(&mut asm));
+        }
+        assert_eq!(got.len(), 32);
+        assert!(got[..30].iter().all(|f| *f == (1, vec![7u8; 100])));
+        assert_eq!(got[30], (2, big_payload));
+        assert_eq!(got[31], (1, vec![7u8; 100]));
+    }
+
+    #[test]
+    fn a_drained_outsize_buffer_is_released() {
+        let mut asm = FrameAssembler::new();
+        feed(&mut asm, &frame_v2(1, &vec![1u8; 4 * READ_CHUNK]).unwrap());
+        assert!(asm.capacity() > 4 * READ_CHUNK);
+        assert_eq!(drain(&mut asm).len(), 1);
+        assert_eq!(asm.capacity(), 0, "a drained buffer above READ_CHUNK goes back");
+
+        // An ordinary one is kept: the steady state allocates nothing.
+        feed(&mut asm, &frame_v2(2, &[2u8; 100]).unwrap());
+        let kept = asm.capacity();
+        assert_eq!(drain(&mut asm).len(), 1);
+        feed(&mut asm, &frame_v2(3, &[3u8; 100]).unwrap());
+        assert_eq!(asm.capacity(), kept);
+        assert!(kept <= READ_CHUNK);
+    }
+
+    /// The buffer follows the bytes received, not the length announced.
+    #[test]
+    fn a_header_cannot_make_the_assembler_reserve_its_length() {
+        let mut header = frame_v2(1, &[0u8; 1]).unwrap();
+        header[4..8].copy_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+        let mut asm = FrameAssembler::new();
+        feed(&mut asm, &header[..HEADER2_LEN]);
+        assert_eq!(asm.next_frame(), Ok(None));
+        // The header is in and valid; room is made for the next read now.
+        feed(&mut asm, &header[HEADER2_LEN..]);
+        assert_eq!(asm.next_frame(), Ok(None));
+        assert!(asm.capacity() <= 2 * READ_CHUNK);
+        assert_eq!(asm.truncated(), WireError::Truncated { expected: MAX_FRAME, got: 1 });
+        // The exact-read wrapper neither: it is the same assembler.
+        assert_eq!(
+            read_frame_v2(&mut &header[..]),
+            Err(WireError::Truncated { expected: MAX_FRAME, got: 1 })
+        );
     }
 }

@@ -1,0 +1,233 @@
+//! Allocation budgets, counted by a process-wide allocator.
+//!
+//! **The data path does not materialise**: a steady-state exchange costs
+//! the whole process — client and daemon thread together — at most two
+//! allocator calls.
+//!
+//! This is the regression test for "one buffer in, one buffer out": a
+//! `ReadBatch` is parsed where the socket put it and answered straight
+//! into the connection's send buffer; the client frames a request from the
+//! caller's slices and visits the response in its receive buffer. Any
+//! per-request `Vec` that grows back on either end (an owned frame, a
+//! `Vec<Vec<u8>>` of cells, an address copy) shows up here as a count, not
+//! as a timing.
+//!
+//! **The parser allocates in proportion to its input**: for every message,
+//! every proper prefix of its encoding is a typed error, and every
+//! single-byte corruption — the count fields among them — is a typed error
+//! or the value that encodes to exactly those bytes, never a panic and
+//! never an allocation that a count, rather than the bytes present, sized.
+//!
+//! Its own test binary, with one test, because the counters are
+//! process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use dps_net::wire::visit_cells;
+use dps_net::{NetDaemon, RemoteServer, Request, Response};
+use dps_server::{AccessEvent, CostStats, ServerError, SimServer, Storage, Transcript};
+
+/// Calls that hand out or move memory (`alloc`, `alloc_zeroed`,
+/// `realloc`); frees are not counted.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// The largest single request since it was last zeroed.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
+    LARGEST.fetch_max(size as u64, Ordering::Relaxed);
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are relaxed atomics and
+// touch no memory the allocator manages.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: as above; `ptr` came from this allocator, i.e. `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const CELLS: usize = 64;
+const RECORD: usize = 256;
+const UPLOAD: usize = 235;
+const EXCHANGES: u64 = 1_000;
+/// Allocator calls one exchange may cost, client and daemon together.
+const BUDGET: u64 = 2;
+
+#[test]
+fn the_data_path_and_the_parser_keep_to_their_allocation_budgets() {
+    a_steady_state_exchange_costs_at_most_two_allocator_calls();
+    the_parser_allocates_in_proportion_to_its_input();
+}
+
+fn a_steady_state_exchange_costs_at_most_two_allocator_calls() {
+    let mut server = SimServer::new();
+    server.init((0..CELLS).map(|i| vec![i as u8; RECORD]).collect());
+    let daemon = NetDaemon::spawn(server).expect("spawn daemon");
+    let mut remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+
+    // The shapes `ir_cold` and `kvs_durable` put on the wire.
+    let read_addrs: Vec<usize> = (0..16).collect();
+    let write_addrs: Vec<usize> = (32..52).collect();
+    let flat = vec![0xA5u8; write_addrs.len() * UPLOAD];
+    let mut seen = 0usize;
+    let mut exchange = |remote: &mut RemoteServer| {
+        remote
+            .read_batch_with(&read_addrs, |_, cell| seen += cell.len())
+            .expect("download");
+        remote.write_batch_strided(&write_addrs, &flat).expect("upload");
+    };
+
+    // Warm-up: buffers reach their steady size.
+    for _ in 0..100 {
+        exchange(&mut remote);
+    }
+    let before = CALLS.load(Ordering::Relaxed);
+    for _ in 0..EXCHANGES {
+        exchange(&mut remote);
+    }
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let per_exchange = calls as f64 / (2 * EXCHANGES) as f64;
+    println!(
+        "allocator calls per exchange: {per_exchange:.2} ({calls} over {} exchanges)",
+        2 * EXCHANGES
+    );
+    assert!(
+        calls <= BUDGET * 2 * EXCHANGES,
+        "{per_exchange:.2} allocator calls per exchange, budget {BUDGET}"
+    );
+
+    assert_eq!(seen, (100 + EXCHANGES as usize) * read_addrs.len() * RECORD);
+    assert_eq!(remote.read(40).expect("read back"), vec![0xA5u8; UPLOAD]);
+    drop(remote);
+    daemon.shutdown();
+}
+
+/// One of every request and response, small enough to corrupt exhaustively.
+fn every_message() -> (Vec<Request>, Vec<Response>) {
+    let cells = || vec![vec![1u8, 2], vec![], vec![3u8; 5]];
+    let mut transcript = Transcript::new();
+    transcript.push_batch(vec![AccessEvent::Download(3), AccessEvent::Upload(1)]);
+    transcript.push_batch(vec![]);
+    transcript.push_batch(vec![AccessEvent::Compute(9)]);
+    let requests = vec![
+        Request::Ping,
+        Request::Init { cells: cells() },
+        Request::InitChunk { done: true, cells: cells() },
+        Request::InitEmpty { capacity: 77 },
+        Request::Capacity,
+        Request::StoredBytes,
+        Request::CellStride,
+        Request::StartRecording,
+        Request::TakeTranscript,
+        Request::Stats,
+        Request::ResetStats,
+        Request::ReadBatch { addrs: vec![0, 9, 3] },
+        Request::WriteBatch { writes: vec![(4, vec![8; 5]), (0, vec![])] },
+        Request::WriteBatchStrided { addrs: vec![1, 2], flat: vec![7; 8] },
+        Request::XorCells { addrs: vec![1, 2, 3] },
+    ];
+    let responses = vec![
+        Response::Ok,
+        Response::Pong,
+        Response::Number(u64::MAX),
+        Response::Stats(CostStats { downloads: 1, bytes_up: 9, ..Default::default() }),
+        Response::TranscriptData(transcript),
+        Response::Cells(cells()),
+        Response::Bytes(vec![0xAB; 7]),
+        Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
+        Response::Fail(ServerError::Uninitialized { addr: 3 }),
+        Response::Fail(ServerError::Interrupted),
+    ];
+    (requests, responses)
+}
+
+/// Decodes `input` with `decode` and holds the outcome to the contract:
+/// the largest allocation is a small multiple of the input (an owned cell
+/// costs a 24-byte `Vec` per 8-byte length prefix; nothing costs more),
+/// and a value that decodes is the one `input` encodes.
+fn decode_within_budget<T>(
+    input: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, dps_net::WireError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) -> bool {
+    LARGEST.store(0, Ordering::Relaxed);
+    let decoded = decode(input);
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        largest <= 8 * input.len() as u64 + 64,
+        "a {}-byte input made the parser request {largest} bytes at once: {input:02x?}",
+        input.len()
+    );
+    let _ = visit_cells(input, |_, _| {});
+    match decoded {
+        Ok(value) => {
+            assert_eq!(encode(&value), input, "a non-canonical encoding decoded");
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+fn the_parser_allocates_in_proportion_to_its_input() {
+    fn sweep<T: std::fmt::Debug>(
+        message: &T,
+        decode: impl Fn(&[u8]) -> Result<T, dps_net::WireError> + Copy,
+        encode: impl Fn(&T) -> Vec<u8> + Copy,
+        seed: &mut u64,
+    ) {
+        let bytes = encode(message);
+        assert!(decode_within_budget(&bytes, decode, encode), "{message:?} does not round-trip");
+        for cut in 0..bytes.len() {
+            assert!(
+                !decode_within_budget(&bytes[..cut], decode, encode),
+                "{message:?}: the {cut}-byte prefix decoded"
+            );
+        }
+        for at in 0..bytes.len() {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let random = (*seed >> 56) as u8;
+            for value in [bytes[at] ^ 0x01, bytes[at] ^ 0x80, 0xFF, random] {
+                let mut corrupt = bytes.clone();
+                corrupt[at] = value;
+                decode_within_budget(&corrupt, decode, encode);
+            }
+        }
+    }
+    let (requests, responses) = every_message();
+    let mut seed = 0x5EED;
+    for request in &requests {
+        sweep(request, Request::decode, Request::encode, &mut seed);
+    }
+    for response in &responses {
+        sweep(response, Response::decode, Response::encode, &mut seed);
+    }
+}

@@ -416,6 +416,31 @@ fn mid_batch_connection_drop_is_a_truncated_error() {
     );
 }
 
+/// Sixteen hostile bytes: a well-formed header announcing the largest
+/// frame there is, ten bytes of it, then nothing. The client's buffer
+/// follows the bytes that arrive, so this is a cut stream like any other —
+/// `Truncated` on the typed surface, `Interrupted` on `Storage` — and not
+/// a 256 MiB reservation (the capacity itself is pinned by a unit test in
+/// `client.rs`, where the buffer is visible).
+#[test]
+fn a_hostile_length_prefix_is_a_cut_stream_not_a_reservation() {
+    let hostile = || {
+        fake_peer(|mut stream| {
+            let id = swallow_request(&mut stream);
+            let mut bytes = frame_v2(id, &[0x87; 10]).unwrap();
+            bytes[4..8].copy_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+            stream.write_all(&bytes).unwrap();
+        })
+    };
+    let remote = RemoteServer::connect(hostile()).unwrap();
+    assert_eq!(
+        remote.try_read_batch(&[0]),
+        Err(RemoteError::Wire(WireError::Truncated { expected: MAX_FRAME, got: 10 }))
+    );
+    let mut remote = RemoteServer::connect(hostile()).unwrap();
+    assert_eq!(remote.read_batch_with(&[0], |_, _| {}), Err(ServerError::Interrupted));
+}
+
 #[test]
 fn peer_vanishing_before_responding_is_truncated_at_zero() {
     let addr = fake_peer(|mut stream| {

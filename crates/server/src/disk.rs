@@ -8,7 +8,7 @@
 //! (length table, init bitmap — ~5 bytes per cell, the same `CellIndex`
 //! the memory arena keeps) is always resident; cell *payloads* live in the
 //! arena file and are served through a bounded read-through cache
-//! ([`crate::cache`]):
+//! (`cache.rs`):
 //!
 //! - a read **hit** hands out a slice borrowed straight from the cache
 //!   slab — the same zero-copy surface as [`SimServer`](crate::SimServer);

@@ -22,9 +22,9 @@
 //! stamp in the CRC is what ends the log: the record region is read under
 //! the newest snapshot's stamp and stops at the first record that does not
 //! validate under it — stale bytes never do. A record is one commit (a
-//! whole group-commit window, [`RecordBuilder`]), written by one `write`.
+//! whole group-commit window, `RecordBuilder`), written by one `write`.
 //! What an invalid record means — the torn tail of the append a crash
-//! interrupted, or a rotted acknowledged record — is [`scan_records`]'
+//! interrupted, or a rotted acknowledged record — is `scan_records`'
 //! decision.
 //!
 //! ## Metadata snapshot layout
