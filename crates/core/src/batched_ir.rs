@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use dps_crypto::aead::{address_aad, AeadCipher};
 use dps_crypto::{ChaChaRng, AEAD_OVERHEAD};
 
-use crate::dp_ir::{DpIrConfig, DpIrError};
+use crate::dp_ir::{draw_download_set, DpIrConfig, DpIrError};
 use dps_server::{SimServer, Storage};
 
 /// A batch's results paired with its union download set (the transcript).
@@ -155,19 +155,15 @@ impl<S: Storage> BatchedDpIr<S> {
         rng: &mut ChaChaRng,
     ) -> (BTreeSet<usize>, Vec<bool>) {
         let mut union = BTreeSet::new();
-        let mut successes = Vec::with_capacity(indices.len());
-        for &index in indices {
-            let mut set = BTreeSet::new();
-            let success = !rng.gen_bool(self.config.alpha);
-            if success {
-                set.insert(index);
-            }
-            while set.len() < self.config.k {
-                set.insert(rng.gen_index(self.config.n));
-            }
-            successes.push(success);
-            union.extend(set);
-        }
+        let mut set = Vec::with_capacity(self.config.k);
+        let successes = indices
+            .iter()
+            .map(|&index| {
+                let success = draw_download_set(&self.config, index, rng, &mut set);
+                union.extend(&set);
+                success
+            })
+            .collect();
         (union, successes)
     }
 
@@ -313,6 +309,22 @@ mod tests {
                     assert_eq!(*block, vec![(indices[j] % 251) as u8; 8], "slot {j}");
                 }
             }
+        }
+    }
+
+    /// One copy of Algorithm 1's coins: the set `DpIr` draws, same coins.
+    #[test]
+    fn a_batch_of_one_draws_dp_irs_download_set() {
+        let ir = build(64, 2.0, 0.25);
+        let single = crate::DpIr::setup(ir.config(), &vec![vec![]; 64], SimServer::new()).unwrap();
+        for seed in 0..1000 {
+            let index = seed as usize % 64;
+            let (mut ours, mut theirs) =
+                (ChaChaRng::seed_from_u64(seed), ChaChaRng::seed_from_u64(seed));
+            let (union, successes) = ir.sample_batch(&[index], &mut ours);
+            let (set, success) = single.sample_download_set(index, &mut theirs);
+            assert_eq!((union, successes), (set, vec![success]), "seed {seed}");
+            assert_eq!(ours.next_u64(), theirs.next_u64(), "seed {seed}: rng position");
         }
     }
 

@@ -128,8 +128,9 @@ pub struct DpIr<S: Storage = SimServer> {
 /// Algorithm 1: draws the download set for `index` into `set`, sorted and
 /// distinct, and returns whether the real record is in it. One `gen_bool`,
 /// then one `gen_index` per attempt until `K` distinct addresses are held —
-/// the coin order every seeded transcript in this workspace depends on.
-fn draw_download_set(
+/// the coin order every seeded transcript in this workspace depends on
+/// ([`crate::BatchedDpIr`] draws each query of a batch with it).
+pub(crate) fn draw_download_set(
     config: &DpIrConfig,
     index: usize,
     rng: &mut ChaChaRng,

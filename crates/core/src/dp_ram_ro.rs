@@ -86,7 +86,9 @@ impl<S: Storage> DpRamReadOnly<S> {
         index: usize,
         rng: &mut ChaChaRng,
     ) -> Result<(Vec<u8>, usize), ServerError> {
-        assert!(index < self.n, "index out of range");
+        if index >= self.n {
+            return Err(ServerError::OutOfBounds { addr: index, capacity: self.n });
+        }
         if let Some(v) = self.stash.get(&index) {
             // Decoy download, discarded without leaving the server arena.
             let decoy = rng.gen_index(self.n);
@@ -145,6 +147,14 @@ mod tests {
             ram.read(rng.gen_index(8), &mut rng).unwrap();
         }
         assert_eq!(ram.server_stats().uploads, 0);
+    }
+
+    #[test]
+    fn a_bad_index_is_out_of_bounds_and_requests_nothing() {
+        let (mut ram, mut rng) = build(8, 0.5, 6);
+        let before = ram.server_stats();
+        assert_eq!(ram.read(8, &mut rng), Err(ServerError::OutOfBounds { addr: 8, capacity: 8 }));
+        assert_eq!(ram.server_stats(), before);
     }
 
     /// The mechanism's marginal: over fresh setups,

@@ -28,14 +28,18 @@
 //! * [`batched_ir`] — an extension beyond the paper: `m` DP-IR queries
 //!   answered by the union of their download sets in one round trip, with
 //!   unchanged per-query `ε` and sublinear bandwidth.
-//! * [`hardened_ram`] — DP-RAM upgraded from honest-but-curious to an
-//!   actively malicious server: address-bound AEAD plus Merkle-verified
-//!   storage, same transcript and overhead profile as Theorem 6.1.
 //!
 //! Every construction is generic over `dps_server::Storage`, so the same
 //! code runs against the in-process simulators and against a real
 //! network daemon through `dps_net::RemoteServer` — the loopback
 //! equivalence suite in `dps_net` pins the two bit-identical.
+//!
+//! **Hardening against a server that lies is not a scheme: wrap the
+//! storage.** `DpRam::setup(config, &blocks, Verified::new(server), rng)`
+//! (`dps_server::Verified`) checks every downloaded cell against a Merkle
+//! root in client state — corruption, swaps and rollbacks are
+//! `ServerError::Integrity` at the attacked address — with the transcript and
+//! costs of Theorem 6.1 unchanged; likewise `DpKvs`, `DpIr` and the ORAMs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +50,6 @@ pub mod dp_ir;
 pub mod dp_kvs;
 pub mod dp_ram;
 pub mod dp_ram_ro;
-pub mod hardened_ram;
 pub mod multi_server;
 pub mod strawman;
 
@@ -54,4 +57,3 @@ pub use batched_ir::BatchedDpIr;
 pub use dp_ir::{DpIr, DpIrConfig};
 pub use dp_kvs::{DpKvs, DpKvsConfig};
 pub use dp_ram::{DpRam, DpRamConfig};
-pub use hardened_ram::HardenedDpRam;

@@ -871,6 +871,7 @@ impl<'a> ResponseView<'a> {
                 }
                 1 => ServerError::Uninitialized { addr: r.size()? },
                 2 => ServerError::Interrupted,
+                3 => ServerError::Integrity { addr: r.size()? },
                 _ => return Err(WireError::BadPayload("unknown server-error tag")),
             }),
             other => return Err(WireError::UnknownOpcode(other)),
@@ -1144,6 +1145,10 @@ impl Response {
                         put_u64(buf, *addr as u64);
                     }
                     ServerError::Interrupted => buf.push(2),
+                    ServerError::Integrity { addr } => {
+                        buf.push(3);
+                        put_u64(buf, *addr as u64);
+                    }
                 }
             }
         }
@@ -1257,6 +1262,7 @@ mod tests {
             Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
             Response::Fail(ServerError::Uninitialized { addr: 3 }),
             Response::Fail(ServerError::Interrupted),
+            Response::Fail(ServerError::Integrity { addr: 7 }),
         ];
         for resp in resps {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);

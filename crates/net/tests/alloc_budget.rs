@@ -164,6 +164,7 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
         Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
         Response::Fail(ServerError::Uninitialized { addr: 3 }),
         Response::Fail(ServerError::Interrupted),
+        Response::Fail(ServerError::Integrity { addr: 7 }),
     ];
     (requests, responses)
 }

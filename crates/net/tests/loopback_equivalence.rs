@@ -20,12 +20,14 @@
 
 use dps_core::dp_ir::{DpIr, DpIrConfig};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
-use dps_core::dp_ram::{DpRam, DpRamConfig};
+use dps_core::dp_ram::{DpRam, DpRamConfig, DpRamError};
 use dps_crypto::ChaChaRng;
 use dps_net::{NetDaemon, RemoteServer};
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
-use dps_server::{ServerError, SimServer, Storage};
+use dps_server::{
+    AccessEvent, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy, Verified,
+};
 use dps_workloads::generators::database;
 
 /// Builds a daemon-backed remote and an identically configured local
@@ -377,6 +379,66 @@ fn dp_ram_is_bit_identical_over_the_wire() {
         })
     };
     scheme_matches(run);
+}
+
+/// A hardened scheme on the path users run — `DpRam<Verified<RemoteServer>>`
+/// → `NetDaemon<DiskStore>`. Integrity is checked client-side, under
+/// `Storage`, so the daemon sees and charges exactly what a `SimServer` does
+/// for the plain scheme from the same seed; and once another connection overwrites
+/// a cell, a query fails — with `Integrity` at that address — exactly when
+/// its flight downloads the cell, decoy or not.
+#[test]
+fn hardened_dp_ram_is_the_plain_scheme_to_a_durable_daemon_and_catches_its_lies() {
+    let n = 64;
+    let db = database(n, 32);
+    fn run<S: Storage>(db: &[Vec<u8>], server: S) -> (DpRam<S>, ChaChaRng, Observed) {
+        let mut rng = ChaChaRng::seed_from_u64(77);
+        let config = DpRamConfig { n: db.len(), stash_probability: 0.3 };
+        let mut ram = DpRam::setup(config, db, server, &mut rng).unwrap();
+        ram.server_mut().start_recording();
+        let mut out = Vec::new();
+        for i in 0..2 * db.len() {
+            out.push(ram.read(i % db.len(), &mut rng).unwrap());
+            if i % 3 == 0 {
+                ram.write(i % db.len(), vec![i as u8; 32], &mut rng).unwrap();
+            }
+        }
+        let stats = ram.server_stats().sans_wire().sans_cache();
+        let view = ram.server_mut().take_transcript().canonical_encoding();
+        (ram, rng, (out, stats, view))
+    }
+
+    let dir = std::env::temp_dir().join(format!("dps_loopback_hardened_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
+    let store = DiskStore::open_with(&dir, opts).expect("create disk store");
+    let daemon = NetDaemon::spawn(store).expect("spawn daemon");
+    let connect = || RemoteServer::connect(daemon.local_addr()).expect("connect");
+    let (mut ram, mut rng, seen) = run(&db, Verified::new(connect()));
+    assert_eq!(seen, run(&db, SimServer::new()).2);
+
+    let victim = 17;
+    connect().write(victim, vec![0x5A; 48]).unwrap();
+    let mut detected = 0;
+    for step in 0..200 {
+        ram.server_mut().start_recording();
+        let outcome = ram.read(rng.gen_index(n), &mut rng);
+        let view = ram.server_mut().take_transcript();
+        let downloaded = view.events().any(|e| e == AccessEvent::Download(victim));
+        match outcome {
+            Ok(_) => assert!(!downloaded, "step {step}: the overwritten cell was served"),
+            Err(DpRamError::Server(ServerError::Integrity { addr })) => {
+                assert!(downloaded && addr == victim, "step {step}: blamed {addr}");
+                detected += 1;
+            }
+            Err(other) => panic!("step {step}: {other}"),
+        }
+    }
+    assert!(detected > 0, "no flight reached the overwritten cell");
+
+    drop(ram);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

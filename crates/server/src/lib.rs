@@ -52,5 +52,5 @@ pub use stats::{CacheTelemetry, CostStats};
 pub use storage::Storage;
 pub use store::CellStore;
 pub use transcript::{AccessEvent, Transcript};
-pub use verified::{VerifiedError, VerifiedServer};
+pub use verified::Verified;
 pub use wal::DiskError;

@@ -60,6 +60,14 @@ pub enum ServerError {
     /// connection, and a durable one a failing disk, as a typed error
     /// instead of a panic.
     Interrupted,
+    /// The cell a download returned is not the one the client last stored
+    /// there (corrupted, swapped or rolled back): it failed the root check
+    /// of a [`Verified`](crate::Verified) store. Raised client-side, after
+    /// the round trip; no server sends it.
+    Integrity {
+        /// The address whose cell did not verify.
+        addr: usize,
+    },
 }
 
 impl std::fmt::Display for ServerError {
@@ -73,6 +81,9 @@ impl std::fmt::Display for ServerError {
             }
             ServerError::Interrupted => {
                 write!(f, "operation interrupted mid-flight; application state unknown")
+            }
+            ServerError::Integrity { addr } => {
+                write!(f, "cell {addr} failed integrity verification")
             }
         }
     }

@@ -24,7 +24,10 @@
 //! identical [`CostStats`] charging (down to the partial charges of a
 //! mid-batch failure), and an identical [`Transcript`]. The
 //! `store_equivalence` property suite pins that contract against an
-//! independent per-cell oracle.
+//! independent per-cell oracle. One exception, on one method: the
+//! integrity decorator [`Verified`](crate::Verified) cannot vouch for a
+//! fold the server computed, so its `xor_cells_into` downloads the cells
+//! and folds them client-side — charged, and seen, as a download.
 
 use crate::server::ServerError;
 use crate::stats::CostStats;

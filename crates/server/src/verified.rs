@@ -1,90 +1,75 @@
-//! Integrity-verified storage: a [`SimServer`] checked by a Merkle tree.
+//! Integrity against a server that lies: a [`Storage`] decorator.
 //!
 //! The paper's model trusts the server to *store* faithfully and only
-//! distrusts what it *observes*. [`VerifiedServer`] upgrades the model to
-//! an actively malicious server: every download is verified against a
-//! 32-byte root held in trusted client state, and every upload refreshes
-//! that root. Corruption, cell swaps, and rollbacks all surface as
-//! [`VerifiedError::IntegrityViolation`] instead of silently wrong data.
+//! distrusts what it *observes*; its guarantee is a statement about the
+//! transcript (Definition 3.1). A client-side check of the bytes a download
+//! returned cannot change a transcript, so integrity composes *under*
+//! [`Storage`], for every scheme at once: to harden a scheme, hand it
+//! `Verified::new(server)` instead of `server`. `DpRam<Verified<S>>`,
+//! `DpKvs<Verified<S>>`, `PathOram<Verified<S>>` … make the requests of the
+//! plain scheme — same addresses, [`CostStats`] and round trips, on the
+//! simulator, the disk store and the wire alike — and every cell they are
+//! handed has been checked against a 32-byte Merkle root in trusted client
+//! state. Corruption, cell swaps and rollbacks (a stale cell is authentic to
+//! any per-cell tag; only the root can object) all surface as
+//! [`ServerError::Integrity`] at the attacked address. Two rules:
 //!
-//! The Merkle tree itself lives on the *untrusted* side (in deployment the
-//! server stores it and ships `O(log n)` sibling digests per access); only
-//! `root` is trusted. The adversary handle for tests is
-//! [`VerifiedServer::adversary_cells_mut`], which mutates stored cells
-//! and/or tree nodes without touching the trusted root — exactly what a
-//! malicious server can do.
+//! - **Verify before visit.** [`Storage::read_batch_with`] hands `visit` a
+//!   cell only after it chained to the root — decoys and cells the scheme
+//!   discards included. The round trip completes either way, so the
+//!   server's view and charges are those of the plain call.
+//! - **Commit after acknowledge.** Tree and root follow only an upload the
+//!   inner server acknowledged, so a refused or interrupted upload leaves
+//!   the root describing what the server still holds (NOTES.md, entry 8).
+//!
+//! The one place the decorator is not cost-transparent is
+//! [`Storage::xor_cells_into`]: a root vouches for cells, not for a fold the
+//! server computed, so the cells are downloaded, verified and folded
+//! client-side, and charged as downloads.
+//!
+//! Only the root is trusted. The tree is kept beside the store as a
+//! stand-in for server-side state: a deployment would have the server hold
+//! it and ship the `O(log n)` sibling digests with each cell, which needs
+//! wire support and is not built here. Tests play the lying server through
+//! [`Verified::inner_mut`] (the cells) and
+//! [`Verified::adversary_replace_tree`] (the tree); neither moves the root.
 
 use dps_crypto::merkle::{Digest, MerkleTree};
 
-use crate::server::{ServerError, SimServer};
+use crate::server::ServerError;
 use crate::stats::CostStats;
 use crate::storage::Storage;
+use crate::store::xor_slices;
+use crate::transcript::Transcript;
 
-/// Errors from verified storage operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifiedError {
-    /// The cell (or its authentication path) failed verification against
-    /// the trusted root: the server tampered, swapped, or rolled back.
-    IntegrityViolation {
-        /// The address whose verification failed.
-        addr: usize,
-    },
-    /// Underlying storage failure.
-    Server(ServerError),
-}
-
-impl std::fmt::Display for VerifiedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifiedError::IntegrityViolation { addr } => {
-                write!(f, "integrity violation at address {addr} (tampered/swapped/rolled back)")
-            }
-            VerifiedError::Server(e) => write!(f, "server failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for VerifiedError {}
-
-impl From<ServerError> for VerifiedError {
-    fn from(e: ServerError) -> Self {
-        VerifiedError::Server(e)
-    }
-}
-
-/// A passive storage server whose responses are Merkle-verified.
+/// The storage `S` with every download checked against a trusted Merkle
+/// root (see the [module docs](self)).
 #[derive(Debug, Clone)]
-pub struct VerifiedServer {
-    server: SimServer,
+pub struct Verified<S> {
+    inner: S,
     /// Untrusted: in deployment this is server-side state.
     tree: MerkleTree,
     /// Trusted client state — the only thing the client must protect.
     root: Digest,
 }
 
-impl VerifiedServer {
-    /// Stores `cells` and commits to them in the trusted root.
-    ///
-    /// # Panics
-    /// Panics if `cells` is empty.
-    pub fn init(cells: Vec<Vec<u8>>) -> Self {
-        let tree = MerkleTree::build(&cells);
-        let root = tree.root();
-        let mut server = SimServer::new();
-        server.init(cells);
-        Self { server, tree, root }
-    }
+/// The commitment to `cells`: the tree and its root. A never-written cell
+/// is committed as the empty cell (the inner server answers `Uninitialized`
+/// before one could be served); a store of no cells gets one such leaf,
+/// which no address reaches.
+fn commit<C: AsRef<[u8]>>(cells: &[C]) -> (MerkleTree, Digest) {
+    let tree = if cells.is_empty() { MerkleTree::build(&[[]]) } else { MerkleTree::build(cells) };
+    let root = tree.root();
+    (tree, root)
+}
 
-    /// Number of cells stored.
-    pub fn capacity(&self) -> usize {
-        self.server.capacity()
-    }
-
-    /// Cost counters of the underlying server. (Verification hashes are
-    /// client-side compute and are not charged as server operations,
-    /// matching how the paper counts only balls moved.)
-    pub fn stats(&self) -> CostStats {
-        self.server.stats()
+impl<S: Storage> Verified<S> {
+    /// Wraps `inner`, vouching for nothing it already holds: a scheme's
+    /// set-up ([`Storage::init`] / [`Storage::init_empty`]) commits to the
+    /// cells it hands over.
+    pub fn new(inner: S) -> Self {
+        let (tree, root) = commit(&vec![[]; inner.capacity()]);
+        Self { inner, tree, root }
     }
 
     /// The trusted root (e.g. to persist across client restarts).
@@ -92,11 +77,10 @@ impl VerifiedServer {
         self.root
     }
 
-    /// **Adversary handle**: mutate stored cells without updating the
-    /// trusted root, as a malicious server would. Tests use this to inject
-    /// corruption/swap/rollback attacks.
-    pub fn adversary_cells_mut(&mut self) -> &mut SimServer {
-        &mut self.server
+    /// The wrapped storage. Doubles as the **adversary handle**: what is
+    /// done through it bypasses the root, as a lying server would.
+    pub fn inner_mut(&mut self) -> &mut S {
+        &mut self.inner
     }
 
     /// **Adversary handle**: overwrite the untrusted tree (e.g. with one
@@ -105,83 +89,120 @@ impl VerifiedServer {
     pub fn adversary_replace_tree(&mut self, tree: MerkleTree) {
         self.tree = tree;
     }
+}
 
-    /// Downloads a batch in one round trip, verifying each cell against
-    /// the trusted root and handing the verified bytes to `visit` as a
-    /// slice borrowed from the storage arena (zero-copy). Fails on the
-    /// first address whose verification fails; `visit` is never called on
-    /// an unverified cell.
-    pub fn read_batch_with(
+impl<S: Storage> Storage for Verified<S> {
+    fn init(&mut self, cells: Vec<Vec<u8>>) {
+        (self.tree, self.root) = commit(&cells);
+        self.inner.init(cells);
+    }
+
+    fn init_empty(&mut self, capacity: usize) {
+        (self.tree, self.root) = commit(&vec![[]; capacity]);
+        self.inner.init_empty(capacity);
+    }
+
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+
+    fn stored_bytes(&self) -> u64 {
+        self.inner.stored_bytes()
+    }
+
+    fn cell_stride(&self) -> usize {
+        self.inner.cell_stride()
+    }
+
+    fn start_recording(&mut self) {
+        self.inner.start_recording();
+    }
+
+    fn take_transcript(&mut self) -> Transcript {
+        self.inner.take_transcript()
+    }
+
+    /// Verification hashes are client-side compute; the paper counts cells.
+    fn stats(&self) -> CostStats {
+        self.inner.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats();
+    }
+
+    fn flush(&mut self) -> Result<(), ServerError> {
+        self.inner.flush()
+    }
+
+    /// Fails with the first address that did not verify, once the round
+    /// trip is over; `visit` sees no cell from that one on. An address
+    /// without a leaf (the server's capacity is not the committed one) does
+    /// not verify.
+    fn read_batch_with(
         &mut self,
         addrs: &[usize],
         mut visit: impl FnMut(usize, &[u8]),
-    ) -> Result<(), VerifiedError> {
+    ) -> Result<(), ServerError> {
         let (tree, root) = (&self.tree, &self.root);
-        let mut violation: Option<usize> = None;
-        self.server.read_batch_with(addrs, |i, cell| {
-            if violation.is_some() {
-                return;
-            }
-            let addr = addrs[i];
-            let proof = tree.prove(addr);
-            if MerkleTree::verify(root, cell, &proof) {
-                visit(i, cell);
-            } else {
-                violation = Some(addr);
-            }
+        let verifies = |addr, cell: &[u8]| {
+            addr < tree.len() && MerkleTree::verify(root, cell, &tree.prove(addr))
+        };
+        let mut failed = None;
+        self.inner.read_batch_with(addrs, |i, cell| match failed {
+            None if verifies(addrs[i], cell) => visit(i, cell),
+            None => failed = Some(addrs[i]),
+            Some(_) => {}
         })?;
-        if let Some(addr) = violation {
-            return Err(VerifiedError::IntegrityViolation { addr });
+        failed.map_or(Ok(()), |addr| Err(ServerError::Integrity { addr }))
+    }
+
+    /// Bounds are the inner server's to check; an acknowledged address
+    /// without a leaf is the same lie as in a download.
+    fn write_cells<'a>(
+        &mut self,
+        cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    ) -> Result<(), ServerError> {
+        self.inner.write_cells(cells.clone())?;
+        if let Some((addr, _)) = cells.clone().find(|&(addr, _)| addr >= self.tree.len()) {
+            return Err(ServerError::Integrity { addr });
         }
-        Ok(())
-    }
-
-    /// Downloads and verifies the cell at `addr`.
-    pub fn read(&mut self, addr: usize) -> Result<Vec<u8>, VerifiedError> {
-        let mut out = Vec::new();
-        self.read_batch_with(&[addr], |_, cell| out.extend_from_slice(cell))?;
-        Ok(out)
-    }
-
-    /// Downloads and verifies a batch in one round trip. Fails on the
-    /// first address whose verification fails.
-    pub fn read_batch(&mut self, addrs: &[usize]) -> Result<Vec<Vec<u8>>, VerifiedError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        self.read_batch_with(addrs, |_, cell| out.push(cell.to_vec()))?;
-        Ok(out)
-    }
-
-    /// Uploads a cell and refreshes the trusted root.
-    pub fn write(&mut self, addr: usize, cell: Vec<u8>) -> Result<(), VerifiedError> {
-        self.write_from(addr, &cell)
-    }
-
-    /// Uploads a borrowed cell and refreshes the trusted root — the
-    /// hot-path form of [`VerifiedServer::write`], no allocation.
-    pub fn write_from(&mut self, addr: usize, cell: &[u8]) -> Result<(), VerifiedError> {
-        self.tree.update(addr, cell);
-        self.root = self.tree.root();
-        self.server.write_from(addr, cell)?;
-        Ok(())
-    }
-
-    /// Uploads a batch in one round trip, refreshing the root.
-    pub fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), VerifiedError> {
-        for (addr, cell) in &writes {
-            self.tree.update(*addr, cell);
+        for (addr, cell) in cells {
+            self.tree.update(addr, cell);
         }
         self.root = self.tree.root();
-        self.server.write_batch(writes)?;
         Ok(())
+    }
+
+    fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
+        acc.clear();
+        self.read_batch_with(addrs, |i, cell| {
+            if i == 0 {
+                acc.extend_from_slice(cell);
+            } else {
+                xor_slices(acc, cell);
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::SimServer;
 
-    fn build(n: usize) -> VerifiedServer {
-        VerifiedServer::init((0..n).map(|i| vec![i as u8; 8]).collect())
+    fn cells(n: usize) -> Vec<Vec<u8>> {
+        (0..n).map(|i| vec![i as u8; 8]).collect()
+    }
+
+    fn build(n: usize) -> Verified<SimServer> {
+        let mut s = Verified::new(SimServer::new());
+        s.init(cells(n));
+        s
+    }
+
+    fn integrity<T>(addr: usize) -> Result<T, ServerError> {
+        Err(ServerError::Integrity { addr })
     }
 
     #[test]
@@ -196,22 +217,20 @@ mod tests {
     #[test]
     fn corruption_is_detected() {
         let mut s = build(16);
-        s.adversary_cells_mut().write(5, vec![0xFF; 8]).unwrap();
-        assert_eq!(s.read(5), Err(VerifiedError::IntegrityViolation { addr: 5 }));
+        s.inner_mut().write(5, vec![0xFF; 8]).unwrap();
+        assert_eq!(s.read(5), integrity(5));
     }
 
     #[test]
     fn swap_is_detected() {
         let mut s = build(16);
         // Adversary swaps cells 2 and 9 (and even fixes up its own tree).
-        let c2 = s.adversary_cells_mut().read(2).unwrap();
-        let c9 = s.adversary_cells_mut().read(9).unwrap();
-        s.adversary_cells_mut().write(2, c9.clone()).unwrap();
-        s.adversary_cells_mut().write(9, c2.clone()).unwrap();
-        let mut tampered: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 8]).collect();
+        let mut tampered = cells(16);
         tampered.swap(2, 9);
+        s.inner_mut().write(2, tampered[2].clone()).unwrap();
+        s.inner_mut().write(9, tampered[9].clone()).unwrap();
         s.adversary_replace_tree(MerkleTree::build(&tampered));
-        assert!(matches!(s.read(2), Err(VerifiedError::IntegrityViolation { addr: 2 })));
+        assert_eq!(s.read(2), integrity(2));
     }
 
     #[test]
@@ -221,18 +240,26 @@ mod tests {
         s.write(1, vec![0xBB; 8]).unwrap();
         // Adversary rolls the cell back to its old value and rebuilds the
         // untrusted tree to match — the trusted root still catches it.
-        let mut rolled: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 8]).collect();
-        rolled[1] = old.clone();
-        s.adversary_cells_mut().write(1, old).unwrap();
-        s.adversary_replace_tree(MerkleTree::build(&rolled));
-        assert_eq!(s.read(1), Err(VerifiedError::IntegrityViolation { addr: 1 }));
+        s.inner_mut().write(1, old).unwrap();
+        s.adversary_replace_tree(MerkleTree::build(&cells(8)));
+        assert_eq!(s.read(1), integrity(1));
     }
 
+    /// The first bad address is reported, no cell from it on is visited,
+    /// and the server saw and charged the whole round trip.
     #[test]
     fn batch_read_detects_single_bad_cell() {
         let mut s = build(8);
-        s.adversary_cells_mut().write(6, vec![0u8; 8]).unwrap();
-        assert_eq!(s.read_batch(&[0, 6, 7]), Err(VerifiedError::IntegrityViolation { addr: 6 }));
+        s.inner_mut().write(6, vec![0u8; 8]).unwrap();
+        s.inner_mut().write(2, vec![0u8; 8]).unwrap();
+        assert_eq!(s.read_batch(&[0, 6, 7]), integrity(6));
+        s.reset_stats();
+        s.start_recording();
+        let mut seen = Vec::new();
+        assert_eq!(s.read_batch_with(&[1, 6, 7, 2], |i, _| seen.push(i)), integrity(6));
+        assert_eq!(seen, vec![0]);
+        assert_eq!((s.stats().downloads, s.stats().round_trips), (4, 1));
+        assert_eq!(s.take_transcript().events().count(), 4);
     }
 
     #[test]
@@ -246,9 +273,43 @@ mod tests {
         assert_eq!(s.trusted_root(), r1, "same content, same root");
     }
 
+    /// A refused batch moves nothing: not the root (it used to, and the
+    /// tree panicked), not the in-range cell named before the bad one.
     #[test]
     fn server_errors_pass_through() {
         let mut s = build(4);
-        assert!(matches!(s.read(9), Err(VerifiedError::Server(_))));
+        let root = s.trusted_root();
+        let refused = ServerError::OutOfBounds { addr: 9, capacity: 4 };
+        assert_eq!(s.read(9), Err(refused.clone()));
+        assert_eq!(s.write(9, vec![1; 8]), Err(refused.clone()));
+        assert_eq!(s.write_batch(vec![(3, vec![1; 8]), (9, vec![1; 8])]), Err(refused));
+        assert_eq!(s.trusted_root(), root);
+        assert_eq!(s.read_batch(&[0, 1, 2, 3]).unwrap(), cells(4));
+    }
+
+    /// The fold is computed from verified downloads, not taken from the
+    /// server — and is charged as what it is.
+    #[test]
+    fn a_fold_is_computed_from_verified_cells() {
+        let mut s = build(8);
+        let mut acc = vec![0xEE; 3]; // stale contents must be cleared
+        s.xor_cells_into(&[1, 2, 4], &mut acc).unwrap();
+        assert_eq!(acc, vec![7u8; 8]);
+        let charged = s.stats();
+        assert_eq!((charged.downloads, charged.computed, charged.round_trips), (3, 0, 1));
+        s.inner_mut().write(2, vec![0; 8]).unwrap();
+        assert_eq!(s.xor_cells(&[1, 2, 4]), integrity(2));
+    }
+
+    /// Cells the client never committed to — more than at set-up, or there
+    /// before the wrap — fail on both primitives; the tree never panics.
+    #[test]
+    fn cells_the_client_never_committed_to_do_not_verify() {
+        let mut s = build(4);
+        s.inner_mut().init(cells(8));
+        assert_eq!(s.read(6), integrity(6));
+        assert_eq!(s.write(6, vec![1; 8]), integrity(6));
+        assert_eq!(Verified::new(s.inner.clone()).read(1), integrity(1));
+        assert!(Verified::new(SimServer::new()).is_empty());
     }
 }

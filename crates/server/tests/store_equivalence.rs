@@ -5,14 +5,15 @@
 //! operations and the zero-copy variants — runs against
 //! the real implementations (the flat-arena [`SimServer`] and the durable
 //! tempdir-backed [`DiskStore`]: one model, [`Accounted`], over two
-//! backends) and the reference oracle: the cells returned, the `CostStats`
-//! charged, and the recorded transcript must be byte-identical for all of
-//! them. A last case substitutes a faulting backend to pin what the model
-//! charges when the backend, not the request, is at fault.
+//! backends — and the [`Verified`] integrity decorator over the first) and
+//! the reference oracle: the cells returned, the `CostStats` charged, and
+//! the recorded transcript must be byte-identical for all of them. A last
+//! case substitutes a faulting backend to pin what the model charges when
+//! the backend, not the request, is at fault.
 
 use dps_server::{
     AccessEvent, Accounted, CellBackend, CellStore, CostStats, DiskOptions, DiskStore, ServerError,
-    SimServer, Storage, SyncPolicy, Transcript,
+    SimServer, Storage, SyncPolicy, Transcript, Verified,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -334,7 +335,8 @@ impl Drop for TempDir {
 /// suite owns durability; this suite owns observational equivalence). The
 /// disk store runs twice: once with its default cache budget and once
 /// with a budget of a few cells, so eviction, refill and group-commit
-/// pinning are all inside the equivalence check.
+/// pinning are all inside the equivalence check. Last, the integrity
+/// decorator over the first.
 fn run_all_backends(init_all: bool, ops: &[Op]) {
     run_program(&mut SimServer::new(), init_all, ops);
     let tmp = TempDir::new();
@@ -350,6 +352,16 @@ fn run_all_backends(init_all: bool, ops: &[Op]) {
     };
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create small-cache disk store");
     run_program(&mut disk, init_all, ops);
+    // To an honest server a `Verified` store is the server it wraps: cells,
+    // charges, view and errors. Its programs leave the XOR out — it folds
+    // client-side from verified downloads and is charged for those, the one
+    // documented difference (pinned in `verified.rs`).
+    let no_folds: Vec<Op> = ops
+        .iter()
+        .filter(|op| !matches!(op, Op::Xor(_)))
+        .cloned()
+        .collect();
+    run_program(&mut Verified::new(SimServer::new()), init_all, &no_folds);
 }
 
 proptest! {

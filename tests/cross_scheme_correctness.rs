@@ -9,7 +9,7 @@ use dp_storage::core::multi_server::{MultiServerDpIr, MultiServerDpIrConfig};
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::oram::{LinearOram, OramKvs, PathOram, PathOramConfig};
 use dp_storage::pir::{FullScanPir, XorPir};
-use dp_storage::server::SimServer;
+use dp_storage::server::{SimServer, Verified};
 use dp_storage::workloads::generators::{database, payload_for};
 
 const N: usize = 64;
@@ -46,8 +46,9 @@ fn retrieval_schemes_agree_on_static_database() {
     }
 }
 
-/// Mutable schemes: DP-RAM, Path ORAM and linear ORAM must all track the
-/// same reference array under the same logical workload.
+/// Mutable schemes: DP-RAM (plain, and hardened by verified storage), Path
+/// ORAM and linear ORAM must all track the same reference array under the
+/// same logical workload.
 #[test]
 fn mutable_schemes_agree_under_shared_workload() {
     let db = database(N, BLOCK);
@@ -56,6 +57,8 @@ fn mutable_schemes_agree_under_shared_workload() {
     let mut reference = db.clone();
     let mut dp_ram =
         DpRam::setup(DpRamConfig::recommended(N), &db, SimServer::new(), &mut rng).unwrap();
+    let verified = Verified::new(SimServer::new());
+    let mut hardened = DpRam::setup(DpRamConfig::recommended(N), &db, verified, &mut rng).unwrap();
     let mut path =
         PathOram::setup(PathOramConfig::recommended(N, BLOCK), &db, SimServer::new(), &mut rng);
     let mut linear = LinearOram::setup(&db, SimServer::new(), &mut rng);
@@ -65,11 +68,13 @@ fn mutable_schemes_agree_under_shared_workload() {
         if rng.gen_bool(0.4) {
             let value = vec![(step % 256) as u8; BLOCK];
             dp_ram.write(i, value.clone(), &mut rng).unwrap();
+            hardened.write(i, value.clone(), &mut rng).unwrap();
             path.write(i, value.clone(), &mut rng).unwrap();
             linear.write(i, value.clone(), &mut rng).unwrap();
             reference[i] = value;
         } else {
             assert_eq!(dp_ram.read(i, &mut rng).unwrap(), reference[i], "DP-RAM step {step}");
+            assert_eq!(hardened.read(i, &mut rng).unwrap(), reference[i], "hardened step {step}");
             assert_eq!(path.read(i, &mut rng).unwrap(), reference[i], "PathORAM step {step}");
             assert_eq!(linear.read(i, &mut rng).unwrap(), reference[i], "linear step {step}");
         }

@@ -8,15 +8,17 @@ use std::sync::Arc;
 use dp_storage::core::bucket_ram::{BucketRam, BucketRamError};
 use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig, DpKvsError};
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig, DpRamError};
-use dp_storage::core::hardened_ram::{HardenedDpRam, HardenedRamError, TamperDetection};
 use dp_storage::core::{BatchedDpIr, DpIrConfig};
 use dp_storage::crypto::merkle::MerkleTree;
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::net::chaos::FaultStorage;
+use dp_storage::net::{NetDaemon, RemoteServer};
+use dp_storage::oram::path_oram::OramError;
 use dp_storage::oram::{LinearOram, PathOram, PathOramConfig, SquareRootOram};
 use dp_storage::pir::FullScanPir;
 use dp_storage::server::{
-    CostStats, ServerError, SimServer, Storage, Transcript, VerifiedError, VerifiedServer,
+    CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy, Transcript,
+    Verified,
 };
 use dp_storage::workloads::generators::database;
 
@@ -118,64 +120,196 @@ fn dp_kvs_names_the_corrupted_node() {
     }
 }
 
-/// The verified server catches an adversary that rewrites both the cells
+/// The verified store catches an adversary that rewrites both the cells
 /// and the (untrusted) Merkle tree.
 #[test]
 fn verified_server_defeats_tree_rewriting_adversary() {
     let cells: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 8]).collect();
-    let mut server = VerifiedServer::init(cells.clone());
+    let mut server = Verified::new(SimServer::new());
+    server.init(cells.clone());
 
     let mut forged = cells;
     forged[11] = vec![0xEE; 8];
-    server
-        .adversary_cells_mut()
-        .write(11, forged[11].clone())
-        .unwrap();
+    server.inner_mut().write(11, forged[11].clone()).unwrap();
     server.adversary_replace_tree(MerkleTree::build(&forged));
 
-    assert_eq!(server.read(11), Err(VerifiedError::IntegrityViolation { addr: 11 }));
+    assert_eq!(server.read(11), Err(ServerError::Integrity { addr: 11 }));
     // With the whole (untrusted) tree forged, proofs for untouched cells
     // no longer chain to the trusted root either — conservative rejection
     // is the correct behavior, not a false negative.
-    assert_eq!(server.read(3), Err(VerifiedError::IntegrityViolation { addr: 3 }));
+    assert_eq!(server.read(3), Err(ServerError::Integrity { addr: 3 }));
 }
 
-/// Hardened DP-RAM: all three active attacks produce `Tampering` with the
-/// detecting layer identified; honest operation continues unaffected on a
-/// fresh instance.
+/// What a lying server can do to a cell it stores.
+#[derive(Debug, Clone, Copy)]
+enum Attack {
+    /// Flip a bit.
+    Corrupt,
+    /// Trade it with another cell: both authentic, both in the wrong place.
+    Swap,
+    /// Serve the cell it held before the client's last upload: authentic
+    /// and in the right place, so a per-cell tag passes and only a root can
+    /// object.
+    Rollback,
+}
+
+const ATTACKS: [Attack; 3] = [Attack::Corrupt, Attack::Swap, Attack::Rollback];
+
+/// Mounts `attack` on cell `target` of `store` — behind a [`Verified`]
+/// root's back when that is its `inner_mut`. `other` is the cell a swap
+/// trades with; `stale` is what `target` held before the client last
+/// rewrote it, which a rollback serves again.
+fn mount<S: Storage>(
+    attack: Attack,
+    store: &mut S,
+    stale: Vec<u8>,
+    (target, other): (usize, usize),
+) {
+    let held = store.read(target).unwrap();
+    let served = match attack {
+        Attack::Corrupt => {
+            let mut bad = held;
+            bad[20] ^= 2;
+            bad
+        }
+        Attack::Swap => {
+            let traded = store.read(other).unwrap();
+            store.write(other, held).unwrap();
+            traded
+        }
+        Attack::Rollback => {
+            assert_ne!(stale, held, "the client's rewrite left the cell alone");
+            stale
+        }
+    };
+    store.write(target, served).unwrap();
+}
+
+/// The seat users put the server in: a daemon over a durable store, reached
+/// over loopback TCP. Every scheme set-up replaces its contents.
+struct DurableDaemon {
+    daemon: Option<NetDaemon>,
+    dir: std::path::PathBuf,
+}
+
+impl DurableDaemon {
+    fn spawn(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("dps_attack_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
+        let store = DiskStore::open_with(&dir, opts).expect("create disk store");
+        Self { daemon: Some(NetDaemon::spawn(store).expect("spawn daemon")), dir }
+    }
+
+    fn connect(&self) -> RemoteServer {
+        let daemon = self.daemon.as_ref().expect("running until dropped");
+        RemoteServer::connect(daemon.local_addr()).expect("connect")
+    }
+}
+
+impl Drop for DurableDaemon {
+    fn drop(&mut self) {
+        self.daemon.take().expect("dropped once").shutdown();
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Hardened DP-RAM is `DpRam` over [`Verified`] storage: all three active
+/// attacks are `Integrity` at the attacked address, on the simulator and
+/// against a durable daemon. Without the root the rollback is *served*: the
+/// stale cell decrypts, and the client reads a value it had overwritten.
 #[test]
 fn hardened_ram_attack_matrix() {
+    let daemon = DurableDaemon::spawn("ram");
+    ram_attack_matrix(SimServer::new);
+    ram_attack_matrix(|| daemon.connect());
+}
+
+fn ram_attack_matrix<S: Storage>(store: impl Fn() -> S) {
     let db = database(N, BLOCK);
+    // p = 0: record i lives at address i and every query downloads it.
     let config = DpRamConfig { n: N, stash_probability: 0.0 };
+    let fresh = vec![0xAB; BLOCK];
+    for (seed, attack) in (5..).zip(ATTACKS) {
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        let mut ram = DpRam::setup(config, &db, Verified::new(store()), &mut rng).unwrap();
+        let stale = ram.server_mut().inner_mut().read(7).unwrap();
+        ram.write(7, fresh.clone(), &mut rng).unwrap();
+        mount(attack, ram.server_mut().inner_mut(), stale, (7, 9));
+        assert!(
+            matches!(
+                ram.read(7, &mut rng),
+                Err(DpRamError::Server(ServerError::Integrity { addr: 7 }))
+            ),
+            "{attack:?}"
+        );
+    }
 
-    // Corruption.
-    let mut rng = ChaChaRng::seed_from_u64(5);
-    let mut ram = HardenedDpRam::setup(config, &db, &mut rng).unwrap();
-    let cell = ram.server_mut().adversary_cells_mut().read(7).unwrap();
-    let mut bad = cell;
-    bad[20] ^= 2;
-    ram.server_mut().adversary_cells_mut().write(7, bad).unwrap();
-    assert!(matches!(
-        ram.read(7, &mut rng),
-        Err(HardenedRamError::Tampering { addr: 7, detected_by: TamperDetection::MerkleRoot })
-    ));
-
-    // Swap.
-    let mut rng = ChaChaRng::seed_from_u64(6);
-    let mut ram = HardenedDpRam::setup(config, &db, &mut rng).unwrap();
-    let a = ram.server_mut().adversary_cells_mut().read(1).unwrap();
-    let b = ram.server_mut().adversary_cells_mut().read(2).unwrap();
-    ram.server_mut().adversary_cells_mut().write(1, b).unwrap();
-    ram.server_mut().adversary_cells_mut().write(2, a).unwrap();
-    assert!(matches!(ram.read(1, &mut rng), Err(HardenedRamError::Tampering { addr: 1, .. })));
-
-    // Rollback.
     let mut rng = ChaChaRng::seed_from_u64(7);
-    let mut ram = HardenedDpRam::setup(config, &db, &mut rng).unwrap();
-    let stale = ram.server_mut().adversary_cells_mut().read(4).unwrap();
-    ram.write(4, vec![0xAB; BLOCK], &mut rng).unwrap();
-    ram.server_mut().adversary_cells_mut().write(4, stale).unwrap();
-    assert!(matches!(ram.read(4, &mut rng), Err(HardenedRamError::Tampering { addr: 4, .. })));
+    let mut plain = DpRam::setup(config, &db, store(), &mut rng).unwrap();
+    let stale = plain.server_mut().read(7).unwrap();
+    plain.write(7, fresh, &mut rng).unwrap();
+    mount(Attack::Rollback, plain.server_mut(), stale, (7, 9));
+    assert_eq!(plain.read(7, &mut rng).unwrap(), db[7], "the overwritten value, silently");
+}
+
+/// The same matrix through DP-KVS: the attacked cell is the first node a
+/// `get` of the key downloads (`p = 0`: its own two paths, first path
+/// first), the swap partner the leaf of its second path.
+#[test]
+fn hardened_kvs_attack_matrix() {
+    let daemon = DurableDaemon::spawn("kvs");
+    kvs_attack_matrix(SimServer::new);
+    kvs_attack_matrix(|| daemon.connect());
+}
+
+fn kvs_attack_matrix<S: Storage>(store: impl Fn() -> S) {
+    let config = DpKvsConfig { stash_probability: 0.0, ..DpKvsConfig::recommended(N, 8) };
+    for (seed, attack) in (20..).zip(ATTACKS) {
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        let mut kvs = DpKvs::setup(config.clone(), Verified::new(store()), &mut rng).unwrap();
+        kvs.put(42, vec![7u8; 8], &mut rng).unwrap();
+        let (a, b) = kvs.buckets_for(42);
+        assert_ne!(a, b, "pick a key with two distinct paths");
+        let geometry = kvs.config().geometry;
+        let (target, other) = (geometry.bucket_path(a)[0], geometry.bucket_path(b)[0]);
+        let stale = kvs.server_mut().inner_mut().read(target).unwrap();
+        kvs.put(42, vec![8u8; 8], &mut rng).unwrap();
+        mount(attack, kvs.server_mut().inner_mut(), stale, (target, other));
+        match kvs.get(42, &mut rng) {
+            Err(DpKvsError::Ram(BucketRamError::Server(ServerError::Integrity { addr }))) => {
+                assert_eq!(addr, target, "{attack:?}");
+            }
+            other => panic!("{attack:?} must be an integrity error, got {other:?}"),
+        }
+    }
+}
+
+/// And through Path ORAM, on the root bucket — first on every path, and
+/// rewritten by every access.
+#[test]
+fn hardened_path_oram_attack_matrix() {
+    let daemon = DurableDaemon::spawn("path");
+    path_oram_attack_matrix(SimServer::new);
+    path_oram_attack_matrix(|| daemon.connect());
+}
+
+fn path_oram_attack_matrix<S: Storage>(store: impl Fn() -> S) {
+    let db = database(N, BLOCK);
+    let config = PathOramConfig::recommended(N, BLOCK);
+    for (seed, attack) in (30..).zip(ATTACKS) {
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        let mut oram = PathOram::setup(config, &db, Verified::new(store()), &mut rng);
+        let stale = oram.server_mut().inner_mut().read(0).unwrap();
+        oram.write(3, vec![0xCD; BLOCK], &mut rng).unwrap();
+        mount(attack, oram.server_mut().inner_mut(), stale, (0, 1));
+        match oram.read(3, &mut rng) {
+            Err(OramError::Storage(message)) => {
+                assert_eq!(message, ServerError::Integrity { addr: 0 }.to_string(), "{attack:?}");
+            }
+            other => panic!("{attack:?} must be an integrity error, got {other:?}"),
+        }
+    }
 }
 
 /// After a detected attack the client state is still usable for other
@@ -184,12 +318,11 @@ fn hardened_ram_attack_matrix() {
 fn detection_does_not_poison_other_addresses() {
     let db = database(N, BLOCK);
     let mut rng = ChaChaRng::seed_from_u64(8);
-    let mut ram =
-        HardenedDpRam::setup(DpRamConfig { n: N, stash_probability: 0.0 }, &db, &mut rng).unwrap();
-    let cell = ram.server_mut().adversary_cells_mut().read(30).unwrap();
-    let mut bad = cell;
+    let config = DpRamConfig { n: N, stash_probability: 0.0 };
+    let mut ram = DpRam::setup(config, &db, Verified::new(SimServer::new()), &mut rng).unwrap();
+    let mut bad = ram.server_mut().inner_mut().read(30).unwrap();
     bad[15] ^= 4;
-    ram.server_mut().adversary_cells_mut().write(30, bad).unwrap();
+    ram.server_mut().inner_mut().write(30, bad).unwrap();
     assert!(ram.read(30, &mut rng).is_err());
     for i in [0usize, 5, 29, 31, 63] {
         assert_eq!(
@@ -209,23 +342,26 @@ fn hardened_ram_failed_request_loses_no_stashed_record() {
     let db = database(N, BLOCK);
     let mut rng = ChaChaRng::seed_from_u64(12);
     // p = 1: every record is client-held and every query stashes again.
-    let mut ram =
-        HardenedDpRam::setup(DpRamConfig { n: N, stash_probability: 1.0 }, &db, &mut rng).unwrap();
+    let config = DpRamConfig { n: N, stash_probability: 1.0 };
+    let mut ram = DpRam::setup(config, &db, Verified::new(SimServer::new()), &mut rng).unwrap();
     let value = vec![0xC7; BLOCK];
     ram.write(7, value.clone(), &mut rng).unwrap();
 
     // The adversary corrupts every cell, so the decoy download fails...
     let all: Vec<usize> = (0..N).collect();
-    let cells = ram.server_mut().adversary_cells_mut();
+    let cells = ram.server_mut().inner_mut();
     let saved = cells.read_batch(&all).unwrap();
     let corrupt = saved.iter().map(|c| c.iter().map(|b| b ^ 1).collect());
     cells
         .write_batch(all.iter().copied().zip(corrupt).collect())
         .unwrap();
-    assert!(matches!(ram.read(7, &mut rng), Err(HardenedRamError::Tampering { .. })));
+    assert!(matches!(
+        ram.read(7, &mut rng),
+        Err(DpRamError::Server(ServerError::Integrity { .. }))
+    ));
 
     // ...then restores them: the retried read must see the written value.
-    let cells = ram.server_mut().adversary_cells_mut();
+    let cells = ram.server_mut().inner_mut();
     cells
         .write_batch(all.iter().copied().zip(saved).collect())
         .unwrap();
@@ -401,12 +537,21 @@ impl FailedCalls {
 
 /// A failed `Storage` call must not cost DP-RAM a stashed record: the
 /// client copy may be the only current one. Every failed attempt is
-/// retried, and every acknowledged value must read back at the end.
+/// retried, and every acknowledged value must read back at the end. Run
+/// over a [`Verified`] store as well, where it is also the commit rule of
+/// the root: an upload that was not acknowledged must leave the root
+/// describing the cells the server still holds, or an honest server starts
+/// failing verification (any error but the injected one fails the run).
 #[test]
 fn dp_ram_failed_requests_lose_no_record() {
+    let faulty = || FaultStorage::new(SimServer::new(), 9, 300);
+    dp_ram_loses_no_record(faulty(), |server| server.set_armed(false));
+    dp_ram_loses_no_record(Verified::new(faulty()), |server| server.inner_mut().set_armed(false));
+}
+
+fn dp_ram_loses_no_record<S: Storage>(server: S, disarm: impl Fn(&mut S)) {
     let mut rng = ChaChaRng::seed_from_u64(9);
     let db = database(N, BLOCK);
-    let server = FaultStorage::new(SimServer::new(), 9, 300);
     let config = DpRamConfig { n: N, stash_probability: 0.5 };
     let mut ram = DpRam::setup(config, &db, server, &mut rng).unwrap();
     let mut model = db;
@@ -427,7 +572,7 @@ fn dp_ram_failed_requests_lose_no_record() {
         }
     }
     failed.assert_both_calls_hit();
-    ram.server_mut().set_armed(false);
+    disarm(ram.server_mut());
     for (i, expected) in model.iter().enumerate() {
         assert_eq!(&ram.read(i, &mut rng).unwrap(), expected, "record {i}");
     }

@@ -8,7 +8,7 @@ use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig};
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig};
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::oram::{PathOram, PathOramConfig};
-use dp_storage::server::{AccessEvent, SimServer, Storage};
+use dp_storage::server::{AccessEvent, CostStats, SimServer, Storage, Verified};
 use dp_storage::workloads::generators::database;
 
 /// Theorem 6.1: DP-RAM moves exactly 2 downloads + 1 upload per query at
@@ -36,6 +36,64 @@ fn dp_ram_transcript_is_exactly_two_downloads_one_upload() {
             assert_eq!(chunk[1].address(), chunk[2].address());
         }
     }
+}
+
+/// What a seeded run leaves behind: every answer, the server's charges, its
+/// view, and its final cells.
+type Run = (Vec<Option<Vec<u8>>>, CostStats, Vec<u8>, Vec<Vec<u8>>);
+
+fn observe<S: Storage>(answers: Vec<Option<Vec<u8>>>, server: &mut S) -> Run {
+    let (stats, view) = (server.stats(), server.take_transcript().canonical_encoding());
+    let every: Vec<usize> = (0..server.capacity()).collect();
+    (answers, stats, view, server.read_batch(&every).unwrap())
+}
+
+fn dp_ram_run<S: Storage>(server: S) -> Run {
+    let n = 64;
+    let mut rng = ChaChaRng::seed_from_u64(61);
+    let config = DpRamConfig { n, stash_probability: 0.3 };
+    let mut ram = DpRam::setup(config, &database(n, 16), server, &mut rng).unwrap();
+    ram.server_mut().start_recording();
+    let mut answers = Vec::new();
+    for step in 0..2000u32 {
+        let i = rng.gen_index(n);
+        if rng.gen_bool(0.4) {
+            ram.write(i, vec![step as u8; 16], &mut rng).unwrap();
+        } else {
+            answers.push(Some(ram.read(i, &mut rng).unwrap()));
+        }
+    }
+    observe(answers, ram.server_mut())
+}
+
+fn dp_kvs_run<S: Storage>(server: S) -> Run {
+    let mut rng = ChaChaRng::seed_from_u64(71);
+    let mut kvs = DpKvs::setup(DpKvsConfig::recommended(64, 8), server, &mut rng).unwrap();
+    kvs.server_mut().start_recording();
+    let mut answers = Vec::new();
+    for step in 0..2000u32 {
+        let key = rng.gen_range(48) * 7 + 1;
+        match rng.gen_index(4) {
+            0 | 1 => kvs.put(key, vec![step as u8; 8], &mut rng).unwrap(),
+            2 => answers.push(kvs.remove(key, &mut rng).unwrap()),
+            _ => answers.push(kvs.get(key, &mut rng).unwrap()),
+        }
+    }
+    observe(answers, kvs.server_mut())
+}
+
+/// Integrity wraps the storage, so hardening a scheme changes no request:
+/// from the same seed, DP-RAM and DP-KVS over [`Verified`] storage give the
+/// answers, charges, transcript and final cells of the plain scheme — for
+/// DP-RAM the 2 downloads + 1 upload in 2 round trips of Theorem 6.1.
+#[test]
+fn a_hardened_scheme_makes_the_requests_of_the_plain_one() {
+    let hardened = dp_ram_run(Verified::new(SimServer::new()));
+    assert_eq!(hardened, dp_ram_run(SimServer::new()), "DP-RAM");
+    let stats = hardened.1;
+    assert_eq!((stats.downloads, stats.uploads, stats.round_trips), (4000, 2000, 4000));
+
+    assert_eq!(dp_kvs_run(Verified::new(SimServer::new())), dp_kvs_run(SimServer::new()), "DP-KVS");
 }
 
 /// Theorem 5.1: DP-IR's download count matches the formula, and the
