@@ -40,16 +40,22 @@
 //! is decided by the plans before a byte arrives: the queried bucket's cells
 //! of every query that downloads its own bucket, and `bucket(o_j)` of every
 //! query whose stash coin came up. Only those ciphertexts are kept, back to
-//! back, and opened by one `decrypt_batch_to_slices` (8 cells per wide
-//! pass); the queries then read plaintext slices. Their uploads are
-//! collected as plaintext and sealed by one `encrypt_batch_with_nonces`
-//! under nonces drawn in upload order, which is the order a per-cell loop
-//! draws them in — so a seed produces the same ciphertexts either way.
-//! Set-up encrypts the initial cells through the same entry point.
+//! back and each *distinct* one once — a flight `[a, b, a, b]` downloads
+//! `bucket(a)` twice, and a second copy of an address that is byte-equal
+//! to the first has the first's verdict and plaintext (`NOTES.md` entry 9);
+//! a copy that differs is kept and verified on its own — and opened by one
+//! `decrypt_batch_to_slices` (8 cells per wide pass). The queries then run
+//! on plaintext in one arena: each query's contents are gathered there,
+//! edited there by its update, and read from there by later queries, the
+//! upload and the stash commit. The uploads are collected as plaintext and
+//! sealed by one `encrypt_batch_with_nonces` under nonces drawn in upload
+//! order, which is the order a per-cell loop draws them in — so a seed
+//! produces the same ciphertexts either way. Set-up encrypts the initial
+//! cells through the same entry point.
 
 use std::collections::{HashMap, HashSet};
 
-use dps_crypto::{BlockCipher, ChaChaRng, CryptoError, CIPHERTEXT_OVERHEAD};
+use dps_crypto::{BlockCipher, ChaChaRng, CryptoError, Nonce, CIPHERTEXT_OVERHEAD};
 use dps_server::{ServerError, SimServer, Storage};
 
 /// The typed per-bucket-query adversarial view.
@@ -77,8 +83,6 @@ pub enum BucketRamError {
     Server(ServerError),
     /// Decryption failure — corrupted state.
     Crypto(String),
-    /// An update callback returned cells of the wrong shape.
-    BadUpdate(String),
 }
 
 impl std::fmt::Display for BucketRamError {
@@ -90,7 +94,6 @@ impl std::fmt::Display for BucketRamError {
             BucketRamError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             BucketRamError::Server(e) => write!(f, "server failure: {e}"),
             BucketRamError::Crypto(msg) => write!(f, "crypto failure: {msg}"),
-            BucketRamError::BadUpdate(msg) => write!(f, "bad update: {msg}"),
         }
     }
 }
@@ -114,10 +117,27 @@ struct QueryPlan {
     stash: bool,
     /// The `(d_j, o_j)` pair the server will see.
     trace: BucketTrace,
+    /// Where the query's contents start in the flight's arena.
+    contents: usize,
 }
 
-/// One query's post-update bucket contents and its typed trace.
-pub type BucketQueryOutput = (Vec<Vec<u8>>, BucketTrace);
+/// A finished flight, lent from the client's scratch until the next one.
+#[derive(Debug, Clone, Copy)]
+pub struct Flight<'a>(&'a FlightScratch);
+
+impl<'a> Flight<'a> {
+    /// Query `j`'s post-update bucket contents, its cells back to back.
+    pub fn contents(&self, j: usize) -> &'a [u8] {
+        let FlightScratch { plans, contents, .. } = self.0;
+        let end = plans.get(j + 1).map_or(contents.len(), |next| next.contents);
+        &contents[plans[j].contents..end]
+    }
+
+    /// The `(d_j, o_j)` the server saw for query `j`.
+    pub fn trace(&self, j: usize) -> BucketTrace {
+        self.0.plans[j].trace
+    }
+}
 
 /// The downloaded cells a flight reads — its decrypt set.
 #[derive(Debug, Default)]
@@ -125,9 +145,15 @@ struct Snapshot {
     /// Per download position, the slot of `ct` and `pt` that holds the
     /// cell, or `None` for a cell nobody reads (a decoy download, or
     /// `bucket(o_j)` about to be overwritten with the client's own
-    /// contents). A cell downloaded twice has two slots, both verified.
+    /// contents); until the cell arrives, `Some(_)` only says it is read.
+    /// A position shares the slot of an earlier one with the same address
+    /// *and* byte-equal ciphertext — one verdict, one plaintext; a copy
+    /// that differs has a slot of its own and is verified on its own.
     slot: Vec<Option<usize>>,
-    /// The decrypt set's ciphertexts, back to back in download order.
+    /// Per slot, the server address of the cell it holds.
+    held: Vec<usize>,
+    /// The decrypt set's distinct ciphertexts, back to back in download
+    /// order.
     ct: Vec<u8>,
     /// Their plaintexts, slot for slot.
     pt: Vec<u8>,
@@ -142,24 +168,10 @@ impl Snapshot {
     }
 }
 
-/// (cell id, query, position) of every plaintext a flight gave a cell, in
-/// order — the last entry of a cell is its latest. A flight is a handful of
-/// queries, so a scan beats hashing.
-#[derive(Debug, Default)]
-struct Overlay(Vec<(usize, usize, usize)>);
-
-impl Overlay {
-    /// Query `query` of the flight gave `cells`, in order, their plaintexts.
-    fn record(&mut self, query: usize, cells: &[usize]) {
-        let entries = cells.iter().enumerate();
-        self.0.extend(entries.map(|(i, &cell)| (cell, query, i)));
-    }
-
-    /// The latest plaintext the flight's finished queries gave `cell`.
-    fn latest<'a>(&self, cell: usize, done: &'a [BucketQueryOutput]) -> Option<&'a [u8]> {
-        let &(_, query, position) = self.0.iter().rev().find(|entry| entry.0 == cell)?;
-        Some(&done[query].0[position])
-    }
+/// Where the latest plaintext the flight's finished queries gave `cell`
+/// starts in the arena: the last entry of `overlay` for it.
+fn latest(overlay: &[(usize, usize)], cell: usize) -> Option<usize> {
+    Some(overlay.iter().rev().find(|entry| entry.0 == cell)?.1)
 }
 
 /// Buffers of one flight, kept on the client and reused across flights.
@@ -169,12 +181,18 @@ struct FlightScratch {
     /// Download addresses: `bucket(d_1)‖bucket(o_1)‖…‖bucket(d_k)‖bucket(o_k)`.
     addrs: Vec<usize>,
     snapshot: Snapshot,
-    overlay: Overlay,
+    /// The arena: every query's bucket contents, back to back in flight
+    /// order, gathered, updated and read in place.
+    contents: Vec<u8>,
+    /// (cell id, arena offset) of every plaintext the flight gave a cell,
+    /// in order. A flight is a handful of queries, so a scan beats hashing.
+    overlay: Vec<(usize, usize)>,
     /// Upload addresses: `bucket(o_1)‖…‖bucket(o_k)`, duplicates kept.
     up_addrs: Vec<usize>,
     /// The upload's plaintexts, back to back in `up_addrs` order.
     up_pt: Vec<u8>,
-    /// Their fresh ciphertexts, slot for slot.
+    /// Their nonces and fresh ciphertexts, slot for slot.
+    nonces: Vec<Nonce>,
     enc_flat: Vec<u8>,
 }
 
@@ -197,6 +215,8 @@ pub struct BucketRam<S: Storage = SimServer> {
     cell_stash: HashMap<usize, Vec<u8>>,
     /// How many stashed buckets reference each stashed cell.
     refcount: HashMap<usize, u32>,
+    /// Client copies the stash let go of, kept for the next cell it takes.
+    spare: Vec<Vec<u8>>,
     /// High-water mark of stashed cells, for client-storage experiments.
     max_stashed_cells: usize,
     scratch: FlightScratch,
@@ -284,14 +304,15 @@ impl<S: Storage> BucketRam<S> {
             stashed_buckets: HashSet::new(),
             cell_stash: HashMap::new(),
             refcount: HashMap::new(),
+            spare: Vec::new(),
             max_stashed_cells: 0,
             scratch: FlightScratch::default(),
         };
         // Setup-time stashing (per-bucket, like Algorithm 2's per-record).
         for b in 0..ram.buckets.len() {
             if rng.gen_bool(stash_probability) {
-                let contents: Vec<Vec<u8>> =
-                    ram.buckets[b].iter().map(|&c| cell(c).to_vec()).collect();
+                let contents: Vec<u8> =
+                    ram.buckets[b].iter().flat_map(|&c| cell(c)).copied().collect();
                 ram.stash_bucket(b, &contents);
             }
         }
@@ -333,15 +354,20 @@ impl<S: Storage> BucketRam<S> {
         &mut self.server
     }
 
-    /// Puts bucket `b` in the stash with `contents` as its cells' client
-    /// copies.
-    fn stash_bucket(&mut self, b: usize, contents: &[Vec<u8>]) {
-        debug_assert_eq!(contents.len(), self.buckets[b].len());
+    /// Puts bucket `b` in the stash with `contents`, its cells back to back,
+    /// as their client copies.
+    fn stash_bucket(&mut self, b: usize, contents: &[u8]) {
+        debug_assert_eq!(contents.len(), self.buckets[b].len() * self.cell_size);
         let newly_stashed = self.stashed_buckets.insert(b);
         debug_assert!(newly_stashed, "stash of a bucket that was already stashed");
-        for (&cell, content) in self.buckets[b].iter().zip(contents) {
+        for (&cell, content) in self.buckets[b].iter().zip(contents.chunks_exact(self.cell_size)) {
             *self.refcount.entry(cell).or_insert(0) += 1;
-            self.cell_stash.insert(cell, content.clone());
+            let copy = self
+                .cell_stash
+                .entry(cell)
+                .or_insert_with(|| self.spare.pop().unwrap_or_default());
+            copy.clear();
+            copy.extend_from_slice(content);
         }
         self.max_stashed_cells = self.max_stashed_cells.max(self.cell_stash.len());
     }
@@ -356,7 +382,7 @@ impl<S: Storage> BucketRam<S> {
             *count -= 1;
             if *count == 0 {
                 self.refcount.remove(cell);
-                self.cell_stash.remove(cell);
+                self.spare.extend(self.cell_stash.remove(cell));
             }
         }
     }
@@ -366,75 +392,59 @@ impl<S: Storage> BucketRam<S> {
     /// contents, applies `update` to them (identity for pure reads — the
     /// transcript shape is update-independent), and runs the overwrite
     /// phase. Returns the post-update contents and the typed trace.
-    pub fn query<F>(
+    pub fn query(
         &mut self,
         bucket: usize,
-        update: F,
+        mut update: impl FnMut(&mut [u8]),
         rng: &mut ChaChaRng,
-    ) -> Result<BucketQueryOutput, BucketRamError>
-    where
-        F: FnOnce(&mut Vec<Vec<u8>>),
-    {
-        let mut update = Some(update);
-        let mut flight = self.query_batch(
-            &[bucket],
-            |_, contents| {
-                if let Some(update) = update.take() {
-                    update(contents);
-                }
-            },
-            rng,
-        )?;
-        Ok(flight.pop().expect("one query in, one result out"))
+    ) -> Result<(Vec<u8>, BucketTrace), BucketRamError> {
+        let flight = self.query_batch(&[bucket], |_, contents| update(contents), rng)?;
+        Ok((flight.contents(0).to_vec(), flight.trace(0)))
     }
 
     /// A flight of bucket queries in two requests: every `(d_j, o_j)` is
     /// decided from the coins, the download phases of all queries are one
     /// `read_batch_with`, the queries then run in order against that
     /// snapshot — `update(j, contents)` sees exactly what query `j` of a
-    /// sequential run would have seen — and the overwrite phases are one
-    /// `write_batch_strided`, duplicate addresses kept, later wins.
+    /// sequential run would have seen, as the bucket's cells back to back,
+    /// and edits them where they lie: the shape is the slice's — and the
+    /// overwrite phases are one `write_batch_strided`, duplicate addresses
+    /// kept, later wins.
     ///
     /// The server sees the same address sequence, with the same joint
     /// distribution, as `flight.len()` separate [`BucketRam::query`] calls;
     /// only the grouping into requests differs. The client's stash changes
     /// only after the upload succeeded, so a storage error leaves it as it
-    /// was before the call. A wrongly shaped update makes that query an
-    /// identity update and is reported as [`BucketRamError::BadUpdate`]
-    /// after the flight ran to completion, keeping the transcript shape.
-    pub fn query_batch<F>(
+    /// was before the call.
+    pub fn query_batch(
         &mut self,
         flight: &[usize],
-        update: F,
+        update: impl FnMut(usize, &mut [u8]),
         rng: &mut ChaChaRng,
-    ) -> Result<Vec<BucketQueryOutput>, BucketRamError>
-    where
-        F: FnMut(usize, &mut Vec<Vec<u8>>),
-    {
+    ) -> Result<Flight<'_>, BucketRamError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = self.run_flight(flight, update, rng, &mut scratch);
         self.scratch = scratch;
-        result
+        result.map(|()| Flight(&self.scratch))
     }
 
-    fn run_flight<F>(
+    fn run_flight(
         &mut self,
         flight: &[usize],
-        mut update: F,
+        mut update: impl FnMut(usize, &mut [u8]),
         rng: &mut ChaChaRng,
         s: &mut FlightScratch,
-    ) -> Result<Vec<BucketQueryOutput>, BucketRamError>
-    where
-        F: FnMut(usize, &mut Vec<Vec<u8>>),
-    {
+    ) -> Result<(), BucketRamError> {
         let b = self.buckets.len();
         if let Some(&bucket) = flight.iter().find(|&&bucket| bucket >= b) {
             return Err(BucketRamError::BucketOutOfRange { bucket, b });
         }
+        let (cell_size, ct_len) = (self.cell_size, self.cell_size + CIPHERTEXT_OVERHEAD);
 
         // ---- Plan: Algorithm 3's coins, in query order, against the stash
         // membership as the earlier queries of this flight will leave it.
         s.plans.clear();
+        let mut contents = 0;
         for (j, &bucket) in flight.iter().enumerate() {
             let stashed = match flight[..j].iter().rposition(|&earlier| earlier == bucket) {
                 Some(i) => s.plans[i].stash,
@@ -443,35 +453,40 @@ impl<S: Storage> BucketRam<S> {
             let download = if stashed { rng.gen_index(b) } else { bucket };
             let stash = rng.gen_bool(self.stash_probability);
             let overwrite = if stash { rng.gen_index(b) } else { bucket };
-            s.plans
-                .push(QueryPlan { stashed, stash, trace: BucketTrace { download, overwrite } });
+            let trace = BucketTrace { download, overwrite };
+            s.plans.push(QueryPlan { stashed, stash, trace, contents });
+            contents += self.buckets[bucket].len() * cell_size;
         }
 
         // ---- One download: both phases' cells of every query. The plans
         // already say which of them will be read: a query that is not
         // stashed reads its own downloaded bucket, a query that stashes
         // refreshes bucket(o_j) from the server's copy.
-        let (cell_size, ct_len) = (self.cell_size, self.cell_size + CIPHERTEXT_OVERHEAD);
         s.addrs.clear();
-        let Snapshot { slot, ct, pt } = &mut s.snapshot;
+        let Snapshot { slot, held, ct, pt } = &mut s.snapshot;
         slot.clear();
-        let mut opened = 0;
         for plan in &s.plans {
             let phases = [(plan.trace.download, !plan.stashed), (plan.trace.overwrite, plan.stash)];
             for (bucket, read) in phases {
                 let cells = &self.buckets[bucket];
                 s.addrs.extend_from_slice(cells);
-                slot.extend((0..cells.len()).map(|i| read.then_some(opened + i)));
-                opened += if read { cells.len() } else { 0 };
+                slot.extend(cells.iter().map(|_| read.then_some(0)));
             }
         }
-        ct.resize(opened * ct_len, 0);
-        let mut malformed = None;
-        self.server.read_batch_with(&s.addrs, |i, cell| {
+        held.clear();
+        ct.clear();
+        let (addrs, mut malformed) = (&s.addrs, None);
+        self.server.read_batch_with(addrs, |i, cell| {
             if cell.len() != ct_len {
                 malformed.get_or_insert(i);
-            } else if let Some(slot) = slot[i] {
-                ct[slot * ct_len..][..ct_len].copy_from_slice(cell);
+            } else if slot[i].is_some() {
+                let mut opened = held.iter().zip(ct.chunks_exact(ct_len));
+                let twin = opened.position(|(&addr, copy)| addr == addrs[i] && copy == cell);
+                if twin.is_none() {
+                    held.push(addrs[i]);
+                    ct.extend_from_slice(cell);
+                }
+                slot[i] = twin.or(Some(held.len() - 1));
             }
         })?;
         // An odd-length cell must surface as a crypto error, not skew the
@@ -485,17 +500,16 @@ impl<S: Storage> BucketRam<S> {
 
         // ---- One batch decrypt: every cell of the decrypt set is
         // tag-verified before the first update runs.
-        pt.resize(opened * cell_size, 0);
-        if let Err(e) = self.cipher.decrypt_batch_to_slices(ct, opened, pt) {
-            return Err(self.name_bad_cell(&s.addrs, &mut s.snapshot, e));
+        pt.resize(held.len() * cell_size, 0);
+        if let Err(e) = self.cipher.decrypt_batch_to_slices(ct, held.len(), pt) {
+            return Err(self.name_bad_cell(&mut s.snapshot, e));
         }
 
         // ---- Execute the queries in order against the snapshot.
-        s.overlay.0.clear();
+        s.contents.clear();
+        s.overlay.clear();
         s.up_addrs.clear();
         s.up_pt.clear();
-        let mut done: Vec<BucketQueryOutput> = Vec::with_capacity(flight.len());
-        let mut bad_update = None;
         let mut at = 0; // cell cursor into the snapshot
         for (j, &bucket) in flight.iter().enumerate() {
             let plan = s.plans[j];
@@ -504,34 +518,42 @@ impl<S: Storage> BucketRam<S> {
             let refreshed = downloaded + self.buckets[plan.trace.download].len();
             at = refreshed + overwrite.len();
 
-            let mut contents = self.gather(bucket, downloaded, s, &done);
-            update(j, &mut contents);
-            if contents.len() != self.buckets[bucket].len()
-                || contents.iter().any(|c| c.len() != cell_size)
-            {
-                bad_update.get_or_insert_with(|| {
-                    BucketRamError::BadUpdate(format!(
-                        "update {j} must preserve bucket shape ({} cells of {cell_size} bytes)",
-                        self.buckets[bucket].len(),
-                    ))
-                });
-                contents = self.gather(bucket, downloaded, s, &done);
+            // The current logical contents of `bucket`. Per cell, in
+            // precedence order (Appendix E's overlap rule extended to a
+            // flight): the plaintext an earlier query of this flight gave
+            // it — which is also its client copy if the cell is stashed by
+            // now — then the client's pre-flight copy, then the downloaded
+            // cell. A bucket that is not stashed had its downloaded cells
+            // tag-verified even where a client copy wins.
+            for (i, cell) in self.buckets[bucket].iter().enumerate() {
+                if let Some(from) = latest(&s.overlay, *cell) {
+                    s.contents.extend_from_within(from..from + cell_size);
+                    continue;
+                }
+                let copy = self.cell_stash.get(cell).map(Vec::as_slice);
+                let plain = copy.or_else(|| s.snapshot.cell(downloaded + i, cell_size));
+                s.contents
+                    .extend_from_slice(plain.expect("a stashed bucket's cells are client-held"));
             }
-            s.overlay.record(j, &self.buckets[bucket]);
-            done.push((contents, plan.trace));
+            update(j, &mut s.contents[plan.contents..]);
+            let given = (plan.contents..).step_by(cell_size);
+            s.overlay.extend(self.buckets[bucket].iter().copied().zip(given));
 
             // Overwrite phase: the plaintexts of bucket(o_j).
             for (i, &cell) in overwrite.iter().enumerate() {
                 let plain = if plan.stash {
                     // Decoy refresh: the server's current plaintext, which
                     // is the snapshot's unless this flight rewrote the cell.
-                    s.overlay
-                        .latest(cell, &done)
-                        .or_else(|| s.snapshot.cell(refreshed + i, cell_size))
-                        .expect("a decoy refresh decrypts its cells")
+                    match latest(&s.overlay, cell) {
+                        Some(from) => &s.contents[from..from + cell_size],
+                        None => s
+                            .snapshot
+                            .cell(refreshed + i, cell_size)
+                            .expect("a decoy refresh decrypts its cells"),
+                    }
                 } else {
                     // o_j is the queried bucket: write it back fresh.
-                    &done[j].0[i]
+                    &s.contents[plan.contents + i * cell_size..][..cell_size]
                 };
                 s.up_pt.extend_from_slice(plain);
             }
@@ -539,77 +561,47 @@ impl<S: Storage> BucketRam<S> {
         }
 
         // ---- One batch encrypt, nonces in upload order.
-        let nonces = rng.draw_nonces(s.up_addrs.len());
+        s.nonces.resize(s.up_addrs.len(), Nonce::default());
+        rng.fill_nonces(&mut s.nonces);
         s.enc_flat.resize(s.up_addrs.len() * ct_len, 0);
         self.cipher
-            .encrypt_batch_with_nonces(&nonces, &s.up_pt, &mut s.enc_flat);
+            .encrypt_batch_with_nonces(&s.nonces, &s.up_pt, &mut s.enc_flat);
 
         // ---- One upload, then commit the stash changes: a failed request
         // returns above with the client state untouched.
         self.server.write_batch_strided(&s.up_addrs, &s.enc_flat)?;
-        for ((&bucket, plan), (contents, _)) in flight.iter().zip(&s.plans).zip(&done) {
+        let finished = Flight(s);
+        for (j, (&bucket, plan)) in flight.iter().zip(&s.plans).enumerate() {
             if plan.stashed {
                 self.unstash_bucket(bucket);
             }
             if plan.stash {
-                self.stash_bucket(bucket, contents);
+                self.stash_bucket(bucket, finished.contents(j));
             } else {
                 // Written back: keep the client copies other stashed
                 // buckets hold of these cells in sync.
+                let contents = finished.contents(j).chunks_exact(cell_size);
                 for (cell, content) in self.buckets[bucket].iter().zip(contents) {
                     if let Some(copy) = self.cell_stash.get_mut(cell) {
-                        copy.clone_from(content);
+                        copy.copy_from_slice(content);
                     }
                 }
             }
         }
-        match bad_update {
-            Some(e) => Err(e),
-            None => Ok(done),
-        }
-    }
-
-    /// The current logical contents of `bucket` for the next query of a
-    /// flight. Per cell, in precedence order (Appendix E's overlap rule
-    /// extended to a flight): the plaintext an earlier query of this flight
-    /// gave it — which is also its client copy if the cell is stashed by
-    /// now — then the client's pre-flight copy, then the downloaded cell
-    /// at position `downloaded + i`. A bucket that is not stashed had its
-    /// downloaded cells tag-verified even where a client copy wins.
-    fn gather(
-        &self,
-        bucket: usize,
-        downloaded: usize,
-        s: &FlightScratch,
-        done: &[BucketQueryOutput],
-    ) -> Vec<Vec<u8>> {
-        let cells = self.buckets[bucket].iter().enumerate();
-        cells
-            .map(|(i, cell)| {
-                s.overlay
-                    .latest(*cell, done)
-                    .or_else(|| self.cell_stash.get(cell).map(Vec::as_slice))
-                    .or_else(|| s.snapshot.cell(downloaded + i, self.cell_size))
-                    .expect("a stashed bucket's cells are client-held")
-                    .to_vec()
-            })
-            .collect()
+        Ok(())
     }
 
     /// The error of a failed batch decrypt, naming the server address of
     /// the first cell in download order that does not open. The batch
     /// reports only that some cell failed, so the decrypt set is rescanned
-    /// cell by cell — on this path only.
-    fn name_bad_cell(
-        &self,
-        addrs: &[usize],
-        snapshot: &mut Snapshot,
-        batch_error: CryptoError,
-    ) -> BucketRamError {
-        let ct_len = self.cell_size + CIPHERTEXT_OVERHEAD;
-        let Snapshot { slot, ct, pt } = snapshot;
-        let read = addrs.iter().zip(slot.iter()).filter(|(_, slot)| slot.is_some());
-        let bad = ct.chunks_exact(ct_len).zip(read).find_map(|(cell, (addr, _))| {
+    /// slot by slot — slots are in the order their cells first arrived —
+    /// on this path only.
+    fn name_bad_cell(&self, snapshot: &mut Snapshot, batch_error: CryptoError) -> BucketRamError {
+        let Snapshot { held, ct, pt, .. } = snapshot;
+        let mut opened = ct
+            .chunks_exact(self.cell_size + CIPHERTEXT_OVERHEAD)
+            .zip(held.iter());
+        let bad = opened.find_map(|(cell, addr)| {
             let error = self.cipher.decrypt_to_slice(cell, pt).err()?;
             Some(format!("cell {addr}: {error}"))
         });
@@ -635,15 +627,15 @@ mod tests {
     fn read_returns_initial_contents() {
         let (mut ram, mut rng) = fixture(0.3, 1);
         let (contents, _) = ram.query(2, |_| {}, &mut rng).unwrap();
-        assert_eq!(contents, vec![vec![2u8; 8], vec![4u8; 8], vec![5u8; 8]]);
+        assert_eq!(contents, [[2u8; 8], [4u8; 8], [5u8; 8]].concat());
     }
 
     #[test]
     fn update_persists() {
         let (mut ram, mut rng) = fixture(0.3, 2);
-        ram.query(1, |c| c[0] = vec![0xEE; 8], &mut rng).unwrap();
+        ram.query(1, |c| c[..8].fill(0xEE), &mut rng).unwrap();
         let (contents, _) = ram.query(1, |_| {}, &mut rng).unwrap();
-        assert_eq!(contents[0], vec![0xEE; 8]);
+        assert_eq!(contents[..8], [0xEE; 8]);
     }
 
     /// The Appendix E overlap rule: an update to a shared cell through one
@@ -654,10 +646,10 @@ mod tests {
         for seed in 0..20 {
             let (mut ram, mut rng) = fixture(0.5, 100 + seed);
             // Cell 4 is shared by all buckets; update through bucket 0.
-            ram.query(0, |c| c[1] = vec![0x77; 8], &mut rng).unwrap();
+            ram.query(0, |c| c[8..16].fill(0x77), &mut rng).unwrap();
             for b in 1..4 {
                 let (contents, _) = ram.query(b, |_| {}, &mut rng).unwrap();
-                assert_eq!(contents[1], vec![0x77; 8], "seed {seed}, bucket {b}");
+                assert_eq!(contents[8..16], [0x77; 8], "seed {seed}, bucket {b}");
             }
         }
     }
@@ -676,13 +668,13 @@ mod tests {
                 // Update a random position of the bucket.
                 let pos = rng.gen_index(3);
                 let value = vec![(step % 256) as u8; 8];
-                let v2 = value.clone();
-                ram.query(b, move |c| c[pos] = v2, &mut rng).unwrap();
+                ram.query(b, |c| c[pos * 8..][..8].copy_from_slice(&value), &mut rng)
+                    .unwrap();
                 reference[buckets[b][pos]] = value;
             } else {
                 let (contents, _) = ram.query(b, |_| {}, &mut rng).unwrap();
-                let expected: Vec<Vec<u8>> =
-                    buckets[b].iter().map(|&c| reference[c].clone()).collect();
+                let expected: Vec<u8> =
+                    buckets[b].iter().flat_map(|&c| reference[c].clone()).collect();
                 assert_eq!(contents, expected, "step {step}, bucket {b}");
             }
         }
@@ -719,20 +711,6 @@ mod tests {
         let freq = f64::from(self_hits) / f64::from(trials);
         let predicted = (1.0 - p) + p / 4.0;
         assert!((freq - predicted).abs() < 0.03, "measured {freq:.3}, predicted {predicted:.3}");
-    }
-
-    #[test]
-    fn bad_update_shapes_are_rejected() {
-        let (mut ram, mut rng) = fixture(0.0, 6);
-        assert!(matches!(
-            ram.query(0, |c| c.truncate(1), &mut rng),
-            Err(BucketRamError::BadUpdate(_))
-        ));
-        let (mut ram, mut rng) = fixture(0.0, 7);
-        assert!(matches!(
-            ram.query(0, |c| c[0] = vec![0u8; 3], &mut rng),
-            Err(BucketRamError::BadUpdate(_))
-        ));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use dps_crypto::{ChaChaRng, HmacPrf, Prf};
 use dps_hashing::forest::{choose_slot, ForestGeometry};
-use dps_server::cells::{decode_bucket, encode_bucket, Slot};
+use dps_server::cells::{edit_in_place, encode_bucket, probe, SlotEdit, SlotError};
 use dps_server::{SimServer, Storage};
 
 use crate::bucket_ram::{BucketRam, BucketRamError, BucketTrace};
@@ -119,28 +119,70 @@ pub struct KvsOpTrace {
 /// The node the single real update (if any) of an operation edits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Site {
-    /// The node at this height of the first candidate path.
-    PathA(usize),
-    /// The node at this height of the second candidate path.
-    PathB(usize),
+    /// The node at `height` of the path retrieval `query` (0 or 1) read.
+    Path { query: usize, height: usize },
     /// The client-resident super root.
     SuperRoot,
 }
 
-/// What the real update does to the operation's key in its node.
-#[derive(Debug, Clone)]
-enum Edit {
-    /// Overwrite the value of the (present) key.
-    Update(Vec<u8>),
-    /// Add the (absent) key with this value.
-    Insert(Vec<u8>),
-    /// Remove the key.
+/// What an operation does to its key.
+#[derive(Debug, Clone, Copy)]
+enum Op<'v> {
+    Get,
+    Put(&'v [u8]),
     Remove,
 }
 
-/// The one real update of an operation; `None` makes all four bucket
-/// queries fake.
-type NodePlan = Option<(Site, Edit)>;
+fn corrupt(e: SlotError) -> DpKvsError {
+    DpKvsError::CorruptNode(e.to_string())
+}
+
+/// Reads one retrieved path where it lies, leaf to root: fills `loads` with
+/// its node loads and returns the height and stored value of the first node
+/// holding `key`.
+fn scan_path<'c>(
+    config: &DpKvsConfig,
+    cells: &'c [u8],
+    key: u64,
+    loads: &mut Vec<usize>,
+) -> Result<Option<(usize, &'c [u8])>, DpKvsError> {
+    let (capacity, value_size) = (config.geometry.node_capacity, config.value_size);
+    let mut found = None;
+    loads.clear();
+    for (height, node) in cells.chunks_exact(config.cell_size()).enumerate() {
+        let (load, stored) = probe(node, capacity, value_size, key).map_err(corrupt)?;
+        loads.push(load);
+        found = found.or(stored.map(|stored| (height, stored)));
+    }
+    Ok(found)
+}
+
+/// The one real update of an operation whose key lives at `site`; `None`
+/// makes all four bucket queries fake.
+fn decide<'v>(
+    geometry: &ForestGeometry,
+    op: Op<'v>,
+    site: Option<Site>,
+    loads: &[Vec<usize>; 2],
+    super_root_load: usize,
+) -> Result<Option<(Site, SlotEdit<'v>)>, DpKvsError> {
+    Ok(match (op, site) {
+        (Op::Get, _) | (Op::Remove, None) => None,
+        (Op::Remove, Some(site)) => Some((site, SlotEdit::Remove)),
+        // Existing key: in-place update wherever it lives.
+        (Op::Put(value), Some(site)) => Some((site, SlotEdit::Update(value))),
+        // New key: the storing algorithm S (shared with the in-memory forest
+        // via `choose_slot`).
+        (Op::Put(value), None) => {
+            let site = match choose_slot(&loads[0], &loads[1], geometry.node_capacity) {
+                Some((query, height)) => Site::Path { query, height },
+                None if super_root_load < geometry.super_root_capacity => Site::SuperRoot,
+                None => return Err(DpKvsError::CapacityExhausted),
+            };
+            Some((site, SlotEdit::Insert(value)))
+        }
+    })
+}
 
 /// A DP-KVS client bound to a simulated server.
 #[derive(Debug)]
@@ -151,6 +193,8 @@ pub struct DpKvs<S: Storage = SimServer> {
     prf2: HmacPrf,
     super_root: Vec<(u64, Vec<u8>)>,
     len: usize,
+    /// Scratch: the node loads of an operation's two paths, leaf to root.
+    loads: [Vec<usize>; 2],
 }
 
 impl<S: Storage> DpKvs<S> {
@@ -182,6 +226,7 @@ impl<S: Storage> DpKvs<S> {
             ram,
             super_root: Vec::new(),
             len: 0,
+            loads: Default::default(),
         })
     }
 
@@ -235,162 +280,88 @@ impl<S: Storage> DpKvs<S> {
         (self.prf1.eval_range(&bytes, n) as usize, self.prf2.eval_range(&bytes, n) as usize)
     }
 
-    fn decode_path(
-        cells: &[Vec<u8>],
-        capacity: usize,
-        value_size: usize,
-    ) -> Result<Vec<Vec<Slot>>, DpKvsError> {
-        cells
-            .iter()
-            .map(|c| {
-                decode_bucket(c, capacity, value_size)
-                    .map_err(|e| DpKvsError::CorruptNode(e.to_string()))
-            })
-            .collect()
-    }
-
-    /// Applies `edit` for `key` to one encoded node cell; the cell is
-    /// untouched on error.
-    fn edit_node(
-        cell: &mut Vec<u8>,
-        key: u64,
-        edit: &Edit,
-        capacity: usize,
-        value_size: usize,
-    ) -> Result<(), DpKvsError> {
-        let mut slots = decode_bucket(cell, capacity, value_size)
-            .map_err(|e| DpKvsError::CorruptNode(e.to_string()))?;
-        match edit {
-            Edit::Update(value) => {
-                if let Some(slot) = slots.iter_mut().find(|s| s.id == key) {
-                    slot.payload = value.clone();
-                }
-            }
-            Edit::Insert(value) => slots.push(Slot { id: key, payload: value.clone() }),
-            Edit::Remove => slots.retain(|s| s.id != key),
-        }
-        *cell = encode_bucket(&slots, capacity, value_size);
-        Ok(())
-    }
-
     /// The shared four-query engine: one flight `[a, b, a, b]` of the
     /// bucketed DP-RAM — two requests. Queries 0 and 1 retrieve the two
-    /// paths; `decide` then inspects them (leaf-to-root) and the super root
-    /// and returns the operation's one real update plus its result value;
-    /// queries 2 and 3 are the update pass, at most one of them real.
+    /// paths; where `key` lives — first path, second path, super root —
+    /// decides the operation's one real update and its result value;
+    /// queries 2 and 3 are the update pass, at most one of them real,
+    /// editing the encoded node where it lies in the flight's arena.
     ///
-    /// The transcript shape does not depend on the outcome: an error from
-    /// path decoding, `decide` or the edit turns the remaining updates into
+    /// The transcript shape does not depend on the outcome: a corrupt node
+    /// or an exhausted mapping scheme turns the remaining updates into
     /// fakes and is returned after the upload. Client state (`len`, the
     /// super root) changes only once the flight succeeded.
-    fn operate<R>(
+    fn operate(
         &mut self,
         key: u64,
+        op: Op<'_>,
         rng: &mut ChaChaRng,
-        decide: impl FnOnce(
-            &[(u64, Vec<u8>)],
-            &[Vec<Slot>],
-            &[Vec<Slot>],
-        ) -> Result<(NodePlan, R), DpKvsError>,
-    ) -> Result<(R, KvsOpTrace), DpKvsError> {
+    ) -> Result<(Option<Vec<u8>>, KvsOpTrace), DpKvsError> {
         let (a, b) = self.buckets_for(key);
-        let capacity = self.config.geometry.node_capacity;
-        let value_size = self.config.value_size;
-        let super_root = &self.super_root;
+        let Self { config, ram, super_root, loads, len, .. } = self;
+        let (capacity, value_size) = (config.geometry.node_capacity, config.value_size);
+        let cell_size = config.cell_size();
 
-        let mut decide = Some(decide);
-        let mut path_a = Vec::new();
-        let mut decision = None;
-        let mut failure = None;
-        let flight = self.ram.query_batch(
+        let (mut site, mut value, mut plan, mut failure) = (None, None, None, None);
+        let flight = ram.query_batch(
             &[a, b, a, b],
             |query, cells| {
                 if failure.is_some() {
                     return;
                 }
-                let step = match query {
-                    0 => Self::decode_path(cells, capacity, value_size).map(|path| path_a = path),
-                    1 => Self::decode_path(cells, capacity, value_size)
-                        .and_then(|path_b| {
-                            let decide = decide.take().expect("query 1 runs once");
-                            decide(super_root, &path_a, &path_b)
-                        })
-                        .map(|decided| decision = Some(decided)),
-                    _ => match &decision {
-                        Some((Some((Site::PathA(height), edit)), _)) if query == 2 => {
-                            Self::edit_node(&mut cells[*height], key, edit, capacity, value_size)
+                let mut step = || match (query, plan) {
+                    (0 | 1, _) => {
+                        let on_path = scan_path(config, cells, key, &mut loads[query])?;
+                        let mut hit = on_path.map(|(height, v)| (Site::Path { query, height }, v));
+                        if query == 1 {
+                            let held = super_root.iter().find(|(k, _)| *k == key);
+                            hit = hit.or(held.map(|(_, v)| (Site::SuperRoot, v.as_slice())));
                         }
-                        Some((Some((Site::PathB(height), edit)), _)) if query == 3 => {
-                            Self::edit_node(&mut cells[*height], key, edit, capacity, value_size)
+                        if let (None, Some((at, stored))) = (site, hit) {
+                            site = Some(at);
+                            // A put returns nothing: it needs no copy.
+                            value = (!matches!(op, Op::Put(_))).then(|| stored.to_vec());
                         }
-                        _ => Ok(()),
-                    },
+                        if query == 1 {
+                            plan = decide(&config.geometry, op, site, loads, super_root.len())?;
+                        }
+                        Ok(())
+                    }
+                    (_, Some((Site::Path { query: path, height }, edit))) if query == path + 2 => {
+                        let node = &mut cells[height * cell_size..][..cell_size];
+                        edit_in_place(node, capacity, value_size, key, edit).map_err(corrupt)
+                    }
+                    _ => Ok(()),
                 };
-                if let Err(e) = step {
-                    failure = Some(e);
-                }
+                failure = step().err();
             },
             rng,
         )?;
+        let [retrieve_a, retrieve_b, update_a, update_b] = [0, 1, 2, 3].map(|j| flight.trace(j));
         if let Some(e) = failure {
             return Err(e);
         }
-        let (plan, result) = decision.expect("query 1 decided");
 
         // Commit the client side of the operation.
         if let Some((site, edit)) = plan {
             match edit {
-                Edit::Insert(_) => self.len += 1,
-                Edit::Remove => self.len -= 1,
-                Edit::Update(_) => {}
+                SlotEdit::Insert(_) => *len += 1,
+                SlotEdit::Remove => *len -= 1,
+                SlotEdit::Update(_) => {}
             }
             if site == Site::SuperRoot {
                 match edit {
-                    Edit::Update(value) => {
-                        if let Some(entry) = self.super_root.iter_mut().find(|(k, _)| *k == key) {
-                            entry.1 = value;
+                    SlotEdit::Update(new) => {
+                        if let Some(entry) = super_root.iter_mut().find(|(k, _)| *k == key) {
+                            entry.1.copy_from_slice(new);
                         }
                     }
-                    Edit::Insert(value) => self.super_root.push((key, value)),
-                    Edit::Remove => self.super_root.retain(|(k, _)| *k != key),
+                    SlotEdit::Insert(new) => super_root.push((key, new.to_vec())),
+                    SlotEdit::Remove => super_root.retain(|(k, _)| *k != key),
                 }
             }
         }
-
-        let trace = KvsOpTrace {
-            retrieve_a: flight[0].1,
-            retrieve_b: flight[1].1,
-            update_a: flight[2].1,
-            update_b: flight[3].1,
-        };
-        Ok((result, trace))
-    }
-
-    fn find_in_path(path: &[Vec<Slot>], key: u64) -> Option<(usize, Vec<u8>)> {
-        for (height, slots) in path.iter().enumerate() {
-            if let Some(slot) = slots.iter().find(|s| s.id == key) {
-                return Some((height, slot.payload.clone()));
-            }
-        }
-        None
-    }
-
-    /// Where `key` lives — first path, second path or super root — and its
-    /// value there.
-    fn locate(
-        super_root: &[(u64, Vec<u8>)],
-        path_a: &[Vec<Slot>],
-        path_b: &[Vec<Slot>],
-        key: u64,
-    ) -> Option<(Site, Vec<u8>)> {
-        if let Some((height, value)) = Self::find_in_path(path_a, key) {
-            return Some((Site::PathA(height), value));
-        }
-        if let Some((height, value)) = Self::find_in_path(path_b, key) {
-            return Some((Site::PathB(height), value));
-        }
-        let (_, value) = super_root.iter().find(|(k, _)| *k == key)?;
-        Some((Site::SuperRoot, value.clone()))
+        Ok((value, KvsOpTrace { retrieve_a, retrieve_b, update_a, update_b }))
     }
 
     /// Looks up `key`. Hits and misses have identical transcript shapes.
@@ -404,10 +375,7 @@ impl<S: Storage> DpKvs<S> {
         key: u64,
         rng: &mut ChaChaRng,
     ) -> Result<(Option<Vec<u8>>, KvsOpTrace), DpKvsError> {
-        self.operate(key, rng, |super_root, path_a, path_b| {
-            let found = Self::locate(super_root, path_a, path_b, key).map(|(_, value)| value);
-            Ok((None, found))
-        })
+        self.operate(key, Op::Get, rng)
     }
 
     /// Inserts or updates `key`.
@@ -428,37 +396,13 @@ impl<S: Storage> DpKvs<S> {
                 expected: self.config.value_size,
             });
         }
-        let geometry = self.config.geometry;
-        let (_, trace) = self.operate(key, rng, move |super_root, path_a, path_b| {
-            // Existing key: in-place update wherever it lives.
-            if let Some((site, _)) = Self::locate(super_root, path_a, path_b, key) {
-                return Ok((Some((site, Edit::Update(value))), ()));
-            }
-            // New key: the storing algorithm S (shared with the in-memory
-            // forest via `choose_slot`).
-            let loads_a: Vec<usize> = path_a.iter().map(Vec::len).collect();
-            let loads_b: Vec<usize> = path_b.iter().map(Vec::len).collect();
-            let site = match choose_slot(&loads_a, &loads_b, geometry.node_capacity) {
-                Some((0, height)) => Site::PathA(height),
-                Some((_, height)) => Site::PathB(height),
-                None if super_root.len() < geometry.super_root_capacity => Site::SuperRoot,
-                None => return Err(DpKvsError::CapacityExhausted),
-            };
-            Ok((Some((site, Edit::Insert(value))), ()))
-        })?;
-        Ok(trace)
+        Ok(self.operate(key, Op::Put(&value), rng)?.1)
     }
 
     /// Removes `key`, returning its value (an extension beyond the paper's
     /// read/overwrite interface; same four-query transcript shape).
     pub fn remove(&mut self, key: u64, rng: &mut ChaChaRng) -> Result<Option<Vec<u8>>, DpKvsError> {
-        let (result, _) = self.operate(key, rng, |super_root, path_a, path_b| {
-            Ok(match Self::locate(super_root, path_a, path_b, key) {
-                Some((site, value)) => (Some((site, Edit::Remove)), Some(value)),
-                None => (None, None),
-            })
-        })?;
-        Ok(result)
+        Ok(self.operate(key, Op::Remove, rng)?.0)
     }
 }
 

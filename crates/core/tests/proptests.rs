@@ -3,7 +3,7 @@
 //! invariants of the typed transcripts.
 
 use dps_analysis::stats::chi_square_two_sample;
-use dps_core::bucket_ram::{BucketRam, BucketRamError, BucketTrace};
+use dps_core::bucket_ram::{BucketRam, BucketRamError, BucketTrace, Flight};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig};
 use dps_crypto::{BlockCipher, ChaChaRng};
@@ -124,13 +124,11 @@ proptest! {
         let mut ram = BucketRam::setup(cells, buckets.clone(), p, SimServer::new(), &mut rng).unwrap();
         for (step, (b, pos, byte, is_write)) in ops.into_iter().enumerate() {
             if is_write {
-                let value = vec![byte; 4];
-                let v2 = value.clone();
-                ram.query(b, move |c| c[pos] = v2, &mut rng).unwrap();
-                model[buckets[b][pos]] = value;
+                ram.query(b, |c| c[pos * 4..][..4].fill(byte), &mut rng).unwrap();
+                model[buckets[b][pos]] = vec![byte; 4];
             } else {
                 let (contents, trace) = ram.query(b, |_| {}, &mut rng).unwrap();
-                let expected: Vec<Vec<u8>> = buckets[b].iter().map(|&c| model[c].clone()).collect();
+                let expected: Vec<u8> = buckets[b].iter().flat_map(|&c| model[c].clone()).collect();
                 prop_assert_eq!(contents, expected, "step {}", step);
                 prop_assert!(trace.download < 4 && trace.overwrite < 4);
             }
@@ -159,6 +157,14 @@ proptest! {
         }
         prop_assert!(set.iter().all(|&x| x < n));
     }
+}
+
+/// A finished flight of `k` queries, owned: each query's post-update
+/// contents and trace.
+fn owned(flight: Flight<'_>, k: usize) -> Vec<(Vec<u8>, BucketTrace)> {
+    (0..k)
+        .map(|j| (flight.contents(j).to_vec(), flight.trace(j)))
+        .collect()
 }
 
 proptest! {
@@ -203,8 +209,8 @@ proptest! {
                 .collect(),
         };
         let mut model: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 4]).collect();
-        let view = |model: &[Vec<u8>], bucket: usize| -> Vec<Vec<u8>> {
-            buckets[bucket].iter().map(|&c| model[c].clone()).collect()
+        let view = |model: &[Vec<u8>], bucket: usize| -> Vec<u8> {
+            buckets[bucket].iter().flat_map(|&c| model[c].clone()).collect()
         };
         let mut rng = ChaChaRng::seed_from_u64(seed);
         let p = [0.0, 0.5, 1.0][p];
@@ -216,25 +222,20 @@ proptest! {
             // (contents handed to the update, model view before it, model view after it)
             let mut seen = Vec::new();
             ram.server_mut().start_recording();
-            let out = ram
-                .query_batch(
-                    &queried,
-                    |j, contents| {
-                        let (_, position, byte, is_write) = flight[j];
-                        let (handed, before) = (contents.clone(), view(&model, queried[j]));
-                        if is_write {
-                            let position = position % contents.len();
-                            contents[position] = vec![byte; 4];
-                            model[buckets[queried[j]][position]] = vec![byte; 4];
-                        }
-                        seen.push((handed, before, view(&model, queried[j])));
-                    },
-                    &mut rng,
-                )
-                .unwrap();
+            let update = |j: usize, contents: &mut [u8]| {
+                let (_, position, byte, is_write) = flight[j];
+                let (handed, before) = (contents.to_vec(), view(&model, queried[j]));
+                if is_write {
+                    let position = position % buckets[queried[j]].len();
+                    contents[position * 4..][..4].fill(byte);
+                    model[buckets[queried[j]][position]] = vec![byte; 4];
+                }
+                seen.push((handed, before, view(&model, queried[j])));
+            };
+            let out = owned(ram.query_batch(&queried, update, &mut rng).unwrap(), queried.len());
             let transcript = ram.server_mut().take_transcript();
 
-            prop_assert_eq!(out.len(), queried.len());
+            prop_assert_eq!(seen.len(), queried.len());
             for (j, (handed, before, after)) in seen.iter().enumerate() {
                 prop_assert_eq!(handed, before, "step {}, query {} saw stale cells", step, j);
                 prop_assert_eq!(&out[j].0, after, "step {}, query {} returned", step, j);
@@ -256,8 +257,8 @@ proptest! {
 
             let every: Vec<usize> = (0..buckets.len()).collect();
             let all = ram.query_batch(&every, |_, _| {}, &mut rng).unwrap();
-            for (b, (contents, _)) in all.iter().enumerate() {
-                prop_assert_eq!(contents, &view(&model, b), "step {}, bucket {}", step, b);
+            for b in every {
+                prop_assert_eq!(all.contents(b), view(&model, b), "step {}, bucket {}", step, b);
             }
         }
     }
@@ -295,13 +296,8 @@ fn flight_and_sequential_queries_share_one_view_distribution() {
                 4 => 1,
                 _ => 2,
             };
-            let views: Vec<BucketTrace> = batched
-                .query_batch(&[x, y], |_, _| {}, &mut rng)
-                .unwrap()
-                .iter()
-                .map(|(_, trace)| *trace)
-                .collect();
-            counts[stratum][0][category(&views)] += 1;
+            let flight = batched.query_batch(&[x, y], |_, _| {}, &mut rng).unwrap();
+            counts[stratum][0][category(&[flight.trace(0), flight.trace(1)])] += 1;
 
             // The twin starts from the same stash; its coins are its own.
             let (mut sequential, _) = fixture(seed);
@@ -319,70 +315,45 @@ fn flight_and_sequential_queries_share_one_view_distribution() {
     }
 }
 
-/// Tamper sweep over a flight's decrypt set — the cells its plans say will
-/// be read: the downloaded bucket of every query that is not stashed, and
-/// `bucket(o_j)` of every query whose stash coin came up. The set is opened
-/// by one batch decrypt (8 cells per wide pass, then 4, then one by one), so
-/// for flights `[a, b, a, b]` over 5-cell buckets at `p = 0.5` (0 to 40
-/// cells) every download position is tried: a flipped bit in a server cell
-/// of the set fails the flight before anything is uploaded or the client
-/// changes, names the cell, and the flight succeeds once the cell is
-/// restored; a flipped bit in a cell the flight downloads only outside the
-/// set (a decoy) goes unnoticed, as it always did — batching neither widens
-/// nor narrows what is verified.
-///
-/// The set is derived here from the coins, replayed in the order set-up and
-/// the plan step draw them (NOTES entries 1 and 3).
-#[test]
-fn flight_verifies_exactly_its_decrypt_set() {
-    const P: f64 = 0.5;
-    // Root-to-leaf paths of a binary tree under a two-cell trunk: a bucket's
-    // last cell is its own, so late slots of the set hold fresh addresses.
-    let buckets: Vec<Vec<usize>> = (0..8).map(|i| vec![15, 14, 12 + i / 4, 8 + i / 2, i]).collect();
-    let cells: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 8]).collect();
-    let build = |seed: u64| {
-        let mut rng = ChaChaRng::seed_from_u64(seed);
-        let ram = BucketRam::setup(cells.clone(), buckets.clone(), P, SimServer::new(), &mut rng);
-        (ram.unwrap(), rng)
-    };
+const SWEEP_P: f64 = 0.5;
 
-    let mut lane_classes = [0u32; 3]; // first failing cell in an 8-group, the 4-group, the tail
-    let mut unnoticed = 0u32;
-    for seed in 0..32u64 {
+/// One seeded flight `[a, b, a, b]` of the two sweeps below, at `p = 0.5`
+/// over 5-cell buckets (0 to 40 downloaded cells), whose third query
+/// rewrites cell 1 of `a`.
+struct SweepCase {
+    seed: u64,
+    /// Root-to-leaf paths of a binary tree under a two-cell trunk: a
+    /// bucket's last cell is its own, so late slots hold fresh addresses.
+    buckets: Vec<Vec<usize>>,
+    cells: Vec<Vec<u8>>,
+    flight: [usize; 4],
+    /// What the server holds after a sequential run of the flight.
+    after: Vec<Vec<u8>>,
+    /// The `(d_j, o_j)` of the flight and the (server address, in the
+    /// decrypt set) of every download position — the downloaded bucket of
+    /// every query that is not stashed, `bucket(o_j)` of every query whose
+    /// stash coin came up — replayed from the coins in the order set-up and
+    /// the plan step draw them (NOTES entries 1 and 3).
+    traces: Vec<BucketTrace>,
+    positions: Vec<(usize, bool)>,
+}
+
+impl SweepCase {
+    fn new(seed: u64) -> Self {
+        let buckets: Vec<Vec<usize>> =
+            (0..8).map(|i| vec![15, 14, 12 + i / 4, 8 + i / 2, i]).collect();
+        let cells: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 8]).collect();
         let (a, b) = (seed as usize % 8, seed as usize / 4);
         let flight = [a, b, a, b];
-        let run = |ram: &mut BucketRam, rng: &mut ChaChaRng| {
-            let update = |j: usize, contents: &mut Vec<Vec<u8>>| {
-                if j == 2 {
-                    contents[1] = vec![0xAB; 8];
-                }
-            };
-            ram.query_batch(&flight, update, rng)
-        };
-        // What a sequential run returns, and leaves behind.
         let mut after = cells.clone();
         after[buckets[a][1]] = vec![0xAB; 8];
-        let view = |model: &[Vec<u8>], bucket: usize| -> Vec<Vec<u8>> {
-            buckets[bucket].iter().map(|&c| model[c].clone()).collect()
-        };
-        let expected = [view(&cells, a), view(&cells, b), view(&after, a), view(&after, b)];
-        let check = |out: Vec<(Vec<Vec<u8>>, BucketTrace)>, ram: &mut BucketRam, rng: &mut _| {
-            for (j, (contents, _)) in out.iter().enumerate() {
-                assert_eq!(contents, &expected[j], "seed {seed}, query {j}");
-            }
-            let every: Vec<usize> = (0..buckets.len()).collect();
-            let all = ram.query_batch(&every, |_, _| {}, rng).unwrap();
-            for (bucket, (contents, _)) in all.iter().enumerate() {
-                assert_eq!(contents, &view(&after, bucket), "seed {seed}, bucket {bucket}");
-            }
-        };
 
-        // Replay the coins: cipher key, one nonce per cell, one stash coin
-        // per bucket; then Algorithm 3's draws for each query of the flight.
+        // Cipher key, one nonce per cell, one stash coin per bucket; then
+        // Algorithm 3's draws for each query of the flight.
         let mut coins = ChaChaRng::seed_from_u64(seed);
         BlockCipher::generate(&mut coins);
         coins.draw_nonces(cells.len());
-        let stashed_at_setup: Vec<bool> = buckets.iter().map(|_| coins.gen_bool(P)).collect();
+        let stashed_at_setup: Vec<bool> = buckets.iter().map(|_| coins.gen_bool(SWEEP_P)).collect();
         let mut plans: Vec<(bool, bool, BucketTrace)> = Vec::new();
         for (j, &bucket) in flight.iter().enumerate() {
             let stashed = match flight[..j].iter().rposition(|&earlier| earlier == bucket) {
@@ -390,79 +361,279 @@ fn flight_verifies_exactly_its_decrypt_set() {
                 None => stashed_at_setup[bucket],
             };
             let download = if stashed { coins.gen_index(buckets.len()) } else { bucket };
-            let stash = coins.gen_bool(P);
+            let stash = coins.gen_bool(SWEEP_P);
             let overwrite = if stash { coins.gen_index(buckets.len()) } else { bucket };
             plans.push((stashed, stash, BucketTrace { download, overwrite }));
         }
-        // (server address, in the decrypt set) per download position.
-        let mut snapshot: Vec<(usize, bool)> = Vec::new();
+        let mut positions: Vec<(usize, bool)> = Vec::new();
         for &(stashed, stash, trace) in &plans {
-            snapshot.extend(buckets[trace.download].iter().map(|&c| (c, !stashed)));
-            snapshot.extend(buckets[trace.overwrite].iter().map(|&c| (c, stash)));
+            positions.extend(buckets[trace.download].iter().map(|&c| (c, !stashed)));
+            positions.extend(buckets[trace.overwrite].iter().map(|&c| (c, stash)));
         }
-        let opened = snapshot.iter().filter(|&&(_, read)| read).count();
+        let traces = plans.iter().map(|&(_, _, trace)| trace).collect();
+        Self { seed, buckets, cells, flight, after, traces, positions }
+    }
 
-        let (mut ram, mut rng) = build(seed);
-        let out = run(&mut ram, &mut rng).unwrap();
+    fn build<S: Storage>(&self, server: S) -> (BucketRam<S>, ChaChaRng) {
+        let mut rng = ChaChaRng::seed_from_u64(self.seed);
+        let (cells, buckets) = (self.cells.clone(), self.buckets.clone());
+        (BucketRam::setup(cells, buckets, SWEEP_P, server, &mut rng).unwrap(), rng)
+    }
+
+    fn run<S: Storage>(
+        &self,
+        ram: &mut BucketRam<S>,
+        rng: &mut ChaChaRng,
+    ) -> Result<Vec<(Vec<u8>, BucketTrace)>, BucketRamError> {
+        let update = |j: usize, contents: &mut [u8]| {
+            if j == 2 {
+                contents[8..16].fill(0xAB);
+            }
+        };
+        Ok(owned(ram.query_batch(&self.flight, update, rng)?, 4))
+    }
+
+    fn view(&self, model: &[Vec<u8>], bucket: usize) -> Vec<u8> {
+        self.buckets[bucket]
+            .iter()
+            .flat_map(|&c| model[c].clone())
+            .collect()
+    }
+
+    /// `out` is what a sequential run returns, and every bucket now reads
+    /// as that run leaves it.
+    fn check<S: Storage>(
+        &self,
+        out: Vec<(Vec<u8>, BucketTrace)>,
+        ram: &mut BucketRam<S>,
+        rng: &mut ChaChaRng,
+    ) {
+        let seed = self.seed;
+        for (j, (contents, _)) in out.iter().enumerate() {
+            let model = if j < 2 { &self.cells } else { &self.after };
+            assert_eq!(contents, &self.view(model, self.flight[j]), "seed {seed}, query {j}");
+        }
+        let every: Vec<usize> = (0..self.buckets.len()).collect();
+        let all = ram.query_batch(&every, |_, _| {}, rng).unwrap();
+        for bucket in every {
+            let expected = self.view(&self.after, bucket);
+            assert_eq!(all.contents(bucket), expected, "seed {seed}, bucket {bucket}");
+        }
+    }
+
+    /// The flight failed on `addr` after its download alone, and left the
+    /// client as it was.
+    fn assert_failed_on<S: Storage>(
+        &self,
+        outcome: Result<Vec<(Vec<u8>, BucketTrace)>, BucketRamError>,
+        addr: usize,
+        ram: &BucketRam<S>,
+        before: (dps_server::CostStats, usize, usize),
+        at: usize,
+    ) {
+        let seed = self.seed;
+        match outcome {
+            Err(BucketRamError::Crypto(message)) => assert!(
+                message.starts_with(&format!("cell {addr}: ")),
+                "seed {seed}, position {at}: {message}"
+            ),
+            other => panic!("seed {seed}, position {at}: expected a crypto error, got {other:?}"),
+        }
+        let moved = ram.server_stats().since(&before.0);
+        assert_eq!(
+            (moved.downloads, moved.uploads, moved.round_trips),
+            (self.positions.len() as u64, 0, 1),
+            "seed {seed}, position {at}"
+        );
+        assert_eq!(
+            (ram.stashed_bucket_count(), ram.stashed_cell_count()),
+            (before.1, before.2),
+            "seed {seed}, position {at}: a failed flight must leave the stash alone"
+        );
+    }
+}
+
+fn client_state<S: Storage>(ram: &BucketRam<S>) -> (dps_server::CostStats, usize, usize) {
+    (ram.server_stats(), ram.stashed_bucket_count(), ram.stashed_cell_count())
+}
+
+/// Tamper sweep over a flight's decrypt set — the cells its plans say will
+/// be read. The set is opened by one batch decrypt of its *distinct*
+/// ciphertexts (a cell of the set downloaded twice holds one slot; 8 cells
+/// per wide pass, then 4, then one by one), so every download position is
+/// tried: a flipped bit in a server cell of the set fails the flight before
+/// anything is uploaded or the client changes, names the cell, and the
+/// flight succeeds once the cell is restored; a flipped bit in a cell the
+/// flight downloads only outside the set (a decoy) goes unnoticed, as it
+/// always did — batching neither widens nor narrows what is verified.
+#[test]
+fn flight_verifies_exactly_its_decrypt_set() {
+    let mut lane_classes = [0u32; 3]; // first failing cell in an 8-group, the 4-group, the tail
+    let mut unnoticed = 0u32;
+    for seed in 0..32u64 {
+        let case = SweepCase::new(seed);
+        let (mut ram, mut rng) = case.build(SimServer::new());
+        let out = case.run(&mut ram, &mut rng).unwrap();
         let traces: Vec<BucketTrace> = out.iter().map(|(_, trace)| *trace).collect();
-        let replayed: Vec<BucketTrace> = plans.iter().map(|&(_, _, trace)| trace).collect();
-        assert_eq!(traces, replayed, "seed {seed}: the replayed coins are the flight's");
-        check(out, &mut ram, &mut rng);
+        assert_eq!(traces, case.traces, "seed {seed}: the replayed coins are the flight's");
+        case.check(out, &mut ram, &mut rng);
 
-        for (at, &(addr, _)) in snapshot.iter().enumerate() {
-            let (mut ram, mut rng) = build(seed);
+        // One slot per distinct address of the set, in download order: the
+        // server is honest within a flight, so both copies are byte-equal.
+        let mut slots: Vec<usize> = Vec::new();
+        for &(addr, read) in &case.positions {
+            if read && !slots.contains(&addr) {
+                slots.push(addr);
+            }
+        }
+        for (at, &(addr, _)) in case.positions.iter().enumerate() {
+            let (mut ram, mut rng) = case.build(SimServer::new());
             let good = ram.server_mut().read(addr).unwrap();
             let mut bad = good.clone();
             bad[at % good.len()] ^= 1 << (at % 8);
             ram.server_mut().write(addr, bad.clone()).unwrap();
-            let before = ram.server_stats();
-            let client = (ram.stashed_bucket_count(), ram.stashed_cell_count());
+            let before = client_state(&ram);
 
-            // The batch fails at the first slot of the set holding `addr`.
-            let first_slot = snapshot
-                .iter()
-                .filter(|&&(_, read)| read)
-                .position(|&(cell, _)| cell == addr);
-            let Some(slot) = first_slot else {
-                let out = run(&mut ram, &mut rng).unwrap();
+            // The batch fails at the slot holding `addr`.
+            let Some(slot) = slots.iter().position(|&cell| cell == addr) else {
+                let out = case.run(&mut ram, &mut rng).unwrap();
                 // A decoy stays as it was; a written-back cell was replaced.
                 if ram.server_mut().read(addr).unwrap() == bad {
                     ram.server_mut().write(addr, good).unwrap();
                 }
-                check(out, &mut ram, &mut rng);
+                case.check(out, &mut ram, &mut rng);
                 unnoticed += 1;
                 continue;
             };
             let lane_class = match slot {
-                _ if slot < opened / 8 * 8 => 0,
-                _ if slot < opened / 4 * 4 => 1,
+                _ if slot < slots.len() / 8 * 8 => 0,
+                _ if slot < slots.len() / 4 * 4 => 1,
                 _ => 2,
             };
             lane_classes[lane_class] += 1;
-            match run(&mut ram, &mut rng) {
-                Err(BucketRamError::Crypto(message)) => assert!(
-                    message.starts_with(&format!("cell {addr}: ")),
-                    "seed {seed}, position {at}: {message}"
-                ),
-                other => {
-                    panic!("seed {seed}, position {at}: expected a crypto error, got {other:?}")
-                }
-            }
-            let moved = ram.server_stats().since(&before);
-            assert_eq!(
-                (moved.downloads, moved.uploads, moved.round_trips),
-                (snapshot.len() as u64, 0, 1),
-                "seed {seed}, position {at}"
-            );
-            assert_eq!(
-                (ram.stashed_bucket_count(), ram.stashed_cell_count()),
-                client,
-                "seed {seed}, position {at}: a failed flight must leave the stash alone"
-            );
+            let outcome = case.run(&mut ram, &mut rng);
+            case.assert_failed_on(outcome, addr, &ram, before, at);
             ram.server_mut().write(addr, good).unwrap();
-            check(run(&mut ram, &mut rng).unwrap(), &mut ram, &mut rng);
+            let out = case.run(&mut ram, &mut rng).unwrap();
+            case.check(out, &mut ram, &mut rng);
         }
     }
     assert!(lane_classes.iter().all(|&hits| hits > 20), "lane classes hit: {lane_classes:?}");
     assert!(unnoticed > 20, "decoy-only positions tried: {unnoticed}");
+}
+
+/// A server written against `Storage`'s required methods that lies on one
+/// delivery: the cell at download position `lie_at` of a `read_batch_with`
+/// arrives with one bit flipped; every other delivery — of the same address
+/// in the same request too — and the stored cell are as they should be.
+#[derive(Debug, Default)]
+struct Liar {
+    inner: SimServer,
+    lie_at: Option<usize>,
+}
+
+impl Storage for Liar {
+    fn init(&mut self, cells: Vec<Vec<u8>>) {
+        self.inner.init(cells);
+    }
+    fn init_empty(&mut self, capacity: usize) {
+        self.inner.init_empty(capacity);
+    }
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+    fn stored_bytes(&self) -> u64 {
+        self.inner.stored_bytes()
+    }
+    fn cell_stride(&self) -> usize {
+        self.inner.cell_stride()
+    }
+    fn start_recording(&mut self) {
+        self.inner.start_recording();
+    }
+    fn take_transcript(&mut self) -> dps_server::Transcript {
+        self.inner.take_transcript()
+    }
+    fn stats(&self) -> dps_server::CostStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats();
+    }
+    fn read_batch_with(
+        &mut self,
+        addrs: &[usize],
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), dps_server::ServerError> {
+        let lie_at = self.lie_at;
+        self.inner.read_batch_with(addrs, |i, cell| {
+            if lie_at == Some(i) {
+                let mut bad = cell.to_vec();
+                bad[i % cell.len()] ^= 1 << (i % 8);
+                visit(i, &bad);
+            } else {
+                visit(i, cell);
+            }
+        })
+    }
+    fn write_cells<'a>(
+        &mut self,
+        cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    ) -> Result<(), dps_server::ServerError> {
+        self.inner.write_cells(cells)
+    }
+    fn xor_cells_into(
+        &mut self,
+        addrs: &[usize],
+        acc: &mut Vec<u8>,
+    ) -> Result<(), dps_server::ServerError> {
+        self.inner.xor_cells_into(addrs, acc)
+    }
+}
+
+/// A byte-equal twin shares its first copy's decrypt slot (NOTES entry 9);
+/// a twin that is *not* byte-equal must not. Over the sweep's flights, for
+/// every address the flight downloads more than once, the server lies on
+/// only the second delivery, then on only the first: whichever copy it is,
+/// a position in the decrypt set fails the flight with the cell named,
+/// nothing uploaded and the stash untouched; a position outside it goes
+/// unnoticed; and once the server is honest again the flight returns what
+/// the sequential run returns.
+#[test]
+fn a_lie_on_one_copy_of_a_cell_is_caught() {
+    let mut caught = [0u32; 2]; // lies on a first, a later delivery, the other copy in the set too
+    for seed in 0..32u64 {
+        let case = SweepCase::new(seed);
+        let (mut ram, mut rng) = case.build(Liar::default());
+        let out = case.run(&mut ram, &mut rng).unwrap();
+        case.check(out, &mut ram, &mut rng);
+
+        for (at, &(addr, read)) in case.positions.iter().enumerate() {
+            let copies: Vec<usize> = (0..case.positions.len())
+                .filter(|&i| case.positions[i].0 == addr)
+                .collect();
+            if copies.len() < 2 {
+                continue;
+            }
+            let (mut ram, mut rng) = case.build(Liar::default());
+            ram.server_mut().lie_at = Some(at);
+            let before = client_state(&ram);
+            let outcome = case.run(&mut ram, &mut rng);
+            ram.server_mut().lie_at = None;
+            if read {
+                case.assert_failed_on(outcome, addr, &ram, before, at);
+                if copies.iter().any(|&i| i != at && case.positions[i].1) {
+                    caught[usize::from(at != copies[0])] += 1;
+                }
+                let out = case.run(&mut ram, &mut rng).unwrap();
+                case.check(out, &mut ram, &mut rng);
+            } else {
+                case.check(outcome.unwrap(), &mut ram, &mut rng);
+            }
+        }
+    }
+    assert!(
+        caught.iter().all(|&lies| lies > 20),
+        "lies caught on (first, later) copies: {caught:?}"
+    );
 }

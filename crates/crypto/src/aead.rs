@@ -83,46 +83,11 @@ impl AeadCipher {
         self.seal_with_nonce(&nonce, aad, plaintext)
     }
 
-    /// Seals `plaintext` into `out` (cleared first) with a fresh random
-    /// nonce. Performs no heap allocation once `out` has capacity for
-    /// `plaintext.len() + AEAD_OVERHEAD` bytes.
-    pub fn seal_into(&self, aad: &[u8], plaintext: &[u8], out: &mut Vec<u8>, rng: &mut ChaChaRng) {
-        let mut nonce = [0u8; chacha::NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        out.clear();
-        out.reserve(plaintext.len() + AEAD_OVERHEAD);
-        out.extend_from_slice(&nonce);
-        out.extend_from_slice(plaintext);
-        chacha::xor_keystream(&self.key, 1, &nonce, &mut out[chacha::NONCE_LEN..]);
-        let tag = self.tag(&nonce, aad, &out[chacha::NONCE_LEN..]);
-        out.extend_from_slice(&tag);
-    }
-
-    /// Opens a sealed ciphertext in place: on success `buf` holds the
-    /// plaintext (nonce and tag stripped); on failure `buf` is unchanged.
-    /// No heap allocation ever.
-    pub fn open_in_place(&self, aad: &[u8], buf: &mut Vec<u8>) -> Result<(), CryptoError> {
-        if buf.len() < AEAD_OVERHEAD {
-            return Err(CryptoError::Malformed);
-        }
-        let nonce: [u8; chacha::NONCE_LEN] =
-            buf[..chacha::NONCE_LEN].try_into().expect("nonce prefix");
-        let body_len = buf.len() - TAG_LEN;
-        let tag: [u8; TAG_LEN] = buf[body_len..].try_into().expect("16-byte tag");
-        if !tags_equal(&self.tag(&nonce, aad, &buf[chacha::NONCE_LEN..body_len]), &tag) {
-            return Err(CryptoError::TagMismatch);
-        }
-        chacha::xor_keystream(&self.key, 1, &nonce, &mut buf[chacha::NONCE_LEN..body_len]);
-        buf.copy_within(chacha::NONCE_LEN..body_len, 0);
-        buf.truncate(body_len - chacha::NONCE_LEN);
-        Ok(())
-    }
-
     /// Deterministic slice-form seal: writes `nonce || body || tag` into
     /// `out`, which must be exactly `plaintext.len() + AEAD_OVERHEAD`
     /// bytes. The batch primitive: nonces are pre-drawn and the cells are
     /// sealed into disjoint slots, byte-identical to a sequential
-    /// [`AeadCipher::seal_into`] loop over the same RNG stream.
+    /// [`AeadCipher::seal`] loop over the same RNG stream.
     ///
     /// # Panics
     /// Panics if `out.len() != plaintext.len() + AEAD_OVERHEAD`.

@@ -128,16 +128,19 @@ impl ChaChaRng {
     /// [`crate::aead::AeadCipher::seal_with_nonce_into`]) yields output
     /// byte-identical to a sequential loop drawing one nonce per cell from
     /// the same stream — which is what makes parallel batch crypto
-    /// deterministic regardless of thread interleaving. Internally the
-    /// nonce bytes are generated in bulk through the wide ChaCha core
-    /// ([`ChaChaRng::fill_bytes_bulk`]); the stream is unchanged.
+    /// deterministic regardless of thread interleaving.
     pub fn draw_nonces(&mut self, count: usize) -> Vec<chacha::Nonce> {
-        let mut bytes = vec![0u8; count * chacha::NONCE_LEN];
-        self.fill_bytes_bulk(&mut bytes);
-        bytes
-            .chunks_exact(chacha::NONCE_LEN)
-            .map(|chunk| chunk.try_into().expect("nonce-sized chunk"))
-            .collect()
+        let mut nonces = vec![chacha::Nonce::default(); count];
+        self.fill_nonces(&mut nonces);
+        nonces
+    }
+
+    /// [`ChaChaRng::draw_nonces`] into a buffer the caller keeps: the same
+    /// bytes from the stream, no allocation. The nonce bytes are generated
+    /// in bulk through the wide ChaCha core
+    /// (`fill_bytes_bulk`); the stream is unchanged.
+    pub fn fill_nonces(&mut self, nonces: &mut [chacha::Nonce]) {
+        self.fill_bytes_bulk(nonces.as_flattened_mut());
     }
 
     /// Returns a uniformly random `u64`.
@@ -340,19 +343,24 @@ mod tests {
         }
     }
 
-    /// The bulk wide-core nonce draw is byte-identical to drawing nonces
-    /// one at a time, leaves the generator in the same state (subsequent
-    /// output matches), and handles every buffer-offset alignment.
+    /// The bulk wide-core nonce draw — into a fresh `Vec` or into a buffer
+    /// the caller keeps — is byte-identical to drawing nonces one at a time,
+    /// leaves the generator in the same state (subsequent output matches),
+    /// and handles every buffer-offset alignment.
     #[test]
     fn draw_nonces_matches_sequential_draws() {
         for misalign in [0usize, 1, 5, 12, 63] {
             for count in [0usize, 1, 4, 5, 21, 100] {
                 let mut bulk = ChaChaRng::seed_from_u64(41);
+                let mut filling = ChaChaRng::seed_from_u64(41);
                 let mut seq = ChaChaRng::seed_from_u64(41);
                 let mut skip = vec![0u8; misalign];
                 bulk.fill_bytes(&mut skip);
+                filling.fill_bytes(&mut skip);
                 seq.fill_bytes(&mut skip);
                 let nonces = bulk.draw_nonces(count);
+                let mut filled = vec![[0xEEu8; 12]; count];
+                filling.fill_nonces(&mut filled);
                 let expected: Vec<[u8; 12]> = (0..count)
                     .map(|_| {
                         let mut n = [0u8; 12];
@@ -361,11 +369,10 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(nonces, expected, "misalign {misalign}, count {count}");
-                assert_eq!(
-                    bulk.next_u64(),
-                    seq.next_u64(),
-                    "post-draw state diverged (misalign {misalign}, count {count})"
-                );
+                assert_eq!(filled, expected, "misalign {misalign}, count {count}");
+                let next = seq.next_u64();
+                assert_eq!(bulk.next_u64(), next, "misalign {misalign}, count {count}");
+                assert_eq!(filling.next_u64(), next, "misalign {misalign}, count {count}");
             }
         }
     }

@@ -110,6 +110,103 @@ pub fn decode_bucket(
     Ok(slots)
 }
 
+/// The one change [`edit_in_place`] makes to the slots stored under an id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotEdit<'a> {
+    /// Overwrite the payload of the first slot with the id, if there is one.
+    Update(&'a [u8]),
+    /// Append a slot with the id and this payload.
+    Insert(&'a [u8]),
+    /// Drop every slot with the id.
+    Remove,
+}
+
+fn check(bytes: &[u8], capacity: usize, payload_len: usize) -> Result<(), SlotError> {
+    let expected = encoded_len(capacity, payload_len);
+    if bytes.len() != expected {
+        return Err(SlotError::BadLength { got: bytes.len(), expected });
+    }
+    match bytes.iter().step_by(SLOT_HEADER + payload_len).find(|&&m| m > 1) {
+        Some(&m) => Err(SlotError::BadMarker(m)),
+        None => Ok(()),
+    }
+}
+
+fn slot_id(slot: &[u8]) -> u64 {
+    u64::from_le_bytes(slot[1..SLOT_HEADER].try_into().expect("8-byte id"))
+}
+
+/// Reads an encoded bucket where it lies: its load and the payload of the
+/// first slot stored under `id` — what [`decode_bucket`] followed by a
+/// `len()` and a `find` returns, without building the slots.
+pub fn probe(
+    bytes: &[u8],
+    capacity: usize,
+    payload_len: usize,
+    id: u64,
+) -> Result<(usize, Option<&[u8]>), SlotError> {
+    check(bytes, capacity, payload_len)?;
+    let occupied = bytes
+        .chunks_exact(SLOT_HEADER + payload_len)
+        .filter(|slot| slot[0] == 1);
+    let (mut load, mut found) = (0, None);
+    for slot in occupied {
+        load += 1;
+        if found.is_none() && slot_id(slot) == id {
+            found = Some(&slot[SLOT_HEADER..]);
+        }
+    }
+    Ok((load, found))
+}
+
+/// Edits an encoded bucket where it lies, leaving exactly the bytes
+/// `encode_bucket(edit(decode_bucket(bytes)))` would build: occupied slots
+/// first, in order, then zeroed vacant ones. `bytes` is untouched on error.
+///
+/// # Panics
+/// Panics if an insert finds no vacant slot or a payload has the wrong
+/// length, as [`encode_bucket`] does.
+pub fn edit_in_place(
+    bytes: &mut [u8],
+    capacity: usize,
+    payload_len: usize,
+    id: u64,
+    edit: SlotEdit<'_>,
+) -> Result<(), SlotError> {
+    check(bytes, capacity, payload_len)?;
+    let stride = SLOT_HEADER + payload_len;
+    let mut update = match edit {
+        SlotEdit::Update(payload) => Some(payload),
+        _ => None,
+    };
+    let mut kept = 0;
+    for slot in 0..capacity {
+        let at = slot * stride;
+        if bytes[at] == 0 {
+            continue;
+        }
+        let hit = slot_id(&bytes[at..at + stride]) == id;
+        if hit && edit == SlotEdit::Remove {
+            continue;
+        }
+        bytes.copy_within(at..at + stride, kept * stride);
+        if let Some(payload) = update.take_if(|_| hit) {
+            bytes[kept * stride + SLOT_HEADER..][..payload_len].copy_from_slice(payload);
+        }
+        kept += 1;
+    }
+    if let SlotEdit::Insert(payload) = edit {
+        assert!(kept < capacity, "bucket overflow: {} > {capacity}", kept + 1);
+        let slot = &mut bytes[kept * stride..][..stride];
+        slot[0] = 1;
+        slot[1..SLOT_HEADER].copy_from_slice(&id.to_le_bytes());
+        slot[SLOT_HEADER..].copy_from_slice(payload);
+        kept += 1;
+    }
+    bytes[kept * stride..].fill(0);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,8 @@
 //! Property-based tests for the server substrate.
 
-use dps_server::cells::{decode_bucket, encode_bucket, encoded_len, Slot};
+use dps_server::cells::{
+    decode_bucket, edit_in_place, encode_bucket, encoded_len, probe, Slot, SlotEdit, SlotError,
+};
 use dps_server::{AccessEvent, SimServer, Storage, Transcript};
 use proptest::prelude::*;
 
@@ -17,6 +19,40 @@ fn arb_slots(max_slots: usize, payload_len: usize) -> impl Strategy<Value = Vec<
     })
 }
 
+/// `probe` and `edit_in_place` against the decode → edit → encode path on
+/// one bucket of 8-byte payloads.
+fn check_in_place(bytes: &[u8], capacity: usize, id: u64, edit: SlotEdit<'_>) {
+    let mut edited = bytes.to_vec();
+    let mut slots = match decode_bucket(bytes, capacity, 8) {
+        Ok(slots) => slots,
+        Err(e) => {
+            assert!(matches!(e, SlotError::BadMarker(_)));
+            assert_eq!(probe(bytes, capacity, 8, id), Err(e));
+            assert_eq!(edit_in_place(&mut edited, capacity, 8, id, edit), Err(e));
+            assert_eq!(edited, bytes);
+            return;
+        }
+    };
+    let stored = slots
+        .iter()
+        .find(|slot| slot.id == id)
+        .map(|slot| slot.payload.as_slice());
+    assert_eq!(probe(bytes, capacity, 8, id), Ok((slots.len(), stored)));
+    match edit {
+        SlotEdit::Update(payload) => {
+            if let Some(slot) = slots.iter_mut().find(|slot| slot.id == id) {
+                slot.payload = payload.to_vec();
+            }
+        }
+        // An insert into a full bucket panics on both paths.
+        SlotEdit::Insert(_) if slots.len() == capacity => return,
+        SlotEdit::Insert(payload) => slots.push(Slot { id, payload: payload.to_vec() }),
+        SlotEdit::Remove => slots.retain(|slot| slot.id != id),
+    }
+    edit_in_place(&mut edited, capacity, 8, id, edit).unwrap();
+    assert_eq!(edited, encode_bucket(&slots, capacity, 8));
+}
+
 proptest! {
     /// Cell encoding round-trips and is always the same length.
     #[test]
@@ -25,6 +61,43 @@ proptest! {
         let bytes = encode_bucket(&slots, capacity, 16);
         prop_assert_eq!(bytes.len(), encoded_len(capacity, 16));
         prop_assert_eq!(decode_bucket(&bytes, capacity, 16).unwrap(), slots);
+    }
+
+    /// Reading and editing an encoded bucket where it lies is the
+    /// decode → edit → encode path, byte for byte: every load `0..=capacity`,
+    /// ids that hit, miss and repeat, update / insert / remove, over the
+    /// layout `encode_bucket` writes and over any other that decodes (vacant
+    /// slots anywhere, with anything in them). A marker that does not
+    /// decode is the same error and leaves the bytes alone.
+    #[test]
+    fn in_place_bucket_edits_match_decode_edit_encode(
+        raw in proptest::collection::vec(
+            (0u8..8, 0u64..4, proptest::collection::vec(any::<u8>(), 8..=8)),
+            1..6,
+        ),
+        canonical in any::<bool>(),
+        id in 0u64..4,
+        kind in 0usize..3,
+        payload in proptest::collection::vec(any::<u8>(), 8..=8),
+    ) {
+        let capacity = raw.len();
+        let mut bytes = Vec::new();
+        for (marker, slot_id, content) in &raw {
+            bytes.push(if *marker < 6 { marker % 2 } else { *marker });
+            bytes.extend_from_slice(&slot_id.to_le_bytes());
+            bytes.extend_from_slice(content);
+        }
+        if canonical {
+            let occupied: Vec<Slot> = raw
+                .iter()
+                .filter(|(marker, ..)| marker % 2 == 1)
+                .map(|(_, id, payload)| Slot { id: *id, payload: payload.clone() })
+                .collect();
+            bytes = encode_bucket(&occupied, capacity, 8);
+        }
+        let edit = [SlotEdit::Update(&payload), SlotEdit::Insert(&payload), SlotEdit::Remove][kind];
+
+        check_in_place(&bytes, capacity, id, edit);
     }
 
     /// Server read-after-write returns the written cell for arbitrary

@@ -596,25 +596,29 @@ fn bucket_ram_failed_requests_lose_no_cell() {
         let position = rng.gen_index(3);
         let value = vec![step as u8; 8];
         // Query 0 reads its bucket; query 1 rewrites one cell of its own.
-        let out = failed.retry(&mut ram, round_trips, interrupted, |ram| {
-            ram.query_batch(
-                &flight,
-                |query, contents| {
-                    if query == 1 {
-                        contents[position] = value.clone();
-                    }
-                },
-                &mut rng,
-            )
+        let read = failed.retry(&mut ram, round_trips, interrupted, |ram| {
+            let update = |query: usize, contents: &mut [u8]| {
+                if query == 1 {
+                    contents[position * 8..][..8].copy_from_slice(&value);
+                }
+            };
+            Ok(ram.query_batch(&flight, update, &mut rng)?.contents(0).to_vec())
         });
-        let expected: Vec<_> = buckets[flight[0]].iter().map(|&c| model[c].clone()).collect();
-        assert_eq!(out[0].0, expected, "step {step}");
+        let expected = buckets[flight[0]]
+            .iter()
+            .map(|&c| &model[c][..])
+            .collect::<Vec<_>>();
+        assert_eq!(read, expected.concat(), "step {step}");
         model[buckets[flight[1]][position]] = value;
     }
     failed.assert_both_calls_hit();
     ram.server_mut().set_armed(false);
     for (b, bucket) in buckets.iter().enumerate() {
-        let expected: Vec<_> = bucket.iter().map(|&c| model[c].clone()).collect();
+        let expected = bucket
+            .iter()
+            .map(|&c| &model[c][..])
+            .collect::<Vec<_>>()
+            .concat();
         assert_eq!(ram.query(b, |_| {}, &mut rng).unwrap().0, expected, "bucket {b}");
     }
 }
