@@ -1,6 +1,6 @@
 //! Bounded in-memory cell cache for the durable backend.
 //!
-//! [`CellCache`] is the read-through cache that lets
+//! [`CellCache`] is the cache that lets
 //! [`DiskStore`](crate::DiskStore) serve databases larger than RAM: cell
 //! *payloads* live in a slab of stride-sized slots bounded by a byte
 //! budget, while the per-cell metadata (lengths, init bitmap — and this
@@ -8,6 +8,12 @@
 //! single array index — `addr → slot` goes through a flat `Vec<u32>` page
 //! table, not a hash map — because the cache sits on the zero-copy read
 //! hot path, where a per-cell hash would triple the cost of a hit.
+//!
+//! On files that [lend](crate::DiskFile::lend) — production's — a clean
+//! miss is served from the mapped arena and never enters the slab, which
+//! then holds the dirty cells and whatever write-back left inside the
+//! budget; the read-through installs and CLOCK evictions below are the path
+//! of files that do not.
 //!
 //! Eviction is CLOCK (second-chance): a hit sets the slot's reference
 //! bit; the hand sweeps resident slots, clearing reference bits until it

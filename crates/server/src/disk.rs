@@ -12,12 +12,19 @@
 //!
 //! - a read **hit** hands out a slice borrowed straight from the cache
 //!   slab — the same zero-copy surface as [`SimServer`](crate::SimServer);
-//! - a read **miss** refills the slot with one `pread`-style
-//!   [`DiskFile::read_at`] from the active arena slot (through the same
-//!   VFS the crash simulator instruments), evicting a *clean* entry by
-//!   CLOCK second-chance if the [`DiskOptions::cache_bytes`] budget is
-//!   full;
-//! - hits, misses and evictions are counted here ([`CacheTelemetry`]) and
+//! - a read **miss** is a *clean* cell (dirty ones are pinned in the slab),
+//!   so the active arena file has its bytes, and the file is asked to
+//!   [lend](DiskFile::lend) them: production's [`RealFile`] answers with a
+//!   slice of a read-only shared mapping of the arena — no system call, no
+//!   slot, no eviction; the only copy is the one the caller's visitor makes
+//!   (the daemon's, straight into its send buffer). A file that does not
+//!   lend (the crash simulator, `dpbench`'s timed VFS) takes the copy path
+//!   instead: one `pread`-style [`DiskFile::read_at`] into a slot, evicting
+//!   a clean entry by CLOCK second-chance if the
+//!   [`DiskOptions::cache_bytes`] budget is full. Which path runs is
+//!   decided by the file type, not by an option (NOTES.md, entry 10);
+//! - hits, misses and evictions are counted here ([`CacheTelemetry`]; a lent
+//!   read is a miss — it was not served from this program's cache) and
 //!   surfaced as the `cache_*` counters in
 //!   [`CostStats`](crate::CostStats) (excluded from the paper's cost model
 //!   — compare with [`CostStats::sans_cache`](crate::CostStats::sans_cache)).
@@ -120,15 +127,23 @@
 //! address is `OutOfBounds` on a poisoned store too). Reads keep serving
 //! **cache hits** (including every dirty cell, whether or not its record
 //! became durable) and zero-length cells, but a cache *miss* would have to
-//! touch the failing arena file, so it also returns `Interrupted` instead
-//! of handing back bytes of unknown provenance; and a poisoned store never
-//! writes back. The recovery path is to drop the store and `open` the
-//! directory again.
+//! touch the failing arena file — lent or copied — so it also returns
+//! `Interrupted` instead of handing back bytes of unknown provenance; and a
+//! poisoned store never writes back. The recovery path is to drop the store
+//! and `open` the directory again.
+//!
+//! One failure has no typed surface on real files: a *media* error under a
+//! mapped arena page reaches the process as `SIGBUS`, not as `EIO` from a
+//! `pread`, and kills it. A daemon's client sees its connection close —
+//! the same `Interrupted` — and the recovery is the same reopen (NOTES.md,
+//! entry 10, states the trade). The mapping never covers bytes the file
+//! does not have, so nothing this store does to its own files can raise it.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::cache::CellCache;
+use crate::mapping::MappedFile;
 use crate::server::{Accounted, CellBackend, ServerError};
 use crate::stats::CacheTelemetry;
 use crate::store::CellIndex;
@@ -153,6 +168,15 @@ pub trait DiskFile: Send + std::fmt::Debug {
     fn file_len(&self) -> io::Result<u64>;
     /// Truncates or extends the file to exactly `len` bytes.
     fn set_len(&mut self, len: u64) -> io::Result<()>;
+    /// Lends the `len` bytes at `offset` without copying them, when the
+    /// file can: the bytes a `read_at` of the same range would return,
+    /// borrowed for as long as the file is (every mutation is `&mut self`,
+    /// so no lent slice is live across a write). `None` — the default —
+    /// means "read it yourself": the range is not wholly inside the file,
+    /// or this kind of file has nothing to lend from.
+    fn lend(&self, _offset: u64, _len: usize) -> Option<&[u8]> {
+        None
+    }
 }
 
 /// A minimal virtual filesystem: a namespace of [`DiskFile`]s. Opening a
@@ -183,7 +207,7 @@ impl Vfs for RealVfs {
 
     fn open(&mut self, name: &str) -> io::Result<RealFile> {
         let file = open_or_create(&self.dir, name, |dir| std::fs::File::open(dir)?.sync_all())?;
-        Ok(RealFile { file })
+        Ok(RealFile { file: MappedFile::new(file) })
     }
 }
 
@@ -209,15 +233,25 @@ fn open_or_create(
     }
 }
 
-/// A [`DiskFile`] over a real `std::fs::File` using positioned I/O.
+/// A [`DiskFile`] over a real `std::fs::File` using positioned I/O, which
+/// [lends](DiskFile::lend) out of a read-only shared mapping of the file.
+///
+/// The mapping is made at the first `lend` (a file nobody lends from — the
+/// WAL, the snapshots, any file of an identity-mode store — is never
+/// mapped) over the length the file has then, and never outlives those
+/// bytes: `set_len` drops it first, a `write_at` that ends past it drops
+/// it so the next `lend` maps the longer file. A `write_at` inside it
+/// keeps it — `pwrite` and `MAP_SHARED` share the page cache, so the next
+/// `lend` sees the written bytes. Those rules live with the `unsafe` they
+/// protect, in the private `mapping` module (its safety audit and NOTES.md
+/// entry 10 have the argument); this type only forwards.
 #[derive(Debug)]
 pub struct RealFile {
-    file: std::fs::File,
+    file: MappedFile,
 }
 
 impl DiskFile for RealFile {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        use std::os::unix::fs::FileExt;
         let mut done = 0;
         while done < buf.len() {
             match self.file.read_at(&mut buf[done..], offset + done as u64) {
@@ -231,7 +265,6 @@ impl DiskFile for RealFile {
     }
 
     fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        use std::os::unix::fs::FileExt;
         self.file.write_all_at(buf, offset)
     }
 
@@ -240,11 +273,16 @@ impl DiskFile for RealFile {
     }
 
     fn file_len(&self) -> io::Result<u64> {
-        Ok(self.file.metadata()?.len())
+        self.file.len()
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.file.set_len(len)
+    }
+
+    #[inline]
+    fn lend(&self, offset: u64, len: usize) -> Option<&[u8]> {
+        self.file.lend(offset, len)
     }
 }
 
@@ -277,9 +315,15 @@ pub struct DiskOptions {
     /// size the log file is preallocated to (zero-filled once, never
     /// truncated), so that an append is an overwrite of allocated blocks.
     pub wal_checkpoint_bytes: u64,
-    /// Byte budget of the read-through cell cache (payload bytes; the
-    /// per-cell metadata is always resident). Defaults to the
-    /// `DPS_CACHE_BYTES` environment variable when set, else 1 GiB.
+    /// Byte budget of the cell cache (payload bytes; the per-cell metadata
+    /// is always resident). Defaults to the `DPS_CACHE_BYTES` environment
+    /// variable when set, else 1 GiB. A budget that covers the whole
+    /// database selects identity mode (every cell mirrored, reads never
+    /// miss); a smaller one bounds how far pinned dirty cells may overshoot
+    /// before a commit writes them back. On [`RealVfs`] it no longer buys
+    /// clean-read hits: a clean miss is lent by the mapped arena (the
+    /// kernel's page cache is the read cache) and takes no slot. On a
+    /// [`Vfs`] whose files do not lend it is also the read-through budget.
     pub cache_bytes: usize,
     /// Group-commit window: how many mutation batches share one WAL
     /// write and fsync. 1 (the default) commits every batch before it
@@ -636,8 +680,8 @@ impl<V: Vfs> DiskBackend<V> {
     }
 
     /// The payload bytes of the *initialized* cell at `addr` (whose
-    /// length the caller already loaded), served through the cache
-    /// (refilling from the arena file on a miss).
+    /// length the caller already loaded): out of the cache slab on a hit,
+    /// from the arena file on a [miss](Self::miss).
     #[inline(always)]
     fn cell_bytes(&mut self, addr: usize, len: usize) -> Result<&[u8], ServerError> {
         if self.cache.is_identity() {
@@ -656,15 +700,48 @@ impl<V: Vfs> DiskBackend<V> {
             // Zero-length payloads live entirely in the length table.
             return Ok(&[]);
         }
-        let slot = self.refill(addr, len)?;
-        Ok(self.cache.slot_bytes(slot, len))
+        self.miss(addr, len)
+    }
+
+    /// Cache-miss path. A non-resident cell is clean — dirty cells are
+    /// pinned in the slab until written back — so the active arena file
+    /// has its bytes, and a file that [lends](DiskFile::lend) hands them
+    /// out as they lie: no slot, no eviction, no copy here (the caller's
+    /// visitor makes the only one). A file that does not lend is read into
+    /// a slot by [`Self::refill`].
+    #[inline(never)]
+    fn miss(&mut self, addr: usize, len: usize) -> Result<&[u8], ServerError> {
+        if self.poisoned {
+            // The backing file is failing; a miss would return bytes of
+            // unknown provenance. Hits keep working, misses fail typed.
+            return Err(ServerError::Interrupted);
+        }
+        self.telemetry.misses += 1;
+        let offset = addr as u64 * self.index.stride() as u64;
+        // `arena` borrows one field shared and everything below touches
+        // the others, which is what lets the lent slice leave a
+        // `&mut self` method.
+        let arena = &self.arena[self.active];
+        if let Some(bytes) = arena.lend(offset, len) {
+            return Ok(bytes);
+        }
+        match Self::refill(&mut self.cache, arena, addr, offset, len) {
+            Some((slot, evicted)) => {
+                self.telemetry.evictions += evicted;
+                Ok(self.cache.slot_bytes(slot, len))
+            }
+            None => {
+                self.poisoned = true;
+                Err(ServerError::Interrupted)
+            }
+        }
     }
 
     /// Identity-mode warm-up: when the cache budget covers the whole
     /// database, bulk-read the active arena slot into the slab and mark
     /// every initialized non-empty cell resident. From then on reads are
     /// direct slab slices and misses cannot occur; bounded budgets skip
-    /// this and take the CLOCK read-through path instead.
+    /// this and serve misses from the arena file instead.
     fn warm_cache(&mut self) -> Result<(), DiskError> {
         if !self.cache.is_identity() || self.index.stride() == 0 {
             return Ok(());
@@ -694,34 +771,26 @@ impl<V: Vfs> DiskBackend<V> {
         }
     }
 
-    /// Cache-miss path: installs `addr` (evicting a clean entry if the
-    /// budget is full) and reads its payload from the active arena slot.
-    #[inline(never)]
-    fn refill(&mut self, addr: usize, len: usize) -> Result<usize, ServerError> {
-        if self.poisoned {
-            // The backing file is failing; a refill would return bytes of
-            // unknown provenance. Hits keep working, misses fail typed.
-            return Err(ServerError::Interrupted);
-        }
-        self.telemetry.misses += 1;
-        let (slot, evicted) = self.cache.install(addr, false);
-        self.telemetry.evictions += evicted;
-        let offset = addr as u64 * self.index.stride() as u64;
-        match self.arena[self.active].read_at(offset, self.cache.slot_bytes_mut(slot, len)) {
-            Ok(got) if got >= len => Ok(slot),
-            Ok(got) => {
-                // The snapshot promised these bytes; a short read means the
-                // arena file is inconsistent with the metadata.
-                self.cache.discard(addr);
-                self.poison(DiskError::corrupt(format!(
-                    "arena read of cell {addr} returned {got} of {len} bytes"
-                )));
-                Err(ServerError::Interrupted)
-            }
-            Err(e) => {
-                self.cache.discard(addr);
-                self.poison(e.into());
-                Err(ServerError::Interrupted)
+    /// The miss path of a file that does not lend (the crash simulator,
+    /// `dpbench`'s timed VFS): installs `addr` (evicting a clean entry if
+    /// the budget is full) and reads its payload from `arena` at `offset`,
+    /// returning `(slot, evictions)`. `None` when the read fails or comes
+    /// back short (the snapshot promised these bytes, so the arena file is
+    /// inconsistent with the metadata): nothing stays installed, and the
+    /// caller poisons the store.
+    fn refill(
+        cache: &mut CellCache,
+        arena: &V::File,
+        addr: usize,
+        offset: u64,
+        len: usize,
+    ) -> Option<(usize, u64)> {
+        let (slot, evicted) = cache.install(addr, false);
+        match arena.read_at(offset, cache.slot_bytes_mut(slot, len)) {
+            Ok(got) if got >= len => Some((slot, evicted)),
+            _ => {
+                cache.discard(addr);
+                None
             }
         }
     }
@@ -1079,9 +1148,9 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         }
     }
 
-    /// Hits and zero-length cells come straight from memory, a miss costs
-    /// one positioned read from the active arena slot — or, on a poisoned
-    /// store, [`ServerError::Interrupted`].
+    /// Hits and zero-length cells come straight from memory, a miss is
+    /// lent by the active arena file or costs one positioned read from it
+    /// — or, on a poisoned store, is [`ServerError::Interrupted`].
     #[inline(always)]
     fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError> {
         match self.index.len_of(addr) {
@@ -1254,16 +1323,19 @@ mod tests {
         assert_eq!(store.read(0).unwrap(), vec![0u8; 8]);
     }
 
+    /// On a [`Vfs`] that does not lend (the simulated disk, nothing
+    /// crashing): the copy path's CLOCK, budget and slots. Real files lend
+    /// a clean miss and never evict on a read — `mapped_store` has that.
     #[test]
     fn tiny_cache_evicts_but_serves_identically() {
-        let tmp = TempDir::new("tinycache");
+        let sim = CrashSim::new(3);
         // Room for two 8-byte payloads; the store holds 64 cells.
         let opts = DiskOptions { cache_bytes: 16, ..DiskOptions::default() };
         {
-            let mut store = DiskStore::open_with(&tmp.0, opts).unwrap();
+            let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
             store.init(cells(64));
         }
-        let mut store = DiskStore::open_with(&tmp.0, opts).unwrap();
+        let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
         for round in 0..3 {
             for addr in 0..64 {
                 assert_eq!(store.read(addr).unwrap(), vec![addr as u8; 8], "round {round}");
@@ -1279,6 +1351,35 @@ mod tests {
         }
         assert!(store.cache_resident() <= 2, "budget exceeded after writes");
         assert_eq!(store.read(63).unwrap(), vec![!63u8; 8]);
+    }
+
+    /// B2's all-dirty case, closed by construction: a bounded cache whose
+    /// every slot is pinned dirty (window > 1, budget = the dirty set)
+    /// used to squeeze each clean miss through one over-budget slot. A
+    /// lent miss needs no slot.
+    #[test]
+    fn all_dirty_cache_serves_clean_misses_without_a_slot() {
+        let tmp = TempDir::new("alldirty");
+        let opts =
+            DiskOptions { cache_bytes: 4 * 8, wal_group_commit: 16, ..DiskOptions::default() };
+        let mut store = DiskStore::open_with(&tmp.0, opts).unwrap();
+        store.init(cells(64));
+        for addr in [5, 20, 40, 63] {
+            store.write(addr, vec![0xD0 | addr as u8; 8]).unwrap();
+        }
+        assert_eq!((store.pending_batches(), store.cache_resident()), (4, 4));
+        store.reset_stats();
+        for addr in 0..64 {
+            let dirty = [5, 20, 40, 63].contains(&addr);
+            let expect = if dirty { 0xD0 | addr as u8 } else { addr as u8 };
+            // The arena still holds the old bytes of the dirty cells: they
+            // must come from the slab.
+            assert_eq!(store.read(addr).unwrap(), vec![expect; 8], "cell {addr}");
+        }
+        let stats = store.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_evictions), (4, 60, 0));
+        assert_eq!(store.cache_resident(), 4, "the dirty cells stay pinned, nothing joins them");
+        assert_eq!(store.pending_batches(), 4, "reads do not close the window");
     }
 
     #[test]

@@ -26,7 +26,12 @@
 //! cells ([`disk`] for the protocol, [`crashsim`] for the deterministic
 //! crash-injection harness that pins its recovery guarantees).
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the crate's one `unsafe` boundary is the
+// private `mapping` module (`mmap`/`munmap` behind a read-only slice, with
+// its safety audit in the module docs), which `allow`s the lint for itself.
+// Everything else stays unsafe-free, and CI's "Three audited unsafe modules"
+// step names any file that adds a fourth exception.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
@@ -34,6 +39,7 @@ pub mod cells;
 pub mod crashsim;
 pub mod disk;
 pub mod latency;
+mod mapping;
 pub mod multi;
 pub mod server;
 pub mod stats;

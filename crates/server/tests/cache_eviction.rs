@@ -2,9 +2,12 @@
 //!
 //! Every test here runs a database that is much bigger than the cell
 //! cache (`DiskOptions::cache_bytes` sized to a handful of cells), so the
-//! miss/refill/evict machinery — not the always-resident fast path — is
-//! what serves the data. The oracle is [`SimServer`], whose equivalence to
-//! the original reference model is pinned by `store_equivalence`:
+//! miss path — not the always-resident fast path — is what serves the
+//! data: lent out of the mapped arena on real files, refilled and evicted
+//! by CLOCK on a disk that does not lend (the simulated one), and the
+//! randomized programs run on both. The oracle is [`SimServer`], whose
+//! equivalence to the original reference model is pinned by
+//! `store_equivalence`:
 //! results, errors, the paper-model `CostStats` currencies (compared via
 //! [`CostStats::sans_cache`]) and the final cell-by-cell state must be
 //! bit-identical. Randomized programs cover re-striding across evictions,
@@ -16,7 +19,8 @@
 //! [`CostStats::sans_cache`]: dps_server::CostStats::sans_cache
 
 use dps_server::{
-    CrashSim, DiskOptions, DiskStore, ServerError, SimOp, SimServer, Storage, SyncPolicy,
+    CrashSim, DiskOptions, DiskStore, RealVfs, ServerError, SimOp, SimServer, Storage, SyncPolicy,
+    Vfs,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,7 +89,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     )
 }
 
-fn step(op: &Op, disk: &mut DiskStore, oracle: &mut SimServer) {
+fn step<V: Vfs>(op: &Op, disk: &mut DiskStore<V>, oracle: &mut SimServer) {
     match op {
         Op::Read(addrs) => {
             assert_eq!(disk.read_batch(addrs), oracle.read_batch(addrs));
@@ -109,9 +113,18 @@ fn step(op: &Op, disk: &mut DiskStore, oracle: &mut SimServer) {
     }
 }
 
+/// Runs `ops` on both miss paths against the one oracle: real files,
+/// which lend a clean miss out of the mapped arena, and the simulated disk
+/// (nothing crashing), which does not lend and so refills and evicts.
 fn run_case(init_all: bool, window: usize, ops: &[Op]) {
     let tmp = TempDir::new();
-    let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts(window)).expect("open disk store");
+    let vfs = RealVfs::new(&tmp.0).expect("create store directory");
+    run_case_on(vfs, init_all, window, ops);
+    run_case_on(CrashSim::new(1), init_all, window, ops);
+}
+
+fn run_case_on<V: Vfs>(vfs: V, init_all: bool, window: usize, ops: &[Op]) {
+    let mut disk = DiskStore::open_on(vfs, tiny_cache_opts(window)).expect("open disk store");
     let mut oracle = SimServer::new();
     if init_all {
         let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
@@ -169,11 +182,14 @@ proptest! {
 
 /// The metrics tell the truth: a DB ≫ cache scan must miss on the first
 /// sweep, hit nothing on repeat sweeps larger than the budget (CLOCK
-/// keeps recycling), and evict on every refill past the budget.
+/// keeps recycling), and evict on every refill past the budget. On a disk
+/// that does not lend (the simulated one, nothing crashing): real files
+/// answer a clean miss out of the mapped arena and never refill —
+/// `mapped_store` pins that side.
 #[test]
 fn evictions_are_observed_when_db_exceeds_cache() {
-    let tmp = TempDir::new();
-    let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts(1)).expect("open disk store");
+    let mut disk =
+        DiskStore::open_on(CrashSim::new(1), tiny_cache_opts(1)).expect("open disk store");
     disk.init((0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect());
     for _ in 0..3 {
         for addr in 0..CAPACITY {

@@ -1,0 +1,230 @@
+//! The lending path of the durable store, pinned against the oracle.
+//!
+//! On real files a clean cache miss is not read into a slot: the arena
+//! file lends the cell out of a read-only mapping
+//! ([`DiskFile::lend`](dps_server::DiskFile::lend)). This suite drives a
+//! [`DiskStore`] on [`RealVfs`](dps_server::RealVfs) with a cache of a few
+//! cells — so nearly every read is such a miss — through seeded programs
+//! of everything that can move bytes under a mapping or move the mapping
+//! itself: single and batched writes, zero-length cells, commits,
+//! checkpoints (write-back *inside* the mapped range), re-strides (a new,
+//! longer arena file becomes the active one), and drop + reopen. After
+//! every step the answer and the paper-model currencies
+//! ([`CostStats::sans_cache`](dps_server::CostStats::sans_cache)) must
+//! equal [`SimServer`]'s; the cache counters must say what happened —
+//! a lent read is a miss that evicts nothing and leaves nothing resident.
+//!
+//! The copy path (`refill` + CLOCK, taken by every file that does not
+//! lend) is `cache_eviction`'s and `crash_recovery`'s; the mapping's own
+//! length rules are unit tests beside the `unsafe` they protect.
+
+use dps_server::{DiskOptions, DiskStore, SimServer, Storage, SyncPolicy};
+
+const CAPACITY: usize = 160;
+const CELL_LEN: usize = 24;
+/// Four resident cells out of 160.
+const CACHE: usize = 4 * CELL_LEN;
+
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("dps_mapped_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Splitmix64, the repo's seeded-test generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+fn cell(byte: u8, len: usize) -> Vec<u8> {
+    (0..len).map(|i| byte.wrapping_add(i as u8)).collect()
+}
+
+fn opts(window: usize) -> DiskOptions {
+    DiskOptions {
+        sync: SyncPolicy::Never, // crash_recovery owns fsync
+        cache_bytes: CACHE,
+        wal_group_commit: window,
+        ..DiskOptions::default()
+    }
+}
+
+/// Initial contents: full-width cells, with every 11th shorter and every
+/// 17th empty (a zero-length cell is initialized, and is neither a hit nor
+/// a miss).
+fn initial() -> Vec<Vec<u8>> {
+    (0..CAPACITY)
+        .map(|i| match i {
+            _ if i % 17 == 0 => Vec::new(),
+            _ if i % 11 == 0 => cell(i as u8, CELL_LEN / 2),
+            _ => cell(i as u8, CELL_LEN),
+        })
+        .collect()
+}
+
+/// Drops the store (committing its open window first: dropping is not a
+/// flush) and opens the directory again. The counters restart on both
+/// sides so they stay comparable.
+fn reopen(mut disk: DiskStore, oracle: &mut SimServer, dir: &TempDir, window: usize) -> DiskStore {
+    disk.commit().expect("commit before drop");
+    drop(disk);
+    oracle.reset_stats();
+    DiskStore::open_with(&dir.0, opts(window)).expect("reopen")
+}
+
+fn assert_same_state(disk: &mut DiskStore, oracle: &mut SimServer, when: &str) {
+    for addr in 0..CAPACITY {
+        assert_eq!(disk.read(addr), oracle.read(addr), "cell {addr} {when}");
+    }
+    assert_eq!(disk.stored_bytes(), oracle.stored_bytes(), "{when}");
+    assert_eq!(disk.stats().sans_cache(), oracle.stats(), "{when}");
+}
+
+fn run_program(seed: u64) {
+    let window = [5, 1][(seed % 2) as usize];
+    let dir = TempDir::new(&format!("seed{seed}"));
+    let mut rng = Rng(seed);
+    let mut disk = DiskStore::open_with(&dir.0, opts(window)).expect("open");
+    let mut oracle = SimServer::new();
+    disk.init(initial());
+    oracle.init(initial());
+
+    // A read-only pass over cells that were never cached: every non-empty
+    // one is a miss answered by the mapping — no slot, no eviction, no
+    // system call — with the bytes `init` stored (the oracle's).
+    let mut order: Vec<usize> = (0..CAPACITY).collect();
+    for i in (1..CAPACITY).rev() {
+        order.swap(i, rng.below(i + 1));
+    }
+    let mut non_empty = 0;
+    for batch in order.chunks(16) {
+        let got = disk.read_batch(batch);
+        assert_eq!(got, oracle.read_batch(batch));
+        non_empty += got.unwrap().iter().filter(|c| !c.is_empty()).count() as u64;
+    }
+    let stats = disk.stats();
+    assert_eq!(
+        (stats.cache_misses, stats.cache_hits, stats.cache_evictions),
+        (non_empty, 0, 0),
+        "a lent read is a miss and nothing else: {stats}"
+    );
+    assert_eq!(disk.cache_resident(), 0, "a read-only store keeps nothing resident");
+    assert_eq!(stats.sans_cache(), oracle.stats());
+
+    let mut stride = CELL_LEN;
+    for step in 0..400 {
+        let what = rng.below(100);
+        let label = format!("seed {seed} step {step} (op {what})");
+        match what {
+            // Reads, reaching one past the end so the error path agrees.
+            0..=39 => {
+                let addrs: Vec<usize> =
+                    (0..rng.below(20)).map(|_| rng.below(CAPACITY + 1)).collect();
+                let (evictions, resident) = (disk.stats().cache_evictions, disk.cache_resident());
+                assert_eq!(disk.read_batch(&addrs), oracle.read_batch(&addrs), "{label}");
+                // Only write-back's budget enforcement ever evicts here.
+                assert_eq!(disk.stats().cache_evictions, evictions, "a read evicted: {label}");
+                assert_eq!(disk.cache_resident(), resident, "a read took a slot: {label}");
+            }
+            // One cell, any length up to the stride (0 included).
+            40..=59 => {
+                let (addr, len) = (rng.below(CAPACITY), rng.below(stride + 1));
+                let bytes = cell(rng.next() as u8, len);
+                assert_eq!(disk.write(addr, bytes.clone()), oracle.write(addr, bytes), "{label}");
+            }
+            // A batch: more cells than the cache has slots.
+            60..=79 => {
+                let batch: Vec<(usize, Vec<u8>)> = (0..1 + rng.below(12))
+                    .map(|_| {
+                        let len = if rng.below(6) == 0 { 0 } else { stride };
+                        (rng.below(CAPACITY), cell(rng.next() as u8, len))
+                    })
+                    .collect();
+                assert_eq!(disk.write_batch(batch.clone()), oracle.write_batch(batch), "{label}");
+            }
+            80..=86 => disk.commit().expect("commit"),
+            // Write-back lands inside the mapped range of the active arena.
+            87..=93 => disk.checkpoint().expect("checkpoint"),
+            // A wider cell: every cell moves to the other arena file at the
+            // new stride, that file becomes the active one and is mapped at
+            // its own (longer) length by the next miss.
+            94..=96 => {
+                stride += 1 + rng.below(9);
+                let addr = rng.below(CAPACITY);
+                let bytes = cell(rng.next() as u8, stride);
+                assert_eq!(disk.write(addr, bytes.clone()), oracle.write(addr, bytes), "{label}");
+                assert_eq!(disk.cell_stride(), stride, "{label}");
+            }
+            _ => {
+                disk = reopen(disk, &mut oracle, &dir, window);
+                assert_eq!(disk.cell_stride(), stride, "{label}");
+            }
+        }
+        assert_eq!(disk.stats().sans_cache(), oracle.stats(), "{label}");
+        if step % 50 == 49 {
+            assert_same_state(&mut disk, &mut oracle, &label);
+        }
+    }
+    assert_same_state(&mut disk, &mut oracle, "at the end");
+    let mut disk = reopen(disk, &mut oracle, &dir, window);
+    assert_same_state(&mut disk, &mut oracle, "after the last reopen");
+}
+
+#[test]
+fn seeded_programs_match_simserver_through_the_mapping() {
+    for seed in 1..=8 {
+        run_program(seed);
+    }
+}
+
+/// A checkpoint writes dirty cells back with `pwrite` *inside* the range
+/// the arena is mapped over, and the mapping is kept: the next lend must
+/// show the written-back bytes, not what the page held when it was mapped.
+#[test]
+fn a_written_back_cell_is_lent_with_its_new_bytes() {
+    let dir = TempDir::new("coherent");
+    let mut disk = DiskStore::open_with(&dir.0, opts(1)).expect("open");
+    disk.init(initial());
+    // Map the arena and touch the pages the writes will land in.
+    let victims = [1, 2, 3, 50, 51, 52, 100, 159];
+    for addr in victims {
+        assert_eq!(disk.read(addr).unwrap(), initial()[addr]);
+    }
+    // Eight dirty cells over a budget of four: the commit that goes over
+    // writes all of them back and evicts down to the budget, so at least
+    // four of the reads below are lent.
+    let batch: Vec<_> = victims
+        .iter()
+        .map(|&a| (a, cell(0xA0 ^ a as u8, CELL_LEN)))
+        .collect();
+    disk.write_batch(batch.clone()).unwrap();
+    assert!(disk.cache_resident() <= CACHE / CELL_LEN);
+    let misses = disk.stats().cache_misses;
+    for (addr, bytes) in &batch {
+        assert_eq!(&disk.read(*addr).unwrap(), bytes, "cell {addr} after write-back");
+    }
+    assert!(disk.stats().cache_misses >= misses + 4, "the reads above did not reach the mapping");
+    assert_eq!(disk.stats().cache_evictions, 4, "only write-back's budget enforcement evicts");
+}
