@@ -70,7 +70,7 @@ impl<S: Storage> BatchedDpIr<S> {
                 blocks.len()
             )));
         }
-        server.init(blocks.to_vec());
+        server.init_with(blocks.len(), |sink| blocks.iter().for_each(|b| sink(b)));
         Ok(Self { config, server, sealed: None, ct_scratch: Vec::new(), pt_scratch: Vec::new() })
     }
 
@@ -106,7 +106,7 @@ impl<S: Storage> BatchedDpIr<S> {
         let ct_stride = record_len + AEAD_OVERHEAD;
         let mut flat_ct = vec![0u8; blocks.len() * ct_stride];
         cipher.seal_batch_with_nonces(&nonces, &aads, &flat_pt, &mut flat_ct);
-        server.init(flat_ct.chunks(ct_stride).map(<[u8]>::to_vec).collect());
+        server.init_with(blocks.len(), |sink| flat_ct.chunks_exact(ct_stride).for_each(sink));
         Ok(Self {
             config,
             server,

@@ -200,6 +200,35 @@ struct FlightScratch {
 /// plaintext chunk that stays in cache.
 const SETUP_CHUNK: usize = 256;
 
+/// Set-up's upload for an encrypting scheme (Algorithm 2's
+/// `A[i] = Enc(K, B_i)`): `count` cells of `cell_size` bytes read through
+/// `cell(i)` are encrypted [`SETUP_CHUNK`] at a time into one reused
+/// ciphertext chunk, whose slices the server's set-up sink is lent — no
+/// ciphertext is held beyond the chunk. One nonce per cell is drawn in
+/// address order, exactly as a per-cell `encrypt` loop draws them.
+pub(crate) fn init_encrypted<'c, S: Storage>(
+    server: &mut S,
+    cipher: &BlockCipher,
+    rng: &mut ChaChaRng,
+    count: usize,
+    cell_size: usize,
+    cell: impl Fn(usize) -> &'c [u8],
+) {
+    let ct_len = cell_size + CIPHERTEXT_OVERHEAD;
+    let (mut plain, mut sealed) = (Vec::new(), Vec::new());
+    server.init_with(count, |sink| {
+        for start in (0..count).step_by(SETUP_CHUNK) {
+            let end = count.min(start + SETUP_CHUNK);
+            plain.clear();
+            (start..end).for_each(|i| plain.extend_from_slice(cell(i)));
+            let nonces = rng.draw_nonces(end - start);
+            sealed.resize((end - start) * ct_len, 0);
+            cipher.encrypt_batch_with_nonces(&nonces, &plain, &mut sealed);
+            sealed.chunks_exact(ct_len).for_each(&mut *sink);
+        }
+    });
+}
+
 /// DP-RAM over a repertoire of (possibly overlapping) buckets of cells.
 #[derive(Debug)]
 pub struct BucketRam<S: Storage = SimServer> {
@@ -279,21 +308,7 @@ impl<S: Storage> BucketRam<S> {
         }
 
         let cipher = BlockCipher::generate(rng);
-        let ct_len = cell_size + CIPHERTEXT_OVERHEAD;
-        let mut encrypted = Vec::with_capacity(count);
-        let (mut plain, mut sealed) = (Vec::new(), Vec::new());
-        for start in (0..count).step_by(SETUP_CHUNK) {
-            let end = count.min(start + SETUP_CHUNK);
-            plain.clear();
-            for i in start..end {
-                plain.extend_from_slice(cell(i));
-            }
-            let nonces = rng.draw_nonces(end - start);
-            sealed.resize((end - start) * ct_len, 0);
-            cipher.encrypt_batch_with_nonces(&nonces, &plain, &mut sealed);
-            encrypted.extend(sealed.chunks_exact(ct_len).map(<[u8]>::to_vec));
-        }
-        server.init(encrypted);
+        init_encrypted(&mut server, &cipher, rng, count, cell_size, &cell);
 
         let mut ram = Self {
             buckets,

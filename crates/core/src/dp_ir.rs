@@ -165,7 +165,7 @@ impl<S: Storage> DpIr<S> {
                 blocks.len()
             )));
         }
-        server.init(blocks.to_vec());
+        server.init_with(blocks.len(), |sink| blocks.iter().for_each(|b| sink(b)));
         Ok(Self { config, server, set: Vec::with_capacity(config.k) })
     }
 

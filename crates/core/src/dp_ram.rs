@@ -37,6 +37,8 @@ use dps_crypto::{BlockCipher, ChaChaRng};
 use dps_server::{ServerError, SimServer, Storage};
 use dps_workloads::Op;
 
+use crate::bucket_ram::init_encrypted;
+
 /// The typed per-query adversarial view: the download-phase address and the
 /// overwrite-phase address — the pair `(d_j, o_j)` of Section 6.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,8 +189,7 @@ impl<S: Storage> DpRam<S> {
         }
 
         let cipher = BlockCipher::generate(rng);
-        let cells: Vec<Vec<u8>> = blocks.iter().map(|b| cipher.encrypt(b, rng).0).collect();
-        server.init(cells);
+        init_encrypted(&mut server, &cipher, rng, config.n, block_size, |i| &blocks[i]);
 
         let mut stash = HashMap::new();
         for (i, block) in blocks.iter().enumerate() {

@@ -37,7 +37,7 @@ impl<S: Storage> DpRamReadOnly<S> {
     pub fn setup(blocks: &[Vec<u8>], p: f64, mut server: S, rng: &mut ChaChaRng) -> Self {
         assert!(!blocks.is_empty(), "need at least one block");
         assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-        server.init(blocks.to_vec());
+        server.init_with(blocks.len(), |sink| blocks.iter().for_each(|b| sink(b)));
         let mut stash = HashMap::new();
         for (i, b) in blocks.iter().enumerate() {
             if rng.gen_bool(p) {

@@ -34,7 +34,7 @@ impl<S: Storage> InsecureStrawmanIr<S> {
     pub fn setup(blocks: &[Vec<u8>], mut server: S) -> Self {
         assert!(!blocks.is_empty(), "need at least one block");
         let n = blocks.len();
-        server.init(blocks.to_vec());
+        server.init_with(n, |sink| blocks.iter().for_each(|b| sink(b)));
         Self { n, server }
     }
 

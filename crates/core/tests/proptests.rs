@@ -533,8 +533,8 @@ struct Liar {
 }
 
 impl Storage for Liar {
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        self.inner.init(cells);
+    fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
+        self.inner.init_with(capacity, produce);
     }
     fn init_empty(&mut self, capacity: usize) {
         self.inner.init_empty(capacity);

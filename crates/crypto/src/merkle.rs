@@ -75,8 +75,23 @@ impl MerkleTree {
     /// # Panics
     /// Panics if `cells` is empty.
     pub fn build<C: AsRef<[u8]>>(cells: &[C]) -> Self {
-        assert!(!cells.is_empty(), "need at least one cell");
-        let mut levels = vec![cells.iter().map(|c| hash_leaf(c.as_ref())).collect::<Vec<_>>()];
+        Self::from_leaves(cells.iter().map(|c| hash_leaf(c.as_ref())).collect())
+    }
+
+    /// The leaf digest of `cell`, for [`MerkleTree::from_leaves`].
+    pub fn leaf(cell: &[u8]) -> Digest {
+        hash_leaf(cell)
+    }
+
+    /// Builds the tree over leaf digests computed one by one with
+    /// [`MerkleTree::leaf`] — for a caller that sees the cells stream past
+    /// and never holds them together.
+    ///
+    /// # Panics
+    /// Panics if `leaves` is empty.
+    pub fn from_leaves(leaves: Vec<Digest>) -> Self {
+        assert!(!leaves.is_empty(), "need at least one cell");
+        let mut levels = vec![leaves];
         while levels.last().expect("non-empty").len() > 1 {
             let prev = levels.last().expect("non-empty");
             let next: Vec<Digest> = prev

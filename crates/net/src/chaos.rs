@@ -518,8 +518,8 @@ impl<S: Storage> FaultStorage<S> {
 }
 
 impl<S: Storage> Storage for FaultStorage<S> {
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        self.inner.init(cells);
+    fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
+        self.inner.init_with(capacity, produce);
     }
 
     fn init_empty(&mut self, capacity: usize) {

@@ -47,7 +47,7 @@
 //! corrupt response, a `Cells` response with the wrong cell count, an
 //! unknown response id — mean the peer is not a conforming daemon; the
 //! trait surface panics on them. So do the metadata methods with
-//! infallible signatures (`init`, `capacity`, `stats`, …) on any wire
+//! infallible signatures (`init_with`, `capacity`, `stats`, …) on any wire
 //! failure. Callers that need to observe transport faults in full (tests,
 //! reconnect logic) use the typed inherent surface instead —
 //! [`RemoteServer::request`] / [`RemoteServer::try_call`] for any
@@ -78,9 +78,13 @@
 //!
 //! # Size limits
 //!
-//! [`Storage::init`] has no practical size limit: databases whose encoded
-//! form would exceed one frame stream as `InitChunk` frames
-//! automatically. Individual *query* batches, by contrast, are bounded by
+//! Set-up ([`Storage::init_with`], and `init` through it) has no size
+//! limit and no size-dependent path: every database streams as `InitChunk`
+//! frames of about [`DEFAULT_INIT_CHUNK_BYTES`], each framed cell by cell
+//! from the caller's slices and acknowledged before the next is built, so
+//! the client holds one frame of it at a time whatever its size (only a
+//! single cell larger than [`crate::wire::MAX_FRAME`] cannot be sent).
+//! Individual *query* batches, by contrast, are bounded by
 //! [`crate::wire::MAX_FRAME`] (256 MiB per frame) — chunking those would
 //! break the one-round-trip-per-batch accounting the equivalence suite
 //! pins, and no scheme in this workspace comes within two orders of
@@ -97,8 +101,9 @@ use dps_server::{CostStats, ServerError, Storage, Transcript};
 
 use crate::chaos::splitmix64;
 use crate::wire::{
-    frame_into, put_read_batch, put_write_cells, put_xor_cells, FrameAssembler, Request, Response,
-    ResponseView, WireError, HEADER2_LEN, READ_CHUNK,
+    begin_init_chunk, end_init_chunk, frame_into, put_bytes, put_read_batch, put_write_cells,
+    put_xor_cells, FrameAssembler, Request, Response, ResponseView, WireError, HEADER2_LEN,
+    READ_CHUNK,
 };
 
 /// A wire-level or model-level failure of a remote call.
@@ -296,9 +301,8 @@ pub struct RemoteServer {
     peer: SocketAddr,
     timeouts: Timeouts,
     reconnect: Option<ReconnectPolicy>,
-    /// Databases whose encoded `Init` frame would exceed this many bytes
-    /// are streamed as `InitChunk` frames instead (see
-    /// [`RemoteServer::with_init_chunk_bytes`]).
+    /// An `InitChunk` frame of set-up is shipped once it holds this many
+    /// bytes (see [`RemoteServer::with_init_chunk_bytes`]).
     init_chunk_bytes: usize,
     /// Caps on the stash (see [`RemoteServer::with_stash_limits`]).
     stash_max_frames: usize,
@@ -325,10 +329,13 @@ pub struct RemoteServer {
     wire_reconnects: Cell<u64>,
 }
 
-/// Default [`RemoteServer::with_init_chunk_bytes`] threshold: 32 MiB,
-/// comfortably under [`crate::wire::MAX_FRAME`] while keeping chunked
-/// setup to a handful of frames per GiB.
-pub const DEFAULT_INIT_CHUNK_BYTES: usize = 1 << 25;
+/// The size at which set-up ships an `InitChunk` frame: 1 MiB. The frame
+/// is all of the database the client holds at once, and the unit in which
+/// the daemon receives, keeps and later releases it — large enough that
+/// its round trip is noise beside copying it, small enough to be neither
+/// side's high-water mark. (Shrinking the frame is not where set-up's
+/// memory went — NOTES.md, entry 11.)
+pub const DEFAULT_INIT_CHUNK_BYTES: usize = 1 << 20;
 
 /// Default [`RemoteServer::with_stash_limits`] frame cap: far above any
 /// sane pipelining window, low enough that a leak of unclaimed tickets
@@ -446,12 +453,9 @@ impl RemoteServer {
         self
     }
 
-    /// Sets the per-frame byte threshold above which [`Storage::init`]
-    /// streams the database as multiple `InitChunk` frames instead of one
-    /// `Init` frame (clamped to at least one cell per frame). The default
-    /// [`DEFAULT_INIT_CHUNK_BYTES`] suits any database; lowering it is
-    /// mainly for tests and for daemons behind small
-    /// [`crate::DaemonLimits`].
+    /// Test hook: sets the size at which set-up ships an `InitChunk` frame
+    /// (a frame always takes at least one cell, so `1` forces one cell per
+    /// frame). [`DEFAULT_INIT_CHUNK_BYTES`] suits any database.
     pub fn with_init_chunk_bytes(mut self, bytes: usize) -> Self {
         self.init_chunk_bytes = bytes.max(1);
         self
@@ -805,32 +809,59 @@ impl RemoteServer {
         }
     }
 
-    /// [`Storage::init`] as frames: one `Init` for small databases; above
-    /// the chunking threshold the cells stream as `InitChunk` frames so
-    /// setup never hits the [`crate::wire::MAX_FRAME`] cap, whatever the
-    /// database size.
-    fn send_init(&self, cells: Vec<Vec<u8>>) -> Result<(), RemoteError> {
-        let encoded: usize = cells.iter().map(|c| c.len() + 8).sum::<usize>() + 16;
-        if cells.is_empty() || encoded <= self.init_chunk_bytes {
-            return self.expect_ok(&Request::Init { cells });
-        }
-        let mut chunk: Vec<Vec<u8>> = Vec::new();
-        let mut chunk_bytes = 0usize;
-        let mut iter = cells.into_iter().peekable();
-        while let Some(cell) = iter.next() {
-            chunk_bytes += cell.len() + 8;
-            chunk.push(cell);
-            let next_fits = iter
-                .peek()
-                .is_some_and(|next| chunk_bytes + next.len() + 8 <= self.init_chunk_bytes);
-            if !next_fits {
-                let done = iter.peek().is_none();
-                let request = Request::InitChunk { done, cells: std::mem::take(&mut chunk) };
-                chunk_bytes = 0;
-                self.expect_ok(&request)?;
+    /// [`Storage::init_with`] as frames. The sink appends each cell, `len ‖
+    /// bytes`, to an `InitChunk` frame open in the send buffer — the one
+    /// copy this side of the wire — and a frame that has reached
+    /// `init_chunk_bytes` is shipped, and acknowledged, before the next cell
+    /// goes in: no frame exceeds the bound by more than one cell, and the
+    /// client never holds more of the database than that. The last frame
+    /// carries `done` (an empty database is that frame alone). The sink
+    /// cannot fail, so the first failure is latched: the cells after it are
+    /// dropped, nothing more is sent, and the caller gets the error once
+    /// the producer returns. A producer that miscounted panics before
+    /// `done` is sent, so the daemon keeps what it had.
+    fn send_init(
+        &self,
+        capacity: usize,
+        produce: impl FnOnce(&mut dyn FnMut(&[u8])),
+    ) -> Result<(), RemoteError> {
+        let tx = &mut *self.tx.borrow_mut();
+        begin_init_chunk(tx);
+        let (mut cells, mut total, mut sent) = (0usize, 0usize, Ok(()));
+        produce(&mut |cell| {
+            if sent.is_ok() && cells > 0 && tx.len() >= self.init_chunk_bytes {
+                sent = self.ship_init_chunk(tx, cells, false);
+                begin_init_chunk(tx);
+                cells = 0;
             }
-        }
-        Ok(())
+            if sent.is_ok() {
+                put_bytes(tx, cell);
+                cells += 1;
+            }
+            total += 1;
+        });
+        assert_eq!(total, capacity, "set-up produced a different number of cells");
+        let done = sent.and_then(|()| self.ship_init_chunk(tx, cells, true));
+        tx.clear();
+        tx.shrink_to(READ_CHUNK);
+        done
+    }
+
+    /// Seals the `InitChunk` frame open in `tx`, sends it and waits for its
+    /// `Ok`; `tx` comes back empty.
+    fn ship_init_chunk(
+        &self,
+        tx: &mut Vec<u8>,
+        cells: usize,
+        done: bool,
+    ) -> Result<(), RemoteError> {
+        let ticket = self.frame(tx, false, |id, tx| end_init_chunk(tx, id, done, cells))?;
+        self.transmit(tx, &[ticket])?;
+        self.wait_with(ticket, |payload| match ResponseView::parse(payload)? {
+            ResponseView::Ok => Ok(()),
+            ResponseView::Fail(e) => Err(RemoteError::Server(e)),
+            other => Err(unexpected(&other.into_owned())),
+        })
     }
 
     /// The download hot path with its failures typed: a response with the
@@ -899,8 +930,8 @@ fn infallible<T>(what: &str, result: Result<T, RemoteError>) -> T {
 impl Storage for RemoteServer {
     /// Uncharged setup however many frames it takes: model stats and
     /// transcript are untouched; only the wire counters see the frames.
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        infallible("init", self.send_init(cells));
+    fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
+        infallible("init", self.send_init(capacity, produce));
     }
 
     fn init_empty(&mut self, capacity: usize) {
@@ -1020,5 +1051,44 @@ mod tests {
         );
         assert!(remote.rx.borrow().capacity() <= 2 * READ_CHUNK);
         peer.join().unwrap();
+    }
+
+    /// Set-up crosses the wire in frames of the bound plus at most one
+    /// cell — the last one carrying `done` — and leaves both of the
+    /// client's buffers at their idle size.
+    #[test]
+    fn set_up_ships_bounded_frames_and_gives_its_buffers_back() {
+        const CELL: usize = 1000;
+        const CELLS: usize = 3 * 1024 + 5;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut frames = Vec::new();
+            while let Some((id, payload)) = read_frame_v2(&mut stream).unwrap() {
+                let Request::InitChunk { done, cells } = Request::decode(&payload).unwrap() else {
+                    panic!("set-up sends InitChunk frames only")
+                };
+                frames.push((payload.len(), done, cells.len()));
+                stream
+                    .write_all(&Response::Ok.encode_framed_v2(id).unwrap())
+                    .unwrap();
+            }
+            frames
+        });
+        let mut remote = RemoteServer::connect(addr).unwrap();
+        let cell = [0x5Au8; CELL];
+        remote.init_with(CELLS, |sink| (0..CELLS).for_each(|_| sink(&cell)));
+        assert!(remote.tx.borrow().capacity() <= READ_CHUNK);
+        assert!(remote.rx.borrow().capacity() <= READ_CHUNK);
+        drop(remote);
+
+        let frames = peer.join().unwrap();
+        assert_eq!(frames.len(), 3, "{frames:?}");
+        assert_eq!(frames.iter().map(|f| f.2).sum::<usize>(), CELLS);
+        for (i, &(len, done, _)) in frames.iter().enumerate() {
+            assert!(len <= DEFAULT_INIT_CHUNK_BYTES + CELL + 8, "frame {i} is {len} bytes");
+            assert_eq!(done, i == 2, "only the last frame carries done");
+        }
     }
 }

@@ -95,6 +95,19 @@
 //! arena beyond the budget are all rejected by closing the connection
 //! before any allocation happens. Legitimate deployments size
 //! [`DaemonLimits::max_stored_bytes`] to the machine.
+//!
+//! # Set-up
+//!
+//! The one request that is not served out of the in-buffer alone is a
+//! chunked init: its frames arrive over many wake-ups, and the store takes
+//! a database whole (a crash must find the old one or the new one). The
+//! connection keeps the chunks' wire bytes end to end in one buffer —
+//! checked against the same budget before each is kept — and on `done`
+//! feeds them, and the last frame where it lies, cell by cell to
+//! [`Storage::init_with`]: the database is in memory twice while the store
+//! lays out its image, once (or, behind a bounded cache, not at all) when
+//! the answer leaves. A run of chunks is contiguous; any other request on
+//! the connection abandons and frees it.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -109,7 +122,7 @@ use dps_server::Storage;
 use crate::sys::{timeout_ms_until, Event, PollBackend, Poller};
 use crate::wire::{
     begin_frame, end_frame, frame_into, put_bytes, put_cells_open, put_fold, Addrs, Cells,
-    FrameAssembler, RequestView, Response, WireError, MAX_FRAME, READ_CHUNK,
+    CellsBuf, FrameAssembler, RequestView, Response, WireError, MAX_FRAME, READ_CHUNK,
 };
 
 /// Per-cell bookkeeping bytes (length table + init bitmap + slack) used
@@ -341,7 +354,7 @@ struct Conn {
     /// `out[out_pos..]` is still to be written.
     out: Vec<u8>,
     out_pos: usize,
-    /// Cells accumulated by a chunked init that has not seen `done` yet.
+    /// The chunks of a chunked init that has not seen `done` yet.
     pending: PendingInit,
     /// Backpressured: reads and frame processing are suspended until the
     /// out-buffer drains.
@@ -825,30 +838,48 @@ fn settle_conn(poller: &mut Poller, conns: &mut [Option<Conn>], idx: usize) {
     }
 }
 
-/// Per-connection state: cells accumulated by a chunked init that has
-/// not yet seen its `done` frame.
+/// Per-connection state of a chunked init that has not seen its `done`
+/// frame: the chunk bodies as they arrived, end to end in one buffer of
+/// wire bytes — read back through the parser's own `Cells` view, never a
+/// value per cell — and the longest cell among them. The frame carrying
+/// `done` is not kept at all (it is fed to the store where it lies), and a
+/// stream is contiguous: any other request on the connection drops it.
 #[derive(Debug, Default)]
 struct PendingInit {
-    cells: Vec<Vec<u8>>,
+    kept: CellsBuf,
     longest: u64,
 }
 
 impl PendingInit {
+    fn longest_with(&self, more: Cells<'_>) -> u64 {
+        more.iter().map(|c| c.len() as u64).fold(self.longest, u64::max)
+    }
+
     /// Projected arena footprint if `more` joins the accumulated cells:
     /// the flat store allocates `capacity × stride`, where the stride is
     /// the longest cell — so one long cell among many short ones
-    /// multiplies across the whole capacity.
+    /// multiplies across the whole capacity. It also bounds what is kept
+    /// here until `done`: `count × 8` bytes plus the cells' own.
     fn projected_bytes(&self, more: Cells<'_>) -> u64 {
-        let longest = more.iter().map(|c| c.len() as u64).fold(self.longest, u64::max);
-        let count = (self.cells.len() + more.len()) as u64;
-        count.saturating_mul(longest.saturating_add(CELL_OVERHEAD))
+        let count = (self.kept.cells().len() + more.len()) as u64;
+        count.saturating_mul(self.longest_with(more).saturating_add(CELL_OVERHEAD))
     }
 
-    /// Copies `more` out of the frame: `Storage::init` takes its cells by
-    /// value, so set-up is the one place the daemon still owns cells.
-    fn push(&mut self, more: Cells<'_>) {
-        self.longest = more.iter().map(|c| c.len() as u64).fold(self.longest, u64::max);
-        self.cells.extend(more.iter().map(<[u8]>::to_vec));
+    /// Copies `more` out of its frame, behind what is already kept.
+    fn keep(&mut self, more: Cells<'_>) {
+        self.longest = self.longest_with(more);
+        self.kept.push(more);
+    }
+
+    /// Set-up: the kept cells, then `last` straight from its frame, go to
+    /// the store one by one in address order. Until the store has laid
+    /// them into its image the database is held twice — here and there —
+    /// and once when this returns.
+    fn feed<S: Storage>(self, last: Cells<'_>, server: &mut S) {
+        let kept = self.kept.cells();
+        server.init_with(kept.len() + last.len(), |sink| {
+            kept.iter().chain(last.iter()).for_each(sink)
+        });
     }
 }
 
@@ -907,26 +938,30 @@ fn dispatch<S: Storage>(
     let ok_or_fail = |done: Result<(), dps_server::ServerError>| {
         done.map_or_else(Response::Fail, |()| Response::Ok)
     };
+    if !matches!(request, RequestView::InitChunk { .. }) {
+        // A chunked init is contiguous: whatever else arrives ends (and
+        // frees) a half-finished one instead of letting a later stream be
+        // spliced behind its prefix.
+        *pending = PendingInit::default();
+    }
     let response = match request {
         RequestView::Ping => Response::Pong,
         RequestView::Init { cells } => {
-            within_budget(limits, PendingInit::default().projected_bytes(cells))?;
-            *pending = PendingInit::default(); // a whole-DB init supersedes stale chunks
-            pending.push(cells);
-            server.init(std::mem::take(pending).cells);
+            within_budget(limits, pending.projected_bytes(cells))?;
+            std::mem::take(pending).feed(cells, server);
             Response::Ok
         }
         RequestView::InitChunk { done, cells } => {
             within_budget(limits, pending.projected_bytes(cells))?;
-            pending.push(cells);
             if done {
-                server.init(std::mem::take(pending).cells);
+                std::mem::take(pending).feed(cells, server);
+            } else {
+                pending.keep(cells);
             }
             Response::Ok
         }
         RequestView::InitEmpty { capacity } => {
             within_budget(limits, (capacity as u64).saturating_mul(CELL_OVERHEAD))?;
-            *pending = PendingInit::default();
             server.init_empty(capacity);
             Response::Ok
         }
@@ -995,4 +1030,42 @@ fn dispatch<S: Storage>(
         }
     };
     response.encode_framed_into(id, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::Request;
+    use dps_server::SimServer;
+
+    /// A chunked init grows the connection's receive buffer to a frame and
+    /// its pending state to the database; once `done` is served the first is
+    /// back at its idle size and the second is gone.
+    #[test]
+    fn set_up_leaves_the_connection_as_it_found_it() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream, Instant::now());
+        let (mut server, mut scratch) = (SimServer::new(), Scratch::default());
+        let metrics = MetricsInner::default();
+        let mut serve = |conn: &mut Conn, client: &mut TcpStream, request: Request, id: u64| {
+            client.write_all(&request.encode_framed_v2(id).unwrap()).unwrap();
+            let answered = conn.out.len();
+            while conn.out.len() == answered {
+                fill_conn(conn, &mut server, &mut scratch, DaemonLimits::default(), &metrics);
+                assert!(!conn.dead && !conn.closing);
+            }
+        };
+
+        let chunk = |done| Request::InitChunk { done, cells: vec![vec![9u8; 1 << 10]; 1 << 10] };
+        serve(&mut conn, &mut client, chunk(false), 1);
+        serve(&mut conn, &mut client, chunk(false), 2);
+        assert_eq!(conn.pending.kept.cells().len(), 2 << 10);
+        serve(&mut conn, &mut client, chunk(true), 3);
+        assert_eq!(conn.pending.kept.cells().len(), 0);
+        assert!(conn.assembler.capacity() <= READ_CHUNK, "{}", conn.assembler.capacity());
+        assert_eq!(server.capacity(), 3 << 10);
+    }
 }

@@ -58,8 +58,8 @@ pub const MAGIC2: u32 = u32::from_le_bytes(*b"DPS2");
 pub const HEADER2_LEN: usize = 16;
 
 /// Maximum payload bytes per frame (256 MiB). Caps what a length prefix
-/// can make the receiver allocate; large databases still fit one `Init`
-/// frame comfortably.
+/// can make the receiver allocate. Set-up is not bounded by it: the client
+/// streams a database of any size as `InitChunk` frames of about 1 MiB.
 pub const MAX_FRAME: usize = 1 << 28;
 
 /// Errors raised by the frame codec and message (de)serialization.
@@ -507,6 +507,31 @@ pub(crate) fn put_write_cells<'a>(
     }
 }
 
+/// Starts `out` over as one open `InitChunk` frame: each cell follows
+/// through [`put_bytes`], and [`end_init_chunk`] fills in what is only known
+/// once the last one is in.
+pub(crate) fn begin_init_chunk(out: &mut Vec<u8>) {
+    out.clear();
+    begin_frame(out);
+    out.push(op::INIT_CHUNK);
+    out.push(0);
+    put_u64(out, 0);
+}
+
+/// Seals the `InitChunk` frame [`begin_init_chunk`] opened in `out` under
+/// `id`: its `done` byte, the count of the `cells` appended since, the
+/// frame header.
+pub(crate) fn end_init_chunk(
+    out: &mut Vec<u8>,
+    id: u64,
+    done: bool,
+    cells: usize,
+) -> Result<(), WireError> {
+    out[HEADER2_LEN + 1] = u8::from(done);
+    out[HEADER2_LEN + 2..HEADER2_LEN + 10].copy_from_slice(&(cells as u64).to_le_bytes());
+    end_frame(out, 0, id)
+}
+
 /// Opens a `Cells` answer of `n` cells; each cell follows through
 /// [`put_bytes`].
 pub(crate) fn put_cells_open(buf: &mut Vec<u8>, n: usize) {
@@ -729,6 +754,28 @@ impl<'a> Cells<'a> {
     }
 }
 
+/// Validated cell lists kept past their frames: their wire bytes, end to
+/// end in one buffer, read back through the same [`Cells`] view — one
+/// allocation however many cells it holds, grown by exactly what each list
+/// adds (a large buffer is remapped by the allocator, not copied).
+#[derive(Debug, Default)]
+pub(crate) struct CellsBuf {
+    n: usize,
+    body: Vec<u8>,
+}
+
+impl CellsBuf {
+    pub(crate) fn push(&mut self, more: Cells<'_>) {
+        self.n += more.n;
+        self.body.reserve_exact(more.body.len());
+        self.body.extend_from_slice(more.body);
+    }
+
+    pub(crate) fn cells(&self) -> Cells<'_> {
+        Cells { n: self.n, body: &self.body }
+    }
+}
+
 /// A validated `(address, cell)` list, still in wire form.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Writes<'a> {
@@ -934,16 +981,18 @@ mod op {
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
-    /// [`Storage::init`](dps_server::Storage::init).
+    /// [`Storage::init`](dps_server::Storage::init), whole, in one frame
+    /// (still served; the client's set-up sends `InitChunk` frames).
     Init {
         /// The cells replacing the server contents.
         cells: Vec<Vec<u8>>,
     },
-    /// One slice of a chunked [`Storage::init`](dps_server::Storage::init)
-    /// whose whole-database `Init` frame would exceed [`MAX_FRAME`]. The
-    /// daemon accumulates chunks in arrival order and applies the
-    /// (uncharged) init when `done` arrives; the client sends these
-    /// automatically above its chunking threshold.
+    /// One slice of a set-up
+    /// ([`Storage::init_with`](dps_server::Storage::init_with)): how the
+    /// client sends every database, about 1 MiB at a time. The daemon
+    /// keeps the chunks of an uninterrupted run in arrival order and
+    /// applies the (uncharged) init when `done` arrives; any other request
+    /// in between abandons the run.
     InitChunk {
         /// True on the final chunk: apply the accumulated cells.
         done: bool,

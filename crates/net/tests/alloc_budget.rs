@@ -18,15 +18,33 @@
 //! or the value that encodes to exactly those bytes, never a panic and
 //! never an allocation that a count, rather than the bytes present, sized.
 //!
+//! **Set-up holds the database at most twice, and once when it returns**:
+//! the bytes the process has requested and not given back — client and
+//! daemon thread together — rise by at most 2.25 × the database while a
+//! scheme is set up through `RemoteServer → NetDaemon<DiskStore>` (the
+//! chunks the daemon received plus the image they are laid into; on the
+//! client one frame), and are back within 1 MiB of where they were, plus
+//! the identity-mode slab where there is one, when `setup` returns. A
+//! clone of the caller's blocks, a `Vec` per received cell or an image
+//! copied into the slab each show up as a whole database more. So does a
+//! half-finished chunked init that outlives the next request.
+//!
 //! Its own test binary, with one test, because the counters are
 //! process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dps_core::dp_ir::{DpIr, DpIrConfig};
+use dps_core::dp_ram::{DpRam, DpRamConfig};
+use dps_crypto::ChaChaRng;
 use dps_net::wire::visit_cells;
 use dps_net::{NetDaemon, RemoteServer, Request, Response};
-use dps_server::{AccessEvent, CostStats, ServerError, SimServer, Storage, Transcript};
+use dps_server::{
+    AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy,
+    Transcript,
+};
+use dps_workloads::generators::database;
 
 /// Calls that hand out or move memory (`alloc`, `alloc_zeroed`,
 /// `realloc`); frees are not counted.
@@ -35,9 +53,24 @@ static CALLS: AtomicU64 = AtomicU64::new(0);
 /// The largest single request since it was last zeroed.
 static LARGEST: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes requested and not yet given back (requested sizes: a `Vec` that
+/// doubled counts its capacity), and their high-water mark since it was
+/// last set.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static HIGH_WATER: AtomicU64 = AtomicU64::new(0);
+
 fn count(size: usize) {
     CALLS.fetch_add(1, Ordering::Relaxed);
     LARGEST.fetch_max(size as u64, Ordering::Relaxed);
+}
+
+fn took(size: usize) {
+    let live = LIVE.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+    HIGH_WATER.fetch_max(live, Ordering::Relaxed);
+}
+
+fn gave_back(size: usize) {
+    LIVE.fetch_sub(size as u64, Ordering::Relaxed);
 }
 
 struct Counting;
@@ -48,23 +81,28 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        took(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        took(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        took(new_size);
+        gave_back(layout.size());
         // SAFETY: as above; `ptr` came from this allocator, i.e. `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        gave_back(layout.size());
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -84,6 +122,100 @@ const BUDGET: u64 = 2;
 fn the_data_path_and_the_parser_keep_to_their_allocation_budgets() {
     a_steady_state_exchange_costs_at_most_two_allocator_calls();
     the_parser_allocates_in_proportion_to_its_input();
+    set_up_holds_the_database_twice_at_most_and_once_when_it_returns();
+    an_abandoned_chunked_init_is_freed_by_the_next_request();
+}
+
+const MIB: u64 = 1 << 20;
+
+/// A durable daemon on a scratch directory (removed by the caller) and a
+/// client of it.
+fn durable_pair(tag: &str, cache_bytes: usize) -> (std::path::PathBuf, NetDaemon, RemoteServer) {
+    let dir = std::env::temp_dir().join(format!("dps_alloc_budget_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = DiskOptions { sync: SyncPolicy::Never, cache_bytes, ..DiskOptions::default() };
+    let store = DiskStore::open_with(&dir, opts).expect("create disk store");
+    let daemon = NetDaemon::spawn(store).expect("spawn daemon");
+    let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+    (dir, daemon, remote)
+}
+
+/// What a set-up of `cells` cells cost the allocator, held to the budget.
+struct SetUpCost {
+    /// How far the live bytes rose at their highest while it ran.
+    high: u64,
+    /// How much higher they stand after it.
+    left: u64,
+    /// Allocator calls it made.
+    calls: u64,
+}
+
+impl SetUpCost {
+    fn of<T>(setup: impl FnOnce() -> T) -> (T, Self) {
+        let (before, calls) = (LIVE.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed));
+        HIGH_WATER.store(before, Ordering::Relaxed);
+        let out = setup();
+        let cost = SetUpCost {
+            high: HIGH_WATER.load(Ordering::Relaxed) - before,
+            left: LIVE.load(Ordering::Relaxed).saturating_sub(before),
+            calls: CALLS.load(Ordering::Relaxed) - calls,
+        };
+        (out, cost)
+    }
+
+    /// `db` bytes in `cells` cells went to the server, which keeps `kept`
+    /// of them in memory: at most 2.25 × `db` were held at once, `kept`
+    /// plus 1 MiB are held now, and no layer allocated per cell.
+    fn check(&self, what: &str, (db, cells): (u64, usize), kept: u64) {
+        let SetUpCost { high, left, calls } = *self;
+        println!("{what}: {db} bytes in {cells} cells; live bytes +{high} at most, +{left} after; {calls} calls");
+        assert!(4 * high <= 9 * db, "{what} held {high} bytes over a {db}-byte database");
+        assert!(left <= kept + MIB, "{what} left {left} bytes held, the store keeps {kept}");
+        assert!(calls <= cells as u64 / 8, "{what} made {calls} allocator calls for {cells} cells");
+    }
+}
+
+fn set_up_holds_the_database_twice_at_most_and_once_when_it_returns() {
+    const N: usize = 1 << 15;
+    let blocks = database(N, RECORD); // 8 MiB, the caller's: part of the baseline
+
+    // DP-IR, a store with a bounded cache: nothing of the image stays.
+    let (dir, daemon, remote) = durable_pair("ir", 1 << 18);
+    let config = DpIrConfig::with_epsilon(N, (N as f64).ln(), 0.1).expect("config");
+    let (ir, cost) = SetUpCost::of(|| DpIr::setup(config, &blocks, remote).expect("setup"));
+    cost.check("DpIr::setup", ((N * RECORD) as u64, N), 0);
+    drop(ir);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+
+    // DP-RAM, identity mode: the image stays, once, as the slab.
+    let (dir, daemon, remote) = durable_pair("ram", 1 << 30);
+    let mut rng = ChaChaRng::seed_from_u64(5);
+    let config = DpRamConfig::recommended(N);
+    let (ram, cost) =
+        SetUpCost::of(|| DpRam::setup(config, &blocks, remote, &mut rng).expect("setup"));
+    let db = (N * (RECORD + dps_crypto::CIPHERTEXT_OVERHEAD)) as u64;
+    cost.check("DpRam::setup", (db, N), db);
+    drop(ram);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+fn an_abandoned_chunked_init_is_freed_by_the_next_request() {
+    let daemon = NetDaemon::spawn(SimServer::new()).expect("spawn daemon");
+    let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+    assert_eq!(remote.request(&Request::Ping), Ok(Response::Pong));
+    let chunk = Request::InitChunk { done: false, cells: vec![vec![7u8; RECORD]; 1 << 13] };
+
+    let before = LIVE.load(Ordering::Relaxed);
+    assert_eq!(remote.request(&chunk), Ok(Response::Ok));
+    let pending = LIVE.load(Ordering::Relaxed) - before;
+    assert!(pending >= 2 * MIB, "the daemon keeps the chunk it acknowledged ({pending} bytes)");
+    assert_eq!(remote.request(&Request::Ping), Ok(Response::Pong));
+    let left = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    assert!(left <= MIB / 8, "{left} bytes of an abandoned init survive the next request");
+    drop(remote);
+    daemon.shutdown();
 }
 
 fn a_steady_state_exchange_costs_at_most_two_allocator_calls() {

@@ -21,14 +21,17 @@
 use dps_core::dp_ir::{DpIr, DpIrConfig};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig, DpRamError};
+use dps_crypto::merkle::MerkleTree;
 use dps_crypto::ChaChaRng;
-use dps_net::{NetDaemon, RemoteServer};
+use dps_net::{FaultStorage, NetDaemon, RemoteServer};
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
 use dps_server::{
-    AccessEvent, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy, Verified,
+    AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy,
+    Verified,
 };
 use dps_workloads::generators::database;
+use proptest::prelude::*;
 
 /// Builds a daemon-backed remote and an identically configured local
 /// twin, runs `f` on both, and shuts the daemon down.
@@ -277,10 +280,10 @@ fn every_upload_spelling_is_the_same_request() {
     assert_ne!(wire_up, strided_frame(&ragged));
 }
 
-/// A database too big for one `Init` frame streams as `InitChunk`
-/// frames; the outcome must be indistinguishable from a single-frame
-/// init — same cells, same geometry, untouched model stats — with a
-/// tiny threshold forcing one cell per chunk to exercise the seams.
+/// Set-up streams as `InitChunk` frames; the outcome must not depend on
+/// where the frames end — same cells, same geometry, untouched model
+/// stats — with a tiny bound forcing one cell per frame to exercise the
+/// seams.
 #[test]
 fn chunked_init_is_equivalent_to_single_frame_init() {
     const N: usize = 40;
@@ -310,6 +313,168 @@ fn chunked_init_is_equivalent_to_single_frame_init() {
         assert_eq!(remote.capacity(), 8);
         assert_eq!(Storage::read(&mut remote, 3), Storage::read(&mut local, 3));
     });
+}
+
+// ---- Set-up equivalence: the primitive and its provided spelling. ------
+
+/// Everything a set-up leaves behind, as any `Storage` shows it.
+#[derive(Debug, PartialEq)]
+struct Contents {
+    capacity: usize,
+    stride: usize,
+    stored: u64,
+    cells: Vec<Vec<u8>>,
+}
+
+fn contents<S: Storage>(server: &mut S) -> Contents {
+    let capacity = server.capacity();
+    let every: Vec<usize> = (0..capacity).collect();
+    Contents {
+        capacity,
+        stride: server.cell_stride(),
+        stored: server.stored_bytes(),
+        cells: server.read_batch(&every).expect("every cell is written"),
+    }
+}
+
+/// Replaces what `server` holds with `cells` — through the provided `init`,
+/// or by lending each cell to the primitive — and returns what that left,
+/// having checked that set-up is uncharged and unseen.
+fn set_up<S: Storage>(server: &mut S, cells: &[Vec<u8>], provided: bool) -> Contents {
+    server.init(vec![vec![0xEE; 3]; 5]);
+    server.reset_stats();
+    server.start_recording();
+    if provided {
+        server.init(cells.to_vec());
+    } else {
+        server.init_with(cells.len(), |sink| cells.iter().for_each(|c| sink(c)));
+    }
+    assert_eq!(server.stats().sans_wire().sans_cache(), CostStats::default());
+    assert_eq!(server.take_transcript().round_trips(), 0);
+    contents(server)
+}
+
+/// The `InitChunk` frames a set-up of `cells` takes when a frame is shipped
+/// at `bound` bytes: header and prelude are 26 bytes, a cell is its length
+/// prefix and its bytes, and a frame always takes one cell.
+fn init_frames(bound: usize, cells: &[Vec<u8>]) -> u64 {
+    let (mut frames, mut len, mut held) = (1, 26, 0);
+    for cell in cells {
+        if held > 0 && len >= bound {
+            (frames, len, held) = (frames + 1, 26, 0);
+        }
+        len += 8 + cell.len();
+        held += 1;
+    }
+    frames
+}
+
+/// A scratch directory for one store, removed on drop.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new() -> Self {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("dps_loopback_setup_{}_{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Scratch(dir)
+    }
+
+    fn open(&self, cache_bytes: usize) -> DiskStore {
+        let opts = DiskOptions { sync: SyncPolicy::Never, cache_bytes, ..DiskOptions::default() };
+        DiskStore::open_with(&self.0, opts).expect("open disk store")
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `init(cells)` and the primitive leave the same store behind — geometry,
+/// stored bytes, every cell, no charge, no view — on the simulator, the
+/// durable store (bounded and identity cache; again after drop and reopen),
+/// the wire to a durable daemon with frames shipped at `bound` bytes, the
+/// integrity decorator and the fault injector.
+fn set_up_is_the_same_everywhere(cells: &[Vec<u8>], bound: usize) {
+    let want = Contents {
+        capacity: cells.len(),
+        stride: cells.iter().map(Vec::len).max().unwrap_or(0),
+        stored: cells.iter().map(|c| c.len() as u64).sum(),
+        cells: cells.to_vec(),
+    };
+    let mut roots = Vec::new();
+    for provided in [true, false] {
+        assert_eq!(set_up(&mut SimServer::new(), cells, provided), want);
+        assert_eq!(set_up(&mut FaultStorage::new(SimServer::new(), 7, 0), cells, provided), want);
+        let mut verified = Verified::new(SimServer::new());
+        assert_eq!(set_up(&mut verified, cells, provided), want);
+        roots.push(verified.trusted_root());
+
+        for cache_bytes in [64, 1 << 30] {
+            let dir = Scratch::new();
+            let mut store = dir.open(cache_bytes);
+            assert_eq!(set_up(&mut store, cells, provided), want);
+            drop(store);
+            assert_eq!(contents(&mut dir.open(cache_bytes)), want, "after reopen");
+
+            let dir = Scratch::new();
+            let daemon = NetDaemon::spawn(dir.open(cache_bytes)).expect("spawn daemon");
+            let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+            let mut remote = remote.with_init_chunk_bytes(bound);
+            assert_eq!(set_up(&mut remote, cells, provided), want);
+            let before = remote.wire_stats().wire_round_trips;
+            remote.init_with(cells.len(), |sink| cells.iter().for_each(|c| sink(c)));
+            assert_eq!(remote.wire_stats().wire_round_trips - before, init_frames(bound, cells));
+            drop(remote);
+            daemon.shutdown();
+            assert_eq!(contents(&mut dir.open(cache_bytes)), want, "behind the daemon, reopened");
+        }
+    }
+    assert_eq!(roots[0], roots[1]);
+    if !cells.is_empty() {
+        assert_eq!(roots[0], MerkleTree::build(cells).root());
+    }
+}
+
+/// The ragged lists set-up's layers each have a seam for: nothing at all,
+/// nothing in any cell, a last cell wider than the rest (the image is
+/// re-laid at its stride after the fact), a cell larger than a frame, and
+/// a frame filled to the byte.
+#[test]
+fn set_up_is_the_same_everywhere_for_ragged_cell_lists() {
+    let uniform: Vec<Vec<u8>> = (0..40u8).map(|i| cell(i, 24)).collect();
+    let wide_last: Vec<Vec<u8>> = vec![cell(1, 8), cell(2, 8), vec![], cell(3, 8), cell(4, 21)];
+    // 26 + 2 × (8 + 8) = 58: the second cell fills a 58-byte frame exactly.
+    let outsize: Vec<Vec<u8>> = vec![cell(5, 8), cell(6, 8), cell(7, 100), cell(8, 8), cell(9, 8)];
+    for bound in [1, 58, 59, 1 << 20] {
+        set_up_is_the_same_everywhere(&[], bound);
+        set_up_is_the_same_everywhere(&vec![vec![]; 3], bound);
+        set_up_is_the_same_everywhere(&uniform, bound);
+        set_up_is_the_same_everywhere(&wide_last, bound);
+        set_up_is_the_same_everywhere(&outsize, bound);
+    }
+    // The same seams at the frame size production ships: a cell that ends a
+    // 1 MiB frame on the byte, and a 1.5 MiB cell behind a small one.
+    let big = vec![cell(1, (1 << 20) - 34), cell(2, 10), cell(3, 3 << 19)];
+    assert_eq!(init_frames(1 << 20, &big), 2);
+    set_up_is_the_same_everywhere(&big, 1 << 20);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn set_up_is_the_same_everywhere_for_any_cell_list(
+        lens in proptest::collection::vec(0usize..40, 0..24),
+        bound in 1usize..200,
+    ) {
+        let cells: Vec<Vec<u8>> = lens.iter().enumerate().map(|(i, &len)| cell(i as u8, len)).collect();
+        set_up_is_the_same_everywhere(&cells, bound);
+    }
 }
 
 // ---- Scheme-level equivalence: zero call-site changes. -----------------

@@ -370,6 +370,39 @@ fn daemon_budget_applies_across_init_chunks() {
     daemon.shutdown();
 }
 
+/// A chunked init is contiguous: any other request on the connection ends
+/// a half-finished one, so a later stream starts from nothing instead of
+/// being spliced behind the stale prefix — and an init the client abandoned
+/// never becomes the store.
+#[test]
+fn a_half_finished_chunked_init_ends_at_the_next_request() {
+    let daemon = daemon_with_cells(4);
+    let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+    let chunk = |done, byte: u8, n| Request::InitChunk { done, cells: vec![vec![byte; 8]; n] };
+
+    assert_eq!(remote.request(&chunk(false, 0xAA, 3)), Ok(Response::Ok));
+    assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(4)), "not applied");
+    assert_eq!(remote.request(&chunk(false, 0xBB, 2)), Ok(Response::Ok));
+    assert_eq!(remote.request(&chunk(true, 0xCC, 1)), Ok(Response::Ok));
+    assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(3)));
+    assert_eq!(
+        remote.request(&Request::ReadBatch { addrs: vec![0, 1, 2] }),
+        Ok(Response::Cells(vec![vec![0xBB; 8], vec![0xBB; 8], vec![0xCC; 8]]))
+    );
+
+    // A failing request ends one as well, and so does a whole-database one.
+    assert_eq!(remote.request(&chunk(false, 0xDD, 5)), Ok(Response::Ok));
+    assert!(remote.request(&Request::ReadBatch { addrs: vec![99] }).is_err());
+    assert_eq!(remote.request(&chunk(true, 0xEE, 1)), Ok(Response::Ok));
+    assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(1)));
+    assert_eq!(remote.request(&chunk(false, 0xDD, 5)), Ok(Response::Ok));
+    assert_eq!(remote.request(&Request::Init { cells: vec![vec![1; 2]; 2] }), Ok(Response::Ok));
+    assert_eq!(remote.request(&chunk(true, 0xFF, 1)), Ok(Response::Ok));
+    assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(1)));
+    drop(remote);
+    daemon.shutdown();
+}
+
 // ---- Client-side failure surfacing -------------------------------------
 
 /// A one-connection fake peer running `behavior`, for client-side tests.

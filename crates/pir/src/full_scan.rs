@@ -21,7 +21,7 @@ impl<S: Storage> FullScanPir<S> {
     /// Stores the (public, plaintext) database on the server.
     pub fn setup(blocks: &[Vec<u8>], mut server: S) -> Self {
         assert!(!blocks.is_empty(), "need at least one block");
-        server.init(blocks.to_vec());
+        server.init_with(blocks.len(), |sink| blocks.iter().for_each(|b| sink(b)));
         let n = blocks.len();
         Self { server, n, addrs: (0..n).collect() }
     }

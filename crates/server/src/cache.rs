@@ -88,16 +88,27 @@ impl CellCache {
     /// An empty cache for a store of `capacity` cells at `stride`, bounded
     /// by `cache_bytes` of slot payload.
     pub fn new(capacity: usize, stride: usize, cache_bytes: usize) -> Self {
+        Self::over(capacity, stride, cache_bytes, Vec::new())
+    }
+
+    /// [`CellCache::new`] for a store whose arena image the caller holds:
+    /// in identity mode `image` (`capacity × stride` bytes, or none for
+    /// zeros) *becomes* the slab — moved, not copied; the caller still
+    /// marks the written cells resident ([`CellCache::adopt`]). A bounded
+    /// cache starts empty and drops it.
+    pub fn over(capacity: usize, stride: usize, cache_bytes: usize, image: Vec<u8>) -> Self {
         let max_slots = budget_slots(cache_bytes, stride);
         let identity = max_slots >= capacity;
         // Identity mode pre-sizes the slab (it is within the byte budget
         // by definition); bounded mode grows it slot by slot on demand.
         let slots = if identity { capacity } else { 0 };
+        debug_assert!(image.is_empty() || image.len() == capacity * stride);
+        let data = if image.len() == slots * stride { image } else { vec![0u8; slots * stride] };
         Self {
             stride,
             max_slots,
             cache_bytes,
-            data: vec![0u8; slots * stride],
+            data,
             addr_of: vec![NONE_ADDR; slots],
             slot_of: vec![NONE_SLOT; capacity],
             refbit: vec![false; slots],
@@ -108,12 +119,6 @@ impl CellCache {
             live: 0,
             identity,
         }
-    }
-
-    /// Drops every entry and re-shapes the cache for a new geometry
-    /// (init / init_empty).
-    pub fn reset(&mut self, capacity: usize, stride: usize) {
-        *self = Self::new(capacity, stride, self.cache_bytes);
     }
 
     /// Grows the slot width in place, preserving every resident entry

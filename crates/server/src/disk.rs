@@ -146,7 +146,7 @@ use crate::cache::CellCache;
 use crate::mapping::MappedFile;
 use crate::server::{Accounted, CellBackend, ServerError};
 use crate::stats::CacheTelemetry;
-use crate::store::CellIndex;
+use crate::store::{CellIndex, CellStore};
 use crate::wal::{
     decode_meta, decode_wal_header, encode_meta, encode_wal_header, scan_records, DiskError, Meta,
     RecordBuilder, WalHeader, WAL_HEADER_LEN,
@@ -573,40 +573,36 @@ impl<V: Vfs> DiskBackend<V> {
     /// [`Storage::init`](crate::Storage::init), but with a typed error
     /// instead of a panic when the disk fails.
     pub fn try_init(&mut self, cells: Vec<Vec<u8>>) -> Result<(), DiskError> {
-        self.load(&cells)
-    }
-
-    fn load(&mut self, cells: &[Vec<u8>]) -> Result<(), DiskError> {
-        self.check_poisoned()?;
-        let capacity = cells.len();
-        let stride = cells.iter().map(Vec::len).max().unwrap_or(0);
-        self.index = CellIndex::new(capacity, stride);
-        for (addr, cell) in cells.iter().enumerate() {
-            self.index.record(addr, cell.len());
-        }
-        self.cache.reset(capacity, stride);
-        let mut image = vec![0u8; capacity * stride];
-        for (addr, cell) in cells.iter().enumerate() {
-            image[addr * stride..addr * stride + cell.len()].copy_from_slice(cell);
-        }
-        self.geometry_checkpoint(&image).map_err(|e| self.poison(e))?;
-        if self.cache.is_identity() && stride > 0 {
-            // The full image is already in hand: warm the slab from it
-            // instead of reading the arena back.
-            self.cache.slab_mut().copy_from_slice(&image);
-            self.adopt_initialized();
-        }
-        Ok(())
+        self.load(CellStore::from_cells(&cells))
     }
 
     /// Reserves `capacity` uninitialized cells, like
     /// [`Storage::init_empty`](crate::Storage::init_empty), but with a
     /// typed error instead of a panic when the disk fails.
     pub fn try_init_empty(&mut self, capacity: usize) -> Result<(), DiskError> {
+        self.load(CellStore::with_capacity(capacity))
+    }
+
+    /// Set-up: `contents` becomes the store, atomically — its image is
+    /// complete before the geometry checkpoint writes it into the inactive
+    /// arena slot and flips `active`, so a crash anywhere in here recovers
+    /// to the old snapshot or to all of the new one.
+    fn load(&mut self, contents: CellStore) -> Result<(), DiskError> {
         self.check_poisoned()?;
-        self.index = CellIndex::new(capacity, 0);
-        self.cache.reset(capacity, 0);
-        self.geometry_checkpoint(&[]).map_err(|e| self.poison(e))
+        let (image, index) = contents.into_parts();
+        self.index = index;
+        // Every cached entry belongs to the contents being replaced.
+        self.cache = CellCache::new(0, 0, self.opts.cache_bytes);
+        let written = self.geometry_checkpoint(&image);
+        // In identity mode the image in hand becomes the slab — moved, so
+        // the database has one owner here — instead of being copied into
+        // one or read back from the arena.
+        let (capacity, stride) = (self.index.capacity(), self.index.stride());
+        self.cache = CellCache::over(capacity, stride, self.opts.cache_bytes, image);
+        if self.cache.is_identity() {
+            self.adopt_initialized();
+        }
+        written.map_err(|e| self.poison(e))
     }
 
     /// Forces a checkpoint: commits the open window, writes every dirty
@@ -1139,13 +1135,8 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         self.index.stored_bytes()
     }
 
-    fn reset(&mut self, capacity: usize, cells: Option<&[Vec<u8>]>) {
-        match cells {
-            Some(cells) => self.load(cells).expect("DiskStore::init: checkpoint failed"),
-            None => self
-                .try_init_empty(capacity)
-                .expect("DiskStore::init_empty: checkpoint failed"),
-        }
+    fn reset(&mut self, contents: CellStore) {
+        self.load(contents).expect("DiskStore set-up: checkpoint failed");
     }
 
     /// Hits and zero-length cells come straight from memory, a miss is

@@ -67,7 +67,7 @@ impl<S: Storage> ReplicatedServers<S> {
         let servers = (0..d)
             .map(|i| {
                 let mut s = make(i);
-                s.init(cells.to_vec());
+                s.init_with(cells.len(), |sink| cells.iter().for_each(|cell| sink(cell)));
                 s
             })
             .collect();

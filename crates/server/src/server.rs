@@ -106,12 +106,13 @@ pub trait CellBackend: std::fmt::Debug + Send {
     /// Total bytes of initialized cell content.
     fn stored_bytes(&self) -> u64;
 
-    /// Replaces the contents with `capacity` slots: slot `i` holds
-    /// `cells[i]` (`cells.len() == capacity`), or every slot is never
-    /// written when `cells` is `None`. Set-up, like [`Storage::init`]:
-    /// infallible in its signature, so a backend that cannot complete it
-    /// panics.
-    fn reset(&mut self, capacity: usize, cells: Option<&[Vec<u8>]>);
+    /// Replaces the contents with `contents` — geometry, cell table and
+    /// the arena image, already laid out at its stride by the one builder
+    /// ([`CellStore::collect`]; [`CellStore::with_capacity`] for slots
+    /// never written), so a backend moves the image to where it keeps cells
+    /// and copies nothing. Set-up, like [`Storage::init_with`]: infallible
+    /// in its signature, so a backend that cannot complete it panics.
+    fn reset(&mut self, contents: CellStore);
 
     /// The cell at `addr`: `Ok(None)` if it was never written, `Err` if
     /// the backend could not produce it.
@@ -253,12 +254,12 @@ impl<B> DerefMut for Accounted<B> {
 impl<B: CellBackend> Storage for Accounted<B> {
     /// Initialization is not charged to the query-cost counters (the paper
     /// treats setup separately from per-query overhead).
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        self.cells.reset(cells.len(), Some(&cells));
+    fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
+        self.cells.reset(CellStore::collect(capacity, produce));
     }
 
     fn init_empty(&mut self, capacity: usize) {
-        self.cells.reset(capacity, None);
+        self.cells.reset(CellStore::with_capacity(capacity));
     }
 
     fn capacity(&self) -> usize {

@@ -6,7 +6,12 @@
 //! primitive ([`Storage::read_batch_with`]), one upload primitive
 //! ([`Storage::write_cells`]), the XOR compute extension the lower bounds
 //! of Theorems 3.3/3.4 allow ([`Storage::xor_cells_into`]), and the set-up
-//! and bookkeeping around them. Everything else — `read`, `write_batch`,
+//! and bookkeeping around them. Set-up has one primitive too,
+//! [`Storage::init_with`]: the caller *produces* the cells, one borrowed
+//! slice at a time in address order, into the store's sink, so the
+//! database crosses every layer once — into the wire frame, into the arena
+//! image — and is never gathered into a vector of owned cells on the way
+//! (NOTES.md, entry 11). Everything else — `init`, `read`, `write_batch`,
 //! `write_batch_strided`, … — is a *provided* spelling that makes exactly
 //! one call to one primitive, so an implementor writes 12 small methods
 //! and cannot disagree with another about what a spelling costs. There is
@@ -43,8 +48,19 @@ use crate::transcript::Transcript;
 /// take a local `S: Storage + Default` bound instead; backends without a
 /// `Default` use the `*_with` variants that accept a server or factory.
 pub trait Storage: std::fmt::Debug + Send {
-    /// Replaces the server contents with `cells` (uncharged setup).
-    fn init(&mut self, cells: Vec<Vec<u8>>);
+    /// Replaces the server contents with `capacity` cells (uncharged
+    /// setup): the set-up primitive. `produce` is called once and hands
+    /// each cell, in address order, to the sink it is given — borrowed, so
+    /// a scheme lends `&blocks[i]`, or slices of a ciphertext chunk it
+    /// reuses, and every layer underneath copies a cell once, to where it
+    /// must end up (the wire frame, the arena image). Knowing `capacity` up
+    /// front is what lets the image be reserved exactly.
+    ///
+    /// # Panics
+    /// Infallible in its signature like the rest of set-up: panics if the
+    /// store cannot complete it, or if `produce` hands over any number of
+    /// cells but `capacity`.
+    fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8])));
 
     /// Reserves `capacity` uninitialized cells (uncharged setup).
     fn init_empty(&mut self, capacity: usize);
@@ -105,6 +121,12 @@ pub trait Storage: std::fmt::Debug + Send {
     /// XORs the cells at `addrs` into `acc` (cleared first), charging one
     /// compute operation per cell.
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError>;
+
+    /// [`Storage::init_with`] for cells the caller already owns.
+    #[inline]
+    fn init(&mut self, cells: Vec<Vec<u8>>) {
+        self.init_with(cells.len(), |sink| cells.into_iter().for_each(|cell| sink(&cell)));
+    }
 
     /// Returns true if no cells are allocated.
     #[inline]
@@ -201,16 +223,19 @@ mod tests {
 
     /// A wrapper written against the trait as an outsider would write one:
     /// the 12 required methods, nothing else. Counts the calls reaching
-    /// each data primitive as (downloads, uploads, XOR folds).
+    /// each data primitive as (downloads, uploads, XOR folds), and the
+    /// set-ups.
     #[derive(Debug, Default)]
     struct Counting {
         inner: SimServer,
         calls: (u32, u32, u32),
+        setups: u32,
     }
 
     impl Storage for Counting {
-        fn init(&mut self, cells: Vec<Vec<u8>>) {
-            self.inner.init(cells);
+        fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
+            self.setups += 1;
+            self.inner.init_with(capacity, produce);
         }
         fn init_empty(&mut self, capacity: usize) {
             self.inner.init_empty(capacity);
@@ -273,6 +298,10 @@ mod tests {
     fn every_provided_method_is_one_call_to_one_primitive() {
         let mut s = Counting::default();
         s.init((0..8).map(|i| vec![i as u8; 4]).collect());
+        assert_eq!((s.setups, s.calls), (1, (0, 0, 0)), "init");
+        assert_eq!(s.read_batch(&[0, 7]).unwrap(), vec![vec![0; 4], vec![7; 4]]);
+        s.calls = (0, 0, 0);
+        s.reset_stats();
 
         s.write(1, vec![1; 4]).unwrap();
         assert_eq!(s.calls, (0, 1, 0), "write");

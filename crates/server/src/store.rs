@@ -41,6 +41,16 @@ impl CellIndex {
         Self::from_parts(stride, vec![0u32; capacity], vec![0u64; capacity.div_ceil(64)])
     }
 
+    /// `lens.len()` cells, every one written, at the longest one's width.
+    pub fn all_written(lens: Vec<u32>) -> Self {
+        let stride = lens.iter().copied().max().unwrap_or(0) as usize;
+        let mut init = vec![u64::MAX; lens.len().div_ceil(64)];
+        if let (Some(last), tail @ 1..) = (init.last_mut(), lens.len() % 64) {
+            *last = (1 << tail) - 1;
+        }
+        Self::from_parts(stride, lens, init)
+    }
+
     /// Adopts a decoded table (`init` holds one bit per entry of `lens`).
     pub fn from_parts(stride: usize, lens: Vec<u32>, init: Vec<u64>) -> Self {
         let mut index = Self { stride, lens, init, stored: 0 };
@@ -121,12 +131,49 @@ impl CellStore {
     /// Builds a store holding `cells`, all initialized. The stride is the
     /// longest cell's length.
     pub fn from_cells(cells: &[Vec<u8>]) -> Self {
-        let stride = cells.iter().map(Vec::len).max().unwrap_or(0);
-        let mut store = Self::with_capacity_and_stride(cells.len(), stride);
-        for (i, cell) in cells.iter().enumerate() {
-            store.set(i, cell);
+        Self::collect(cells.len(), |sink| cells.iter().for_each(|cell| sink(cell)))
+    }
+
+    /// Builds a store of `capacity` cells, all initialized, from a producer
+    /// that hands each cell to the sink in address order — the one "cells →
+    /// strided image" builder behind both backends'
+    /// [`Storage::init_with`](crate::Storage::init_with). Each cell is copied once,
+    /// to where it stays: the cells are appended back to back into an arena
+    /// reserved from `capacity` × the first cell's length, and while every
+    /// cell has that length — every scheme's do — the appended bytes *are*
+    /// the image. Only a ragged list pays a second pass that re-lays the
+    /// cells out at the longest one's stride.
+    ///
+    /// # Panics
+    /// Panics if the producer hands over any number of cells but `capacity`.
+    pub fn collect(capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) -> Self {
+        let mut data = Vec::new();
+        let mut lens = Vec::with_capacity(capacity);
+        produce(&mut |cell| {
+            if lens.is_empty() {
+                data.reserve_exact(capacity.saturating_mul(cell.len()));
+            }
+            data.extend_from_slice(cell);
+            lens.push(u32::try_from(cell.len()).expect("cell longer than 4 GiB"));
+        });
+        assert_eq!(lens.len(), capacity, "set-up produced a different number of cells");
+        let index = CellIndex::all_written(lens);
+        let stride = index.stride();
+        if data.len() != capacity * stride {
+            let packed = std::mem::replace(&mut data, vec![0u8; capacity * stride]);
+            let mut at = 0;
+            for (slot, &len) in data.chunks_exact_mut(stride).zip(index.lens()) {
+                slot[..len as usize].copy_from_slice(&packed[at..at + len as usize]);
+                at += len as usize;
+            }
         }
-        store
+        Self { data, index }
+    }
+
+    /// The arena image (`capacity × stride` bytes) and the cell table, for
+    /// a backend that keeps them apart.
+    pub(crate) fn into_parts(self) -> (Vec<u8>, CellIndex) {
+        (self.data, self.index)
     }
 
     /// Builds a store of `capacity` uninitialized cells. The stride starts
@@ -230,8 +277,8 @@ impl CellBackend for CellStore {
         CellStore::stored_bytes(self)
     }
 
-    fn reset(&mut self, capacity: usize, cells: Option<&[Vec<u8>]>) {
-        *self = cells.map_or_else(|| Self::with_capacity(capacity), Self::from_cells);
+    fn reset(&mut self, contents: CellStore) {
+        *self = contents;
     }
 
     #[inline]
@@ -284,6 +331,39 @@ mod tests {
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(store.get(i).unwrap(), cell.as_slice());
         }
+    }
+
+    /// The builder's image is the one `set` lays out cell by cell, whether
+    /// the appended bytes were the image already (uniform cells) or had to
+    /// be re-laid at the stride of a longer cell that came last.
+    #[test]
+    fn collect_lays_out_what_per_cell_writes_do() {
+        let (word, over) = (vec![1; 64], vec![2; 65]);
+        for lens in [vec![], vec![0, 0], vec![4, 4, 4], vec![4, 0, 4, 9], vec![9, 4, 0], word, over]
+        {
+            let cells: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| vec![i as u8 + 1; len])
+                .collect();
+            let built = CellStore::from_cells(&cells);
+            let mut written = CellStore::with_capacity(cells.len());
+            cells
+                .iter()
+                .enumerate()
+                .for_each(|(i, cell)| written.set(i, cell));
+            assert_eq!(built.stride(), written.stride(), "{lens:?}");
+            assert_eq!(built.stored_bytes(), written.stored_bytes(), "{lens:?}");
+            assert_eq!(built.data, written.data, "{lens:?}");
+            assert_eq!(built.index.lens(), written.index.lens(), "{lens:?}");
+            assert_eq!(built.index.init_words(), written.index.init_words(), "{lens:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different number of cells")]
+    fn collect_holds_the_producer_to_its_count() {
+        CellStore::collect(3, |sink| sink(&[1, 2]));
     }
 
     #[test]

@@ -53,14 +53,23 @@ pub struct Verified<S> {
     root: Digest,
 }
 
-/// The commitment to `cells`: the tree and its root. A never-written cell
-/// is committed as the empty cell (the inner server answers `Uninitialized`
-/// before one could be served); a store of no cells gets one such leaf,
-/// which no address reaches.
-fn commit<C: AsRef<[u8]>>(cells: &[C]) -> (MerkleTree, Digest) {
-    let tree = if cells.is_empty() { MerkleTree::build(&[[]]) } else { MerkleTree::build(cells) };
+/// The commitment to the cells with these leaf digests: the tree and its
+/// root. A store of no cells gets one empty-cell leaf, which no address
+/// reaches.
+fn commit(mut leaves: Vec<Digest>) -> (MerkleTree, Digest) {
+    if leaves.is_empty() {
+        leaves.push(MerkleTree::leaf(&[]));
+    }
+    let tree = MerkleTree::from_leaves(leaves);
     let root = tree.root();
     (tree, root)
+}
+
+/// The commitment to `capacity` never-written cells, each committed as the
+/// empty cell (the inner server answers `Uninitialized` before one could
+/// be served).
+fn commit_empty(capacity: usize) -> (MerkleTree, Digest) {
+    commit(vec![MerkleTree::leaf(&[]); capacity])
 }
 
 impl<S: Storage> Verified<S> {
@@ -68,7 +77,7 @@ impl<S: Storage> Verified<S> {
     /// set-up ([`Storage::init`] / [`Storage::init_empty`]) commits to the
     /// cells it hands over.
     pub fn new(inner: S) -> Self {
-        let (tree, root) = commit(&vec![[]; inner.capacity()]);
+        let (tree, root) = commit_empty(inner.capacity());
         Self { inner, tree, root }
     }
 
@@ -92,13 +101,20 @@ impl<S: Storage> Verified<S> {
 }
 
 impl<S: Storage> Storage for Verified<S> {
-    fn init(&mut self, cells: Vec<Vec<u8>>) {
-        (self.tree, self.root) = commit(&cells);
-        self.inner.init(cells);
+    /// Leaves are hashed as the cells stream past to the inner server.
+    fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
+        let mut leaves = Vec::with_capacity(capacity);
+        self.inner.init_with(capacity, |sink| {
+            produce(&mut |cell| {
+                leaves.push(MerkleTree::leaf(cell));
+                sink(cell);
+            });
+        });
+        (self.tree, self.root) = commit(leaves);
     }
 
     fn init_empty(&mut self, capacity: usize) {
-        (self.tree, self.root) = commit(&vec![[]; capacity]);
+        (self.tree, self.root) = commit_empty(capacity);
         self.inner.init_empty(capacity);
     }
 

@@ -441,8 +441,8 @@ impl CellBackend for FlakyBackend {
     fn stored_bytes(&self) -> u64 {
         self.cells.stored_bytes()
     }
-    fn reset(&mut self, capacity: usize, cells: Option<&[Vec<u8>]>) {
-        CellBackend::reset(&mut self.cells, capacity, cells);
+    fn reset(&mut self, contents: CellStore) {
+        CellBackend::reset(&mut self.cells, contents);
     }
     fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError> {
         self.tick()?;
