@@ -37,12 +37,9 @@ use dps_workloads::generators::database;
 const SEEDS: u64 = 32;
 
 /// Base seed for every sweep: `DPS_CHAOS_SEED` when set (CI pins it), a
-/// fixed default otherwise.
+/// fixed default otherwise; a value that is not a number fails fast.
 fn base_seed() -> u64 {
-    std::env::var("DPS_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0A0_5EED)
+    dps_server::settings::from_env("DPS_CHAOS_SEED").unwrap_or(0xC0A0_5EED)
 }
 
 fn seeds(count: u64) -> impl Iterator<Item = u64> {

@@ -7,31 +7,35 @@
 //! only keeps cells — `get`, `put`, `flush`. Only the per-cell metadata
 //! (length table, init bitmap — ~5 bytes per cell, the same `CellIndex`
 //! the memory arena keeps) is always resident; cell *payloads* live in the
-//! arena file and are served through a bounded read-through cache
-//! (`cache.rs`):
+//! arena file, and RAM holds only what the arena lacks (`cache.rs`, NOTES.md
+//! entry 12):
 //!
-//! - a read **hit** hands out a slice borrowed straight from the cache
-//!   slab — the same zero-copy surface as [`SimServer`](crate::SimServer);
-//! - a read **miss** is a *clean* cell (dirty ones are pinned in the slab),
-//!   so the active arena file has its bytes, and the file is asked to
-//!   [lend](DiskFile::lend) them: production's [`RealFile`] answers with a
-//!   slice of a read-only shared mapping of the arena — no system call, no
-//!   slot, no eviction; the only copy is the one the caller's visitor makes
-//!   (the daemon's, straight into its send buffer). A file that does not
-//!   lend (the crash simulator, `dpbench`'s timed VFS) takes the copy path
-//!   instead: one `pread`-style [`DiskFile::read_at`] into a slot, evicting
-//!   a clean entry by CLOCK second-chance if the
-//!   [`DiskOptions::cache_bytes`] budget is full. Which path runs is
-//!   decided by the file type, not by an option (NOTES.md, entry 10);
-//! - hits, misses and evictions are counted here ([`CacheTelemetry`]; a lent
-//!   read is a miss — it was not served from this program's cache) and
-//!   surfaced as the `cache_*` counters in
-//!   [`CostStats`](crate::CostStats) (excluded from the paper's cost model
-//!   — compare with [`CostStats::sans_cache`](crate::CostStats::sans_cache)).
+//! - a read **hit** is a *dirty* cell — written since the last write-back —
+//!   and hands out a slice borrowed straight from the cache slab, the same
+//!   zero-copy surface as [`SimServer`](crate::SimServer);
+//! - a read **miss** is a *clean* cell, so the active arena file has its
+//!   bytes, and the file is asked to [lend](DiskFile::lend) them:
+//!   production's [`RealFile`] answers with a slice of a read-only shared
+//!   mapping of the arena — no system call, no copy here; the only copy is
+//!   the one the caller's visitor makes (the daemon's, straight into its
+//!   send buffer). A file that does not lend (the crash simulator,
+//!   `dpbench`'s timed VFS) is read instead: one `pread`-style
+//!   [`DiskFile::read_at`] into a scratch buffer the backend owns, which
+//!   only has to outlive the one cell the model hands to its visitor before
+//!   the next `get`. Either way a clean cell takes no slot, and which path
+//!   runs is decided by the file type, not by an option (NOTES.md, entry
+//!   10);
+//! - when [`DiskOptions::cache_bytes`] covers the whole database the cache
+//!   is instead an *identity* mirror of the arena, and every read is a hit;
+//! - hits and misses are counted here ([`CacheTelemetry`]; a lent read is a
+//!   miss — it was not served from this program's cache) and surfaced as the
+//!   `cache_*` counters in [`CostStats`](crate::CostStats) (excluded from the
+//!   paper's cost model — compare with
+//!   [`CostStats::sans_cache`](crate::CostStats::sans_cache)).
 //!
 //! ## Mutation and group commit
 //!
-//! Every mutation is applied to the cache as a *dirty* (pinned) entry and
+//! Every mutation is applied to the cache as a *dirty* cell and
 //! joins an in-memory window of up to [`DiskOptions::wal_group_commit`]
 //! batches; closing the window *commits* it: the whole window is framed as
 //! **one** checksummed WAL record, written with **one** `write_at` at the
@@ -49,11 +53,11 @@
 //! [`Storage::flush`](crate::Storage::flush) otherwise; the network daemon
 //! flushes before any response leaves). *In the arena*: written back to
 //! its slot of the arena file — which no acknowledgement waits for. A
-//! WAL-durable cell stays dirty — resident and non-evictable, never
-//! refilled from the arena's stale bytes — until `write_back` copies it
-//! out, which happens in two places only: inside a checkpoint, and after a
-//! commit that leaves the cache over its byte budget (a bounded cache
-//! under write pressure; the budget still bounds the dirty overshoot).
+//! WAL-durable cell stays dirty — resident, and never read from the
+//! arena's stale bytes — until `write_back` copies it out, which happens in
+//! two places only: inside a checkpoint, and after a commit that leaves
+//! more dirty cells than the byte budget has slots. Write-back empties a
+//! bounded cache: from then on the arena serves those cells.
 //! Write-back runs only with an empty window, so the arena never holds
 //! bytes that no durable WAL record covers; it sorts the dirty cells by
 //! address and issues one write per run of adjacent cells — in identity
@@ -126,8 +130,9 @@
 //! fast the same way (after the model's bounds check: an out-of-range
 //! address is `OutOfBounds` on a poisoned store too). Reads keep serving
 //! **cache hits** (including every dirty cell, whether or not its record
-//! became durable) and zero-length cells, but a cache *miss* would have to
-//! touch the failing arena file — lent or copied — so it also returns
+//! became durable, and after a failed re-stride whose snapshot did not land)
+//! and zero-length cells, but a cache *miss* would have to touch the failing
+//! arena file — lent or read — so it also returns
 //! `Interrupted` instead of handing back bytes of unknown provenance; and a
 //! poisoned store never writes back. The recovery path is to drop the store
 //! and `open` the directory again.
@@ -145,6 +150,7 @@ use std::path::{Path, PathBuf};
 use crate::cache::CellCache;
 use crate::mapping::MappedFile;
 use crate::server::{Accounted, CellBackend, ServerError};
+use crate::settings;
 use crate::stats::CacheTelemetry;
 use crate::store::{CellIndex, CellStore};
 use crate::wal::{
@@ -300,7 +306,7 @@ pub enum SyncPolicy {
 }
 
 /// Default cache budget when `DPS_CACHE_BYTES` is not set: generous (1 GiB
-/// of payload), so small stores behave like the old fully-mirrored design.
+/// of payload), so small stores are mirrored whole (identity mode).
 const DEFAULT_CACHE_BYTES: usize = 1 << 30;
 
 /// Tuning knobs for [`DiskStore`].
@@ -311,19 +317,22 @@ pub struct DiskOptions {
     /// Once the WAL grows past this many bytes, the next commit triggers
     /// an automatic checkpoint that recycles it. An open group-commit
     /// window that would overflow this budget is committed early, so the
-    /// budget also bounds the dirty-pinned cache overshoot. It is also the
-    /// size the log file is preallocated to (zero-filled once, never
-    /// truncated), so that an append is an overwrite of allocated blocks.
+    /// budget also bounds how far the dirty set outgrows `cache_bytes`. It
+    /// is also the size the log file is preallocated to (zero-filled once,
+    /// never truncated), so that an append is an overwrite of allocated
+    /// blocks.
     pub wal_checkpoint_bytes: u64,
     /// Byte budget of the cell cache (payload bytes; the per-cell metadata
     /// is always resident). Defaults to the `DPS_CACHE_BYTES` environment
-    /// variable when set, else 1 GiB. A budget that covers the whole
-    /// database selects identity mode (every cell mirrored, reads never
-    /// miss); a smaller one bounds how far pinned dirty cells may overshoot
-    /// before a commit writes them back. On [`RealVfs`] it no longer buys
-    /// clean-read hits: a clean miss is lent by the mapped arena (the
-    /// kernel's page cache is the read cache) and takes no slot. On a
-    /// [`Vfs`] whose files do not lend it is also the read-through budget.
+    /// variable when set (a value that is not a number is a configuration
+    /// error and panics, naming it), else 1 GiB. It means two things and
+    /// nothing else: a budget that covers the whole database selects
+    /// identity mode (every cell mirrored, reads never miss); a smaller one
+    /// bounds the dirty set — a commit that leaves more dirty cells than it
+    /// has room for writes them all back. It buys no clean-read hits on any
+    /// [`Vfs`]: a clean cell never takes a slot, it is lent by the mapped
+    /// arena (the kernel's page cache is the read cache) or read from the
+    /// file.
     pub cache_bytes: usize,
     /// Group-commit window: how many mutation batches share one WAL
     /// write and fsync. 1 (the default) commits every batch before it
@@ -335,14 +344,10 @@ pub struct DiskOptions {
 
 impl Default for DiskOptions {
     fn default() -> Self {
-        let cache_bytes = std::env::var("DPS_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_CACHE_BYTES);
         Self {
             sync: SyncPolicy::Always,
             wal_checkpoint_bytes: 1 << 20,
-            cache_bytes,
+            cache_bytes: settings::from_env("DPS_CACHE_BYTES").unwrap_or(DEFAULT_CACHE_BYTES),
             wal_group_commit: 1,
         }
     }
@@ -373,7 +378,7 @@ pub struct DiskBackend<V: Vfs = RealVfs> {
     /// Always-resident per-cell metadata (arena slot width, lengths,
     /// init-bitmap, stored bytes).
     index: CellIndex,
-    /// Bounded payload cache (see [`crate::cache`]).
+    /// The dirty cells, or the identity mirror (see [`crate::cache`]).
     cache: CellCache,
     telemetry: CacheTelemetry,
     // ---- files ----
@@ -396,9 +401,10 @@ pub struct DiskBackend<V: Vfs = RealVfs> {
     pending: RecordBuilder,
     /// Number of batches in the open window.
     pending_batches: usize,
-    /// Write-back's gather buffer for a run of adjacent cells whose cache
-    /// slots are not adjacent (bounded mode).
-    gather: Vec<u8>,
+    /// A clean miss of a file that does not lend is read into this (one
+    /// cell at a time), and bounded write-back gathers a run of adjacent
+    /// cells whose slots are not adjacent here.
+    scratch: Vec<u8>,
     opts: DiskOptions,
     poisoned: bool,
 }
@@ -427,7 +433,7 @@ impl<V: Vfs> DiskStore<V> {
 impl<V: Vfs> DiskBackend<V> {
     /// Recovery: pick the valid metadata snapshot with the highest stamp,
     /// adopt its metadata (the arena payload stays on disk and is served
-    /// through the cache), then replay the WAL records that validate under
+    /// from there), then replay the WAL records that validate under
     /// that stamp into the active arena slot. Replay is idempotent — the
     /// same records pwrite the same bytes — so a crash during recovery
     /// re-runs it identically. Where the log ends, what is a torn tail and
@@ -551,7 +557,7 @@ impl<V: Vfs> DiskBackend<V> {
             wal_len: 0,
             pending: RecordBuilder::default(),
             pending_batches: 0,
-            gather: Vec::new(),
+            scratch: Vec::new(),
             opts,
             poisoned: false,
         }
@@ -646,7 +652,8 @@ impl<V: Vfs> DiskBackend<V> {
         self.poisoned
     }
 
-    /// Number of cells currently resident in the payload cache.
+    /// Number of cells the payload cache holds: the dirty ones, or every
+    /// mirrored cell in identity mode.
     pub fn cache_resident(&self) -> usize {
         self.cache.resident()
     }
@@ -688,7 +695,7 @@ impl<V: Vfs> DiskBackend<V> {
             self.telemetry.hits += u64::from(len > 0);
             return Ok(self.cache.identity_bytes(addr, len));
         }
-        if let Some(slot) = self.cache.lookup(addr) {
+        if let Some(slot) = self.cache.slot(addr) {
             self.telemetry.hits += 1;
             return Ok(self.cache.slot_bytes(slot, len));
         }
@@ -699,12 +706,14 @@ impl<V: Vfs> DiskBackend<V> {
         self.miss(addr, len)
     }
 
-    /// Cache-miss path. A non-resident cell is clean — dirty cells are
-    /// pinned in the slab until written back — so the active arena file
-    /// has its bytes, and a file that [lends](DiskFile::lend) hands them
-    /// out as they lie: no slot, no eviction, no copy here (the caller's
-    /// visitor makes the only one). A file that does not lend is read into
-    /// a slot by [`Self::refill`].
+    /// Cache-miss path. A non-resident cell is clean — a dirty one stays in
+    /// the slab until written back — so the active arena file has its
+    /// bytes, and a file that [lends](DiskFile::lend) hands them out as they
+    /// lie: no copy here (the caller's visitor makes the only one). A file
+    /// that does not lend is read with one positioned read into `scratch`,
+    /// which `Accounted::walk` is done with before its next `get`. A failed
+    /// or short read (the snapshot promised these bytes, so the arena file
+    /// is inconsistent with the metadata) poisons the store.
     #[inline(never)]
     fn miss(&mut self, addr: usize, len: usize) -> Result<&[u8], ServerError> {
         if self.poisoned {
@@ -715,18 +724,19 @@ impl<V: Vfs> DiskBackend<V> {
         self.telemetry.misses += 1;
         let offset = addr as u64 * self.index.stride() as u64;
         // `arena` borrows one field shared and everything below touches
-        // the others, which is what lets the lent slice leave a
+        // the others, which is what lets the lent (or read) slice leave a
         // `&mut self` method.
         let arena = &self.arena[self.active];
         if let Some(bytes) = arena.lend(offset, len) {
             return Ok(bytes);
         }
-        match Self::refill(&mut self.cache, arena, addr, offset, len) {
-            Some((slot, evicted)) => {
-                self.telemetry.evictions += evicted;
-                Ok(self.cache.slot_bytes(slot, len))
-            }
-            None => {
+        if self.scratch.len() < len {
+            self.scratch.resize(len, 0);
+        }
+        let buf = &mut self.scratch[..len];
+        match arena.read_at(offset, buf) {
+            Ok(got) if got == len => Ok(buf),
+            _ => {
                 self.poisoned = true;
                 Err(ServerError::Interrupted)
             }
@@ -767,34 +777,10 @@ impl<V: Vfs> DiskBackend<V> {
         }
     }
 
-    /// The miss path of a file that does not lend (the crash simulator,
-    /// `dpbench`'s timed VFS): installs `addr` (evicting a clean entry if
-    /// the budget is full) and reads its payload from `arena` at `offset`,
-    /// returning `(slot, evictions)`. `None` when the read fails or comes
-    /// back short (the snapshot promised these bytes, so the arena file is
-    /// inconsistent with the metadata): nothing stays installed, and the
-    /// caller poisons the store.
-    fn refill(
-        cache: &mut CellCache,
-        arena: &V::File,
-        addr: usize,
-        offset: u64,
-        len: usize,
-    ) -> Option<(usize, u64)> {
-        let (slot, evicted) = cache.install(addr, false);
-        match arena.read_at(offset, cache.slot_bytes_mut(slot, len)) {
-            Ok(got) if got >= len => Some((slot, evicted)),
-            _ => {
-                cache.discard(addr);
-                None
-            }
-        }
-    }
-
     /// Applies the batch pushed onto the window since `mark` to the cache
-    /// as dirty (pinned) cells, and commits the window when it is full or
-    /// would overflow the WAL budget. On `Ok` the batch is applied (and
-    /// durable per the commit policy); nothing is charged to stats here.
+    /// as dirty cells, and commits the window when it is full or would
+    /// overflow the WAL budget. On `Ok` the batch is applied (and durable
+    /// per the commit policy); nothing is charged to stats here.
     fn queue_batch(&mut self, mark: usize) -> Result<(), ServerError> {
         self.pending_batches += 1;
         for (addr, cell) in self.pending.writes_from(mark) {
@@ -806,17 +792,7 @@ impl<V: Vfs> DiskBackend<V> {
                 // resident bytes are masked by the length table.
                 continue;
             }
-            let slot = match self.cache.lookup(addr) {
-                Some(slot) => {
-                    self.cache.mark_dirty(slot);
-                    slot
-                }
-                None => {
-                    let (slot, evicted) = self.cache.install(addr, true);
-                    self.telemetry.evictions += evicted;
-                    slot
-                }
-            };
+            let slot = self.cache.dirty_slot(addr);
             self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
         }
         let window_full = self.pending_batches >= self.group_window();
@@ -857,7 +833,8 @@ impl<V: Vfs> DiskBackend<V> {
         Ok(())
     }
 
-    /// Copies every dirty cell into the active arena slot and unpins it:
+    /// Copies every dirty cell into the active arena slot, then empties a
+    /// bounded cache (the arena serves those cells from here on):
     /// address-ascending, one write per run of adjacent cells (bridging
     /// gaps of clean bytes up to [`WRITE_BACK_GAP`] where the slab is the
     /// arena image). Only ever called with an empty window — every dirty
@@ -868,20 +845,15 @@ impl<V: Vfs> DiskBackend<V> {
         let stride = self.index.stride();
         let identity = self.cache.is_identity();
         let bridge = if identity { WRITE_BACK_GAP / stride.max(1) } else { 0 };
-        self.cache.sort_dirty_by_addr();
-        let dirty = self.cache.dirty_slots();
+        self.cache.sort_dirty();
+        let dirty = self.cache.dirty();
         let mut next = 0;
         while next < dirty.len() {
             let run = next;
-            let first = self.cache.addr_of(dirty[run] as usize);
-            let mut last = first;
+            let (first, mut last) = (dirty[run], dirty[run]);
             next += 1;
-            while next < dirty.len() {
-                let addr = self.cache.addr_of(dirty[next] as usize);
-                if addr - last - 1 > bridge {
-                    break;
-                }
-                last = addr;
+            while next < dirty.len() && dirty[next] - last - 1 <= bridge {
+                last = dirty[next];
                 next += 1;
             }
             // Whole strides up to the last cell, which ends at its length.
@@ -889,19 +861,19 @@ impl<V: Vfs> DiskBackend<V> {
             let bytes = if identity {
                 self.cache.identity_bytes(first, len)
             } else {
-                self.gather.clear();
-                for &slot in &dirty[run..next] {
-                    self.gather
-                        .extend_from_slice(self.cache.slot_bytes(slot as usize, stride));
+                self.scratch.clear();
+                for &addr in &dirty[run..next] {
+                    let slot = self.cache.slot(addr).expect("a dirty cell is resident");
+                    self.scratch
+                        .extend_from_slice(self.cache.slot_bytes(slot, stride));
                 }
-                &self.gather[..len]
+                &self.scratch[..len]
             };
             if !bytes.is_empty() {
                 self.arena[self.active].write_at((first * stride) as u64, bytes)?;
             }
         }
         self.cache.clean_all();
-        self.telemetry.evictions += self.cache.enforce_budget();
         Ok(())
     }
 
@@ -946,7 +918,7 @@ impl<V: Vfs> DiskBackend<V> {
 
     /// Tail shared by every geometry-changing checkpoint: sync the target
     /// slot, point a new snapshot at it, drop the (superseded) open
-    /// window, unpin the cache, and reset the WAL.
+    /// window, clean the cache, and reset the WAL.
     fn finish_geometry_checkpoint(&mut self, target: usize) -> Result<(), DiskError> {
         if self.want_sync() {
             self.arena[target].sync()?;
@@ -954,17 +926,16 @@ impl<V: Vfs> DiskBackend<V> {
         self.write_meta(target)?;
         self.active = target;
         // The new snapshot covers everything the open window (and its
-        // pinned cells) carried; durable WAL records from before it are
+        // dirty cells) carried; durable WAL records from before it are
         // superseded by the bumped stamp.
         self.pending.clear();
         self.pending_batches = 0;
         self.cache.clean_all();
-        self.telemetry.evictions += self.cache.enforce_budget();
         self.reset_wal()
     }
 
     /// Runs a stride-growing batch: stream every initialized cell (cache
-    /// copies first — the pinned dirty ones exist nowhere else) into the
+    /// copies first — the dirty ones exist nowhere else) into the
     /// inactive arena slot at the new stride, lay the batch's cells on
     /// top, and make it all durable as one geometry checkpoint. The batch
     /// is acknowledged only once the checkpoint is durable (a re-stride
@@ -1004,7 +975,7 @@ impl<V: Vfs> DiskBackend<V> {
             if len == 0 {
                 continue;
             }
-            let bytes: &[u8] = if let Some(slot) = self.cache.peek(addr) {
+            let bytes: &[u8] = if let Some(slot) = self.cache.slot(addr) {
                 self.cache.slot_bytes(slot, len)
             } else {
                 let got = self.arena[self.active]
@@ -1023,25 +994,23 @@ impl<V: Vfs> DiskBackend<V> {
                 self.arena[target].write_at(*addr as u64 * new_stride as u64, cell)?;
             }
         }
-        // Adopt the new geometry in memory, then apply the batch to the
-        // resident metadata (and to any already-resident cache entries, so
-        // hits cannot serve pre-batch bytes).
+        // Adopt the new geometry in memory — the cache keeps its dirty
+        // cells, which until the snapshot below lands exist nowhere
+        // durable — then apply the batch to the resident metadata and to
+        // every cell the cache holds, so a hit cannot serve pre-batch
+        // bytes. Identity mode holds all of them; a bounded cache takes no
+        // clean cell, and the snapshot puts these in the arena.
         self.cache.restride(new_stride);
         self.index.set_stride(new_stride);
         for (addr, cell) in writes {
             self.index.record(*addr, cell.len());
-            if let Some(slot) = self.cache.peek(*addr) {
-                if !cell.is_empty() {
-                    self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
-                }
-            } else if !cell.is_empty() {
-                // Install the batch's cells clean (they are durable once
-                // the checkpoint below lands) — mandatory in identity
-                // mode, where every initialized cell must be resident,
-                // and a free warm-up in bounded mode (the budget is
-                // re-enforced by the checkpoint tail).
-                let (slot, evicted) = self.cache.install(*addr, false);
-                self.telemetry.evictions += evicted;
+            if cell.is_empty() {
+                continue;
+            }
+            if self.cache.is_identity() {
+                self.cache.adopt(*addr);
+            }
+            if let Some(slot) = self.cache.slot(*addr) {
                 self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
             }
         }
@@ -1315,8 +1284,9 @@ mod tests {
     }
 
     /// On a [`Vfs`] that does not lend (the simulated disk, nothing
-    /// crashing): the copy path's CLOCK, budget and slots. Real files lend
-    /// a clean miss and never evict on a read — `mapped_store` has that.
+    /// crashing): every clean read is one positioned read into the scratch
+    /// buffer and takes no slot. Real files lend it — `mapped_store` has
+    /// that.
     #[test]
     fn tiny_cache_evicts_but_serves_identically() {
         let sim = CrashSim::new(3);
@@ -1333,9 +1303,12 @@ mod tests {
             }
         }
         let stats = store.stats();
-        assert!(stats.cache_misses >= 64, "first sweep must miss: {stats:?}");
-        assert!(stats.cache_evictions > 0, "a 2-slot cache must evict: {stats:?}");
-        assert!(store.cache_resident() <= 2, "budget exceeded at rest");
+        assert_eq!(
+            (stats.cache_misses, stats.cache_hits, stats.cache_evictions),
+            (192, 0, 0),
+            "every clean read is a miss: {stats:?}"
+        );
+        assert_eq!(store.cache_resident(), 0, "a clean read took a slot");
         // Writes also bound residency once committed.
         for addr in 0..64 {
             store.write(addr, vec![!addr as u8; 8]).unwrap();
@@ -1345,9 +1318,9 @@ mod tests {
     }
 
     /// B2's all-dirty case, closed by construction: a bounded cache whose
-    /// every slot is pinned dirty (window > 1, budget = the dirty set)
-    /// used to squeeze each clean miss through one over-budget slot. A
-    /// lent miss needs no slot.
+    /// every slot is dirty (window > 1, budget = the dirty set) used to
+    /// squeeze each clean miss through one over-budget slot. A clean miss
+    /// needs no slot.
     #[test]
     fn all_dirty_cache_serves_clean_misses_without_a_slot() {
         let tmp = TempDir::new("alldirty");
@@ -1369,7 +1342,7 @@ mod tests {
         }
         let stats = store.stats();
         assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_evictions), (4, 60, 0));
-        assert_eq!(store.cache_resident(), 4, "the dirty cells stay pinned, nothing joins them");
+        assert_eq!(store.cache_resident(), 4, "the dirty cells stay, nothing joins them");
         assert_eq!(store.pending_batches(), 4, "reads do not close the window");
     }
 
@@ -1385,7 +1358,7 @@ mod tests {
             assert_eq!(store.pending_batches(), i + 1);
             assert_eq!(store.wal_bytes(), base, "no WAL write before the window closes");
         }
-        // Dirty cells are pinned and readable while uncommitted.
+        // Dirty cells are resident and readable while uncommitted.
         assert_eq!(store.read(1).unwrap(), vec![0xEE; 8]);
         store.write(3, vec![0xEE; 8]).unwrap(); // fourth batch closes the window
         assert_eq!(store.pending_batches(), 0);
@@ -1486,21 +1459,22 @@ mod tests {
     #[test]
     fn poisoned_store_serves_hits_and_fails_misses_typed() {
         let sim = CrashSim::new(11);
-        // Cache holds four 8-byte cells out of 8, so the poisoned write
-        // below installs its dirty cell without evicting the resident two.
-        let opts = DiskOptions { cache_bytes: 32, ..DiskOptions::default() };
+        // Cache holds four 8-byte cells out of 8; the window holds both
+        // writes below, so they are resident and not yet in the log.
+        let opts = DiskOptions { cache_bytes: 32, wal_group_commit: 4, ..DiskOptions::default() };
         let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
         store.init(cells(8));
-        // Make 0 and 1 resident, then crash the disk.
-        assert_eq!(store.read(0).unwrap(), vec![0u8; 8]);
-        assert_eq!(store.read(1).unwrap(), vec![1u8; 8]);
+        store.write(0, vec![0xD0; 8]).unwrap();
+        store.write(1, vec![0xD1; 8]).unwrap();
+        assert_eq!(store.cache_resident(), 2);
+        // Crash the disk under the commit that would make them durable.
         sim.plan_crash(sim.events(), 0);
-        assert_eq!(store.write(2, vec![9; 8]), Err(ServerError::Interrupted));
+        assert!(store.commit().is_err());
         assert!(store.is_poisoned());
         // Hits keep serving; misses fail typed instead of touching the
         // dead file; further mutations fail fast.
-        assert_eq!(store.read(0).unwrap(), vec![0u8; 8]);
-        assert_eq!(store.read(1).unwrap(), vec![1u8; 8]);
+        assert_eq!(store.read(0).unwrap(), vec![0xD0; 8]);
+        assert_eq!(store.read(1).unwrap(), vec![0xD1; 8]);
         assert_eq!(store.read(5), Err(ServerError::Interrupted));
         assert_eq!(store.write(0, vec![1; 8]), Err(ServerError::Interrupted));
     }

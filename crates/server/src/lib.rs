@@ -42,6 +42,7 @@ pub mod latency;
 mod mapping;
 pub mod multi;
 pub mod server;
+pub mod settings;
 pub mod stats;
 pub mod storage;
 pub mod store;

@@ -289,7 +289,6 @@ impl<B: CellBackend> Storage for Accounted<B> {
         CostStats {
             cache_hits: cache.hits - self.telemetry_base.hits,
             cache_misses: cache.misses - self.telemetry_base.misses,
-            cache_evictions: cache.evictions - self.telemetry_base.evictions,
             ..self.stats
         }
     }

@@ -15,12 +15,13 @@
 //! local oracle bit-for-bit.
 //!
 //! The `cache_*` counters are a fifth currency, owned by the durable
-//! backend: how the bounded read-through cell cache of
-//! `dps_server::DiskStore` behaved (hits, misses refilled by `pread`,
-//! evictions). The backend counts them itself ([`CacheTelemetry`]) and the
-//! model only copies them into [`CostStats`]. They stay zero for in-memory
-//! servers; use [`CostStats::sans_cache`] to compare a cache-bounded store
-//! against an in-memory oracle bit-for-bit.
+//! backend: where `dps_server::DiskStore` found the cells it read — in
+//! memory (hits: a dirty cell, or the identity mirror) or in the arena file
+//! (misses: lent by the mapping, or read into a scratch buffer). The
+//! backend counts them itself ([`CacheTelemetry`]) and the model only
+//! copies them into [`CostStats`]. They stay zero for in-memory servers;
+//! use [`CostStats::sans_cache`] to compare a cache-bounded store against
+//! an in-memory oracle bit-for-bit.
 
 /// What a [`CellBackend`](crate::CellBackend)'s cell cache did since the
 /// backend was built: run-time telemetry, monotone, and no part of the
@@ -29,10 +30,8 @@
 pub struct CacheTelemetry {
     /// Reads served from memory.
     pub hits: u64,
-    /// Reads refilled from the backing file.
+    /// Reads served from the backing file.
     pub misses: u64,
-    /// Clean entries dropped to stay inside the cache budget.
-    pub evictions: u64,
 }
 
 /// Cumulative cost counters.
@@ -73,11 +72,14 @@ pub struct CostStats {
     /// Reads served straight from the durable backend's in-memory cell
     /// cache (0 for in-memory servers).
     pub cache_hits: u64,
-    /// Reads that missed the cell cache and were refilled from the arena
-    /// file by a positional read (0 for in-memory servers).
+    /// Reads that missed the cell cache and were served from the arena
+    /// file — lent by its mapping, or read with one positional read (0 for
+    /// in-memory servers).
     pub cache_misses: u64,
-    /// Clean cache entries evicted to stay inside the configured cache
-    /// budget (0 for in-memory servers).
+    /// Always 0: the durable store's cache holds only cells its disk lacks,
+    /// so nothing is ever evicted (NOTES.md, entry 12). The field stays
+    /// because the wire encodes it and `dpbench` reads it by name; ROADMAP
+    /// A4 removes it with the other `cache_*` fields.
     pub cache_evictions: u64,
 }
 

@@ -25,10 +25,7 @@ use dps_server::{
 };
 
 fn base_seed() -> u64 {
-    std::env::var("DPS_CRASH_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xD15C_5EED)
+    dps_server::settings::from_env("DPS_CRASH_SEED").unwrap_or(0xD15C_5EED)
 }
 
 fn seeds(offset: u64, count: u64) -> Vec<u64> {
@@ -187,7 +184,7 @@ fn opts_for(seed: u64) -> DiskOptions {
     };
     // Sweep the cache budget (the env-aware default, which the CI
     // small-cache leg pins tiny, plus two hard-coded tiny budgets that
-    // force evictions and refills inside the crash schedule) and the
+    // force misses and write-backs inside the crash schedule) and the
     // group-commit window (per-batch fsync vs a shared one).
     let cache_bytes = match (seed / 3) % 3 {
         0 => DiskOptions::default().cache_bytes,

@@ -14,9 +14,10 @@
 //! equal [`SimServer`]'s; the cache counters must say what happened —
 //! a lent read is a miss that evicts nothing and leaves nothing resident.
 //!
-//! The copy path (`refill` + CLOCK, taken by every file that does not
-//! lend) is `cache_eviction`'s and `crash_recovery`'s; the mapping's own
-//! length rules are unit tests beside the `unsafe` they protect.
+//! The read path of a file that does not lend (one positioned read into a
+//! scratch buffer) is `bounded_cache`'s and `crash_recovery`'s; the
+//! mapping's own length rules are unit tests beside the `unsafe` they
+//! protect.
 
 use dps_server::{DiskOptions, DiskStore, SimServer, Storage, SyncPolicy};
 
@@ -144,7 +145,6 @@ fn run_program(seed: u64) {
                     (0..rng.below(20)).map(|_| rng.below(CAPACITY + 1)).collect();
                 let (evictions, resident) = (disk.stats().cache_evictions, disk.cache_resident());
                 assert_eq!(disk.read_batch(&addrs), oracle.read_batch(&addrs), "{label}");
-                // Only write-back's budget enforcement ever evicts here.
                 assert_eq!(disk.stats().cache_evictions, evictions, "a read evicted: {label}");
                 assert_eq!(disk.cache_resident(), resident, "a read took a slot: {label}");
             }
@@ -213,18 +213,18 @@ fn a_written_back_cell_is_lent_with_its_new_bytes() {
         assert_eq!(disk.read(addr).unwrap(), initial()[addr]);
     }
     // Eight dirty cells over a budget of four: the commit that goes over
-    // writes all of them back and evicts down to the budget, so at least
-    // four of the reads below are lent.
+    // writes all of them back and empties the cache, so all eight reads
+    // below are lent.
     let batch: Vec<_> = victims
         .iter()
         .map(|&a| (a, cell(0xA0 ^ a as u8, CELL_LEN)))
         .collect();
     disk.write_batch(batch.clone()).unwrap();
-    assert!(disk.cache_resident() <= CACHE / CELL_LEN);
+    assert_eq!(disk.cache_resident(), 0, "write-back leaves nothing resident");
     let misses = disk.stats().cache_misses;
     for (addr, bytes) in &batch {
         assert_eq!(&disk.read(*addr).unwrap(), bytes, "cell {addr} after write-back");
     }
-    assert!(disk.stats().cache_misses >= misses + 4, "the reads above did not reach the mapping");
-    assert_eq!(disk.stats().cache_evictions, 4, "only write-back's budget enforcement evicts");
+    assert_eq!(disk.stats().cache_misses, misses + 8, "the reads above did not reach the mapping");
+    assert_eq!(disk.stats().cache_evictions, 0);
 }

@@ -334,8 +334,9 @@ impl Drop for TempDir {
 /// and the durable disk store (fsync off — the crash
 /// suite owns durability; this suite owns observational equivalence). The
 /// disk store runs twice: once with its default cache budget and once
-/// with a budget of a few cells, so eviction, refill and group-commit
-/// pinning are all inside the equivalence check. Last, the integrity
+/// with a budget of a few cells, so lent misses, a dirty set outgrowing
+/// its budget under group commit and the write-back that empties it are
+/// all inside the equivalence check. Last, the integrity
 /// decorator over the first.
 fn run_all_backends(init_all: bool, ops: &[Op]) {
     run_program(&mut SimServer::new(), init_all, ops);
@@ -346,7 +347,7 @@ fn run_all_backends(init_all: bool, ops: &[Op]) {
     let tmp = TempDir::new();
     let opts = DiskOptions {
         sync: SyncPolicy::Never,
-        cache_bytes: 3 * CELL_LEN, // DB ≫ cache: 3 resident of 12 cells
+        cache_bytes: 3 * CELL_LEN, // DB ≫ cache: 3 dirty of 12 cells
         wal_group_commit: 3,
         ..DiskOptions::default()
     };
