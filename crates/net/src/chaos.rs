@@ -522,10 +522,6 @@ impl<S: Storage> Storage for FaultStorage<S> {
         self.inner.init_with(capacity, produce);
     }
 
-    fn init_empty(&mut self, capacity: usize) {
-        self.inner.init_empty(capacity);
-    }
-
     fn capacity(&self) -> usize {
         self.inner.capacity()
     }

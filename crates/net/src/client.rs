@@ -270,9 +270,7 @@ fn idempotent(request: &Request) -> bool {
         | Request::Stats
         | Request::ReadBatch { .. }
         | Request::XorCells { .. } => true,
-        Request::Init { .. }
-        | Request::InitChunk { .. }
-        | Request::InitEmpty { .. }
+        Request::InitChunk { .. }
         | Request::StartRecording
         | Request::TakeTranscript
         | Request::ResetStats
@@ -932,10 +930,6 @@ impl Storage for RemoteServer {
     /// transcript are untouched; only the wire counters see the frames.
     fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
         infallible("init", self.send_init(capacity, produce));
-    }
-
-    fn init_empty(&mut self, capacity: usize) {
-        infallible("init_empty", self.expect_ok(&Request::InitEmpty { capacity }));
     }
 
     fn capacity(&self) -> usize {

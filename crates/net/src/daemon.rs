@@ -85,16 +85,16 @@
 //! connection closes. Other connections and future connects are
 //! unaffected. Model-level failures ([`dps_server::ServerError`]) are
 //! answered in-band with [`Response::Fail`] and leave the connection
-//! open.
+//! open — among them a write of a cell longer than the stride, which the
+//! model refuses (`CellTooLong`) before the store allocates or stores
+//! anything: no write can change the arena's geometry.
 //!
 //! The frame layer caps what one frame can make the daemon read
-//! ([`crate::wire::MAX_FRAME`]); [`DaemonLimits`] caps what a frame can
-//! make it *allocate*. `init_empty` with an astronomical capacity, an
-//! `Init` whose flat-arena footprint (`cells × longest cell`) explodes
-//! past its encoded size, or a write that would re-stride the whole
-//! arena beyond the budget are all rejected by closing the connection
-//! before any allocation happens. Legitimate deployments size
-//! [`DaemonLimits::max_stored_bytes`] to the machine.
+//! ([`crate::wire::MAX_FRAME`]); [`DaemonLimits`] caps what a set-up can
+//! make it *allocate*. A chunked init whose flat-arena footprint
+//! (`cells × longest cell`) explodes past its encoded size is rejected by
+//! closing the connection before the chunk is kept. Legitimate deployments
+//! size [`DaemonLimits::max_stored_bytes`] to the machine.
 //!
 //! # Set-up
 //!
@@ -147,10 +147,12 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Resource bounds a daemon enforces against its peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonLimits {
-    /// Upper bound on the storage arena a request may cause the server to
+    /// Upper bound on the storage arena a set-up may cause the server to
     /// allocate, in bytes (projected as `capacity × (longest cell +
-    /// per-cell bookkeeping)`). Requests that would exceed it close the
-    /// connection instead of allocating. Default: 4 GiB.
+    /// per-cell bookkeeping)`). A chunked init that would exceed it closes
+    /// the connection instead of allocating. Set-up is the only request it
+    /// guards: no other request allocates arena, because no write can
+    /// change the stride. Default: 4 GiB.
     pub max_stored_bytes: u64,
     /// Per-connection backpressure threshold: once a connection's unsent
     /// response bytes exceed this, the daemon stops reading from that
@@ -883,32 +885,6 @@ impl PendingInit {
     }
 }
 
-/// Rejects a request whose projected allocation exceeds the budget.
-fn within_budget(limits: DaemonLimits, projected: u64) -> Result<(), WireError> {
-    if projected > limits.max_stored_bytes {
-        return Err(WireError::BadPayload("allocation exceeds daemon budget"));
-    }
-    Ok(())
-}
-
-/// Guard for the write paths: a cell longer than the current stride
-/// re-strides the *whole* arena to the new length, so the budget check
-/// must project `capacity × longest incoming cell`, not just the write's
-/// own bytes. The event loop is the sole owner of the server, so check
-/// and write cannot be interleaved with another connection's init.
-fn check_write_budget<S: Storage>(
-    server: &S,
-    limits: DaemonLimits,
-    longest_cell: usize,
-) -> Result<(), WireError> {
-    if longest_cell > server.cell_stride() {
-        let projected =
-            (server.capacity() as u64).saturating_mul(longest_cell as u64 + CELL_OVERHEAD);
-        within_budget(limits, projected)?;
-    }
-    Ok(())
-}
-
 /// Decodes a request's addresses into the loop's scratch (which keeps its
 /// capacity between requests, up to a bound: one outsize list is not kept
 /// for the life of the daemon).
@@ -946,23 +922,15 @@ fn dispatch<S: Storage>(
     }
     let response = match request {
         RequestView::Ping => Response::Pong,
-        RequestView::Init { cells } => {
-            within_budget(limits, pending.projected_bytes(cells))?;
-            std::mem::take(pending).feed(cells, server);
-            Response::Ok
-        }
         RequestView::InitChunk { done, cells } => {
-            within_budget(limits, pending.projected_bytes(cells))?;
+            if pending.projected_bytes(cells) > limits.max_stored_bytes {
+                return Err(WireError::BadPayload("allocation exceeds daemon budget"));
+            }
             if done {
                 std::mem::take(pending).feed(cells, server);
             } else {
                 pending.keep(cells);
             }
-            Response::Ok
-        }
-        RequestView::InitEmpty { capacity } => {
-            within_budget(limits, (capacity as u64).saturating_mul(CELL_OVERHEAD))?;
-            server.init_empty(capacity);
             Response::Ok
         }
         RequestView::Capacity => Response::Number(server.capacity() as u64),
@@ -1000,11 +968,7 @@ fn dispatch<S: Storage>(
                 }
             }
         }
-        RequestView::WriteBatch { writes } => {
-            let longest = writes.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
-            check_write_budget(server, limits, longest)?;
-            ok_or_fail(server.write_cells(writes.iter()))
-        }
+        RequestView::WriteBatch { writes } => ok_or_fail(server.write_cells(writes.iter())),
         RequestView::WriteBatchStrided { addrs, flat } => {
             // The in-process API asserts these; a remote peer must not be
             // able to panic the event loop.
@@ -1016,7 +980,6 @@ fn dispatch<S: Storage>(
                 return Err(WireError::BadPayload("flat length not a multiple of cell count"));
             }
             let stride = flat.len().checked_div(addrs.len()).unwrap_or(0);
-            check_write_budget(server, limits, stride)?;
             // Straight off the frame: nothing between the in-buffer and
             // the store.
             let cell = |(i, addr)| (addr, &flat[i * stride..(i + 1) * stride]);

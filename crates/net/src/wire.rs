@@ -21,10 +21,10 @@
 //! than that still only gets buffer for the bytes it actually sends: both
 //! ends receive through a [`FrameAssembler`], whose buffer follows the
 //! bytes received, never the length announced. So a corrupt or hostile
-//! length prefix cannot balloon memory on either side. (Requests whose *execution* would
-//! allocate far beyond their encoded size — `init_empty` capacities,
-//! flat-arena stride amplification — are bounded separately by
-//! [`crate::DaemonLimits`].) All integers are little-endian; addresses
+//! length prefix cannot balloon memory on either side. (A set-up whose
+//! *execution* would allocate far beyond its encoded size — flat-arena
+//! stride amplification — is bounded separately by
+//! [`crate::DaemonLimits`]; no other request can allocate.) All integers are little-endian; addresses
 //! travel as `u64` and are checked back into `usize` on decode. A
 //! [`Request`] frame carries one [`Storage`](dps_server::Storage)
 //! operation — batch reads, strided batch writes and XOR partials each fit
@@ -799,9 +799,7 @@ impl<'a> Writes<'a> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RequestView<'a> {
     Ping,
-    Init { cells: Cells<'a> },
     InitChunk { done: bool, cells: Cells<'a> },
-    InitEmpty { capacity: usize },
     Capacity,
     StoredBytes,
     CellStride,
@@ -824,7 +822,6 @@ impl<'a> RequestView<'a> {
         let opcode = r.u8()?;
         let req = match opcode {
             op::PING => RequestView::Ping,
-            op::INIT => RequestView::Init { cells: r.cells()? },
             op::INIT_CHUNK => {
                 let done = match r.u8()? {
                     0 => false,
@@ -833,7 +830,6 @@ impl<'a> RequestView<'a> {
                 };
                 RequestView::InitChunk { done, cells: r.cells()? }
             }
-            op::INIT_EMPTY => RequestView::InitEmpty { capacity: r.size()? },
             op::CAPACITY => RequestView::Capacity,
             op::STORED_BYTES => RequestView::StoredBytes,
             op::CELL_STRIDE => RequestView::CellStride,
@@ -854,14 +850,11 @@ impl<'a> RequestView<'a> {
     }
 
     fn into_owned(self) -> Request {
-        let owned = |cells: Cells<'_>| cells.iter().map(<[u8]>::to_vec).collect();
         match self {
             RequestView::Ping => Request::Ping,
-            RequestView::Init { cells } => Request::Init { cells: owned(cells) },
             RequestView::InitChunk { done, cells } => {
-                Request::InitChunk { done, cells: owned(cells) }
+                Request::InitChunk { done, cells: cells.iter().map(<[u8]>::to_vec).collect() }
             }
-            RequestView::InitEmpty { capacity } => Request::InitEmpty { capacity },
             RequestView::Capacity => Request::Capacity,
             RequestView::StoredBytes => Request::StoredBytes,
             RequestView::CellStride => Request::CellStride,
@@ -919,6 +912,10 @@ impl<'a> ResponseView<'a> {
                 1 => ServerError::Uninitialized { addr: r.size()? },
                 2 => ServerError::Interrupted,
                 3 => ServerError::Integrity { addr: r.size()? },
+                4 => {
+                    let (addr, len) = (r.size()?, r.size()?);
+                    ServerError::CellTooLong { addr, len, stride: r.size()? }
+                }
                 _ => return Err(WireError::BadPayload("unknown server-error tag")),
             }),
             other => return Err(WireError::UnknownOpcode(other)),
@@ -945,12 +942,11 @@ impl<'a> ResponseView<'a> {
 
 // ---- Messages ----------------------------------------------------------
 
-// 0x09, 0x0E, 0x10 and 0x84 are retired (recording-state query, one-cell
-// write, combined read+write, boolean response): never reuse them.
+// 0x02, 0x03, 0x09, 0x0E, 0x10 and 0x84 are retired (whole-database init,
+// empty init, recording-state query, one-cell write, combined read+write,
+// boolean response): never reuse them.
 mod op {
     pub const PING: u8 = 0x01;
-    pub const INIT: u8 = 0x02;
-    pub const INIT_EMPTY: u8 = 0x03;
     pub const CAPACITY: u8 = 0x04;
     pub const STORED_BYTES: u8 = 0x05;
     pub const CELL_STRIDE: u8 = 0x06;
@@ -975,34 +971,23 @@ mod op {
 }
 
 /// One client request: the required [`Storage`](dps_server::Storage)
-/// surface (the upload primitive has two frames, chosen by the cells),
-/// plus chunked init and a connectivity `Ping`.
+/// surface (set-up in chunks, the upload primitive in two frames chosen by
+/// the cells), plus a connectivity `Ping`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
-    /// [`Storage::init`](dps_server::Storage::init), whole, in one frame
-    /// (still served; the client's set-up sends `InitChunk` frames).
-    Init {
-        /// The cells replacing the server contents.
-        cells: Vec<Vec<u8>>,
-    },
     /// One slice of a set-up
-    /// ([`Storage::init_with`](dps_server::Storage::init_with)): how the
-    /// client sends every database, about 1 MiB at a time. The daemon
-    /// keeps the chunks of an uninterrupted run in arrival order and
-    /// applies the (uncharged) init when `done` arrives; any other request
-    /// in between abandons the run.
+    /// ([`Storage::init_with`](dps_server::Storage::init_with)): the one
+    /// set-up frame, in which the client sends every database, about 1 MiB
+    /// at a time. The daemon keeps the chunks of an uninterrupted run in
+    /// arrival order and applies the (uncharged) init when `done` arrives;
+    /// any other request in between abandons the run.
     InitChunk {
         /// True on the final chunk: apply the accumulated cells.
         done: bool,
         /// The next cells, in address order.
         cells: Vec<Vec<u8>>,
-    },
-    /// [`Storage::init_empty`](dps_server::Storage::init_empty).
-    InitEmpty {
-        /// Cell slots to reserve.
-        capacity: usize,
     },
     /// [`Storage::capacity`](dps_server::Storage::capacity).
     Capacity,
@@ -1075,18 +1060,10 @@ impl Request {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Ping => buf.push(op::PING),
-            Request::Init { cells } => {
-                buf.push(op::INIT);
-                put_cells(buf, cells);
-            }
             Request::InitChunk { done, cells } => {
                 buf.push(op::INIT_CHUNK);
                 buf.push(u8::from(*done));
                 put_cells(buf, cells);
-            }
-            Request::InitEmpty { capacity } => {
-                buf.push(op::INIT_EMPTY);
-                put_u64(buf, *capacity as u64);
             }
             Request::Capacity => buf.push(op::CAPACITY),
             Request::StoredBytes => buf.push(op::STORED_BYTES),
@@ -1198,6 +1175,12 @@ impl Response {
                         buf.push(3);
                         put_u64(buf, *addr as u64);
                     }
+                    ServerError::CellTooLong { addr, len, stride } => {
+                        buf.push(4);
+                        for v in [addr, len, stride] {
+                            put_u64(buf, *v as u64);
+                        }
+                    }
                 }
             }
         }
@@ -1268,10 +1251,9 @@ mod tests {
     fn request_roundtrip_covers_every_variant() {
         let reqs = vec![
             Request::Ping,
-            Request::Init { cells: vec![vec![1, 2], vec![], vec![3]] },
+            Request::InitChunk { done: true, cells: vec![vec![1, 2], vec![], vec![3]] },
             Request::InitChunk { done: false, cells: vec![vec![4; 3]] },
             Request::InitChunk { done: true, cells: vec![] },
-            Request::InitEmpty { capacity: 77 },
             Request::Capacity,
             Request::StoredBytes,
             Request::CellStride,
@@ -1312,6 +1294,7 @@ mod tests {
             Response::Fail(ServerError::Uninitialized { addr: 3 }),
             Response::Fail(ServerError::Interrupted),
             Response::Fail(ServerError::Integrity { addr: 7 }),
+            Response::Fail(ServerError::CellTooLong { addr: 5, len: 9, stride: 8 }),
         ];
         for resp in resps {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
@@ -1350,9 +1333,15 @@ mod tests {
         assert!(!visit_cells(&Response::Ok.encode(), |_, _| {}).unwrap());
     }
 
+    /// Retired opcodes among them: the whole-database init (0x02) and the
+    /// empty init (0x03) are unknown now, whatever follows them.
     #[test]
     fn unknown_opcodes_are_typed_errors() {
-        assert_eq!(Request::decode(&[0x7F]), Err(WireError::UnknownOpcode(0x7F)));
+        for op in [0x7F, 0x02, 0x03] {
+            let payload = [&[op][..], &1u64.to_le_bytes()].concat();
+            assert_eq!(Request::decode(&payload[..1]), Err(WireError::UnknownOpcode(op)));
+            assert_eq!(Request::decode(&payload), Err(WireError::UnknownOpcode(op)));
+        }
         assert_eq!(Response::decode(&[0x20]), Err(WireError::UnknownOpcode(0x20)));
     }
 

@@ -270,9 +270,8 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
     transcript.push_batch(vec![AccessEvent::Compute(9)]);
     let requests = vec![
         Request::Ping,
-        Request::Init { cells: cells() },
         Request::InitChunk { done: true, cells: cells() },
-        Request::InitEmpty { capacity: 77 },
+        Request::InitChunk { done: false, cells: cells() },
         Request::Capacity,
         Request::StoredBytes,
         Request::CellStride,
@@ -297,6 +296,7 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
         Response::Fail(ServerError::Uninitialized { addr: 3 }),
         Response::Fail(ServerError::Interrupted),
         Response::Fail(ServerError::Integrity { addr: 7 }),
+        Response::Fail(ServerError::CellTooLong { addr: 5, len: 9, stride: 8 }),
     ];
     (requests, responses)
 }

@@ -148,25 +148,22 @@ fn golden_frames_from_the_daemons_in_place_answers() {
 
 // ---- Roll-back is exact ------------------------------------------------
 
-/// Cells 0, 2 and 3 written, cell 1 never.
-fn holey_server() -> SimServer {
+/// Four cells, `cell(0)` to `cell(3)`.
+fn four_cells() -> SimServer {
     let mut server = SimServer::new();
-    server.init_empty(4);
-    for i in [0u8, 2, 3] {
-        server.write(usize::from(i), cell(i)).unwrap();
-    }
+    server.init((0..4).map(cell).collect());
     server
 }
 
 #[test]
 fn a_failed_walk_is_rolled_back_and_still_charged() {
-    let daemon = NetDaemon::spawn(holey_server()).unwrap();
+    let daemon = NetDaemon::spawn(four_cells()).unwrap();
     let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
 
-    // One burst: the first batch dies on its second cell, after the first
-    // cell's bytes were already appended to the send buffer.
+    // One burst: the first batch dies on its second address, after the
+    // first cell's bytes were already appended to the send buffer.
     let burst = [
-        Request::ReadBatch { addrs: vec![0, 1, 2] }
+        Request::ReadBatch { addrs: vec![0, 9, 2] }
             .encode_framed_v2(1)
             .unwrap(),
         Request::ReadBatch { addrs: vec![3] }
@@ -185,7 +182,7 @@ fn a_failed_walk_is_rolled_back_and_still_charged() {
     assert_eq!(
         answers,
         vec![
-            (1, Response::Fail(ServerError::Uninitialized { addr: 1 })),
+            (1, Response::Fail(ServerError::OutOfBounds { addr: 9, capacity: 4 })),
             (2, Response::Cells(vec![cell(3)])),
             (3, Response::Pong),
         ]
@@ -193,8 +190,9 @@ fn a_failed_walk_is_rolled_back_and_still_charged() {
 
     // The model charged what it visited — exactly what a local server
     // charges for the same two calls.
-    let mut oracle = holey_server();
-    assert_eq!(oracle.read_batch(&[0, 1, 2]), Err(ServerError::Uninitialized { addr: 1 }));
+    let mut oracle = four_cells();
+    let out_of_bounds = ServerError::OutOfBounds { addr: 9, capacity: 4 };
+    assert_eq!(oracle.read_batch(&[0, 9, 2]), Err(out_of_bounds));
     assert_eq!(oracle.read_batch(&[3]).unwrap(), vec![cell(3)]);
     let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
     assert_eq!(remote.stats().sans_wire(), oracle.stats());

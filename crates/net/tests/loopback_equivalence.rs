@@ -56,25 +56,43 @@ fn run_program(local: &mut SimServer, remote: &mut RemoteServer) {
     const N: usize = 12;
     const LEN: usize = 8;
 
-    // Uninitialized phase: errors must match.
-    local.init_empty(N);
-    remote.init_empty(N);
+    // A first set-up: errors must match.
+    local.init(vec![cell(0xE0, LEN / 2); N]);
+    remote.init(vec![cell(0xE0, LEN / 2); N]);
     assert_eq!(remote.capacity(), local.capacity());
     assert_eq!(Storage::read(remote, 2), Storage::read(local, 2));
     assert_eq!(
         Storage::read(remote, N + 3),
         Err(ServerError::OutOfBounds { addr: N + 3, capacity: N })
     );
-    assert_eq!(Storage::write(remote, 0, cell(1, LEN)), Storage::write(local, 0, cell(1, LEN)));
+    assert_eq!(Storage::write(remote, 0, cell(1, 3)), Storage::write(local, 0, cell(1, 3)));
     assert_eq!(Storage::read(remote, 0), Storage::read(local, 0));
-    // Partial failure: addresses 1..4 handed out, then out-of-bounds.
+    // Partial failure: addresses 1 and 0 handed out, then out-of-bounds.
     let bad = vec![1, 0, 99];
     assert_eq!(Storage::read_batch(remote, &bad), Storage::read_batch(local, &bad));
 
-    // Initialized phase, transcripts recording.
+    // Set-up again, at the full width, transcripts recording.
     let cells: Vec<Vec<u8>> = (0..N as u8).map(|i| cell(i, LEN)).collect();
     local.init(cells.clone());
-    remote.init(cells);
+    remote.init(cells.clone());
+    local.start_recording();
+    remote.start_recording();
+
+    // A cell longer than the stride is refused whole, in-band, on both
+    // sides alike — nothing stored, charged or seen — and the connection
+    // keeps serving.
+    let over_long = vec![(2usize, cell(0xF0, LEN)), (7, cell(0xF1, LEN + 1))];
+    let too_long = Err(ServerError::CellTooLong { addr: 7, len: LEN + 1, stride: LEN });
+    let before = Storage::stats(remote).sans_wire();
+    assert_eq!(remote.write_batch(over_long.clone()), too_long);
+    assert_eq!(local.write_batch(over_long), too_long);
+    assert_eq!(Storage::stats(remote).sans_wire(), before);
+    assert_eq!(Storage::stats(local), before);
+    assert_eq!(remote.take_transcript().round_trips(), 0);
+    assert_eq!(local.take_transcript().round_trips(), 0);
+    assert_eq!(Storage::read_batch(remote, &[2, 7]), Ok(vec![cells[2].clone(), cells[7].clone()]));
+    assert_eq!(Storage::read_batch(local, &[2, 7]), Ok(vec![cells[2].clone(), cells[7].clone()]));
+    assert_eq!(remote.cell_stride(), LEN);
     local.start_recording();
     remote.start_recording();
 
@@ -195,6 +213,40 @@ fn batch_operations_are_single_wire_round_trips() {
     });
 }
 
+/// Set-up may leave cells of unequal length, and an XOR fold over them is
+/// the XOR of the cells zero-padded to the longest, in either order, on
+/// every server: the simulator, the durable store (bounded and identity
+/// cache), the wire to either, and the integrity decorator. The model
+/// charges a fold at its length (2 × 20 bytes here); the decorator, which
+/// folds client-side, charges the cells it downloaded (2 × 32).
+#[test]
+fn xor_over_ragged_cells_is_the_zero_padded_fold_on_every_server() {
+    let cells: Vec<Vec<u8>> = vec![(0..12).collect(), (100..120).collect()];
+    let mut padded = cells[1].clone();
+    padded.iter_mut().zip(&cells[0]).for_each(|(p, c)| *p ^= c);
+    let folds = |charged| (vec![padded.clone(), padded.clone()], charged);
+    fn run<S: Storage>(mut server: S, cells: &[Vec<u8>]) -> (Vec<Vec<u8>>, u64) {
+        server.init(cells.to_vec());
+        server.reset_stats();
+        let folds = [[0, 1], [1, 0]].map(|addrs| server.xor_cells(&addrs).unwrap());
+        (folds.to_vec(), server.stats().bytes_down)
+    }
+    assert_eq!(run(SimServer::new(), &cells), folds(40), "SimServer");
+    assert_eq!(run(Verified::new(SimServer::new()), &cells), folds(64), "Verified<SimServer>");
+    for cache_bytes in [16, 1 << 30] {
+        let dir = Scratch::new();
+        assert_eq!(run(dir.open(cache_bytes), &cells), folds(40), "DiskStore, {cache_bytes} B");
+        let daemon = NetDaemon::spawn(dir.open(cache_bytes)).expect("spawn daemon");
+        let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+        assert_eq!(run(remote, &cells), folds(40), "RemoteServer → DiskStore, {cache_bytes} B");
+        daemon.shutdown();
+    }
+    let daemon = NetDaemon::spawn(SimServer::new()).expect("spawn daemon");
+    let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+    assert_eq!(run(Verified::new(remote), &cells), folds(64), "Verified<RemoteServer>");
+    daemon.shutdown();
+}
+
 /// The provided spellings of an upload, as a caller picks one.
 #[derive(Debug, Clone, Copy)]
 enum Spelling {
@@ -273,7 +325,7 @@ fn every_upload_spelling_is_the_same_request() {
 
     // Cells of two lengths cannot be packed at one stride: the one case
     // that takes the general frame (and still matches the local twin).
-    let ragged = [(2, cell(0x50, 8)), (5, cell(0x60, 11))];
+    let ragged = [(2, cell(0x50, 8)), (5, cell(0x60, 5))];
     let general = Request::WriteBatch { writes: ragged.to_vec() };
     let (_, wire_up) = upload_outcome(Spelling::Batch, &ragged);
     assert_eq!(wire_up, general.encode_framed_v2(1).unwrap().len() as u64);

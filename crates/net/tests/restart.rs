@@ -216,8 +216,10 @@ fn restart(daemon: NetDaemon, relay: &Relay, dir: &Path) -> NetDaemon {
 // ---- Raw cells. --------------------------------------------------------
 
 /// Every acknowledged cell — including zero-length cells — survives the
-/// restart bit-identical, uninitialized holes stay typed holes, and the
-/// healed client keeps writing (and survives a *second* restart).
+/// restart bit-identical, the geometry set-up fixed survives with it (an
+/// address past it is still out of bounds mid-batch, a cell longer than the
+/// stride still refused), and the healed client keeps writing (and survives
+/// a *second* restart).
 #[test]
 fn raw_cells_survive_a_daemon_restart() {
     let dir = TempDir::new("raw");
@@ -225,7 +227,7 @@ fn raw_cells_survive_a_daemon_restart() {
     let relay = Relay::spawn(daemon.local_addr()).expect("spawn relay");
     let mut remote = resilient(relay.local_addr(), 0x0DD_BA5E);
 
-    remote.init_empty(16);
+    remote.init((0..16).map(|i| vec![i as u8; 24]).collect());
     remote.write(0, vec![0xA5; 24]).unwrap();
     remote.write(3, (0..24).collect()).unwrap();
     remote.write(4, Vec::new()).unwrap(); // zero-length, but initialized
@@ -234,21 +236,24 @@ fn raw_cells_survive_a_daemon_restart() {
     let daemon = restart(daemon, &relay, dir.path());
     remote.ping().expect("heal over idempotent traffic");
 
-    assert_eq!(remote.capacity(), 16);
-    let got = remote.try_read_batch(&[0, 3, 4, 15]).unwrap();
+    assert_eq!((remote.capacity(), remote.cell_stride()), (16, 24));
+    let got = remote.try_read_batch(&[0, 3, 4, 15, 7]).unwrap();
     assert_eq!(got[0], vec![0xA5; 24]);
     assert_eq!(got[1], (0..24).collect::<Vec<u8>>());
     assert_eq!(got[2], Vec::<u8>::new());
     assert_eq!(got[3], vec![0x5A; 7]);
-    match remote.try_read_batch(&[7]) {
-        Err(RemoteError::Server(ServerError::Uninitialized { addr: 7 })) => {}
-        other => panic!("hole must stay typed-uninitialized across restart, got {other:?}"),
+    assert_eq!(got[4], vec![7; 24]);
+    match remote.try_read_batch(&[7, 16]) {
+        Err(RemoteError::Server(ServerError::OutOfBounds { addr: 16, capacity: 16 })) => {}
+        other => panic!("the capacity must survive the restart, got {other:?}"),
     }
+    let too_long = ServerError::CellTooLong { addr: 7, len: 25, stride: 24 };
+    assert_eq!(remote.write(7, vec![7; 25]), Err(too_long));
 
-    remote.write(7, vec![7; 24]).unwrap();
+    remote.write(7, vec![0x77; 24]).unwrap();
     let daemon = restart(daemon, &relay, dir.path());
     remote.ping().expect("heal after the second restart");
-    assert_eq!(remote.try_read_batch(&[7]).unwrap(), vec![vec![7u8; 24]]);
+    assert_eq!(remote.try_read_batch(&[7]).unwrap(), vec![vec![0x77u8; 24]]);
 
     drop(remote);
     drop(relay);

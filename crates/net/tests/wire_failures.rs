@@ -48,22 +48,20 @@ fn arb_request() -> impl Strategy<Value = Request> {
         (0usize..10_000, proptest::collection::vec(any::<u8>(), 0..24)),
         0..6,
     );
-    (0u8..15, addrs, cells, writes, 0usize..10_000, proptest::collection::vec(any::<u8>(), 0..48))
-        .prop_map(|(variant, addrs, cells, writes, n, flat)| match variant {
+    (0u8..13, addrs, cells, writes, any::<bool>(), proptest::collection::vec(any::<u8>(), 0..48))
+        .prop_map(|(variant, addrs, cells, writes, done, flat)| match variant {
             0 => Request::Ping,
-            1 => Request::Init { cells },
-            14 => Request::InitChunk { done: n % 2 == 0, cells },
-            2 => Request::InitEmpty { capacity: n },
-            3 => Request::Capacity,
-            4 => Request::StoredBytes,
-            5 => Request::CellStride,
-            6 => Request::StartRecording,
-            7 => Request::TakeTranscript,
-            8 => Request::Stats,
-            9 => Request::ResetStats,
-            10 => Request::ReadBatch { addrs },
-            11 => Request::WriteBatch { writes },
-            12 => Request::WriteBatchStrided { addrs, flat },
+            1 => Request::InitChunk { done, cells },
+            2 => Request::Capacity,
+            3 => Request::StoredBytes,
+            4 => Request::CellStride,
+            5 => Request::StartRecording,
+            6 => Request::TakeTranscript,
+            7 => Request::Stats,
+            8 => Request::ResetStats,
+            9 => Request::ReadBatch { addrs },
+            10 => Request::WriteBatch { writes },
+            11 => Request::WriteBatchStrided { addrs, flat },
             _ => Request::XorCells { addrs },
         })
 }
@@ -106,9 +104,11 @@ fn arb_response() -> impl Strategy<Value = Response> {
             }
             5 => Response::Cells(cells),
             6 => Response::Bytes(cells.into_iter().flatten().collect()),
-            _ => Response::Fail(match v % 3 {
+            _ => Response::Fail(match v % 5 {
                 0 => ServerError::OutOfBounds { addr: n, capacity: n / 2 },
                 1 => ServerError::Uninitialized { addr: n },
+                2 => ServerError::Integrity { addr: n },
+                3 => ServerError::CellTooLong { addr: n, len: n / 3 + 1, stride: n / 3 },
                 _ => ServerError::Interrupted,
             }),
         },
@@ -299,42 +299,53 @@ fn daemon_refuses_a_read_batch_whose_answer_cannot_fit_a_frame() {
     daemon.shutdown();
 }
 
-/// Allocation amplification attacks are stopped by [`DaemonLimits`]: a
-/// tiny frame must not be able to make the daemon allocate far beyond
-/// its budget, whether via `init_empty` capacity, init stride
-/// amplification, or a write that re-strides the whole arena.
+/// Allocation amplification attacks are stopped: a tiny frame must not be
+/// able to make the daemon allocate far beyond its budget. A 17-byte frame
+/// of the retired empty-init opcode claiming 2^40 cells is an unknown
+/// opcode and closes the connection; a set-up whose stride amplifies past
+/// [`DaemonLimits`] closes it too; and a write of a cell far longer than
+/// the stride is refused in-band as `CellTooLong` — the model allocates
+/// nothing for it, and the connection keeps serving.
 #[test]
 fn daemon_budget_stops_allocation_amplification() {
     let mut server = SimServer::new();
     server.init((0..64).map(|i| vec![i as u8; 8]).collect());
     let limits = DaemonLimits { max_stored_bytes: 1 << 20, ..Default::default() }; // 1 MiB budget
     let daemon = NetDaemon::bind_with("127.0.0.1:0", server, limits).expect("bind");
+    let before = daemon.metrics().protocol_errors;
 
-    // A 17-byte frame claiming 2^40 empty cells.
     let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
-    let evil = Request::InitEmpty { capacity: 1 << 40 };
-    bad.write_all(&frame(&evil.encode()).unwrap()).unwrap();
-    assert_eq!(drain(&mut bad), 0, "huge init_empty must close, not allocate");
+    let mut init_empty = vec![0x03];
+    init_empty.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    bad.write_all(&frame(&init_empty).unwrap()).unwrap();
+    assert_eq!(drain(&mut bad), 0, "a retired opcode must close, not allocate");
 
     // Stride amplification: 64 Ki one-byte cells plus a single 4 KiB
     // cell encode to ~580 KiB but would allocate 64 Ki × 4 KiB = 256 MiB.
     let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
     let mut cells = vec![vec![0u8; 1]; 1 << 16];
     cells.push(vec![0u8; 4096]);
-    bad.write_all(&frame(&Request::Init { cells }.encode()).unwrap())
-        .unwrap();
-    assert_eq!(drain(&mut bad), 0, "stride amplification must close, not allocate");
-
-    // Re-stride amplification: against the 64-cell live server a write
-    // longer than the stride re-strides every cell; a budget-busting
-    // cell length must be rejected even though the write itself is small.
-    let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
-    let evil = Request::WriteBatchStrided { addrs: vec![0], flat: vec![0u8; 1 << 19] };
-    // 64 cells × 512 KiB projected = 32 MiB > 1 MiB budget.
+    let evil = Request::InitChunk { done: true, cells };
     bad.write_all(&frame(&evil.encode()).unwrap()).unwrap();
-    assert_eq!(drain(&mut bad), 0, "re-stride amplification must close");
+    assert_eq!(drain(&mut bad), 0, "stride amplification must close, not allocate");
+    assert_eq!(daemon.metrics().protocol_errors, before + 2);
 
-    // In-budget traffic still works, and the daemon survived all three.
+    // A 512 KiB cell against the 8-byte stride of the 64-cell store: the
+    // model refuses it before the store is asked, and says so in-band.
+    let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+    let evil = Request::WriteBatchStrided { addrs: vec![0], flat: vec![0u8; 1 << 19] };
+    let too_long = ServerError::CellTooLong { addr: 0, len: 1 << 19, stride: 8 };
+    assert_eq!(remote.request(&evil), Err(RemoteError::Server(too_long)));
+    let evil = Request::WriteBatch { writes: vec![(1, vec![1; 9]), (2, vec![0u8; 1 << 19])] };
+    let too_long = ServerError::CellTooLong { addr: 1, len: 9, stride: 8 };
+    assert_eq!(remote.request(&evil), Err(RemoteError::Server(too_long)));
+    assert_eq!(remote.request(&Request::CellStride), Ok(Response::Number(8)));
+    assert_eq!(remote.request(&Request::StoredBytes), Ok(Response::Number(64 * 8)));
+    assert_eq!(daemon.metrics().protocol_errors, before + 2, "the refusals kept the connection");
+    let stats = remote.request(&Request::Stats);
+    assert!(matches!(stats, Ok(Response::Stats(s)) if s.uploads == 0 && s.round_trips == 0));
+
+    // In-budget traffic still works, and the daemon survived all of it.
     assert_still_serving(daemon.local_addr());
     daemon.shutdown();
 }
@@ -390,13 +401,13 @@ fn a_half_finished_chunked_init_ends_at_the_next_request() {
         Ok(Response::Cells(vec![vec![0xBB; 8], vec![0xBB; 8], vec![0xCC; 8]]))
     );
 
-    // A failing request ends one as well, and so does a whole-database one.
+    // A failing request ends one as well; a lone `done` chunk is a whole
+    // set-up, and ends nothing but its own run.
     assert_eq!(remote.request(&chunk(false, 0xDD, 5)), Ok(Response::Ok));
     assert!(remote.request(&Request::ReadBatch { addrs: vec![99] }).is_err());
     assert_eq!(remote.request(&chunk(true, 0xEE, 1)), Ok(Response::Ok));
     assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(1)));
-    assert_eq!(remote.request(&chunk(false, 0xDD, 5)), Ok(Response::Ok));
-    assert_eq!(remote.request(&Request::Init { cells: vec![vec![1; 2]; 2] }), Ok(Response::Ok));
+    assert_eq!(remote.request(&chunk(true, 0x11, 2)), Ok(Response::Ok));
     assert_eq!(remote.request(&chunk(true, 0xFF, 1)), Ok(Response::Ok));
     assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(1)));
     drop(remote);

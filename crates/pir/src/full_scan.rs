@@ -97,13 +97,15 @@ mod tests {
     fn scan_returns_mutated_record_lengths_as_stored() {
         let blocks: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 6]).collect();
         let mut pir = FullScanPir::setup(&blocks, SimServer::new());
-        // Shrink one record.
+        // Shrink one record, then another.
         pir.server_mut().write(3, vec![9u8; 2]).unwrap();
         assert_eq!(pir.query(3).unwrap(), vec![9u8; 2]);
         assert_eq!(pir.query(5).unwrap(), vec![5u8; 6]);
-        // Grow one record past the uniform length.
-        pir.server_mut().write(3, vec![8u8; 10]).unwrap();
-        assert_eq!(pir.query(3).unwrap(), vec![8u8; 10]);
+        pir.server_mut().write(6, vec![8u8; 5]).unwrap();
+        assert_eq!(pir.query(6).unwrap(), vec![8u8; 5]);
+        assert_eq!(pir.query(3).unwrap(), vec![9u8; 2]);
+        // No record grows past the uniform length: the server refuses it.
+        assert!(pir.server_mut().write(3, vec![8u8; 10]).is_err());
         assert_eq!(pir.query(7).unwrap(), vec![7u8; 6]);
     }
 

@@ -156,7 +156,7 @@ mod tests {
     fn failed_scan_on_one_replica_still_scans_the_other() {
         let mut pir = build(32);
         let mut rng = ChaChaRng::seed_from_u64(4);
-        pir.servers_mut().server_mut(0).init_empty(1);
+        pir.servers_mut().server_mut(0).init(vec![vec![0; 2]]);
         let before = pir.servers_mut().server(1).stats().computed;
         assert!(matches!(pir.query(9, &mut rng), Err(ServerError::OutOfBounds { .. })));
         assert!(pir.servers_mut().server(1).stats().computed > before);

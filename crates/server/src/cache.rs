@@ -27,9 +27,9 @@
 //! store warms it with one bulk arena read (or moves set-up's image into
 //! it), and every initialized cell stays resident, clean or dirty — so the
 //! read path is a direct slab slice with no page-table load at all, and
-//! write-back only forgets which cells were dirty. A re-stride that shrinks
-//! the slot budget below the cell count downgrades the slab to the bounded
-//! layout in place, keeping the dirty cells and dropping the clean ones.
+//! write-back only forgets which cells were dirty. The mode is chosen once
+//! per set-up: the stride it derives the slot budget from is fixed until
+//! the next one (NOTES.md, entry 13).
 //!
 //! The cache does no counting: the store owns the hit and miss counters
 //! ([`CacheTelemetry`](crate::CacheTelemetry)).
@@ -41,13 +41,11 @@ const NONE_SLOT: u32 = u32::MAX;
 /// [module docs](self)).
 #[derive(Debug, Default)]
 pub(crate) struct CellCache {
-    /// Slot width in bytes (the store's current stride).
+    /// Slot width in bytes (the store's stride).
     stride: usize,
     /// Slot budget derived from `cache_bytes / stride`: the dirty count
     /// past which a commit writes back.
     max_slots: usize,
-    /// The byte budget, kept to re-derive `max_slots` across re-strides.
-    cache_bytes: usize,
     /// Slot payloads: slot `i` at `i * stride`.
     data: Vec<u8>,
     /// Page table: address → slot (or [`NONE_SLOT`]). One entry per cell.
@@ -88,57 +86,11 @@ impl CellCache {
         Self {
             stride,
             max_slots,
-            cache_bytes,
             data,
             slot_of: vec![NONE_SLOT; capacity],
             dirty: Vec::new(),
             live: 0,
             identity,
-        }
-    }
-
-    /// Re-lays the cache at a wider stride. Every dirty cell is kept: a
-    /// re-stride writes the other arena file and only its geometry
-    /// checkpoint covers the open window, so until that snapshot is durable
-    /// the dirty cells exist nowhere else the store may read. The budget is
-    /// re-derived; an identity slab the new budget no longer covers becomes
-    /// a bounded one holding only its dirty cells.
-    pub fn restride(&mut self, new_stride: usize) {
-        debug_assert!(new_stride >= self.stride, "cache stride only grows");
-        let capacity = self.slot_of.len();
-        let old_stride = self.stride;
-        let max_slots = budget_slots(self.cache_bytes, new_stride);
-        let identity = max_slots >= capacity;
-        if identity && !self.identity {
-            // Upgrade to identity: only reachable from the slot-less
-            // stride-0 geometry (a grown stride otherwise only shrinks
-            // the budget), so there is nothing resident to carry over.
-            debug_assert_eq!(self.live, 0, "upgrade from a non-empty bounded cache");
-            *self = Self::new(capacity, new_stride, self.cache_bytes);
-            return;
-        }
-        // An identity slab is re-laid whole; a bounded result holds the
-        // dirty cells, each once, in address order from slot 0.
-        if !identity {
-            self.sort_dirty();
-        }
-        let slots = if identity { capacity } else { self.dirty.len() };
-        let mut data = vec![0u8; slots * new_stride];
-        for slot in 0..slots {
-            let from = if identity { slot } else { self.slot_of[self.dirty[slot]] as usize };
-            data[slot * new_stride..slot * new_stride + old_stride]
-                .copy_from_slice(&self.data[from * old_stride..(from + 1) * old_stride]);
-        }
-        self.data = data;
-        self.stride = new_stride;
-        self.max_slots = max_slots;
-        self.identity = identity;
-        if !identity {
-            self.slot_of.fill(NONE_SLOT);
-            for (slot, &addr) in self.dirty.iter().enumerate() {
-                self.slot_of[addr] = slot as u32;
-            }
-            self.live = slots;
         }
     }
 
@@ -237,9 +189,8 @@ impl CellCache {
         self.live > self.max_slots
     }
 
-    /// Every dirty cell is in the arena now (written back, or covered by a
-    /// geometry checkpoint): a bounded cache empties, an identity slab only
-    /// forgets which of its cells were dirty.
+    /// Every dirty cell is in the arena now (written back): a bounded cache
+    /// empties, an identity slab only forgets which of its cells were dirty.
     pub fn clean_all(&mut self) {
         if !self.identity {
             for &addr in &self.dirty {
@@ -309,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn restride_preserves_entries_and_flush_order() {
-        let mut cache = CellCache::new(8, 4, 8); // budget: 2 slots
-        written(&mut cache, 5, 9, 4);
-        written(&mut cache, 2, 7, 4);
-        cache.restride(6); // budget: 1 slot, two dirty cells kept
-        assert_eq!(cache.slot_bytes(cache.slot(5).unwrap(), 4), &[9; 4]);
-        assert_eq!(cache.slot_bytes(cache.slot(2).unwrap(), 4), &[7; 4]);
-        assert_eq!(cache.dirty(), &[2, 5]);
-        assert!(cache.over_budget());
-    }
-
-    #[test]
     fn identity_mirrors_every_cell_and_lists_each_dirty_one_once() {
         let mut cache = CellCache::new(4, 4, 64);
         assert!(cache.is_identity());
@@ -334,27 +273,6 @@ mod tests {
         cache.clean_all();
         assert_eq!((cache.resident(), cache.slot(3)), (3, Some(3)), "clean cells stay mirrored");
         assert!(!cache.over_budget());
-    }
-
-    #[test]
-    fn a_downgrade_keeps_the_dirty_cells_and_drops_the_clean_ones() {
-        let mut cache = CellCache::new(4, 4, 16); // identity: 4 slots of 4
-        for addr in 0..4 {
-            cache.adopt(addr);
-            cache.slot_bytes_mut(addr, 4).fill(addr as u8);
-        }
-        written(&mut cache, 3, 0xD3, 4);
-        written(&mut cache, 1, 0xD1, 4);
-        cache.restride(8); // 2 slots for 4 cells
-        assert!(!cache.is_identity());
-        assert_eq!((cache.slot(0), cache.slot(2)), (None, None));
-        assert_eq!(cache.slot_bytes(cache.slot(1).unwrap(), 4), &[0xD1; 4]);
-        assert_eq!(cache.slot_bytes(cache.slot(3).unwrap(), 4), &[0xD3; 4]);
-        assert_eq!((cache.resident(), cache.dirty()), (2, &[1, 3][..]));
-        // The bounded layout carries on from there.
-        assert_eq!(written(&mut cache, 0, 0xD0, 8), 2);
-        cache.clean_all();
-        assert_eq!(cache.resident(), 0);
     }
 
     #[test]

@@ -75,9 +75,9 @@
 //! bumped generation stamp, then rewrite the WAL header with the new stamp
 //! — one write, one sync; the old generation's records stay where they are
 //! and are overwritten as the new one grows. Snapshots alternate between
-//! two metadata files and — for geometry-changing checkpoints (init,
-//! re-stride) — between two arena files, so a torn write can never damage
-//! the checkpoint being superseded.
+//! two metadata files and — for the geometry checkpoint of a set-up, the
+//! only thing that changes capacity or stride — between two arena files, so
+//! a torn write can never damage the checkpoint being superseded.
 //!
 //! ## Recovery, and what makes a recycled log sound
 //!
@@ -128,10 +128,10 @@
 //! [`ServerError::Interrupted`] (matching the network client's typed
 //! surface for "application state unknown") and every later mutation fails
 //! fast the same way (after the model's bounds check: an out-of-range
-//! address is `OutOfBounds` on a poisoned store too). Reads keep serving
-//! **cache hits** (including every dirty cell, whether or not its record
-//! became durable, and after a failed re-stride whose snapshot did not land)
-//! and zero-length cells, but a cache *miss* would have to touch the failing
+//! address is `OutOfBounds`, and a cell longer than the stride
+//! `CellTooLong`, on a poisoned store too). Reads keep serving **cache
+//! hits** (including every dirty cell, whether or not its record became
+//! durable) and zero-length cells, but a cache *miss* would have to touch the failing
 //! arena file — lent or read — so it also returns
 //! `Interrupted` instead of handing back bytes of unknown provenance; and a
 //! poisoned store never writes back. The recovery path is to drop the store
@@ -582,13 +582,6 @@ impl<V: Vfs> DiskBackend<V> {
         self.load(CellStore::from_cells(&cells))
     }
 
-    /// Reserves `capacity` uninitialized cells, like
-    /// [`Storage::init_empty`](crate::Storage::init_empty), but with a
-    /// typed error instead of a panic when the disk fails.
-    pub fn try_init_empty(&mut self, capacity: usize) -> Result<(), DiskError> {
-        self.load(CellStore::with_capacity(capacity))
-    }
-
     /// Set-up: `contents` becomes the store, atomically — its image is
     /// complete before the geometry checkpoint writes it into the inactive
     /// arena slot and flips `active`, so a crash anywhere in here recovers
@@ -903,118 +896,26 @@ impl<V: Vfs> DiskBackend<V> {
     }
 
     /// Writes a complete arena image into the *other* slot and makes it
-    /// the checkpoint — used by geometry changes (init, init_empty), where
-    /// the whole image is already in the caller's hands. The slot the old
-    /// snapshot points at is never modified before the new snapshot is
-    /// durable.
+    /// the checkpoint — set-up's, where the whole image is already in the
+    /// caller's hands. The slot the old snapshot points at is never
+    /// modified before the new snapshot is durable.
     fn geometry_checkpoint(&mut self, image: &[u8]) -> Result<(), DiskError> {
         let target = 1 - self.active;
         self.arena[target].set_len(image.len() as u64)?;
         if !image.is_empty() {
             self.arena[target].write_at(0, image)?;
         }
-        self.finish_geometry_checkpoint(target)
-    }
-
-    /// Tail shared by every geometry-changing checkpoint: sync the target
-    /// slot, point a new snapshot at it, drop the (superseded) open
-    /// window, clean the cache, and reset the WAL.
-    fn finish_geometry_checkpoint(&mut self, target: usize) -> Result<(), DiskError> {
         if self.want_sync() {
             self.arena[target].sync()?;
         }
         self.write_meta(target)?;
         self.active = target;
-        // The new snapshot covers everything the open window (and its
-        // dirty cells) carried; durable WAL records from before it are
-        // superseded by the bumped stamp.
+        // The new snapshot supersedes everything the open window carried;
+        // durable WAL records from before it are superseded by the bumped
+        // stamp.
         self.pending.clear();
         self.pending_batches = 0;
-        self.cache.clean_all();
         self.reset_wal()
-    }
-
-    /// Runs a stride-growing batch: stream every initialized cell (cache
-    /// copies first — the dirty ones exist nowhere else) into the
-    /// inactive arena slot at the new stride, lay the batch's cells on
-    /// top, and make it all durable as one geometry checkpoint. The batch
-    /// is acknowledged only once the checkpoint is durable (a re-stride
-    /// relocates every cell, which a per-cell WAL record cannot express).
-    ///
-    /// The batch is the one pushed onto the window since `mark`; the
-    /// checkpoint supersedes the whole window (its earlier batches are
-    /// dirty cache cells, streamed with the rest).
-    fn restride_apply(&mut self, mark: usize) -> Result<(), ServerError> {
-        let window = std::mem::take(&mut self.pending);
-        let result = {
-            let writes: Vec<(usize, &[u8])> = window.writes_from(mark).collect();
-            self.restride_inner(&writes)
-        };
-        self.pending = window;
-        self.pending.clear();
-        result.map_err(|e| {
-            self.poison(e);
-            ServerError::Interrupted
-        })
-    }
-
-    fn restride_inner(&mut self, writes: &[(usize, &[u8])]) -> Result<(), DiskError> {
-        let capacity = self.index.capacity();
-        let old_stride = self.index.stride();
-        let new_stride = writes
-            .iter()
-            .map(|(_, c)| c.len())
-            .max()
-            .unwrap_or(0)
-            .max(old_stride);
-        let target = 1 - self.active;
-        self.arena[target].set_len(capacity as u64 * new_stride as u64)?;
-        let mut scratch = vec![0u8; old_stride];
-        for addr in 0..capacity {
-            let len = self.index.len_of(addr).unwrap_or(0);
-            if len == 0 {
-                continue;
-            }
-            let bytes: &[u8] = if let Some(slot) = self.cache.slot(addr) {
-                self.cache.slot_bytes(slot, len)
-            } else {
-                let got = self.arena[self.active]
-                    .read_at(addr as u64 * old_stride as u64, &mut scratch[..len])?;
-                if got < len {
-                    return Err(DiskError::corrupt(format!(
-                        "arena read of cell {addr} returned {got} of {len} bytes during re-stride"
-                    )));
-                }
-                &scratch[..len]
-            };
-            self.arena[target].write_at(addr as u64 * new_stride as u64, bytes)?;
-        }
-        for (addr, cell) in writes {
-            if !cell.is_empty() {
-                self.arena[target].write_at(*addr as u64 * new_stride as u64, cell)?;
-            }
-        }
-        // Adopt the new geometry in memory — the cache keeps its dirty
-        // cells, which until the snapshot below lands exist nowhere
-        // durable — then apply the batch to the resident metadata and to
-        // every cell the cache holds, so a hit cannot serve pre-batch
-        // bytes. Identity mode holds all of them; a bounded cache takes no
-        // clean cell, and the snapshot puts these in the arena.
-        self.cache.restride(new_stride);
-        self.index.set_stride(new_stride);
-        for (addr, cell) in writes {
-            self.index.record(*addr, cell.len());
-            if cell.is_empty() {
-                continue;
-            }
-            if self.cache.is_identity() {
-                self.cache.adopt(*addr);
-            }
-            if let Some(slot) = self.cache.slot(*addr) {
-                self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
-            }
-        }
-        self.finish_geometry_checkpoint(target)
     }
 
     /// Writes the next-generation metadata snapshot (pointing at arena
@@ -1119,11 +1020,11 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         }
     }
 
-    /// One non-empty batch joins the open window's WAL record (or, when
-    /// it widens the stride, is one geometry checkpoint). A batch that
-    /// fails half-way poisons the store instead of being undone: from then
-    /// on every `put` is refused and only a reopen recovers, which lands
-    /// on a batch boundary.
+    /// One non-empty batch joins the open window's WAL record: its cells
+    /// fit the stride (the model refused any that did not), so they fit
+    /// the slots they overwrite. A batch that fails half-way poisons the
+    /// store instead of being undone: from then on every `put` is refused
+    /// and only a reopen recovers, which lands on a batch boundary.
     fn put<'a>(
         &mut self,
         items: impl Iterator<Item = (usize, &'a [u8])>,
@@ -1131,18 +1032,13 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         if self.poisoned {
             return Err(ServerError::Interrupted);
         }
-        // The items stream straight into the window's record; what path
-        // the batch takes is known once the widest cell has been seen.
+        // The items stream straight into the window's record.
         let mark = self.pending.writes();
-        let mut widest = 0;
         for (addr, cell) in items {
-            widest = widest.max(cell.len());
             self.pending.push(addr, cell);
         }
         if self.pending.writes() == mark {
             Ok(())
-        } else if widest > self.index.stride() {
-            self.restride_apply(mark)
         } else {
             self.queue_batch(mark)
         }
@@ -1210,12 +1106,29 @@ mod tests {
         assert_eq!(store.read(5).unwrap(), vec![5u8; 8]);
     }
 
+    /// Set-up writes every cell, but a snapshot taken before the stride was
+    /// fixed at set-up may hold slots that were never written: such a
+    /// directory opens, serves its holes as `Uninitialized`, takes writes
+    /// into them and keeps the rest holes across a reopen.
     #[test]
     fn reopen_preserves_uninitialized_holes() {
         let tmp = TempDir::new("holes");
+        std::fs::create_dir_all(&tmp.0).unwrap();
+        let (capacity, stride) = (70, 3);
+        let meta = Meta {
+            stamp: 4,
+            active: 0,
+            capacity,
+            stride,
+            lens: vec![0; capacity],
+            init: vec![0; capacity.div_ceil(64)],
+        };
+        std::fs::write(tmp.0.join(META_NAMES[0]), encode_meta(&meta)).unwrap();
+        std::fs::write(tmp.0.join(ARENA_NAMES[0]), vec![0u8; capacity * stride]).unwrap();
         {
             let mut store = DiskStore::open(&tmp.0).unwrap();
-            store.init_empty(70);
+            assert_eq!((store.capacity(), store.cell_stride()), (capacity, stride));
+            assert_eq!(store.read(69), Err(ServerError::Uninitialized { addr: 69 }));
             store.write(69, vec![7; 3]).unwrap();
         }
         let mut store = DiskStore::open(&tmp.0).unwrap();
@@ -1240,20 +1153,6 @@ mod tests {
         drop(store);
         let mut store = DiskStore::open(&tmp.0).unwrap();
         assert_eq!(store.read(0).unwrap(), vec![9; 8]);
-    }
-
-    #[test]
-    fn restride_survives_reopen() {
-        let tmp = TempDir::new("restride");
-        {
-            let mut store = DiskStore::open(&tmp.0).unwrap();
-            store.init(cells(4));
-            store.write(2, vec![0xCD; 40]).unwrap(); // grows the stride
-        }
-        let mut store = DiskStore::open(&tmp.0).unwrap();
-        assert_eq!(store.cell_stride(), 40);
-        assert_eq!(store.read(2).unwrap(), vec![0xCD; 40]);
-        assert_eq!(store.read(1).unwrap(), vec![1u8; 8]);
     }
 
     #[test]
@@ -1484,7 +1383,11 @@ mod tests {
         let tmp = TempDir::new("zerolen");
         let opts = DiskOptions { cache_bytes: 16, ..DiskOptions::default() };
         let mut store = DiskStore::open_with(&tmp.0, opts).unwrap();
-        store.init_empty(16);
+        store.init(
+            (0..16)
+                .map(|i| if i == 3 { vec![5; 4] } else { Vec::new() })
+                .collect(),
+        );
         store.write(3, Vec::new()).unwrap();
         assert_eq!(store.read(3).unwrap(), Vec::<u8>::new());
         assert_eq!(store.cache_resident(), 0, "empty payloads take no slot");

@@ -4,9 +4,10 @@
 //! bytes, round trips — the currencies of Theorems 3.3/3.4, 5.1, 6.1 and
 //! 7.1) and what the adversary sees of it ([`Transcript`]). It holds the
 //! only implementation of the three data primitives of [`Storage`]
-//! (download, upload, XOR fold) — bounds check, `Uninitialized` check, charging, the partial charge a mid-batch
-//! failure leaves behind, the round trip, the transcript batch — over a
-//! [`CellBackend`], which only keeps cells:
+//! (download, upload, XOR fold) — bounds check, `Uninitialized` check, the
+//! stride check, charging, the partial charge a mid-batch failure leaves
+//! behind, the round trip, the transcript batch — over a [`CellBackend`],
+//! which only keeps cells:
 //!
 //! - [`SimServer`] is `Accounted<CellStore>`, the in-process simulator;
 //! - [`DiskStore`](crate::DiskStore) is `Accounted<DiskBackend>`, the
@@ -25,15 +26,25 @@
 //!
 //! A failed call charges exactly the cells it visited before the fault,
 //! no round trip, and records no transcript batch — the same rule as for
-//! an `Uninitialized` read mid-batch. Addresses are bounds-checked before
-//! the backend is asked, so on a faulting backend `OutOfBounds` wins over
-//! `Interrupted`.
+//! an `Uninitialized` read mid-batch. Addresses are bounds-checked, and
+//! uploaded cells held to the stride, before the backend is asked, so on a
+//! faulting backend `OutOfBounds` and `CellTooLong` win over `Interrupted`.
+//!
+//! # The stride is set at set-up
+//!
+//! [`Storage::init_with`] fixes the stride at the longest cell it was
+//! handed, and no write changes it: an upload naming a cell longer than the
+//! stride is refused whole as [`ServerError::CellTooLong`] — nothing
+//! stored, charged or recorded, exactly like `OutOfBounds` — in the same
+//! pass that checks its addresses. So a backend never sees a cell that does
+//! not fit its slots, and every implementation that forwards to this model
+//! refuses identically without code of its own (NOTES.md, entry 13).
 
 use std::ops::{Deref, DerefMut};
 
 use crate::stats::{CacheTelemetry, CostStats};
 use crate::storage::Storage;
-use crate::store::{xor_slices, CellStore};
+use crate::store::{xor_fold, CellStore};
 use crate::transcript::{AccessEvent, Transcript};
 
 /// Errors returned by server operations.
@@ -50,6 +61,16 @@ pub enum ServerError {
     Uninitialized {
         /// The offending address.
         addr: usize,
+    },
+    /// An upload named a cell longer than the stride set-up fixed; the
+    /// whole batch was refused.
+    CellTooLong {
+        /// The address the cell was meant for.
+        addr: usize,
+        /// The cell's length in bytes.
+        len: usize,
+        /// The server's stride in bytes.
+        stride: usize,
     },
     /// The operation was cut off mid-flight by infrastructure failure
     /// (e.g. the network connection carrying it dropped before the
@@ -79,6 +100,9 @@ impl std::fmt::Display for ServerError {
             ServerError::Uninitialized { addr } => {
                 write!(f, "cell {addr} read before initialization")
             }
+            ServerError::CellTooLong { addr, len, stride } => {
+                write!(f, "cell of {len} bytes for address {addr} exceeds the stride ({stride})")
+            }
             ServerError::Interrupted => {
                 write!(f, "operation interrupted mid-flight; application state unknown")
             }
@@ -95,12 +119,14 @@ impl std::error::Error for ServerError {}
 /// [module docs](self) for the guarantees an implementation owes.
 ///
 /// Addresses handed to `get` and `put` are already bounds-checked against
-/// [`CellBackend::capacity`]; a backend may panic on any other.
+/// [`CellBackend::capacity`], and cells handed to `put` against
+/// [`CellBackend::stride`]; a backend may panic on any other.
 pub trait CellBackend: std::fmt::Debug + Send {
     /// Number of cell slots.
     fn capacity(&self) -> usize;
 
-    /// The fixed slot width of the arena (0 before any cell is stored).
+    /// The slot width of the arena: the longest cell of the last `reset`
+    /// (0 before any), unchanged by every `put`.
     fn stride(&self) -> usize;
 
     /// Total bytes of initialized cell content.
@@ -108,10 +134,10 @@ pub trait CellBackend: std::fmt::Debug + Send {
 
     /// Replaces the contents with `contents` — geometry, cell table and
     /// the arena image, already laid out at its stride by the one builder
-    /// ([`CellStore::collect`]; [`CellStore::with_capacity`] for slots
-    /// never written), so a backend moves the image to where it keeps cells
-    /// and copies nothing. Set-up, like [`Storage::init_with`]: infallible
-    /// in its signature, so a backend that cannot complete it panics.
+    /// ([`CellStore::collect`]), so a backend moves the image to where it
+    /// keeps cells and copies nothing. The only call that sets the stride.
+    /// Set-up, like [`Storage::init_with`]: infallible in its signature, so
+    /// a backend that cannot complete it panics.
     fn reset(&mut self, contents: CellStore);
 
     /// The cell at `addr`: `Ok(None)` if it was never written, `Err` if
@@ -258,10 +284,6 @@ impl<B: CellBackend> Storage for Accounted<B> {
         self.cells.reset(CellStore::collect(capacity, produce));
     }
 
-    fn init_empty(&mut self, capacity: usize) {
-        self.cells.reset(CellStore::with_capacity(capacity));
-    }
-
     fn capacity(&self) -> usize {
         self.cells.capacity()
     }
@@ -317,15 +339,20 @@ impl<B: CellBackend> Storage for Accounted<B> {
         Ok(())
     }
 
-    /// Nothing is stored unless every address is in range, and nothing is
-    /// charged unless the backend took the batch.
+    /// Nothing is stored unless every address is in range and every cell
+    /// fits the stride, and nothing is charged unless the backend took the
+    /// batch.
     #[inline]
     fn write_cells<'a>(
         &mut self,
         cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
     ) -> Result<(), ServerError> {
-        for (addr, _) in cells.clone() {
+        let stride = self.cells.stride();
+        for (addr, cell) in cells.clone() {
             self.check(addr)?;
+            if cell.len() > stride {
+                return Err(ServerError::CellTooLong { addr, len: cell.len(), stride });
+            }
         }
         self.cells.put(cells.clone())?;
         for (_, cell) in cells.clone() {
@@ -338,19 +365,12 @@ impl<B: CellBackend> Storage for Accounted<B> {
     }
 
     /// XOR runs u64-chunked over slices borrowed from the backend, with no
-    /// allocation once `acc` has capacity. All cells must have equal
-    /// length.
+    /// allocation once `acc` has capacity. Cells of unequal length fold
+    /// zero-padded to the longest, which is the length charged.
     #[inline]
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
         acc.clear();
-        let (cells, _, walked) = self.walk(addrs, |i, cell| {
-            if i == 0 {
-                acc.extend_from_slice(cell);
-            } else {
-                debug_assert_eq!(acc.len(), cell.len(), "XOR over unequal cells");
-                xor_slices(acc, cell);
-            }
-        });
+        let (cells, _, walked) = self.walk(addrs, |_, cell| xor_fold(acc, cell));
         self.stats.computed += cells;
         walked?;
         self.stats.bytes_down += acc.len() as u64;
@@ -390,10 +410,11 @@ mod tests {
         assert_eq!(s.write(9, vec![]), Err(ServerError::OutOfBounds { addr: 9, capacity: 4 }));
     }
 
+    /// Set-up writes every cell; a hole can only come from a snapshot made
+    /// before the stride was fixed at set-up.
     #[test]
     fn uninitialized_cell_is_reported() {
-        let mut s = SimServer::new();
-        s.init_empty(4);
+        let mut s = Accounted::over(CellStore::with_holes(4, 1));
         assert_eq!(s.read(2), Err(ServerError::Uninitialized { addr: 2 }));
         s.write(2, vec![1]).unwrap();
         assert_eq!(s.read(2).unwrap(), vec![1]);
@@ -403,12 +424,12 @@ mod tests {
     fn stats_track_ops_bytes_and_round_trips() {
         let mut s = server_with(8);
         s.read_batch(&[0, 1, 2]).unwrap();
-        s.write(3, vec![0u8; 10]).unwrap();
+        s.write(3, vec![0u8; 3]).unwrap();
         let stats = s.stats();
         assert_eq!(stats.downloads, 3);
         assert_eq!(stats.uploads, 1);
         assert_eq!(stats.bytes_down, 12);
-        assert_eq!(stats.bytes_up, 10);
+        assert_eq!(stats.bytes_up, 3);
         assert_eq!(stats.round_trips, 2);
     }
 
@@ -454,11 +475,21 @@ mod tests {
     fn failed_batch_mutates_nothing() {
         let mut s = server_with(2);
         let before_stats = s.stats();
-        // Second write is out of bounds: the whole batch must be rejected
-        // without applying the first write.
-        let err = s.write_batch(vec![(0, vec![9u8; 4]), (7, vec![1u8; 4])]);
-        assert!(err.is_err());
+        // Second write is out of bounds, or longer than the stride: the
+        // whole batch must be rejected without applying the first write —
+        // and whichever refusal comes first in the batch is the error.
+        let out_of_bounds = ServerError::OutOfBounds { addr: 7, capacity: 2 };
+        let too_long = ServerError::CellTooLong { addr: 1, len: 5, stride: 4 };
+        for (batch, refusal) in [
+            (vec![(0, vec![9u8; 4]), (7, vec![1u8; 4])], out_of_bounds.clone()),
+            (vec![(0, vec![9u8; 4]), (1, vec![1u8; 5])], too_long.clone()),
+            (vec![(1, vec![1u8; 5]), (7, vec![1u8; 4])], too_long),
+            (vec![(7, vec![1u8; 4]), (1, vec![1u8; 5])], out_of_bounds),
+        ] {
+            assert_eq!(s.write_batch(batch), Err(refusal));
+        }
         assert_eq!(s.read(0).unwrap(), vec![0u8; 4]);
+        assert_eq!(s.cell_stride(), 4);
         // Only the successful read above should have been charged.
         assert_eq!(s.stats().since(&before_stats).uploads, 0);
     }
@@ -556,14 +587,18 @@ mod tests {
         assert_eq!(view_a, view_b);
     }
 
+    /// The stride is set-up's longest cell, and only set-up moves it.
     #[test]
     fn cell_stride_tracks_arena_geometry() {
-        let s = server_with(4);
+        let mut s = server_with(4);
         assert_eq!(s.cell_stride(), 4);
+        s.write(0, vec![0u8; 1]).unwrap();
+        assert_eq!(s.cell_stride(), 4, "a shorter write keeps the stride");
+        assert!(s.write(0, vec![0u8; 7]).is_err());
+        assert_eq!(s.cell_stride(), 4, "a longer write is refused, not laid out");
         let mut empty = SimServer::new();
         assert_eq!(empty.cell_stride(), 0);
-        empty.init_empty(4);
-        empty.write(0, vec![0u8; 7]).unwrap();
+        empty.init(vec![vec![1; 3], vec![], vec![2; 7]]);
         assert_eq!(empty.cell_stride(), 7);
     }
 }

@@ -13,8 +13,10 @@
 //! image — and is never gathered into a vector of owned cells on the way
 //! (NOTES.md, entry 11). Everything else — `init`, `read`, `write_batch`,
 //! `write_batch_strided`, … — is a *provided* spelling that makes exactly
-//! one call to one primitive, so an implementor writes 12 small methods
-//! and cannot disagree with another about what a spelling costs. There is
+//! one call to one primitive, so an implementor writes 11 small methods
+//! and cannot disagree with another about what a spelling costs. Set-up is
+//! also the only thing that sets the stride: an upload of a cell longer than
+//! it is refused ([`ServerError::CellTooLong`]; NOTES.md, entry 13). There is
 //! no combined read+write request: in every construction here the upload
 //! re-encrypts what the same request downloaded, so it cannot be sent
 //! before the download's answer is in (NOTES.md, entry 4).
@@ -54,7 +56,8 @@ pub trait Storage: std::fmt::Debug + Send {
     /// a scheme lends `&blocks[i]`, or slices of a ciphertext chunk it
     /// reuses, and every layer underneath copies a cell once, to where it
     /// must end up (the wire frame, the arena image). Knowing `capacity` up
-    /// front is what lets the image be reserved exactly.
+    /// front is what lets the image be reserved exactly. The longest cell
+    /// becomes the stride, which no later upload changes.
     ///
     /// # Panics
     /// Infallible in its signature like the rest of set-up: panics if the
@@ -62,16 +65,13 @@ pub trait Storage: std::fmt::Debug + Send {
     /// cells but `capacity`.
     fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8])));
 
-    /// Reserves `capacity` uninitialized cells (uncharged setup).
-    fn init_empty(&mut self, capacity: usize);
-
     /// Number of cell slots.
     fn capacity(&self) -> usize;
 
     /// Total bytes of initialized cell content.
     fn stored_bytes(&self) -> u64;
 
-    /// The fixed cell stride of the backing arena (0 before any init).
+    /// The cell stride set-up fixed: its longest cell (0 before any init).
     fn cell_stride(&self) -> usize;
 
     /// Starts recording the adversarial transcript.
@@ -107,7 +107,8 @@ pub trait Storage: std::fmt::Debug + Send {
 
     /// Uploads `cells` — `(address, contents)` pairs, applied in order —
     /// in one round trip: the one upload primitive. All-or-nothing (on
-    /// `Err` no cell of the batch is stored and none is charged); an address
+    /// `Err` — an address out of range, a cell longer than the stride, a
+    /// fault — no cell of the batch is stored and none is charged); an address
     /// named twice keeps its last value and is charged, and recorded in the
     /// transcript, each time; an empty batch is still a round trip. `Clone`
     /// because an implementation may need more than one pass (bounds before
@@ -119,7 +120,8 @@ pub trait Storage: std::fmt::Debug + Send {
     ) -> Result<(), ServerError>;
 
     /// XORs the cells at `addrs` into `acc` (cleared first), charging one
-    /// compute operation per cell.
+    /// compute operation per cell. Cells of unequal length fold zero-padded
+    /// to the longest.
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError>;
 
     /// [`Storage::init_with`] for cells the caller already owns.
@@ -222,7 +224,7 @@ mod tests {
     }
 
     /// A wrapper written against the trait as an outsider would write one:
-    /// the 12 required methods, nothing else. Counts the calls reaching
+    /// the 11 required methods, nothing else. Counts the calls reaching
     /// each data primitive as (downloads, uploads, XOR folds), and the
     /// set-ups.
     #[derive(Debug, Default)]
@@ -236,9 +238,6 @@ mod tests {
         fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
             self.setups += 1;
             self.inner.init_with(capacity, produce);
-        }
-        fn init_empty(&mut self, capacity: usize) {
-            self.inner.init_empty(capacity);
         }
         fn capacity(&self) -> usize {
             self.inner.capacity()

@@ -1,8 +1,8 @@
 //! Flat-arena cell storage.
 //!
 //! [`CellStore`] keeps every cell in a single contiguous `Vec<u8>` arena
-//! sliced at a fixed *stride* (the largest cell length seen so far), next to
-//! a `CellIndex`: the per-cell length table and initialized-bitmap. Reads
+//! sliced at a fixed *stride* (the longest cell of set-up), next to a
+//! `CellIndex`: the per-cell length table and initialized-bitmap. Reads
 //! hand out `&[u8]` slices straight into the arena — no allocation, no copy
 //! — which is what makes the server's zero-copy API
 //! ([`Storage::read_batch_with`](crate::Storage::read_batch_with)) possible.
@@ -10,8 +10,9 @@
 //! Cells are *usually* uniform-length (every scheme in this workspace pads
 //! cells to equal length for length-indistinguishability), but the store
 //! keeps the per-cell model exactly: shorter cells record their true
-//! length, and a write longer than the current stride triggers a (rare,
-//! amortized) re-stride of the arena.
+//! length. No write changes the stride: the model refuses a cell longer
+//! than it ([`ServerError::CellTooLong`]) before the store is asked
+//! (NOTES.md, entry 13).
 //!
 //! The index is its own type because the durable backend
 //! ([`crate::disk`]) keeps the same table resident over payloads that live
@@ -36,11 +37,6 @@ pub(crate) struct CellIndex {
 }
 
 impl CellIndex {
-    /// `capacity` never-written cells at `stride`.
-    pub fn new(capacity: usize, stride: usize) -> Self {
-        Self::from_parts(stride, vec![0u32; capacity], vec![0u64; capacity.div_ceil(64)])
-    }
-
     /// `lens.len()` cells, every one written, at the longest one's width.
     pub fn all_written(lens: Vec<u32>) -> Self {
         let stride = lens.iter().copied().max().unwrap_or(0) as usize;
@@ -71,12 +67,6 @@ impl CellIndex {
         self.stride
     }
 
-    /// Widens the slots; the caller re-lays out the payloads.
-    pub fn set_stride(&mut self, stride: usize) {
-        debug_assert!(stride >= self.stride, "stride only grows");
-        self.stride = stride;
-    }
-
     /// Total bytes of initialized cell content (slack between a cell's
     /// length and the stride is not counted).
     #[inline]
@@ -95,9 +85,14 @@ impl CellIndex {
     }
 
     /// Marks the cell at `addr` written with `len` bytes.
+    ///
+    /// # Panics
+    /// Panics if `len` exceeds the stride: the model refuses such a cell
+    /// before a backend sees it, and a backend called around the model must
+    /// not lay it over the next slot.
     #[inline]
     pub fn record(&mut self, addr: usize, len: usize) {
-        debug_assert!(len <= self.stride, "cell longer than its slot");
+        assert!(len <= self.stride, "cell longer than its slot");
         self.stored = self.stored - self.len_of(addr).unwrap_or(0) as u64 + len as u64;
         self.lens[addr] = len as u32;
         self.init[addr >> 6] |= 1 << (addr & 63);
@@ -176,19 +171,6 @@ impl CellStore {
         (self.data, self.index)
     }
 
-    /// Builds a store of `capacity` uninitialized cells. The stride starts
-    /// at 0 and grows on the first write.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_stride(capacity, 0)
-    }
-
-    /// Builds a store of `capacity` uninitialized cells with a preallocated
-    /// stride (avoids the first-write re-stride when the cell size is known
-    /// up front).
-    pub fn with_capacity_and_stride(capacity: usize, stride: usize) -> Self {
-        Self { data: vec![0u8; capacity * stride], index: CellIndex::new(capacity, stride) }
-    }
-
     /// Number of cell slots.
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -222,22 +204,17 @@ impl CellStore {
         Some(&self.data[start..start + len])
     }
 
-    /// Stores `bytes` at `addr`, marking the cell initialized. Grows the
-    /// stride (re-laying out the arena) if `bytes` is longer than every
-    /// cell seen so far — rare in practice, since schemes use equal-length
-    /// cells.
+    /// Stores `bytes` at `addr`, marking the cell initialized.
     ///
     /// # Panics
-    /// Panics if `addr` is out of range.
+    /// Panics if `addr` is out of range, or if `bytes` is longer than the
+    /// stride (the model refuses such a cell before it gets here).
     #[inline]
     pub fn set(&mut self, addr: usize, bytes: &[u8]) {
         assert!(addr < self.capacity(), "cell address {addr} out of range");
-        if bytes.len() > self.stride() {
-            self.restride(bytes.len());
-        }
+        self.index.record(addr, bytes.len());
         let start = addr * self.stride();
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
-        self.index.record(addr, bytes.len());
     }
 
     /// Total bytes of initialized cell content (the server-storage
@@ -245,20 +222,6 @@ impl CellStore {
     /// counted, matching the per-cell model).
     pub fn stored_bytes(&self) -> u64 {
         self.index.stored_bytes()
-    }
-
-    fn restride(&mut self, new_stride: usize) {
-        let old_stride = self.stride();
-        let mut data = vec![0u8; self.capacity() * new_stride];
-        for addr in 0..self.capacity() {
-            let len = self.index.len_of(addr).unwrap_or(0);
-            if len > 0 {
-                data[addr * new_stride..addr * new_stride + len]
-                    .copy_from_slice(&self.data[addr * old_stride..addr * old_stride + len]);
-            }
-        }
-        self.data = data;
-        self.index.set_stride(new_stride);
     }
 }
 
@@ -298,9 +261,20 @@ impl CellBackend for CellStore {
     }
 }
 
+/// XORs `cell` into the prefix of `acc`, first growing `acc` with zeros to
+/// `cell`'s length if it is shorter. Folded over cells from an empty `acc`
+/// this is the XOR of the cells zero-padded to the longest — the PIR
+/// convention, whatever lengths set-up left the cells at.
+pub(crate) fn xor_fold(acc: &mut Vec<u8>, cell: &[u8]) {
+    if acc.len() < cell.len() {
+        acc.resize(cell.len(), 0);
+    }
+    xor_slices(&mut acc[..cell.len()], cell);
+}
+
 /// XORs `src` into `acc` (`acc[i] ^= src[i]`), eight bytes at a time over
 /// the aligned prefix. Both slices must have equal length.
-pub(crate) fn xor_slices(acc: &mut [u8], src: &[u8]) {
+fn xor_slices(acc: &mut [u8], src: &[u8]) {
     debug_assert_eq!(acc.len(), src.len(), "XOR over unequal cells");
     let mut acc_chunks = acc.chunks_exact_mut(8);
     let mut src_chunks = src.chunks_exact(8);
@@ -315,6 +289,17 @@ pub(crate) fn xor_slices(acc: &mut [u8], src: &[u8]) {
         .zip(src_chunks.remainder())
     {
         *a ^= s;
+    }
+}
+
+#[cfg(test)]
+impl CellStore {
+    /// `capacity` never-written cells at `stride`: what a snapshot written
+    /// before the stride was fixed at set-up may still hold.
+    pub(crate) fn with_holes(capacity: usize, stride: usize) -> Self {
+        let index =
+            CellIndex::from_parts(stride, vec![0; capacity], vec![0; capacity.div_ceil(64)]);
+        Self { data: vec![0u8; capacity * stride], index }
     }
 }
 
@@ -347,7 +332,7 @@ mod tests {
                 .map(|(i, &len)| vec![i as u8 + 1; len])
                 .collect();
             let built = CellStore::from_cells(&cells);
-            let mut written = CellStore::with_capacity(cells.len());
+            let mut written = CellStore::with_holes(cells.len(), built.stride());
             cells
                 .iter()
                 .enumerate()
@@ -368,7 +353,7 @@ mod tests {
 
     #[test]
     fn uninitialized_cells_are_none() {
-        let mut store = CellStore::with_capacity(70);
+        let mut store = CellStore::with_holes(70, 2);
         assert!(store.get(69).is_none());
         store.set(69, &[7, 8]);
         assert_eq!(store.get(69).unwrap(), &[7, 8]);
@@ -377,19 +362,18 @@ mod tests {
 
     #[test]
     fn empty_cell_is_initialized_but_empty() {
-        let mut store = CellStore::with_capacity(2);
+        let mut store = CellStore::with_holes(2, 0);
         store.set(0, &[]);
         assert_eq!(store.get(0).unwrap(), &[] as &[u8]);
         assert!(store.get(1).is_none());
     }
 
+    /// Called around the model, the store still never lays a cell over its
+    /// neighbour's slot, in release builds too.
     #[test]
-    fn longer_write_restrides_preserving_contents() {
-        let mut store = CellStore::from_cells(&[vec![1u8; 4], vec![2u8; 4]]);
-        store.set(1, &[3u8; 10]);
-        assert_eq!(store.stride(), 10);
-        assert_eq!(store.get(0).unwrap(), &[1u8; 4]);
-        assert_eq!(store.get(1).unwrap(), &[3u8; 10]);
+    #[should_panic(expected = "cell longer than its slot")]
+    fn a_cell_longer_than_the_stride_is_never_laid_down() {
+        CellStore::from_cells(&[vec![1u8; 4], vec![2u8; 4]]).set(0, &[3u8; 5]);
     }
 
     #[test]
@@ -415,6 +399,22 @@ mod tests {
             let mut acc = a.clone();
             xor_slices(&mut acc, &b);
             assert_eq!(acc, expected, "len {len}");
+        }
+    }
+
+    /// Cells of any lengths, in any order, fold to their XOR zero-padded to
+    /// the longest.
+    #[test]
+    fn xor_fold_pads_shorter_cells_with_zeros() {
+        let cells: Vec<Vec<u8>> = [12, 20, 0, 7, 20].iter().map(|&n| (1..=n).collect()).collect();
+        let mut padded = vec![0u8; 20];
+        for cell in &cells {
+            padded.iter_mut().zip(cell).for_each(|(p, c)| *p ^= c);
+        }
+        for order in [[0, 1, 2, 3, 4], [2, 4, 3, 1, 0]] {
+            let mut acc = Vec::new();
+            order.iter().for_each(|&i| xor_fold(&mut acc, &cells[i]));
+            assert_eq!(acc, padded, "{order:?}");
         }
     }
 }

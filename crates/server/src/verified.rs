@@ -39,7 +39,7 @@ use dps_crypto::merkle::{Digest, MerkleTree};
 use crate::server::ServerError;
 use crate::stats::CostStats;
 use crate::storage::Storage;
-use crate::store::xor_slices;
+use crate::store::xor_fold;
 use crate::transcript::Transcript;
 
 /// The storage `S` with every download checked against a trusted Merkle
@@ -65,19 +65,12 @@ fn commit(mut leaves: Vec<Digest>) -> (MerkleTree, Digest) {
     (tree, root)
 }
 
-/// The commitment to `capacity` never-written cells, each committed as the
-/// empty cell (the inner server answers `Uninitialized` before one could
-/// be served).
-fn commit_empty(capacity: usize) -> (MerkleTree, Digest) {
-    commit(vec![MerkleTree::leaf(&[]); capacity])
-}
-
 impl<S: Storage> Verified<S> {
-    /// Wraps `inner`, vouching for nothing it already holds: a scheme's
-    /// set-up ([`Storage::init`] / [`Storage::init_empty`]) commits to the
-    /// cells it hands over.
+    /// Wraps `inner`, vouching for nothing it already holds — each of its
+    /// cells is committed as the empty cell — until a scheme's set-up
+    /// ([`Storage::init`]) commits to the cells it hands over.
     pub fn new(inner: S) -> Self {
-        let (tree, root) = commit_empty(inner.capacity());
+        let (tree, root) = commit(vec![MerkleTree::leaf(&[]); inner.capacity()]);
         Self { inner, tree, root }
     }
 
@@ -111,11 +104,6 @@ impl<S: Storage> Storage for Verified<S> {
             });
         });
         (self.tree, self.root) = commit(leaves);
-    }
-
-    fn init_empty(&mut self, capacity: usize) {
-        (self.tree, self.root) = commit_empty(capacity);
-        self.inner.init_empty(capacity);
     }
 
     fn capacity(&self) -> usize {
@@ -190,15 +178,11 @@ impl<S: Storage> Storage for Verified<S> {
         Ok(())
     }
 
+    /// The fold of the model ([`Accounted`](crate::Accounted)), over cells
+    /// that verified.
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
         acc.clear();
-        self.read_batch_with(addrs, |i, cell| {
-            if i == 0 {
-                acc.extend_from_slice(cell);
-            } else {
-                xor_slices(acc, cell);
-            }
-        })
+        self.read_batch_with(addrs, |_, cell| xor_fold(acc, cell))
     }
 }
 
@@ -290,7 +274,8 @@ mod tests {
     }
 
     /// A refused batch moves nothing: not the root (it used to, and the
-    /// tree panicked), not the in-range cell named before the bad one.
+    /// tree panicked), not the in-range cell named before the bad one —
+    /// whether the bad one is out of range or longer than the stride.
     #[test]
     fn server_errors_pass_through() {
         let mut s = build(4);
@@ -299,6 +284,8 @@ mod tests {
         assert_eq!(s.read(9), Err(refused.clone()));
         assert_eq!(s.write(9, vec![1; 8]), Err(refused.clone()));
         assert_eq!(s.write_batch(vec![(3, vec![1; 8]), (9, vec![1; 8])]), Err(refused));
+        let too_long = ServerError::CellTooLong { addr: 2, len: 9, stride: 8 };
+        assert_eq!(s.write_batch(vec![(3, vec![1; 8]), (2, vec![1; 9])]), Err(too_long));
         assert_eq!(s.trusted_root(), root);
         assert_eq!(s.read_batch(&[0, 1, 2, 3]).unwrap(), cells(4));
     }

@@ -11,8 +11,9 @@
 //! model is pinned by `store_equivalence`:
 //! results, errors, the paper-model `CostStats` currencies (compared via
 //! [`CostStats::sans_cache`]) and the final cell-by-cell state must be
-//! bit-identical. Randomized programs cover re-striding around dirty cells,
-//! zero-length cells, dirty sets under group commit, and explicit commits;
+//! bit-identical. Randomized programs cover ragged set-ups, over-long
+//! writes refused around dirty cells, zero-length cells, dirty sets under
+//! group commit, and explicit commits;
 //! focused tests make hits and misses, the dirty set outgrowing its budget
 //! and the deferred write-back (acknowledged cells wait in the cache until
 //! a checkpoint or budget pressure, then leave it) legible. Some tests keep
@@ -69,24 +70,26 @@ fn cell(byte: u8, len: usize) -> Vec<u8> {
 
 /// One step of a random program. Addresses reach slightly out of bounds so
 /// error paths stay equivalent too; `WriteOdd` lengths of 0 exercise
-/// zero-length cells and lengths past `CELL_LEN` force re-strides while
-/// dirty cells wait in the cache.
+/// zero-length cells, and `WriteTooLong` cells past `CELL_LEN` are refused
+/// while dirty cells wait in the cache.
 #[derive(Debug, Clone)]
 enum Op {
     Read(Vec<usize>),
     Write(Vec<(usize, u8)>),
     WriteOdd(usize, u8, usize),
+    WriteTooLong(usize, u8, usize),
     Commit,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let addrs = proptest::collection::vec(0usize..CAPACITY + 2, 0..8);
     let writes = proptest::collection::vec((0usize..CAPACITY + 2, any::<u8>()), 0..8);
-    (0u8..7, addrs, writes, 0usize..CAPACITY + 2, any::<u8>(), 0usize..2 * CELL_LEN).prop_map(
-        |(variant, addrs, writes, addr, byte, odd_len)| match variant {
+    (0u8..8, addrs, writes, 0usize..CAPACITY + 2, any::<u8>(), 0usize..2 * CELL_LEN).prop_map(
+        |(variant, addrs, writes, addr, byte, len)| match variant {
             0..=2 => Op::Read(addrs),
             3 | 4 => Op::Write(writes),
-            5 => Op::WriteOdd(addr, byte, odd_len),
+            5 => Op::WriteOdd(addr, byte, len % (CELL_LEN + 1)),
+            6 => Op::WriteTooLong(addr, byte, CELL_LEN + 1 + len),
             _ => Op::Commit,
         },
     )
@@ -110,6 +113,15 @@ fn step<V: Vfs>(op: &Op, disk: &mut DiskStore<V>, oracle: &mut SimServer) {
                 oracle.write(*addr, cell(*byte, *len)),
             );
         }
+        // Refused alike, charged nothing, and the cache holds what it held;
+        // the cells are compared at the end.
+        Op::WriteTooLong(addr, byte, len) => {
+            let (before, resident) = (disk.stats(), disk.cache_resident());
+            let refused = disk.write(*addr, cell(*byte, *len));
+            assert_eq!(refused, oracle.write(*addr, cell(*byte, *len)));
+            assert!(refused.is_err(), "an over-long cell was stored");
+            assert_eq!((disk.stats(), disk.cache_resident()), (before, resident));
+        }
         Op::Commit => {
             disk.commit().expect("commit on a healthy store");
         }
@@ -119,24 +131,23 @@ fn step<V: Vfs>(op: &Op, disk: &mut DiskStore<V>, oracle: &mut SimServer) {
 /// Runs `ops` on both miss paths against the one oracle: real files,
 /// which lend a clean miss out of the mapped arena, and the simulated disk
 /// (nothing crashing), which does not lend and so is read.
-fn run_case(init_all: bool, window: usize, ops: &[Op]) {
+fn run_case(ragged: bool, window: usize, ops: &[Op]) {
     let tmp = TempDir::new();
     let vfs = RealVfs::new(&tmp.0).expect("create store directory");
-    run_case_on(vfs, init_all, window, ops);
-    run_case_on(CrashSim::new(1), init_all, window, ops);
+    run_case_on(vfs, ragged, window, ops);
+    run_case_on(CrashSim::new(1), ragged, window, ops);
 }
 
-fn run_case_on<V: Vfs>(vfs: V, init_all: bool, window: usize, ops: &[Op]) {
+/// Set-up at `CELL_LEN`: every cell full, or — `ragged` — cell `i` cut to
+/// `i mod (CELL_LEN + 1)` bytes (zero-length ones included) but the last.
+fn run_case_on<V: Vfs>(vfs: V, ragged: bool, window: usize, ops: &[Op]) {
     let mut disk = DiskStore::open_on(vfs, tiny_cache_opts(window)).expect("open disk store");
     let mut oracle = SimServer::new();
-    if init_all {
-        let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
-        disk.init(cells.clone());
-        oracle.init(cells);
-    } else {
-        disk.init_empty(CAPACITY);
-        oracle.init_empty(CAPACITY);
-    }
+    let len = |i: usize| if ragged && i + 1 < CAPACITY { i % (CELL_LEN + 1) } else { CELL_LEN };
+    let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, len(i))).collect();
+    disk.init(cells.clone());
+    oracle.init(cells);
+    assert_eq!(disk.cell_stride(), CELL_LEN);
     for op in ops {
         step(op, &mut disk, &mut oracle);
         assert_eq!(
@@ -145,11 +156,12 @@ fn run_case_on<V: Vfs>(vfs: V, init_all: bool, window: usize, ops: &[Op]) {
             "model currencies diverged after {op:?}"
         );
     }
-    // Final state: every cell identical, including uninitialized holes.
+    // Final state: every cell identical, and the stride set-up fixed.
     for addr in 0..CAPACITY {
         assert_eq!(disk.read(addr), oracle.read(addr), "cell {addr} diverged");
     }
     assert_eq!(disk.stored_bytes(), oracle.stored_bytes());
+    assert_eq!(disk.cell_stride(), CELL_LEN);
     // The budget holds at rest: after a commit the cache holds at most the
     // dirty cells that fit it (a commit past it writes them all back).
     disk.commit().expect("final commit");
@@ -171,17 +183,17 @@ proptest! {
     fn tiny_cache_matches_simserver_initialized(
         ops in proptest::collection::vec(arb_op(), 0..48),
     ) {
-        run_case(true, 1, &ops);
+        run_case(false, 1, &ops);
     }
 
-    /// Randomized programs from an uninitialized store under a
-    /// group-commit window: dirty cells answer reads before their
-    /// covering commit, and `Uninitialized` holes stay equivalent.
+    /// Randomized programs from a ragged set-up under a group-commit
+    /// window: dirty cells answer reads before their covering commit, and
+    /// short and zero-length cells stay equivalent.
     #[test]
     fn tiny_cache_matches_simserver_grouped(
         ops in proptest::collection::vec(arb_op(), 0..48),
     ) {
-        run_case(false, 6, &ops);
+        run_case(true, 6, &ops);
     }
 }
 
@@ -207,42 +219,6 @@ fn evictions_are_observed_when_db_exceeds_cache() {
         "every clean read is a miss: {stats}"
     );
     assert_eq!(disk.cache_resident(), 0, "a clean read took a slot");
-}
-
-/// Re-striding while most of the database is *not* resident must stream
-/// the clean cells from disk correctly: grow the stride with a single
-/// big write after a sweep of reads, then verify every cell.
-#[test]
-fn restride_across_evictions_preserves_all_cells() {
-    let tmp = TempDir::new();
-    let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts(1)).expect("open disk store");
-    let mut oracle = SimServer::new();
-    let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
-    disk.init(cells.clone());
-    oracle.init(cells);
-    // Reads leave nothing resident.
-    for addr in (0..CAPACITY).rev().step_by(3) {
-        disk.read(addr).unwrap();
-    }
-    // Grow the stride twice, with zero-length writes mixed in.
-    for (round, new_len) in [(1u8, 3 * CELL_LEN / 2), (2u8, 4 * CELL_LEN)] {
-        let addr = usize::from(round) * 7;
-        assert_eq!(
-            disk.write(addr, cell(round, new_len)),
-            oracle.write(addr, cell(round, new_len)),
-        );
-        assert_eq!(disk.write(addr + 1, Vec::new()), oracle.write(addr + 1, Vec::new()));
-        assert_eq!(disk.cell_stride(), new_len, "stride must grow in round {round}");
-        for a in 0..CAPACITY {
-            assert_eq!(disk.read(a), oracle.read(a), "cell {a} diverged in round {round}");
-        }
-    }
-    // And the grown geometry survives a reopen.
-    drop(disk);
-    let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts(1)).expect("reopen");
-    for a in 0..CAPACITY {
-        assert_eq!(disk.read(a), oracle.read(a), "cell {a} diverged after reopen");
-    }
 }
 
 /// Dirty cells stay until write-back: with a group-commit window larger
@@ -274,12 +250,12 @@ fn dirty_pins_overshoot_and_drain_on_commit() {
 }
 
 /// Zero-length cells take no cache slot, survive the write-backs around
-/// them, and stay distinct from uninitialized holes.
+/// them, and stay distinct from the full cells beside them.
 #[test]
 fn zero_length_cells_are_cache_free_and_exact() {
     let tmp = TempDir::new();
     let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts(1)).expect("open disk store");
-    disk.init_empty(CAPACITY);
+    disk.init(vec![cell(0xAA, CELL_LEN); CAPACITY]);
     for addr in (0..CAPACITY).step_by(2) {
         disk.write(addr, Vec::new()).unwrap();
     }

@@ -53,18 +53,21 @@ impl Rng {
 }
 
 /// One server round trip of the randomized program. Only valid operations
-/// are generated (bounds- and init-correct): invalid-op equivalence is the
+/// are generated (bounds-correct, cells within the stride of the set-up
+/// before them) plus `Refused`, a batch with one cell past the stride, which
+/// the store refuses before it does any I/O: invalid-op equivalence is the
 /// `store_equivalence` suite's job; this suite is about durability.
 // Variants mirror the `Storage` methods they drive (`write_batch`, ...).
 #[allow(clippy::enum_variant_names)]
 #[derive(Debug, Clone)]
 enum Batch {
     Init(Vec<Vec<u8>>),
-    InitEmpty(usize),
     WriteBatch(Vec<(usize, Vec<u8>)>),
     WriteStrided(Vec<usize>, Vec<u8>),
     WriteFrom(usize, Vec<u8>),
     Checkpoint,
+    /// A `write_batch` and the refusal it must get.
+    Refused(Vec<(usize, Vec<u8>)>, ServerError),
 }
 
 fn cell(rng: &mut Rng, max_len: u64) -> Vec<u8> {
@@ -72,48 +75,57 @@ fn cell(rng: &mut Rng, max_len: u64) -> Vec<u8> {
     (0..len).map(|_| rng.next() as u8).collect()
 }
 
-fn gen_writes(rng: &mut Rng, capacity: usize, initialized: &mut [bool]) -> Vec<(usize, Vec<u8>)> {
+fn gen_writes(rng: &mut Rng, capacity: usize, stride: u64) -> Vec<(usize, Vec<u8>)> {
     let n = rng.below(4) as usize;
     (0..n)
-        .map(|_| {
-            let addr = rng.below(capacity as u64) as usize;
-            initialized[addr] = true;
-            // Up to 14 bytes: crosses the initial stride now and then, so
-            // re-striding checkpoints land inside the crash sweep too.
-            (addr, cell(rng, 14))
-        })
+        .map(|_| (rng.below(capacity as u64) as usize, cell(rng, stride)))
         .collect()
+}
+
+/// A set-up of `capacity` cells of up to 10 bytes, and the stride it fixes.
+fn set_up(rng: &mut Rng, capacity: usize) -> (Batch, u64) {
+    let cells: Vec<Vec<u8>> = (0..capacity).map(|_| cell(rng, 10)).collect();
+    let stride = cells.iter().map(Vec::len).max().unwrap_or(0) as u64;
+    (Batch::Init(cells), stride)
 }
 
 fn gen_program(rng: &mut Rng) -> Vec<Batch> {
     let mut capacity = 6 + rng.below(6) as usize;
-    let mut initialized = vec![true; capacity];
-    let mut batches = vec![Batch::Init((0..capacity).map(|_| cell(rng, 10)).collect::<Vec<_>>())];
+    let (first, mut stride) = set_up(rng, capacity);
+    let mut batches = vec![first];
     for _ in 0..6 + rng.below(4) {
-        let batch = match rng.below(10) {
+        let batch = match rng.below(11) {
+            // A second set-up over the store: a geometry checkpoint inside
+            // the sweep, at a new capacity and stride.
             0 => {
                 capacity = 4 + rng.below(8) as usize;
-                initialized = vec![false; capacity];
-                Batch::InitEmpty(capacity)
+                let (batch, new_stride) = set_up(rng, capacity);
+                stride = new_stride;
+                batch
             }
             1 => Batch::Checkpoint,
             2 | 3 => {
                 let n = 1 + rng.below(4) as usize;
-                let w = rng.below(15) as usize; // 0 → zero-length cells
+                let w = rng.below(stride + 1) as usize; // 0 → zero-length cells
                 let addrs: Vec<usize> =
                     (0..n).map(|_| rng.below(capacity as u64) as usize).collect();
-                for &a in &addrs {
-                    initialized[a] = true;
-                }
                 let flat = (0..n * w).map(|_| rng.next() as u8).collect();
                 Batch::WriteStrided(addrs, flat)
             }
             4 => {
                 let addr = rng.below(capacity as u64) as usize;
-                initialized[addr] = true;
-                Batch::WriteFrom(addr, cell(rng, 14))
+                Batch::WriteFrom(addr, cell(rng, stride))
             }
-            _ => Batch::WriteBatch(gen_writes(rng, capacity, &mut initialized)),
+            5 => {
+                let mut writes = gen_writes(rng, capacity, stride);
+                let addr = rng.below(capacity as u64) as usize;
+                let len = (stride + 1 + rng.below(4)) as usize;
+                let at = rng.below(writes.len() as u64 + 1) as usize;
+                writes.insert(at, (addr, vec![0xEE; len]));
+                let refusal = ServerError::CellTooLong { addr, len, stride: stride as usize };
+                Batch::Refused(writes, refusal)
+            }
+            _ => Batch::WriteBatch(gen_writes(rng, capacity, stride)),
         };
         batches.push(batch);
     }
@@ -126,11 +138,16 @@ struct Crashed;
 fn apply_disk(store: &mut DiskStore<CrashSim>, batch: &Batch) -> Result<(), Crashed> {
     let result = match batch {
         Batch::Init(cells) => return disk_setup(store.try_init(cells.clone())),
-        Batch::InitEmpty(capacity) => return disk_setup(store.try_init_empty(*capacity)),
         Batch::Checkpoint => return disk_setup(store.checkpoint()),
         Batch::WriteBatch(writes) => store.write_batch(writes.clone()),
         Batch::WriteStrided(addrs, flat) => store.write_batch_strided(addrs, flat),
         Batch::WriteFrom(addr, cell) => store.write_from(*addr, cell),
+        // Refused by the model before the store is asked — on a poisoned
+        // store too — so it can neither crash nor be interrupted.
+        Batch::Refused(writes, refusal) => {
+            assert_eq!(store.write_batch(writes.clone()), Err(refusal.clone()));
+            return Ok(());
+        }
     };
     match result {
         Ok(()) => Ok(()),
@@ -150,7 +167,9 @@ fn disk_setup(result: Result<(), DiskError>) -> Result<(), Crashed> {
 fn apply_oracle(oracle: &mut SimServer, batch: &Batch) {
     match batch {
         Batch::Init(cells) => oracle.init(cells.clone()),
-        Batch::InitEmpty(capacity) => oracle.init_empty(*capacity),
+        Batch::Refused(writes, refusal) => {
+            assert_eq!(oracle.write_batch(writes.clone()), Err(refusal.clone()));
+        }
         Batch::Checkpoint => {}
         Batch::WriteBatch(writes) => oracle.write_batch(writes.clone()).unwrap(),
         Batch::WriteStrided(addrs, flat) => oracle.write_batch_strided(addrs, flat).unwrap(),
@@ -204,7 +223,12 @@ fn baseline(seed: u64, program: &[Batch]) -> (Vec<State>, u64) {
     let mut oracle = SimServer::new();
     let mut snaps = vec![state_of(&mut oracle)];
     for batch in program {
+        let (events, stats) = (sim.events(), store.stats());
         assert!(apply_disk(&mut store, batch).is_ok(), "no crash planned");
+        if let Batch::Refused(..) = batch {
+            // No I/O, so no crash point; no charge either.
+            assert_eq!((sim.events(), store.stats()), (events, stats), "{batch:?}");
+        }
         apply_oracle(&mut oracle, batch);
         snaps.push(state_of(&mut oracle));
     }
@@ -594,35 +618,6 @@ fn zero_length_cells_survive_restart() {
         "zero-length cells must stay initialized-but-empty through WAL replay"
     );
     assert_eq!(store.stored_bytes(), 0);
-}
-
-/// `init_empty` over an existing store is a geometry change: it must
-/// atomically replace the old arena (different capacity, reset stride)
-/// and survive restart, including a subsequent re-stride.
-#[test]
-fn restriding_init_empty_over_an_existing_store() {
-    let dir = std::env::temp_dir().join(format!("dps_crash_restride_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let mut store = DiskStore::open(&dir).unwrap();
-        store.init((0..16).map(|i| vec![i as u8; 32]).collect());
-    }
-    {
-        let mut store = DiskStore::open(&dir).unwrap();
-        assert_eq!(store.capacity(), 16);
-        assert_eq!(store.cell_stride(), 32);
-        store.init_empty(5); // shrink capacity, stride resets to 0
-        assert_eq!(store.cell_stride(), 0);
-        store.write(0, vec![1; 4]).unwrap(); // stride 0 → 4
-        store.write(4, vec![2; 64]).unwrap(); // re-stride 4 → 64
-    }
-    let mut store = DiskStore::open(&dir).unwrap();
-    assert_eq!(store.capacity(), 5);
-    assert_eq!(store.cell_stride(), 64);
-    assert_eq!(store.read(0).unwrap(), vec![1; 4]);
-    assert_eq!(store.read(4).unwrap(), vec![2; 64]);
-    assert_eq!(store.read(2), Err(ServerError::Uninitialized { addr: 2 }));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// After the crash fires, the store is poisoned: mutations fail fast with

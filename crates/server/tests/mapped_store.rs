@@ -7,9 +7,10 @@
 //! cells — so nearly every read is such a miss — through seeded programs
 //! of everything that can move bytes under a mapping or move the mapping
 //! itself: single and batched writes, zero-length cells, commits,
-//! checkpoints (write-back *inside* the mapped range), re-strides (a new,
-//! longer arena file becomes the active one), and drop + reopen. After
-//! every step the answer and the paper-model currencies
+//! checkpoints (write-back *inside* the mapped range), set-ups at a wider
+//! stride (a new, longer arena file becomes the active one), over-long
+//! writes (refused, so nothing moves), and drop + reopen. After every step
+//! the answer and the paper-model currencies
 //! ([`CostStats::sans_cache`](dps_server::CostStats::sans_cache)) must
 //! equal [`SimServer`]'s; the cache counters must say what happened —
 //! a lent read is a miss that evicts nothing and leaves nothing resident.
@@ -167,15 +168,28 @@ fn run_program(seed: u64) {
             80..=86 => disk.commit().expect("commit"),
             // Write-back lands inside the mapped range of the active arena.
             87..=93 => disk.checkpoint().expect("checkpoint"),
-            // A wider cell: every cell moves to the other arena file at the
-            // new stride, that file becomes the active one and is mapped at
-            // its own (longer) length by the next miss.
-            94..=96 => {
+            // Set-up again, wider: the image goes to the other arena file at
+            // the new stride, that file becomes the active one and is mapped
+            // at its own (longer) length by the next miss.
+            94 | 95 => {
                 stride += 1 + rng.below(9);
-                let addr = rng.below(CAPACITY);
-                let bytes = cell(rng.next() as u8, stride);
-                assert_eq!(disk.write(addr, bytes.clone()), oracle.write(addr, bytes), "{label}");
+                let cells: Vec<Vec<u8>> = (0..CAPACITY)
+                    .map(|i| cell(rng.next() as u8, if i % 13 == 0 { i % stride } else { stride }))
+                    .collect();
+                disk.init(cells.clone());
+                oracle.init(cells);
                 assert_eq!(disk.cell_stride(), stride, "{label}");
+            }
+            // A cell past the stride: refused alike, and the mapping, the
+            // stride and the counters stay where they were.
+            96 => {
+                let (addr, len) = (rng.below(CAPACITY), stride + 1 + rng.below(9));
+                let bytes = cell(rng.next() as u8, len);
+                let before = disk.stats();
+                let refused = disk.write(addr, bytes.clone());
+                assert_eq!(refused, oracle.write(addr, bytes), "{label}");
+                assert!(refused.is_err(), "an over-long cell was stored: {label}");
+                assert_eq!((disk.stats(), disk.cell_stride()), (before, stride), "{label}");
             }
             _ => {
                 disk = reopen(disk, &mut oracle, &dir, window);

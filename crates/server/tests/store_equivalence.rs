@@ -2,7 +2,8 @@
 //! per-cell `Vec<Option<Vec<u8>>>` model.
 //!
 //! Each program of batched reads, writes and XORs — including failing
-//! operations and the zero-copy variants — runs against
+//! operations (an address out of range, a cell longer than the stride set-up
+//! fixed) and the zero-copy variants — runs against
 //! the real implementations (the flat-arena [`SimServer`] and the durable
 //! tempdir-backed [`DiskStore`]: one model, [`Accounted`], over two
 //! backends — and the [`Verified`] integrity decorator over the first) and
@@ -24,17 +25,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Default)]
 struct ReferenceServer {
     cells: Vec<Option<Vec<u8>>>,
+    /// The longest cell of set-up: no upload may exceed it.
+    stride: usize,
     stats: CostStats,
     transcript: Option<Transcript>,
 }
 
 impl ReferenceServer {
     fn init(&mut self, cells: Vec<Vec<u8>>) {
+        self.stride = cells.iter().map(Vec::len).max().unwrap_or(0);
         self.cells = cells.into_iter().map(Some).collect();
-    }
-
-    fn init_empty(&mut self, capacity: usize) {
-        self.cells = vec![None; capacity];
     }
 
     fn start_recording(&mut self) {
@@ -76,8 +76,12 @@ impl ReferenceServer {
     }
 
     fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
-        for (addr, _) in &writes {
+        for (addr, cell) in &writes {
             self.check(*addr)?;
+            if cell.len() > self.stride {
+                let (addr, len, stride) = (*addr, cell.len(), self.stride);
+                return Err(ServerError::CellTooLong { addr, len, stride });
+            }
         }
         let events = writes.iter().map(|&(a, _)| AccessEvent::Upload(a)).collect();
         for (addr, cell) in writes {
@@ -90,24 +94,22 @@ impl ReferenceServer {
         Ok(())
     }
 
+    /// The XOR of the cells zero-padded to the longest.
     fn xor_cells(&mut self, addrs: &[usize]) -> Result<Vec<u8>, ServerError> {
-        let mut acc: Option<Vec<u8>> = None;
+        let mut result: Vec<u8> = Vec::new();
         for &addr in addrs {
             self.check(addr)?;
             let cell = self.cells[addr]
                 .as_ref()
                 .ok_or(ServerError::Uninitialized { addr })?;
             self.stats.computed += 1;
-            match acc.as_mut() {
-                None => acc = Some(cell.clone()),
-                Some(a) => {
-                    for (x, y) in a.iter_mut().zip(cell) {
-                        *x ^= y;
-                    }
-                }
+            if result.len() < cell.len() {
+                result.resize(cell.len(), 0);
+            }
+            for (x, y) in result.iter_mut().zip(cell) {
+                *x ^= y;
             }
         }
-        let result = acc.unwrap_or_default();
         self.stats.bytes_down += result.len() as u64;
         self.stats.round_trips += 1;
         self.record(addrs.iter().map(|&a| AccessEvent::Compute(a)).collect());
@@ -117,8 +119,9 @@ impl ReferenceServer {
 
 /// One step of a random server program. Addresses range a little beyond
 /// the capacity so out-of-bounds behavior is exercised too; cell lengths
-/// are uniform (`CELL_LEN`) except for `WriteOdd`, which exercises the
-/// arena's re-stride and short-cell paths.
+/// are uniform (`CELL_LEN`, the stride) except for `WriteOdd`, which
+/// exercises the short-cell paths, and `WriteTooLong`, whose batch carries
+/// one cell past the stride and must be refused whole.
 #[derive(Debug, Clone)]
 enum Op {
     ReadBatch(Vec<usize>),
@@ -133,9 +136,12 @@ enum Op {
     WriteStrided(Vec<(usize, u8)>),
     /// Issued through `write_from` on the arena server.
     WriteFrom(usize, u8),
-    /// A write of a non-standard length (re-stride / short-cell paths).
+    /// A write of a length up to the stride (short-cell paths).
     WriteOdd(usize, u8, usize),
     Xor(Vec<usize>),
+    /// `WriteBatch` with one cell `CELL_LEN + .1` bytes long at position
+    /// `.2` (mod the batch's length + 1) of it.
+    WriteTooLong(Vec<(usize, u8)>, usize, usize),
 }
 
 const CAPACITY: usize = 12;
@@ -161,6 +167,15 @@ fn duplicated(writes: &[(usize, u8)]) -> Vec<(usize, u8)> {
         .collect()
 }
 
+/// `writes` at `CELL_LEN`, with one cell `extra` bytes longer for `addr`
+/// slipped in at a position `addr` also picks.
+fn too_long_batch(writes: &[(usize, u8)], extra: usize, addr: usize) -> Vec<(usize, Vec<u8>)> {
+    let mut batch: Vec<(usize, Vec<u8>)> =
+        writes.iter().map(|&(a, b)| (a, cell(b, CELL_LEN))).collect();
+    batch.insert(addr % (batch.len() + 1), (addr, cell(0xEE, CELL_LEN + extra)));
+    batch
+}
+
 /// A wide duplicate-address batch (72 cells): each address six times.
 fn wide_duplicates(addr: usize, byte: u8) -> Vec<(usize, u8)> {
     (0..6 * CAPACITY)
@@ -173,18 +188,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
     // variant from one tuple of raw ingredients.
     let addrs = proptest::collection::vec(arb_addr(), 0..5);
     let writes = proptest::collection::vec((arb_addr(), any::<u8>()), 0..5);
-    (0u8..10, addrs, writes, arb_addr(), any::<u8>(), 0usize..20).prop_map(
-        |(variant, addrs, writes, addr, byte, odd_len)| match variant {
+    (0u8..11, addrs, writes, arb_addr(), any::<u8>(), 0usize..20).prop_map(
+        |(variant, addrs, writes, addr, byte, n)| match variant {
             0 => Op::ReadBatch(addrs),
             1 => Op::ReadZeroCopy(addrs),
             2 => Op::ReadInto(addr),
             3 => Op::WriteBatch(writes),
             4 => Op::WriteStrided(writes),
             5 => Op::WriteFrom(addr, byte),
-            6 => Op::WriteOdd(addr, byte, odd_len),
+            6 => Op::WriteOdd(addr, byte, n % (CELL_LEN + 1)),
             7 => Op::WriteStrided(duplicated(&writes)),
             8 => Op::WriteStrided(wide_duplicates(addr, byte)),
-            _ => Op::Xor(addrs),
+            9 => Op::Xor(addrs),
+            _ => Op::WriteTooLong(writes, 1 + n % 4, addr),
         },
     )
 }
@@ -241,45 +257,28 @@ fn step<S: Storage>(op: &Op, arena: &mut S, reference: &mut ReferenceServer) {
                 reference.write_batch(vec![(*addr, cell(*byte, *len))]),
             );
         }
+        // Cells of unequal length (`WriteOdd`) fold zero-padded.
         Op::Xor(addrs) => {
-            // XOR over unequal-length cells is a caller contract violation
-            // (debug-asserted in the arena); only issue the op when the
-            // walk reaches no two initialized cells of different lengths
-            // before erroring out.
-            let mut len: Option<usize> = None;
-            let mut well_formed = true;
-            for &a in addrs {
-                if a >= CAPACITY {
-                    break; // out-of-bounds error aborts the walk
-                }
-                match reference.cells[a].as_ref() {
-                    None => break, // uninitialized error aborts the walk
-                    Some(c) => match len {
-                        Some(l) if l != c.len() => {
-                            well_formed = false;
-                            break;
-                        }
-                        _ => len = Some(c.len()),
-                    },
-                }
-            }
-            if well_formed {
-                assert_eq!(arena.xor_cells(addrs), reference.xor_cells(addrs));
-            }
+            assert_eq!(arena.xor_cells(addrs), reference.xor_cells(addrs));
+        }
+        // The same refusal on both sides, and nothing charged for it; the
+        // transcript and the cells are compared at the end of the program.
+        Op::WriteTooLong(writes, extra, addr) => {
+            let batch = too_long_batch(writes, *extra, *addr);
+            let before = arena.stats();
+            let refused = arena.write_batch(batch.clone());
+            assert_eq!(refused, reference.write_batch(batch));
+            assert!(refused.is_err(), "an over-long cell was stored");
+            assert_eq!(arena.stats(), before, "a refused batch was charged");
         }
     }
 }
 
-fn run_program<S: Storage>(arena: &mut S, init_all: bool, ops: &[Op]) {
+fn run_program<S: Storage>(arena: &mut S, ops: &[Op]) {
     let mut reference = ReferenceServer::default();
-    if init_all {
-        let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
-        arena.init(cells.clone());
-        reference.init(cells);
-    } else {
-        arena.init_empty(CAPACITY);
-        reference.init_empty(CAPACITY);
-    }
+    let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
+    arena.init(cells.clone());
+    reference.init(cells);
     arena.start_recording();
     reference.start_recording();
 
@@ -296,7 +295,7 @@ fn run_program<S: Storage>(arena: &mut S, init_all: bool, ops: &[Op]) {
         reference.take_transcript().canonical_encoding(),
         "transcripts diverged"
     );
-    // Final cell-by-cell state match (including initialized-ness).
+    // Final cell-by-cell state match.
     assert_eq!(
         arena.stored_bytes(),
         reference.cells.iter().flatten().map(|c| c.len() as u64).sum()
@@ -338,12 +337,12 @@ impl Drop for TempDir {
 /// its budget under group commit and the write-back that empties it are
 /// all inside the equivalence check. Last, the integrity
 /// decorator over the first.
-fn run_all_backends(init_all: bool, ops: &[Op]) {
-    run_program(&mut SimServer::new(), init_all, ops);
+fn run_all_backends(ops: &[Op]) {
+    run_program(&mut SimServer::new(), ops);
     let tmp = TempDir::new();
     let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create disk store");
-    run_program(&mut disk, init_all, ops);
+    run_program(&mut disk, ops);
     let tmp = TempDir::new();
     let opts = DiskOptions {
         sync: SyncPolicy::Never,
@@ -352,7 +351,7 @@ fn run_all_backends(init_all: bool, ops: &[Op]) {
         ..DiskOptions::default()
     };
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create small-cache disk store");
-    run_program(&mut disk, init_all, ops);
+    run_program(&mut disk, ops);
     // To an honest server a `Verified` store is the server it wraps: cells,
     // charges, view and errors. Its programs leave the XOR out — it folds
     // client-side from verified downloads and is charged for those, the one
@@ -362,23 +361,17 @@ fn run_all_backends(init_all: bool, ops: &[Op]) {
         .filter(|op| !matches!(op, Op::Xor(_)))
         .cloned()
         .collect();
-    run_program(&mut Verified::new(SimServer::new()), init_all, &no_folds);
+    run_program(&mut Verified::new(SimServer::new()), &no_folds);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random programs over fully initialized servers.
+    /// Random programs over fully initialized servers. (Set-up writes
+    /// every cell; the `Uninitialized` path is the hole-snapshot unit test's.)
     #[test]
     fn backends_match_reference_initialized(ops in proptest::collection::vec(arb_op(), 0..40)) {
-        run_all_backends(true, &ops);
-    }
-
-    /// Random programs starting from uninitialized servers, exercising
-    /// the `Uninitialized` error paths and first-write stride selection.
-    #[test]
-    fn backends_match_reference_uninitialized(ops in proptest::collection::vec(arb_op(), 0..40)) {
-        run_all_backends(false, &ops);
+        run_all_backends(&ops);
     }
 }
 
@@ -388,24 +381,27 @@ proptest! {
 fn disk_store_reopens_into_reference_state() {
     let ops = vec![
         Op::WriteBatch(vec![(0, 1), (5, 2)]),
-        Op::WriteOdd(3, 9, 17),
+        Op::WriteOdd(3, 9, 7),
         Op::WriteStrided(vec![(1, 4), (2, 5)]),
+        Op::WriteTooLong(vec![(1, 6), (2, 6)], 7, 3),
         Op::WriteOdd(4, 8, 0),
         // Duplicate addresses in one WAL record: replay is "later wins" too.
         Op::WriteStrided(duplicated(&[(6, 1), (2, 7), (6, 3)])),
     ];
     let tmp = TempDir::new();
     let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
+    let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
     let mut reference = ReferenceServer::default();
-    reference.init_empty(CAPACITY);
+    reference.init(cells.clone());
     {
         let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create disk store");
-        disk.init_empty(CAPACITY);
+        disk.init(cells);
         for op in &ops {
             step(op, &mut disk, &mut reference);
         }
     }
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("reopen disk store");
+    assert_eq!(disk.cell_stride(), CELL_LEN, "a refused write moved the geometry");
     for addr in 0..CAPACITY {
         let got = disk.read_batch(&[addr]).map(|mut v| v.pop().unwrap());
         let expected = reference.read_batch(&[addr]).map(|mut v| v.pop().unwrap());
@@ -479,6 +475,9 @@ fn apply<S: Storage>(op: &Op, server: &mut S) -> Result<Vec<Vec<u8>>, ServerErro
             server.write(*addr, cell(*byte, *len)).map(|()| Vec::new())
         }
         Op::Xor(addrs) => server.xor_cells(addrs).map(|x| vec![x]),
+        Op::WriteTooLong(writes, extra, addr) => server
+            .write_batch(too_long_batch(writes, *extra, *addr))
+            .map(|()| Vec::new()),
     }
 }
 

@@ -394,9 +394,6 @@ impl Storage for Resizing {
     fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8]))) {
         self.inner.init_with(capacity, produce);
     }
-    fn init_empty(&mut self, capacity: usize) {
-        self.inner.init_empty(capacity);
-    }
     fn capacity(&self) -> usize {
         self.inner.capacity()
     }
