@@ -125,8 +125,9 @@ use crate::wire::{
     CellsBuf, FrameAssembler, RequestView, Response, WireError, MAX_FRAME, READ_CHUNK,
 };
 
-/// Per-cell bookkeeping bytes (length table + init bitmap + slack) used
-/// when projecting an allocation from a cell count.
+/// Per-cell bookkeeping bytes used when projecting an allocation from a
+/// cell count: a 4-byte length in the store's cell table, a 4-byte cache
+/// page-table entry and 8 bytes of slack.
 const CELL_OVERHEAD: u64 = 16;
 
 /// The poller token reserved for the listening socket; connection tokens

@@ -909,7 +909,6 @@ impl<'a> ResponseView<'a> {
                     let addr = r.size()?;
                     ServerError::OutOfBounds { addr, capacity: r.size()? }
                 }
-                1 => ServerError::Uninitialized { addr: r.size()? },
                 2 => ServerError::Interrupted,
                 3 => ServerError::Integrity { addr: r.size()? },
                 4 => {
@@ -944,7 +943,8 @@ impl<'a> ResponseView<'a> {
 
 // 0x02, 0x03, 0x09, 0x0E, 0x10 and 0x84 are retired (whole-database init,
 // empty init, recording-state query, one-cell write, combined read+write,
-// boolean response): never reuse them.
+// boolean response), and so is tag 1 (a never-written cell) of the `R_FAIL`
+// body: never reuse them.
 mod op {
     pub const PING: u8 = 0x01;
     pub const CAPACITY: u8 = 0x04;
@@ -1166,10 +1166,6 @@ impl Response {
                         put_u64(buf, *addr as u64);
                         put_u64(buf, *capacity as u64);
                     }
-                    ServerError::Uninitialized { addr } => {
-                        buf.push(1);
-                        put_u64(buf, *addr as u64);
-                    }
                     ServerError::Interrupted => buf.push(2),
                     ServerError::Integrity { addr } => {
                         buf.push(3);
@@ -1291,7 +1287,6 @@ mod tests {
             Response::Cells(vec![vec![0; 4], vec![1; 4]]),
             Response::Bytes(vec![0xAB; 7]),
             Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
-            Response::Fail(ServerError::Uninitialized { addr: 3 }),
             Response::Fail(ServerError::Interrupted),
             Response::Fail(ServerError::Integrity { addr: 7 }),
             Response::Fail(ServerError::CellTooLong { addr: 5, len: 9, stride: 8 }),
@@ -1334,7 +1329,8 @@ mod tests {
     }
 
     /// Retired opcodes among them: the whole-database init (0x02) and the
-    /// empty init (0x03) are unknown now, whatever follows them.
+    /// empty init (0x03) are unknown now, whatever follows them; so is the
+    /// retired failure tag of a never-written cell.
     #[test]
     fn unknown_opcodes_are_typed_errors() {
         for op in [0x7F, 0x02, 0x03] {
@@ -1343,6 +1339,12 @@ mod tests {
             assert_eq!(Request::decode(&payload), Err(WireError::UnknownOpcode(op)));
         }
         assert_eq!(Response::decode(&[0x20]), Err(WireError::UnknownOpcode(0x20)));
+        // The retired failure tag: what any unknown tag is.
+        let never_written = [&[op::R_FAIL, 1][..], &3u64.to_le_bytes()].concat();
+        assert_eq!(
+            Response::decode(&never_written),
+            Err(WireError::BadPayload("unknown server-error tag"))
+        );
     }
 
     #[test]

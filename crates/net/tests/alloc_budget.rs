@@ -41,8 +41,7 @@ use dps_crypto::ChaChaRng;
 use dps_net::wire::visit_cells;
 use dps_net::{NetDaemon, RemoteServer, Request, Response};
 use dps_server::{
-    AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy,
-    Transcript,
+    AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, Transcript,
 };
 use dps_workloads::generators::database;
 
@@ -133,7 +132,7 @@ const MIB: u64 = 1 << 20;
 fn durable_pair(tag: &str, cache_bytes: usize) -> (std::path::PathBuf, NetDaemon, RemoteServer) {
     let dir = std::env::temp_dir().join(format!("dps_alloc_budget_{}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = DiskOptions { sync: SyncPolicy::Never, cache_bytes, ..DiskOptions::default() };
+    let opts = DiskOptions { cache_bytes, ..DiskOptions::default() };
     let store = DiskStore::open_with(&dir, opts).expect("create disk store");
     let daemon = NetDaemon::spawn(store).expect("spawn daemon");
     let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
@@ -293,7 +292,6 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
         Response::Cells(cells()),
         Response::Bytes(vec![0xAB; 7]),
         Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
-        Response::Fail(ServerError::Uninitialized { addr: 3 }),
         Response::Fail(ServerError::Interrupted),
         Response::Fail(ServerError::Integrity { addr: 7 }),
         Response::Fail(ServerError::CellTooLong { addr: 5, len: 9, stride: 8 }),

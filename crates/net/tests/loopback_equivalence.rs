@@ -27,8 +27,7 @@ use dps_net::{FaultStorage, NetDaemon, RemoteServer};
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
 use dps_server::{
-    AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy,
-    Verified,
+    AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, Verified,
 };
 use dps_workloads::generators::database;
 use proptest::prelude::*;
@@ -435,7 +434,7 @@ impl Scratch {
     }
 
     fn open(&self, cache_bytes: usize) -> DiskStore {
-        let opts = DiskOptions { sync: SyncPolicy::Never, cache_bytes, ..DiskOptions::default() };
+        let opts = DiskOptions { cache_bytes, ..DiskOptions::default() };
         DiskStore::open_with(&self.0, opts).expect("open disk store")
     }
 }
@@ -627,7 +626,7 @@ fn hardened_dp_ram_is_the_plain_scheme_to_a_durable_daemon_and_catches_its_lies(
 
     let dir = std::env::temp_dir().join(format!("dps_loopback_hardened_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
+    let opts = DiskOptions::default();
     let store = DiskStore::open_with(&dir, opts).expect("create disk store");
     let daemon = NetDaemon::spawn(store).expect("spawn daemon");
     let connect = || RemoteServer::connect(daemon.local_addr()).expect("connect");

@@ -31,7 +31,7 @@ use dps_crypto::ChaChaRng;
 use dps_net::{NetDaemon, ReconnectPolicy, RemoteError, RemoteServer, Timeouts};
 use dps_oram::LinearOram;
 use dps_pir::XorPir;
-use dps_server::{DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy};
+use dps_server::{DiskOptions, DiskStore, ServerError, SimServer, Storage};
 use dps_workloads::generators::database;
 
 // ---- Scaffolding. ------------------------------------------------------
@@ -62,18 +62,14 @@ impl Drop for TempDir {
     }
 }
 
-/// Opens the durable store under test: crash-safe fsync policy, with a
+/// Opens the durable store under test (it syncs every commit), with a
 /// checkpoint threshold small enough that restarts exercise both WAL
 /// replay and checkpoint truncation, and a group-commit window so the
 /// daemon's pre-acknowledgement flush is load-bearing. The cache budget is
 /// inherited from `DPS_CACHE_BYTES` (the small-cache CI leg pins it tiny).
 fn open_store(dir: &Path) -> DiskStore {
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 2048,
-        wal_group_commit: 4,
-        ..DiskOptions::default()
-    };
+    let opts =
+        DiskOptions { wal_checkpoint_bytes: 2048, wal_group_commit: 4, ..DiskOptions::default() };
     DiskStore::open_with(dir, opts).expect("open durable store")
 }
 
@@ -230,7 +226,7 @@ fn raw_cells_survive_a_daemon_restart() {
     remote.init((0..16).map(|i| vec![i as u8; 24]).collect());
     remote.write(0, vec![0xA5; 24]).unwrap();
     remote.write(3, (0..24).collect()).unwrap();
-    remote.write(4, Vec::new()).unwrap(); // zero-length, but initialized
+    remote.write(4, Vec::new()).unwrap(); // zero-length, but a value
     remote.write(15, vec![0x5A; 7]).unwrap();
 
     let daemon = restart(daemon, &relay, dir.path());

@@ -104,11 +104,10 @@ fn arb_response() -> impl Strategy<Value = Response> {
             }
             5 => Response::Cells(cells),
             6 => Response::Bytes(cells.into_iter().flatten().collect()),
-            _ => Response::Fail(match v % 5 {
+            _ => Response::Fail(match v % 4 {
                 0 => ServerError::OutOfBounds { addr: n, capacity: n / 2 },
-                1 => ServerError::Uninitialized { addr: n },
-                2 => ServerError::Integrity { addr: n },
-                3 => ServerError::CellTooLong { addr: n, len: n / 3 + 1, stride: n / 3 },
+                1 => ServerError::Integrity { addr: n },
+                2 => ServerError::CellTooLong { addr: n, len: n / 3 + 1, stride: n / 3 },
                 _ => ServerError::Interrupted,
             }),
         },

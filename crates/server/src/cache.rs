@@ -2,8 +2,8 @@
 //!
 //! [`CellCache`] keeps cell *payloads* for
 //! [`DiskStore`](crate::DiskStore) in a slab of stride-sized slots, while
-//! the per-cell metadata (lengths, init bitmap — and this cache's 4-byte
-//! page-table entry) stays fully resident. Lookup is a single array index —
+//! the per-cell metadata (lengths — and this cache's 4-byte page-table
+//! entry) stays fully resident. Lookup is a single array index —
 //! `addr → slot` goes through a flat `Vec<u32>` page table, not a hash map
 //! — because the cache sits on the zero-copy read hot path, where a
 //! per-cell hash would triple the cost of a hit.
@@ -25,7 +25,7 @@
 //! capacity`) the cache instead runs in **identity mode**: the slab is
 //! laid out `slot == addr` and sized `capacity × stride` up front, the
 //! store warms it with one bulk arena read (or moves set-up's image into
-//! it), and every initialized cell stays resident, clean or dirty — so the
+//! it), and every cell stays resident, clean or dirty — so the
 //! read path is a direct slab slice with no page-table load at all, and
 //! write-back only forgets which cells were dirty. The mode is chosen once
 //! per set-up: the stride it derives the slot budget from is fixed until
@@ -110,8 +110,8 @@ impl CellCache {
 
     /// Identity-mode direct read: the first `len` payload bytes of
     /// `addr`'s slab position. No residency check — the store's warm-up
-    /// invariant (every initialized non-empty cell is resident) makes
-    /// the slice authoritative for any initialized cell.
+    /// invariant (every non-empty cell is resident) makes the slice
+    /// authoritative for any cell.
     #[inline]
     pub fn identity_bytes(&self, addr: usize, len: usize) -> &[u8] {
         debug_assert!(self.identity);

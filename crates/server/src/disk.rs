@@ -5,8 +5,8 @@
 //! [`CellBackend`] that serves databases **larger than RAM**. Bounds
 //! checks, cost counters and the transcript are the model's; this module
 //! only keeps cells — `get`, `put`, `flush`. Only the per-cell metadata
-//! (length table, init bitmap — ~5 bytes per cell, the same `CellIndex`
-//! the memory arena keeps) is always resident; cell *payloads* live in the
+//! (the length table — 4 bytes per cell, the same `CellIndex` the memory
+//! arena keeps) is always resident; cell *payloads* live in the
 //! arena file, and RAM holds only what the arena lacks (`cache.rs`, NOTES.md
 //! entry 12):
 //!
@@ -40,7 +40,8 @@
 //! batches; closing the window *commits* it: the whole window is framed as
 //! **one** checksummed WAL record, written with **one** `write_at` at the
 //! log's end and fsynced. That fsync is the durability point for every
-//! batch in the window, and it is all the I/O an acknowledged upload costs:
+//! batch in the window (every durability point syncs; no option skips it —
+//! NOTES.md, entry 14), and it is all the I/O an acknowledged upload costs:
 //! the log file is preallocated to [`DiskOptions::wal_checkpoint_bytes`]
 //! and recycled, so the write lands in blocks the file already owns and
 //! the sync flushes data only — no file size for the filesystem to journal.
@@ -71,8 +72,8 @@
 //!
 //! A *checkpoint* makes the arena authoritative again and recycles the
 //! log: commit the open window, write back every dirty cell, sync the
-//! arena, write a metadata snapshot (stride, lengths, init-bitmap) with a
-//! bumped generation stamp, then rewrite the WAL header with the new stamp
+//! arena, write a metadata snapshot (stride, lengths) with a bumped
+//! generation stamp, then rewrite the WAL header with the new stamp
 //! — one write, one sync; the old generation's records stay where they are
 //! and are overwritten as the new one grows. Snapshots alternate between
 //! two metadata files and — for the geometry checkpoint of a set-up, the
@@ -114,9 +115,20 @@
 //!   An invalid or older header in front of a record that validates, or a
 //!   valid header *newer* than every snapshot, is `Corrupt`.
 //!
-//! A log written by the truncate-and-append version of this store (short
-//! file, records of the current stamp behind the header) reads the same
-//! way and is grown to the preallocated size at its next checkpoint.
+//! A log shorter than the budget (records of the current stamp behind the
+//! header, no preallocation behind them) reads the same way and is grown to
+//! the preallocated size at its next checkpoint. (The truncate-and-append
+//! version of this store wrote such logs; its directories are on-disk
+//! format 1, and refused.)
+//!
+//! **Another format is refused, never wiped.** A snapshot file that carries
+//! the snapshot magic under another format version — a directory written
+//! before format 2 dropped the init bitmap — makes `open` fail with
+//! [`DiskError::Corrupt`] naming both versions when no snapshot of this
+//! format decodes, and no file is touched. Without that check such a
+//! directory with no usable log would look fresh, and the fresh store's
+//! first checkpoint would empty its arena. There is no migration: no such
+//! directory was ever deployed (NOTES.md, entry 14).
 //!
 //! All I/O goes through the [`Vfs`]/[`DiskFile`] traits; production uses
 //! [`RealVfs`] (plain files + `pwrite`), tests use
@@ -154,8 +166,8 @@ use crate::settings;
 use crate::stats::CacheTelemetry;
 use crate::store::{CellIndex, CellStore};
 use crate::wal::{
-    decode_meta, decode_wal_header, encode_meta, encode_wal_header, scan_records, DiskError, Meta,
-    RecordBuilder, WalHeader, WAL_HEADER_LEN,
+    decode_meta, decode_wal_header, encode_meta, encode_wal_header, meta_version, scan_records,
+    DiskError, Meta, RecordBuilder, WalHeader, FORMAT_VERSION, WAL_HEADER_LEN,
 };
 
 /// One open file inside a [`Vfs`]: positioned reads/writes plus explicit
@@ -292,28 +304,14 @@ impl DiskFile for RealFile {
     }
 }
 
-/// When the store calls `fsync`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Sync at every durability point (group-commit window close,
-    /// checkpoint). This is the crash-safe default: a batch is durable
-    /// once the fsync covering its WAL record has completed.
-    Always,
-    /// Never sync. Contents still reach the files (a clean shutdown or OS
-    /// flush persists them) but a crash may lose or tear recent batches.
-    /// For benchmarks and throwaway stores only.
-    Never,
-}
-
 /// Default cache budget when `DPS_CACHE_BYTES` is not set: generous (1 GiB
 /// of payload), so small stores are mirrored whole (identity mode).
 const DEFAULT_CACHE_BYTES: usize = 1 << 30;
 
-/// Tuning knobs for [`DiskStore`].
+/// Tuning knobs for [`DiskStore`]. None of them trades durability: every
+/// durability point — a group-commit window's close, a checkpoint — syncs.
 #[derive(Debug, Clone, Copy)]
 pub struct DiskOptions {
-    /// Fsync policy (see [`SyncPolicy`]).
-    pub sync: SyncPolicy,
     /// Once the WAL grows past this many bytes, the next commit triggers
     /// an automatic checkpoint that recycles it. An open group-commit
     /// window that would overflow this budget is committed early, so the
@@ -345,7 +343,6 @@ pub struct DiskOptions {
 impl Default for DiskOptions {
     fn default() -> Self {
         Self {
-            sync: SyncPolicy::Always,
             wal_checkpoint_bytes: 1 << 20,
             cache_bytes: settings::from_env("DPS_CACHE_BYTES").unwrap_or(DEFAULT_CACHE_BYTES),
             wal_group_commit: 1,
@@ -375,8 +372,8 @@ pub type DiskStore<V = RealVfs> = Accounted<DiskBackend<V>>;
 /// The durable [`CellBackend`]: cache + WAL + checkpoints over a [`Vfs`].
 #[derive(Debug)]
 pub struct DiskBackend<V: Vfs = RealVfs> {
-    /// Always-resident per-cell metadata (arena slot width, lengths,
-    /// init-bitmap, stored bytes).
+    /// Always-resident per-cell metadata (arena slot width, lengths, stored
+    /// bytes).
     index: CellIndex,
     /// The dirty cells, or the identity mirror (see [`crate::cache`]).
     cache: CellCache,
@@ -438,23 +435,37 @@ impl<V: Vfs> DiskBackend<V> {
     /// same records pwrite the same bytes — so a crash during recovery
     /// re-runs it identically. Where the log ends, what is a torn tail and
     /// what is [`DiskError::Corrupt`] are invariants I1–I4 of the
-    /// [module docs](self).
+    /// [module docs](self); a snapshot of another format is refused.
     fn recover(mut vfs: V, opts: DiskOptions) -> Result<Self, DiskError> {
         let arena = [vfs.open(ARENA_NAMES[0])?, vfs.open(ARENA_NAMES[1])?];
         let meta = [vfs.open(META_NAMES[0])?, vfs.open(META_NAMES[1])?];
         let wal = vfs.open(WAL_NAME)?;
 
         let mut best: Option<(usize, Meta)> = None;
+        let mut foreign = None;
         for (slot, file) in meta.iter().enumerate() {
-            if let Some(m) = decode_meta(&read_all(file)?) {
-                if best.as_ref().is_none_or(|(_, b)| m.stamp > b.stamp) {
+            let bytes = read_all(file)?;
+            match decode_meta(&bytes) {
+                Some(m) if best.as_ref().is_none_or(|(_, b)| m.stamp > b.stamp) => {
                     best = Some((slot, m));
+                }
+                Some(_) => {}
+                None => {
+                    let version = meta_version(&bytes).filter(|&v| v != FORMAT_VERSION);
+                    foreign = foreign.or(version.map(|v| (slot, v)));
                 }
             }
         }
         let wal_bytes = read_all(&wal)?;
 
         let Some((meta_slot, m)) = best else {
+            if let Some((slot, version)) = foreign {
+                return Err(DiskError::corrupt(format!(
+                    "{} is an on-disk format {version} snapshot; this build reads format \
+                     {FORMAT_VERSION} only and does not migrate",
+                    META_NAMES[slot]
+                )));
+            }
             if wal_bytes.len() >= WAL_HEADER_LEN {
                 return Err(DiskError::corrupt(
                     "WAL present but no valid metadata snapshot exists",
@@ -469,8 +480,9 @@ impl<V: Vfs> DiskBackend<V> {
         };
 
         // The snapshot's arena must be fully present; its payload is read
-        // lazily, so only the length is validated here.
-        let arena_len = m.capacity as u64 * m.stride as u64;
+        // lazily, so only the length is validated here (`decode_meta` has
+        // checked that the product fits).
+        let arena_len = (m.capacity * m.stride) as u64;
         let have = arena[m.active].file_len()?;
         if have < arena_len {
             return Err(DiskError::corrupt(format!(
@@ -546,7 +558,7 @@ impl<V: Vfs> DiskBackend<V> {
     ) -> Self {
         Self {
             cache: CellCache::new(m.capacity, m.stride, opts.cache_bytes),
-            index: CellIndex::from_parts(m.stride, m.lens, m.init),
+            index: CellIndex::from_parts(m.stride, m.lens),
             telemetry: CacheTelemetry::default(),
             arena,
             meta,
@@ -599,7 +611,7 @@ impl<V: Vfs> DiskBackend<V> {
         let (capacity, stride) = (self.index.capacity(), self.index.stride());
         self.cache = CellCache::over(capacity, stride, self.opts.cache_bytes, image);
         if self.cache.is_identity() {
-            self.adopt_initialized();
+            self.adopt_nonempty();
         }
         written.map_err(|e| self.poison(e))
     }
@@ -667,36 +679,8 @@ impl<V: Vfs> DiskBackend<V> {
         e
     }
 
-    fn want_sync(&self) -> bool {
-        matches!(self.opts.sync, SyncPolicy::Always)
-    }
-
     fn group_window(&self) -> usize {
         self.opts.wal_group_commit.max(1)
-    }
-
-    /// The payload bytes of the *initialized* cell at `addr` (whose
-    /// length the caller already loaded): out of the cache slab on a hit,
-    /// from the arena file on a [miss](Self::miss).
-    #[inline(always)]
-    fn cell_bytes(&mut self, addr: usize, len: usize) -> Result<&[u8], ServerError> {
-        if self.cache.is_identity() {
-            // Identity mode: the warm-up invariant makes the slab
-            // authoritative for every initialized cell, so this is a
-            // direct slice — the mirror-read fast path. Zero-length
-            // cells are neither hits nor misses in either mode.
-            self.telemetry.hits += u64::from(len > 0);
-            return Ok(self.cache.identity_bytes(addr, len));
-        }
-        if let Some(slot) = self.cache.slot(addr) {
-            self.telemetry.hits += 1;
-            return Ok(self.cache.slot_bytes(slot, len));
-        }
-        if len == 0 {
-            // Zero-length payloads live entirely in the length table.
-            return Ok(&[]);
-        }
-        self.miss(addr, len)
     }
 
     /// Cache-miss path. A non-resident cell is clean — a dirty one stays in
@@ -738,9 +722,9 @@ impl<V: Vfs> DiskBackend<V> {
 
     /// Identity-mode warm-up: when the cache budget covers the whole
     /// database, bulk-read the active arena slot into the slab and mark
-    /// every initialized non-empty cell resident. From then on reads are
-    /// direct slab slices and misses cannot occur; bounded budgets skip
-    /// this and serve misses from the arena file instead.
+    /// every non-empty cell resident. From then on reads are direct slab
+    /// slices and misses cannot occur; bounded budgets skip this and serve
+    /// misses from the arena file instead.
     fn warm_cache(&mut self) -> Result<(), DiskError> {
         if !self.cache.is_identity() || self.index.stride() == 0 {
             return Ok(());
@@ -756,15 +740,15 @@ impl<V: Vfs> DiskBackend<V> {
                 )));
             }
         }
-        self.adopt_initialized();
+        self.adopt_nonempty();
         Ok(())
     }
 
-    /// Marks every initialized non-empty cell resident (identity-mode
-    /// bookkeeping after the slab has been bulk-filled).
-    fn adopt_initialized(&mut self) {
+    /// Marks every non-empty cell resident (identity-mode bookkeeping after
+    /// the slab has been bulk-filled).
+    fn adopt_nonempty(&mut self) {
         for addr in 0..self.index.capacity() {
-            if self.index.len_of(addr).is_some_and(|len| len > 0) {
+            if self.index.len_of(addr) > 0 {
                 self.cache.adopt(addr);
             }
         }
@@ -813,12 +797,9 @@ impl<V: Vfs> DiskBackend<V> {
             return Ok(());
         }
         self.pending_batches = 0;
-        let sync = self.want_sync();
         let record = self.pending.finish(self.stamp);
         self.wal.write_at(self.wal_len, record)?;
-        if sync {
-            self.wal.sync()?;
-        }
+        self.wal.sync()?;
         self.wal_len += record.len() as u64;
         if self.cache.over_budget() {
             self.write_back()?;
@@ -850,7 +831,7 @@ impl<V: Vfs> DiskBackend<V> {
                 next += 1;
             }
             // Whole strides up to the last cell, which ends at its length.
-            let len = (last - first) * stride + self.index.len_of(last).unwrap_or(0);
+            let len = (last - first) * stride + self.index.len_of(last);
             let bytes = if identity {
                 self.cache.identity_bytes(first, len)
             } else {
@@ -888,9 +869,7 @@ impl<V: Vfs> DiskBackend<V> {
     fn light_checkpoint(&mut self) -> Result<(), DiskError> {
         self.commit_pending()?;
         self.write_back()?;
-        if self.want_sync() {
-            self.arena[self.active].sync()?;
-        }
+        self.arena[self.active].sync()?;
         self.write_meta(self.active)?;
         self.reset_wal()
     }
@@ -905,9 +884,7 @@ impl<V: Vfs> DiskBackend<V> {
         if !image.is_empty() {
             self.arena[target].write_at(0, image)?;
         }
-        if self.want_sync() {
-            self.arena[target].sync()?;
-        }
+        self.arena[target].sync()?;
         self.write_meta(target)?;
         self.active = target;
         // The new snapshot supersedes everything the open window carried;
@@ -921,24 +898,28 @@ impl<V: Vfs> DiskBackend<V> {
     /// Writes the next-generation metadata snapshot (pointing at arena
     /// slot `active`) into the non-current meta slot and makes it durable.
     /// Only after this returns is the new checkpoint the recovery target.
+    /// A stamp that cannot be bumped (only a hostile snapshot carries one)
+    /// fails typed: a snapshot under a stamp no higher than the one it
+    /// supersedes would not be recovered as the newest.
     fn write_meta(&mut self, active: usize) -> Result<(), DiskError> {
+        let stamp = self
+            .stamp
+            .checked_add(1)
+            .ok_or_else(|| DiskError::corrupt("checkpoint stamp exhausted"))?;
         let m = Meta {
-            stamp: self.stamp + 1,
+            stamp,
             active,
             capacity: self.index.capacity(),
             stride: self.index.stride(),
             lens: self.index.lens().to_vec(),
-            init: self.index.init_words().to_vec(),
         };
         let bytes = encode_meta(&m);
         let slot = 1 - self.meta_slot;
         self.meta[slot].set_len(0)?;
         self.meta[slot].write_at(0, &bytes)?;
-        if self.want_sync() {
-            self.meta[slot].sync()?;
-        }
+        self.meta[slot].sync()?;
         self.meta_slot = slot;
-        self.stamp += 1;
+        self.stamp = stamp;
         Ok(())
     }
 
@@ -956,15 +937,11 @@ impl<V: Vfs> DiskBackend<V> {
                 self.wal.write_at(len, &ZEROS[..chunk as usize])?;
                 len += chunk;
             }
-            if self.want_sync() {
-                self.wal.sync()?;
-            }
+            self.wal.sync()?;
         }
         let header = encode_wal_header(self.stamp);
         self.wal.write_at(0, &header)?;
-        if self.want_sync() {
-            self.wal.sync()?;
-        }
+        self.wal.sync()?;
         self.wal_len = header.len() as u64;
         Ok(())
     }
@@ -974,7 +951,7 @@ impl Meta {
     /// The metadata of a brand-new empty store (the fresh-open path; the
     /// first checkpoint flips `active` to slot 0).
     fn empty() -> Self {
-        Meta { stamp: 0, active: 1, capacity: 0, stride: 0, lens: Vec::new(), init: Vec::new() }
+        Meta { stamp: 0, active: 1, capacity: 0, stride: 0, lens: Vec::new() }
     }
 }
 
@@ -1009,15 +986,29 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         self.load(contents).expect("DiskStore set-up: checkpoint failed");
     }
 
-    /// Hits and zero-length cells come straight from memory, a miss is
-    /// lent by the active arena file or costs one positioned read from it
-    /// — or, on a poisoned store, is [`ServerError::Interrupted`].
+    /// Hits and zero-length cells come straight from memory: out of the
+    /// cache slab, or the length table alone. A miss is lent by the active
+    /// arena file or costs one positioned read from it — or, on a poisoned
+    /// store, is [`ServerError::Interrupted`].
     #[inline(always)]
-    fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError> {
-        match self.index.len_of(addr) {
-            Some(len) => self.cell_bytes(addr, len).map(Some),
-            None => Ok(None),
+    fn get(&mut self, addr: usize) -> Result<&[u8], ServerError> {
+        let len = self.index.len_of(addr);
+        if self.cache.is_identity() {
+            // Identity mode: the warm-up invariant makes the slab
+            // authoritative for every cell, so this is a direct slice —
+            // the mirror-read fast path. Zero-length cells are neither hits
+            // nor misses in either mode.
+            self.telemetry.hits += u64::from(len > 0);
+            return Ok(self.cache.identity_bytes(addr, len));
         }
+        if let Some(slot) = self.cache.slot(addr) {
+            self.telemetry.hits += 1;
+            return Ok(self.cache.slot_bytes(slot, len));
+        }
+        if len == 0 {
+            return Ok(&[]);
+        }
+        self.miss(addr, len)
     }
 
     /// One non-empty batch joins the open window's WAL record: its cells
@@ -1065,6 +1056,7 @@ mod tests {
     use super::*;
     use crate::crashsim::CrashSim;
     use crate::storage::Storage;
+    use proptest::prelude::*;
 
     struct TempDir(PathBuf);
 
@@ -1106,35 +1098,61 @@ mod tests {
         assert_eq!(store.read(5).unwrap(), vec![5u8; 8]);
     }
 
-    /// Set-up writes every cell, but a snapshot taken before the stride was
-    /// fixed at set-up may hold slots that were never written: such a
-    /// directory opens, serves its holes as `Uninitialized`, takes writes
-    /// into them and keeps the rest holes across a reopen.
+    /// A directory of on-disk format 1: a snapshot with its init words
+    /// under version 1 and a valid CRC, its arena, and a log of the same
+    /// version.
+    fn format_1_directory(dir: &Path) {
+        use crate::wal::crc32;
+        std::fs::create_dir_all(dir).unwrap();
+        let (capacity, stride, stamp) = (70u64, 3u64, 4u64);
+        let mut meta = b"DPSM".to_vec();
+        meta.extend_from_slice(&1u32.to_le_bytes());
+        meta.extend_from_slice(&stamp.to_le_bytes());
+        meta.push(0);
+        meta.extend_from_slice(&capacity.to_le_bytes());
+        meta.extend_from_slice(&stride.to_le_bytes());
+        (0..capacity).for_each(|_| meta.extend_from_slice(&3u32.to_le_bytes()));
+        [u64::MAX, 0x3F]
+            .iter()
+            .for_each(|w| meta.extend_from_slice(&w.to_le_bytes()));
+        meta.extend_from_slice(&crc32(&[&meta]).to_le_bytes());
+        std::fs::write(dir.join(META_NAMES[0]), meta).unwrap();
+        std::fs::write(dir.join(ARENA_NAMES[0]), vec![0x5A; 210]).unwrap();
+        let mut wal = b"DPSW".to_vec();
+        wal.extend_from_slice(&1u32.to_le_bytes());
+        wal.extend_from_slice(&stamp.to_le_bytes());
+        wal.extend_from_slice(&crc32(&[&wal]).to_le_bytes());
+        wal.resize(4096, 0);
+        std::fs::write(dir.join(WAL_NAME), wal).unwrap();
+    }
+
+    /// A format-1 directory is refused, naming both versions, and no file
+    /// that was there changes — with its log, and without one, where the
+    /// fresh-store path would otherwise empty `arena.0` and rewrite
+    /// `meta.0`.
     #[test]
-    fn reopen_preserves_uninitialized_holes() {
-        let tmp = TempDir::new("holes");
-        std::fs::create_dir_all(&tmp.0).unwrap();
-        let (capacity, stride) = (70, 3);
-        let meta = Meta {
-            stamp: 4,
-            active: 0,
-            capacity,
-            stride,
-            lens: vec![0; capacity],
-            init: vec![0; capacity.div_ceil(64)],
-        };
-        std::fs::write(tmp.0.join(META_NAMES[0]), encode_meta(&meta)).unwrap();
-        std::fs::write(tmp.0.join(ARENA_NAMES[0]), vec![0u8; capacity * stride]).unwrap();
-        {
-            let mut store = DiskStore::open(&tmp.0).unwrap();
-            assert_eq!((store.capacity(), store.cell_stride()), (capacity, stride));
-            assert_eq!(store.read(69), Err(ServerError::Uninitialized { addr: 69 }));
-            store.write(69, vec![7; 3]).unwrap();
+    fn a_format_1_directory_is_refused_and_left_untouched() {
+        for keep_wal in [true, false] {
+            let tmp = TempDir::new(if keep_wal { "format1" } else { "format1_nowal" });
+            format_1_directory(&tmp.0);
+            if !keep_wal {
+                std::fs::remove_file(tmp.0.join(WAL_NAME)).unwrap();
+            }
+            let names = ARENA_NAMES.iter().chain(&META_NAMES).chain([&WAL_NAME]);
+            let before: Vec<(&str, Vec<u8>)> = names
+                .filter_map(|&name| Some((name, std::fs::read(tmp.0.join(name)).ok()?)))
+                .collect();
+            assert_eq!(before.len(), 2 + usize::from(keep_wal));
+            match DiskStore::open(&tmp.0).map(|_| ()) {
+                Err(DiskError::Corrupt { detail }) => {
+                    assert!(detail.contains("format 1") && detail.contains("format 2"), "{detail}")
+                }
+                other => panic!("a format-1 directory opened: {other:?}"),
+            }
+            for (name, bytes) in before {
+                assert_eq!(std::fs::read(tmp.0.join(name)).unwrap(), bytes, "{name} changed");
+            }
         }
-        let mut store = DiskStore::open(&tmp.0).unwrap();
-        assert_eq!(store.read(69).unwrap(), vec![7; 3]);
-        assert_eq!(store.read(0), Err(ServerError::Uninitialized { addr: 0 }));
-        assert_eq!(store.stored_bytes(), 3);
     }
 
     /// (The name is from when the reset truncated the file; what it pins
@@ -1272,9 +1290,9 @@ mod tests {
         assert_eq!(store.read(4).unwrap(), vec![0xDD; 8]);
     }
 
-    /// A directory as the truncate-and-append version of this store left
-    /// it: a short `wal`, two records of the current stamp behind the
-    /// header, no preallocation.
+    /// A log shorter than the budget — a short `wal`, two records of the
+    /// current stamp behind the header, no preallocation — as the
+    /// truncate-and-append version of this store left every log.
     #[test]
     fn append_era_log_opens_and_serves_its_records() {
         use crate::wal::encode_record;
@@ -1396,5 +1414,68 @@ mod tests {
         store.write(3, Vec::new()).unwrap();
         assert_eq!(store.read(3).unwrap(), Vec::<u8>::new());
         assert_eq!(store.stored_bytes(), 0);
+    }
+
+    /// The strides the hostile snapshots draw from: the ones set-up makes,
+    /// and ones whose arena no file of this test holds or no address
+    /// arithmetic spans.
+    const STRIDES: [usize; 8] = [0, 1, 8, 1 << 31, 1 << 32, 1 << 62, 1 << 63, usize::MAX];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// CRC-valid snapshots no store writes — a stamp at the end of its
+        /// range, an arena slot that does not exist, a geometry whose arena
+        /// size overflows, an arena file a little shorter or longer than
+        /// the geometry (capped at 4 KiB, so a vast geometry always finds
+        /// its arena short). `open` never panics and never adopts a
+        /// geometry its arena file does not hold; a store it opens takes a
+        /// one-byte write, a checkpoint and a reopen without a panic, and
+        /// never lets a snapshot's stamp go backwards.
+        #[test]
+        fn hostile_snapshots_are_refused_or_opened_whole(
+            (stamp, near_max) in (any::<u64>(), 0u8..4),
+            active in 0usize..=2,
+            capacity in 0usize..64,
+            stride in 0usize..STRIDES.len(),
+            lens in proptest::collection::vec(any::<u32>(), 64),
+            (delta, bounded) in (0u64..4, any::<bool>()),
+        ) {
+            let stride = STRIDES[stride];
+            let stamp = if near_max > 0 { u64::MAX - stamp % 2 } else { stamp };
+            let lens = lens[..capacity]
+                .iter()
+                .map(|&len| (u64::from(len) % (stride as u64).saturating_add(1)) as u32)
+                .collect();
+            let tmp = TempDir::new("hostile");
+            std::fs::create_dir_all(&tmp.0).unwrap();
+            let meta = Meta { stamp, active, capacity, stride, lens };
+            std::fs::write(tmp.0.join(META_NAMES[0]), encode_meta(&meta)).unwrap();
+            let arena_len = (capacity as u64).wrapping_mul(stride as u64);
+            let arena = std::fs::File::create(tmp.0.join(ARENA_NAMES[active.min(1)])).unwrap();
+            arena.set_len(arena_len.saturating_add(delta).saturating_sub(1).min(4096)).unwrap();
+            drop(arena);
+            let opts = DiskOptions {
+                wal_checkpoint_bytes: 4096,
+                cache_bytes: if bounded { 16 } else { 1 << 20 },
+                wal_group_commit: 1,
+            };
+
+            if let Ok(mut store) = DiskStore::open_with(&tmp.0, opts) {
+                let held = store.arena[store.active].file_len().unwrap();
+                let spans = store.capacity() as u128 * store.cell_stride() as u128;
+                prop_assert!(spans <= u128::from(held), "{meta:?} opened over {held} bytes");
+                let before = store.checkpoint_stamp();
+                let _ = store.write(0, vec![0xA5]);
+                let checkpointed = store.checkpoint().is_ok();
+                let after = store.checkpoint_stamp();
+                prop_assert!(if checkpointed { after > before } else { after == before });
+                drop(store);
+                let reopened = DiskStore::open_with(&tmp.0, opts).map(|s| s.checkpoint_stamp());
+                // (It may checkpoint once more — stale records behind the
+                // restarted log, I1 — or find the stamp exhausted.)
+                prop_assert!(!matches!(reopened, Ok(s) if s < after), "{reopened:?}");
+            }
+        }
     }
 }

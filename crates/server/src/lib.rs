@@ -51,7 +51,7 @@ pub mod verified;
 pub mod wal;
 
 pub use crashsim::{CrashFile, CrashSim, SimEvent, SimOp, Tear};
-pub use disk::{DiskBackend, DiskFile, DiskOptions, DiskStore, RealVfs, SyncPolicy, Vfs};
+pub use disk::{DiskBackend, DiskFile, DiskOptions, DiskStore, RealVfs, Vfs};
 pub use latency::NetworkModel;
 pub use multi::ReplicatedServers;
 pub use server::{Accounted, CellBackend, ServerError, SimServer};

@@ -57,7 +57,7 @@ impl<S: Storage> ReplicatedServers<S> {
     }
 
     /// [`ReplicatedServers::replicate`] with a caller-supplied factory:
-    /// `make(i)` builds (un-initialized) server `i`, which is then loaded
+    /// `make(i)` builds (empty, not yet set up) server `i`, which is then loaded
     /// with a replica of `cells`.
     ///
     /// # Panics

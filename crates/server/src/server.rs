@@ -4,10 +4,9 @@
 //! bytes, round trips — the currencies of Theorems 3.3/3.4, 5.1, 6.1 and
 //! 7.1) and what the adversary sees of it ([`Transcript`]). It holds the
 //! only implementation of the three data primitives of [`Storage`]
-//! (download, upload, XOR fold) — bounds check, `Uninitialized` check, the
-//! stride check, charging, the partial charge a mid-batch failure leaves
-//! behind, the round trip, the transcript batch — over a [`CellBackend`],
-//! which only keeps cells:
+//! (download, upload, XOR fold) — bounds check, the stride check, charging,
+//! the partial charge a mid-batch failure leaves behind, the round trip,
+//! the transcript batch — over a [`CellBackend`], which only keeps cells:
 //!
 //! - [`SimServer`] is `Accounted<CellStore>`, the in-process simulator;
 //! - [`DiskStore`](crate::DiskStore) is `Accounted<DiskBackend>`, the
@@ -15,18 +14,19 @@
 //!
 //! # What a backend must guarantee
 //!
+//! - Every cell holds a value: set-up writes them all and a write replaces
+//!   one (NOTES.md, entry 14), so `get` has no "never written" answer — it
+//!   returns the cell or faults.
 //! - `put` is **all-or-nothing** — on `Err` no cell of the batch is
 //!   visible to a later `get` that succeeds — and **later wins**: a batch
 //!   naming an address twice leaves the last value.
-//! - `get` may fault (`Err`), which is different from "never written"
-//!   (`Ok(None)`).
 //! - `Ok` from `put` means *applied*; durability is `flush`.
 //!
 //! # What the model does with a backend fault
 //!
 //! A failed call charges exactly the cells it visited before the fault,
 //! no round trip, and records no transcript batch — the same rule as for
-//! an `Uninitialized` read mid-batch. Addresses are bounds-checked, and
+//! an out-of-range address mid-batch. Addresses are bounds-checked, and
 //! uploaded cells held to the stride, before the backend is asked, so on a
 //! faulting backend `OutOfBounds` and `CellTooLong` win over `Interrupted`.
 //!
@@ -56,11 +56,6 @@ pub enum ServerError {
         addr: usize,
         /// The server's capacity in cells.
         capacity: usize,
-    },
-    /// A cell was read before ever being written.
-    Uninitialized {
-        /// The offending address.
-        addr: usize,
     },
     /// An upload named a cell longer than the stride set-up fixed; the
     /// whole batch was refused.
@@ -97,9 +92,6 @@ impl std::fmt::Display for ServerError {
             ServerError::OutOfBounds { addr, capacity } => {
                 write!(f, "address {addr} out of bounds (capacity {capacity})")
             }
-            ServerError::Uninitialized { addr } => {
-                write!(f, "cell {addr} read before initialization")
-            }
             ServerError::CellTooLong { addr, len, stride } => {
                 write!(f, "cell of {len} bytes for address {addr} exceeds the stride ({stride})")
             }
@@ -129,7 +121,7 @@ pub trait CellBackend: std::fmt::Debug + Send {
     /// (0 before any), unchanged by every `put`.
     fn stride(&self) -> usize;
 
-    /// Total bytes of initialized cell content.
+    /// Total bytes of cell content.
     fn stored_bytes(&self) -> u64;
 
     /// Replaces the contents with `contents` — geometry, cell table and
@@ -140,9 +132,8 @@ pub trait CellBackend: std::fmt::Debug + Send {
     /// a backend that cannot complete it panics.
     fn reset(&mut self, contents: CellStore);
 
-    /// The cell at `addr`: `Ok(None)` if it was never written, `Err` if
-    /// the backend could not produce it.
-    fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError>;
+    /// The cell at `addr`, or `Err` if the backend could not produce it.
+    fn get(&mut self, addr: usize) -> Result<&[u8], ServerError>;
 
     /// Stores every `(addr, cell)` of `items`, in order, or none of them.
     /// An iterator rather than a slice so that a backend which needs no
@@ -231,10 +222,10 @@ impl<B: CellBackend> Accounted<B> {
     }
 
     /// Hands the cells at `addrs` to `visit`, in order, until one is out
-    /// of bounds, was never written, or the backend faults. Returns the
-    /// number of cells visited, the bytes they hold, and how the walk
-    /// ended: the caller charges the visited cells *before* it propagates
-    /// the error, which is the partial-charge rule of a mid-batch failure.
+    /// of bounds or the backend faults. Returns the number of cells
+    /// visited, the bytes they hold, and how the walk ended: the caller
+    /// charges the visited cells *before* it propagates the error, which is
+    /// the partial-charge rule of a mid-batch failure.
     ///
     /// The counts are locals, not `self.stats`, so that the loop carries
     /// them in registers. Never inlined: the loop (with the backend's `get`
@@ -251,8 +242,7 @@ impl<B: CellBackend> Accounted<B> {
         let (mut cells, mut bytes) = (0, 0);
         for (i, &addr) in addrs.iter().enumerate() {
             let cell = match self.check(addr).and_then(|()| self.cells.get(addr)) {
-                Ok(Some(cell)) => cell,
-                Ok(None) => return (cells, bytes, Err(ServerError::Uninitialized { addr })),
+                Ok(cell) => cell,
                 Err(e) => return (cells, bytes, Err(e)),
             };
             cells += 1;
@@ -408,16 +398,6 @@ mod tests {
         let mut s = server_with(4);
         assert_eq!(s.read(4), Err(ServerError::OutOfBounds { addr: 4, capacity: 4 }));
         assert_eq!(s.write(9, vec![]), Err(ServerError::OutOfBounds { addr: 9, capacity: 4 }));
-    }
-
-    /// Set-up writes every cell; a hole can only come from a snapshot made
-    /// before the stride was fixed at set-up.
-    #[test]
-    fn uninitialized_cell_is_reported() {
-        let mut s = Accounted::over(CellStore::with_holes(4, 1));
-        assert_eq!(s.read(2), Err(ServerError::Uninitialized { addr: 2 }));
-        s.write(2, vec![1]).unwrap();
-        assert_eq!(s.read(2).unwrap(), vec![1]);
     }
 
     #[test]

@@ -68,7 +68,8 @@ pub trait Storage: std::fmt::Debug + Send {
     /// Number of cell slots.
     fn capacity(&self) -> usize;
 
-    /// Total bytes of initialized cell content.
+    /// Total bytes of cell content (each cell's true length; the slack up
+    /// to the stride is not counted).
     fn stored_bytes(&self) -> u64;
 
     /// The cell stride set-up fixed: its longest cell (0 before any init).

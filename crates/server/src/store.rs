@@ -2,7 +2,8 @@
 //!
 //! [`CellStore`] keeps every cell in a single contiguous `Vec<u8>` arena
 //! sliced at a fixed *stride* (the longest cell of set-up), next to a
-//! `CellIndex`: the per-cell length table and initialized-bitmap. Reads
+//! `CellIndex`: the per-cell length table. Every cell holds a value — set-up
+//! writes them all, and no write takes one away (NOTES.md, entry 14). Reads
 //! hand out `&[u8]` slices straight into the arena — no allocation, no copy
 //! — which is what makes the server's zero-copy API
 //! ([`Storage::read_batch_with`](crate::Storage::read_batch_with)) possible.
@@ -16,45 +17,34 @@
 //!
 //! The index is its own type because the durable backend
 //! ([`crate::disk`]) keeps the same table resident over payloads that live
-//! in a file: both backends answer "was this cell ever written, and how
-//! long is it" from the one implementation.
+//! in a file: both backends answer "how long is this cell" from the one
+//! implementation.
 
 use crate::server::{CellBackend, ServerError};
 
 /// The always-resident per-cell table of a backend: slot width, true
-/// length of every cell, which cells were ever written, and the running
-/// total of stored bytes.
+/// length of every cell, and the running total of stored bytes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CellIndex {
     /// Slot width in bytes.
     stride: usize,
     /// Actual byte length of each cell (≤ `stride`).
     lens: Vec<u32>,
-    /// Initialized-bitmap, one bit per cell.
-    init: Vec<u64>,
-    /// Sum of the lengths of the initialized cells.
+    /// Sum of `lens`.
     stored: u64,
 }
 
 impl CellIndex {
-    /// `lens.len()` cells, every one written, at the longest one's width.
+    /// `lens.len()` cells at the longest one's width.
     pub fn all_written(lens: Vec<u32>) -> Self {
         let stride = lens.iter().copied().max().unwrap_or(0) as usize;
-        let mut init = vec![u64::MAX; lens.len().div_ceil(64)];
-        if let (Some(last), tail @ 1..) = (init.last_mut(), lens.len() % 64) {
-            *last = (1 << tail) - 1;
-        }
-        Self::from_parts(stride, lens, init)
+        Self::from_parts(stride, lens)
     }
 
-    /// Adopts a decoded table (`init` holds one bit per entry of `lens`).
-    pub fn from_parts(stride: usize, lens: Vec<u32>, init: Vec<u64>) -> Self {
-        let mut index = Self { stride, lens, init, stored: 0 };
-        index.stored = (0..index.capacity())
-            .filter_map(|addr| index.len_of(addr))
-            .map(|len| len as u64)
-            .sum();
-        index
+    /// Adopts a decoded table.
+    pub fn from_parts(stride: usize, lens: Vec<u32>) -> Self {
+        let stored = lens.iter().map(|&len| len as u64).sum();
+        Self { stride, lens, stored }
     }
 
     #[inline]
@@ -67,24 +57,23 @@ impl CellIndex {
         self.stride
     }
 
-    /// Total bytes of initialized cell content (slack between a cell's
-    /// length and the stride is not counted).
+    /// Total bytes of cell content (slack between a cell's length and the
+    /// stride is not counted).
     #[inline]
     pub fn stored_bytes(&self) -> u64 {
         self.stored
     }
 
-    /// The length of the cell at `addr`, or `None` if it was never
-    /// written.
+    /// The length of the cell at `addr`.
     ///
     /// # Panics
     /// Panics if `addr` is out of range.
     #[inline]
-    pub fn len_of(&self, addr: usize) -> Option<usize> {
-        (self.init[addr >> 6] & (1 << (addr & 63)) != 0).then(|| self.lens[addr] as usize)
+    pub fn len_of(&self, addr: usize) -> usize {
+        self.lens[addr] as usize
     }
 
-    /// Marks the cell at `addr` written with `len` bytes.
+    /// Records that the cell at `addr` now holds `len` bytes.
     ///
     /// # Panics
     /// Panics if `len` exceeds the stride: the model refuses such a cell
@@ -93,23 +82,17 @@ impl CellIndex {
     #[inline]
     pub fn record(&mut self, addr: usize, len: usize) {
         assert!(len <= self.stride, "cell longer than its slot");
-        self.stored = self.stored - self.len_of(addr).unwrap_or(0) as u64 + len as u64;
+        self.stored = self.stored - self.len_of(addr) as u64 + len as u64;
         self.lens[addr] = len as u32;
-        self.init[addr >> 6] |= 1 << (addr & 63);
     }
 
     /// The length table, for snapshots.
     pub fn lens(&self) -> &[u32] {
         &self.lens
     }
-
-    /// The initialized-bitmap words, for snapshots.
-    pub fn init_words(&self) -> &[u64] {
-        &self.init
-    }
 }
 
-/// Contiguous fixed-stride storage for optional variable-length cells.
+/// Contiguous fixed-stride storage for variable-length cells.
 #[derive(Debug, Clone, Default)]
 pub struct CellStore {
     /// The arena: `capacity * stride` bytes, cell `i` at `i * stride`.
@@ -123,17 +106,17 @@ impl CellStore {
         Self::default()
     }
 
-    /// Builds a store holding `cells`, all initialized. The stride is the
-    /// longest cell's length.
+    /// Builds a store holding `cells`. The stride is the longest cell's
+    /// length.
     pub fn from_cells(cells: &[Vec<u8>]) -> Self {
         Self::collect(cells.len(), |sink| cells.iter().for_each(|cell| sink(cell)))
     }
 
-    /// Builds a store of `capacity` cells, all initialized, from a producer
-    /// that hands each cell to the sink in address order — the one "cells →
-    /// strided image" builder behind both backends'
-    /// [`Storage::init_with`](crate::Storage::init_with). Each cell is copied once,
-    /// to where it stays: the cells are appended back to back into an arena
+    /// Builds a store of `capacity` cells from a producer that hands each
+    /// cell to the sink in address order — the one "cells → strided image"
+    /// builder behind both backends'
+    /// [`Storage::init_with`](crate::Storage::init_with). Each cell is
+    /// copied once, to where it stays: the cells are appended back to back into an arena
     /// reserved from `capacity` × the first cell's length, and while every
     /// cell has that length — every scheme's do — the appended bytes *are*
     /// the image. Only a ragged list pays a second pass that re-lays the
@@ -189,22 +172,18 @@ impl CellStore {
         self.index.stride()
     }
 
-    /// Whether the cell at `addr` has ever been written.
+    /// The cell at `addr`. The returned slice borrows the arena directly:
+    /// zero-copy.
+    ///
+    /// # Panics
+    /// Panics if `addr` is out of range.
     #[inline]
-    pub fn is_initialized(&self, addr: usize) -> bool {
-        self.index.len_of(addr).is_some()
-    }
-
-    /// The cell at `addr`, or `None` if it was never written. The returned
-    /// slice borrows the arena directly: zero-copy.
-    #[inline]
-    pub fn get(&self, addr: usize) -> Option<&[u8]> {
-        let len = self.index.len_of(addr)?;
+    pub fn get(&self, addr: usize) -> &[u8] {
         let start = addr * self.index.stride();
-        Some(&self.data[start..start + len])
+        &self.data[start..start + self.index.len_of(addr)]
     }
 
-    /// Stores `bytes` at `addr`, marking the cell initialized.
+    /// Stores `bytes` at `addr`.
     ///
     /// # Panics
     /// Panics if `addr` is out of range, or if `bytes` is longer than the
@@ -217,9 +196,9 @@ impl CellStore {
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Total bytes of initialized cell content (the server-storage
-    /// measure; slack between a cell's length and the stride is not
-    /// counted, matching the per-cell model).
+    /// Total bytes of cell content (the server-storage measure; slack
+    /// between a cell's length and the stride is not counted, matching the
+    /// per-cell model).
     pub fn stored_bytes(&self) -> u64 {
         self.index.stored_bytes()
     }
@@ -245,7 +224,7 @@ impl CellBackend for CellStore {
     }
 
     #[inline]
-    fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError> {
+    fn get(&mut self, addr: usize) -> Result<&[u8], ServerError> {
         Ok(CellStore::get(self, addr))
     }
 
@@ -293,17 +272,6 @@ fn xor_slices(acc: &mut [u8], src: &[u8]) {
 }
 
 #[cfg(test)]
-impl CellStore {
-    /// `capacity` never-written cells at `stride`: what a snapshot written
-    /// before the stride was fixed at set-up may still hold.
-    pub(crate) fn with_holes(capacity: usize, stride: usize) -> Self {
-        let index =
-            CellIndex::from_parts(stride, vec![0; capacity], vec![0; capacity.div_ceil(64)]);
-        Self { data: vec![0u8; capacity * stride], index }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -314,7 +282,7 @@ mod tests {
         assert_eq!(store.capacity(), 3);
         assert_eq!(store.stride(), 3);
         for (i, cell) in cells.iter().enumerate() {
-            assert_eq!(store.get(i).unwrap(), cell.as_slice());
+            assert_eq!(store.get(i), cell.as_slice());
         }
     }
 
@@ -332,7 +300,7 @@ mod tests {
                 .map(|(i, &len)| vec![i as u8 + 1; len])
                 .collect();
             let built = CellStore::from_cells(&cells);
-            let mut written = CellStore::with_holes(cells.len(), built.stride());
+            let mut written = CellStore::from_cells(&vec![vec![0; built.stride()]; cells.len()]);
             cells
                 .iter()
                 .enumerate()
@@ -341,7 +309,6 @@ mod tests {
             assert_eq!(built.stored_bytes(), written.stored_bytes(), "{lens:?}");
             assert_eq!(built.data, written.data, "{lens:?}");
             assert_eq!(built.index.lens(), written.index.lens(), "{lens:?}");
-            assert_eq!(built.index.init_words(), written.index.init_words(), "{lens:?}");
         }
     }
 
@@ -349,23 +316,6 @@ mod tests {
     #[should_panic(expected = "different number of cells")]
     fn collect_holds_the_producer_to_its_count() {
         CellStore::collect(3, |sink| sink(&[1, 2]));
-    }
-
-    #[test]
-    fn uninitialized_cells_are_none() {
-        let mut store = CellStore::with_holes(70, 2);
-        assert!(store.get(69).is_none());
-        store.set(69, &[7, 8]);
-        assert_eq!(store.get(69).unwrap(), &[7, 8]);
-        assert!(store.get(68).is_none());
-    }
-
-    #[test]
-    fn empty_cell_is_initialized_but_empty() {
-        let mut store = CellStore::with_holes(2, 0);
-        store.set(0, &[]);
-        assert_eq!(store.get(0).unwrap(), &[] as &[u8]);
-        assert!(store.get(1).is_none());
     }
 
     /// Called around the model, the store still never lays a cell over its
@@ -380,7 +330,7 @@ mod tests {
     fn shorter_write_shrinks_reported_length() {
         let mut store = CellStore::from_cells(&[vec![5u8; 8]]);
         store.set(0, &[1u8]);
-        assert_eq!(store.get(0).unwrap(), &[1u8]);
+        assert_eq!(store.get(0), &[1u8]);
         assert_eq!(store.stored_bytes(), 1);
     }
 

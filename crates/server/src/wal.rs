@@ -31,12 +31,16 @@
 //!
 //! ```text
 //! magic "DPSM" | version u32 | stamp u64 | active u8 | capacity u64 |
-//! stride u64 | len u32 ×capacity | init u64 ×⌈capacity/64⌉ | crc u32
+//! stride u64 | len u32 ×capacity | crc u32
 //! ```
 //!
 //! A snapshot is valid only if the magic, version, structural lengths, and
-//! trailing CRC all check out; recovery picks the valid snapshot with the
-//! highest stamp out of the two alternating slots.
+//! trailing CRC all check out, and its arena (`capacity × stride` bytes)
+//! has a size `usize` can hold; recovery picks the valid snapshot with the
+//! highest stamp out of the two alternating slots. Every cell holds a value,
+//! so the table has a length per cell and nothing else: format 1 also
+//! carried a bitmap of the cells ever written, and a format-1 directory is
+//! refused, not migrated (NOTES.md, entry 14).
 
 use std::fmt;
 
@@ -45,7 +49,7 @@ pub(crate) const WAL_MAGIC: [u8; 4] = *b"DPSW";
 /// Magic prefix of a metadata snapshot file.
 pub(crate) const META_MAGIC: [u8; 4] = *b"DPSM";
 /// On-disk format version (shared by the WAL and metadata snapshots).
-pub(crate) const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 /// Size in bytes of the WAL file header.
 pub(crate) const WAL_HEADER_LEN: usize = 20;
 /// Size in bytes of a WAL record header (`len u32 | crc u32`).
@@ -429,16 +433,13 @@ pub(crate) struct Meta {
     pub stride: usize,
     /// Per-cell stored lengths.
     pub lens: Vec<u32>,
-    /// Initialization bitmap, one bit per cell.
-    pub init: Vec<u64>,
 }
 
 const META_FIXED_LEN: usize = 4 + 4 + 8 + 1 + 8 + 8;
 
 /// Encode a metadata snapshot, including its trailing CRC.
 pub(crate) fn encode_meta(meta: &Meta) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(META_FIXED_LEN + meta.lens.len() * 4 + meta.init.len() * 8 + 4);
+    let mut out = Vec::with_capacity(META_FIXED_LEN + meta.lens.len() * 4 + 4);
     out.extend_from_slice(&META_MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&meta.stamp.to_le_bytes());
@@ -448,12 +449,17 @@ pub(crate) fn encode_meta(meta: &Meta) -> Vec<u8> {
     for len in &meta.lens {
         out.extend_from_slice(&len.to_le_bytes());
     }
-    for word in &meta.init {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
     let crc = crc32(&[&out]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// The format version a file declares, if it starts with the snapshot
+/// magic: how recovery tells a snapshot of another format from a damaged
+/// one.
+pub(crate) fn meta_version(bytes: &[u8]) -> Option<u32> {
+    let head = bytes.get(..8)?;
+    (head[..4] == META_MAGIC).then(|| u32::from_le_bytes(head[4..8].try_into().unwrap()))
 }
 
 /// Decode and validate a metadata snapshot. Returns `None` for anything
@@ -479,8 +485,9 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Option<Meta> {
     }
     let capacity = capacity as usize;
     let stride = usize::try_from(stride).ok()?;
-    let words = capacity.div_ceil(64);
-    let expect = META_FIXED_LEN + capacity * 4 + words * 8 + 4;
+    // An arena no address arithmetic can span is structural corruption.
+    capacity.checked_mul(stride)?;
+    let expect = META_FIXED_LEN + capacity * 4 + 4;
     if bytes.len() != expect {
         return None;
     }
@@ -498,12 +505,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Option<Meta> {
         lens.push(len);
         pos += 4;
     }
-    let mut init = Vec::with_capacity(words);
-    for _ in 0..words {
-        init.push(u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()));
-        pos += 8;
-    }
-    Some(Meta { stamp, active, capacity, stride, lens, init })
+    Some(Meta { stamp, active, capacity, stride, lens })
 }
 
 #[cfg(test)]
@@ -712,7 +714,6 @@ mod tests {
             capacity: 70,
             stride: 16,
             lens: (0..70).map(|i| (i % 17) as u32).collect(),
-            init: vec![!0u64, 0x3F],
         };
         let bytes = encode_meta(&meta);
         assert_eq!(decode_meta(&bytes), Some(meta.clone()));
@@ -723,10 +724,14 @@ mod tests {
         assert_eq!(decode_meta(&bytes[..bytes.len() - 1]), None);
         assert_eq!(decode_meta(&[]), None);
 
-        // A stored length exceeding the stride is structural corruption.
-        let mut wide = meta;
+        // A stored length exceeding the stride is structural corruption,
+        // and so is an arena whose size overflows.
+        let mut wide = meta.clone();
         wide.lens[0] = 17;
-        let bytes = encode_meta(&wide);
-        assert_eq!(decode_meta(&bytes), None);
+        assert_eq!(decode_meta(&encode_meta(&wide)), None);
+        let vast = Meta { capacity: 2, stride: 1 << 63, lens: vec![0; 2], ..meta };
+        assert_eq!(decode_meta(&encode_meta(&vast)), None);
+        assert_eq!(meta_version(&encode_meta(&vast)), Some(FORMAT_VERSION));
+        assert_eq!(meta_version(&bytes[..7]), None);
     }
 }

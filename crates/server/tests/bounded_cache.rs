@@ -23,8 +23,7 @@
 //! [`CostStats::sans_cache`]: dps_server::CostStats::sans_cache
 
 use dps_server::{
-    CrashSim, DiskOptions, DiskStore, RealVfs, ServerError, SimOp, SimServer, Storage, SyncPolicy,
-    Vfs,
+    CrashSim, DiskOptions, DiskStore, RealVfs, ServerError, SimOp, SimServer, Storage, Vfs,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,12 +55,7 @@ impl Drop for TempDir {
 }
 
 fn tiny_cache_opts(wal_group_commit: usize) -> DiskOptions {
-    DiskOptions {
-        sync: SyncPolicy::Never, // crash_recovery owns fsync; this suite owns the cache
-        cache_bytes: TINY_CACHE,
-        wal_group_commit,
-        ..DiskOptions::default()
-    }
+    DiskOptions { cache_bytes: TINY_CACHE, wal_group_commit, ..DiskOptions::default() }
 }
 
 fn cell(byte: u8, len: usize) -> Vec<u8> {
@@ -176,7 +170,7 @@ fn run_case_on<V: Vfs>(vfs: V, ragged: bool, window: usize, ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Randomized programs over a fully initialized store, per-batch
+    /// Randomized programs over a store set up with every cell, per-batch
     /// commit: nearly every read is a miss, and a write is written back
     /// once a few are dirty.
     #[test]
@@ -288,12 +282,8 @@ fn reads_match_the_oracle_while_dirty_cells_wait_for_write_back() {
     const LEN: usize = 64;
     const CELLS: usize = 16 * CACHE / LEN; // 1024 cells, 64 of them cacheable
     let sim = CrashSim::new(1);
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 1 << 20,
-        cache_bytes: CACHE,
-        wal_group_commit: 1,
-    };
+    let opts =
+        DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes: CACHE, wal_group_commit: 1 };
     let arena_writes = |sim: &CrashSim| {
         let log = sim.event_log();
         let writes = log

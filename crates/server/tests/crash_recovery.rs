@@ -21,7 +21,7 @@
 
 use dps_server::{
     CrashSim, DiskError, DiskFile, DiskOptions, DiskStore, RealVfs, ServerError, SimEvent, SimOp,
-    SimServer, Storage, SyncPolicy, Tear, Vfs,
+    SimServer, Storage, Tear, Vfs,
 };
 
 fn base_seed() -> u64 {
@@ -177,17 +177,16 @@ fn apply_oracle(oracle: &mut SimServer, batch: &Batch) {
     }
 }
 
-/// The logical contents of a store: capacity plus per-cell values (`None`
-/// for never-written cells).
-type State = (usize, Vec<Option<Vec<u8>>>);
+/// The logical contents of a store: capacity plus per-cell values.
+type State = (usize, Vec<Vec<u8>>);
 
 fn state_of(store: &mut impl Storage) -> State {
     let capacity = store.capacity();
     let cells = (0..capacity)
-        .map(|addr| match store.read(addr) {
-            Ok(cell) => Some(cell),
-            Err(ServerError::Uninitialized { .. }) => None,
-            Err(e) => panic!("state probe failed: {e}"),
+        .map(|addr| {
+            store
+                .read(addr)
+                .unwrap_or_else(|e| panic!("state probe failed: {e}"))
         })
         .collect();
     (capacity, cells)
@@ -211,7 +210,7 @@ fn opts_for(seed: u64) -> DiskOptions {
         _ => 64,
     };
     let wal_group_commit = if seed.is_multiple_of(2) { 1 } else { 4 };
-    DiskOptions { sync: SyncPolicy::Always, wal_checkpoint_bytes, cache_bytes, wal_group_commit }
+    DiskOptions { wal_checkpoint_bytes, cache_bytes, wal_group_commit }
 }
 
 /// Runs the program with no crash plan, recording the oracle state at
@@ -475,11 +474,7 @@ fn acknowledged_write_survives_every_later_crash() {
 fn recovery_replay_survives_its_own_crashes() {
     let seed = base_seed() ^ 0x2EC0;
     let sim = CrashSim::new(seed);
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 1 << 20,
-        ..DiskOptions::default()
-    };
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, ..DiskOptions::default() };
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..6).map(|i| vec![i as u8; 6]).collect());
     store
@@ -495,9 +490,9 @@ fn recovery_replay_survives_its_own_crashes() {
     let expected = {
         let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
         let state = state_of(&mut store);
-        assert_eq!(state.1[0].as_deref(), Some(&[9u8; 6][..]));
-        assert_eq!(state.1[5].as_deref(), Some(&[8u8; 3][..]));
-        assert_eq!(state.1[2].as_deref(), Some(&[][..]));
+        assert_eq!(state.1[0], [9u8; 6]);
+        assert_eq!(state.1[5], [8u8; 3]);
+        assert_eq!(state.1[2], [0u8; 0]);
         state
     };
     let replay_events = sim.events() - base_events;
@@ -534,11 +529,7 @@ fn recovery_replay_survives_its_own_crashes() {
 #[test]
 fn bit_flipped_wal_record_is_typed_corruption() {
     let seed = base_seed() ^ 0xB17F;
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 1 << 20,
-        ..DiskOptions::default()
-    };
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, ..DiskOptions::default() };
 
     // Two complete records in the WAL; flip one payload bit of the first.
     let sim = CrashSim::new(seed);
@@ -574,11 +565,7 @@ fn bit_flipped_wal_record_is_typed_corruption() {
 fn bit_flipped_wal_record_is_typed_corruption_on_real_files() {
     let dir = std::env::temp_dir().join(format!("dps_crash_corrupt_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 1 << 20,
-        ..DiskOptions::default()
-    };
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, ..DiskOptions::default() };
     let wal_before;
     {
         let mut store = DiskStore::open_with(&dir, opts).unwrap();
@@ -595,8 +582,7 @@ fn bit_flipped_wal_record_is_typed_corruption_on_real_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Zero-length cells are first-class: logged, checkpointed, recovered,
-/// and distinct from never-written cells.
+/// Zero-length cells are first-class: logged, checkpointed, recovered.
 #[test]
 fn zero_length_cells_survive_restart() {
     let seed = base_seed() ^ 0x0CE1;
@@ -614,8 +600,8 @@ fn zero_length_cells_survive_restart() {
     let state = state_of(&mut store);
     assert_eq!(
         state,
-        (3, vec![Some(Vec::new()), Some(Vec::new()), Some(Vec::new())]),
-        "zero-length cells must stay initialized-but-empty through WAL replay"
+        (3, vec![Vec::new(); 3]),
+        "zero-length cells must stay empty values through WAL replay"
     );
     assert_eq!(store.stored_bytes(), 0);
 }
@@ -649,7 +635,7 @@ fn crashed_store_poisons_until_reopen() {
     drop(store);
     sim.recover();
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
-    assert_eq!(state_of(&mut store), (4, (0..4).map(|i| Some(vec![i as u8; 4])).collect()));
+    assert_eq!(state_of(&mut store), (4, (0..4).map(|i| vec![i as u8; 4]).collect()));
 }
 
 // ---------------------------------------------------------------------------
@@ -677,12 +663,8 @@ const SECTOR: usize = dps_server::crashsim::SECTOR as usize;
 #[test]
 fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
     let cell = |byte: u8| vec![byte; 300];
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 8192,
-        cache_bytes: 1 << 20,
-        wal_group_commit: 2,
-    };
+    let opts =
+        DiskOptions { wal_checkpoint_bytes: 8192, cache_bytes: 1 << 20, wal_group_commit: 2 };
     let mut tails_without_heads = 0;
     for seed in seeds(100, 48) {
         let sim = CrashSim::new(seed);
@@ -730,7 +712,6 @@ fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
             .1
             .into_iter()
             .map(|c| {
-                let c = c.expect("initialized");
                 assert!(c.len() == 300 && c.iter().all(|&b| b == c[0]), "{context}: torn cell");
                 c[0]
             })
@@ -751,12 +732,8 @@ fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
 fn stale_generations_behind_the_header_are_ignored() {
     let seed = base_seed() ^ 0x57A1;
     let sim = CrashSim::new(seed);
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 4096,
-        cache_bytes: 1 << 20,
-        wal_group_commit: 1,
-    };
+    let opts =
+        DiskOptions { wal_checkpoint_bytes: 4096, cache_bytes: 1 << 20, wal_group_commit: 1 };
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..6).map(|i| vec![i as u8; 16]).collect());
     for addr in 0..4 {
@@ -787,20 +764,15 @@ fn stale_generations_behind_the_header_are_ignored() {
     assert_eq!(store.read(5).unwrap(), vec![0x55; 16]);
 }
 
-/// A store whose log is shorter than the budget (as every log of the
-/// truncate-and-append era is) grows it at its next checkpoint. A crash at
-/// every event of that checkpoint — each zero-filling chunk, their sync,
-/// the header rewrite, its sync — in both tear modes recovers, to the same
-/// cells, without a `Corrupt`.
+/// A store whose log is shorter than the budget (here: the budget was
+/// raised) grows it at its next checkpoint. A crash at every event of that
+/// checkpoint — each zero-filling chunk, their sync, the header rewrite,
+/// its sync — in both tear modes recovers, to the same cells, without a
+/// `Corrupt`.
 #[test]
 fn crash_anywhere_in_preallocation_or_header_rewrite_recovers() {
     let seed = base_seed() ^ 0x9A11;
-    let small = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 64,
-        cache_bytes: 1 << 20,
-        wal_group_commit: 1,
-    };
+    let small = DiskOptions { wal_checkpoint_bytes: 64, cache_bytes: 1 << 20, wal_group_commit: 1 };
     let big = DiskOptions { wal_checkpoint_bytes: 200_000, ..small };
     // A directory with a short log holding one record; reopening it under
     // the big budget replays the record and checkpoints, which is where
@@ -817,7 +789,7 @@ fn crash_anywhere_in_preallocation_or_header_rewrite_recovers() {
     let before = sim.events();
     let mut store = DiskStore::open_on(sim.clone(), big).unwrap();
     let expected = state_of(&mut store);
-    assert_eq!(expected.1[1].as_deref(), Some(&[0xEE; 8][..]));
+    assert_eq!(expected.1[1], [0xEE; 8]);
     let log = sim.event_log();
     let grown: Vec<&SimEvent> = log[before as usize..]
         .iter()
@@ -860,12 +832,7 @@ fn crash_anywhere_in_preallocation_or_header_rewrite_recovers() {
 #[test]
 fn a_record_larger_than_the_remaining_log_commits_and_recovers() {
     let seed = base_seed() ^ 0xB16;
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 256,
-        cache_bytes: 1 << 20,
-        wal_group_commit: 1,
-    };
+    let opts = DiskOptions { wal_checkpoint_bytes: 256, cache_bytes: 1 << 20, wal_group_commit: 1 };
     let batch = || {
         (0..3)
             .map(|i| (i, vec![0xC0 | i as u8; 100]))
@@ -914,12 +881,7 @@ fn checkpoint_events(
     addrs: &[usize],
 ) -> Vec<SimEvent> {
     let sim = CrashSim::new(base_seed());
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 1 << 20,
-        cache_bytes,
-        wal_group_commit: 1,
-    };
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes, wal_group_commit: 1 };
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..capacity).map(|i| vec![i as u8; cell_len]).collect());
     let mark = sim.events() as usize;
@@ -1018,12 +980,8 @@ fn write_back_waits_for_the_checkpoint_and_runs_in_address_order() {
 #[test]
 fn a_poisoned_store_never_writes_back() {
     let sim = CrashSim::new(base_seed() ^ 0x7015);
-    let opts = DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 1 << 16,
-        cache_bytes: 1 << 20,
-        wal_group_commit: 1,
-    };
+    let opts =
+        DiskOptions { wal_checkpoint_bytes: 1 << 16, cache_bytes: 1 << 20, wal_group_commit: 1 };
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..8).map(|i| vec![i as u8; 8]).collect());
     store.write(2, vec![0xD1; 8]).unwrap(); // acknowledged, waiting dirty

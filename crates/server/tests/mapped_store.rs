@@ -20,7 +20,7 @@
 //! mapping's own length rules are unit tests beside the `unsafe` they
 //! protect.
 
-use dps_server::{DiskOptions, DiskStore, SimServer, Storage, SyncPolicy};
+use dps_server::{DiskOptions, DiskStore, SimServer, Storage};
 
 const CAPACITY: usize = 160;
 const CELL_LEN: usize = 24;
@@ -65,16 +65,11 @@ fn cell(byte: u8, len: usize) -> Vec<u8> {
 }
 
 fn opts(window: usize) -> DiskOptions {
-    DiskOptions {
-        sync: SyncPolicy::Never, // crash_recovery owns fsync
-        cache_bytes: CACHE,
-        wal_group_commit: window,
-        ..DiskOptions::default()
-    }
+    DiskOptions { cache_bytes: CACHE, wal_group_commit: window, ..DiskOptions::default() }
 }
 
 /// Initial contents: full-width cells, with every 11th shorter and every
-/// 17th empty (a zero-length cell is initialized, and is neither a hit nor
+/// 17th empty (a zero-length cell is a value too, and is neither a hit nor
 /// a miss).
 fn initial() -> Vec<Vec<u8>> {
     (0..CAPACITY)

@@ -10,9 +10,7 @@
 //! read fails, on a file that does not lend (the simulated disk), with the
 //! store itself doing no I/O.
 
-use dps_server::{
-    CrashSim, DiskFile, DiskOptions, DiskStore, ServerError, Storage, SyncPolicy, Vfs,
-};
+use dps_server::{CrashSim, DiskFile, DiskOptions, DiskStore, ServerError, Storage, Vfs};
 
 const CELLS: usize = 16;
 const LEN: usize = 8;
@@ -22,12 +20,7 @@ fn cells() -> Vec<Vec<u8>> {
 }
 
 fn opts(cache_bytes: usize) -> DiskOptions {
-    DiskOptions {
-        sync: SyncPolicy::Always,
-        wal_checkpoint_bytes: 1 << 20,
-        cache_bytes,
-        wal_group_commit: 8,
-    }
+    DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes, wal_group_commit: 8 }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Observational equivalence of every [`Storage`] backend against the old
-//! per-cell `Vec<Option<Vec<u8>>>` model.
+//! per-cell `Vec<Vec<u8>>` model.
 //!
 //! Each program of batched reads, writes and XORs — including failing
 //! operations (an address out of range, a cell longer than the stride set-up
@@ -14,17 +14,17 @@
 
 use dps_server::{
     AccessEvent, Accounted, CellBackend, CellStore, CostStats, DiskOptions, DiskStore, ServerError,
-    SimServer, Storage, SyncPolicy, Transcript, Verified,
+    SimServer, Storage, Transcript, Verified,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The old storage model, reimplemented verbatim as the test oracle: cells
-/// as individually boxed optional vectors, with the original charging and
-/// recording order.
+/// as individually boxed vectors, with the original charging and recording
+/// order.
 #[derive(Default)]
 struct ReferenceServer {
-    cells: Vec<Option<Vec<u8>>>,
+    cells: Vec<Vec<u8>>,
     /// The longest cell of set-up: no upload may exceed it.
     stride: usize,
     stats: CostStats,
@@ -34,7 +34,7 @@ struct ReferenceServer {
 impl ReferenceServer {
     fn init(&mut self, cells: Vec<Vec<u8>>) {
         self.stride = cells.iter().map(Vec::len).max().unwrap_or(0);
-        self.cells = cells.into_iter().map(Some).collect();
+        self.cells = cells;
     }
 
     fn start_recording(&mut self) {
@@ -63,9 +63,7 @@ impl ReferenceServer {
         let mut out = Vec::with_capacity(addrs.len());
         for &addr in addrs {
             self.check(addr)?;
-            let cell = self.cells[addr]
-                .as_ref()
-                .ok_or(ServerError::Uninitialized { addr })?;
+            let cell = &self.cells[addr];
             self.stats.downloads += 1;
             self.stats.bytes_down += cell.len() as u64;
             out.push(cell.clone());
@@ -87,7 +85,7 @@ impl ReferenceServer {
         for (addr, cell) in writes {
             self.stats.uploads += 1;
             self.stats.bytes_up += cell.len() as u64;
-            self.cells[addr] = Some(cell);
+            self.cells[addr] = cell;
         }
         self.stats.round_trips += 1;
         self.record(events);
@@ -99,9 +97,7 @@ impl ReferenceServer {
         let mut result: Vec<u8> = Vec::new();
         for &addr in addrs {
             self.check(addr)?;
-            let cell = self.cells[addr]
-                .as_ref()
-                .ok_or(ServerError::Uninitialized { addr })?;
+            let cell = &self.cells[addr];
             self.stats.computed += 1;
             if result.len() < cell.len() {
                 result.resize(cell.len(), 0);
@@ -296,10 +292,7 @@ fn run_program<S: Storage>(arena: &mut S, ops: &[Op]) {
         "transcripts diverged"
     );
     // Final cell-by-cell state match.
-    assert_eq!(
-        arena.stored_bytes(),
-        reference.cells.iter().flatten().map(|c| c.len() as u64).sum()
-    );
+    assert_eq!(arena.stored_bytes(), reference.cells.iter().map(|c| c.len() as u64).sum());
     for addr in 0..CAPACITY {
         let got = arena.read_batch(&[addr]).map(|mut v| v.pop().unwrap());
         let expected = reference.read_batch(&[addr]).map(|mut v| v.pop().unwrap());
@@ -330,8 +323,8 @@ impl Drop for TempDir {
 }
 
 /// Runs the program against every real backend: the flat-arena server
-/// and the durable disk store (fsync off — the crash
-/// suite owns durability; this suite owns observational equivalence). The
+/// and the durable disk store (syncing, as it always does; the crash suite
+/// owns durability, this suite owns observational equivalence). The
 /// disk store runs twice: once with its default cache budget and once
 /// with a budget of a few cells, so lent misses, a dirty set outgrowing
 /// its budget under group commit and the write-back that empties it are
@@ -340,12 +333,11 @@ impl Drop for TempDir {
 fn run_all_backends(ops: &[Op]) {
     run_program(&mut SimServer::new(), ops);
     let tmp = TempDir::new();
-    let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
+    let opts = DiskOptions::default();
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create disk store");
     run_program(&mut disk, ops);
     let tmp = TempDir::new();
     let opts = DiskOptions {
-        sync: SyncPolicy::Never,
         cache_bytes: 3 * CELL_LEN, // DB ≫ cache: 3 dirty of 12 cells
         wal_group_commit: 3,
         ..DiskOptions::default()
@@ -367,8 +359,8 @@ fn run_all_backends(ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random programs over fully initialized servers. (Set-up writes
-    /// every cell; the `Uninitialized` path is the hole-snapshot unit test's.)
+    /// Random programs over servers set up with every cell. (Set-up writes
+    /// every cell and no write takes one away: there is no other kind.)
     #[test]
     fn backends_match_reference_initialized(ops in proptest::collection::vec(arb_op(), 0..40)) {
         run_all_backends(&ops);
@@ -389,7 +381,7 @@ fn disk_store_reopens_into_reference_state() {
         Op::WriteStrided(duplicated(&[(6, 1), (2, 7), (6, 3)])),
     ];
     let tmp = TempDir::new();
-    let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
+    let opts = DiskOptions::default();
     let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
     let mut reference = ReferenceServer::default();
     reference.init(cells.clone());
@@ -441,7 +433,7 @@ impl CellBackend for FlakyBackend {
     fn reset(&mut self, contents: CellStore) {
         CellBackend::reset(&mut self.cells, contents);
     }
-    fn get(&mut self, addr: usize) -> Result<Option<&[u8]>, ServerError> {
+    fn get(&mut self, addr: usize) -> Result<&[u8], ServerError> {
         self.tick()?;
         CellBackend::get(&mut self.cells, addr)
     }

@@ -17,8 +17,7 @@ use dp_storage::oram::path_oram::OramError;
 use dp_storage::oram::{LinearOram, PathOram, PathOramConfig, SquareRootOram};
 use dp_storage::pir::FullScanPir;
 use dp_storage::server::{
-    CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, SyncPolicy, Transcript,
-    Verified,
+    CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, Transcript, Verified,
 };
 use dp_storage::workloads::generators::database;
 
@@ -196,7 +195,7 @@ impl DurableDaemon {
     fn spawn(tag: &str) -> Self {
         let dir = std::env::temp_dir().join(format!("dps_attack_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = DiskOptions { sync: SyncPolicy::Never, ..DiskOptions::default() };
+        let opts = DiskOptions::default();
         let store = DiskStore::open_with(&dir, opts).expect("create disk store");
         Self { daemon: Some(NetDaemon::spawn(store).expect("spawn daemon")), dir }
     }
