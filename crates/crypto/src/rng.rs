@@ -9,6 +9,19 @@
 
 use crate::chacha;
 
+/// SplitMix64's output function at `x + γ` (γ = `0x9e37_79b9_7f4a_7c15`):
+/// a fast, well-mixed `u64 -> u64` permutation. The workspace's one seeded
+/// mixer: it expands [`ChaChaRng::seed_from_u64`]'s seed, and test and
+/// fault-injection harnesses use it as a stateless hash or, called on a
+/// state advanced by γ after each output, as the SplitMix64 generator.
+/// Not a cryptographic function.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// A deterministic cryptographically strong random number generator.
 #[derive(Clone)]
 pub struct ChaChaRng {
@@ -36,12 +49,8 @@ impl ChaChaRng {
         let mut key = [0u8; chacha::KEY_LEN];
         let mut state = seed;
         for chunk in key.chunks_exact_mut(8) {
+            chunk.copy_from_slice(&splitmix64(state).to_le_bytes());
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            chunk.copy_from_slice(&z.to_le_bytes());
         }
         Self::from_key(key)
     }
@@ -232,6 +241,13 @@ impl std::fmt::Debug for ChaChaRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix_is_stable() {
+        // Reference values from the canonical splitmix64.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
+    }
 
     #[test]
     fn deterministic_from_seed() {

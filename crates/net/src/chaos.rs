@@ -41,20 +41,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dps_crypto::rng::splitmix64;
 use dps_server::{CostStats, ServerError, Storage, Transcript};
 
-/// One step of the splitmix64 output function: a fast, well-mixed
-/// `u64 -> u64` permutation. Used both as a stateless hash (jitter) and,
-/// iterated, as the PRNG behind every chaos schedule.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A tiny seeded PRNG: repeated [`splitmix64`] over an incrementing
-/// state (i.e. splitmix64 proper).
+/// A tiny seeded PRNG: [`splitmix64`] over a state advanced by γ after
+/// each output (i.e. SplitMix64 proper).
 #[derive(Debug, Clone)]
 struct Rng(u64);
 
@@ -64,11 +55,9 @@ impl Rng {
     }
 
     fn next(&mut self) -> u64 {
+        let out = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        out
     }
 }
 
@@ -582,13 +571,6 @@ impl<S: Storage> Storage for FaultStorage<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_stable() {
-        // Reference values from the canonical splitmix64.
-        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
-    }
 
     #[test]
     fn weighted_pick_honors_zero_weights() {

@@ -97,9 +97,9 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use dps_crypto::rng::splitmix64;
 use dps_server::{CostStats, ServerError, Storage, Transcript};
 
-use crate::chaos::splitmix64;
 use crate::wire::{
     begin_init_chunk, end_init_chunk, frame_into, put_bytes, put_read_batch, put_write_cells,
     put_xor_cells, FrameAssembler, Request, Response, ResponseView, WireError, HEADER2_LEN,

@@ -4,10 +4,17 @@
 //! in-memory [`SimServer`](dps_server::SimServer) or the durable
 //! [`DiskStore`](dps_server::DiskStore) — and serves the full trait
 //! surface over the wire protocol of [`crate::wire`]. One event-loop
-//! thread multiplexes every connection through a readiness poller
-//! ([`crate::PollBackend`]: epoll on Linux, portable `poll(2)`
-//! elsewhere) — no thread per connection, so the
-//! accept rate and the connection count stop being thread-spawn bound.
+//! thread multiplexes every connection through one `poll(2)` per turn —
+//! no thread per connection, so the accept rate and the connection count
+//! stop being thread-spawn bound. Nothing is registered with the kernel:
+//! each turn the loop builds its `pollfd` array afresh from the
+//! connection slab — the listener first (until the drain begins), then
+//! every live connection with the interests its state implies: read
+//! unless paused or closing, write while answers are unsent. A
+//! connection's interests therefore live in one place, its state (NOTES.md,
+//! entry 15); building the array is one walk of the slab, as the deadline
+//! scan already is, and the two `Vec`s it fills keep their capacity, so a
+//! steady-state turn allocates nothing.
 //! Each connection is a small non-blocking state machine around two
 //! buffers — one in, one out, and nothing in between:
 //!
@@ -39,8 +46,8 @@
 //!
 //! A wake-up costs one `read` in the common case: a read that comes back
 //! shorter than the room it was offered has emptied the socket, and since
-//! both pollers are level-triggered the next bytes raise a new event — so
-//! the loop does not ask the kernel for a `WouldBlock`. A read that filled
+//! `poll(2)` is level-triggered the next bytes raise a new event — so the
+//! loop does not ask the kernel for a `WouldBlock`. A read that filled
 //! its room keeps reading (and makes the in-buffer offer more next time,
 //! up to 64 KiB a read).
 //!
@@ -119,7 +126,7 @@ use std::time::{Duration, Instant};
 
 use dps_server::Storage;
 
-use crate::sys::{timeout_ms_until, Event, PollBackend, Poller};
+use crate::sys::{self, timeout_ms_until, PollFd};
 use crate::wire::{
     begin_frame, end_frame, frame_into, put_bytes, put_cells_open, put_fold, Addrs, Cells,
     CellsBuf, FrameAssembler, RequestView, Response, WireError, MAX_FRAME, READ_CHUNK,
@@ -130,8 +137,8 @@ use crate::wire::{
 /// page-table entry and 8 bytes of slack.
 const CELL_OVERHEAD: u64 = 16;
 
-/// The poller token reserved for the listening socket; connection tokens
-/// are their slab index plus one.
+/// The token of the listening socket's entry in a turn's `pollfd` array;
+/// a connection's token is its slab index plus one.
 const LISTENER: usize = 0;
 
 /// Poll timeout: the upper bound on shutdown latency when the wake-up
@@ -257,29 +264,14 @@ impl NetDaemon {
         Self::bind_with(addr, server, DaemonLimits::default())
     }
 
-    /// Serves `server` on `addr`, enforcing `limits` per request, on the
-    /// default readiness backend.
+    /// Serves `server` on `addr`, enforcing `limits` per request.
     pub fn bind_with<S: Storage + 'static>(
         addr: impl ToSocketAddrs,
         server: S,
         limits: DaemonLimits,
     ) -> std::io::Result<Self> {
-        Self::bind_with_backend(addr, server, limits, PollBackend::Auto)
-    }
-
-    /// [`NetDaemon::bind_with`] on an explicit readiness backend — how
-    /// the test suites exercise the portable `poll(2)` fallback on Linux.
-    pub fn bind_with_backend<S: Storage + 'static>(
-        addr: impl ToSocketAddrs,
-        server: S,
-        limits: DaemonLimits,
-        backend: PollBackend,
-    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Open the poller on the caller's thread so a backend failure
-        // surfaces as an error here, not a silently dead daemon.
-        let poller = Poller::new(backend)?;
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(MetricsInner::default());
         let event_loop = {
@@ -287,7 +279,7 @@ impl NetDaemon {
             let metrics = Arc::clone(&metrics);
             std::thread::Builder::new()
                 .name("dps-net-loop".into())
-                .spawn(move || event_loop(poller, listener, server, limits, &stop, &metrics))?
+                .spawn(move || event_loop(listener, server, limits, &stop, &metrics))?
         };
         Ok(Self { local_addr, stop, metrics, event_loop: Some(event_loop) })
     }
@@ -366,9 +358,6 @@ struct Conn {
     closing: bool,
     /// Remove this connection after the current event.
     dead: bool,
-    /// Interest set currently registered with the poller.
-    want_read: bool,
-    want_write: bool,
     /// Last time the peer showed life: bytes read from it, or response
     /// bytes it accepted. Drives [`DaemonLimits::idle_timeout`].
     last_activity: Instant,
@@ -389,8 +378,6 @@ impl Conn {
             paused: false,
             closing: false,
             dead: false,
-            want_read: true,
-            want_write: false,
             last_activity: now,
             last_write_progress: now,
         }
@@ -399,6 +386,14 @@ impl Conn {
     /// Answer bytes not yet accepted by the socket.
     fn unsent(&self) -> usize {
         self.out.len() - self.out_pos
+    }
+
+    /// What this connection waits for, derived from its state alone: to
+    /// read unless paused or closing, to write while answers are unsent.
+    /// A live connection always waits for something — a paused one has
+    /// unsent bytes, and a closing one with none is already dead.
+    fn pollfd(&self) -> PollFd {
+        PollFd::new(self.stream.as_raw_fd(), !self.paused && !self.closing, self.unsent() > 0)
     }
 }
 
@@ -413,10 +408,9 @@ struct Scratch {
     fold: Vec<u8>,
 }
 
-/// The daemon thread: one poller, one server, many connection state
-/// machines.
+/// The daemon thread: one `poll(2)` per turn, one server, many connection
+/// state machines.
 fn event_loop<S: Storage>(
-    mut poller: Poller,
     listener: TcpListener,
     mut server: S,
     limits: DaemonLimits,
@@ -426,14 +420,10 @@ fn event_loop<S: Storage>(
     if listener.set_nonblocking(true).is_err() {
         return;
     }
-    if poller
-        .register(listener.as_raw_fd(), LISTENER, true, false)
-        .is_err()
-    {
-        return;
-    }
     let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
+    // This turn's `pollfd` array and, entry for entry, whose it is.
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut tokens: Vec<usize> = Vec::new();
     let mut scratch = Scratch::default();
     // Set once the stop flag is seen: the drain deadline after which
     // still-undrained connections are cut off and the loop returns.
@@ -447,44 +437,56 @@ fn event_loop<S: Storage>(
             }
             timeout_ms_until(next, now, POLL_TIMEOUT_MS)
         };
-        if poller.wait(&mut events, timeout).is_err() {
+        // The listener's entry comes first: accepts fill slots that have
+        // no entry further down, and a slot freed later in the turn stays
+        // empty until the next array is built, so an entry only ever
+        // serves the connection it was built from.
+        fds.clear();
+        tokens.clear();
+        if drain_until.is_none() {
+            fds.push(PollFd::new(listener.as_raw_fd(), true, false));
+            tokens.push(LISTENER);
+        }
+        for (idx, conn) in conns.iter().enumerate() {
+            if let Some(conn) = conn {
+                fds.push(conn.pollfd());
+                tokens.push(idx + 1);
+            }
+        }
+        if sys::wait(&mut fds, timeout).is_err() {
             return;
         }
         if drain_until.is_none() && stop.load(Ordering::SeqCst) {
             drain_until = Some(Instant::now() + DRAIN_TIMEOUT);
-            begin_drain(
-                &mut poller,
-                &listener,
-                &mut conns,
-                &mut server,
-                &mut scratch,
-                limits,
-                metrics,
-            );
+            begin_drain(&mut conns, &mut server, &mut scratch, limits, metrics);
         }
-        for ev in events.iter().copied() {
-            if ev.token == LISTENER {
+        for (pfd, &token) in fds.iter().zip(&tokens) {
+            let (readable, writable) = (pfd.readable(), pfd.writable());
+            if !readable && !writable {
+                continue;
+            }
+            if token == LISTENER {
                 if drain_until.is_none() {
-                    accept_ready(&listener, &mut poller, &mut conns, limits, metrics);
+                    accept_ready(&listener, &mut conns, limits, metrics);
                 }
                 continue;
             }
-            let idx = ev.token - 1;
-            // A token can go stale within one batch (closed by an
-            // earlier event); skip it.
+            let idx = token - 1;
+            // A drain that began this turn may have closed it already;
+            // skip its slot.
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else { continue };
-            if ev.writable && !conn.dead {
+            if writable && !conn.dead {
                 flush_conn(conn, &mut server, &mut scratch, limits, metrics);
             }
-            if ev.readable && !conn.dead {
+            if readable && !conn.dead {
                 fill_conn(conn, &mut server, &mut scratch, limits, metrics);
                 // Opportunistic flush: most responses leave in the same
-                // event that produced them, without a poller round trip.
+                // turn that produced them, without another `poll`.
                 flush_conn(conn, &mut server, &mut scratch, limits, metrics);
             }
-            settle_conn(&mut poller, &mut conns, idx);
+            settle_conn(&mut conns, idx);
         }
-        reap_deadlines(&mut poller, &mut conns, limits, metrics);
+        reap_deadlines(&mut conns, limits, metrics);
         if let Some(deadline) = drain_until {
             // Drained, or out of patience with peers that will not drain.
             if conns.iter().all(Option::is_none) || Instant::now() >= deadline {
@@ -522,12 +524,7 @@ fn next_deadline(conns: &[Option<Conn>], limits: DaemonLimits) -> Option<Instant
 /// passed. Reaping is an immediate close — a peer that earned a deadline
 /// has shown it will not make progress, so there is nothing to flush to
 /// it that would not stall again.
-fn reap_deadlines(
-    poller: &mut Poller,
-    conns: &mut [Option<Conn>],
-    limits: DaemonLimits,
-    metrics: &MetricsInner,
-) {
+fn reap_deadlines(conns: &mut [Option<Conn>], limits: DaemonLimits, metrics: &MetricsInner) {
     if limits.idle_timeout.is_none() && limits.write_stall_timeout.is_none() {
         return;
     }
@@ -555,24 +552,22 @@ fn reap_deadlines(
             continue;
         }
         conn.dead = true;
-        settle_conn(poller, conns, idx);
+        settle_conn(conns, idx);
     }
 }
 
-/// Turns the loop toward shutdown: stop accepting, answer every request
-/// already buffered (the backpressure cap is released frame by frame —
-/// drain work is bounded by bytes already received), then mark every
-/// connection flush-then-close.
+/// Turns the loop toward shutdown: answer every request already buffered
+/// (the backpressure cap is released frame by frame — drain work is
+/// bounded by bytes already received), then mark every connection
+/// flush-then-close. The loop stops accepting by leaving the listener out
+/// of its next array.
 fn begin_drain<S: Storage>(
-    poller: &mut Poller,
-    listener: &TcpListener,
     conns: &mut [Option<Conn>],
     server: &mut S,
     scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
 ) {
-    let _ = poller.deregister(listener.as_raw_fd(), LISTENER);
     for idx in 0..conns.len() {
         let Some(conn) = conns[idx].as_mut() else { continue };
         // Un-pause repeatedly: each pass decodes buffered frames until
@@ -590,7 +585,7 @@ fn begin_drain<S: Storage>(
                 flush_conn(conn, server, scratch, limits, metrics);
             }
         }
-        settle_conn(poller, conns, idx);
+        settle_conn(conns, idx);
     }
 }
 
@@ -599,7 +594,6 @@ fn begin_drain<S: Storage>(
 /// still drains, so the flood cannot park connections there either).
 fn accept_ready(
     listener: &TcpListener,
-    poller: &mut Poller,
     conns: &mut Vec<Option<Conn>>,
     limits: DaemonLimits,
     metrics: &MetricsInner,
@@ -626,12 +620,6 @@ fn accept_ready(
                         conns.len() - 1
                     }
                 };
-                if poller
-                    .register(stream.as_raw_fd(), idx + 1, true, false)
-                    .is_err()
-                {
-                    continue;
-                }
                 metrics.connections.fetch_add(1, Ordering::Relaxed);
                 conns[idx] = Some(Conn::new(stream, Instant::now()));
                 live += 1;
@@ -815,29 +803,10 @@ fn flush_conn<S: Storage>(
     }
 }
 
-/// Applies the connection's post-event fate: removal if dead, otherwise
-/// a poller interest update when it changed.
-fn settle_conn(poller: &mut Poller, conns: &mut [Option<Conn>], idx: usize) {
-    let token = idx + 1;
-    let Some(conn) = conns[idx].as_mut() else { return };
-    if !conn.dead {
-        let want_read = !conn.paused && !conn.closing;
-        let want_write = conn.unsent() > 0;
-        if (want_read, want_write) == (conn.want_read, conn.want_write) {
-            return;
-        }
-        if poller
-            .reregister(conn.stream.as_raw_fd(), token, want_read, want_write)
-            .is_ok()
-        {
-            conn.want_read = want_read;
-            conn.want_write = want_write;
-            return;
-        }
-        conn.dead = true;
-    }
-    if let Some(conn) = conns[idx].take() {
-        let _ = poller.deregister(conn.stream.as_raw_fd(), token);
+/// Removes the connection if it died (dropping it closes the socket).
+fn settle_conn(conns: &mut [Option<Conn>], idx: usize) {
+    if conns[idx].as_ref().is_some_and(|conn| conn.dead) {
+        conns[idx] = None;
     }
 }
 

@@ -15,8 +15,8 @@
 //!   wrapping any [`Storage`](dps_server::Storage) backend — the
 //!   in-memory [`SimServer`](dps_server::SimServer) or the
 //!   durable [`DiskStore`](dps_server::DiskStore): one event
-//!   loop multiplexing every connection (epoll on Linux, portable
-//!   `poll(2)` fallback — see [`PollBackend`]), with per-connection
+//!   loop multiplexing every connection with one `poll(2)` per turn over
+//!   an array built from the connections' states, with per-connection
 //!   partial-frame buffers, bounded response queues, and explicit
 //!   backpressure on slow readers.
 //! * [`client::RemoteServer`] — a client implementing `Storage`, so every
@@ -26,8 +26,8 @@
 //!   and with `request`/`try_call`/`try_read_batch_with` is where wire
 //!   failures come back typed instead of as the `Storage` surface's panic.
 //! * A private `sys` module — the crate's one audited `unsafe` boundary,
-//!   declaring the handful of libc readiness calls (`epoll_*`, `poll`)
-//!   directly instead of pulling in mio/tokio.
+//!   declaring the one libc readiness call (`poll`) directly instead of
+//!   pulling in mio/tokio, behind one safe `wait`.
 //! * [`chaos`] — a deterministic fault-injection harness: a seeded TCP
 //!   relay ([`chaos::ChaosProxy`]) cutting, delaying and splitting the
 //!   byte stream at reproducible offsets, and a [`chaos::FaultStorage`]
@@ -55,7 +55,6 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosMetrics, ChaosProxy, FaultStorage};
 pub use client::{ReconnectPolicy, RemoteError, RemoteServer, Ticket, Timeouts};
 pub use daemon::{DaemonLimits, DaemonMetrics, NetDaemon};
-pub use sys::PollBackend;
 pub use wire::{Request, Response, WireError};
 
 #[cfg(test)]

@@ -1,142 +1,110 @@
-//! Readiness notification for the event-loop daemon: epoll on Linux, a
-//! portable `poll(2)` fallback everywhere else (selectable at runtime for
-//! tests). This is the crate's one audited unsafe module, mirroring the
+//! Readiness for the event-loop daemon: one safe wrapper over `poll(2)`.
+//! This is the crate's one audited unsafe module, mirroring the
 //! vendored-dependency posture of `dps_crypto::chacha::sse2`: instead of
-//! pulling in mio/tokio, the handful of libc entry points the loop needs
-//! are declared directly against the C library std already links.
+//! pulling in mio/tokio, the one libc entry point the loop needs is
+//! declared directly against the C library std already links.
+//!
+//! Nothing is registered: the caller hands [`wait`] the whole array of
+//! what it waits for, every time (the daemon builds it each turn from its
+//! connections' states). `poll(2)` is level-triggered and has no other
+//! mode, so a socket with unread bytes is reported on every call until it
+//! is drained — the daemon's short-read rule rests on that (NOTES.md,
+//! entry 7).
 //!
 //! # Safety audit
 //!
-//! Three `unsafe` surfaces, each with a narrow contract:
+//! One `unsafe` block, the call in [`wait`], with a narrow contract:
 //!
-//! * **FFI declarations** — `epoll_create1`/`epoll_ctl`/`epoll_wait`,
-//!   `poll`, and `close`, with signatures transcribed from the Linux and
-//!   POSIX manpages. All pointer arguments are non-null, properly aligned,
-//!   and sized by the matching length argument at every call site below.
-//! * **`EpollEvent` layout** — `#[repr(C, packed)]` on x86-64 (the kernel
-//!   ABI packs it there), plain `#[repr(C)]` on every other architecture,
-//!   matching the kernel's `__EPOLL_PACKED` definition.
-//! * **File-descriptor lifetimes** — the [`Poller`] only stores the fds it
-//!   *owns* (the epoll instance itself); socket fds are borrowed per call
-//!   from `TcpStream`s/`TcpListener`s the daemon keeps alive for as long
-//!   as they are registered, and every deregistration happens before the
-//!   corresponding socket drops.
+//! * **The declaration** — `poll` is transcribed from POSIX, with `nfds`
+//!   declared as Linux's `nfds_t` (`unsigned long`); this workspace builds
+//!   and tests on Linux (x86-64, and aarch64 cross-checked in CI), where
+//!   that type is exact.
+//! * **The layout** — [`PollFd`] is `#[repr(C)]` `struct pollfd { int fd;
+//!   short events; short revents; }`, identical on every POSIX platform.
+//! * **The buffer** — pointer and length come from one `&mut [PollFd]`:
+//!   live, initialised, exclusively borrowed for the call, and the kernel
+//!   writes only the `revents` of those `len` entries.
+//! * **File-descriptor lifetimes** — the fds are borrowed, never owned or
+//!   closed here: the caller reads them from the `TcpListener` /
+//!   `TcpStream`s it keeps alive across the call. A stale number could at
+//!   worst report the wrong readiness (or `POLLNVAL`), not touch memory.
 
 #![allow(unsafe_code)]
 
-use std::collections::HashMap;
-use std::ffi::{c_int, c_short};
+use std::ffi::{c_int, c_short, c_ulong};
 use std::io;
 use std::os::fd::RawFd;
 
-/// One readiness event: `token` is whatever the caller registered the fd
-/// under. Errors and hang-ups are folded into `readable`/`writable` (a
-/// subsequent read/write observes the failure and closes the connection),
-/// which is the same collapse `poll(2)` consumers perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// The registration token.
-    pub token: usize,
-    /// The fd is readable (or in an error/hang-up state a read reveals).
-    pub readable: bool,
-    /// The fd is writable (or in an error state a write reveals).
-    pub writable: bool,
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
+
+/// Reported whatever was asked for; folded into both directions, since the
+/// next read or write observes the failure and closes the connection.
+const FAILED: c_short = POLLERR | POLLHUP | POLLNVAL;
+
+/// One entry of a [`wait`]: `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-/// Which readiness backend the daemon's poller uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollBackend {
-    /// epoll on Linux, `poll(2)` elsewhere — the production default.
-    #[default]
-    Auto,
-    /// Force the portable `poll(2)` backend (tests exercise the fallback
-    /// on Linux through this).
-    Poll,
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
 }
 
-/// A readiness poller: register fds under tokens, wait for events.
-/// Level-triggered in both backends, so a fd stays ready until drained —
-/// which the daemon's read loop depends on (see the flags in `Epoll::ctl`).
-#[derive(Debug)]
-pub struct Poller {
-    imp: Imp,
-}
-
-#[derive(Debug)]
-enum Imp {
-    #[cfg(target_os = "linux")]
-    Epoll(Epoll),
-    Poll(PollSet),
-}
-
-impl Poller {
-    /// Opens a poller on the requested backend.
-    pub fn new(backend: PollBackend) -> io::Result<Self> {
-        match backend {
-            #[cfg(target_os = "linux")]
-            PollBackend::Auto => Ok(Self { imp: Imp::Epoll(Epoll::new()?) }),
-            #[cfg(not(target_os = "linux"))]
-            PollBackend::Auto => Ok(Self { imp: Imp::Poll(PollSet::default()) }),
-            PollBackend::Poll => Ok(Self { imp: Imp::Poll(PollSet::default()) }),
+impl PollFd {
+    /// Waits on `fd` for the given interests.
+    pub fn new(fd: RawFd, read: bool, write: bool) -> Self {
+        let mut events = 0;
+        if read {
+            events |= POLLIN;
         }
+        if write {
+            events |= POLLOUT;
+        }
+        Self { fd, events, revents: 0 }
     }
 
-    /// Starts watching `fd` under `token` for the given interests.
-    pub fn register(&mut self, fd: RawFd, token: usize, read: bool, write: bool) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.ctl(EPOLL_CTL_ADD, fd, token, read, write),
-            Imp::Poll(p) => {
-                p.entries.insert(token, PollEntry { fd, read, write });
-                Ok(())
-            }
-        }
+    /// After a [`wait`]: readable, or in an error / hang-up state a read
+    /// reveals.
+    pub fn readable(&self) -> bool {
+        self.revents & (POLLIN | FAILED) != 0
     }
 
-    /// Changes the interest set of an already registered fd.
-    pub fn reregister(
-        &mut self,
-        fd: RawFd,
-        token: usize,
-        read: bool,
-        write: bool,
-    ) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.ctl(EPOLL_CTL_MOD, fd, token, read, write),
-            Imp::Poll(p) => {
-                p.entries.insert(token, PollEntry { fd, read, write });
-                Ok(())
-            }
-        }
-    }
-
-    /// Stops watching `fd`. Must be called before the fd is closed.
-    pub fn deregister(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.ctl(EPOLL_CTL_DEL, fd, token, false, false),
-            Imp::Poll(p) => {
-                p.entries.remove(&token);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks until at least one registered fd is ready or `timeout_ms`
-    /// elapses (`-1` blocks indefinitely), appending events to `out`
-    /// (cleared first). A timeout simply leaves `out` empty.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-        out.clear();
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.wait(out, timeout_ms),
-            Imp::Poll(p) => p.wait(out, timeout_ms),
-        }
+    /// After a [`wait`]: writable, or in an error / hang-up state a write
+    /// reveals.
+    pub fn writable(&self) -> bool {
+        self.revents & (POLLOUT | FAILED) != 0
     }
 }
 
-/// Converts the nearest timer deadline into a [`Poller::wait`] timeout in
+/// Blocks until at least one entry of `fds` is ready or `timeout_ms`
+/// elapses (`-1` blocks indefinitely), then leaves each entry's readiness
+/// in it. A timeout, or a signal (`EINTR`), is a wake-up with nothing
+/// ready.
+pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<()> {
+    // SAFETY: see the module's safety audit — `fds` is a live, initialised
+    // and exclusively borrowed slice of `repr(C)` `pollfd`s, and `poll`
+    // writes only the `revents` of its first `fds.len()` entries.
+    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+    if n >= 0 {
+        return Ok(());
+    }
+    let err = io::Error::last_os_error();
+    if err.kind() == io::ErrorKind::Interrupted {
+        fds.iter_mut().for_each(|pfd| pfd.revents = 0);
+        return Ok(());
+    }
+    Err(err)
+}
+
+/// Converts the nearest timer deadline into a [`wait`] timeout in
 /// milliseconds: the time until `deadline`, rounded *up* (so a wake-up
 /// never lands before the deadline it is meant to service), clamped to
 /// `[0, cap_ms]`. `None` means "no timer armed" and yields `cap_ms`
@@ -155,228 +123,6 @@ pub fn timeout_ms_until(
     i32::try_from(ms).unwrap_or(i32::MAX).min(cap_ms).max(0)
 }
 
-// ---- poll(2) backend ---------------------------------------------------
-
-const POLLIN: c_short = 0x001;
-const POLLOUT: c_short = 0x004;
-const POLLERR: c_short = 0x008;
-const POLLHUP: c_short = 0x010;
-const POLLNVAL: c_short = 0x020;
-
-/// `struct pollfd` from `<poll.h>` — identical layout on every POSIX
-/// platform this workspace targets.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct PollFd {
-    fd: c_int,
-    events: c_short,
-    revents: c_short,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PollEntry {
-    fd: RawFd,
-    read: bool,
-    write: bool,
-}
-
-/// The fallback backend keeps the registration table in userspace and
-/// rebuilds the `pollfd` array per wait — O(fds) per call, which is the
-/// classic `poll(2)` cost model and fine for its role here (portability
-/// and a second implementation to test the loop against).
-#[derive(Debug, Default)]
-struct PollSet {
-    entries: HashMap<usize, PollEntry>,
-    scratch: Vec<PollFd>,
-    tokens: Vec<usize>,
-}
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: c_int) -> c_int;
-}
-
-impl PollSet {
-    fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-        self.scratch.clear();
-        self.tokens.clear();
-        for (&token, entry) in &self.entries {
-            let mut events = 0;
-            if entry.read {
-                events |= POLLIN;
-            }
-            if entry.write {
-                events |= POLLOUT;
-            }
-            // Register even zero-interest fds: POLLERR/POLLHUP are always
-            // reported, which is how a paused connection's death is seen.
-            self.scratch.push(PollFd { fd: entry.fd, events, revents: 0 });
-            self.tokens.push(token);
-        }
-        if self.scratch.is_empty() {
-            // Nothing to watch; honor the timeout so the caller's stop
-            // flag is still checked periodically.
-            if timeout_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(timeout_ms as u64));
-            }
-            return Ok(());
-        }
-        // SAFETY: `scratch` is a live, initialized slice of `PollFd` of
-        // exactly `len` entries, writable for the duration of the call.
-        let n = unsafe {
-            poll(self.scratch.as_mut_ptr(), self.scratch.len() as std::ffi::c_ulong, timeout_ms)
-        };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
-            }
-            return Err(err);
-        }
-        for (pfd, &token) in self.scratch.iter().zip(&self.tokens) {
-            let r = pfd.revents;
-            if r == 0 {
-                continue;
-            }
-            let failed = r & (POLLERR | POLLHUP | POLLNVAL) != 0;
-            out.push(Event {
-                token,
-                readable: r & POLLIN != 0 || failed,
-                writable: r & POLLOUT != 0 || failed,
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---- epoll backend (Linux) ---------------------------------------------
-
-#[cfg(target_os = "linux")]
-const EPOLL_CTL_ADD: c_int = 1;
-#[cfg(target_os = "linux")]
-const EPOLL_CTL_DEL: c_int = 2;
-#[cfg(target_os = "linux")]
-const EPOLL_CTL_MOD: c_int = 3;
-
-#[cfg(target_os = "linux")]
-const EPOLLIN: u32 = 0x001;
-#[cfg(target_os = "linux")]
-const EPOLLOUT: u32 = 0x004;
-#[cfg(target_os = "linux")]
-const EPOLLERR: u32 = 0x008;
-#[cfg(target_os = "linux")]
-const EPOLLHUP: u32 = 0x010;
-#[cfg(target_os = "linux")]
-const EPOLLRDHUP: u32 = 0x2000;
-#[cfg(target_os = "linux")]
-const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-/// `struct epoll_event` with the kernel's ABI: packed on x86-64
-/// (`__EPOLL_PACKED`), naturally aligned elsewhere (e.g. aarch64).
-#[cfg(target_os = "linux")]
-#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-#[derive(Debug, Clone, Copy)]
-struct EpollEvent {
-    events: u32,
-    data: u64,
-}
-
-#[cfg(target_os = "linux")]
-extern "C" {
-    fn epoll_create1(flags: c_int) -> c_int;
-    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn close(fd: c_int) -> c_int;
-}
-
-#[cfg(target_os = "linux")]
-#[derive(Debug)]
-struct Epoll {
-    epfd: RawFd,
-    scratch: Vec<EpollEvent>,
-}
-
-#[cfg(target_os = "linux")]
-impl Epoll {
-    fn new() -> io::Result<Self> {
-        // SAFETY: no pointers; returns a fresh fd or -1.
-        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Self { epfd, scratch: vec![EpollEvent { events: 0, data: 0 }; 256] })
-    }
-
-    fn ctl(
-        &mut self,
-        op: c_int,
-        fd: RawFd,
-        token: usize,
-        read: bool,
-        write: bool,
-    ) -> io::Result<()> {
-        // Level-triggered on purpose — no EPOLLET. The daemon stops
-        // reading a socket after a read that came back short, without
-        // draining it to `WouldBlock`, and relies on the bytes that arrive
-        // next raising a *new* event; `poll(2)` has no other mode. Under
-        // edge triggering a peer whose next bytes landed between that read
-        // and the next `epoll_wait` would never be heard again.
-        let mut events = EPOLLERR | EPOLLHUP;
-        if read {
-            events |= EPOLLIN | EPOLLRDHUP;
-        }
-        if write {
-            events |= EPOLLOUT;
-        }
-        let mut ev = EpollEvent { events, data: token as u64 };
-        // SAFETY: `ev` is a live, properly laid out epoll_event; the
-        // kernel copies it before returning (EPOLL_CTL_DEL ignores it).
-        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-        // SAFETY: `scratch` is an initialized buffer of `len` events the
-        // kernel fills up to the returned count.
-        let n = unsafe {
-            epoll_wait(
-                self.epfd,
-                self.scratch.as_mut_ptr(),
-                self.scratch.len() as c_int,
-                timeout_ms,
-            )
-        };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
-            }
-            return Err(err);
-        }
-        for ev in &self.scratch[..n as usize] {
-            let events = ev.events;
-            let failed = events & (EPOLLERR | EPOLLHUP) != 0;
-            out.push(Event {
-                token: ev.data as usize,
-                readable: events & (EPOLLIN | EPOLLRDHUP) != 0 || failed,
-                writable: events & EPOLLOUT != 0 || failed,
-            });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        // SAFETY: `epfd` is the epoll fd this struct opened and owns.
-        unsafe { close(self.epfd) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,44 +130,35 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
 
-    /// One round of readable/writable detection through a backend.
-    fn exercise(backend: PollBackend) {
+    /// Writable, then readable, then a peer hang-up seen with read
+    /// interest.
+    #[test]
+    fn wait_reports_readiness() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (mut served, _) = listener.accept().unwrap();
+        let fd = served.as_raw_fd();
 
-        let mut poller = Poller::new(backend).unwrap();
-        poller.register(served.as_raw_fd(), 7, true, true).unwrap();
+        // A connected socket with an empty send buffer is writable, and
+        // with nothing received it is not readable.
+        let mut fds = [PollFd::new(fd, true, true)];
+        wait(&mut fds, 1000).unwrap();
+        assert!(fds[0].writable() && !fds[0].readable());
 
-        // A connected socket with an empty send buffer is writable.
-        let mut events = Vec::new();
-        poller.wait(&mut events, 1000).unwrap();
-        assert!(events.iter().any(|e| e.token == 7 && e.writable));
-
-        // Once bytes arrive, it turns readable too.
+        // Once bytes arrive, it turns readable.
         client.write_all(b"hi").unwrap();
-        poller.reregister(served.as_raw_fd(), 7, true, false).unwrap();
-        poller.wait(&mut events, 1000).unwrap();
-        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        let mut fds = [PollFd::new(fd, true, false)];
+        wait(&mut fds, 1000).unwrap();
+        assert!(fds[0].readable());
         let mut buf = [0u8; 2];
         served.read_exact(&mut buf).unwrap();
 
-        // Peer hang-up is reported (folded into readability).
+        // Peer hang-up is reported to read interest (and a read sees EOF).
         drop(client);
-        poller.wait(&mut events, 1000).unwrap();
-        assert!(events.iter().any(|e| e.token == 7 && e.readable));
-
-        poller.deregister(served.as_raw_fd(), 7).unwrap();
-    }
-
-    #[test]
-    fn auto_backend_reports_readiness() {
-        exercise(PollBackend::Auto);
-    }
-
-    #[test]
-    fn poll_backend_reports_readiness() {
-        exercise(PollBackend::Poll);
+        let mut fds = [PollFd::new(fd, true, false)];
+        wait(&mut fds, 1000).unwrap();
+        assert!(fds[0].readable());
+        assert_eq!(served.read(&mut buf).unwrap(), 0);
     }
 
     #[test]

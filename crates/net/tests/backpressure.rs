@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use dps_net::{DaemonLimits, NetDaemon, PollBackend, RemoteServer, Request, Response};
+use dps_net::{DaemonLimits, NetDaemon, RemoteServer, Request, Response};
 use dps_server::SimServer;
 
 const N: usize = 64;
@@ -16,13 +16,13 @@ fn cell(i: usize) -> Vec<u8> {
     (0..LEN).map(|k| (i as u8).wrapping_add(k as u8)).collect()
 }
 
-fn small_queue_daemon(backend: PollBackend) -> NetDaemon {
+fn small_queue_daemon() -> NetDaemon {
     let mut server = SimServer::new();
     dps_server::Storage::init(&mut server, (0..N).map(cell).collect());
     // A 16 KiB queue cap against ~256 KiB responses: the very first
     // response the socket can't absorb whole pauses the connection.
     let limits = DaemonLimits { max_queued_bytes: 16 * 1024, ..Default::default() };
-    NetDaemon::bind_with_backend("127.0.0.1:0", server, limits, backend).expect("bind")
+    NetDaemon::bind_with("127.0.0.1:0", server, limits).expect("bind")
 }
 
 fn await_stall(daemon: &NetDaemon) -> bool {
@@ -36,12 +36,13 @@ fn await_stall(daemon: &NetDaemon) -> bool {
     false
 }
 
-/// The core scenario on a given readiness backend: pile up far more
-/// response bytes than the cap while refusing to read, observe the read
-/// stall, then drain everything and verify not a byte was lost.
-fn slow_reader_scenario(backend: PollBackend) {
+/// Pile up far more response bytes than the cap while refusing to read,
+/// observe the read stall, then drain everything and verify not a byte was
+/// lost.
+#[test]
+fn slow_reader_is_stalled_and_resumed_losslessly() {
     const WINDOW: usize = 40; // ~40 × 256 KiB of responses vs a 16 KiB cap
-    let daemon = small_queue_daemon(backend);
+    let daemon = small_queue_daemon();
     let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
 
     let all: Vec<usize> = (0..N).collect();
@@ -81,20 +82,11 @@ fn slow_reader_scenario(backend: PollBackend) {
     daemon.shutdown();
 }
 
-#[test]
-fn slow_reader_is_stalled_and_resumed_losslessly() {
-    slow_reader_scenario(PollBackend::Auto);
-}
-
-#[test]
-fn slow_reader_backpressure_works_on_the_poll_fallback() {
-    slow_reader_scenario(PollBackend::Poll);
-}
-
 /// Graceful shutdown must flush every response already queued or
 /// buffered: a client that submitted a window and read nothing yet gets
 /// every answer, bit-exact, while the daemon is shutting down.
-fn graceful_shutdown_scenario(backend: PollBackend) {
+#[test]
+fn graceful_shutdown_flushes_queued_responses() {
     const WINDOW: usize = 40;
     let mut server = SimServer::new();
     dps_server::Storage::init(&mut server, (0..N).map(cell).collect());
@@ -102,9 +94,7 @@ fn graceful_shutdown_scenario(backend: PollBackend) {
     // answers the whole window; the responses (~10 MiB against a ~KiB
     // socket buffer) are still overwhelmingly queued daemon-side when
     // shutdown begins.
-    let daemon =
-        NetDaemon::bind_with_backend("127.0.0.1:0", server, DaemonLimits::default(), backend)
-            .expect("bind");
+    let daemon = NetDaemon::spawn(server).expect("spawn");
     let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
     let all: Vec<usize> = (0..N).collect();
     let requests = vec![Request::ReadBatch { addrs: all }; WINDOW];
@@ -133,16 +123,6 @@ fn graceful_shutdown_scenario(backend: PollBackend) {
     assert!(remote.try_call(&Request::Ping).is_err());
 }
 
-#[test]
-fn graceful_shutdown_flushes_queued_responses() {
-    graceful_shutdown_scenario(PollBackend::Auto);
-}
-
-#[test]
-fn graceful_shutdown_flushes_queued_responses_on_the_poll_fallback() {
-    graceful_shutdown_scenario(PollBackend::Poll);
-}
-
 /// Shutting down while a connection sits in a backpressure stall: every
 /// frame the daemon *received* is answered during the drain (the cap is
 /// released frame by frame), and anything it never read fails typed at
@@ -150,7 +130,7 @@ fn graceful_shutdown_flushes_queued_responses_on_the_poll_fallback() {
 #[test]
 fn graceful_shutdown_drains_a_stalled_connection() {
     const WINDOW: usize = 40;
-    let daemon = small_queue_daemon(PollBackend::Auto);
+    let daemon = small_queue_daemon();
     let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
     let all: Vec<usize> = (0..N).collect();
     let requests = vec![Request::ReadBatch { addrs: all }; WINDOW];
@@ -181,7 +161,7 @@ fn graceful_shutdown_drains_a_stalled_connection() {
 /// the daemon drops it and keeps serving.
 #[test]
 fn disconnecting_mid_stall_is_cleaned_up() {
-    let daemon = small_queue_daemon(PollBackend::Auto);
+    let daemon = small_queue_daemon();
     let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
     let all: Vec<usize> = (0..N).collect();
     for _ in 0..40 {

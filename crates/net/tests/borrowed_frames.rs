@@ -12,8 +12,9 @@
 //! * **Roll-back** — a download that fails mid-batch leaves the model's
 //!   partial charge and not one stray byte in the response stream.
 //! * **The short-read rule** — the daemon stops reading a socket after a
-//!   read that came back short instead of asking for a `WouldBlock`; on
-//!   both readiness backends that loses nothing, whatever the segmentation.
+//!   read that came back short instead of asking for a `WouldBlock`; under
+//!   the level-triggered `poll(2)` that loses nothing, whatever the
+//!   segmentation.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -21,7 +22,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use dps_net::wire::{read_frame_v2, HEADER2_LEN};
-use dps_net::{DaemonLimits, NetDaemon, PollBackend, RemoteServer, Request, Response};
+use dps_net::{NetDaemon, RemoteServer, Request, Response};
 use dps_server::{ServerError, SimServer, Storage};
 
 // ---- Wire bytes are frozen ---------------------------------------------
@@ -200,14 +201,12 @@ fn a_failed_walk_is_rolled_back_and_still_charged() {
     daemon.shutdown();
 }
 
-// ---- The short-read rule, on both backends -----------------------------
+// ---- The short-read rule -----------------------------------------------
 
-const BACKENDS: [PollBackend; 2] = [PollBackend::Auto, PollBackend::Poll];
-
-fn daemon_on(backend: PollBackend, cells: usize) -> NetDaemon {
+fn daemon_with(cells: usize) -> NetDaemon {
     let mut server = SimServer::new();
     server.init((0..cells).map(|i| vec![i as u8; 8]).collect());
-    NetDaemon::bind_with_backend("127.0.0.1:0", server, DaemonLimits::default(), backend).unwrap()
+    NetDaemon::spawn(server).unwrap()
 }
 
 /// More than three full read chunks land on the socket at once: every
@@ -216,27 +215,25 @@ fn daemon_on(backend: PollBackend, cells: usize) -> NetDaemon {
 fn a_burst_of_several_read_chunks_is_answered_completely_and_in_order() {
     const FRAMES: u64 = 300;
     const BATCH: usize = 90;
-    for backend in BACKENDS {
-        let daemon = daemon_on(backend, BATCH);
-        let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
-        let addrs: Vec<usize> = (0..BATCH).collect();
-        let mut burst = Vec::new();
-        for id in 0..FRAMES {
-            Request::ReadBatch { addrs: addrs.clone() }
-                .encode_framed_into(id, &mut burst)
-                .unwrap();
-        }
-        assert!(burst.len() > 3 * 64 * 1024);
-        raw.write_all(&burst).unwrap();
-
-        let expect = Response::Cells((0..BATCH).map(|i| vec![i as u8; 8]).collect()).encode();
-        for id in 0..FRAMES {
-            let (got, payload) = read_frame_v2(&mut raw).unwrap().expect("answer");
-            assert_eq!(got, id, "{backend:?}: answers out of order");
-            assert_eq!(payload, expect, "{backend:?}: answer {id}");
-        }
-        daemon.shutdown();
+    let daemon = daemon_with(BATCH);
+    let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
+    let addrs: Vec<usize> = (0..BATCH).collect();
+    let mut burst = Vec::new();
+    for id in 0..FRAMES {
+        Request::ReadBatch { addrs: addrs.clone() }
+            .encode_framed_into(id, &mut burst)
+            .unwrap();
     }
+    assert!(burst.len() > 3 * 64 * 1024);
+    raw.write_all(&burst).unwrap();
+
+    let expect = Response::Cells((0..BATCH).map(|i| vec![i as u8; 8]).collect()).encode();
+    for id in 0..FRAMES {
+        let (got, payload) = read_frame_v2(&mut raw).unwrap().expect("answer");
+        assert_eq!(got, id, "answers out of order");
+        assert_eq!(payload, expect, "answer {id}");
+    }
+    daemon.shutdown();
 }
 
 /// A frame cut in two at every byte offset: the first read is short, ends
@@ -245,27 +242,25 @@ fn a_burst_of_several_read_chunks_is_answered_completely_and_in_order() {
 /// would otherwise read a duplicate.
 #[test]
 fn a_frame_split_at_every_offset_is_answered_once() {
-    for backend in BACKENDS {
-        let daemon = daemon_on(backend, 4);
-        let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
-        raw.set_nodelay(true).unwrap();
-        let frame = Request::ReadBatch { addrs: vec![1, 2, 3] }
-            .encode_framed_v2(5)
-            .unwrap();
-        let ping = Request::Ping.encode_framed_v2(6).unwrap();
-        let cells = Response::Cells(vec![vec![1; 8], vec![2; 8], vec![3; 8]]).encode();
-        for cut in 1..frame.len() {
-            raw.write_all(&frame[..cut]).unwrap();
-            std::thread::yield_now();
-            std::thread::sleep(Duration::from_millis(1));
-            raw.write_all(&frame[cut..]).unwrap();
-            assert_eq!(read_frame_v2(&mut raw).unwrap(), Some((5, cells.clone())), "cut {cut}");
-            raw.write_all(&ping).unwrap();
-            let pong = Response::Pong.encode();
-            assert_eq!(read_frame_v2(&mut raw).unwrap(), Some((6, pong)), "cut {cut}");
-        }
-        daemon.shutdown();
+    let daemon = daemon_with(4);
+    let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    let frame = Request::ReadBatch { addrs: vec![1, 2, 3] }
+        .encode_framed_v2(5)
+        .unwrap();
+    let ping = Request::Ping.encode_framed_v2(6).unwrap();
+    let cells = Response::Cells(vec![vec![1; 8], vec![2; 8], vec![3; 8]]).encode();
+    for cut in 1..frame.len() {
+        raw.write_all(&frame[..cut]).unwrap();
+        std::thread::yield_now();
+        std::thread::sleep(Duration::from_millis(1));
+        raw.write_all(&frame[cut..]).unwrap();
+        assert_eq!(read_frame_v2(&mut raw).unwrap(), Some((5, cells.clone())), "cut {cut}");
+        raw.write_all(&ping).unwrap();
+        let pong = Response::Pong.encode();
+        assert_eq!(read_frame_v2(&mut raw).unwrap(), Some((6, pong)), "cut {cut}");
     }
+    daemon.shutdown();
 }
 
 /// Data and FIN arrive together: the short read ends the burst before the
@@ -273,17 +268,15 @@ fn a_frame_split_at_every_offset_is_answered_once() {
 /// connection closes.
 #[test]
 fn data_followed_by_fin_is_answered_then_closed() {
-    for backend in BACKENDS {
-        let daemon = daemon_on(backend, 4);
-        let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
-        let frame = Request::ReadBatch { addrs: vec![3] }
-            .encode_framed_v2(9)
-            .unwrap();
-        raw.write_all(&frame).unwrap();
-        raw.shutdown(Shutdown::Write).unwrap();
-        let mut got = Vec::new();
-        raw.read_to_end(&mut got).unwrap();
-        assert_eq!(got, Response::Cells(vec![vec![3; 8]]).encode_framed_v2(9).unwrap());
-        daemon.shutdown();
-    }
+    let daemon = daemon_with(4);
+    let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
+    let frame = Request::ReadBatch { addrs: vec![3] }
+        .encode_framed_v2(9)
+        .unwrap();
+    raw.write_all(&frame).unwrap();
+    raw.shutdown(Shutdown::Write).unwrap();
+    let mut got = Vec::new();
+    raw.read_to_end(&mut got).unwrap();
+    assert_eq!(got, Response::Cells(vec![vec![3; 8]]).encode_framed_v2(9).unwrap());
+    daemon.shutdown();
 }

@@ -26,8 +26,8 @@ use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig, DpRamError};
 use dps_crypto::ChaChaRng;
 use dps_net::{
-    ChaosConfig, ChaosProxy, DaemonLimits, FaultStorage, NetDaemon, PollBackend, ReconnectPolicy,
-    RemoteError, RemoteServer, Timeouts, WireError,
+    ChaosConfig, ChaosProxy, DaemonLimits, FaultStorage, NetDaemon, ReconnectPolicy, RemoteError,
+    RemoteServer, Timeouts, WireError,
 };
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
@@ -530,12 +530,13 @@ fn await_metric(daemon: &NetDaemon, what: &str, get: impl Fn(&NetDaemon) -> u64)
 /// A slowloris peer — one byte, then silence — is reaped on
 /// `idle_timeout` while an active bystander on the same daemon keeps
 /// getting answers.
-fn slowloris_scenario(backend: PollBackend) {
+#[test]
+fn slowloris_is_reaped_while_a_bystander_flows() {
     let mut server = SimServer::new();
     server.init((0..8).map(|i| vec![i as u8; 16]).collect());
     let limits =
         DaemonLimits { idle_timeout: Some(Duration::from_millis(200)), ..Default::default() };
-    let daemon = NetDaemon::bind_with_backend("127.0.0.1:0", server, limits, backend).unwrap();
+    let daemon = NetDaemon::bind_with("127.0.0.1:0", server, limits).unwrap();
 
     let mut sloth = TcpStream::connect(daemon.local_addr()).unwrap();
     std::io::Write::write_all(&mut sloth, b"D").unwrap(); // a teasing first byte, then nothing
@@ -559,16 +560,6 @@ fn slowloris_scenario(backend: PollBackend) {
     daemon.shutdown();
 }
 
-#[test]
-fn slowloris_is_reaped_while_a_bystander_flows() {
-    slowloris_scenario(PollBackend::Auto);
-}
-
-#[test]
-fn slowloris_is_reaped_on_the_poll_fallback() {
-    slowloris_scenario(PollBackend::Poll);
-}
-
 /// A peer that requests a huge response window and then never drains its
 /// socket is reaped on `write_stall_timeout` — distinct from idleness:
 /// this peer *sent* traffic, it just won't read the answers.
@@ -584,8 +575,7 @@ fn wedged_reader_is_reaped_on_the_write_stall_deadline() {
         idle_timeout: None, // isolate: only the stall deadline may fire
         ..Default::default()
     };
-    let daemon =
-        NetDaemon::bind_with_backend("127.0.0.1:0", server, limits, PollBackend::Auto).unwrap();
+    let daemon = NetDaemon::bind_with("127.0.0.1:0", server, limits).unwrap();
 
     let wedged = RemoteServer::connect(daemon.local_addr()).unwrap();
     let all: Vec<usize> = (0..N).collect();
@@ -611,9 +601,7 @@ fn wedged_reader_is_reaped_on_the_write_stall_deadline() {
 #[test]
 fn max_connections_sheds_load_beyond_the_cap() {
     let limits = DaemonLimits { max_connections: 2, ..Default::default() };
-    let daemon =
-        NetDaemon::bind_with_backend("127.0.0.1:0", SimServer::new(), limits, PollBackend::Auto)
-            .unwrap();
+    let daemon = NetDaemon::bind_with("127.0.0.1:0", SimServer::new(), limits).unwrap();
     let first = RemoteServer::connect(daemon.local_addr()).unwrap();
     let second = RemoteServer::connect(daemon.local_addr()).unwrap();
     first.ping().unwrap();

@@ -154,27 +154,6 @@ fn raw_storage_programs_match_for_every_config() {
     });
 }
 
-/// The identical program through the portable `poll(2)` readiness
-/// backend instead of epoll: the fallback must be observationally
-/// indistinguishable.
-#[test]
-fn raw_storage_programs_match_on_the_poll_fallback_backend() {
-    use dps_net::{DaemonLimits, PollBackend};
-    let mut local = SimServer::new();
-    let served = SimServer::new();
-    let daemon = NetDaemon::bind_with_backend(
-        "127.0.0.1:0",
-        served,
-        DaemonLimits::default(),
-        PollBackend::Poll,
-    )
-    .expect("bind poll backend");
-    let mut remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
-    run_program(&mut local, &mut remote);
-    drop(remote);
-    daemon.shutdown();
-}
-
 /// Every batch operation is exactly one framed exchange, no matter the
 /// batch size.
 #[test]

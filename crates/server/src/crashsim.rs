@@ -41,15 +41,9 @@ use std::collections::BTreeMap;
 use std::io;
 use std::sync::{Arc, Mutex};
 
-use crate::disk::{DiskFile, Vfs};
+use dps_crypto::rng::splitmix64;
 
-/// Splitmix64: tiny deterministic mixer for the persistence coin flips.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::disk::{DiskFile, Vfs};
 
 #[derive(Debug, Clone)]
 enum Pending {

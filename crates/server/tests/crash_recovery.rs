@@ -19,6 +19,7 @@
 //! Seeds derive from `DPS_CRASH_SEED` (pinned in CI) so failures
 //! reproduce exactly.
 
+use dps_crypto::rng::splitmix64;
 use dps_server::{
     CrashSim, DiskError, DiskFile, DiskOptions, DiskStore, RealVfs, ServerError, SimEvent, SimOp,
     SimServer, Storage, Tear, Vfs,
@@ -40,11 +41,9 @@ struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
+        let out = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        out
     }
 
     fn below(&mut self, n: u64) -> u64 {

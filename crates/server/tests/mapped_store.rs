@@ -20,6 +20,7 @@
 //! mapping's own length rules are unit tests beside the `unsafe` they
 //! protect.
 
+use dps_crypto::rng::splitmix64;
 use dps_server::{DiskOptions, DiskStore, SimServer, Storage};
 
 const CAPACITY: usize = 160;
@@ -48,11 +49,9 @@ struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
+        let out = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        out
     }
 
     fn below(&mut self, n: usize) -> usize {
