@@ -29,17 +29,21 @@
 //! against the published RFC 8439 / FIPS 180-4 / RFC 4231 vectors.
 
 // `deny` rather than `forbid`: every `unsafe` in the crate is confined to
-// the audited `chacha::sse2` and `chacha::avx2` modules
-// (crates/crypto/src/chacha.rs), whose `#[allow(unsafe_code)]` sites
-// cover (a) calling the `#[target_feature(enable = ...)]` cores — a
+// three audited modules, `chacha::sse2` and `chacha::avx2`
+// (crates/crypto/src/chacha.rs) and `poly1305::avx2`
+// (crates/crypto/src/poly1305.rs), whose `#[allow(unsafe_code)]` sites
+// cover (a) calling the `#[target_feature(enable = ...)]` bodies — a
 // formality for SSE2, which is the x86-64 baseline ABI the module is
-// compile-time gated on, and runtime-guarded for AVX2, whose public
+// compile-time gated on, and runtime-guarded for AVX2: ChaCha's public
 // wrappers assert `is_x86_feature_detected!("avx2")` before entering the
-// `target_feature` body — and (b) 16-/32-byte unaligned vector
+// `target_feature` body, and the Poly1305 lane kernel's one call is
+// guarded by `isa::tier() == IsaTier::Avx2`, a tier `isa` resolves only
+// when detection saw AVX2 — and (b) ChaCha's 16-/32-byte unaligned vector
 // load/stores through pointers derived from exclusively borrowed,
-// length-checked slices. No other pointer arithmetic, no transmutes; the
-// rest of the crate (including the `isa` dispatch table) remains
-// unsafe-free and the lint rejects any new exception without review.
+// length-checked slices. The Poly1305 body is safe code (lane loops, no
+// intrinsics). No other pointer arithmetic, no transmutes; the rest of
+// the crate (including the `isa` dispatch table) remains unsafe-free and
+// the lint rejects any new exception without review.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

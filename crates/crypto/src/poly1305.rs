@@ -1,25 +1,25 @@
 //! Poly1305 one-time authenticator (RFC 8439 §2.5).
 //!
-//! Used by the [`crate::aead`] module to build the ChaCha20-Poly1305 AEAD.
-//! The field arithmetic over `GF(2^130 − 5)` uses the 44/44/42-bit-limb
-//! ("donna-64") representation — three `u64` limbs, `u128` products, 9
-//! wide multiplies per 16-byte block — and is verified against the RFC
-//! 8439 test vectors (tags are fully reduced before serialization, so the
-//! limb radix is unobservable).
+//! Used by the [`crate::aead`] module to build the ChaCha20-Poly1305 AEAD
+//! and by [`crate::cipher`] for its truncated integrity tag. The field
+//! `GF(2^130 − 5)` has two representations here, one per shape of work.
+//! Both fully reduce before serializing, so the limb radix is unobservable:
+//! every form matches the RFC 8439 vectors, and the lane form equals the
+//! scalar one bit for bit (the `*_matches_scalar` tests and the crypto
+//! proptests pin it, under every `DPS_FORCE_ISA` tier in CI).
 //!
-//! For batch tagging, [`Poly1305xN`] advances `N` authenticators (4 or 8,
-//! matching the active ChaCha lane width) in lock-step with limb-major
-//! ("interleaved") state — `h[limb][lane]` — so the field multiply and
-//! carry chain run as short lane loops over independent data. Each lane's
-//! arithmetic is the shared [`block_step`] applied to its own column —
-//! runs of full blocks take the fused multi-block
-//! `(h + m1)·rᴺ + … + mN·r` step ([`block_step_wide`], up to four
-//! blocks via precomputed `r²`/`r³`/`r⁴`), which divides the serial
-//! carry chains by `N` at the same multiply count. Both forms are exact
-//! mod `2^130 − 5`, so the tags are bit-identical to `N` sequential
-//! [`Poly1305`] runs (pinned by the `x4_matches_scalar` /
-//! `x8_matches_scalar` tests and the crypto proptests). [`poly1305_batch`] is the strided one-shot form the batch
-//! cipher/AEAD paths drive, grouping cells 8 → 4 → scalar.
+//! * [`Poly1305`] tags one stream with 44/44/42-bit limbs ("donna-64"):
+//!   three `u64` limbs, `u128` products, 9 wide multiplies per 16-byte
+//!   block.
+//! * [`Poly1305xN`] tags `N` equal-length streams in lock-step (4 or 8,
+//!   the ChaCha lane groups that derive their one-time keys). Each lane
+//!   holds five 26-bit limbs, stored limb-major (`h[limb][lane]`), so every
+//!   product is one 32×32→64-bit lane multiply (`vpmuludq`) and each step
+//!   of a block — message load, 25 products, carry chain — is a loop over
+//!   the lanes. That absorb loop is one safe body, compiled twice: under
+//!   `#[target_feature(enable = "avx2")]` (module `poly1305::avx2`, entered
+//!   at the AVX2 [`crate::isa`] tier), where the lane loops become
+//!   four-lane vector instructions, and plain below it.
 
 /// Length of a Poly1305 key (`r || s`).
 pub const KEY_LEN: usize = 32;
@@ -71,16 +71,23 @@ impl std::fmt::Debug for Poly1305 {
 }
 
 /// Splits a little-endian 16-byte value (`t0 || t1`) into 44/44/42-bit
-/// limbs, applying `mask` to each limb position (the key clamp masks or
-/// the plain limb masks).
+/// limbs.
 #[inline(always)]
-fn limbs(t0: u64, t1: u64, masks: [u64; 3]) -> [u64; 3] {
-    [t0 & masks[0], ((t0 >> 44) | (t1 << 20)) & masks[1], (t1 >> 24) & masks[2]]
+fn limbs(t0: u64, t1: u64) -> [u64; 3] {
+    [t0 & M44, ((t0 >> 44) | (t1 << 20)) & M44, (t1 >> 24) & M42]
 }
 
-/// The serial carry chain shared by every block form: propagates the
-/// `u128` limb products down to partially reduced 44/44/42 limbs (limb 1
-/// may hold a small excess carry, absorbed by the next step or by
+/// The key's `r` as two little-endian words, clamped as RFC 8439 requires
+/// (`r &= 0x0ffffffc0ffffffc0ffffffc0fffffff`); both forms split it into
+/// their own limbs.
+#[inline(always)]
+fn clamped_r(key: &[u8; KEY_LEN]) -> (u64, u64) {
+    (le64(&key[0..8]) & 0x0fff_fffc_0fff_ffff, le64(&key[8..16]) & 0x0fff_fffc_0fff_fffc)
+}
+
+/// The serial carry chain of [`mul_limbs`]: propagates the `u128` limb
+/// products down to partially reduced 44/44/42 limbs (limb 1 may hold a
+/// small excess carry, absorbed by the next step or by
 /// [`finalize_limbs`]).
 #[inline(always)]
 fn carry_reduce(d0: u128, d1: u128, d2: u128) -> [u64; 3] {
@@ -98,93 +105,34 @@ fn carry_reduce(d0: u128, d1: u128, d2: u128) -> [u64; 3] {
     [h0, h1 + c, h2]
 }
 
-/// Accumulates the 9 schoolbook products of `a · r` (with the `20·`
-/// folding constants `s` standing in for the wrapped high limbs) into
-/// the three limb-row accumulators. Shared by every block-step width;
-/// each product is ≲ 2^94, so even twelve of them per row (the widest,
-/// four-block form) stay far below `u128` range.
-#[inline(always)]
-fn accum(d: &mut [u128; 3], a: [u64; 3], r: &[u64; 3], s: &[u64; 2]) {
-    d[0] += u128::from(a[0]) * u128::from(r[0])
-        + u128::from(a[1]) * u128::from(s[1])
-        + u128::from(a[2]) * u128::from(s[0]);
-    d[1] += u128::from(a[0]) * u128::from(r[1])
-        + u128::from(a[1]) * u128::from(r[0])
-        + u128::from(a[2]) * u128::from(s[1]);
-    d[2] += u128::from(a[0]) * u128::from(r[2])
-        + u128::from(a[1]) * u128::from(r[1])
-        + u128::from(a[2]) * u128::from(r[0]);
-}
-
-/// `a · r mod p` on 44/44/42 limbs — the 9-multiply core of
-/// [`block_step`] without the message add. Also used to precompute the
-/// `r²`/`r³`/`r⁴` powers for the fused multi-block steps.
+/// `a · r mod p` on 44/44/42 limbs: the 9 schoolbook products (with the
+/// `20·` folding constants `s` standing in for the wrapped high limbs),
+/// each ≲ 2^94, then one carry chain. The core of [`block_step`] without
+/// the message add.
 #[inline(always)]
 fn mul_limbs(a: [u64; 3], r: &[u64; 3], s: &[u64; 2]) -> [u64; 3] {
-    let mut d = [0u128; 3];
-    accum(&mut d, a, r, s);
-    carry_reduce(d[0], d[1], d[2])
+    let d0 = u128::from(a[0]) * u128::from(r[0])
+        + u128::from(a[1]) * u128::from(s[1])
+        + u128::from(a[2]) * u128::from(s[0]);
+    let d1 = u128::from(a[0]) * u128::from(r[1])
+        + u128::from(a[1]) * u128::from(r[0])
+        + u128::from(a[2]) * u128::from(s[1]);
+    let d2 = u128::from(a[0]) * u128::from(r[2])
+        + u128::from(a[1]) * u128::from(r[1])
+        + u128::from(a[2]) * u128::from(r[0]);
+    carry_reduce(d0, d1, d2)
 }
 
-/// Loads a full 16-byte message block into 44/44/42 limbs with the
-/// 2^128 marker set (full blocks only — the final padded partial block
-/// goes through [`block_step`] with `hibit = 0`).
-#[inline(always)]
-fn load_block(m: &[u8; 16]) -> [u64; 3] {
-    let t0 = le64(&m[0..8]);
-    let t1 = le64(&m[8..16]);
-    [t0 & M44, ((t0 >> 44) | (t1 << 20)) & M44, ((t1 >> 24) & M42) | (1 << 40)]
-}
-
-/// One Poly1305 block step on radix-2^44 limbs: `h = (h + m) · r mod p`,
-/// shared verbatim by the scalar and interleaved lane forms so their
-/// accumulators evolve identically.
+/// One Poly1305 block step on radix-2^44 limbs: `h = (h + m) · r mod p`.
 #[inline(always)]
 fn block_step(h: &mut [u64; 3], r: &[u64; 3], s: &[u64; 2], m: &[u8; 16], hibit: u64) {
-    let t0 = le64(&m[0..8]);
-    let t1 = le64(&m[8..16]);
-    let a = [
-        h[0] + (t0 & M44),
-        h[1] + (((t0 >> 44) | (t1 << 20)) & M44),
-        h[2] + (((t1 >> 24) & M42) | hibit),
-    ];
-    *h = mul_limbs(a, r, s);
+    let m = limbs(le64(&m[0..8]), le64(&m[8..16]));
+    *h = mul_limbs([h[0] + m[0], h[1] + m[1], h[2] + (m[2] | hibit)], r, s);
 }
 
-/// `N` full blocks fused into one step using precomputed powers of `r`:
-/// `h = (h + m1)·rᴺ + m2·rᴺ⁻¹ + … + mN·r mod p`, algebraically
-/// identical to `N` chained [`block_step`]s but with one serial carry
-/// chain instead of `N` and `N` independent product groups for the
-/// multiplier ports to overlap. `powers[j]` holds `(limbs, folds)` of
-/// `r^(N−j)`, so `powers[N−1]` is `r` itself. The limb representation
-/// of `h` can differ from the step-at-a-time path mid-stream, yet stays
-/// congruent mod `2^130 − 5`, so tags are bit-identical after
-/// [`finalize_limbs`]' full reduction (pinned by the
-/// `*_matches_scalar` tests). All `N` blocks are full message blocks,
-/// so [`load_block`] hardwires the 2^128 marker.
-#[inline(always)]
-fn block_step_wide<const N: usize>(
-    h: &mut [u64; 3],
-    powers: &[([u64; 3], [u64; 2])],
-    blocks: [&[u8; 16]; N],
-) {
-    debug_assert_eq!(powers.len(), N);
-    let mut d = [0u128; 3];
-    for (j, (r, s)) in powers.iter().enumerate() {
-        let mut a = load_block(blocks[j]);
-        if j == 0 {
-            a[0] += h[0];
-            a[1] += h[1];
-            a[2] += h[2];
-        }
-        accum(&mut d, a, r, s);
-    }
-    *h = carry_reduce(d[0], d[1], d[2]);
-}
-
-/// Final reduction and serialization shared by the scalar and 4-lane
-/// forms: fully reduces `h mod 2^130 − 5`, adds the key pad and returns
-/// the 16-byte tag.
+/// Final reduction and serialization, shared by the scalar form and the
+/// lanes ([`finalize_lane`]): fully reduces `h mod 2^130 − 5`, adds the key
+/// pad and returns the 16-byte tag.
 #[inline(always)]
 fn finalize_limbs(mut h: [u64; 3], pad: [u64; 2]) -> [u8; TAG_LEN] {
     // Fully carry h.
@@ -223,7 +171,7 @@ fn finalize_limbs(mut h: [u64; 3], pad: [u64; 2]) -> [u8; TAG_LEN] {
     h[2] = (h[2] & !mask) | (g2 & mask);
 
     // h = (h + pad) mod 2^128, still in limb form.
-    let p = limbs(pad[0], pad[1], [M44, M44, M42]);
+    let p = limbs(pad[0], pad[1]);
     h[0] += p[0];
     c = h[0] >> 44;
     h[0] &= M44;
@@ -241,15 +189,12 @@ fn finalize_limbs(mut h: [u64; 3], pad: [u64; 2]) -> [u8; TAG_LEN] {
     tag
 }
 
-/// The key clamp in limb form (RFC 8439's `0x0ffffffc...` mask applied at
-/// the 44/44/42-bit limb positions).
-const CLAMP: [u64; 3] = [0x0ffc_0fff_ffff, 0x0fff_ffc0_ffff, 0x000f_ffff_fc0f];
-
 impl Poly1305 {
     /// Initializes the authenticator from a 32-byte one-time key `r || s`.
     /// `r` is clamped as RFC 8439 requires.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        let r = limbs(le64(&key[0..8]), le64(&key[8..16]), CLAMP);
+        let (lo, hi) = clamped_r(key);
+        let r = limbs(lo, hi);
         Self {
             r,
             s: [r[1] * 20, r[2] * 20],
@@ -322,37 +267,77 @@ pub fn poly1305(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
     p.finalize()
 }
 
-/// `LANES` Poly1305 authenticators in lock-step, limb-interleaved
-/// (`h[limb][lane]` — the state of lane `l` lives in column `l` of each
-/// limb row, so the field multiplies and carry chains advance together
-/// per absorbed block). [`Poly1305x4`] pairs with the 4-lane ChaCha
-/// one-time-key derivation, [`Poly1305x8`] with the 8-lane
-/// ([`crate::chacha::blocks8`]) one.
+/// 26-bit limb mask of the lane form.
+const M26: u64 = 0x03ff_ffff;
+/// The 2^128 marker of a full message block, in the lane form's top limb.
+const HIBIT26: u64 = 1 << 24;
+
+/// One limb row of the lane form: a `u64` per lane.
+type Row<const L: usize> = [u64; L];
+
+/// Splits each lane's little-endian 16-byte value (`lo || hi`) into five
+/// rows of 26-bit limbs, or-ing `top` into the last (which holds bits
+/// 104..128, so it is below 2^24 before `top`).
+#[inline(always)]
+fn limb_rows<const L: usize>(lo: Row<L>, hi: Row<L>, top: u64) -> [Row<L>; 5] {
+    [
+        std::array::from_fn(|l| lo[l] & M26),
+        std::array::from_fn(|l| (lo[l] >> 26) & M26),
+        std::array::from_fn(|l| ((lo[l] >> 52) | (hi[l] << 12)) & M26),
+        std::array::from_fn(|l| (hi[l] >> 14) & M26),
+        std::array::from_fn(|l| (hi[l] >> 40) | top),
+    ]
+}
+
+/// One 32×32→64-bit product. Both factors are limbs below 2^32 (the
+/// bounds at [`absorb`]), so the truncations are exact, and a row of these
+/// compiles to `pmuludq` / `vpmuludq`. Debug builds check the bound.
+#[inline(always)]
+fn mul32(a: u64, b: u64) -> u64 {
+    debug_assert!(a >> 32 == 0 && b >> 32 == 0, "a limb reached a 32-bit multiply at 2^32");
+    u64::from(a as u32) * u64::from(b as u32)
+}
+
+/// `Σ_k a[k]·b[k]` lane by lane: one limb of a field product, accumulated
+/// a whole row at a time.
+#[inline(always)]
+fn dot<const L: usize>(a: &[Row<L>; 5], b: [&Row<L>; 5]) -> Row<L> {
+    let mut d = [0; L];
+    for (x, y) in a.iter().zip(b) {
+        d = std::array::from_fn(|l| d[l] + mul32(x[l], y[l]));
+    }
+    d
+}
+
+/// `LANES` Poly1305 authenticators in lock-step, in radix 2^26 and
+/// limb-major: lane `l`'s state lives in column `l` of each limb row, so
+/// every step of an absorbed block is an operation on whole rows.
+/// [`Poly1305x4`] pairs with the 4-lane ChaCha one-time-key
+/// derivation, [`Poly1305x8`] with the 8-lane ([`crate::chacha::blocks8`])
+/// one.
 ///
 /// All lanes must absorb the same number of bytes per
 /// [`Poly1305xN::update`] call (the batch paths tag equal-length cells,
 /// so this costs nothing), which keeps the shared block buffer fill
 /// identical across lanes. Lane `l`'s tag equals a scalar [`Poly1305`]
-/// run over the concatenation of the `msgs[l]` slices — the same
-/// [`block_step`] / [`finalize_limbs`] arithmetic runs on each column.
+/// run over the concatenation of the `msgs[l]` slices.
 #[derive(Clone)]
 pub struct Poly1305xN<const LANES: usize> {
-    /// Per-lane powers of `r` for the fused multi-block steps:
-    /// `powers[l][j]` holds `(limbs, folds)` of `r^(4−j)`, so
-    /// `powers[l][3]` is `r` itself (used by the single-block and
-    /// finalize paths) and `powers[l][0]` is `r⁴`.
-    powers: [[([u64; 3], [u64; 2]); 4]; LANES],
-    /// Key pads per lane: `pad[word][lane]`.
-    pad: [[u64; LANES]; 2],
-    /// Accumulators, limb-major.
-    h: [[u64; LANES]; 3],
+    /// Clamped `r`, 26-bit limbs: `r[limb][lane]`.
+    r: [Row<LANES>; 5],
+    /// `5·r1 … 5·r4`: a product that wraps past 2^130 folds back times 5.
+    r5: [Row<LANES>; 4],
+    /// The key pads `s`, one per lane, as two little-endian words.
+    pad: [[u64; 2]; LANES],
+    /// Accumulators, 26-bit limbs: `h[limb][lane]`.
+    h: [Row<LANES>; 5],
     buf: [[u8; 16]; LANES],
     buf_len: usize,
 }
 
-/// Four interleaved authenticators, matching 4-lane one-time keys.
+/// Four lock-step authenticators, matching 4-lane one-time keys.
 pub type Poly1305x4 = Poly1305xN<4>;
-/// Eight interleaved authenticators, matching 8-lane one-time keys.
+/// Eight lock-step authenticators, matching 8-lane one-time keys.
 pub type Poly1305x8 = Poly1305xN<8>;
 
 impl<const LANES: usize> std::fmt::Debug for Poly1305xN<LANES> {
@@ -362,65 +347,128 @@ impl<const LANES: usize> std::fmt::Debug for Poly1305xN<LANES> {
     }
 }
 
+/// The lane kernel: `h = (h + m) · r mod 2^130 − 5` for each 16-byte block
+/// of the `msgs` (equal lengths, multiples of 16), in every lane. `hibit`
+/// is [`HIBIT26`] for message blocks and 0 for the padded final block.
+/// Safe code whose every step is a loop over the lanes of a row, written
+/// as `array::from_fn`, which the vectorizer takes whole (`array::map` over
+/// the message words stayed scalar and made the AVX2 kernel ≈ 1.4× slower):
+/// the AVX2 tier runs it compiled under `#[target_feature]`, every other
+/// tier as it stands. Both compilations hold the whole block loop, so no
+/// block pays a call.
+///
+/// Bounds, which keep every factor of [`mul32`] below 2^32:
+/// - after a carry pass `h0, h2, h3, h4 < 2^26` and `h1 < 2^26 + 2^12`,
+///   and a message limb is below 2^26 (the top one below 2^25 with the
+///   marker), so each `a_k = h_k + m_k < 2^28`;
+/// - `r_k < 2^26`, so `5·r_k < 2^28.4`;
+/// - each `d_k` sums five products below 2^28 · 2^28.4, so `d_k < 2^61`;
+/// - the carry out of `d4` is below 2^35, so folding it back times 5
+///   leaves `h0 < 2^38`, whose carry into `h1` is below 2^12: the `h1`
+///   bound of the first line.
+#[inline(always)]
+fn absorb<const L: usize>(mac: &mut Poly1305xN<L>, msgs: [&[u8]; L], hibit: u64) {
+    let (r, s) = (&mac.r, &mac.r5);
+    let mut h = mac.h;
+    for b in (0..msgs[0].len() / 16).map(|b| 16 * b) {
+        let lo: Row<L> = std::array::from_fn(|l| le64(&msgs[l][b..b + 8]));
+        let hi: Row<L> = std::array::from_fn(|l| le64(&msgs[l][b + 8..b + 16]));
+        for (hk, mk) in h.iter_mut().zip(limb_rows(lo, hi, hibit)) {
+            *hk = std::array::from_fn(|l| hk[l] + mk[l]);
+        }
+        let d = [
+            dot(&h, [&r[0], &s[3], &s[2], &s[1], &s[0]]),
+            dot(&h, [&r[1], &r[0], &s[3], &s[2], &s[1]]),
+            dot(&h, [&r[2], &r[1], &r[0], &s[3], &s[2]]),
+            dot(&h, [&r[3], &r[2], &r[1], &r[0], &s[3]]),
+            dot(&h, [&r[4], &r[3], &r[2], &r[1], &r[0]]),
+        ];
+        let mut c = [0; L];
+        for (hk, dk) in h.iter_mut().zip(d) {
+            let t: Row<L> = std::array::from_fn(|l| dk[l] + c[l]);
+            *hk = std::array::from_fn(|l| t[l] & M26);
+            c = std::array::from_fn(|l| t[l] >> 26);
+        }
+        let h0: Row<L> = std::array::from_fn(|l| h[0][l] + 5 * c[l]);
+        h[1] = std::array::from_fn(|l| h[1][l] + (h0[l] >> 26));
+        h[0] = std::array::from_fn(|l| h0[l] & M26);
+    }
+    mac.h = h;
+}
+
+/// One lane's tag: its 26-bit limbs regrouped as 44/44/42 (unnormalized,
+/// within the bounds [`finalize_limbs`] carries from: the limbs are below
+/// 2^53, 2^61 and 2^43), then the scalar form's full reduction and pad.
+fn finalize_lane(h: [u64; 5], pad: [u64; 2]) -> [u8; TAG_LEN] {
+    let l0 = h[0] + (h[1] << 26);
+    let l1 = (l0 >> 44) + (h[2] << 8) + (h[3] << 34);
+    let l2 = (l1 >> 44) + (h[4] << 16);
+    finalize_limbs([l0 & M44, l1 & M44, l2], pad)
+}
+
+/// The AVX2 compilation of the lane kernel. AVX2 is not part of the
+/// x86-64 baseline, so this module is compiled on every x86-64 target but
+/// its `#[target_feature(enable = "avx2")]` body is only ever entered when
+/// the [`crate::isa`] dispatch tier is [`crate::isa::IsaTier::Avx2`]. That tier is
+/// returned only when `is_x86_feature_detected!("avx2")` held at detection
+/// (`DPS_FORCE_ISA` can pin a tier below the detected one, never above),
+/// so the lone `unsafe` call below cannot execute an unsupported
+/// instruction. The body is the safe [`absorb`]: no intrinsics, no
+/// pointers, nothing but the feature set differs from the plain
+/// compilation.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+mod avx2 {
+    use super::Poly1305xN;
+    use crate::isa::{self, IsaTier};
+
+    #[target_feature(enable = "avx2")]
+    fn absorb_avx2<const L: usize>(mac: &mut Poly1305xN<L>, msgs: [&[u8]; L], hibit: u64) {
+        super::absorb(mac, msgs, hibit);
+    }
+
+    /// Runs the AVX2 compilation of [`super::absorb`] and returns true on
+    /// the AVX2 tier; returns false, having done nothing, below it.
+    #[allow(unsafe_code)]
+    pub(super) fn absorb<const L: usize>(
+        mac: &mut Poly1305xN<L>,
+        msgs: [&[u8]; L],
+        hibit: u64,
+    ) -> bool {
+        if isa::tier() != IsaTier::Avx2 {
+            return false;
+        }
+        // SAFETY: the tier guard above: `isa::tier()` is `Avx2` only if the
+        // CPU reported AVX2 at detection, the one feature `absorb_avx2`
+        // enables.
+        unsafe { absorb_avx2(mac, msgs, hibit) };
+        true
+    }
+}
+
 impl<const LANES: usize> Poly1305xN<LANES> {
     /// Initializes `LANES` authenticators from as many one-time keys.
     pub fn new(keys: [&[u8; KEY_LEN]; LANES]) -> Self {
-        let lanes = keys.map(Poly1305::new);
-        let mut out = Self {
-            powers: [[([0; 3], [0; 2]); 4]; LANES],
-            pad: [[0; LANES]; 2],
-            h: [[0; LANES]; 3],
+        let r = keys.map(clamped_r);
+        let r = limb_rows(r.map(|(lo, _)| lo), r.map(|(_, hi)| hi), 0);
+        Self {
+            r,
+            r5: std::array::from_fn(|k| r[k + 1].map(|x| 5 * x)),
+            pad: keys.map(|k| [le64(&k[16..24]), le64(&k[24..32])]),
+            h: [[0; LANES]; 5],
             buf: [[0; 16]; LANES],
             buf_len: 0,
-        };
-        for (l, lane) in lanes.iter().enumerate() {
-            let (r, s) = (lane.r, lane.s);
-            let r2 = mul_limbs(r, &r, &s);
-            let s2 = [r2[1] * 20, r2[2] * 20];
-            let r3 = mul_limbs(r2, &r, &s);
-            let s3 = [r3[1] * 20, r3[2] * 20];
-            let r4 = mul_limbs(r2, &r2, &s2);
-            let s4 = [r4[1] * 20, r4[2] * 20];
-            out.powers[l] = [(r4, s4), (r3, s3), (r2, s2), (r, s)];
-            for (word, row) in out.pad.iter_mut().enumerate() {
-                row[l] = lane.pad[word];
-            }
-        }
-        out
-    }
-
-    /// One 16-byte block per lane; `hibit` as in [`Poly1305::block`]. Each
-    /// column runs [`block_step`], so the interleaved state stays
-    /// bit-identical to `LANES` scalar authenticators.
-    fn block_lanes(&mut self, m: [&[u8; 16]; LANES], hibit: u64) {
-        for (l, block) in m.into_iter().enumerate() {
-            let mut h = [self.h[0][l], self.h[1][l], self.h[2][l]];
-            let (r, s) = self.powers[l][3];
-            block_step(&mut h, &r, &s, block, hibit);
-            for (row, value) in self.h.iter_mut().zip(h) {
-                row[l] = value;
-            }
         }
     }
 
-    /// `N` full 16-byte blocks per lane (`N` ∈ {2, 4}) at byte offset
-    /// `off` of each lane's message, through the fused
-    /// [`block_step_wide`] — one serial carry chain per `N` blocks and
-    /// a single accumulator round-trip per lane, with tags unchanged.
-    fn block_lanes_wide<const N: usize>(&mut self, msgs: &[&[u8]; LANES], off: usize) {
-        for l in 0..LANES {
-            let mut h = [self.h[0][l], self.h[1][l], self.h[2][l]];
-            let blocks: [&[u8; 16]; N] = std::array::from_fn(|j| {
-                msgs[l][off + 16 * j..off + 16 * (j + 1)]
-                    .try_into()
-                    .expect("16-byte chunk")
-            });
-            // `powers[4 − N..]` are exactly `rᴺ … r`.
-            block_step_wide(&mut h, &self.powers[l][4 - N..], blocks);
-            for (row, value) in self.h.iter_mut().zip(h) {
-                row[l] = value;
-            }
+    /// Absorbs every 16-byte block of `msgs` (equal lengths, multiples of
+    /// 16) through [`absorb`]: its AVX2 compilation on that tier, the plain
+    /// one below it.
+    fn blocks(&mut self, msgs: [&[u8]; LANES], hibit: u64) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        if avx2::absorb(self, msgs, hibit) {
+            return;
         }
+        absorb(self, msgs, hibit);
     }
 
     /// Absorbs one equal-length slice into each lane.
@@ -440,29 +488,19 @@ impl<const LANES: usize> Poly1305xN<LANES> {
             off = take;
             if self.buf_len == 16 {
                 let blocks = self.buf;
-                self.block_lanes(std::array::from_fn(|l| &blocks[l]), 1 << 40);
+                self.blocks(blocks.each_ref().map(|b| b.as_slice()), HIBIT26);
                 self.buf_len = 0;
             }
         }
-        while len - off >= 64 {
-            self.block_lanes_wide::<4>(&msgs, off);
-            off += 64;
+        let end = off + (len - off) / 16 * 16;
+        if end > off {
+            self.blocks(msgs.map(|m| &m[off..end]), HIBIT26);
         }
-        if len - off >= 32 {
-            self.block_lanes_wide::<2>(&msgs, off);
-            off += 32;
-        }
-        if len - off >= 16 {
-            let blocks: [&[u8; 16]; LANES] =
-                std::array::from_fn(|l| msgs[l][off..off + 16].try_into().expect("16-byte chunk"));
-            self.block_lanes(blocks, 1 << 40);
-            off += 16;
-        }
-        if off < len {
+        if end < len {
             for (buf, msg) in self.buf.iter_mut().zip(&msgs) {
-                buf[..len - off].copy_from_slice(&msg[off..]);
+                buf[..len - end].copy_from_slice(&msg[end..]);
             }
-            self.buf_len = len - off;
+            self.buf_len = len - end;
         }
     }
 
@@ -476,66 +514,20 @@ impl<const LANES: usize> Poly1305xN<LANES> {
         }
     }
 
-    /// Finalizes all lanes, returning their tags in lane order. Each
-    /// lane runs the scalar trailing-partial-block and [`finalize_limbs`]
-    /// path on its column.
-    pub fn finalize(self) -> [[u8; TAG_LEN]; LANES] {
-        std::array::from_fn(|l| {
-            let mut h = [self.h[0][l], self.h[1][l], self.h[2][l]];
-            if self.buf_len > 0 {
-                let mut block = [0u8; 16];
-                block[..self.buf_len].copy_from_slice(&self.buf[l][..self.buf_len]);
-                block[self.buf_len] = 1;
-                let (r, s) = self.powers[l][3];
-                block_step(&mut h, &r, &s, &block, 0);
+    /// Finalizes all lanes, returning their tags in lane order: the padded
+    /// final block (if any) through the kernel, then the full reduction per
+    /// lane.
+    pub fn finalize(mut self) -> [[u8; TAG_LEN]; LANES] {
+        if self.buf_len > 0 {
+            // Final partial block: append 0x01 then zeros, hibit = 0.
+            for buf in &mut self.buf {
+                buf[self.buf_len] = 1;
+                buf[self.buf_len + 1..].fill(0);
             }
-            finalize_limbs(h, [self.pad[0][l], self.pad[1][l]])
-        })
-    }
-}
-
-/// One tag per cell over equal-shape strided messages: message `i` is
-/// `flat[i * stride..i * stride + len]`, tagged under `keys[i]` into
-/// `tags[i]`. Cells are processed eight at a time through [`Poly1305x8`]
-/// (matching the widest ChaCha lane group), then four through
-/// [`Poly1305x4`]; the final leftover takes the scalar path. Identical to
-/// a sequential [`poly1305`] loop for any cell count.
-///
-/// # Panics
-/// Panics if `tags.len() != keys.len()`, `flat.len() != keys.len() *
-/// stride`, or `len > stride`.
-pub fn poly1305_batch(
-    keys: &[[u8; KEY_LEN]],
-    flat: &[u8],
-    stride: usize,
-    len: usize,
-    tags: &mut [[u8; TAG_LEN]],
-) {
-    assert_eq!(tags.len(), keys.len(), "one tag slot per key");
-    assert_eq!(flat.len(), keys.len() * stride, "flat must hold one stride per key");
-    assert!(len <= stride, "message region must fit its stride");
-    let mut cell = 0;
-    while cell + 8 <= keys.len() {
-        let mut mac = Poly1305x8::new(std::array::from_fn(|l| &keys[cell + l]));
-        mac.update(std::array::from_fn(|l| {
-            let base = (cell + l) * stride;
-            &flat[base..base + len]
-        }));
-        tags[cell..cell + 8].copy_from_slice(&mac.finalize());
-        cell += 8;
-    }
-    while cell + 4 <= keys.len() {
-        let mut mac = Poly1305x4::new(std::array::from_fn(|l| &keys[cell + l]));
-        mac.update(std::array::from_fn(|l| {
-            let base = (cell + l) * stride;
-            &flat[base..base + len]
-        }));
-        tags[cell..cell + 4].copy_from_slice(&mac.finalize());
-        cell += 4;
-    }
-    for i in cell..keys.len() {
-        let base = i * stride;
-        tags[i] = poly1305(&keys[i], &flat[base..base + len]);
+            let blocks = self.buf;
+            self.blocks(blocks.each_ref().map(|b| b.as_slice()), 0);
+        }
+        std::array::from_fn(|l| finalize_lane(self.h.map(|row| row[l]), self.pad[l]))
     }
 }
 
@@ -587,14 +579,22 @@ mod tests {
         assert_eq!(poly1305(&key, msg).to_vec(), hex("36e5f6b5c5e06070f0efca96227a863e"));
     }
 
+    /// The RFC 8439 §A.3 vector 3 key: r from the vector, s = 0.
+    fn a3_vector_3_key() -> [u8; 32] {
+        let mut key = [0u8; 32];
+        key[..16].copy_from_slice(&hex("36e5f6b5c5e06070f0efca96227a863e"));
+        key
+    }
+
+    /// The RFC 8439 §A.3 vector 3 message.
+    const A3_VECTOR_3_MSG: &[u8] = b"Any submission to the IETF intended by the Contributor for publication as all or part of an IETF Internet-Draft or RFC and any statement made within the context of an IETF activity is considered an \"IETF Contribution\". Such statements include oral statements in IETF sessions, as well as written and electronic communications made at any time or place, which are addressed to";
+
     /// RFC 8439 §A.3 test vector 3: s = 0, message of 0xFF exercising
     /// carry propagation.
     #[test]
     fn rfc8439_a3_vector_3() {
-        let mut key = [0u8; 32];
-        key[..16].copy_from_slice(&hex("36e5f6b5c5e06070f0efca96227a863e"));
-        let msg = b"Any submission to the IETF intended by the Contributor for publication as all or part of an IETF Internet-Draft or RFC and any statement made within the context of an IETF activity is considered an \"IETF Contribution\". Such statements include oral statements in IETF sessions, as well as written and electronic communications made at any time or place, which are addressed to";
-        assert_eq!(poly1305(&key, msg).to_vec(), hex("f3477e7cd95417af89a6b8794c310cf0"));
+        let tag = poly1305(&a3_vector_3_key(), A3_VECTOR_3_MSG);
+        assert_eq!(tag.to_vec(), hex("f3477e7cd95417af89a6b8794c310cf0"));
     }
 
     /// RFC 8439 §A.3 vector 10-ish: wraparound at 2^130 - 5. Message block
@@ -664,7 +664,7 @@ mod tests {
         assert_ne!(poly1305(&key, b"message one"), poly1305(&key, b"message two"));
     }
 
-    /// Four interleaved lanes produce exactly the four scalar tags, across
+    /// Four lock-step lanes produce exactly the four scalar tags, across
     /// message lengths with and without trailing partial blocks.
     #[test]
     fn x4_matches_scalar() {
@@ -688,7 +688,7 @@ mod tests {
         }
     }
 
-    /// Eight interleaved lanes produce exactly the eight scalar tags,
+    /// Eight lock-step lanes produce exactly the eight scalar tags,
     /// across message lengths with and without trailing partial blocks.
     #[test]
     fn x8_matches_scalar() {
@@ -712,20 +712,104 @@ mod tests {
         }
     }
 
-    /// RFC 8439 §2.5.2 through the interleaved lanes: every lane of an x8
+    /// Tags every lane's message with `Poly1305xN::<L>` and checks each
+    /// lane against scalar [`poly1305`]; returns the lane tags.
+    fn lanes_match_scalar<const L: usize>(
+        keys: [&[u8; 32]; L],
+        msgs: [&[u8]; L],
+    ) -> [[u8; TAG_LEN]; L] {
+        let mut mac = Poly1305xN::<L>::new(keys);
+        mac.update(msgs);
+        let tags = mac.finalize();
+        for l in 0..L {
+            assert_eq!(
+                tags[l],
+                poly1305(keys[l], msgs[l]),
+                "lane {l} of {L}, len {}",
+                msgs[l].len()
+            );
+        }
+        tags
+    }
+
+    /// A key whose clamped `r` is the largest the clamp allows: every
+    /// limb of `r` (and so of `5·r`) at its maximum.
+    fn max_r_key(s: u8) -> [u8; 32] {
+        let mut key = [0xffu8; 32];
+        key[16..].fill(s);
+        key
+    }
+
+    /// The largest limbs the lanes can meet: all-`0xff` messages up to
+    /// 1024 B (every message limb at its maximum, the accumulator pushed to
+    /// its carry bounds each block) under keys with maximal clamped `r`,
+    /// in every lane of both widths. A limb at 2^32 reaching a 32-bit
+    /// multiply, or a carry dropped at the 2^130 − 5 wrap, breaks the
+    /// match (and debug builds trip [`mul32`]'s check first).
+    #[test]
+    fn lanes_survive_maximal_limbs() {
+        let msg = [0xffu8; 1024];
+        let keys: [[u8; 32]; 8] =
+            std::array::from_fn(|l| max_r_key(if l % 2 == 0 { 0xff } else { 0 }));
+        for len in [0usize, 1, 15, 16, 17, 63, 64, 231, 255, 256, 1000, 1024] {
+            lanes_match_scalar::<8>(keys.each_ref(), [&msg[..len]; 8]);
+            lanes_match_scalar::<4>(std::array::from_fn(|l| &keys[l]), [&msg[..len]; 4]);
+        }
+    }
+
+    /// [`full_block_of_ones_with_tiny_r`] in every lane: the
+    /// final-subtraction path must select `h − p` per lane.
+    #[test]
+    fn lanes_wrap_at_the_modulus() {
+        let mut key = [0u8; 32];
+        key[0] = 2;
+        let mut expected = [0u8; 16];
+        expected[0] = 3;
+        let msg = [0xffu8; 16];
+        assert_eq!(lanes_match_scalar::<8>([&key; 8], [&msg[..]; 8]), [expected; 8]);
+        assert_eq!(lanes_match_scalar::<4>([&key; 4], [&msg[..]; 4]), [expected; 4]);
+    }
+
+    /// Lanes at opposite extremes side by side: lane 0 under the zero key,
+    /// the last lane under maximal `r` and `s`, the rest between, all over
+    /// all-`0xff` messages — no lane's carries may leak into another's.
+    #[test]
+    fn mixed_lanes_stay_independent() {
+        let msg = [0xffu8; 1024];
+        let keys: [[u8; 32]; 8] = std::array::from_fn(|l| match l {
+            0 => [0u8; 32],
+            7 => max_r_key(0xff),
+            _ => std::array::from_fn(|i| (l * 59 + i * 17 + 3) as u8),
+        });
+        for len in [16usize, 100, 231, 1024] {
+            lanes_match_scalar::<8>(keys.each_ref(), [&msg[..len]; 8]);
+            let keys4 = [&keys[0], &keys[1], &keys[6], &keys[7]];
+            lanes_match_scalar::<4>(keys4, [&msg[..len]; 4]);
+        }
+    }
+
+    /// RFC 8439 §A.3 vector 3 through every lane of x8 and x4.
+    #[test]
+    fn rfc8439_a3_vector_3_through_lanes() {
+        let key = a3_vector_3_key();
+        let expected: [u8; 16] = hex("f3477e7cd95417af89a6b8794c310cf0").try_into().unwrap();
+        let tags8 = lanes_match_scalar::<8>([&key; 8], [A3_VECTOR_3_MSG; 8]);
+        let tags4 = lanes_match_scalar::<4>([&key; 4], [A3_VECTOR_3_MSG; 4]);
+        assert_eq!(tags8, [expected; 8]);
+        assert_eq!(tags4, [expected; 4]);
+    }
+
+    /// RFC 8439 §2.5.2 through the lanes: every lane of an x8 and of an x4
     /// run over the RFC message reproduces the published tag.
     #[test]
     fn rfc8439_vector_x8() {
         let key: [u8; 32] = hex("85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b")
             .try_into()
             .unwrap();
-        let msg = b"Cryptographic Forum Research Group";
-        let expected: Vec<u8> = hex("a8061dc1305136c6c22b8baf0c0127a9");
-        let mut mac = Poly1305x8::new([&key; 8]);
-        mac.update([msg.as_slice(); 8]);
-        for (l, tag) in mac.finalize().iter().enumerate() {
-            assert_eq!(tag.to_vec(), expected, "lane {l}");
-        }
+        let msg: &[u8] = b"Cryptographic Forum Research Group";
+        let expected: [u8; 16] = hex("a8061dc1305136c6c22b8baf0c0127a9").try_into().unwrap();
+        assert_eq!(lanes_match_scalar::<8>([&key; 8], [msg; 8]), [expected; 8]);
+        assert_eq!(lanes_match_scalar::<4>([&key; 4], [msg; 4]), [expected; 4]);
     }
 
     /// Split updates and pad16 agree with scalar split updates and pad16.
@@ -749,18 +833,35 @@ mod tests {
         }
     }
 
-    /// The strided one-shot batch covers every remainder class (cell count
-    /// mod 8 and mod 4) and gap layouts where `len < stride`.
+    /// A batch of strided cells tagged in groups of 8, then 4, then one at
+    /// a time — the grouping the batch ciphers use — equals a scalar
+    /// per-cell loop, for every cell-count remainder class of both widths.
     #[test]
     fn batch_matches_scalar_loop() {
+        fn tag_group<const L: usize>(keys: &[[u8; 32]], cells: &[&[u8]]) -> Vec<[u8; TAG_LEN]> {
+            let mut mac = Poly1305xN::<L>::new(std::array::from_fn(|l| &keys[l]));
+            mac.update(std::array::from_fn(|l| cells[l]));
+            mac.finalize().to_vec()
+        }
         for cells in [0usize, 1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 15, 16, 17] {
             for (stride, len) in [(80usize, 76usize), (48, 48), (20, 0), (33, 17)] {
                 let keys: Vec<[u8; 32]> = (0..cells)
                     .map(|c| std::array::from_fn(|i| (c * 53 + i * 13 + 2) as u8))
                     .collect();
                 let flat: Vec<u8> = (0..cells * stride).map(|i| (i * 7 % 251) as u8).collect();
-                let mut tags = vec![[0u8; TAG_LEN]; cells];
-                poly1305_batch(&keys, &flat, stride, len, &mut tags);
+                let msgs: Vec<&[u8]> =
+                    (0..cells).map(|c| &flat[c * stride..c * stride + len]).collect();
+                let mut tags = Vec::with_capacity(cells);
+                let mut done = 0;
+                while cells - done >= 8 {
+                    tags.extend(tag_group::<8>(&keys[done..], &msgs[done..]));
+                    done += 8;
+                }
+                while cells - done >= 4 {
+                    tags.extend(tag_group::<4>(&keys[done..], &msgs[done..]));
+                    done += 4;
+                }
+                tags.extend((done..cells).map(|c| poly1305(&keys[c], msgs[c])));
                 for (i, key) in keys.iter().enumerate() {
                     let base = i * stride;
                     assert_eq!(

@@ -229,30 +229,21 @@ proptest! {
         prop_assert_eq!(batch, expected);
     }
 
-    /// `poly1305_batch` (8, then 4, tags' field arithmetic interleaved)
-    /// equals a scalar per-message loop for message lengths 0..=1024 and
-    /// every cell count remainder class of both group widths.
+    /// `Poly1305xN` at both widths equals scalar `Poly1305` in every lane,
+    /// under a random key per lane, for one message of 0..=1024 bytes and
+    /// for the AEAD's shape `update(a) + pad16 + update(b)`. The cell-count
+    /// remainder classes of the 8 → 4 → scalar grouping are covered through
+    /// the real entry point by `cipher_batch_matches_sequential`.
     #[test]
     fn poly1305_batch_matches_scalar(
-        cells in 0usize..18,
         len in 0usize..=1024,
+        split_frac in 0.0f64..1.0,
         seed in any::<u64>(),
     ) {
-        use dps_crypto::poly1305::{poly1305, poly1305_batch, TAG_LEN};
         let mut rng = ChaChaRng::seed_from_u64(seed);
-        let keys: Vec<[u8; 32]> = (0..cells)
-            .map(|_| {
-                let mut k = [0u8; 32];
-                rng.fill_bytes(&mut k);
-                k
-            })
-            .collect();
-        let flat: Vec<u8> = (0..cells * len).map(|i| (i * 13 % 251) as u8).collect();
-        let mut tags = vec![[0u8; TAG_LEN]; cells];
-        poly1305_batch(&keys, &flat, len, len, &mut tags);
-        for (i, key) in keys.iter().enumerate() {
-            prop_assert_eq!(tags[i], poly1305(key, &flat[i * len..(i + 1) * len]));
-        }
+        let split = (len as f64 * split_frac) as usize;
+        poly1305_lanes_check::<8>(&mut rng, len, split);
+        poly1305_lanes_check::<4>(&mut rng, len, split);
     }
 
     /// The batch cipher entry points are byte-identical to sequential
@@ -384,5 +375,33 @@ proptest! {
         cells[i] = new_cell.clone();
         tree.update(i, &new_cell);
         prop_assert_eq!(tree.root(), MerkleTree::build(&cells).root());
+    }
+}
+
+/// One case of `poly1305_batch_matches_scalar` at `L` lanes: random keys and
+/// `len`-byte messages per lane, tagged whole and split at `split` around a
+/// `pad16`, each lane against the scalar form.
+fn poly1305_lanes_check<const L: usize>(rng: &mut ChaChaRng, len: usize, split: usize) {
+    use dps_crypto::poly1305::{poly1305, Poly1305, Poly1305xN};
+    let mut keys = [[0u8; 32]; L];
+    let mut msgs = vec![vec![0u8; len]; L];
+    for (key, msg) in keys.iter_mut().zip(&mut msgs) {
+        rng.fill_bytes(key);
+        rng.fill_bytes(msg);
+    }
+    let mut whole = Poly1305xN::<L>::new(keys.each_ref());
+    whole.update(std::array::from_fn(|l| msgs[l].as_slice()));
+    let mut split_mac = Poly1305xN::<L>::new(keys.each_ref());
+    split_mac.update(std::array::from_fn(|l| &msgs[l][..split]));
+    split_mac.pad16();
+    split_mac.update(std::array::from_fn(|l| &msgs[l][split..]));
+    for (l, (whole_tag, split_tag)) in whole.finalize().iter().zip(split_mac.finalize()).enumerate()
+    {
+        assert_eq!(*whole_tag, poly1305(&keys[l], &msgs[l]), "lane {l} of {L}, len {len}");
+        let mut scalar = Poly1305::new(&keys[l]);
+        scalar.update(&msgs[l][..split]);
+        scalar.pad16();
+        scalar.update(&msgs[l][split..]);
+        assert_eq!(split_tag, scalar.finalize(), "lane {l} of {L}, len {len}, split {split}");
     }
 }
