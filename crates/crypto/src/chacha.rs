@@ -12,13 +12,13 @@
 //! * the **4-lane wide core** permutes 4 independent blocks per pass in a
 //!   structure-of-arrays state (`[[u32; 4]; 16]`, word-major). On x86-64
 //!   it runs as explicit SSE2 intrinsics ([`sse2`]); everywhere else (and
-//!   under `DPS_FORCE_ISA=portable`) as plain lane loops LLVM
-//!   auto-vectorizes — no unstable SIMD APIs, no `unsafe`;
+//!   under `DPS_FORCE_ISA=portable`) as plain lane loops — no unstable
+//!   SIMD APIs, no `unsafe`;
 //! * the **8-lane wide core** ([`avx2`], `[[u32; 8]; 16]` over `__m256i`)
 //!   doubles the lane width when `is_x86_feature_detected!("avx2")`
-//!   reports AVX2 at runtime. On every other tier, 8-lane entry points
-//!   ([`blocks8`]) decompose into two byte-identical 4-lane passes, so
-//!   the same code compiles and runs on aarch64 unchanged.
+//!   reports AVX2 at runtime. On every other tier, an 8-lane group
+//!   ([`blocks_each`]) decomposes into two byte-identical 4-lane passes,
+//!   so the same code compiles and runs on aarch64 unchanged.
 //!
 //! The wide cores back [`xor_keystream`] (consecutive counters of one
 //! stream, 8 or 4 per pass) and [`xor_keystream_batch_strided`] (one block
@@ -106,65 +106,51 @@ type Wide8State = [[u32; WIDE_LANES]; 16];
 /// interleaved blocks and returns the feed-forward sum
 /// `permute(init) + init`, word-major.
 ///
-/// The per-step lane loops are written to auto-vectorize, but current
-/// LLVM refuses to build SLP trees through vector funnel-shift (rotate)
-/// nodes, so on x86-64 the [`sse2`] / [`avx2`] twins — explicit
-/// intrinsics, same arithmetic — are dispatched instead. This portable
-/// form is the fallback for every other target (and for
-/// `DPS_FORCE_ISA=portable`), and the cross-check oracle the
-/// `wide_cores_agree` tests pin the intrinsic paths against.
+/// Each quarter-round is one loop over the lanes whose body is that
+/// lane's eight steps. This form is the fallback for every other target
+/// (and for `DPS_FORCE_ISA=portable`), and the cross-check oracle the
+/// `wide_cores_agree` tests pin the intrinsic paths against. On x86-64
+/// the [`sse2`] / [`avx2`] twins — explicit intrinsics, same arithmetic —
+/// stay dispatched because they win: a lane-innermost safe body was
+/// 4–20 % slower than them on the batch and keystream paths at both
+/// tiers, and rustc 1.95's LLVM keeps this one scalar, a `rol` per lane
+/// per rotate (NOTES.md, entry 17).
 fn wide_core_portable<const L: usize>(init: &[[u32; L]; 16]) -> [[u32; L]; 16] {
-    #[derive(Clone, Copy)]
-    #[repr(align(16))]
-    struct Lane<const L: usize>([u32; L]);
-
-    impl<const L: usize> Lane<L> {
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            Lane(std::array::from_fn(|i| self.0[i].wrapping_add(o.0[i])))
-        }
-
-        #[inline(always)]
-        fn xor_rotl(self, o: Self, n: u32) -> Self {
-            Lane(std::array::from_fn(|i| (self.0[i] ^ o.0[i]).rotate_left(n)))
-        }
-    }
-
     #[inline(always)]
-    fn quarter<const L: usize>(
-        a: Lane<L>,
-        b: Lane<L>,
-        c: Lane<L>,
-        d: Lane<L>,
-    ) -> (Lane<L>, Lane<L>, Lane<L>, Lane<L>) {
-        let a = a.add(b);
-        let d = d.xor_rotl(a, 16);
-        let c = c.add(d);
-        let b = b.xor_rotl(c, 12);
-        let a = a.add(b);
-        let d = d.xor_rotl(a, 8);
-        let c = c.add(d);
-        let b = b.xor_rotl(c, 7);
-        (a, b, c, d)
+    // One lane index walks four rows of `x` at once.
+    #[allow(clippy::needless_range_loop)]
+    fn quarter<const L: usize>(x: &mut [[u32; L]; 16], a: usize, b: usize, c: usize, d: usize) {
+        for l in 0..L {
+            x[a][l] = x[a][l].wrapping_add(x[b][l]);
+            x[d][l] = (x[d][l] ^ x[a][l]).rotate_left(16);
+            x[c][l] = x[c][l].wrapping_add(x[d][l]);
+            x[b][l] = (x[b][l] ^ x[c][l]).rotate_left(12);
+            x[a][l] = x[a][l].wrapping_add(x[b][l]);
+            x[d][l] = (x[d][l] ^ x[a][l]).rotate_left(8);
+            x[c][l] = x[c][l].wrapping_add(x[d][l]);
+            x[b][l] = (x[b][l] ^ x[c][l]).rotate_left(7);
+        }
     }
 
-    let start: [Lane<L>; 16] = std::array::from_fn(|w| Lane(init[w]));
-    let [mut x0, mut x1, mut x2, mut x3, mut x4, mut x5, mut x6, mut x7, mut x8, mut x9, mut x10, mut x11, mut x12, mut x13, mut x14, mut x15] =
-        start;
+    let mut x = *init;
     for _ in 0..10 {
         // Column rounds.
-        (x0, x4, x8, x12) = quarter(x0, x4, x8, x12);
-        (x1, x5, x9, x13) = quarter(x1, x5, x9, x13);
-        (x2, x6, x10, x14) = quarter(x2, x6, x10, x14);
-        (x3, x7, x11, x15) = quarter(x3, x7, x11, x15);
+        quarter(&mut x, 0, 4, 8, 12);
+        quarter(&mut x, 1, 5, 9, 13);
+        quarter(&mut x, 2, 6, 10, 14);
+        quarter(&mut x, 3, 7, 11, 15);
         // Diagonal rounds.
-        (x0, x5, x10, x15) = quarter(x0, x5, x10, x15);
-        (x1, x6, x11, x12) = quarter(x1, x6, x11, x12);
-        (x2, x7, x8, x13) = quarter(x2, x7, x8, x13);
-        (x3, x4, x9, x14) = quarter(x3, x4, x9, x14);
+        quarter(&mut x, 0, 5, 10, 15);
+        quarter(&mut x, 1, 6, 11, 12);
+        quarter(&mut x, 2, 7, 8, 13);
+        quarter(&mut x, 3, 4, 9, 14);
     }
-    let end = [x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15];
-    std::array::from_fn(|w| end[w].add(start[w]).0)
+    for (row, start) in x.iter_mut().zip(init) {
+        for (word, s) in row.iter_mut().zip(start) {
+            *word = word.wrapping_add(*s);
+        }
+    }
+    x
 }
 
 /// Transposes a word-major feed-forward sum (as the portable core returns
@@ -609,7 +595,7 @@ fn serialize_blocks<const L: usize>(words: &[[u32; 16]; L]) -> [[u8; BLOCK_LEN];
 /// Computes 4 keystream blocks in one interleaved pass: output `l` is
 /// [`block`]`(key, counters[l], nonces[l])`. One 4-lane group of the
 /// batch one-time-key derivation ([`blocks_each`]).
-pub fn blocks4(
+fn blocks4(
     key: &[u8; KEY_LEN],
     counters: &[u32; 4],
     nonces: &[&[u8; NONCE_LEN]; 4],
@@ -621,9 +607,8 @@ pub fn blocks4(
 /// Computes [`WIDE_LANES`] = 8 keystream blocks: output `l` is
 /// [`block`]`(key, counters[l], nonces[l])`. On the AVX2 tier this is one
 /// 8-lane pass; on every other tier it decomposes into two byte-identical
-/// 4-lane passes, so callers (batch one-time-key derivation, the bulk
-/// CSPRNG refill) can group by 8 unconditionally.
-pub fn blocks8(
+/// 4-lane passes, so [`blocks_each`] can group by 8 unconditionally.
+fn blocks8(
     key: &[u8; KEY_LEN],
     counters: &[u32; WIDE_LANES],
     nonces: &[&[u8; NONCE_LEN]; WIDE_LANES],
@@ -648,9 +633,9 @@ pub fn blocks8(
 
 /// Computes one keystream block per (counter, nonce) pair: `out[i]` is
 /// [`block`]`(key, counters[i], nonces[i])` for any pair count,
-/// decomposed into 8-lane passes ([`blocks8`]), a 4-lane pass, and a
-/// scalar tail. This is the shape the batch tag paths use to derive one
-/// Poly1305 one-time key per cell.
+/// decomposed into 8-lane passes (one AVX2 pass, or two 4-lane passes
+/// below that tier), a 4-lane pass, and a scalar tail. This is the shape
+/// the batch tag paths use to derive one Poly1305 one-time key per cell.
 ///
 /// # Panics
 /// Panics if `counters`, `nonces` and `out` differ in length.

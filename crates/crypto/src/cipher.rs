@@ -11,17 +11,21 @@
 //! derived RFC 8439-style from a separate MAC key and the nonce) is
 //! appended so that tests and the simulated server can detect accidental
 //! corruption; this is a robustness aid, not an authenticity claim (the
-//! paper's adversary is honest-but-curious). The tag is not free: at
-//! DP-KVS's 219 B node, an 8-cell group of
+//! paper's adversary is honest-but-curious).
+//!
+//! [`BlockCipher`] supplies only its parameters — that tag, its MAC key,
+//! the body keystream from block 0 — to the crate's one sealed-cell engine,
+//! which [`crate::aead::AeadCipher`] shares: every method here is a thin
+//! wrapper over the engine's one-cell seal and open or its batch pair. The
+//! tag is not free: at DP-KVS's 219 B node, an 8-cell group of
 //! [`BlockCipher::encrypt_batch_with_nonces`] measured ≈ 2.2–2.3 µs on an
 //! AVX2 Xeon, of which the keystream is ≈ 1.13–1.19 µs (half), the
-//! [`Poly1305xN`] lane MAC ≈ 0.66–0.76 µs (a third) and the one-time keys
-//! ≈ 0.29–0.39 µs. Before the MAC ran on vector lanes it was ≈ 1.2 µs of
-//! ≈ 2.8–2.9 µs, as much as the keystream.
+//! Poly1305 lane MAC ≈ 0.66–0.76 µs (a third) and the one-time keys
+//! ≈ 0.29–0.39 µs.
 
 use crate::chacha;
-use crate::poly1305::{Poly1305, Poly1305xN};
 use crate::rng::ChaChaRng;
+use crate::seal::{Engine, TagMessage};
 
 /// Length of the integrity tag appended to each ciphertext.
 const TAG_LEN: usize = 4;
@@ -107,6 +111,19 @@ impl BlockCipher {
         Self::new(Key::generate(rng))
     }
 
+    /// The shared cell engine with this cipher's parameters: a 4-byte tag
+    /// over `nonce || body` under the separate MAC key (so it never
+    /// overlaps the encryption keystream), the body keystream from block 0.
+    fn engine(&self) -> Engine<'_> {
+        Engine {
+            enc: &self.key.enc,
+            mac: &self.key.mac,
+            counter: 0,
+            tag_len: TAG_LEN,
+            message: TagMessage::NonceBody,
+        }
+    }
+
     /// Encrypts `plaintext` with a fresh random nonce drawn from `rng`.
     /// Calling this twice on the same plaintext yields different
     /// ciphertexts (IND-CPA re-randomization).
@@ -124,49 +141,21 @@ impl BlockCipher {
         let mut nonce = [0u8; chacha::NONCE_LEN];
         rng.fill_bytes(&mut nonce);
         out.clear();
-        out.reserve(plaintext.len() + CIPHERTEXT_OVERHEAD);
-        out.extend_from_slice(&nonce);
-        out.extend_from_slice(plaintext);
-        chacha::xor_keystream(&self.key.enc, 0, &nonce, &mut out[chacha::NONCE_LEN..]);
-        let tag = self.tag(out);
-        out.extend_from_slice(&tag);
+        out.resize(plaintext.len() + CIPHERTEXT_OVERHEAD, 0);
+        self.encrypt_with_nonce_into(&nonce, plaintext, out);
     }
 
     /// Deterministic slice-form encryption: writes `nonce || body || tag`
     /// into `out`, which must be exactly `plaintext.len() +
-    /// CIPHERTEXT_OVERHEAD` bytes. This is the batch primitive — the
-    /// caller draws every nonce up front
-    /// ([`ChaChaRng::draw_nonces`](crate::rng::ChaChaRng::draw_nonces)) and
-    /// the cells are encrypted into disjoint slots, producing output
-    /// byte-identical to a sequential [`BlockCipher::encrypt_into`] loop
-    /// over the same RNG stream.
+    /// CIPHERTEXT_OVERHEAD` bytes. The caller draws the nonce
+    /// ([`ChaChaRng::draw_nonces`](crate::rng::ChaChaRng::draw_nonces));
+    /// over the same RNG stream the output is byte-identical to
+    /// [`BlockCipher::encrypt_into`].
     ///
     /// # Panics
     /// Panics if `out.len() != plaintext.len() + CIPHERTEXT_OVERHEAD`.
-    pub fn encrypt_with_nonce_into(
-        &self,
-        nonce: &[u8; chacha::NONCE_LEN],
-        plaintext: &[u8],
-        out: &mut [u8],
-    ) {
-        assert_eq!(
-            out.len(),
-            plaintext.len() + CIPHERTEXT_OVERHEAD,
-            "output slot must be plaintext + overhead"
-        );
-        let body_end = chacha::NONCE_LEN + plaintext.len();
-        out[..chacha::NONCE_LEN].copy_from_slice(nonce);
-        out[chacha::NONCE_LEN..body_end].copy_from_slice(plaintext);
-        chacha::xor_keystream(&self.key.enc, 0, nonce, &mut out[chacha::NONCE_LEN..body_end]);
-        let tag = self.tag(&out[..body_end]);
-        out[body_end..].copy_from_slice(&tag);
-    }
-
-    /// Decrypts a ciphertext, verifying its integrity tag.
-    pub fn decrypt(&self, ciphertext: &Ciphertext) -> Result<Vec<u8>, CryptoError> {
-        let mut out = Vec::new();
-        self.decrypt_into(&ciphertext.0, &mut out)?;
-        Ok(out)
+    pub fn encrypt_with_nonce_into(&self, nonce: &chacha::Nonce, plaintext: &[u8], out: &mut [u8]) {
+        self.engine().seal_into(nonce, &[], plaintext, out);
     }
 
     /// Decrypts raw ciphertext bytes into `out` (cleared first), verifying
@@ -174,72 +163,37 @@ impl BlockCipher {
     /// capacity — the zero-copy read path hands borrowed cell slices
     /// straight to this.
     pub fn decrypt_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CryptoError> {
-        if data.len() < CIPHERTEXT_OVERHEAD {
-            return Err(CryptoError::Malformed);
-        }
-        let (body, tag) = data.split_at(data.len() - TAG_LEN);
-        if self.tag(body) != tag {
-            return Err(CryptoError::TagMismatch);
-        }
-        let nonce: [u8; chacha::NONCE_LEN] =
-            body[..chacha::NONCE_LEN].try_into().expect("nonce prefix");
         out.clear();
-        out.extend_from_slice(&body[chacha::NONCE_LEN..]);
-        chacha::xor_keystream(&self.key.enc, 0, &nonce, out);
-        Ok(())
+        out.resize(data.len().saturating_sub(CIPHERTEXT_OVERHEAD), 0);
+        self.decrypt_to_slice(data, out).map(drop)
     }
 
     /// Deterministic slice-form decryption: verifies the tag and writes the
     /// plaintext into the first `data.len() - CIPHERTEXT_OVERHEAD` bytes of
     /// `out`, returning that length. `out` is untouched on error. The
-    /// parallel-batch counterpart of [`BlockCipher::encrypt_with_nonce_into`].
+    /// counterpart of [`BlockCipher::encrypt_with_nonce_into`].
     ///
     /// # Panics
     /// Panics if `out` is shorter than the plaintext.
     pub fn decrypt_to_slice(&self, data: &[u8], out: &mut [u8]) -> Result<usize, CryptoError> {
-        if data.len() < CIPHERTEXT_OVERHEAD {
-            return Err(CryptoError::Malformed);
-        }
-        let (body, tag) = data.split_at(data.len() - TAG_LEN);
-        if self.tag(body) != tag {
-            return Err(CryptoError::TagMismatch);
-        }
-        let nonce: [u8; chacha::NONCE_LEN] =
-            body[..chacha::NONCE_LEN].try_into().expect("nonce prefix");
-        let pt_len = body.len() - chacha::NONCE_LEN;
-        out[..pt_len].copy_from_slice(&body[chacha::NONCE_LEN..]);
-        chacha::xor_keystream(&self.key.enc, 0, &nonce, &mut out[..pt_len]);
-        Ok(pt_len)
+        self.engine().open_into(&[], data, out)
     }
 
     /// Decrypts `buf` in place: on success `buf` holds the plaintext (the
     /// nonce prefix and tag suffix are stripped); on failure `buf` is
     /// unchanged. No heap allocation ever.
     pub fn decrypt_in_place(&self, buf: &mut Vec<u8>) -> Result<(), CryptoError> {
-        if buf.len() < CIPHERTEXT_OVERHEAD {
-            return Err(CryptoError::Malformed);
-        }
-        let body_len = buf.len() - TAG_LEN;
-        let (body, tag) = buf.split_at(body_len);
-        if self.tag(body) != tag {
-            return Err(CryptoError::TagMismatch);
-        }
-        let nonce: [u8; chacha::NONCE_LEN] =
-            buf[..chacha::NONCE_LEN].try_into().expect("nonce prefix");
-        chacha::xor_keystream(&self.key.enc, 0, &nonce, &mut buf[chacha::NONCE_LEN..body_len]);
-        buf.copy_within(chacha::NONCE_LEN..body_len, 0);
-        buf.truncate(body_len - chacha::NONCE_LEN);
+        let pt_len = self.engine().open_in_place(&[], buf)?;
+        buf.truncate(pt_len);
         Ok(())
     }
 
     /// Encrypts `nonces.len()` equal-length plaintexts packed back-to-back
     /// in `plaintexts` into equal-length `nonce || body || tag` slots of
-    /// `out`, one pre-drawn nonce per cell. Byte-identical to a
-    /// [`BlockCipher::encrypt_with_nonce_into`] loop over the cells, but
-    /// runs the wide keystream across cells (different nonces per
-    /// permutation pass when cells are short) and batches the Poly1305
-    /// one-time-key derivation and tag arithmetic in groups of 8, then 4,
-    /// cells at a time.
+    /// `out`, one pre-drawn nonce per cell: byte-identical to a
+    /// [`BlockCipher::encrypt_with_nonce_into`] loop over the cells, on the
+    /// engine's batch path (the keystream across cells in one wide strided
+    /// pass, the tags on the Poly1305 lanes 8, then 4, cells at a time).
     ///
     /// # Panics
     /// Panics if `plaintexts.len()` is not `nonces.len()` equal strides or
@@ -250,146 +204,14 @@ impl BlockCipher {
         plaintexts: &[u8],
         out: &mut [u8],
     ) {
-        let cells = nonces.len();
-        if cells == 0 {
-            assert!(plaintexts.is_empty() && out.is_empty(), "bytes without nonces");
-            return;
-        }
-        assert_eq!(plaintexts.len() % cells, 0, "plaintext length not a multiple of cell count");
-        let pt_stride = plaintexts.len() / cells;
-        let ct_stride = pt_stride + CIPHERTEXT_OVERHEAD;
-        assert_eq!(out.len(), cells * ct_stride, "output must hold every ciphertext");
-
-        // Lay out nonce || plaintext per slot, then encrypt every body in
-        // one wide strided pass.
-        for (i, nonce) in nonces.iter().enumerate() {
-            let slot = &mut out[i * ct_stride..(i + 1) * ct_stride];
-            slot[..chacha::NONCE_LEN].copy_from_slice(nonce);
-            slot[chacha::NONCE_LEN..chacha::NONCE_LEN + pt_stride]
-                .copy_from_slice(&plaintexts[i * pt_stride..(i + 1) * pt_stride]);
-        }
-        chacha::xor_keystream_batch_strided(
-            &self.key.enc,
-            0,
-            nonces,
-            out,
-            ct_stride,
-            chacha::NONCE_LEN,
-            pt_stride,
-        );
-
-        // Tag phase: derive a group's one-time keys per wide pass and run
-        // the group's tags on the Poly1305 lanes, 8 then 4 cells at a
-        // time.
-        let msg_len = ct_stride - TAG_LEN;
-        let mut cell = 0;
-        while cell + 8 <= cells {
-            let (_, tags) = self.group_tags::<8>(out, cell, ct_stride, msg_len);
-            for (l, full_tag) in tags.iter().enumerate() {
-                let base = (cell + l) * ct_stride;
-                out[base + msg_len..base + ct_stride].copy_from_slice(&full_tag[..TAG_LEN]);
-            }
-            cell += 8;
-        }
-        while cell + 4 <= cells {
-            let (_, tags) = self.group_tags::<4>(out, cell, ct_stride, msg_len);
-            for (l, full_tag) in tags.iter().enumerate() {
-                let base = (cell + l) * ct_stride;
-                out[base + msg_len..base + ct_stride].copy_from_slice(&full_tag[..TAG_LEN]);
-            }
-            cell += 4;
-        }
-        for i in cell..cells {
-            let base = i * ct_stride;
-            let tag = self.tag(&out[base..base + msg_len]);
-            out[base + msg_len..base + ct_stride].copy_from_slice(&tag);
-        }
-    }
-
-    /// Computes the full (untruncated) Poly1305 tags of the `N` cells
-    /// starting at `cell`, laid out in `flat` at `ct_stride`: nonces are
-    /// read from the slot prefixes, the `N` one-time keys derive in wide
-    /// ChaCha passes ([`chacha::blocks_each`], one 8-lane AVX2 pass when
-    /// `N = 8` and the tier allows), and the `N` tags run on the lanes of
-    /// [`Poly1305xN`]. Returns the group's nonces alongside the tags.
-    fn group_tags<const N: usize>(
-        &self,
-        flat: &[u8],
-        cell: usize,
-        ct_stride: usize,
-        msg_len: usize,
-    ) -> ([chacha::Nonce; N], [[u8; 16]; N]) {
-        let nonces: [chacha::Nonce; N] = std::array::from_fn(|l| {
-            flat[(cell + l) * ct_stride..(cell + l) * ct_stride + chacha::NONCE_LEN]
-                .try_into()
-                .expect("nonce prefix")
-        });
-        let nonce_refs: [&chacha::Nonce; N] = std::array::from_fn(|l| &nonces[l]);
-        let mut otk_blocks = [[0u8; chacha::BLOCK_LEN]; N];
-        chacha::blocks_each(&self.key.mac, &[0; N], &nonce_refs, &mut otk_blocks);
-        let otks: [[u8; 32]; N] =
-            std::array::from_fn(|l| otk_blocks[l][..32].try_into().expect("32-byte prefix"));
-        let mut mac = Poly1305xN::<N>::new(std::array::from_fn(|l| &otks[l]));
-        mac.update(std::array::from_fn(|l| {
-            let base = (cell + l) * ct_stride;
-            &flat[base..base + msg_len]
-        }));
-        (nonces, mac.finalize())
-    }
-
-    /// Verifies and decrypts the `N` cells starting at `cell` of a strided
-    /// batch: checks every truncated tag (constant-time within the group),
-    /// copies the bodies into their plaintext slots and strips the
-    /// keystream in one wide strided pass. The group engine behind
-    /// [`BlockCipher::decrypt_batch_to_slices`].
-    fn decrypt_group<const N: usize>(
-        &self,
-        ciphertexts: &[u8],
-        cell: usize,
-        ct_stride: usize,
-        msg_len: usize,
-        out: &mut [u8],
-    ) -> Result<(), CryptoError> {
-        let pt_stride = msg_len - chacha::NONCE_LEN;
-        let (group_nonces, tags) = self.group_tags::<N>(ciphertexts, cell, ct_stride, msg_len);
-        // Constant-time within the group: every lane's truncated tag is
-        // compared and the differences folded into one value, tested once,
-        // so the time to the verdict does not depend on which lane failed.
-        let mut diff = 0u8;
-        for (l, full_tag) in tags.iter().enumerate() {
-            let base = (cell + l) * ct_stride;
-            let stored = &ciphertexts[base + msg_len..base + ct_stride];
-            diff |= full_tag[..TAG_LEN]
-                .iter()
-                .zip(stored)
-                .fold(0u8, |acc, (a, b)| acc | (a ^ b));
-        }
-        if diff != 0 {
-            return Err(CryptoError::TagMismatch);
-        }
-        for l in 0..N {
-            let base = (cell + l) * ct_stride;
-            out[(cell + l) * pt_stride..(cell + l + 1) * pt_stride]
-                .copy_from_slice(&ciphertexts[base + chacha::NONCE_LEN..base + msg_len]);
-        }
-        let group_out = &mut out[cell * pt_stride..(cell + N) * pt_stride];
-        chacha::xor_keystream_batch_strided(
-            &self.key.enc,
-            0,
-            &group_nonces,
-            group_out,
-            pt_stride,
-            0,
-            pt_stride,
-        );
-        Ok(())
+        self.engine().seal_batch(nonces, &[], plaintexts, out);
     }
 
     /// Decrypts `cells` equal-length ciphertexts packed back-to-back in
     /// `ciphertexts` into the equal-length plaintext slots of `out`,
-    /// verifying every tag (8, then 4, cells' tags checked per lane pass).
-    /// On failure, returns the error of the lowest-indexed bad cell
-    /// and the contents of `out` are unspecified. The batch twin of
+    /// verifying every tag. On failure, returns the error of the first
+    /// failing group of 8 or 4 cells, or single cell, and the contents of
+    /// `out` are unspecified. The batch twin of
     /// [`BlockCipher::decrypt_to_slice`].
     ///
     /// # Panics
@@ -400,49 +222,7 @@ impl BlockCipher {
         cells: usize,
         out: &mut [u8],
     ) -> Result<(), CryptoError> {
-        if cells == 0 {
-            assert!(ciphertexts.is_empty() && out.is_empty(), "bytes without cells");
-            return Ok(());
-        }
-        assert_eq!(ciphertexts.len() % cells, 0, "ciphertext length not a multiple of cell count");
-        let ct_stride = ciphertexts.len() / cells;
-        if ct_stride < CIPHERTEXT_OVERHEAD {
-            return Err(CryptoError::Malformed);
-        }
-        let pt_stride = ct_stride - CIPHERTEXT_OVERHEAD;
-        assert_eq!(out.len(), cells * pt_stride, "output must hold every plaintext");
-        let msg_len = ct_stride - TAG_LEN;
-
-        let mut cell = 0;
-        while cell + 8 <= cells {
-            self.decrypt_group::<8>(ciphertexts, cell, ct_stride, msg_len, out)?;
-            cell += 8;
-        }
-        while cell + 4 <= cells {
-            self.decrypt_group::<4>(ciphertexts, cell, ct_stride, msg_len, out)?;
-            cell += 4;
-        }
-        for i in cell..cells {
-            let ct = &ciphertexts[i * ct_stride..(i + 1) * ct_stride];
-            self.decrypt_to_slice(ct, &mut out[i * pt_stride..(i + 1) * pt_stride])?;
-        }
-        Ok(())
-    }
-
-    /// Truncated Poly1305 over `nonce || body` under a one-time key derived
-    /// from the MAC key and the nonce (the RFC 8439 §2.6 construction, but
-    /// keyed by the independent MAC key so it never overlaps the
-    /// encryption keystream).
-    fn tag(&self, nonce_and_body: &[u8]) -> [u8; TAG_LEN] {
-        let nonce: [u8; chacha::NONCE_LEN] = nonce_and_body[..chacha::NONCE_LEN]
-            .try_into()
-            .expect("nonce prefix");
-        let block = chacha::block(&self.key.mac, 0, &nonce);
-        let one_time_key: [u8; 32] = block[..32].try_into().expect("32-byte prefix");
-        let mut mac = Poly1305::new(&one_time_key);
-        mac.update(nonce_and_body);
-        let digest = mac.finalize();
-        digest[..TAG_LEN].try_into().expect("tag prefix")
+        self.engine().open_batch(&[], ciphertexts, cells, out)
     }
 }
 
@@ -456,13 +236,19 @@ mod tests {
         (cipher, rng)
     }
 
+    /// Decrypts an owned ciphertext through `decrypt_into`.
+    fn decrypt(cipher: &BlockCipher, ct: &Ciphertext) -> Result<Vec<u8>, CryptoError> {
+        let mut out = Vec::new();
+        cipher.decrypt_into(&ct.0, &mut out).map(|()| out)
+    }
+
     #[test]
     fn round_trip() {
         let (cipher, mut rng) = cipher(1);
         for len in [0usize, 1, 16, 64, 65, 1000, 4096] {
             let plaintext: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let ct = cipher.encrypt(&plaintext, &mut rng);
-            assert_eq!(cipher.decrypt(&ct).unwrap(), plaintext, "len {len}");
+            assert_eq!(decrypt(&cipher, &ct).unwrap(), plaintext, "len {len}");
         }
     }
 
@@ -473,7 +259,7 @@ mod tests {
         let c1 = cipher.encrypt(&pt, &mut rng);
         let c2 = cipher.encrypt(&pt, &mut rng);
         assert_ne!(c1, c2, "re-encryption must re-randomize");
-        assert_eq!(cipher.decrypt(&c1).unwrap(), cipher.decrypt(&c2).unwrap());
+        assert_eq!(decrypt(&cipher, &c1).unwrap(), decrypt(&cipher, &c2).unwrap());
     }
 
     #[test]
@@ -490,7 +276,7 @@ mod tests {
         let (cipher_a, mut rng) = cipher(4);
         let (cipher_b, _) = cipher(5);
         let ct = cipher_a.encrypt(b"secret", &mut rng);
-        assert_eq!(cipher_b.decrypt(&ct), Err(CryptoError::TagMismatch));
+        assert_eq!(decrypt(&cipher_b, &ct), Err(CryptoError::TagMismatch));
     }
 
     #[test]
@@ -499,7 +285,7 @@ mod tests {
         let mut ct = cipher.encrypt(b"some block contents", &mut rng);
         let mid = ct.0.len() / 2;
         ct.0[mid] ^= 0x01;
-        assert_eq!(cipher.decrypt(&ct), Err(CryptoError::TagMismatch));
+        assert_eq!(decrypt(&cipher, &ct), Err(CryptoError::TagMismatch));
     }
 
     /// The batch entry points are byte-identical to per-cell loops for
@@ -569,7 +355,7 @@ mod tests {
     fn truncated_ciphertext_is_malformed() {
         let (cipher, _) = cipher(7);
         assert_eq!(
-            cipher.decrypt(&Ciphertext(vec![0u8; CIPHERTEXT_OVERHEAD - 1])),
+            decrypt(&cipher, &Ciphertext(vec![0u8; CIPHERTEXT_OVERHEAD - 1])),
             Err(CryptoError::Malformed)
         );
     }

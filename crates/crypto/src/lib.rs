@@ -57,9 +57,10 @@ pub mod poly1305;
 pub mod prf;
 pub mod prp;
 pub mod rng;
+mod seal;
 pub mod sha256;
 
-pub use aead::{AeadCipher, Sealed, AEAD_OVERHEAD};
+pub use aead::{AeadCipher, AEAD_OVERHEAD};
 pub use chacha::Nonce;
 pub use cipher::{BlockCipher, Ciphertext, CryptoError, Key, CIPHERTEXT_OVERHEAD};
 pub use hmac::HmacKey;

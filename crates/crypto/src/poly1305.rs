@@ -1,7 +1,8 @@
 //! Poly1305 one-time authenticator (RFC 8439 §2.5).
 //!
-//! Used by the [`crate::aead`] module to build the ChaCha20-Poly1305 AEAD
-//! and by [`crate::cipher`] for its truncated integrity tag. The field
+//! Used by the crate's sealed-cell engine for both the ChaCha20-Poly1305
+//! AEAD ([`crate::aead`]) and [`crate::cipher`]'s truncated integrity tag:
+//! the scalar form for one cell, the lanes for groups of 4 or 8. The field
 //! `GF(2^130 − 5)` has two representations here, one per shape of work.
 //! Both fully reduce before serializing, so the limb radix is unobservable:
 //! every form matches the RFC 8439 vectors, and the lane form equals the
@@ -313,8 +314,8 @@ fn dot<const L: usize>(a: &[Row<L>; 5], b: [&Row<L>; 5]) -> Row<L> {
 /// limb-major: lane `l`'s state lives in column `l` of each limb row, so
 /// every step of an absorbed block is an operation on whole rows.
 /// [`Poly1305x4`] pairs with the 4-lane ChaCha one-time-key
-/// derivation, [`Poly1305x8`] with the 8-lane ([`crate::chacha::blocks8`])
-/// one.
+/// derivation, [`Poly1305x8`] with the 8-lane one
+/// ([`crate::chacha::blocks_each`]).
 ///
 /// All lanes must absorb the same number of bytes per
 /// [`Poly1305xN::update`] call (the batch paths tag equal-length cells,

@@ -94,50 +94,12 @@ impl ChaChaRng {
         }
     }
 
-    /// Fills `dest` exactly like [`ChaChaRng::fill_bytes`] (same bytes,
-    /// same final generator state) but generates whole keystream blocks
-    /// through the wide cores — 8 consecutive counters per pass, then 4 —
-    /// instead of staging each through the internal buffer. Falls back to
-    /// the scalar path near the (practically unreachable) counter wrap so
-    /// the nonce-roll behavior stays identical.
-    fn fill_bytes_bulk(&mut self, dest: &mut [u8]) {
-        // Drain the currently buffered partial block first.
-        let take = (chacha::BLOCK_LEN - self.offset).min(dest.len());
-        dest[..take].copy_from_slice(&self.buffer[self.offset..self.offset + take]);
-        self.offset += take;
-        let mut filled = take;
-        // Whole blocks straight into `dest`, 8 counters per wide pass
-        // (one AVX2 permutation, or two 4-lane passes below that tier).
-        while dest.len() - filled >= 8 * chacha::BLOCK_LEN && self.counter < u32::MAX - 8 {
-            let counters: [u32; 8] = std::array::from_fn(|i| self.counter + i as u32);
-            let blocks = chacha::blocks8(&self.key, &counters, &[&self.nonce; 8]);
-            for block in &blocks {
-                dest[filled..filled + chacha::BLOCK_LEN].copy_from_slice(block);
-                filled += chacha::BLOCK_LEN;
-            }
-            self.counter += 8;
-        }
-        // Remaining whole blocks, 4 counters per pass.
-        while dest.len() - filled >= 4 * chacha::BLOCK_LEN && self.counter < u32::MAX - 4 {
-            let counters = [self.counter, self.counter + 1, self.counter + 2, self.counter + 3];
-            let blocks = chacha::blocks4(&self.key, &counters, &[&self.nonce; 4]);
-            for block in &blocks {
-                dest[filled..filled + chacha::BLOCK_LEN].copy_from_slice(block);
-                filled += chacha::BLOCK_LEN;
-            }
-            self.counter += 4;
-        }
-        // Tail (and any wrap-adjacent stretch) through the scalar path.
-        self.fill_bytes(&mut dest[filled..]);
-    }
-
-    /// Draws `count` encryption nonces, in order, on this thread. Feeding
-    /// these to the slice-form batch encryption primitives
-    /// ([`crate::cipher::BlockCipher::encrypt_with_nonce_into`],
-    /// [`crate::aead::AeadCipher::seal_with_nonce_into`]) yields output
-    /// byte-identical to a sequential loop drawing one nonce per cell from
-    /// the same stream — which is what makes parallel batch crypto
-    /// deterministic regardless of thread interleaving.
+    /// Draws `count` nonces, in order: the nonces the batch entry points
+    /// take ([`crate::cipher::BlockCipher::encrypt_batch_with_nonces`],
+    /// [`crate::aead::AeadCipher::seal_batch_with_nonces`]). Their output
+    /// is byte-identical to a loop that draws one nonce per cell from the
+    /// same stream and seals it with
+    /// [`crate::cipher::BlockCipher::encrypt_into`].
     pub fn draw_nonces(&mut self, count: usize) -> Vec<chacha::Nonce> {
         let mut nonces = vec![chacha::Nonce::default(); count];
         self.fill_nonces(&mut nonces);
@@ -145,11 +107,23 @@ impl ChaChaRng {
     }
 
     /// [`ChaChaRng::draw_nonces`] into a buffer the caller keeps: the same
-    /// bytes from the stream, no allocation. The nonce bytes are generated
-    /// in bulk through the wide ChaCha core
-    /// (`fill_bytes_bulk`); the stream is unchanged.
+    /// bytes and the same next state as [`ChaChaRng::fill_bytes`], no
+    /// allocation. After the buffered block is drained, the whole blocks
+    /// before the counter wrap are [`chacha::xor_keystream`] over zeros,
+    /// which runs them through the wide cores; the tail, and the wrap with
+    /// its nonce roll, go through `fill_bytes`.
     pub fn fill_nonces(&mut self, nonces: &mut [chacha::Nonce]) {
-        self.fill_bytes_bulk(nonces.as_flattened_mut());
+        let dest = nonces.as_flattened_mut();
+        let take = (chacha::BLOCK_LEN - self.offset).min(dest.len());
+        dest[..take].copy_from_slice(&self.buffer[self.offset..self.offset + take]);
+        self.offset += take;
+        let blocks =
+            ((dest.len() - take) / chacha::BLOCK_LEN).min((u32::MAX - self.counter) as usize);
+        let (bulk, tail) = dest[take..].split_at_mut(blocks * chacha::BLOCK_LEN);
+        bulk.fill(0);
+        chacha::xor_keystream(&self.key, self.counter, &self.nonce, bulk);
+        self.counter += blocks as u32;
+        self.fill_bytes(tail);
     }
 
     /// Returns a uniformly random `u64`.
@@ -390,6 +364,30 @@ mod tests {
                 assert_eq!(bulk.next_u64(), next, "misalign {misalign}, count {count}");
                 assert_eq!(filling.next_u64(), next, "misalign {misalign}, count {count}");
             }
+        }
+    }
+
+    /// Near the counter wrap the bulk draw stops at the last block before
+    /// it and leaves the wrap to `fill_bytes`: the nonces, the rolled
+    /// stream nonce and the next output match sequential draws.
+    #[test]
+    fn fill_nonces_matches_sequential_draws_across_the_counter_wrap() {
+        for misalign in [0usize, 7] {
+            let mut bulk = ChaChaRng::seed_from_u64(43);
+            bulk.counter = u32::MAX - 3;
+            let mut skip = vec![0u8; misalign];
+            bulk.fill_bytes(&mut skip);
+            let mut seq = bulk.clone();
+            let mut nonces = vec![[0u8; 12]; 40];
+            bulk.fill_nonces(&mut nonces);
+            for (i, nonce) in nonces.iter().enumerate() {
+                let mut expected = [0u8; 12];
+                seq.fill_bytes(&mut expected);
+                assert_eq!(*nonce, expected, "misalign {misalign}, nonce {i}");
+            }
+            assert_ne!(seq.nonce, [0u8; 12], "the draw crossed the wrap");
+            assert_eq!((bulk.nonce, bulk.counter), (seq.nonce, seq.counter), "misalign {misalign}");
+            assert_eq!(bulk.next_u64(), seq.next_u64(), "misalign {misalign}");
         }
     }
 

@@ -15,12 +15,14 @@ proptest! {
         let mut rng = ChaChaRng::seed_from_u64(seed);
         let cipher = BlockCipher::generate(&mut rng);
         let ct = cipher.encrypt(&plaintext, &mut rng);
-        prop_assert_eq!(cipher.decrypt(&ct).unwrap(), plaintext);
+        let mut back = Vec::new();
+        cipher.decrypt_into(&ct.0, &mut back).unwrap();
+        prop_assert_eq!(back, plaintext);
     }
 
     /// The in-place / into-scratch crypto paths agree exactly with the
-    /// owning paths: `encrypt_into` output decrypts via `decrypt`, owned
-    /// `encrypt` output decrypts via both `decrypt_into` and
+    /// owning paths: `encrypt_into` output decrypts via `decrypt_to_slice`
+    /// and `decrypt_into`, owned `encrypt` output decrypts via
     /// `decrypt_in_place`, and a reused scratch buffer never leaks state
     /// between calls.
     #[test]
@@ -34,12 +36,11 @@ proptest! {
         let mut ct_scratch = Vec::new();
         let mut pt_scratch = vec![0xEEu8; 64]; // stale contents must be cleared
         for pt in [&pt_a, &pt_b, &pt_a] {
-            // encrypt_into -> decrypt
+            // encrypt_into -> decrypt_to_slice
             cipher.encrypt_into(pt, &mut ct_scratch, &mut rng);
-            prop_assert_eq!(
-                &cipher.decrypt(&dps_crypto::Ciphertext(ct_scratch.clone())).unwrap(),
-                pt
-            );
+            let mut slot = vec![0xEEu8; pt.len()];
+            prop_assert_eq!(cipher.decrypt_to_slice(&ct_scratch, &mut slot).unwrap(), pt.len());
+            prop_assert_eq!(&slot, pt);
             // encrypt_into -> decrypt_into (scratch reuse)
             cipher.decrypt_into(&ct_scratch.clone(), &mut pt_scratch).unwrap();
             prop_assert_eq!(&pt_scratch, pt);
@@ -86,7 +87,7 @@ proptest! {
         let mut ct = cipher.encrypt(&vec![7u8; len], &mut rng);
         let pos = ((ct.0.len() - 1) as f64 * pos_frac) as usize;
         ct.0[pos] ^= 1;
-        prop_assert!(cipher.decrypt(&ct).is_err());
+        prop_assert!(cipher.decrypt_into(&ct.0, &mut Vec::new()).is_err());
     }
 
     /// SHA-256 incremental hashing is split-invariant.
@@ -147,8 +148,11 @@ proptest! {
     ) {
         let mut rng = ChaChaRng::seed_from_u64(seed);
         let cipher = dps_crypto::AeadCipher::generate(&mut rng);
-        let sealed = cipher.seal(&aad, &plaintext, &mut rng);
-        prop_assert_eq!(cipher.open(&aad, &sealed).unwrap(), plaintext);
+        let mut sealed = vec![0u8; plaintext.len() + dps_crypto::AEAD_OVERHEAD];
+        cipher.seal_with_nonce_into(&rng.draw_nonces(1)[0], &aad, &plaintext, &mut sealed);
+        let mut back = vec![0u8; plaintext.len()];
+        prop_assert_eq!(cipher.open_to_slice(&aad, &sealed, &mut back).unwrap(), plaintext.len());
+        prop_assert_eq!(back, plaintext);
     }
 
     /// AEAD rejects any single-byte corruption of ciphertext or AAD.
@@ -162,14 +166,15 @@ proptest! {
         let mut rng = ChaChaRng::seed_from_u64(seed);
         let cipher = dps_crypto::AeadCipher::generate(&mut rng);
         let mut aad = vec![1u8, 2, 3];
-        let mut sealed = cipher.seal(&aad, &vec![9u8; len], &mut rng);
+        let mut sealed = vec![0u8; len + dps_crypto::AEAD_OVERHEAD];
+        cipher.seal_with_nonce_into(&rng.draw_nonces(1)[0], &aad, &vec![9u8; len], &mut sealed);
         if flip_aad {
             aad[1] ^= 1;
         } else {
-            let pos = ((sealed.0.len() - 1) as f64 * pos_frac) as usize;
-            sealed.0[pos] ^= 1;
+            let pos = ((sealed.len() - 1) as f64 * pos_frac) as usize;
+            sealed[pos] ^= 1;
         }
-        prop_assert!(cipher.open(&aad, &sealed).is_err());
+        prop_assert!(cipher.open_to_slice(&aad, &sealed, &mut vec![0u8; len]).is_err());
     }
 
     /// The wide multi-block keystream (8, then 4, consecutive counters per
