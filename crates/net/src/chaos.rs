@@ -539,12 +539,6 @@ impl<S: Storage> Storage for FaultStorage<S> {
         self.inner.reset_stats();
     }
 
-    fn flush(&mut self) -> Result<(), ServerError> {
-        // Not a client-visible round trip, so no fault injection here —
-        // just forward durability to the wrapped backend.
-        self.inner.flush()
-    }
-
     fn read_batch_with(
         &mut self,
         addrs: &[usize],

@@ -94,7 +94,13 @@
 //! answered in-band with [`Response::Fail`] and leave the connection
 //! open — among them a write of a cell longer than the stride, which the
 //! model refuses (`CellTooLong`) before the store allocates or stores
-//! anything: no write can change the arena's geometry.
+//! anything: no write can change the arena's geometry. So are the failures
+//! of a durable store whose disk has failed (it *poisons*): a refused
+//! upload and a read that would touch the dead arena are `Fail(Interrupted)`,
+//! its waiting dirty cells are still served, and the peer can still ping.
+//! Nothing stands between a store call and its answer: an upload's `Ok` is
+//! already a synced commit, so a response is the acknowledgement as it
+//! stands.
 //!
 //! The frame layer caps what one frame can make the daemon read
 //! ([`crate::wire::MAX_FRAME`]); [`DaemonLimits`] caps what a set-up can
@@ -736,14 +742,6 @@ fn flush_conn<S: Storage>(
     limits: DaemonLimits,
     metrics: &MetricsInner,
 ) {
-    // A response on the wire is the client's acknowledgement, so the
-    // backend's deferred durability (an open group-commit window) must be
-    // resolved before any byte of it leaves. A failed flush means the
-    // store can no longer honor what the queued responses claim.
-    if conn.unsent() > 0 && server.flush().is_err() {
-        conn.dead = true;
-        return;
-    }
     loop {
         while conn.unsent() > 0 {
             match (&conn.stream).write(&conn.out[conn.out_pos..]) {

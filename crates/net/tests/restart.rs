@@ -28,10 +28,12 @@ use std::time::Duration;
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig};
 use dps_crypto::ChaChaRng;
-use dps_net::{NetDaemon, ReconnectPolicy, RemoteError, RemoteServer, Timeouts};
+use dps_net::{NetDaemon, ReconnectPolicy, RemoteError, RemoteServer, Request, Timeouts};
 use dps_oram::LinearOram;
 use dps_pir::XorPir;
-use dps_server::{DiskOptions, DiskStore, ServerError, SimServer, Storage};
+use dps_server::{
+    CrashSim, DiskFile, DiskOptions, DiskStore, ServerError, SimServer, Storage, Vfs,
+};
 use dps_workloads::generators::database;
 
 // ---- Scaffolding. ------------------------------------------------------
@@ -62,14 +64,12 @@ impl Drop for TempDir {
     }
 }
 
-/// Opens the durable store under test (it syncs every commit), with a
-/// checkpoint threshold small enough that restarts exercise both WAL
-/// replay and checkpoint truncation, and a group-commit window so the
-/// daemon's pre-acknowledgement flush is load-bearing. The cache budget is
+/// Opens the durable store under test (every acknowledged upload is a
+/// synced commit), with a checkpoint threshold small enough that restarts
+/// exercise both WAL replay and checkpoint truncation. The cache budget is
 /// inherited from `DPS_CACHE_BYTES` (the small-cache CI leg pins it tiny).
 fn open_store(dir: &Path) -> DiskStore {
-    let opts =
-        DiskOptions { wal_checkpoint_bytes: 2048, wal_group_commit: 4, ..DiskOptions::default() };
+    let opts = DiskOptions { wal_checkpoint_bytes: 2048, ..DiskOptions::default() };
     DiskStore::open_with(dir, opts).expect("open durable store")
 }
 
@@ -253,6 +253,47 @@ fn raw_cells_survive_a_daemon_restart() {
 
     drop(remote);
     drop(relay);
+    daemon.shutdown();
+}
+
+// ---- A store that dies under the daemon. -------------------------------
+
+/// The disk fails under a serving daemon: the store poisons, and the
+/// daemon keeps answering in-band. A refused upload and a clean read (which
+/// would have to touch the dead arena) are `Fail(Interrupted)` responses,
+/// the dirty cell is still served, and the connection stays up — a ping
+/// answers, and nothing is counted as a protocol error.
+#[test]
+fn a_poisoned_store_behind_the_daemon_answers_in_band() {
+    const LEN: usize = 8;
+    let sim = CrashSim::new(7);
+    let opts = DiskOptions { cache_bytes: 4 * LEN, ..DiskOptions::default() };
+    let store = DiskStore::open_on(sim.clone(), opts).expect("open simulated store");
+    let daemon = NetDaemon::spawn(store).expect("spawn daemon");
+    let mut remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+
+    remote.init((0..16).map(|i| vec![i as u8; LEN]).collect());
+    // Acknowledged, and waiting dirty in the cache.
+    remote.write(3, vec![0xD3; LEN]).unwrap();
+    // Crash the simulated disk through a second file: the store does no I/O.
+    let mut bystander = sim.clone().open("bystander").expect("open bystander");
+    sim.plan_crash(sim.events(), 0);
+    assert!(bystander.write_at(0, b"x").is_err());
+
+    let upload = Request::WriteBatch { writes: vec![(5, vec![1; LEN])] };
+    match remote.request(&upload) {
+        Err(RemoteError::Server(ServerError::Interrupted)) => {}
+        other => panic!("the failed commit must be answered in-band, got {other:?}"),
+    }
+    assert_eq!(remote.try_read_batch(&[3]).unwrap(), vec![vec![0xD3; LEN]]);
+    match remote.try_read_batch(&[9]) {
+        Err(RemoteError::Server(ServerError::Interrupted)) => {}
+        other => panic!("a clean read of a poisoned store must fail in-band, got {other:?}"),
+    }
+    remote.ping().expect("the connection stays up");
+    assert_eq!(daemon.metrics().protocol_errors, 0);
+
+    drop(remote);
     daemon.shutdown();
 }
 

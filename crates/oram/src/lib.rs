@@ -35,7 +35,6 @@ pub mod kvs;
 pub mod linear;
 pub mod path_oram;
 pub mod recursive;
-pub mod slots;
 pub mod square_root;
 
 pub use kvs::OramKvs;

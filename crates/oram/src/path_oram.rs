@@ -9,9 +9,8 @@
 //! overhead.
 
 use dps_crypto::{BlockCipher, ChaChaRng};
+use dps_server::cells::{decode_bucket, encode_bucket, encode_bucket_into, Slot};
 use dps_server::{SimServer, Storage};
-
-use crate::slots::{decode_bucket, encode_bucket, encode_bucket_into, Slot};
 
 /// Configuration for [`PathOram`].
 #[derive(Debug, Clone, Copy)]

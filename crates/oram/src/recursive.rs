@@ -20,10 +20,10 @@
 use std::collections::HashMap;
 
 use dps_crypto::{BlockCipher, ChaChaRng};
+use dps_server::cells::{decode_bucket, encode_bucket, encode_bucket_into, Slot};
 use dps_server::{SimServer, Storage};
 
 use crate::path_oram::OramError;
-use crate::slots::{decode_bucket, encode_bucket, encode_bucket_into, Slot};
 
 /// Bytes used to encode one leaf label inside a payload.
 const LEAF_BYTES: usize = 4;

@@ -26,10 +26,10 @@
 use std::collections::HashMap;
 
 use dps_crypto::{BlockCipher, ChaChaRng, SmallDomainPrp};
+use dps_server::cells::{decode_bucket, encode_bucket, encode_bucket_into, Slot};
 use dps_server::{SimServer, Storage};
 
 use crate::path_oram::OramError;
-use crate::slots::{decode_bucket, encode_bucket, encode_bucket_into, Slot};
 
 /// A square-root ORAM client bound to a simulated server.
 #[derive(Debug)]

@@ -10,16 +10,15 @@
 //!
 //! The rule is **RAM holds what the disk lacks** (NOTES.md, entry 12). In
 //! the bounded layout every slot is *dirty*: it holds a cell the arena file
-//! does not have yet — its WAL record still in the open group-commit
-//! window, or durable but not written back. A write takes a slot (or
-//! reuses the one its cell already has); a clean read never does — the
-//! store serves it from the arena file, lent or read into a scratch buffer.
-//! Write-back empties the cache, and the store runs it at a checkpoint and
-//! after a commit that leaves more dirty cells than the byte budget has
-//! slots. Between write-backs the dirty set may grow past the budget
-//! (bounded by the WAL checkpoint budget, which forces a commit). There is
-//! nothing to evict: a dirty cell cannot leave before write-back, and a
-//! clean one never enters.
+//! does not have yet — durable in the WAL, or in the batch being committed,
+//! but not written back. A write takes a slot (or reuses the one its cell
+//! already has); a clean read never does — the store serves it from the
+//! arena file, lent or read into a scratch buffer. Write-back empties the
+//! cache, and the store runs it at a checkpoint and after a commit that
+//! leaves more dirty cells than the byte budget has slots — so the dirty
+//! set grows past the budget only inside one batch. There is nothing to
+//! evict: a dirty cell cannot leave before write-back, and a clean one
+//! never enters.
 //!
 //! When the byte budget covers the whole database (`max_slots ≥
 //! capacity`) the cache instead runs in **identity mode**: the slab is

@@ -4,7 +4,7 @@
 //! [`DiskBackend`], a write-ahead-logged, file-backed
 //! [`CellBackend`] that serves databases **larger than RAM**. Bounds
 //! checks, cost counters and the transcript are the model's; this module
-//! only keeps cells — `get`, `put`, `flush`. Only the per-cell metadata
+//! only keeps cells — `get` and `put`. Only the per-cell metadata
 //! (the length table — 4 bytes per cell, the same `CellIndex` the memory
 //! arena keeps) is always resident; cell *payloads* live in the
 //! arena file, and RAM holds only what the arena lacks (`cache.rs`, NOTES.md
@@ -33,48 +33,43 @@
 //!   paper's cost model — compare with
 //!   [`CostStats::sans_cache`](crate::CostStats::sans_cache)).
 //!
-//! ## Mutation and group commit
+//! ## Mutation: an acknowledgement is a synced commit
 //!
-//! Every mutation is applied to the cache as a *dirty* cell and
-//! joins an in-memory window of up to [`DiskOptions::wal_group_commit`]
-//! batches; closing the window *commits* it: the whole window is framed as
-//! **one** checksummed WAL record, written with **one** `write_at` at the
-//! log's end and fsynced. That fsync is the durability point for every
-//! batch in the window (every durability point syncs; no option skips it —
-//! NOTES.md, entry 14), and it is all the I/O an acknowledged upload costs:
-//! the log file is preallocated to [`DiskOptions::wal_checkpoint_bytes`]
-//! and recycled, so the write lands in blocks the file already owns and
-//! the sync flushes data only — no file size for the filesystem to journal.
+//! Every non-empty upload is applied to the cache as *dirty* cells and
+//! *committed* before `put` returns: the batch is framed as **one**
+//! checksummed WAL record, written with **one** `write_at` at the log's
+//! end and fsynced. `Ok` therefore always means durable — for an
+//! in-process caller and for the network daemon's client alike, whose
+//! response leaves only after the call returned (every durability point
+//! syncs; no option skips or defers it — NOTES.md, entries 14 and 18). That
+//! write and that sync are all the I/O an acknowledged upload costs: the
+//! log file is preallocated to [`DiskOptions::wal_checkpoint_bytes`] and
+//! recycled, so the write lands in blocks the file already owns and the
+//! sync flushes data only — no file size for the filesystem to journal.
 //!
-//! A cell therefore moves through three states. *Applied*: in the cache,
-//! served to reads, its record not yet durable — what `Ok` from a mutation
-//! means under a window larger than 1. *WAL-durable*: its record's fsync
-//! has completed — what an acknowledgement promises (`Ok` under the
-//! default window of 1, [`DiskBackend::commit`] or
-//! [`Storage::flush`](crate::Storage::flush) otherwise; the network daemon
-//! flushes before any response leaves). *In the arena*: written back to
+//! A cell therefore moves through two states. *WAL-durable*: its record's
+//! fsync has completed — what `Ok` promises. *In the arena*: written back to
 //! its slot of the arena file — which no acknowledgement waits for. A
 //! WAL-durable cell stays dirty — resident, and never read from the
 //! arena's stale bytes — until `write_back` copies it out, which happens in
 //! two places only: inside a checkpoint, and after a commit that leaves
 //! more dirty cells than the byte budget has slots. Write-back empties a
 //! bounded cache: from then on the arena serves those cells.
-//! Write-back runs only with an empty window, so the arena never holds
-//! bytes that no durable WAL record covers; it sorts the dirty cells by
-//! address and issues one write per run of adjacent cells — in identity
-//! mode, where the slab *is* the arena image, also across gaps of up to
-//! one page (`WRITE_BACK_GAP`) of clean bytes, which the kernel would
-//! write back with their neighbours anyway.
+//! Write-back runs only between batches, so the arena never holds bytes
+//! that no durable WAL record covers; it sorts the dirty cells by address
+//! and issues one write per run of adjacent cells — in identity mode,
+//! where the slab *is* the arena image, also across gaps of up to one page
+//! (`WRITE_BACK_GAP`) of clean bytes, which the kernel would write back
+//! with their neighbours anyway.
 //!
-//! Either way, recovery always lands on a batch boundary of the committed
-//! prefix — the acked-prefix contract that `crash_recovery` sweeps; a
-//! window is one record, so it is kept or lost whole.
+//! Recovery always lands on a batch boundary of the committed prefix — the
+//! acked-prefix contract that `crash_recovery` sweeps; a batch is one
+//! record, so it is kept or lost whole.
 //!
 //! A *checkpoint* makes the arena authoritative again and recycles the
-//! log: commit the open window, write back every dirty cell, sync the
-//! arena, write a metadata snapshot (stride, lengths) with a bumped
-//! generation stamp, then rewrite the WAL header with the new stamp
-//! — one write, one sync; the old generation's records stay where they are
+//! log: write back every dirty cell, sync the arena, write a metadata
+//! snapshot (stride, lengths) with a bumped generation stamp, then rewrite
+//! the WAL header with the new stamp — one write, one sync; the old generation's records stay where they are
 //! and are overwritten as the new one grows. Snapshots alternate between
 //! two metadata files and — for the geometry checkpoint of a set-up, the
 //! only thing that changes capacity or stride — between two arena files, so
@@ -97,9 +92,9 @@
 //!   instead of reusing the stamp — the bytes may be a torn append of this
 //!   very generation, and a later record of the same length in front of
 //!   them could make its tail readable again.
-//! - **I2 — one CRC'd unit per commit.** A window is one record and one
-//!   write, so a torn write cannot leave a valid later batch behind an
-//!   invalid earlier one.
+//! - **I2 — one CRC'd unit per commit.** A batch is one record and one
+//!   write, so a torn write damages one record — the last — and cannot
+//!   leave a valid record behind an invalid one.
 //! - **I3 — the log ends at the first record that does not validate**
 //!   under the snapshot's stamp. That is a *torn tail*, discarded —
 //!   unless a record that does validate follows where its length field
@@ -142,12 +137,16 @@
 //! fast the same way (after the model's bounds check: an out-of-range
 //! address is `OutOfBounds`, and a cell longer than the stride
 //! `CellTooLong`, on a poisoned store too). Reads keep serving **cache
-//! hits** (including every dirty cell, whether or not its record became
-//! durable) and zero-length cells, but a cache *miss* would have to touch the failing
-//! arena file — lent or read — so it also returns
-//! `Interrupted` instead of handing back bytes of unknown provenance; and a
-//! poisoned store never writes back. The recovery path is to drop the store
-//! and `open` the directory again.
+//! hits** (every dirty cell: the acknowledged ones, and the cells of the
+//! batch whose commit failed — "state unknown" allows either value) and
+//! zero-length cells, but a cache *miss* would have to touch the failing
+//! arena file — lent or read — so it also returns `Interrupted` instead of
+//! handing back bytes of unknown provenance; and a poisoned store never
+//! writes back. The recovery path is to drop the store and `open` the
+//! directory again. Behind the network daemon every one of these answers
+//! travels in-band: a refused upload or a failed miss is a
+//! `Fail(Interrupted)` response on a connection that stays up, and hits and
+//! pings are still served.
 //!
 //! One failure has no typed surface on real files: a *media* error under a
 //! mapped arena page reaches the process as `SIGBUS`, not as `EIO` from a
@@ -309,16 +308,13 @@ impl DiskFile for RealFile {
 const DEFAULT_CACHE_BYTES: usize = 1 << 30;
 
 /// Tuning knobs for [`DiskStore`]. None of them trades durability: every
-/// durability point — a group-commit window's close, a checkpoint — syncs.
+/// durability point — a batch's commit, a checkpoint — syncs.
 #[derive(Debug, Clone, Copy)]
 pub struct DiskOptions {
     /// Once the WAL grows past this many bytes, the next commit triggers
-    /// an automatic checkpoint that recycles it. An open group-commit
-    /// window that would overflow this budget is committed early, so the
-    /// budget also bounds how far the dirty set outgrows `cache_bytes`. It
-    /// is also the size the log file is preallocated to (zero-filled once,
-    /// never truncated), so that an append is an overwrite of allocated
-    /// blocks.
+    /// an automatic checkpoint that recycles it. It is also the size the
+    /// log file is preallocated to (zero-filled once, never truncated), so
+    /// that an append is an overwrite of allocated blocks.
     pub wal_checkpoint_bytes: u64,
     /// Byte budget of the cell cache (payload bytes; the per-cell metadata
     /// is always resident). Defaults to the `DPS_CACHE_BYTES` environment
@@ -332,12 +328,6 @@ pub struct DiskOptions {
     /// arena (the kernel's page cache is the read cache) or read from the
     /// file.
     pub cache_bytes: usize,
-    /// Group-commit window: how many mutation batches share one WAL
-    /// write and fsync. 1 (the default) commits every batch before it
-    /// returns; larger windows defer durability until the window closes
-    /// (or [`DiskBackend::commit`] / [`Storage::flush`](crate::Storage::flush)
-    /// is called). Values of 0 are treated as 1.
-    pub wal_group_commit: usize,
 }
 
 impl Default for DiskOptions {
@@ -345,7 +335,6 @@ impl Default for DiskOptions {
         Self {
             wal_checkpoint_bytes: 1 << 20,
             cache_bytes: settings::from_env("DPS_CACHE_BYTES").unwrap_or(DEFAULT_CACHE_BYTES),
-            wal_group_commit: 1,
         }
     }
 }
@@ -365,8 +354,8 @@ static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
 /// A durable, crash-safe [`Storage`](crate::Storage): the model over
 /// [`DiskBackend`] (see the [module docs](self) for the on-disk protocol).
 /// The backend's operational surface — [`DiskBackend::checkpoint`],
-/// [`DiskBackend::commit`], [`DiskBackend::is_poisoned`], … — is callable
-/// on a `DiskStore` directly.
+/// [`DiskBackend::is_poisoned`], … — is callable on a `DiskStore`
+/// directly.
 pub type DiskStore<V = RealVfs> = Accounted<DiskBackend<V>>;
 
 /// The durable [`CellBackend`]: cache + WAL + checkpoints over a [`Vfs`].
@@ -393,11 +382,8 @@ pub struct DiskBackend<V: Vfs = RealVfs> {
     /// the *logical* end of the log, where the next record goes. The file
     /// behind it is longer (preallocated, never truncated).
     wal_len: u64,
-    // ---- group commit ----
-    /// The cell writes of the open (uncommitted) window, in order.
-    pending: RecordBuilder,
-    /// Number of batches in the open window.
-    pending_batches: usize,
+    /// The record of the batch `put` is committing; empty between calls.
+    batch: RecordBuilder,
     /// A clean miss of a file that does not lend is read into this (one
     /// cell at a time), and bounded write-back gathers a run of adjacent
     /// cells whose slots are not adjacent here.
@@ -567,8 +553,7 @@ impl<V: Vfs> DiskBackend<V> {
             meta_slot,
             stamp: m.stamp,
             wal_len: 0,
-            pending: RecordBuilder::default(),
-            pending_batches: 0,
+            batch: RecordBuilder::default(),
             scratch: Vec::new(),
             opts,
             poisoned: false,
@@ -616,27 +601,12 @@ impl<V: Vfs> DiskBackend<V> {
         written.map_err(|e| self.poison(e))
     }
 
-    /// Forces a checkpoint: commits the open window, writes every dirty
-    /// cell back and syncs the arena, writes a metadata snapshot, restarts
-    /// the WAL under the new stamp. Afterwards recovery needs no replay.
+    /// Forces a checkpoint: writes every dirty cell back and syncs the
+    /// arena, writes a metadata snapshot, restarts the WAL under the new
+    /// stamp. Afterwards recovery needs no replay.
     pub fn checkpoint(&mut self) -> Result<(), DiskError> {
         self.check_poisoned()?;
         self.light_checkpoint().map_err(|e| self.poison(e))
-    }
-
-    /// Closes the open group-commit window: one WAL record, one write, the
-    /// covering fsync. A no-op when the window is empty. Every batch
-    /// applied before this call is durable once it returns (its cells
-    /// reach the arena later — see the [module docs](self)).
-    pub fn commit(&mut self) -> Result<(), DiskError> {
-        self.check_poisoned()?;
-        self.commit_pending().map_err(|e| self.poison(e))
-    }
-
-    /// Number of applied-but-uncommitted batches in the open window
-    /// (always 0 when `wal_group_commit` ≤ 1).
-    pub fn pending_batches(&self) -> usize {
-        self.pending_batches
     }
 
     /// Current checkpoint generation stamp (bumps on every checkpoint).
@@ -644,8 +614,7 @@ impl<V: Vfs> DiskBackend<V> {
         self.stamp
     }
 
-    /// Bytes of committed WAL content (header plus fsync-covered records;
-    /// the open group-commit window is not included).
+    /// Bytes of committed WAL content (header plus fsync-covered records).
     pub fn wal_bytes(&self) -> u64 {
         self.wal_len
     }
@@ -677,10 +646,6 @@ impl<V: Vfs> DiskBackend<V> {
     fn poison(&mut self, e: DiskError) -> DiskError {
         self.poisoned = true;
         e
-    }
-
-    fn group_window(&self) -> usize {
-        self.opts.wal_group_commit.max(1)
     }
 
     /// Cache-miss path. A non-resident cell is clean — a dirty one stays in
@@ -754,13 +719,10 @@ impl<V: Vfs> DiskBackend<V> {
         }
     }
 
-    /// Applies the batch pushed onto the window since `mark` to the cache
-    /// as dirty cells, and commits the window when it is full or would
-    /// overflow the WAL budget. On `Ok` the batch is applied (and durable
-    /// per the commit policy); nothing is charged to stats here.
-    fn queue_batch(&mut self, mark: usize) -> Result<(), ServerError> {
-        self.pending_batches += 1;
-        for (addr, cell) in self.pending.writes_from(mark) {
+    /// Applies the batch the record holds to the cache as dirty cells
+    /// (nothing is charged to stats here).
+    fn apply_batch(&mut self) {
+        for (addr, cell) in self.batch.writes() {
             // Until it is written back the cache holds the only readable
             // copy of the payload, so a write always takes a slot.
             self.index.record(addr, cell.len());
@@ -772,32 +734,14 @@ impl<V: Vfs> DiskBackend<V> {
             let slot = self.cache.dirty_slot(addr);
             self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
         }
-        let window_full = self.pending_batches >= self.group_window();
-        let budget_hit =
-            self.wal_len + self.pending.record_len() as u64 > self.opts.wal_checkpoint_bytes;
-        if window_full || budget_hit {
-            if let Err(e) = self.commit_pending() {
-                self.poison(e);
-                return Err(ServerError::Interrupted);
-            }
-            // The batch is durable now; a failed auto-checkpoint poisons
-            // the store but does not fail the batch.
-            self.maybe_auto_checkpoint();
-        }
-        Ok(())
     }
 
-    /// Closes the open window (see [`DiskStore::commit`]): the window as
-    /// one record, one write at the log's end, the covering fsync — and
-    /// nothing else, unless the dirty cells have pushed the cache over its
-    /// budget. A torn write can only ever lose the *unacknowledged* window,
-    /// whole.
-    fn commit_pending(&mut self) -> Result<(), DiskError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        self.pending_batches = 0;
-        let record = self.pending.finish(self.stamp);
+    /// The batch as one record, one write at the log's end, the covering
+    /// fsync — and nothing else, unless the dirty cells have pushed the
+    /// cache over its budget. A torn write can only ever lose the batch
+    /// being committed, whole: it was never acknowledged.
+    fn commit_batch(&mut self) -> Result<(), DiskError> {
+        let record = self.batch.finish(self.stamp);
         self.wal.write_at(self.wal_len, record)?;
         self.wal.sync()?;
         self.wal_len += record.len() as u64;
@@ -811,11 +755,10 @@ impl<V: Vfs> DiskBackend<V> {
     /// bounded cache (the arena serves those cells from here on):
     /// address-ascending, one write per run of adjacent cells (bridging
     /// gaps of clean bytes up to [`WRITE_BACK_GAP`] where the slab is the
-    /// arena image). Only ever called with an empty window — every dirty
-    /// cell is then covered by a durable WAL record, which is what allows
-    /// the arena to hold it before the next snapshot.
+    /// arena image). Only ever called once a batch's record is durable —
+    /// every dirty cell is then covered by one, which is what allows the
+    /// arena to hold it before the next snapshot.
     fn write_back(&mut self) -> Result<(), DiskError> {
-        debug_assert!(self.pending.is_empty(), "write-back with an uncommitted window");
         let stride = self.index.stride();
         let identity = self.cache.is_identity();
         let bridge = if identity { WRITE_BACK_GAP / stride.max(1) } else { 0 };
@@ -863,11 +806,10 @@ impl<V: Vfs> DiskBackend<V> {
         }
     }
 
-    /// Checkpoint keeping the current arena slot: commit the open window,
-    /// write the dirty cells back, sync the arena, snapshot meta, restart
-    /// the WAL under the new stamp.
+    /// Checkpoint keeping the current arena slot: write the dirty cells
+    /// back, sync the arena, snapshot meta, restart the WAL under the new
+    /// stamp.
     fn light_checkpoint(&mut self) -> Result<(), DiskError> {
-        self.commit_pending()?;
         self.write_back()?;
         self.arena[self.active].sync()?;
         self.write_meta(self.active)?;
@@ -887,11 +829,8 @@ impl<V: Vfs> DiskBackend<V> {
         self.arena[target].sync()?;
         self.write_meta(target)?;
         self.active = target;
-        // The new snapshot supersedes everything the open window carried;
-        // durable WAL records from before it are superseded by the bumped
-        // stamp.
-        self.pending.clear();
-        self.pending_batches = 0;
+        // Durable WAL records from before the new snapshot are superseded
+        // by the bumped stamp.
         self.reset_wal()
     }
 
@@ -1011,11 +950,12 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         self.miss(addr, len)
     }
 
-    /// One non-empty batch joins the open window's WAL record: its cells
-    /// fit the stride (the model refused any that did not), so they fit
-    /// the slots they overwrite. A batch that fails half-way poisons the
-    /// store instead of being undone: from then on every `put` is refused
-    /// and only a reopen recovers, which lands on a batch boundary.
+    /// One non-empty batch is one WAL record, written and synced before
+    /// `put` returns: its cells fit the stride (the model refused any that
+    /// did not), so they fit the slots they overwrite. A batch whose
+    /// commit fails poisons the store instead of being undone: from then
+    /// on every `put` is refused and only a reopen recovers, which lands on
+    /// a batch boundary.
     fn put<'a>(
         &mut self,
         items: impl Iterator<Item = (usize, &'a [u8])>,
@@ -1023,26 +963,19 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         if self.poisoned {
             return Err(ServerError::Interrupted);
         }
-        // The items stream straight into the window's record.
-        let mark = self.pending.writes();
+        // The items stream straight into the batch's record.
         for (addr, cell) in items {
-            self.pending.push(addr, cell);
+            self.batch.push(addr, cell);
         }
-        if self.pending.writes() == mark {
-            Ok(())
-        } else {
-            self.queue_batch(mark)
+        if self.batch.is_empty() {
+            return Ok(());
         }
-    }
-
-    fn flush(&mut self) -> Result<(), ServerError> {
-        if self.poisoned {
-            return Err(ServerError::Interrupted);
-        }
-        if let Err(e) = self.commit_pending() {
+        self.apply_batch();
+        if let Err(e) = self.commit_batch() {
             self.poison(e);
             return Err(ServerError::Interrupted);
         }
+        self.maybe_auto_checkpoint();
         Ok(())
     }
 
@@ -1235,20 +1168,18 @@ mod tests {
     }
 
     /// B2's all-dirty case, closed by construction: a bounded cache whose
-    /// every slot is dirty (window > 1, budget = the dirty set) used to
-    /// squeeze each clean miss through one over-budget slot. A clean miss
-    /// needs no slot.
+    /// every slot is dirty (budget = the dirty set) used to squeeze each
+    /// clean miss through one over-budget slot. A clean miss needs no slot.
     #[test]
     fn all_dirty_cache_serves_clean_misses_without_a_slot() {
         let tmp = TempDir::new("alldirty");
-        let opts =
-            DiskOptions { cache_bytes: 4 * 8, wal_group_commit: 16, ..DiskOptions::default() };
+        let opts = DiskOptions { cache_bytes: 4 * 8, ..DiskOptions::default() };
         let mut store = DiskStore::open_with(&tmp.0, opts).unwrap();
         store.init(cells(64));
         for addr in [5, 20, 40, 63] {
             store.write(addr, vec![0xD0 | addr as u8; 8]).unwrap();
         }
-        assert_eq!((store.pending_batches(), store.cache_resident()), (4, 4));
+        assert_eq!(store.cache_resident(), 4, "four durable cells wait for write-back");
         store.reset_stats();
         for addr in 0..64 {
             let dirty = [5, 20, 40, 63].contains(&addr);
@@ -1260,34 +1191,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_evictions), (4, 60, 0));
         assert_eq!(store.cache_resident(), 4, "the dirty cells stay, nothing joins them");
-        assert_eq!(store.pending_batches(), 4, "reads do not close the window");
-    }
-
-    #[test]
-    fn group_commit_defers_durability_to_the_window_close() {
-        let tmp = TempDir::new("group");
-        let opts = DiskOptions { wal_group_commit: 4, ..DiskOptions::default() };
-        let mut store = DiskStore::open_with(&tmp.0, opts).unwrap();
-        store.init(cells(8));
-        let base = store.wal_bytes();
-        for i in 0..3 {
-            store.write(i, vec![0xEE; 8]).unwrap();
-            assert_eq!(store.pending_batches(), i + 1);
-            assert_eq!(store.wal_bytes(), base, "no WAL write before the window closes");
-        }
-        // Dirty cells are resident and readable while uncommitted.
-        assert_eq!(store.read(1).unwrap(), vec![0xEE; 8]);
-        store.write(3, vec![0xEE; 8]).unwrap(); // fourth batch closes the window
-        assert_eq!(store.pending_batches(), 0);
-        assert!(store.wal_bytes() > base, "window close must append to the WAL");
-        // An explicit commit closes a half-open window too.
-        store.write(4, vec![0xDD; 8]).unwrap();
-        assert_eq!(store.pending_batches(), 1);
-        store.commit().unwrap();
-        assert_eq!(store.pending_batches(), 0);
-        drop(store);
-        let mut store = DiskStore::open(&tmp.0).unwrap();
-        assert_eq!(store.read(4).unwrap(), vec![0xDD; 8]);
     }
 
     /// A log shorter than the budget — a short `wal`, two records of the
@@ -1376,22 +1279,24 @@ mod tests {
     #[test]
     fn poisoned_store_serves_hits_and_fails_misses_typed() {
         let sim = CrashSim::new(11);
-        // Cache holds four 8-byte cells out of 8; the window holds both
-        // writes below, so they are resident and not yet in the log.
-        let opts = DiskOptions { cache_bytes: 32, wal_group_commit: 4, ..DiskOptions::default() };
+        // Cache holds four 8-byte cells out of 8: the two acknowledged
+        // writes below wait in it for write-back.
+        let opts = DiskOptions { cache_bytes: 32, ..DiskOptions::default() };
         let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
         store.init(cells(8));
         store.write(0, vec![0xD0; 8]).unwrap();
         store.write(1, vec![0xD1; 8]).unwrap();
         assert_eq!(store.cache_resident(), 2);
-        // Crash the disk under the commit that would make them durable.
+        // Crash the disk under the commit of the third.
         sim.plan_crash(sim.events(), 0);
-        assert!(store.commit().is_err());
+        assert_eq!(store.write(2, vec![0xD2; 8]), Err(ServerError::Interrupted));
         assert!(store.is_poisoned());
-        // Hits keep serving; misses fail typed instead of touching the
-        // dead file; further mutations fail fast.
+        // Hits keep serving — the interrupted batch's cell too ("state
+        // unknown") — misses fail typed instead of touching the dead file,
+        // further mutations fail fast.
         assert_eq!(store.read(0).unwrap(), vec![0xD0; 8]);
         assert_eq!(store.read(1).unwrap(), vec![0xD1; 8]);
+        assert_eq!(store.read(2).unwrap(), vec![0xD2; 8]);
         assert_eq!(store.read(5), Err(ServerError::Interrupted));
         assert_eq!(store.write(0, vec![1; 8]), Err(ServerError::Interrupted));
     }
@@ -1458,7 +1363,6 @@ mod tests {
             let opts = DiskOptions {
                 wal_checkpoint_bytes: 4096,
                 cache_bytes: if bounded { 16 } else { 1 << 20 },
-                wal_group_commit: 1,
             };
 
             if let Ok(mut store) = DiskStore::open_with(&tmp.0, opts) {

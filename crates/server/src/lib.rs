@@ -29,8 +29,8 @@
 // `deny` rather than `forbid`: the crate's one `unsafe` boundary is the
 // private `mapping` module (`mmap`/`munmap` behind a read-only slice, with
 // its safety audit in the module docs), which `allow`s the lint for itself.
-// Everything else stays unsafe-free, and CI's "Three audited unsafe modules"
-// step names any file that adds a fourth exception.
+// Everything else stays unsafe-free, and CI's "Four audited unsafe modules"
+// step names any file that adds a fifth exception.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -10,7 +10,7 @@
 //!
 //! - [`SimServer`] is `Accounted<CellStore>`, the in-process simulator;
 //! - [`DiskStore`](crate::DiskStore) is `Accounted<DiskBackend>`, the
-//!   durable store (cache + WAL + checkpoints behind `get`/`put`/`flush`).
+//!   durable store (cache + WAL + checkpoints behind `get`/`put`).
 //!
 //! # What a backend must guarantee
 //!
@@ -20,7 +20,9 @@
 //! - `put` is **all-or-nothing** — on `Err` no cell of the batch is
 //!   visible to a later `get` that succeeds — and **later wins**: a batch
 //!   naming an address twice leaves the last value.
-//! - `Ok` from `put` means *applied*; durability is `flush`.
+//! - `Ok` from `put` means *stored*: as durable as the backend ever makes
+//!   a cell (a [`DiskStore`](crate::DiskStore) has synced its WAL record),
+//!   so there is no later barrier to wait for.
 //!
 //! # What the model does with a backend fault
 //!
@@ -143,11 +145,6 @@ pub trait CellBackend: std::fmt::Debug + Send {
         items: impl Iterator<Item = (usize, &'a [u8])>,
     ) -> Result<(), ServerError>;
 
-    /// Makes every `put` that returned `Ok` durable.
-    fn flush(&mut self) -> Result<(), ServerError> {
-        Ok(())
-    }
-
     /// Monotone run-time counters of the backend's cell cache, surfaced as
     /// the `cache_*` fields of [`CostStats`]. Not part of the paper's cost
     /// model.
@@ -167,7 +164,7 @@ pub trait CellBackend: std::fmt::Debug + Send {
 /// scheme in this workspace uses.
 ///
 /// The backend's own operational surface (for a
-/// [`DiskStore`](crate::DiskStore): checkpoints, commit, poison state) is
+/// [`DiskStore`](crate::DiskStore): checkpoints, poison state) is
 /// reachable through `Deref`.
 #[derive(Debug, Clone, Default)]
 pub struct Accounted<B> {
@@ -308,10 +305,6 @@ impl<B: CellBackend> Storage for Accounted<B> {
     fn reset_stats(&mut self) {
         self.stats = CostStats::default();
         self.telemetry_base = self.cells.telemetry();
-    }
-
-    fn flush(&mut self) -> Result<(), ServerError> {
-        self.cells.flush()
     }
 
     #[inline]

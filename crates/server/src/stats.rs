@@ -79,7 +79,7 @@ pub struct CostStats {
     /// Always 0: the durable store's cache holds only cells its disk lacks,
     /// so nothing is ever evicted (NOTES.md, entry 12). The field stays
     /// because the wire encodes it and `dpbench` reads it by name; ROADMAP
-    /// A4 removes it with the other `cache_*` fields.
+    /// A3 removes it with the other `cache_*` fields.
     pub cache_evictions: u64,
 }
 

@@ -87,17 +87,6 @@ pub trait Storage: std::fmt::Debug + Send {
     /// Resets cost counters.
     fn reset_stats(&mut self);
 
-    /// Makes every previously applied mutation durable before returning.
-    ///
-    /// Backends with deferred durability (e.g. a [`crate::DiskStore`] with
-    /// a group-commit window open) override this to close the window; the
-    /// network daemon calls it before acknowledging responses on the wire.
-    /// Purely in-memory backends are always "durable" to the extent they
-    /// can be, so the default is a no-op.
-    fn flush(&mut self) -> Result<(), ServerError> {
-        Ok(())
-    }
-
     /// Downloads the cells at `addrs` in one round trip, handing each cell
     /// to `visit` (batch position, cell bytes) as a borrowed slice.
     fn read_batch_with(

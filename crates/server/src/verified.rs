@@ -135,10 +135,6 @@ impl<S: Storage> Storage for Verified<S> {
         self.inner.reset_stats();
     }
 
-    fn flush(&mut self) -> Result<(), ServerError> {
-        self.inner.flush()
-    }
-
     /// Fails with the first address that did not verify, once the round
     /// trip is over; `visit` sees no cell from that one on. An address
     /// without a leaf (the server's capacity is not the committed one) does

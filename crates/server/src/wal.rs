@@ -21,8 +21,8 @@
 //! and the next generation overwrites the old records in place), so the
 //! stamp in the CRC is what ends the log: the record region is read under
 //! the newest snapshot's stamp and stops at the first record that does not
-//! validate under it — stale bytes never do. A record is one commit (a
-//! whole group-commit window, `RecordBuilder`), written by one `write`.
+//! validate under it — stale bytes never do. A record is one commit (one
+//! upload batch, `RecordBuilder`), written by one `write`.
 //! What an invalid record means — the torn tail of the append a crash
 //! interrupted, or a rotted acknowledged record — is `scan_records`'
 //! decision.
@@ -217,12 +217,12 @@ pub(crate) fn decode_wal_header(bytes: &[u8]) -> WalHeader {
 // WAL records
 // ---------------------------------------------------------------------------
 
-/// The one record encoder: collects the cell writes of a commit (every
-/// batch of a group-commit window, in order) and frames them as **one**
-/// CRC'd record. The three sections of the payload grow separately because
-/// a batch arrives as a single-pass iterator and the format keeps
-/// addresses, lengths and cell bytes apart; [`RecordBuilder::finish`]
-/// joins them. Every buffer keeps its capacity across commits.
+/// The one record encoder: collects the cell writes of a commit (one
+/// upload batch, in order) and frames them as **one** CRC'd record. The
+/// three sections of the payload grow separately because a batch arrives
+/// as a single-pass iterator and the format keeps addresses, lengths and
+/// cell bytes apart; [`RecordBuilder::finish`] joins them. Every buffer
+/// keeps its capacity across commits.
 #[derive(Debug, Default)]
 pub(crate) struct RecordBuilder {
     addrs: Vec<u8>,
@@ -239,11 +239,6 @@ impl RecordBuilder {
         self.cells.extend_from_slice(cell);
     }
 
-    /// Number of cell writes collected.
-    pub fn writes(&self) -> usize {
-        self.lens.len() / 4
-    }
-
     /// Whether no write has been collected.
     pub fn is_empty(&self) -> bool {
         self.lens.is_empty()
@@ -254,27 +249,18 @@ impl RecordBuilder {
         RECORD_HEADER_LEN + 1 + 4 + self.addrs.len() + self.lens.len() + self.cells.len()
     }
 
-    /// The writes collected from index `from` on, in order (`from` is an
-    /// earlier [`RecordBuilder::writes`]: the batch pushed since).
-    pub fn writes_from(&self, from: usize) -> impl Iterator<Item = (usize, &[u8])> {
-        let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap()) as usize;
-        let skipped: usize = self.lens[..from * 4].chunks_exact(4).map(le32).sum();
-        let mut cells = &self.cells[skipped..];
-        self.addrs[from * 8..]
+    /// The writes collected, in order.
+    pub fn writes(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let mut cells = &self.cells[..];
+        self.addrs
             .chunks_exact(8)
-            .zip(self.lens[from * 4..].chunks_exact(4))
+            .zip(self.lens.chunks_exact(4))
             .map(move |(addr, len)| {
-                let (cell, rest) = cells.split_at(le32(len));
+                let (cell, rest) =
+                    cells.split_at(u32::from_le_bytes(len.try_into().unwrap()) as usize);
                 cells = rest;
                 (u64::from_le_bytes(addr.try_into().unwrap()) as usize, cell)
             })
-    }
-
-    /// Drops every collected write.
-    pub fn clear(&mut self) {
-        self.addrs.clear();
-        self.lens.clear();
-        self.cells.clear();
     }
 
     /// Frames everything collected as one record (`len | crc | payload`)
@@ -293,7 +279,9 @@ impl RecordBuilder {
         out.extend_from_slice(&self.cells);
         let crc = record_crc(stamp, payload_len, &out[RECORD_HEADER_LEN..]);
         out[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.clear();
+        self.addrs.clear();
+        self.lens.clear();
+        self.cells.clear();
         &self.record
     }
 }
@@ -586,29 +574,25 @@ mod tests {
     }
 
     #[test]
-    fn a_window_is_one_record_of_its_batches_in_order() {
-        let mut window = RecordBuilder::default();
-        window.push(3, b"abc");
-        window.push(0, b"");
-        let second = window.writes();
-        window.push(3, b"later");
-        window.push(9, b"z");
-        assert_eq!(
-            window.writes_from(second).collect::<Vec<_>>(),
-            vec![(3, &b"later"[..]), (9, &b"z"[..])]
-        );
-        let len = window.record_len();
-        let record = window.finish(5).to_vec();
+    fn a_batch_is_one_record_that_reads_back_in_order() {
+        let mut batch = RecordBuilder::default();
+        let writes: [(usize, &[u8]); 4] = [(3, b"abc"), (0, b""), (3, b"later"), (9, b"z")];
+        for (addr, cell) in writes {
+            batch.push(addr, cell);
+        }
+        assert_eq!(batch.writes().collect::<Vec<_>>(), writes);
+        let len = batch.record_len();
+        let record = batch.finish(5).to_vec();
         assert_eq!(record.len(), len);
-        assert!(window.is_empty());
-        // Byte for byte the record of the concatenated batches.
-        assert_eq!(record, encode_record(5, &[(3, b"abc"), (0, b""), (3, b"later"), (9, b"z")]));
         let scan = scan_records(5, &record).unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].len(), 4);
+        assert!(!scan.torn);
+        let owned: Vec<(usize, Vec<u8>)> = writes.iter().map(|(a, c)| (*a, c.to_vec())).collect();
+        assert_eq!(scan.records, vec![owned]);
         // The builder starts over: the next record carries none of this one.
-        window.push(1, b"x");
-        assert_eq!(window.finish(5), &encode_record(5, &[(1, b"x")])[..]);
+        assert!(batch.is_empty());
+        assert_eq!(batch.writes().count(), 0);
+        batch.push(1, b"x");
+        assert_eq!(batch.finish(5), &encode_record(5, &[(1, b"x")])[..]);
     }
 
     #[test]

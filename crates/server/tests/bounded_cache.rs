@@ -12,11 +12,11 @@
 //! results, errors, the paper-model `CostStats` currencies (compared via
 //! [`CostStats::sans_cache`]) and the final cell-by-cell state must be
 //! bit-identical. Randomized programs cover ragged set-ups, over-long
-//! writes refused around dirty cells, zero-length cells, dirty sets under
-//! group commit, and explicit commits;
-//! focused tests make hits and misses, the dirty set outgrowing its budget
-//! and the deferred write-back (acknowledged cells wait in the cache until
-//! a checkpoint or budget pressure, then leave it) legible. Some tests keep
+//! writes refused around dirty cells, zero-length cells, batches wider
+//! than the cache, and checkpoints; focused tests make hits and misses, a
+//! batch's dirty set outgrowing the budget and the deferred write-back
+//! (acknowledged cells wait in the cache until a checkpoint or budget
+//! pressure, then leave it) legible. Some tests keep
 //! the names they had when the cache also kept clean cells and evicted
 //! them; each now asserts that nothing is evicted.
 //!
@@ -54,8 +54,8 @@ impl Drop for TempDir {
     }
 }
 
-fn tiny_cache_opts(wal_group_commit: usize) -> DiskOptions {
-    DiskOptions { cache_bytes: TINY_CACHE, wal_group_commit, ..DiskOptions::default() }
+fn tiny_cache_opts() -> DiskOptions {
+    DiskOptions { cache_bytes: TINY_CACHE, ..DiskOptions::default() }
 }
 
 fn cell(byte: u8, len: usize) -> Vec<u8> {
@@ -72,7 +72,7 @@ enum Op {
     Write(Vec<(usize, u8)>),
     WriteOdd(usize, u8, usize),
     WriteTooLong(usize, u8, usize),
-    Commit,
+    Checkpoint,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -84,7 +84,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             3 | 4 => Op::Write(writes),
             5 => Op::WriteOdd(addr, byte, len % (CELL_LEN + 1)),
             6 => Op::WriteTooLong(addr, byte, CELL_LEN + 1 + len),
-            _ => Op::Commit,
+            _ => Op::Checkpoint,
         },
     )
 }
@@ -116,8 +116,9 @@ fn step<V: Vfs>(op: &Op, disk: &mut DiskStore<V>, oracle: &mut SimServer) {
             assert!(refused.is_err(), "an over-long cell was stored");
             assert_eq!((disk.stats(), disk.cache_resident()), (before, resident));
         }
-        Op::Commit => {
-            disk.commit().expect("commit on a healthy store");
+        Op::Checkpoint => {
+            disk.checkpoint().expect("checkpoint on a healthy store");
+            assert_eq!(disk.cache_resident(), 0, "a checkpoint writes every dirty cell back");
         }
     }
 }
@@ -125,17 +126,17 @@ fn step<V: Vfs>(op: &Op, disk: &mut DiskStore<V>, oracle: &mut SimServer) {
 /// Runs `ops` on both miss paths against the one oracle: real files,
 /// which lend a clean miss out of the mapped arena, and the simulated disk
 /// (nothing crashing), which does not lend and so is read.
-fn run_case(ragged: bool, window: usize, ops: &[Op]) {
+fn run_case(ragged: bool, ops: &[Op]) {
     let tmp = TempDir::new();
     let vfs = RealVfs::new(&tmp.0).expect("create store directory");
-    run_case_on(vfs, ragged, window, ops);
-    run_case_on(CrashSim::new(1), ragged, window, ops);
+    run_case_on(vfs, ragged, ops);
+    run_case_on(CrashSim::new(1), ragged, ops);
 }
 
 /// Set-up at `CELL_LEN`: every cell full, or — `ragged` — cell `i` cut to
 /// `i mod (CELL_LEN + 1)` bytes (zero-length ones included) but the last.
-fn run_case_on<V: Vfs>(vfs: V, ragged: bool, window: usize, ops: &[Op]) {
-    let mut disk = DiskStore::open_on(vfs, tiny_cache_opts(window)).expect("open disk store");
+fn run_case_on<V: Vfs>(vfs: V, ragged: bool, ops: &[Op]) {
+    let mut disk = DiskStore::open_on(vfs, tiny_cache_opts()).expect("open disk store");
     let mut oracle = SimServer::new();
     let len = |i: usize| if ragged && i + 1 < CAPACITY { i % (CELL_LEN + 1) } else { CELL_LEN };
     let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, len(i))).collect();
@@ -156,9 +157,8 @@ fn run_case_on<V: Vfs>(vfs: V, ragged: bool, window: usize, ops: &[Op]) {
     }
     assert_eq!(disk.stored_bytes(), oracle.stored_bytes());
     assert_eq!(disk.cell_stride(), CELL_LEN);
-    // The budget holds at rest: after a commit the cache holds at most the
+    // The budget holds at rest: after a batch the cache holds at most the
     // dirty cells that fit it (a commit past it writes them all back).
-    disk.commit().expect("final commit");
     assert!(
         disk.cache_resident() <= (TINY_CACHE / disk.cell_stride().max(1)).max(1),
         "cache residency {} exceeds its budget at rest",
@@ -170,24 +170,23 @@ fn run_case_on<V: Vfs>(vfs: V, ragged: bool, window: usize, ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Randomized programs over a store set up with every cell, per-batch
-    /// commit: nearly every read is a miss, and a write is written back
-    /// once a few are dirty.
+    /// Randomized programs over a store set up with every cell: nearly
+    /// every read is a miss, and a write is written back once a few are
+    /// dirty.
     #[test]
     fn tiny_cache_matches_simserver_initialized(
         ops in proptest::collection::vec(arb_op(), 0..48),
     ) {
-        run_case(false, 1, &ops);
+        run_case(false, &ops);
     }
 
-    /// Randomized programs from a ragged set-up under a group-commit
-    /// window: dirty cells answer reads before their covering commit, and
-    /// short and zero-length cells stay equivalent.
+    /// Randomized programs from a ragged set-up: short and zero-length
+    /// cells stay equivalent while dirty ones wait for write-back.
     #[test]
-    fn tiny_cache_matches_simserver_grouped(
+    fn tiny_cache_matches_simserver_ragged(
         ops in proptest::collection::vec(arb_op(), 0..48),
     ) {
-        run_case(true, 6, &ops);
+        run_case(true, &ops);
     }
 }
 
@@ -199,7 +198,7 @@ proptest! {
 #[test]
 fn evictions_are_observed_when_db_exceeds_cache() {
     let mut disk =
-        DiskStore::open_on(CrashSim::new(1), tiny_cache_opts(1)).expect("open disk store");
+        DiskStore::open_on(CrashSim::new(1), tiny_cache_opts()).expect("open disk store");
     disk.init((0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect());
     for _ in 0..3 {
         for addr in 0..CAPACITY {
@@ -215,31 +214,33 @@ fn evictions_are_observed_when_db_exceeds_cache() {
     assert_eq!(disk.cache_resident(), 0, "a clean read took a slot");
 }
 
-/// Dirty cells stay until write-back: with a group-commit window larger
-/// than the cache budget, uncommitted writes outgrow the budget (they
-/// exist nowhere else), keep serving reads, and the covering commit writes
-/// them all back and empties the cache.
+/// Dirty cells stay until write-back: one batch wider than the cache
+/// budget pushes its dirty set past it (the cells exist nowhere else until
+/// the record is durable), and the commit that makes the batch durable
+/// writes them all back and empties the cache. Every read agrees before
+/// and after.
 #[test]
 fn dirty_pins_overshoot_and_drain_on_commit() {
     let budget_slots = TINY_CACHE / CELL_LEN; // 4
-    let dirty = 3 * budget_slots; // 12 uncommitted cells
+    let dirty = 3 * budget_slots; // 12 cells in one batch
     let tmp = TempDir::new();
-    let mut disk =
-        DiskStore::open_with(&tmp.0, tiny_cache_opts(dirty + 1)).expect("open disk store");
+    let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts()).expect("open disk store");
     disk.init((0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect());
-    for addr in 0..dirty {
-        disk.write(addr, cell(0xC0 | addr as u8, CELL_LEN)).unwrap();
+    for addr in 0..budget_slots {
+        disk.write(CAPACITY - 1 - addr, cell(0xB0 | addr as u8, CELL_LEN))
+            .unwrap();
     }
-    assert_eq!(disk.pending_batches(), dirty);
-    assert_eq!(disk.cache_resident(), dirty, "every uncommitted cell must stay resident");
-    for addr in 0..dirty {
-        assert_eq!(disk.read(addr).unwrap(), cell(0xC0 | addr as u8, CELL_LEN));
-    }
-    disk.commit().unwrap();
-    assert_eq!(disk.pending_batches(), 0);
+    assert_eq!(disk.cache_resident(), budget_slots, "a full budget writes nothing back");
+    let wal = disk.wal_bytes();
+    let batch: Vec<_> = (0..dirty).map(|a| (a, cell(0xC0 | a as u8, CELL_LEN))).collect();
+    disk.write_batch(batch).unwrap();
+    assert!(disk.wal_bytes() > wal, "the batch is one durable record");
     assert_eq!(disk.cache_resident(), 0, "the covering commit writes back and empties the cache");
     for addr in 0..dirty {
         assert_eq!(disk.read(addr).unwrap(), cell(0xC0 | addr as u8, CELL_LEN));
+    }
+    for addr in 0..budget_slots {
+        assert_eq!(disk.read(CAPACITY - 1 - addr).unwrap(), cell(0xB0 | addr as u8, CELL_LEN));
     }
 }
 
@@ -248,7 +249,7 @@ fn dirty_pins_overshoot_and_drain_on_commit() {
 #[test]
 fn zero_length_cells_are_cache_free_and_exact() {
     let tmp = TempDir::new();
-    let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts(1)).expect("open disk store");
+    let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts()).expect("open disk store");
     disk.init(vec![cell(0xAA, CELL_LEN); CAPACITY]);
     for addr in (0..CAPACITY).step_by(2) {
         disk.write(addr, Vec::new()).unwrap();
@@ -282,8 +283,7 @@ fn reads_match_the_oracle_while_dirty_cells_wait_for_write_back() {
     const LEN: usize = 64;
     const CELLS: usize = 16 * CACHE / LEN; // 1024 cells, 64 of them cacheable
     let sim = CrashSim::new(1);
-    let opts =
-        DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes: CACHE, wal_group_commit: 1 };
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes: CACHE };
     let arena_writes = |sim: &CrashSim| {
         let log = sim.event_log();
         let writes = log

@@ -199,17 +199,15 @@ fn opts_for(seed: u64) -> DiskOptions {
         1 => 1 << 20,
         _ => 256,
     };
-    // Sweep the cache budget (the env-aware default, which the CI
+    // Sweep the cache budget too: the env-aware default, which the CI
     // small-cache leg pins tiny, plus two hard-coded tiny budgets that
-    // force misses and write-backs inside the crash schedule) and the
-    // group-commit window (per-batch fsync vs a shared one).
+    // force misses and write-backs inside the crash schedule.
     let cache_bytes = match (seed / 3) % 3 {
         0 => DiskOptions::default().cache_bytes,
         1 => 256,
         _ => 64,
     };
-    let wal_group_commit = if seed.is_multiple_of(2) { 1 } else { 4 };
-    DiskOptions { wal_checkpoint_bytes, cache_bytes, wal_group_commit }
+    DiskOptions { wal_checkpoint_bytes, cache_bytes }
 }
 
 /// Runs the program with no crash plan, recording the oracle state at
@@ -246,24 +244,17 @@ fn reopen(sim: &CrashSim, opts: DiskOptions, context: &str) -> DiskStore<CrashSi
 }
 
 /// Recovery must land on a batch boundary in the *committed-prefix* range:
-/// no earlier than `durable` (the last batch covered by an acknowledged
-/// fsync — with `wal_group_commit: 1` that is every `Ok` batch, restoring
-/// the exact old contract) and no later than `boundary + 1` (the one
-/// in-flight batch whose record may have reached the torn WAL tail).
-fn assert_at_boundary(
-    got: &State,
-    snaps: &[State],
-    durable: usize,
-    boundary: usize,
-    context: &str,
-) {
-    let hi = (boundary + 1).min(snaps.len() - 1);
+/// no earlier than `acked` (every batch that returned `Ok` had its record
+/// synced first) and no later than `acked + 1` (the one in-flight batch
+/// whose record may have reached the torn WAL tail).
+fn assert_at_boundary(got: &State, snaps: &[State], acked: usize, context: &str) {
+    let hi = (acked + 1).min(snaps.len() - 1);
     assert!(
-        snaps[durable..=hi].contains(got),
+        snaps[acked..=hi].contains(got),
         "{context}: recovered state is not at a committed batch boundary \
-         (durable {durable}, boundary {boundary}: got capacity {}, allowed capacities {:?})",
+         (acked {acked}: got capacity {}, allowed capacities {:?})",
         got.0,
-        snaps[durable..=hi].iter().map(|s| s.0).collect::<Vec<_>>(),
+        snaps[acked..=hi].iter().map(|s| s.0).collect::<Vec<_>>(),
     );
 }
 
@@ -303,8 +294,7 @@ fn sweep_crash_points(
         let sim = CrashSim::new(seed);
         sim.plan_crash_tearing(k, tear);
         let mut crashed = false;
-        let mut boundary = 0usize;
-        let mut durable = 0usize;
+        let mut acked = 0usize;
         match DiskStore::open_on(sim.clone(), opts_for(seed)) {
             Err(DiskError::Corrupt { detail }) => {
                 panic!("seed {seed} k={k}: crash during open misreported as corruption: {detail}")
@@ -313,15 +303,7 @@ fn sweep_crash_points(
             Ok(mut store) => {
                 for batch in program {
                     match apply_disk(&mut store, batch) {
-                        Ok(()) => {
-                            boundary += 1;
-                            // An empty group-commit window means the
-                            // covering fsync for everything up to here
-                            // has completed: the durable prefix.
-                            if store.pending_batches() == 0 {
-                                durable = boundary;
-                            }
-                        }
+                        Ok(()) => acked += 1,
                         Err(Crashed) => {
                             crashed = true;
                             break;
@@ -340,7 +322,7 @@ fn sweep_crash_points(
                 sim.crashed() || k == total_events,
                 "crash at event {k} of {total_events} never fired"
             );
-            boundary = program.len();
+            acked = program.len();
         }
         if sim.crashed() {
             mid_program_crashes += 1;
@@ -355,19 +337,12 @@ fn sweep_crash_points(
                 if sectors { Tear::Sectors } else { Tear::Prefix([0, 500][(k % 2) as usize]) };
             sim.plan_crash_tearing(sim.events() + k % 13, again);
             match DiskStore::open_on(sim.clone(), opts_for(seed)) {
-                Ok(mut store) => {
-                    assert_at_boundary(&state_of(&mut store), snaps, durable, boundary, &context)
-                }
+                Ok(mut store) => assert_at_boundary(&state_of(&mut store), snaps, acked, &context),
                 Err(DiskError::Io { .. }) => {
                     sim.recover();
-                    let mut store = open_recovered(&sim, seed, &format!("{context} double-crash"));
-                    assert_at_boundary(
-                        &state_of(&mut store),
-                        snaps,
-                        durable,
-                        boundary,
-                        &format!("{context} double-crash"),
-                    );
+                    let context = format!("{context} double-crash");
+                    let mut store = open_recovered(&sim, seed, &context);
+                    assert_at_boundary(&state_of(&mut store), snaps, acked, &context);
                 }
                 Err(DiskError::Corrupt { detail }) => {
                     panic!("{context}: recovery crash misreported as corruption: {detail}")
@@ -376,7 +351,7 @@ fn sweep_crash_points(
         } else {
             sim.recover();
             let mut store = open_recovered(&sim, seed, &context);
-            assert_at_boundary(&state_of(&mut store), snaps, durable, boundary, &context);
+            assert_at_boundary(&state_of(&mut store), snaps, acked, &context);
         }
     }
     assert_eq!(
@@ -414,10 +389,7 @@ fn crash_sweep_recovers_to_a_batch_boundary_seeds_24_31() {
 fn acknowledged_write_survives_every_later_crash() {
     let seed = base_seed() ^ 0xACED;
     let marker = vec![0xA5u8; 8];
-    // This test spells out the per-write fsync acknowledgement, so pin the
-    // window to 1 (the generic sweep covers group-commit windows, where
-    // the acknowledgement is the *commit*, not the `Ok`).
-    let opts = DiskOptions { wal_group_commit: 1, ..opts_for(seed) };
+    let opts = opts_for(seed);
 
     // Dry run to learn the event counts.
     let sim = CrashSim::new(seed);
@@ -614,11 +586,10 @@ fn zero_length_cells_survive_restart() {
 fn crashed_store_poisons_until_reopen() {
     let seed = base_seed() ^ 0x9015;
     let sim = CrashSim::new(seed);
-    // Window 1 so the first write commits (and crashes) immediately, and
-    // a 2-slot cache (below the 16-byte database) so the store runs
+    // A 2-slot cache (below the 16-byte database) so the store runs
     // bounded — with an identity-mode budget every read is a hit and the
     // miss expectation below could never fire.
-    let opts = DiskOptions { wal_group_commit: 1, cache_bytes: 8, ..opts_for(seed) };
+    let opts = DiskOptions { cache_bytes: 8, ..opts_for(seed) };
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..4).map(|i| vec![i as u8; 4]).collect());
     sim.plan_crash(sim.events(), 0);
@@ -653,29 +624,27 @@ fn durable_file(sim: &CrashSim, name: &str) -> Vec<u8> {
 const WAL_HEADER: usize = 20;
 const SECTOR: usize = dps_server::crashsim::SECTOR as usize;
 
-/// I1, with fixed-size cells and a window of two batches: the window's one
-/// WAL write is cut so that (for some seeds) only its second sector lands.
+/// I1, with fixed-size cells and a batch of two: the batch's one WAL
+/// write is cut so that (for some seeds) only its second sector lands.
 /// Recovery must not restart the log under the stamp those bytes carry, and
 /// whatever is acknowledged afterwards — records of exactly the torn
-/// window's length — and however the next crash falls, the batch that was
+/// batch's length — and however the next crash falls, the batch that was
 /// never acknowledged never becomes visible.
 #[test]
 fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
     let cell = |byte: u8| vec![byte; 300];
-    let opts =
-        DiskOptions { wal_checkpoint_bytes: 8192, cache_bytes: 1 << 20, wal_group_commit: 2 };
+    let opts = DiskOptions { wal_checkpoint_bytes: 8192, cache_bytes: 1 << 20 };
     let mut tails_without_heads = 0;
     for seed in seeds(100, 48) {
         let sim = CrashSim::new(seed);
         let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
         store.init((0..8).map(cell).collect());
         let stamp = store.checkpoint_stamp();
-        // Window [A, B]: one record of 637 bytes at offset 20, so it
-        // spans sectors 0 and 1 of the log.
-        store.write(0, cell(0xA0)).unwrap();
-        assert_eq!(store.pending_batches(), 1, "A is applied, not durable");
+        // Batch [A, B]: one record of 637 bytes at offset 20, so it spans
+        // sectors 0 and 1 of the log.
         sim.plan_crash_tearing(sim.events(), Tear::Sectors);
-        assert_eq!(store.write(1, cell(0xB0)), Err(ServerError::Interrupted));
+        let torn = vec![(0, cell(0xA0)), (1, cell(0xB0))];
+        assert_eq!(store.write_batch(torn), Err(ServerError::Interrupted));
         drop(store);
         sim.recover();
         let wal = durable_file(&sim, "wal");
@@ -684,8 +653,8 @@ fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
 
         let context = format!("seed {seed} head={head} tail={tail}");
         let mut store = reopen(&sim, opts, &context);
-        // Both sectors landed: the in-flight window is whole and may
-        // stand (`Interrupted` = state unknown). Otherwise it is gone.
+        // Both sectors landed: the in-flight batch is whole and may stand
+        // (`Interrupted` = state unknown). Otherwise it is gone.
         let (cell_0, cell_1) = if head && tail { (0xA0, 0xB0) } else { (0, 1) };
         assert_eq!(store.read(0).unwrap(), cell(cell_0), "{context}");
         assert_eq!(store.read(1).unwrap(), cell(cell_1), "{context}");
@@ -696,14 +665,14 @@ fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
             tails_without_heads += u32::from(tail);
         }
 
-        // A' and C': an acknowledged window of the same record length.
-        store.write(0, cell(0xA1)).unwrap();
-        store.write(2, cell(0xC1)).unwrap();
-        assert_eq!(store.pending_batches(), 0);
-        // A second crash, this one leaving nothing of its window.
-        store.write(3, cell(0xD1)).unwrap();
+        // [A', C']: an acknowledged batch of the same record length.
+        store
+            .write_batch(vec![(0, cell(0xA1)), (2, cell(0xC1))])
+            .unwrap();
+        // A second crash, this one leaving nothing of its batch.
         sim.plan_crash(sim.events(), 0);
-        assert_eq!(store.write(4, cell(0xE1)), Err(ServerError::Interrupted));
+        let lost = vec![(3, cell(0xD1)), (4, cell(0xE1))];
+        assert_eq!(store.write_batch(lost), Err(ServerError::Interrupted));
         drop(store);
         sim.recover();
         let mut store = reopen(&sim, opts, &context);
@@ -721,7 +690,7 @@ fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
             "{context}: a never-acknowledged batch became visible"
         );
     }
-    assert!(tails_without_heads > 0, "no seed landed the window's tail without its head");
+    assert!(tails_without_heads > 0, "no seed landed the batch's tail without its head");
 }
 
 /// Two checkpoints in a row leave the previous generations' records behind
@@ -731,8 +700,7 @@ fn a_torn_window_is_not_resurrected_by_later_records_of_its_length() {
 fn stale_generations_behind_the_header_are_ignored() {
     let seed = base_seed() ^ 0x57A1;
     let sim = CrashSim::new(seed);
-    let opts =
-        DiskOptions { wal_checkpoint_bytes: 4096, cache_bytes: 1 << 20, wal_group_commit: 1 };
+    let opts = DiskOptions { wal_checkpoint_bytes: 4096, cache_bytes: 1 << 20 };
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..6).map(|i| vec![i as u8; 16]).collect());
     for addr in 0..4 {
@@ -771,7 +739,7 @@ fn stale_generations_behind_the_header_are_ignored() {
 #[test]
 fn crash_anywhere_in_preallocation_or_header_rewrite_recovers() {
     let seed = base_seed() ^ 0x9A11;
-    let small = DiskOptions { wal_checkpoint_bytes: 64, cache_bytes: 1 << 20, wal_group_commit: 1 };
+    let small = DiskOptions { wal_checkpoint_bytes: 64, cache_bytes: 1 << 20 };
     let big = DiskOptions { wal_checkpoint_bytes: 200_000, ..small };
     // A directory with a short log holding one record; reopening it under
     // the big budget replays the record and checkpoints, which is where
@@ -831,7 +799,7 @@ fn crash_anywhere_in_preallocation_or_header_rewrite_recovers() {
 #[test]
 fn a_record_larger_than_the_remaining_log_commits_and_recovers() {
     let seed = base_seed() ^ 0xB16;
-    let opts = DiskOptions { wal_checkpoint_bytes: 256, cache_bytes: 1 << 20, wal_group_commit: 1 };
+    let opts = DiskOptions { wal_checkpoint_bytes: 256, cache_bytes: 1 << 20 };
     let batch = || {
         (0..3)
             .map(|i| (i, vec![0xC0 | i as u8; 100]))
@@ -880,7 +848,7 @@ fn checkpoint_events(
     addrs: &[usize],
 ) -> Vec<SimEvent> {
     let sim = CrashSim::new(base_seed());
-    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes, wal_group_commit: 1 };
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes };
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..capacity).map(|i| vec![i as u8; cell_len]).collect());
     let mark = sim.events() as usize;
@@ -979,8 +947,7 @@ fn write_back_waits_for_the_checkpoint_and_runs_in_address_order() {
 #[test]
 fn a_poisoned_store_never_writes_back() {
     let sim = CrashSim::new(base_seed() ^ 0x7015);
-    let opts =
-        DiskOptions { wal_checkpoint_bytes: 1 << 16, cache_bytes: 1 << 20, wal_group_commit: 1 };
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 16, cache_bytes: 1 << 20 };
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..8).map(|i| vec![i as u8; 8]).collect());
     store.write(2, vec![0xD1; 8]).unwrap(); // acknowledged, waiting dirty
@@ -991,8 +958,6 @@ fn a_poisoned_store_never_writes_back() {
     sim.recover();
     let mark = sim.events();
     assert!(store.checkpoint().is_err());
-    assert!(store.commit().is_err());
-    assert_eq!(store.flush(), Err(ServerError::Interrupted));
     assert_eq!(store.write(4, vec![0xD3; 8]), Err(ServerError::Interrupted));
     assert_eq!(store.read(2).unwrap(), vec![0xD1; 8], "hits keep serving");
     drop(store);
@@ -1011,7 +976,7 @@ fn a_poisoned_store_never_writes_back() {
 fn a_new_directory_is_complete_before_the_first_acknowledgement() {
     let dir = std::env::temp_dir().join(format!("dps_crash_newdir_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = DiskOptions { wal_group_commit: 1, wal_checkpoint_bytes: 1 << 16, ..opts_for(0) };
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 16, ..opts_for(0) };
     {
         let mut store = DiskStore::open_on(RealVfs::new(&dir).unwrap(), opts).unwrap();
         store.init(vec![vec![1; 4], vec![2; 4]]);

@@ -6,7 +6,7 @@
 //! [`DiskStore`] on [`RealVfs`](dps_server::RealVfs) with a cache of a few
 //! cells — so nearly every read is such a miss — through seeded programs
 //! of everything that can move bytes under a mapping or move the mapping
-//! itself: single and batched writes, zero-length cells, commits,
+//! itself: single and batched writes, zero-length cells,
 //! checkpoints (write-back *inside* the mapped range), set-ups at a wider
 //! stride (a new, longer arena file becomes the active one), over-long
 //! writes (refused, so nothing moves), and drop + reopen. After every step
@@ -63,8 +63,8 @@ fn cell(byte: u8, len: usize) -> Vec<u8> {
     (0..len).map(|i| byte.wrapping_add(i as u8)).collect()
 }
 
-fn opts(window: usize) -> DiskOptions {
-    DiskOptions { cache_bytes: CACHE, wal_group_commit: window, ..DiskOptions::default() }
+fn opts() -> DiskOptions {
+    DiskOptions { cache_bytes: CACHE, ..DiskOptions::default() }
 }
 
 /// Initial contents: full-width cells, with every 11th shorter and every
@@ -80,14 +80,13 @@ fn initial() -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Drops the store (committing its open window first: dropping is not a
-/// flush) and opens the directory again. The counters restart on both
-/// sides so they stay comparable.
-fn reopen(mut disk: DiskStore, oracle: &mut SimServer, dir: &TempDir, window: usize) -> DiskStore {
-    disk.commit().expect("commit before drop");
+/// Drops the store and opens the directory again (every acknowledged
+/// upload is already durable). The counters restart on both sides so they
+/// stay comparable.
+fn reopen(disk: DiskStore, oracle: &mut SimServer, dir: &TempDir) -> DiskStore {
     drop(disk);
     oracle.reset_stats();
-    DiskStore::open_with(&dir.0, opts(window)).expect("reopen")
+    DiskStore::open_with(&dir.0, opts()).expect("reopen")
 }
 
 fn assert_same_state(disk: &mut DiskStore, oracle: &mut SimServer, when: &str) {
@@ -99,10 +98,9 @@ fn assert_same_state(disk: &mut DiskStore, oracle: &mut SimServer, when: &str) {
 }
 
 fn run_program(seed: u64) {
-    let window = [5, 1][(seed % 2) as usize];
     let dir = TempDir::new(&format!("seed{seed}"));
     let mut rng = Rng(seed);
-    let mut disk = DiskStore::open_with(&dir.0, opts(window)).expect("open");
+    let mut disk = DiskStore::open_with(&dir.0, opts()).expect("open");
     let mut oracle = SimServer::new();
     disk.init(initial());
     oracle.init(initial());
@@ -159,9 +157,8 @@ fn run_program(seed: u64) {
                     .collect();
                 assert_eq!(disk.write_batch(batch.clone()), oracle.write_batch(batch), "{label}");
             }
-            80..=86 => disk.commit().expect("commit"),
             // Write-back lands inside the mapped range of the active arena.
-            87..=93 => disk.checkpoint().expect("checkpoint"),
+            80..=93 => disk.checkpoint().expect("checkpoint"),
             // Set-up again, wider: the image goes to the other arena file at
             // the new stride, that file becomes the active one and is mapped
             // at its own (longer) length by the next miss.
@@ -186,7 +183,7 @@ fn run_program(seed: u64) {
                 assert_eq!((disk.stats(), disk.cell_stride()), (before, stride), "{label}");
             }
             _ => {
-                disk = reopen(disk, &mut oracle, &dir, window);
+                disk = reopen(disk, &mut oracle, &dir);
                 assert_eq!(disk.cell_stride(), stride, "{label}");
             }
         }
@@ -196,7 +193,7 @@ fn run_program(seed: u64) {
         }
     }
     assert_same_state(&mut disk, &mut oracle, "at the end");
-    let mut disk = reopen(disk, &mut oracle, &dir, window);
+    let mut disk = reopen(disk, &mut oracle, &dir);
     assert_same_state(&mut disk, &mut oracle, "after the last reopen");
 }
 
@@ -213,7 +210,7 @@ fn seeded_programs_match_simserver_through_the_mapping() {
 #[test]
 fn a_written_back_cell_is_lent_with_its_new_bytes() {
     let dir = TempDir::new("coherent");
-    let mut disk = DiskStore::open_with(&dir.0, opts(1)).expect("open");
+    let mut disk = DiskStore::open_with(&dir.0, opts()).expect("open");
     disk.init(initial());
     // Map the arena and touch the pages the writes will land in.
     let victims = [1, 2, 3, 50, 51, 52, 100, 159];

@@ -20,7 +20,7 @@ fn cells() -> Vec<Vec<u8>> {
 }
 
 fn opts(cache_bytes: usize) -> DiskOptions {
-    DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes, wal_group_commit: 8 }
+    DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes }
 }
 
 #[test]
@@ -29,7 +29,7 @@ fn a_failed_read_of_a_file_that_does_not_lend_poisons_the_store_typed() {
     let mut store = DiskStore::open_on(sim.clone(), opts(4 * LEN)).expect("open");
     store.init(cells());
     store.write(3, vec![0xD3; LEN]).unwrap();
-    assert_eq!((store.pending_batches(), store.cache_resident()), (1, 1));
+    assert_eq!(store.cache_resident(), 1, "the acknowledged cell waits for write-back");
     // Crash the simulated disk through a second file: the store does no I/O.
     let mut bystander = sim.clone().open("bystander").expect("open bystander");
     sim.plan_crash(sim.events(), 0);

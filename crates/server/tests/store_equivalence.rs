@@ -326,9 +326,9 @@ impl Drop for TempDir {
 /// and the durable disk store (syncing, as it always does; the crash suite
 /// owns durability, this suite owns observational equivalence). The
 /// disk store runs twice: once with its default cache budget and once
-/// with a budget of a few cells, so lent misses, a dirty set outgrowing
-/// its budget under group commit and the write-back that empties it are
-/// all inside the equivalence check. Last, the integrity
+/// with a budget of a few cells, so lent misses, a batch whose dirty cells
+/// outgrow the budget and the write-back that empties it are all inside
+/// the equivalence check. Last, the integrity
 /// decorator over the first.
 fn run_all_backends(ops: &[Op]) {
     run_program(&mut SimServer::new(), ops);
@@ -339,7 +339,6 @@ fn run_all_backends(ops: &[Op]) {
     let tmp = TempDir::new();
     let opts = DiskOptions {
         cache_bytes: 3 * CELL_LEN, // DB ≫ cache: 3 dirty of 12 cells
-        wal_group_commit: 3,
         ..DiskOptions::default()
     };
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create small-cache disk store");
