@@ -11,11 +11,11 @@
 //! * the scalar core ([`block`]) permutes one 64-byte block at a time;
 //! * the **4-lane wide core** permutes 4 independent blocks per pass in a
 //!   structure-of-arrays state (`[[u32; 4]; 16]`, word-major). On x86-64
-//!   it runs as explicit SSE2 intrinsics ([`sse2`]); everywhere else (and
-//!   under `DPS_FORCE_ISA=portable`) as plain lane loops — no unstable
-//!   SIMD APIs, no `unsafe`;
-//! * the **8-lane wide core** ([`avx2`], `[[u32; 8]; 16]` over `__m256i`)
-//!   doubles the lane width when `is_x86_feature_detected!("avx2")`
+//!   it runs as explicit SSE2 intrinsics (module `sse2`); everywhere else
+//!   (and under `DPS_FORCE_ISA=portable`) as plain lane loops — no
+//!   unstable SIMD APIs, no `unsafe`;
+//! * the **8-lane wide core** (module `avx2`, `[[u32; 8]; 16]` over
+//!   `__m256i`) doubles the lane width when `is_x86_feature_detected!("avx2")`
 //!   reports AVX2 at runtime. On every other tier, an 8-lane group
 //!   ([`blocks_each`]) decomposes into two byte-identical 4-lane passes,
 //!   so the same code compiles and runs on aarch64 unchanged.

@@ -105,7 +105,7 @@ fn detect() -> IsaTier {
 /// Resolves a forced-tier request against the detected capability: no
 /// request selects `detected`; a request at or below it is honored; a
 /// wider or unknown request is a typed error. Pure — the cached [`tier`]
-/// applies it to [`FORCE_ISA_ENV`] and [`detect`], and tests drive it
+/// applies it to [`FORCE_ISA_ENV`] and `detect`, and tests drive it
 /// with every combination directly.
 pub fn resolve(forced: Option<&str>, detected: IsaTier) -> Result<IsaTier, ForceIsaError> {
     let Some(name) = forced else {

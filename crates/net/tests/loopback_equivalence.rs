@@ -412,8 +412,9 @@ impl Scratch {
         Scratch(dir)
     }
 
+    /// A 1 MiB log: no set-up here fills it, and each one zero-fills it.
     fn open(&self, cache_bytes: usize) -> DiskStore {
-        let opts = DiskOptions { cache_bytes, ..DiskOptions::default() };
+        let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes };
         DiskStore::open_with(&self.0, opts).expect("open disk store")
     }
 }

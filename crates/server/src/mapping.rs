@@ -2,8 +2,9 @@
 //! with a lazily made read-only shared mapping of it, which is what lets
 //! [`RealFile`](crate::disk::RealFile) answer
 //! [`DiskFile::lend`](crate::DiskFile::lend) with a slice of the page cache
-//! instead of copying through `pread`. This is the crate's one audited
-//! unsafe module, in the posture of `dps_net::sys` and
+//! instead of copying through `pread`. This is one of the crate's two
+//! audited unsafe modules (the other is the CRC's guarded carry-less
+//! fold), in the posture of `dps_net::sys` and
 //! `dps_crypto::chacha::sse2`: the two libc entry points it needs are
 //! declared directly against the C library std already links. The file
 //! handle and the pointer are both private to it, so every operation of

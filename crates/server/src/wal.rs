@@ -25,7 +25,13 @@
 //! upload batch, `RecordBuilder`), written by one `write`.
 //! What an invalid record means — the torn tail of the append a crash
 //! interrupted, or a rotted acknowledged record — is `scan_records`'
-//! decision.
+//! decision; the records it returns borrow the log bytes it was given, so
+//! recovery holds a log of `B` bytes once, not twice.
+//!
+//! Every CRC here is CRC-32 (IEEE) from the private `crc` module, whose
+//! table and carry-less bodies agree on every input: which one ran never
+//! shows in a file (`a_record_crc_is_the_one_format_2_always_wrote` pins
+//! one record's value).
 //!
 //! ## Metadata snapshot layout
 //!
@@ -43,6 +49,8 @@
 //! refused, not migrated (NOTES.md, entry 14).
 
 use std::fmt;
+
+use crate::crc::crc32;
 
 /// Magic prefix of the write-ahead log file.
 pub(crate) const WAL_MAGIC: [u8; 4] = *b"DPSW";
@@ -102,67 +110,6 @@ impl From<std::io::Error> for DiskError {
     fn from(e: std::io::Error) -> Self {
         DiskError::Io { kind: e.kind(), detail: e.to_string() }
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, slicing-by-8; implemented here because the
-// container is offline and the workspace deliberately has no external deps).
-// ---------------------------------------------------------------------------
-
-/// Table 0 is the classic byte-at-a-time table; table `k` maps byte `b` to
-/// the CRC of `b` followed by `k` zero bytes, which lets eight input bytes
-/// be folded with eight independent lookups instead of a chain of eight.
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
-
-/// CRC-32 (IEEE) over the concatenation of `parts`, without materialising
-/// the concatenation.
-pub fn crc32(parts: &[&[u8]]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    for part in parts {
-        let mut words = part.chunks_exact(8);
-        for w in &mut words {
-            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            c = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][w[4] as usize]
-                ^ t[2][w[5] as usize]
-                ^ t[1][w[6] as usize]
-                ^ t[0][w[7] as usize];
-        }
-        for &b in words.remainder() {
-            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-    }
-    !c
 }
 
 // ---------------------------------------------------------------------------
@@ -301,12 +248,13 @@ pub(crate) fn encode_record(stamp: u64, writes: &[(usize, &[u8])]) -> Vec<u8> {
     builder.finish(stamp).to_vec()
 }
 
-/// Result of scanning the record region of the WAL.
+/// Result of scanning the record region of the WAL: the records borrow
+/// the bytes scanned, so recovery holds the log once.
 #[derive(Debug)]
-pub(crate) struct WalScan {
+pub(crate) struct WalScan<'a> {
     /// Complete, checksum-valid records in append order, each the cell
     /// writes of one commit.
-    pub records: Vec<Vec<(usize, Vec<u8>)>>,
+    pub records: Vec<Vec<(usize, &'a [u8])>>,
     /// Whether anything but zeros follows the last valid record: a torn
     /// append, or (in a recycled log) records of older generations — the
     /// two are indistinguishable, so the log may only be restarted under a
@@ -343,7 +291,7 @@ fn valid_record(stamp: u64, bytes: &[u8], pos: usize) -> Option<&[u8]> {
 /// discarded; a preallocated file has no length to say the append
 /// completed. A record whose CRC validates but whose payload does not
 /// parse was never written by this code and is `Corrupt` as well.
-pub(crate) fn scan_records(stamp: u64, bytes: &[u8]) -> Result<WalScan, DiskError> {
+pub(crate) fn scan_records(stamp: u64, bytes: &[u8]) -> Result<WalScan<'_>, DiskError> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some(payload) = valid_record(stamp, bytes, pos) {
@@ -364,7 +312,7 @@ pub(crate) fn scan_records(stamp: u64, bytes: &[u8]) -> Result<WalScan, DiskErro
     Ok(WalScan { records, torn })
 }
 
-fn decode_record_payload(payload: &[u8], pos: usize) -> Result<Vec<(usize, Vec<u8>)>, DiskError> {
+fn decode_record_payload(payload: &[u8], pos: usize) -> Result<Vec<(usize, &[u8])>, DiskError> {
     let bad = || DiskError::corrupt(format!("WAL record at offset {pos} has a malformed payload"));
     if payload.is_empty() || payload[0] != RECORD_TAG_WRITES {
         return Err(bad());
@@ -395,7 +343,7 @@ fn decode_record_payload(payload: &[u8], pos: usize) -> Result<Vec<(usize, Vec<u
         if end > payload.len() {
             return Err(bad());
         }
-        writes.push((addr as usize, payload[data_pos..end].to_vec()));
+        writes.push((addr as usize, &payload[data_pos..end]));
         data_pos = end;
     }
     if data_pos != payload.len() {
@@ -501,52 +449,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The byte-at-a-time loop slicing-by-8 replaced: the oracle for an
-    /// on-disk format that must not move.
-    fn crc32_bytewise(parts: &[&[u8]]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for part in parts {
-            for &b in *part {
-                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-        }
-        !c
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // CRC-32("123456789") = 0xCBF43926, the classic check value.
-        assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
-        assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
-        assert_eq!(crc32(&[]), 0);
-    }
-
-    proptest! {
-        /// Same polynomial, same values, whatever the length and however
-        /// the input is split into parts (a part boundary falls inside an
-        /// 8-byte word almost always).
-        #[test]
-        fn crc32_slicing_matches_the_bytewise_oracle(
-            data in proptest::collection::vec(any::<u8>(), 0..9001),
-            cuts in proptest::collection::vec(any::<u16>(), 0..6),
-        ) {
-            let mut cuts: Vec<usize> =
-                cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
-            cuts.sort_unstable();
-            let mut parts: Vec<&[u8]> = Vec::new();
-            let mut start = 0;
-            for cut in cuts {
-                parts.push(&data[start..cut]);
-                start = cut;
-            }
-            parts.push(&data[start..]);
-            let want = crc32_bytewise(&[&data]);
-            prop_assert_eq!(crc32(&parts), want);
-            prop_assert_eq!(crc32(&[&data]), want);
-            prop_assert_eq!(crc32_bytewise(&parts), want);
-        }
-    }
-
     #[test]
     fn wal_header_round_trip() {
         let h = encode_wal_header(42);
@@ -566,11 +468,8 @@ mod tests {
         let scan = scan_records(9, &bytes).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records.len(), 2);
-        assert_eq!(
-            scan.records[0],
-            vec![(3, b"abc".to_vec()), (0, Vec::new()), (7, b"zzzz".to_vec())]
-        );
-        assert_eq!(scan.records[1], vec![(1, b"x".to_vec())]);
+        assert_eq!(scan.records[0], writes);
+        assert_eq!(scan.records[1], vec![(1, &b"x"[..])]);
     }
 
     #[test]
@@ -586,13 +485,24 @@ mod tests {
         assert_eq!(record.len(), len);
         let scan = scan_records(5, &record).unwrap();
         assert!(!scan.torn);
-        let owned: Vec<(usize, Vec<u8>)> = writes.iter().map(|(a, c)| (*a, c.to_vec())).collect();
-        assert_eq!(scan.records, vec![owned]);
+        assert_eq!(scan.records, vec![writes.to_vec()]);
         // The builder starts over: the next record carries none of this one.
         assert!(batch.is_empty());
         assert_eq!(batch.writes().count(), 0);
         batch.push(1, b"x");
         assert_eq!(batch.finish(5), &encode_record(5, &[(1, b"x")])[..]);
+    }
+
+    /// A record's bytes are the on-disk format: this CRC was computed by
+    /// the table-only code that wrote the first format-2 logs, so a log
+    /// written then still validates whichever CRC body runs now (the
+    /// 256-byte payload is long enough for the carry-less one).
+    #[test]
+    fn a_record_crc_is_the_one_format_2_always_wrote() {
+        let record = encode_record(7, &[(1, &[0xA1; 8]), (4, &[0xA4; 219])]);
+        assert_eq!(record.len(), RECORD_HEADER_LEN + 256);
+        assert_eq!(u32::from_le_bytes(record[4..8].try_into().unwrap()), 0x7410_3E07);
+        assert_eq!(scan_records(7, &record).unwrap().records.len(), 1);
     }
 
     #[test]
@@ -605,7 +515,7 @@ mod tests {
             let mut bytes = full.clone();
             bytes.extend_from_slice(&rec[..cut]);
             let scan = scan_records(1, &bytes).unwrap();
-            assert_eq!(scan.records, vec![vec![(0, b"first".to_vec())]], "cut={cut}");
+            assert_eq!(scan.records, vec![vec![(0, &b"first"[..])]], "cut={cut}");
             assert_eq!(scan.torn, cut != 0, "cut={cut}");
         }
 
@@ -680,7 +590,11 @@ mod tests {
             }
             match scan_records(stamp, &bytes) {
                 Ok(scan) => {
-                    prop_assert_eq!(scan.records, batches.clone());
+                    let want: Vec<Vec<(usize, &[u8])>> = batches
+                        .iter()
+                        .map(|batch| batch.iter().map(|(a, c)| (*a, c.as_slice())).collect())
+                        .collect();
+                    prop_assert_eq!(scan.records, want);
                 }
                 // Only a valid record under the stamp behind the invalid
                 // one can turn the end of the log into corruption.

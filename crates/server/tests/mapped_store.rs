@@ -63,8 +63,9 @@ fn cell(byte: u8, len: usize) -> Vec<u8> {
     (0..len).map(|i| byte.wrapping_add(i as u8)).collect()
 }
 
+/// A 1 MiB log: no program fills it, and every case zero-fills a fresh one.
 fn opts() -> DiskOptions {
-    DiskOptions { cache_bytes: CACHE, ..DiskOptions::default() }
+    DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes: CACHE }
 }
 
 /// Initial contents: full-width cells, with every 11th shorter and every

@@ -332,14 +332,15 @@ impl Drop for TempDir {
 /// decorator over the first.
 fn run_all_backends(ops: &[Op]) {
     run_program(&mut SimServer::new(), ops);
+    // A 1 MiB log: no program fills it, and every case zero-fills two.
     let tmp = TempDir::new();
-    let opts = DiskOptions::default();
+    let opts = DiskOptions { wal_checkpoint_bytes: 1 << 20, ..DiskOptions::default() };
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create disk store");
     run_program(&mut disk, ops);
     let tmp = TempDir::new();
     let opts = DiskOptions {
         cache_bytes: 3 * CELL_LEN, // DB ≫ cache: 3 dirty of 12 cells
-        ..DiskOptions::default()
+        ..opts
     };
     let mut disk = DiskStore::open_with(&tmp.0, opts).expect("create small-cache disk store");
     run_program(&mut disk, ops);
