@@ -13,23 +13,22 @@
 //! length — every scheme's do — and as `WriteBatch` otherwise: the frame
 //! follows from the cells, never from the spelling the caller used.
 //!
-//! # Pipelining
+//! # One request in flight
 //!
-//! Every request frame carries a fresh id, and responses echo it. That makes
-//! the connection *pipelineable* — [`RemoteServer::submit`] puts a
-//! request on the wire without waiting, returning a [`Ticket`];
-//! [`RemoteServer::wait`] collects a specific response whenever it is
-//! wanted, matching by id and stashing whatever else arrives in between,
-//! so completions are order-independent. The synchronous `Storage`
-//! surface is simply `submit` immediately followed by `wait`.
+//! An exchange frames its request into the send buffer under a fresh id,
+//! writes it, and reads the one answer, which must echo that id. No scheme
+//! could use a second request in flight: each uploads what the same flight
+//! downloaded, so its next request waits for an answer (NOTES.md, entries
+//! 1 and 20). Ids rise per connection, so an answer with an *older* id is
+//! the late answer of a request abandoned on an expired deadline, and is
+//! dropped; any other id is [`WireError::UnknownRequestId`].
 //!
 //! # Cost accounting
 //!
 //! The client counts what it actually puts on the wire — framed exchanges
-//! and their encoded bytes, headers included, plus the high-water mark of
-//! simultaneously in-flight requests — and folds those counters into the
-//! `wire_*` fields of the [`CostStats`] returned by [`Storage::stats`].
-//! The model-level fields come from the daemon, so
+//! and their encoded bytes, headers included — and folds those counters
+//! into the `wire_*` fields of the [`CostStats`] returned by
+//! [`Storage::stats`]. The model-level fields come from the daemon, so
 //! `remote.stats().sans_wire()` is bit-comparable with a local server's
 //! stats; the loopback equivalence suite pins exactly that.
 //!
@@ -45,15 +44,14 @@
 //! scheme's client state is untouched and the operation retryable once a
 //! connection is back (see NOTES.md, entry 1). *Protocol violations* — a
 //! corrupt response, a `Cells` response with the wrong cell count, an
-//! unknown response id — mean the peer is not a conforming daemon; the
-//! trait surface panics on them. So do the metadata methods with
-//! infallible signatures (`init_with`, `capacity`, `stats`, …) on any wire
-//! failure. Callers that need to observe transport faults in full (tests,
-//! reconnect logic) use the typed inherent surface instead —
-//! [`RemoteServer::request`] / [`RemoteServer::try_call`] for any
-//! [`Request`], [`RemoteServer::submit`] / [`RemoteServer::wait`] to
-//! pipeline, [`RemoteServer::try_read_batch_with`] for the download with
-//! its cell-count check — which returns [`RemoteError`], wire-level
+//! answer under an id that was not sent — mean the peer is not a
+//! conforming daemon; the trait surface panics on them. So do the metadata
+//! methods with infallible signatures (`init_with`, `capacity`, `stats`,
+//! …) on any wire failure. Callers that need to observe transport faults
+//! in full (tests, reconnect logic) use the typed inherent surface instead
+//! — [`RemoteServer::request`] / [`RemoteServer::try_call`] for any
+//! [`Request`], [`RemoteServer::try_read_batch_with`] for the download
+//! with its cell-count check — which returns [`RemoteError`], wire-level
 //! misbehavior included ([`WireError::CellCountMismatch`],
 //! [`WireError::UnknownRequestId`], …), instead of panicking.
 //!
@@ -66,15 +64,15 @@
 //! because a byte stream cut mid-frame cannot be resynchronized. Second,
 //! [`RemoteServer::with_reconnect`] installs a [`ReconnectPolicy`]:
 //! connection faults redial the same peer under capped exponential
-//! backoff with deterministic jitter, then replay the idempotent
-//! in-flight requests (reads, XOR folds, pure queries) in submission
-//! order — so a read-only workload rides out connection resets with no
-//! caller-visible failure beyond latency and a bumped `wire_reconnects`
-//! counter. Requests that are *not* safe to replay (writes, inits,
-//! transcript takes) surface [`RemoteError::Interrupted`] instead —
-//! mapped to [`ServerError::Interrupted`] on the `Storage` surface — and
-//! the caller decides whether to re-verify and re-issue: the server may
-//! or may not have applied them, and the client refuses to guess.
+//! backoff with deterministic jitter, then re-send the request in flight
+//! if it is idempotent (a read, an XOR fold, a pure query) — so a
+//! read-only workload rides out connection resets with no caller-visible
+//! failure beyond latency and a bumped `wire_reconnects` counter. A
+//! request that is *not* safe to replay (a write, an init, a transcript
+//! take) surfaces [`RemoteError::Interrupted`] instead — mapped to
+//! [`ServerError::Interrupted`] on the `Storage` surface — and the caller
+//! decides whether to re-verify and re-issue: the server may or may not
+//! have applied it, and the client refuses to guess.
 //!
 //! # Size limits
 //!
@@ -92,7 +90,6 @@
 //! [`WireError::BadLength`] message rather than degrading silently.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -181,10 +178,10 @@ impl Timeouts {
 /// Opt-in transparent reconnection for a [`RemoteServer`] (see
 /// [`RemoteServer::with_reconnect`]): when the connection faults, dial
 /// the same peer up to [`ReconnectPolicy::max_attempts`] times under
-/// capped exponential backoff with deterministic jitter, then replay the
-/// idempotent in-flight requests (reads, XOR folds, pure queries) in
-/// submission order. Non-idempotent in-flight requests are *not*
-/// replayed; they surface as [`RemoteError::Interrupted`].
+/// capped exponential backoff with deterministic jitter, then re-send the
+/// request in flight under its original id if it is idempotent (a read,
+/// an XOR fold, a pure query). A non-idempotent request is *not*
+/// re-sent; it surfaces as [`RemoteError::Interrupted`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconnectPolicy {
     /// Dial attempts per outage before giving up and surfacing the
@@ -229,29 +226,6 @@ impl ReconnectPolicy {
     }
 }
 
-/// A claim on the response to one pipelined request (see
-/// [`RemoteServer::submit`]). Tickets are per-connection and single-use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket(u64);
-
-impl Ticket {
-    /// The request id this ticket's response will carry on the wire.
-    pub fn id(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Client-side record of one submitted-but-unanswered request.
-#[derive(Debug)]
-struct Pending {
-    /// The encoded frame, kept so a reconnect can replay it — `Some` only
-    /// for idempotent requests on a client with a [`ReconnectPolicy`].
-    replay: Option<Vec<u8>>,
-    /// The connection died while this non-replayable request was in
-    /// flight; its `wait` surfaces [`RemoteError::Interrupted`].
-    interrupted: bool,
-}
-
 /// Whether blindly re-executing `request` cannot change server state or
 /// the caller-observable outcome — the requests a reconnect may replay.
 /// Deliberately strict: uploads, inits, recording toggles, transcript
@@ -281,20 +255,20 @@ fn idempotent(request: &Request) -> bool {
 
 /// A [`Storage`] backend living on the far side of a TCP connection.
 ///
-/// See the [module docs](self) for the round-trip, pipelining and
-/// failure contracts.
+/// See the [module docs](self) for the round-trip and failure contracts.
 #[derive(Debug)]
 pub struct RemoteServer {
     /// `RefCell` (not a bare stream) so a reconnect can swap in a fresh
     /// socket behind the `&self` call surface.
     stream: RefCell<TcpStream>,
-    /// The receive buffer: one `read` can pull a whole burst of pipelined
-    /// responses off the socket, and the awaited one is visited where it
-    /// lies. Sized by bytes received, never by what a header announces.
-    /// Reset together with `stream` on reconnect, which discards any bytes
-    /// of a partially received frame — a cut byte stream cannot be resumed.
+    /// The receive buffer: the answer is visited where it lies. Sized by
+    /// bytes received, never by what a header announces. Reset together
+    /// with `stream` on reconnect, which discards any bytes of a partially
+    /// received frame — a cut byte stream cannot be resumed.
     rx: RefCell<FrameAssembler>,
     /// The send buffer every request is framed in, kept between requests.
+    /// An idempotent request in flight stays in it until its answer is
+    /// read, so a reconnect re-sends it from here.
     tx: RefCell<Vec<u8>>,
     peer: SocketAddr,
     timeouts: Timeouts,
@@ -302,29 +276,25 @@ pub struct RemoteServer {
     /// An `InitChunk` frame of set-up is shipped once it holds this many
     /// bytes (see [`RemoteServer::with_init_chunk_bytes`]).
     init_chunk_bytes: usize,
-    /// Caps on the stash (see [`RemoteServer::with_stash_limits`]).
-    stash_max_frames: usize,
-    stash_max_bytes: usize,
     // Interior mutability because half the `Storage` surface is `&self`
     // (`stats`, `capacity`, …) but still performs an exchange.
     // `Cell`/`RefCell` are `Send` (the trait's bound) without the cost of
     // atomics; the connection itself serializes all exchanges anyway.
-    /// Next request id to assign.
+    /// Next request id to assign: ids rise, so an older one in an answer
+    /// belongs to a request already given up on.
     next_id: Cell<u64>,
-    /// Requests submitted and not yet answered, keyed by id. A `BTreeMap`
-    /// so a reconnect replays survivors in submission order.
-    outstanding: RefCell<BTreeMap<u64, Pending>>,
-    /// Answered-but-unclaimed response payloads, keyed by id — how
-    /// out-of-order completions wait for their ticket holder.
-    stash: RefCell<HashMap<u64, Vec<u8>>>,
-    /// Total payload bytes currently stashed (maintained alongside
-    /// `stash`, checked against `stash_max_bytes`).
-    stash_bytes: Cell<usize>,
     wire_round_trips: Cell<u64>,
     wire_bytes_up: Cell<u64>,
     wire_bytes_down: Cell<u64>,
-    wire_inflight_max: Cell<u64>,
     wire_reconnects: Cell<u64>,
+}
+
+/// The request in flight: its id, and whether a reconnect may re-send it
+/// ([`idempotent`]'s verdict).
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    id: u64,
+    replayable: bool,
 }
 
 /// The size at which set-up ships an `InitChunk` frame: 1 MiB. The frame
@@ -334,14 +304,6 @@ pub struct RemoteServer {
 /// side's high-water mark. (Shrinking the frame is not where set-up's
 /// memory went — NOTES.md, entry 11.)
 pub const DEFAULT_INIT_CHUNK_BYTES: usize = 1 << 20;
-
-/// Default [`RemoteServer::with_stash_limits`] frame cap: far above any
-/// sane pipelining window, low enough that a leak of unclaimed tickets
-/// fails loudly instead of accumulating forever.
-pub const DEFAULT_STASH_FRAMES: usize = 1 << 16;
-
-/// Default [`RemoteServer::with_stash_limits`] byte cap (1 GiB).
-pub const DEFAULT_STASH_BYTES: usize = 1 << 30;
 
 /// Maps a remote result onto the `Storage` error surface: model errors
 /// pass through; a request interrupted by a reconnect, an expired
@@ -412,16 +374,10 @@ impl RemoteServer {
             timeouts,
             reconnect: None,
             init_chunk_bytes: DEFAULT_INIT_CHUNK_BYTES,
-            stash_max_frames: DEFAULT_STASH_FRAMES,
-            stash_max_bytes: DEFAULT_STASH_BYTES,
             next_id: Cell::new(1),
-            outstanding: RefCell::new(BTreeMap::new()),
-            stash: RefCell::new(HashMap::new()),
-            stash_bytes: Cell::new(0),
             wire_round_trips: Cell::new(0),
             wire_bytes_up: Cell::new(0),
             wire_bytes_down: Cell::new(0),
-            wire_inflight_max: Cell::new(0),
             wire_reconnects: Cell::new(0),
         })
     }
@@ -429,25 +385,12 @@ impl RemoteServer {
     /// Opts in to transparent reconnection under `policy` (see
     /// [`ReconnectPolicy`]): connection-level faults — the socket
     /// erroring, the peer vanishing mid-frame, a deadline expiring — tear
-    /// the session down, redial the same peer under backoff, and replay
-    /// the idempotent in-flight requests. Protocol violations (corrupt
-    /// magic, unknown ids) still surface immediately: reconnecting cannot
-    /// repair a peer that speaks the protocol wrongly.
+    /// the session down, redial the same peer under backoff, and re-send
+    /// the request in flight if it is idempotent. Protocol violations
+    /// (corrupt magic, unknown ids) still surface immediately:
+    /// reconnecting cannot repair a peer that speaks the protocol wrongly.
     pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
         self.reconnect = Some(policy);
-        self
-    }
-
-    /// Bounds the response stash that out-of-order pipelining can
-    /// accumulate: at most `frames` unclaimed responses and at most
-    /// `bytes` unclaimed payload bytes (each clamped to at least 1).
-    /// Exceeding either surfaces [`crate::WireError::StashOverflow`] to
-    /// the waiter that pulled the overflowing frame — the frame itself is
-    /// dropped, so treat the connection as poisoned afterwards. Defaults:
-    /// [`DEFAULT_STASH_FRAMES`] / [`DEFAULT_STASH_BYTES`].
-    pub fn with_stash_limits(mut self, frames: usize, bytes: usize) -> Self {
-        self.stash_max_frames = frames.max(1);
-        self.stash_max_bytes = bytes.max(1);
         self
     }
 
@@ -473,23 +416,16 @@ impl RemoteServer {
     }
 
     /// The client-side wire counters alone (every model-level field
-    /// zero): framed exchanges, framed bytes, and the in-flight
-    /// high-water mark since construction or the last
-    /// [`Storage::reset_stats`]. No exchange is performed.
+    /// zero): framed exchanges and framed bytes since construction or the
+    /// last [`Storage::reset_stats`]. No exchange is performed.
     pub fn wire_stats(&self) -> CostStats {
         CostStats {
             wire_round_trips: self.wire_round_trips.get(),
             wire_bytes_up: self.wire_bytes_up.get(),
             wire_bytes_down: self.wire_bytes_down.get(),
-            wire_inflight_max: self.wire_inflight_max.get(),
             wire_reconnects: self.wire_reconnects.get(),
             ..CostStats::default()
         }
-    }
-
-    /// Requests currently submitted and unanswered.
-    pub fn inflight(&self) -> usize {
-        self.outstanding.borrow().len()
     }
 
     // ---- recovery ------------------------------------------------------
@@ -500,41 +436,39 @@ impl RemoteServer {
         matches!(fault, WireError::Io(_) | WireError::Truncated { .. })
     }
 
-    /// Handles one connection outage: marks non-replayable in-flight
-    /// requests interrupted, then (if a [`ReconnectPolicy`] is set and
-    /// `fault` is a connection-level fault) redials under backoff and
-    /// replays the idempotent in-flight frames in submission order.
-    /// Returns `Ok(())` once a replacement session is live, or the
-    /// classified original fault if recovery is off the table or every
-    /// dial attempt failed.
-    fn recover(&self, fault: WireError) -> Result<(), RemoteError> {
+    /// Handles one connection outage while `pending` is in flight (framed
+    /// in `framed` if it is replayable): if a [`ReconnectPolicy`] is set
+    /// and `fault` is a connection-level fault, redials under backoff and
+    /// re-sends the request if it is replayable. Returns `Ok(())` once the
+    /// request is on the replacement connection;
+    /// [`RemoteError::Interrupted`] once the connection is back without
+    /// it; or the classified original fault if recovery is off the table
+    /// or every dial attempt failed.
+    fn recover(
+        &self,
+        fault: WireError,
+        framed: &[u8],
+        pending: Pending,
+    ) -> Result<(), RemoteError> {
         let classified = RemoteError::from(fault.clone());
         let Some(policy) = self.reconnect else { return Err(classified) };
         if !Self::connection_fault(&fault) {
             return Err(classified);
         }
-        for pending in self.outstanding.borrow_mut().values_mut() {
-            if pending.replay.is_none() {
-                pending.interrupted = true;
-            }
-        }
-        'attempt: for attempt in 0..policy.max_attempts {
+        for attempt in 0..policy.max_attempts {
             std::thread::sleep(policy.delay_for(attempt));
             let Ok(stream) = dial(&self.peer, &self.timeouts) else { continue };
             *self.stream.borrow_mut() = stream;
             *self.rx.borrow_mut() = FrameAssembler::new();
             self.wire_reconnects.set(self.wire_reconnects.get() + 1);
-            for pending in self.outstanding.borrow().values() {
-                if let Some(frame) = &pending.replay {
-                    if self.send(frame).is_err() {
-                        // The replacement died mid-replay; burn another
-                        // attempt. Replaying a prefix twice is safe —
-                        // only idempotent frames carry a replay buffer.
-                        continue 'attempt;
-                    }
-                }
+            if !pending.replayable {
+                return Err(RemoteError::Interrupted);
             }
-            return Ok(());
+            // A replacement that dies mid-replay burns another attempt:
+            // sending an idempotent request twice is safe.
+            if self.send(framed).is_ok() {
+                return Ok(());
+            }
         }
         Err(classified)
     }
@@ -553,225 +487,121 @@ impl RemoteServer {
         Ok(())
     }
 
-    /// Stashes an out-of-order response, enforcing the frame/byte caps.
-    fn stash_insert(&self, id: u64, payload: Vec<u8>) -> Result<(), WireError> {
-        let mut stash = self.stash.borrow_mut();
-        let frames = stash.len() + 1;
-        let bytes = self.stash_bytes.get() + payload.len();
-        if frames > self.stash_max_frames || bytes > self.stash_max_bytes {
-            return Err(WireError::StashOverflow { frames, bytes });
-        }
-        self.stash_bytes.set(bytes);
-        stash.insert(id, payload);
-        Ok(())
-    }
+    // ---- the exchange --------------------------------------------------
 
-    /// Removes a stashed response, keeping the byte accounting honest.
-    fn stash_take(&self, id: u64) -> Option<Vec<u8>> {
-        let payload = self.stash.borrow_mut().remove(&id)?;
-        self.stash_bytes.set(self.stash_bytes.get() - payload.len());
-        Some(payload)
-    }
-
-    // ---- pipelined core ------------------------------------------------
-
-    /// Puts `request` on the wire without waiting for its response,
-    /// returning the [`Ticket`] that [`RemoteServer::wait`] (or
-    /// [`RemoteServer::wait_payload`]) later redeems. Any number of
-    /// tickets may be outstanding; responses may be redeemed in any
-    /// order.
-    pub fn submit(&self, request: &Request) -> Result<Ticket, RemoteError> {
-        self.submit_with(idempotent(request), |id, tx| request.encode_framed_into(id, tx))
-    }
-
-    /// Frames one request with `encode` in the send buffer and puts it on
-    /// the wire.
-    fn submit_with(
-        &self,
-        replayable: bool,
-        encode: impl FnOnce(u64, &mut Vec<u8>) -> Result<(), WireError>,
-    ) -> Result<Ticket, RemoteError> {
-        let mut tx = self.tx.borrow_mut();
-        tx.clear();
-        let ticket = self.frame(&mut tx, replayable, encode)?;
-        self.transmit(&mut tx, &[ticket])?;
-        Ok(ticket)
-    }
-
-    /// [`RemoteServer::submit`] for a whole window at once: every request
-    /// is framed into one buffer and put on the wire with a *single*
-    /// write, so the window crosses the loopback (and wakes the daemon)
-    /// as one burst instead of one wake-up per request. Semantically
-    /// identical to submitting each request in order — it exists purely
-    /// because N syscalls and N scheduler round trips are the dominant
-    /// cost of small pipelined requests.
-    pub fn submit_all(&self, requests: &[Request]) -> Result<Vec<Ticket>, RemoteError> {
-        let mut tx = self.tx.borrow_mut();
-        tx.clear();
-        let mut tickets = Vec::with_capacity(requests.len());
-        for request in requests {
-            let framed = self
-                .frame(&mut tx, idempotent(request), |id, tx| request.encode_framed_into(id, tx));
-            match framed {
-                Ok(ticket) => tickets.push(ticket),
-                Err(e) => {
-                    // An encode failure leaves no phantom in-flight
-                    // entries behind: nothing of the window was sent.
-                    self.forget(&tickets);
-                    return Err(e);
-                }
-            }
-        }
-        self.transmit(&mut tx, &tickets)?;
-        Ok(tickets)
-    }
-
-    /// Appends one request frame to `tx` under a fresh id and registers it
-    /// as in flight — before the write, so a mid-write fault hands the
-    /// frame straight to `recover` like any other in-flight request. The
-    /// replay copy is taken only under a [`ReconnectPolicy`], and only of
-    /// a `replayable` (idempotent) request.
-    fn frame(
+    /// The one exchange every request goes through: `encode` finishes a
+    /// request frame in `tx` under a fresh id, the frame is written, and
+    /// the answer is handed to `take` where it lies in the receive buffer.
+    /// `replayable` is [`idempotent`]'s verdict on the request. `tx` comes
+    /// back empty, and an outsize one is given back.
+    ///
+    /// `take` runs with the receive buffer borrowed: it must not call
+    /// back into this client.
+    fn exchange_in<T>(
         &self,
         tx: &mut Vec<u8>,
         replayable: bool,
         encode: impl FnOnce(u64, &mut Vec<u8>) -> Result<(), WireError>,
-    ) -> Result<Ticket, RemoteError> {
-        let id = self.next_id.get();
-        self.next_id.set(id + 1);
-        let mark = tx.len();
-        encode(id, tx)?;
-        let replay = (self.reconnect.is_some() && replayable).then(|| tx[mark..].to_vec());
-        let mut outstanding = self.outstanding.borrow_mut();
-        outstanding.insert(id, Pending { replay, interrupted: false });
-        self.wire_inflight_max
-            .set(self.wire_inflight_max.get().max(outstanding.len() as u64));
-        Ok(Ticket(id))
-    }
-
-    /// Writes the framed requests in `tx` — which stand behind `tickets` —
-    /// with one `write_all`, recovering from a connection fault if a
-    /// policy allows. An outsize send buffer is given back afterwards.
-    fn transmit(&self, tx: &mut Vec<u8>, tickets: &[Ticket]) -> Result<(), RemoteError> {
-        let sent = self.send(tx);
-        tx.clear();
-        tx.shrink_to(READ_CHUNK);
-        if let Err(fault) = sent {
-            if let Err(err) = self.recover(fault) {
-                self.forget(tickets);
-                return Err(err);
-            }
-        }
-        Ok(())
-    }
-
-    /// Drops the in-flight records of requests that never left.
-    fn forget(&self, tickets: &[Ticket]) {
-        let mut outstanding = self.outstanding.borrow_mut();
-        for ticket in tickets {
-            outstanding.remove(&ticket.0);
-        }
-    }
-
-    /// The receive loop behind [`RemoteServer::wait_payload`] and every
-    /// exchange: redeems `ticket` by handing its response payload to `take`
-    /// where it lies — in the receive buffer, or in the stash if it arrived
-    /// while another ticket was being redeemed. Only a response for
-    /// *another* ticket is copied (into the stash).
-    ///
-    /// `take` runs with the receive buffer borrowed: it must not call
-    /// back into this client.
-    fn wait_with<T>(
-        &self,
-        ticket: Ticket,
         take: impl FnOnce(&[u8]) -> Result<T, RemoteError>,
     ) -> Result<T, RemoteError> {
+        let pending = Pending { id: self.next_id.get(), replayable };
+        self.next_id.set(pending.id + 1);
+        let answer = encode(pending.id, tx)
+            .map_err(RemoteError::from)
+            .and_then(|()| self.round_trip(tx, pending, take));
+        tx.clear();
+        tx.shrink_to(READ_CHUNK);
+        answer
+    }
+
+    /// Sends the frame in `tx` and reads frames until the answer to
+    /// `pending` arrives, recovering from connection faults as far as the
+    /// policy allows. An answer under an older id is a late one to a
+    /// request abandoned on an expired deadline, and is dropped; an answer
+    /// under a newer id is a protocol violation.
+    fn round_trip<T>(
+        &self,
+        tx: &mut Vec<u8>,
+        pending: Pending,
+        take: impl FnOnce(&[u8]) -> Result<T, RemoteError>,
+    ) -> Result<T, RemoteError> {
+        let mut fault = self.send(tx).err();
+        if !pending.replayable {
+            // Nothing re-sends it, so its buffer goes back before the
+            // wait: set-up's 1 MiB frames are freed while the daemon lays
+            // them out.
+            tx.clear();
+            tx.shrink_to(READ_CHUNK);
+        }
         let mut episodes = 0u32;
         loop {
-            if let Some(payload) = self.stash_take(ticket.0) {
-                return take(&payload);
-            }
-            {
-                let mut outstanding = self.outstanding.borrow_mut();
-                match outstanding.get(&ticket.0) {
-                    None => return Err(WireError::UnknownRequestId(ticket.0).into()),
-                    Some(pending) if pending.interrupted => {
-                        outstanding.remove(&ticket.0);
-                        return Err(RemoteError::Interrupted);
-                    }
-                    Some(_) => {}
+            if let Some(cut) = fault.take() {
+                episodes += 1;
+                if episodes > self.recovery_budget() {
+                    return Err(cut.into());
                 }
+                self.recover(cut, tx, pending)?;
             }
             let mut rx = self.rx.borrow_mut();
-            let fault = match rx.next_frame() {
+            match rx.next_frame() {
                 Ok(Some((id, payload))) => {
-                    if self.outstanding.borrow_mut().remove(&id).is_none() {
-                        return Err(WireError::UnknownRequestId(id).into());
-                    }
                     self.wire_round_trips.set(self.wire_round_trips.get() + 1);
                     self.wire_bytes_down
                         .set(self.wire_bytes_down.get() + (HEADER2_LEN + payload.len()) as u64);
-                    if id == ticket.0 {
+                    if id == pending.id {
                         return take(payload);
                     }
-                    self.stash_insert(id, payload.to_vec())?;
-                    continue;
+                    if id > pending.id {
+                        return Err(WireError::UnknownRequestId(id).into());
+                    }
                 }
                 // The buffer grows with the bytes that arrive, never to
                 // the length a header announces.
                 Ok(None) => match rx.fill_from(&mut &*self.stream.borrow()) {
-                    Ok(0) => rx.truncated(),
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => e.into(),
+                    Ok(0) => fault = Some(rx.truncated()),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => fault = Some(e.into()),
                 },
-                Err(e) => e,
-            };
-            drop(rx);
-            episodes += 1;
-            if episodes > self.recovery_budget() {
-                return Err(fault.into());
+                Err(e) => fault = Some(e),
             }
-            self.recover(fault)?;
         }
     }
 
-    /// Redeems a ticket for its raw response payload, reading frames off
-    /// the socket until the matching id arrives. Responses for *other*
-    /// tickets that arrive first are stashed for their own `wait` (up to
-    /// the [`RemoteServer::with_stash_limits`] caps); a response whose id
-    /// matches no outstanding request is a protocol violation
-    /// ([`crate::WireError::UnknownRequestId`]). Under a
-    /// [`ReconnectPolicy`], connection faults while waiting trigger
-    /// reconnect-and-replay; a ticket whose request could not be replayed
-    /// comes back as [`RemoteError::Interrupted`].
-    pub fn wait_payload(&self, ticket: Ticket) -> Result<Vec<u8>, RemoteError> {
-        self.wait_with(ticket, |payload| Ok(payload.to_vec()))
+    /// [`RemoteServer::exchange_in`] on the client's own send buffer.
+    fn call<T>(
+        &self,
+        replayable: bool,
+        encode: impl FnOnce(u64, &mut Vec<u8>) -> Result<(), WireError>,
+        take: impl FnOnce(&[u8]) -> Result<T, RemoteError>,
+    ) -> Result<T, RemoteError> {
+        let tx = &mut *self.tx.borrow_mut();
+        tx.clear();
+        self.exchange_in(tx, replayable, encode, take)
     }
 
-    /// [`RemoteServer::wait_payload`] plus response decoding, with
-    /// in-band server failures separated from wire failures.
-    pub fn wait(&self, ticket: Ticket) -> Result<Response, RemoteError> {
-        self.wait_with(ticket, |payload| match Response::decode(payload)? {
-            Response::Fail(e) => Err(RemoteError::Server(e)),
-            response => Ok(response),
-        })
-    }
-
-    /// Performs one framed exchange, returning the raw response payload:
-    /// [`RemoteServer::submit`] immediately followed by
-    /// [`RemoteServer::wait_payload`]. The wire counters are exact by
-    /// construction: one fault-free `try_call`, one wire round trip.
+    /// Performs one framed exchange, returning the raw response payload.
+    /// The wire counters are exact by construction: one fault-free
+    /// `try_call`, one wire round trip.
     pub fn try_call(&self, request: &Request) -> Result<Vec<u8>, RemoteError> {
-        let ticket = self.submit(request)?;
-        self.wait_payload(ticket)
+        self.call(
+            idempotent(request),
+            |id, tx| request.encode_framed_into(id, tx),
+            |payload| Ok(payload.to_vec()),
+        )
     }
 
     /// [`RemoteServer::try_call`] plus response decoding, with in-band
     /// server failures separated from wire failures.
     pub fn request(&self, request: &Request) -> Result<Response, RemoteError> {
-        let ticket = self.submit(request)?;
-        self.wait(ticket)
+        self.call(
+            idempotent(request),
+            |id, tx| request.encode_framed_into(id, tx),
+            |payload| match Response::decode(payload)? {
+                Response::Fail(e) => Err(RemoteError::Server(e)),
+                response => Ok(response),
+            },
+        )
     }
 
     /// One exchange of a hot request, borrowed on both sides: `body`
@@ -786,11 +616,14 @@ impl RemoteServer {
         body: impl FnOnce(&mut Vec<u8>),
         take: impl FnOnce(ResponseView<'_>) -> Result<T, RemoteError>,
     ) -> Result<T, RemoteError> {
-        let ticket = self.submit_with(replayable, |id, tx| frame_into(tx, id, body))?;
-        self.wait_with(ticket, |payload| match ResponseView::parse(payload)? {
-            ResponseView::Fail(e) => Err(RemoteError::Server(e)),
-            response => take(response),
-        })
+        self.call(
+            replayable,
+            |id, tx| frame_into(tx, id, body),
+            |payload| match ResponseView::parse(payload)? {
+                ResponseView::Fail(e) => Err(RemoteError::Server(e)),
+                response => take(response),
+            },
+        )
     }
 
     fn expect_ok(&self, request: &Request) -> Result<(), RemoteError> {
@@ -853,13 +686,16 @@ impl RemoteServer {
         cells: usize,
         done: bool,
     ) -> Result<(), RemoteError> {
-        let ticket = self.frame(tx, false, |id, tx| end_init_chunk(tx, id, done, cells))?;
-        self.transmit(tx, &[ticket])?;
-        self.wait_with(ticket, |payload| match ResponseView::parse(payload)? {
-            ResponseView::Ok => Ok(()),
-            ResponseView::Fail(e) => Err(RemoteError::Server(e)),
-            other => Err(unexpected(&other.into_owned())),
-        })
+        self.exchange_in(
+            tx,
+            false,
+            |id, tx| end_init_chunk(tx, id, done, cells),
+            |payload| match ResponseView::parse(payload)? {
+                ResponseView::Ok => Ok(()),
+                ResponseView::Fail(e) => Err(RemoteError::Server(e)),
+                other => Err(unexpected(&other.into_owned())),
+            },
+        )
     }
 
     /// The download hot path with its failures typed: a response with the
@@ -973,7 +809,6 @@ impl Storage for RemoteServer {
         self.wire_round_trips.set(0);
         self.wire_bytes_up.set(0);
         self.wire_bytes_down.set(0);
-        self.wire_inflight_max.set(0);
         self.wire_reconnects.set(0);
     }
 

@@ -9,8 +9,8 @@
 //!   upload request (strided when the cells have one length, general
 //!   otherwise), XOR partials, stats/transcript queries. One frame per
 //!   request, one per response; batch operations are single round trips
-//!   by construction. The frame header carries a request id, which is
-//!   what makes per-connection pipelining possible.
+//!   by construction. The frame header carries a request id, which the
+//!   response echoes.
 //! * [`daemon::NetDaemon`] — a readiness-based `std::net` TCP daemon
 //!   wrapping any [`Storage`](dps_server::Storage) backend — the
 //!   in-memory [`SimServer`](dps_server::SimServer) or the
@@ -21,10 +21,10 @@
 //!   backpressure on slow readers.
 //! * [`client::RemoteServer`] — a client implementing `Storage`, so every
 //!   scheme in `dps_core`/`dps_oram`/`dps_pir` runs against the daemon
-//!   with zero call-site changes; its `submit`/`wait` surface pipelines N
-//!   tagged requests per connection with order-independent completion,
-//!   and with `request`/`try_call`/`try_read_batch_with` is where wire
-//!   failures come back typed instead of as the `Storage` surface's panic.
+//!   with zero call-site changes. It has one request in flight: every
+//!   scheme's next request waits for the answer to the last. Its
+//!   `request`/`try_call`/`try_read_batch_with` are where wire failures
+//!   come back typed instead of as the `Storage` surface's panic.
 //! * A private `sys` module — the crate's one audited `unsafe` boundary,
 //!   declaring the one libc readiness call (`poll`) directly instead of
 //!   pulling in mio/tokio, behind one safe `wait`.
@@ -53,7 +53,7 @@ mod sys;
 pub mod wire;
 
 pub use chaos::{ChaosConfig, ChaosMetrics, ChaosProxy, FaultStorage};
-pub use client::{ReconnectPolicy, RemoteError, RemoteServer, Ticket, Timeouts};
+pub use client::{ReconnectPolicy, RemoteError, RemoteServer, Timeouts};
 pub use daemon::{DaemonLimits, DaemonMetrics, NetDaemon};
 pub use wire::{Request, Response, WireError};
 

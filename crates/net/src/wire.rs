@@ -1,9 +1,10 @@
 //! The length-prefixed binary wire protocol.
 //!
-//! Every frame ("DPS2") carries a `request_id` in its header, so a client
-//! may keep many tagged requests in flight on one connection
-//! (*pipelining*); the server echoes the id on the matching response, and
-//! responses may be consumed in any order:
+//! Every frame ("DPS2") carries a `request_id` in its header, and the
+//! server echoes it on the matching response. The daemon answers any
+//! number of tagged requests in flight on one connection (*pipelining*),
+//! in order; [`crate::RemoteServer`] keeps one in flight and checks that
+//! its answer carries its id:
 //!
 //! ```text
 //! +----------------+----------------+--------------------+-----------+----------------+
@@ -99,19 +100,10 @@ pub enum WireError {
         /// Cells the request asked for.
         expected: usize,
     },
-    /// A v2 response carried a request id that matches no in-flight
-    /// request on this connection.
+    /// A response carried a request id that is not the one sent: newer
+    /// than the request in flight on this connection. (An older id is the
+    /// late answer of an abandoned request, which the client drops.)
     UnknownRequestId(u64),
-    /// The client's out-of-order response stash hit its frame or byte
-    /// cap: the peer answered so far ahead of the tickets being redeemed
-    /// that buffering any more would grow without bound. See
-    /// `RemoteServer::with_stash_limits`.
-    StashOverflow {
-        /// Stashed response frames at the time of the overflow.
-        frames: usize,
-        /// Stashed response bytes at the time of the overflow.
-        bytes: usize,
-    },
     /// The underlying socket failed.
     Io(std::io::ErrorKind),
 }
@@ -132,10 +124,7 @@ impl std::fmt::Display for WireError {
                 write!(f, "cell count mismatch: got {got}, requested {expected}")
             }
             WireError::UnknownRequestId(id) => {
-                write!(f, "response id {id} matches no in-flight request")
-            }
-            WireError::StashOverflow { frames, bytes } => {
-                write!(f, "response stash overflow: {frames} frames / {bytes} bytes unclaimed")
+                write!(f, "response id {id} is not the id of the request in flight")
             }
             WireError::Io(kind) => write!(f, "socket error: {kind}"),
         }
@@ -557,7 +546,6 @@ fn put_stats(buf: &mut Vec<u8>, s: &CostStats) {
         s.wire_bytes_up,
         s.wire_bytes_down,
         s.wire_reconnects,
-        s.wire_inflight_max,
         s.cache_hits,
         s.cache_misses,
         s.cache_evictions,
@@ -676,7 +664,6 @@ impl<'a> Reader<'a> {
             wire_bytes_up: self.u64()?,
             wire_bytes_down: self.u64()?,
             wire_reconnects: self.u64()?,
-            wire_inflight_max: self.u64()?,
             cache_hits: self.u64()?,
             cache_misses: self.u64()?,
             cache_evictions: self.u64()?,

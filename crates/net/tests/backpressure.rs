@@ -3,14 +3,22 @@
 //! (bounding the daemon's memory at the cap plus one read burst), keep
 //! every other connection flowing, and resume losslessly once the slow
 //! reader drains.
+//!
+//! The slow reader is a raw socket that writes a whole window of request
+//! frames in one burst: the client keeps one request in flight, and the
+//! daemon's pipelined surface is what is under test.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use dps_net::{DaemonLimits, NetDaemon, RemoteServer, Request, Response};
+use dps_net::wire::{frame_v2, read_frame_v2};
+use dps_net::{DaemonLimits, NetDaemon, RemoteServer, Request, Response, WireError};
 use dps_server::SimServer;
 
 const N: usize = 64;
 const LEN: usize = 4096;
+const WINDOW: usize = 40; // ~40 × 256 KiB of responses vs a 16 KiB cap
 
 fn cell(i: usize) -> Vec<u8> {
     (0..LEN).map(|k| (i as u8).wrapping_add(k as u8)).collect()
@@ -36,23 +44,35 @@ fn await_stall(daemon: &NetDaemon) -> bool {
     false
 }
 
+/// A raw peer of `daemon` that has written `WINDOW` whole-database reads,
+/// under ids `1..=WINDOW`, in one burst, and read nothing yet.
+fn slow_reader(daemon: &NetDaemon) -> TcpStream {
+    let mut sock = TcpStream::connect(daemon.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let read_all = Request::ReadBatch { addrs: (0..N).collect() }.encode();
+    let burst: Vec<u8> = (1..=WINDOW as u64)
+        .flat_map(|id| frame_v2(id, &read_all).unwrap())
+        .collect();
+    sock.write_all(&burst).unwrap();
+    sock
+}
+
+/// Reads the next answer off `sock`: it must be the whole database, under
+/// `id`.
+fn read_database(sock: &mut TcpStream, id: u64) {
+    let (got, payload) = read_frame_v2(sock).unwrap().expect("answer");
+    assert_eq!(got, id, "answers come back under their own ids, in order");
+    let expected: Vec<Vec<u8>> = (0..N).map(cell).collect();
+    assert_eq!(Response::decode(&payload).unwrap(), Response::Cells(expected));
+}
+
 /// Pile up far more response bytes than the cap while refusing to read,
 /// observe the read stall, then drain everything and verify not a byte was
 /// lost.
 #[test]
 fn slow_reader_is_stalled_and_resumed_losslessly() {
-    const WINDOW: usize = 40; // ~40 × 256 KiB of responses vs a 16 KiB cap
     let daemon = small_queue_daemon();
-    let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
-
-    let all: Vec<usize> = (0..N).collect();
-    let tickets: Vec<_> = (0..WINDOW)
-        .map(|_| {
-            remote
-                .submit(&Request::ReadBatch { addrs: all.clone() })
-                .unwrap()
-        })
-        .collect();
+    let mut sock = slow_reader(&daemon);
 
     // The daemon must hit the cap and stop reading the slow socket —
     // that stall is exactly what bounds its memory: at most the cap plus
@@ -65,29 +85,28 @@ fn slow_reader_is_stalled_and_resumed_losslessly() {
     assert_eq!(bystander.try_read_batch(&[3]).unwrap(), vec![cell(3)]);
     drop(bystander);
 
-    // Drain: every stalled response arrives complete and in match.
-    let expected: Vec<Vec<u8>> = (0..N).map(cell).collect();
-    for ticket in tickets {
-        match remote.wait(ticket).unwrap() {
-            Response::Cells(cells) => assert_eq!(cells, expected),
-            other => panic!("expected Cells, got {other:?}"),
-        }
+    // Drain: exactly WINDOW answers, each complete and correct.
+    for id in 1..=WINDOW as u64 {
+        read_database(&mut sock, id);
     }
-    assert_eq!(remote.inflight(), 0);
 
     // The connection resumed: it serves fresh traffic after the stall.
-    assert_eq!(remote.try_read_batch(&[7]).unwrap(), vec![cell(7)]);
+    let id = WINDOW as u64 + 1;
+    let fresh = Request::ReadBatch { addrs: vec![7] }.encode();
+    sock.write_all(&frame_v2(id, &fresh).unwrap()).unwrap();
+    let (got, payload) = read_frame_v2(&mut sock).unwrap().expect("answer");
+    assert_eq!(got, id);
+    assert_eq!(Response::decode(&payload).unwrap(), Response::Cells(vec![cell(7)]));
     assert!(daemon.metrics().read_stalls >= 1);
-    drop(remote);
+    drop(sock);
     daemon.shutdown();
 }
 
 /// Graceful shutdown must flush every response already queued or
-/// buffered: a client that submitted a window and read nothing yet gets
-/// every answer, bit-exact, while the daemon is shutting down.
+/// buffered: a peer that sent a window and read nothing yet gets every
+/// answer, bit-exact, while the daemon is shutting down.
 #[test]
 fn graceful_shutdown_flushes_queued_responses() {
-    const WINDOW: usize = 40;
     let mut server = SimServer::new();
     dps_server::Storage::init(&mut server, (0..N).map(cell).collect());
     // Default (large) queue cap: nothing pauses, so the daemon reads and
@@ -95,62 +114,50 @@ fn graceful_shutdown_flushes_queued_responses() {
     // socket buffer) are still overwhelmingly queued daemon-side when
     // shutdown begins.
     let daemon = NetDaemon::spawn(server).expect("spawn");
-    let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
-    let all: Vec<usize> = (0..N).collect();
-    let requests = vec![Request::ReadBatch { addrs: all }; WINDOW];
-    let tickets = remote.submit_all(&requests).unwrap();
-    // Redeem the first ticket so the window is known to have reached the
+    let mut sock = slow_reader(&daemon);
+    // Read the first answer so the window is known to have reached the
     // daemon, then give it a beat to answer the rest into its queue.
-    let expected: Vec<Vec<u8>> = (0..N).map(cell).collect();
-    let mut tickets = tickets.into_iter();
-    match remote.wait(tickets.next().unwrap()).unwrap() {
-        Response::Cells(cells) => assert_eq!(cells, expected),
-        other => panic!("expected Cells, got {other:?}"),
-    }
+    read_database(&mut sock, 1);
     std::thread::sleep(Duration::from_millis(200));
 
-    // Shut down with the queue loaded; drain concurrently client-side.
+    // Shut down with the queue loaded; drain concurrently peer-side.
     let handle = std::thread::spawn(move || daemon.shutdown());
-    for ticket in tickets {
-        match remote.wait(ticket).unwrap() {
-            Response::Cells(cells) => assert_eq!(cells, expected),
-            other => panic!("expected Cells, got {other:?}"),
-        }
+    for id in 2..=WINDOW as u64 {
+        read_database(&mut sock, id);
     }
-    assert_eq!(remote.inflight(), 0);
     handle.join().unwrap();
-    // The daemon is gone: fresh traffic fails typed, it does not hang.
-    assert!(remote.try_call(&Request::Ping).is_err());
+    // The daemon is gone: fresh traffic fails, it does not hang.
+    let ping = frame_v2(WINDOW as u64 + 1, &Request::Ping.encode()).unwrap();
+    let answered = sock.write_all(&ping).is_ok() && matches!(read_frame_v2(&mut sock), Ok(Some(_)));
+    assert!(!answered, "a shut-down daemon answered");
 }
 
 /// Shutting down while a connection sits in a backpressure stall: every
 /// frame the daemon *received* is answered during the drain (the cap is
-/// released frame by frame), and anything it never read fails typed at
-/// the client — successes form a prefix, nothing hangs, nothing panics.
+/// released frame by frame), and anything it never read is cut off at
+/// the peer — successes form a prefix, nothing hangs, nothing panics.
 #[test]
 fn graceful_shutdown_drains_a_stalled_connection() {
-    const WINDOW: usize = 40;
     let daemon = small_queue_daemon();
-    let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
-    let all: Vec<usize> = (0..N).collect();
-    let requests = vec![Request::ReadBatch { addrs: all }; WINDOW];
-    let tickets = remote.submit_all(&requests).unwrap();
+    let mut sock = slow_reader(&daemon);
     assert!(await_stall(&daemon), "queue cap never triggered a read stall");
 
     let handle = std::thread::spawn(move || daemon.shutdown());
-    let expected: Vec<Vec<u8>> = (0..N).map(cell).collect();
+    let expected = Response::Cells((0..N).map(cell).collect());
     let mut failed = false;
-    let mut successes = 0usize;
-    for ticket in tickets {
-        match remote.wait(ticket) {
-            Ok(Response::Cells(cells)) => {
+    let mut successes = 0u64;
+    for id in 1..=WINDOW as u64 {
+        match read_frame_v2(&mut sock) {
+            Ok(Some((got, payload))) => {
                 assert!(!failed, "a response arrived after the connection died");
-                assert_eq!(cells, expected);
+                assert_eq!(got, id);
+                assert_eq!(Response::decode(&payload).unwrap(), expected);
                 successes += 1;
             }
-            Ok(other) => panic!("expected Cells, got {other:?}"),
-            Err(dps_net::RemoteError::Wire(_)) => failed = true,
-            Err(other) => panic!("expected a wire error, got {other:?}"),
+            Err(WireError::Io(std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock)) => {
+                panic!("the drain hung")
+            }
+            Ok(None) | Err(_) => failed = true,
         }
     }
     assert!(successes >= 1, "the drain must flush at least the already-answered frames");
@@ -162,15 +169,9 @@ fn graceful_shutdown_drains_a_stalled_connection() {
 #[test]
 fn disconnecting_mid_stall_is_cleaned_up() {
     let daemon = small_queue_daemon();
-    let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
-    let all: Vec<usize> = (0..N).collect();
-    for _ in 0..40 {
-        remote
-            .submit(&Request::ReadBatch { addrs: all.clone() })
-            .unwrap();
-    }
+    let sock = slow_reader(&daemon);
     assert!(await_stall(&daemon), "queue cap never triggered a read stall");
-    drop(remote); // vanish with the queue full
+    drop(sock); // vanish with the queue full
 
     let survivor = RemoteServer::connect(daemon.local_addr()).unwrap();
     survivor.ping().unwrap();

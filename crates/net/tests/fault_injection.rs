@@ -577,15 +577,15 @@ fn wedged_reader_is_reaped_on_the_write_stall_deadline() {
     };
     let daemon = NetDaemon::bind_with("127.0.0.1:0", server, limits).unwrap();
 
-    let wedged = RemoteServer::connect(daemon.local_addr()).unwrap();
-    let all: Vec<usize> = (0..N).collect();
-    for _ in 0..40 {
-        // ~256 KiB per response against a 16 KiB queue cap; the client
-        // never reads, so the socket jams and write progress stops.
-        wedged
-            .submit(&dps_net::Request::ReadBatch { addrs: all.clone() })
-            .unwrap();
-    }
+    // A raw peer sends 40 reads in one burst: ~256 KiB per response
+    // against a 16 KiB queue cap. It never reads, so the socket jams and
+    // write progress stops.
+    let mut wedged = TcpStream::connect(daemon.local_addr()).unwrap();
+    let read_all = dps_net::Request::ReadBatch { addrs: (0..N).collect() }.encode();
+    let burst: Vec<u8> = (1..=40)
+        .flat_map(|id| dps_net::wire::frame_v2(id, &read_all).unwrap())
+        .collect();
+    std::io::Write::write_all(&mut wedged, &burst).unwrap();
     await_metric(&daemon, "write-stall reap", |d| d.metrics().stall_reaped);
 
     let bystander = RemoteServer::connect(daemon.local_addr()).unwrap();

@@ -1,26 +1,22 @@
-//! Wire-protocol pipelining: N tagged requests in flight per
-//! connection, responses matched by id, completion order-independent.
+//! Daemon-side pipelining: any number of tagged requests in flight per
+//! connection, each answered under its own id, in order. The client has
+//! one request in flight, so these tests drive raw sockets.
 //!
-//! Two layers are pinned here:
-//!
-//! * **Client-side matching** — `submit`/`wait` redeem tickets in any
-//!   order; responses arriving before their `wait` are stashed, never
-//!   dropped or misdelivered, and the in-flight high-water mark lands in
-//!   `CostStats::wire_inflight_max`.
-//! * **Daemon-side reassembly** — the event loop's partial-frame buffers
-//!   reassemble requests that arrive in arbitrary byte-level chunks,
-//!   interleaved across many sockets (proptest) — also when the live
-//!   connections sit around freed slots of the daemon's slab — answering
-//!   every frame under its own id.
-//!
-//! And what the server sees of a pipelined window: the transcript recorded
-//! daemon-side is the one the same requests leave on a local oracle.
+//! * **Reassembly** — the event loop's partial-frame buffers reassemble
+//!   requests that arrive in arbitrary byte-level chunks, interleaved
+//!   across many sockets (proptest) — also when the live connections sit
+//!   around freed slots of the daemon's slab — answering every frame
+//!   under its own id.
+//! * **What the server sees of a pipelined window**: the transcript
+//!   recorded daemon-side is the one the same requests leave on a local
+//!   oracle.
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::Duration;
 
 use dps_net::wire::{frame_v2, read_frame_v2};
-use dps_net::{NetDaemon, RemoteServer, Request, Response, WireError};
+use dps_net::{NetDaemon, RemoteServer, Request, Response};
 use dps_server::{DiskOptions, DiskStore, SimServer, Storage};
 use proptest::prelude::*;
 
@@ -37,82 +33,14 @@ fn daemon_with_cells() -> NetDaemon {
     NetDaemon::spawn(server).expect("spawn daemon")
 }
 
-/// Submit a window of reads, redeem the tickets in *reverse* order: every
-/// response must land on its own ticket, and the high-water mark must
-/// record the full window.
-#[test]
-fn out_of_order_waits_are_matched_by_id() {
-    let daemon = daemon_with_cells();
-    let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
-
-    const WINDOW: usize = 8;
-    let tickets: Vec<_> = (0..WINDOW)
-        .map(|i| {
-            remote
-                .submit(&Request::ReadBatch { addrs: vec![i, i + 1] })
-                .unwrap()
-        })
-        .collect();
-    assert_eq!(remote.inflight(), WINDOW);
-
-    for (i, ticket) in tickets.into_iter().enumerate().rev() {
-        match remote.wait(ticket).unwrap() {
-            Response::Cells(cells) => {
-                assert_eq!(cells, vec![cell(i), cell(i + 1)], "ticket {i} got the wrong cells");
-            }
-            other => panic!("expected Cells, got {other:?}"),
-        }
-    }
-    assert_eq!(remote.inflight(), 0);
-    let stats = remote.wire_stats();
-    assert_eq!(stats.wire_inflight_max, WINDOW as u64);
-    assert_eq!(stats.wire_round_trips, WINDOW as u64);
-    drop(remote);
-    daemon.shutdown();
-}
-
-/// A ticket can be redeemed exactly once; a second wait on the same
-/// ticket is a typed protocol error, not a hang or a misdelivery.
-#[test]
-fn a_ticket_redeems_exactly_once() {
-    let daemon = daemon_with_cells();
-    let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
-    let ticket = remote.submit(&Request::Capacity).unwrap();
-    assert_eq!(remote.wait(ticket).unwrap(), Response::Number(N as u64));
-    match remote.wait(ticket) {
-        Err(dps_net::RemoteError::Wire(WireError::UnknownRequestId(id))) => {
-            assert_eq!(id, ticket.id());
-        }
-        other => panic!("double wait must be UnknownRequestId, got {other:?}"),
-    }
-    drop(remote);
-    daemon.shutdown();
-}
-
-/// `submit_all` is one burst write but semantically per-request submits:
-/// every ticket redeems to its own response, and the window lands in the
-/// in-flight high-water mark.
-#[test]
-fn a_burst_submit_matches_per_request_submits() {
-    let daemon = daemon_with_cells();
-    let remote = RemoteServer::connect(daemon.local_addr()).unwrap();
-    let requests: Vec<_> = (0..6).map(|i| Request::ReadBatch { addrs: vec![i] }).collect();
-    let tickets = remote.submit_all(&requests).unwrap();
-    assert_eq!(remote.inflight(), 6);
-    for (i, ticket) in tickets.into_iter().enumerate().rev() {
-        assert_eq!(remote.wait(ticket).unwrap(), Response::Cells(vec![cell(i)]));
-    }
-    assert_eq!(remote.wire_stats().wire_inflight_max, 6);
-    drop(remote);
-    daemon.shutdown();
-}
-
 /// A pipelined window seen where the server sits: one burst of a download,
 /// a strided upload and an XOR (addresses repeated within and across
-/// them), answered by a durable daemon whose 4 KiB cache holds half of the
-/// 8 KiB database. Redeemed in reverse order, every answer, the
-/// daemon-side transcript and the paper-model costs are what a local
-/// oracle gives for the same requests made one at a time.
+/// them), written to a raw socket in one write and answered by a durable
+/// daemon whose 4 KiB cache holds half of the 8 KiB database. Recording,
+/// transcript and stats go over a client on a second connection. The
+/// answers come back under their own ids, in order; they, the daemon-side
+/// transcript and the paper-model costs are what a local oracle gives for
+/// the same requests made one at a time.
 #[test]
 fn a_pipelined_window_leaves_the_oracles_transcript() {
     const CELL: usize = 256;
@@ -125,6 +53,8 @@ fn a_pipelined_window_leaves_the_oracles_transcript() {
     store.init(cells.clone());
     let daemon = NetDaemon::spawn(store).expect("spawn daemon");
     let mut remote = RemoteServer::connect(daemon.local_addr()).unwrap();
+    let mut sock = TcpStream::connect(daemon.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
     let flat: Vec<u8> = (0..3u8).flat_map(|i| vec![0xA0 + i; CELL]).collect();
     let window = [
@@ -134,13 +64,18 @@ fn a_pipelined_window_leaves_the_oracles_transcript() {
         Request::ReadBatch { addrs: vec![12, 7, 3] },
     ];
     remote.start_recording();
-    let tickets = remote.submit_all(&window).unwrap();
-    let mut answers: Vec<Response> = tickets
-        .into_iter()
-        .rev()
-        .map(|t| remote.wait(t).unwrap())
+    let burst: Vec<u8> = (1..)
+        .zip(&window)
+        .flat_map(|(id, request)| frame_v2(id, &request.encode()).unwrap())
         .collect();
-    answers.reverse();
+    sock.write_all(&burst).unwrap();
+    let answers: Vec<Response> = (1..=window.len() as u64)
+        .map(|id| {
+            let (got, payload) = read_frame_v2(&mut sock).unwrap().expect("answer");
+            assert_eq!(got, id, "answers come back under their own ids, in order");
+            Response::decode(&payload).unwrap()
+        })
+        .collect();
     let transcript = remote.take_transcript();
     let stats = Storage::stats(&remote);
 
@@ -157,7 +92,7 @@ fn a_pipelined_window_leaves_the_oracles_transcript() {
     // The bounded cache was in the path: a clean read is a miss there.
     assert!(stats.cache_misses > 0, "{stats:?}");
 
-    drop(remote);
+    drop((sock, remote));
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,21 +1,20 @@
-//! Client resilience: deadlines, reconnect/backoff, replay semantics
-//! and stash bounds.
+//! Client resilience: deadlines, reconnect/backoff and replay semantics.
 //!
 //! The contracts pinned here:
 //!
 //! * An expired read deadline is the *typed* [`RemoteError::TimedOut`] —
-//!   never a hang, never a panic on the fallible surface.
+//!   never a hang, never a panic on the fallible surface — and the late
+//!   answer of the request it abandoned is dropped: the next call gets
+//!   its own answer.
 //! * Under a [`ReconnectPolicy`], a dropped connection is redialed and
-//!   only the **idempotent** in-flight requests are replayed, in
-//!   submission order with their original ids; a non-idempotent request
-//!   caught in flight surfaces [`RemoteError::Interrupted`] and is never
-//!   resubmitted — the at-most-once guarantee a write needs when the
-//!   client cannot know whether the server applied it.
+//!   the request in flight is re-sent under its original id only if it is
+//!   **idempotent**; a non-idempotent request caught in flight surfaces
+//!   [`RemoteError::Interrupted`] and is never re-sent — the at-most-once
+//!   guarantee a write needs when the client cannot know whether the
+//!   server applied it.
 //! * Backoff delays are deterministic in the jitter seed, land in
 //!   `[d/2, d]` of the capped exponential nominal, and exhaust into the
 //!   original fault instead of retrying forever.
-//! * The pipelining stash is bounded by frames and bytes; exceeding
-//!   either cap is the typed [`WireError::StashOverflow`].
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -23,11 +22,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dps_net::wire::{frame_v2, read_frame_v2};
-use dps_net::{
-    NetDaemon, ReconnectPolicy, RemoteError, RemoteServer, Request, Response, Ticket, Timeouts,
-    WireError,
-};
-use dps_server::{ServerError, SimServer, Storage};
+use dps_net::{ReconnectPolicy, RemoteError, RemoteServer, Request, Response, Timeouts, WireError};
+use dps_server::{ServerError, Storage};
 
 /// A fast-dialing policy for tests: total worst-case backoff well under
 /// a second.
@@ -91,72 +87,117 @@ fn connecting_to_a_dead_port_fails_fast() {
     assert!(RemoteServer::connect_with(addr, timeouts).is_err());
 }
 
-/// The heart of the replay contract, observed from the server side: a
-/// scripted fake daemon swallows a pipelined window of [read, write,
-/// read] and cuts the connection, then records exactly which frames the
-/// client resubmits on the replacement connection.
+/// What a scripted fake daemon saw: `(connection, request id, opcode)`
+/// per request frame.
+type Log = Arc<Mutex<Vec<(usize, u64, &'static str)>>>;
+
+/// A fake daemon that logs the one request of its first connection and
+/// cuts it unanswered, then logs and answers every request of its second
+/// (the client's redial) until EOF.
+fn cut_once(listener: TcpListener, log: Log) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (id, payload) = read_frame_v2(&mut stream).unwrap().expect("request frame");
+        log.lock()
+            .unwrap()
+            .push((0, id, opcode_name(&Request::decode(&payload).unwrap())));
+        drop(stream);
+        let (mut stream, _) = listener.accept().unwrap();
+        while let Ok(Some((id, payload))) = read_frame_v2(&mut stream) {
+            let request = Request::decode(&payload).unwrap();
+            log.lock().unwrap().push((1, id, opcode_name(&request)));
+            answer(&mut stream, id, &request);
+        }
+    })
+}
+
+/// The replay contract for a read, observed from the server side: a read
+/// whose connection is cut before its answer is re-sent once, under its
+/// original id, on the replacement connection, and completes
+/// transparently.
 #[test]
-fn reconnect_replays_only_idempotent_frames_in_order() {
-    type Log = Arc<Mutex<Vec<(usize, u64, &'static str)>>>;
+fn a_cut_read_is_replayed_once_under_its_original_id() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let log: Log = Log::default();
-    let server = {
-        let log = Arc::clone(&log);
-        std::thread::spawn(move || {
-            // Connection 0: swallow the whole window, answer nothing, cut.
-            let (mut stream, _) = listener.accept().unwrap();
-            for _ in 0..3 {
-                let (id, payload) = read_frame_v2(&mut stream).unwrap().expect("request frame");
-                let request = Request::decode(&payload).unwrap();
-                log.lock().unwrap().push((0, id, opcode_name(&request)));
-            }
-            drop(stream);
-            // Connection 1 (the client's redial): answer until EOF.
-            let (mut stream, _) = listener.accept().unwrap();
-            while let Ok(Some((id, payload))) = read_frame_v2(&mut stream) {
-                let request = Request::decode(&payload).unwrap();
-                log.lock().unwrap().push((1, id, opcode_name(&request)));
-                answer(&mut stream, id, &request);
-            }
-        })
-    };
+    let log = Log::default();
+    let server = cut_once(listener, Arc::clone(&log));
 
     let remote = RemoteServer::connect(addr)
         .unwrap()
         .with_reconnect(quick_policy(3));
-    let read_a = remote.submit(&Request::ReadBatch { addrs: vec![0] }).unwrap();
-    let write = remote
-        .submit(&Request::WriteBatch { writes: vec![(0, vec![9u8; 4])] })
-        .unwrap();
-    let read_b = remote.submit(&Request::ReadBatch { addrs: vec![1] }).unwrap();
-
-    // Both reads complete transparently through the reconnect…
-    match remote.wait(read_a).unwrap() {
-        Response::Cells(cells) => assert_eq!(cells, vec![vec![0xAB; 4]]),
-        other => panic!("expected Cells, got {other:?}"),
-    }
-    // …the write surfaces the typed ambiguity…
-    assert_eq!(remote.wait(write).unwrap_err(), RemoteError::Interrupted);
-    match remote.wait(read_b).unwrap() {
-        Response::Cells(cells) => assert_eq!(cells, vec![vec![0xAB; 4]]),
-        other => panic!("expected Cells, got {other:?}"),
-    }
-    // …and the client kept serving on the replacement connection.
+    assert_eq!(remote.try_read_batch(&[0]).unwrap(), vec![vec![0xAB; 4]]);
     remote.ping().unwrap();
     assert_eq!(remote.wire_stats().wire_reconnects, 1);
     drop(remote);
     server.join().unwrap();
 
     let log = log.lock().unwrap();
-    let replayed: Vec<_> = log.iter().filter(|entry| entry.0 == 1).collect();
-    // The replacement connection saw the two reads first — original ids,
-    // submission order — then the post-recovery ping. The write was
-    // submitted exactly once in the whole run: at-most-once, observed.
-    assert_eq!(replayed[0], &(1, read_a.id(), "ReadBatch"));
-    assert_eq!(replayed[1], &(1, read_b.id(), "ReadBatch"));
-    assert!(replayed.iter().all(|entry| entry.2 != "WriteBatch"));
-    assert_eq!(log.iter().filter(|entry| entry.2 == "WriteBatch").count(), 1);
+    let id = log[0].1;
+    assert_eq!(log[0], (0, id, "ReadBatch"));
+    assert_eq!(log[1], (1, id, "ReadBatch"), "the read is replayed under its original id");
+    assert_eq!(log[2].2, "Ping");
+    assert_eq!(log.len(), 3, "{log:?}");
+}
+
+/// The replay contract for a write: a write whose connection is cut
+/// before its answer is never re-sent — the fake daemon sees exactly one
+/// `WriteBatch` in the whole run — and the caller gets the typed
+/// ambiguity on a connection that works again.
+#[test]
+fn a_cut_write_is_never_re_sent() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let log = Log::default();
+    let server = cut_once(listener, Arc::clone(&log));
+
+    let remote = RemoteServer::connect(addr)
+        .unwrap()
+        .with_reconnect(quick_policy(3));
+    let write = Request::WriteBatch { writes: vec![(0, vec![9u8; 4])] };
+    assert_eq!(remote.request(&write).unwrap_err(), RemoteError::Interrupted);
+    remote.ping().unwrap();
+    assert_eq!(remote.wire_stats().wire_reconnects, 1);
+    drop(remote);
+    server.join().unwrap();
+
+    let log = log.lock().unwrap();
+    assert_eq!(log.iter().filter(|entry| entry.2 == "WriteBatch").count(), 1, "{log:?}");
+    assert_eq!(log[0].2, "WriteBatch");
+    assert_eq!(log[1..].iter().map(|entry| entry.2).collect::<Vec<_>>(), ["Ping"]);
+}
+
+/// A read that timed out is abandoned, but its answer may still come. It
+/// comes under an older id than the next request's, so the client drops
+/// it: the next call gets its own cells, not the late ones.
+#[test]
+fn the_late_answer_of_an_abandoned_request_is_dropped() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (late_sent, late) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        // Every answer's cells are filled with its request id.
+        let cells = |id: u64| Response::Cells(vec![vec![id as u8; 4]]).encode();
+        let (mut stream, _) = listener.accept().unwrap();
+        let (first, _) = read_frame_v2(&mut stream).unwrap().expect("request frame");
+        // Answer past the client's 50 ms deadline.
+        std::thread::sleep(Duration::from_millis(150));
+        stream
+            .write_all(&frame_v2(first, &cells(first)).unwrap())
+            .unwrap();
+        late_sent.send(()).unwrap();
+        while let Ok(Some((id, _))) = read_frame_v2(&mut stream) {
+            stream.write_all(&frame_v2(id, &cells(id)).unwrap()).unwrap();
+        }
+    });
+    let timeouts = Timeouts { read: Some(Duration::from_millis(50)), ..Timeouts::default() };
+    let remote = RemoteServer::connect_with(addr, timeouts).unwrap();
+    assert_eq!(remote.try_read_batch(&[0]).unwrap_err(), RemoteError::TimedOut);
+    // The late answer is on its way before the next request is.
+    late.recv().unwrap();
+    assert_eq!(remote.try_read_batch(&[0]).unwrap(), vec![vec![2u8; 4]]);
+    assert_eq!(remote.try_read_batch(&[0]).unwrap(), vec![vec![3u8; 4]]);
+    drop(remote);
+    server.join().unwrap();
 }
 
 /// The same ambiguity through the bare `Storage` surface: an interrupted
@@ -236,34 +277,4 @@ fn backoff_is_deterministic_jittered_and_capped() {
     // A different seed decorrelates the schedule.
     let other = ReconnectPolicy { jitter_seed: 8, ..policy };
     assert!((0..8).any(|attempt| other.delay_for(attempt) != policy.delay_for(attempt)));
-}
-
-#[test]
-fn stash_is_bounded_by_frames_and_bytes() {
-    let mut base = SimServer::new();
-    base.init((0..4).map(|i| vec![i as u8; 64]).collect());
-    let daemon = NetDaemon::spawn(base).unwrap();
-
-    // Frame cap: waiting on the *last* of three pings forces the first
-    // two responses into the stash; a one-frame cap trips on the second.
-    let remote = RemoteServer::connect(daemon.local_addr())
-        .unwrap()
-        .with_stash_limits(1, 1 << 20);
-    let tickets: Vec<Ticket> = (0..3).map(|_| remote.submit(&Request::Ping).unwrap()).collect();
-    let err = remote.wait_payload(tickets[2]).unwrap_err();
-    assert!(
-        matches!(err, RemoteError::Wire(WireError::StashOverflow { frames: 2, .. })),
-        "got {err:?}"
-    );
-
-    // Byte cap: one stashed 64-byte cell blows an 8-byte budget.
-    let remote = RemoteServer::connect(daemon.local_addr())
-        .unwrap()
-        .with_stash_limits(1024, 8);
-    let first = remote.submit(&Request::ReadBatch { addrs: vec![0] }).unwrap();
-    let second = remote.submit(&Request::Ping).unwrap();
-    let _ = first; // never redeemed: its response must be stashed
-    let err = remote.wait_payload(second).unwrap_err();
-    assert!(matches!(err, RemoteError::Wire(WireError::StashOverflow { .. })), "got {err:?}");
-    daemon.shutdown();
 }

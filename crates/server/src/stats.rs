@@ -62,13 +62,6 @@ pub struct CostStats {
     /// connection after a wire-level fault (0 for in-process servers and
     /// for clients without a reconnect policy).
     pub wire_reconnects: u64,
-    /// High-water mark of simultaneously in-flight pipelined wire
-    /// requests on one connection (0 for in-process servers; 1 for a
-    /// strictly request-response client). Unlike the other counters this
-    /// is a maximum, not a sum: [`CostStats::plus`] takes the larger of
-    /// the two marks and [`CostStats::since`] keeps the current one —
-    /// high-water marks don't subtract.
-    pub wire_inflight_max: u64,
     /// Reads served straight from the durable backend's in-memory cell
     /// cache (0 for in-memory servers).
     pub cache_hits: u64,
@@ -108,7 +101,6 @@ impl CostStats {
             wire_bytes_up: 0,
             wire_bytes_down: 0,
             wire_reconnects: 0,
-            wire_inflight_max: 0,
             ..*self
         }
     }
@@ -134,7 +126,6 @@ impl CostStats {
             wire_bytes_up: self.wire_bytes_up + other.wire_bytes_up,
             wire_bytes_down: self.wire_bytes_down + other.wire_bytes_down,
             wire_reconnects: self.wire_reconnects + other.wire_reconnects,
-            wire_inflight_max: self.wire_inflight_max.max(other.wire_inflight_max),
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
             cache_evictions: self.cache_evictions + other.cache_evictions,
@@ -143,8 +134,6 @@ impl CostStats {
 
     /// Component-wise difference `self - earlier`; useful for measuring the
     /// cost of a single query given snapshots before and after.
-    /// `wire_inflight_max` is a high-water mark, not a sum, so the current
-    /// mark is kept as-is.
     pub fn since(&self, earlier: &CostStats) -> CostStats {
         CostStats {
             downloads: self.downloads - earlier.downloads,
@@ -157,7 +146,6 @@ impl CostStats {
             wire_bytes_up: self.wire_bytes_up - earlier.wire_bytes_up,
             wire_bytes_down: self.wire_bytes_down - earlier.wire_bytes_down,
             wire_reconnects: self.wire_reconnects - earlier.wire_reconnects,
-            wire_inflight_max: self.wire_inflight_max,
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
             cache_evictions: self.cache_evictions - earlier.cache_evictions,
@@ -182,12 +170,11 @@ impl std::fmt::Display for CostStats {
         if self.wire_round_trips != 0 || self.wire_bytes_total() != 0 {
             write!(
                 f,
-                ", wire: round_trips={} bytes={} (down={} up={}) inflight_max={}",
+                ", wire: round_trips={} bytes={} (down={} up={})",
                 self.wire_round_trips,
                 self.wire_bytes_total(),
                 self.wire_bytes_down,
-                self.wire_bytes_up,
-                self.wire_inflight_max
+                self.wire_bytes_up
             )?;
             if self.wire_reconnects != 0 {
                 write!(f, " reconnects={}", self.wire_reconnects)?;
@@ -258,7 +245,6 @@ mod tests {
             wire_bytes_up: 100,
             wire_bytes_down: 200,
             wire_reconnects: 2,
-            wire_inflight_max: 8,
             ..Default::default()
         };
         let model = s.sans_wire();
@@ -268,7 +254,6 @@ mod tests {
         assert_eq!(model.wire_round_trips, 0);
         assert_eq!(model.wire_bytes_total(), 0);
         assert_eq!(model.wire_reconnects, 0);
-        assert_eq!(model.wire_inflight_max, 0);
         assert_eq!(s.wire_bytes_total(), 300);
     }
 
@@ -308,22 +293,5 @@ mod tests {
         // The cache section only appears once cache traffic exists.
         assert!(!format!("{model}").contains("cache"));
         assert!(format!("{s}").contains("cache: hits=10 misses=4 evictions=3"));
-    }
-
-    #[test]
-    fn inflight_max_is_a_high_water_mark() {
-        let a = CostStats { wire_inflight_max: 3, wire_round_trips: 10, ..Default::default() };
-        let b = CostStats { wire_inflight_max: 8, wire_round_trips: 5, ..Default::default() };
-        // plus: counters add, the mark takes the larger side.
-        let sum = a.plus(&b);
-        assert_eq!(sum.wire_round_trips, 15);
-        assert_eq!(sum.wire_inflight_max, 8);
-        // since: counters subtract, but the mark is carried through
-        // unchanged (on a connection it only ever rises).
-        let early = CostStats { wire_inflight_max: 3, wire_round_trips: 4, ..Default::default() };
-        let late = CostStats { wire_inflight_max: 8, wire_round_trips: 10, ..Default::default() };
-        let diff = late.since(&early);
-        assert_eq!(diff.wire_round_trips, 6);
-        assert_eq!(diff.wire_inflight_max, 8);
     }
 }
