@@ -539,9 +539,6 @@ impl Storage for Liar {
     fn capacity(&self) -> usize {
         self.inner.capacity()
     }
-    fn stored_bytes(&self) -> u64 {
-        self.inner.stored_bytes()
-    }
     fn cell_stride(&self) -> usize {
         self.inner.cell_stride()
     }

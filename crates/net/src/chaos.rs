@@ -515,10 +515,6 @@ impl<S: Storage> Storage for FaultStorage<S> {
         self.inner.capacity()
     }
 
-    fn stored_bytes(&self) -> u64 {
-        self.inner.stored_bytes()
-    }
-
     fn cell_stride(&self) -> usize {
         self.inner.cell_stride()
     }

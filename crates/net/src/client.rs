@@ -9,9 +9,12 @@
 //! particular the three data primitives (`read_batch_with`, `write_cells`,
 //! `xor_cells_into`) stay single round trips no matter the batch size, so
 //! the paper's round-trip accounting carries over to the wire unchanged.
-//! An upload travels as `WriteBatchStrided` when its cells have one
-//! length — every scheme's do — and as `WriteBatch` otherwise: the frame
-//! follows from the cells, never from the spelling the caller used.
+//! An upload travels as `WriteBatchStrided` whichever spelling the caller
+//! used: a cell is its stride (NOTES.md, entry 21), so every scheme's batch
+//! has one cell length. A batch of two lengths has no frame and is not
+//! sent: the client fetches the store's geometry (`Capacity`, `CellStride`)
+//! over its fallible exchange and returns the model's own refusal
+//! ([`check_upload`]), as an in-process server would.
 //!
 //! # One request in flight
 //!
@@ -95,12 +98,12 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use dps_crypto::rng::splitmix64;
-use dps_server::{CostStats, ServerError, Storage, Transcript};
+use dps_server::{check_upload, CostStats, ServerError, Storage, Transcript};
 
 use crate::wire::{
-    begin_init_chunk, end_init_chunk, frame_into, put_bytes, put_read_batch, put_write_cells,
-    put_xor_cells, FrameAssembler, Request, Response, ResponseView, WireError, HEADER2_LEN,
-    READ_CHUNK,
+    begin_init_chunk, end_init_chunk, frame_into, one_length, put_bytes, put_read_batch,
+    put_write_cells, put_xor_cells, FrameAssembler, Request, Response, ResponseView, WireError,
+    HEADER2_LEN, READ_CHUNK,
 };
 
 /// A wire-level or model-level failure of a remote call.
@@ -239,7 +242,6 @@ fn idempotent(request: &Request) -> bool {
     match request {
         Request::Ping
         | Request::Capacity
-        | Request::StoredBytes
         | Request::CellStride
         | Request::Stats
         | Request::ReadBatch { .. }
@@ -248,7 +250,6 @@ fn idempotent(request: &Request) -> bool {
         | Request::StartRecording
         | Request::TakeTranscript
         | Request::ResetStats
-        | Request::WriteBatch { .. }
         | Request::WriteBatchStrided { .. } => false,
     }
 }
@@ -645,12 +646,16 @@ impl RemoteServer {
     /// copy this side of the wire — and a frame that has reached
     /// `init_chunk_bytes` is shipped, and acknowledged, before the next cell
     /// goes in: no frame exceeds the bound by more than one cell, and the
-    /// client never holds more of the database than that. The last frame
-    /// carries `done` (an empty database is that frame alone). The sink
-    /// cannot fail, so the first failure is latched: the cells after it are
-    /// dropped, nothing more is sent, and the caller gets the error once
-    /// the producer returns. A producer that miscounted panics before
-    /// `done` is sent, so the daemon keeps what it had.
+    /// client never holds more of the database than that. Every cell has
+    /// the first one's length, so a frame's size is known at its first
+    /// cell and its buffer is reserved once, exactly: no frame lands in an
+    /// allocation twice its size (NOTES.md, entry 21). The last frame
+    /// carries `done` (an
+    /// empty database is that frame alone). The sink cannot fail, so the
+    /// first failure is latched: the cells after it are dropped, nothing
+    /// more is sent, and the caller gets the error once the producer
+    /// returns. A producer that miscounted panics before `done` is sent, so
+    /// the daemon keeps what it had.
     fn send_init(
         &self,
         capacity: usize,
@@ -666,6 +671,13 @@ impl RemoteServer {
                 cells = 0;
             }
             if sent.is_ok() {
+                if cells == 0 {
+                    // As many cells as reach the bound, or as remain.
+                    let per = 8 + cell.len();
+                    let fit = self.init_chunk_bytes.saturating_sub(tx.len()).div_ceil(per);
+                    let left = capacity.saturating_sub(total);
+                    tx.reserve_exact(fit.clamp(1, left.max(1)) * per);
+                }
                 put_bytes(tx, cell);
                 cells += 1;
             }
@@ -730,6 +742,21 @@ impl RemoteServer {
         )
     }
 
+    /// The answer to an upload whose cells differ in length, which no frame
+    /// carries: the model's refusal of it ([`check_upload`]) under the
+    /// store's geometry, fetched over the fallible exchange.
+    fn refuse_unframed<'a>(
+        &self,
+        cells: impl Iterator<Item = (usize, &'a [u8])>,
+    ) -> Result<(), RemoteError> {
+        let capacity = self.expect_number(&Request::Capacity)? as usize;
+        let stride = self.expect_number(&Request::CellStride)? as usize;
+        match check_upload(capacity, stride, cells) {
+            Err(refused) => Err(RemoteError::Server(refused)),
+            Ok(()) => unreachable!("cells of two lengths are not all the stride's"),
+        }
+    }
+
     /// [`RemoteServer::try_read_batch_with`], owning copies.
     pub fn try_read_batch(&self, addrs: &[usize]) -> Result<Vec<Vec<u8>>, RemoteError> {
         let mut out = Vec::with_capacity(addrs.len());
@@ -770,10 +797,6 @@ impl Storage for RemoteServer {
 
     fn capacity(&self) -> usize {
         infallible("capacity", self.expect_number(&Request::Capacity)) as usize
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        infallible("stored_bytes", self.expect_number(&Request::StoredBytes))
     }
 
     fn cell_stride(&self) -> usize {
@@ -820,17 +843,19 @@ impl Storage for RemoteServer {
         model(self.try_read_batch_with(addrs, visit))
     }
 
-    /// The frame follows from the cells alone, never from which spelling
-    /// the caller used: the strided frame when all cells have one length
-    /// (every scheme's uploads), the general frame otherwise — written
-    /// from the caller's slices into the send buffer, once.
+    /// One frame whichever spelling the caller used — the strided one,
+    /// written from the caller's slices into the send buffer, once — or, for
+    /// cells of two lengths, none and the model's refusal (module docs).
     fn write_cells<'a>(
         &mut self,
         cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
     ) -> Result<(), ServerError> {
+        let Some(shape) = one_length(cells.clone()) else {
+            return model(self.refuse_unframed(cells));
+        };
         model(self.exchange(
             false,
-            |buf| put_write_cells(buf, cells),
+            |buf| put_write_cells(buf, shape, cells),
             |response| match response {
                 ResponseView::Ok => Ok(()),
                 other => Err(unexpected(&other.into_owned())),
@@ -883,8 +908,9 @@ mod tests {
     }
 
     /// Set-up crosses the wire in frames of the bound plus at most one
-    /// cell — the last one carrying `done` — and leaves both of the
-    /// client's buffers at their idle size.
+    /// cell — the last one carrying `done` — each built in a buffer of
+    /// exactly that size, and leaves both of the client's buffers at their
+    /// idle size.
     #[test]
     fn set_up_ships_bounded_frames_and_gives_its_buffers_back() {
         const CELL: usize = 1000;

@@ -92,9 +92,9 @@
 //! connection closes. Other connections and future connects are
 //! unaffected. Model-level failures ([`dps_server::ServerError`]) are
 //! answered in-band with [`Response::Fail`] and leave the connection
-//! open — among them a write of a cell longer than the stride, which the
-//! model refuses (`CellTooLong`) before the store allocates or stores
-//! anything: no write can change the arena's geometry. So are the failures
+//! open — among them a write of a cell of another length than the stride,
+//! which the model refuses (`WrongCellLength`) before the store allocates or
+//! stores anything: no write can change the arena's geometry. So are the failures
 //! of a durable store whose disk has failed (it *poisons*): a refused
 //! upload and a read that would touch the dead arena are `Fail(Interrupted)`,
 //! its waiting dirty cells are still served, and the peer can still ping.
@@ -105,9 +105,12 @@
 //! The frame layer caps what one frame can make the daemon read
 //! ([`crate::wire::MAX_FRAME`]); [`DaemonLimits`] caps what a set-up can
 //! make it *allocate*. A chunked init whose flat-arena footprint
-//! (`cells × longest cell`) explodes past its encoded size is rejected by
-//! closing the connection before the chunk is kept. Legitimate deployments
-//! size [`DaemonLimits::max_stored_bytes`] to the machine.
+//! (`cells × stride`) passes the budget is rejected by closing the
+//! connection before the chunk is kept. Legitimate deployments size
+//! [`DaemonLimits::max_stored_bytes`] to the machine. A set-up's cells
+//! have the first cell's length (NOTES.md, entry 21): a chunk holding a
+//! cell of another, in the same frame or a later one, closes the connection
+//! the same way, where a local caller's set-up would have panicked.
 //!
 //! # Set-up
 //!
@@ -139,8 +142,8 @@ use crate::wire::{
 };
 
 /// Per-cell bookkeeping bytes used when projecting an allocation from a
-/// cell count: a 4-byte length in the store's cell table, a 4-byte cache
-/// page-table entry and 8 bytes of slack.
+/// cell count: a 4-byte cache page-table entry and 12 bytes of slack (the
+/// store keeps no table of its own: every cell is the stride long).
 const CELL_OVERHEAD: u64 = 16;
 
 /// The token of the listening socket's entry in a turn's `pollfd` array;
@@ -162,8 +165,8 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonLimits {
     /// Upper bound on the storage arena a set-up may cause the server to
-    /// allocate, in bytes (projected as `capacity × (longest cell +
-    /// per-cell bookkeeping)`). A chunked init that would exceed it closes
+    /// allocate, in bytes (projected as `capacity × (stride + per-cell
+    /// bookkeeping)`). A chunked init that would exceed it closes
     /// the connection instead of allocating. Set-up is the only request it
     /// guards: no other request allocates arena, because no write can
     /// change the stride. Default: 4 GiB.
@@ -811,33 +814,42 @@ fn settle_conn(conns: &mut [Option<Conn>], idx: usize) {
 /// Per-connection state of a chunked init that has not seen its `done`
 /// frame: the chunk bodies as they arrived, end to end in one buffer of
 /// wire bytes — read back through the parser's own `Cells` view, never a
-/// value per cell — and the longest cell among them. The frame carrying
-/// `done` is not kept at all (it is fed to the store where it lies), and a
-/// stream is contiguous: any other request on the connection drops it.
+/// value per cell — and the run's stride, its first cell's length. The
+/// frame carrying `done` is not kept at all (it is fed to the store where
+/// it lies), and a stream is contiguous: any other request on the
+/// connection drops it.
 #[derive(Debug, Default)]
 struct PendingInit {
     kept: CellsBuf,
-    longest: u64,
+    stride: Option<usize>,
 }
 
 impl PendingInit {
-    fn longest_with(&self, more: Cells<'_>) -> u64 {
-        more.iter().map(|c| c.len() as u64).fold(self.longest, u64::max)
+    /// The run's stride once `more` joins it — `None` while it has no
+    /// cell — or a violation if a cell of `more` has another length.
+    fn stride_with(&self, more: Cells<'_>) -> Result<Option<usize>, WireError> {
+        let mut lens = more.iter().map(<[u8]>::len);
+        let stride = self.stride.or_else(|| lens.clone().next());
+        if lens.any(|len| Some(len) != stride) {
+            return Err(WireError::BadPayload("set-up cells differ in length"));
+        }
+        Ok(stride)
     }
 
-    /// Projected arena footprint if `more` joins the accumulated cells:
-    /// the flat store allocates `capacity × stride`, where the stride is
-    /// the longest cell — so one long cell among many short ones
-    /// multiplies across the whole capacity. It also bounds what is kept
-    /// here until `done`: `count × 8` bytes plus the cells' own.
-    fn projected_bytes(&self, more: Cells<'_>) -> u64 {
+    /// Projected arena footprint of the run with `more` joined, whose
+    /// cells are `stride` long: the flat store allocates `capacity ×
+    /// stride`. It also bounds what is kept here until `done`: `count × 8`
+    /// bytes plus the cells' own.
+    fn projected_bytes(&self, more: Cells<'_>, stride: Option<usize>) -> u64 {
         let count = (self.kept.cells().len() + more.len()) as u64;
-        count.saturating_mul(self.longest_with(more).saturating_add(CELL_OVERHEAD))
+        let stride = stride.unwrap_or(0) as u64;
+        count.saturating_mul(stride.saturating_add(CELL_OVERHEAD))
     }
 
-    /// Copies `more` out of its frame, behind what is already kept.
-    fn keep(&mut self, more: Cells<'_>) {
-        self.longest = self.longest_with(more);
+    /// Copies `more`, whose cells are `stride` long, out of its frame,
+    /// behind what is already kept.
+    fn keep(&mut self, more: Cells<'_>, stride: Option<usize>) {
+        self.stride = stride;
         self.kept.push(more);
     }
 
@@ -891,18 +903,18 @@ fn dispatch<S: Storage>(
     let response = match request {
         RequestView::Ping => Response::Pong,
         RequestView::InitChunk { done, cells } => {
-            if pending.projected_bytes(cells) > limits.max_stored_bytes {
+            let stride = pending.stride_with(cells)?;
+            if pending.projected_bytes(cells, stride) > limits.max_stored_bytes {
                 return Err(WireError::BadPayload("allocation exceeds daemon budget"));
             }
             if done {
                 std::mem::take(pending).feed(cells, server);
             } else {
-                pending.keep(cells);
+                pending.keep(cells, stride);
             }
             Response::Ok
         }
         RequestView::Capacity => Response::Number(server.capacity() as u64),
-        RequestView::StoredBytes => Response::Number(server.stored_bytes()),
         RequestView::CellStride => Response::Number(server.cell_stride() as u64),
         RequestView::StartRecording => {
             server.start_recording();
@@ -915,7 +927,7 @@ fn dispatch<S: Storage>(
             Response::Ok
         }
         RequestView::ReadBatch { addrs } => {
-            // No cell is longer than the stride, so this bounds the answer:
+            // Every cell is the stride long, so this bounds the answer:
             // one that cannot fit a frame is refused before the store is
             // touched, not after it has been copied out cell by cell.
             if addrs.len().saturating_mul(server.cell_stride() + 8) > MAX_FRAME - 9 {
@@ -936,7 +948,6 @@ fn dispatch<S: Storage>(
                 }
             }
         }
-        RequestView::WriteBatch { writes } => ok_or_fail(server.write_cells(writes.iter())),
         RequestView::WriteBatchStrided { addrs, flat } => {
             // The in-process API asserts these; a remote peer must not be
             // able to panic the event loop.

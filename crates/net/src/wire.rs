@@ -444,20 +444,6 @@ pub(crate) fn put_xor_cells(buf: &mut Vec<u8>, addrs: &[usize]) {
     put_addrs(buf, addrs.len(), addrs.iter().copied());
 }
 
-/// The general upload frame: `n` × (address, length, bytes).
-fn put_write_batch<'a>(
-    buf: &mut Vec<u8>,
-    n: usize,
-    writes: impl Iterator<Item = (usize, &'a [u8])>,
-) {
-    buf.push(op::WRITE_BATCH);
-    put_u64(buf, n as u64);
-    for (addr, cell) in writes {
-        put_u64(buf, addr as u64);
-        put_bytes(buf, cell);
-    }
-}
-
 /// The strided upload frame: `n` addresses, then `flat_len` bytes given
 /// as the pieces they are held in.
 fn put_write_strided<'a>(
@@ -473,27 +459,31 @@ fn put_write_strided<'a>(
     flat.for_each(|piece| buf.extend_from_slice(piece));
 }
 
-/// An upload, framed from the cells alone: the strided frame when all
-/// cells have one length (every scheme's uploads; also none, and one), the
-/// general frame otherwise.
+/// How many cells an upload has and their one length, or `None` if two of
+/// them differ in length: such a batch has no frame. Every scheme's
+/// uploads have one length; so do none, and one.
+pub(crate) fn one_length<'a>(
+    cells: impl Iterator<Item = (usize, &'a [u8])>,
+) -> Option<(usize, usize)> {
+    let mut shape = (0, 0);
+    for (_, cell) in cells {
+        if shape.0 > 0 && cell.len() != shape.1 {
+            return None;
+        }
+        shape = (shape.0 + 1, cell.len());
+    }
+    Some(shape)
+}
+
+/// An upload of `n` cells of `len` bytes each ([`one_length`]'s answer),
+/// framed from the cells alone: the strided frame, the one upload frame.
 pub(crate) fn put_write_cells<'a>(
     buf: &mut Vec<u8>,
+    (n, len): (usize, usize),
     cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
 ) {
-    let (mut n, mut stride, mut uniform) = (0usize, 0usize, true);
-    for (_, cell) in cells.clone() {
-        if n == 0 {
-            stride = cell.len();
-        }
-        uniform &= cell.len() == stride;
-        n += 1;
-    }
-    if uniform {
-        let addrs = cells.clone().map(|(addr, _)| addr);
-        put_write_strided(buf, n, addrs, n * stride, cells.map(|(_, cell)| cell));
-    } else {
-        put_write_batch(buf, n, cells);
-    }
+    let addrs = cells.clone().map(|(addr, _)| addr);
+    put_write_strided(buf, n, addrs, n * len, cells.map(|(_, cell)| cell));
 }
 
 /// Starts `out` over as one open `InitChunk` frame: each cell follows
@@ -641,17 +631,6 @@ impl<'a> Reader<'a> {
         Ok(Cells { n, body: &body[..body.len() - self.buf.len()] })
     }
 
-    /// An `(address, cell)` list, validated like [`Reader::cells`].
-    fn writes(&mut self) -> Result<Writes<'a>, WireError> {
-        let n = self.count(16)?;
-        let body = self.buf;
-        for _ in 0..n {
-            self.size()?;
-            self.bytes()?;
-        }
-        Ok(Writes { n, body: &body[..body.len() - self.buf.len()] })
-    }
-
     fn stats(&mut self) -> Result<CostStats, WireError> {
         Ok(CostStats {
             downloads: self.u64()?,
@@ -763,23 +742,6 @@ impl CellsBuf {
     }
 }
 
-/// A validated `(address, cell)` list, still in wire form.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Writes<'a> {
-    n: usize,
-    body: &'a [u8],
-}
-
-impl<'a> Writes<'a> {
-    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (usize, &'a [u8])> + Clone + 'a {
-        let mut r = Reader::new(self.body);
-        (0..self.n).map(move |_| {
-            let addr = r.size().expect("validated by the parser");
-            (addr, r.bytes().expect("validated by the parser"))
-        })
-    }
-}
-
 /// A [`Request`] parsed in place: scalars decoded, variable-length parts
 /// borrowed from the payload. The daemon dispatches on this, so a request
 /// is served out of the buffer the socket was read into.
@@ -788,14 +750,12 @@ pub(crate) enum RequestView<'a> {
     Ping,
     InitChunk { done: bool, cells: Cells<'a> },
     Capacity,
-    StoredBytes,
     CellStride,
     StartRecording,
     TakeTranscript,
     Stats,
     ResetStats,
     ReadBatch { addrs: Addrs<'a> },
-    WriteBatch { writes: Writes<'a> },
     WriteBatchStrided { addrs: Addrs<'a>, flat: &'a [u8] },
     XorCells { addrs: Addrs<'a> },
 }
@@ -818,14 +778,12 @@ impl<'a> RequestView<'a> {
                 RequestView::InitChunk { done, cells: r.cells()? }
             }
             op::CAPACITY => RequestView::Capacity,
-            op::STORED_BYTES => RequestView::StoredBytes,
             op::CELL_STRIDE => RequestView::CellStride,
             op::START_RECORDING => RequestView::StartRecording,
             op::TAKE_TRANSCRIPT => RequestView::TakeTranscript,
             op::STATS => RequestView::Stats,
             op::RESET_STATS => RequestView::ResetStats,
             op::READ_BATCH => RequestView::ReadBatch { addrs: r.addrs()? },
-            op::WRITE_BATCH => RequestView::WriteBatch { writes: r.writes()? },
             op::WRITE_BATCH_STRIDED => {
                 RequestView::WriteBatchStrided { addrs: r.addrs()?, flat: r.bytes()? }
             }
@@ -843,7 +801,6 @@ impl<'a> RequestView<'a> {
                 Request::InitChunk { done, cells: cells.iter().map(<[u8]>::to_vec).collect() }
             }
             RequestView::Capacity => Request::Capacity,
-            RequestView::StoredBytes => Request::StoredBytes,
             RequestView::CellStride => Request::CellStride,
             RequestView::StartRecording => Request::StartRecording,
             RequestView::TakeTranscript => Request::TakeTranscript,
@@ -852,9 +809,6 @@ impl<'a> RequestView<'a> {
             RequestView::ReadBatch { addrs } => {
                 Request::ReadBatch { addrs: addrs.iter().collect() }
             }
-            RequestView::WriteBatch { writes } => Request::WriteBatch {
-                writes: writes.iter().map(|(addr, cell)| (addr, cell.to_vec())).collect(),
-            },
             RequestView::WriteBatchStrided { addrs, flat } => {
                 Request::WriteBatchStrided { addrs: addrs.iter().collect(), flat: flat.to_vec() }
             }
@@ -900,7 +854,7 @@ impl<'a> ResponseView<'a> {
                 3 => ServerError::Integrity { addr: r.size()? },
                 4 => {
                     let (addr, len) = (r.size()?, r.size()?);
-                    ServerError::CellTooLong { addr, len, stride: r.size()? }
+                    ServerError::WrongCellLength { addr, len, stride: r.size()? }
                 }
                 _ => return Err(WireError::BadPayload("unknown server-error tag")),
             }),
@@ -928,21 +882,20 @@ impl<'a> ResponseView<'a> {
 
 // ---- Messages ----------------------------------------------------------
 
-// 0x02, 0x03, 0x09, 0x0E, 0x10 and 0x84 are retired (whole-database init,
-// empty init, recording-state query, one-cell write, combined read+write,
-// boolean response), and so is tag 1 (a never-written cell) of the `R_FAIL`
-// body: never reuse them.
+// 0x02, 0x03, 0x05, 0x09, 0x0D, 0x0E, 0x10 and 0x84 are retired
+// (whole-database init, empty init, stored-bytes query, recording-state
+// query, the upload frame of cells of several lengths, one-cell write,
+// combined read+write, boolean response), and so is tag 1 (a never-written
+// cell) of the `R_FAIL` body: never reuse them.
 mod op {
     pub const PING: u8 = 0x01;
     pub const CAPACITY: u8 = 0x04;
-    pub const STORED_BYTES: u8 = 0x05;
     pub const CELL_STRIDE: u8 = 0x06;
     pub const START_RECORDING: u8 = 0x07;
     pub const TAKE_TRANSCRIPT: u8 = 0x08;
     pub const STATS: u8 = 0x0A;
     pub const RESET_STATS: u8 = 0x0B;
     pub const READ_BATCH: u8 = 0x0C;
-    pub const WRITE_BATCH: u8 = 0x0D;
     pub const WRITE_BATCH_STRIDED: u8 = 0x0F;
     pub const XOR_CELLS: u8 = 0x11;
     pub const INIT_CHUNK: u8 = 0x12;
@@ -958,8 +911,8 @@ mod op {
 }
 
 /// One client request: the required [`Storage`](dps_server::Storage)
-/// surface (set-up in chunks, the upload primitive in two frames chosen by
-/// the cells), plus a connectivity `Ping`.
+/// surface (set-up in chunks, the upload primitive in one frame of cells of
+/// one length), plus a connectivity `Ping`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
@@ -978,8 +931,6 @@ pub enum Request {
     },
     /// [`Storage::capacity`](dps_server::Storage::capacity).
     Capacity,
-    /// [`Storage::stored_bytes`](dps_server::Storage::stored_bytes).
-    StoredBytes,
     /// [`Storage::cell_stride`](dps_server::Storage::cell_stride).
     CellStride,
     /// [`Storage::start_recording`](dps_server::Storage::start_recording).
@@ -996,15 +947,9 @@ pub enum Request {
         /// Addresses to download.
         addrs: Vec<usize>,
     },
-    /// [`Storage::write_cells`](dps_server::Storage::write_cells) when
-    /// the cells differ in length: the general upload frame.
-    WriteBatch {
-        /// `(address, cell)` pairs to upload.
-        writes: Vec<(usize, Vec<u8>)>,
-    },
-    /// [`Storage::write_cells`](dps_server::Storage::write_cells) when
-    /// all cells have one length — every scheme's upload, one frame for
-    /// the whole batch.
+    /// [`Storage::write_cells`](dps_server::Storage::write_cells): the
+    /// upload frame, cells of one length — every scheme's upload, one frame
+    /// for the whole batch.
     WriteBatchStrided {
         /// Destination addresses.
         addrs: Vec<usize>,
@@ -1053,17 +998,12 @@ impl Request {
                 put_cells(buf, cells);
             }
             Request::Capacity => buf.push(op::CAPACITY),
-            Request::StoredBytes => buf.push(op::STORED_BYTES),
             Request::CellStride => buf.push(op::CELL_STRIDE),
             Request::StartRecording => buf.push(op::START_RECORDING),
             Request::TakeTranscript => buf.push(op::TAKE_TRANSCRIPT),
             Request::Stats => buf.push(op::STATS),
             Request::ResetStats => buf.push(op::RESET_STATS),
             Request::ReadBatch { addrs } => put_read_batch(buf, addrs),
-            Request::WriteBatch { writes } => {
-                let writes = writes.iter().map(|(addr, cell)| (*addr, cell.as_slice()));
-                put_write_batch(buf, writes.len(), writes);
-            }
             Request::WriteBatchStrided { addrs, flat } => {
                 let pieces = std::iter::once(flat.as_slice());
                 put_write_strided(buf, addrs.len(), addrs.iter().copied(), flat.len(), pieces);
@@ -1085,7 +1025,7 @@ pub enum Response {
     Ok,
     /// Answer to [`Request::Ping`].
     Pong,
-    /// A scalar (capacity, stored bytes, cell stride).
+    /// A scalar (capacity, cell stride).
     Number(u64),
     /// The server-side cost counters.
     Stats(CostStats),
@@ -1158,7 +1098,7 @@ impl Response {
                         buf.push(3);
                         put_u64(buf, *addr as u64);
                     }
-                    ServerError::CellTooLong { addr, len, stride } => {
+                    ServerError::WrongCellLength { addr, len, stride } => {
                         buf.push(4);
                         for v in [addr, len, stride] {
                             put_u64(buf, *v as u64);
@@ -1238,14 +1178,12 @@ mod tests {
             Request::InitChunk { done: false, cells: vec![vec![4; 3]] },
             Request::InitChunk { done: true, cells: vec![] },
             Request::Capacity,
-            Request::StoredBytes,
             Request::CellStride,
             Request::StartRecording,
             Request::TakeTranscript,
             Request::Stats,
             Request::ResetStats,
             Request::ReadBatch { addrs: vec![0, 9, 3] },
-            Request::WriteBatch { writes: vec![(4, vec![8; 5]), (0, vec![])] },
             Request::WriteBatchStrided { addrs: vec![1, 2], flat: vec![7; 8] },
             Request::XorCells { addrs: vec![1, 2, 3] },
         ];
@@ -1276,7 +1214,7 @@ mod tests {
             Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
             Response::Fail(ServerError::Interrupted),
             Response::Fail(ServerError::Integrity { addr: 7 }),
-            Response::Fail(ServerError::CellTooLong { addr: 5, len: 9, stride: 8 }),
+            Response::Fail(ServerError::WrongCellLength { addr: 5, len: 9, stride: 8 }),
         ];
         for resp in resps {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
@@ -1315,12 +1253,13 @@ mod tests {
         assert!(!visit_cells(&Response::Ok.encode(), |_, _| {}).unwrap());
     }
 
-    /// Retired opcodes among them: the whole-database init (0x02) and the
-    /// empty init (0x03) are unknown now, whatever follows them; so is the
-    /// retired failure tag of a never-written cell.
+    /// Retired opcodes among them: the whole-database init (0x02), the
+    /// empty init (0x03), the stored-bytes query (0x05) and the upload
+    /// frame of cells of several lengths (0x0D) are unknown now, whatever
+    /// follows them; so is the retired failure tag of a never-written cell.
     #[test]
     fn unknown_opcodes_are_typed_errors() {
-        for op in [0x7F, 0x02, 0x03] {
+        for op in [0x7F, 0x02, 0x03, 0x05, 0x0D] {
             let payload = [&[op][..], &1u64.to_le_bytes()].concat();
             assert_eq!(Request::decode(&payload[..1]), Err(WireError::UnknownOpcode(op)));
             assert_eq!(Request::decode(&payload), Err(WireError::UnknownOpcode(op)));

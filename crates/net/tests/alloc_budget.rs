@@ -112,7 +112,6 @@ static ALLOCATOR: Counting = Counting;
 
 const CELLS: usize = 64;
 const RECORD: usize = 256;
-const UPLOAD: usize = 235;
 const EXCHANGES: u64 = 1_000;
 
 #[test]
@@ -224,7 +223,7 @@ fn a_steady_state_exchange_costs_no_allocator_call() {
     // The shapes `ir_cold` and `kvs_durable` put on the wire.
     let read_addrs: Vec<usize> = (0..16).collect();
     let write_addrs: Vec<usize> = (32..52).collect();
-    let flat = vec![0xA5u8; write_addrs.len() * UPLOAD];
+    let flat = vec![0xA5u8; write_addrs.len() * RECORD];
     let mut seen = 0usize;
     let mut exchange = |remote: &mut RemoteServer| {
         remote
@@ -250,7 +249,7 @@ fn a_steady_state_exchange_costs_no_allocator_call() {
     assert_eq!(calls, 0, "{per_exchange:.2} allocator calls per exchange, budget none");
 
     assert_eq!(seen, (100 + EXCHANGES as usize) * read_addrs.len() * RECORD);
-    assert_eq!(remote.read(40).expect("read back"), vec![0xA5u8; UPLOAD]);
+    assert_eq!(remote.read(40).expect("read back"), vec![0xA5u8; RECORD]);
     drop(remote);
     daemon.shutdown();
 }
@@ -267,14 +266,12 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
         Request::InitChunk { done: true, cells: cells() },
         Request::InitChunk { done: false, cells: cells() },
         Request::Capacity,
-        Request::StoredBytes,
         Request::CellStride,
         Request::StartRecording,
         Request::TakeTranscript,
         Request::Stats,
         Request::ResetStats,
         Request::ReadBatch { addrs: vec![0, 9, 3] },
-        Request::WriteBatch { writes: vec![(4, vec![8; 5]), (0, vec![])] },
         Request::WriteBatchStrided { addrs: vec![1, 2], flat: vec![7; 8] },
         Request::XorCells { addrs: vec![1, 2, 3] },
     ];
@@ -289,7 +286,7 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
         Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
         Response::Fail(ServerError::Interrupted),
         Response::Fail(ServerError::Integrity { addr: 7 }),
-        Response::Fail(ServerError::CellTooLong { addr: 5, len: 9, stride: 8 }),
+        Response::Fail(ServerError::WrongCellLength { addr: 5, len: 9, stride: 8 }),
     ];
     (requests, responses)
 }

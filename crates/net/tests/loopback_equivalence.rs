@@ -77,14 +77,20 @@ fn run_program(local: &mut SimServer, remote: &mut RemoteServer) {
     local.start_recording();
     remote.start_recording();
 
-    // A cell longer than the stride is refused whole, in-band, on both
+    // A cell longer or shorter than the stride is refused whole on both
     // sides alike — nothing stored, charged or seen — and the connection
-    // keeps serving.
-    let over_long = vec![(2usize, cell(0xF0, LEN)), (7, cell(0xF1, LEN + 1))];
-    let too_long = Err(ServerError::CellTooLong { addr: 7, len: LEN + 1, stride: LEN });
+    // keeps serving: in-band when the batch has one length, by the client
+    // when it has two and no frame carries it.
     let before = Storage::stats(remote).sans_wire();
-    assert_eq!(remote.write_batch(over_long.clone()), too_long);
-    assert_eq!(local.write_batch(over_long), too_long);
+    for len in [LEN + 1, LEN - 1] {
+        let wrong = Err(ServerError::WrongCellLength { addr: 7, len, stride: LEN });
+        let ragged = vec![(2usize, cell(0xF0, LEN)), (7, cell(0xF1, len))];
+        assert_eq!(remote.write_batch(ragged.clone()), wrong);
+        assert_eq!(local.write_batch(ragged), wrong);
+        let uniform = vec![(7usize, cell(0xF1, len)), (2, cell(0xF0, len))];
+        assert_eq!(remote.write_batch(uniform.clone()), wrong);
+        assert_eq!(local.write_batch(uniform), wrong);
+    }
     assert_eq!(Storage::stats(remote).sans_wire(), before);
     assert_eq!(Storage::stats(local), before);
     assert_eq!(remote.take_transcript().round_trips(), 0);
@@ -135,7 +141,6 @@ fn run_program(local: &mut SimServer, remote: &mut RemoteServer) {
     // Full final state: cells, geometry, model stats, transcript.
     let every: Vec<usize> = (0..N).collect();
     assert_eq!(Storage::read_batch(remote, &every), Storage::read_batch(local, &every));
-    assert_eq!(remote.stored_bytes(), local.stored_bytes());
     assert_eq!(remote.cell_stride(), local.cell_stride());
     assert_eq!(Storage::stats(remote).sans_wire(), Storage::stats(local));
     assert_eq!(
@@ -191,38 +196,97 @@ fn batch_operations_are_single_wire_round_trips() {
     });
 }
 
-/// Set-up may leave cells of unequal length, and an XOR fold over them is
-/// the XOR of the cells zero-padded to the longest, in either order, on
-/// every server: the simulator, the durable store (bounded and identity
-/// cache), the wire to either, and the integrity decorator. The model
-/// charges a fold at its length (2 × 20 bytes here); the decorator, which
-/// folds client-side, charges the cells it downloaded (2 × 32).
+/// A cell is its stride, on every server: the simulator, the durable store
+/// (bounded and identity cache), the wire to either, and the integrity
+/// decorator over the first and the last. A set-up of two cell lengths
+/// panics and leaves the old contents (over the wire the daemon closes the
+/// connection, counted as a protocol error, and the infallible set-up
+/// panics on the cut). An upload with a cell shorter or longer than the
+/// stride — alone, among cells of the stride, or among cells of its own
+/// length — gives the one error, and the same model stats, transcript and
+/// cells, everywhere.
 #[test]
-fn xor_over_ragged_cells_is_the_zero_padded_fold_on_every_server() {
-    let cells: Vec<Vec<u8>> = vec![(0..12).collect(), (100..120).collect()];
-    let mut padded = cells[1].clone();
-    padded.iter_mut().zip(&cells[0]).for_each(|(p, c)| *p ^= c);
-    let folds = |charged| (vec![padded.clone(), padded.clone()], charged);
-    fn run<S: Storage>(mut server: S, cells: &[Vec<u8>]) -> (Vec<Vec<u8>>, u64) {
-        server.init(cells.to_vec());
-        server.reset_stats();
-        let folds = [[0, 1], [1, 0]].map(|addrs| server.xor_cells(&addrs).unwrap());
-        (folds.to_vec(), server.stats().bytes_down)
-    }
-    assert_eq!(run(SimServer::new(), &cells), folds(40), "SimServer");
-    assert_eq!(run(Verified::new(SimServer::new()), &cells), folds(64), "Verified<SimServer>");
+fn ragged_set_ups_and_wrong_length_uploads_are_refused_alike_on_every_server() {
+    let want = refusals(&mut set_up_refusing(SimServer::new()));
+    let mut stored = refusal_db();
+    stored[5] = cell(0xD0, REFUSAL_LEN);
+    assert_eq!(want.3, stored, "only the upload of the stride was stored");
+    assert_eq!(want.1.uploads, 1);
+    let verified = refusals(&mut set_up_refusing(Verified::new(SimServer::new())));
+    assert_eq!(verified, want, "Verified<SimServer>");
     for cache_bytes in [16, 1 << 30] {
         let dir = Scratch::new();
-        assert_eq!(run(dir.open(cache_bytes), &cells), folds(40), "DiskStore, {cache_bytes} B");
+        let local = refusals(&mut set_up_refusing(dir.open(cache_bytes)));
+        assert_eq!(local, want, "DiskStore, {cache_bytes} B");
+        let dir = Scratch::new();
         let daemon = NetDaemon::spawn(dir.open(cache_bytes)).expect("spawn daemon");
-        let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
-        assert_eq!(run(remote, &cells), folds(40), "RemoteServer → DiskStore, {cache_bytes} B");
+        assert_eq!(refused_over_the_wire(&daemon), want, "→ DiskStore, {cache_bytes} B");
         daemon.shutdown();
     }
     let daemon = NetDaemon::spawn(SimServer::new()).expect("spawn daemon");
-    let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
-    assert_eq!(run(Verified::new(remote), &cells), folds(64), "Verified<RemoteServer>");
+    assert_eq!(refused_over_the_wire(&daemon), want, "RemoteServer → SimServer");
+    let mut verified = Verified::new(RemoteServer::connect(daemon.local_addr()).expect("connect"));
+    verified.init(refusal_db());
+    assert_eq!(refusals(&mut verified), want, "Verified<RemoteServer>");
     daemon.shutdown();
+}
+
+const REFUSAL_LEN: usize = 12;
+
+fn refusal_db() -> Vec<Vec<u8>> {
+    (0..6).map(|i| cell(i, REFUSAL_LEN)).collect()
+}
+
+/// Each upload's answer, the model stats, the view, every cell.
+type Refusals = (Vec<Result<(), ServerError>>, CostStats, Vec<u8>, Vec<Vec<u8>>);
+
+/// `server` set up with [`refusal_db`], after which a set-up of two cell
+/// lengths panicked.
+fn set_up_refusing<S: Storage>(mut server: S) -> S {
+    server.init(refusal_db());
+    ragged_set_up_panics(&mut server);
+    server
+}
+
+fn ragged_set_up_panics<S: Storage>(server: &mut S) {
+    let ragged = vec![cell(1, REFUSAL_LEN), cell(2, REFUSAL_LEN - 1), cell(3, REFUSAL_LEN)];
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        server.init(ragged);
+    }));
+    assert!(panicked.is_err(), "a ragged set-up was taken");
+}
+
+/// One upload at the stride, then uploads with a cell shorter or longer
+/// (alone, among cells of the stride, among cells of its own length), on a
+/// recording server.
+fn refusals<S: Storage>(server: &mut S) -> Refusals {
+    server.reset_stats();
+    server.start_recording();
+    let mut uploads = vec![vec![(5, cell(0xD0, REFUSAL_LEN))]];
+    for len in [REFUSAL_LEN - 1, REFUSAL_LEN + 1, 0] {
+        uploads.push(vec![(4, cell(0xA0, len))]);
+        let stride = REFUSAL_LEN;
+        uploads.push(vec![(1, cell(0xB0, stride)), (4, cell(0xB1, len)), (9, cell(0xB2, stride))]);
+        uploads.push(vec![(2, cell(0xC0, len)), (3, cell(0xC1, len))]);
+    }
+    let answers = uploads
+        .into_iter()
+        .map(|batch| server.write_batch(batch))
+        .collect();
+    let stats = server.stats().sans_wire().sans_cache();
+    let view = server.take_transcript().canonical_encoding();
+    let every: Vec<usize> = (0..server.capacity()).collect();
+    (answers, stats, view, server.read_batch(&every).expect("every cell"))
+}
+
+/// [`set_up_refusing`] and [`refusals`] through `daemon`: the ragged set-up
+/// costs its connection, so the refusals run on a second one.
+fn refused_over_the_wire(daemon: &NetDaemon) -> Refusals {
+    let connect = || RemoteServer::connect(daemon.local_addr()).expect("connect");
+    let errors = daemon.metrics().protocol_errors;
+    set_up_refusing(connect());
+    assert_eq!(daemon.metrics().protocol_errors, errors + 1, "the ragged set-up closed nothing");
+    refusals(&mut connect())
 }
 
 /// The provided spellings of an upload, as a caller picks one.
@@ -277,8 +341,9 @@ fn upload_outcome(how: Spelling, cells: &[(usize, Vec<u8>)]) -> (Observed, u64) 
 
 /// An upload is one request whatever it was called: the same cells issued
 /// through different provided methods leave the same cells, charge, view
-/// and *bytes on the wire*, because the frame is chosen from the cells —
-/// strided when they have one length, general only when they do not.
+/// and *bytes on the wire*, because there is one frame, the strided one. A
+/// batch of two cell lengths has none: no upload is sent for it, only the
+/// two geometry queries its refusal takes.
 #[test]
 fn every_upload_spelling_is_the_same_request() {
     use dps_net::Request;
@@ -301,13 +366,18 @@ fn every_upload_spelling_is_the_same_request() {
     }
     assert_eq!(as_write.1, strided_frame(&one));
 
-    // Cells of two lengths cannot be packed at one stride: the one case
-    // that takes the general frame (and still matches the local twin).
-    let ragged = [(2, cell(0x50, 8)), (5, cell(0x60, 5))];
-    let general = Request::WriteBatch { writes: ragged.to_vec() };
-    let (_, wire_up) = upload_outcome(Spelling::Batch, &ragged);
-    assert_eq!(wire_up, general.encode_framed_v2(1).unwrap().len() as u64);
-    assert_ne!(wire_up, strided_frame(&ragged));
+    // Cells of two lengths cannot be packed at one stride.
+    let ragged = vec![(2, cell(0x50, 8)), (5, cell(0x60, 5))];
+    with_pair(|_, mut remote| {
+        remote.init((0..8).map(|i| cell(i, 8)).collect());
+        let before = remote.wire_stats();
+        let refused = Err(ServerError::WrongCellLength { addr: 5, len: 5, stride: 8 });
+        assert_eq!(remote.write_batch(ragged), refused);
+        let queries = [Request::Capacity, Request::CellStride];
+        let sent = queries.map(|q| q.encode_framed_v2(1).unwrap().len() as u64);
+        let wire = remote.wire_stats().since(&before);
+        assert_eq!((wire.wire_round_trips, wire.wire_bytes_up), (2, sent.iter().sum()));
+    });
 }
 
 /// Set-up streams as `InitChunk` frames; the outcome must not depend on
@@ -326,7 +396,6 @@ fn chunked_init_is_equivalent_to_single_frame_init() {
         assert!(remote.wire_stats().wire_round_trips >= N as u64, "must have chunked");
         assert_eq!(remote.capacity(), local.capacity());
         assert_eq!(remote.cell_stride(), local.cell_stride());
-        assert_eq!(remote.stored_bytes(), local.stored_bytes());
         let every: Vec<usize> = (0..N).collect();
         assert_eq!(
             Storage::read_batch(&mut remote, &every),
@@ -352,7 +421,6 @@ fn chunked_init_is_equivalent_to_single_frame_init() {
 struct Contents {
     capacity: usize,
     stride: usize,
-    stored: u64,
     cells: Vec<Vec<u8>>,
 }
 
@@ -362,7 +430,6 @@ fn contents<S: Storage>(server: &mut S) -> Contents {
     Contents {
         capacity,
         stride: server.cell_stride(),
-        stored: server.stored_bytes(),
         cells: server.read_batch(&every).expect("every cell is written"),
     }
 }
@@ -426,15 +493,14 @@ impl Drop for Scratch {
 }
 
 /// `init(cells)` and the primitive leave the same store behind — geometry,
-/// stored bytes, every cell, no charge, no view — on the simulator, the
+/// every cell, no charge, no view — on the simulator, the
 /// durable store (bounded and identity cache; again after drop and reopen),
 /// the wire to a durable daemon with frames shipped at `bound` bytes, the
 /// integrity decorator and the fault injector.
 fn set_up_is_the_same_everywhere(cells: &[Vec<u8>], bound: usize) {
     let want = Contents {
         capacity: cells.len(),
-        stride: cells.iter().map(Vec::len).max().unwrap_or(0),
-        stored: cells.iter().map(|c| c.len() as u64).sum(),
+        stride: cells.first().map_or(0, Vec::len),
         cells: cells.to_vec(),
     };
     let mut roots = Vec::new();
@@ -471,27 +537,29 @@ fn set_up_is_the_same_everywhere(cells: &[Vec<u8>], bound: usize) {
     }
 }
 
-/// The ragged lists set-up's layers each have a seam for: nothing at all,
-/// nothing in any cell, a last cell wider than the rest (the image is
-/// re-laid at its stride after the fact), a cell larger than a frame, and
-/// a frame filled to the byte.
+/// The lists set-up's layers each have a seam for (the name is from when
+/// set-up took cells of several lengths; it takes one now): nothing at
+/// all, nothing in any cell, cells larger than a frame, and a frame filled
+/// to the byte.
 #[test]
 fn set_up_is_the_same_everywhere_for_ragged_cell_lists() {
     let uniform: Vec<Vec<u8>> = (0..40u8).map(|i| cell(i, 24)).collect();
-    let wide_last: Vec<Vec<u8>> = vec![cell(1, 8), cell(2, 8), vec![], cell(3, 8), cell(4, 21)];
     // 26 + 2 × (8 + 8) = 58: the second cell fills a 58-byte frame exactly.
-    let outsize: Vec<Vec<u8>> = vec![cell(5, 8), cell(6, 8), cell(7, 100), cell(8, 8), cell(9, 8)];
+    let words: Vec<Vec<u8>> = (1..6u8).map(|i| cell(i, 8)).collect();
+    let outsize: Vec<Vec<u8>> = (5..10u8).map(|i| cell(i, 100)).collect();
     for bound in [1, 58, 59, 1 << 20] {
         set_up_is_the_same_everywhere(&[], bound);
         set_up_is_the_same_everywhere(&vec![vec![]; 3], bound);
         set_up_is_the_same_everywhere(&uniform, bound);
-        set_up_is_the_same_everywhere(&wide_last, bound);
+        set_up_is_the_same_everywhere(&words, bound);
         set_up_is_the_same_everywhere(&outsize, bound);
     }
-    // The same seams at the frame size production ships: a cell that ends a
-    // 1 MiB frame on the byte, and a 1.5 MiB cell behind a small one.
-    let big = vec![cell(1, (1 << 20) - 34), cell(2, 10), cell(3, 3 << 19)];
-    assert_eq!(init_frames(1 << 20, &big), 2);
+    // The same seams at the frame size production ships: cells that each
+    // end a 1 MiB frame on the byte, and 1.5 MiB cells.
+    let exact: Vec<Vec<u8>> = (1..4u8).map(|i| cell(i, (1 << 20) - 34)).collect();
+    assert_eq!(init_frames(1 << 20, &exact), 3);
+    set_up_is_the_same_everywhere(&exact, 1 << 20);
+    let big: Vec<Vec<u8>> = (1..3u8).map(|i| cell(i, 3 << 19)).collect();
     set_up_is_the_same_everywhere(&big, 1 << 20);
 }
 
@@ -500,10 +568,10 @@ proptest! {
 
     #[test]
     fn set_up_is_the_same_everywhere_for_any_cell_list(
-        lens in proptest::collection::vec(0usize..40, 0..24),
+        (n, len) in (0usize..24, 0usize..40),
         bound in 1usize..200,
     ) {
-        let cells: Vec<Vec<u8>> = lens.iter().enumerate().map(|(i, &len)| cell(i as u8, len)).collect();
+        let cells: Vec<Vec<u8>> = (0..n).map(|i| cell(i as u8, len)).collect();
         set_up_is_the_same_everywhere(&cells, bound);
     }
 }

@@ -40,7 +40,7 @@ fn opcode_name(request: &Request) -> &'static str {
     match request {
         Request::Ping => "Ping",
         Request::ReadBatch { .. } => "ReadBatch",
-        Request::WriteBatch { .. } => "WriteBatch",
+        Request::WriteBatchStrided { .. } => "WriteBatchStrided",
         _ => "Other",
     }
 }
@@ -141,7 +141,7 @@ fn a_cut_read_is_replayed_once_under_its_original_id() {
 
 /// The replay contract for a write: a write whose connection is cut
 /// before its answer is never re-sent — the fake daemon sees exactly one
-/// `WriteBatch` in the whole run — and the caller gets the typed
+/// `WriteBatchStrided` in the whole run — and the caller gets the typed
 /// ambiguity on a connection that works again.
 #[test]
 fn a_cut_write_is_never_re_sent() {
@@ -153,7 +153,7 @@ fn a_cut_write_is_never_re_sent() {
     let remote = RemoteServer::connect(addr)
         .unwrap()
         .with_reconnect(quick_policy(3));
-    let write = Request::WriteBatch { writes: vec![(0, vec![9u8; 4])] };
+    let write = Request::WriteBatchStrided { addrs: vec![0], flat: vec![9u8; 4] };
     assert_eq!(remote.request(&write).unwrap_err(), RemoteError::Interrupted);
     remote.ping().unwrap();
     assert_eq!(remote.wire_stats().wire_reconnects, 1);
@@ -161,8 +161,9 @@ fn a_cut_write_is_never_re_sent() {
     server.join().unwrap();
 
     let log = log.lock().unwrap();
-    assert_eq!(log.iter().filter(|entry| entry.2 == "WriteBatch").count(), 1, "{log:?}");
-    assert_eq!(log[0].2, "WriteBatch");
+    let writes = log.iter().filter(|entry| entry.2 == "WriteBatchStrided").count();
+    assert_eq!(writes, 1, "{log:?}");
+    assert_eq!(log[0].2, "WriteBatchStrided");
     assert_eq!(log[1..].iter().map(|entry| entry.2).collect::<Vec<_>>(), ["Ping"]);
 }
 

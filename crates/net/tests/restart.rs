@@ -211,11 +211,11 @@ fn restart(daemon: NetDaemon, relay: &Relay, dir: &Path) -> NetDaemon {
 
 // ---- Raw cells. --------------------------------------------------------
 
-/// Every acknowledged cell — including zero-length cells — survives the
-/// restart bit-identical, the geometry set-up fixed survives with it (an
-/// address past it is still out of bounds mid-batch, a cell longer than the
-/// stride still refused), and the healed client keeps writing (and survives
-/// a *second* restart).
+/// Every acknowledged cell survives the restart bit-identical, the
+/// geometry set-up fixed survives with it (an address past it is still out
+/// of bounds mid-batch, a cell longer or shorter than the stride still
+/// refused), and the healed client keeps writing (and survives a *second*
+/// restart).
 #[test]
 fn raw_cells_survive_a_daemon_restart() {
     let dir = TempDir::new("raw");
@@ -226,8 +226,8 @@ fn raw_cells_survive_a_daemon_restart() {
     remote.init((0..16).map(|i| vec![i as u8; 24]).collect());
     remote.write(0, vec![0xA5; 24]).unwrap();
     remote.write(3, (0..24).collect()).unwrap();
-    remote.write(4, Vec::new()).unwrap(); // zero-length, but a value
-    remote.write(15, vec![0x5A; 7]).unwrap();
+    remote.write(4, vec![0; 24]).unwrap();
+    remote.write(15, vec![0x5A; 24]).unwrap();
 
     let daemon = restart(daemon, &relay, dir.path());
     remote.ping().expect("heal over idempotent traffic");
@@ -236,15 +236,17 @@ fn raw_cells_survive_a_daemon_restart() {
     let got = remote.try_read_batch(&[0, 3, 4, 15, 7]).unwrap();
     assert_eq!(got[0], vec![0xA5; 24]);
     assert_eq!(got[1], (0..24).collect::<Vec<u8>>());
-    assert_eq!(got[2], Vec::<u8>::new());
-    assert_eq!(got[3], vec![0x5A; 7]);
+    assert_eq!(got[2], vec![0; 24]);
+    assert_eq!(got[3], vec![0x5A; 24]);
     assert_eq!(got[4], vec![7; 24]);
     match remote.try_read_batch(&[7, 16]) {
         Err(RemoteError::Server(ServerError::OutOfBounds { addr: 16, capacity: 16 })) => {}
         other => panic!("the capacity must survive the restart, got {other:?}"),
     }
-    let too_long = ServerError::CellTooLong { addr: 7, len: 25, stride: 24 };
-    assert_eq!(remote.write(7, vec![7; 25]), Err(too_long));
+    for len in [25, 23] {
+        let wrong = ServerError::WrongCellLength { addr: 7, len, stride: 24 };
+        assert_eq!(remote.write(7, vec![7; len]), Err(wrong));
+    }
 
     remote.write(7, vec![0x77; 24]).unwrap();
     let daemon = restart(daemon, &relay, dir.path());
@@ -280,7 +282,7 @@ fn a_poisoned_store_behind_the_daemon_answers_in_band() {
     sim.plan_crash(sim.events(), 0);
     assert!(bystander.write_at(0, b"x").is_err());
 
-    let upload = Request::WriteBatch { writes: vec![(5, vec![1; LEN])] };
+    let upload = Request::WriteBatchStrided { addrs: vec![5], flat: vec![1; LEN] };
     match remote.request(&upload) {
         Err(RemoteError::Server(ServerError::Interrupted)) => {}
         other => panic!("the failed commit must be answered in-band, got {other:?}"),

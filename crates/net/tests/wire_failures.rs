@@ -44,26 +44,21 @@ fn deframe(mut buf: &[u8]) -> Result<(Vec<u8>, &[u8]), WireError> {
 fn arb_request() -> impl Strategy<Value = Request> {
     let addrs = proptest::collection::vec(0usize..10_000, 0..8);
     let cells = proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..6);
-    let writes = proptest::collection::vec(
-        (0usize..10_000, proptest::collection::vec(any::<u8>(), 0..24)),
-        0..6,
-    );
-    (0u8..13, addrs, cells, writes, any::<bool>(), proptest::collection::vec(any::<u8>(), 0..48))
-        .prop_map(|(variant, addrs, cells, writes, done, flat)| match variant {
+    (0u8..11, addrs, cells, any::<bool>(), proptest::collection::vec(any::<u8>(), 0..48)).prop_map(
+        |(variant, addrs, cells, done, flat)| match variant {
             0 => Request::Ping,
             1 => Request::InitChunk { done, cells },
             2 => Request::Capacity,
-            3 => Request::StoredBytes,
-            4 => Request::CellStride,
-            5 => Request::StartRecording,
-            6 => Request::TakeTranscript,
-            7 => Request::Stats,
-            8 => Request::ResetStats,
-            9 => Request::ReadBatch { addrs },
-            10 => Request::WriteBatch { writes },
-            11 => Request::WriteBatchStrided { addrs, flat },
+            3 => Request::CellStride,
+            4 => Request::StartRecording,
+            5 => Request::TakeTranscript,
+            6 => Request::Stats,
+            7 => Request::ResetStats,
+            8 => Request::ReadBatch { addrs },
+            9 => Request::WriteBatchStrided { addrs, flat },
             _ => Request::XorCells { addrs },
-        })
+        },
+    )
 }
 
 fn arb_response() -> impl Strategy<Value = Response> {
@@ -107,7 +102,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
             _ => Response::Fail(match v % 4 {
                 0 => ServerError::OutOfBounds { addr: n, capacity: n / 2 },
                 1 => ServerError::Integrity { addr: n },
-                2 => ServerError::CellTooLong { addr: n, len: n / 3 + 1, stride: n / 3 },
+                2 => ServerError::WrongCellLength { addr: n, len: n / 3 + 1, stride: n / 3 },
                 _ => ServerError::Interrupted,
             }),
         },
@@ -301,10 +296,13 @@ fn daemon_refuses_a_read_batch_whose_answer_cannot_fit_a_frame() {
 /// Allocation amplification attacks are stopped: a tiny frame must not be
 /// able to make the daemon allocate far beyond its budget. A 17-byte frame
 /// of the retired empty-init opcode claiming 2^40 cells is an unknown
-/// opcode and closes the connection; a set-up whose stride amplifies past
-/// [`DaemonLimits`] closes it too; and a write of a cell far longer than
-/// the stride is refused in-band as `CellTooLong` — the model allocates
-/// nothing for it, and the connection keeps serving.
+/// opcode and closes the connection; a set-up of many short cells and one
+/// long one — which would once have been laid out at the long one's
+/// stride — is two cell lengths and closes it too, and so does a set-up of
+/// one length past [`DaemonLimits`]; and a write of a cell far longer than
+/// the stride, or one byte longer or shorter, is refused in-band as
+/// `WrongCellLength` — the model allocates nothing for it, and the
+/// connection keeps serving.
 #[test]
 fn daemon_budget_stops_allocation_amplification() {
     let mut server = SimServer::new();
@@ -320,7 +318,8 @@ fn daemon_budget_stops_allocation_amplification() {
     assert_eq!(drain(&mut bad), 0, "a retired opcode must close, not allocate");
 
     // Stride amplification: 64 Ki one-byte cells plus a single 4 KiB
-    // cell encode to ~580 KiB but would allocate 64 Ki × 4 KiB = 256 MiB.
+    // cell encode to ~580 KiB but would once have allocated 64 Ki × 4 KiB
+    // = 256 MiB. Its cells differ in length: no set-up takes it.
     let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
     let mut cells = vec![vec![0u8; 1]; 1 << 16];
     cells.push(vec![0u8; 4096]);
@@ -329,23 +328,93 @@ fn daemon_budget_stops_allocation_amplification() {
     assert_eq!(drain(&mut bad), 0, "stride amplification must close, not allocate");
     assert_eq!(daemon.metrics().protocol_errors, before + 2);
 
-    // A 512 KiB cell against the 8-byte stride of the 64-cell store: the
-    // model refuses it before the store is asked, and says so in-band.
+    // One length, past the budget: 300 cells of 4 KiB project 1.2 MB.
+    let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
+    let evil = Request::InitChunk { done: true, cells: vec![vec![0u8; 4096]; 300] };
+    bad.write_all(&frame(&evil.encode()).unwrap()).unwrap();
+    assert_eq!(drain(&mut bad), 0, "an over-budget set-up must close, not allocate");
+    assert_eq!(daemon.metrics().protocol_errors, before + 3);
+
+    // A 512 KiB cell against the 8-byte stride of the 64-cell store, and
+    // cells one byte off it: the model refuses each before the store is
+    // asked, and says so in-band.
     let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
-    let evil = Request::WriteBatchStrided { addrs: vec![0], flat: vec![0u8; 1 << 19] };
-    let too_long = ServerError::CellTooLong { addr: 0, len: 1 << 19, stride: 8 };
-    assert_eq!(remote.request(&evil), Err(RemoteError::Server(too_long)));
-    let evil = Request::WriteBatch { writes: vec![(1, vec![1; 9]), (2, vec![0u8; 1 << 19])] };
-    let too_long = ServerError::CellTooLong { addr: 1, len: 9, stride: 8 };
-    assert_eq!(remote.request(&evil), Err(RemoteError::Server(too_long)));
+    for (addrs, len) in [(vec![0], 1 << 19), (vec![1, 2], 9), (vec![3], 7)] {
+        let flat = vec![0u8; addrs.len() * len];
+        let wrong = ServerError::WrongCellLength { addr: addrs[0], len, stride: 8 };
+        let evil = Request::WriteBatchStrided { addrs, flat };
+        assert_eq!(remote.request(&evil), Err(RemoteError::Server(wrong)));
+    }
     assert_eq!(remote.request(&Request::CellStride), Ok(Response::Number(8)));
-    assert_eq!(remote.request(&Request::StoredBytes), Ok(Response::Number(64 * 8)));
-    assert_eq!(daemon.metrics().protocol_errors, before + 2, "the refusals kept the connection");
+    assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(64)));
+    assert_eq!(daemon.metrics().protocol_errors, before + 3, "the refusals kept the connection");
     let stats = remote.request(&Request::Stats);
     assert!(matches!(stats, Ok(Response::Stats(s)) if s.uploads == 0 && s.round_trips == 0));
 
     // In-budget traffic still works, and the daemon survived all of it.
     assert_still_serving(daemon.local_addr());
+    daemon.shutdown();
+}
+
+/// The stored-bytes query (`0x05`) and the upload frame of cells of
+/// several lengths (`0x0D`) are retired: a frame of either — the latter as
+/// its last client wrote it — closes its connection like any unknown
+/// opcode, and the daemon serves everyone else.
+#[test]
+fn retired_ragged_cell_opcodes_close_the_connection() {
+    let daemon = daemon_with_cells(4);
+    // `0x0D` with two cells, (6, [1]) and (7, [2, 3]).
+    let mut write_batch = vec![0x0D];
+    for v in [2u64, 6, 1] {
+        write_batch.extend_from_slice(&v.to_le_bytes());
+    }
+    write_batch.push(1);
+    for v in [7u64, 2] {
+        write_batch.extend_from_slice(&v.to_le_bytes());
+    }
+    write_batch.extend_from_slice(&[2, 3]);
+    for (i, payload) in [vec![0x05], write_batch].iter().enumerate() {
+        let errors = daemon.metrics().protocol_errors;
+        let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
+        bad.write_all(&frame(payload).unwrap()).unwrap();
+        assert_eq!(drain(&mut bad), 0, "retired opcode {:#04x} answered", payload[0]);
+        assert_eq!(daemon.metrics().protocol_errors, errors + 1, "frame {i}");
+        assert_still_serving(daemon.local_addr());
+    }
+    daemon.shutdown();
+}
+
+/// A set-up's cells have the first one's length. A cell of another —
+/// longer or shorter, in the frame that opened the run or in a later one —
+/// closes the connection before anything is laid out: the store keeps what
+/// it held, the daemon counts a protocol error and serves everyone else.
+#[test]
+fn a_ragged_set_up_closes_the_connection_wherever_the_odd_cell_arrives() {
+    let daemon = daemon_with_cells(4);
+    let chunk = |done, cells| Request::InitChunk { done, cells };
+    let runs = [
+        vec![chunk(true, vec![vec![5u8; 8], vec![5; 8], vec![5; 9]])],
+        vec![chunk(false, vec![vec![5u8; 8]; 3]), chunk(true, vec![vec![5u8; 8], vec![5; 7]])],
+        vec![chunk(false, vec![vec![5u8; 8]; 3]), chunk(true, vec![vec![]])],
+        vec![chunk(false, vec![vec![]; 2]), chunk(true, vec![vec![5u8; 1]])],
+    ];
+    for (i, run) in runs.iter().enumerate() {
+        let errors = daemon.metrics().protocol_errors;
+        let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
+        let (last, first) = run.split_last().unwrap();
+        for (id, request) in first.iter().enumerate() {
+            raw.write_all(&request.encode_framed_v2(id as u64).unwrap())
+                .unwrap();
+            let (_, payload) = read_frame_v2(&mut raw).unwrap().expect("the run's first chunks");
+            assert_eq!(Response::decode(&payload), Ok(Response::Ok), "run {i}");
+        }
+        raw.write_all(&last.encode_framed_v2(9).unwrap()).unwrap();
+        assert_eq!(drain(&mut raw), 0, "run {i}: a ragged set-up must close, not answer");
+        assert_eq!(daemon.metrics().protocol_errors, errors + 1, "run {i}");
+        let remote = RemoteServer::connect(daemon.local_addr()).expect("connect");
+        assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(4)), "run {i}");
+        assert_still_serving(daemon.local_addr());
+    }
     daemon.shutdown();
 }
 

@@ -191,6 +191,7 @@ impl<S: Storage> LinearOram<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_server::{Accounted, CellBackend, CellStore, ServerError};
 
     fn build(n: usize) -> (LinearOram, ChaChaRng) {
         let mut rng = ChaChaRng::seed_from_u64(1);
@@ -272,18 +273,51 @@ mod tests {
         assert_eq!(digest, 0xcf9e_e5f3_fe02_c5ae, "outputs, stats, transcript and server cells");
     }
 
+    /// A memory backend that answers a download of `lie`'s address with
+    /// `lie`'s bytes, of any length, whatever it stores: the server, not
+    /// the client, chooses what a download returns.
+    #[derive(Debug, Default)]
+    struct Lying {
+        cells: CellStore,
+        lie: Option<(usize, Vec<u8>)>,
+    }
+
+    impl CellBackend for Lying {
+        fn capacity(&self) -> usize {
+            self.cells.capacity()
+        }
+        fn stride(&self) -> usize {
+            self.cells.stride()
+        }
+        fn reset(&mut self, contents: CellStore) {
+            self.cells = contents;
+        }
+        fn get(&mut self, addr: usize) -> Result<&[u8], ServerError> {
+            match &self.lie {
+                Some((at, cell)) if *at == addr => Ok(cell),
+                _ => Ok(self.cells.get(addr)),
+            }
+        }
+        fn put<'a>(
+            &mut self,
+            items: impl Iterator<Item = (usize, &'a [u8])>,
+        ) -> Result<(), ServerError> {
+            self.cells.put(items)
+        }
+    }
+
     /// The server chooses the length of the cells it returns. One of the
     /// wrong length is a typed error after a full-shape round trip — never
     /// an index past the scratch, never a stale slot decrypted as current —
-    /// and the client works again once the cell is restored.
+    /// and the client works again once the server stops lying.
     #[test]
     fn wrong_length_cell_is_a_typed_error() {
-        let (mut oram, mut rng) = build(8);
+        let blocks: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 8]).collect();
+        let mut rng = ChaChaRng::seed_from_u64(1);
+        let mut oram = LinearOram::setup(&blocks, Accounted::over(Lying::default()), &mut rng);
         let good = oram.server.read(5).unwrap();
-        // A lying server cannot store a longer cell (the stride refuses it),
-        // so it stores a shorter one of the wrong length.
-        for bad_len in [good.len() - 1, good.len() - 5, 0] {
-            oram.server.write(5, vec![0xA5; bad_len]).unwrap();
+        for bad_len in [good.len() + 1, good.len() - 1, good.len() - 5, 0] {
+            oram.server.lie = Some((5, vec![0xA5; bad_len]));
             let before = oram.server_stats();
             match oram.read(2, &mut rng) {
                 Err(LinearOramError::Storage(message)) => assert_eq!(
@@ -296,7 +330,7 @@ mod tests {
             assert_eq!((moved.downloads, moved.uploads, moved.round_trips), (8, 0, 1));
             assert!(oram.pt_flat.iter().all(|&b| b == 0), "plaintext scratch scrubbed");
         }
-        oram.server.write(5, good).unwrap();
+        oram.server.lie = None;
         assert_eq!(oram.read(2, &mut rng).unwrap(), vec![2u8; 8]);
         assert_eq!(oram.read(5, &mut rng).unwrap(), vec![5u8; 8]);
     }

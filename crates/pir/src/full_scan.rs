@@ -69,6 +69,7 @@ impl<S: Storage> FullScanPir<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_server::{Accounted, CellBackend, CellStore};
 
     fn build(n: usize) -> FullScanPir {
         let blocks: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 4]).collect();
@@ -91,21 +92,57 @@ mod tests {
         assert_eq!(pir.server_stats().since(&before).downloads, 32);
     }
 
-    /// A record rewritten to a different length behind the client's back
-    /// comes back as stored, and its neighbours are unaffected.
+    /// A memory backend that answers a download of `lie`'s address with
+    /// `lie`'s bytes, of any length, whatever it stores: the server, not
+    /// the client, chooses what a download returns.
+    #[derive(Debug, Default)]
+    struct Lying {
+        cells: CellStore,
+        lie: Option<(usize, Vec<u8>)>,
+    }
+
+    impl CellBackend for Lying {
+        fn capacity(&self) -> usize {
+            self.cells.capacity()
+        }
+        fn stride(&self) -> usize {
+            self.cells.stride()
+        }
+        fn reset(&mut self, contents: CellStore) {
+            self.cells = contents;
+        }
+        fn get(&mut self, addr: usize) -> Result<&[u8], ServerError> {
+            match &self.lie {
+                Some((at, cell)) if *at == addr => Ok(cell),
+                _ => Ok(self.cells.get(addr)),
+            }
+        }
+        fn put<'a>(
+            &mut self,
+            items: impl Iterator<Item = (usize, &'a [u8])>,
+        ) -> Result<(), ServerError> {
+            self.cells.put(items)
+        }
+    }
+
+    /// A record the server returns at another length than it stores —
+    /// shorter, longer, empty — comes back as returned: the data is
+    /// public, so the client has nothing to check it against. Its
+    /// neighbours are unaffected, and a store holds no such record: an
+    /// upload of one is refused.
     #[test]
     fn scan_returns_mutated_record_lengths_as_stored() {
         let blocks: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 6]).collect();
-        let mut pir = FullScanPir::setup(&blocks, SimServer::new());
-        // Shrink one record, then another.
-        pir.server_mut().write(3, vec![9u8; 2]).unwrap();
-        assert_eq!(pir.query(3).unwrap(), vec![9u8; 2]);
-        assert_eq!(pir.query(5).unwrap(), vec![5u8; 6]);
-        pir.server_mut().write(6, vec![8u8; 5]).unwrap();
-        assert_eq!(pir.query(6).unwrap(), vec![8u8; 5]);
-        assert_eq!(pir.query(3).unwrap(), vec![9u8; 2]);
-        // No record grows past the uniform length: the server refuses it.
+        let mut pir = FullScanPir::setup(&blocks, Accounted::over(Lying::default()));
+        for (addr, len) in [(3, 2), (6, 10), (6, 0)] {
+            pir.server_mut().lie = Some((addr, vec![9u8; len]));
+            assert_eq!(pir.query(addr).unwrap(), vec![9u8; len]);
+            assert_eq!(pir.query(5).unwrap(), vec![5u8; 6]);
+        }
+        assert!(pir.server_mut().write(3, vec![8u8; 2]).is_err());
         assert!(pir.server_mut().write(3, vec![8u8; 10]).is_err());
+        pir.server_mut().lie = None;
+        assert_eq!(pir.query(3).unwrap(), vec![3u8; 6]);
         assert_eq!(pir.query(7).unwrap(), vec![7u8; 6]);
     }
 

@@ -1,9 +1,10 @@
 //! The durable backend's cell cache: the cells its disk does not have yet.
 //!
 //! [`CellCache`] keeps cell *payloads* for
-//! [`DiskStore`](crate::DiskStore) in a slab of stride-sized slots, while
-//! the per-cell metadata (lengths — and this cache's 4-byte page-table
-//! entry) stays fully resident. Lookup is a single array index —
+//! [`DiskStore`](crate::DiskStore) in a slab of stride-sized slots — every
+//! cell is one stride long, so a slot is a cell and the store keeps no
+//! per-cell metadata but this cache's 4-byte page-table entry, in the
+//! bounded layout only. Lookup is a single array index —
 //! `addr → slot` goes through a flat `Vec<u32>` page table, not a hash map
 //! — because the cache sits on the zero-copy read hot path, where a
 //! per-cell hash would triple the cost of a hit.
@@ -24,8 +25,8 @@
 //! capacity`) the cache instead runs in **identity mode**: the slab is
 //! laid out `slot == addr` and sized `capacity × stride` up front, the
 //! store warms it with one bulk arena read (or moves set-up's image into
-//! it), and every cell stays resident, clean or dirty — so the
-//! read path is a direct slab slice with no page-table load at all, and
+//! it), and every cell is resident from the start, clean or dirty — so the
+//! read path is a direct slab slice with no page table at all, and
 //! write-back only forgets which cells were dirty. The mode is chosen once
 //! per set-up: the stride it derives the slot budget from is fixed until
 //! the next one (NOTES.md, entry 13).
@@ -47,7 +48,8 @@ pub(crate) struct CellCache {
     max_slots: usize,
     /// Slot payloads: slot `i` at `i * stride`.
     data: Vec<u8>,
-    /// Page table: address → slot (or [`NONE_SLOT`]). One entry per cell.
+    /// Bounded mode's page table: address → slot (or [`NONE_SLOT`]), one
+    /// entry per cell. Empty in identity mode, where `slot == addr`.
     slot_of: Vec<u32>,
     /// The addresses written since the last write-back, first-dirtied
     /// order. Bounded mode: `dirty[slot]` is the address in `slot` — every
@@ -71,29 +73,27 @@ impl CellCache {
 
     /// [`CellCache::new`] for a store whose arena image the caller holds:
     /// in identity mode `image` (`capacity × stride` bytes, or none for
-    /// zeros) *becomes* the slab — moved, not copied; the caller still
-    /// marks the written cells resident ([`CellCache::adopt`]). A bounded
-    /// cache starts empty and drops it.
+    /// zeros the caller fills, [`CellCache::slab_mut`]) *becomes* the slab
+    /// — moved, not copied — and every cell is resident. A bounded cache
+    /// starts empty and drops it.
     pub fn over(capacity: usize, stride: usize, cache_bytes: usize, image: Vec<u8>) -> Self {
         let max_slots = budget_slots(cache_bytes, stride);
         let identity = max_slots >= capacity;
+        debug_assert!(image.is_empty() || image.len() == capacity * stride);
         // Identity mode pre-sizes the slab (it is within the byte budget
         // by definition); bounded mode grows it slot by slot on demand.
-        let slots = if identity { capacity } else { 0 };
-        debug_assert!(image.is_empty() || image.len() == capacity * stride);
-        let data = if image.len() == slots * stride { image } else { vec![0u8; slots * stride] };
-        Self {
-            stride,
-            max_slots,
-            data,
-            slot_of: vec![NONE_SLOT; capacity],
-            dirty: Vec::new(),
-            live: 0,
-            identity,
-        }
+        let (data, slot_of, live) = if !identity {
+            (Vec::new(), vec![NONE_SLOT; capacity], 0)
+        } else if image.len() == capacity * stride {
+            (image, Vec::new(), capacity)
+        } else {
+            (vec![0u8; capacity * stride], Vec::new(), capacity)
+        };
+        Self { stride, max_slots, data, slot_of, dirty: Vec::new(), live, identity }
     }
 
-    /// The slot holding `addr`, or `None` when the cell is not resident.
+    /// The slot holding `addr`, or `None` when the cell is not resident
+    /// (bounded mode).
     #[inline]
     pub fn slot(&self, addr: usize) -> Option<usize> {
         let slot = self.slot_of[addr];
@@ -107,42 +107,31 @@ impl CellCache {
         self.identity
     }
 
-    /// Identity-mode direct read: the first `len` payload bytes of
-    /// `addr`'s slab position. No residency check — the store's warm-up
-    /// invariant (every non-empty cell is resident) makes the slice
-    /// authoritative for any cell.
+    /// The whole identity-mode slab — the arena image — for bulk warm-up
+    /// from the arena and for write-back's runs. No residency check: the
+    /// store's warm-up invariant makes it authoritative for every cell.
     #[inline]
-    pub fn identity_bytes(&self, addr: usize, len: usize) -> &[u8] {
+    pub fn slab(&self) -> &[u8] {
         debug_assert!(self.identity);
-        &self.data[addr * self.stride..addr * self.stride + len]
+        &self.data
     }
 
-    /// The whole identity-mode slab, for bulk warm-up from the arena.
+    /// [`CellCache::slab`], mutable.
     pub fn slab_mut(&mut self) -> &mut [u8] {
         debug_assert!(self.identity);
         &mut self.data
     }
 
-    /// Identity-mode bookkeeping: marks `addr` resident without touching
-    /// its payload (the caller filled the slab position).
-    pub fn adopt(&mut self, addr: usize) {
-        debug_assert!(self.identity);
-        if self.slot_of[addr] == NONE_SLOT {
-            self.slot_of[addr] = addr as u32;
-            self.live += 1;
-        }
+    /// The cell in `slot` (in identity mode, `slot == addr`).
+    #[inline]
+    pub fn slot_bytes(&self, slot: usize) -> &[u8] {
+        &self.data[slot * self.stride..(slot + 1) * self.stride]
     }
 
-    /// The first `len` payload bytes of `slot`.
+    /// [`CellCache::slot_bytes`], mutable.
     #[inline]
-    pub fn slot_bytes(&self, slot: usize, len: usize) -> &[u8] {
-        &self.data[slot * self.stride..slot * self.stride + len]
-    }
-
-    /// Mutable access to the first `len` payload bytes of `slot`.
-    #[inline]
-    pub fn slot_bytes_mut(&mut self, slot: usize, len: usize) -> &mut [u8] {
-        &mut self.data[slot * self.stride..slot * self.stride + len]
+    pub fn slot_bytes_mut(&mut self, slot: usize) -> &mut [u8] {
+        &mut self.data[slot * self.stride..(slot + 1) * self.stride]
     }
 
     /// The slot a write of `addr` goes to, marked dirty: the one `addr`
@@ -151,7 +140,6 @@ impl CellCache {
     /// writes back.
     pub fn dirty_slot(&mut self, addr: usize) -> usize {
         if self.identity {
-            self.adopt(addr);
             self.dirty.push(addr);
             return addr;
         }
@@ -207,20 +195,21 @@ impl CellCache {
 }
 
 /// Slot budget for a byte budget: at least one slot (a budget smaller than
-/// one cell still lets one dirty cell wait for the next commit), except for
-/// the degenerate stride-0 geometry, which caches nothing because
-/// zero-length cells carry no payload at all.
+/// one cell still lets one dirty cell wait for the next commit). Cells of
+/// the degenerate stride 0 carry no payload, so any budget mirrors them all.
 fn budget_slots(cache_bytes: usize, stride: usize) -> usize {
-    cache_bytes.checked_div(stride).map_or(0, |slots| slots.max(1))
+    cache_bytes
+        .checked_div(stride)
+        .map_or(usize::MAX, |slots| slots.max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn written(cache: &mut CellCache, addr: usize, byte: u8, len: usize) -> usize {
+    fn written(cache: &mut CellCache, addr: usize, byte: u8) -> usize {
         let slot = cache.dirty_slot(addr);
-        cache.slot_bytes_mut(slot, len).fill(byte);
+        cache.slot_bytes_mut(slot).fill(byte);
         slot
     }
 
@@ -228,55 +217,59 @@ mod tests {
     fn lookup_hits_resident_and_misses_absent() {
         let mut cache = CellCache::new(16, 8, 64);
         assert_eq!(cache.slot(3), None);
-        written(&mut cache, 3, 0xAB, 8);
+        written(&mut cache, 3, 0xAB);
         let slot = cache.slot(3).expect("resident after a write");
-        assert_eq!(cache.slot_bytes(slot, 8), &[0xAB; 8]);
+        assert_eq!(cache.slot_bytes(slot), &[0xAB; 8]);
         assert_eq!(cache.slot(4), None);
         // A rewrite reuses the slot and is listed once.
-        assert_eq!(written(&mut cache, 3, 0xCD, 8), slot);
+        assert_eq!(written(&mut cache, 3, 0xCD), slot);
         assert_eq!((cache.dirty(), cache.resident()), (&[3][..], 1));
     }
 
     #[test]
     fn dirty_slots_are_pinned_and_overshoot_shrinks_after_clean() {
         let mut cache = CellCache::new(16, 8, 16); // budget: 2 slots
-        written(&mut cache, 9, 1, 8);
-        written(&mut cache, 0, 2, 8);
+        written(&mut cache, 9, 1);
+        written(&mut cache, 0, 2);
         assert!(!cache.over_budget());
         // A third dirty cell grows the slab past the budget; nothing leaves.
-        written(&mut cache, 4, 3, 8);
+        written(&mut cache, 4, 3);
         assert!(cache.over_budget());
         assert_eq!(cache.resident(), 3);
         assert_eq!(cache.dirty(), &[9, 0, 4]);
         cache.sort_dirty();
         assert_eq!(cache.dirty(), &[0, 4, 9]);
-        assert_eq!(cache.slot_bytes(cache.slot(9).unwrap(), 8), &[1; 8], "sorting moves no slot");
+        assert_eq!(cache.slot_bytes(cache.slot(9).unwrap()), &[1; 8], "sorting moves no slot");
         cache.clean_all();
         assert_eq!((cache.resident(), cache.dirty().len()), (0, 0));
         assert_eq!((cache.slot(0), cache.slot(4), cache.slot(9)), (None, None, None));
         // The emptied slab is reused from slot 0.
-        assert_eq!(written(&mut cache, 5, 4, 8), 0);
+        assert_eq!(written(&mut cache, 5, 4), 0);
     }
 
     #[test]
     fn identity_mirrors_every_cell_and_lists_each_dirty_one_once() {
         let mut cache = CellCache::new(4, 4, 64);
         assert!(cache.is_identity());
-        cache.adopt(0);
-        assert_eq!(written(&mut cache, 3, 5, 4), 3);
-        written(&mut cache, 1, 6, 4);
-        written(&mut cache, 3, 7, 4);
+        assert_eq!(cache.resident(), 4, "every cell is mirrored from the start");
+        assert_eq!(written(&mut cache, 3, 5), 3);
+        written(&mut cache, 1, 6);
+        written(&mut cache, 3, 7);
         assert_eq!(cache.dirty(), &[3, 1, 3]);
         cache.sort_dirty();
         assert_eq!(cache.dirty(), &[1, 3]);
         cache.clean_all();
-        assert_eq!((cache.resident(), cache.slot(3)), (3, Some(3)), "clean cells stay mirrored");
+        assert_eq!(cache.resident(), 4, "clean cells stay mirrored");
+        assert_eq!(&cache.slab()[4..], &[6, 6, 6, 6, 0, 0, 0, 0, 7, 7, 7, 7]);
         assert!(!cache.over_budget());
     }
 
+    /// Empty cells carry no payload, so a stride-0 cache holds no bytes:
+    /// any budget, however small, mirrors the store whole.
     #[test]
     fn zero_stride_caches_nothing_by_budget() {
-        let cache = CellCache::new(8, 0, 4096);
-        assert_eq!(cache.max_slots, 0);
+        let cache = CellCache::new(8, 0, 0);
+        assert!(cache.is_identity());
+        assert_eq!((cache.resident(), cache.slab().len()), (8, 0));
     }
 }

@@ -4,11 +4,10 @@
 //! [`DiskBackend`], a write-ahead-logged, file-backed
 //! [`CellBackend`] that serves databases **larger than RAM**. Bounds
 //! checks, cost counters and the transcript are the model's; this module
-//! only keeps cells — `get` and `put`. Only the per-cell metadata
-//! (the length table — 4 bytes per cell, the same `CellIndex` the memory
-//! arena keeps) is always resident; cell *payloads* live in the
-//! arena file, and RAM holds only what the arena lacks (`cache.rs`, NOTES.md
-//! entry 12):
+//! only keeps cells — `get` and `put`. Every cell is one stride long
+//! (NOTES.md, entry 21), so the geometry — capacity and stride — is all the
+//! metadata there is; cell *payloads* live in the arena file, and RAM holds
+//! only what the arena lacks (`cache.rs`, NOTES.md entry 12):
 //!
 //! - a read **hit** is a *dirty* cell — written since the last write-back —
 //!   and hands out a slice borrowed straight from the cache slab, the same
@@ -68,7 +67,7 @@
 //!
 //! A *checkpoint* makes the arena authoritative again and recycles the
 //! log: write back every dirty cell, sync the arena, write a metadata
-//! snapshot (stride, lengths) with a bumped generation stamp, then rewrite
+//! snapshot (the geometry) with a bumped generation stamp, then rewrite
 //! the WAL header with the new stamp — one write, one sync; the old generation's records stay where they are
 //! and are overwritten as the new one grows. Snapshots alternate between
 //! two metadata files and — for the geometry checkpoint of a set-up, the
@@ -123,7 +122,12 @@
 //! format decodes, and no file is touched. Without that check such a
 //! directory with no usable log would look fresh, and the fresh store's
 //! first checkpoint would empty its arena. There is no migration: no such
-//! directory was ever deployed (NOTES.md, entry 14).
+//! directory was ever deployed (NOTES.md, entry 14). Format 2's bytes still
+//! carry a length per cell, in every snapshot and WAL record, and each is
+//! the stride: a checksum-valid snapshot whose table says otherwise — what
+//! a store of unequal cells wrote before cells were held to the stride —
+//! is refused the same way, naming the cell and both lengths, and so is a
+//! record of a cell of another length (NOTES.md, entry 21).
 //!
 //! All I/O goes through the [`Vfs`]/[`DiskFile`] traits; production uses
 //! [`RealVfs`] (plain files + `pwrite`), tests use
@@ -135,11 +139,11 @@
 //! [`ServerError::Interrupted`] (matching the network client's typed
 //! surface for "application state unknown") and every later mutation fails
 //! fast the same way (after the model's bounds check: an out-of-range
-//! address is `OutOfBounds`, and a cell longer than the stride
-//! `CellTooLong`, on a poisoned store too). Reads keep serving **cache
+//! address is `OutOfBounds`, and a cell of another length than the stride
+//! `WrongCellLength`, on a poisoned store too). Reads keep serving **cache
 //! hits** (every dirty cell: the acknowledged ones, and the cells of the
-//! batch whose commit failed — "state unknown" allows either value) and
-//! zero-length cells, but a cache *miss* would have to touch the failing
+//! batch whose commit failed — "state unknown" allows either value, and in
+//! identity mode every cell), but a cache *miss* would have to touch the failing
 //! arena file — lent or read — so it also returns `Interrupted` instead of
 //! handing back bytes of unknown provenance; and a poisoned store never
 //! writes back. The recovery path is to drop the store and `open` the
@@ -163,7 +167,7 @@ use crate::mapping::MappedFile;
 use crate::server::{Accounted, CellBackend, ServerError};
 use crate::settings;
 use crate::stats::CacheTelemetry;
-use crate::store::{CellIndex, CellStore};
+use crate::store::CellStore;
 use crate::wal::{
     decode_meta, decode_wal_header, encode_meta, encode_wal_header, meta_version, scan_records,
     DiskError, Meta, RecordBuilder, WalHeader, FORMAT_VERSION, WAL_HEADER_LEN,
@@ -325,8 +329,8 @@ pub struct DiskOptions {
     /// takes this much disk, set-up zero-fills it once, and recovery reads
     /// and scans at most this many bytes.
     pub wal_checkpoint_bytes: u64,
-    /// Byte budget of the cell cache (payload bytes; the per-cell metadata
-    /// is always resident). Defaults to the `DPS_CACHE_BYTES` environment
+    /// Byte budget of the cell cache (payload bytes; a bounded cache's
+    /// page table is always resident). Defaults to the `DPS_CACHE_BYTES` environment
     /// variable when set (a value that is not a number is a configuration
     /// error and panics, naming it), else 1 GiB. It means two things and
     /// nothing else: a budget that covers the whole database selects
@@ -370,9 +374,10 @@ pub type DiskStore<V = RealVfs> = Accounted<DiskBackend<V>>;
 /// The durable [`CellBackend`]: cache + WAL + checkpoints over a [`Vfs`].
 #[derive(Debug)]
 pub struct DiskBackend<V: Vfs = RealVfs> {
-    /// Always-resident per-cell metadata (arena slot width, lengths, stored
-    /// bytes).
-    index: CellIndex,
+    /// Number of cells.
+    capacity: usize,
+    /// The length of every cell, and the arena's slot width.
+    stride: usize,
     /// The dirty cells, or the identity mirror (see [`crate::cache`]).
     cache: CellCache,
     telemetry: CacheTelemetry,
@@ -440,7 +445,9 @@ impl<V: Vfs> DiskBackend<V> {
         let mut foreign = None;
         for (slot, file) in meta.iter().enumerate() {
             let bytes = read_all(file)?;
-            match decode_meta(&bytes) {
+            let decoded = decode_meta(&bytes)
+                .map_err(|detail| DiskError::corrupt(format!("{}: {detail}", META_NAMES[slot])))?;
+            match decoded {
                 Some(m) if best.as_ref().is_none_or(|(_, b)| m.stamp > b.stamp) => {
                     best = Some((slot, m));
                 }
@@ -509,9 +516,13 @@ impl<V: Vfs> DiskBackend<V> {
                 ));
             }
             for (addr, bytes) in scan.records.iter().flatten() {
-                if *addr >= store.index.capacity() || bytes.len() > store.index.stride() {
+                if *addr >= store.capacity || bytes.len() != store.stride {
                     return Err(DiskError::corrupt(format!(
-                        "WAL record writes cell {addr} outside snapshot geometry"
+                        "WAL record writes {} bytes to cell {addr}, outside the snapshot's \
+                         {} cells of {} bytes",
+                        bytes.len(),
+                        store.capacity,
+                        store.stride
                     )));
                 }
             }
@@ -553,7 +564,8 @@ impl<V: Vfs> DiskBackend<V> {
     ) -> Self {
         Self {
             cache: CellCache::new(m.capacity, m.stride, opts.cache_bytes),
-            index: CellIndex::from_parts(m.stride, m.lens),
+            capacity: m.capacity,
+            stride: m.stride,
             telemetry: CacheTelemetry::default(),
             arena,
             meta,
@@ -569,21 +581,23 @@ impl<V: Vfs> DiskBackend<V> {
         }
     }
 
-    /// Applies one recovered WAL write: pwrite into the active arena slot
-    /// and update the resident metadata. Replay is not an observable
-    /// operation (no stats, no transcript, no cache population), and it is
-    /// idempotent — re-running it after a crash writes the same bytes.
+    /// Applies one recovered WAL write: pwrite into the active arena slot.
+    /// Replay is not an observable operation (no stats, no transcript, no
+    /// cache population), and it is idempotent — re-running it after a
+    /// crash writes the same bytes.
     fn replay(&mut self, addr: usize, bytes: &[u8]) -> Result<(), DiskError> {
         if !bytes.is_empty() {
-            self.arena[self.active].write_at(addr as u64 * self.index.stride() as u64, bytes)?;
+            self.arena[self.active].write_at(addr as u64 * self.stride as u64, bytes)?;
         }
-        self.index.record(addr, bytes.len());
         Ok(())
     }
 
     /// Replaces the contents with `cells`, like
     /// [`Storage::init`](crate::Storage::init), but with a typed error
     /// instead of a panic when the disk fails.
+    ///
+    /// # Panics
+    /// Panics if the cells differ in length, as every set-up does.
     pub fn try_init(&mut self, cells: Vec<Vec<u8>>) -> Result<(), DiskError> {
         self.load(CellStore::from_cells(&cells))
     }
@@ -594,19 +608,15 @@ impl<V: Vfs> DiskBackend<V> {
     /// to the old snapshot or to all of the new one.
     fn load(&mut self, contents: CellStore) -> Result<(), DiskError> {
         self.check_poisoned()?;
-        let (image, index) = contents.into_parts();
-        self.index = index;
+        (self.capacity, self.stride) = (contents.capacity(), contents.stride());
+        let image = contents.into_image();
         // Every cached entry belongs to the contents being replaced.
         self.cache = CellCache::new(0, 0, self.opts.cache_bytes);
         let written = self.geometry_checkpoint(&image);
         // In identity mode the image in hand becomes the slab — moved, so
         // the database has one owner here — instead of being copied into
         // one or read back from the arena.
-        let (capacity, stride) = (self.index.capacity(), self.index.stride());
-        self.cache = CellCache::over(capacity, stride, self.opts.cache_bytes, image);
-        if self.cache.is_identity() {
-            self.adopt_nonempty();
-        }
+        self.cache = CellCache::over(self.capacity, self.stride, self.opts.cache_bytes, image);
         written.map_err(|e| self.poison(e))
     }
 
@@ -666,14 +676,15 @@ impl<V: Vfs> DiskBackend<V> {
     /// or short read (the snapshot promised these bytes, so the arena file
     /// is inconsistent with the metadata) poisons the store.
     #[inline(never)]
-    fn miss(&mut self, addr: usize, len: usize) -> Result<&[u8], ServerError> {
+    fn miss(&mut self, addr: usize) -> Result<&[u8], ServerError> {
         if self.poisoned {
             // The backing file is failing; a miss would return bytes of
             // unknown provenance. Hits keep working, misses fail typed.
             return Err(ServerError::Interrupted);
         }
         self.telemetry.misses += 1;
-        let offset = addr as u64 * self.index.stride() as u64;
+        let len = self.stride;
+        let offset = addr as u64 * len as u64;
         // `arena` borrows one field shared and everything below touches
         // the others, which is what lets the lent (or read) slice leave a
         // `&mut self` method.
@@ -695,12 +706,12 @@ impl<V: Vfs> DiskBackend<V> {
     }
 
     /// Identity-mode warm-up: when the cache budget covers the whole
-    /// database, bulk-read the active arena slot into the slab and mark
-    /// every non-empty cell resident. From then on reads are direct slab
-    /// slices and misses cannot occur; bounded budgets skip this and serve
-    /// misses from the arena file instead.
+    /// database, bulk-read the active arena slot into the slab, whose
+    /// every cell is resident. From then on reads are direct slab slices
+    /// and misses cannot occur; bounded budgets skip this and serve misses
+    /// from the arena file instead.
     fn warm_cache(&mut self) -> Result<(), DiskError> {
-        if !self.cache.is_identity() || self.index.stride() == 0 {
+        if !self.cache.is_identity() {
             return Ok(());
         }
         let active = self.active;
@@ -714,35 +725,7 @@ impl<V: Vfs> DiskBackend<V> {
                 )));
             }
         }
-        self.adopt_nonempty();
         Ok(())
-    }
-
-    /// Marks every non-empty cell resident (identity-mode bookkeeping after
-    /// the slab has been bulk-filled).
-    fn adopt_nonempty(&mut self) {
-        for addr in 0..self.index.capacity() {
-            if self.index.len_of(addr) > 0 {
-                self.cache.adopt(addr);
-            }
-        }
-    }
-
-    /// Applies the batch the record holds to the cache as dirty cells
-    /// (nothing is charged to stats here).
-    fn apply_batch(&mut self) {
-        for (addr, cell) in self.batch.writes() {
-            // Until it is written back the cache holds the only readable
-            // copy of the payload, so a write always takes a slot.
-            self.index.record(addr, cell.len());
-            if cell.is_empty() {
-                // Zero-length payloads never occupy a slot; any stale
-                // resident bytes are masked by the length table.
-                continue;
-            }
-            let slot = self.cache.dirty_slot(addr);
-            self.cache.slot_bytes_mut(slot, cell.len()).copy_from_slice(cell);
-        }
     }
 
     /// The batch as one record, one write at the log's end, the covering
@@ -768,7 +751,7 @@ impl<V: Vfs> DiskBackend<V> {
     /// every dirty cell is then covered by one, which is what allows the
     /// arena to hold it before the next snapshot.
     fn write_back(&mut self) -> Result<(), DiskError> {
-        let stride = self.index.stride();
+        let stride = self.stride;
         let identity = self.cache.is_identity();
         let bridge = if identity { WRITE_BACK_GAP / stride.max(1) } else { 0 };
         self.cache.sort_dirty();
@@ -782,18 +765,15 @@ impl<V: Vfs> DiskBackend<V> {
                 last = dirty[next];
                 next += 1;
             }
-            // Whole strides up to the last cell, which ends at its length.
-            let len = (last - first) * stride + self.index.len_of(last);
             let bytes = if identity {
-                self.cache.identity_bytes(first, len)
+                &self.cache.slab()[first * stride..(last + 1) * stride]
             } else {
                 self.scratch.clear();
                 for &addr in &dirty[run..next] {
                     let slot = self.cache.slot(addr).expect("a dirty cell is resident");
-                    self.scratch
-                        .extend_from_slice(self.cache.slot_bytes(slot, stride));
+                    self.scratch.extend_from_slice(self.cache.slot_bytes(slot));
                 }
-                &self.scratch[..len]
+                &self.scratch[..]
             };
             if !bytes.is_empty() {
                 self.arena[self.active].write_at((first * stride) as u64, bytes)?;
@@ -854,13 +834,7 @@ impl<V: Vfs> DiskBackend<V> {
             .stamp
             .checked_add(1)
             .ok_or_else(|| DiskError::corrupt("checkpoint stamp exhausted"))?;
-        let m = Meta {
-            stamp,
-            active,
-            capacity: self.index.capacity(),
-            stride: self.index.stride(),
-            lens: self.index.lens().to_vec(),
-        };
+        let m = Meta { stamp, active, capacity: self.capacity, stride: self.stride };
         let bytes = encode_meta(&m);
         let slot = 1 - self.meta_slot;
         self.meta[slot].set_len(0)?;
@@ -899,7 +873,7 @@ impl Meta {
     /// The metadata of a brand-new empty store (the fresh-open path; the
     /// first checkpoint flips `active` to slot 0).
     fn empty() -> Self {
-        Meta { stamp: 0, active: 1, capacity: 0, stride: 0, lens: Vec::new() }
+        Meta { stamp: 0, active: 1, capacity: 0, stride: 0 }
     }
 }
 
@@ -919,49 +893,39 @@ fn read_all(file: &impl DiskFile) -> Result<Vec<u8>, DiskError> {
 
 impl<V: Vfs> CellBackend for DiskBackend<V> {
     fn capacity(&self) -> usize {
-        self.index.capacity()
+        self.capacity
     }
 
     fn stride(&self) -> usize {
-        self.index.stride()
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.index.stored_bytes()
+        self.stride
     }
 
     fn reset(&mut self, contents: CellStore) {
         self.load(contents).expect("DiskStore set-up: checkpoint failed");
     }
 
-    /// Hits and zero-length cells come straight from memory: out of the
-    /// cache slab, or the length table alone. A miss is lent by the active
+    /// Hits come straight from the cache slab. A miss is lent by the active
     /// arena file or costs one positioned read from it — or, on a poisoned
     /// store, is [`ServerError::Interrupted`].
     #[inline(always)]
     fn get(&mut self, addr: usize) -> Result<&[u8], ServerError> {
-        let len = self.index.len_of(addr);
         if self.cache.is_identity() {
             // Identity mode: the warm-up invariant makes the slab
             // authoritative for every cell, so this is a direct slice —
-            // the mirror-read fast path. Zero-length cells are neither hits
-            // nor misses in either mode.
-            self.telemetry.hits += u64::from(len > 0);
-            return Ok(self.cache.identity_bytes(addr, len));
+            // the mirror-read fast path.
+            self.telemetry.hits += 1;
+            return Ok(self.cache.slot_bytes(addr));
         }
         if let Some(slot) = self.cache.slot(addr) {
             self.telemetry.hits += 1;
-            return Ok(self.cache.slot_bytes(slot, len));
+            return Ok(self.cache.slot_bytes(slot));
         }
-        if len == 0 {
-            return Ok(&[]);
-        }
-        self.miss(addr, len)
+        self.miss(addr)
     }
 
     /// One non-empty batch is one WAL record, written and synced before
-    /// `put` returns: its cells fit the stride (the model refused any that
-    /// did not), so they fit the slots they overwrite. A batch whose
+    /// `put` returns: its cells are the stride's length (the model refused
+    /// any that were not), so each fills the slot it overwrites. A batch whose
     /// commit fails poisons the store instead of being undone: from then
     /// on every `put` is refused and only a reopen recovers, which lands on
     /// a batch boundary.
@@ -972,14 +936,17 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
         if self.poisoned {
             return Err(ServerError::Interrupted);
         }
-        // The items stream straight into the batch's record.
+        // The items stream straight into the batch's record, and into the
+        // cache as dirty cells: until it is written back the cache holds
+        // the only readable copy of a cell, so a write always takes a slot.
         for (addr, cell) in items {
             self.batch.push(addr, cell);
+            let slot = self.cache.dirty_slot(addr);
+            self.cache.slot_bytes_mut(slot).copy_from_slice(cell);
         }
         if self.batch.is_empty() {
             return Ok(());
         }
-        self.apply_batch();
         if let Err(e) = self.commit_batch() {
             self.poison(e);
             return Err(ServerError::Interrupted);
@@ -998,6 +965,7 @@ mod tests {
     use super::*;
     use crate::crashsim::CrashSim;
     use crate::storage::Storage;
+    use crate::wal::encode_meta_with_lens;
     use proptest::prelude::*;
 
     struct TempDir(PathBuf);
@@ -1029,14 +997,14 @@ mod tests {
             store.init(cells(10));
             store.write(3, vec![0xAB; 8]).unwrap();
             store
-                .write_batch(vec![(0, vec![1, 2]), (9, Vec::new())])
+                .write_batch(vec![(0, vec![1; 8]), (9, vec![2; 8])])
                 .unwrap();
         }
         let mut store = DiskStore::open(&tmp.0).unwrap();
         assert_eq!(store.capacity(), 10);
         assert_eq!(store.read(3).unwrap(), vec![0xAB; 8]);
-        assert_eq!(store.read(0).unwrap(), vec![1, 2]);
-        assert_eq!(store.read(9).unwrap(), Vec::<u8>::new());
+        assert_eq!(store.read(0).unwrap(), vec![1; 8]);
+        assert_eq!(store.read(9).unwrap(), vec![2; 8]);
         assert_eq!(store.read(5).unwrap(), vec![5u8; 8]);
     }
 
@@ -1090,6 +1058,50 @@ mod tests {
                     assert!(detail.contains("format 1") && detail.contains("format 2"), "{detail}")
                 }
                 other => panic!("a format-1 directory opened: {other:?}"),
+            }
+            for (name, bytes) in before {
+                assert_eq!(std::fs::read(tmp.0.join(name)).unwrap(), bytes, "{name} changed");
+            }
+        }
+    }
+
+    /// A format-2 directory whose newest snapshot is checksum-valid but
+    /// gives a cell another length than the stride — shorter or longer; what
+    /// a store of unequal cells wrote — is refused, naming the cell and both
+    /// lengths, and no file changes: with its log, and without one.
+    #[test]
+    fn a_format_2_directory_with_a_ragged_table_is_refused_and_left_untouched() {
+        for (keep_wal, len) in [(true, 3u32), (false, 3), (true, 9), (false, 0)] {
+            let tmp = TempDir::new(&format!("ragged_{keep_wal}_{len}"));
+            {
+                let mut store = DiskStore::open(&tmp.0).unwrap();
+                store.init(cells(10));
+                store.write(4, vec![0xAB; 8]).unwrap();
+            }
+            let (slot, m) = META_NAMES
+                .iter()
+                .filter_map(|name| {
+                    let bytes = std::fs::read(tmp.0.join(name)).ok()?;
+                    Some((*name, decode_meta(&bytes).ok()??))
+                })
+                .max_by_key(|(_, m)| m.stamp)
+                .unwrap();
+            let mut lens = [8u32; 10];
+            lens[6] = len;
+            std::fs::write(tmp.0.join(slot), encode_meta_with_lens(&m, &lens)).unwrap();
+            if !keep_wal {
+                std::fs::remove_file(tmp.0.join(WAL_NAME)).unwrap();
+            }
+            let names = ARENA_NAMES.iter().chain(&META_NAMES).chain([&WAL_NAME]);
+            let before: Vec<(&str, Vec<u8>)> = names
+                .filter_map(|&name| Some((name, std::fs::read(tmp.0.join(name)).ok()?)))
+                .collect();
+            match DiskStore::open(&tmp.0).map(|_| ()) {
+                Err(DiskError::Corrupt { detail }) => {
+                    let named = format!("cell 6 a length of {len} bytes, not the stride of 8");
+                    assert!(detail.contains(slot) && detail.contains(&named), "{detail}");
+                }
+                other => panic!("a ragged table opened: {other:?}"),
             }
             for (name, bytes) in before {
                 assert_eq!(std::fs::read(tmp.0.join(name)).unwrap(), bytes, "{name} changed");
@@ -1241,13 +1253,13 @@ mod tests {
             store.checkpoint_stamp()
         };
         let mut wal = encode_wal_header(stamp).to_vec();
-        wal.extend_from_slice(&encode_record(stamp, &[(1, &[0xA1; 8]), (4, &[0xA4; 3])]));
+        wal.extend_from_slice(&encode_record(stamp, &[(1, &[0xA1; 8]), (4, &[0xA4; 8])]));
         wal.extend_from_slice(&encode_record(stamp, &[(1, &[0xB1; 8])]));
         std::fs::write(tmp.0.join(WAL_NAME), &wal).unwrap();
 
         let mut store = DiskStore::open(&tmp.0).unwrap();
         assert_eq!(store.read(1).unwrap(), vec![0xB1; 8], "later record wins");
-        assert_eq!(store.read(4).unwrap(), vec![0xA4; 3]);
+        assert_eq!(store.read(4).unwrap(), vec![0xA4; 8]);
         assert_eq!(store.read(0).unwrap(), vec![0u8; 8]);
         // Replay folded the records into a checkpoint, whose reset grew
         // the log to the preallocated size.
@@ -1255,6 +1267,31 @@ mod tests {
         assert_eq!(store.wal_bytes(), WAL_HEADER_LEN as u64);
         let on_disk = std::fs::metadata(tmp.0.join(WAL_NAME)).unwrap().len();
         assert_eq!(on_disk, DiskOptions::default().wal_checkpoint_bytes);
+    }
+
+    /// A valid record of a cell shorter or longer than the stride was
+    /// never written by a store that holds cells to it: `Corrupt`, naming
+    /// the cell and the length, and nothing is replayed.
+    #[test]
+    fn a_wal_record_of_another_length_is_corrupt() {
+        use crate::wal::encode_record;
+        for len in [0, 7, 9] {
+            let tmp = TempDir::new(&format!("wrongrecord{len}"));
+            let stamp = {
+                let mut store = DiskStore::open(&tmp.0).unwrap();
+                store.init(cells(6));
+                store.checkpoint_stamp()
+            };
+            let mut wal = encode_wal_header(stamp).to_vec();
+            wal.extend_from_slice(&encode_record(stamp, &[(1, &[0xA1; 8]), (4, &vec![0; len])]));
+            std::fs::write(tmp.0.join(WAL_NAME), &wal).unwrap();
+            match DiskStore::open(&tmp.0).map(|_| ()) {
+                Err(DiskError::Corrupt { detail }) => {
+                    assert!(detail.contains(&format!("{len} bytes to cell 4")), "{detail}")
+                }
+                other => panic!("a {len}-byte record opened: {other:?}"),
+            }
+        }
     }
 
     /// I4's two `Corrupt` cases: a header from a generation no snapshot
@@ -1336,24 +1373,39 @@ mod tests {
         assert_eq!(store.write(0, vec![1; 8]), Err(ServerError::Interrupted));
     }
 
+    /// A stride-0 store — every cell empty, which is uniform — takes no
+    /// cache bytes and no arena bytes: the smallest budget mirrors it whole.
+    /// Its writes are logged, its cells read back empty, across a
+    /// checkpoint and a reopen, and a cell with a byte is refused.
     #[test]
     fn zero_length_cells_bypass_the_cache() {
         let tmp = TempDir::new("zerolen");
-        let opts = DiskOptions { cache_bytes: 16, ..DiskOptions::default() };
+        let opts = DiskOptions { cache_bytes: 0, ..DiskOptions::default() };
+        {
+            let mut store = DiskStore::open_with(&tmp.0, opts).unwrap();
+            store.init(vec![Vec::new(); 16]);
+            assert_eq!((store.capacity(), store.cell_stride()), (16, 0));
+            let wal = store.wal_bytes();
+            store
+                .write_batch(vec![(3, Vec::new()), (15, Vec::new())])
+                .unwrap();
+            assert!(store.wal_bytes() > wal, "an empty cell is a value, and is logged");
+            assert_eq!(store.read_batch(&[3, 0]).unwrap(), vec![Vec::<u8>::new(); 2]);
+            let refused = ServerError::WrongCellLength { addr: 3, len: 1, stride: 0 };
+            assert_eq!(store.write(3, vec![5]), Err(refused));
+            store.checkpoint().unwrap();
+            store.write(7, Vec::new()).unwrap();
+        }
         let mut store = DiskStore::open_with(&tmp.0, opts).unwrap();
-        store.init(
-            (0..16)
-                .map(|i| if i == 3 { vec![5; 4] } else { Vec::new() })
-                .collect(),
+        assert_eq!((store.capacity(), store.cell_stride()), (16, 0));
+        assert_eq!(store.read_batch(&[7, 15]).unwrap(), vec![Vec::<u8>::new(); 2]);
+        assert_eq!(store.xor_cells(&[1, 2]).unwrap(), Vec::<u8>::new());
+        assert_eq!(
+            std::fs::metadata(tmp.0.join(ARENA_NAMES[store.active]))
+                .unwrap()
+                .len(),
+            0
         );
-        store.write(3, Vec::new()).unwrap();
-        assert_eq!(store.read(3).unwrap(), Vec::<u8>::new());
-        assert_eq!(store.cache_resident(), 0, "empty payloads take no slot");
-        // Overwriting a non-empty cell with an empty one shrinks it.
-        store.write(3, vec![5; 4]).unwrap();
-        store.write(3, Vec::new()).unwrap();
-        assert_eq!(store.read(3).unwrap(), Vec::<u8>::new());
-        assert_eq!(store.stored_bytes(), 0);
     }
 
     /// The strides the hostile snapshots draw from: the ones set-up makes,
@@ -1368,29 +1420,37 @@ mod tests {
         /// range, an arena slot that does not exist, a geometry whose arena
         /// size overflows, an arena file a little shorter or longer than
         /// the geometry (capped at 4 KiB, so a vast geometry always finds
-        /// its arena short). `open` never panics and never adopts a
-        /// geometry its arena file does not hold; a store it opens takes a
-        /// one-byte write, a checkpoint and a reopen without a panic, and
-        /// never lets a snapshot's stamp go backwards.
+        /// its arena short), a length table that gives some cell another
+        /// length than the stride (half the time). `open` never panics,
+        /// opens a snapshot only if every length in its table is the
+        /// stride, and never adopts a geometry its arena file does not
+        /// hold; a store it opens takes a one-byte write, a checkpoint and
+        /// a reopen without a panic, and never lets a snapshot's stamp go
+        /// backwards.
         #[test]
         fn hostile_snapshots_are_refused_or_opened_whole(
             (stamp, near_max) in (any::<u64>(), 0u8..4),
             active in 0usize..=2,
             capacity in 0usize..64,
             stride in 0usize..STRIDES.len(),
-            lens in proptest::collection::vec(any::<u32>(), 64),
+            (lens, uniform) in (proptest::collection::vec(any::<u32>(), 64), any::<bool>()),
             (delta, bounded) in (0u64..4, any::<bool>()),
         ) {
             let stride = STRIDES[stride];
             let stamp = if near_max > 0 { u64::MAX - stamp % 2 } else { stamp };
-            let lens = lens[..capacity]
+            let lens: Vec<u32> = lens[..capacity]
                 .iter()
-                .map(|&len| (u64::from(len) % (stride as u64).saturating_add(1)) as u32)
+                .map(|&len| u64::from(len) % (stride as u64).saturating_add(1))
+                .map(|len| if uniform { stride as u32 } else { len as u32 })
                 .collect();
+            // A table only speaks for a snapshot that is one: a slot it
+            // cannot name or an arena no address spans is no snapshot.
+            let structural = active < 2 && capacity.checked_mul(stride).is_some();
+            let ragged = structural && lens.iter().any(|&len| len as usize != stride);
             let tmp = TempDir::new("hostile");
             std::fs::create_dir_all(&tmp.0).unwrap();
-            let meta = Meta { stamp, active, capacity, stride, lens };
-            std::fs::write(tmp.0.join(META_NAMES[0]), encode_meta(&meta)).unwrap();
+            let meta = Meta { stamp, active, capacity, stride };
+            std::fs::write(tmp.0.join(META_NAMES[0]), encode_meta_with_lens(&meta, &lens)).unwrap();
             let arena_len = (capacity as u64).wrapping_mul(stride as u64);
             let arena = std::fs::File::create(tmp.0.join(ARENA_NAMES[active.min(1)])).unwrap();
             arena.set_len(arena_len.saturating_add(delta).saturating_sub(1).min(4096)).unwrap();
@@ -1400,7 +1460,11 @@ mod tests {
                 cache_bytes: if bounded { 16 } else { 1 << 20 },
             };
 
-            if let Ok(mut store) = DiskStore::open_with(&tmp.0, opts) {
+            let opened = DiskStore::open_with(&tmp.0, opts);
+            if ragged {
+                prop_assert!(matches!(opened, Err(DiskError::Corrupt { .. })), "{meta:?} {lens:?}");
+            }
+            if let Ok(mut store) = opened {
                 let held = store.arena[store.active].file_len().unwrap();
                 let spans = store.capacity() as u128 * store.cell_stride() as u128;
                 prop_assert!(spans <= u128::from(held), "{meta:?} opened over {held} bytes");

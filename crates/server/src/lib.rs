@@ -58,7 +58,7 @@ pub use crashsim::{CrashFile, CrashSim, SimEvent, SimOp, Tear};
 pub use disk::{DiskBackend, DiskFile, DiskOptions, DiskStore, RealVfs, Vfs};
 pub use latency::NetworkModel;
 pub use multi::ReplicatedServers;
-pub use server::{Accounted, CellBackend, ServerError, SimServer};
+pub use server::{check_upload, Accounted, CellBackend, ServerError, SimServer};
 pub use stats::{CacheTelemetry, CostStats};
 pub use storage::Storage;
 pub use store::CellStore;

@@ -4,7 +4,7 @@
 //! bytes, round trips — the currencies of Theorems 3.3/3.4, 5.1, 6.1 and
 //! 7.1) and what the adversary sees of it ([`Transcript`]). It holds the
 //! only implementation of the three data primitives of [`Storage`]
-//! (download, upload, XOR fold) — bounds check, the stride check, charging,
+//! (download, upload, XOR fold) — bounds check, the length check, charging,
 //! the partial charge a mid-batch failure leaves behind, the round trip,
 //! the transcript batch — over a [`CellBackend`], which only keeps cells:
 //!
@@ -30,17 +30,21 @@
 //! no round trip, and records no transcript batch — the same rule as for
 //! an out-of-range address mid-batch. Addresses are bounds-checked, and
 //! uploaded cells held to the stride, before the backend is asked, so on a
-//! faulting backend `OutOfBounds` and `CellTooLong` win over `Interrupted`.
+//! faulting backend `OutOfBounds` and `WrongCellLength` win over
+//! `Interrupted`.
 //!
-//! # The stride is set at set-up
+//! # A cell is its stride
 //!
-//! [`Storage::init_with`] fixes the stride at the longest cell it was
-//! handed, and no write changes it: an upload naming a cell longer than the
-//! stride is refused whole as [`ServerError::CellTooLong`] — nothing
-//! stored, charged or recorded, exactly like `OutOfBounds` — in the same
-//! pass that checks its addresses. So a backend never sees a cell that does
-//! not fit its slots, and every implementation that forwards to this model
-//! refuses identically without code of its own (NOTES.md, entry 13).
+//! Definition 3.1's server holds blocks of one size. [`Storage::init_with`]
+//! takes cells of one length, which becomes the stride (a list of two
+//! lengths panics, [`CellStore::collect`]), and no write changes it: an
+//! upload naming a cell of any other length is refused whole as
+//! [`ServerError::WrongCellLength`] — nothing stored, charged or recorded,
+//! exactly like `OutOfBounds` — in the same pass that checks its addresses,
+//! [`check_upload`]. So a backend never sees a cell that is not its slot's
+//! length, and every implementation that forwards to this model refuses
+//! identically without code of its own; a client that cannot frame a batch
+//! applies the same function to refuse it (NOTES.md, entries 13 and 21).
 
 use std::ops::{Deref, DerefMut};
 
@@ -59,9 +63,9 @@ pub enum ServerError {
         /// The server's capacity in cells.
         capacity: usize,
     },
-    /// An upload named a cell longer than the stride set-up fixed; the
-    /// whole batch was refused.
-    CellTooLong {
+    /// An upload named a cell whose length is not the stride set-up fixed;
+    /// the whole batch was refused.
+    WrongCellLength {
         /// The address the cell was meant for.
         addr: usize,
         /// The cell's length in bytes.
@@ -94,8 +98,8 @@ impl std::fmt::Display for ServerError {
             ServerError::OutOfBounds { addr, capacity } => {
                 write!(f, "address {addr} out of bounds (capacity {capacity})")
             }
-            ServerError::CellTooLong { addr, len, stride } => {
-                write!(f, "cell of {len} bytes for address {addr} exceeds the stride ({stride})")
+            ServerError::WrongCellLength { addr, len, stride } => {
+                write!(f, "cell of {len} bytes for address {addr} is not the stride ({stride})")
             }
             ServerError::Interrupted => {
                 write!(f, "operation interrupted mid-flight; application state unknown")
@@ -113,21 +117,18 @@ impl std::error::Error for ServerError {}
 /// [module docs](self) for the guarantees an implementation owes.
 ///
 /// Addresses handed to `get` and `put` are already bounds-checked against
-/// [`CellBackend::capacity`], and cells handed to `put` against
-/// [`CellBackend::stride`]; a backend may panic on any other.
+/// [`CellBackend::capacity`], and cells handed to `put` are
+/// [`CellBackend::stride`] long; a backend may panic on any other.
 pub trait CellBackend: std::fmt::Debug + Send {
     /// Number of cell slots.
     fn capacity(&self) -> usize;
 
-    /// The slot width of the arena: the longest cell of the last `reset`
-    /// (0 before any), unchanged by every `put`.
+    /// The length of every cell: the one of the last `reset` (0 before
+    /// any), unchanged by every `put`.
     fn stride(&self) -> usize;
 
-    /// Total bytes of cell content.
-    fn stored_bytes(&self) -> u64;
-
-    /// Replaces the contents with `contents` — geometry, cell table and
-    /// the arena image, already laid out at its stride by the one builder
+    /// Replaces the contents with `contents` — its geometry and the arena
+    /// image, already laid out at its stride by the one builder
     /// ([`CellStore::collect`]), so a backend moves the image to where it
     /// keeps cells and copies nothing. The only call that sets the stride.
     /// Set-up, like [`Storage::init_with`]: infallible in its signature, so
@@ -178,6 +179,27 @@ pub struct Accounted<B> {
 /// The in-process simulator: the model over a flat memory arena
 /// ([`CellStore`]).
 pub type SimServer = Accounted<CellStore>;
+
+/// The model's upload rule, for a store of `capacity` cells of `stride`
+/// bytes: every address in range and every cell exactly the stride long,
+/// checked in batch order, so the first violation is the error. What
+/// [`Accounted`] refuses a batch with before its backend is asked, and what
+/// a client that holds no cells refuses one with by itself.
+pub fn check_upload<'a>(
+    capacity: usize,
+    stride: usize,
+    cells: impl Iterator<Item = (usize, &'a [u8])>,
+) -> Result<(), ServerError> {
+    for (addr, cell) in cells {
+        if addr >= capacity {
+            return Err(ServerError::OutOfBounds { addr, capacity });
+        }
+        if cell.len() != stride {
+            return Err(ServerError::WrongCellLength { addr, len: cell.len(), stride });
+        }
+    }
+    Ok(())
+}
 
 impl<B: CellBackend> Accounted<B> {
     /// The model over an already-built backend, counters at zero.
@@ -275,10 +297,6 @@ impl<B: CellBackend> Storage for Accounted<B> {
         self.cells.capacity()
     }
 
-    fn stored_bytes(&self) -> u64 {
-        self.cells.stored_bytes()
-    }
-
     fn cell_stride(&self) -> usize {
         self.cells.stride()
     }
@@ -323,20 +341,14 @@ impl<B: CellBackend> Storage for Accounted<B> {
     }
 
     /// Nothing is stored unless every address is in range and every cell
-    /// fits the stride, and nothing is charged unless the backend took the
-    /// batch.
+    /// is the stride's length ([`check_upload`]), and nothing is charged
+    /// unless the backend took the batch.
     #[inline]
     fn write_cells<'a>(
         &mut self,
         cells: impl Iterator<Item = (usize, &'a [u8])> + Clone,
     ) -> Result<(), ServerError> {
-        let stride = self.cells.stride();
-        for (addr, cell) in cells.clone() {
-            self.check(addr)?;
-            if cell.len() > stride {
-                return Err(ServerError::CellTooLong { addr, len: cell.len(), stride });
-            }
-        }
+        check_upload(self.cells.capacity(), self.cells.stride(), cells.clone())?;
         self.cells.put(cells.clone())?;
         for (_, cell) in cells.clone() {
             self.stats.uploads += 1;
@@ -348,8 +360,8 @@ impl<B: CellBackend> Storage for Accounted<B> {
     }
 
     /// XOR runs u64-chunked over slices borrowed from the backend, with no
-    /// allocation once `acc` has capacity. Cells of unequal length fold
-    /// zero-padded to the longest, which is the length charged.
+    /// allocation once `acc` has capacity. The fold is one stride long (no
+    /// cells fold to nothing), which is the length charged.
     #[inline]
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError> {
         acc.clear();
@@ -397,12 +409,12 @@ mod tests {
     fn stats_track_ops_bytes_and_round_trips() {
         let mut s = server_with(8);
         s.read_batch(&[0, 1, 2]).unwrap();
-        s.write(3, vec![0u8; 3]).unwrap();
+        s.write(3, vec![0u8; 4]).unwrap();
         let stats = s.stats();
         assert_eq!(stats.downloads, 3);
         assert_eq!(stats.uploads, 1);
         assert_eq!(stats.bytes_down, 12);
-        assert_eq!(stats.bytes_up, 3);
+        assert_eq!(stats.bytes_up, 4);
         assert_eq!(stats.round_trips, 2);
     }
 
@@ -448,15 +460,19 @@ mod tests {
     fn failed_batch_mutates_nothing() {
         let mut s = server_with(2);
         let before_stats = s.stats();
-        // Second write is out of bounds, or longer than the stride: the
-        // whole batch must be rejected without applying the first write —
-        // and whichever refusal comes first in the batch is the error.
+        // Second write is out of bounds, or longer or shorter than the
+        // stride: the whole batch must be rejected without applying the
+        // first write — and whichever refusal comes first in the batch is
+        // the error.
         let out_of_bounds = ServerError::OutOfBounds { addr: 7, capacity: 2 };
-        let too_long = ServerError::CellTooLong { addr: 1, len: 5, stride: 4 };
+        let too_long = ServerError::WrongCellLength { addr: 1, len: 5, stride: 4 };
+        let too_short = ServerError::WrongCellLength { addr: 1, len: 3, stride: 4 };
         for (batch, refusal) in [
             (vec![(0, vec![9u8; 4]), (7, vec![1u8; 4])], out_of_bounds.clone()),
             (vec![(0, vec![9u8; 4]), (1, vec![1u8; 5])], too_long.clone()),
+            (vec![(0, vec![9u8; 4]), (1, vec![1u8; 3])], too_short.clone()),
             (vec![(1, vec![1u8; 5]), (7, vec![1u8; 4])], too_long),
+            (vec![(1, vec![1u8; 3]), (7, vec![1u8; 4])], too_short),
             (vec![(7, vec![1u8; 4]), (1, vec![1u8; 5])], out_of_bounds),
         ] {
             assert_eq!(s.write_batch(batch), Err(refusal));
@@ -465,12 +481,6 @@ mod tests {
         assert_eq!(s.cell_stride(), 4);
         // Only the successful read above should have been charged.
         assert_eq!(s.stats().since(&before_stats).uploads, 0);
-    }
-
-    #[test]
-    fn stored_bytes_counts_cells() {
-        let s = server_with(4);
-        assert_eq!(s.stored_bytes(), 16);
     }
 
     #[test]
@@ -560,18 +570,49 @@ mod tests {
         assert_eq!(view_a, view_b);
     }
 
-    /// The stride is set-up's longest cell, and only set-up moves it.
+    /// The stride is set-up's one cell length, and only set-up moves it.
     #[test]
     fn cell_stride_tracks_arena_geometry() {
         let mut s = server_with(4);
         assert_eq!(s.cell_stride(), 4);
-        s.write(0, vec![0u8; 1]).unwrap();
-        assert_eq!(s.cell_stride(), 4, "a shorter write keeps the stride");
+        assert!(s.write(0, vec![0u8; 1]).is_err());
+        assert_eq!(s.cell_stride(), 4, "a shorter write is refused, not laid out");
         assert!(s.write(0, vec![0u8; 7]).is_err());
         assert_eq!(s.cell_stride(), 4, "a longer write is refused, not laid out");
         let mut empty = SimServer::new();
         assert_eq!(empty.cell_stride(), 0);
-        empty.init(vec![vec![1; 3], vec![], vec![2; 7]]);
+        empty.init(vec![vec![2; 7]; 3]);
         assert_eq!(empty.cell_stride(), 7);
+        empty.init(vec![Vec::new(); 3]);
+        assert_eq!((empty.capacity(), empty.cell_stride()), (3, 0), "empty cells are uniform");
+    }
+
+    /// A set-up of two cell lengths panics and leaves the server as it was.
+    #[test]
+    fn a_ragged_set_up_panics_and_keeps_the_old_contents() {
+        let mut s = server_with(4);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.init(vec![vec![1; 4], vec![2; 3]]);
+        }));
+        assert!(refused.is_err());
+        assert_eq!((s.capacity(), s.cell_stride()), (4, 4));
+        assert_eq!(s.read(3).unwrap(), vec![3u8; 4]);
+    }
+
+    /// The lifted rule is the model's: the first violation in batch order.
+    #[test]
+    fn check_upload_is_the_rule_write_cells_applies() {
+        let batches: [&[(usize, &[u8])]; 5] = [
+            &[],
+            &[(0, &[1; 4]), (3, &[2; 4])],
+            &[(0, &[1; 4]), (4, &[2; 3])],
+            &[(0, &[1; 3]), (4, &[2; 4])],
+            &[(1, &[]), (2, &[1; 4])],
+        ];
+        for batch in batches {
+            let mut s = server_with(4);
+            let rule = check_upload(4, 4, batch.iter().copied());
+            assert_eq!(s.write_cells(batch.iter().copied()), rule, "{batch:?}");
+        }
     }
 }

@@ -13,13 +13,16 @@
 //! image — and is never gathered into a vector of owned cells on the way
 //! (NOTES.md, entry 11). Everything else — `init`, `read`, `write_batch`,
 //! `write_batch_strided`, … — is a *provided* spelling that makes exactly
-//! one call to one primitive, so an implementor writes 11 small methods
+//! one call to one primitive, so an implementor writes 10 small methods
 //! and cannot disagree with another about what a spelling costs. Set-up is
-//! also the only thing that sets the stride: an upload of a cell longer than
-//! it is refused ([`ServerError::CellTooLong`]; NOTES.md, entry 13). There is
-//! no combined read+write request: in every construction here the upload
-//! re-encrypts what the same request downloaded, so it cannot be sent
-//! before the download's answer is in (NOTES.md, entry 4).
+//! also the only thing that sets the stride, and a cell is its stride:
+//! set-up takes cells of one length, and an upload of a cell of any other
+//! is refused ([`ServerError::WrongCellLength`]; NOTES.md, entries 13 and
+//! 21), so a store's bytes are `capacity × stride` and need no method of
+//! their own. There is no combined read+write request: in every
+//! construction here the upload re-encrypts what the same request
+//! downloaded, so it cannot be sent before the download's answer is in
+//! (NOTES.md, entry 4).
 //!
 //! Every scheme drives its server through this trait, so the in-process
 //! [`SimServer`](crate::SimServer), the durable
@@ -56,23 +59,20 @@ pub trait Storage: std::fmt::Debug + Send {
     /// a scheme lends `&blocks[i]`, or slices of a ciphertext chunk it
     /// reuses, and every layer underneath copies a cell once, to where it
     /// must end up (the wire frame, the arena image). Knowing `capacity` up
-    /// front is what lets the image be reserved exactly. The longest cell
-    /// becomes the stride, which no later upload changes.
+    /// front is what lets the image be reserved exactly. The cells' one
+    /// length becomes the stride, which no later upload changes.
     ///
     /// # Panics
     /// Infallible in its signature like the rest of set-up: panics if the
-    /// store cannot complete it, or if `produce` hands over any number of
-    /// cells but `capacity`.
+    /// store cannot complete it, if `produce` hands over any number of
+    /// cells but `capacity`, or if two of them differ in length.
     fn init_with(&mut self, capacity: usize, produce: impl FnOnce(&mut dyn FnMut(&[u8])));
 
     /// Number of cell slots.
     fn capacity(&self) -> usize;
 
-    /// Total bytes of cell content (each cell's true length; the slack up
-    /// to the stride is not counted).
-    fn stored_bytes(&self) -> u64;
-
-    /// The cell stride set-up fixed: its longest cell (0 before any init).
+    /// The cell stride set-up fixed: the length of every cell (0 before
+    /// any init).
     fn cell_stride(&self) -> usize;
 
     /// Starts recording the adversarial transcript.
@@ -97,8 +97,9 @@ pub trait Storage: std::fmt::Debug + Send {
 
     /// Uploads `cells` — `(address, contents)` pairs, applied in order —
     /// in one round trip: the one upload primitive. All-or-nothing (on
-    /// `Err` — an address out of range, a cell longer than the stride, a
-    /// fault — no cell of the batch is stored and none is charged); an address
+    /// `Err` — an address out of range, a cell whose length is not the
+    /// stride, a fault — no cell of the batch is stored and none is
+    /// charged); an address
     /// named twice keeps its last value and is charged, and recorded in the
     /// transcript, each time; an empty batch is still a round trip. `Clone`
     /// because an implementation may need more than one pass (bounds before
@@ -110,8 +111,8 @@ pub trait Storage: std::fmt::Debug + Send {
     ) -> Result<(), ServerError>;
 
     /// XORs the cells at `addrs` into `acc` (cleared first), charging one
-    /// compute operation per cell. Cells of unequal length fold zero-padded
-    /// to the longest.
+    /// compute operation per cell: one stride of bytes, or none for no
+    /// addresses.
     fn xor_cells_into(&mut self, addrs: &[usize], acc: &mut Vec<u8>) -> Result<(), ServerError>;
 
     /// [`Storage::init_with`] for cells the caller already owns.
@@ -214,7 +215,7 @@ mod tests {
     }
 
     /// A wrapper written against the trait as an outsider would write one:
-    /// the 11 required methods, nothing else. Counts the calls reaching
+    /// the 10 required methods, nothing else. Counts the calls reaching
     /// each data primitive as (downloads, uploads, XOR folds), and the
     /// set-ups.
     #[derive(Debug, Default)]
@@ -231,9 +232,6 @@ mod tests {
         }
         fn capacity(&self) -> usize {
             self.inner.capacity()
-        }
-        fn stored_bytes(&self) -> u64 {
-            self.inner.stored_bytes()
         }
         fn cell_stride(&self) -> usize {
             self.inner.cell_stride()

@@ -110,10 +110,6 @@ impl<S: Storage> Storage for Verified<S> {
         self.inner.capacity()
     }
 
-    fn stored_bytes(&self) -> u64 {
-        self.inner.stored_bytes()
-    }
-
     fn cell_stride(&self) -> usize {
         self.inner.cell_stride()
     }
@@ -271,7 +267,7 @@ mod tests {
 
     /// A refused batch moves nothing: not the root (it used to, and the
     /// tree panicked), not the in-range cell named before the bad one —
-    /// whether the bad one is out of range or longer than the stride.
+    /// whether the bad one is out of range or not the stride's length.
     #[test]
     fn server_errors_pass_through() {
         let mut s = build(4);
@@ -280,8 +276,10 @@ mod tests {
         assert_eq!(s.read(9), Err(refused.clone()));
         assert_eq!(s.write(9, vec![1; 8]), Err(refused.clone()));
         assert_eq!(s.write_batch(vec![(3, vec![1; 8]), (9, vec![1; 8])]), Err(refused));
-        let too_long = ServerError::CellTooLong { addr: 2, len: 9, stride: 8 };
+        let too_long = ServerError::WrongCellLength { addr: 2, len: 9, stride: 8 };
         assert_eq!(s.write_batch(vec![(3, vec![1; 8]), (2, vec![1; 9])]), Err(too_long));
+        let too_short = ServerError::WrongCellLength { addr: 2, len: 7, stride: 8 };
+        assert_eq!(s.write_batch(vec![(3, vec![1; 8]), (2, vec![1; 7])]), Err(too_short));
         assert_eq!(s.trusted_root(), root);
         assert_eq!(s.read_batch(&[0, 1, 2, 3]).unwrap(), cells(4));
     }

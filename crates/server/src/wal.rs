@@ -46,7 +46,12 @@
 //! highest stamp out of the two alternating slots. Every cell holds a value,
 //! so the table has a length per cell and nothing else: format 1 also
 //! carried a bitmap of the cells ever written, and a format-1 directory is
-//! refused, not migrated (NOTES.md, entry 14).
+//! refused, not migrated (NOTES.md, entry 14). Every cell is one stride
+//! long, so every length in the table is the stride: it is written so, and
+//! a checksum-valid table that says otherwise — written when cells could
+//! differ — is refused as corrupt, never adopted or wiped (NOTES.md, entry
+//! 21). The bytes are format 2's; so are a WAL record's length fields,
+//! which recovery holds to the stride the same way.
 
 use std::fmt;
 
@@ -194,20 +199,6 @@ impl RecordBuilder {
     /// Size of the record [`RecordBuilder::finish`] would produce.
     pub fn record_len(&self) -> usize {
         RECORD_HEADER_LEN + 1 + 4 + self.addrs.len() + self.lens.len() + self.cells.len()
-    }
-
-    /// The writes collected, in order.
-    pub fn writes(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        let mut cells = &self.cells[..];
-        self.addrs
-            .chunks_exact(8)
-            .zip(self.lens.chunks_exact(4))
-            .map(move |(addr, len)| {
-                let (cell, rest) =
-                    cells.split_at(u32::from_le_bytes(len.try_into().unwrap()) as usize);
-                cells = rest;
-                (u64::from_le_bytes(addr.try_into().unwrap()) as usize, cell)
-            })
     }
 
     /// Frames everything collected as one record (`len | crc | payload`)
@@ -365,29 +356,47 @@ pub(crate) struct Meta {
     pub active: usize,
     /// Number of cells.
     pub capacity: usize,
-    /// Arena stride in bytes.
+    /// Arena stride in bytes: the length of every cell.
     pub stride: usize,
-    /// Per-cell stored lengths.
-    pub lens: Vec<u32>,
 }
 
 const META_FIXED_LEN: usize = 4 + 4 + 8 + 1 + 8 + 8;
 
-/// Encode a metadata snapshot, including its trailing CRC.
+/// Encode a metadata snapshot, including its trailing CRC: its table gives
+/// every cell the stride.
+///
+/// # Panics
+/// Panics if a store of cells has a stride a `u32` cannot hold (a cell of
+/// 4 GiB or more has no length in this format).
 pub(crate) fn encode_meta(meta: &Meta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(META_FIXED_LEN + meta.lens.len() * 4 + 4);
+    let len = || u32::try_from(meta.stride).expect("a cell of 4 GiB or more");
+    encode_meta_table(meta, (0..meta.capacity).map(|_| len()))
+}
+
+/// A snapshot of `meta` with the length table `lens` (`meta.capacity` of
+/// them).
+fn encode_meta_table(meta: &Meta, lens: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(META_FIXED_LEN + lens.len() * 4 + 4);
     out.extend_from_slice(&META_MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&meta.stamp.to_le_bytes());
     out.push(meta.active as u8);
     out.extend_from_slice(&(meta.capacity as u64).to_le_bytes());
     out.extend_from_slice(&(meta.stride as u64).to_le_bytes());
-    for len in &meta.lens {
+    for len in lens {
         out.extend_from_slice(&len.to_le_bytes());
     }
     let crc = crc32(&[&out]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// A snapshot whose table holds `lens` — what only a store of unequal
+/// cells ever wrote.
+#[cfg(test)]
+pub(crate) fn encode_meta_with_lens(meta: &Meta, lens: &[u32]) -> Vec<u8> {
+    assert_eq!(lens.len(), meta.capacity);
+    encode_meta_table(meta, lens.iter().copied())
 }
 
 /// The format version a file declares, if it starts with the snapshot
@@ -398,11 +407,28 @@ pub(crate) fn meta_version(bytes: &[u8]) -> Option<u32> {
     (head[..4] == META_MAGIC).then(|| u32::from_le_bytes(head[4..8].try_into().unwrap()))
 }
 
-/// Decode and validate a metadata snapshot. Returns `None` for anything
-/// that is not a complete, structurally consistent, checksum-valid
-/// snapshot — recovery treats such a slot as absent and falls back to the
-/// other one.
-pub(crate) fn decode_meta(bytes: &[u8]) -> Option<Meta> {
+/// Decode and validate a metadata snapshot. Returns `Ok(None)` for
+/// anything that is not a complete, structurally consistent,
+/// checksum-valid snapshot — recovery treats such a slot as absent and
+/// falls back to the other one — and `Err`, naming the cell and both
+/// lengths, for a valid one whose table gives a cell another length than
+/// the stride.
+pub(crate) fn decode_meta(bytes: &[u8]) -> Result<Option<Meta>, String> {
+    let Some((meta, table)) = decode_meta_parts(bytes) else { return Ok(None) };
+    let lens = table
+        .chunks_exact(4)
+        .map(|len| u32::from_le_bytes(len.try_into().unwrap()));
+    match lens.enumerate().find(|&(_, len)| len as usize != meta.stride) {
+        Some((addr, len)) => Err(format!(
+            "snapshot gives cell {addr} a length of {len} bytes, not the stride of {}",
+            meta.stride
+        )),
+        None => Ok(Some(meta)),
+    }
+}
+
+/// The fields of a snapshot that checks out, and its length table.
+fn decode_meta_parts(bytes: &[u8]) -> Option<(Meta, &[u8])> {
     if bytes.len() < META_FIXED_LEN + 4 {
         return None;
     }
@@ -431,17 +457,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Option<Meta> {
     if crc != crc32(&[&bytes[..expect - 4]]) {
         return None;
     }
-    let mut lens = Vec::with_capacity(capacity);
-    let mut pos = META_FIXED_LEN;
-    for _ in 0..capacity {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if len as usize > stride {
-            return None;
-        }
-        lens.push(len);
-        pos += 4;
-    }
-    Some(Meta { stamp, active, capacity, stride, lens })
+    Some((Meta { stamp, active, capacity, stride }, &bytes[META_FIXED_LEN..expect - 4]))
 }
 
 #[cfg(test)]
@@ -479,7 +495,6 @@ mod tests {
         for (addr, cell) in writes {
             batch.push(addr, cell);
         }
-        assert_eq!(batch.writes().collect::<Vec<_>>(), writes);
         let len = batch.record_len();
         let record = batch.finish(5).to_vec();
         assert_eq!(record.len(), len);
@@ -488,7 +503,6 @@ mod tests {
         assert_eq!(scan.records, vec![writes.to_vec()]);
         // The builder starts over: the next record carries none of this one.
         assert!(batch.is_empty());
-        assert_eq!(batch.writes().count(), 0);
         batch.push(1, b"x");
         assert_eq!(batch.finish(5), &encode_record(5, &[(1, b"x")])[..]);
     }
@@ -606,30 +620,31 @@ mod tests {
 
     #[test]
     fn meta_round_trip_and_validation() {
-        let meta = Meta {
-            stamp: 7,
-            active: 1,
-            capacity: 70,
-            stride: 16,
-            lens: (0..70).map(|i| (i % 17) as u32).collect(),
-        };
+        let meta = Meta { stamp: 7, active: 1, capacity: 70, stride: 16 };
         let bytes = encode_meta(&meta);
-        assert_eq!(decode_meta(&bytes), Some(meta.clone()));
+        assert_eq!(bytes, encode_meta_with_lens(&meta, &[16; 70]), "every length is the stride");
+        assert_eq!(decode_meta(&bytes), Ok(Some(meta.clone())));
 
         let mut flipped = bytes.clone();
         flipped[40] ^= 4;
-        assert_eq!(decode_meta(&flipped), None);
-        assert_eq!(decode_meta(&bytes[..bytes.len() - 1]), None);
-        assert_eq!(decode_meta(&[]), None);
+        assert_eq!(decode_meta(&flipped), Ok(None));
+        assert_eq!(decode_meta(&bytes[..bytes.len() - 1]), Ok(None));
+        assert_eq!(decode_meta(&[]), Ok(None));
 
-        // A stored length exceeding the stride is structural corruption,
-        // and so is an arena whose size overflows.
-        let mut wide = meta.clone();
-        wide.lens[0] = 17;
-        assert_eq!(decode_meta(&encode_meta(&wide)), None);
-        let vast = Meta { capacity: 2, stride: 1 << 63, lens: vec![0; 2], ..meta };
-        assert_eq!(decode_meta(&encode_meta(&vast)), None);
-        assert_eq!(meta_version(&encode_meta(&vast)), Some(FORMAT_VERSION));
+        // A valid table with a length other than the stride, shorter or
+        // longer, is refused naming the cell; an arena whose size
+        // overflows is structural corruption.
+        for len in [0, 15, 17] {
+            let mut lens = [16; 70];
+            lens[33] = len;
+            let refused = decode_meta(&encode_meta_with_lens(&meta, &lens)).unwrap_err();
+            let named = format!("cell 33 a length of {len} bytes, not the stride of 16");
+            assert!(refused.contains(&named), "{refused}");
+        }
+        let vast = Meta { capacity: 2, stride: 1 << 63, ..meta };
+        let vast = encode_meta_with_lens(&vast, &[0; 2]);
+        assert_eq!(decode_meta(&vast), Ok(None));
+        assert_eq!(meta_version(&vast), Some(FORMAT_VERSION));
         assert_eq!(meta_version(&bytes[..7]), None);
     }
 }

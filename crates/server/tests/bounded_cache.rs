@@ -11,9 +11,10 @@
 //! model is pinned by `store_equivalence`:
 //! results, errors, the paper-model `CostStats` currencies (compared via
 //! [`CostStats::sans_cache`]) and the final cell-by-cell state must be
-//! bit-identical. Randomized programs cover ragged set-ups, over-long
-//! writes refused around dirty cells, zero-length cells, batches wider
-//! than the cache, and checkpoints; focused tests make hits and misses, a
+//! bit-identical. Randomized programs cover set-ups of two cell lengths
+//! (refused), writes of a cell longer or shorter than the stride refused
+//! around dirty cells, batches wider than the cache, and checkpoints; a
+//! stride-0 store is a focused test, and so are hits and misses, a
 //! batch's dirty set outgrowing the budget and the deferred write-back
 //! (acknowledged cells wait in the cache until a checkpoint or budget
 //! pressure, then leave it) legible. Some tests keep
@@ -65,9 +66,9 @@ fn cell(byte: u8, len: usize) -> Vec<u8> {
 }
 
 /// One step of a random program. Addresses reach slightly out of bounds so
-/// error paths stay equivalent too; `WriteOdd` lengths of 0 exercise
-/// zero-length cells, and `WriteTooLong` cells past `CELL_LEN` are refused
-/// while dirty cells wait in the cache.
+/// error paths stay equivalent too; `WriteOdd` lengths up to `CELL_LEN`
+/// (0 included) are refused unless they are `CELL_LEN`, and `WriteTooLong`
+/// cells past it are refused, while dirty cells wait in the cache.
 #[derive(Debug, Clone)]
 enum Op {
     Read(Vec<usize>),
@@ -135,13 +136,24 @@ fn run_case(ragged: bool, ops: &[Op]) {
     run_case_on(CrashSim::new(1), ragged, ops);
 }
 
-/// Set-up at `CELL_LEN`: every cell full, or — `ragged` — cell `i` cut to
-/// `i mod (CELL_LEN + 1)` bytes (zero-length ones included) but the last.
+/// Set-up at `CELL_LEN`, every cell full — after, when `ragged`, a set-up
+/// with cell `i` cut to `i mod (CELL_LEN + 1)` bytes (zero-length ones
+/// included) but the last, which panics on both and leaves both empty.
 fn run_case_on<V: Vfs>(vfs: V, ragged: bool, ops: &[Op]) {
     let mut disk = DiskStore::open_on(vfs, tiny_cache_opts()).expect("open disk store");
     let mut oracle = SimServer::new();
-    let len = |i: usize| if ragged && i + 1 < CAPACITY { i % (CELL_LEN + 1) } else { CELL_LEN };
-    let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, len(i))).collect();
+    if ragged {
+        let len = |i: usize| if i + 1 < CAPACITY { i % (CELL_LEN + 1) } else { CELL_LEN };
+        let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, len(i))).collect();
+        let refused = [
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| disk.init(cells.clone()))),
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| oracle.init(cells.clone()))),
+        ];
+        assert!(refused.iter().all(Result::is_err), "a ragged set-up was taken");
+        assert_eq!((disk.capacity(), disk.cell_stride()), (0, 0));
+        assert_eq!((oracle.capacity(), oracle.cell_stride()), (0, 0));
+    }
+    let cells: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
     disk.init(cells.clone());
     oracle.init(cells);
     assert_eq!(disk.cell_stride(), CELL_LEN);
@@ -157,7 +169,6 @@ fn run_case_on<V: Vfs>(vfs: V, ragged: bool, ops: &[Op]) {
     for addr in 0..CAPACITY {
         assert_eq!(disk.read(addr), oracle.read(addr), "cell {addr} diverged");
     }
-    assert_eq!(disk.stored_bytes(), oracle.stored_bytes());
     assert_eq!(disk.cell_stride(), CELL_LEN);
     // The budget holds at rest: after a batch the cache holds at most the
     // dirty cells that fit it (a commit past it writes them all back).
@@ -182,8 +193,8 @@ proptest! {
         run_case(false, &ops);
     }
 
-    /// Randomized programs from a ragged set-up: short and zero-length
-    /// cells stay equivalent while dirty ones wait for write-back.
+    /// Randomized programs behind a refused set-up of two cell lengths:
+    /// it panics on both and leaves nothing behind for the programs.
     #[test]
     fn tiny_cache_matches_simserver_ragged(
         ops in proptest::collection::vec(arb_op(), 0..48),
@@ -246,27 +257,29 @@ fn dirty_pins_overshoot_and_drain_on_commit() {
     }
 }
 
-/// Zero-length cells take no cache slot, survive the write-backs around
-/// them, and stay distinct from the full cells beside them.
+/// A stride-0 store — every cell empty — under the tiny cache: its cells
+/// carry no payload, so the budget mirrors them all in no bytes and no
+/// read misses; writes of empty cells are logged and exact across a
+/// checkpoint, and a cell with a byte is refused like any other length.
 #[test]
 fn zero_length_cells_are_cache_free_and_exact() {
     let tmp = TempDir::new();
     let mut disk = DiskStore::open_with(&tmp.0, tiny_cache_opts()).expect("open disk store");
-    disk.init(vec![cell(0xAA, CELL_LEN); CAPACITY]);
-    for addr in (0..CAPACITY).step_by(2) {
-        disk.write(addr, Vec::new()).unwrap();
-    }
-    assert_eq!(disk.cache_resident(), 0, "empty payloads must not occupy slots");
-    for addr in (1..CAPACITY).step_by(2) {
-        disk.write(addr, cell(addr as u8, CELL_LEN)).unwrap();
-    }
+    let mut oracle = SimServer::new();
+    disk.init(vec![Vec::new(); CAPACITY]);
+    oracle.init(vec![Vec::new(); CAPACITY]);
+    assert_eq!((disk.cell_stride(), disk.cache_resident()), (0, CAPACITY));
+    let evens: Vec<(usize, Vec<u8>)> = (0..CAPACITY).step_by(2).map(|a| (a, Vec::new())).collect();
+    assert_eq!(disk.write_batch(evens.clone()), oracle.write_batch(evens));
+    let refused = Err(ServerError::WrongCellLength { addr: 3, len: 1, stride: 0 });
+    assert_eq!(disk.write(3, vec![0xAA]), refused);
+    assert_eq!(oracle.write(3, vec![0xAA]), refused);
+    disk.checkpoint().expect("checkpoint");
     for addr in 0..CAPACITY {
-        if addr % 2 == 0 {
-            assert_eq!(disk.read(addr).unwrap(), Vec::<u8>::new());
-        } else {
-            assert_eq!(disk.read(addr).unwrap(), cell(addr as u8, CELL_LEN));
-        }
+        assert_eq!(disk.read(addr), oracle.read(addr), "cell {addr}");
     }
+    assert_eq!(disk.stats().cache_misses, 0, "an empty cell never misses");
+    assert_eq!(disk.stats().sans_cache(), oracle.stats());
     assert_eq!(
         disk.read(CAPACITY + 1),
         Err(ServerError::OutOfBounds { addr: CAPACITY + 1, capacity: CAPACITY })

@@ -52,25 +52,28 @@ impl Rng {
 }
 
 /// One server round trip of the randomized program. Only valid operations
-/// are generated (bounds-correct, cells within the stride of the set-up
-/// before them) plus `Refused`, a batch with one cell past the stride, which
-/// the store refuses before it does any I/O: invalid-op equivalence is the
-/// `store_equivalence` suite's job; this suite is about durability.
+/// are generated (bounds-correct, cells of the stride of the set-up before
+/// them) plus `Refused`, a batch with one cell longer or shorter than the
+/// stride, and `RaggedInit`, a set-up of two cell lengths, which the store
+/// refuses (the set-up by panicking) before it does any I/O: invalid-op
+/// equivalence is the `store_equivalence` suite's job; this suite is about
+/// durability.
 // Variants mirror the `Storage` methods they drive (`write_batch`, ...).
 #[allow(clippy::enum_variant_names)]
 #[derive(Debug, Clone)]
 enum Batch {
     Init(Vec<Vec<u8>>),
-    WriteBatch(Vec<(usize, Vec<u8>)>),
+    WriteOwned(Vec<(usize, Vec<u8>)>),
     WriteStrided(Vec<usize>, Vec<u8>),
     WriteFrom(usize, Vec<u8>),
     Checkpoint,
     /// A `write_batch` and the refusal it must get.
     Refused(Vec<(usize, Vec<u8>)>, ServerError),
+    /// A set-up whose cells differ in length, which must panic.
+    RaggedInit(Vec<Vec<u8>>),
 }
 
-fn cell(rng: &mut Rng, max_len: u64) -> Vec<u8> {
-    let len = rng.below(max_len + 1) as usize;
+fn cell(rng: &mut Rng, len: u64) -> Vec<u8> {
     (0..len).map(|_| rng.next() as u8).collect()
 }
 
@@ -81,10 +84,11 @@ fn gen_writes(rng: &mut Rng, capacity: usize, stride: u64) -> Vec<(usize, Vec<u8
         .collect()
 }
 
-/// A set-up of `capacity` cells of up to 10 bytes, and the stride it fixes.
+/// A set-up of `capacity` cells of one length up to 10 bytes (0 included),
+/// and the stride it fixes.
 fn set_up(rng: &mut Rng, capacity: usize) -> (Batch, u64) {
-    let cells: Vec<Vec<u8>> = (0..capacity).map(|_| cell(rng, 10)).collect();
-    let stride = cells.iter().map(Vec::len).max().unwrap_or(0) as u64;
+    let stride = rng.below(11);
+    let cells: Vec<Vec<u8>> = (0..capacity).map(|_| cell(rng, stride)).collect();
     (Batch::Init(cells), stride)
 }
 
@@ -105,26 +109,35 @@ fn gen_program(rng: &mut Rng) -> Vec<Batch> {
             1 => Batch::Checkpoint,
             2 | 3 => {
                 let n = 1 + rng.below(4) as usize;
-                let w = rng.below(stride + 1) as usize; // 0 → zero-length cells
                 let addrs: Vec<usize> =
                     (0..n).map(|_| rng.below(capacity as u64) as usize).collect();
-                let flat = (0..n * w).map(|_| rng.next() as u8).collect();
+                let flat = (0..n * stride as usize).map(|_| rng.next() as u8).collect();
                 Batch::WriteStrided(addrs, flat)
             }
             4 => {
                 let addr = rng.below(capacity as u64) as usize;
                 Batch::WriteFrom(addr, cell(rng, stride))
             }
+            5 if rng.below(4) == 0 => {
+                let (Batch::Init(mut cells), _) = set_up(rng, capacity) else { unreachable!() };
+                let odd = rng.below(capacity as u64) as usize;
+                cells[odd].push(0xEE);
+                Batch::RaggedInit(cells)
+            }
             5 => {
                 let mut writes = gen_writes(rng, capacity, stride);
                 let addr = rng.below(capacity as u64) as usize;
-                let len = (stride + 1 + rng.below(4)) as usize;
+                // Longer, or — where there is room — shorter.
+                let len = match rng.below(2) {
+                    0 if stride > 0 => rng.below(stride),
+                    _ => stride + 1 + rng.below(4),
+                } as usize;
                 let at = rng.below(writes.len() as u64 + 1) as usize;
                 writes.insert(at, (addr, vec![0xEE; len]));
-                let refusal = ServerError::CellTooLong { addr, len, stride: stride as usize };
+                let refusal = ServerError::WrongCellLength { addr, len, stride: stride as usize };
                 Batch::Refused(writes, refusal)
             }
-            _ => Batch::WriteBatch(gen_writes(rng, capacity, stride)),
+            _ => Batch::WriteOwned(gen_writes(rng, capacity, stride)),
         };
         batches.push(batch);
     }
@@ -138,13 +151,17 @@ fn apply_disk(store: &mut DiskStore<CrashSim>, batch: &Batch) -> Result<(), Cras
     let result = match batch {
         Batch::Init(cells) => return disk_setup(store.try_init(cells.clone())),
         Batch::Checkpoint => return disk_setup(store.checkpoint()),
-        Batch::WriteBatch(writes) => store.write_batch(writes.clone()),
+        Batch::WriteOwned(writes) => store.write_batch(writes.clone()),
         Batch::WriteStrided(addrs, flat) => store.write_batch_strided(addrs, flat),
         Batch::WriteFrom(addr, cell) => store.write_from(*addr, cell),
         // Refused by the model before the store is asked — on a poisoned
         // store too — so it can neither crash nor be interrupted.
         Batch::Refused(writes, refusal) => {
             assert_eq!(store.write_batch(writes.clone()), Err(refusal.clone()));
+            return Ok(());
+        }
+        Batch::RaggedInit(cells) => {
+            ragged_init_panics(|| drop(store.try_init(cells.clone())));
             return Ok(());
         }
     };
@@ -163,14 +180,21 @@ fn disk_setup(result: Result<(), DiskError>) -> Result<(), Crashed> {
     }
 }
 
+/// Runs a set-up of two cell lengths, which must panic.
+fn ragged_init_panics(init: impl FnOnce()) {
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(init));
+    assert!(panicked.is_err(), "a set-up of two cell lengths was taken");
+}
+
 fn apply_oracle(oracle: &mut SimServer, batch: &Batch) {
     match batch {
         Batch::Init(cells) => oracle.init(cells.clone()),
+        Batch::RaggedInit(cells) => ragged_init_panics(|| oracle.init(cells.clone())),
         Batch::Refused(writes, refusal) => {
             assert_eq!(oracle.write_batch(writes.clone()), Err(refusal.clone()));
         }
         Batch::Checkpoint => {}
-        Batch::WriteBatch(writes) => oracle.write_batch(writes.clone()).unwrap(),
+        Batch::WriteOwned(writes) => oracle.write_batch(writes.clone()).unwrap(),
         Batch::WriteStrided(addrs, flat) => oracle.write_batch_strided(addrs, flat).unwrap(),
         Batch::WriteFrom(addr, cell) => oracle.write_from(*addr, cell).unwrap(),
     }
@@ -221,7 +245,7 @@ fn baseline(seed: u64, program: &[Batch]) -> (Vec<State>, u64) {
     for batch in program {
         let (events, stats) = (sim.events(), store.stats());
         assert!(apply_disk(&mut store, batch).is_ok(), "no crash planned");
-        if let Batch::Refused(..) = batch {
+        if let Batch::Refused(..) | Batch::RaggedInit(..) = batch {
             // No I/O, so no crash point; no charge either.
             assert_eq!((sim.events(), store.stats()), (events, stats), "{batch:?}");
         }
@@ -449,9 +473,9 @@ fn recovery_replay_survives_its_own_crashes() {
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
     store.init((0..6).map(|i| vec![i as u8; 6]).collect());
     store
-        .write_batch(vec![(0, vec![9; 6]), (5, vec![8; 3])])
+        .write_batch(vec![(0, vec![9; 6]), (5, vec![8; 6])])
         .unwrap();
-    store.write(2, Vec::new()).unwrap();
+    store.write(2, vec![7; 6]).unwrap();
     drop(store);
     // Power loss with a populated WAL: the arena pwrites were never
     // synced, so recovery must rebuild cells 0/5/2 from the log.
@@ -462,8 +486,8 @@ fn recovery_replay_survives_its_own_crashes() {
         let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
         let state = state_of(&mut store);
         assert_eq!(state.1[0], [9u8; 6]);
-        assert_eq!(state.1[5], [8u8; 3]);
-        assert_eq!(state.1[2], [0u8; 0]);
+        assert_eq!(state.1[5], [8u8; 6]);
+        assert_eq!(state.1[2], [7u8; 6]);
         state
     };
     let replay_events = sim.events() - base_events;
@@ -475,9 +499,9 @@ fn recovery_replay_survives_its_own_crashes() {
         let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
         store.init((0..6).map(|i| vec![i as u8; 6]).collect());
         store
-            .write_batch(vec![(0, vec![9; 6]), (5, vec![8; 3])])
+            .write_batch(vec![(0, vec![9; 6]), (5, vec![8; 6])])
             .unwrap();
-        store.write(2, Vec::new()).unwrap();
+        store.write(2, vec![7; 6]).unwrap();
         drop(store);
         sim.recover();
         sim.plan_crash(sim.events() + j, 500);
@@ -553,18 +577,25 @@ fn bit_flipped_wal_record_is_typed_corruption_on_real_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Zero-length cells are first-class: logged, checkpointed, recovered.
+/// A stride-0 store is first-class: its empty cells are logged,
+/// checkpointed and recovered, and a cell with a byte is refused before any
+/// I/O.
 #[test]
 fn zero_length_cells_survive_restart() {
     let seed = base_seed() ^ 0x0CE1;
     let sim = CrashSim::new(seed);
     let opts = opts_for(seed);
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
-    store.init(vec![Vec::new(), vec![1, 2, 3], Vec::new()]);
-    store.write(1, Vec::new()).unwrap(); // overwrite with empty via the WAL
+    store.init(vec![Vec::new(); 3]);
+    store.write(1, Vec::new()).unwrap(); // an empty cell via the WAL
     store.checkpoint().unwrap();
-    store.write(0, vec![7]).unwrap();
-    store.write(0, Vec::new()).unwrap(); // and once more post-checkpoint
+    let events = sim.events();
+    let refused = Err(ServerError::WrongCellLength { addr: 0, len: 1, stride: 0 });
+    assert_eq!(store.write(0, vec![7]), refused);
+    assert_eq!(sim.events(), events, "a refused cell reached the disk");
+    store
+        .write_batch(vec![(0, Vec::new()), (2, Vec::new())])
+        .unwrap(); // post-checkpoint
     drop(store);
     sim.recover();
     let mut store = DiskStore::open_on(sim.clone(), opts).unwrap();
@@ -574,7 +605,7 @@ fn zero_length_cells_survive_restart() {
         (3, vec![Vec::new(); 3]),
         "zero-length cells must stay empty values through WAL replay"
     );
-    assert_eq!(store.stored_bytes(), 0);
+    assert_eq!(store.cell_stride(), 0);
 }
 
 /// After the crash fires, the store is poisoned: mutations fail fast with

@@ -6,10 +6,11 @@
 //! [`DiskStore`] on [`RealVfs`](dps_server::RealVfs) with a cache of a few
 //! cells — so nearly every read is such a miss — through seeded programs
 //! of everything that can move bytes under a mapping or move the mapping
-//! itself: single and batched writes, zero-length cells,
-//! checkpoints (write-back *inside* the mapped range), set-ups at a wider
-//! stride (a new, longer arena file becomes the active one), over-long
-//! writes (refused, so nothing moves), and drop + reopen. After every step
+//! itself: single and batched writes, checkpoints (write-back *inside* the
+//! mapped range), set-ups at a wider stride (a new, longer arena file
+//! becomes the active one), set-ups of two cell lengths and writes of a
+//! cell longer or shorter than the stride (refused, so nothing moves), and
+//! drop + reopen. After every step
 //! the answer and the paper-model currencies
 //! ([`CostStats::sans_cache`](dps_server::CostStats::sans_cache)) must
 //! equal [`SimServer`]'s; the cache counters must say what happened —
@@ -68,17 +69,9 @@ fn opts() -> DiskOptions {
     DiskOptions { wal_checkpoint_bytes: 1 << 20, cache_bytes: CACHE }
 }
 
-/// Initial contents: full-width cells, with every 11th shorter and every
-/// 17th empty (a zero-length cell is a value too, and is neither a hit nor
-/// a miss).
+/// Initial contents: a cell of the stride at every address.
 fn initial() -> Vec<Vec<u8>> {
-    (0..CAPACITY)
-        .map(|i| match i {
-            _ if i % 17 == 0 => Vec::new(),
-            _ if i % 11 == 0 => cell(i as u8, CELL_LEN / 2),
-            _ => cell(i as u8, CELL_LEN),
-        })
-        .collect()
+    (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect()
 }
 
 /// Drops the store and opens the directory again (every acknowledged
@@ -94,7 +87,7 @@ fn assert_same_state(disk: &mut DiskStore, oracle: &mut SimServer, when: &str) {
     for addr in 0..CAPACITY {
         assert_eq!(disk.read(addr), oracle.read(addr), "cell {addr} {when}");
     }
-    assert_eq!(disk.stored_bytes(), oracle.stored_bytes(), "{when}");
+    assert_eq!(disk.cell_stride(), oracle.cell_stride(), "{when}");
     assert_eq!(disk.stats().sans_cache(), oracle.stats(), "{when}");
 }
 
@@ -106,23 +99,20 @@ fn run_program(seed: u64) {
     disk.init(initial());
     oracle.init(initial());
 
-    // A read-only pass over cells that were never cached: every non-empty
-    // one is a miss answered by the mapping — no slot, no eviction, no
-    // system call — with the bytes `init` stored (the oracle's).
+    // A read-only pass over cells that were never cached: every one is a
+    // miss answered by the mapping — no slot, no eviction, no system call —
+    // with the bytes `init` stored (the oracle's).
     let mut order: Vec<usize> = (0..CAPACITY).collect();
     for i in (1..CAPACITY).rev() {
         order.swap(i, rng.below(i + 1));
     }
-    let mut non_empty = 0;
     for batch in order.chunks(16) {
-        let got = disk.read_batch(batch);
-        assert_eq!(got, oracle.read_batch(batch));
-        non_empty += got.unwrap().iter().filter(|c| !c.is_empty()).count() as u64;
+        assert_eq!(disk.read_batch(batch), oracle.read_batch(batch));
     }
     let stats = disk.stats();
     assert_eq!(
         (stats.cache_misses, stats.cache_hits, stats.cache_evictions),
-        (non_empty, 0, 0),
+        (CAPACITY as u64, 0, 0),
         "a lent read is a miss and nothing else: {stats}"
     );
     assert_eq!(disk.cache_resident(), 0, "a read-only store keeps nothing resident");
@@ -142,17 +132,20 @@ fn run_program(seed: u64) {
                 assert_eq!(disk.stats().cache_evictions, evictions, "a read evicted: {label}");
                 assert_eq!(disk.cache_resident(), resident, "a read took a slot: {label}");
             }
-            // One cell, any length up to the stride (0 included).
+            // One cell, of the stride but one time in four, when any length
+            // up to one past it (0 included) is drawn and refused alike.
             40..=59 => {
-                let (addr, len) = (rng.below(CAPACITY), rng.below(stride + 1));
+                let addr = rng.below(CAPACITY);
+                let len = if rng.below(4) == 0 { rng.below(stride + 2) } else { stride };
                 let bytes = cell(rng.next() as u8, len);
                 assert_eq!(disk.write(addr, bytes.clone()), oracle.write(addr, bytes), "{label}");
             }
-            // A batch: more cells than the cache has slots.
+            // A batch: more cells than the cache has slots (refused whole
+            // when one of them is empty).
             60..=79 => {
                 let batch: Vec<(usize, Vec<u8>)> = (0..1 + rng.below(12))
                     .map(|_| {
-                        let len = if rng.below(6) == 0 { 0 } else { stride };
+                        let len = if rng.below(24) == 0 { 0 } else { stride };
                         (rng.below(CAPACITY), cell(rng.next() as u8, len))
                     })
                     .collect();
@@ -162,25 +155,42 @@ fn run_program(seed: u64) {
             80..=93 => disk.checkpoint().expect("checkpoint"),
             // Set-up again, wider: the image goes to the other arena file at
             // the new stride, that file becomes the active one and is mapped
-            // at its own (longer) length by the next miss.
+            // at its own (longer) length by the next miss. First a set-up of
+            // two lengths, which panics on both and moves nothing.
             94 | 95 => {
-                stride += 1 + rng.below(9);
-                let cells: Vec<Vec<u8>> = (0..CAPACITY)
-                    .map(|i| cell(rng.next() as u8, if i % 13 == 0 { i % stride } else { stride }))
+                let odd = rng.below(CAPACITY);
+                let ragged: Vec<Vec<u8>> = (0..CAPACITY)
+                    .map(|i| cell(i as u8, if i == odd { stride + 1 } else { stride }))
                     .collect();
+                for refused in [
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        disk.init(ragged.clone())
+                    })),
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        oracle.init(ragged.clone())
+                    })),
+                ] {
+                    assert!(refused.is_err(), "a ragged set-up was taken: {label}");
+                }
+                assert_eq!(disk.cell_stride(), stride, "{label}");
+                stride += 1 + rng.below(9);
+                let cells: Vec<Vec<u8>> =
+                    (0..CAPACITY).map(|_| cell(rng.next() as u8, stride)).collect();
                 disk.init(cells.clone());
                 oracle.init(cells);
                 assert_eq!(disk.cell_stride(), stride, "{label}");
             }
-            // A cell past the stride: refused alike, and the mapping, the
-            // stride and the counters stay where they were.
+            // A cell past the stride or short of it: refused alike, and the
+            // mapping, the stride and the counters stay where they were.
             96 => {
-                let (addr, len) = (rng.below(CAPACITY), stride + 1 + rng.below(9));
+                let addr = rng.below(CAPACITY);
+                let len =
+                    if rng.below(2) == 0 { stride + 1 + rng.below(9) } else { rng.below(stride) };
                 let bytes = cell(rng.next() as u8, len);
                 let before = disk.stats();
                 let refused = disk.write(addr, bytes.clone());
                 assert_eq!(refused, oracle.write(addr, bytes), "{label}");
-                assert!(refused.is_err(), "an over-long cell was stored: {label}");
+                assert!(refused.is_err(), "a cell of another length was stored: {label}");
                 assert_eq!((disk.stats(), disk.cell_stride()), (before, stride), "{label}");
             }
             _ => {

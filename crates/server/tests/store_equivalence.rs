@@ -2,15 +2,16 @@
 //! per-cell `Vec<Vec<u8>>` model.
 //!
 //! Each program of batched reads, writes and XORs — including failing
-//! operations (an address out of range, a cell longer than the stride set-up
-//! fixed) and the zero-copy variants — runs against
+//! operations (an address out of range, a cell longer or shorter than the
+//! stride set-up fixed) and the zero-copy variants — runs against
 //! the real implementations (the flat-arena [`SimServer`] and the durable
 //! tempdir-backed [`DiskStore`]: one model, [`Accounted`], over two
 //! backends — and the [`Verified`] integrity decorator over the first) and
 //! the reference oracle: the cells returned, the `CostStats` charged, and
-//! the recorded transcript must be byte-identical for all of them. A last
-//! case substitutes a faulting backend to pin what the model charges when
-//! the backend, not the request, is at fault.
+//! the recorded transcript must be byte-identical for all of them. A set-up
+//! of two cell lengths panics on every one of them and leaves what was
+//! there. A last case substitutes a faulting backend to pin what the model
+//! charges when the backend, not the request, is at fault.
 
 use dps_server::{
     AccessEvent, Accounted, CellBackend, CellStore, CostStats, DiskOptions, DiskStore, ServerError,
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Default)]
 struct ReferenceServer {
     cells: Vec<Vec<u8>>,
-    /// The longest cell of set-up: no upload may exceed it.
+    /// The one cell length of set-up: every upload must have it.
     stride: usize,
     stats: CostStats,
     transcript: Option<Transcript>,
@@ -33,7 +34,8 @@ struct ReferenceServer {
 
 impl ReferenceServer {
     fn init(&mut self, cells: Vec<Vec<u8>>) {
-        self.stride = cells.iter().map(Vec::len).max().unwrap_or(0);
+        self.stride = cells.first().map_or(0, Vec::len);
+        assert!(cells.iter().all(|c| c.len() == self.stride), "set-up cells differ in length");
         self.cells = cells;
     }
 
@@ -76,9 +78,9 @@ impl ReferenceServer {
     fn write_batch(&mut self, writes: Vec<(usize, Vec<u8>)>) -> Result<(), ServerError> {
         for (addr, cell) in &writes {
             self.check(*addr)?;
-            if cell.len() > self.stride {
+            if cell.len() != self.stride {
                 let (addr, len, stride) = (*addr, cell.len(), self.stride);
-                return Err(ServerError::CellTooLong { addr, len, stride });
+                return Err(ServerError::WrongCellLength { addr, len, stride });
             }
         }
         let events = writes.iter().map(|&(a, _)| AccessEvent::Upload(a)).collect();
@@ -92,15 +94,15 @@ impl ReferenceServer {
         Ok(())
     }
 
-    /// The XOR of the cells zero-padded to the longest.
+    /// The XOR of the cells, one stride long (none for no cells).
     fn xor_cells(&mut self, addrs: &[usize]) -> Result<Vec<u8>, ServerError> {
         let mut result: Vec<u8> = Vec::new();
         for &addr in addrs {
             self.check(addr)?;
             let cell = &self.cells[addr];
             self.stats.computed += 1;
-            if result.len() < cell.len() {
-                result.resize(cell.len(), 0);
+            if result.is_empty() {
+                result = vec![0; cell.len()];
             }
             for (x, y) in result.iter_mut().zip(cell) {
                 *x ^= y;
@@ -115,9 +117,10 @@ impl ReferenceServer {
 
 /// One step of a random server program. Addresses range a little beyond
 /// the capacity so out-of-bounds behavior is exercised too; cell lengths
-/// are uniform (`CELL_LEN`, the stride) except for `WriteOdd`, which
-/// exercises the short-cell paths, and `WriteTooLong`, whose batch carries
-/// one cell past the stride and must be refused whole.
+/// are the stride (`CELL_LEN`) except for `WriteOdd`, a write of any length
+/// up to it (refused unless it is the stride's), and `WriteWrongLength`,
+/// whose batch carries one cell longer or shorter than the stride and must
+/// be refused whole.
 #[derive(Debug, Clone)]
 enum Op {
     ReadBatch(Vec<usize>),
@@ -127,17 +130,17 @@ enum Op {
     /// that of a deleted spelling; the variant keeps its selector index so
     /// every seeded program is the one it was.)
     ReadInto(usize),
-    WriteBatch(Vec<(usize, u8)>),
+    WriteOwned(Vec<(usize, u8)>),
     /// Issued through `write_batch_strided` on the arena server.
     WriteStrided(Vec<(usize, u8)>),
     /// Issued through `write_from` on the arena server.
     WriteFrom(usize, u8),
-    /// A write of a length up to the stride (short-cell paths).
+    /// A write of a length up to the stride.
     WriteOdd(usize, u8, usize),
     Xor(Vec<usize>),
-    /// `WriteBatch` with one cell `CELL_LEN + .1` bytes long at position
-    /// `.2` (mod the batch's length + 1) of it.
-    WriteTooLong(Vec<(usize, u8)>, usize, usize),
+    /// `WriteOwned` with one cell `.1` bytes long at position `.2` (mod
+    /// the batch's length + 1) of it.
+    WriteWrongLength(Vec<(usize, u8)>, usize, usize),
 }
 
 const CAPACITY: usize = 12;
@@ -163,13 +166,22 @@ fn duplicated(writes: &[(usize, u8)]) -> Vec<(usize, u8)> {
         .collect()
 }
 
-/// `writes` at `CELL_LEN`, with one cell `extra` bytes longer for `addr`
-/// slipped in at a position `addr` also picks.
-fn too_long_batch(writes: &[(usize, u8)], extra: usize, addr: usize) -> Vec<(usize, Vec<u8>)> {
+/// `writes` at `CELL_LEN`, with one cell of `len` bytes for `addr` slipped
+/// in at a position `addr` also picks.
+fn wrong_length_batch(writes: &[(usize, u8)], len: usize, addr: usize) -> Vec<(usize, Vec<u8>)> {
     let mut batch: Vec<(usize, Vec<u8>)> =
         writes.iter().map(|&(a, b)| (a, cell(b, CELL_LEN))).collect();
-    batch.insert(addr % (batch.len() + 1), (addr, cell(0xEE, CELL_LEN + extra)));
+    batch.insert(addr % (batch.len() + 1), (addr, cell(0xEE, len)));
     batch
+}
+
+/// A length other than the stride: `CELL_LEN ± (1 + n mod 4)`.
+fn wrong_length(n: usize) -> usize {
+    if n.is_multiple_of(2) {
+        CELL_LEN + 1 + n / 2 % 4
+    } else {
+        CELL_LEN - 1 - n / 2 % 4
+    }
 }
 
 /// A wide duplicate-address batch (72 cells): each address six times.
@@ -189,14 +201,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
             0 => Op::ReadBatch(addrs),
             1 => Op::ReadZeroCopy(addrs),
             2 => Op::ReadInto(addr),
-            3 => Op::WriteBatch(writes),
+            3 => Op::WriteOwned(writes),
             4 => Op::WriteStrided(writes),
             5 => Op::WriteFrom(addr, byte),
             6 => Op::WriteOdd(addr, byte, n % (CELL_LEN + 1)),
             7 => Op::WriteStrided(duplicated(&writes)),
             8 => Op::WriteStrided(wide_duplicates(addr, byte)),
             9 => Op::Xor(addrs),
-            _ => Op::WriteTooLong(writes, 1 + n % 4, addr),
+            _ => Op::WriteWrongLength(writes, wrong_length(n), addr),
         },
     )
 }
@@ -223,7 +235,7 @@ fn step<S: Storage>(op: &Op, arena: &mut S, reference: &mut ReferenceServer) {
             let expected = reference.read_batch(&[*addr]).map(|mut cells| cells.remove(0));
             assert_eq!(arena.read(*addr), expected);
         }
-        Op::WriteBatch(writes) => {
+        Op::WriteOwned(writes) => {
             let w = |(a, b): &(usize, u8)| (*a, cell(*b, CELL_LEN));
             assert_eq!(
                 arena.write_batch(writes.iter().map(w).collect()),
@@ -253,18 +265,17 @@ fn step<S: Storage>(op: &Op, arena: &mut S, reference: &mut ReferenceServer) {
                 reference.write_batch(vec![(*addr, cell(*byte, *len))]),
             );
         }
-        // Cells of unequal length (`WriteOdd`) fold zero-padded.
         Op::Xor(addrs) => {
             assert_eq!(arena.xor_cells(addrs), reference.xor_cells(addrs));
         }
         // The same refusal on both sides, and nothing charged for it; the
         // transcript and the cells are compared at the end of the program.
-        Op::WriteTooLong(writes, extra, addr) => {
-            let batch = too_long_batch(writes, *extra, *addr);
+        Op::WriteWrongLength(writes, len, addr) => {
+            let batch = wrong_length_batch(writes, *len, *addr);
             let before = arena.stats();
             let refused = arena.write_batch(batch.clone());
             assert_eq!(refused, reference.write_batch(batch));
-            assert!(refused.is_err(), "an over-long cell was stored");
+            assert!(refused.is_err(), "a cell of another length was stored");
             assert_eq!(arena.stats(), before, "a refused batch was charged");
         }
     }
@@ -292,7 +303,7 @@ fn run_program<S: Storage>(arena: &mut S, ops: &[Op]) {
         "transcripts diverged"
     );
     // Final cell-by-cell state match.
-    assert_eq!(arena.stored_bytes(), reference.cells.iter().map(|c| c.len() as u64).sum());
+    assert_eq!(arena.cell_stride(), reference.stride);
     for addr in 0..CAPACITY {
         let got = arena.read_batch(&[addr]).map(|mut v| v.pop().unwrap());
         let expected = reference.read_batch(&[addr]).map(|mut v| v.pop().unwrap());
@@ -367,16 +378,56 @@ proptest! {
     }
 }
 
+/// A set-up of two cell lengths — shorter or longer, first or last, one
+/// cell empty — panics on every backend and on the oracle, and leaves the
+/// cells, the stride and the counters set-up left before it.
+#[test]
+fn ragged_set_ups_panic_on_every_backend() {
+    fn refused<S: Storage>(mut server: S) {
+        let db: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();
+        server.init(db.clone());
+        server.read(1).unwrap();
+        let before = server.stats();
+        for (odd, len) in [(0, CELL_LEN - 1), (CAPACITY - 1, CELL_LEN + 1), (5, 0)] {
+            let mut ragged = db.clone();
+            ragged[odd] = cell(0xEE, len);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                server.init(ragged);
+            }));
+            assert!(panicked.is_err(), "a set-up with cell {odd} of {len} bytes was taken");
+            let every: Vec<usize> = (0..CAPACITY).collect();
+            assert_eq!((server.capacity(), server.cell_stride()), (CAPACITY, CELL_LEN));
+            assert_eq!(server.stats(), before);
+            assert_eq!(server.read_batch(&every).unwrap(), db);
+            server.reset_stats();
+            server.read(1).unwrap();
+        }
+    }
+    refused(SimServer::new());
+    let tmp = TempDir::new();
+    refused(DiskStore::open_with(&tmp.0, DiskOptions::default()).expect("create disk store"));
+    let tmp = TempDir::new();
+    let opts = DiskOptions { cache_bytes: 3 * CELL_LEN, ..DiskOptions::default() };
+    refused(DiskStore::open_with(&tmp.0, opts).expect("create small-cache disk store"));
+    refused(Verified::new(SimServer::new()));
+    let oracle = std::panic::catch_unwind(|| {
+        ReferenceServer::default().init(vec![cell(1, CELL_LEN), cell(2, CELL_LEN + 1)]);
+    });
+    assert!(oracle.is_err(), "the oracle took a ragged set-up");
+}
+
 /// A `DiskStore` must also *reopen* into the reference state: after any
 /// program, a fresh store on the same directory serves identical cells.
 #[test]
 fn disk_store_reopens_into_reference_state() {
     let ops = vec![
-        Op::WriteBatch(vec![(0, 1), (5, 2)]),
+        Op::WriteOwned(vec![(0, 1), (5, 2)]),
         Op::WriteOdd(3, 9, 7),
         Op::WriteStrided(vec![(1, 4), (2, 5)]),
-        Op::WriteTooLong(vec![(1, 6), (2, 6)], 7, 3),
+        Op::WriteWrongLength(vec![(1, 6), (2, 6)], CELL_LEN + 7, 3),
+        Op::WriteWrongLength(vec![(1, 6), (2, 6)], CELL_LEN - 3, 0),
         Op::WriteOdd(4, 8, 0),
+        Op::WriteOdd(7, 8, CELL_LEN),
         // Duplicate addresses in one WAL record: replay is "later wins" too.
         Op::WriteStrided(duplicated(&[(6, 1), (2, 7), (6, 3)])),
     ];
@@ -427,9 +478,6 @@ impl CellBackend for FlakyBackend {
     fn stride(&self) -> usize {
         self.cells.stride()
     }
-    fn stored_bytes(&self) -> u64 {
-        self.cells.stored_bytes()
-    }
     fn reset(&mut self, contents: CellStore) {
         CellBackend::reset(&mut self.cells, contents);
     }
@@ -452,7 +500,7 @@ fn apply<S: Storage>(op: &Op, server: &mut S) -> Result<Vec<Vec<u8>>, ServerErro
     match op {
         Op::ReadBatch(addrs) | Op::ReadZeroCopy(addrs) => server.read_batch(addrs),
         Op::ReadInto(addr) => server.read(*addr).map(|c| vec![c]),
-        Op::WriteBatch(writes) => server
+        Op::WriteOwned(writes) => server
             .write_batch(writes.iter().map(w).collect())
             .map(|()| Vec::new()),
         Op::WriteStrided(writes) => {
@@ -467,8 +515,8 @@ fn apply<S: Storage>(op: &Op, server: &mut S) -> Result<Vec<Vec<u8>>, ServerErro
             server.write(*addr, cell(*byte, *len)).map(|()| Vec::new())
         }
         Op::Xor(addrs) => server.xor_cells(addrs).map(|x| vec![x]),
-        Op::WriteTooLong(writes, extra, addr) => server
-            .write_batch(too_long_batch(writes, *extra, *addr))
+        Op::WriteWrongLength(writes, len, addr) => server
+            .write_batch(wrong_length_batch(writes, *len, *addr))
             .map(|()| Vec::new()),
     }
 }
@@ -485,7 +533,7 @@ fn a_backend_fault_charges_the_cells_visited_before_it_and_nothing_else() {
         Op::WriteStrided(duplicated(&[(1, 9), (4, 2)])),
         Op::Xor(vec![2, 1, 5]),
         Op::WriteFrom(6, 3),
-        Op::WriteBatch(vec![(0, 1), (11, 2)]),
+        Op::WriteOwned(vec![(0, 1), (11, 2)]),
         Op::ReadZeroCopy(vec![0, 11, 6]),
     ];
     let db: Vec<Vec<u8>> = (0..CAPACITY).map(|i| cell(i as u8, CELL_LEN)).collect();

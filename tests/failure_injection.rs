@@ -47,18 +47,6 @@ fn dp_ram_detects_corrupted_ciphertext() {
     }
 }
 
-/// Truncated cells are malformed, not a panic.
-#[test]
-fn dp_ram_rejects_truncated_cell() {
-    let mut rng = ChaChaRng::seed_from_u64(2);
-    let db = database(N, BLOCK);
-    let mut ram =
-        DpRam::setup(DpRamConfig { n: N, stash_probability: 0.0 }, &db, SimServer::new(), &mut rng)
-            .unwrap();
-    ram.server_mut().write(3, vec![0u8; 2]).unwrap();
-    assert!(matches!(ram.read(3, &mut rng), Err(DpRamError::Crypto(_))));
-}
-
 /// Path ORAM with a corrupted bucket: typed storage error.
 #[test]
 fn path_oram_detects_corrupted_bucket() {
@@ -395,9 +383,6 @@ impl Storage for Resizing {
     }
     fn capacity(&self) -> usize {
         self.inner.capacity()
-    }
-    fn stored_bytes(&self) -> u64 {
-        self.inner.stored_bytes()
     }
     fn cell_stride(&self) -> usize {
         self.inner.cell_stride()
