@@ -2,16 +2,20 @@
 
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_crypto::ChaChaRng;
+use dps_hashing::ForestGeometry;
 use dps_oram::OramKvs;
 use dps_server::SimServer;
 use dps_workloads::generators::{key_universe, kvs_trace};
 use dps_workloads::Op;
 
 use crate::table::{f1, f3, Table};
+use crate::Verdict;
 
 /// E11 — Theorem 7.5: DP-KVS moves O(log log n) cells per op while an
-/// ORAM-backed KVS moves Θ(log n) blocks; server storage stays O(n).
-pub fn run_e11(fast: bool) {
+/// ORAM-backed KVS moves Θ(log n) blocks; server storage stays O(n). The
+/// constants matter at the sizes measured: 12·s(n) cells against
+/// 2(log₂ n + 1) blocks puts DP-KVS above ORAM-KVS at every n swept.
+pub fn run_e11(fast: bool) -> Vec<Verdict> {
     let sizes: &[usize] =
         if fast { &[1 << 8, 1 << 10] } else { &[1 << 8, 1 << 10, 1 << 12, 1 << 14] };
     let value = 32;
@@ -27,6 +31,7 @@ pub fn run_e11(fast: bool) {
             "DP-KVS client cells",
         ],
     );
+    let mut rows = Vec::new();
     for &n in sizes {
         let mut rng = ChaChaRng::seed_from_u64(11);
         let keys = key_universe(n / 2, &mut rng);
@@ -80,7 +85,40 @@ pub fn run_e11(fast: bool) {
             f3(server_cells as f64 / n as f64),
             client_cells.to_string(),
         ]);
+        rows.push((n, depth, kvs_cells, oram_blocks));
     }
     t.print();
-    println!("  shape check: DP-KVS cost grows only with depth = Θ(log log n) while ORAM-KVS grows with log n; server storage stays a constant multiple of n.");
+    // The first n = 2^k where 12·s(n) < 2·(k + 1).
+    let crossover = (1..64usize)
+        .find(|&k| 12 * ForestGeometry::recommended(1 << k).depth() < 2 * (k + 1))
+        .unwrap_or(64);
+    let monotone = rows.windows(2).all(|w| w[0].1 <= w[1].1);
+    vec![
+        Verdict::at_every(
+            "Thm 7.5: DP-KVS moves exactly 12·s(n) cells per op (4 bucket queries × 3 cells × \
+             depth s(n)), with s(n) ≤ ⌈log₂log₂n⌉ + 1 and non-decreasing in n: O(log log n)",
+            &rows,
+            |(n, s, c, _)| format!("{c:.1} = 12·{s} at n = {n}"),
+            |&(n, s, c, _)| {
+                let loglog = (n as f64).log2().log2().ceil() as usize;
+                c == 12.0 * s as f64 && s <= loglog + 1 && monotone
+            },
+        ),
+        Verdict::at_every(
+            "ORAM-KVS moves exactly 2·(log₂n + 1) blocks per op: Θ(log n)",
+            &rows,
+            |(n, _, _, o)| format!("{o:.1} at n = {n}"),
+            |&(n, _, _, o)| o == 2.0 * (n.ilog2() + 1) as f64,
+        ),
+        Verdict::at_every(
+            format!(
+                "at every n measured DP-KVS moves more cells per op than ORAM-KVS moves blocks: \
+                 DP-KVS is not below ORAM-KVS at these n; by the two formulas it first is at \
+                 n = 2^{crossover}"
+            ),
+            &rows,
+            |(_, _, c, o)| format!("{c:.0} vs {o:.0}"),
+            |&(_, _, c, o)| c > o,
+        ),
+    ]
 }

@@ -2,10 +2,15 @@
 //!
 //! The paper is a theory paper with no empirical tables, so the
 //! "evaluation" regenerated here is the set of quantitative claims its
-//! theorems make. Each experiment function prints a self-describing table
-//! of **paper-claim vs measured**; [`INDEX`] lists them, and the
-//! `experiments` binary dispatches on its ids. Wall-clock numbers are the
-//! end-to-end benchmark's business (`dpbench/`), not this crate's.
+//! theorems make. Each experiment prints a self-describing table of
+//! **paper-claim vs measured** and returns its [`Verdict`]s: each claim,
+//! naming its theorem and tolerance, checked against the numbers of that
+//! table at the parameter points the table covers. [`INDEX`] lists the
+//! experiments; the `experiments` binary dispatches on its ids and exits 1
+//! on a false verdict, and `tests/verdicts.rs` asserts the fast-mode
+//! verdicts of the cheap experiments. No verdict reads a wall-clock column:
+//! timing is the end-to-end benchmark's business (`dpbench/`), not this
+//! crate's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,10 +18,50 @@
 pub mod experiments;
 pub mod table;
 
+use std::fmt;
+
 use experiments::{audit, compare, extensions, hash, ir, kvs, ram};
 
+/// One claim checked against the rows of the table printed above it.
+#[derive(Debug)]
+pub struct Verdict {
+    /// The claim: the theorem it comes from, the parameter points it is
+    /// evaluated at, and its tolerance.
+    pub claim: String,
+    /// What the rows measured.
+    pub measured: String,
+    /// Whether the measurement bears the claim out.
+    pub holds: bool,
+}
+
+impl Verdict {
+    /// A verdict on `claim` from what was `measured`.
+    pub fn new(claim: impl Into<String>, measured: impl Into<String>, holds: bool) -> Self {
+        Self { claim: claim.into(), measured: measured.into(), holds }
+    }
+
+    /// A claim made at every row: `measured` lists `show` of each row, and
+    /// the claim holds if `holds` does at all of them.
+    pub fn at_every<R>(
+        claim: impl Into<String>,
+        rows: &[R],
+        show: impl Fn(&R) -> String,
+        holds: impl Fn(&R) -> bool,
+    ) -> Self {
+        let measured = rows.iter().map(show).collect::<Vec<_>>().join(", ");
+        Self::new(claim, measured, rows.iter().all(holds))
+    }
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mark = if self.holds { "holds" } else { "FALSE" };
+        write!(f, "[{mark}] {} — measured: {}", self.claim, self.measured)
+    }
+}
+
 /// One row of [`INDEX`]: id, one-line title, runner (its argument is `fast`).
-type Experiment = (&'static str, &'static str, fn(bool));
+type Experiment = (&'static str, &'static str, fn(bool) -> Vec<Verdict>);
 
 /// The experiment index, one `(id, one-line title, runner)` per experiment
 /// (the runner's argument is `fast`). The one list [`run_all`], the binary's
@@ -42,14 +87,12 @@ pub const INDEX: &[Experiment] = &[
     ("e18", "round trips -> modeled latency under three network models", extensions::run_e18),
     ("e19", "batched DP-IR: union size and round trips vs batch size", extensions::run_e19),
     ("e20", "D-server oblivious PIR vs multi-server DP-IR", extensions::run_e20),
-    ("e21", "honest-but-curious vs hardened DP-RAM", extensions::run_e21),
+    ("e21", "honest-but-curious vs hardened storage, same seed", extensions::run_e21),
     ("e22", "two-choice forest vs cuckoo hashing as the DP-KVS mapping", extensions::run_e22),
 ];
 
 /// Runs every experiment in order (fast mode trims trial counts so the
-/// whole suite finishes in a couple of minutes).
-pub fn run_all(fast: bool) {
-    for (_, _, run) in INDEX {
-        run(fast);
-    }
+/// whole suite finishes in seconds), returning each id with its verdicts.
+pub fn run_all(fast: bool) -> Vec<(&'static str, Vec<Verdict>)> {
+    INDEX.iter().map(|(id, _, run)| (*id, run(fast))).collect()
 }

@@ -24,16 +24,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -81,6 +71,12 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
+/// Formats a confidence interval to 3 decimals, or "unresolved" when the
+/// audit could not place one.
+pub fn ci(interval: Option<dps_analysis::Interval>) -> String {
+    interval.map_or("unresolved".into(), |i| format!("[{:.3}, {:.3}]", i.lo, i.hi))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +89,6 @@ mod tests {
         assert!(s.contains("## demo"));
         assert!(s.contains("| a "));
         assert!(s.contains("| 1 "));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

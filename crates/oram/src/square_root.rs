@@ -432,8 +432,12 @@ mod tests {
         let diff = oram.server_stats().since(&before);
         let measured = (diff.downloads + diff.uploads) as f64 / queries as f64;
         let predicted = oram.amortized_blocks_per_query();
+        let s = oram.shelter_size() as f64;
+        // Shelter scans grow 0..s-1 within an epoch (on average (s-1)/2 + 2
+        // per query against the formula's worst case s + 2), so over whole
+        // epochs the formula is an upper bound, loose by at most s/2 + 1.5.
         assert!(
-            (measured - predicted).abs() / predicted < 0.2,
+            measured <= predicted && predicted - measured <= s / 2.0 + 1.5,
             "measured {measured:.1} vs predicted {predicted:.1}"
         );
         // Θ(√n): for n = 256 the amortized cost is far below n and far

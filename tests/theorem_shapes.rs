@@ -1,33 +1,8 @@
 //! Integration tests asserting the *shapes* the paper's theorems predict,
 //! measured across crates (theory formulas vs simulated structures).
 
-use dp_storage::analysis::stats;
-use dp_storage::crypto::ChaChaRng;
-use dp_storage::hashing::classic::{max_load, one_choice_loads, two_choice_loads};
 use dp_storage::hashing::forest::{ForestGeometry, ObliviousForest};
 use dp_storage::hashing::theory::{beta_closed, i_star};
-
-/// Theorem A.1 separation: at n = 2^15, two-choice max load must be under
-/// half the one-choice max load on average.
-#[test]
-fn two_choice_separation_is_reproducible() {
-    let n = 1 << 15;
-    let mut ones = Vec::new();
-    let mut twos = Vec::new();
-    for seed in 0..5 {
-        let mut rng = ChaChaRng::seed_from_u64(seed);
-        ones.push(f64::from(max_load(&one_choice_loads(n, n, &mut rng))));
-        twos.push(f64::from(max_load(&two_choice_loads(n, n, &mut rng))));
-    }
-    let one_mean = stats::mean(&ones);
-    let two_mean = stats::mean(&twos);
-    assert!(
-        two_mean * 1.8 < one_mean,
-        "two-choice {two_mean} not clearly below one-choice {one_mean}"
-    );
-    // And the absolute scale matches Θ(log log n): log2 log2 2^15 ≈ 3.9.
-    assert!(two_mean <= 8.0);
-}
 
 /// Lemma 7.3 / Theorem 7.2: the forest's empirical filled-node counts are
 /// dominated by a constant multiple of the β_i envelope, and the decay is
