@@ -3,8 +3,7 @@
 //! the D-server oblivious baseline, active-security hardening, and the
 //! choice of mapping scheme.
 
-use dps_core::batched_ir::BatchedDpIr;
-use dps_core::dp_ir::DpIrConfig;
+use dps_core::dp_ir::{DpIr, DpIrConfig};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig, DpRamError};
 use dps_core::multi_server::{MultiServerDpIr, MultiServerDpIrConfig};
@@ -95,7 +94,7 @@ pub fn run_e19(fast: bool) -> Vec<Verdict> {
     let mut rng = ChaChaRng::seed_from_u64(19);
 
     let config = DpIrConfig::with_epsilon(n, epsilon, alpha).unwrap();
-    let mut ir = BatchedDpIr::setup(config, &db, SimServer::new()).unwrap();
+    let mut ir = DpIr::setup(config, &db, SimServer::new()).unwrap();
     let k = ir.config().k;
 
     let mut t = Table::new(

@@ -1,10 +1,12 @@
-//! Batched DP-IR: many retrievals, one round trip.
+//! Batched and sealed DP-IR: the [`DpIr`] methods for many retrievals in
+//! one round trip, and for records sealed at rest — and the one read path
+//! every query runs, a single query being a batch of one.
 //!
 //! The paper's motivating deployments ("large-scale storage infrastructure
 //! with highly frequent access requests", Section 1) rarely issue queries
-//! one at a time. This module extends Algorithm 1 to a batch of `m`
-//! queries: the client samples the `m` download sets *independently*, then
-//! issues their **union** to the server in a single round trip.
+//! one at a time. A batch of `m` queries samples the `m` download sets
+//! *independently* with Algorithm 1, then issues their **union** to the
+//! server in a single round trip.
 //!
 //! Two properties make this more than a convenience wrapper:
 //!
@@ -18,87 +20,98 @@
 //!   expected size is `n·(1 − (1 − K/n)^m) ≤ m·K`, with real savings once
 //!   `m·K` approaches `n` — and the whole batch costs one round trip
 //!   instead of `m`.
+//!
+//! Sealing ([`DpIr::setup_sealed`]) changes nothing about the privacy
+//! argument (the transcript is still exactly the union download set), but
+//! it adds confidentiality and tamper/swap detection against the storage
+//! backend. A query's needed cells are opened in one call to
+//! [`AeadCipher`]'s 8-lane batch core.
 
 use std::collections::BTreeSet;
 
 use dps_crypto::aead::{address_aad, AeadCipher};
 use dps_crypto::{ChaChaRng, AEAD_OVERHEAD};
 
-use crate::dp_ir::{draw_download_set, DpIrConfig, DpIrError};
-use dps_server::{SimServer, Storage};
+use crate::dp_ir::{check_setup, Batch, DpIr, DpIrConfig, DpIrError};
+use dps_server::Storage;
 
-/// A batch's results paired with its union download set (the transcript).
-pub type BatchOutcome = (Vec<Option<Vec<u8>>>, BTreeSet<usize>);
+/// A batch's answers, one per query: `Some(record)`, or `None` in the
+/// error case.
+type Answers = Vec<Option<Vec<u8>>>;
 
-/// Key and layout of a sealed-at-rest record store.
+/// Key, layout and open scratch of a sealed-at-rest record store.
 #[derive(Debug)]
-struct SealedStore {
+pub(crate) struct SealedStore {
     cipher: AeadCipher,
     /// Uniform sealed-cell length (`record_len + AEAD_OVERHEAD`).
     ct_stride: usize,
-}
-
-/// A stateless batched DP-IR client bound to a server storing public
-/// records — or, with [`BatchedDpIr::setup_sealed`], records sealed at
-/// rest under the client's AEAD key with each cell's address as
-/// associated data.
-///
-/// Sealing changes nothing about the privacy argument (the transcript is
-/// still exactly the union download set), but it adds confidentiality and
-/// tamper/swap detection against the storage backend. A query's needed
-/// cells are opened in one call to [`AeadCipher`]'s 8-lane batch core.
-#[derive(Debug)]
-pub struct BatchedDpIr<S: Storage = SimServer> {
-    config: DpIrConfig,
-    server: S,
-    /// `Some` when records are sealed at rest (AEAD under address AAD).
-    sealed: Option<SealedStore>,
-    /// Reusable flat scratch for the needed cells' ciphertexts.
+    /// Reusable flat scratch for the needed cells' ciphertexts, one per hit.
     ct_scratch: Vec<u8>,
     /// Reusable flat scratch for the opened plaintexts.
     pt_scratch: Vec<u8>,
+    /// Reusable scratch for the needed cells' address AADs.
+    aads: Vec<[u8; 16]>,
 }
 
-impl<S: Storage> BatchedDpIr<S> {
-    /// Stores the public database on the server (no secrets, like
-    /// [`crate::dp_ir::DpIr::setup`]).
-    pub fn setup(config: DpIrConfig, blocks: &[Vec<u8>], mut server: S) -> Result<Self, DpIrError> {
-        if blocks.len() != config.n {
-            return Err(DpIrError::InvalidConfig(format!(
-                "expected {} blocks, got {}",
-                config.n,
-                blocks.len()
+impl SealedStore {
+    /// Downloads `batch.union` in one round trip, copying the cell of each
+    /// hit into its slot, then opens them as one batch — per-cell address
+    /// AADs, wide AEAD core — and hands each hit's plaintext to `answer`.
+    /// The server chooses each cell's length: copy only cells of the
+    /// sealed stride, and report the first that is not once the round trip
+    /// is over (the transcript keeps its shape).
+    fn read<S: Storage>(
+        &mut self,
+        server: &mut S,
+        batch: &Batch,
+        mut answer: impl FnMut(usize, &[u8]),
+    ) -> Result<(), DpIrError> {
+        let stride = self.ct_stride;
+        let ct_scratch = &mut self.ct_scratch;
+        ct_scratch.resize(batch.hits.len() * stride, 0);
+        let mut wrong_length = None;
+        server.read_batch_with(&batch.union, |pos, cell| {
+            for (slot, _) in batch.hits_at(pos) {
+                if cell.len() == stride {
+                    ct_scratch[slot * stride..(slot + 1) * stride].copy_from_slice(cell);
+                } else {
+                    wrong_length.get_or_insert((batch.union[pos], cell.len()));
+                }
+            }
+        })?;
+        if let Some((addr, len)) = wrong_length {
+            return Err(DpIrError::Crypto(format!(
+                "cell {addr} has {len} bytes, expected {stride}"
             )));
         }
-        server.init_with(blocks.len(), |sink| blocks.iter().for_each(|b| sink(b)));
-        Ok(Self { config, server, sealed: None, ct_scratch: Vec::new(), pt_scratch: Vec::new() })
+        self.aads.clear();
+        let addrs = batch.hits.iter().map(|&(pos, _)| batch.union[pos]);
+        self.aads.extend(addrs.map(|addr| address_aad(addr, 0)));
+        let pt_stride = stride - AEAD_OVERHEAD;
+        self.pt_scratch.resize(batch.hits.len() * pt_stride, 0);
+        self.cipher
+            .open_batch_to_slices(&self.aads, &self.ct_scratch, &mut self.pt_scratch)
+            .map_err(|e| DpIrError::Crypto(e.to_string()))?;
+        for (slot, &(_, query)) in batch.hits.iter().enumerate() {
+            answer(query, &self.pt_scratch[slot * pt_stride..(slot + 1) * pt_stride]);
+        }
+        Ok(())
     }
+}
 
-    /// Like [`BatchedDpIr::setup`], but seals every record onto the server
-    /// under a fresh AEAD key with [`address_aad`]`(i, 0)` bound to cell
-    /// `i`, so the backend holds only ciphertext and any moved or
-    /// corrupted cell fails authentication at query time. Requires
-    /// uniform record sizes (the batch open path works on equal strides);
-    /// the sealing itself runs through the wide batch core.
+impl<S: Storage> DpIr<S> {
+    /// Like [`DpIr::setup`], but seals every record onto the server under
+    /// a fresh AEAD key with [`address_aad`]`(i, 0)` bound to cell `i`, so
+    /// the backend holds only ciphertext and any moved or corrupted cell
+    /// fails authentication at query time. The sealing runs through the
+    /// wide batch core.
     pub fn setup_sealed(
         config: DpIrConfig,
         blocks: &[Vec<u8>],
         mut server: S,
         rng: &mut ChaChaRng,
     ) -> Result<Self, DpIrError> {
-        if blocks.len() != config.n {
-            return Err(DpIrError::InvalidConfig(format!(
-                "expected {} blocks, got {}",
-                config.n,
-                blocks.len()
-            )));
-        }
-        let record_len = blocks.first().map_or(0, Vec::len);
-        if blocks.iter().any(|b| b.len() != record_len) {
-            return Err(DpIrError::InvalidConfig(
-                "sealed stores require uniform record sizes".into(),
-            ));
-        }
+        let record_len = check_setup(&config, blocks)?;
         let cipher = AeadCipher::generate(rng);
         let nonces = rng.draw_nonces(blocks.len());
         let aads: Vec<[u8; 16]> = (0..blocks.len()).map(|i| address_aad(i, 0)).collect();
@@ -107,33 +120,19 @@ impl<S: Storage> BatchedDpIr<S> {
         let mut flat_ct = vec![0u8; blocks.len() * ct_stride];
         cipher.seal_batch_with_nonces(&nonces, &aads, &flat_pt, &mut flat_ct);
         server.init_with(blocks.len(), |sink| flat_ct.chunks_exact(ct_stride).for_each(sink));
-        Ok(Self {
-            config,
-            server,
-            sealed: Some(SealedStore { cipher, ct_stride }),
+        let store = SealedStore {
+            cipher,
+            ct_stride,
             ct_scratch: Vec::new(),
             pt_scratch: Vec::new(),
-        })
+            aads: Vec::new(),
+        };
+        Ok(Self { config, server, sealed: Some(store), batch: Batch::default() })
     }
 
     /// True when records are sealed at rest.
     pub fn is_sealed(&self) -> bool {
         self.sealed.is_some()
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> DpIrConfig {
-        self.config
-    }
-
-    /// Server cost counters.
-    pub fn server_stats(&self) -> dps_server::CostStats {
-        self.server.stats()
-    }
-
-    /// Mutable access to the underlying server (transcript control).
-    pub fn server_mut(&mut self) -> &mut S {
-        &mut self.server
     }
 
     /// Expected union size for a batch of `m`:
@@ -144,157 +143,67 @@ impl<S: Storage> BatchedDpIr<S> {
         n * (1.0 - (1.0 - k / n).powi(m as i32))
     }
 
-    /// Samples the per-query download sets and their union, without
-    /// touching the server (exposed for the privacy auditor).
-    ///
-    /// Returns `(union, successes)` where `successes[j]` says whether query
-    /// `j` included its real record (the `r > α` branch of Algorithm 1).
-    pub fn sample_batch(
-        &self,
-        indices: &[usize],
-        rng: &mut ChaChaRng,
-    ) -> (BTreeSet<usize>, Vec<bool>) {
-        let mut union = BTreeSet::new();
-        let mut set = Vec::with_capacity(self.config.k);
-        let successes = indices
-            .iter()
-            .map(|&index| {
-                let success = draw_download_set(&self.config, index, rng, &mut set);
-                union.extend(&set);
-                success
-            })
-            .collect();
-        (union, successes)
-    }
-
     /// Answers a batch of queries in one round trip. `results[j]` is
     /// `Some(record)` with probability `1 − α` per query, independently.
     pub fn query_batch(
         &mut self,
         indices: &[usize],
         rng: &mut ChaChaRng,
-    ) -> Result<Vec<Option<Vec<u8>>>, DpIrError> {
-        Ok(self.query_batch_traced(indices, rng)?.0)
+    ) -> Result<Answers, DpIrError> {
+        let mut results = vec![None; indices.len()];
+        self.read(indices, rng, |query, record| results[query] = Some(record.to_vec()))?;
+        Ok(results)
     }
 
-    /// [`BatchedDpIr::query_batch`] returning the union download set — the
-    /// batch transcript.
+    /// [`DpIr::query_batch`] returning the union download set — the batch
+    /// transcript.
     pub fn query_batch_traced(
         &mut self,
         indices: &[usize],
         rng: &mut ChaChaRng,
-    ) -> Result<BatchOutcome, DpIrError> {
-        for &index in indices {
-            if index >= self.config.n {
-                return Err(DpIrError::IndexOutOfRange { index, n: self.config.n });
-            }
+    ) -> Result<(Answers, BTreeSet<usize>), DpIrError> {
+        let results = self.query_batch(indices, rng)?;
+        Ok((results, self.batch.union.iter().copied().collect()))
+    }
+
+    /// The one read path: checks `indices`, draws their download sets
+    /// into the batch scratch, downloads the union in one round trip and
+    /// hands `answer(j, record)` the record of each query `j` that drew
+    /// its real one — a plain cell as the server returned it, a sealed one
+    /// opened. Only the answers the caller keeps allocate.
+    pub(crate) fn read(
+        &mut self,
+        indices: &[usize],
+        rng: &mut ChaChaRng,
+        mut answer: impl FnMut(usize, &[u8]),
+    ) -> Result<(), DpIrError> {
+        let n = self.config.n;
+        if let Some(&index) = indices.iter().find(|&&index| index >= n) {
+            return Err(DpIrError::IndexOutOfRange { index, n });
         }
-        let (union, successes) = self.sample_batch(indices, rng);
-        let addrs: Vec<usize> = union.iter().copied().collect();
-        // Count how many successful queries need each union position so
-        // the zero-copy scan copies only those cells out of the server
-        // arena, and each copy is moved (not re-cloned) into the last
-        // result that needs it.
-        let mut needed = vec![0u32; addrs.len()];
-        for (&index, &success) in indices.iter().zip(&successes) {
-            if success {
-                let pos = addrs.binary_search(&index).expect("real index in union");
-                needed[pos] += 1;
-            }
-        }
-        let mut fetched: Vec<Option<Vec<u8>>> = vec![None; addrs.len()];
-        match &self.sealed {
-            None => {
-                self.server
-                    .read_batch_with(&addrs, |i, cell| {
-                        if needed[i] > 0 {
-                            fetched[i] = Some(cell.to_vec());
-                        }
-                    })
-                    .map_err(DpIrError::Server)?;
-            }
-            Some(store) => {
-                // Gather the needed sealed cells into a flat strided
-                // scratch during the (still full-union) download, then
-                // open them as one batch — per-cell address AADs, wide
-                // AEAD core. The server chooses each cell's length: copy
-                // only cells of the sealed stride, and report the first
-                // that is not once the round trip is over (the transcript
-                // keeps its shape).
-                let needed_positions: Vec<usize> = needed
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &count)| count > 0)
-                    .map(|(i, _)| i)
-                    .collect();
-                let ct_stride = store.ct_stride;
-                let ct_scratch = &mut self.ct_scratch;
-                ct_scratch.resize(needed_positions.len() * ct_stride, 0);
-                let mut slot = 0;
-                let mut wrong_length = None;
-                self.server
-                    .read_batch_with(&addrs, |i, cell| {
-                        if needed[i] > 0 {
-                            if cell.len() == ct_stride {
-                                ct_scratch[slot * ct_stride..(slot + 1) * ct_stride]
-                                    .copy_from_slice(cell);
-                            } else if wrong_length.is_none() {
-                                wrong_length = Some((addrs[i], cell.len()));
-                            }
-                            slot += 1;
-                        }
-                    })
-                    .map_err(DpIrError::Server)?;
-                if let Some((addr, len)) = wrong_length {
-                    return Err(DpIrError::Crypto(format!(
-                        "cell {addr} has {len} bytes, expected {ct_stride}"
-                    )));
+        let Self { config, server, sealed, batch } = self;
+        batch.draw(config, indices, rng);
+        match sealed {
+            None => server.read_batch_with(&batch.union, |pos, cell| {
+                for (_, query) in batch.hits_at(pos) {
+                    answer(query, cell);
                 }
-                let pt_stride = ct_stride - AEAD_OVERHEAD;
-                let aads: Vec<[u8; 16]> = needed_positions
-                    .iter()
-                    .map(|&pos| address_aad(addrs[pos], 0))
-                    .collect();
-                self.pt_scratch.resize(needed_positions.len() * pt_stride, 0);
-                store
-                    .cipher
-                    .open_batch_to_slices(&aads, &self.ct_scratch, &mut self.pt_scratch)
-                    .map_err(|e| DpIrError::Crypto(e.to_string()))?;
-                for (k, &pos) in needed_positions.iter().enumerate() {
-                    fetched[pos] =
-                        Some(self.pt_scratch[k * pt_stride..(k + 1) * pt_stride].to_vec());
-                }
-            }
+            })?,
+            Some(store) => store.read(server, batch, answer)?,
         }
-        let results = indices
-            .iter()
-            .zip(&successes)
-            .map(|(&index, &success)| {
-                success.then(|| {
-                    let pos = addrs.binary_search(&index).expect("real index in union");
-                    needed[pos] -= 1;
-                    if needed[pos] == 0 {
-                        fetched[pos].take().expect("needed cell fetched")
-                    } else {
-                        // Duplicate successful queries for one index share
-                        // the record; only non-final uses clone.
-                        fetched[pos].clone().expect("needed cell fetched")
-                    }
-                })
-            })
-            .collect();
-        Ok((results, union))
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_server::SimServer;
 
-    fn build(n: usize, epsilon: f64, alpha: f64) -> BatchedDpIr {
+    fn build(n: usize, epsilon: f64, alpha: f64) -> DpIr {
         let blocks: Vec<Vec<u8>> = (0..n).map(|i| vec![(i % 251) as u8; 8]).collect();
         let config = DpIrConfig::with_epsilon(n, epsilon, alpha).unwrap();
-        BatchedDpIr::setup(config, &blocks, SimServer::new()).unwrap()
+        DpIr::setup(config, &blocks, SimServer::new()).unwrap()
     }
 
     #[test]
@@ -312,19 +221,36 @@ mod tests {
         }
     }
 
-    /// One copy of Algorithm 1's coins: the set `DpIr` draws, same coins.
+    /// A query is a batch of one: on two instances from one seed,
+    /// `query(i)` and `query_batch(&[i])` give the same answers, the same
+    /// transcript, the same costs and leave the RNG at the same place — on
+    /// a plain store and on a sealed one.
     #[test]
     fn a_batch_of_one_draws_dp_irs_download_set() {
-        let ir = build(64, 2.0, 0.25);
-        let single = crate::DpIr::setup(ir.config(), &vec![vec![]; 64], SimServer::new()).unwrap();
-        for seed in 0..1000 {
-            let index = seed as usize % 64;
-            let (mut ours, mut theirs) =
-                (ChaChaRng::seed_from_u64(seed), ChaChaRng::seed_from_u64(seed));
-            let (union, successes) = ir.sample_batch(&[index], &mut ours);
-            let (set, success) = single.sample_download_set(index, &mut theirs);
-            assert_eq!((union, successes), (set, vec![success]), "seed {seed}");
-            assert_eq!(ours.next_u64(), theirs.next_u64(), "seed {seed}: rng position");
+        let pairs = [
+            (build(64, 2.0, 0.25), build(64, 2.0, 0.25)),
+            (build_sealed(64, 2.0, 0.25, 9).0, build_sealed(64, 2.0, 0.25, 9).0),
+        ];
+        for (mut single, mut batched) in pairs {
+            assert!(single.config().k > 1);
+            single.server_mut().start_recording();
+            batched.server_mut().start_recording();
+            let (mut ours, mut theirs) = (ChaChaRng::seed_from_u64(3), ChaChaRng::seed_from_u64(3));
+            let mut answered = 0;
+            for q in 0..1000 {
+                let index = (q * 37) % 64;
+                let answer = single.query(index, &mut ours).unwrap();
+                let answers = batched.query_batch(&[index], &mut theirs).unwrap();
+                assert_eq!(answers, vec![answer.clone()], "query {q}");
+                answered += usize::from(answer.is_some());
+            }
+            assert!(answered > 600, "{answered} of 1000 answered");
+            assert_eq!(
+                single.server_mut().take_transcript().canonical_encoding(),
+                batched.server_mut().take_transcript().canonical_encoding()
+            );
+            assert_eq!(single.server_stats(), batched.server_stats());
+            assert_eq!(ours.next_u64(), theirs.next_u64(), "rng position");
         }
     }
 
@@ -423,11 +349,11 @@ mod tests {
         assert_eq!(ir.server_stats().since(&before).downloads, 0);
     }
 
-    fn build_sealed(n: usize, epsilon: f64, alpha: f64, seed: u64) -> (BatchedDpIr, ChaChaRng) {
+    fn build_sealed(n: usize, epsilon: f64, alpha: f64, seed: u64) -> (DpIr, ChaChaRng) {
         let blocks: Vec<Vec<u8>> = (0..n).map(|i| vec![(i % 251) as u8; 8]).collect();
         let config = DpIrConfig::with_epsilon(n, epsilon, alpha).unwrap();
         let mut rng = ChaChaRng::seed_from_u64(seed);
-        let ir = BatchedDpIr::setup_sealed(config, &blocks, SimServer::new(), &mut rng).unwrap();
+        let ir = DpIr::setup_sealed(config, &blocks, SimServer::new(), &mut rng).unwrap();
         (ir, rng)
     }
 
@@ -521,14 +447,18 @@ mod tests {
         assert!(detected, "swap never detected across 100 queries");
     }
 
-    /// Sealed setup rejects ragged record sizes.
+    /// Both set-ups reject ragged record sizes with the same typed error.
     #[test]
     fn sealed_requires_uniform_records() {
         let blocks = vec![vec![1u8; 8], vec![2u8; 9]];
         let config = DpIrConfig::with_epsilon(2, 1.0, 0.3).unwrap();
         let mut rng = ChaChaRng::seed_from_u64(1);
         assert!(matches!(
-            BatchedDpIr::<SimServer>::setup_sealed(config, &blocks, SimServer::new(), &mut rng),
+            DpIr::setup_sealed(config, &blocks, SimServer::new(), &mut rng),
+            Err(DpIrError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            DpIr::setup(config, &blocks, SimServer::new()),
             Err(DpIrError::InvalidConfig(_))
         ));
     }

@@ -14,11 +14,17 @@
 //! and matches the Theorem 3.4 lower bound `Ω((1 − α − δ)·n / e^ε)` for all
 //! `ε ≥ 0`. Fixing `ε = Θ(log n)` gives `K = O(1)`: constant overhead, the
 //! best privacy constant-overhead schemes can have.
+//!
+//! [`DpIr`] is the one client. A query is a batch of one: batches and
+//! records sealed at rest are the methods in [`crate::batched_ir`], and
+//! every spelling runs the same sampler and the same read path.
 
 use std::collections::BTreeSet;
 
 use dps_crypto::ChaChaRng;
 use dps_server::{ServerError, SimServer, Storage};
+
+use crate::batched_ir::SealedStore;
 
 /// Parameters of a DP-IR instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,8 +52,8 @@ pub enum DpIrError {
     InvalidConfig(String),
     /// Underlying server failure.
     Server(ServerError),
-    /// Sealed-cell authentication or decryption failure (sealed
-    /// [`crate::batched_ir::BatchedDpIr`] stores only).
+    /// Sealed-cell authentication or decryption failure (stores set up
+    /// with [`DpIr::setup_sealed`] only).
     Crypto(String),
 }
 
@@ -77,34 +83,37 @@ impl DpIrConfig {
     /// probability `alpha`, using the download count of Theorem 5.1:
     /// `K = ⌈(1 − α)·n / (e^ε − 1)⌉`, clamped to `[1, n]`.
     pub fn with_epsilon(n: usize, epsilon: f64, alpha: f64) -> Result<Self, DpIrError> {
-        if n == 0 {
-            return Err(DpIrError::InvalidConfig("n must be positive".into()));
-        }
-        if !(0.0..=1.0).contains(&alpha) || alpha == 0.0 {
-            return Err(DpIrError::InvalidConfig(format!("alpha must be in (0, 1], got {alpha}")));
-        }
         if !epsilon.is_finite() || epsilon <= 0.0 {
             return Err(DpIrError::InvalidConfig(format!(
                 "epsilon must be positive and finite, got {epsilon}"
             )));
         }
         let raw = (1.0 - alpha) * n as f64 / (epsilon.exp() - 1.0);
-        let k = (raw.ceil() as usize).clamp(1, n);
-        Ok(Self { n, alpha, k })
+        Self::with_download_count(n, (raw.ceil() as usize).clamp(1, n.max(1)), alpha)
     }
 
     /// Builds a configuration with an explicit download count `k`.
     pub fn with_download_count(n: usize, k: usize, alpha: f64) -> Result<Self, DpIrError> {
+        let config = Self { n, alpha, k };
+        config.check()?;
+        Ok(config)
+    }
+
+    /// The one domain check, for the constructors and both set-ups (the
+    /// fields are public): `K ∈ [1, n]`, so Algorithm 1's rejection loop
+    /// can find `K` distinct addresses, and `α ∈ (0, 1]`.
+    fn check(&self) -> Result<(), DpIrError> {
+        let Self { n, alpha, k } = *self;
         if n == 0 {
             return Err(DpIrError::InvalidConfig("n must be positive".into()));
         }
         if k == 0 || k > n {
             return Err(DpIrError::InvalidConfig(format!("k must be in [1, n = {n}], got {k}")));
         }
-        if !(0.0..=1.0).contains(&alpha) || alpha == 0.0 {
+        if !(alpha > 0.0 && alpha <= 1.0) {
             return Err(DpIrError::InvalidConfig(format!("alpha must be in (0, 1], got {alpha}")));
         }
-        Ok(Self { n, alpha, k })
+        Ok(())
     }
 
     /// The analytic privacy budget of this configuration (proof of
@@ -114,23 +123,25 @@ impl DpIrConfig {
     }
 }
 
-/// A stateless DP-IR client bound to a server storing public records.
+/// A stateless DP-IR client bound to a server storing public records — or,
+/// with [`DpIr::setup_sealed`], records sealed at rest.
 #[derive(Debug)]
 pub struct DpIr<S: Storage = SimServer> {
-    config: DpIrConfig,
-    server: S,
-    /// The last query's download set, sorted: scratch that keeps its
-    /// capacity, so a query builds no tree and allocates only its answer.
-    /// Not client state in the paper's sense — every query overwrites it.
-    set: Vec<usize>,
+    pub(crate) config: DpIrConfig,
+    pub(crate) server: S,
+    /// `Some` when records are sealed at rest (AEAD under address AAD).
+    pub(crate) sealed: Option<SealedStore>,
+    /// The last batch's draw: scratch that keeps its capacity, so a query
+    /// builds no tree and allocates only its answer. Not client state in
+    /// the paper's sense — every query overwrites it.
+    pub(crate) batch: Batch,
 }
 
 /// Algorithm 1: draws the download set for `index` into `set`, sorted and
 /// distinct, and returns whether the real record is in it. One `gen_bool`,
 /// then one `gen_index` per attempt until `K` distinct addresses are held —
-/// the coin order every seeded transcript in this workspace depends on
-/// ([`crate::BatchedDpIr`] draws each query of a batch with it).
-pub(crate) fn draw_download_set(
+/// the coin order every seeded transcript in this workspace depends on.
+fn draw_download_set(
     config: &DpIrConfig,
     index: usize,
     rng: &mut ChaChaRng,
@@ -153,20 +164,81 @@ pub(crate) fn draw_download_set(
     success
 }
 
+/// A batch's download sets, drawn independently and merged: what the
+/// server is asked for, and which answers come out of it.
+#[derive(Debug, Default)]
+pub(crate) struct Batch {
+    /// The union of the download sets, sorted and distinct.
+    pub(crate) union: Vec<usize>,
+    /// One query's download set.
+    draw: Vec<usize>,
+    /// `(position in union, query)` for each query that drew its real
+    /// record, sorted.
+    pub(crate) hits: Vec<(usize, usize)>,
+}
+
+impl Batch {
+    /// Draws the download set of each of `indices` in order, with
+    /// [`draw_download_set`]'s coins.
+    pub(crate) fn draw(&mut self, config: &DpIrConfig, indices: &[usize], rng: &mut ChaChaRng) {
+        self.union.clear();
+        self.hits.clear();
+        // The first set is drawn straight into the union, so a batch of one
+        // copies and sorts nothing.
+        for (query, &index) in indices.iter().enumerate() {
+            let set = if query == 0 { &mut self.union } else { &mut self.draw };
+            if draw_download_set(config, index, rng, set) {
+                self.hits.push((index, query));
+            }
+            if query > 0 {
+                self.union.extend_from_slice(&self.draw);
+            }
+        }
+        if indices.len() > 1 {
+            self.union.sort_unstable();
+            self.union.dedup();
+        }
+        for hit in &mut self.hits {
+            hit.0 = self.union.binary_search(&hit.0).expect("real index in union");
+        }
+        self.hits.sort_unstable();
+    }
+
+    /// `(slot in hits, query)` of each hit whose record is the union's
+    /// cell at `pos`.
+    pub(crate) fn hits_at(&self, pos: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let start = self.hits.partition_point(|&(at, _)| at < pos);
+        let at_pos = self.hits[start..].iter().take_while(move |&&(at, _)| at == pos);
+        (start..).zip(at_pos).map(|(slot, &(_, query))| (slot, query))
+    }
+}
+
+/// The set-up check both set-ups share: a valid configuration, `n`
+/// records, all of one length — which it returns.
+pub(crate) fn check_setup(config: &DpIrConfig, blocks: &[Vec<u8>]) -> Result<usize, DpIrError> {
+    config.check()?;
+    if blocks.len() != config.n {
+        return Err(DpIrError::InvalidConfig(format!(
+            "expected {} blocks, got {}",
+            config.n,
+            blocks.len()
+        )));
+    }
+    let record_len = blocks[0].len();
+    if blocks.iter().any(|b| b.len() != record_len) {
+        return Err(DpIrError::InvalidConfig("records must all be of one length".into()));
+    }
+    Ok(record_len)
+}
+
 impl<S: Storage> DpIr<S> {
     /// Stores the public database on the server. DP-IR needs no setup
     /// secret: records are stored in the clear (retrieval privacy, not
     /// content privacy, is the goal — Section 5).
     pub fn setup(config: DpIrConfig, blocks: &[Vec<u8>], mut server: S) -> Result<Self, DpIrError> {
-        if blocks.len() != config.n {
-            return Err(DpIrError::InvalidConfig(format!(
-                "expected {} blocks, got {}",
-                config.n,
-                blocks.len()
-            )));
-        }
+        check_setup(&config, blocks)?;
         server.init_with(blocks.len(), |sink| blocks.iter().for_each(|b| sink(b)));
-        Ok(Self { config, server, set: Vec::with_capacity(config.k) })
+        Ok(Self { config, server, sealed: None, batch: Batch::default() })
     }
 
     /// The configuration in force.
@@ -192,9 +264,9 @@ impl<S: Storage> DpIr<S> {
         index: usize,
         rng: &mut ChaChaRng,
     ) -> (BTreeSet<usize>, bool) {
-        let mut set = Vec::with_capacity(self.config.k);
-        let success = draw_download_set(&self.config, index, rng, &mut set);
-        (set.into_iter().collect(), success)
+        let mut batch = Batch::default();
+        batch.draw(&self.config, &[index], rng);
+        (batch.union.into_iter().collect(), !batch.hits.is_empty())
     }
 
     /// Queries record `index`. Returns `Some(record)` with probability
@@ -204,20 +276,9 @@ impl<S: Storage> DpIr<S> {
         index: usize,
         rng: &mut ChaChaRng,
     ) -> Result<Option<Vec<u8>>, DpIrError> {
-        if index >= self.config.n {
-            return Err(DpIrError::IndexOutOfRange { index, n: self.config.n });
-        }
-        let success = draw_download_set(&self.config, index, rng, &mut self.set);
-        // Zero-copy download: only the real record (if this query succeeds)
-        // is copied out of the server arena; decoys are read and discarded.
-        let pos = success.then(|| self.set.binary_search(&index).expect("real index in set"));
-        let mut record = Vec::new();
-        self.server.read_batch_with(&self.set, |i, cell| {
-            if Some(i) == pos {
-                record.extend_from_slice(cell);
-            }
-        })?;
-        Ok(success.then_some(record))
+        let mut answer = None;
+        self.read(&[index], rng, |_, record| answer = Some(record.to_vec()))?;
+        Ok(answer)
     }
 
     /// Like [`DpIr::query`] but also returns the download set — the random
@@ -228,7 +289,7 @@ impl<S: Storage> DpIr<S> {
         rng: &mut ChaChaRng,
     ) -> Result<(Option<Vec<u8>>, BTreeSet<usize>), DpIrError> {
         let answer = self.query(index, rng)?;
-        Ok((answer, self.set.iter().copied().collect()))
+        Ok((answer, self.batch.union.iter().copied().collect()))
     }
 }
 
@@ -381,6 +442,26 @@ mod tests {
         assert!(DpIrConfig::with_epsilon(8, -1.0, 0.1).is_err());
         assert!(DpIrConfig::with_download_count(8, 0, 0.1).is_err());
         assert!(DpIrConfig::with_download_count(8, 9, 0.1).is_err());
+        // The fields are public, so `setup` checks what it is handed; with
+        // K > n Algorithm 1's rejection loop would never end. Never queried.
+        let blocks = vec![vec![0u8; 8]; 4];
+        for config in [
+            DpIrConfig { n: 4, alpha: 0.1, k: 5 },
+            DpIrConfig { n: 4, alpha: 0.1, k: 0 },
+            DpIrConfig { n: 4, alpha: 0.0, k: 2 },
+            DpIrConfig { n: 4, alpha: 1.5, k: 2 },
+            DpIrConfig { n: 4, alpha: f64::NAN, k: 2 },
+            DpIrConfig { n: 0, alpha: 0.1, k: 1 },
+        ] {
+            let blocks = &blocks[..config.n];
+            assert!(
+                matches!(
+                    DpIr::setup(config, blocks, SimServer::new()),
+                    Err(DpIrError::InvalidConfig(_))
+                ),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]

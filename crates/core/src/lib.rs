@@ -25,9 +25,11 @@
 //!   mapping scheme composed with bucketed DP-RAM; `O(log log n)` blocks
 //!   per operation, `ε = O(log n)`, `O(n)` server storage.
 //! * [`multi_server`] — multi-server DP-IR in the Appendix C model.
-//! * [`batched_ir`] — an extension beyond the paper: `m` DP-IR queries
-//!   answered by the union of their download sets in one round trip, with
-//!   unchanged per-query `ε` and sublinear bandwidth.
+//! * [`batched_ir`] — an extension beyond the paper, as methods of the one
+//!   DP-IR client [`DpIr`]: `m` queries answered by the union of their
+//!   download sets in one round trip, with unchanged per-query `ε` and
+//!   sublinear bandwidth, and records sealed at rest. A single query is a
+//!   batch of one.
 //!
 //! Every construction is generic over `dps_server::Storage`, so the same
 //! code runs against the in-process simulators and against a real
@@ -53,7 +55,6 @@ pub mod dp_ram_ro;
 pub mod multi_server;
 pub mod strawman;
 
-pub use batched_ir::BatchedDpIr;
 pub use dp_ir::{DpIr, DpIrConfig};
 pub use dp_kvs::{DpKvs, DpKvsConfig};
 pub use dp_ram::{DpRam, DpRamConfig};

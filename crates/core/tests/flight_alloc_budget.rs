@@ -1,4 +1,4 @@
-//! Allocation budget of a DP-KVS operation, counted by a process-wide
+//! Allocation budgets of a DP-KVS operation and a DP-IR query, counted by a process-wide
 //! allocator.
 //!
 //! **A flight does not materialise**: the four bucket queries of an
@@ -12,6 +12,12 @@
 //! per-flight nonce `Vec` that grows back shows up here as a count (20 or
 //! more an operation), not as a timing.
 //!
+//! **A DP-IR query is a batch of one**: it draws its download set into the
+//! client's sorted scratch and reads the union's cells where the server
+//! lends them, so a hit allocates the record it returns and a miss
+//! nothing. A `BTreeSet` union, an address copy or a results `Vec` on the
+//! single-query path shows up here as a count.
+//!
 //! No count depends on the cipher's lane width: CI's ISA leg runs this
 //! file on all three `DPS_FORCE_ISA` tiers against the same numbers.
 //!
@@ -20,6 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dps_core::dp_ir::{DpIr, DpIrConfig};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_crypto::ChaChaRng;
 use dps_server::SimServer;
@@ -117,4 +124,27 @@ fn a_steady_state_operation_allocates_its_result_and_nothing_else() {
     assert!(gets >= hits && gets - hits <= OPS / 100, "{gets} calls for {hits} hits");
     assert!(puts <= OPS / 100, "{puts} calls");
     assert!(most_get <= 2 && most_put <= 1, "most: get {most_get}, put {most_put}");
+
+    // DP-IR at `ir_cold`'s K: every hit allocates its record, so the total
+    // equals the hits only if a hit makes exactly one call and a miss none.
+    let records: Vec<Vec<u8>> = (0..KEYS).map(|i| vec![i as u8; VALUE]).collect();
+    let config = DpIrConfig::with_download_count(KEYS as usize, 16, 0.25).unwrap();
+    let mut ir = DpIr::setup(config, &records, SimServer::new()).unwrap();
+    // Warm-up: the scratch reaches its size.
+    for i in 0..64 {
+        ir.query(i, &mut rng).unwrap();
+    }
+    let mut hits = 0;
+    let (queries, most_query) = count(|i| {
+        let index = (i * 7 % KEYS) as usize;
+        if let Some(record) = ir.query(index, &mut rng).unwrap() {
+            assert_eq!(record, records[index]);
+            hits += 1;
+        }
+    });
+    println!(
+        "allocator calls over {OPS} DP-IR queries ({hits} hits): {queries}, most {most_query}"
+    );
+    assert!(hits > OPS / 2 && hits < OPS);
+    assert!(queries == hits && most_query == 1, "{queries} calls for {hits} hits");
 }

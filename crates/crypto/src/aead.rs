@@ -6,10 +6,10 @@
 //! rolls back, or corrupts cells. [`AeadCipher`] provides that hardening:
 //! each cell is sealed with its address (and, optionally, a version counter)
 //! as associated data, so a ciphertext moved to a different address fails
-//! authentication. Sealed `BatchedDpIr` opens its cells this way:
-//! `batched_ir::tests::sealed_detects_swapped_cells` swaps two cells and
-//! sees the open fail, and the batch tests below reject a swapped AAD or a
-//! corrupted byte in every cell of a batch.
+//! authentication. A sealed DP-IR store (`DpIr::setup_sealed`) opens its
+//! cells this way: `batched_ir::tests::sealed_detects_swapped_cells` swaps
+//! two cells and sees the open fail, and the batch tests below reject a
+//! swapped AAD or a corrupted byte in every cell of a batch.
 //!
 //! [`AeadCipher`] runs on the crate's one sealed-cell engine, the
 //! `nonce || body || tag` layout and batch path it shares with

@@ -23,8 +23,7 @@
 
 use dp_storage::analysis::composition::{basic, PrivacyBudget};
 use dp_storage::analysis::LaplaceMechanism;
-use dp_storage::core::batched_ir::BatchedDpIr;
-use dp_storage::core::dp_ir::DpIrConfig;
+use dp_storage::core::dp_ir::{DpIr, DpIrConfig};
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::server::SimServer;
 
@@ -55,7 +54,7 @@ fn main() {
     let alpha = 0.1;
     let access_config =
         DpIrConfig::with_epsilon(n, (n as f64).ln() - 2.0, alpha).expect("valid DP-IR parameters");
-    let mut store = BatchedDpIr::setup(access_config, &db, SimServer::new())
+    let mut store = DpIr::setup(access_config, &db, SimServer::new())
         .expect("setup over the outsourced records");
     println!(
         "DP-IR access: eps = {:.2} per retrieval, K = {} blocks/query, error alpha = {alpha}",

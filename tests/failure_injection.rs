@@ -8,7 +8,7 @@ use std::sync::Arc;
 use dp_storage::core::bucket_ram::{BucketRam, BucketRamError};
 use dp_storage::core::dp_kvs::{DpKvs, DpKvsConfig, DpKvsError};
 use dp_storage::core::dp_ram::{DpRam, DpRamConfig, DpRamError};
-use dp_storage::core::{BatchedDpIr, DpIrConfig};
+use dp_storage::core::{DpIr, DpIrConfig};
 use dp_storage::crypto::merkle::MerkleTree;
 use dp_storage::crypto::ChaChaRng;
 use dp_storage::net::chaos::FaultStorage;
@@ -449,8 +449,8 @@ fn wrong_length_cells_are_typed_errors_in_every_client() {
     let mut linear = LinearOram::setup(&db, server(), &mut rng);
     let mut scan = FullScanPir::setup(&db, server());
     let config = DpIrConfig::with_epsilon(N, 4.0, 0.1).unwrap();
-    let mut plain = BatchedDpIr::setup(config, &db, server()).unwrap();
-    let mut sealed = BatchedDpIr::setup_sealed(config, &db, server(), &mut rng).unwrap();
+    let mut plain = DpIr::setup(config, &db, server()).unwrap();
+    let mut sealed = DpIr::setup_sealed(config, &db, server(), &mut rng).unwrap();
 
     for wrong in 1..RESIZE.len() {
         mode.store(wrong, Ordering::Relaxed);
@@ -474,9 +474,9 @@ fn wrong_length_cells_are_typed_errors_in_every_client() {
             let returned = resized(record, wrong);
             assert_eq!(scan.query(i).unwrap(), returned, "FullScanPir");
             let answers = plain.query_batch(&[i], &mut rng).unwrap();
-            assert!(answers[0].as_ref().is_none_or(|a| *a == returned), "BatchedDpIr");
+            assert!(answers[0].as_ref().is_none_or(|a| *a == returned), "DpIr");
             if let Ok(answers) = sealed.query_batch(&[i], &mut rng) {
-                assert!(answers[0].as_ref().is_none_or(|a| a == record), "sealed BatchedDpIr");
+                assert!(answers[0].as_ref().is_none_or(|a| a == record), "sealed DpIr");
             }
         }
     }
