@@ -6,9 +6,10 @@
 //! composes two pieces, exactly as Section 7.1 prescribes:
 //!
 //! 1. **Mapping scheme** — the oblivious two-choice forest of Section 7.2
-//!    ([`dps_hashing::forest`]): `Π(u) = {F(k1,u), F(k2,u)}` picks two leaf
-//!    buckets; a bucket's storage is its leaf-to-root path (`Θ(log log n)`
-//!    nodes of `t` entries) plus a client-resident super root.
+//!    ([`dps_hashing::forest`]): `Π(u) = {F(k1,u), F(k2,u)}`
+//!    ([`TwoChoice`], one ChaCha20 block per key) picks two leaf buckets; a
+//!    bucket's storage is its leaf-to-root path (`Θ(log log n)` nodes of
+//!    `t` entries) plus a client-resident super root.
 //! 2. **Bucketed DP-RAM** — [`crate::bucket_ram`] (Appendix E) stores the
 //!    forest's nodes as equal-size encrypted cells and serves bucket
 //!    queries with the two-phase stash dance of Section 6.
@@ -25,8 +26,8 @@
 //! `δ = negl(n)` from the mapping-scheme failure probability
 //! (Theorem 7.1 + Theorem 7.2).
 
-use dps_crypto::{ChaChaRng, HmacPrf, Prf};
-use dps_hashing::forest::{choose_slot, ForestGeometry};
+use dps_crypto::ChaChaRng;
+use dps_hashing::forest::{choose_slot, ForestGeometry, TwoChoice};
 use dps_server::cells::{edit_in_place, encode_bucket, probe, SlotEdit, SlotError};
 use dps_server::{SimServer, Storage};
 
@@ -189,8 +190,7 @@ fn decide<'v>(
 pub struct DpKvs<S: Storage = SimServer> {
     config: DpKvsConfig,
     ram: BucketRam<S>,
-    prf1: HmacPrf,
-    prf2: HmacPrf,
+    choice: TwoChoice,
     super_root: Vec<(u64, Vec<u8>)>,
     len: usize,
     /// Scratch: the node loads of an operation's two paths, leaf to root.
@@ -199,8 +199,8 @@ pub struct DpKvs<S: Storage = SimServer> {
 
 impl<S: Storage> DpKvs<S> {
     /// Sets up an empty DP-KVS: allocates the forest's node cells (all
-    /// vacant), derives the two mapping PRFs, and initializes the bucketed
-    /// DP-RAM over the path repertoire.
+    /// vacant), keys the mapping function from a fresh 32-byte master key,
+    /// and initializes the bucketed DP-RAM over the path repertoire.
     pub fn setup(config: DpKvsConfig, server: S, rng: &mut ChaChaRng) -> Result<Self, DpKvsError> {
         let geometry = config.geometry;
         let empty_node = encode_bucket(&[], geometry.node_capacity, config.value_size);
@@ -218,10 +218,8 @@ impl<S: Storage> DpKvs<S> {
 
         let mut master_key = [0u8; 32];
         rng.fill_bytes(&mut master_key);
-        let master = HmacPrf::new(&master_key);
         Ok(Self {
-            prf1: master.derive(b"bucket-choice-1"),
-            prf2: master.derive(b"bucket-choice-2"),
+            choice: TwoChoice::new(&master_key),
             config,
             ram,
             super_root: Vec::new(),
@@ -275,9 +273,7 @@ impl<S: Storage> DpKvs<S> {
 
     /// `Π(key)`: the two candidate buckets.
     pub fn buckets_for(&self, key: u64) -> (usize, usize) {
-        let n = self.config.geometry.n_buckets as u64;
-        let bytes = key.to_le_bytes();
-        (self.prf1.eval_range(&bytes, n) as usize, self.prf2.eval_range(&bytes, n) as usize)
+        self.choice.buckets(key, self.config.geometry.n_buckets)
     }
 
     /// The shared four-query engine: one flight `[a, b, a, b]` of the
@@ -620,11 +616,20 @@ mod tests {
         );
     }
 
-    /// The bytes a seed produces are pinned: the constants were recorded
-    /// with per-cell `encrypt_into`/`decrypt_into` calls, before the flight's
-    /// crypto was batched, and must hold under every `DPS_FORCE_ISA` tier.
-    /// FNV-1a-64 over every server cell in address order after 600 mixed
-    /// operations, then the client RNG's next output.
+    /// The bytes a seed produces are pinned, and must hold under every
+    /// `DPS_FORCE_ISA` tier. FNV-1a-64 over every server cell in address
+    /// order after 600 mixed operations, then the client RNG's next output
+    /// and the client's cell count.
+    ///
+    /// The constants were first recorded with per-cell
+    /// `encrypt_into`/`decrypt_into` calls, before the flight's crypto was
+    /// batched. They were re-recorded when the mapping `Π` moved from two
+    /// HMAC-SHA256 PRFs to one ChaCha20 block ([`TwoChoice`]): the same
+    /// master key now sends each key to other buckets, so other cells are
+    /// written and other buckets stashed, which moves all three values.
+    /// The new values were computed against both the padded 4-lane
+    /// keystream remainder and the scalar one it replaced, and agree on
+    /// every tier.
     #[test]
     fn seeded_run_is_byte_identical_to_the_per_cell_cipher() {
         let mut rng = ChaChaRng::seed_from_u64(77);
@@ -644,8 +649,8 @@ mod tests {
                 digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
-        assert_eq!(digest, 0x0b43_19fa_5d1f_e833, "server cells");
-        assert_eq!(rng.next_u64(), 0x4cdf_7ee3_ad7e_2c97, "client RNG position");
-        assert_eq!(kvs.client_cells(), 200);
+        assert_eq!(digest, 0xd41a_ae3c_23c6_bd4a, "server cells");
+        assert_eq!(rng.next_u64(), 0xe711_0f41_faca_1b75, "client RNG position");
+        assert_eq!(kvs.client_cells(), 176);
     }
 }

@@ -704,10 +704,13 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
 ///
 /// Fast paths, widest first: on the AVX2 tier, runs of 8 full blocks go
 /// through the 8-lane core (8 consecutive counters permuted per pass);
-/// runs of 4 full blocks go through the 4-lane core; the 1–3 block
-/// remainder keeps the scalar single-parse path, and only a sub-block
-/// tail falls back to byte granularity. Output is byte-identical for
-/// every length on every tier.
+/// runs of 4 full blocks go through the 4-lane core. A remainder of
+/// 129–255 bytes (3–4 blocks of keystream) is one more 4-lane pass over a
+/// zero-padded copy, whose idle lanes are discarded. A remainder of at
+/// most two blocks keeps the scalar single-parse path, because one 4-lane
+/// pass costs a little more than two scalar blocks (NOTES.md entry 24),
+/// and only its sub-block tail falls back to byte granularity. Output is
+/// byte-identical for every length on every tier.
 pub fn xor_keystream(
     key: &[u8; KEY_LEN],
     mut counter: u32,
@@ -748,6 +751,15 @@ pub fn xor_keystream(
         }
     }
     let rest = quads.into_remainder();
+    if rest.len() > 2 * BLOCK_LEN {
+        let mut pad = [0u8; LANES4 * BLOCK_LEN];
+        pad[..rest.len()].copy_from_slice(rest);
+        let counters = std::array::from_fn(|l| counter.wrapping_add(l as u32));
+        let init = wide_init(key, &counters, &[nonce; LANES4]);
+        wide4_xor_lanes(tier, &init, lanes_mut(&mut pad, 0, BLOCK_LEN, BLOCK_LEN));
+        rest.copy_from_slice(&pad[..rest.len()]);
+        return;
+    }
     if rest.is_empty() {
         return;
     }
@@ -1081,15 +1093,15 @@ only one tip for the future, sunscreen would be it.";
     }
 
     /// The wide multi-block fast path agrees with a scalar per-block
-    /// reference across every length class (empty, sub-block, block
-    /// boundaries, 4- and 8-block stripe boundaries, long).
+    /// reference at every length from 0 to 600 bytes: empty, sub-block,
+    /// the scalar 1–2-block remainder and the 3–4-block remainder pass
+    /// after zero, one or two 4-block quads (and, on the AVX2 tier, after
+    /// an 8-block stripe), and every block boundary between them.
     #[test]
     fn wide_keystream_matches_scalar_reference() {
         let key = [0x42u8; 32];
         let nonce = [9u8; 12];
-        for len in
-            [0usize, 1, 63, 64, 65, 127, 128, 255, 256, 257, 320, 511, 512, 513, 767, 960, 1024]
-        {
+        for len in (0usize..=600).chain([767, 960, 1024]) {
             let original: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
             let mut data = original.clone();
             xor_keystream(&key, 7, &nonce, &mut data);
@@ -1106,20 +1118,23 @@ only one tip for the future, sunscreen would be it.";
     }
 
     /// Counter wraparound behaves identically on the wide and scalar
-    /// paths, through both the 8- and 4-block stripe stages.
+    /// paths, through the 8- and 4-block stripe stages and through both
+    /// remainder paths: starting at `u32::MAX - 1`, a 2-block stream wraps
+    /// between two scalar blocks, and a 3- or 4-block (or partial) one
+    /// inside the one remainder pass.
     #[test]
     fn wide_keystream_counter_wraps() {
         let key = [3u8; 32];
         let nonce = [1u8; 12];
-        for blocks in [6usize, 13] {
-            let mut wide = vec![0u8; blocks * BLOCK_LEN];
+        for len in [6 * BLOCK_LEN, 13 * BLOCK_LEN, 65, 100, 128, 150, 192, 255, 2 * 256 + 129] {
+            let mut wide = vec![0u8; len];
             xor_keystream(&key, u32::MAX - 1, &nonce, &mut wide);
-            let mut scalar = vec![0u8; blocks * BLOCK_LEN];
+            let mut scalar = vec![0u8; len];
             for (j, chunk) in scalar.chunks_mut(BLOCK_LEN).enumerate() {
                 let ks = block(&key, (u32::MAX - 1).wrapping_add(j as u32), &nonce);
-                chunk.copy_from_slice(&ks);
+                chunk.copy_from_slice(&ks[..chunk.len()]);
             }
-            assert_eq!(wide, scalar, "blocks {blocks}");
+            assert_eq!(wide, scalar, "len {len}");
         }
     }
 

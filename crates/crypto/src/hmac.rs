@@ -1,12 +1,13 @@
-//! HMAC-SHA256 (RFC 2104), the PRF instantiation used by the mapping scheme
-//! of Section 7. Verified against RFC 4231 test vectors.
+//! HMAC-SHA256 (RFC 2104): the PRF behind [`crate::prf::HmacPrf`] and the
+//! key derivation of the mapping scheme of Section 7. Verified against RFC
+//! 4231 test vectors.
 
 use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// A precomputed HMAC-SHA256 key: the inner and outer hash states after
 /// absorbing the key pads. Callers that MAC many messages under one key
-/// (e.g. the per-cell integrity tags of [`crate::cipher::BlockCipher`])
-/// skip the two pad compressions per message that [`hmac_sha256`] pays.
+/// (e.g. every evaluation of one [`crate::prf::HmacPrf`]) skip the two
+/// pad compressions per message that [`hmac_sha256`] pays.
 #[derive(Clone)]
 pub struct HmacKey {
     inner: Sha256,

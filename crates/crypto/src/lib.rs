@@ -6,8 +6,11 @@
 //!   and DP-KVS to re-randomize block contents on every overwrite
 //!   ([`cipher::BlockCipher`], ChaCha20 in CTR mode with fresh nonces);
 //! * a **pseudorandom function** used by the two-choice mapping scheme to
-//!   derive bucket choices `Π(u) = {F(key1, u), F(key2, u)}`
-//!   ([`prf::Prf`], HMAC-SHA256 truncated);
+//!   derive bucket choices `Π(u) = {F(key1, u), F(key2, u)}`: one
+//!   [`chacha::block`] under a key derived by [`hmac::hmac_sha256`], two
+//!   disjoint 64-bit words reduced by [`prf::reduce`] (the type is
+//!   `dps_hashing::forest::TwoChoice`; [`prf::HmacPrf`] keys cuckoo
+//!   hashing and the PRP);
 //! * a **source of private randomness** for the noise each scheme injects
 //!   ([`rng::ChaChaRng`], a deterministic ChaCha20-based CSPRNG so that every
 //!   experiment in this repository is exactly reproducible from a seed).

@@ -1,26 +1,37 @@
 //! Pseudorandom functions over arbitrary byte-string inputs.
 //!
-//! Section 7.2 represents the mapping function succinctly as
-//! `Π(u) = {F(key1, u), F(key2, u)}` for a PRF `F`. [`HmacPrf`] instantiates
-//! `F` as HMAC-SHA256 truncated to 64 bits, with an unbiased reduction into
-//! `[0, n)` for bucket selection.
+//! [`HmacPrf`] instantiates a PRF `F` as HMAC-SHA256 truncated to 64 bits.
+//! It keys cuckoo hashing's two hash functions and the rounds of the
+//! small-domain PRP. Section 7.2's mapping `Π(u) = {F(key1, u), F(key2, u)}`
+//! is not built here: `dps_hashing::forest::TwoChoice` evaluates it as one
+//! ChaCha20 block. Both reduce 64-bit outputs into `[0, n)` with
+//! [`reduce`].
 
 use crate::hmac::{hmac_sha256, HmacKey};
+
+/// Reduces a 64-bit PRF output into `[0, n)` by multiply-shift
+/// (`floor(x · n / 2^64)`, Lemire's reduction without rejection). Like a
+/// modulo it is not exactly uniform: for a uniform `x`, each value in
+/// `[0, n)` has probability within `1 / 2^64` of `1 / n`, so the total
+/// variation distance from uniform is at most `n / 2^64`. That is
+/// negligible for every `n` this workspace uses.
+///
+/// # Panics
+/// Panics if `n == 0`.
+pub fn reduce(x: u64, n: u64) -> u64 {
+    assert!(n > 0, "range must be non-empty");
+    ((u128::from(x) * u128::from(n)) >> 64) as u64
+}
 
 /// A keyed pseudorandom function mapping byte strings to 64-bit outputs.
 pub trait Prf {
     /// Evaluates the PRF on `input`.
     fn eval(&self, input: &[u8]) -> u64;
 
-    /// Evaluates the PRF and reduces the output into `[0, n)` without
-    /// modulo bias (the bias of a single 64-bit reduction is at most
-    /// `n / 2^64`, negligible for every `n` this workspace uses, but we use
-    /// the multiply-shift reduction to keep the mapping uniform in
-    /// distribution tests).
+    /// Evaluates the PRF and reduces the output into `[0, n)` with
+    /// [`reduce`], whose bias is at most `n / 2^64`.
     fn eval_range(&self, input: &[u8], n: u64) -> u64 {
-        assert!(n > 0, "range must be non-empty");
-        // Lemire's multiply-shift: floor(x * n / 2^64).
-        ((u128::from(self.eval(input)) * u128::from(n)) >> 64) as u64
+        reduce(self.eval(input), n)
     }
 }
 
@@ -46,8 +57,8 @@ impl HmacPrf {
     }
 
     /// Derives an independent PRF from this one using a domain-separation
-    /// label. Used to obtain the two hash functions of two-choice hashing
-    /// from a single master key.
+    /// label. Used to obtain cuckoo hashing's two hash functions and the
+    /// PRP's round functions from a single master key.
     pub fn derive(&self, label: &[u8]) -> Self {
         let mut input = Vec::with_capacity(label.len() + 7);
         input.extend_from_slice(b"derive:");

@@ -13,8 +13,57 @@
 //! free slot on either of its two PRF-chosen paths, overflowing into the
 //! super root; Theorem 7.2 shows the super root holds more than
 //! `Φ(n) = ω(log n)` keys only with negligible probability.
+//!
+//! The mapping `Π(u) = {F(k1,u), F(k2,u)}` is [`TwoChoice`], defined once
+//! here and held by both [`ObliviousForest`] and the DP-KVS client.
 
-use dps_crypto::{HmacPrf, Prf};
+use dps_crypto::chacha::{self, KEY_LEN, NONCE_LEN};
+use dps_crypto::hmac::hmac_sha256;
+use dps_crypto::prf::reduce;
+
+/// The mapping function `Π(u) = {F(k1,u), F(k2,u)}` of Section 7.2: a key's
+/// two candidate buckets.
+///
+/// `F` is the ChaCha20 block function under a 32-byte key derived once from
+/// the master key, `HMAC-SHA256(master, "bucket-choice")`. One block at
+/// counter 0 with nonce `u ‖ 0⁴` (little-endian) yields 64 pseudorandom
+/// bytes; its words 0–1 and words 2–3 are two disjoint 64-bit outputs, so
+/// they play `F(k1,u)` and `F(k2,u)` for independent `k1`, `k2`. Each is
+/// reduced into `[0, n)` by multiply-shift ([`reduce`]). One evaluation is
+/// one scalar ChaCha20 block and allocates nothing.
+#[derive(Clone)]
+pub struct TwoChoice {
+    key: [u8; KEY_LEN],
+}
+
+impl std::fmt::Debug for TwoChoice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        write!(f, "TwoChoice(..)")
+    }
+}
+
+impl TwoChoice {
+    /// Derives the mapping's key from `master_key`.
+    pub fn new(master_key: &[u8]) -> Self {
+        Self { key: hmac_sha256(master_key, b"bucket-choice") }
+    }
+
+    /// `Π(key)` over `n` buckets: the two candidate buckets, each in
+    /// `[0, n)`. They may coincide (probability ≈ `1/n`).
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn buckets(&self, key: u64, n: usize) -> (usize, usize) {
+        let mut nonce = [0u8; NONCE_LEN];
+        nonce[..8].copy_from_slice(&key.to_le_bytes());
+        let block = chacha::block(&self.key, 0, &nonce);
+        let word =
+            |i: usize| u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let n = n as u64;
+        (reduce(word(0), n) as usize, reduce(word(1), n) as usize)
+    }
+}
 
 /// A stored key-value entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,21 +226,18 @@ pub struct ObliviousForest {
     geometry: ForestGeometry,
     nodes: Vec<Vec<Entry>>,
     super_root: Vec<Entry>,
-    prf1: HmacPrf,
-    prf2: HmacPrf,
+    choice: TwoChoice,
     len: usize,
 }
 
 impl ObliviousForest {
-    /// Creates an empty forest keyed by `master_key` (the two PRF keys of
-    /// the mapping function are derived by domain separation).
+    /// Creates an empty forest whose mapping function is keyed by
+    /// `master_key` ([`TwoChoice::new`]).
     pub fn new(geometry: ForestGeometry, master_key: &[u8]) -> Self {
-        let master = HmacPrf::new(master_key);
         Self {
             nodes: vec![Vec::new(); geometry.total_nodes()],
             super_root: Vec::new(),
-            prf1: master.derive(b"bucket-choice-1"),
-            prf2: master.derive(b"bucket-choice-2"),
+            choice: TwoChoice::new(master_key),
             geometry,
             len: 0,
         }
@@ -214,9 +260,7 @@ impl ObliviousForest {
 
     /// The two candidate buckets for `key`: `Π(u) = {F(k1,u), F(k2,u)}`.
     pub fn buckets_for(&self, key: u64) -> (usize, usize) {
-        let n = self.geometry.n_buckets as u64;
-        let bytes = key.to_le_bytes();
-        (self.prf1.eval_range(&bytes, n) as usize, self.prf2.eval_range(&bytes, n) as usize)
+        self.choice.buckets(key, self.geometry.n_buckets)
     }
 
     fn find(&self, key: u64) -> Option<(Option<usize>, usize)> {
@@ -335,6 +379,74 @@ mod tests {
             node_capacity: 2,
             super_root_capacity: 16,
         }
+    }
+
+    /// Pearson's χ² statistic of `counts` against a uniform expectation.
+    fn chi_square(counts: &[u64]) -> f64 {
+        let expected = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
+        counts
+            .iter()
+            .map(|&c| (c as f64 - expected).powi(2) / expected)
+            .sum()
+    }
+
+    /// Each of the two choices is uniform over `[0, n)`, for a power of two
+    /// and for a size the multiply-shift does not divide evenly. The
+    /// threshold is χ²'s 99.9 % point at 15 and 16 degrees of freedom
+    /// (37.7, 39.3).
+    #[test]
+    fn two_choice_marginals_are_uniform() {
+        let choice = TwoChoice::new(b"marginals");
+        for n in [16usize, 17] {
+            let (mut first, mut second) = (vec![0u64; n], vec![0u64; n]);
+            for key in 0..(1000 * n) as u64 {
+                let (a, b) = choice.buckets(key, n);
+                first[a] += 1;
+                second[b] += 1;
+            }
+            for (which, counts) in [("first", &first), ("second", &second)] {
+                let stat = chi_square(counts);
+                assert!(stat < 40.0, "n {n}: {which} choice χ² {stat:.1}");
+            }
+        }
+    }
+
+    /// The pair `(a, b)` is uniform over `[0, 16)²`: a joint χ² over the 256
+    /// cells (threshold 330, χ²'s 99.9 % point at 255 degrees of freedom),
+    /// so the two choices are independent and coincide with probability
+    /// ≈ `1/n`.
+    #[test]
+    fn two_choice_pairs_are_jointly_uniform() {
+        let n = 16usize;
+        let trials = 100 * n * n;
+        let choice = TwoChoice::new(b"joint");
+        let mut counts = vec![0u64; n * n];
+        for key in 0..trials as u64 {
+            let (a, b) = choice.buckets(key, n);
+            counts[a * n + b] += 1;
+        }
+        let stat = chi_square(&counts);
+        assert!(stat < 330.0, "joint χ² {stat:.1}");
+        // P(a = b) = 1/16: 1600 of 25 600 expected, standard deviation ≈ 39.
+        let equal: u64 = (0..n).map(|a| counts[a * n + a]).sum();
+        assert!(equal.abs_diff((trials / n) as u64) < 200, "a = b for {equal} of {trials} keys");
+    }
+
+    /// The mapping is keyed: two master keys send keys to different
+    /// buckets, one master key always to the same ones, and the forest
+    /// uses exactly [`TwoChoice`].
+    #[test]
+    fn two_choice_depends_on_the_master_key() {
+        let n = 1 << 20;
+        let (one, other) = (TwoChoice::new(b"one"), TwoChoice::new(b"other"));
+        let moved = (0..64u64)
+            .filter(|&key| one.buckets(key, n) != other.buckets(key, n))
+            .count();
+        assert_eq!(moved, 64, "over 2^40 pairs, a collision would be a bug");
+        let again = TwoChoice::new(b"one");
+        assert!((0..64u64).all(|key| one.buckets(key, n) == again.buckets(key, n)));
+        let forest = ObliviousForest::new(small_geometry(), b"one");
+        assert!((0..64u64).all(|key| forest.buckets_for(key) == one.buckets(key, 32)));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * [`classic`] — plain one-choice and two-choice balls-in-bins processes,
 //!   reproducing the `Θ(log n / log log n)` vs `Θ(log log n)` max-load
 //!   separation (Theorem A.1) that motivates the construction;
-//! * [`forest`] — the oblivious two-choice forest: geometry, the storing
-//!   algorithm `S`, level-occupancy accounting, and an in-memory reference
-//!   implementation used both by experiments and by the DP-KVS client;
+//! * [`forest`] — the oblivious two-choice forest: geometry, the mapping
+//!   function `Π` ([`forest::TwoChoice`]), the storing algorithm `S`,
+//!   level-occupancy accounting, and an in-memory reference implementation
+//!   used both by experiments and by the DP-KVS client;
 //! * [`theory`] — the `β_i` recursion of Lemma 7.3 as executable formulas.
 
 #![forbid(unsafe_code)]

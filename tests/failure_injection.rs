@@ -79,6 +79,18 @@ fn dp_kvs_detects_corrupted_node() {
     assert!(kvs.get(42, &mut rng).is_err(), "corrupted nodes must not decrypt");
 }
 
+/// The first key from 42 on whose two candidate buckets differ. The tests
+/// below corrupt one path and need the other one clean; the mapping is
+/// keyed at set-up, so which key qualifies depends on the seed.
+fn key_with_two_paths<S: Storage>(kvs: &DpKvs<S>) -> u64 {
+    (42..)
+        .find(|&key| {
+            let (a, b) = kvs.buckets_for(key);
+            a != b
+        })
+        .expect("some key has two distinct paths")
+}
+
 /// The crypto error names the corrupted cell by its server address — the
 /// first bad one in download order when there are several. With `p = 0`
 /// nothing is ever stashed, so a `get` downloads the key's own two paths,
@@ -88,9 +100,9 @@ fn dp_kvs_names_the_corrupted_node() {
     let mut rng = ChaChaRng::seed_from_u64(4);
     let config = DpKvsConfig { stash_probability: 0.0, ..DpKvsConfig::recommended(N, 8) };
     let mut kvs = DpKvs::setup(config, SimServer::new(), &mut rng).unwrap();
-    kvs.put(42, vec![7u8; 8], &mut rng).unwrap();
-    let (a, b) = kvs.buckets_for(42);
-    assert_ne!(a, b, "pick a key with two distinct paths");
+    let key = key_with_two_paths(&kvs);
+    kvs.put(key, vec![7u8; 8], &mut rng).unwrap();
+    let (a, b) = kvs.buckets_for(key);
     let geometry = kvs.config().geometry;
     // One node of the first path, and the leaf of the second.
     let (first, second) = (geometry.bucket_path(a)[1], geometry.bucket_path(b)[0]);
@@ -99,7 +111,7 @@ fn dp_kvs_names_the_corrupted_node() {
         bad[20] ^= 0x10;
         kvs.server_mut().write(addr, bad).unwrap();
     }
-    match kvs.get(42, &mut rng) {
+    match kvs.get(key, &mut rng) {
         Err(DpKvsError::Ram(BucketRamError::Crypto(message))) => {
             assert_eq!(message, format!("cell {first}: ciphertext integrity tag mismatch"));
         }
@@ -242,7 +254,8 @@ fn ram_attack_matrix<S: Storage>(store: impl Fn() -> S) {
 
 /// The same matrix through DP-KVS: the attacked cell is the first node a
 /// `get` of the key downloads (`p = 0`: its own two paths, first path
-/// first), the swap partner the leaf of its second path.
+/// first), the swap partner the leaf of its second path (a key with two
+/// distinct paths, [`key_with_two_paths`]).
 #[test]
 fn hardened_kvs_attack_matrix() {
     let daemon = DurableDaemon::spawn("kvs");
@@ -255,15 +268,15 @@ fn kvs_attack_matrix<S: Storage>(store: impl Fn() -> S) {
     for (seed, attack) in (20..).zip(ATTACKS) {
         let mut rng = ChaChaRng::seed_from_u64(seed);
         let mut kvs = DpKvs::setup(config.clone(), Verified::new(store()), &mut rng).unwrap();
-        kvs.put(42, vec![7u8; 8], &mut rng).unwrap();
-        let (a, b) = kvs.buckets_for(42);
-        assert_ne!(a, b, "pick a key with two distinct paths");
+        let key = key_with_two_paths(&kvs);
+        kvs.put(key, vec![7u8; 8], &mut rng).unwrap();
+        let (a, b) = kvs.buckets_for(key);
         let geometry = kvs.config().geometry;
         let (target, other) = (geometry.bucket_path(a)[0], geometry.bucket_path(b)[0]);
         let stale = kvs.server_mut().inner_mut().read(target).unwrap();
-        kvs.put(42, vec![8u8; 8], &mut rng).unwrap();
+        kvs.put(key, vec![8u8; 8], &mut rng).unwrap();
         mount(attack, kvs.server_mut().inner_mut(), stale, (target, other));
-        match kvs.get(42, &mut rng) {
+        match kvs.get(key, &mut rng) {
             Err(DpKvsError::Ram(BucketRamError::Server(ServerError::Integrity { addr }))) => {
                 assert_eq!(addr, target, "{attack:?}");
             }
