@@ -47,11 +47,18 @@
 //! `decrypt_batch_to_slices` (8 cells per wide pass). The queries then run
 //! on plaintext in one arena: each query's contents are gathered there,
 //! edited there by its update, and read from there by later queries, the
-//! upload and the stash commit. The uploads are collected as plaintext and
-//! sealed by one `encrypt_batch_with_nonces` under nonces drawn in upload
-//! order, which is the order a per-cell loop draws them in — so a seed
-//! produces the same ciphertexts either way. Set-up encrypts the initial
-//! cells through the same entry point.
+//! upload and the stash commit. The server keeps only the last upload slot
+//! of an address (later wins), so only that slot is sealed: the last slot
+//! of every address is collected as plaintext and sealed by one
+//! `encrypt_batch_with_nonces`, and each earlier slot of the address — one
+//! its own batch overwrites, as `[a, b, a, b]` does all of its first
+//! half's — carries a byte copy of that ciphertext (`NOTES.md` entry 25).
+//! Nonces are drawn for every slot in upload order, the order a per-cell
+//! loop draws them in, and a copy's is discarded — so a seed leaves the
+//! server the same cells and the RNG in the same place either way. A copy
+//! sits exactly where an address repeats in the upload, which the server
+//! sees anyway. Set-up encrypts the initial cells through the same entry
+//! point.
 
 use std::collections::{HashMap, HashSet};
 
@@ -189,10 +196,16 @@ struct FlightScratch {
     overlay: Vec<(usize, usize)>,
     /// Upload addresses: `bucket(o_1)‖…‖bucket(o_k)`, duplicates kept.
     up_addrs: Vec<usize>,
-    /// The upload's plaintexts, back to back in `up_addrs` order.
+    /// Per upload slot, the last slot of its address, whose ciphertext it
+    /// carries: itself for a sealed slot, a later one for a copy.
+    carries: Vec<usize>,
+    /// The sealed slots' plaintexts, back to back in upload order.
     up_pt: Vec<u8>,
-    /// Their nonces and fresh ciphertexts, slot for slot.
+    /// The sealed slots' nonces: one is drawn per upload slot, in order,
+    /// and a copy's is dropped.
     nonces: Vec<Nonce>,
+    /// The upload, slot for slot: a sealed slot's fresh ciphertext, or a
+    /// copy's byte copy of its address's last.
     enc_flat: Vec<u8>,
 }
 
@@ -229,11 +242,73 @@ pub(crate) fn init_encrypted<'c, S: Storage>(
     });
 }
 
+/// Σ, flat: every bucket's cell ids back to back, and where each bucket
+/// starts. A bucket is a *set* of cells (Appendix E): set-up refuses one
+/// that lists a cell twice.
+#[derive(Debug)]
+struct Repertoire {
+    cells: Vec<u32>,
+    /// Bucket `b`'s ids are `cells[starts[b]..starts[b + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Repertoire {
+    /// Flattens `buckets`, checking each against a store of `count` cells.
+    fn new(buckets: &[Vec<usize>], count: usize) -> Result<Self, BucketRamError> {
+        let invalid = |msg: String| Err(BucketRamError::InvalidConfig(msg));
+        if buckets.is_empty() {
+            return invalid("need at least one bucket".into());
+        }
+        let mut cells = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
+        let mut starts = Vec::with_capacity(buckets.len() + 1);
+        starts.push(0);
+        let mut sorted = Vec::new();
+        for (b, bucket) in buckets.iter().enumerate() {
+            if bucket.is_empty() {
+                return invalid(format!("bucket {b} is empty"));
+            }
+            for &c in bucket {
+                let Ok(id) = u32::try_from(c) else {
+                    return invalid(format!("bucket {b} references cell {c}, beyond a u32 id"));
+                };
+                if c >= count {
+                    return invalid(format!("bucket {b} references a cell beyond {count}"));
+                }
+                cells.push(id);
+            }
+            sorted.clear();
+            sorted.extend_from_slice(&cells[starts[b]..]);
+            sorted.sort_unstable();
+            if let Some(twice) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+                return invalid(format!("bucket {b} lists cell {} twice", twice[0]));
+            }
+            starts.push(cells.len());
+        }
+        Ok(Self { cells, starts })
+    }
+
+    /// Number of buckets.
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The cell ids of bucket `b`, in order.
+    fn bucket(&self, b: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.cells[self.starts[b]..self.starts[b + 1]]
+            .iter()
+            .map(|&c| c as usize)
+    }
+
+    /// The number of cells of bucket `b`.
+    fn size(&self, b: usize) -> usize {
+        self.starts[b + 1] - self.starts[b]
+    }
+}
+
 /// DP-RAM over a repertoire of (possibly overlapping) buckets of cells.
 #[derive(Debug)]
 pub struct BucketRam<S: Storage = SimServer> {
-    /// Σ: bucket id -> ordered cell ids.
-    buckets: Vec<Vec<usize>>,
+    sigma: Repertoire,
     cell_size: usize,
     stash_probability: f64,
     cipher: BlockCipher,
@@ -284,9 +359,6 @@ impl<S: Storage> BucketRam<S> {
         if count == 0 {
             return Err(BucketRamError::InvalidConfig("need at least one cell".into()));
         }
-        if buckets.is_empty() {
-            return Err(BucketRamError::InvalidConfig("need at least one bucket".into()));
-        }
         if !(0.0..=1.0).contains(&stash_probability) {
             return Err(BucketRamError::InvalidConfig(format!(
                 "stash probability must be in [0, 1], got {stash_probability}"
@@ -296,22 +368,14 @@ impl<S: Storage> BucketRam<S> {
         if (1..count).any(|i| cell(i).len() != cell_size) {
             return Err(BucketRamError::InvalidConfig("cells must have uniform size".into()));
         }
-        for (b, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                return Err(BucketRamError::InvalidConfig(format!("bucket {b} is empty")));
-            }
-            if bucket.iter().any(|&c| c >= count) {
-                return Err(BucketRamError::InvalidConfig(format!(
-                    "bucket {b} references a cell beyond {count}"
-                )));
-            }
-        }
+        let sigma = Repertoire::new(&buckets, count)?;
+        drop(buckets);
 
         let cipher = BlockCipher::generate(rng);
         init_encrypted(&mut server, &cipher, rng, count, cell_size, &cell);
 
         let mut ram = Self {
-            buckets,
+            sigma,
             cell_size,
             stash_probability,
             cipher,
@@ -324,10 +388,9 @@ impl<S: Storage> BucketRam<S> {
             scratch: FlightScratch::default(),
         };
         // Setup-time stashing (per-bucket, like Algorithm 2's per-record).
-        for b in 0..ram.buckets.len() {
+        for b in 0..ram.sigma.len() {
             if rng.gen_bool(stash_probability) {
-                let contents: Vec<u8> =
-                    ram.buckets[b].iter().flat_map(|&c| cell(c)).copied().collect();
+                let contents: Vec<u8> = ram.sigma.bucket(b).flat_map(&cell).copied().collect();
                 ram.stash_bucket(b, &contents);
             }
         }
@@ -336,12 +399,7 @@ impl<S: Storage> BucketRam<S> {
 
     /// Number of buckets in the repertoire.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The cell ids of bucket `b`.
-    pub fn bucket_cells(&self, b: usize) -> &[usize] {
-        &self.buckets[b]
+        self.sigma.len()
     }
 
     /// Number of plaintext cells currently held client-side.
@@ -372,10 +430,10 @@ impl<S: Storage> BucketRam<S> {
     /// Puts bucket `b` in the stash with `contents`, its cells back to back,
     /// as their client copies.
     fn stash_bucket(&mut self, b: usize, contents: &[u8]) {
-        debug_assert_eq!(contents.len(), self.buckets[b].len() * self.cell_size);
+        debug_assert_eq!(contents.len(), self.sigma.size(b) * self.cell_size);
         let newly_stashed = self.stashed_buckets.insert(b);
         debug_assert!(newly_stashed, "stash of a bucket that was already stashed");
-        for (&cell, content) in self.buckets[b].iter().zip(contents.chunks_exact(self.cell_size)) {
+        for (cell, content) in self.sigma.bucket(b).zip(contents.chunks_exact(self.cell_size)) {
             *self.refcount.entry(cell).or_insert(0) += 1;
             let copy = self
                 .cell_stash
@@ -392,12 +450,12 @@ impl<S: Storage> BucketRam<S> {
     fn unstash_bucket(&mut self, b: usize) {
         let was_stashed = self.stashed_buckets.remove(&b);
         debug_assert!(was_stashed, "unstash of a bucket that was not stashed");
-        for cell in &self.buckets[b] {
-            let count = self.refcount.get_mut(cell).expect("refcounted");
+        for cell in self.sigma.bucket(b) {
+            let count = self.refcount.get_mut(&cell).expect("refcounted");
             *count -= 1;
             if *count == 0 {
-                self.refcount.remove(cell);
-                self.spare.extend(self.cell_stash.remove(cell));
+                self.refcount.remove(&cell);
+                self.spare.extend(self.cell_stash.remove(&cell));
             }
         }
     }
@@ -424,7 +482,8 @@ impl<S: Storage> BucketRam<S> {
     /// sequential run would have seen, as the bucket's cells back to back,
     /// and edits them where they lie: the shape is the slice's — and the
     /// overwrite phases are one `write_batch_strided`, duplicate addresses
-    /// kept, later wins.
+    /// kept, later wins. Only the last slot of each address is encrypted;
+    /// an earlier slot of it carries a byte copy of that ciphertext.
     ///
     /// The server sees the same address sequence, with the same joint
     /// distribution, as `flight.len()` separate [`BucketRam::query`] calls;
@@ -450,7 +509,7 @@ impl<S: Storage> BucketRam<S> {
         rng: &mut ChaChaRng,
         s: &mut FlightScratch,
     ) -> Result<(), BucketRamError> {
-        let b = self.buckets.len();
+        let b = self.sigma.len();
         if let Some(&bucket) = flight.iter().find(|&&bucket| bucket >= b) {
             return Err(BucketRamError::BucketOutOfRange { bucket, b });
         }
@@ -458,7 +517,9 @@ impl<S: Storage> BucketRam<S> {
 
         // ---- Plan: Algorithm 3's coins, in query order, against the stash
         // membership as the earlier queries of this flight will leave it.
+        // The upload addresses follow from the plans alone.
         s.plans.clear();
+        s.up_addrs.clear();
         let mut contents = 0;
         for (j, &bucket) in flight.iter().enumerate() {
             let stashed = match flight[..j].iter().rposition(|&earlier| earlier == bucket) {
@@ -470,7 +531,15 @@ impl<S: Storage> BucketRam<S> {
             let overwrite = if stash { rng.gen_index(b) } else { bucket };
             let trace = BucketTrace { download, overwrite };
             s.plans.push(QueryPlan { stashed, stash, trace, contents });
-            contents += self.buckets[bucket].len() * cell_size;
+            contents += self.sigma.size(bucket) * cell_size;
+            s.up_addrs.extend(self.sigma.bucket(overwrite));
+        }
+        // The server keeps only the last upload slot of an address, so only
+        // that slot is sealed: every slot carries the last one's ciphertext.
+        s.carries.clear();
+        for (slot, addr) in s.up_addrs.iter().enumerate() {
+            let later = s.up_addrs[slot + 1..].iter().rposition(|other| other == addr);
+            s.carries.push(later.map_or(slot, |k| slot + 1 + k));
         }
 
         // ---- One download: both phases' cells of every query. The plans
@@ -483,9 +552,8 @@ impl<S: Storage> BucketRam<S> {
         for plan in &s.plans {
             let phases = [(plan.trace.download, !plan.stashed), (plan.trace.overwrite, plan.stash)];
             for (bucket, read) in phases {
-                let cells = &self.buckets[bucket];
-                s.addrs.extend_from_slice(cells);
-                slot.extend(cells.iter().map(|_| read.then_some(0)));
+                s.addrs.extend(self.sigma.bucket(bucket));
+                slot.extend(self.sigma.bucket(bucket).map(|_| read.then_some(0)));
             }
         }
         held.clear();
@@ -523,15 +591,14 @@ impl<S: Storage> BucketRam<S> {
         // ---- Execute the queries in order against the snapshot.
         s.contents.clear();
         s.overlay.clear();
-        s.up_addrs.clear();
         s.up_pt.clear();
-        let mut at = 0; // cell cursor into the snapshot
+        let (mut at, mut up) = (0, 0); // cell cursors into the snapshot and the upload
         for (j, &bucket) in flight.iter().enumerate() {
             let plan = s.plans[j];
-            let overwrite = &self.buckets[plan.trace.overwrite];
-            let downloaded = at;
-            let refreshed = downloaded + self.buckets[plan.trace.download].len();
-            at = refreshed + overwrite.len();
+            let (downloaded, uploaded) = (at, up);
+            let refreshed = downloaded + self.sigma.size(plan.trace.download);
+            at = refreshed + self.sigma.size(plan.trace.overwrite);
+            up = uploaded + self.sigma.size(plan.trace.overwrite);
 
             // The current logical contents of `bucket`. Per cell, in
             // precedence order (Appendix E's overlap rule extended to a
@@ -540,22 +607,26 @@ impl<S: Storage> BucketRam<S> {
             // now — then the client's pre-flight copy, then the downloaded
             // cell. A bucket that is not stashed had its downloaded cells
             // tag-verified even where a client copy wins.
-            for (i, cell) in self.buckets[bucket].iter().enumerate() {
-                if let Some(from) = latest(&s.overlay, *cell) {
+            for (i, cell) in self.sigma.bucket(bucket).enumerate() {
+                if let Some(from) = latest(&s.overlay, cell) {
                     s.contents.extend_from_within(from..from + cell_size);
                     continue;
                 }
-                let copy = self.cell_stash.get(cell).map(Vec::as_slice);
+                let copy = self.cell_stash.get(&cell).map(Vec::as_slice);
                 let plain = copy.or_else(|| s.snapshot.cell(downloaded + i, cell_size));
                 s.contents
                     .extend_from_slice(plain.expect("a stashed bucket's cells are client-held"));
             }
             update(j, &mut s.contents[plan.contents..]);
             let given = (plan.contents..).step_by(cell_size);
-            s.overlay.extend(self.buckets[bucket].iter().copied().zip(given));
+            s.overlay.extend(self.sigma.bucket(bucket).zip(given));
 
-            // Overwrite phase: the plaintexts of bucket(o_j).
-            for (i, &cell) in overwrite.iter().enumerate() {
+            // Overwrite phase: the plaintexts of bucket(o_j), for the slots
+            // that are sealed.
+            for (i, cell) in self.sigma.bucket(plan.trace.overwrite).enumerate() {
+                if s.carries[uploaded + i] != uploaded + i {
+                    continue; // a later query of the flight uploads this cell
+                }
                 let plain = if plan.stash {
                     // Decoy refresh: the server's current plaintext, which
                     // is the snapshot's unless this flight rewrote the cell.
@@ -572,15 +643,35 @@ impl<S: Storage> BucketRam<S> {
                 };
                 s.up_pt.extend_from_slice(plain);
             }
-            s.up_addrs.extend_from_slice(overwrite);
         }
 
-        // ---- One batch encrypt, nonces in upload order.
-        s.nonces.resize(s.up_addrs.len(), Nonce::default());
+        // ---- One batch encrypt of the sealed slots. Every slot draws its
+        // nonce in upload order, as a per-cell loop does, and a copy's is
+        // discarded. The sealed ciphertexts land back to back at the end of
+        // the upload and move down to their slots in order — each moves
+        // down or stays, onto no ciphertext still to move — then every copy
+        // takes its address's last slot.
+        let slots = s.up_addrs.len();
+        s.nonces.resize(slots, Nonce::default());
         rng.fill_nonces(&mut s.nonces);
-        s.enc_flat.resize(s.up_addrs.len() * ct_len, 0);
+        let mut sealed = s.carries.iter().enumerate().map(|(slot, &last)| last == slot);
+        s.nonces.retain(|_| sealed.next() == Some(true));
+        s.enc_flat.resize(slots * ct_len, 0);
+        let mut from = (slots - s.nonces.len()) * ct_len;
         self.cipher
-            .encrypt_batch_with_nonces(&s.nonces, &s.up_pt, &mut s.enc_flat);
+            .encrypt_batch_with_nonces(&s.nonces, &s.up_pt, &mut s.enc_flat[from..]);
+        for (slot, &last) in s.carries.iter().enumerate() {
+            if last == slot {
+                s.enc_flat.copy_within(from..from + ct_len, slot * ct_len);
+                from += ct_len;
+            }
+        }
+        for (slot, &last) in s.carries.iter().enumerate() {
+            if last != slot {
+                s.enc_flat
+                    .copy_within(last * ct_len..(last + 1) * ct_len, slot * ct_len);
+            }
+        }
 
         // ---- One upload, then commit the stash changes: a failed request
         // returns above with the client state untouched.
@@ -596,8 +687,8 @@ impl<S: Storage> BucketRam<S> {
                 // Written back: keep the client copies other stashed
                 // buckets hold of these cells in sync.
                 let contents = finished.contents(j).chunks_exact(cell_size);
-                for (cell, content) in self.buckets[bucket].iter().zip(contents) {
-                    if let Some(copy) = self.cell_stash.get_mut(cell) {
+                for (cell, content) in self.sigma.bucket(bucket).zip(contents) {
+                    if let Some(copy) = self.cell_stash.get_mut(&cell) {
                         copy.copy_from_slice(content);
                     }
                 }
@@ -626,6 +717,8 @@ impl<S: Storage> BucketRam<S> {
 
 #[cfg(test)]
 mod tests {
+    use dps_server::{Accounted, CellBackend, CellStore};
+
     use super::*;
 
     /// 6 cells, 4 buckets with overlaps (a tiny "forest": buckets share
@@ -740,11 +833,92 @@ mod tests {
         );
         assert!(BucketRam::setup(vec![vec![0]], vec![vec![0]], 1.5, SimServer::new(), &mut rng)
             .is_err());
+        // A bucket is a set: listing a cell twice would upload it twice,
+        // the stale copy last, and lose the edit.
+        let cells: Vec<Vec<u8>> = (0..3).map(|i| vec![i; 4]).collect();
+        let twice = vec![vec![0, 0, 1], vec![2, 1, 0]];
+        assert!(matches!(
+            BucketRam::setup(cells, twice, 0.0, SimServer::new(), &mut rng),
+            Err(BucketRamError::InvalidConfig(msg)) if msg == "bucket 0 lists cell 0 twice"
+        ));
+        // Cell ids are held as u32.
+        let wide = vec![vec![1 << 32]];
+        assert!(matches!(
+            BucketRam::setup(vec![vec![0]], wide, 0.0, SimServer::new(), &mut rng),
+            Err(BucketRamError::InvalidConfig(msg)) if msg.contains("beyond a u32 id")
+        ));
         let (mut ram, mut rng) = fixture(0.1, 9);
         assert!(matches!(
             ram.query(4, |_| {}, &mut rng),
             Err(BucketRamError::BucketOutOfRange { bucket: 4, b: 4 })
         ));
+    }
+
+    /// A cell store that keeps a copy of the last upload batch it stored.
+    #[derive(Debug, Default)]
+    struct LastUpload {
+        cells: CellStore,
+        batch: Vec<(usize, Vec<u8>)>,
+    }
+
+    impl CellBackend for LastUpload {
+        fn capacity(&self) -> usize {
+            self.cells.capacity()
+        }
+        fn stride(&self) -> usize {
+            self.cells.stride()
+        }
+        fn reset(&mut self, contents: CellStore) {
+            self.cells = contents;
+        }
+        fn get(&mut self, addr: usize) -> Result<&[u8], ServerError> {
+            CellBackend::get(&mut self.cells, addr)
+        }
+        fn put<'a>(
+            &mut self,
+            items: impl Iterator<Item = (usize, &'a [u8])>,
+        ) -> Result<(), ServerError> {
+            self.batch.clear();
+            self.batch
+                .extend(items.map(|(addr, cell)| (addr, cell.to_vec())));
+            self.cells
+                .put(self.batch.iter().map(|(addr, cell)| (*addr, cell.as_slice())))
+        }
+    }
+
+    /// A flight `[a, b, a, b]` uploads both buckets twice, and the server
+    /// keeps the second copy: each first copy is a byte copy of the second,
+    /// so the upload holds one ciphertext per distinct address, and those
+    /// differ. The flight still reads and writes what a sequential run
+    /// does.
+    #[test]
+    fn an_upload_its_own_flight_overwrites_is_a_copy() {
+        let mut rng = ChaChaRng::seed_from_u64(11);
+        let cells: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 8]).collect();
+        let buckets = vec![vec![0, 4, 5], vec![1, 4, 5], vec![2, 4, 5], vec![3, 4, 5]];
+        let server = Accounted::over(LastUpload::default());
+        let mut ram = BucketRam::setup(cells, buckets, 0.0, server, &mut rng).unwrap();
+        let edit = |j: usize, c: &mut [u8]| c[..8].fill(0xE0 + j as u8);
+        ram.query_batch(&[2, 3, 2, 3], edit, &mut rng).unwrap();
+
+        let upload = &ram.server_mut().batch;
+        let addrs: Vec<usize> = upload.iter().map(|&(addr, _)| addr).collect();
+        assert_eq!(addrs, [2, 4, 5, 3, 4, 5, 2, 4, 5, 3, 4, 5]);
+        for (slot, (addr, cell)) in upload.iter().enumerate() {
+            let last = addrs.iter().rposition(|a| a == addr).unwrap();
+            assert_eq!(cell, &upload[last].1, "slot {slot} is not a copy of slot {last}");
+            for (other, earlier) in &upload[..slot] {
+                assert!(other == addr || earlier != cell, "cells {other} and {addr} share bytes");
+            }
+        }
+        let ciphertexts: HashSet<&Vec<u8>> = upload.iter().map(|(_, cell)| cell).collect();
+        let distinct: HashSet<&usize> = addrs.iter().collect();
+        assert_eq!(ciphertexts.len(), distinct.len());
+
+        let (two, _) = ram.query(2, |_| {}, &mut rng).unwrap();
+        let (three, _) = ram.query(3, |_| {}, &mut rng).unwrap();
+        assert_eq!(two, [[0xE2; 8], [4; 8], [5; 8]].concat());
+        assert_eq!(three, [[0xE3; 8], [4; 8], [5; 8]].concat());
     }
 
     #[test]

@@ -629,7 +629,10 @@ mod tests {
     /// written and other buckets stashed, which moves all three values.
     /// The new values were computed against both the padded 4-lane
     /// keystream remainder and the scalar one it replaced, and agree on
-    /// every tier.
+    /// every tier. They did not move when a flight began sealing only the
+    /// last upload slot of each address: that slot keeps its plaintext and
+    /// its nonce, every slot still draws one, and the server keeps only
+    /// the last slot.
     #[test]
     fn seeded_run_is_byte_identical_to_the_per_cell_cipher() {
         let mut rng = ChaChaRng::seed_from_u64(77);

@@ -2,12 +2,14 @@
 //! reference models under arbitrary operation programs, and structural
 //! invariants of the typed transcripts.
 
+use std::collections::HashSet;
+
 use dps_analysis::stats::chi_square_two_sample;
 use dps_core::bucket_ram::{BucketRam, BucketRamError, BucketTrace, Flight};
 use dps_core::dp_kvs::{DpKvs, DpKvsConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig};
 use dps_crypto::{BlockCipher, ChaChaRng};
-use dps_server::{AccessEvent, SimServer, Storage};
+use dps_server::{AccessEvent, Accounted, CellBackend, CellStore, SimServer, Storage};
 use dps_workloads::Op;
 use proptest::prelude::*;
 
@@ -214,8 +216,9 @@ proptest! {
         };
         let mut rng = ChaChaRng::seed_from_u64(seed);
         let p = [0.0, 0.5, 1.0][p];
+        let server = Accounted::over(LastUpload::default());
         let mut ram =
-            BucketRam::setup(model.clone(), buckets.clone(), p, SimServer::new(), &mut rng).unwrap();
+            BucketRam::setup(model.clone(), buckets.clone(), p, server, &mut rng).unwrap();
 
         for (step, flight) in flights.into_iter().enumerate() {
             let queried: Vec<usize> = flight.iter().map(|&(b, ..)| b % buckets.len()).collect();
@@ -254,14 +257,64 @@ proptest! {
                 .collect();
             let batches: Vec<&[AccessEvent]> = transcript.batches().collect();
             prop_assert_eq!(batches, vec![&downloads[..], &uploads[..]], "step {}", step);
+            assert_copies_at_repeats(&ram.server_mut().batch);
 
             let every: Vec<usize> = (0..buckets.len()).collect();
             let all = ram.query_batch(&every, |_, _| {}, &mut rng).unwrap();
             for b in every {
                 prop_assert_eq!(all.contents(b), view(&model, b), "step {}, bucket {}", step, b);
             }
+            assert_copies_at_repeats(&ram.server_mut().batch);
         }
     }
+}
+
+/// A cell store that keeps a copy of the last upload batch it stored.
+#[derive(Debug, Default)]
+struct LastUpload {
+    cells: CellStore,
+    batch: Vec<(usize, Vec<u8>)>,
+}
+
+impl CellBackend for LastUpload {
+    fn capacity(&self) -> usize {
+        self.cells.capacity()
+    }
+    fn stride(&self) -> usize {
+        self.cells.stride()
+    }
+    fn reset(&mut self, contents: CellStore) {
+        self.cells = contents;
+    }
+    fn get(&mut self, addr: usize) -> Result<&[u8], dps_server::ServerError> {
+        CellBackend::get(&mut self.cells, addr)
+    }
+    fn put<'a>(
+        &mut self,
+        items: impl Iterator<Item = (usize, &'a [u8])>,
+    ) -> Result<(), dps_server::ServerError> {
+        self.batch.clear();
+        self.batch
+            .extend(items.map(|(addr, cell)| (addr, cell.to_vec())));
+        self.cells
+            .put(self.batch.iter().map(|(addr, cell)| (*addr, cell.as_slice())))
+    }
+}
+
+/// A flight seals only the last upload slot of each address: every earlier
+/// slot of it is a byte copy of that one, slots of distinct addresses
+/// differ, and so the upload holds one ciphertext per distinct address.
+fn assert_copies_at_repeats(upload: &[(usize, Vec<u8>)]) {
+    for (slot, (addr, cell)) in upload.iter().enumerate() {
+        let last = upload.iter().rposition(|(other, _)| other == addr).unwrap();
+        assert_eq!(cell, &upload[last].1, "slot {slot} is not a copy of slot {last}");
+        for (other, earlier) in &upload[..slot] {
+            assert!(other == addr || earlier != cell, "cells {other} and {addr} share bytes");
+        }
+    }
+    let addrs: HashSet<usize> = upload.iter().map(|&(addr, _)| addr).collect();
+    let ciphertexts: HashSet<&Vec<u8>> = upload.iter().map(|(_, cell)| cell).collect();
+    assert_eq!(ciphertexts.len(), addrs.len());
 }
 
 /// One flight `[x, y]` and two one-element flights show the server the same
