@@ -6,8 +6,19 @@
 //! which compares transcript *distributions*) while remaining a
 //! cryptographically strong generator, matching the paper's assumption that
 //! scheme randomness is unpredictable to the adversary.
+//!
+//! The stream is the ChaCha20 keystream under the generator's key, from
+//! block 0 of an all-zero nonce, the nonce incremented at each counter
+//! wrap. It is buffered up to eight blocks (512 B) at a time: the first
+//! refill after seeding computes one block, each later one twice the last,
+//! up to eight on the SSE2 and AVX2 tiers (through
+//! [`chacha::xor_keystream`]'s wide passes) and one on the portable tier;
+//! the blocks just below the counter wrap are computed one at a time.
+//! Every byte, and so every coin and seeded transcript, is the one a
+//! block-at-a-time generator gives (`refill` has the rule).
 
 use crate::chacha;
+use crate::isa::{self, IsaTier};
 
 /// SplitMix64's output function at `x + γ` (γ = `0x9e37_79b9_7f4a_7c15`):
 /// a fast, well-mixed `u64 -> u64` permutation. The workspace's one seeded
@@ -22,13 +33,32 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Keystream blocks the generator buffers at most: one 8-lane pass on the
+/// AVX2 tier, two 4-lane passes on the SSE2 tier.
+const WIDE_BLOCKS: usize = chacha::WIDE_LANES;
+
+/// The most blocks one refill computes on the running tier: [`WIDE_BLOCKS`]
+/// where a 4-lane pass costs less than four scalar blocks (SSE2 and AVX2),
+/// one on the portable tier, whose lane loops do not (NOTES.md entry 26).
+fn max_refill_blocks() -> usize {
+    if isa::tier() >= IsaTier::Sse2 {
+        WIDE_BLOCKS
+    } else {
+        1
+    }
+}
+
 /// A deterministic cryptographically strong random number generator.
 #[derive(Clone)]
 pub struct ChaChaRng {
     key: [u8; chacha::KEY_LEN],
     nonce: [u8; chacha::NONCE_LEN],
+    /// The block after the last one buffered.
     counter: u32,
-    buffer: [u8; chacha::BLOCK_LEN],
+    buffer: [u8; WIDE_BLOCKS * chacha::BLOCK_LEN],
+    /// Bytes of keystream in `buffer`: a whole number of blocks, 0 before
+    /// the first refill.
+    filled: usize,
     offset: usize,
 }
 
@@ -39,8 +69,9 @@ impl ChaChaRng {
             key,
             nonce: [0; chacha::NONCE_LEN],
             counter: 0,
-            buffer: [0; chacha::BLOCK_LEN],
-            offset: chacha::BLOCK_LEN,
+            buffer: [0; WIDE_BLOCKS * chacha::BLOCK_LEN],
+            filled: 0,
+            offset: 0,
         }
     }
 
@@ -55,6 +86,13 @@ impl ChaChaRng {
         Self::from_key(key)
     }
 
+    /// A generator whose next block is `counter`, as if `counter` blocks
+    /// had been drawn: reaches the counter wrap without drawing 256 GiB.
+    #[cfg(test)]
+    fn at_counter(key: [u8; chacha::KEY_LEN], counter: u32) -> Self {
+        Self { counter, ..Self::from_key(key) }
+    }
+
     /// Derives an independent child generator. Used to give each component
     /// of a composite scheme (e.g. the DP-RAM inside DP-KVS) its own stream.
     pub fn fork(&mut self) -> Self {
@@ -63,16 +101,39 @@ impl ChaChaRng {
         Self::from_key(key)
     }
 
+    /// Buffers the next keystream blocks: twice as many as the last
+    /// refill, from one block up to [`max_refill_blocks`], so a fresh
+    /// generator computes no block it does not draw from, and a long-lived
+    /// one on a wide tier draws from [`chacha::xor_keystream`]'s wide
+    /// passes. The stream is the one a block at a time gives, byte for
+    /// byte: a wide refill only runs while its blocks lie below the counter
+    /// wrap (`counter <= u32::MAX - blocks`); the last blocks before the
+    /// wrap, and the wrap with its nonce roll, are one scalar block each.
     fn refill(&mut self) {
-        self.buffer = chacha::block(&self.key, self.counter, &self.nonce);
-        self.counter = self.counter.wrapping_add(1);
-        if self.counter == 0 {
-            // 256 GiB of output consumed: roll the nonce to keep the stream
-            // non-repeating. Unreachable in practice but cheap to handle.
-            for byte in self.nonce.iter_mut() {
-                *byte = byte.wrapping_add(1);
-                if *byte != 0 {
-                    break;
+        let blocks = (2 * self.filled / chacha::BLOCK_LEN).clamp(1, max_refill_blocks());
+        if blocks > 1 && self.counter <= u32::MAX - blocks as u32 {
+            self.filled = blocks * chacha::BLOCK_LEN;
+            let wide = &mut self.buffer[..self.filled];
+            wide.fill(0);
+            chacha::xor_keystream(&self.key, self.counter, &self.nonce, wide);
+            self.counter += blocks as u32;
+        } else {
+            self.buffer[..chacha::BLOCK_LEN].copy_from_slice(&chacha::block(
+                &self.key,
+                self.counter,
+                &self.nonce,
+            ));
+            self.filled = chacha::BLOCK_LEN;
+            self.counter = self.counter.wrapping_add(1);
+            if self.counter == 0 {
+                // 256 GiB of output consumed: roll the nonce to keep the
+                // stream non-repeating. Unreachable in practice but cheap
+                // to handle.
+                for byte in self.nonce.iter_mut() {
+                    *byte = byte.wrapping_add(1);
+                    if *byte != 0 {
+                        break;
+                    }
                 }
             }
         }
@@ -81,17 +142,31 @@ impl ChaChaRng {
 
     /// Fills `dest` with random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut filled = 0;
-        while filled < dest.len() {
-            if self.offset == chacha::BLOCK_LEN {
+        let mut done = 0;
+        while done < dest.len() {
+            if self.offset == self.filled {
                 self.refill();
             }
-            let take = (chacha::BLOCK_LEN - self.offset).min(dest.len() - filled);
-            dest[filled..filled + take]
-                .copy_from_slice(&self.buffer[self.offset..self.offset + take]);
+            let take = (self.filled - self.offset).min(dest.len() - done);
+            dest[done..done + take].copy_from_slice(&self.buffer[self.offset..self.offset + take]);
             self.offset += take;
-            filled += take;
+            done += take;
         }
+    }
+
+    /// The next `N` bytes: read straight out of the buffer when it holds
+    /// them, else through [`ChaChaRng::fill_bytes`].
+    #[inline]
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let mut out = [0u8; N];
+        match self.buffer[..self.filled].get(self.offset..self.offset + N) {
+            Some(bytes) => {
+                out.copy_from_slice(bytes);
+                self.offset += N;
+            }
+            None => self.fill_bytes(&mut out),
+        }
+        out
     }
 
     /// Draws `count` nonces, in order: the nonces the batch entry points
@@ -108,13 +183,13 @@ impl ChaChaRng {
 
     /// [`ChaChaRng::draw_nonces`] into a buffer the caller keeps: the same
     /// bytes and the same next state as [`ChaChaRng::fill_bytes`], no
-    /// allocation. After the buffered block is drained, the whole blocks
+    /// allocation. After the buffered blocks are drained, the whole blocks
     /// before the counter wrap are [`chacha::xor_keystream`] over zeros,
     /// which runs them through the wide cores; the tail, and the wrap with
     /// its nonce roll, go through `fill_bytes`.
     pub fn fill_nonces(&mut self, nonces: &mut [chacha::Nonce]) {
         let dest = nonces.as_flattened_mut();
-        let take = (chacha::BLOCK_LEN - self.offset).min(dest.len());
+        let take = (self.filled - self.offset).min(dest.len());
         dest[..take].copy_from_slice(&self.buffer[self.offset..self.offset + take]);
         self.offset += take;
         let blocks =
@@ -127,27 +202,26 @@ impl ChaChaRng {
     }
 
     /// Returns a uniformly random `u64`.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let mut bytes = [0u8; 8];
-        self.fill_bytes(&mut bytes);
-        u64::from_le_bytes(bytes)
+        u64::from_le_bytes(self.take())
     }
 
     /// Returns a uniformly random `u32`.
+    #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        let mut bytes = [0u8; 4];
-        self.fill_bytes(&mut bytes);
-        u32::from_le_bytes(bytes)
+        u32::from_le_bytes(self.take())
     }
 
     /// Returns a uniformly random integer in `[0, n)` with no modulo bias
-    /// (rejection sampling).
+    /// (rejection sampling): a draw below `2^64 mod n` is rejected. That
+    /// threshold is below `n`, so it is computed only for a draw below `n`
+    /// — the same draws are accepted, without a second division per call.
     pub fn gen_range(&mut self, n: u64) -> u64 {
         assert!(n > 0, "gen_range requires a non-empty range");
-        let threshold = n.wrapping_neg() % n;
         loop {
             let r = self.next_u64();
-            if r >= threshold {
+            if r >= n || r >= n.wrapping_neg() % n {
                 return r % n;
             }
         }
@@ -388,6 +462,158 @@ mod tests {
             assert_ne!(seq.nonce, [0u8; 12], "the draw crossed the wrap");
             assert_eq!((bulk.nonce, bulk.counter), (seq.nonce, seq.counter), "misalign {misalign}");
             assert_eq!(bulk.next_u64(), seq.next_u64(), "misalign {misalign}");
+        }
+    }
+
+    /// The stream by definition: one [`chacha::block`] per 64 bytes,
+    /// the nonce incremented at each counter wrap.
+    struct Reference {
+        key: [u8; chacha::KEY_LEN],
+        nonce: [u8; chacha::NONCE_LEN],
+        counter: u32,
+        block: [u8; chacha::BLOCK_LEN],
+        offset: usize,
+    }
+
+    impl Reference {
+        fn at_counter(key: [u8; chacha::KEY_LEN], counter: u32) -> Self {
+            let nonce = [0; chacha::NONCE_LEN];
+            Self { key, nonce, counter, block: [0; chacha::BLOCK_LEN], offset: chacha::BLOCK_LEN }
+        }
+
+        fn bytes(&mut self, dest: &mut [u8]) {
+            for byte in dest {
+                if self.offset == chacha::BLOCK_LEN {
+                    self.block = chacha::block(&self.key, self.counter, &self.nonce);
+                    self.counter = self.counter.wrapping_add(1);
+                    if self.counter == 0 {
+                        let mut wide = [0u8; 16];
+                        wide[..chacha::NONCE_LEN].copy_from_slice(&self.nonce);
+                        let rolled = u128::from_le_bytes(wide) + 1;
+                        self.nonce
+                            .copy_from_slice(&rolled.to_le_bytes()[..chacha::NONCE_LEN]);
+                    }
+                    self.offset = 0;
+                }
+                *byte = self.block[self.offset];
+                self.offset += 1;
+            }
+        }
+
+        fn u64(&mut self) -> u64 {
+            let mut bytes = [0u8; 8];
+            self.bytes(&mut bytes);
+            u64::from_le_bytes(bytes)
+        }
+
+        /// `gen_range`'s rule with the threshold computed for every draw.
+        fn eager_range(&mut self, n: u64) -> u64 {
+            let threshold = n.wrapping_neg() % n;
+            loop {
+                let r = self.u64();
+                if r >= threshold {
+                    return r % n;
+                }
+            }
+        }
+    }
+
+    /// The buffered generator is the block-at-a-time stream, byte for byte,
+    /// under every mix of calls, whatever the refill width of the running
+    /// tier — from a fresh key and from a few blocks below the counter
+    /// wrap, where wide refills stop and the nonce rolls.
+    #[test]
+    fn the_stream_is_the_block_at_a_time_reference() {
+        for seed in 0..24u64 {
+            let mut script = ChaChaRng::seed_from_u64(1000 + seed);
+            let mut key = [0u8; chacha::KEY_LEN];
+            script.fill_bytes(&mut key);
+            let start = match seed % 3 {
+                0 => 0,
+                1 => u32::MAX - 2 - (seed % 7) as u32,
+                _ => u32::MAX - 40 - (seed % 11) as u32,
+            };
+            let mut rng = ChaChaRng::at_counter(key, start);
+            let mut reference = Reference::at_counter(key, start);
+            for step in 0..400 {
+                let label = format!("seed {seed} step {step}");
+                match script.gen_index(8) {
+                    0 => assert_eq!(rng.next_u64(), reference.u64(), "{label}"),
+                    1 => {
+                        let mut bytes = [0u8; 4];
+                        reference.bytes(&mut bytes);
+                        assert_eq!(rng.next_u32(), u32::from_le_bytes(bytes), "{label}");
+                    }
+                    2 => {
+                        let len = script.gen_index(201);
+                        let (mut got, mut want) = (vec![0u8; len], vec![0u8; len]);
+                        rng.fill_bytes(&mut got);
+                        reference.bytes(&mut want);
+                        assert_eq!(got, want, "{label}");
+                    }
+                    3 => {
+                        let count = 1 + script.gen_index(40);
+                        let mut want = vec![[0u8; chacha::NONCE_LEN]; count];
+                        reference.bytes(want.as_flattened_mut());
+                        assert_eq!(rng.draw_nonces(count), want, "{label}");
+                    }
+                    4 => {
+                        let n = 1 + script.gen_index(1 << 20);
+                        assert_eq!(rng.gen_index(n) as u64, reference.eager_range(n as u64));
+                    }
+                    5 => {
+                        let p = script.gen_f64();
+                        let want = (reference.u64() >> 11) as f64 / (1u64 << 53) as f64;
+                        assert_eq!(rng.gen_bool(p), want < p, "{label}");
+                    }
+                    6 => {
+                        let mut child_key = [0u8; chacha::KEY_LEN];
+                        reference.bytes(&mut child_key);
+                        let mut child = rng.fork();
+                        let mut want = Reference::at_counter(child_key, 0);
+                        for _ in 0..20 {
+                            assert_eq!(child.next_u64(), want.u64(), "{label}");
+                        }
+                    }
+                    _ => {
+                        for _ in 0..script.gen_index(40) {
+                            assert_eq!(rng.next_u64(), reference.u64(), "{label}");
+                        }
+                    }
+                }
+            }
+            if start > u32::MAX - 64 {
+                assert_ne!(reference.nonce, [0; chacha::NONCE_LEN], "seed {seed}: no wrap");
+            }
+            let (mut got, mut want) = ([0u8; 1024], [0u8; 1024]);
+            rng.fill_bytes(&mut got);
+            reference.bytes(&mut want);
+            assert_eq!(got, want, "seed {seed}: the streams continue alike");
+        }
+    }
+
+    /// `gen_range` computes its rejection threshold only for a draw below
+    /// `n`: draw for draw it accepts, rejects and returns what the rule
+    /// that computes it every time does — at 2^63 + 1, where about half of
+    /// all draws are rejected, too.
+    #[test]
+    fn gen_range_lazy_threshold_matches_the_eager_rule() {
+        for n in [1u64, 3, 1 << 18, (1 << 63) + 1, u64::MAX] {
+            let mut rng = ChaChaRng::seed_from_u64(n);
+            let mut key = [0u8; chacha::KEY_LEN];
+            ChaChaRng::seed_from_u64(n).fill_bytes(&mut key);
+            let mut lazy = ChaChaRng::from_key(key);
+            let mut eager = Reference::at_counter(key, 0);
+            let draws = 2000;
+            for i in 0..draws {
+                assert_eq!(lazy.gen_range(n), eager.eager_range(n), "n {n}, draw {i}");
+            }
+            let consumed = eager.counter as u64 * 8 - (chacha::BLOCK_LEN - eager.offset) as u64 / 8;
+            if n == (1 << 63) + 1 {
+                assert!(consumed > draws * 3 / 2, "n {n}: {consumed} words for {draws} draws");
+            }
+            assert_eq!(lazy.next_u64(), eager.u64(), "n {n}: the same draws were rejected");
+            assert!(rng.gen_range(n) < n);
         }
     }
 

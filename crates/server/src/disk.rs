@@ -23,7 +23,11 @@
 //!   only has to outlive the one cell the model hands to its visitor before
 //!   the next `get`. Either way a clean cell takes no slot, and which path
 //!   runs is decided by the file type, not by an option (NOTES.md, entry
-//!   10);
+//!   10). The lent path is prefetched per batch: before the model visits a
+//!   batch, [`CellBackend::prefetch`] hands the file
+//!   ([`DiskFile::prefetch`]) each clean cell it will lend, so the batch's
+//!   cache misses overlap instead of stalling one by one inside the copy
+//!   (a hint: no I/O, no counter; NOTES.md, entry 26);
 //! - when [`DiskOptions::cache_bytes`] covers the whole database the cache
 //!   is instead an *identity* mirror of the arena, and every read is a hit;
 //! - hits and misses are counted here ([`CacheTelemetry`]; a lent read is a
@@ -198,6 +202,11 @@ pub trait DiskFile: Send + std::fmt::Debug {
     fn lend(&self, _offset: u64, _len: usize) -> Option<&[u8]> {
         None
     }
+    /// A hint that the `len` bytes at `offset` are about to be
+    /// [lent](DiskFile::lend): a file that lends from memory may start
+    /// bringing them into the CPU cache. No I/O, no fault, no effect on
+    /// any value; the default does nothing.
+    fn prefetch(&self, _offset: u64, _len: usize) {}
 }
 
 /// A minimal virtual filesystem: a namespace of [`DiskFile`]s. Opening a
@@ -304,6 +313,11 @@ impl DiskFile for RealFile {
     #[inline]
     fn lend(&self, offset: u64, len: usize) -> Option<&[u8]> {
         self.file.lend(offset, len)
+    }
+
+    #[inline]
+    fn prefetch(&self, offset: u64, len: usize) {
+        self.file.prefetch(offset, len);
     }
 }
 
@@ -921,6 +935,22 @@ impl<V: Vfs> CellBackend for DiskBackend<V> {
             return Ok(self.cache.slot_bytes(slot));
         }
         self.miss(addr)
+    }
+
+    /// Prefetches the arena bytes of each cell of the batch that the miss
+    /// path will lend: not resident, on a store that is not poisoned. An
+    /// identity-mode store has no miss path.
+    #[inline]
+    fn prefetch(&self, addrs: &[usize]) {
+        if self.cache.is_identity() || self.poisoned {
+            return;
+        }
+        let arena = &self.arena[self.active];
+        for &addr in addrs {
+            if self.cache.slot(addr).is_none() {
+                arena.prefetch(addr as u64 * self.stride as u64, self.stride);
+            }
+        }
     }
 
     /// One non-empty batch is one WAL record, written and synced before

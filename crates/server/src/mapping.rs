@@ -6,14 +6,15 @@
 //! audited unsafe modules (the other is the CRC's guarded carry-less
 //! fold), in the posture of `dps_net::sys` and
 //! `dps_crypto::chacha::sse2`: the two libc entry points it needs are
-//! declared directly against the C library std already links. The file
+//! declared directly against the C library std already links, and the one
+//! intrinsic, the prefetch hint, is called over mapped bytes only. The file
 //! handle and the pointer are both private to it, so every operation of
 //! this process that could invalidate the mapping goes through a method
 //! below.
 //!
 //! # Safety audit
 //!
-//! Four `unsafe` surfaces, each with a narrow contract:
+//! Five `unsafe` surfaces, each with a narrow contract:
 //!
 //! * **FFI declarations** — `mmap` and `munmap`, signatures transcribed
 //!   from POSIX. `off_t` is declared as `c_long`, which is what it is on
@@ -43,6 +44,14 @@
 //!   across a write by this process. Writes that land *between* lends are
 //!   seen by the next lend: `MAP_SHARED` and `pwrite` share the page cache
 //!   on every unix with a unified buffer cache — Linux, macOS, FreeBSD.
+//! * **Prefetch** — `_mm_prefetch` (`prefetcht0`) over the lines of a
+//!   range [`MappedFile::prefetch`] took from the live mapping with the
+//!   bounds check `lend` uses, so its pointer lies inside a live mapping. It
+//!   never faults: a prefetch reads no value into the program and is
+//!   dropped where a load would fault, so even a page a truncation by
+//!   another process left past end-of-file raises no `SIGBUS`
+//!   (`a_prefetch_never_faults_not_even_past_the_end_of_a_truncated_file`).
+//!   Its only requirement is SSE, part of the x86-64 baseline.
 //! * **`Send`/`Sync`** — the raw pointer makes `Mapping` neither by
 //!   default. The mapping is process-wide, not thread-affine, and is only
 //!   ever read, so moving it to another thread or sharing `&Mapping`
@@ -119,6 +128,13 @@ impl Mapping {
         // while the returned borrow is live: *Mapping lifetime* and
         // *Aliasing* in the module docs.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+
+    /// The `len` mapped bytes at `offset`, when they lie wholly inside.
+    #[inline]
+    fn range(&self, offset: u64, len: usize) -> Option<&[u8]> {
+        let start = usize::try_from(offset).ok()?;
+        self.bytes().get(start..start.checked_add(len)?)
     }
 }
 
@@ -199,15 +215,56 @@ impl MappedFile {
     /// could be mapped.
     #[inline]
     pub fn lend(&self, offset: u64, len: usize) -> Option<&[u8]> {
-        let map = self.map.get_or_init(|| Mapping::of(&self.file)).as_ref()?;
-        let start = usize::try_from(offset).ok()?;
-        map.bytes().get(start..start.checked_add(len)?)
+        self.map
+            .get_or_init(|| Mapping::of(&self.file))
+            .as_ref()?
+            .range(offset, len)
+    }
+
+    /// Asks the CPU to bring the bytes `lend` would return into its cache
+    /// ([`prefetch_lines`]). Nothing happens when the range is not wholly
+    /// inside the mapping or nothing is mapped: a hint never maps the file.
+    #[inline]
+    pub fn prefetch(&self, offset: u64, len: usize) {
+        if let Some(bytes) = self
+            .map
+            .get()
+            .and_then(Option::as_ref)
+            .and_then(|m| m.range(offset, len))
+        {
+            prefetch_lines(bytes);
+        }
     }
 
     /// Bytes currently mapped (0 when nothing is).
     fn mapped_len(&self) -> usize {
         self.map.get().and_then(Option::as_ref).map_or(0, |m| m.len)
     }
+}
+
+/// Issues one `prefetcht0` for each 64-byte cache line `bytes` touches,
+/// at an address inside `bytes`. A hint: it reads no value and changes
+/// none, so it is a no-op on targets without the instruction.
+#[inline]
+fn prefetch_lines(bytes: &[u8]) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse"))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let skew = bytes.as_ptr() as usize % LINE;
+        for line in (0..skew + bytes.len()).step_by(LINE) {
+            // The first byte of `bytes` in this line: `line - skew <
+            // bytes.len()` because `line < skew + bytes.len()`.
+            let at = line.saturating_sub(skew);
+            // SAFETY: `sse` is enabled at compile time (the cfg above; it
+            // is part of the x86-64 baseline), and `at` is in bounds, so
+            // the pointer lies inside `bytes`. `prefetcht0` never faults,
+            // not even on a page past end-of-file (see the safety audit).
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(bytes.as_ptr().add(at).cast()) };
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse")))]
+    let _ = bytes;
 }
 
 #[cfg(test)]
@@ -290,6 +347,32 @@ mod tests {
         let map = Mapping::of(&file.file).expect("a non-empty regular file maps");
         drop(file);
         assert_eq!(map.bytes(), &[3u8; 5000][..]);
+    }
+
+    /// A prefetch is a hint over the live mapping: nothing before the file
+    /// is mapped, nothing for a range outside it, and no fault over pages
+    /// that a truncation underneath the mapping left past end-of-file,
+    /// where a load would raise `SIGBUS`.
+    #[test]
+    fn a_prefetch_never_faults_not_even_past_the_end_of_a_truncated_file() {
+        let (tmp, mut file) = TempFile::create("prefetch");
+        file.write_all_at(&[5; 3 * 4096], 0).unwrap();
+        file.prefetch(0, 4096);
+        assert_eq!(file.mapped_len(), 0, "a hint does not map the file");
+        assert_eq!(file.lend(4096, 4), Some(&[5u8; 4][..]));
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&tmp.0)
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        for (offset, len) in [(0, 3 * 4096), (4096 + 7, 100), (3 * 4096 - 1, 1), (5, 0)] {
+            file.prefetch(offset, len);
+        }
+        for (offset, len) in [(3 * 4096, 1), (1, 3 * 4096), (u64::MAX, 2), (1, usize::MAX)] {
+            file.prefetch(offset, len);
+        }
+        assert_eq!(file.mapped_len(), 3 * 4096);
     }
 
     #[test]

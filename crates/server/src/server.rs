@@ -116,9 +116,10 @@ impl std::error::Error for ServerError {}
 /// What [`Accounted`] needs from the thing that keeps the cells. See the
 /// [module docs](self) for the guarantees an implementation owes.
 ///
-/// Addresses handed to `get` and `put` are already bounds-checked against
-/// [`CellBackend::capacity`], and cells handed to `put` are
-/// [`CellBackend::stride`] long; a backend may panic on any other.
+/// Addresses handed to `get`, `put` and `prefetch` are already
+/// bounds-checked against [`CellBackend::capacity`], and cells handed to
+/// `put` are [`CellBackend::stride`] long; a backend may panic on any
+/// other.
 pub trait CellBackend: std::fmt::Debug + Send {
     /// Number of cell slots.
     fn capacity(&self) -> usize;
@@ -145,6 +146,14 @@ pub trait CellBackend: std::fmt::Debug + Send {
         &mut self,
         items: impl Iterator<Item = (usize, &'a [u8])>,
     ) -> Result<(), ServerError>;
+
+    /// A hint before a batch read visits `addrs` — the batch's addresses up
+    /// to the first one out of range, in order: the backend may start
+    /// bringing their bytes into the CPU cache, so that the misses overlap
+    /// instead of stalling one after another inside the visits. It changes
+    /// no answer, counter or fault, and does no I/O. The default does
+    /// nothing.
+    fn prefetch(&self, _addrs: &[usize]) {}
 
     /// Monotone run-time counters of the backend's cell cache, surfaced as
     /// the `cache_*` fields of [`CostStats`]. Not part of the paper's cost
@@ -241,7 +250,8 @@ impl<B: CellBackend> Accounted<B> {
     }
 
     /// Hands the cells at `addrs` to `visit`, in order, until one is out
-    /// of bounds or the backend faults. Returns the number of cells
+    /// of bounds or the backend faults, after passing the addresses it will
+    /// reach to [`CellBackend::prefetch`]. Returns the number of cells
     /// visited, the bytes they hold, and how the walk ended: the caller
     /// charges the visited cells *before* it propagates the error, which is
     /// the partial-charge rule of a mid-batch failure.
@@ -258,6 +268,12 @@ impl<B: CellBackend> Accounted<B> {
         addrs: &[usize],
         mut visit: impl FnMut(usize, &[u8]),
     ) -> (u64, u64, Result<(), ServerError>) {
+        let capacity = self.cells.capacity();
+        let in_range = addrs
+            .iter()
+            .position(|&addr| addr >= capacity)
+            .unwrap_or(addrs.len());
+        self.cells.prefetch(&addrs[..in_range]);
         let (mut cells, mut bytes) = (0, 0);
         for (i, &addr) in addrs.iter().enumerate() {
             let cell = match self.check(addr).and_then(|()| self.cells.get(addr)) {

@@ -21,8 +21,15 @@
 //! mapping's own length rules are unit tests beside the `unsafe` they
 //! protect.
 
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+
 use dps_crypto::rng::splitmix64;
-use dps_server::{DiskOptions, DiskStore, SimServer, Storage};
+use dps_server::disk::RealFile;
+use dps_server::{
+    DiskFile, DiskOptions, DiskStore, RealVfs, ServerError, SimServer, Storage, Transcript, Vfs,
+};
 
 const CAPACITY: usize = 160;
 const CELL_LEN: usize = 24;
@@ -243,4 +250,162 @@ fn a_written_back_cell_is_lent_with_its_new_bytes() {
     }
     assert_eq!(disk.stats().cache_misses, misses + 8, "the reads above did not reach the mapping");
     assert_eq!(disk.stats().cache_evictions, 0);
+}
+
+/// Real files that log every prefetch hint the store gives them and pass
+/// it on to the mapping (`forward`) or drop it: the same store with and
+/// without the hint. Once `fail` is set, writes and syncs fail.
+#[derive(Debug)]
+struct Hinted {
+    vfs: RealVfs,
+    forward: bool,
+    hints: Arc<Mutex<Vec<(u64, usize)>>>,
+    fail: Arc<AtomicBool>,
+}
+
+#[derive(Debug)]
+struct HintedFile {
+    file: RealFile,
+    forward: bool,
+    hints: Arc<Mutex<Vec<(u64, usize)>>>,
+    fail: Arc<AtomicBool>,
+}
+
+impl Vfs for Hinted {
+    type File = HintedFile;
+
+    fn open(&mut self, name: &str) -> io::Result<HintedFile> {
+        Ok(HintedFile {
+            file: self.vfs.open(name)?,
+            forward: self.forward,
+            hints: Arc::clone(&self.hints),
+            fail: Arc::clone(&self.fail),
+        })
+    }
+}
+
+impl HintedFile {
+    fn check(&self) -> io::Result<()> {
+        match self.fail.load(Ordering::Relaxed) {
+            true => Err(io::Error::other("injected")),
+            false => Ok(()),
+        }
+    }
+}
+
+impl DiskFile for HintedFile {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        self.file.read_at(offset, buf)
+    }
+
+    fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+        self.check()?;
+        self.file.write_at(offset, buf)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.check()?;
+        self.file.sync()
+    }
+
+    fn file_len(&self) -> io::Result<u64> {
+        self.file.file_len()
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.file.set_len(len)
+    }
+
+    fn lend(&self, offset: u64, len: usize) -> Option<&[u8]> {
+        self.file.lend(offset, len)
+    }
+
+    fn prefetch(&self, offset: u64, len: usize) {
+        self.hints.lock().unwrap().push((offset, len));
+        if self.forward {
+            self.file.prefetch(offset, len);
+        }
+    }
+}
+
+/// The prefetch before a batch read is invisible to the model: over a
+/// store holding dirty cells and lent clean ones, a store whose hints
+/// reach the mapping answers, charges, records and counts cache hits and
+/// misses exactly like one whose hints are dropped, and like the oracle. A
+/// hint goes to each clean cell of the batch up to its first address out
+/// of range, in order, and to nothing on a poisoned store, which still
+/// serves its hits and fails its misses typed.
+#[test]
+fn the_prefetch_hint_changes_no_answer_charge_transcript_or_fault() {
+    let dirs = [TempDir::new("hinted"), TempDir::new("unhinted")];
+    let hints = [(); 2].map(|()| Arc::new(Mutex::new(Vec::new())));
+    let fail = Arc::new(AtomicBool::new(false));
+    let mut disks: Vec<DiskStore<Hinted>> = (0..2)
+        .map(|i| {
+            let vfs = RealVfs::new(&dirs[i].0).expect("store directory");
+            let hinted = Hinted {
+                vfs,
+                forward: i == 0,
+                hints: Arc::clone(&hints[i]),
+                fail: Arc::clone(&fail),
+            };
+            DiskStore::open_on(hinted, opts()).expect("open")
+        })
+        .collect();
+    let mut oracle = SimServer::new();
+    oracle.init(initial());
+    let dirty = [7, 70, 150];
+    for disk in &mut disks {
+        disk.init(initial());
+        for &addr in &dirty {
+            disk.write(addr, cell(0xD0 ^ addr as u8, CELL_LEN)).unwrap();
+        }
+        assert_eq!(disk.cache_resident(), dirty.len(), "the writes wait in the cache");
+        disk.start_recording();
+    }
+    for &addr in &dirty {
+        oracle.write(addr, cell(0xD0 ^ addr as u8, CELL_LEN)).unwrap();
+    }
+    oracle.start_recording();
+    let hinted_cells = |batch: &[usize]| -> Vec<(u64, usize)> {
+        let clean = batch.iter().take_while(|&&addr| addr < CAPACITY);
+        let clean = clean.filter(|addr| !dirty.contains(addr));
+        clean.map(|&addr| ((addr * CELL_LEN) as u64, CELL_LEN)).collect()
+    };
+    let take_hints = |i: usize| std::mem::take(&mut *hints[i].lock().unwrap());
+
+    // A batch of dirty and clean cells, each kind twice, and then one that
+    // fails at an address out of range mid-way with the partial charge.
+    let batches: [&[usize]; 2] = [&[7, 3, 70, 3, 120, 150, 7, 0], &[3, 70, CAPACITY + 3, 120]];
+    for batch in batches {
+        let want = oracle.read_batch(batch);
+        for (i, disk) in disks.iter_mut().enumerate() {
+            assert_eq!(disk.read_batch(batch), want, "store {i}, batch {batch:?}");
+            assert_eq!(take_hints(i), hinted_cells(batch), "store {i}, batch {batch:?}");
+        }
+        assert_eq!(disks[0].stats(), disks[1].stats(), "batch {batch:?}");
+        assert_eq!(disks[0].stats().sans_cache(), oracle.stats(), "batch {batch:?}");
+    }
+    assert!(batches[1].iter().any(|&addr| addr >= CAPACITY));
+    let stats = disks[0].stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (5, 5), "{stats}");
+    let transcript: Transcript = oracle.take_transcript();
+    for disk in &mut disks {
+        assert_eq!(disk.take_transcript(), transcript);
+    }
+
+    // Poisoned: a failed commit, then hits served, misses refused typed and
+    // charged alike, and not one hint.
+    fail.store(true, Ordering::Relaxed);
+    for (i, disk) in disks.iter_mut().enumerate() {
+        assert_eq!(disk.write(5, cell(0xEE, CELL_LEN)), Err(ServerError::Interrupted));
+        assert!(disk.is_poisoned(), "store {i}");
+        take_hints(i);
+        disk.reset_stats();
+        assert_eq!(disk.read_batch(&[7, 70]), oracle.read_batch(&[7, 70]), "store {i}");
+        assert_eq!(disk.read_batch(&[150, 3, 0]), Err(ServerError::Interrupted), "store {i}");
+        assert_eq!(take_hints(i), [], "store {i}: a poisoned store hints nothing");
+    }
+    assert_eq!(disks[0].stats(), disks[1].stats());
+    assert_eq!((disks[0].stats().downloads, disks[0].stats().round_trips), (3, 1));
 }
