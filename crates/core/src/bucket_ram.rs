@@ -61,9 +61,46 @@
 //! point.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dps_crypto::{BlockCipher, ChaChaRng, CryptoError, Nonce, CIPHERTEXT_OVERHEAD};
 use dps_server::{ServerError, SimServer, Storage};
+
+/// The stash maps' hasher: one folded multiply of the index, in place of
+/// the standard library's keyed SipHash. The maps are keyed by cell and
+/// bucket indices that the secret-keyed mapping chose, so no caller can
+/// steer them into collisions, and nothing iterates them, so their order
+/// reaches no output. hashbrown takes a slot from the hash's low bits and
+/// a control byte from its top 7, so the 128-bit product's halves are
+/// XORed together: every bit of the index reaches both ends.
+#[derive(Debug, Default, Clone, Copy)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        let product = u128::from(i) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of cell or bucket indices, hashed by [`IndexHasher`].
+type IndexSet = HashSet<usize, BuildHasherDefault<IndexHasher>>;
+/// A map from cell indices, hashed by [`IndexHasher`].
+type IndexMap<V> = HashMap<usize, V, BuildHasherDefault<IndexHasher>>;
 
 /// The typed per-bucket-query adversarial view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -314,11 +351,11 @@ pub struct BucketRam<S: Storage = SimServer> {
     cipher: BlockCipher,
     server: S,
     /// Buckets currently held client-side.
-    stashed_buckets: HashSet<usize>,
+    stashed_buckets: IndexSet,
     /// Client-authoritative plaintext cells (cells of stashed buckets).
-    cell_stash: HashMap<usize, Vec<u8>>,
+    cell_stash: IndexMap<Vec<u8>>,
     /// How many stashed buckets reference each stashed cell.
-    refcount: HashMap<usize, u32>,
+    refcount: IndexMap<u32>,
     /// Client copies the stash let go of, kept for the next cell it takes.
     spare: Vec<Vec<u8>>,
     /// High-water mark of stashed cells, for client-storage experiments.
@@ -380,9 +417,9 @@ impl<S: Storage> BucketRam<S> {
             stash_probability,
             cipher,
             server,
-            stashed_buckets: HashSet::new(),
-            cell_stash: HashMap::new(),
-            refcount: HashMap::new(),
+            stashed_buckets: IndexSet::default(),
+            cell_stash: IndexMap::default(),
+            refcount: IndexMap::default(),
             spare: Vec::new(),
             max_stashed_cells: 0,
             scratch: FlightScratch::default(),
@@ -952,7 +989,7 @@ mod tests {
                     cell
                 })
                 .collect();
-            let stashed: HashSet<usize> = (0..buckets.len()).filter(|_| rng.gen_bool(p)).collect();
+            let stashed: IndexSet = (0..buckets.len()).filter(|_| rng.gen_bool(p)).collect();
             let next = rng.next_u64();
 
             let mut owned_rng = ChaChaRng::seed_from_u64(12);

@@ -103,8 +103,8 @@ impl AeadCipher {
     /// `plaintexts` into `nonce || body || tag` slots of `out`, binding
     /// `aads[i]` to cell `i`: byte-identical to a
     /// [`AeadCipher::seal_with_nonce_into`] loop, on the engine's batch
-    /// path (the keystream across cells in one wide strided pass, the tags
-    /// on the Poly1305 lanes 8, then 4, cells at a time).
+    /// path (every cell's keystream packed onto full wide passes in one
+    /// call, the tags on the Poly1305 lanes 8, then 4, cells at a time).
     ///
     /// # Panics
     /// Panics if `aads.len() != nonces.len()`, `plaintexts.len()` is not
@@ -122,11 +122,12 @@ impl AeadCipher {
     }
 
     /// Opens `aads.len()` equal-length sealed cells packed back-to-back in
-    /// `ciphertexts` into the plaintext slots of `out`. A group of 8 or 4
-    /// cells opens only if every tag in it matches, compared in constant
-    /// time across the group; on failure returns the first failing group's
-    /// or cell's error, with the contents of `out` unspecified. The batch
-    /// twin of [`AeadCipher::open_to_slice`].
+    /// `ciphertexts` into the plaintext slots of `out`. Every tag is
+    /// verified before any keystream is stripped; a group of 8 or 4 cells
+    /// passes only if every tag in it matches, compared in constant time
+    /// across the group. On failure returns the first failing group's or
+    /// cell's error, with the contents of `out` unspecified. The batch twin
+    /// of [`AeadCipher::open_to_slice`].
     ///
     /// # Panics
     /// Panics if the flat lengths are inconsistent with `aads.len()`.

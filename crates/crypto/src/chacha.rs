@@ -12,8 +12,9 @@
 //! * the **4-lane wide core** permutes 4 independent blocks per pass in a
 //!   structure-of-arrays state (`[[u32; 4]; 16]`, word-major). On x86-64
 //!   it runs as explicit SSE2 intrinsics (module `sse2`); everywhere else
-//!   (and under `DPS_FORCE_ISA=portable`) as plain lane loops — no
-//!   unstable SIMD APIs, no `unsafe`;
+//!   (and under `DPS_FORCE_ISA=portable`) a 4-lane pass is the scalar core
+//!   once per lane, which measured faster than a lane-loop form of the
+//!   wide core (NOTES.md entry 27) — no unstable SIMD APIs, no `unsafe`;
 //! * the **8-lane wide core** (module `avx2`, `[[u32; 8]; 16]` over
 //!   `__m256i`) doubles the lane width when `is_x86_feature_detected!("avx2")`
 //!   reports AVX2 at runtime. On every other tier, an 8-lane group
@@ -21,12 +22,14 @@
 //!   so the same code compiles and runs on aarch64 unchanged.
 //!
 //! The wide cores back [`xor_keystream`] (consecutive counters of one
-//! stream, 8 or 4 per pass) and [`xor_keystream_batch_strided`] (one block
-//! each of 8 or 4 *different* nonce streams, the shape batch re-encryption
-//! of short cells produces). Every tier is byte-identical to the scalar
-//! core: the lanes compute exactly the blocks the scalar loop would, in
-//! the same positions — the cross-tier proptests (run once per
-//! `DPS_FORCE_ISA` tier in CI) pin this.
+//! stream) and [`xor_keystream_batch_strided`] (the blocks of many cells,
+//! each under its own nonce, the shape batch re-encryption produces). Both
+//! are one engine, which packs a call's (cell, block) pairs onto full
+//! passes of the widest core, one counter and nonce per lane, so that only
+//! a call's last pass runs with idle lanes. Every tier is byte-identical
+//! to the scalar core: the lanes compute exactly the blocks the scalar
+//! loop would, in the same positions — the cross-tier proptests (run once
+//! per `DPS_FORCE_ISA` tier in CI) pin this.
 
 use crate::isa::{self, IsaTier};
 
@@ -63,8 +66,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 }
 
 /// Parses key and nonce into the 16-word initial state (counter word left
-/// at 0); shared by [`block`] and [`xor_keystream`] so multi-block calls
-/// parse the inputs once.
+/// at 0).
 #[inline(always)]
 fn init_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     let mut state = [0u32; 16];
@@ -72,10 +74,16 @@ fn init_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     for (i, chunk) in key.chunks_exact(4).enumerate() {
         state[4 + i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
     }
-    for (i, chunk) in nonce.chunks_exact(4).enumerate() {
-        state[13 + i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-    }
+    state[13..].copy_from_slice(&nonce_words(nonce));
     state
+}
+
+/// A nonce as state words 13–15.
+#[inline(always)]
+fn nonce_words(nonce: &[u8; NONCE_LEN]) -> [u32; 3] {
+    std::array::from_fn(|i| {
+        u32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().expect("4 bytes"))
+    })
 }
 
 /// The 20 ChaCha rounds (RFC 8439 §2.3).
@@ -95,6 +103,19 @@ fn permute(working: &mut [u32; 16]) {
     }
 }
 
+/// The keystream block of one initial state: permute, add the state back,
+/// serialize little-endian.
+#[inline(always)]
+fn keystream_block(state: &[u32; 16]) -> [u8; BLOCK_LEN] {
+    let mut working = *state;
+    permute(&mut working);
+    let mut out = [0u8; BLOCK_LEN];
+    for (i, (word, s)) in working.iter().zip(state).enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.wrapping_add(*s).to_le_bytes());
+    }
+    out
+}
+
 /// A wide core's state: 16 state words × `L` blocks (structure-of-arrays,
 /// word-major): `state[w][l]` is word `w` of lane `l`'s block.
 type Wide4State = [[u32; LANES4]; 16];
@@ -102,67 +123,27 @@ type Wide4State = [[u32; LANES4]; 16];
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 type Wide8State = [[u32; WIDE_LANES]; 16];
 
-/// Portable wide core, generic over the lane count: permutes `L`
-/// interleaved blocks and returns the feed-forward sum
-/// `permute(init) + init`, word-major.
-///
-/// Each quarter-round is one loop over the lanes whose body is that
-/// lane's eight steps. This form is the fallback for every other target
-/// (and for `DPS_FORCE_ISA=portable`), and the cross-check oracle the
-/// `wide_cores_agree` tests pin the intrinsic paths against. On x86-64
-/// the [`sse2`] / [`avx2`] twins — explicit intrinsics, same arithmetic —
-/// stay dispatched because they win: a lane-innermost safe body was
-/// 4–20 % slower than them on the batch and keystream paths at both
-/// tiers, and rustc 1.95's LLVM keeps this one scalar, a `rol` per lane
-/// per rotate (NOTES.md, entry 17).
-fn wide_core_portable<const L: usize>(init: &[[u32; L]; 16]) -> [[u32; L]; 16] {
-    #[inline(always)]
-    // One lane index walks four rows of `x` at once.
-    #[allow(clippy::needless_range_loop)]
-    fn quarter<const L: usize>(x: &mut [[u32; L]; 16], a: usize, b: usize, c: usize, d: usize) {
-        for l in 0..L {
-            x[a][l] = x[a][l].wrapping_add(x[b][l]);
-            x[d][l] = (x[d][l] ^ x[a][l]).rotate_left(16);
-            x[c][l] = x[c][l].wrapping_add(x[d][l]);
-            x[b][l] = (x[b][l] ^ x[c][l]).rotate_left(12);
-            x[a][l] = x[a][l].wrapping_add(x[b][l]);
-            x[d][l] = (x[d][l] ^ x[a][l]).rotate_left(8);
-            x[c][l] = x[c][l].wrapping_add(x[d][l]);
-            x[b][l] = (x[b][l] ^ x[c][l]).rotate_left(7);
-        }
-    }
-
-    let mut x = *init;
-    for _ in 0..10 {
-        // Column rounds.
-        quarter(&mut x, 0, 4, 8, 12);
-        quarter(&mut x, 1, 5, 9, 13);
-        quarter(&mut x, 2, 6, 10, 14);
-        quarter(&mut x, 3, 7, 11, 15);
-        // Diagonal rounds.
-        quarter(&mut x, 0, 5, 10, 15);
-        quarter(&mut x, 1, 6, 11, 12);
-        quarter(&mut x, 2, 7, 8, 13);
-        quarter(&mut x, 3, 4, 9, 14);
-    }
-    for (row, start) in x.iter_mut().zip(init) {
-        for (word, s) in row.iter_mut().zip(start) {
-            *word = word.wrapping_add(*s);
-        }
-    }
-    x
+/// Lane `l`'s own 16-word state out of a wide state.
+#[inline(always)]
+fn lane_state<const L: usize>(init: &[[u32; L]; 16], l: usize) -> [u32; 16] {
+    std::array::from_fn(|w| init[w][l])
 }
 
-/// Transposes a word-major feed-forward sum (as the portable core returns
-/// it) into lane-major keystream words.
-fn lane_major<const L: usize>(summed: &[[u32; L]; 16]) -> [[u32; 16]; L] {
-    let mut out = [[0u32; 16]; L];
-    for (w, row) in summed.iter().enumerate() {
-        for (l, lane) in out.iter_mut().enumerate() {
-            lane[w] = row[l];
-        }
+/// Where each lane of a wide pass XORs its keystream block: lane `l` at
+/// `starts[l]`, `lens[l]` bytes (at most a block); a lane of length 0
+/// idles.
+#[derive(Clone, Copy)]
+struct Lanes<const L: usize> {
+    starts: [usize; L],
+    lens: [usize; L],
+}
+
+impl<const L: usize> Lanes<L> {
+    /// Lane `l` at `first + l * step`, `len` bytes each.
+    #[inline(always)]
+    fn stride(first: usize, step: usize, len: usize) -> Self {
+        Lanes { starts: std::array::from_fn(|l| first + l * step), lens: [len; L] }
     }
-    out
 }
 
 /// SSE2 wide core: the x86-64 4-lane tier. SSE2 is part of the x86-64
@@ -171,10 +152,11 @@ fn lane_major<const L: usize>(summed: &[[u32; L]; 16]) -> [[u32; 16]; L] {
 /// `unsafe` block below — required only because `#[target_feature]`
 /// functions are formally unsafe to call — can never execute an
 /// unsupported instruction. All intrinsics used are value operations
-/// (no pointers), stable since Rust 1.27.
+/// except the unaligned load/stores through pointers derived from
+/// exclusively borrowed, length-checked slices.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod sse2 {
-    use super::{Wide4State, LANES4};
+    use super::{Lanes, Wide4State, BLOCK_LEN, LANES4};
     use std::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_loadu_si128, _mm_or_si128, _mm_set_epi32, _mm_slli_epi32,
         _mm_srli_epi32, _mm_storeu_si128, _mm_unpackhi_epi32, _mm_unpackhi_epi64,
@@ -249,8 +231,8 @@ mod sse2 {
     #[allow(unsafe_code)]
     fn wide_core_impl(init: &Wide4State, out: &mut [[u32; 16]; LANES4]) {
         let tiles = keystream_tiles(init);
-        for (lane_words, lane_tiles) in out.iter_mut().zip(tiles) {
-            for (tile, v) in lane_tiles.into_iter().enumerate() {
+        for (lane_words, lane_tiles) in out.iter_mut().zip(&tiles) {
+            for (tile, &v) in lane_tiles.iter().enumerate() {
                 // SAFETY: `lane_words[4 * tile..4 * tile + 4]` is 16
                 // valid, exclusively borrowed bytes; `_mm_storeu_si128`
                 // has no alignment requirement.
@@ -262,20 +244,38 @@ mod sse2 {
     }
 
     #[target_feature(enable = "sse2")]
-    #[allow(unsafe_code)]
-    fn xor_lanes_impl(init: &Wide4State, lanes: [&mut [u8]; LANES4]) {
+    fn xor_at_impl(init: &Wide4State, flat: &mut [u8], lanes: &Lanes<LANES4>) {
         let tiles = keystream_tiles(init);
-        for (lane, lane_tiles) in lanes.into_iter().zip(tiles) {
-            assert_eq!(lane.len(), super::BLOCK_LEN, "lane must be one full block");
-            for (tile, v) in lane_tiles.into_iter().enumerate() {
-                let chunk = &mut lane[16 * tile..16 * tile + 16];
-                // SAFETY: `chunk` is 16 valid, exclusively borrowed bytes;
-                // the unaligned load/store intrinsics have no alignment
-                // requirement.
-                unsafe {
-                    let ptr = chunk.as_mut_ptr().cast::<__m128i>();
-                    _mm_storeu_si128(ptr, _mm_xor_si128(_mm_loadu_si128(ptr), v));
+        xor_tiles(&tiles, flat, lanes);
+    }
+
+    /// XORs lane `l`'s keystream block `tiles[l]` where `lanes` puts it:
+    /// a full block in registers, a shorter one through a stack copy.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    #[allow(unsafe_code)]
+    fn xor_tiles(tiles: &[[__m128i; 4]; LANES4], flat: &mut [u8], lanes: &Lanes<LANES4>) {
+        for (l, lane_tiles) in tiles.iter().enumerate() {
+            let chunk = &mut flat[lanes.starts[l]..][..lanes.lens[l]];
+            if chunk.len() == BLOCK_LEN {
+                for (tile, &v) in lane_tiles.iter().enumerate() {
+                    let sub = &mut chunk[16 * tile..16 * tile + 16];
+                    // SAFETY: `sub` is 16 valid, exclusively borrowed
+                    // bytes; the unaligned load/store intrinsics have no
+                    // alignment requirement.
+                    unsafe {
+                        let ptr = sub.as_mut_ptr().cast::<__m128i>();
+                        _mm_storeu_si128(ptr, _mm_xor_si128(_mm_loadu_si128(ptr), v));
+                    }
                 }
+            } else if !chunk.is_empty() {
+                let mut ks = [0u8; BLOCK_LEN];
+                for (tile, &v) in lane_tiles.iter().enumerate() {
+                    let sub = &mut ks[16 * tile..16 * tile + 16];
+                    // SAFETY: as above, for the 16 bytes of `sub`.
+                    unsafe { _mm_storeu_si128(sub.as_mut_ptr().cast::<__m128i>(), v) };
+                }
+                super::xor_bytes(chunk, &ks);
             }
         }
     }
@@ -287,10 +287,11 @@ mod sse2 {
         unsafe { wide_core_impl(init, out) }
     }
 
+    /// XORs each lane's keystream block where `lanes` puts it.
     #[allow(unsafe_code)]
-    pub(super) fn xor_lanes(init: &Wide4State, lanes: [&mut [u8]; LANES4]) {
+    pub(super) fn xor_at(init: &Wide4State, flat: &mut [u8], lanes: &Lanes<LANES4>) {
         // SAFETY: as for `wide_core` — sse2 is statically enabled here.
-        unsafe { xor_lanes_impl(init, lanes) }
+        unsafe { xor_at_impl(init, flat, lanes) }
     }
 }
 
@@ -308,7 +309,7 @@ mod sse2 {
 /// from exclusively borrowed, length-checked slices.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod avx2 {
-    use super::{Wide8State, BLOCK_LEN, WIDE_LANES};
+    use super::{Lanes, Wide8State, BLOCK_LEN, WIDE_LANES};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_or_si256, _mm256_permute2x128_si256,
         _mm256_set_epi8, _mm256_shuffle_epi8, _mm256_slli_epi32, _mm256_srli_epi32,
@@ -434,8 +435,8 @@ mod avx2 {
     #[allow(unsafe_code)]
     fn wide_core_impl(init: &Wide8State, out: &mut [[u32; 16]; WIDE_LANES]) {
         let tiles = keystream_tiles(init);
-        for (lane_words, lane_tiles) in out.iter_mut().zip(tiles) {
-            for (half, v) in lane_tiles.into_iter().enumerate() {
+        for (lane_words, lane_tiles) in out.iter_mut().zip(&tiles) {
+            for (half, &v) in lane_tiles.iter().enumerate() {
                 // SAFETY: `lane_words[8 * half..8 * half + 8]` is 32
                 // valid, exclusively borrowed bytes; `_mm256_storeu_si256`
                 // has no alignment requirement.
@@ -447,21 +448,38 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    #[allow(unsafe_code)]
-    fn xor_stripes_impl(init: &Wide8State, flat: &mut [u8], first: usize, stride: usize) {
-        debug_assert!(stride >= BLOCK_LEN, "lanes must not overlap");
+    fn xor_at_impl(init: &Wide8State, flat: &mut [u8], lanes: &Lanes<WIDE_LANES>) {
         let tiles = keystream_tiles(init);
-        for (lane, lane_tiles) in tiles.into_iter().enumerate() {
-            let chunk = &mut flat[first + lane * stride..][..BLOCK_LEN];
-            for (half, v) in lane_tiles.into_iter().enumerate() {
-                let sub = &mut chunk[32 * half..32 * half + 32];
-                // SAFETY: `sub` is 32 valid, exclusively borrowed bytes;
-                // the unaligned load/store intrinsics have no alignment
-                // requirement.
-                unsafe {
-                    let ptr = sub.as_mut_ptr().cast::<__m256i>();
-                    _mm256_storeu_si256(ptr, _mm256_xor_si256(_mm256_loadu_si256(ptr), v));
+        xor_tiles(&tiles, flat, lanes);
+    }
+
+    /// XORs lane `l`'s keystream block `tiles[l]` where `lanes` puts it:
+    /// a full block in registers, a shorter one through a stack copy.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    #[allow(unsafe_code)]
+    fn xor_tiles(tiles: &[[__m256i; 2]; WIDE_LANES], flat: &mut [u8], lanes: &Lanes<WIDE_LANES>) {
+        for (l, lane_tiles) in tiles.iter().enumerate() {
+            let chunk = &mut flat[lanes.starts[l]..][..lanes.lens[l]];
+            if chunk.len() == BLOCK_LEN {
+                for (half, &v) in lane_tiles.iter().enumerate() {
+                    let sub = &mut chunk[32 * half..32 * half + 32];
+                    // SAFETY: `sub` is 32 valid, exclusively borrowed
+                    // bytes; the unaligned load/store intrinsics have no
+                    // alignment requirement.
+                    unsafe {
+                        let ptr = sub.as_mut_ptr().cast::<__m256i>();
+                        _mm256_storeu_si256(ptr, _mm256_xor_si256(_mm256_loadu_si256(ptr), v));
+                    }
                 }
+            } else if !chunk.is_empty() {
+                let mut ks = [0u8; BLOCK_LEN];
+                for (half, &v) in lane_tiles.iter().enumerate() {
+                    let sub = &mut ks[32 * half..32 * half + 32];
+                    // SAFETY: as above, for the 32 bytes of `sub`.
+                    unsafe { _mm256_storeu_si256(sub.as_mut_ptr().cast::<__m256i>(), v) };
+                }
+                super::xor_bytes(chunk, &ks);
             }
         }
     }
@@ -485,20 +503,19 @@ mod avx2 {
         unsafe { wide_core_impl(init, out) }
     }
 
-    /// XORs lane `l`'s keystream block into the 64-byte region at
-    /// `flat[first + l * stride..]`, keeping the data in vector
-    /// registers end to end (permute, feed-forward, transpose, XOR).
+    /// XORs each lane's keystream block where `lanes` puts it, keeping a
+    /// full block in vector registers end to end (permute, feed-forward,
+    /// transpose, XOR).
     #[allow(unsafe_code)]
-    pub(super) fn xor_stripes(init: &Wide8State, flat: &mut [u8], first: usize, stride: usize) {
+    pub(super) fn xor_at(init: &Wide8State, flat: &mut [u8], lanes: &Lanes<WIDE_LANES>) {
         assert_avx2();
         // SAFETY: `assert_avx2` above verified AVX2 support at runtime.
-        unsafe { xor_stripes_impl(init, flat, first, stride) }
+        unsafe { xor_at_impl(init, flat, lanes) }
     }
 }
 
 /// Builds a wide initial state: constants and key splatted across the
 /// lanes, per-lane counters in word 12, per-lane nonces in words 13–15.
-/// Batch loops build this once and only rewrite word 12 between passes.
 #[inline]
 fn wide_init<const L: usize>(
     key: &[u8; KEY_LEN],
@@ -515,73 +532,40 @@ fn wide_init<const L: usize>(
     }
     init[12] = *counters;
     for (l, nonce) in nonces.iter().enumerate() {
-        for (i, chunk) in nonce.chunks_exact(4).enumerate() {
-            init[13 + i][l] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+        for (i, word) in nonce_words(nonce).into_iter().enumerate() {
+            init[13 + i][l] = word;
         }
     }
     init
 }
 
-/// Permutes the 4 interleaved blocks of `init` and returns the keystream
-/// as lane-major `u32` words (feed-forward included), dispatching on the
-/// resolved tier: SSE2 intrinsics at [`IsaTier::Sse2`] and above,
-/// otherwise the portable core.
-#[inline]
-fn wide4_words_from_init(tier: IsaTier, init: &Wide4State) -> [[u32; 16]; LANES4] {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    if tier >= IsaTier::Sse2 {
-        let mut out = [[0u32; 16]; LANES4];
-        sse2::wide_core(init, &mut out);
-        return out;
+/// The portable tier's wide pass: each live lane's block on the scalar
+/// core ([`keystream_block`]), XORed where `lanes` puts it; an idle lane
+/// costs nothing.
+fn portable_xor_at<const L: usize>(init: &[[u32; L]; 16], flat: &mut [u8], lanes: &Lanes<L>) {
+    for l in 0..L {
+        if lanes.lens[l] > 0 {
+            let chunk = &mut flat[lanes.starts[l]..][..lanes.lens[l]];
+            xor_bytes(chunk, &keystream_block(&lane_state(init, l)));
+        }
     }
-    let _ = tier; // portable fallback (non-x86 targets / forced tier)
-    lane_major(&wide_core_portable(init))
 }
 
-/// XORs each lane's 64-byte keystream block straight into `lanes[l]`
-/// (which must be exactly [`BLOCK_LEN`] bytes). On the SSE2 tier the data
-/// rides vector registers end to end: permute, feed-forward, transpose,
-/// XOR.
+/// One 4-lane pass of [`xor_keystream_cells`]: SSE2 intrinsics at
+/// [`IsaTier::Sse2`] and above, otherwise the scalar core lane by lane.
 #[inline]
-fn wide4_xor_lanes(tier: IsaTier, init: &Wide4State, lanes: [&mut [u8]; LANES4]) {
+fn wide4_xor_at(tier: IsaTier, init: &Wide4State, flat: &mut [u8], lanes: &Lanes<LANES4>) {
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     if tier >= IsaTier::Sse2 {
-        sse2::xor_lanes(init, lanes);
+        sse2::xor_at(init, flat, lanes);
         return;
     }
     let _ = tier; // portable fallback (non-x86 targets / forced tier)
-    let words = lane_major(&wide_core_portable(init));
-    for (lane, lane_words) in lanes.into_iter().zip(&words) {
-        xor_full_block(lane, lane_words);
-    }
-}
-
-/// Reborrows 4 equal-length disjoint regions of `flat`, starting at
-/// `first` and separated by `stride` bytes (`len <= stride`).
-#[inline]
-fn lanes_mut(flat: &mut [u8], first: usize, stride: usize, len: usize) -> [&mut [u8]; LANES4] {
-    let (_, tail) = flat.split_at_mut(first);
-    let (c0, tail) = tail.split_at_mut(stride);
-    let (c1, tail) = tail.split_at_mut(stride);
-    let (c2, tail) = tail.split_at_mut(stride);
-    [&mut c0[..len], &mut c1[..len], &mut c2[..len], &mut tail[..len]]
-}
-
-/// Runs the 4-lane wide core once: lane `l` computes the keystream block
-/// for (`counters[l]`, `nonces[l]`) under `key`. Returns the keystream as
-/// lane-major `u32` words (lane `l`, word `w` — already including the
-/// final feed-forward addition), ready to XOR or serialize.
-#[inline]
-fn wide4_keystream_words(
-    tier: IsaTier,
-    key: &[u8; KEY_LEN],
-    counters: &[u32; LANES4],
-    nonces: &[&[u8; NONCE_LEN]; LANES4],
-) -> [[u32; 16]; LANES4] {
-    wide4_words_from_init(tier, &wide_init(key, counters, nonces))
+    portable_xor_at(init, flat, lanes);
 }
 
 /// Serializes lane-major keystream words to little-endian blocks.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 fn serialize_blocks<const L: usize>(words: &[[u32; 16]; L]) -> [[u8; BLOCK_LEN]; L] {
     let mut out = [[0u8; BLOCK_LEN]; L];
     for (lane, lane_words) in out.iter_mut().zip(words) {
@@ -600,8 +584,14 @@ fn blocks4(
     counters: &[u32; 4],
     nonces: &[&[u8; NONCE_LEN]; 4],
 ) -> [[u8; BLOCK_LEN]; 4] {
-    let tier = isa::tier();
-    serialize_blocks(&wide4_keystream_words(tier, key, counters, nonces))
+    let init = wide_init(key, counters, nonces);
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    if isa::tier() >= IsaTier::Sse2 {
+        let mut words = [[0u32; 16]; LANES4];
+        sse2::wide_core(&init, &mut words);
+        return serialize_blocks(&words);
+    }
+    std::array::from_fn(|l| keystream_block(&lane_state(&init, l)))
 }
 
 /// Computes [`WIDE_LANES`] = 8 keystream blocks: output `l` is
@@ -613,9 +603,8 @@ fn blocks8(
     counters: &[u32; WIDE_LANES],
     nonces: &[&[u8; NONCE_LEN]; WIDE_LANES],
 ) -> [[u8; BLOCK_LEN]; WIDE_LANES] {
-    let tier = isa::tier();
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    if tier == IsaTier::Avx2 {
+    if isa::tier() == IsaTier::Avx2 {
         let init = wide_init(key, counters, nonces);
         let mut words = [[0u32; 16]; WIDE_LANES];
         avx2::wide_core(&init, &mut words);
@@ -625,8 +614,7 @@ fn blocks8(
     for half in 0..2 {
         let c: [u32; LANES4] = std::array::from_fn(|l| counters[LANES4 * half + l]);
         let n: [&[u8; NONCE_LEN]; LANES4] = std::array::from_fn(|l| nonces[LANES4 * half + l]);
-        let blocks = serialize_blocks(&wide4_keystream_words(tier, key, &c, &n));
-        out[LANES4 * half..LANES4 * (half + 1)].copy_from_slice(&blocks);
+        out[LANES4 * half..LANES4 * (half + 1)].copy_from_slice(&blocks4(key, &c, &n));
     }
     out
 }
@@ -665,21 +653,19 @@ pub fn blocks_each(
     }
 }
 
-/// XORs one full 64-byte block with precomputed keystream words.
+/// XORs `data` (at most one block) with the leading bytes of `ks`, eight
+/// bytes at a time, then byte by byte for the last `data.len() % 8`.
 #[inline(always)]
-fn xor_full_block(chunk: &mut [u8], words: &[u32; 16]) {
-    for (i, word) in words.iter().enumerate() {
-        let lane = &mut chunk[4 * i..4 * i + 4];
-        let mixed = u32::from_le_bytes(lane.try_into().expect("4-byte lane")) ^ word;
-        lane.copy_from_slice(&mixed.to_le_bytes());
+fn xor_bytes(data: &mut [u8], ks: &[u8; BLOCK_LEN]) {
+    let words = data.len() / 8 * 8;
+    let (head, tail) = data.split_at_mut(words);
+    for (d, k) in head.chunks_exact_mut(8).zip(ks.chunks_exact(8)) {
+        let x = u64::from_le_bytes((&*d).try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(k.try_into().expect("8 bytes"));
+        d.copy_from_slice(&x.to_le_bytes());
     }
-}
-
-/// XORs a sub-block tail with precomputed keystream words.
-#[inline(always)]
-fn xor_partial_block(tail: &mut [u8], words: &[u32; 16]) {
-    for (i, byte) in tail.iter_mut().enumerate() {
-        *byte ^= words[i / 4].to_le_bytes()[i % 4];
+    for (d, k) in tail.iter_mut().zip(&ks[words..]) {
+        *d ^= k;
     }
 }
 
@@ -688,105 +674,21 @@ fn xor_partial_block(tail: &mut [u8], words: &[u32; 16]) {
 pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
     let mut state = init_state(key, nonce);
     state[12] = counter;
-    let mut working = state;
-    permute(&mut working);
-
-    let mut out = [0u8; BLOCK_LEN];
-    for (i, word) in working.iter().enumerate() {
-        let sum = word.wrapping_add(state[i]);
-        out[4 * i..4 * i + 4].copy_from_slice(&sum.to_le_bytes());
-    }
-    out
+    keystream_block(&state)
 }
 
 /// XORs `data` in place with the ChaCha20 keystream starting at block
 /// `counter`. This is both encryption and decryption (RFC 8439 §2.4).
 ///
-/// Fast paths, widest first: on the AVX2 tier, runs of 8 full blocks go
-/// through the 8-lane core (8 consecutive counters permuted per pass);
-/// runs of 4 full blocks go through the 4-lane core. A remainder of
-/// 129–255 bytes (3–4 blocks of keystream) is one more 4-lane pass over a
-/// zero-padded copy, whose idle lanes are discarded. A remainder of at
-/// most two blocks keeps the scalar single-parse path, because one 4-lane
-/// pass costs a little more than two scalar blocks (NOTES.md entry 24),
-/// and only its sub-block tail falls back to byte granularity. Output is
-/// byte-identical for every length on every tier.
-pub fn xor_keystream(
-    key: &[u8; KEY_LEN],
-    mut counter: u32,
-    nonce: &[u8; NONCE_LEN],
-    data: &mut [u8],
-) {
-    let tier = isa::tier();
-    let mut rest: &mut [u8] = data;
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    if tier == IsaTier::Avx2 {
-        let stripe = WIDE_LANES * BLOCK_LEN;
-        let full = rest.len() / stripe * stripe;
-        if full > 0 {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(full);
-            rest = tail;
-            // Parse key and nonce into the wide state once; only the
-            // counter word changes between passes.
-            let mut init = wide_init(key, &[0; WIDE_LANES], &[nonce; WIDE_LANES]);
-            for chunk in head.chunks_exact_mut(stripe) {
-                init[12] = std::array::from_fn(|l| counter.wrapping_add(l as u32));
-                avx2::xor_stripes(&init, chunk, 0, BLOCK_LEN);
-                counter = counter.wrapping_add(WIDE_LANES as u32);
-            }
-        }
-    }
-    let mut quads = rest.chunks_exact_mut(LANES4 * BLOCK_LEN);
-    if quads.len() > 0 {
-        let mut init = wide_init(key, &[0; LANES4], &[nonce; LANES4]);
-        for quad in &mut quads {
-            init[12] = [
-                counter,
-                counter.wrapping_add(1),
-                counter.wrapping_add(2),
-                counter.wrapping_add(3),
-            ];
-            wide4_xor_lanes(tier, &init, lanes_mut(quad, 0, BLOCK_LEN, BLOCK_LEN));
-            counter = counter.wrapping_add(LANES4 as u32);
-        }
-    }
-    let rest = quads.into_remainder();
-    if rest.len() > 2 * BLOCK_LEN {
-        let mut pad = [0u8; LANES4 * BLOCK_LEN];
-        pad[..rest.len()].copy_from_slice(rest);
-        let counters = std::array::from_fn(|l| counter.wrapping_add(l as u32));
-        let init = wide_init(key, &counters, &[nonce; LANES4]);
-        wide4_xor_lanes(tier, &init, lanes_mut(&mut pad, 0, BLOCK_LEN, BLOCK_LEN));
-        rest.copy_from_slice(&pad[..rest.len()]);
-        return;
-    }
-    if rest.is_empty() {
-        return;
-    }
-    let mut state = init_state(key, nonce);
-    let mut chunks = rest.chunks_exact_mut(BLOCK_LEN);
-    for chunk in &mut chunks {
-        state[12] = counter;
-        let mut working = state;
-        permute(&mut working);
-        for (i, word) in working.iter().enumerate() {
-            let ks = word.wrapping_add(state[i]);
-            let lane = &mut chunk[4 * i..4 * i + 4];
-            let mixed = u32::from_le_bytes(lane.try_into().expect("4-byte lane")) ^ ks;
-            lane.copy_from_slice(&mixed.to_le_bytes());
-        }
-        counter = counter.wrapping_add(1);
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        state[12] = counter;
-        let mut working = state;
-        permute(&mut working);
-        for (i, byte) in tail.iter_mut().enumerate() {
-            let ks = working[i / 4].wrapping_add(state[i / 4]);
-            *byte ^= ks.to_le_bytes()[i % 4];
-        }
-    }
+/// The one-cell case of the engine behind [`xor_keystream_batch_strided`]:
+/// its blocks go through the widest core the tier has, 8 or 4 consecutive
+/// counters per pass; the last 3 to 7 blocks take one more pass with idle
+/// lanes (on the AVX2 tier a 4-lane one for 3 or 4), and the last one or
+/// two, or a stream of at most two blocks, run on the scalar core. Output
+/// is byte-identical for every length on every tier.
+pub fn xor_keystream(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
+    let len = data.len();
+    xor_keystream_cells(key, counter, 1, |_| nonce, data, len, 0, len);
 }
 
 /// XORs one equal-length region of many cells with per-cell keystreams in
@@ -795,13 +697,10 @@ pub fn xor_keystream(
 /// (`key`, `counter`, `nonces[i]`) — exactly what a [`xor_keystream`] loop
 /// over the cells would do, byte for byte.
 ///
-/// This is the batch re-encryption fast path: when `len` is shorter than
-/// the active tier's full stripe (8 or 4 blocks), that many *different*
-/// cells' keystreams are permuted per pass (same block index, one nonce
-/// per lane), so short-cell batches vectorize as well as long streams.
-/// Longer cells instead use the intra-cell wide path of
-/// [`xor_keystream`], which is equally wide. Group remainders step down
-/// 8 → 4 → scalar, so every cell count vectorizes as far as it can.
+/// This is the batch re-encryption fast path: the batch's keystream
+/// blocks are packed onto full passes of the widest core, whatever the
+/// cell count and length, so ten cells of four blocks take five 8-lane
+/// passes.
 ///
 /// # Panics
 /// Panics if `flat.len() != nonces.len() * stride` or
@@ -815,72 +714,191 @@ pub fn xor_keystream_batch_strided(
     offset: usize,
     len: usize,
 ) {
-    assert_eq!(flat.len(), nonces.len() * stride, "flat must hold one stride per nonce");
+    xor_keystream_cells(key, counter, nonces.len(), |i| &nonces[i], flat, stride, offset, len);
+}
+
+/// At most this many blocks left over after the wide passes run on the
+/// scalar core: one wide pass costs about as much as two scalar blocks
+/// (NOTES.md entries 24 and 27).
+const SCALAR_BLOCKS: usize = 2;
+
+/// [`xor_keystream_batch_strided`] over `cells` cells whose nonces
+/// `nonce(i)` hands out, so that a caller can read them where they lie
+/// (the batch open reads them from the sealed cells).
+///
+/// Block `j` of cell `i` is keystream block `counter + j` of `nonce(i)`,
+/// XORed into `flat[i * stride + offset + 64 j..]`: a full block except
+/// for each cell's sub-block tail, which is XORed eight bytes at a time.
+/// These (cell, block) pairs go onto passes of the widest core the tier
+/// has, 8 lanes on the AVX2 tier and 4 below it ([`Batch::wide_passes`]),
+/// so that only the batch's last pass or two run short: on the AVX2 tier
+/// a last pass of at most four blocks is a 4-lane one, and at most
+/// [`SCALAR_BLOCKS`] blocks left run on the scalar core.
+///
+/// # Panics
+/// Panics if `flat.len() != cells * stride` or `offset + len > stride`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn xor_keystream_cells<'n>(
+    key: &[u8; KEY_LEN],
+    counter: u32,
+    cells: usize,
+    nonce: impl Fn(usize) -> &'n Nonce,
+    flat: &mut [u8],
+    stride: usize,
+    offset: usize,
+    len: usize,
+) {
+    assert_eq!(flat.len(), cells * stride, "flat must hold one stride per nonce");
     assert!(offset + len <= stride, "cell region must fit its stride");
-    if len == 0 || nonces.is_empty() {
+    if len == 0 || cells == 0 {
         return;
     }
+    let batch =
+        Batch { key, counter, nonce, cells, stride, offset, len, blocks: len.div_ceil(BLOCK_LEN) };
     let tier = isa::tier();
-    let group_lanes = if tier == IsaTier::Avx2 { WIDE_LANES } else { LANES4 };
-    if len >= group_lanes * BLOCK_LEN {
-        // Long cells: each cell's own keystream already fills the widest
-        // core the tier offers.
-        for (i, nonce) in nonces.iter().enumerate() {
-            let base = i * stride + offset;
-            xor_keystream(key, counter, nonce, &mut flat[base..base + len]);
-        }
-        return;
-    }
-    let full_blocks = len / BLOCK_LEN;
-    let tail = len % BLOCK_LEN;
-    let mut cell = 0;
+    let narrow = |init: &Wide4State, flat: &mut [u8], lanes: &Lanes<LANES4>| {
+        wide4_xor_at(tier, init, flat, lanes)
+    };
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     if tier == IsaTier::Avx2 {
-        while cell + WIDE_LANES <= nonces.len() {
-            let lane_nonces: [&Nonce; WIDE_LANES] = std::array::from_fn(|l| &nonces[cell + l]);
-            // One state parse per 8-cell group; only the counter word
-            // changes between block indices.
-            let mut init = wide_init(key, &[counter; WIDE_LANES], &lane_nonces);
-            for j in 0..full_blocks {
-                init[12] = [counter.wrapping_add(j as u32); WIDE_LANES];
-                let first = cell * stride + offset + j * BLOCK_LEN;
-                avx2::xor_stripes(&init, flat, first, stride);
-            }
-            if tail > 0 {
-                init[12] = [counter.wrapping_add(full_blocks as u32); WIDE_LANES];
-                let mut words = [[0u32; 16]; WIDE_LANES];
-                avx2::wide_core(&init, &mut words);
-                for (l, lane_words) in words.iter().enumerate() {
-                    let base = (cell + l) * stride + offset + full_blocks * BLOCK_LEN;
-                    xor_partial_block(&mut flat[base..base + tail], lane_words);
+        return batch.wide_passes::<WIDE_LANES>(flat, avx2::xor_at, narrow);
+    }
+    batch.wide_passes::<LANES4>(flat, narrow, narrow);
+}
+
+/// The shape of a [`xor_keystream_cells`] call.
+struct Batch<'k, F> {
+    key: &'k [u8; KEY_LEN],
+    counter: u32,
+    /// Cell `i`'s nonce.
+    nonce: F,
+    cells: usize,
+    stride: usize,
+    offset: usize,
+    len: usize,
+    /// Keystream blocks per cell.
+    blocks: usize,
+}
+
+impl<'n, F: Fn(usize) -> &'n Nonce> Batch<'_, F> {
+    /// Where block `j` of `cell` is XORed: its start in `flat` and its
+    /// length (a full block but for the cell's tail).
+    #[inline(always)]
+    fn target(&self, cell: usize, j: usize) -> (usize, usize) {
+        let done = j * BLOCK_LEN;
+        (cell * self.stride + self.offset + done, (self.len - done).min(BLOCK_LEN))
+    }
+
+    /// Runs the batch on `pass`, one `L`-lane pass of the wide core, and
+    /// `narrow`, one 4-lane pass, then the scalar core. Three kinds of
+    /// pass, so that the regular shapes rewrite only what differs between
+    /// their passes:
+    ///
+    /// 1. each whole group of `L` cells, one pass per block index: block
+    ///    `j` of every cell of the group (the group's nonces set once, the
+    ///    counter word splatted per pass);
+    /// 2. each remaining cell's whole stripes of `L` consecutive full
+    ///    blocks (its nonce splatted once) — a long single stream is all
+    ///    stripes;
+    /// 3. the blocks left after that, fewer than `L` per remaining cell,
+    ///    in cell order, each lane with its own counter and nonce: `L` to
+    ///    a pass while more than `L / 2` are left, then 4 to a pass while
+    ///    more than [`SCALAR_BLOCKS`] are; a last pass runs with idle
+    ///    lanes (length 0).
+    ///
+    /// Ten cells of four blocks take four passes of the first kind and one
+    /// of the third; one cell of 219 bytes takes one 4-lane pass.
+    #[inline(always)]
+    fn wide_passes<const L: usize>(
+        &self,
+        flat: &mut [u8],
+        mut pass: impl FnMut(&[[u32; L]; 16], &mut [u8], &Lanes<L>),
+        narrow: impl FnMut(&Wide4State, &mut [u8], &Lanes<LANES4>),
+    ) {
+        let grouped = self.cells / L * L;
+        let striped = self.len / BLOCK_LEN / L * L;
+        let mut rest = (grouped..self.cells)
+            .flat_map(move |cell| (striped..self.blocks).map(move |j| (cell, j)));
+        let mut left = (self.cells - grouped) * (self.blocks - striped);
+        if grouped + striped > 0 {
+            let mut init = wide_init(self.key, &[self.counter; L], &[&[0; NONCE_LEN]; L]);
+            for first in (0..grouped).step_by(L) {
+                for l in 0..L {
+                    self.set_nonce(&mut init, l, first + l);
+                }
+                for j in 0..self.blocks {
+                    init[12] = [self.counter.wrapping_add(j as u32); L];
+                    let (first, len) = self.target(first, j);
+                    pass(&init, flat, &Lanes::stride(first, self.stride, len));
                 }
             }
-            cell += WIDE_LANES;
-        }
-    }
-    while cell + LANES4 <= nonces.len() {
-        let lane_nonces = [&nonces[cell], &nonces[cell + 1], &nonces[cell + 2], &nonces[cell + 3]];
-        // One state parse per 4-cell group; only the counter word changes
-        // between block indices.
-        let mut init = wide_init(key, &[counter; LANES4], &lane_nonces);
-        for j in 0..full_blocks {
-            init[12] = [counter.wrapping_add(j as u32); LANES4];
-            let first = cell * stride + offset + j * BLOCK_LEN;
-            wide4_xor_lanes(tier, &init, lanes_mut(flat, first, stride, BLOCK_LEN));
-        }
-        if tail > 0 {
-            init[12] = [counter.wrapping_add(full_blocks as u32); LANES4];
-            let words = wide4_words_from_init(tier, &init);
-            for (l, lane_words) in words.iter().enumerate() {
-                let base = (cell + l) * stride + offset + full_blocks * BLOCK_LEN;
-                xor_partial_block(&mut flat[base..base + tail], lane_words);
+            for cell in (grouped..self.cells).filter(|_| striped > 0) {
+                let words = nonce_words((self.nonce)(cell));
+                for (w, word) in words.into_iter().enumerate() {
+                    init[13 + w] = [word; L];
+                }
+                for j in (0..striped).step_by(L) {
+                    init[12] = std::array::from_fn(|l| self.counter.wrapping_add((j + l) as u32));
+                    let (first, len) = self.target(cell, j);
+                    pass(&init, flat, &Lanes::stride(first, BLOCK_LEN, len));
+                }
             }
         }
-        cell += LANES4;
+        self.packed(flat, &mut rest, &mut left, (L / 2).max(SCALAR_BLOCKS), pass);
+        self.packed(flat, &mut rest, &mut left, SCALAR_BLOCKS, narrow);
+        if left > 0 {
+            let mut state = init_state(self.key, &[0; NONCE_LEN]);
+            for (cell, j) in rest {
+                state[12] = self.counter.wrapping_add(j as u32);
+                state[13..].copy_from_slice(&nonce_words((self.nonce)(cell)));
+                let (start, len) = self.target(cell, j);
+                xor_bytes(&mut flat[start..][..len], &keystream_block(&state));
+            }
+        }
     }
-    for (i, nonce) in nonces.iter().enumerate().skip(cell) {
-        let base = i * stride + offset;
-        xor_keystream(key, counter, nonce, &mut flat[base..base + len]);
+
+    /// Passes of the third kind: while more than `until` of the `left`
+    /// pairs of `rest` are left, each lane of a `pass` takes the next one.
+    #[inline(always)]
+    fn packed<const L: usize>(
+        &self,
+        flat: &mut [u8],
+        rest: &mut impl Iterator<Item = (usize, usize)>,
+        left: &mut usize,
+        until: usize,
+        mut pass: impl FnMut(&[[u32; L]; 16], &mut [u8], &Lanes<L>),
+    ) {
+        if *left <= until {
+            return;
+        }
+        let mut init = wide_init(self.key, &[self.counter; L], &[&[0; NONCE_LEN]; L]);
+        // The nonce words of the last cell parsed: consecutive lanes mostly
+        // share a cell.
+        let mut parsed = (usize::MAX, [0; 3]);
+        while *left > until {
+            let (mut starts, mut lens) = ([0; L], [0; L]);
+            for l in 0..L.min(*left) {
+                let (cell, j) = rest.next().expect("pairs left");
+                if parsed.0 != cell {
+                    parsed = (cell, nonce_words((self.nonce)(cell)));
+                }
+                init[12][l] = self.counter.wrapping_add(j as u32);
+                for (w, word) in parsed.1.into_iter().enumerate() {
+                    init[13 + w][l] = word;
+                }
+                (starts[l], lens[l]) = self.target(cell, j);
+            }
+            *left -= L.min(*left);
+            pass(&init, flat, &Lanes { starts, lens });
+        }
+    }
+
+    /// Sets lane `l`'s nonce words to `cell`'s nonce.
+    #[inline(always)]
+    fn set_nonce<const L: usize>(&self, init: &mut [[u32; L]; 16], l: usize, cell: usize) {
+        for (w, word) in nonce_words((self.nonce)(cell)).into_iter().enumerate() {
+            init[13 + w][l] = word;
+        }
     }
 }
 
@@ -966,37 +984,67 @@ only one tip for the future, sunscreen would be it."
         init
     }
 
-    /// The portable and SSE2 4-lane cores compute identical feed-forward
-    /// sums for asymmetric per-lane states.
+    /// The scalar core's block in every lane of `init`: the oracle the
+    /// wide cores are pinned against.
+    fn scalar_lanes<const L: usize>(init: &[[u32; L]; 16]) -> [[u8; BLOCK_LEN]; L] {
+        std::array::from_fn(|l| keystream_block(&lane_state(init, l)))
+    }
+
+    /// Runs one `L`-lane XOR pass over zeros, each lane at its own start
+    /// and length (full, partial, one byte, idle). Checks that lane `l`'s
+    /// bytes are the first bytes of `expected[l]` and nothing else was
+    /// touched.
+    fn check_xor_at<const L: usize>(
+        init: &[[u32; L]; 16],
+        expected: &[[u8; BLOCK_LEN]; L],
+        pass: impl Fn(&[[u32; L]; 16], &mut [u8], &Lanes<L>),
+    ) {
+        let lens: [usize; L] = std::array::from_fn(|l| [64, 27, 0, 64, 1, 63, 8, 64][l % 8]);
+        let starts: [usize; L] = std::array::from_fn(|l| 80 * l + l % 3);
+        let mut flat = vec![0u8; 80 * L];
+        pass(init, &mut flat, &Lanes { starts, lens });
+        let mut want = vec![0u8; 80 * L];
+        for (l, block) in expected.iter().enumerate() {
+            want[starts[l]..][..lens[l]].copy_from_slice(&block[..lens[l]]);
+        }
+        assert_eq!(flat, want, "{L} lanes");
+    }
+
+    /// The 4-lane passes of the running tier — SSE2 intrinsics, or the
+    /// scalar core lane by lane on the portable tier — compute the scalar
+    /// core's block in every lane of an asymmetric state, as words and
+    /// XORed in place.
     #[test]
     fn wide_cores_agree() {
         let init: Wide4State = asymmetric_init();
-        let portable_lane_major = lane_major(&wide_core_portable(&init));
+        let expected = scalar_lanes(&init);
         #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
         {
             let mut dispatched = [[0u32; 16]; LANES4];
             sse2::wide_core(&init, &mut dispatched);
-            assert_eq!(portable_lane_major, dispatched);
+            assert_eq!(serialize_blocks(&dispatched), expected);
         }
-        // Sanity even where only the portable core exists: the sum differs
-        // from the raw input (the permutation actually ran).
-        assert_ne!(portable_lane_major[0][0], init[0][0]);
+        check_xor_at(&init, &expected, |init, flat, lanes| {
+            wide4_xor_at(isa::tier(), init, flat, lanes)
+        });
+        check_xor_at(&init, &expected, portable_xor_at);
     }
 
-    /// The portable 8-lane and AVX2 cores compute identical feed-forward
-    /// sums for asymmetric per-lane states (skipped where the CPU lacks
-    /// AVX2; the portable side still runs as a compile check).
+    /// The AVX2 core computes the scalar core's block in every lane of an
+    /// asymmetric 8-lane state, as words and XORed in place (skipped where
+    /// the CPU lacks AVX2; the portable pass still runs).
     #[test]
     fn wide8_cores_agree() {
         let init: [[u32; WIDE_LANES]; 16] = asymmetric_init();
-        let portable_lane_major = lane_major(&wide_core_portable(&init));
+        let expected = scalar_lanes(&init);
         #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
         if std::arch::is_x86_feature_detected!("avx2") {
             let mut dispatched = [[0u32; 16]; WIDE_LANES];
             avx2::wide_core(&init, &mut dispatched);
-            assert_eq!(portable_lane_major, dispatched);
+            assert_eq!(serialize_blocks(&dispatched), expected);
+            check_xor_at(&init, &expected, avx2::xor_at);
         }
-        assert_ne!(portable_lane_major[0][0], init[0][0]);
+        check_xor_at(&init, &expected, portable_xor_at);
     }
 
     /// RFC 8439 §2.3.2 through the wide cores: every lane of [`blocks4`]
@@ -1094,9 +1142,9 @@ only one tip for the future, sunscreen would be it.";
 
     /// The wide multi-block fast path agrees with a scalar per-block
     /// reference at every length from 0 to 600 bytes: empty, sub-block,
-    /// the scalar 1–2-block remainder and the 3–4-block remainder pass
-    /// after zero, one or two 4-block quads (and, on the AVX2 tier, after
-    /// an 8-block stripe), and every block boundary between them.
+    /// the scalar one- or two-block path, a last pass with idle lanes
+    /// after zero, one or two full passes, and every block boundary
+    /// between them.
     #[test]
     fn wide_keystream_matches_scalar_reference() {
         let key = [0x42u8; 32];
@@ -1118,10 +1166,10 @@ only one tip for the future, sunscreen would be it.";
     }
 
     /// Counter wraparound behaves identically on the wide and scalar
-    /// paths, through the 8- and 4-block stripe stages and through both
-    /// remainder paths: starting at `u32::MAX - 1`, a 2-block stream wraps
-    /// between two scalar blocks, and a 3- or 4-block (or partial) one
-    /// inside the one remainder pass.
+    /// paths, through full passes and through both ways a stream ends:
+    /// starting at `u32::MAX - 1`, a 2-block stream wraps between two
+    /// scalar blocks, and a 3- or 4-block (or partial) one inside its one
+    /// pass with idle lanes.
     #[test]
     fn wide_keystream_counter_wraps() {
         let key = [3u8; 32];

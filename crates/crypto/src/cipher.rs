@@ -192,8 +192,9 @@ impl BlockCipher {
     /// in `plaintexts` into equal-length `nonce || body || tag` slots of
     /// `out`, one pre-drawn nonce per cell: byte-identical to a
     /// [`BlockCipher::encrypt_with_nonce_into`] loop over the cells, on the
-    /// engine's batch path (the keystream across cells in one wide strided
-    /// pass, the tags on the Poly1305 lanes 8, then 4, cells at a time).
+    /// engine's batch path (every cell's keystream packed onto full wide
+    /// passes in one call, the tags on the Poly1305 lanes 8, then 4, cells
+    /// at a time).
     ///
     /// # Panics
     /// Panics if `plaintexts.len()` is not `nonces.len()` equal strides or
@@ -209,10 +210,11 @@ impl BlockCipher {
 
     /// Decrypts `cells` equal-length ciphertexts packed back-to-back in
     /// `ciphertexts` into the equal-length plaintext slots of `out`,
-    /// verifying every tag. On failure, returns the error of the first
-    /// failing group of 8 or 4 cells, or single cell, and the contents of
-    /// `out` are unspecified. The batch twin of
-    /// [`BlockCipher::decrypt_to_slice`].
+    /// verifying every tag before any keystream is stripped: the tags in
+    /// groups of 8, then 4, then one cell at a time, then every cell's
+    /// keystream in one packed call. On failure, returns the error of the
+    /// first failing group or cell, and the contents of `out` are
+    /// unspecified. The batch twin of [`BlockCipher::decrypt_to_slice`].
     ///
     /// # Panics
     /// Panics if the flat lengths are inconsistent with `cells`.

@@ -39,7 +39,8 @@ const WIDE_BLOCKS: usize = chacha::WIDE_LANES;
 
 /// The most blocks one refill computes on the running tier: [`WIDE_BLOCKS`]
 /// where a 4-lane pass costs less than four scalar blocks (SSE2 and AVX2),
-/// one on the portable tier, whose lane loops do not (NOTES.md entry 26).
+/// one on the portable tier, whose 4-lane pass is four scalar blocks
+/// (NOTES.md entries 26 and 27).
 fn max_refill_blocks() -> usize {
     if isa::tier() >= IsaTier::Sse2 {
         WIDE_BLOCKS

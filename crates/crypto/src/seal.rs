@@ -16,11 +16,13 @@
 //! | tag message | `nonce ‖ body`, unpadded | `aad ‖ pad16 ‖ body ‖ pad16 ‖ lens` |
 //!
 //! Everything else is here once: the one-cell seal and open, and the batch
-//! pair, which runs the keystream across cells in one strided wide pass
-//! and the tags in groups of 8, then 4 ([`Poly1305xN`], one-time keys from
+//! pair. A batch packs every cell's keystream blocks onto full wide ChaCha
+//! passes in one call ([`chacha::xor_keystream_batch_strided`]), and runs
+//! the tags in groups of 8, then 4 ([`Poly1305xN`], one-time keys from
 //! [`chacha::blocks_each`]), then one at a time on the scalar
-//! [`Poly1305`]. A group opens only if every lane's tag matches, folded
-//! into one value and tested once. Batch output is byte-identical to the
+//! [`Poly1305`]. A batch open verifies every tag before it strips any
+//! keystream: a group passes only if every lane's tag matches, folded into
+//! one value and tested once. Batch output is byte-identical to the
 //! one-cell loop over the same nonces.
 
 use crate::chacha::{self, Nonce, BLOCK_LEN, KEY_LEN, NONCE_LEN};
@@ -89,17 +91,16 @@ impl Engine<'_> {
     }
 
     /// The full tags of the `N` cells from `cell` of `flat` (slots of
-    /// `ct_stride` bytes), with their nonces: the `N` one-time keys in wide
-    /// ChaCha passes, the `N` tags on the lanes of [`Poly1305xN`]. AEAD
-    /// cells bind 16-byte AADs, which are block-aligned, so no `pad16`
-    /// follows them.
+    /// `ct_stride` bytes): the `N` one-time keys in wide ChaCha passes, the
+    /// `N` tags on the lanes of [`Poly1305xN`]. AEAD cells bind 16-byte
+    /// AADs, which are block-aligned, so no `pad16` follows them.
     fn group_tags<const N: usize>(
         &self,
         flat: &[u8],
         aads: &[[u8; 16]],
         cell: usize,
         ct_stride: usize,
-    ) -> ([Nonce; N], [[u8; TAG_LEN]; N]) {
+    ) -> [[u8; TAG_LEN]; N] {
         let msg_len = ct_stride - self.tag_len;
         let msg = move |l: usize| &flat[(cell + l) * ct_stride..][..msg_len];
         let nonces: [Nonce; N] =
@@ -118,7 +119,7 @@ impl Engine<'_> {
                 mac.update([&lens(16, msg_len - NONCE_LEN)[..]; N]);
             }
         }
-        (nonces, mac.finalize())
+        mac.finalize()
     }
 
     /// Nonzero unless the kept prefix of `tag` equals `stored`, compared in
@@ -249,7 +250,7 @@ impl Engine<'_> {
         ct_stride: usize,
         out: &mut [u8],
     ) {
-        let (_, tags) = self.group_tags::<N>(out, aads, cell, ct_stride);
+        let tags = self.group_tags::<N>(out, aads, cell, ct_stride);
         for (l, tag) in tags.iter().enumerate() {
             let end = (cell + l + 1) * ct_stride;
             out[end - self.tag_len..end].copy_from_slice(&tag[..self.tag_len]);
@@ -258,8 +259,10 @@ impl Engine<'_> {
 
     /// Opens `cells` equal-length sealed cells packed in `ciphertexts` into
     /// the equal plaintext slots of `out`, checking `aads[i]` (if any) for
-    /// cell `i`. On failure returns the first failing group's or cell's
-    /// error, with `out` unspecified.
+    /// cell `i`. Every tag is verified first, in groups of 8, then 4, then
+    /// one at a time; only then are the bodies copied out and the keystream
+    /// of every cell stripped in one packed call. On failure returns the
+    /// first failing group's or cell's error, with `out` unspecified.
     ///
     /// # Panics
     /// Panics if the flat lengths are inconsistent with `cells`.
@@ -284,35 +287,49 @@ impl Engine<'_> {
 
         let mut cell = 0;
         while cell + 8 <= cells {
-            self.open_group::<8>(aads, ciphertexts, cell, ct_stride, out)?;
+            self.verify_group::<8>(aads, ciphertexts, cell, ct_stride)?;
             cell += 8;
         }
         while cell + 4 <= cells {
-            self.open_group::<4>(aads, ciphertexts, cell, ct_stride, out)?;
+            self.verify_group::<4>(aads, ciphertexts, cell, ct_stride)?;
             cell += 4;
         }
         for i in cell..cells {
-            let data = &ciphertexts[i * ct_stride..(i + 1) * ct_stride];
-            self.open_into(aad_of(aads, i), data, &mut out[i * pt_stride..(i + 1) * pt_stride])?;
+            self.verify(aad_of(aads, i), &ciphertexts[i * ct_stride..(i + 1) * ct_stride])?;
         }
+        for i in 0..cells {
+            out[i * pt_stride..(i + 1) * pt_stride]
+                .copy_from_slice(&ciphertexts[i * ct_stride + NONCE_LEN..][..pt_stride]);
+        }
+        chacha::xor_keystream_cells(
+            self.enc,
+            self.counter,
+            cells,
+            |i| {
+                ciphertexts[i * ct_stride..][..NONCE_LEN]
+                    .try_into()
+                    .expect("nonce prefix")
+            },
+            out,
+            pt_stride,
+            0,
+            pt_stride,
+        );
         Ok(())
     }
 
-    /// Verifies the `N` cells from `cell`, then copies their bodies into
-    /// their plaintext slots and strips the keystream in one strided pass.
-    /// Every lane's tag difference is folded into one value, tested once,
-    /// so the time to the verdict does not depend on which lane failed.
-    fn open_group<const N: usize>(
+    /// Verifies the `N` cells from `cell`. Every lane's tag difference is
+    /// folded into one value, tested once, so the time to the verdict does
+    /// not depend on which lane failed.
+    fn verify_group<const N: usize>(
         &self,
         aads: &[[u8; 16]],
         ciphertexts: &[u8],
         cell: usize,
         ct_stride: usize,
-        out: &mut [u8],
     ) -> Result<(), CryptoError> {
         let msg_len = ct_stride - self.tag_len;
-        let pt_stride = msg_len - NONCE_LEN;
-        let (nonces, tags) = self.group_tags::<N>(ciphertexts, aads, cell, ct_stride);
+        let tags = self.group_tags::<N>(ciphertexts, aads, cell, ct_stride);
         let diff = tags.iter().enumerate().fold(0, |acc, (l, tag)| {
             let base = (cell + l) * ct_stride;
             acc | self.diff(tag, &ciphertexts[base + msg_len..base + ct_stride])
@@ -320,20 +337,6 @@ impl Engine<'_> {
         if diff != 0 {
             return Err(CryptoError::TagMismatch);
         }
-        for l in 0..N {
-            let base = (cell + l) * ct_stride;
-            out[(cell + l) * pt_stride..(cell + l + 1) * pt_stride]
-                .copy_from_slice(&ciphertexts[base + NONCE_LEN..base + msg_len]);
-        }
-        chacha::xor_keystream_batch_strided(
-            self.enc,
-            self.counter,
-            &nonces,
-            &mut out[cell * pt_stride..(cell + N) * pt_stride],
-            pt_stride,
-            0,
-            pt_stride,
-        );
         Ok(())
     }
 }

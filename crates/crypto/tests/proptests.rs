@@ -252,11 +252,12 @@ proptest! {
     }
 
     /// The batch cipher entry points are byte-identical to sequential
-    /// per-cell loops over the same pre-drawn nonces, and round-trip.
+    /// per-cell loops over the same pre-drawn nonces, and round-trip, up to
+    /// 20 cells and past DP-KVS's 219-byte cell body.
     #[test]
     fn cipher_batch_matches_sequential(
-        cells in 0usize..18,
-        pt_stride in 0usize..200,
+        cells in 0usize..=20,
+        pt_stride in 0usize..=300,
         seed in any::<u64>(),
     ) {
         use dps_crypto::CIPHERTEXT_OVERHEAD;
@@ -282,11 +283,12 @@ proptest! {
     }
 
     /// The batch AEAD entry points are byte-identical to sequential
-    /// per-cell seals over the same nonces and AADs, and open correctly.
+    /// per-cell seals over the same nonces and AADs, and open correctly, up
+    /// to 20 cells and 300-byte bodies.
     #[test]
     fn aead_batch_matches_sequential(
-        cells in 0usize..18,
-        pt_stride in 0usize..200,
+        cells in 0usize..=20,
+        pt_stride in 0usize..=300,
         seed in any::<u64>(),
     ) {
         use dps_crypto::aead::address_aad;
@@ -408,5 +410,47 @@ fn poly1305_lanes_check<const L: usize>(rng: &mut ChaChaRng, len: usize, split: 
         scalar.pad16();
         scalar.update(&msgs[l][split..]);
         assert_eq!(split_tag, scalar.finalize(), "lane {l} of {L}, len {len}, split {split}");
+    }
+}
+
+/// DP-KVS's batch shape, 10 and 20 cells of 219-byte bodies: sealed as a
+/// batch it equals the per-cell loop, and with one byte flipped in any one
+/// cell — nonce, body or tag, by turns — the batch open fails exactly as
+/// the per-cell loop does, with the first failing cell's error.
+#[test]
+fn block_cipher_batch_at_the_kvs_cell_size() {
+    use dps_crypto::{CryptoError, CIPHERTEXT_OVERHEAD};
+    let mut rng = ChaChaRng::seed_from_u64(219);
+    let cipher = BlockCipher::generate(&mut rng);
+    let pt_stride = 219;
+    let ct_stride = pt_stride + CIPHERTEXT_OVERHEAD;
+    for cells in [10usize, 20] {
+        let plaintexts: Vec<u8> = (0..cells * pt_stride).map(|i| (i * 13 % 251) as u8).collect();
+        let nonces = rng.draw_nonces(cells);
+        let mut sealed = vec![0u8; cells * ct_stride];
+        cipher.encrypt_batch_with_nonces(&nonces, &plaintexts, &mut sealed);
+        let open_each = |cts: &[u8]| -> Result<Vec<u8>, CryptoError> {
+            let mut out = vec![0u8; cells * pt_stride];
+            for (ct, pt) in cts.chunks_exact(ct_stride).zip(out.chunks_exact_mut(pt_stride)) {
+                cipher.decrypt_to_slice(ct, pt)?;
+            }
+            Ok(out)
+        };
+        let open_batch = |cts: &[u8]| -> Result<Vec<u8>, CryptoError> {
+            let mut out = vec![0u8; cells * pt_stride];
+            cipher
+                .decrypt_batch_to_slices(cts, cells, &mut out)
+                .map(|()| out)
+        };
+        assert_eq!(open_each(&sealed).unwrap(), plaintexts, "{cells} cells");
+        assert_eq!(open_batch(&sealed).unwrap(), plaintexts, "{cells} cells");
+        for bad in 0..cells {
+            let byte = [3, 12 + bad * 11 % pt_stride, ct_stride - 1][bad % 3];
+            let mut corrupted = sealed.clone();
+            corrupted[bad * ct_stride + byte] ^= 0x20;
+            let each = open_each(&corrupted);
+            assert!(each.is_err(), "{cells} cells, cell {bad}, byte {byte}");
+            assert_eq!(open_batch(&corrupted), each, "{cells} cells, cell {bad}, byte {byte}");
+        }
     }
 }

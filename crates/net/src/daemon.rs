@@ -74,7 +74,10 @@
 //! The event loop keeps a coarse timer: each connection carries a
 //! last-activity stamp and a last-write-progress stamp, checked on every
 //! poll wake-up (the poll timeout shrinks to the nearest deadline, so
-//! reaping happens on time, not on the next unrelated event).
+//! reaping happens on time, not on the next unrelated event). The loop
+//! reads the clock twice a turn, when `poll` returns and after the turn's
+//! last step; progress made in a turn counts as of its end, so a deadline
+//! fires at most one turn late, never early.
 //! [`DaemonLimits::idle_timeout`] reaps slowloris peers — connected but
 //! never sending a full frame — and [`DaemonLimits::write_stall_timeout`]
 //! reaps backpressured peers that refuse to drain their responses.
@@ -437,9 +440,12 @@ fn event_loop<S: Storage>(
     // Set once the stop flag is seen: the drain deadline after which
     // still-undrained connections are cut off and the loop returns.
     let mut drain_until: Option<Instant> = None;
+    // Two clock readings per turn. `turn`, taken when `poll(2)` returns,
+    // stamps every connection's progress in the turn; `now`, taken after
+    // its last step, reaps, ends a drain and times the next `poll`.
+    let mut now = Instant::now();
     loop {
         let timeout = {
-            let now = Instant::now();
             let mut next = next_deadline(&conns, limits);
             if let Some(deadline) = drain_until {
                 next = Some(next.map_or(deadline, |d| d.min(deadline)));
@@ -465,9 +471,10 @@ fn event_loop<S: Storage>(
         if sys::wait(&mut fds, timeout).is_err() {
             return;
         }
+        let turn = Instant::now();
         if drain_until.is_none() && stop.load(Ordering::SeqCst) {
-            drain_until = Some(Instant::now() + DRAIN_TIMEOUT);
-            begin_drain(&mut conns, &mut server, &mut scratch, limits, metrics);
+            drain_until = Some(turn + DRAIN_TIMEOUT);
+            begin_drain(&mut conns, &mut server, &mut scratch, limits, metrics, turn);
         }
         for (pfd, &token) in fds.iter().zip(&tokens) {
             let (readable, writable) = (pfd.readable(), pfd.writable());
@@ -476,7 +483,7 @@ fn event_loop<S: Storage>(
             }
             if token == LISTENER {
                 if drain_until.is_none() {
-                    accept_ready(&listener, &mut conns, limits, metrics);
+                    accept_ready(&listener, &mut conns, limits, metrics, turn);
                 }
                 continue;
             }
@@ -485,20 +492,21 @@ fn event_loop<S: Storage>(
             // skip its slot.
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else { continue };
             if writable && !conn.dead {
-                flush_conn(conn, &mut server, &mut scratch, limits, metrics);
+                flush_conn(conn, &mut server, &mut scratch, limits, metrics, turn);
             }
             if readable && !conn.dead {
-                fill_conn(conn, &mut server, &mut scratch, limits, metrics);
+                fill_conn(conn, &mut server, &mut scratch, limits, metrics, turn);
                 // Opportunistic flush: most responses leave in the same
                 // turn that produced them, without another `poll`.
-                flush_conn(conn, &mut server, &mut scratch, limits, metrics);
+                flush_conn(conn, &mut server, &mut scratch, limits, metrics, turn);
             }
             settle_conn(&mut conns, idx);
         }
-        reap_deadlines(&mut conns, limits, metrics);
+        now = Instant::now();
+        reap_deadlines(&mut conns, limits, metrics, turn, now);
         if let Some(deadline) = drain_until {
             // Drained, or out of patience with peers that will not drain.
-            if conns.iter().all(Option::is_none) || Instant::now() >= deadline {
+            if conns.iter().all(Option::is_none) || now >= deadline {
                 return;
             }
         }
@@ -530,18 +538,30 @@ fn next_deadline(conns: &[Option<Conn>], limits: DaemonLimits) -> Option<Instant
 }
 
 /// Closes every connection whose idle or write-stall deadline has
-/// passed. Reaping is an immediate close — a peer that earned a deadline
-/// has shown it will not make progress, so there is nothing to flush to
-/// it that would not stall again.
-fn reap_deadlines(conns: &mut [Option<Conn>], limits: DaemonLimits, metrics: &MetricsInner) {
+/// passed by `now`, the end of the turn that began at `turn`. Progress
+/// stamped `turn` counts as of `now`, so a turn longer than a timeout
+/// does not reap the peers it served. Reaping is an immediate close — a
+/// peer that earned a deadline has shown it will not make progress, so
+/// there is nothing to flush to it that would not stall again.
+fn reap_deadlines(
+    conns: &mut [Option<Conn>],
+    limits: DaemonLimits,
+    metrics: &MetricsInner,
+    turn: Instant,
+    now: Instant,
+) {
     if limits.idle_timeout.is_none() && limits.write_stall_timeout.is_none() {
         return;
     }
-    let now = Instant::now();
     for idx in 0..conns.len() {
         let Some(conn) = conns[idx].as_mut() else { continue };
         if conn.dead {
             continue;
+        }
+        for stamp in [&mut conn.last_activity, &mut conn.last_write_progress] {
+            if *stamp == turn {
+                *stamp = now;
+            }
         }
         let stalled = conn.unsent() > 0
             && limits
@@ -576,6 +596,7 @@ fn begin_drain<S: Storage>(
     scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
+    now: Instant,
 ) {
     for idx in 0..conns.len() {
         let Some(conn) = conns[idx].as_mut() else { continue };
@@ -584,14 +605,14 @@ fn begin_drain<S: Storage>(
         // frame. Everything received gets its answer queued.
         while conn.paused && !conn.dead {
             conn.paused = false;
-            process_frames(conn, server, scratch, limits, metrics);
+            process_frames(conn, server, scratch, limits, metrics, now);
         }
         if !conn.dead {
             conn.closing = true;
             if conn.unsent() == 0 {
                 conn.dead = true;
             } else {
-                flush_conn(conn, server, scratch, limits, metrics);
+                flush_conn(conn, server, scratch, limits, metrics, now);
             }
         }
         settle_conn(conns, idx);
@@ -606,6 +627,7 @@ fn accept_ready(
     conns: &mut Vec<Option<Conn>>,
     limits: DaemonLimits,
     metrics: &MetricsInner,
+    now: Instant,
 ) {
     let mut live = conns.iter().filter(|c| c.is_some()).count();
     loop {
@@ -630,7 +652,7 @@ fn accept_ready(
                     }
                 };
                 metrics.connections.fetch_add(1, Ordering::Relaxed);
-                conns[idx] = Some(Conn::new(stream, Instant::now()));
+                conns[idx] = Some(Conn::new(stream, now));
                 live += 1;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -652,6 +674,7 @@ fn fill_conn<S: Storage>(
     scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
+    now: Instant,
 ) {
     while !conn.paused && !conn.closing && !conn.dead {
         match conn.assembler.fill_from(&mut &conn.stream) {
@@ -664,8 +687,8 @@ fn fill_conn<S: Storage>(
                 return;
             }
             Ok(_) => {
-                conn.last_activity = Instant::now();
-                process_frames(conn, server, scratch, limits, metrics);
+                conn.last_activity = now;
+                process_frames(conn, server, scratch, limits, metrics, now);
                 if !conn.assembler.filled() {
                     return;
                 }
@@ -690,6 +713,7 @@ fn process_frames<S: Storage>(
     scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
+    now: Instant,
 ) {
     while !conn.closing && !conn.dead {
         let was_drained = conn.unsent() == 0;
@@ -714,7 +738,7 @@ fn process_frames<S: Storage>(
             // The stall clock measures from when there was first
             // something to write, not from the last time long ago the
             // out-buffer happened to be busy.
-            conn.last_write_progress = Instant::now();
+            conn.last_write_progress = now;
         }
         if conn.unsent() > limits.max_queued_bytes {
             conn.paused = true;
@@ -744,6 +768,7 @@ fn flush_conn<S: Storage>(
     scratch: &mut Scratch,
     limits: DaemonLimits,
     metrics: &MetricsInner,
+    now: Instant,
 ) {
     loop {
         while conn.unsent() > 0 {
@@ -756,7 +781,6 @@ fn flush_conn<S: Storage>(
                     // Write progress doubles as peer activity: a peer
                     // that only downloads for minutes on end is alive,
                     // not idle.
-                    let now = Instant::now();
                     conn.last_write_progress = now;
                     conn.last_activity = now;
                     conn.out_pos += n;
@@ -793,7 +817,7 @@ fn flush_conn<S: Storage>(
         }
         // Backpressure released: pick the buffered frames back up.
         conn.paused = false;
-        process_frames(conn, server, scratch, limits, metrics);
+        process_frames(conn, server, scratch, limits, metrics, now);
         if conn.unsent() == 0 {
             if conn.closing {
                 conn.dead = true;
@@ -996,7 +1020,14 @@ mod tests {
             client.write_all(&request.encode_framed_v2(id).unwrap()).unwrap();
             let answered = conn.out.len();
             while conn.out.len() == answered {
-                fill_conn(conn, &mut server, &mut scratch, DaemonLimits::default(), &metrics);
+                fill_conn(
+                    conn,
+                    &mut server,
+                    &mut scratch,
+                    DaemonLimits::default(),
+                    &metrics,
+                    Instant::now(),
+                );
                 assert!(!conn.dead && !conn.closing);
             }
         };

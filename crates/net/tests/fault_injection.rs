@@ -31,7 +31,7 @@ use dps_net::{
 };
 use dps_oram::{LinearOram, PathOram, PathOramConfig};
 use dps_pir::{FullScanPir, XorPir};
-use dps_server::{ServerError, SimServer, Storage};
+use dps_server::{Accounted, CellBackend, CellStore, ServerError, SimServer, Storage};
 use dps_workloads::generators::database;
 
 const SEEDS: u64 = 32;
@@ -557,6 +557,66 @@ fn slowloris_is_reaped_while_a_bystander_flows() {
     // And the bystander never noticed.
     assert_eq!(bystander.try_read_batch(&[3]).unwrap(), vec![vec![3u8; 16]]);
     drop(bystander);
+    daemon.shutdown();
+}
+
+/// A memory store that takes `delay` over every cell it reads.
+#[derive(Debug, Default)]
+struct SlowReads {
+    cells: CellStore,
+    delay: Duration,
+}
+
+impl CellBackend for SlowReads {
+    fn capacity(&self) -> usize {
+        self.cells.capacity()
+    }
+    fn stride(&self) -> usize {
+        self.cells.stride()
+    }
+    fn reset(&mut self, contents: CellStore) {
+        CellBackend::reset(&mut self.cells, contents);
+    }
+    fn get(&mut self, addr: usize) -> Result<&[u8], ServerError> {
+        std::thread::sleep(self.delay);
+        CellBackend::get(&mut self.cells, addr)
+    }
+    fn put<'a>(
+        &mut self,
+        items: impl Iterator<Item = (usize, &'a [u8])>,
+    ) -> Result<(), ServerError> {
+        self.cells.put(items)
+    }
+}
+
+/// A turn longer than both timeouts — one read that the store takes
+/// 600 ms over, against 200 ms deadlines — does not reap the peer it
+/// served: the peer's progress counts from the end of that turn, so the
+/// next turn (a second peer's accept) finds it barely idle.
+#[test]
+fn a_slow_turn_does_not_reap_the_peer_it_served() {
+    let delay = Duration::from_millis(600);
+    let mut server = Accounted::over(SlowReads { delay, ..Default::default() });
+    server.init((0..4).map(|i| vec![i as u8; 16]).collect());
+    let limits = DaemonLimits {
+        idle_timeout: Some(Duration::from_millis(200)),
+        write_stall_timeout: Some(Duration::from_millis(200)),
+        ..Default::default()
+    };
+    let daemon = NetDaemon::bind_with("127.0.0.1:0", server, limits).unwrap();
+
+    let served = RemoteServer::connect(daemon.local_addr()).unwrap();
+    let started = Instant::now();
+    assert_eq!(served.try_read_batch(&[2]).unwrap(), vec![vec![2u8; 16]]);
+    assert!(started.elapsed() >= delay, "the read did not take the slow turn");
+    // A new peer wakes the loop straight after the slow turn.
+    let next = RemoteServer::connect(daemon.local_addr()).unwrap();
+    next.ping().unwrap();
+
+    served.ping().unwrap();
+    let metrics = daemon.metrics();
+    assert_eq!((metrics.idle_reaped, metrics.stall_reaped), (0, 0));
+    drop((served, next));
     daemon.shutdown();
 }
 
