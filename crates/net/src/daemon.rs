@@ -1,34 +1,29 @@
-//! The readiness-based TCP storage daemon.
+//! The TCP storage daemon: one blocking thread per connection.
 //!
 //! [`NetDaemon`] owns any [`Storage`] backend — the
 //! in-memory [`SimServer`](dps_server::SimServer) or the durable
 //! [`DiskStore`](dps_server::DiskStore) — and serves the full trait
-//! surface over the wire protocol of [`crate::wire`]. One event-loop
-//! thread multiplexes every connection through one `poll(2)` per turn —
-//! no thread per connection, so the accept rate and the connection count
-//! stop being thread-spawn bound. Nothing is registered with the kernel:
-//! each turn the loop builds its `pollfd` array afresh from the
-//! connection slab — the listener first (until the drain begins), then
-//! every live connection with the interests its state implies: read
-//! unless paused or closing, write while answers are unsent. A
-//! connection's interests therefore live in one place, its state (NOTES.md,
-//! entry 15); building the array is one walk of the slab, as the deadline
-//! scan already is, and the two `Vec`s it fills keep their capacity, so a
-//! steady-state turn allocates nothing.
-//! Each connection is a small non-blocking state machine around two
-//! buffers — one in, one out, and nothing in between:
+//! surface over the wire protocol of [`crate::wire`]. An accept thread
+//! admits connections and gives each one a thread of its own, which
+//! blocks: it reads, serves every complete frame it holds, writes the
+//! answers, and reads again. A client keeps one request in flight
+//! (NOTES.md, entry 20), so a connection is a ping-pong of request and
+//! answer, and its thread sleeps in `read` exactly while its peer is busy.
+//! The store sits behind one lock, held for one request, so requests are
+//! served one at a time, as they always were (NOTES.md, entry 28).
+//! Each connection thread owns two buffers — one in, one out, and nothing
+//! in between:
 //!
 //! ```text
-//!            one read                     complete frame, borrowed
-//!   socket ───────────▶ in-buffer ──────────────────────────────▶ dispatch
-//!      ▲             (FrameAssembler:                                │
-//!      │              frames are served                              │ answer appended
-//!      │ stop reading where the kernel                               ▼ in place
-//!      │ while unsent  put them)                                 out-buffer
-//!      │ bytes are                                               (one Vec<u8>)
-//!      │ over the cap                                                │
-//!      └────────────────────◀── backpressure ──◀─────────────────────┤
-//!                                                    one write ──▶ socket
+//!            blocking read                complete frame, borrowed
+//!   socket ───────────────▶ in-buffer ─────────────────────────▶ dispatch ◀── store lock,
+//!      ▲                 (FrameAssembler:                           │          one request
+//!      │                  frames are served                         │ answer appended
+//!      │                  where the kernel                          ▼ in place
+//!      │                  put them)                             out-buffer
+//!      │                                                        (one Vec<u8>)
+//!      │                                                            │
+//!      └───── blocking write ◀── no complete frame left, or past the cap
 //! ```
 //!
 //! A request is parsed where the socket put it (`RequestView`, borrowed
@@ -44,46 +39,39 @@
 //! truncated back to where that answer began and the `Fail` takes its
 //! place.
 //!
-//! A wake-up costs one `read` in the common case: a read that comes back
-//! shorter than the room it was offered has emptied the socket, and since
-//! `poll(2)` is level-triggered the next bytes raise a new event — so the
-//! loop does not ask the kernel for a `WouldBlock`. A read that filled
-//! its room keeps reading (and makes the in-buffer offer more next time,
-//! up to 64 KiB a read).
-//!
-//! Each response echoes the id of its request, and the out-buffer
-//! preserves arrival order per connection.
+//! A thread reads only once it holds no complete frame, and then one
+//! `read` of up to 64 KiB: a burst of pipelined frames is served from what
+//! that read brought, and whatever is left of it waits in the kernel for
+//! the next read. Each response echoes the id of its request, and the
+//! out-buffer preserves arrival order per connection.
 //!
 //! # Backpressure
 //!
-//! Answers wait in the connection's out-buffer and drain as the socket
-//! accepts them. A connection whose unsent bytes exceed
-//! [`DaemonLimits::max_queued_bytes`] is *paused*: the daemon stops
-//! reading from (and stops serving frames of) that socket until the
-//! out-buffer fully drains, then resumes. A slow or stalled reader
-//! therefore costs the daemon at most `max_queued_bytes` plus one read
-//! burst of buffered memory — never an unbounded queue — and never stalls
-//! other connections. Pauses are observable as
-//! [`DaemonMetrics::read_stalls`]. Both buffers follow the traffic: they
-//! grow with what a connection actually sends and receives, and a drained
-//! buffer larger than 64 KiB is handed back, so an idle connection pins a
-//! few KiB and one huge frame does not pin its size for good.
+//! The blocking write is the backpressure: a thread that cannot write does
+//! not read. It writes its out-buffer when no complete frame is left in
+//! the in-buffer — one `write` for everything a burst produced — or, before
+//! it serves the next buffered frame, as soon as the unsent answers pass
+//! 64 KiB; that second case is counted in [`DaemonMetrics::read_stalls`].
+//! A slow or stalled reader therefore costs the daemon at most that cap
+//! plus one answer, besides the frames its in-buffer already holds, and it
+//! stalls its own thread and no other. Both buffers follow the traffic:
+//! they grow with what a connection actually sends and receives, and a
+//! drained buffer larger than 64 KiB is handed back, so an idle connection
+//! pins a few KiB and one huge frame does not pin its size for good.
 //!
 //! # Deadlines
 //!
-//! The event loop keeps a coarse timer: each connection carries a
-//! last-activity stamp and a last-write-progress stamp, checked on every
-//! poll wake-up (the poll timeout shrinks to the nearest deadline, so
-//! reaping happens on time, not on the next unrelated event). The loop
-//! reads the clock twice a turn, when `poll` returns and after the turn's
-//! last step; progress made in a turn counts as of its end, so a deadline
-//! fires at most one turn late, never early.
-//! [`DaemonLimits::idle_timeout`] reaps slowloris peers — connected but
-//! never sending a full frame — and [`DaemonLimits::write_stall_timeout`]
-//! reaps backpressured peers that refuse to drain their responses.
-//! Reaped connections are counted in [`DaemonMetrics::idle_reaped`] and
-//! [`DaemonMetrics::stall_reaped`]; other connections are unaffected.
-//! [`DaemonLimits::max_connections`] bounds the slab itself against
+//! The deadlines are the socket's own timeouts.
+//! [`DaemonLimits::idle_timeout`] is the read timeout: a read that waits
+//! that long for a byte reaps slowloris peers — connected but never
+//! sending a full frame — and counts in [`DaemonMetrics::idle_reaped`].
+//! [`DaemonLimits::write_stall_timeout`] is the write timeout: a write
+//! that cannot hand the kernel one byte for that long reaps a
+//! backpressured peer that refuses to drain its answers, and counts in
+//! [`DaemonMetrics::stall_reaped`]. Each clock runs only while its thread
+//! waits on the socket, so a slow store call delays a peer's answer but
+//! never counts against it, and other connections are unaffected.
+//! [`DaemonLimits::max_connections`] bounds the threads against
 //! connection floods.
 //!
 //! # Hostile peers
@@ -103,7 +91,9 @@
 //! its waiting dirty cells are still served, and the peer can still ping.
 //! Nothing stands between a store call and its answer: an upload's `Ok` is
 //! already a synced commit, so a response is the acknowledgement as it
-//! stands.
+//! stands. A store call that panics takes its connection's thread down and
+//! poisons the store lock, so every later request's thread follows it: a
+//! store left halfway through a call serves no one.
 //!
 //! The frame layer caps what one frame can make the daemon read
 //! ([`crate::wire::MAX_FRAME`]); [`DaemonLimits`] caps what a set-up can
@@ -118,7 +108,7 @@
 //! # Set-up
 //!
 //! The one request that is not served out of the in-buffer alone is a
-//! chunked init: its frames arrive over many wake-ups, and the store takes
+//! chunked init: its frames arrive over many reads, and the store takes
 //! a database whole (a crash must find the old one or the new one). The
 //! connection keeps the chunks' wire bytes end to end in one buffer —
 //! checked against the same budget before each is kept — and on `done`
@@ -128,17 +118,15 @@
 //! the answer leaves. A run of chunks is contiguous; any other request on
 //! the connection abandons and frees it.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dps_server::Storage;
 
-use crate::sys::{self, timeout_ms_until, PollFd};
 use crate::wire::{
     begin_frame, end_frame, frame_into, put_bytes, put_cells_open, put_fold, Addrs, Cells,
     CellsBuf, FrameAssembler, RequestView, Response, WireError, MAX_FRAME, READ_CHUNK,
@@ -149,19 +137,13 @@ use crate::wire::{
 /// store keeps no table of its own: every cell is the stride long).
 const CELL_OVERHEAD: u64 = 16;
 
-/// The token of the listening socket's entry in a turn's `pollfd` array;
-/// a connection's token is its slab index plus one.
-const LISTENER: usize = 0;
+/// Unsent answer bytes past which a connection's thread stops serving
+/// buffered frames and writes (see the module docs): one read's worth.
+const MAX_UNSENT: usize = READ_CHUNK;
 
-/// Poll timeout: the upper bound on shutdown latency when the wake-up
-/// connect cannot reach the listener. Timer deadlines (idle and
-/// write-stall reaping) shorten individual waits below this; they never
-/// lengthen them.
-const POLL_TIMEOUT_MS: i32 = 500;
-
-/// How long a stopping daemon keeps flushing queued responses before
-/// giving up on peers that will not drain them (see
-/// [`NetDaemon::shutdown`]).
+/// How long a stopping daemon lets its connections answer what they hold
+/// and flush it before cutting off peers that will not take their answers
+/// (see [`NetDaemon::shutdown`]).
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Resource bounds a daemon enforces against its peers.
@@ -174,30 +156,22 @@ pub struct DaemonLimits {
     /// guards: no other request allocates arena, because no write can
     /// change the stride. Default: 4 GiB.
     pub max_stored_bytes: u64,
-    /// Per-connection backpressure threshold: once a connection's unsent
-    /// response bytes exceed this, the daemon stops reading from that
-    /// socket until its out-buffer drains (see the module docs). A single
-    /// response larger than the cap is still buffered whole — the cap
-    /// bounds what a slow reader can pile up, not what one request may
-    /// answer. Default: 4 MiB.
-    pub max_queued_bytes: usize,
-    /// Connections a daemon keeps open at once. Accepts beyond the cap
-    /// are closed immediately (counted in
+    /// Connections a daemon keeps open at once, each served by a thread of
+    /// its own. Accepts beyond the cap are closed immediately (counted in
     /// [`DaemonMetrics::accept_rejects`]), so a connection flood cannot
-    /// exhaust the slab or the fd table. Default: 1024.
+    /// exhaust the threads or the fd table. Default: 256 — the store serves
+    /// one request at a time, so more connections add waiting, not work,
+    /// and 256 sockets sit well inside the common 1024-descriptor soft
+    /// limit.
     pub max_connections: usize,
-    /// Reap a connection that has shown no activity — no bytes read from
-    /// it, no response bytes accepted by it — for this long. This is the
-    /// slowloris bound: a peer that connects and trickles (or sends
-    /// nothing) cannot hold a slab slot forever. `None` disables idle
-    /// reaping. Default: 60 s.
+    /// Reap a connection whose thread has waited this long to read a byte
+    /// from it. This is the slowloris bound: a peer that connects and
+    /// trickles (or sends nothing) cannot hold a thread forever. `None`
+    /// disables idle reaping. Default: 60 s.
     pub idle_timeout: Option<Duration>,
-    /// Reap a connection that has queued responses but has not accepted a
-    /// single byte of them for this long — a backpressured peer that
-    /// refuses to drain. Measured from the last write progress (or from
-    /// when the queue became non-empty), independently of
-    /// [`DaemonLimits::idle_timeout`]. `None` disables stall reaping.
-    /// Default: 60 s.
+    /// Reap a connection whose thread has waited this long for the socket
+    /// to take a single byte of its answers — a backpressured peer that
+    /// refuses to drain. `None` disables stall reaping. Default: 60 s.
     pub write_stall_timeout: Option<Duration>,
 }
 
@@ -205,22 +179,24 @@ impl Default for DaemonLimits {
     fn default() -> Self {
         Self {
             max_stored_bytes: 1 << 32,
-            max_queued_bytes: 1 << 22,
-            max_connections: 1024,
+            max_connections: 256,
             idle_timeout: Some(Duration::from_secs(60)),
             write_stall_timeout: Some(Duration::from_secs(60)),
         }
     }
 }
 
-/// A snapshot of the daemon's event-loop counters, for observability and
-/// for the backpressure tests. Taken with [`NetDaemon::metrics`].
+/// A snapshot of the daemon's counters, for observability and for the
+/// backpressure tests. Taken with [`NetDaemon::metrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DaemonMetrics {
     /// Connections accepted since the daemon started.
     pub connections: u64,
-    /// Times a connection's reads were paused because its queued response
-    /// bytes exceeded [`DaemonLimits::max_queued_bytes`].
+    /// Connections open now: accepted, and their thread not yet ended.
+    pub open_connections: u64,
+    /// Times a connection's thread stopped serving its buffered frames to
+    /// write out answers whose unsent bytes had passed the cap (see the
+    /// module docs).
     pub read_stalls: u64,
     /// Connections closed for violating the wire protocol (corrupt
     /// framing, malformed bodies, or requests that break caller
@@ -246,16 +222,17 @@ struct MetricsInner {
 }
 
 /// A running TCP storage daemon. Dropping it (or calling
-/// [`NetDaemon::shutdown`]) stops the event loop *gracefully*: no new
-/// connections are accepted, requests already received are answered, and
-/// queued responses are flushed (bounded by an internal drain deadline
-/// and the write-stall timeout) before the sockets close.
+/// [`NetDaemon::shutdown`]) stops it *gracefully*: no new connections are
+/// accepted, requests already received are answered, and queued responses
+/// are flushed (bounded by an internal drain deadline and the write-stall
+/// timeout) before the sockets close.
 #[derive(Debug)]
 pub struct NetDaemon {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     metrics: Arc<MetricsInner>,
-    event_loop: Option<JoinHandle<()>>,
+    live: Arc<Live>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl NetDaemon {
@@ -286,14 +263,16 @@ impl NetDaemon {
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(MetricsInner::default());
-        let event_loop = {
-            let stop = Arc::clone(&stop);
-            let metrics = Arc::clone(&metrics);
+        let live = Arc::new(Live::default());
+        let acceptor = {
+            let (stop, metrics, live) =
+                (Arc::clone(&stop), Arc::clone(&metrics), Arc::clone(&live));
+            let store = Arc::new(Mutex::new(server));
             std::thread::Builder::new()
-                .name("dps-net-loop".into())
-                .spawn(move || event_loop(listener, server, limits, &stop, &metrics))?
+                .name("dps-net-accept".into())
+                .spawn(move || accept_loop(&listener, &store, limits, &stop, &metrics, &live))?
         };
-        Ok(Self { local_addr, stop, metrics, event_loop: Some(event_loop) })
+        Ok(Self { local_addr, stop, metrics, live, acceptor: Some(acceptor) })
     }
 
     /// The address the daemon is listening on.
@@ -301,10 +280,11 @@ impl NetDaemon {
         self.local_addr
     }
 
-    /// A snapshot of the event-loop counters.
+    /// A snapshot of the counters.
     pub fn metrics(&self) -> DaemonMetrics {
         DaemonMetrics {
             connections: self.metrics.connections.load(Ordering::Relaxed),
+            open_connections: self.live.count() as u64,
             read_stalls: self.metrics.read_stalls.load(Ordering::Relaxed),
             protocol_errors: self.metrics.protocol_errors.load(Ordering::Relaxed),
             idle_reaped: self.metrics.idle_reaped.load(Ordering::Relaxed),
@@ -313,10 +293,11 @@ impl NetDaemon {
         }
     }
 
-    /// Stops the event loop and joins it, draining first: buffered
-    /// requests are answered and queued responses flushed before the
-    /// sockets close. Peers that will not drain their responses are cut
-    /// off after an internal deadline, so shutdown always completes.
+    /// Stops accepting and waits for every connection's thread to end,
+    /// draining first: buffered requests are answered and queued responses
+    /// flushed before the sockets close. Peers that will not drain their
+    /// responses are cut off after an internal deadline, so shutdown always
+    /// completes. When it returns the store has been dropped.
     pub fn shutdown(mut self) {
         self.stop_now();
     }
@@ -325,11 +306,10 @@ impl NetDaemon {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The loop re-checks the flag after every poll wake-up; a
-        // connect to the listener wakes it immediately, and the poll
-        // timeout bounds the join even if the wake-up cannot connect. A
-        // wildcard bind address (0.0.0.0/[::]) is not connectable, so
-        // aim the wake-up at loopback on the same port.
+        // The accept thread re-checks the flag after every accept; a
+        // connect to the listener wakes it. A wildcard bind address
+        // (0.0.0.0/[::]) is not connectable, so aim the wake-up at
+        // loopback on the same port.
         let mut wake = self.local_addr;
         if wake.ip().is_unspecified() {
             wake.set_ip(match wake.ip() {
@@ -337,10 +317,12 @@ impl NetDaemon {
                 std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
             });
         }
-        let _ = TcpStream::connect_timeout(&wake, std::time::Duration::from_secs(2));
-        if let Some(handle) = self.event_loop.take() {
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(2));
+        if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
+        // No connection can be admitted any more: wind the live ones down.
+        self.live.drain();
     }
 }
 
@@ -350,68 +332,140 @@ impl Drop for NetDaemon {
     }
 }
 
-/// Per-connection state machine (see the module diagram).
+/// The accept thread: gives every connection up to
+/// [`DaemonLimits::max_connections`] a thread of its own, until it sees the
+/// stop flag. A thread that cannot be started drops its seat and its
+/// socket with its closure: the connection closes, uncounted. A started
+/// thread's handle is dropped, not kept: the stop waits on the registry
+/// instead, which a thread leaves as its last act, so a closed connection
+/// keeps no handle either (a panic still reports through the panic hook).
+fn accept_loop<S: Storage + 'static>(
+    listener: &TcpListener,
+    store: &Arc<Mutex<S>>,
+    limits: DaemonLimits,
+    stop: &AtomicBool,
+    metrics: &Arc<MetricsInner>,
+    live: &Arc<Live>,
+) {
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok(stream) = stream else { continue };
+        let sock = Arc::new(stream);
+        let Some(seat) = live.seat(&sock, limits.max_connections) else {
+            bump(&metrics.accept_rejects);
+            continue;
+        };
+        let (store, conn_metrics) = (Arc::clone(store), Arc::clone(metrics));
+        let spawned = std::thread::Builder::new()
+            .name("dps-net-conn".into())
+            .spawn(move || {
+                // Locals drop in reverse: the socket and the store go before
+                // the seat, so an empty registry means every connection's
+                // socket is closed and its hold on the store given up.
+                let _seat = seat;
+                let (sock, store, metrics) = (sock, store, conn_metrics);
+                serve(&sock, &store, limits, &metrics);
+            });
+        if spawned.is_ok() {
+            bump(&metrics.connections);
+        }
+    }
+}
+
+/// Locks `mutex`, whatever a panic left behind: the registry's entries are
+/// each written in one step, so there is no half-done state to fear.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The sockets of the connections being served, so that a stop can reach
+/// them. An entry goes when its connection's thread ends, and with it the
+/// last handle on the socket: a closed connection keeps nothing here.
+#[derive(Debug, Default)]
+struct Live {
+    socks: Mutex<Vec<Option<Arc<TcpStream>>>>,
+    /// Signalled whenever an entry goes.
+    left: Condvar,
+}
+
+/// A connection's entry in [`Live`], removed when it drops.
 #[derive(Debug)]
+struct Seat {
+    live: Arc<Live>,
+    idx: usize,
+}
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        lock(&self.live.socks)[self.idx] = None;
+        self.live.left.notify_all();
+    }
+}
+
+impl Live {
+    /// Connections with an entry.
+    fn count(&self) -> usize {
+        lock(&self.socks).iter().flatten().count()
+    }
+
+    /// Enters `sock`, unless `max` connections already have an entry.
+    fn seat(self: &Arc<Self>, sock: &Arc<TcpStream>, max: usize) -> Option<Seat> {
+        let mut socks = lock(&self.socks);
+        if socks.iter().flatten().count() >= max {
+            return None;
+        }
+        let idx = socks.iter().position(Option::is_none).unwrap_or_else(|| {
+            socks.push(None);
+            socks.len() - 1
+        });
+        socks[idx] = Some(Arc::clone(sock));
+        Some(Seat { live: Arc::clone(self), idx })
+    }
+
+    /// Winds every connection down: `shutdown(Read)` on each socket, so
+    /// each thread answers the complete frames it holds, flushes and ends;
+    /// after [`DRAIN_TIMEOUT`], `shutdown(Both)` on any still here — a
+    /// thread blocked writing to a peer that will not read — and a wait for
+    /// the last thread to end.
+    fn drain(&self) {
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
+        let mut socks = lock(&self.socks);
+        let shut = |socks: &[Option<Arc<TcpStream>>], how| {
+            socks.iter().flatten().for_each(|sock| drop(sock.shutdown(how)));
+        };
+        shut(&socks, Shutdown::Read);
+        while socks.iter().any(Option::is_some) {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
+            socks = self
+                .left
+                .wait_timeout(socks, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        shut(&socks, Shutdown::Both);
+        while socks.iter().any(Option::is_some) {
+            socks = self.left.wait(socks).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// What a connection's thread serves it with (see the module diagram).
+#[derive(Debug, Default)]
 struct Conn {
-    stream: TcpStream,
     /// The in-buffer: the socket is read into it, requests are served out
     /// of it.
     assembler: FrameAssembler,
-    /// The out-buffer: framed answers, appended as they are produced;
-    /// `out[out_pos..]` is still to be written.
+    /// The out-buffer: framed answers, appended as they are produced.
     out: Vec<u8>,
-    out_pos: usize,
     /// The chunks of a chunked init that has not seen `done` yet.
     pending: PendingInit,
-    /// Backpressured: reads and frame processing are suspended until the
-    /// out-buffer drains.
-    paused: bool,
-    /// Flush the out-buffer, then close (peer EOF or protocol violation).
-    closing: bool,
-    /// Remove this connection after the current event.
-    dead: bool,
-    /// Last time the peer showed life: bytes read from it, or response
-    /// bytes it accepted. Drives [`DaemonLimits::idle_timeout`].
-    last_activity: Instant,
-    /// Last time an answer byte left for the peer (reset when the
-    /// out-buffer turns non-empty). Drives
-    /// [`DaemonLimits::write_stall_timeout`].
-    last_write_progress: Instant,
+    scratch: Scratch,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Self {
-        Self {
-            stream,
-            assembler: FrameAssembler::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            pending: PendingInit::default(),
-            paused: false,
-            closing: false,
-            dead: false,
-            last_activity: now,
-            last_write_progress: now,
-        }
-    }
-
-    /// Answer bytes not yet accepted by the socket.
-    fn unsent(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
-    /// What this connection waits for, derived from its state alone: to
-    /// read unless paused or closing, to write while answers are unsent.
-    /// A live connection always waits for something — a paused one has
-    /// unsent bytes, and a closing one with none is already dead.
-    fn pollfd(&self) -> PollFd {
-        PollFd::new(self.stream.as_raw_fd(), !self.paused && !self.closing, self.unsent() > 0)
-    }
-}
-
-/// What serving a request needs besides its connection, owned by the loop
-/// and reused by every request of every connection, so that the hot
-/// requests allocate nothing.
+/// What serving a request needs besides its frame, reused by every request
+/// of the connection, so that the hot requests allocate nothing.
 #[derive(Debug, Default)]
 struct Scratch {
     /// The addresses of the `ReadBatch` / `XorCells` being served.
@@ -420,418 +474,103 @@ struct Scratch {
     fold: Vec<u8>,
 }
 
-/// The daemon thread: one `poll(2)` per turn, one server, many connection
-/// state machines.
-fn event_loop<S: Storage>(
-    listener: TcpListener,
-    mut server: S,
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A read or write that ran out its socket timeout: `WouldBlock` on Linux,
+/// `TimedOut` elsewhere.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// A connection's thread: serve every complete frame, write the answers,
+/// read — until the peer hangs up (or a stop shuts the socket's read
+/// side), breaks the protocol, misses a deadline or fails.
+fn serve<S: Storage>(
+    mut sock: &TcpStream,
+    store: &Mutex<S>,
     limits: DaemonLimits,
-    stop: &AtomicBool,
     metrics: &MetricsInner,
 ) {
-    if listener.set_nonblocking(true).is_err() {
+    let set_up = sock
+        .set_nodelay(true)
+        .and_then(|()| sock.set_read_timeout(limits.idle_timeout))
+        .and_then(|()| sock.set_write_timeout(limits.write_stall_timeout));
+    if set_up.is_err() {
         return;
     }
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    // This turn's `pollfd` array and, entry for entry, whose it is.
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut tokens: Vec<usize> = Vec::new();
-    let mut scratch = Scratch::default();
-    // Set once the stop flag is seen: the drain deadline after which
-    // still-undrained connections are cut off and the loop returns.
-    let mut drain_until: Option<Instant> = None;
-    // Two clock readings per turn. `turn`, taken when `poll(2)` returns,
-    // stamps every connection's progress in the turn; `now`, taken after
-    // its last step, reaps, ends a drain and times the next `poll`.
-    let mut now = Instant::now();
+    let mut conn = Conn::default();
     loop {
-        let timeout = {
-            let mut next = next_deadline(&conns, limits);
-            if let Some(deadline) = drain_until {
-                next = Some(next.map_or(deadline, |d| d.min(deadline)));
-            }
-            timeout_ms_until(next, now, POLL_TIMEOUT_MS)
-        };
-        // The listener's entry comes first: accepts fill slots that have
-        // no entry further down, and a slot freed later in the turn stays
-        // empty until the next array is built, so an entry only ever
-        // serves the connection it was built from.
-        fds.clear();
-        tokens.clear();
-        if drain_until.is_none() {
-            fds.push(PollFd::new(listener.as_raw_fd(), true, false));
-            tokens.push(LISTENER);
+        let served = conn.serve_frames(store, limits);
+        match served {
+            Err(_) => bump(&metrics.protocol_errors),
+            Ok(true) => bump(&metrics.read_stalls),
+            Ok(false) => {}
         }
-        for (idx, conn) in conns.iter().enumerate() {
-            if let Some(conn) = conn {
-                fds.push(conn.pollfd());
-                tokens.push(idx + 1);
+        // The answers to the frames before a violation still leave.
+        if let Err(e) = sock.write_all(&conn.out) {
+            if timed_out(&e) {
+                bump(&metrics.stall_reaped);
             }
-        }
-        if sys::wait(&mut fds, timeout).is_err() {
             return;
         }
-        let turn = Instant::now();
-        if drain_until.is_none() && stop.load(Ordering::SeqCst) {
-            drain_until = Some(turn + DRAIN_TIMEOUT);
-            begin_drain(&mut conns, &mut server, &mut scratch, limits, metrics, turn);
-        }
-        for (pfd, &token) in fds.iter().zip(&tokens) {
-            let (readable, writable) = (pfd.readable(), pfd.writable());
-            if !readable && !writable {
-                continue;
-            }
-            if token == LISTENER {
-                if drain_until.is_none() {
-                    accept_ready(&listener, &mut conns, limits, metrics, turn);
-                }
-                continue;
-            }
-            let idx = token - 1;
-            // A drain that began this turn may have closed it already;
-            // skip its slot.
-            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else { continue };
-            if writable && !conn.dead {
-                flush_conn(conn, &mut server, &mut scratch, limits, metrics, turn);
-            }
-            if readable && !conn.dead {
-                fill_conn(conn, &mut server, &mut scratch, limits, metrics, turn);
-                // Opportunistic flush: most responses leave in the same
-                // turn that produced them, without another `poll`.
-                flush_conn(conn, &mut server, &mut scratch, limits, metrics, turn);
-            }
-            settle_conn(&mut conns, idx);
-        }
-        now = Instant::now();
-        reap_deadlines(&mut conns, limits, metrics, turn, now);
-        if let Some(deadline) = drain_until {
-            // Drained, or out of patience with peers that will not drain.
-            if conns.iter().all(Option::is_none) || now >= deadline {
-                return;
-            }
-        }
-    }
-}
-
-/// The nearest timer deadline across all live connections, if any timer
-/// is armed: idle reaping measures from the last peer activity,
-/// write-stall reaping from the last write progress of a non-empty
-/// out-buffer.
-fn next_deadline(conns: &[Option<Conn>], limits: DaemonLimits) -> Option<Instant> {
-    let mut next: Option<Instant> = None;
-    let mut fold = |deadline: Instant| {
-        next = Some(next.map_or(deadline, |cur| cur.min(deadline)));
-    };
-    for conn in conns.iter().flatten() {
-        if let Some(t) = limits.idle_timeout {
-            if !conn.closing {
-                fold(conn.last_activity + t);
-            }
-        }
-        if let Some(t) = limits.write_stall_timeout {
-            if conn.unsent() > 0 {
-                fold(conn.last_write_progress + t);
-            }
-        }
-    }
-    next
-}
-
-/// Closes every connection whose idle or write-stall deadline has
-/// passed by `now`, the end of the turn that began at `turn`. Progress
-/// stamped `turn` counts as of `now`, so a turn longer than a timeout
-/// does not reap the peers it served. Reaping is an immediate close — a
-/// peer that earned a deadline has shown it will not make progress, so
-/// there is nothing to flush to it that would not stall again.
-fn reap_deadlines(
-    conns: &mut [Option<Conn>],
-    limits: DaemonLimits,
-    metrics: &MetricsInner,
-    turn: Instant,
-    now: Instant,
-) {
-    if limits.idle_timeout.is_none() && limits.write_stall_timeout.is_none() {
-        return;
-    }
-    for idx in 0..conns.len() {
-        let Some(conn) = conns[idx].as_mut() else { continue };
-        if conn.dead {
-            continue;
-        }
-        for stamp in [&mut conn.last_activity, &mut conn.last_write_progress] {
-            if *stamp == turn {
-                *stamp = now;
-            }
-        }
-        let stalled = conn.unsent() > 0
-            && limits
-                .write_stall_timeout
-                .is_some_and(|t| now.duration_since(conn.last_write_progress) >= t);
-        // A draining (closing) connection no longer reads, so only the
-        // stall deadline applies to it.
-        let idle = !conn.closing
-            && limits
-                .idle_timeout
-                .is_some_and(|t| now.duration_since(conn.last_activity) >= t);
-        if stalled {
-            metrics.stall_reaped.fetch_add(1, Ordering::Relaxed);
-        } else if idle {
-            metrics.idle_reaped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            continue;
-        }
-        conn.dead = true;
-        settle_conn(conns, idx);
-    }
-}
-
-/// Turns the loop toward shutdown: answer every request already buffered
-/// (the backpressure cap is released frame by frame — drain work is
-/// bounded by bytes already received), then mark every connection
-/// flush-then-close. The loop stops accepting by leaving the listener out
-/// of its next array.
-fn begin_drain<S: Storage>(
-    conns: &mut [Option<Conn>],
-    server: &mut S,
-    scratch: &mut Scratch,
-    limits: DaemonLimits,
-    metrics: &MetricsInner,
-    now: Instant,
-) {
-    for idx in 0..conns.len() {
-        let Some(conn) = conns[idx].as_mut() else { continue };
-        // Un-pause repeatedly: each pass decodes buffered frames until
-        // the cap re-pauses it, until the assembler holds no complete
-        // frame. Everything received gets its answer queued.
-        while conn.paused && !conn.dead {
-            conn.paused = false;
-            process_frames(conn, server, scratch, limits, metrics, now);
-        }
-        if !conn.dead {
-            conn.closing = true;
-            if conn.unsent() == 0 {
-                conn.dead = true;
-            } else {
-                flush_conn(conn, server, scratch, limits, metrics, now);
-            }
-        }
-        settle_conn(conns, idx);
-    }
-}
-
-/// Accepts every pending connection on the ready listener; accepts over
-/// [`DaemonLimits::max_connections`] are closed on the spot (the backlog
-/// still drains, so the flood cannot park connections there either).
-fn accept_ready(
-    listener: &TcpListener,
-    conns: &mut Vec<Option<Conn>>,
-    limits: DaemonLimits,
-    metrics: &MetricsInner,
-    now: Instant,
-) {
-    let mut live = conns.iter().filter(|c| c.is_some()).count();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if live >= limits.max_connections {
-                    metrics.accept_rejects.fetch_add(1, Ordering::Relaxed);
-                    drop(stream);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                // Linear free-slot scan: connection counts here are far
-                // below where a free list would matter.
-                let idx = match conns.iter().position(Option::is_none) {
-                    Some(idx) => idx,
-                    None => {
-                        conns.push(None);
-                        conns.len() - 1
-                    }
-                };
-                metrics.connections.fetch_add(1, Ordering::Relaxed);
-                conns[idx] = Some(Conn::new(stream, now));
-                live += 1;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-    }
-}
-
-/// Reads what the socket has into the in-buffer, serving complete frames
-/// as they close — until a read comes back short (the socket is empty; the
-/// next bytes raise a new level-triggered event, so there is no need to
-/// ask for a `WouldBlock`), the peer hangs up, or backpressure pauses the
-/// connection. A read that filled all the room it was offered keeps
-/// reading.
-fn fill_conn<S: Storage>(
-    conn: &mut Conn,
-    server: &mut S,
-    scratch: &mut Scratch,
-    limits: DaemonLimits,
-    metrics: &MetricsInner,
-    now: Instant,
-) {
-    while !conn.paused && !conn.closing && !conn.dead {
-        match conn.assembler.fill_from(&mut &conn.stream) {
-            Ok(0) => {
-                // Clean EOF: answer nothing further, flush what's queued.
-                conn.closing = true;
-                if conn.unsent() == 0 {
-                    conn.dead = true;
-                }
-                return;
-            }
-            Ok(_) => {
-                conn.last_activity = now;
-                process_frames(conn, server, scratch, limits, metrics, now);
-                if !conn.assembler.filled() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-}
-
-/// Serves the complete frames in the connection's in-buffer: parse in
-/// place, dispatch, append the answer to the out-buffer under the frame's
-/// request id. Stops early when the unsent bytes cross the backpressure
-/// cap (leaving any further frames in the in-buffer for the resume).
-fn process_frames<S: Storage>(
-    conn: &mut Conn,
-    server: &mut S,
-    scratch: &mut Scratch,
-    limits: DaemonLimits,
-    metrics: &MetricsInner,
-    now: Instant,
-) {
-    while !conn.closing && !conn.dead {
-        let was_drained = conn.unsent() == 0;
-        // The frame is borrowed from the in-buffer, which nothing touches
-        // until the answer is complete; a violation is acted on after the
-        // borrow ends. A structurally valid frame whose contents violate a
-        // caller contract (e.g. a strided write with a non-multiple flat
-        // length) or would blow the allocation budget is a violation too:
-        // a local caller would have panicked; over the wire the daemon
-        // must stay up, so the connection is dropped instead.
-        let served = match conn.assembler.next_frame() {
-            Ok(Some((id, payload))) => RequestView::parse(payload).and_then(|request| {
-                dispatch(server, limits, &mut conn.pending, scratch, request, id, &mut conn.out)
-            }),
-            Ok(None) => return,
-            Err(e) => Err(e),
-        };
-        if served.is_err() {
-            return violation(conn, metrics);
-        }
-        if was_drained {
-            // The stall clock measures from when there was first
-            // something to write, not from the last time long ago the
-            // out-buffer happened to be busy.
-            conn.last_write_progress = now;
-        }
-        if conn.unsent() > limits.max_queued_bytes {
-            conn.paused = true;
-            metrics.read_stalls.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-}
-
-/// Marks a protocol violation: flush whatever is queued, then close.
-fn violation(conn: &mut Conn, metrics: &MetricsInner) {
-    metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    conn.closing = true;
-    if conn.unsent() == 0 {
-        conn.dead = true;
-    }
-}
-
-/// Writes the out-buffer until the socket would block or it is empty — one
-/// `write` for everything a burst of pipelined requests produced.
-/// Draining it resumes a backpressured connection (its buffered frames are
-/// processed immediately, and anything they answer is written in the same
-/// pass) and completes a closing one.
-fn flush_conn<S: Storage>(
-    conn: &mut Conn,
-    server: &mut S,
-    scratch: &mut Scratch,
-    limits: DaemonLimits,
-    metrics: &MetricsInner,
-    now: Instant,
-) {
-    loop {
-        while conn.unsent() > 0 {
-            match (&conn.stream).write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    conn.dead = true;
-                    return;
-                }
-                Ok(n) => {
-                    // Write progress doubles as peer activity: a peer
-                    // that only downloads for minutes on end is alive,
-                    // not idle.
-                    conn.last_write_progress = now;
-                    conn.last_activity = now;
-                    conn.out_pos += n;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Answers are only ever appended, so the written
-                    // prefix is dropped here, once it outweighs what is
-                    // left: each byte moves at most once.
-                    if conn.out_pos >= conn.unsent().max(READ_CHUNK) {
-                        conn.out.drain(..conn.out_pos);
-                        conn.out_pos = 0;
-                    }
-                    return;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    return;
-                }
-            }
-        }
-        // Drained: start over at the front, and give an outsize buffer
-        // back (one huge answer must not pin its size for the life of the
+        // Start over at the front, and give an outsize buffer back (one
+        // huge answer must not pin its size for the life of the
         // connection).
         conn.out.clear();
         conn.out.shrink_to(READ_CHUNK);
-        conn.out_pos = 0;
-        if conn.closing {
-            conn.dead = true;
-            return;
+        match served {
+            Err(_) => return,
+            Ok(true) => continue,
+            Ok(false) => {}
         }
-        if !conn.paused {
-            return;
-        }
-        // Backpressure released: pick the buffered frames back up.
-        conn.paused = false;
-        process_frames(conn, server, scratch, limits, metrics, now);
-        if conn.unsent() == 0 {
-            if conn.closing {
-                conn.dead = true;
+        match conn.assembler.fill_from(&mut sock) {
+            // End of stream: every complete frame has been answered.
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => {
+                if timed_out(&e) {
+                    bump(&metrics.idle_reaped);
+                }
+                return;
             }
-            return;
         }
-        // New responses came out of the buffered frames — write them now.
     }
 }
 
-/// Removes the connection if it died (dropping it closes the socket).
-fn settle_conn(conns: &mut [Option<Conn>], idx: usize) {
-    if conns[idx].as_ref().is_some_and(|conn| conn.dead) {
-        conns[idx] = None;
+impl Conn {
+    /// Serves the complete frames in the in-buffer: parse in place,
+    /// dispatch under the store lock, append the answer to the out-buffer
+    /// under the frame's request id. `Ok(true)` means it stopped early,
+    /// the unsent answers past [`MAX_UNSENT`], leaving any further frames
+    /// in the in-buffer.
+    ///
+    /// The frame is borrowed from the in-buffer, which nothing touches
+    /// until its answer is complete. `Err` is a protocol violation, the
+    /// answers before it standing: a corrupt frame, or a structurally
+    /// valid one whose contents break a caller contract (e.g. a strided
+    /// write with a non-multiple flat length) or would blow the allocation
+    /// budget. A local caller would have panicked; over the wire the
+    /// daemon must stay up, so the connection is dropped instead.
+    fn serve_frames<S: Storage>(
+        &mut self,
+        store: &Mutex<S>,
+        limits: DaemonLimits,
+    ) -> Result<bool, WireError> {
+        while let Some((id, payload)) = self.assembler.next_frame()? {
+            let request = RequestView::parse(payload)?;
+            let mut store = store
+                .lock()
+                .expect("a store call panicked on another connection");
+            let (pending, scratch) = (&mut self.pending, &mut self.scratch);
+            dispatch(&mut *store, limits, pending, scratch, request, id, &mut self.out)?;
+            if self.out.len() > MAX_UNSENT {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 
@@ -889,9 +628,9 @@ impl PendingInit {
     }
 }
 
-/// Decodes a request's addresses into the loop's scratch (which keeps its
-/// capacity between requests, up to a bound: one outsize list is not kept
-/// for the life of the daemon).
+/// Decodes a request's addresses into the connection's scratch (which
+/// keeps its capacity between requests, up to a bound: one outsize list is
+/// not kept for the life of the connection).
 fn load<'s>(into: &'s mut Vec<usize>, addrs: Addrs<'_>) -> &'s [usize] {
     into.clear();
     into.shrink_to(READ_CHUNK);
@@ -902,10 +641,10 @@ fn load<'s>(into: &'s mut Vec<usize>, addrs: Addrs<'_>) -> &'s [usize] {
 /// Executes one request against the server and appends its framed answer
 /// to `out`. `Err` means the request violated a caller contract the
 /// in-process API enforces by panicking (or the daemon's allocation
-/// budget); `out` is then as it was, and the event loop closes the
-/// connection in response.
+/// budget); `out` is then as it was, and the connection's thread closes
+/// the connection in response.
 ///
-/// The loop thread owns the server outright — no locks.
+/// The caller holds the store lock for the call.
 fn dispatch<S: Storage>(
     server: &mut S,
     limits: DaemonLimits,
@@ -974,7 +713,7 @@ fn dispatch<S: Storage>(
         }
         RequestView::WriteBatchStrided { addrs, flat } => {
             // The in-process API asserts these; a remote peer must not be
-            // able to panic the event loop.
+            // able to panic the daemon.
             if addrs.len() == 0 {
                 if !flat.is_empty() {
                     return Err(WireError::BadPayload("flat bytes without addresses"));
@@ -1012,23 +751,15 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        stream.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(stream, Instant::now());
-        let (mut server, mut scratch) = (SimServer::new(), Scratch::default());
-        let metrics = MetricsInner::default();
-        let mut serve = |conn: &mut Conn, client: &mut TcpStream, request: Request, id: u64| {
+        let mut conn = Conn::default();
+        let store = Mutex::new(SimServer::new());
+        let serve = |conn: &mut Conn, client: &mut TcpStream, request: Request, id: u64| {
             client.write_all(&request.encode_framed_v2(id).unwrap()).unwrap();
-            let answered = conn.out.len();
-            while conn.out.len() == answered {
-                fill_conn(
-                    conn,
-                    &mut server,
-                    &mut scratch,
-                    DaemonLimits::default(),
-                    &metrics,
-                    Instant::now(),
-                );
-                assert!(!conn.dead && !conn.closing);
+            conn.out.clear();
+            while conn.out.is_empty() {
+                assert_ne!(conn.assembler.fill_from(&mut &stream).unwrap(), 0);
+                let stalled = conn.serve_frames(&store, DaemonLimits::default()).unwrap();
+                assert!(!stalled);
             }
         };
 
@@ -1039,6 +770,6 @@ mod tests {
         serve(&mut conn, &mut client, chunk(true), 3);
         assert_eq!(conn.pending.kept.cells().len(), 0);
         assert!(conn.assembler.capacity() <= READ_CHUNK, "{}", conn.assembler.capacity());
-        assert_eq!(server.capacity(), 3 << 10);
+        assert_eq!(store.lock().unwrap().capacity(), 3 << 10);
     }
 }

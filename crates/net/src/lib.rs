@@ -11,23 +11,19 @@
 //!   request, one per response; batch operations are single round trips
 //!   by construction. The frame header carries a request id, which the
 //!   response echoes.
-//! * [`daemon::NetDaemon`] — a readiness-based `std::net` TCP daemon
-//!   wrapping any [`Storage`](dps_server::Storage) backend — the
-//!   in-memory [`SimServer`](dps_server::SimServer) or the
-//!   durable [`DiskStore`](dps_server::DiskStore): one event
-//!   loop multiplexing every connection with one `poll(2)` per turn over
-//!   an array built from the connections' states, with per-connection
-//!   partial-frame buffers, bounded response queues, and explicit
-//!   backpressure on slow readers.
+//! * [`daemon::NetDaemon`] — a blocking `std::net` TCP daemon wrapping
+//!   any [`Storage`](dps_server::Storage) backend — the in-memory
+//!   [`SimServer`](dps_server::SimServer) or the durable
+//!   [`DiskStore`](dps_server::DiskStore) behind one lock held per
+//!   request: an accept thread and one thread per connection, each with
+//!   its own partial-frame buffer and a bounded response buffer, whose
+//!   blocking write is the backpressure on a slow reader.
 //! * [`client::RemoteServer`] — a client implementing `Storage`, so every
 //!   scheme in `dps_core`/`dps_oram`/`dps_pir` runs against the daemon
 //!   with zero call-site changes. It has one request in flight: every
 //!   scheme's next request waits for the answer to the last. Its
 //!   `request`/`try_call`/`try_read_batch_with` are where wire failures
 //!   come back typed instead of as the `Storage` surface's panic.
-//! * A private `sys` module — the crate's one audited `unsafe` boundary,
-//!   declaring the one libc readiness call (`poll`) directly instead of
-//!   pulling in mio/tokio, behind one safe `wait`.
 //! * [`chaos`] — a deterministic fault-injection harness: a seeded TCP
 //!   relay ([`chaos::ChaosProxy`]) cutting, delaying and splitting the
 //!   byte stream at reproducible offsets, and a [`chaos::FaultStorage`]
@@ -43,13 +39,12 @@
 //! counters, identical transcripts — and exactly one wire round trip per
 //! batch operation.
 
-#![deny(unsafe_code)] // `allow`ed in exactly one place: the audited `sys` module
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod client;
 pub mod daemon;
-mod sys;
 pub mod wire;
 
 pub use chaos::{ChaosConfig, ChaosMetrics, ChaosProxy, FaultStorage};

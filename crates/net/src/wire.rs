@@ -309,15 +309,6 @@ impl FrameAssembler {
         Ok(n)
     }
 
-    /// Whether the last [`FrameAssembler::fill_from`] filled all the room
-    /// it was offered, i.e. the reader may well hold more. A shorter read
-    /// emptied a socket: the next bytes will raise a new readiness event
-    /// (on a level-triggered poller — see `sys`), so a caller may stop
-    /// reading without asking the kernel to say `WouldBlock`.
-    pub fn filled(&self) -> bool {
-        self.filled
-    }
-
     fn make_room(&mut self) {
         self.recycle();
         let live = self.end - self.start;

@@ -1,7 +1,7 @@
 //! Allocation budgets, counted by a process-wide allocator.
 //!
 //! **The data path does not materialise**: a steady-state exchange costs
-//! the whole process — client and daemon thread together — no allocator
+//! the whole process — client and daemon threads together — no allocator
 //! call.
 //!
 //! This is the regression test for "one buffer in, one buffer out": a
@@ -20,7 +20,7 @@
 //!
 //! **Set-up holds the database at most twice, and once when it returns**:
 //! the bytes the process has requested and not given back — client and
-//! daemon thread together — rise by at most 2.25 × the database while a
+//! daemon threads together — rise by at most 2.25 × the database while a
 //! scheme is set up through `RemoteServer → NetDaemon<DiskStore>` (the
 //! chunks the daemon received plus the image they are laid into; on the
 //! client one frame), and are back within 1 MiB of where they were, plus

@@ -1,8 +1,8 @@
-//! Slow-reader backpressure: a connection whose queued response bytes
-//! exceed [`DaemonLimits::max_queued_bytes`] must stall *its own* reads
-//! (bounding the daemon's memory at the cap plus one read burst), keep
-//! every other connection flowing, and resume losslessly once the slow
-//! reader drains.
+//! Slow-reader backpressure: a connection whose unsent answers pass the
+//! daemon's cap must stop serving *its own* buffered frames and block in
+//! its write (bounding the daemon's memory at the cap plus one answer),
+//! keep every other connection flowing, and resume losslessly once the
+//! slow reader drains.
 //!
 //! The slow reader is a raw socket that writes a whole window of request
 //! frames in one burst: the client keeps one request in flight, and the
@@ -18,18 +18,17 @@ use dps_server::SimServer;
 
 const N: usize = 64;
 const LEN: usize = 4096;
-const WINDOW: usize = 40; // ~40 × 256 KiB of responses vs a 16 KiB cap
+const WINDOW: usize = 40; // ~40 × 256 KiB of responses vs a 64 KiB cap
 
 fn cell(i: usize) -> Vec<u8> {
     (0..LEN).map(|k| (i as u8).wrapping_add(k as u8)).collect()
 }
 
-fn small_queue_daemon() -> NetDaemon {
+fn database_daemon(limits: DaemonLimits) -> NetDaemon {
     let mut server = SimServer::new();
     dps_server::Storage::init(&mut server, (0..N).map(cell).collect());
-    // A 16 KiB queue cap against ~256 KiB responses: the very first
-    // response the socket can't absorb whole pauses the connection.
-    let limits = DaemonLimits { max_queued_bytes: 16 * 1024, ..Default::default() };
+    // Every ~256 KiB answer passes the 64 KiB cap on unsent bytes: the
+    // connection's thread writes it out before it serves the next frame.
     NetDaemon::bind_with("127.0.0.1:0", server, limits).expect("bind")
 }
 
@@ -71,12 +70,12 @@ fn read_database(sock: &mut TcpStream, id: u64) {
 /// lost.
 #[test]
 fn slow_reader_is_stalled_and_resumed_losslessly() {
-    let daemon = small_queue_daemon();
+    let daemon = database_daemon(DaemonLimits::default());
     let mut sock = slow_reader(&daemon);
 
-    // The daemon must hit the cap and stop reading the slow socket —
-    // that stall is exactly what bounds its memory: at most the cap plus
-    // one read burst is ever queued, never the full ~10 MiB backlog.
+    // The daemon must hit the cap and stop serving the slow socket's
+    // frames — that stall is exactly what bounds its memory: at most the
+    // cap plus one answer is ever queued, never the full ~10 MiB backlog.
     assert!(await_stall(&daemon), "queue cap never triggered a read stall");
 
     // A second connection is unaffected while the first is stalled.
@@ -107,16 +106,13 @@ fn slow_reader_is_stalled_and_resumed_losslessly() {
 /// answer, bit-exact, while the daemon is shutting down.
 #[test]
 fn graceful_shutdown_flushes_queued_responses() {
-    let mut server = SimServer::new();
-    dps_server::Storage::init(&mut server, (0..N).map(cell).collect());
-    // Default (large) queue cap: nothing pauses, so the daemon reads and
-    // answers the whole window; the responses (~10 MiB against a ~KiB
-    // socket buffer) are still overwhelmingly queued daemon-side when
-    // shutdown begins.
-    let daemon = NetDaemon::spawn(server).expect("spawn");
+    // The responses (~10 MiB against a ~KiB socket buffer) are still
+    // overwhelmingly unanswered or unsent daemon-side when shutdown
+    // begins.
+    let daemon = database_daemon(DaemonLimits::default());
     let mut sock = slow_reader(&daemon);
     // Read the first answer so the window is known to have reached the
-    // daemon, then give it a beat to answer the rest into its queue.
+    // daemon, then give it a beat to stall on the next.
     read_database(&mut sock, 1);
     std::thread::sleep(Duration::from_millis(200));
 
@@ -133,12 +129,12 @@ fn graceful_shutdown_flushes_queued_responses() {
 }
 
 /// Shutting down while a connection sits in a backpressure stall: every
-/// frame the daemon *received* is answered during the drain (the cap is
-/// released frame by frame), and anything it never read is cut off at
-/// the peer — successes form a prefix, nothing hangs, nothing panics.
+/// frame the daemon *received* is answered during the drain (its thread
+/// keeps writing as the peer reads), and anything it never read is cut off
+/// at the peer — successes form a prefix, nothing hangs, nothing panics.
 #[test]
 fn graceful_shutdown_drains_a_stalled_connection() {
-    let daemon = small_queue_daemon();
+    let daemon = database_daemon(DaemonLimits::default());
     let mut sock = slow_reader(&daemon);
     assert!(await_stall(&daemon), "queue cap never triggered a read stall");
 
@@ -168,7 +164,7 @@ fn graceful_shutdown_drains_a_stalled_connection() {
 /// the daemon drops it and keeps serving.
 #[test]
 fn disconnecting_mid_stall_is_cleaned_up() {
-    let daemon = small_queue_daemon();
+    let daemon = database_daemon(DaemonLimits::default());
     let sock = slow_reader(&daemon);
     assert!(await_stall(&daemon), "queue cap never triggered a read stall");
     drop(sock); // vanish with the queue full
@@ -178,4 +174,22 @@ fn disconnecting_mid_stall_is_cleaned_up() {
     assert_eq!(survivor.try_read_batch(&[1]).unwrap(), vec![cell(1)]);
     drop(survivor);
     daemon.shutdown();
+}
+
+/// The drain is bounded even with no write deadline: a peer that sent a
+/// window and never reads leaves its thread blocked in a write, and
+/// shutdown cuts it off once the daemon's 5 s drain deadline passes,
+/// returning within that deadline plus slack.
+#[test]
+fn shutdown_cuts_off_a_peer_that_never_reads() {
+    let limits = DaemonLimits { write_stall_timeout: None, ..Default::default() };
+    let daemon = database_daemon(limits);
+    let sock = slow_reader(&daemon);
+    assert!(await_stall(&daemon), "queue cap never triggered a read stall");
+
+    let started = Instant::now();
+    daemon.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5 + 2), "shutdown took {took:?}");
+    drop(sock);
 }

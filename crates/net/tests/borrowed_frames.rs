@@ -11,10 +11,10 @@
 //!   in-place answers produce.
 //! * **Roll-back** — a download that fails mid-batch leaves the model's
 //!   partial charge and not one stray byte in the response stream.
-//! * **The short-read rule** — the daemon stops reading a socket after a
-//!   read that came back short instead of asking for a `WouldBlock`; under
-//!   the level-triggered `poll(2)` that loses nothing, whatever the
-//!   segmentation.
+//! * **Reading only what is needed** — a connection's thread reads only
+//!   once it holds no complete frame, one read at a time, and blocks in
+//!   the next read with half a frame buffered; that loses nothing and
+//!   answers nothing twice, whatever the segmentation.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -206,7 +206,7 @@ fn a_failed_walk_is_rolled_back_and_still_charged() {
     daemon.shutdown();
 }
 
-// ---- The short-read rule -----------------------------------------------
+// ---- Segmentation -------------------------------------------------------
 
 fn daemon_with(cells: usize) -> NetDaemon {
     let mut server = SimServer::new();
@@ -214,8 +214,8 @@ fn daemon_with(cells: usize) -> NetDaemon {
     NetDaemon::spawn(server).unwrap()
 }
 
-/// More than three full read chunks land on the socket at once: every
-/// read but the last fills its room and the daemon must keep reading.
+/// More than three full read chunks land on the socket at once: the
+/// daemon must keep reading past every chunk until the burst is answered.
 #[test]
 fn a_burst_of_several_read_chunks_is_answered_completely_and_in_order() {
     const FRAMES: u64 = 300;
@@ -241,10 +241,10 @@ fn a_burst_of_several_read_chunks_is_answered_completely_and_in_order() {
     daemon.shutdown();
 }
 
-/// A frame cut in two at every byte offset: the first read is short, ends
-/// the burst with half a frame buffered, and the rest must raise a new
-/// readiness event. Each frame is answered once — the `Ping` behind it
-/// would otherwise read a duplicate.
+/// A frame cut in two at every byte offset: the first read is short and
+/// leaves half a frame buffered, and the next read must bring the rest.
+/// Each frame is answered once — the `Ping` behind it would otherwise read
+/// a duplicate.
 #[test]
 fn a_frame_split_at_every_offset_is_answered_once() {
     let daemon = daemon_with(4);
@@ -268,9 +268,8 @@ fn a_frame_split_at_every_offset_is_answered_once() {
     daemon.shutdown();
 }
 
-/// Data and FIN arrive together: the short read ends the burst before the
-/// end of stream is seen; the request is still answered, and then the
-/// connection closes.
+/// Data and FIN arrive together: the request is answered before the
+/// next read sees the end of stream, and then the connection closes.
 #[test]
 fn data_followed_by_fin_is_answered_then_closed() {
     let daemon = daemon_with(4);

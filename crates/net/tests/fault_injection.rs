@@ -589,12 +589,12 @@ impl CellBackend for SlowReads {
     }
 }
 
-/// A turn longer than both timeouts — one read that the store takes
+/// A store call longer than both timeouts — one read that the store takes
 /// 600 ms over, against 200 ms deadlines — does not reap the peer it
-/// served: the peer's progress counts from the end of that turn, so the
-/// next turn (a second peer's accept) finds it barely idle.
+/// served: the deadlines run only while the connection's thread waits on
+/// its socket, so the peer is barely idle when it asks again.
 #[test]
-fn a_slow_turn_does_not_reap_the_peer_it_served() {
+fn a_slow_store_call_does_not_reap_the_peer_it_served() {
     let delay = Duration::from_millis(600);
     let mut server = Accounted::over(SlowReads { delay, ..Default::default() });
     server.init((0..4).map(|i| vec![i as u8; 16]).collect());
@@ -608,8 +608,8 @@ fn a_slow_turn_does_not_reap_the_peer_it_served() {
     let served = RemoteServer::connect(daemon.local_addr()).unwrap();
     let started = Instant::now();
     assert_eq!(served.try_read_batch(&[2]).unwrap(), vec![vec![2u8; 16]]);
-    assert!(started.elapsed() >= delay, "the read did not take the slow turn");
-    // A new peer wakes the loop straight after the slow turn.
+    assert!(started.elapsed() >= delay, "the read did not take the slow call");
+    // A second peer is served straight after the slow call.
     let next = RemoteServer::connect(daemon.local_addr()).unwrap();
     next.ping().unwrap();
 
@@ -630,7 +630,6 @@ fn wedged_reader_is_reaped_on_the_write_stall_deadline() {
     let mut server = SimServer::new();
     server.init((0..N).map(|i| vec![i as u8; LEN]).collect());
     let limits = DaemonLimits {
-        max_queued_bytes: 16 * 1024,
         write_stall_timeout: Some(Duration::from_millis(200)),
         idle_timeout: None, // isolate: only the stall deadline may fire
         ..Default::default()
@@ -638,8 +637,8 @@ fn wedged_reader_is_reaped_on_the_write_stall_deadline() {
     let daemon = NetDaemon::bind_with("127.0.0.1:0", server, limits).unwrap();
 
     // A raw peer sends 40 reads in one burst: ~256 KiB per response
-    // against a 16 KiB queue cap. It never reads, so the socket jams and
-    // write progress stops.
+    // against a 64 KiB cap on unsent bytes. It never reads, so the socket
+    // jams and write progress stops.
     let mut wedged = TcpStream::connect(daemon.local_addr()).unwrap();
     let read_all = dps_net::Request::ReadBatch { addrs: (0..N).collect() }.encode();
     let burst: Vec<u8> = (1..=40)

@@ -1,10 +1,10 @@
 //! Concurrency stress for the wire path: with many connections served
-//! by the daemon's one event loop, *determinism may not depend on
+//! by their own daemon threads, *determinism may not depend on
 //! who else is running*. Concurrent clients on disjoint address ranges
 //! lose no writes, observe their own writes, and leave final cells and
 //! aggregate model stats byte-identical across reruns; readers never see
-//! a torn batch while writers rewrite the same range, because the loop
-//! owns the store and executes one request at a time. Runs under both
+//! a torn batch while writers rewrite the same range, because the store
+//! sits behind one lock, held for one request at a time. Runs under both
 //! `RUST_TEST_THREADS=1` and the default parallelism in CI.
 
 use dps_net::{NetDaemon, RemoteServer};
@@ -86,7 +86,7 @@ fn disjoint_concurrent_writers_are_deterministic() {
 
 /// Readers scanning a whole range with single-batch reads must
 /// never observe a torn write while a writer rewrites that same range
-/// with single-batch strided writes: the event loop serializes the
+/// with single-batch strided writes: the store lock serializes the
 /// two below the transport, whichever connection they arrive on.
 #[test]
 fn same_range_batches_are_never_torn() {

@@ -2,11 +2,11 @@
 //! connection, each answered under its own id, in order. The client has
 //! one request in flight, so these tests drive raw sockets.
 //!
-//! * **Reassembly** — the event loop's partial-frame buffers reassemble
-//!   requests that arrive in arbitrary byte-level chunks, interleaved
-//!   across many sockets (proptest) — also when the live connections sit
-//!   around freed slots of the daemon's slab — answering every frame
-//!   under its own id.
+//! * **Reassembly** — the connection threads' partial-frame buffers
+//!   reassemble requests that arrive in arbitrary byte-level chunks,
+//!   interleaved across many sockets (proptest) — also when the live
+//!   connections sit around freed slots of the daemon's registry —
+//!   answering every frame under its own id.
 //! * **What the server sees of a pipelined window**: the transcript
 //!   recorded daemon-side is the one the same requests leave on a local
 //!   oracle.
@@ -110,9 +110,9 @@ fn ping(mut sock: &TcpStream) {
 /// The real sockets of a run. With `holes`, two decoys are connected
 /// between each pair of real ones and closed again, and two more real
 /// sockets are opened once the daemon has seen the closes: they take the
-/// first two freed slots, and two holes stay in front of the last real
-/// socket — so a connection's entry in the daemon's `pollfd` array is not
-/// at its slot's position, and only the entry's token finds the slot.
+/// first two freed slots of the daemon's registry, and two holes stay in
+/// front of the last real socket — so a connection's slot is not its
+/// position among the live ones.
 fn connect(daemon: &NetDaemon, holes: bool) -> Vec<TcpStream> {
     let open = || TcpStream::connect(daemon.local_addr()).unwrap();
     if !holes {
@@ -126,7 +126,8 @@ fn connect(daemon: &NetDaemon, holes: bool) -> Vec<TcpStream> {
     }
     drop(decoys);
     // After the first exchange every connection made so far is accepted;
-    // the turn that serves the second also reads the decoys' hang-ups.
+    // by the second the decoys' threads have had time to see their
+    // hang-ups.
     ping(&real[0]);
     ping(&real[0]);
     real.extend([open(), open()]);
@@ -139,7 +140,7 @@ proptest! {
     /// Byte-level chunking proptest: several raw sockets send their
     /// request streams in arbitrary small chunks, interleaved
     /// round-robin, so the daemon's per-connection assemblers constantly
-    /// hold partial frames from many peers at once — once on a fresh slab,
+    /// hold partial frames from many peers at once — once on a fresh registry,
     /// once with live connections around reused slots. Every socket must
     /// still get exactly its own answers, under its own ids, in order.
     #[test]
