@@ -101,9 +101,9 @@ use dps_crypto::rng::splitmix64;
 use dps_server::{check_upload, CostStats, ServerError, Storage, Transcript};
 
 use crate::wire::{
-    begin_init_chunk, end_init_chunk, frame_into, one_length, put_bytes, put_read_batch,
-    put_write_cells, put_xor_cells, FrameAssembler, Request, Response, ResponseView, WireError,
-    HEADER2_LEN, READ_CHUNK,
+    begin_init_chunk, end_init_chunk, frame_into, one_length, put_read_batch, put_write_cells,
+    put_xor_cells, FrameAssembler, Request, Response, ResponseView, WireError, HEADER2_LEN,
+    MAX_CELLS, READ_CHUNK,
 };
 
 /// A wire-level or model-level failure of a remote call.
@@ -410,10 +410,10 @@ impl RemoteServer {
 
     /// Round-trips the connection without touching any cell.
     pub fn ping(&self) -> Result<(), RemoteError> {
-        match self.request(&Request::Ping)? {
-            Response::Pong => Ok(()),
+        self.ask(&Request::Ping, |response| match response {
+            ResponseView::Pong => Ok(()),
             other => Err(unexpected(&other)),
-        }
+        })
     }
 
     /// The client-side wire counters alone (every model-level field
@@ -569,40 +569,59 @@ impl RemoteServer {
         }
     }
 
-    /// [`RemoteServer::exchange_in`] on the client's own send buffer.
+    /// [`RemoteServer::exchange_in`] on the client's own send buffer, the
+    /// answer parsed where it lies: a model failure (`Fail`) never reaches
+    /// `take`.
     fn call<T>(
         &self,
         replayable: bool,
         encode: impl FnOnce(u64, &mut Vec<u8>) -> Result<(), WireError>,
-        take: impl FnOnce(&[u8]) -> Result<T, RemoteError>,
+        take: impl FnOnce(ResponseView<'_>) -> Result<T, RemoteError>,
     ) -> Result<T, RemoteError> {
         let tx = &mut *self.tx.borrow_mut();
         tx.clear();
-        self.exchange_in(tx, replayable, encode, take)
+        self.exchange_in(tx, replayable, encode, |payload| match ResponseView::parse(payload)? {
+            ResponseView::Fail(e) => Err(RemoteError::Server(e)),
+            response => take(response),
+        })
     }
 
     /// Performs one framed exchange, returning the raw response payload.
     /// The wire counters are exact by construction: one fault-free
     /// `try_call`, one wire round trip.
     pub fn try_call(&self, request: &Request) -> Result<Vec<u8>, RemoteError> {
-        self.call(
-            idempotent(request),
-            |id, tx| request.encode_framed_into(id, tx),
-            |payload| Ok(payload.to_vec()),
-        )
+        let tx = &mut *self.tx.borrow_mut();
+        tx.clear();
+        let encode = |id, out: &mut Vec<u8>| request.encode_framed_into(id, out);
+        self.exchange_in(tx, idempotent(request), encode, |payload| Ok(payload.to_vec()))
     }
 
     /// [`RemoteServer::try_call`] plus response decoding, with in-band
-    /// server failures separated from wire failures.
+    /// server failures separated from wire failures. A `Cells` answer is
+    /// owned only once its count is the one the request asked for — one
+    /// cell per address of a `ReadBatch`, none for any other request — and
+    /// is [`WireError::CellCountMismatch`] otherwise: what an answer makes
+    /// this side allocate is what this side asked for.
     pub fn request(&self, request: &Request) -> Result<Response, RemoteError> {
-        self.call(
-            idempotent(request),
-            |id, tx| request.encode_framed_into(id, tx),
-            |payload| match Response::decode(payload)? {
-                Response::Fail(e) => Err(RemoteError::Server(e)),
-                response => Ok(response),
-            },
-        )
+        let asked = match request {
+            Request::ReadBatch { addrs } => addrs.len(),
+            _ => 0,
+        };
+        self.ask(request, |response| match response {
+            ResponseView::Cells(cells) if cells.n != asked => {
+                Err(WireError::CellCountMismatch { got: cells.n, expected: asked }.into())
+            }
+            response => Ok(response.into_owned()),
+        })
+    }
+
+    /// [`RemoteServer::call`] of an owned `request`.
+    fn ask<T>(
+        &self,
+        request: &Request,
+        take: impl FnOnce(ResponseView<'_>) -> Result<T, RemoteError>,
+    ) -> Result<T, RemoteError> {
+        self.call(idempotent(request), |id, tx| request.encode_framed_into(id, tx), take)
     }
 
     /// One exchange of a hot request, borrowed on both sides: `body`
@@ -619,43 +638,44 @@ impl RemoteServer {
     ) -> Result<T, RemoteError> {
         self.call(
             replayable,
-            |id, tx| frame_into(tx, id, body),
-            |payload| match ResponseView::parse(payload)? {
-                ResponseView::Fail(e) => Err(RemoteError::Server(e)),
-                response => take(response),
+            |id, tx| {
+                frame_into(tx, id, |buf| {
+                    body(buf);
+                    Ok(())
+                })
             },
+            take,
         )
     }
 
     fn expect_ok(&self, request: &Request) -> Result<(), RemoteError> {
-        match self.request(request)? {
-            Response::Ok => Ok(()),
+        self.ask(request, |response| match response {
+            ResponseView::Ok => Ok(()),
             other => Err(unexpected(&other)),
-        }
+        })
     }
 
     fn expect_number(&self, request: &Request) -> Result<u64, RemoteError> {
-        match self.request(request)? {
-            Response::Number(v) => Ok(v),
+        self.ask(request, |response| match response {
+            ResponseView::Number(v) => Ok(v),
             other => Err(unexpected(&other)),
-        }
+        })
     }
 
-    /// [`Storage::init_with`] as frames. The sink appends each cell, `len ‖
-    /// bytes`, to an `InitChunk` frame open in the send buffer — the one
-    /// copy this side of the wire — and a frame that has reached
-    /// `init_chunk_bytes` is shipped, and acknowledged, before the next cell
-    /// goes in: no frame exceeds the bound by more than one cell, and the
-    /// client never holds more of the database than that. Every cell has
-    /// the first one's length, so a frame's size is known at its first
-    /// cell and its buffer is reserved once, exactly: no frame lands in an
-    /// allocation twice its size (NOTES.md, entry 21). The last frame
-    /// carries `done` (an
-    /// empty database is that frame alone). The sink cannot fail, so the
-    /// first failure is latched: the cells after it are dropped, nothing
-    /// more is sent, and the caller gets the error once the producer
-    /// returns. A producer that miscounted panics before `done` is sent, so
-    /// the daemon keeps what it had.
+    /// [`Storage::init_with`] as frames. The sink appends each cell's bytes
+    /// to an `InitChunk` frame open in the send buffer — the one copy this
+    /// side of the wire — and a frame that has reached `init_chunk_bytes`
+    /// (or [`MAX_CELLS`]) is shipped, and acknowledged, before the next cell
+    /// goes in: no frame exceeds the bound by more than one cell. A frame
+    /// states its first cell's length as the stride of all, so its size is
+    /// known there and its buffer reserved once, exactly (NOTES.md, entries
+    /// 21 and 29); a cell of another length opens a frame of its own, which
+    /// the daemon refuses. The last frame carries `done` (an empty database
+    /// is that frame alone). The sink cannot fail, so the first failure is
+    /// latched: the cells after it are dropped, nothing more is sent, and
+    /// the caller gets the error once the producer returns. A producer that
+    /// miscounted panics before `done` is sent, so the daemon keeps what it
+    /// had.
     fn send_init(
         &self,
         capacity: usize,
@@ -663,49 +683,51 @@ impl RemoteServer {
     ) -> Result<(), RemoteError> {
         let tx = &mut *self.tx.borrow_mut();
         begin_init_chunk(tx);
-        let (mut cells, mut total, mut sent) = (0usize, 0usize, Ok(()));
+        let (mut shape, mut total, mut sent) = ((0usize, 0usize), 0usize, Ok(()));
         produce(&mut |cell| {
-            if sent.is_ok() && cells > 0 && tx.len() >= self.init_chunk_bytes {
-                sent = self.ship_init_chunk(tx, cells, false);
+            let (cells, stride) = shape;
+            let full = tx.len() >= self.init_chunk_bytes || cells == MAX_CELLS;
+            if sent.is_ok() && cells > 0 && (full || cell.len() != stride) {
+                sent = self.ship_init_chunk(tx, shape, false);
                 begin_init_chunk(tx);
-                cells = 0;
+                shape.0 = 0;
             }
             if sent.is_ok() {
-                if cells == 0 {
+                if shape.0 == 0 {
                     // As many cells as reach the bound, or as remain.
-                    let per = 8 + cell.len();
-                    let fit = self.init_chunk_bytes.saturating_sub(tx.len()).div_ceil(per);
-                    let left = capacity.saturating_sub(total);
-                    tx.reserve_exact(fit.clamp(1, left.max(1)) * per);
+                    shape.1 = cell.len();
+                    let fit = self.init_chunk_bytes.saturating_sub(tx.len());
+                    let left = capacity.saturating_sub(total).max(1);
+                    tx.reserve_exact(fit.div_ceil(shape.1.max(1)).clamp(1, left) * shape.1);
                 }
-                put_bytes(tx, cell);
-                cells += 1;
+                tx.extend_from_slice(cell);
+                shape.0 += 1;
             }
             total += 1;
         });
         assert_eq!(total, capacity, "set-up produced a different number of cells");
-        let done = sent.and_then(|()| self.ship_init_chunk(tx, cells, true));
+        let done = sent.and_then(|()| self.ship_init_chunk(tx, shape, true));
         tx.clear();
         tx.shrink_to(READ_CHUNK);
         done
     }
 
-    /// Seals the `InitChunk` frame open in `tx`, sends it and waits for its
-    /// `Ok`; `tx` comes back empty.
+    /// Seals the `InitChunk` frame open in `tx` (`shape.0` cells of
+    /// `shape.1` bytes), sends it and waits for its `Ok`; `tx` comes back empty.
     fn ship_init_chunk(
         &self,
         tx: &mut Vec<u8>,
-        cells: usize,
+        shape: (usize, usize),
         done: bool,
     ) -> Result<(), RemoteError> {
         self.exchange_in(
             tx,
             false,
-            |id, tx| end_init_chunk(tx, id, done, cells),
+            |id, tx| end_init_chunk(tx, id, done, shape),
             |payload| match ResponseView::parse(payload)? {
                 ResponseView::Ok => Ok(()),
                 ResponseView::Fail(e) => Err(RemoteError::Server(e)),
-                other => Err(unexpected(&other.into_owned())),
+                other => Err(unexpected(&other)),
             },
         )
     }
@@ -729,15 +751,14 @@ impl RemoteServer {
                 // visit per requested address, in order) even against a
                 // non-conforming peer — a broken wire must never silently
                 // fabricate or skip cells.
-                ResponseView::Cells(cells) if cells.len() != addrs.len() => {
-                    Err(WireError::CellCountMismatch { got: cells.len(), expected: addrs.len() }
-                        .into())
+                ResponseView::Cells(cells) if cells.n != addrs.len() => {
+                    Err(WireError::CellCountMismatch { got: cells.n, expected: addrs.len() }.into())
                 }
                 ResponseView::Cells(cells) => {
                     cells.iter().enumerate().for_each(|(i, cell)| visit(i, cell));
                     Ok(())
                 }
-                other => Err(unexpected(&other.into_owned())),
+                other => Err(unexpected(&other)),
             },
         )
     }
@@ -765,17 +786,18 @@ impl RemoteServer {
     }
 }
 
-/// "The response kind was wrong": a protocol violation.
-fn unexpected(response: &Response) -> RemoteError {
+/// "The response kind was wrong": a protocol violation, named from the
+/// answer where it lies — nothing of it is copied.
+fn unexpected(response: &ResponseView<'_>) -> RemoteError {
     WireError::BadPayload(match response {
-        Response::Ok => "unexpected Ok response",
-        Response::Pong => "unexpected Pong response",
-        Response::Number(_) => "unexpected Number response",
-        Response::Stats(_) => "unexpected Stats response",
-        Response::TranscriptData(_) => "unexpected Transcript response",
-        Response::Cells(_) => "unexpected Cells response",
-        Response::Bytes(_) => "unexpected Bytes response",
-        Response::Fail(_) => "unexpected Fail response",
+        ResponseView::Ok => "unexpected Ok response",
+        ResponseView::Pong => "unexpected Pong response",
+        ResponseView::Number(_) => "unexpected Number response",
+        ResponseView::Stats(_) => "unexpected Stats response",
+        ResponseView::TranscriptData(_) => "unexpected Transcript response",
+        ResponseView::Cells(_) => "unexpected Cells response",
+        ResponseView::Bytes(_) => "unexpected Bytes response",
+        ResponseView::Fail(_) => "unexpected Fail response",
     })
     .into()
 }
@@ -808,8 +830,8 @@ impl Storage for RemoteServer {
     }
 
     fn take_transcript(&mut self) -> Transcript {
-        let taken = self.request(&Request::TakeTranscript).and_then(|r| match r {
-            Response::TranscriptData(t) => Ok(t),
+        let taken = self.ask(&Request::TakeTranscript, |response| match response {
+            ResponseView::TranscriptData(t) => Ok(t),
             other => Err(unexpected(&other)),
         });
         infallible("take_transcript", taken)
@@ -818,8 +840,8 @@ impl Storage for RemoteServer {
     /// Server-side model counters plus this client's wire counters (the
     /// stats exchange itself included).
     fn stats(&self) -> CostStats {
-        let stats = self.request(&Request::Stats).and_then(|r| match r {
-            Response::Stats(s) => Ok(s.plus(&self.wire_stats())),
+        let stats = self.ask(&Request::Stats, |response| match response {
+            ResponseView::Stats(s) => Ok(s.plus(&self.wire_stats())),
             other => Err(unexpected(&other)),
         });
         infallible("stats", stats)
@@ -858,7 +880,7 @@ impl Storage for RemoteServer {
             |buf| put_write_cells(buf, shape, cells),
             |response| match response {
                 ResponseView::Ok => Ok(()),
-                other => Err(unexpected(&other.into_owned())),
+                other => Err(unexpected(&other)),
             },
         ))
     }
@@ -873,7 +895,7 @@ impl Storage for RemoteServer {
                     acc.extend_from_slice(fold);
                     Ok(())
                 }
-                other => Err(unexpected(&other.into_owned())),
+                other => Err(unexpected(&other)),
             },
         ))
     }
@@ -894,7 +916,7 @@ mod tests {
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let (id, _) = read_frame_v2(&mut stream).unwrap().expect("request");
-            let mut bytes = frame_v2(id, &[0x87; 10]).unwrap();
+            let mut bytes = frame_v2(id, &[0x8A; 10]).unwrap();
             bytes[4..8].copy_from_slice(&(MAX_FRAME as u32).to_le_bytes());
             stream.write_all(&bytes).unwrap();
         });
@@ -942,7 +964,7 @@ mod tests {
         assert_eq!(frames.len(), 3, "{frames:?}");
         assert_eq!(frames.iter().map(|f| f.2).sum::<usize>(), CELLS);
         for (i, &(len, done, _)) in frames.iter().enumerate() {
-            assert!(len <= DEFAULT_INIT_CHUNK_BYTES + CELL + 8, "frame {i} is {len} bytes");
+            assert!(len <= DEFAULT_INIT_CHUNK_BYTES + CELL, "frame {i} is {len} bytes");
             assert_eq!(done, i == 2, "only the last frame carries done");
         }
     }

@@ -100,23 +100,25 @@
 //! make it *allocate*. A chunked init whose flat-arena footprint
 //! (`cells × stride`) passes the budget is rejected by closing the
 //! connection before the chunk is kept. Legitimate deployments size
-//! [`DaemonLimits::max_stored_bytes`] to the machine. A set-up's cells
-//! have the first cell's length (NOTES.md, entry 21): a chunk holding a
-//! cell of another, in the same frame or a later one, closes the connection
-//! the same way, where a local caller's set-up would have panicked.
+//! [`DaemonLimits::max_stored_bytes`] to the machine. A set-up has one
+//! stride (NOTES.md, entries 21 and 29): each chunk states it once, for all
+//! its cells, and a chunk that states another than the run's first closes
+//! the connection the same way, where a local caller's set-up would have
+//! panicked.
 //!
 //! # Set-up
 //!
 //! The one request that is not served out of the in-buffer alone is a
 //! chunked init: its frames arrive over many reads, and the store takes
-//! a database whole (a crash must find the old one or the new one). The
-//! connection keeps the chunks' wire bytes end to end in one buffer —
-//! checked against the same budget before each is kept — and on `done`
-//! feeds them, and the last frame where it lies, cell by cell to
-//! [`Storage::init_with`]: the database is in memory twice while the store
-//! lays out its image, once (or, behind a bounded cache, not at all) when
-//! the answer leaves. A run of chunks is contiguous; any other request on
-//! the connection abandons and frees it.
+//! a database whole (a crash must find the old one or the new one). A
+//! chunk's cells are one flat run of `count × stride` bytes, and the
+//! connection keeps those bytes, and nothing per cell, end to end in one
+//! buffer — checked against the same budget before each chunk is kept —
+//! and on `done` feeds them, and the last frame where it lies, cell by cell
+//! to [`Storage::init_with`]: the database is in memory twice while the
+//! store lays out its image, once (or, behind a bounded cache, not at all)
+//! when the answer leaves. A run of chunks is contiguous; any other request
+//! on the connection abandons and frees it.
 
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -128,8 +130,8 @@ use std::time::{Duration, Instant};
 use dps_server::Storage;
 
 use crate::wire::{
-    begin_frame, end_frame, frame_into, put_bytes, put_cells_open, put_fold, Addrs, Cells,
-    CellsBuf, FrameAssembler, RequestView, Response, WireError, MAX_FRAME, READ_CHUNK,
+    begin_frame, end_frame, frame_into, put_cells_open, put_fold, Addrs, Cells, FrameAssembler,
+    RequestView, Response, WireError, MAX_FRAME, READ_CHUNK,
 };
 
 /// Per-cell bookkeeping bytes used when projecting an allocation from a
@@ -575,45 +577,47 @@ impl Conn {
 }
 
 /// Per-connection state of a chunked init that has not seen its `done`
-/// frame: the chunk bodies as they arrived, end to end in one buffer of
-/// wire bytes — read back through the parser's own `Cells` view, never a
-/// value per cell — and the run's stride, its first cell's length. The
-/// frame carrying `done` is not kept at all (it is fed to the store where
-/// it lies), and a stream is contiguous: any other request on the
-/// connection drops it.
+/// frame: the cells of the chunks as they arrived, end to end in one
+/// buffer — one allocation however many cells it holds, grown by exactly
+/// what each chunk adds (a large buffer is remapped by the allocator, not
+/// copied) — their count, and the run's one stride, that of its first chunk
+/// with a cell in it. The frame carrying `done` is not kept at all (it is
+/// fed to the store where it lies), and a stream is contiguous: any other
+/// request on the connection drops it.
 #[derive(Debug, Default)]
 struct PendingInit {
-    kept: CellsBuf,
+    flat: Vec<u8>,
+    count: usize,
     stride: Option<usize>,
 }
 
 impl PendingInit {
-    /// The run's stride once `more` joins it — `None` while it has no
-    /// cell — or a violation if a cell of `more` has another length.
-    fn stride_with(&self, more: Cells<'_>) -> Result<Option<usize>, WireError> {
-        let mut lens = more.iter().map(<[u8]>::len);
-        let stride = self.stride.or_else(|| lens.clone().next());
-        if lens.any(|len| Some(len) != stride) {
+    /// Whether `more` may join the run: its stride is the run's (a chunk
+    /// of no cells has none), and the run with it projects an arena
+    /// footprint within `budget` — the flat store allocates `capacity ×
+    /// stride`, which also bounds what is kept here until `done`.
+    fn admit(&self, more: Cells<'_>, budget: u64) -> Result<(), WireError> {
+        let stride = self.stride.unwrap_or(more.stride);
+        if more.n > 0 && more.stride != stride {
             return Err(WireError::BadPayload("set-up cells differ in length"));
         }
-        Ok(stride)
+        let count = self.count.saturating_add(more.n) as u64;
+        let per_cell = (stride as u64).saturating_add(CELL_OVERHEAD);
+        if count.saturating_mul(per_cell) > budget {
+            return Err(WireError::BadPayload("allocation exceeds daemon budget"));
+        }
+        Ok(())
     }
 
-    /// Projected arena footprint of the run with `more` joined, whose
-    /// cells are `stride` long: the flat store allocates `capacity ×
-    /// stride`. It also bounds what is kept here until `done`: `count × 8`
-    /// bytes plus the cells' own.
-    fn projected_bytes(&self, more: Cells<'_>, stride: Option<usize>) -> u64 {
-        let count = (self.kept.cells().len() + more.len()) as u64;
-        let stride = stride.unwrap_or(0) as u64;
-        count.saturating_mul(stride.saturating_add(CELL_OVERHEAD))
-    }
-
-    /// Copies `more`, whose cells are `stride` long, out of its frame,
-    /// behind what is already kept.
-    fn keep(&mut self, more: Cells<'_>, stride: Option<usize>) {
-        self.stride = stride;
-        self.kept.push(more);
+    /// Copies the bytes of `more` out of its frame, behind what is already
+    /// kept.
+    fn keep(&mut self, more: Cells<'_>) {
+        if more.n > 0 {
+            self.stride = Some(more.stride);
+        }
+        self.count += more.n;
+        self.flat.reserve_exact(more.body.len());
+        self.flat.extend_from_slice(more.body);
     }
 
     /// Set-up: the kept cells, then `last` straight from its frame, go to
@@ -621,10 +625,9 @@ impl PendingInit {
     /// them into its image the database is held twice — here and there —
     /// and once when this returns.
     fn feed<S: Storage>(self, last: Cells<'_>, server: &mut S) {
-        let kept = self.kept.cells();
-        server.init_with(kept.len() + last.len(), |sink| {
-            kept.iter().chain(last.iter()).for_each(sink)
-        });
+        let kept =
+            Cells { n: self.count, stride: self.stride.unwrap_or(last.stride), body: &self.flat };
+        server.init_with(kept.n + last.n, |sink| kept.iter().chain(last.iter()).for_each(sink));
     }
 }
 
@@ -666,14 +669,11 @@ fn dispatch<S: Storage>(
     let response = match request {
         RequestView::Ping => Response::Pong,
         RequestView::InitChunk { done, cells } => {
-            let stride = pending.stride_with(cells)?;
-            if pending.projected_bytes(cells, stride) > limits.max_stored_bytes {
-                return Err(WireError::BadPayload("allocation exceeds daemon budget"));
-            }
+            pending.admit(cells, limits.max_stored_bytes)?;
             if done {
                 std::mem::take(pending).feed(cells, server);
             } else {
-                pending.keep(cells, stride);
+                pending.keep(cells);
             }
             Response::Ok
         }
@@ -690,20 +690,22 @@ fn dispatch<S: Storage>(
             Response::Ok
         }
         RequestView::ReadBatch { addrs } => {
-            // Every cell is the stride long, so this bounds the answer:
+            // Every cell is the stride long, so this is the answer's size:
             // one that cannot fit a frame is refused before the store is
             // touched, not after it has been copied out cell by cell.
-            if addrs.len().saturating_mul(server.cell_stride() + 8) > MAX_FRAME - 9 {
+            let stride = server.cell_stride();
+            if addrs.len().saturating_mul(stride) > MAX_FRAME - 17 {
                 return Err(WireError::BadPayload("answer exceeds the frame cap"));
             }
-            // The cells go from the store into the out-buffer, once. If the
-            // walk fails the model has charged the cells it visited; their
-            // bytes are rolled back and the failure is the answer.
+            // The cells go from the store into the out-buffer, once, end
+            // to end. If the walk fails the model has charged the cells it
+            // visited; their bytes are rolled back and the failure is the
+            // answer.
             let mark = begin_frame(out);
-            put_cells_open(out, addrs.len());
-            match server
-                .read_batch_with(load(&mut scratch.addrs, addrs), |_, cell| put_bytes(out, cell))
-            {
+            put_cells_open(out, addrs.len(), stride);
+            match server.read_batch_with(load(&mut scratch.addrs, addrs), |_, cell| {
+                out.extend_from_slice(cell)
+            }) {
                 Ok(()) => return end_frame(out, mark, id),
                 Err(e) => {
                     out.truncate(mark);
@@ -712,24 +714,26 @@ fn dispatch<S: Storage>(
             }
         }
         RequestView::WriteBatchStrided { addrs, flat } => {
-            // The in-process API asserts these; a remote peer must not be
-            // able to panic the daemon.
-            if addrs.len() == 0 {
-                if !flat.is_empty() {
-                    return Err(WireError::BadPayload("flat bytes without addresses"));
-                }
-            } else if flat.len() % addrs.len() != 0 {
+            // The in-process API asserts that the address count divides
+            // the flat bytes (none without addresses); a remote peer must
+            // not be able to panic the daemon.
+            let n = addrs.len();
+            if flat.len().checked_rem(n).unwrap_or(flat.len()) != 0 {
                 return Err(WireError::BadPayload("flat length not a multiple of cell count"));
             }
-            let stride = flat.len().checked_div(addrs.len()).unwrap_or(0);
             // Straight off the frame: nothing between the in-buffer and
             // the store.
-            let cell = |(i, addr)| (addr, &flat[i * stride..(i + 1) * stride]);
-            ok_or_fail(server.write_cells(addrs.iter().enumerate().map(cell)))
+            let cells = Cells { n, stride: flat.len().checked_div(n).unwrap_or(0), body: flat };
+            ok_or_fail(server.write_cells(addrs.iter().zip(cells.iter())))
         }
         RequestView::XorCells { addrs } => {
             match server.xor_cells_into(load(&mut scratch.addrs, addrs), &mut scratch.fold) {
-                Ok(()) => return frame_into(out, id, |buf| put_fold(buf, &scratch.fold)),
+                Ok(()) => {
+                    return frame_into(out, id, |buf| {
+                        put_fold(buf, &scratch.fold);
+                        Ok(())
+                    })
+                }
                 Err(e) => Response::Fail(e),
             }
         }
@@ -766,9 +770,10 @@ mod tests {
         let chunk = |done| Request::InitChunk { done, cells: vec![vec![9u8; 1 << 10]; 1 << 10] };
         serve(&mut conn, &mut client, chunk(false), 1);
         serve(&mut conn, &mut client, chunk(false), 2);
-        assert_eq!(conn.pending.kept.cells().len(), 2 << 10);
+        assert_eq!(conn.pending.count, 2 << 10);
+        assert_eq!(conn.pending.flat.len(), 2 << 20, "the cells' bytes, and nothing per cell");
         serve(&mut conn, &mut client, chunk(true), 3);
-        assert_eq!(conn.pending.kept.cells().len(), 0);
+        assert_eq!((conn.pending.count, conn.pending.flat.capacity()), (0, 0));
         assert!(conn.assembler.capacity() <= READ_CHUNK, "{}", conn.assembler.capacity());
         assert_eq!(store.lock().unwrap().capacity(), 3 << 10);
     }

@@ -30,7 +30,9 @@
 //! [`Request`] frame carries one [`Storage`](dps_server::Storage)
 //! operation — batch reads, strided batch writes and XOR partials each fit
 //! in a single frame, which is what keeps every batch operation a single
-//! round trip on the wire.
+//! round trip on the wire. No cell carries a length of its own: a cell list
+//! (`Cells`, `InitChunk`) is a count, one stride and `count × stride` bytes
+//! (NOTES.md, entry 29).
 //!
 //! There is one encoder and one parser per message. Both work on borrowed
 //! parts — the parser hands out views into the payload it validated
@@ -62,6 +64,10 @@ pub const HEADER2_LEN: usize = 16;
 /// can make the receiver allocate. Set-up is not bounded by it: the client
 /// streams a database of any size as `InitChunk` frames of about 1 MiB.
 pub const MAX_FRAME: usize = 1 << 28;
+
+/// Most cells one cell list may name: as many addresses as a frame holds.
+/// It bounds a list of empty cells (stride 0); its body bounds any other.
+pub(crate) const MAX_CELLS: usize = MAX_FRAME / 8;
 
 /// Errors raised by the frame codec and message (de)serialization.
 ///
@@ -192,14 +198,15 @@ pub(crate) fn end_frame(out: &mut Vec<u8>, mark: usize, id: u64) -> Result<(), W
     seal_frame_v2(&mut out[mark..], id).inspect_err(|_| out.truncate(mark))
 }
 
-/// Appends one frame to `out`: header, then whatever `body` writes.
+/// Appends one frame to `out`: header, then whatever `body` writes. If
+/// `body` or the seal fails, `out` is rolled back to where it was.
 pub(crate) fn frame_into(
     out: &mut Vec<u8>,
     id: u64,
-    body: impl FnOnce(&mut Vec<u8>),
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     let mark = begin_frame(out);
-    body(out);
+    body(out).inspect_err(|_| out.truncate(mark))?;
     end_frame(out, mark, id)
 }
 
@@ -397,7 +404,7 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_u64(buf, b.len() as u64);
     buf.extend_from_slice(b);
 }
@@ -410,11 +417,14 @@ fn put_addrs(buf: &mut Vec<u8>, n: usize, addrs: impl Iterator<Item = usize>) {
     }
 }
 
-fn put_cells(buf: &mut Vec<u8>, cells: &[Vec<u8>]) {
-    put_u64(buf, cells.len() as u64);
-    for cell in cells {
-        put_bytes(buf, cell);
-    }
+/// A cell list: its count, its one stride, then the cells end to end.
+fn put_cells(buf: &mut Vec<u8>, cells: &[Vec<u8>]) -> Result<(), WireError> {
+    let (n, stride) = one_length(cells.iter().map(|cell| (0, &cell[..])))
+        .ok_or(WireError::BadPayload("cells differ in length"))?;
+    put_u64(buf, n as u64);
+    put_u64(buf, stride as u64);
+    cells.iter().for_each(|cell| buf.extend_from_slice(cell));
+    Ok(())
 }
 
 // ---- Message bodies ----------------------------------------------------
@@ -477,8 +487,8 @@ pub(crate) fn put_write_cells<'a>(
     put_write_strided(buf, n, addrs, n * len, cells.map(|(_, cell)| cell));
 }
 
-/// Starts `out` over as one open `InitChunk` frame: each cell follows
-/// through [`put_bytes`], and [`end_init_chunk`] fills in what is only known
+/// Starts `out` over as one open `InitChunk` frame: the cells' bytes
+/// follow, end to end, and [`end_init_chunk`] fills in what is only known
 /// once the last one is in.
 pub(crate) fn begin_init_chunk(out: &mut Vec<u8>) {
     out.clear();
@@ -486,27 +496,30 @@ pub(crate) fn begin_init_chunk(out: &mut Vec<u8>) {
     out.push(op::INIT_CHUNK);
     out.push(0);
     put_u64(out, 0);
+    put_u64(out, 0);
 }
 
 /// Seals the `InitChunk` frame [`begin_init_chunk`] opened in `out` under
-/// `id`: its `done` byte, the count of the `cells` appended since, the
-/// frame header.
+/// `id`: its `done` byte, the count of the `cells` of `stride` bytes
+/// appended since, the frame header.
 pub(crate) fn end_init_chunk(
     out: &mut Vec<u8>,
     id: u64,
     done: bool,
-    cells: usize,
+    (cells, stride): (usize, usize),
 ) -> Result<(), WireError> {
     out[HEADER2_LEN + 1] = u8::from(done);
     out[HEADER2_LEN + 2..HEADER2_LEN + 10].copy_from_slice(&(cells as u64).to_le_bytes());
+    out[HEADER2_LEN + 10..HEADER2_LEN + 18].copy_from_slice(&(stride as u64).to_le_bytes());
     end_frame(out, 0, id)
 }
 
-/// Opens a `Cells` answer of `n` cells; each cell follows through
-/// [`put_bytes`].
-pub(crate) fn put_cells_open(buf: &mut Vec<u8>, n: usize) {
+/// Opens a `Cells` answer of `n` cells of `stride` bytes; their bytes
+/// follow, end to end.
+pub(crate) fn put_cells_open(buf: &mut Vec<u8>, n: usize, stride: usize) {
     buf.push(op::R_CELLS);
     put_u64(buf, n as u64);
+    put_u64(buf, stride as u64);
 }
 
 /// A `Bytes` answer (an XOR fold).
@@ -612,14 +625,17 @@ impl<'a> Reader<'a> {
         Ok(Addrs(raw))
     }
 
-    /// A cell list, validated: every length prefix fits what follows it.
+    /// A cell list, validated: a count of at most [`MAX_CELLS`], one
+    /// stride, and `count × stride` bytes, checked once.
     fn cells(&mut self) -> Result<Cells<'a>, WireError> {
-        let n = self.count(8)?;
-        let body = self.buf;
-        for _ in 0..n {
-            self.bytes()?;
+        let (n, stride) = (self.size()?, self.size()?);
+        let len = (n.checked_mul(stride))
+            .filter(|_| n <= MAX_CELLS)
+            .ok_or(WireError::BadPayload("cell list overflows a frame"))?;
+        if len > self.buf.len() {
+            return Err(WireError::BadPayload("cell list exceeds remaining body"));
         }
-        Ok(Cells { n, body: &body[..body.len() - self.buf.len()] })
+        Ok(Cells { n, stride, body: self.take(len)? })
     }
 
     fn stats(&mut self) -> Result<CostStats, WireError> {
@@ -693,43 +709,29 @@ impl<'a> Addrs<'a> {
     }
 }
 
-/// A validated cell list, still in wire form.
+/// A validated cell list, still in wire form: `n` cells of `stride` bytes,
+/// end to end in `body` (`n × stride` bytes).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cells<'a> {
-    n: usize,
-    body: &'a [u8],
+    pub(crate) n: usize,
+    pub(crate) stride: usize,
+    pub(crate) body: &'a [u8],
 }
 
 impl<'a> Cells<'a> {
-    pub(crate) fn len(&self) -> usize {
-        self.n
-    }
-
+    /// The cells in order: `n` of them at any stride, empty ones at 0.
     pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + Clone + 'a {
-        let mut r = Reader::new(self.body);
-        (0..self.n).map(move |_| r.bytes().expect("validated by the parser"))
-    }
-}
-
-/// Validated cell lists kept past their frames: their wire bytes, end to
-/// end in one buffer, read back through the same [`Cells`] view — one
-/// allocation however many cells it holds, grown by exactly what each list
-/// adds (a large buffer is remapped by the allocator, not copied).
-#[derive(Debug, Default)]
-pub(crate) struct CellsBuf {
-    n: usize,
-    body: Vec<u8>,
-}
-
-impl CellsBuf {
-    pub(crate) fn push(&mut self, more: Cells<'_>) {
-        self.n += more.n;
-        self.body.reserve_exact(more.body.len());
-        self.body.extend_from_slice(more.body);
+        let Cells { n, stride, body } = *self;
+        (0..n).map(move |i| &body[i * stride..(i + 1) * stride])
     }
 
-    pub(crate) fn cells(&self) -> Cells<'_> {
-        Cells { n: self.n, body: &self.body }
+    /// Refuses a list whose owned form, a 24-byte `Vec` per cell, would
+    /// take more than 8 bytes per byte of the `payload` it came in: cells
+    /// shorter than 3 bytes (empty ones above all) do not pay for theirs.
+    fn ownable(self, payload: &[u8]) -> Result<(), WireError> {
+        let fits = self.n.saturating_mul(size_of::<Vec<u8>>()) <= 8 * payload.len();
+        fits.then_some(())
+            .ok_or(WireError::BadPayload("cell list too long to own"))
     }
 }
 
@@ -873,11 +875,11 @@ impl<'a> ResponseView<'a> {
 
 // ---- Messages ----------------------------------------------------------
 
-// 0x02, 0x03, 0x05, 0x09, 0x0D, 0x0E, 0x10 and 0x84 are retired
-// (whole-database init, empty init, stored-bytes query, recording-state
-// query, the upload frame of cells of several lengths, one-cell write,
-// combined read+write, boolean response), and so is tag 1 (a never-written
-// cell) of the `R_FAIL` body: never reuse them.
+// Retired, never reuse: 0x02 whole-database init, 0x03 empty init, 0x05
+// stored-bytes query, 0x09 recording-state query, 0x0D upload of cells of
+// several lengths, 0x0E one-cell write, 0x10 read+write, 0x12 and 0x87 the
+// set-up chunk and `Cells` answer with a length per cell, 0x84 boolean
+// response, and tag 1 (a never-written cell) of the `R_FAIL` body.
 mod op {
     pub const PING: u8 = 0x01;
     pub const CAPACITY: u8 = 0x04;
@@ -889,16 +891,16 @@ mod op {
     pub const READ_BATCH: u8 = 0x0C;
     pub const WRITE_BATCH_STRIDED: u8 = 0x0F;
     pub const XOR_CELLS: u8 = 0x11;
-    pub const INIT_CHUNK: u8 = 0x12;
+    pub const INIT_CHUNK: u8 = 0x13;
 
     pub const R_OK: u8 = 0x81;
     pub const R_PONG: u8 = 0x82;
     pub const R_NUMBER: u8 = 0x83;
     pub const R_STATS: u8 = 0x85;
     pub const R_TRANSCRIPT: u8 = 0x86;
-    pub const R_CELLS: u8 = 0x87;
     pub const R_BYTES: u8 = 0x88;
     pub const R_FAIL: u8 = 0x89;
+    pub const R_CELLS: u8 = 0x8A;
 }
 
 /// One client request: the required [`Storage`](dps_server::Storage)
@@ -917,7 +919,7 @@ pub enum Request {
     InitChunk {
         /// True on the final chunk: apply the accumulated cells.
         done: bool,
-        /// The next cells, in address order.
+        /// The next cells, in address order, of one length.
         cells: Vec<Vec<u8>>,
     },
     /// [`Storage::capacity`](dps_server::Storage::capacity).
@@ -957,16 +959,17 @@ pub enum Request {
 
 impl Request {
     /// Encodes into a payload (opcode + body), without the frame header.
+    /// Panics on cells of two lengths, which have no encoding.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        self.encode_into(&mut buf);
+        self.encode_into(&mut buf).unwrap_or_else(|e| panic!("{e}"));
         buf
     }
 
     /// Encodes straight into a ready-to-send frame ([`HEADER2_LEN`] bytes
     /// of header followed by the payload) with a single allocation and no
     /// payload copy. The header carries `id`, which the server echoes on
-    /// the matching response.
+    /// the matching response. Cells of two lengths are `BadPayload`.
     pub fn encode_framed_v2(&self, id: u64) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::new();
         self.encode_framed_into(id, &mut buf)?;
@@ -980,13 +983,13 @@ impl Request {
         frame_into(out, id, |buf| self.encode_into(buf))
     }
 
-    fn encode_into(&self, buf: &mut Vec<u8>) {
+    fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
         match self {
             Request::Ping => buf.push(op::PING),
             Request::InitChunk { done, cells } => {
                 buf.push(op::INIT_CHUNK);
                 buf.push(u8::from(*done));
-                put_cells(buf, cells);
+                put_cells(buf, cells)?;
             }
             Request::Capacity => buf.push(op::CAPACITY),
             Request::CellStride => buf.push(op::CELL_STRIDE),
@@ -1001,11 +1004,18 @@ impl Request {
             }
             Request::XorCells { addrs } => put_xor_cells(buf, addrs),
         }
+        Ok(())
     }
 
-    /// Decodes a payload produced by [`Request::encode`].
+    /// Decodes a payload produced by [`Request::encode`], allocating at
+    /// most 8 bytes per payload byte: more cells than one per 3 bytes are
+    /// `BadPayload` here, where the daemon, reading in place, takes them.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        RequestView::parse(payload).map(RequestView::into_owned)
+        let request = RequestView::parse(payload)?;
+        if let RequestView::InitChunk { cells, .. } = request {
+            cells.ownable(payload)?;
+        }
+        Ok(request.into_owned())
     }
 }
 
@@ -1022,7 +1032,7 @@ pub enum Response {
     Stats(CostStats),
     /// The recorded transcript.
     TranscriptData(Transcript),
-    /// Downloaded cells, in request order.
+    /// Downloaded cells, in request order, of one length.
     Cells(Vec<Vec<u8>>),
     /// Raw bytes (an XOR fold result).
     Bytes(Vec<u8>),
@@ -1033,15 +1043,17 @@ pub enum Response {
 
 impl Response {
     /// Encodes into a payload (opcode + body), without the frame header.
+    /// Panics on cells of two lengths, which have no encoding.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        self.encode_into(&mut buf);
+        self.encode_into(&mut buf).unwrap_or_else(|e| panic!("{e}"));
         buf
     }
 
     /// Encodes straight into a ready-to-send frame ([`HEADER2_LEN`] bytes
     /// of header followed by the payload) with a single allocation and no
     /// payload copy, echoing the id of the request this response answers.
+    /// Cells of two lengths are `BadPayload`.
     pub fn encode_framed_v2(&self, id: u64) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::new();
         self.encode_framed_into(id, &mut buf)?;
@@ -1055,7 +1067,7 @@ impl Response {
         frame_into(out, id, |buf| self.encode_into(buf))
     }
 
-    fn encode_into(&self, buf: &mut Vec<u8>) {
+    fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
         match self {
             Response::Ok => buf.push(op::R_OK),
             Response::Pong => buf.push(op::R_PONG),
@@ -1072,8 +1084,8 @@ impl Response {
                 put_transcript(buf, t);
             }
             Response::Cells(cells) => {
-                put_cells_open(buf, cells.len());
-                cells.iter().for_each(|cell| put_bytes(buf, cell));
+                buf.push(op::R_CELLS);
+                put_cells(buf, cells)?;
             }
             Response::Bytes(b) => put_fold(buf, b),
             Response::Fail(e) => {
@@ -1098,11 +1110,18 @@ impl Response {
                 }
             }
         }
+        Ok(())
     }
 
-    /// Decodes a payload produced by [`Response::encode`].
+    /// Decodes a payload produced by [`Response::encode`], allocating at
+    /// most 8 bytes per payload byte, as [`Request::decode`] does; a client
+    /// checks a `Cells` answer's count against its request instead.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        ResponseView::parse(payload).map(ResponseView::into_owned)
+        let response = ResponseView::parse(payload)?;
+        if let ResponseView::Cells(cells) = response {
+            cells.ownable(payload)?;
+        }
+        Ok(response.into_owned())
     }
 }
 
@@ -1165,8 +1184,9 @@ mod tests {
     fn request_roundtrip_covers_every_variant() {
         let reqs = vec![
             Request::Ping,
-            Request::InitChunk { done: true, cells: vec![vec![1, 2], vec![], vec![3]] },
+            Request::InitChunk { done: true, cells: vec![vec![1, 2], vec![3, 4], vec![5, 6]] },
             Request::InitChunk { done: false, cells: vec![vec![4; 3]] },
+            Request::InitChunk { done: false, cells: vec![vec![]; 4] },
             Request::InitChunk { done: true, cells: vec![] },
             Request::Capacity,
             Request::CellStride,
@@ -1201,6 +1221,8 @@ mod tests {
             }),
             Response::TranscriptData(t),
             Response::Cells(vec![vec![0; 4], vec![1; 4]]),
+            Response::Cells(vec![vec![]; 3]),
+            Response::Cells(vec![]),
             Response::Bytes(vec![0xAB; 7]),
             Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
             Response::Fail(ServerError::Interrupted),
@@ -1222,21 +1244,97 @@ mod tests {
         );
     }
 
+    /// A cell list's head — `count`, `stride` — behind `prefix`, then
+    /// `body`.
+    fn cell_list(prefix: &[u8], count: u64, stride: u64, body: &[u8]) -> Vec<u8> {
+        let mut payload = prefix.to_vec();
+        put_u64(&mut payload, count);
+        put_u64(&mut payload, stride);
+        payload.extend_from_slice(body);
+        payload
+    }
+
+    /// A cell-list payload through the owned decoder of its message.
+    fn decode(payload: &[u8]) -> Result<(), WireError> {
+        match payload[0] {
+            op::R_CELLS => Response::decode(payload).map(|_| ()),
+            _ => Request::decode(payload).map(|_| ()),
+        }
+    }
+
+    /// A cell-list payload through the parser the daemon and the client's
+    /// data paths read it with, which allocates nothing.
+    fn parse(payload: &[u8]) -> Result<(), WireError> {
+        match payload[0] {
+            op::R_CELLS => ResponseView::parse(payload).map(|_| ()),
+            _ => RequestView::parse(payload).map(|_| ()),
+        }
+    }
+
+    /// In both cell lists — the `Cells` answer and the `InitChunk` request
+    /// — a count past [`MAX_CELLS`], a `count × stride` that overflows, and
+    /// a body longer or shorter than `count × stride` are each a typed
+    /// error, found before anything is allocated. [`MAX_CELLS`] empty cells
+    /// parse in place, and are too many to own.
     #[test]
     fn corrupt_counts_cannot_force_allocation() {
-        // A Cells response whose count field claims 2^60 entries but whose
-        // body ends immediately must fail on the count check, not OOM.
-        let mut payload = vec![super::op::R_CELLS];
-        put_u64(&mut payload, 1 << 60);
-        assert_eq!(
-            Response::decode(&payload),
-            Err(WireError::BadPayload("count exceeds remaining body"))
-        );
+        for prefix in [&[op::R_CELLS][..], &[op::INIT_CHUNK, 1]] {
+            let refused = |count, stride, body: &[u8], why| {
+                let payload = cell_list(prefix, count, stride, body);
+                assert_eq!(parse(&payload), Err(WireError::BadPayload(why)), "{payload:02x?}");
+                assert_eq!(decode(&payload), Err(WireError::BadPayload(why)), "{payload:02x?}");
+            };
+            refused(1 << 60, 0, &[], "cell list overflows a frame");
+            refused(MAX_CELLS as u64 + 1, 0, &[], "cell list overflows a frame");
+            refused(1 << 20, 1 << 60, &[7; 8], "cell list overflows a frame");
+            refused(4, u64::MAX, &[], "cell list overflows a frame");
+            let most = cell_list(prefix, MAX_CELLS as u64, 0, &[]);
+            assert_eq!(parse(&most), Ok(()));
+            assert_eq!(decode(&most), Err(WireError::BadPayload("cell list too long to own")));
+            refused(3, 4, &[7; 11], "cell list exceeds remaining body");
+            refused(3, 4, &[7; 13], "trailing bytes after message");
+            refused(0, 4, &[7; 4], "trailing bytes after message");
+            refused(2, 0, &[7], "trailing bytes after message");
+            assert_eq!(decode(&cell_list(prefix, 3, 4, &[7; 12])), Ok(()));
+        }
+    }
+
+    /// The owned decoders allocate at most 8 bytes per payload byte: one
+    /// 24-byte `Vec` per cell, so a list of cells shorter than 3 bytes is
+    /// owned only up to one cell per 3 payload bytes. The parser takes it
+    /// whole, and cells of 3 bytes or more always pay for their `Vec`s.
+    #[test]
+    fn owned_decoders_own_what_their_payload_pays_for() {
+        for stride in 0..5 {
+            for n in [0, 1, 2, 3, 5, 6, 8, 9, 17, 18, 19, 100] {
+                let cells = vec![vec![7u8; stride]; n];
+                let chunk = Request::InitChunk { done: true, cells: cells.clone() };
+                for payload in [Response::Cells(cells).encode(), chunk.encode()] {
+                    let paid = 24 * n <= 8 * payload.len();
+                    assert!(paid || stride < 3, "{n} cells of {stride} bytes");
+                    assert_eq!(parse(&payload), Ok(()));
+                    let why = Err(WireError::BadPayload("cell list too long to own"));
+                    assert_eq!(decode(&payload), if paid { Ok(()) } else { why });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_ragged_cell_list_has_no_encoding() {
+        let ragged = vec![vec![1u8; 3], vec![2u8; 4]];
+        let why = Err(WireError::BadPayload("cells differ in length"));
+        let mut out = vec![0xEE; 3];
+        assert_eq!(Response::Cells(ragged.clone()).encode_framed_into(5, &mut out), why);
+        let chunk = Request::InitChunk { done: true, cells: ragged };
+        assert_eq!(chunk.encode_framed_into(5, &mut out), why);
+        assert_eq!(out, vec![0xEE; 3], "a refused frame leaves no bytes behind");
     }
 
     #[test]
     fn visit_cells_borrows_in_order() {
         let payload = Response::Cells(vec![vec![5; 3], vec![9; 3]]).encode();
+        assert_eq!(payload.len(), 1 + 8 + 8 + 6, "one stride for the list, no length per cell");
         let mut seen = Vec::new();
         assert!(visit_cells(&payload, |i, c| seen.push((i, c.to_vec()))).unwrap());
         assert_eq!(seen, vec![(0, vec![5; 3]), (1, vec![9; 3])]);
@@ -1244,18 +1342,34 @@ mod tests {
         assert!(!visit_cells(&Response::Ok.encode(), |_, _| {}).unwrap());
     }
 
+    /// A list of stride 0 has no bytes, and still `count` cells.
+    #[test]
+    fn a_stride_0_cells_answer_is_visited_count_times() {
+        let payload = cell_list(&[op::R_CELLS], 5, 0, &[]);
+        let mut seen = Vec::new();
+        assert!(visit_cells(&payload, |i, c| seen.push((i, c.len()))).unwrap());
+        assert_eq!(seen, (0..5).map(|i| (i, 0)).collect::<Vec<_>>());
+        assert_eq!(Response::decode(&payload), Ok(Response::Cells(vec![vec![]; 5])));
+    }
+
     /// Retired opcodes among them: the whole-database init (0x02), the
-    /// empty init (0x03), the stored-bytes query (0x05) and the upload
-    /// frame of cells of several lengths (0x0D) are unknown now, whatever
-    /// follows them; so is the retired failure tag of a never-written cell.
+    /// empty init (0x03), the stored-bytes query (0x05), the upload frame
+    /// of cells of several lengths (0x0D) and the set-up chunk that gave
+    /// each cell a length (0x12) are unknown now, whatever follows them; so
+    /// are the `Cells` answer that did the same (0x87) and the retired
+    /// failure tag of a never-written cell.
     #[test]
     fn unknown_opcodes_are_typed_errors() {
-        for op in [0x7F, 0x02, 0x03, 0x05, 0x0D] {
+        for op in [0x7F, 0x02, 0x03, 0x05, 0x0D, 0x12] {
             let payload = [&[op][..], &1u64.to_le_bytes()].concat();
             assert_eq!(Request::decode(&payload[..1]), Err(WireError::UnknownOpcode(op)));
             assert_eq!(Request::decode(&payload), Err(WireError::UnknownOpcode(op)));
         }
         assert_eq!(Response::decode(&[0x20]), Err(WireError::UnknownOpcode(0x20)));
+        // The retired `Cells` answer, as its last daemon wrote one cell.
+        let old_cells = [&[0x87][..], &1u64.to_le_bytes(), &1u64.to_le_bytes(), &[9]].concat();
+        assert_eq!(Response::decode(&old_cells), Err(WireError::UnknownOpcode(0x87)));
+        assert_eq!(visit_cells(&old_cells, |_, _| {}), Ok(false));
         // The retired failure tag: what any unknown tag is.
         let never_written = [&[op::R_FAIL, 1][..], &3u64.to_le_bytes()].concat();
         assert_eq!(

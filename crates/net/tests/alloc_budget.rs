@@ -17,6 +17,15 @@
 //! single-byte corruption — the count fields among them — is a typed error
 //! or the value that encodes to exactly those bytes, never a panic and
 //! never an allocation that a count, rather than the bytes present, sized.
+//! A cell list whose `count × stride` overflows or disagrees with its body
+//! is refused before anything is allocated, and so is one of more cells
+//! than the bytes present pay an owned `Vec` for — a list of empty cells
+//! among them, whose count no byte pays for.
+//!
+//! **An answer costs the client what it asked for**: a peer that answers
+//! any call with a `Cells` frame of the most empty cells a frame may name
+//! (25 bytes) gets a typed error back, and the client allocates nothing
+//! that count sized.
 //!
 //! **Set-up holds the database at most twice, and once when it returns**:
 //! the bytes the process has requested and not given back — client and
@@ -38,8 +47,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dps_core::dp_ir::{DpIr, DpIrConfig};
 use dps_core::dp_ram::{DpRam, DpRamConfig};
 use dps_crypto::ChaChaRng;
-use dps_net::wire::visit_cells;
-use dps_net::{NetDaemon, RemoteServer, Request, Response};
+use dps_net::wire::{frame_v2, read_frame_v2, visit_cells};
+use dps_net::{NetDaemon, RemoteServer, Request, Response, WireError};
 use dps_server::{
     AccessEvent, CostStats, DiskOptions, DiskStore, ServerError, SimServer, Storage, Transcript,
 };
@@ -118,6 +127,7 @@ const EXCHANGES: u64 = 1_000;
 fn the_data_path_and_the_parser_keep_to_their_allocation_budgets() {
     a_steady_state_exchange_costs_no_allocator_call();
     the_parser_allocates_in_proportion_to_its_input();
+    an_answer_costs_the_client_what_it_asked_for();
     set_up_holds_the_database_twice_at_most_and_once_when_it_returns();
     an_abandoned_chunked_init_is_freed_by_the_next_request();
 }
@@ -256,7 +266,8 @@ fn a_steady_state_exchange_costs_no_allocator_call() {
 
 /// One of every request and response, small enough to corrupt exhaustively.
 fn every_message() -> (Vec<Request>, Vec<Response>) {
-    let cells = || vec![vec![1u8, 2], vec![], vec![3u8; 5]];
+    let cells = || vec![vec![1u8, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
+    let empty = || vec![vec![]; 3];
     let mut transcript = Transcript::new();
     transcript.push_batch(vec![AccessEvent::Download(3), AccessEvent::Upload(1)]);
     transcript.push_batch(vec![]);
@@ -265,6 +276,7 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
         Request::Ping,
         Request::InitChunk { done: true, cells: cells() },
         Request::InitChunk { done: false, cells: cells() },
+        Request::InitChunk { done: true, cells: empty() },
         Request::Capacity,
         Request::CellStride,
         Request::StartRecording,
@@ -282,6 +294,7 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
         Response::Stats(CostStats { downloads: 1, bytes_up: 9, ..Default::default() }),
         Response::TranscriptData(transcript),
         Response::Cells(cells()),
+        Response::Cells(empty()),
         Response::Bytes(vec![0xAB; 7]),
         Response::Fail(ServerError::OutOfBounds { addr: 12, capacity: 10 }),
         Response::Fail(ServerError::Interrupted),
@@ -293,8 +306,9 @@ fn every_message() -> (Vec<Request>, Vec<Response>) {
 
 /// Decodes `input` with `decode` and holds the outcome to the contract:
 /// the largest allocation is a small multiple of the input (an owned cell
-/// costs a 24-byte `Vec` per 8-byte length prefix; nothing costs more),
-/// and a value that decodes is the one `input` encodes.
+/// costs a 24-byte `Vec`, which at least 3 bytes of the input pay for;
+/// nothing costs more), and a value that decodes is the one `input`
+/// encodes.
 fn decode_within_budget<T>(
     input: &[u8],
     decode: impl Fn(&[u8]) -> Result<T, dps_net::WireError>,
@@ -316,6 +330,65 @@ fn decode_within_budget<T>(
         }
         Err(_) => false,
     }
+}
+
+/// A peer that answers every request with a `Cells` frame naming the most
+/// empty cells a frame may (2^25, in 25 bytes): every call the client makes
+/// fails typed — the `Storage` ones by panicking, as wire failures do — and
+/// none of them allocates anything near the 768 MiB that an owned copy of
+/// that list would take.
+fn an_answer_costs_the_client_what_it_asked_for() {
+    use std::io::Write;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("address");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut answer = vec![0x8A];
+        answer.extend_from_slice(&(1u64 << 25).to_le_bytes());
+        answer.extend_from_slice(&0u64.to_le_bytes());
+        while let Ok(Some((id, _))) = read_frame_v2(&mut stream) {
+            let sent = stream.write_all(&frame_v2(id, &answer).expect("frame"));
+            if sent.is_err() {
+                break;
+            }
+        }
+    });
+    let mut remote = RemoteServer::connect(addr).expect("connect");
+    let costs = |what: &str, call: &mut dyn FnMut() -> bool| {
+        LARGEST.store(0, Ordering::Relaxed);
+        assert!(call(), "{what} took the hostile answer");
+        let largest = LARGEST.load(Ordering::Relaxed);
+        assert!(largest <= MIB, "{what} allocated {largest} bytes at once for a 25-byte answer");
+    };
+    let mismatch = |expected| WireError::CellCountMismatch { got: 1 << 25, expected };
+    let named = Err(WireError::BadPayload("unexpected Cells response").into());
+    costs("ping", &mut || remote.ping() == named);
+    costs("request(Ping)", &mut || remote.request(&Request::Ping) == Err(mismatch(0).into()));
+    let read = Request::ReadBatch { addrs: vec![0, 1, 2] };
+    costs("request(ReadBatch)", &mut || remote.request(&read) == Err(mismatch(3).into()));
+    costs("try_read_batch_with", &mut || {
+        remote.try_read_batch_with(&[0, 1, 2], |_, _| {}) == Err(mismatch(3).into())
+    });
+
+    let mut panics = |what: &str, call: &mut dyn FnMut(&mut RemoteServer)| {
+        costs(what, &mut || {
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let refused = catch_unwind(AssertUnwindSafe(|| call(&mut remote))).is_err();
+            std::panic::set_hook(hook);
+            refused
+        });
+    };
+    panics("capacity", &mut |r| {
+        r.capacity();
+    });
+    panics("write_batch_strided", &mut |r| drop(r.write_batch_strided(&[1, 2], &[7; 16])));
+    panics("xor_cells_into", &mut |r| drop(r.xor_cells_into(&[1, 2], &mut Vec::new())));
+    panics("init", &mut |r| r.init(vec![vec![1u8; 8]; 4]));
+    drop(remote);
+    peer.join().expect("peer");
 }
 
 fn the_parser_allocates_in_proportion_to_its_input() {
@@ -352,5 +425,25 @@ fn the_parser_allocates_in_proportion_to_its_input() {
     }
     for response in &responses {
         sweep(response, Response::decode, Response::encode, &mut seed);
+    }
+
+    // Each cell list — the `InitChunk` request (0x13, here with `done`),
+    // the `Cells` answer (0x8A) — with a `count × stride` that overflows, or
+    // that claims more or fewer bytes than the body holds.
+    let hostile = |head: &[u8], count: u64, stride: u64, body: usize| {
+        let mut payload = head.to_vec();
+        payload.extend_from_slice(&count.to_le_bytes());
+        payload.extend_from_slice(&stride.to_le_bytes());
+        payload.resize(payload.len() + body, 0xC5);
+        payload
+    };
+    let cases = [(1 << 20, 1 << 60, 8), (1 << 24, 1 << 8, 64), (3, 4, 11), (3, 4, 13)];
+    for (count, stride, body) in cases {
+        let request = hostile(&[0x13, 1], count, stride, body);
+        assert!(matches!(Request::decode(&request), Err(WireError::BadPayload(_))));
+        assert!(!decode_within_budget(&request, Request::decode, Request::encode));
+        let response = hostile(&[0x8A], count, stride, body);
+        assert!(matches!(Response::decode(&response), Err(WireError::BadPayload(_))));
+        assert!(!decode_within_budget(&response, Response::decode, Response::encode));
     }
 }

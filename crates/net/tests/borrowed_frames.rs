@@ -30,11 +30,14 @@ use dps_server::{ServerError, SimServer, Storage};
 // Recorded at the parent of the borrowed data path (commit 37dab29) from
 // `encode_framed_v2`, ids 7–11; cell `i` is `[i, 0x10 + i]`. (Id 9 was
 // the upload frame of cells of several lengths, opcode 0x0D, since retired:
-// a cell is its stride.)
+// a cell is its stride. `CELLS` was re-recorded when the answer came to
+// state one stride for its cells, opcode 0x8A; the one recorded first gave
+// each cell a length of its own, opcode 0x87, since retired.)
 const READ_BATCH: &str = "445053322100000007000000000000000c0300000000000000010000000000000002000000000000000300000000000000";
 const WRITE_STRIDED: &str = "445053322500000008000000000000000f0200000000000000040000000000000005000000000000000400000000000000aaaabbbb";
 const XOR_CELLS: &str = "44505332210000000a00000000000000110300000000000000010000000000000002000000000000000300000000000000";
-const CELLS: &str = "44505332270000000700000000000000870300000000000000020000000000000001110200000000000000021202000000000000000313";
+const CELLS: &str =
+    "445053321700000007000000000000008a03000000000000000200000000000000011102120313";
 const BYTES: &str = "445053320b0000000a000000000000008802000000000000000010";
 const FAIL: &str = "44505332120000000b00000000000000890009000000000000000400000000000000";
 

@@ -451,16 +451,16 @@ fn set_up<S: Storage>(server: &mut S, cells: &[Vec<u8>], provided: bool) -> Cont
     contents(server)
 }
 
-/// The `InitChunk` frames a set-up of `cells` takes when a frame is shipped
-/// at `bound` bytes: header and prelude are 26 bytes, a cell is its length
-/// prefix and its bytes, and a frame always takes one cell.
+/// The `InitChunk` frames a set-up of `cells` (of one length) takes when a
+/// frame is shipped at `bound` bytes: header and prelude are 34 bytes, a
+/// cell is its bytes, and a frame always takes one cell.
 fn init_frames(bound: usize, cells: &[Vec<u8>]) -> u64 {
-    let (mut frames, mut len, mut held) = (1, 26, 0);
+    let (mut frames, mut len, mut held) = (1, 34, 0);
     for cell in cells {
         if held > 0 && len >= bound {
-            (frames, len, held) = (frames + 1, 26, 0);
+            (frames, len, held) = (frames + 1, 34, 0);
         }
-        len += 8 + cell.len();
+        len += cell.len();
         held += 1;
     }
     frames
@@ -544,10 +544,10 @@ fn set_up_is_the_same_everywhere(cells: &[Vec<u8>], bound: usize) {
 #[test]
 fn set_up_is_the_same_everywhere_for_ragged_cell_lists() {
     let uniform: Vec<Vec<u8>> = (0..40u8).map(|i| cell(i, 24)).collect();
-    // 26 + 2 × (8 + 8) = 58: the second cell fills a 58-byte frame exactly.
+    // 34 + 2 × 8 = 50: the second cell fills a 50-byte frame exactly.
     let words: Vec<Vec<u8>> = (1..6u8).map(|i| cell(i, 8)).collect();
     let outsize: Vec<Vec<u8>> = (5..10u8).map(|i| cell(i, 100)).collect();
-    for bound in [1, 58, 59, 1 << 20] {
+    for bound in [1, 50, 51, 1 << 20] {
         set_up_is_the_same_everywhere(&[], bound);
         set_up_is_the_same_everywhere(&vec![vec![]; 3], bound);
         set_up_is_the_same_everywhere(&uniform, bound);

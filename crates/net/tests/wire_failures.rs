@@ -41,9 +41,23 @@ fn deframe(mut buf: &[u8]) -> Result<(Vec<u8>, &[u8]), WireError> {
 
 /// Ingredient-tuple strategy (the vendored proptest has no `prop_oneof!`):
 /// a selector byte picks the request variant.
+/// A cell list of one stride: up to five cells of up to 23 bytes (0
+/// included), each of its own bytes.
+fn arb_cells() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    (0usize..6, 0usize..24, proptest::collection::vec(any::<u8>(), 6 * 24)).prop_map(
+        |(n, stride, bytes)| {
+            bytes
+                .chunks_exact(24)
+                .take(n)
+                .map(|c| c[..stride].to_vec())
+                .collect()
+        },
+    )
+}
+
 fn arb_request() -> impl Strategy<Value = Request> {
     let addrs = proptest::collection::vec(0usize..10_000, 0..8);
-    let cells = proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..6);
+    let cells = arb_cells();
     (0u8..11, addrs, cells, any::<bool>(), proptest::collection::vec(any::<u8>(), 0..48)).prop_map(
         |(variant, addrs, cells, done, flat)| match variant {
             0 => Request::Ping,
@@ -62,7 +76,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
 }
 
 fn arb_response() -> impl Strategy<Value = Response> {
-    let cells = proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..6);
+    let cells = arb_cells();
     let events = proptest::collection::vec((0u8..3, 0usize..10_000), 0..10);
     (0u8..8, cells, events, any::<u64>(), 0usize..10_000).prop_map(
         |(variant, cells, events, v, n)| match variant {
@@ -296,13 +310,12 @@ fn daemon_refuses_a_read_batch_whose_answer_cannot_fit_a_frame() {
 /// Allocation amplification attacks are stopped: a tiny frame must not be
 /// able to make the daemon allocate far beyond its budget. A 17-byte frame
 /// of the retired empty-init opcode claiming 2^40 cells is an unknown
-/// opcode and closes the connection; a set-up of many short cells and one
-/// long one — which would once have been laid out at the long one's
-/// stride — is two cell lengths and closes it too, and so does a set-up of
-/// one length past [`DaemonLimits`]; and a write of a cell far longer than
-/// the stride, or one byte longer or shorter, is refused in-band as
-/// `WrongCellLength` — the model allocates nothing for it, and the
-/// connection keeps serving.
+/// opcode and closes the connection; a set-up chunk that claims 64 Ki + 1
+/// cells of 4 KiB — 256 MiB — over a body of 580 KiB disagrees with its
+/// body and closes it too, and so does a set-up of one length past
+/// [`DaemonLimits`]; and a write of a cell far longer than the stride, or
+/// one byte longer or shorter, is refused in-band as `WrongCellLength` —
+/// the model allocates nothing for it, and the connection keeps serving.
 #[test]
 fn daemon_budget_stops_allocation_amplification() {
     let mut server = SimServer::new();
@@ -317,14 +330,15 @@ fn daemon_budget_stops_allocation_amplification() {
     bad.write_all(&frame(&init_empty).unwrap()).unwrap();
     assert_eq!(drain(&mut bad), 0, "a retired opcode must close, not allocate");
 
-    // Stride amplification: 64 Ki one-byte cells plus a single 4 KiB
-    // cell encode to ~580 KiB but would once have allocated 64 Ki × 4 KiB
-    // = 256 MiB. Its cells differ in length: no set-up takes it.
+    // Stride amplification: the bytes of 64 Ki one-byte cells and one
+    // 4 KiB cell (~580 KiB, what a set-up of two lengths once sent), under
+    // a head claiming 64 Ki + 1 cells of the long one's stride.
     let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
-    let mut cells = vec![vec![0u8; 1]; 1 << 16];
-    cells.push(vec![0u8; 4096]);
-    let evil = Request::InitChunk { done: true, cells };
-    bad.write_all(&frame(&evil.encode()).unwrap()).unwrap();
+    let mut evil = vec![0x13, 1];
+    evil.extend_from_slice(&((1u64 << 16) + 1).to_le_bytes());
+    evil.extend_from_slice(&4096u64.to_le_bytes());
+    evil.resize(evil.len() + (1 << 16) + 4096, 0);
+    bad.write_all(&frame(&evil).unwrap()).unwrap();
     assert_eq!(drain(&mut bad), 0, "stride amplification must close, not allocate");
     assert_eq!(daemon.metrics().protocol_errors, before + 2);
 
@@ -356,9 +370,10 @@ fn daemon_budget_stops_allocation_amplification() {
     daemon.shutdown();
 }
 
-/// The stored-bytes query (`0x05`) and the upload frame of cells of
-/// several lengths (`0x0D`) are retired: a frame of either — the latter as
-/// its last client wrote it — closes its connection like any unknown
+/// The stored-bytes query (`0x05`), the upload frame of cells of several
+/// lengths (`0x0D`) and the set-up chunk that gave each cell a length of
+/// its own (`0x12`) are retired: a frame of any of them — the last two as
+/// their last client wrote them — closes its connection like any unknown
 /// opcode, and the daemon serves everyone else.
 #[test]
 fn retired_ragged_cell_opcodes_close_the_connection() {
@@ -373,7 +388,13 @@ fn retired_ragged_cell_opcodes_close_the_connection() {
         write_batch.extend_from_slice(&v.to_le_bytes());
     }
     write_batch.extend_from_slice(&[2, 3]);
-    for (i, payload) in [vec![0x05], write_batch].iter().enumerate() {
+    // `0x12`, a whole set-up of one 8-byte cell behind its length.
+    let mut init_chunk = vec![0x12, 1];
+    for v in [1u64, 8] {
+        init_chunk.extend_from_slice(&v.to_le_bytes());
+    }
+    init_chunk.extend_from_slice(&[5; 8]);
+    for (i, payload) in [vec![0x05], write_batch, init_chunk].iter().enumerate() {
         let errors = daemon.metrics().protocol_errors;
         let mut bad = TcpStream::connect(daemon.local_addr()).unwrap();
         bad.write_all(&frame(payload).unwrap()).unwrap();
@@ -384,18 +405,22 @@ fn retired_ragged_cell_opcodes_close_the_connection() {
     daemon.shutdown();
 }
 
-/// A set-up's cells have the first one's length. A cell of another —
-/// longer or shorter, in the frame that opened the run or in a later one —
-/// closes the connection before anything is laid out: the store keeps what
-/// it held, the daemon counts a protocol error and serves everyone else.
+/// A set-up has one stride: its first chunk's, which each chunk states
+/// once for all its cells (a frame cannot hold cells of two lengths). A
+/// chunk of another — longer or shorter, the run's `done` chunk or one
+/// before it — closes the connection before anything is laid out: the store
+/// keeps what it held, the daemon counts a protocol error and serves
+/// everyone else.
 #[test]
 fn a_ragged_set_up_closes_the_connection_wherever_the_odd_cell_arrives() {
     let daemon = daemon_with_cells(4);
     let chunk = |done, cells| Request::InitChunk { done, cells };
+    let eights = || chunk(false, vec![vec![5u8; 8]; 3]);
     let runs = [
-        vec![chunk(true, vec![vec![5u8; 8], vec![5; 8], vec![5; 9]])],
-        vec![chunk(false, vec![vec![5u8; 8]; 3]), chunk(true, vec![vec![5u8; 8], vec![5; 7]])],
-        vec![chunk(false, vec![vec![5u8; 8]; 3]), chunk(true, vec![vec![]])],
+        vec![eights(), chunk(true, vec![vec![5u8; 9]])],
+        vec![eights(), chunk(true, vec![vec![5u8; 7]; 2])],
+        vec![eights(), eights(), chunk(false, vec![vec![5u8; 9]])],
+        vec![eights(), chunk(true, vec![vec![]])],
         vec![chunk(false, vec![vec![]; 2]), chunk(true, vec![vec![5u8; 1]])],
     ];
     for (i, run) in runs.iter().enumerate() {
@@ -478,6 +503,21 @@ fn a_half_finished_chunked_init_ends_at_the_next_request() {
     assert_eq!(remote.request(&chunk(true, 0x11, 2)), Ok(Response::Ok));
     assert_eq!(remote.request(&chunk(true, 0xFF, 1)), Ok(Response::Ok));
     assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(1)));
+
+    // A chunk of no cells has no stride to disagree with: it may end a run
+    // of 8-byte cells, and a run that begins with one takes its stride from
+    // the first chunk with cells in it.
+    assert_eq!(remote.request(&chunk(false, 0x22, 2)), Ok(Response::Ok));
+    assert_eq!(remote.request(&chunk(true, 0, 0)), Ok(Response::Ok));
+    assert_eq!(remote.request(&Request::Capacity), Ok(Response::Number(2)));
+    assert_eq!(remote.request(&chunk(false, 0, 0)), Ok(Response::Ok));
+    assert_eq!(remote.request(&chunk(false, 0x33, 1)), Ok(Response::Ok));
+    assert_eq!(remote.request(&chunk(false, 0, 0)), Ok(Response::Ok));
+    assert_eq!(remote.request(&chunk(true, 0x44, 1)), Ok(Response::Ok));
+    assert_eq!(
+        remote.request(&Request::ReadBatch { addrs: vec![0, 1] }),
+        Ok(Response::Cells(vec![vec![0x33; 8], vec![0x44; 8]]))
+    );
     drop(remote);
     daemon.shutdown();
 }
@@ -539,7 +579,7 @@ fn a_hostile_length_prefix_is_a_cut_stream_not_a_reservation() {
     let hostile = || {
         fake_peer(|mut stream| {
             let id = swallow_request(&mut stream);
-            let mut bytes = frame_v2(id, &[0x87; 10]).unwrap();
+            let mut bytes = frame_v2(id, &[0x8A; 10]).unwrap();
             bytes[4..8].copy_from_slice(&(MAX_FRAME as u32).to_le_bytes());
             stream.write_all(&bytes).unwrap();
         })

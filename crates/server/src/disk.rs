@@ -121,17 +121,17 @@
 //!
 //! **Another format is refused, never wiped.** A snapshot file that carries
 //! the snapshot magic under another format version — a directory written
-//! before format 2 dropped the init bitmap — makes `open` fail with
-//! [`DiskError::Corrupt`] naming both versions when no snapshot of this
-//! format decodes, and no file is touched. Without that check such a
+//! before format 2 dropped the init bitmap, or before format 3 dropped the
+//! length of each cell from snapshots and WAL records — makes `open` fail
+//! with [`DiskError::Corrupt`] naming both versions when no snapshot of
+//! this format decodes, and no file is touched. Without that check such a
 //! directory with no usable log would look fresh, and the fresh store's
 //! first checkpoint would empty its arena. There is no migration: no such
-//! directory was ever deployed (NOTES.md, entry 14). Format 2's bytes still
-//! carry a length per cell, in every snapshot and WAL record, and each is
-//! the stride: a checksum-valid snapshot whose table says otherwise — what
-//! a store of unequal cells wrote before cells were held to the stride —
-//! is refused the same way, naming the cell and both lengths, and so is a
-//! record of a cell of another length (NOTES.md, entry 21).
+//! directory was ever deployed (NOTES.md, entries 14 and 29). A WAL
+//! record's cells are the stride of the snapshot whose stamp it carries
+//! (the stride changes only at a set-up's geometry checkpoint, which bumps
+//! the stamp), so a checksum-valid record that is not `n` addresses and
+//! `n` strides of bytes is corrupt too.
 //!
 //! All I/O goes through the [`Vfs`]/[`DiskFile`] traits; production uses
 //! [`RealVfs`] (plain files + `pwrite`), tests use
@@ -459,9 +459,7 @@ impl<V: Vfs> DiskBackend<V> {
         let mut foreign = None;
         for (slot, file) in meta.iter().enumerate() {
             let bytes = read_all(file)?;
-            let decoded = decode_meta(&bytes)
-                .map_err(|detail| DiskError::corrupt(format!("{}: {detail}", META_NAMES[slot])))?;
-            match decoded {
+            match decode_meta(&bytes) {
                 Some(m) if best.as_ref().is_none_or(|(_, b)| m.stamp > b.stamp) => {
                     best = Some((slot, m));
                 }
@@ -518,8 +516,9 @@ impl<V: Vfs> DiskBackend<V> {
             }
         }
         // I4: whatever the header says, the record region is read under
-        // the snapshot's stamp.
-        let scan = scan_records(store.stamp, wal_bytes.get(WAL_HEADER_LEN..).unwrap_or(&[]))?;
+        // the snapshot's stamp, and its cells are the snapshot's stride.
+        let records = wal_bytes.get(WAL_HEADER_LEN..).unwrap_or(&[]);
+        let scan = scan_records(store.stamp, store.stride, records)?;
         store.wal_len = WAL_HEADER_LEN as u64;
         if !scan.records.is_empty() {
             if header != WalHeader::Valid(store.stamp) {
@@ -529,16 +528,11 @@ impl<V: Vfs> DiskBackend<V> {
                     "WAL header fails validation in front of a valid record",
                 ));
             }
-            for (addr, bytes) in scan.records.iter().flatten() {
-                if *addr >= store.capacity || bytes.len() != store.stride {
-                    return Err(DiskError::corrupt(format!(
-                        "WAL record writes {} bytes to cell {addr}, outside the snapshot's \
-                         {} cells of {} bytes",
-                        bytes.len(),
-                        store.capacity,
-                        store.stride
-                    )));
-                }
+            if let Some((addr, _)) = scan.records.iter().flatten().find(|w| w.0 >= store.capacity) {
+                return Err(DiskError::corrupt(format!(
+                    "WAL record writes cell {addr}, outside the snapshot's {} cells",
+                    store.capacity
+                )));
             }
             for (addr, bytes) in scan.records.iter().flatten() {
                 store.replay(*addr, bytes)?;
@@ -995,7 +989,6 @@ mod tests {
     use super::*;
     use crate::crashsim::CrashSim;
     use crate::storage::Storage;
-    use crate::wal::encode_meta_with_lens;
     use proptest::prelude::*;
 
     struct TempDir(PathBuf);
@@ -1038,43 +1031,75 @@ mod tests {
         assert_eq!(store.read(5).unwrap(), vec![5u8; 8]);
     }
 
-    /// A directory of on-disk format 1: a snapshot with its init words
-    /// under version 1 and a valid CRC, its arena, and a log of the same
-    /// version.
-    fn format_1_directory(dir: &Path) {
+    /// A snapshot of another on-disk format under a valid CRC: the fixed
+    /// fields, then `tail` (format 1: a length per cell and the init words;
+    /// format 2: a length per cell).
+    fn old_snapshot(
+        version: u32,
+        (capacity, stride, stamp): (u64, u64, u64),
+        tail: &[u8],
+    ) -> Vec<u8> {
         use crate::crc::crc32;
-        std::fs::create_dir_all(dir).unwrap();
-        let (capacity, stride, stamp) = (70u64, 3u64, 4u64);
         let mut meta = b"DPSM".to_vec();
-        meta.extend_from_slice(&1u32.to_le_bytes());
+        meta.extend_from_slice(&version.to_le_bytes());
         meta.extend_from_slice(&stamp.to_le_bytes());
         meta.push(0);
         meta.extend_from_slice(&capacity.to_le_bytes());
         meta.extend_from_slice(&stride.to_le_bytes());
-        (0..capacity).for_each(|_| meta.extend_from_slice(&3u32.to_le_bytes()));
-        [u64::MAX, 0x3F]
-            .iter()
-            .for_each(|w| meta.extend_from_slice(&w.to_le_bytes()));
+        meta.extend_from_slice(tail);
         meta.extend_from_slice(&crc32(&[&meta]).to_le_bytes());
+        meta
+    }
+
+    /// A directory of on-disk format `version` (1 or 2): a snapshot with
+    /// its length table (and, in format 1, its init words) under that
+    /// version and a valid CRC, its arena, and a log of the same version —
+    /// in format 2 with one record of two cells, each behind its length.
+    fn old_format_directory(dir: &Path, version: u32) {
+        use crate::crc::crc32;
+        std::fs::create_dir_all(dir).unwrap();
+        let (capacity, stride, stamp) = (70u64, 3u64, 4u64);
+        let mut tail: Vec<u8> = (0..capacity).flat_map(|_| 3u32.to_le_bytes()).collect();
+        if version == 1 {
+            [u64::MAX, 0x3F]
+                .iter()
+                .for_each(|w| tail.extend_from_slice(&w.to_le_bytes()));
+        }
+        let meta = old_snapshot(version, (capacity, stride, stamp), &tail);
         std::fs::write(dir.join(META_NAMES[0]), meta).unwrap();
         std::fs::write(dir.join(ARENA_NAMES[0]), vec![0x5A; 210]).unwrap();
         let mut wal = b"DPSW".to_vec();
-        wal.extend_from_slice(&1u32.to_le_bytes());
+        wal.extend_from_slice(&version.to_le_bytes());
         wal.extend_from_slice(&stamp.to_le_bytes());
         wal.extend_from_slice(&crc32(&[&wal]).to_le_bytes());
+        if version == 2 {
+            let mut payload = vec![1u8];
+            payload.extend_from_slice(&2u32.to_le_bytes());
+            [1u64, 4]
+                .iter()
+                .for_each(|a| payload.extend_from_slice(&a.to_le_bytes()));
+            [3u32, 3]
+                .iter()
+                .for_each(|l| payload.extend_from_slice(&l.to_le_bytes()));
+            payload.extend_from_slice(&[0xA1, 0xA1, 0xA1, 0xA4, 0xA4, 0xA4]);
+            let len = (payload.len() as u32).to_le_bytes();
+            wal.extend_from_slice(&len);
+            wal.extend_from_slice(&crc32(&[&stamp.to_le_bytes(), &len, &payload]).to_le_bytes());
+            wal.extend_from_slice(&payload);
+        }
         wal.resize(4096, 0);
         std::fs::write(dir.join(WAL_NAME), wal).unwrap();
     }
 
-    /// A format-1 directory is refused, naming both versions, and no file
-    /// that was there changes — with its log, and without one, where the
-    /// fresh-store path would otherwise empty `arena.0` and rewrite
-    /// `meta.0`.
+    /// A directory of format 1 or of format 2 is refused, naming both
+    /// versions, and no file that was there changes — with its log, and
+    /// without one, where the fresh-store path would otherwise empty
+    /// `arena.0` and rewrite `meta.0`.
     #[test]
     fn a_format_1_directory_is_refused_and_left_untouched() {
-        for keep_wal in [true, false] {
-            let tmp = TempDir::new(if keep_wal { "format1" } else { "format1_nowal" });
-            format_1_directory(&tmp.0);
+        for (version, keep_wal) in [(1, true), (1, false), (2, true), (2, false)] {
+            let tmp = TempDir::new(&format!("format{version}_{keep_wal}"));
+            old_format_directory(&tmp.0, version);
             if !keep_wal {
                 std::fs::remove_file(tmp.0.join(WAL_NAME)).unwrap();
             }
@@ -1085,53 +1110,10 @@ mod tests {
             assert_eq!(before.len(), 2 + usize::from(keep_wal));
             match DiskStore::open(&tmp.0).map(|_| ()) {
                 Err(DiskError::Corrupt { detail }) => {
-                    assert!(detail.contains("format 1") && detail.contains("format 2"), "{detail}")
+                    let named = [format!("format {version} "), format!("format {FORMAT_VERSION} ")];
+                    assert!(named.iter().all(|v| detail.contains(v)), "{detail}")
                 }
-                other => panic!("a format-1 directory opened: {other:?}"),
-            }
-            for (name, bytes) in before {
-                assert_eq!(std::fs::read(tmp.0.join(name)).unwrap(), bytes, "{name} changed");
-            }
-        }
-    }
-
-    /// A format-2 directory whose newest snapshot is checksum-valid but
-    /// gives a cell another length than the stride — shorter or longer; what
-    /// a store of unequal cells wrote — is refused, naming the cell and both
-    /// lengths, and no file changes: with its log, and without one.
-    #[test]
-    fn a_format_2_directory_with_a_ragged_table_is_refused_and_left_untouched() {
-        for (keep_wal, len) in [(true, 3u32), (false, 3), (true, 9), (false, 0)] {
-            let tmp = TempDir::new(&format!("ragged_{keep_wal}_{len}"));
-            {
-                let mut store = DiskStore::open(&tmp.0).unwrap();
-                store.init(cells(10));
-                store.write(4, vec![0xAB; 8]).unwrap();
-            }
-            let (slot, m) = META_NAMES
-                .iter()
-                .filter_map(|name| {
-                    let bytes = std::fs::read(tmp.0.join(name)).ok()?;
-                    Some((*name, decode_meta(&bytes).ok()??))
-                })
-                .max_by_key(|(_, m)| m.stamp)
-                .unwrap();
-            let mut lens = [8u32; 10];
-            lens[6] = len;
-            std::fs::write(tmp.0.join(slot), encode_meta_with_lens(&m, &lens)).unwrap();
-            if !keep_wal {
-                std::fs::remove_file(tmp.0.join(WAL_NAME)).unwrap();
-            }
-            let names = ARENA_NAMES.iter().chain(&META_NAMES).chain([&WAL_NAME]);
-            let before: Vec<(&str, Vec<u8>)> = names
-                .filter_map(|&name| Some((name, std::fs::read(tmp.0.join(name)).ok()?)))
-                .collect();
-            match DiskStore::open(&tmp.0).map(|_| ()) {
-                Err(DiskError::Corrupt { detail }) => {
-                    let named = format!("cell 6 a length of {len} bytes, not the stride of 8");
-                    assert!(detail.contains(slot) && detail.contains(&named), "{detail}");
-                }
-                other => panic!("a ragged table opened: {other:?}"),
+                other => panic!("a format-{version} directory opened: {other:?}"),
             }
             for (name, bytes) in before {
                 assert_eq!(std::fs::read(tmp.0.join(name)).unwrap(), bytes, "{name} changed");
@@ -1172,8 +1154,8 @@ mod tests {
 
     /// The shipped budget's cadence, so that changing the default shows in
     /// a test and not only in the benchmark: DP-KVS-sized commits (20 cells
-    /// of 235 bytes, one 4953-byte record each) fill the default 8 MiB log
-    /// in 1694 commits, and the commit that passes the budget checkpoints —
+    /// of 235 bytes, one 4873-byte record each) fill the default 8 MiB log
+    /// in 1722 commits, and the commit that passes the budget checkpoints —
     /// once, and not before.
     #[test]
     fn the_default_log_checkpoints_once_it_passes_8_mib() {
@@ -1187,12 +1169,12 @@ mod tests {
             store.write_batch(batch.collect()).unwrap();
             commits += 1;
             if store.checkpoint_stamp() != stamp {
-                assert!(logged <= 8 << 20 && logged + 4953 > 8 << 20, "early at {logged}");
+                assert!(logged <= 8 << 20 && logged + 4873 > 8 << 20, "early at {logged}");
                 break;
             }
-            assert_eq!(store.wal_bytes(), logged + 4953);
+            assert_eq!(store.wal_bytes(), logged + 4873);
         }
-        assert_eq!((commits, store.checkpoint_stamp()), (1694, stamp + 1));
+        assert_eq!((commits, store.checkpoint_stamp()), (1722, stamp + 1));
         assert_eq!(store.wal_bytes(), WAL_HEADER_LEN as u64);
     }
 
@@ -1300,8 +1282,9 @@ mod tests {
     }
 
     /// A valid record of a cell shorter or longer than the stride was
-    /// never written by a store that holds cells to it: `Corrupt`, naming
-    /// the cell and the length, and nothing is replayed.
+    /// never written by a store that holds cells to it: its payload is not
+    /// `n` addresses and `n` strides of bytes, so it is `Corrupt`, and
+    /// nothing is replayed.
     #[test]
     fn a_wal_record_of_another_length_is_corrupt() {
         use crate::wal::encode_record;
@@ -1315,12 +1298,15 @@ mod tests {
             let mut wal = encode_wal_header(stamp).to_vec();
             wal.extend_from_slice(&encode_record(stamp, &[(1, &[0xA1; 8]), (4, &vec![0; len])]));
             std::fs::write(tmp.0.join(WAL_NAME), &wal).unwrap();
+            let arenas = || ARENA_NAMES.map(|name| std::fs::read(tmp.0.join(name)).unwrap());
+            let before = arenas();
             match DiskStore::open(&tmp.0).map(|_| ()) {
                 Err(DiskError::Corrupt { detail }) => {
-                    assert!(detail.contains(&format!("{len} bytes to cell 4")), "{detail}")
+                    assert!(detail.contains("malformed payload"), "{detail}")
                 }
                 other => panic!("a {len}-byte record opened: {other:?}"),
             }
+            assert_eq!(arenas(), before, "a {len}-byte record was replayed");
         }
     }
 
@@ -1450,37 +1436,24 @@ mod tests {
         /// range, an arena slot that does not exist, a geometry whose arena
         /// size overflows, an arena file a little shorter or longer than
         /// the geometry (capped at 4 KiB, so a vast geometry always finds
-        /// its arena short), a length table that gives some cell another
-        /// length than the stride (half the time). `open` never panics,
-        /// opens a snapshot only if every length in its table is the
-        /// stride, and never adopts a geometry its arena file does not
-        /// hold; a store it opens takes a one-byte write, a checkpoint and
-        /// a reopen without a panic, and never lets a snapshot's stamp go
-        /// backwards.
+        /// its arena short). `open` never panics and never adopts a
+        /// geometry its arena file does not hold; a store it opens takes a
+        /// one-byte write, a checkpoint and a reopen without a panic, and
+        /// never lets a snapshot's stamp go backwards.
         #[test]
         fn hostile_snapshots_are_refused_or_opened_whole(
             (stamp, near_max) in (any::<u64>(), 0u8..4),
             active in 0usize..=2,
             capacity in 0usize..64,
             stride in 0usize..STRIDES.len(),
-            (lens, uniform) in (proptest::collection::vec(any::<u32>(), 64), any::<bool>()),
             (delta, bounded) in (0u64..4, any::<bool>()),
         ) {
             let stride = STRIDES[stride];
             let stamp = if near_max > 0 { u64::MAX - stamp % 2 } else { stamp };
-            let lens: Vec<u32> = lens[..capacity]
-                .iter()
-                .map(|&len| u64::from(len) % (stride as u64).saturating_add(1))
-                .map(|len| if uniform { stride as u32 } else { len as u32 })
-                .collect();
-            // A table only speaks for a snapshot that is one: a slot it
-            // cannot name or an arena no address spans is no snapshot.
-            let structural = active < 2 && capacity.checked_mul(stride).is_some();
-            let ragged = structural && lens.iter().any(|&len| len as usize != stride);
             let tmp = TempDir::new("hostile");
             std::fs::create_dir_all(&tmp.0).unwrap();
             let meta = Meta { stamp, active, capacity, stride };
-            std::fs::write(tmp.0.join(META_NAMES[0]), encode_meta_with_lens(&meta, &lens)).unwrap();
+            std::fs::write(tmp.0.join(META_NAMES[0]), encode_meta(&meta)).unwrap();
             let arena_len = (capacity as u64).wrapping_mul(stride as u64);
             let arena = std::fs::File::create(tmp.0.join(ARENA_NAMES[active.min(1)])).unwrap();
             arena.set_len(arena_len.saturating_add(delta).saturating_sub(1).min(4096)).unwrap();
@@ -1490,11 +1463,7 @@ mod tests {
                 cache_bytes: if bounded { 16 } else { 1 << 20 },
             };
 
-            let opened = DiskStore::open_with(&tmp.0, opts);
-            if ragged {
-                prop_assert!(matches!(opened, Err(DiskError::Corrupt { .. })), "{meta:?} {lens:?}");
-            }
-            if let Ok(mut store) = opened {
+            if let Ok(mut store) = DiskStore::open_with(&tmp.0, opts) {
                 let held = store.arena[store.active].file_len().unwrap();
                 let spans = store.capacity() as u128 * store.cell_stride() as u128;
                 prop_assert!(spans <= u128::from(held), "{meta:?} opened over {held} bytes");

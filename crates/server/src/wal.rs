@@ -10,7 +10,7 @@
 //! ```text
 //! header  : magic "DPSW" | version u32 | stamp u64 | crc u32      (20 bytes)
 //! record* : len u32 | crc u32 | payload (len bytes)
-//! payload : tag u8 (=1) | n u32 | addr u64 ×n | len u32 ×n | cell bytes
+//! payload : tag u8 (=1) | n u32 | addr u64 ×n | cell bytes (n × stride)
 //! rest    : zeros (never written) or bytes of older generations
 //! ```
 //!
@@ -28,30 +28,30 @@
 //! decision; the records it returns borrow the log bytes it was given, so
 //! recovery holds a log of `B` bytes once, not twice.
 //!
+//! A record's cells carry no lengths: each is the stride of the snapshot
+//! whose stamp its CRC binds, which is sound because only a set-up's
+//! geometry checkpoint changes the stride and every checkpoint bumps the
+//! stamp (NOTES.md, entry 29). A checksum-valid record that is not `n`
+//! addresses and `n` strides of bytes is corrupt.
+//!
 //! Every CRC here is CRC-32 (IEEE) from the private `crc` module, whose
 //! table and carry-less bodies agree on every input: which one ran never
-//! shows in a file (`a_record_crc_is_the_one_format_2_always_wrote` pins
+//! shows in a file (`a_record_crc_is_the_one_format_3_always_wrote` pins
 //! one record's value).
 //!
 //! ## Metadata snapshot layout
 //!
 //! ```text
 //! magic "DPSM" | version u32 | stamp u64 | active u8 | capacity u64 |
-//! stride u64 | len u32 ×capacity | crc u32
+//! stride u64 | crc u32                                            (37 bytes)
 //! ```
 //!
-//! A snapshot is valid only if the magic, version, structural lengths, and
-//! trailing CRC all check out, and its arena (`capacity × stride` bytes)
-//! has a size `usize` can hold; recovery picks the valid snapshot with the
-//! highest stamp out of the two alternating slots. Every cell holds a value,
-//! so the table has a length per cell and nothing else: format 1 also
-//! carried a bitmap of the cells ever written, and a format-1 directory is
-//! refused, not migrated (NOTES.md, entry 14). Every cell is one stride
-//! long, so every length in the table is the stride: it is written so, and
-//! a checksum-valid table that says otherwise — written when cells could
-//! differ — is refused as corrupt, never adopted or wiped (NOTES.md, entry
-//! 21). The bytes are format 2's; so are a WAL record's length fields,
-//! which recovery holds to the stride the same way.
+//! A snapshot is valid only if the magic, version, length and trailing CRC
+//! all check out, and its arena (`capacity × stride` bytes) has a size
+//! `usize` can hold; recovery picks the valid snapshot with the highest
+//! stamp out of the two alternating slots. Format 1 also carried a bitmap
+//! of the cells ever written, and format 2 a length per cell; a directory
+//! of either is refused, not migrated (NOTES.md, entries 14 and 29).
 
 use std::fmt;
 
@@ -62,7 +62,7 @@ pub(crate) const WAL_MAGIC: [u8; 4] = *b"DPSW";
 /// Magic prefix of a metadata snapshot file.
 pub(crate) const META_MAGIC: [u8; 4] = *b"DPSM";
 /// On-disk format version (shared by the WAL and metadata snapshots).
-pub(crate) const FORMAT_VERSION: u32 = 2;
+pub(crate) const FORMAT_VERSION: u32 = 3;
 /// Size in bytes of the WAL file header.
 pub(crate) const WAL_HEADER_LEN: usize = 20;
 /// Size in bytes of a WAL record header (`len u32 | crc u32`).
@@ -171,34 +171,32 @@ pub(crate) fn decode_wal_header(bytes: &[u8]) -> WalHeader {
 
 /// The one record encoder: collects the cell writes of a commit (one
 /// upload batch, in order) and frames them as **one** CRC'd record. The
-/// three sections of the payload grow separately because a batch arrives
-/// as a single-pass iterator and the format keeps addresses, lengths and
-/// cell bytes apart; [`RecordBuilder::finish`] joins them. Every buffer
-/// keeps its capacity across commits.
+/// two sections of the payload grow separately because a batch arrives
+/// as a single-pass iterator and the format keeps addresses and cell bytes
+/// apart; [`RecordBuilder::finish`] joins them. Every buffer keeps its
+/// capacity across commits.
 #[derive(Debug, Default)]
 pub(crate) struct RecordBuilder {
     addrs: Vec<u8>,
-    lens: Vec<u8>,
     cells: Vec<u8>,
     record: Vec<u8>,
 }
 
 impl RecordBuilder {
-    /// Appends one cell write.
+    /// Appends one cell write; the cell is the store's stride long.
     pub fn push(&mut self, addr: usize, cell: &[u8]) {
         self.addrs.extend_from_slice(&(addr as u64).to_le_bytes());
-        self.lens.extend_from_slice(&(cell.len() as u32).to_le_bytes());
         self.cells.extend_from_slice(cell);
     }
 
     /// Whether no write has been collected.
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.addrs.is_empty()
     }
 
     /// Size of the record [`RecordBuilder::finish`] would produce.
     pub fn record_len(&self) -> usize {
-        RECORD_HEADER_LEN + 1 + 4 + self.addrs.len() + self.lens.len() + self.cells.len()
+        RECORD_HEADER_LEN + 1 + 4 + self.addrs.len() + self.cells.len()
     }
 
     /// Frames everything collected as one record (`len | crc | payload`)
@@ -211,14 +209,12 @@ impl RecordBuilder {
         out.extend_from_slice(&payload_len.to_le_bytes());
         out.extend_from_slice(&[0u8; 4]); // crc placeholder
         out.push(RECORD_TAG_WRITES);
-        out.extend_from_slice(&(self.lens.len() as u32 / 4).to_le_bytes());
+        out.extend_from_slice(&(self.addrs.len() as u32 / 8).to_le_bytes());
         out.extend_from_slice(&self.addrs);
-        out.extend_from_slice(&self.lens);
         out.extend_from_slice(&self.cells);
         let crc = record_crc(stamp, payload_len, &out[RECORD_HEADER_LEN..]);
         out[4..8].copy_from_slice(&crc.to_le_bytes());
         self.addrs.clear();
-        self.lens.clear();
         self.cells.clear();
         &self.record
     }
@@ -268,7 +264,7 @@ fn valid_record(stamp: u64, bytes: &[u8], pos: usize) -> Option<&[u8]> {
 }
 
 /// Scan `bytes` (the WAL contents *after* the header) for records bound to
-/// generation `stamp`.
+/// generation `stamp`, whose cells are `stride` bytes each.
 ///
 /// The log ends at the first record that does not validate under `stamp`
 /// (implausible length, runs past the file, bad CRC). In a preallocated,
@@ -281,12 +277,17 @@ fn valid_record(stamp: u64, bytes: &[u8], pos: usize) -> Option<&[u8]> {
 /// A rotted *final* record cannot be told from a torn one and is
 /// discarded; a preallocated file has no length to say the append
 /// completed. A record whose CRC validates but whose payload does not
-/// parse was never written by this code and is `Corrupt` as well.
-pub(crate) fn scan_records(stamp: u64, bytes: &[u8]) -> Result<WalScan<'_>, DiskError> {
+/// parse — `n` addresses and `n × stride` bytes — was never written by
+/// this code and is `Corrupt` as well.
+pub(crate) fn scan_records(
+    stamp: u64,
+    stride: usize,
+    bytes: &[u8],
+) -> Result<WalScan<'_>, DiskError> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some(payload) = valid_record(stamp, bytes, pos) {
-        records.push(decode_record_payload(payload, pos)?);
+        records.push(decode_record_payload(payload, stride, pos)?);
         pos += RECORD_HEADER_LEN + payload.len();
     }
     if let Some(len) = bytes.get(pos..pos + 4) {
@@ -303,44 +304,31 @@ pub(crate) fn scan_records(stamp: u64, bytes: &[u8]) -> Result<WalScan<'_>, Disk
     Ok(WalScan { records, torn })
 }
 
-fn decode_record_payload(payload: &[u8], pos: usize) -> Result<Vec<(usize, &[u8])>, DiskError> {
+fn decode_record_payload(
+    payload: &[u8],
+    stride: usize,
+    pos: usize,
+) -> Result<Vec<(usize, &[u8])>, DiskError> {
     let bad = || DiskError::corrupt(format!("WAL record at offset {pos} has a malformed payload"));
-    if payload.is_empty() || payload[0] != RECORD_TAG_WRITES {
+    let (tag, rest) = payload.split_first().ok_or_else(bad)?;
+    if *tag != RECORD_TAG_WRITES || rest.len() < 4 {
         return Err(bad());
     }
-    if payload.len() < 5 {
+    let (n, rest) = rest.split_at(4);
+    let n = u32::from_le_bytes(n.try_into().unwrap()) as usize;
+    let addrs_len = n.checked_mul(8).ok_or_else(bad)?;
+    let cells_len = n.checked_mul(stride).ok_or_else(bad)?;
+    if addrs_len.checked_add(cells_len) != Some(rest.len()) {
         return Err(bad());
     }
-    let n = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
-    let addrs_end = 5usize
-        .checked_add(n.checked_mul(8).ok_or_else(bad)?)
-        .ok_or_else(bad)?;
-    let lens_end = addrs_end
-        .checked_add(n.checked_mul(4).ok_or_else(bad)?)
-        .ok_or_else(bad)?;
-    if lens_end > payload.len() {
-        return Err(bad());
-    }
-    let mut writes = Vec::with_capacity(n);
-    let mut data_pos = lens_end;
-    for i in 0..n {
-        let addr = u64::from_le_bytes(payload[5 + i * 8..5 + i * 8 + 8].try_into().unwrap());
-        let len = u32::from_le_bytes(
-            payload[addrs_end + i * 4..addrs_end + i * 4 + 4]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let end = data_pos.checked_add(len).ok_or_else(bad)?;
-        if end > payload.len() {
-            return Err(bad());
-        }
-        writes.push((addr as usize, &payload[data_pos..end]));
-        data_pos = end;
-    }
-    if data_pos != payload.len() {
-        return Err(bad());
-    }
-    Ok(writes)
+    let (addrs, cells) = rest.split_at(addrs_len);
+    let cell = |i: usize| &cells[i * stride..(i + 1) * stride];
+    let addr = |raw: &[u8]| u64::from_le_bytes(raw.try_into().unwrap()) as usize;
+    Ok(addrs
+        .chunks_exact(8)
+        .enumerate()
+        .map(|(i, raw)| (addr(raw), cell(i)))
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -360,43 +348,21 @@ pub(crate) struct Meta {
     pub stride: usize,
 }
 
-const META_FIXED_LEN: usize = 4 + 4 + 8 + 1 + 8 + 8;
+/// Bytes of a metadata snapshot, its CRC included.
+const META_LEN: usize = 4 + 4 + 8 + 1 + 8 + 8 + 4;
 
-/// Encode a metadata snapshot, including its trailing CRC: its table gives
-/// every cell the stride.
-///
-/// # Panics
-/// Panics if a store of cells has a stride a `u32` cannot hold (a cell of
-/// 4 GiB or more has no length in this format).
+/// Encode a metadata snapshot, including its trailing CRC.
 pub(crate) fn encode_meta(meta: &Meta) -> Vec<u8> {
-    let len = || u32::try_from(meta.stride).expect("a cell of 4 GiB or more");
-    encode_meta_table(meta, (0..meta.capacity).map(|_| len()))
-}
-
-/// A snapshot of `meta` with the length table `lens` (`meta.capacity` of
-/// them).
-fn encode_meta_table(meta: &Meta, lens: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(META_FIXED_LEN + lens.len() * 4 + 4);
+    let mut out = Vec::with_capacity(META_LEN);
     out.extend_from_slice(&META_MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&meta.stamp.to_le_bytes());
     out.push(meta.active as u8);
     out.extend_from_slice(&(meta.capacity as u64).to_le_bytes());
     out.extend_from_slice(&(meta.stride as u64).to_le_bytes());
-    for len in lens {
-        out.extend_from_slice(&len.to_le_bytes());
-    }
     let crc = crc32(&[&out]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
-}
-
-/// A snapshot whose table holds `lens` — what only a store of unequal
-/// cells ever wrote.
-#[cfg(test)]
-pub(crate) fn encode_meta_with_lens(meta: &Meta, lens: &[u32]) -> Vec<u8> {
-    assert_eq!(lens.len(), meta.capacity);
-    encode_meta_table(meta, lens.iter().copied())
 }
 
 /// The format version a file declares, if it starts with the snapshot
@@ -407,57 +373,32 @@ pub(crate) fn meta_version(bytes: &[u8]) -> Option<u32> {
     (head[..4] == META_MAGIC).then(|| u32::from_le_bytes(head[4..8].try_into().unwrap()))
 }
 
-/// Decode and validate a metadata snapshot. Returns `Ok(None)` for
-/// anything that is not a complete, structurally consistent,
-/// checksum-valid snapshot — recovery treats such a slot as absent and
-/// falls back to the other one — and `Err`, naming the cell and both
-/// lengths, for a valid one whose table gives a cell another length than
-/// the stride.
-pub(crate) fn decode_meta(bytes: &[u8]) -> Result<Option<Meta>, String> {
-    let Some((meta, table)) = decode_meta_parts(bytes) else { return Ok(None) };
-    let lens = table
-        .chunks_exact(4)
-        .map(|len| u32::from_le_bytes(len.try_into().unwrap()));
-    match lens.enumerate().find(|&(_, len)| len as usize != meta.stride) {
-        Some((addr, len)) => Err(format!(
-            "snapshot gives cell {addr} a length of {len} bytes, not the stride of {}",
-            meta.stride
-        )),
-        None => Ok(Some(meta)),
-    }
-}
-
-/// The fields of a snapshot that checks out, and its length table.
-fn decode_meta_parts(bytes: &[u8]) -> Option<(Meta, &[u8])> {
-    if bytes.len() < META_FIXED_LEN + 4 {
+/// Decode and validate a metadata snapshot. Returns `None` for anything
+/// that is not a complete, structurally consistent, checksum-valid
+/// snapshot of this format — recovery treats such a slot as absent and
+/// falls back to the other one.
+pub(crate) fn decode_meta(bytes: &[u8]) -> Option<Meta> {
+    if bytes.len() != META_LEN
+        || bytes[0..4] != META_MAGIC
+        || bytes[4..8] != FORMAT_VERSION.to_le_bytes()
+    {
         return None;
     }
-    if bytes[0..4] != META_MAGIC || bytes[4..8] != FORMAT_VERSION.to_le_bytes() {
+    let crc = u32::from_le_bytes(bytes[META_LEN - 4..].try_into().unwrap());
+    if crc != crc32(&[&bytes[..META_LEN - 4]]) {
         return None;
     }
     let stamp = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let active = bytes[16] as usize;
-    if active > 1 {
-        return None;
-    }
-    let capacity = u64::from_le_bytes(bytes[17..25].try_into().unwrap());
-    let stride = u64::from_le_bytes(bytes[25..33].try_into().unwrap());
-    if capacity > u64::MAX / 8 || capacity > usize::MAX as u64 / 8 {
-        return None;
-    }
-    let capacity = capacity as usize;
-    let stride = usize::try_from(stride).ok()?;
+    let capacity = usize::try_from(u64::from_le_bytes(bytes[17..25].try_into().unwrap())).ok()?;
+    let stride = usize::try_from(u64::from_le_bytes(bytes[25..33].try_into().unwrap())).ok()?;
     // An arena no address arithmetic can span is structural corruption.
-    capacity.checked_mul(stride)?;
-    let expect = META_FIXED_LEN + capacity * 4 + 4;
-    if bytes.len() != expect {
-        return None;
-    }
-    let crc = u32::from_le_bytes(bytes[expect - 4..].try_into().unwrap());
-    if crc != crc32(&[&bytes[..expect - 4]]) {
-        return None;
-    }
-    Some((Meta { stamp, active, capacity, stride }, &bytes[META_FIXED_LEN..expect - 4]))
+    (active <= 1 && capacity.checked_mul(stride).is_some()).then_some(Meta {
+        stamp,
+        active,
+        capacity,
+        stride,
+    })
 }
 
 #[cfg(test)]
@@ -478,51 +419,61 @@ mod tests {
 
     #[test]
     fn record_round_trip_including_empty_cells() {
-        let writes: Vec<(usize, &[u8])> = vec![(3, b"abc"), (0, b""), (7, b"zzzz")];
+        let writes: Vec<(usize, &[u8])> = vec![(3, b"abc"), (0, b"def"), (7, b"zzz")];
         let mut bytes = encode_record(9, &writes);
-        bytes.extend_from_slice(&encode_record(9, &[(1, b"x")]));
-        let scan = scan_records(9, &bytes).unwrap();
+        bytes.extend_from_slice(&encode_record(9, &[(1, b"xyz")]));
+        let scan = scan_records(9, 3, &bytes).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[0], writes);
-        assert_eq!(scan.records[1], vec![(1, &b"x"[..])]);
+        assert_eq!(scan.records[1], vec![(1, &b"xyz"[..])]);
+        // At stride 0 a record is its addresses.
+        let empty = encode_record(9, &[(5, b""), (2, b"")]);
+        assert_eq!(empty.len(), RECORD_HEADER_LEN + 1 + 4 + 16);
+        let scan = scan_records(9, 0, &empty).unwrap();
+        assert_eq!(scan.records, vec![vec![(5, &b""[..]), (2, &b""[..])]]);
     }
 
     #[test]
     fn a_batch_is_one_record_that_reads_back_in_order() {
         let mut batch = RecordBuilder::default();
-        let writes: [(usize, &[u8]); 4] = [(3, b"abc"), (0, b""), (3, b"later"), (9, b"z")];
+        let writes: [(usize, &[u8]); 4] = [(3, b"abc"), (0, b"def"), (3, b"ghi"), (9, b"zzz")];
         for (addr, cell) in writes {
             batch.push(addr, cell);
         }
         let len = batch.record_len();
         let record = batch.finish(5).to_vec();
         assert_eq!(record.len(), len);
-        let scan = scan_records(5, &record).unwrap();
+        assert_eq!(len, RECORD_HEADER_LEN + 1 + 4 + 4 * 8 + 4 * 3, "no length per cell");
+        let scan = scan_records(5, 3, &record).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records, vec![writes.to_vec()]);
         // The builder starts over: the next record carries none of this one.
         assert!(batch.is_empty());
-        batch.push(1, b"x");
-        assert_eq!(batch.finish(5), &encode_record(5, &[(1, b"x")])[..]);
+        batch.push(1, b"xyz");
+        assert_eq!(batch.finish(5), &encode_record(5, &[(1, b"xyz")])[..]);
     }
 
-    /// A record's bytes are the on-disk format: this CRC was computed by
-    /// the table-only code that wrote the first format-2 logs, so a log
-    /// written then still validates whichever CRC body runs now (the
-    /// 256-byte payload is long enough for the carry-less one).
+    /// A record's bytes are the on-disk format: this CRC is CRC-32 (IEEE)
+    /// of the record as format 3 lays it out, as an independent
+    /// implementation (zlib's `crc32`) computes it, so a log written by any
+    /// build of format 3 validates whichever CRC body runs now (the
+    /// 257-byte payload is long enough for the carry-less one).
     #[test]
-    fn a_record_crc_is_the_one_format_2_always_wrote() {
-        let record = encode_record(7, &[(1, &[0xA1; 8]), (4, &[0xA4; 219])]);
-        assert_eq!(record.len(), RECORD_HEADER_LEN + 256);
-        assert_eq!(u32::from_le_bytes(record[4..8].try_into().unwrap()), 0x7410_3E07);
-        assert_eq!(scan_records(7, &record).unwrap().records.len(), 1);
+    fn a_record_crc_is_the_one_format_3_always_wrote() {
+        let record = encode_record(7, &[(1, &[0xA1; 118]), (4, &[0xA4; 118])]);
+        assert_eq!(record.len(), RECORD_HEADER_LEN + 257);
+        assert_eq!(u32::from_le_bytes(record[4..8].try_into().unwrap()), 0x38D0_DF9B);
+        assert_eq!(scan_records(7, 118, &record).unwrap().records.len(), 1);
     }
 
     #[test]
     fn torn_tail_is_discarded_but_bad_crc_is_corruption() {
         let rec = encode_record(1, &[(2, b"hello")]);
         let full = encode_record(1, &[(0, b"first")]);
+        fn scan_records(stamp: u64, bytes: &[u8]) -> Result<WalScan<'_>, DiskError> {
+            super::scan_records(stamp, 5, bytes)
+        }
 
         // Truncated tail: every strict prefix of the second record is torn.
         for cut in 0..rec.len() {
@@ -566,7 +517,17 @@ mod tests {
         let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&record_crc(3, payload.len() as u32, &payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        assert!(matches!(scan_records(3, &bytes), Err(DiskError::Corrupt { .. })));
+        assert!(matches!(scan_records(3, 0, &bytes), Err(DiskError::Corrupt { .. })));
+
+        // Read under another stride than its cells', a record is `n`
+        // addresses and the wrong number of bytes: corrupt, never cells
+        // cut at the wrong places.
+        let record = encode_record(4, &[(1, &[0xA1; 8]), (2, &[0xA2; 8])]);
+        assert_eq!(scan_records(4, 8, &record).unwrap().records.len(), 1);
+        for stride in [0, 4, 7, 9, 16, usize::MAX] {
+            let refused = scan_records(4, stride, &record).unwrap_err();
+            assert!(refused.to_string().contains("malformed payload"), "{stride}: {refused}");
+        }
     }
 
     proptest! {
@@ -576,17 +537,20 @@ mod tests {
         /// stamp, which is then the log's honest continuation.
         #[test]
         fn scan_never_reads_a_record_out_of_garbage(
+            stride in 0usize..24,
             batches in proptest::collection::vec(
-                proptest::collection::vec(
-                    (0usize..64, proptest::collection::vec(any::<u8>(), 0..24)), 0..4),
+                proptest::collection::vec((0usize..64, any::<u8>()), 0..4),
                 0..5),
             garbage in proptest::collection::vec(any::<u8>(), 0..200),
-            stale_generation in proptest::collection::vec(
-                (0usize..64, proptest::collection::vec(any::<u8>(), 0..24)), 0..4),
+            stale_generation in proptest::collection::vec((0usize..64, any::<u8>()), 0..4),
             continuation in any::<bool>(),
         ) {
             let stamp = 11;
-            let encode = |stamp: u64, batch: &[(usize, Vec<u8>)]| {
+            let cells = |batch: &[(usize, u8)]| -> Vec<(usize, Vec<u8>)> {
+                batch.iter().map(|&(a, byte)| (a, vec![byte; stride])).collect()
+            };
+            let encode = |stamp: u64, batch: &[(usize, u8)]| {
+                let batch = cells(batch);
                 let writes: Vec<(usize, &[u8])> =
                     batch.iter().map(|(a, c)| (*a, c.as_slice())).collect();
                 encode_record(stamp, &writes)
@@ -602,13 +566,16 @@ mod tests {
             if continuation {
                 bytes.extend_from_slice(&encode(stamp, &stale_generation));
             }
-            match scan_records(stamp, &bytes) {
+            match scan_records(stamp, stride, &bytes) {
                 Ok(scan) => {
-                    let want: Vec<Vec<(usize, &[u8])>> = batches
+                    let want: Vec<Vec<(usize, Vec<u8>)>> =
+                        batches.iter().map(|batch| cells(batch)).collect();
+                    let got: Vec<Vec<(usize, Vec<u8>)>> = scan
+                        .records
                         .iter()
-                        .map(|batch| batch.iter().map(|(a, c)| (*a, c.as_slice())).collect())
+                        .map(|record| record.iter().map(|(a, c)| (*a, c.to_vec())).collect())
                         .collect();
-                    prop_assert_eq!(scan.records, want);
+                    prop_assert_eq!(got, want);
                 }
                 // Only a valid record under the stamp behind the invalid
                 // one can turn the end of the log into corruption.
@@ -622,28 +589,21 @@ mod tests {
     fn meta_round_trip_and_validation() {
         let meta = Meta { stamp: 7, active: 1, capacity: 70, stride: 16 };
         let bytes = encode_meta(&meta);
-        assert_eq!(bytes, encode_meta_with_lens(&meta, &[16; 70]), "every length is the stride");
-        assert_eq!(decode_meta(&bytes), Ok(Some(meta.clone())));
+        assert_eq!(bytes.len(), META_LEN, "the geometry is the whole snapshot");
+        assert_eq!(decode_meta(&bytes), Some(meta.clone()));
 
         let mut flipped = bytes.clone();
-        flipped[40] ^= 4;
-        assert_eq!(decode_meta(&flipped), Ok(None));
-        assert_eq!(decode_meta(&bytes[..bytes.len() - 1]), Ok(None));
-        assert_eq!(decode_meta(&[]), Ok(None));
+        flipped[30] ^= 4;
+        assert_eq!(decode_meta(&flipped), None);
+        assert_eq!(decode_meta(&bytes[..bytes.len() - 1]), None);
+        assert_eq!(decode_meta(&[bytes.clone(), vec![0]].concat()), None);
+        assert_eq!(decode_meta(&[]), None);
 
-        // A valid table with a length other than the stride, shorter or
-        // longer, is refused naming the cell; an arena whose size
-        // overflows is structural corruption.
-        for len in [0, 15, 17] {
-            let mut lens = [16; 70];
-            lens[33] = len;
-            let refused = decode_meta(&encode_meta_with_lens(&meta, &lens)).unwrap_err();
-            let named = format!("cell 33 a length of {len} bytes, not the stride of 16");
-            assert!(refused.contains(&named), "{refused}");
-        }
-        let vast = Meta { capacity: 2, stride: 1 << 63, ..meta };
-        let vast = encode_meta_with_lens(&vast, &[0; 2]);
-        assert_eq!(decode_meta(&vast), Ok(None));
+        // An arena whose size overflows, or a slot that does not exist, is
+        // structural corruption.
+        let vast = encode_meta(&Meta { capacity: 2, stride: 1 << 63, ..meta });
+        assert_eq!(decode_meta(&vast), None);
+        assert_eq!(decode_meta(&encode_meta(&Meta { active: 2, ..meta })), None);
         assert_eq!(meta_version(&vast), Some(FORMAT_VERSION));
         assert_eq!(meta_version(&bytes[..7]), None);
     }

@@ -27,8 +27,8 @@ fn main() {
         .expect("setup with valid parameters");
 
     // 3. Same constant-overhead accesses, now with real bytes on a real
-    //    wire: each query is 2 downloads + 1 upload in 3 framed round
-    //    trips, whatever the record index.
+    //    wire: each query is 2 downloads + 1 upload in 2 framed round
+    //    trips (one batch down, one up), whatever the record index.
     let before = ram.server_stats();
     for i in [7usize, 99, 1023] {
         let value = ram.read(i, &mut rng).expect("read over the wire");
@@ -48,8 +48,10 @@ fn main() {
         "wire: {} framed exchanges, {} B up, {} B down",
         cost.wire_round_trips, cost.wire_bytes_up, cost.wire_bytes_down
     );
-    // Data ops map one-to-one onto framed exchanges; the only extra
-    // exchange in the window is the closing stats query itself.
+    // Two round trips per query, and data ops map one-to-one onto framed
+    // exchanges; the only extra exchange in the window is the closing
+    // stats query itself.
+    assert_eq!(cost.round_trips, 4 * 2);
     assert_eq!(cost.round_trips, cost.wire_round_trips - 1);
     println!("model view identical to the in-process run: stats().sans_wire()");
 
