@@ -110,12 +110,6 @@ impl AuditReport {
             .max(direction(&self.histogram_2, &self.histogram_1))
     }
 
-    /// Total variation distance between the two view distributions —
-    /// a coarse single-number summary (`δ̂` at `ε = 0`).
-    pub fn total_variation(&self) -> f64 {
-        self.delta_at(0.0)
-    }
-
     /// Probability of the view `v` under each sequence, for inspection.
     pub fn view_probabilities(&self, view: &[u8]) -> (f64, f64) {
         let t = self.trials as f64;

@@ -434,11 +434,6 @@ impl<S: Storage> BucketRam<S> {
         Ok(ram)
     }
 
-    /// Number of buckets in the repertoire.
-    pub fn bucket_count(&self) -> usize {
-        self.sigma.len()
-    }
-
     /// Number of plaintext cells currently held client-side.
     pub fn stashed_cell_count(&self) -> usize {
         self.cell_stash.len()

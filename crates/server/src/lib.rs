@@ -32,8 +32,8 @@
 // slice) and `crc` (one call into the CRC-32 carry-less fold, guarded by
 // the `Avx2` dispatch tier and the detected `pclmulqdq`/`sse4.1` its
 // `target_feature` body enables; the body is safe code). Everything else
-// stays unsafe-free, and CI's "Five audited unsafe modules" step names any
-// file that adds another exception.
+// stays unsafe-free, and the row "Four audited unsafe modules" of
+// `tests/one_way.rs` names any file that adds another exception.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

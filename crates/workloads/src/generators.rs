@@ -9,12 +9,6 @@ pub fn uniform_ir(n: usize, l: usize, rng: &mut ChaChaRng) -> Vec<IrQuery> {
     (0..l).map(|_| IrQuery(rng.gen_index(n))).collect()
 }
 
-/// `l` Zipf(θ)-distributed IR queries over `[0, n)`.
-pub fn zipf_ir(n: usize, l: usize, theta: f64, rng: &mut ChaChaRng) -> Vec<IrQuery> {
-    let z = Zipf::new(n, theta);
-    (0..l).map(|_| IrQuery(z.sample(rng))).collect()
-}
-
 /// `l` RAM queries with uniform indices and the given write fraction.
 pub fn uniform_ram(n: usize, l: usize, write_fraction: f64, rng: &mut ChaChaRng) -> Vec<RamQuery> {
     (0..l)
